@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.baselines.base import OverlayStrategy
@@ -611,7 +610,7 @@ class BDSController(OverlayStrategy):
         for j, i in enumerate(capped):
             new_cap = float(rates[j])
             if new_cap < requested[j]:
-                out[i] = replace(out[i], rate_cap=new_cap)
+                out[i] = out[i].with_rate_cap(new_cap)
                 reconciled += 1
         return out, reconciled
 

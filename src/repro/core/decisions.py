@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.net.simulator import TransferDirective
 from repro.overlay.blocks import Block
 from repro.overlay.job import MulticastJob
@@ -39,29 +41,27 @@ class ScheduledBlock:
 
 @dataclass
 class SelectionBatch:
-    """Integer companion of a scheduler selection list.
+    """Columnar companion of a scheduler selection list.
 
     Produced by the vectorized scheduling kernel alongside its
-    :class:`ScheduledBlock` list: row ``i`` of these parallel columns
-    describes ``selections[i]`` in the possession matrix's interned id
-    space (see :class:`repro.overlay.store.PossessionMatrix`). The router
-    consumes it to build commodity groups without re-hashing string
-    server ids — group keys, source picks, and path-memo lookups all run
-    on small ints; names are materialized once per final group.
+    :class:`ScheduledBlock` list: row ``i`` of these parallel int64
+    arrays describes ``selections[i]`` in the possession matrix's
+    interned id space (see :class:`repro.overlay.store.PossessionMatrix`).
+    The router groups, sizes and deals selections as index segments over
+    these columns and never walks the object list; names are
+    materialized once per final group.
     """
 
     #: The view's job list; ``job_slots`` indexes into it.
     jobs: List[MulticastJob]
     #: Per-row interned block column id.
-    gids: List[int]
+    gids: np.ndarray
     #: Per-row block index within its job.
-    indices: List[int]
+    indices: np.ndarray
     #: Per-row destination server id.
-    dst_sids: List[int]
-    #: Per-row destination DC id.
-    dc_gids: List[int]
+    dst_sids: np.ndarray
     #: Per-row index into ``jobs``.
-    job_slots: List[int]
+    job_slots: np.ndarray
 
 
 @dataclass

@@ -17,10 +17,19 @@ Given the scheduling step's block selections, the router:
 4. converts per-path rates into rate-capped single-hop
    :class:`~repro.net.simulator.TransferDirective`s, splitting each merged
    group's blocks across its sources in proportion to the allocated rates.
+
+Steps 1, 2 and 4 are columnar: selections arrive as the int columns of a
+:class:`~repro.core.decisions.SelectionBatch`, are picked and merged as
+array gathers, and leave as directives whose block lists are segments of
+one per-cycle index array — no per-selection Python between the
+scheduler kernel and the solver (:class:`_Grouping` is the hand-off).
+Views without an exact possession matrix (speculation overlays, the
+dict store) group selection by selection instead and join the same tail.
 """
 
 from __future__ import annotations
 
+import sys
 import time as _time
 import zlib
 from dataclasses import dataclass
@@ -32,10 +41,10 @@ from repro.core.decisions import ScheduledBlock, SelectionBatch
 from repro.lp.fptas import max_multicommodity_flow
 from repro.lp.incidence import PathIncidence
 from repro.lp.mcf import Commodity, solve_lp_incidence
-from repro.net.cycle_cache import RoutingWarmStore
-from repro.net.simulator import ClusterView, TransferDirective
+from repro.net.cycle_cache import CycleCache, RoutingWarmStore
+from repro.net.simulator import ClusterView, TransferDirective, partial_column
 from repro.net.topology import ResourceKey
-from repro.overlay.blocks import Block
+from repro.overlay.job import MulticastJob
 from repro.utils.validation import check_positive
 
 BlockId = Tuple[str, int]
@@ -45,6 +54,26 @@ GroupKey = Tuple[str, str, Tuple[str, ...]]  # (job, dst_server, sources)
 #: greedy/lp have no iteration structure so they report the zero triple.
 SolverStats = Tuple[int, int, str]
 _NO_SOLVER_STATS: SolverStats = (0, 0, "")
+
+
+@dataclass
+class _Grouping:
+    """Selections merged into commodity groups, as index segments.
+
+    Groups are in first-appearance order (commodity order is the greedy
+    solver's rarity order); rows ``bounds[g]:bounds[g + 1]`` are group
+    ``g``'s selections in selection order.
+    """
+
+    keys: List[GroupKey]
+    jobs: List[MulticastJob]
+    dst_servers: List[str]
+    bounds: List[int]
+    #: Per row: job-relative block index, block size, and bytes already
+    #: buffered at the destination (``None``: no row has any).
+    indices: np.ndarray
+    sizes: np.ndarray
+    buffered: Optional[np.ndarray]
 
 
 @dataclass
@@ -108,12 +137,12 @@ class BDSRouter:
     ) -> Tuple[List[TransferDirective], RoutingDiagnostics]:
         """Allocate paths and rates for the scheduled blocks.
 
-        ``batch`` is the scheduler's integer companion of ``selections``
+        ``batch`` is the scheduler's columnar companion of ``selections``
         (present when the vectorized kernel produced them): with it, the
-        source-candidate picks and the §5.1 merge run on interned ids —
-        int group keys, int path/source memos — and server names are only
-        materialized once per final group. Groups, commodities, and
-        directives are identical with or without it.
+        source-candidate picks and the §5.1 merge are array gathers over
+        its columns and server names are only materialized once per
+        final group. Groups, commodities, and directives are identical
+        with or without it.
         """
         started = _time.perf_counter()
         if not selections:
@@ -134,10 +163,10 @@ class BDSRouter:
             and len(batch.gids) == len(selections)
             and getattr(view.store, "is_exact_matrix", False)
         ):
-            groups = self._build_groups_batched(view, selections, batch)
+            grouping = self._group_columns(view, batch)
         else:
-            groups = self._build_groups(view, selections)
-        commodities, group_blocks = self._build_commodities(view, groups)
+            grouping = self._group_selections(view, selections)
+        commodities, members = self._build_commodities(view, grouping)
         if not commodities:
             return [], RoutingDiagnostics(
                 backend=self.backend,
@@ -149,7 +178,7 @@ class BDSRouter:
             )
 
         rates, solver = self._solve(view, commodities, view.bulk_capacities)
-        directives = self._to_directives(view, commodities, group_blocks, rates)
+        directives = self._to_directives(grouping, commodities, members, rates)
         objective = sum(rates.values())
         return directives, RoutingDiagnostics(
             backend=self.backend,
@@ -230,184 +259,300 @@ class BDSRouter:
             groups.setdefault(key, []).append(entry)
         return groups
 
-    def _build_groups_batched(
-        self,
-        view: ClusterView,
-        selections: Sequence[ScheduledBlock],
-        batch: SelectionBatch,
-    ) -> Dict[GroupKey, List[ScheduledBlock]]:
-        """Interned-id twin of ``_build_groups`` + ``_candidate_sources``.
+    def _group_selections(
+        self, view: ClusterView, selections: Sequence[ScheduledBlock]
+    ) -> _Grouping:
+        """:meth:`_build_groups` as a :class:`_Grouping` (scalar views)."""
+        groups = self._build_groups(view, selections)
+        jobs_by_id = {job.job_id: job for job in view.jobs}
+        jobs: List[MulticastJob] = []
+        dst_servers: List[str] = []
+        bounds = [0]
+        indices: List[int] = []
+        sizes: List[float] = []
+        buffered: List[float] = []
+        for key, entries in groups.items():
+            dst_server = entries[0].dst_server
+            jobs.append(jobs_by_id[key[0]])
+            dst_servers.append(dst_server)
+            for entry in entries:
+                block = entry.block
+                indices.append(block.index)
+                sizes.append(block.size)
+                buffered.append(view.received_bytes(block.block_id, dst_server))
+            bounds.append(len(indices))
+        return _Grouping(
+            keys=list(groups),
+            jobs=jobs,
+            dst_servers=dst_servers,
+            bounds=bounds,
+            indices=np.array(indices, dtype=np.int64),
+            sizes=np.array(sizes, dtype=np.float64),
+            buffered=np.array(buffered) if any(buffered) else None,
+        )
 
-        Same pick logic, run on small ints and batched holder lookups:
+    def _pick_sources(self, view: ClusterView, batch: SelectionBatch) -> np.ndarray:
+        """Source server ids per selection: ``(rows, picks)``, -1 padded.
 
-        * Holder sets for every distinct selected block come from **one**
-          gather against the possession matrix per cycle (a servers ×
-          unique-blocks bit test), with failed agents masked out, instead
-          of a per-selection column scan. Ascending server id *is* the
-          lexicographic ``holders.sort()`` of the scalar path (server
-          interning is in sorted-name order).
-        * The actual source pick is memoized **content-addressed** in
-          ``CycleCache.picks``: the key is the block's packed holder
-          bitmask plus (destination id, block index), so the memo
-          survives store-epoch bumps — possession churn simply addresses
-          new entries — and steady-state cycles rebuild almost no picks.
-          Path reachability is baked into stored picks, hence the memo's
-          validity key is the *path* key (topology epoch, failed links).
-        * On a memo miss, the per-(src, dst) path probe goes through an
-          int-keyed memo (``CycleCache.paths_ids``) in front of
-          ``view.flow_resources``; DC grouping uses the matrix's
-          server→DC id table.
+        :meth:`_candidate_sources` for every row at once. A pick depends
+        only on the row's usable-holder set, destination and block index,
+        so rows are first classed by (holder set, destination):
 
-        Group keys are int tuples during the loop; the string
-        :data:`GroupKey` is built once per group, in first-hit order, so
-        the resulting dict iterates exactly like the scalar build's.
+        * a row's holder set is one gather of the matrix's
+          ``holder_words`` (failed agents masked out), and equal
+          (words, destination) rows are one class — one lexsort;
+        * per class, usable holders (those with a path to the
+          destination, per the cache's ``reach`` table — probed through
+          ``view.flow_resources`` the first time a pair is seen) are
+          laid out DC by DC in ascending server id. Interning order is
+          name order, so this *is* the scalar path's sorted holder list;
+        * each row's picks are then modular gathers into those lists:
+          ``local[i % len]`` first, then the other DCs from offset
+          ``i % len(other_dcs)``, ``servers[i % len]`` of each.
+
+        DC buckets are disjoint, so a pick can never repeat an earlier
+        one (the scalar path's ``candidate not in picked`` never fires).
+        """
+        matrix = view.store.matrix
+        num_servers = matrix.num_servers
+        num_dcs = len(matrix.dc_names)
+        dc_order = matrix.dc_order
+        index = batch.indices
+        dst = batch.dst_sids
+        picks = min(self.max_sources_per_group, num_dcs)
+
+        words = matrix.holder_words[batch.gids]
+        if view.failed_agents:
+            up = np.full(words.shape[1], ~np.uint64(0))
+            for server in view.failed_agents:
+                sid = matrix.server_ids.get(server)
+                if sid is not None:
+                    up[sid >> 6] &= ~np.uint64(1 << (sid & 63))
+            words = words & up
+        # Classes: runs of equal (words, destination) in lexsorted order.
+        columns = words.T
+        order = np.lexsort((dst, *columns))
+        is_head = np.empty(len(order), dtype=bool)
+        is_head[0] = True
+        sorted_dst = dst[order]
+        np.not_equal(sorted_dst[1:], sorted_dst[:-1], out=is_head[1:])
+        for column in columns:
+            column = column[order]
+            is_head[1:] |= column[1:] != column[:-1]
+        cls = np.empty(len(order), dtype=np.int64)
+        cls[order] = is_head.cumsum()
+        cls -= 1
+        heads = order[is_head]
+        class_dst = dst[heads]
+
+        # Usable holders per class: columns follow ``dc_order``, so each
+        # DC's holders are one contiguous, ascending-id run.
+        class_words = words[heads]
+        if sys.byteorder == "big":  # pragma: no cover - x86/arm are little
+            class_words = class_words.byteswap()
+        held = np.unpackbits(
+            class_words.view(np.uint8), axis=1, bitorder="little"
+        )[:, dc_order].view(np.int8)
+        cache = view._cache if view._cache is not None else CycleCache()
+        reach = cache.reach_table(
+            view.topology.epoch, view.failed_links, num_servers
+        )
+        # held x reach: 1 usable, 0 not held or no path, -1 not probed yet.
+        state = held * reach[class_dst[:, None], dc_order]
+        if state.min() < 0:
+            names = matrix.server_names
+            which, column = np.nonzero(state < 0)
+            for to, src in set(
+                zip(class_dst[which].tolist(), dc_order[column].tolist())
+            ):
+                reach[to, src] = (
+                    view.flow_resources(names[src], names[to]) is not None
+                )
+            state = held * reach[class_dst[:, None], dc_order]
+        usable = state > 0
+
+        # Per (class, DC), flat ``class * num_dcs + dc``: how many usable
+        # holders, and where their list starts in ``holders``. The lists
+        # are padded by one entry so that rows without a pick in some
+        # column can gather harmlessly.
+        count = np.add.reduceat(
+            usable, matrix.dc_starts, axis=1, dtype=np.int64
+        ).ravel()
+        ends = count.cumsum()
+        holders = np.zeros(ends[-1] + 1, dtype=np.int64)
+        holders[:-1] = dc_order[usable.nonzero()[1]]
+        start = ends - count
+        length = np.maximum(count, 1)
+        local = np.arange(0, len(count), num_dcs) + matrix.server_dc_ids[class_dst]
+        other = count > 0
+        other[local] = False
+        others = other.reshape(-1, num_dcs).sum(axis=1)
+        other_ends = others.cumsum()
+        other_lists = np.zeros(other_ends[-1] + 1, dtype=np.int64)
+        other_lists[:-1] = other.nonzero()[0]
+
+        # Per row (as columns, to broadcast against the pick columns):
+        # its class's local list and its rotation over the other DCs.
+        row = cls[:, None]
+        at = index[:, None]
+        local_list = local[row]
+        has_local = count[local_list] > 0
+        n_other = others[row]
+        rotation = np.maximum(n_other, 1)
+        # Column k holds the (k - has_local)-th DC of the row's rotation.
+        turn = np.arange(picks) - has_local
+        lists = other_lists[
+            (other_ends[row] - n_other) + (at % rotation + turn) % rotation
+        ]
+        picked = np.where(
+            (turn >= 0) & (turn < n_other),
+            holders[start[lists] + at % length[lists]],
+            -1,
+        )
+        picked[:, :1] = np.where(
+            has_local,
+            holders[start[local_list] + at % length[local_list]],
+            picked[:, :1],
+        )
+        return picked
+
+    def _group_columns(
+        self, view: ClusterView, batch: SelectionBatch
+    ) -> _Grouping:
+        """Pick and merge (§5.1) the batch's rows as index segments.
+
+        Group keys are packed ints; groups are numbered by first
+        appearance and their members kept in selection order (one
+        ``np.unique`` plus one stable sort), exactly the dict-insertion
+        order of :meth:`_build_groups`.
         """
         matrix = view.store.matrix
         names = matrix.server_names
         num_servers = matrix.num_servers
-        dc_of_sid = matrix.server_dc_list
-        cache = view._cache
-        if cache is not None:
-            cache.validate_paths(view.topology.epoch, view.failed_links)
-            paths_ids = cache.paths_ids
-            picks = cache.validate_picks(
-                view.topology.epoch,
-                view.failed_links,
-                self.max_sources_per_group,
-            )
-        else:
-            paths_ids = {}
-            picks = {}
-        failed_sids = sorted(
-            matrix.server_ids[s]
-            for s in view.failed_agents
-            if s in matrix.server_ids
-        )
-        flow_resources = view.flow_resources
-        max_sources = self.max_sources_per_group
-        merge = self.merge_blocks
         jobs = batch.jobs
-        job_ids = [job.job_id for job in jobs]
-
-        # One batched possession gather for all distinct selected blocks:
-        # present[s, u] == server s holds unique block u (failed masked).
-        gids_arr = np.asarray(batch.gids, dtype=np.int64)
-        uniq, inverse = np.unique(gids_arr, return_inverse=True)
-        holder_masks = (np.uint64(1) << (uniq & 63).astype(np.uint64))
-        present = (matrix.bits[:, uniq >> 6] & holder_masks) != 0
-        if failed_sids:
-            present[failed_sids, :] = False
-        # Per-unique-block memo keys: the packed holder bitmask bytes.
-        packed = np.ascontiguousarray(np.packbits(present, axis=0).T)
-        sigs = [packed[u].tobytes() for u in range(len(uniq))]
-        holder_lists: List[Optional[List[int]]] = [None] * len(uniq)
-        inv = inverse.tolist()
-
-        groups: Dict[GroupKey, List[ScheduledBlock]] = {}
-        labels: Dict[Tuple, GroupKey] = {}
-        members: Dict[Tuple, List[ScheduledBlock]] = {}
-        b_idx = batch.indices
-        b_dst = batch.dst_sids
-        b_dc = batch.dc_gids
-        b_slot = batch.job_slots
-        picks_get = picks.get
-        members_get = members.get
-        for i, entry in enumerate(selections):
-            dst_sid = b_dst[i]
-            idx = b_idx[i]
-            u = inv[i]
-            pick_key = (sigs[u], dst_sid, idx)
-            sources = picks_get(pick_key)
-            if sources is None:
-                holders = holder_lists[u]
-                if holders is None:
-                    holders = np.nonzero(present[:, u])[0].tolist()
-                    holder_lists[u] = holders
-                usable: List[int] = []
-                for h in holders:
-                    if h == dst_sid:
-                        continue
-                    pkey = h * num_servers + dst_sid
-                    try:
-                        path = paths_ids[pkey]
-                    except KeyError:
-                        path = flow_resources(names[h], names[dst_sid])
-                        paths_ids[pkey] = path
-                    if path is None:
-                        continue
-                    usable.append(h)
-                by_dc: Dict[int, List[int]] = {}
-                for h in usable:
-                    by_dc.setdefault(dc_of_sid[h], []).append(h)
-                picked: List[int] = []
-                dst_dc_gid = b_dc[i]
-                local = by_dc.get(dst_dc_gid)
-                if local is not None:
-                    picked.append(local[idx % len(local)])
-                other_dcs = sorted(d for d in by_dc if d != dst_dc_gid)
-                if other_dcs:
-                    start = idx % len(other_dcs)
-                    for d in other_dcs[start:] + other_dcs[:start]:
-                        if len(picked) >= max_sources:
-                            break
-                        servers = by_dc[d]
-                        candidate = servers[idx % len(servers)]
-                        if candidate not in picked:
-                            picked.append(candidate)
-                sources = tuple(picked[:max_sources])
-                picks[pick_key] = sources
-            if not sources:
-                continue
-            if merge:
-                ikey = (b_slot[i], dst_sid, sources)
-            else:
-                ikey = (i,)
-            entries = members_get(ikey)
-            if entries is None:
-                name_sources = tuple(names[s] for s in sources)
-                dst_label = (
-                    names[dst_sid] if merge else f"{names[dst_sid]}#{i}"
+        picked = self._pick_sources(view, batch)
+        slot, dst, index = batch.job_slots, batch.dst_sids, batch.indices
+        # Rows without a usable source drop out; ``number`` keeps the
+        # surviving rows' selection numbers.
+        number = np.arange(len(index))
+        routable = picked[:, 0] >= 0
+        if not routable.all():
+            number = routable.nonzero()[0]
+            picked, slot, dst, index = (
+                picked[number], slot[number], dst[number], index[number]
+            )
+        if self.merge_blocks and len(number):
+            radix = num_servers + 1
+            width = picked.shape[1]
+            if len(jobs) * num_servers * radix**width < 2**63:
+                key = (slot * num_servers + dst) * radix**width + (picked + 1) @ (
+                    radix ** np.arange(width - 1, -1, -1)
                 )
-                labels[ikey] = (job_ids[b_slot[i]], dst_label, name_sources)
-                entries = members[ikey] = []
-            entries.append(entry)
-        for ikey, entries in members.items():
-            groups[labels[ikey]] = entries
-        return groups
+                _, first, group = np.unique(
+                    key, return_index=True, return_inverse=True
+                )
+            else:  # many picks x many servers: keys do not fit one int64
+                _, first, group = np.unique(
+                    np.column_stack((slot, dst, picked)),
+                    axis=0,
+                    return_index=True,
+                    return_inverse=True,
+                )
+                group = group.ravel()
+            # A group's first row numbers it: sorting rows by that number
+            # lists groups by first appearance, members in selection order.
+            order = first[group].argsort(kind="stable")
+            by_appearance = first.argsort()
+            heads = first[by_appearance]
+            bounds = [0] + np.bincount(group)[by_appearance].cumsum().tolist()
+        else:
+            order = heads = np.arange(len(number))
+            bounds = list(range(len(number) + 1))
+
+        keys: List[GroupKey] = []
+        group_jobs: List[MulticastJob] = []
+        dst_servers: List[str] = []
+        for at, job_slot, dst_sid, sources in zip(
+            number[heads].tolist(),
+            slot[heads].tolist(),
+            dst[heads].tolist(),
+            picked[heads].tolist(),
+        ):
+            job = jobs[job_slot]
+            dst_server = names[dst_sid]
+            keys.append(
+                (
+                    job.job_id,
+                    dst_server if self.merge_blocks else f"{dst_server}#{at}",
+                    tuple([names[s] for s in sources if s >= 0]),
+                )
+            )
+            group_jobs.append(job)
+            dst_servers.append(dst_server)
+
+        slot, dst, index = slot[order], dst[order], index[order]
+        if len(jobs) == 1:
+            sizes = jobs[0].block_sizes()[index]
+        else:
+            offsets = np.cumsum([0] + [len(job.blocks) for job in jobs[:-1]])
+            sizes = np.concatenate([job.block_sizes() for job in jobs])[
+                offsets[slot] + index
+            ]
+        buffered = None
+        if view._partial:
+            stride = max(len(job.blocks) for job in jobs)
+            buffered = partial_column(
+                view._partial,
+                {job.job_id: i * stride for i, job in enumerate(jobs)},
+                matrix.server_ids,
+                (slot * stride + index) * num_servers + dst,
+            )
+        return _Grouping(
+            keys=keys,
+            jobs=group_jobs,
+            dst_servers=dst_servers,
+            bounds=bounds,
+            indices=index,
+            sizes=sizes,
+            buffered=buffered,
+        )
 
     # -- step 3: commodity construction and solving -------------------------------
 
     def _build_commodities(
-        self,
-        view: ClusterView,
-        groups: Mapping[GroupKey, List[ScheduledBlock]],
-    ) -> Tuple[List[Commodity], Dict[GroupKey, List[Block]]]:
+        self, view: ClusterView, grouping: _Grouping
+    ) -> Tuple[List[Commodity], List[int]]:
+        """One commodity per group with bytes left; and which group each is.
+
+        A group's demand folds its rows' ``size - buffered`` with the
+        builtin ``sum`` in selection order — the operands are gathered
+        as arrays, the reduction is the one the demand has always had
+        (numpy's pairwise sum rounds differently, and demands decide
+        rates, which decide fingerprinted bytes).
+        """
         commodities: List[Commodity] = []
-        group_blocks: Dict[GroupKey, List[Block]] = {}
+        members: List[int] = []
         dt = view.cycle_seconds
-        for key, entries in groups.items():
-            _job, dst_label, sources = key
-            dst_server = entries[0].dst_server
-            blocks = [e.block for e in entries]
-            remaining = sum(
-                b.size - view.received_bytes(b.block_id, dst_server)
-                for b in blocks
-            )
+        sizes, buffered, bounds = grouping.sizes, grouping.buffered, grouping.bounds
+        operands = (sizes if buffered is None else sizes - buffered).tolist()
+        for g, key in enumerate(grouping.keys):
+            remaining = sum(operands[bounds[g] : bounds[g + 1]])
             if remaining <= 0:
                 continue
+            dst_server = grouping.dst_servers[g]
             # Candidate sources are pre-filtered for routability, so every
             # source has a failure-aware path here.
             paths = tuple(
                 tuple(view.flow_resources(src, dst_server) or ())
-                for src in sources
+                for src in key[2]
             )
             if any(not p for p in paths):
                 continue  # a link failed between grouping and routing
             commodities.append(
                 Commodity(name=key, paths=paths, demand=remaining / dt)
             )
-            group_blocks[key] = blocks
-        return commodities, group_blocks
+            members.append(g)
+        return commodities, members
 
     def _solve(
         self,
@@ -615,86 +760,105 @@ class BDSRouter:
 
     @staticmethod
     def _to_directives(
-        view: ClusterView,
+        grouping: _Grouping,
         commodities: List[Commodity],
-        group_blocks: Mapping[GroupKey, List[Block]],
+        members: List[int],
         rates: Mapping[Tuple[GroupKey, int], float],
     ) -> List[TransferDirective]:
         """Split each merged group's blocks across its allocated sources.
 
-        Blocks are dealt to sources in proportion to each source's share of
-        the group's total rate, preserving rarity order within the group.
+        Per group, on plain lists (a group is a ``.tolist()``ed slice of
+        the index column; the directives' index arrays are cut from one
+        array built at the end):
+
+        * stagger block order per destination (Fig. 1's circled send
+          order): different destinations start at different offsets, so
+          they accumulate *disjoint* prefixes and can then serve each
+          other over bottleneck-disjoint paths. Without this, every
+          destination receives the same blocks in the same order and the
+          overlay has nothing to exchange;
+        * half-received blocks go first, so their buffered bytes are not
+          stranded by the rotation;
+        * blocks are dealt to sources in proportion to each source's
+          share of the group's total rate, preserving that order. A
+          group with one flowing source — most of them, on bulk
+          transfers — hands it the whole segment; only the others run
+          the (inherently sequential) deal.
         """
-        directives: List[TransferDirective] = []
-        for commodity in commodities:
+        index_list = grouping.indices.tolist()
+        buffered = grouping.buffered
+        half_received = None if buffered is None else (buffered > 0).tolist()
+        bounds = grouping.bounds
+        dst_servers = grouping.dst_servers
+        # One record per directive: (job, lo, hi, src, dst, rate), where
+        # ``lo:hi`` is its segment of ``sent``.
+        emitted: List[tuple] = []
+        sent: List[int] = []
+        for commodity, g in zip(commodities, members):
             key: GroupKey = commodity.name  # type: ignore[assignment]
-            job_id, _dst_label, sources = key
-            blocks = group_blocks[key]
-            # Stagger block order per destination (Fig. 1's circled send
-            # order): different destinations start at different offsets, so
-            # they accumulate *disjoint* prefixes and can then serve each
-            # other over bottleneck-disjoint paths. Without this, every
-            # destination receives the same blocks in the same order and
-            # the overlay has nothing to exchange.
-            dst_for_offset = commodity.paths[0][-1][1]
-            offset = zlib.crc32(dst_for_offset.encode()) % len(blocks)
-            rotated = blocks[offset:] + blocks[:offset]
-            # Half-received blocks go first so their buffered bytes are not
-            # stranded by the rotation. Membership is tested on block ids
-            # (a set), not Block equality over a list — the latter made
-            # this loop quadratic in group size.
-            partial = [
-                b
-                for b in rotated
-                if view.received_bytes(b.block_id, dst_for_offset) > 0
-            ]
-            if partial:
-                partial_ids = {b.block_id for b in partial}
-                rest = [b for b in rotated if b.block_id not in partial_ids]
-                blocks = partial + rest
-            else:
-                blocks = rotated
-            dst_server = None
-            per_source: List[Tuple[str, float]] = []
+            job_id, _label, sources = key
+            flowing = []
+            flows = []
             for pi, src in enumerate(sources):
                 rate = rates.get((key, pi), 0.0)
                 if rate > 1e-9:
-                    per_source.append((src, rate))
-            if not per_source:
+                    flowing.append(src)
+                    flows.append(rate)
+            if not flowing:
                 continue
-            # The destination is encoded in the path's last resource
-            # ("down", server); recover it from any path.
-            last = commodity.paths[0][-1]
-            dst_server = last[1]
-            total_rate = sum(rate for _s, rate in per_source)
-            total_bytes = sum(b.size for b in blocks)
-            # Deal blocks to sources by descending byte deficit.
-            budgets = {
-                src: rate / total_rate * total_bytes for src, rate in per_source
-            }
-            assigned: Dict[str, List[Block]] = {src: [] for src, _r in per_source}
-            for block in blocks:
-                src = max(budgets, key=lambda s: budgets[s])
-                assigned[src].append(block)
-                budgets[src] -= block.size
+            lo = bounds[g]
+            hi = bounds[g + 1]
+            dst_server = dst_servers[g]
+            offset = zlib.crc32(dst_server.encode()) % (hi - lo)
+            order = index_list[lo + offset : hi] + index_list[lo : lo + offset]
+            if half_received is not None and True in half_received[lo:hi]:
+                first = half_received[lo + offset : hi] + half_received[lo : lo + offset]
+                order = [i for i, f in zip(order, first) if f] + [
+                    i for i, f in zip(order, first) if not f
+                ]
+            at = len(sent)
+            if len(flowing) == 1:
+                # The spare-rate formula below collapses to the rate
+                # itself: spare is exactly 0.0.
+                sent += order
+                emitted.append(
+                    (job_id, at, len(sent), flowing[0], dst_server, flows[0])
+                )
+                continue
+            # Deal blocks to sources by descending byte deficit (ties to
+            # the earlier source). Sizes are read off the blocks, not the
+            # float column: builtin ``sum`` folds ints and floats
+            # differently.
+            blocks = grouping.jobs[g].blocks
+            sizes = [blocks[i].size for i in order]
+            total_rate = sum(flows)
+            total_bytes = sum(sizes)
+            budgets = [rate / total_rate * total_bytes for rate in flows]
+            parts: List[List[int]] = [[] for _ in flows]
+            for i, size in zip(order, sizes):
+                to = budgets.index(max(budgets))
+                parts[to].append(i)
+                budgets[to] -= size
             # A group with fewer blocks than flowing paths leaves some
             # sources empty; hand their rate to the sources that did get
             # blocks, or small block remainders drain geometrically and
             # never finish. The simulator re-clips to capacity, so the
             # reshuffled rate cannot oversubscribe any link.
-            used_rate = sum(r for s, r in per_source if assigned[s])
+            used_rate = sum([rate for rate, part in zip(flows, parts) if part])
             spare = total_rate - used_rate
-            for src, rate in per_source:
-                if not assigned[src]:
-                    continue
-                share = rate + (spare * rate / used_rate if used_rate > 0 else 0.0)
-                directives.append(
-                    TransferDirective(
-                        job_id=job_id,
-                        block_ids=tuple(b.block_id for b in assigned[src]),
-                        src_server=src,
-                        dst_server=dst_server,
-                        rate_cap=share,
+            for src, rate, part in zip(flowing, flows, parts):
+                if part:
+                    sent += part
+                    share = rate + (
+                        spare * rate / used_rate if used_rate > 0 else 0.0
                     )
-                )
-        return directives
+                    emitted.append(
+                        (job_id, at, len(sent), src, dst_server, share)
+                    )
+                    at = len(sent)
+        column = np.array(sent, dtype=np.int64)
+        build = TransferDirective.from_segment
+        return [
+            build(job_id, column, lo, hi, src, dst_server, rate_cap)
+            for job_id, lo, hi, src, dst_server, rate_cap in emitted
+        ]

@@ -247,13 +247,13 @@ class RarestFirstScheduler:
                 grp_idx_max.append(int(idx.max()))
 
         if not group_refs:
+            empty = np.empty(0, dtype=np.int64)
             self.last_batch = SelectionBatch(
                 jobs=list(view.jobs),
-                gids=[],
-                indices=[],
-                dst_sids=[],
-                dc_gids=[],
-                job_slots=[],
+                gids=empty,
+                indices=empty,
+                dst_sids=empty,
+                job_slots=empty,
             )
             self.last_runtime = _time.perf_counter() - started
             return []
@@ -306,11 +306,6 @@ class RarestFirstScheduler:
         # Winners recover their group slot from the offsets; the per-slot
         # constants are then two tiny gathers instead of full columns.
         slot_arr = np.searchsorted(ends, order, side="right")
-        dcgid_per_slot = np.fromiter(
-            (group.dc_gid for (_job, group, _js) in group_refs),
-            dtype=np.int64,
-            count=len(group_refs),
-        )
         jslot_per_slot = np.fromiter(
             (js for (_job, _group, js) in group_refs),
             dtype=np.int64,
@@ -318,8 +313,10 @@ class RarestFirstScheduler:
         )
         sel_slot = slot_arr.tolist()
         sel_row = row_col[order].tolist()
-        sel_idx = idx_col[order].tolist()
-        sel_dst = dst_col[order].tolist()
+        idx_sel = idx_col[order]
+        dst_sel = dst_col[order]
+        sel_idx = idx_sel.tolist()
+        sel_dst = dst_sel.tolist()
         sel_dup = dup_col[order].tolist()
         names = matrix.server_names
         make = _make_scheduled
@@ -348,11 +345,10 @@ class RarestFirstScheduler:
             append(obj)
         self.last_batch = SelectionBatch(
             jobs=list(view.jobs),
-            gids=gid_col[order].tolist(),
-            indices=sel_idx,
-            dst_sids=sel_dst,
-            dc_gids=dcgid_per_slot[slot_arr].tolist(),
-            job_slots=jslot_per_slot[slot_arr].tolist(),
+            gids=gid_col[order],
+            indices=idx_sel,
+            dst_sids=dst_sel,
+            job_slots=jslot_per_slot[slot_arr],
         )
         self.last_runtime = _time.perf_counter() - started
         return selected

@@ -35,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+import numpy as np
+
 from repro.net.topology import ResourceKey
 
 BlockId = Tuple[str, int]
@@ -99,6 +101,8 @@ class DecisionReuseState:
     horizon: Optional[int] = None
     directives: List = field(default_factory=list)
     resources: List = field(default_factory=list)
+    #: The directives' row columns (``repro.net.simulator.FlowColumns``).
+    columns: object = None
     # Telemetry consumed by the event-engine benchmark.
     reuses: int = 0
 
@@ -117,6 +121,7 @@ class DecisionReuseState:
         horizon: Optional[int],
         directives: List,
         resources: List,
+        columns: object = None,
     ) -> None:
         """Record a fresh decide's validated output under its key."""
         self.key = key
@@ -124,6 +129,7 @@ class DecisionReuseState:
         self.horizon = horizon
         self.directives = directives
         self.resources = resources
+        self.columns = columns
 
 
 class CycleCache:
@@ -132,13 +138,10 @@ class CycleCache:
     __slots__ = (
         "_path_key",
         "paths",
-        "paths_ids",
+        "reach",
         "_source_key",
         "sources",
-        "source_ids",
         "rarity",
-        "_picks_key",
-        "picks",
         "hits",
         "misses",
         "flushes",
@@ -151,26 +154,14 @@ class CycleCache:
         self.paths: Dict[
             Tuple[str, str], Optional[Tuple[ResourceKey, ...]]
         ] = {}
-        # Integer twin of ``paths`` for the batched router build:
-        # src_sid * num_servers + dst_sid -> resource tuple or None.
-        # Same validity key; flushed together with ``paths``.
-        self.paths_ids: Dict[int, Optional[Tuple[ResourceKey, ...]]] = {}
+        # Dense twin of ``paths`` for the router's columnar build: the
+        # int8 table ``reach[dst, src]`` of "does src have a path to dst"
+        # (1 yes, 0 no, -1 not probed yet). Same validity key; flushed
+        # together with ``paths``.
+        self.reach: Optional[np.ndarray] = None
         self._source_key: Optional[SourceKey] = None
         self.sources: Dict[BlockId, List[str]] = {}
-        # Integer twin of ``sources``: block column gid -> ascending list
-        # of eligible holder server ids. Same validity key as ``sources``.
-        self.source_ids: Dict[int, List[int]] = {}
         self.rarity: Dict[BlockId, int] = {}
-        # Content-addressed source-pick memo for the batched router build:
-        # (holder-bitmask bytes, dst server id, block index) -> picked
-        # source-id tuple. The holder bitmask (with failed agents masked
-        # out) IS part of the key, so possession churn simply addresses
-        # new entries instead of invalidating old ones — unlike ``sources``
-        # this memo survives store-epoch bumps and gets near-100% hits in
-        # steady state. Path reachability is baked into stored picks, so
-        # the table flushes with the path memo's validity key.
-        self.picks: Dict[Tuple[bytes, int, int], Tuple[int, ...]] = {}
-        self._picks_key: Optional[Tuple[int, FrozenSet, int]] = None
         # Telemetry (coarse; bumped by ClusterView's cached accessors).
         self.hits: int = 0
         self.misses: int = 0
@@ -185,28 +176,24 @@ class CycleCache:
         key = (topology_epoch, failed_links)
         if key != self._path_key:
             self._path_key = key
-            if self.paths or self.paths_ids:
+            if self.paths or self.reach is not None:
                 self.paths = {}
-                self.paths_ids = {}
+                self.reach = None
                 self.flushes += 1
         return self.paths
 
-    def validate_picks(
-        self, topology_epoch: int, failed_links: FrozenSet, max_sources: int
-    ) -> Dict[Tuple[bytes, int, int], Tuple[int, ...]]:
-        """The source-pick memo, flushed if paths (or the cap) changed.
+    def reach_table(
+        self, topology_epoch: int, failed_links: FrozenSet, num_servers: int
+    ) -> np.ndarray:
+        """The reachability table, flushed with the path memo.
 
-        ``max_sources`` is the router's ``max_sources_per_group``: picks
-        depend on it, and the memo lives in the simulation-owned cache, so
-        a router swap with a different cap must not reuse stale picks.
+        The diagonal is 0: a server is never its own source.
         """
-        key = (topology_epoch, failed_links, max_sources)
-        if key != self._picks_key:
-            self._picks_key = key
-            if self.picks:
-                self.picks = {}
-                self.flushes += 1
-        return self.picks
+        self.validate_paths(topology_epoch, failed_links)
+        if self.reach is None:
+            self.reach = np.full((num_servers, num_servers), -1, dtype=np.int8)
+            np.fill_diagonal(self.reach, 0)
+        return self.reach
 
     def validate_sources(
         self, store_epoch: int, failed_agents: FrozenSet
@@ -215,9 +202,8 @@ class CycleCache:
         key = (store_epoch, failed_agents)
         if key != self._source_key:
             self._source_key = key
-            if self.sources or self.rarity or self.source_ids:
+            if self.sources or self.rarity:
                 self.sources = {}
-                self.source_ids = {}
                 self.rarity = {}
                 self.flushes += 1
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import copy
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -60,7 +60,6 @@ _DELIVERY_BATCH_MIN = 32
 _FF_CHUNK = 131072
 
 
-@dataclass(frozen=True)
 class TransferDirective:
     """One single-hop transfer order: send ``block_ids`` from src to dst.
 
@@ -68,21 +67,200 @@ class TransferDirective:
     ``None`` by decentralized ones, whose flows then share bandwidth
     max-min fairly. Blocks are transferred in the listed order, resuming any
     partial progress the destination already accumulated.
+
+    The block list has two interchangeable forms. ``block_ids`` is the
+    tuple of ``(job_id, index)`` ids the constructor takes;
+    ``block_indices`` is the same list as an int array of **job-relative
+    block indices** — what the router emits (:meth:`from_indices`) and
+    what the simulator gathers possession and sizes with. Indices are
+    valid in every id space at once (the simulator's matrix, each shard
+    mirror's own gid numbering) and pickle as one small array in process
+    mode. Whichever form a directive was not built from is derived on
+    first read and cached; ``==`` and ``hash`` see the same value either
+    way. A hand-built directive naming another job's blocks has no
+    index form (``block_indices`` is ``None``).
     """
 
-    job_id: str
-    block_ids: Tuple[BlockId, ...]
-    src_server: str
-    dst_server: str
-    rate_cap: Optional[float] = None
+    __slots__ = (
+        "job_id",
+        "src_server",
+        "dst_server",
+        "rate_cap",
+        "_block_ids",
+        "_column",
+        "_lo",
+        "_hi",
+    )
 
-    def __post_init__(self) -> None:
-        if not self.block_ids:
+    def __init__(
+        self,
+        job_id: str,
+        block_ids: Sequence[BlockId],
+        src_server: str,
+        dst_server: str,
+        rate_cap: Optional[float] = None,
+    ) -> None:
+        block_ids = tuple(block_ids)
+        self._init(
+            job_id, block_ids, None, 0, len(block_ids),
+            src_server, dst_server, rate_cap,
+        )
+
+    @classmethod
+    def from_indices(
+        cls,
+        job_id: str,
+        block_indices: np.ndarray,
+        src_server: str,
+        dst_server: str,
+        rate_cap: Optional[float] = None,
+    ) -> "TransferDirective":
+        """A directive over blocks ``(job_id, i) for i in block_indices``."""
+        return cls.from_segment(
+            job_id, block_indices, 0, len(block_indices),
+            src_server, dst_server, rate_cap,
+        )
+
+    @classmethod
+    def from_segment(
+        cls,
+        job_id: str,
+        column: np.ndarray,
+        lo: int,
+        hi: int,
+        src_server: str,
+        dst_server: str,
+        rate_cap: Optional[float] = None,
+    ) -> "TransferDirective":
+        """A directive over blocks ``(job_id, i) for i in column[lo:hi]``.
+
+        ``column`` must be a 1-D int64 array. It is kept by reference and
+        never written: the router cuts all of a cycle's directives from
+        one column, and a (column, lo, hi) triple is smaller than a view.
+        """
+        self = cls.__new__(cls)
+        self._init(job_id, None, column, lo, hi, src_server, dst_server, rate_cap)
+        return self
+
+    def _init(
+        self, job_id, block_ids, column, lo, hi, src_server, dst_server, rate_cap
+    ):
+        if hi <= lo:
             raise ValueError("a directive needs at least one block")
-        if self.src_server == self.dst_server:
+        if src_server == dst_server:
             raise ValueError("directive endpoints must differ")
-        if self.rate_cap is not None and self.rate_cap < 0:
+        if rate_cap is not None and rate_cap < 0:
             raise ValueError("rate_cap must be >= 0")
+        put = object.__setattr__
+        put(self, "job_id", job_id)
+        put(self, "src_server", src_server)
+        put(self, "dst_server", dst_server)
+        put(self, "rate_cap", rate_cap)
+        put(self, "_block_ids", block_ids)
+        put(self, "_column", column)
+        put(self, "_lo", lo)
+        put(self, "_hi", hi)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def block_ids(self) -> Tuple[BlockId, ...]:
+        ids = self._block_ids
+        if ids is None:
+            job_id = self.job_id
+            ids = tuple((job_id, i) for i in self.block_indices.tolist())
+            object.__setattr__(self, "_block_ids", ids)
+        return ids
+
+    @property
+    def block_indices(self) -> Optional[np.ndarray]:
+        column = self._column
+        if column is None:
+            job_id = self.job_id
+            try:
+                if any(bid[0] != job_id for bid in self._block_ids):
+                    raise ValueError
+                column = np.array(
+                    [bid[1] for bid in self._block_ids], dtype=np.int64
+                )
+            except (TypeError, ValueError, IndexError, OverflowError):
+                column = False  # no index form; do not retry
+            object.__setattr__(self, "_column", column)
+        if column is False:
+            return None
+        return column[self._lo : self._hi]
+
+    def with_rate_cap(self, rate_cap: Optional[float]) -> "TransferDirective":
+        """This directive with another ``rate_cap`` (block list shared)."""
+        clone = TransferDirective.__new__(TransferDirective)
+        clone._init(
+            self.job_id, self._block_ids, self._column, self._lo, self._hi,
+            self.src_server, self.dst_server, rate_cap,
+        )
+        return clone
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not TransferDirective:
+            return NotImplemented
+        if (
+            self.job_id != other.job_id
+            or self.src_server != other.src_server
+            or self.dst_server != other.dst_server
+            or self.rate_cap != other.rate_cap
+        ):
+            return False
+        if self._block_ids is None or other._block_ids is None:
+            mine, theirs = self.block_indices, other.block_indices
+            if mine is not None and theirs is not None:
+                return bool(np.array_equal(mine, theirs))
+        return self.block_ids == other.block_ids
+
+    def __hash__(self) -> int:
+        return hash(
+            (
+                self.job_id,
+                self.block_ids,
+                self.src_server,
+                self.dst_server,
+                self.rate_cap,
+            )
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"TransferDirective(job_id={self.job_id!r}, "
+            f"block_ids={self.block_ids!r}, src_server={self.src_server!r}, "
+            f"dst_server={self.dst_server!r}, rate_cap={self.rate_cap!r})"
+        )
+
+    def __reduce__(self):
+        # The index form when there is one: one int array instead of a
+        # tuple of tuples across the process-mode shard boundary.
+        if isinstance(self._column, np.ndarray):
+            return (
+                TransferDirective.from_indices,
+                (
+                    self.job_id,
+                    self.block_indices,
+                    self.src_server,
+                    self.dst_server,
+                    self.rate_cap,
+                ),
+            )
+        return (
+            TransferDirective,
+            (
+                self.job_id,
+                self._block_ids,
+                self.src_server,
+                self.dst_server,
+                self.rate_cap,
+            ),
+        )
 
 
 @dataclass
@@ -184,7 +362,9 @@ class CycleStats:
     them — BDS does; decentralized baselines land entirely in
     ``time_schedule``), resolving flow rates against capacities, and
     progressing/delivering flows. ``time_decide`` is the whole strategy
-    call and contains schedule + route plus any strategy-private work.
+    call and contains schedule + route plus any strategy-private work —
+    all of it on the cycles of a controller outage, when BDS's fallback
+    decides and neither step runs (schedule and route are then 0).
     """
 
     cycle: int
@@ -673,6 +853,126 @@ class ClusterView:
         return placements
 
 
+def partial_column(
+    partial: Mapping[Tuple[BlockId, str], float],
+    job_offset: Mapping[str, int],
+    server_ids: Mapping[str, int],
+    row_keys: np.ndarray,
+) -> Optional[np.ndarray]:
+    """Buffered bytes of each (block, destination) row.
+
+    ``partial`` is the simulator's sparse ``(block_id, dst_server) ->
+    bytes`` map. A row's key is ``block number * len(server_ids) +
+    destination id``, a block's number being ``job_offset[job_id] +
+    index`` in whatever numbering the caller's rows use (entries of jobs
+    the caller does not number are skipped). Only keys that exist are
+    probed — one pass over the map, one ``searchsorted`` of the rows
+    against it — and ``None`` is returned when no row has buffered
+    bytes, so callers can skip the subtraction (``size - 0.0 == size``).
+    """
+    if not partial:
+        return None
+    num_servers = len(server_ids)
+    keys: List[int] = []
+    values: List[float] = []
+    for (bid, server), have in partial.items():
+        offset = job_offset.get(bid[0])
+        if offset is not None:
+            keys.append((offset + bid[1]) * num_servers + server_ids[server])
+            values.append(have)
+    if not keys:
+        return None
+    probe = np.array(keys, dtype=np.int64)
+    order = probe.argsort()
+    probe = probe[order]
+    pos = np.minimum(probe.searchsorted(row_keys), len(keys) - 1)
+    hit = probe[pos] == row_keys
+    if not hit.any():
+        return None
+    return np.where(hit, np.array(values)[order][pos], 0.0)
+
+
+class _BlockColumns:
+    """The simulation's static per-block columns, in one flat numbering.
+
+    A block's flat number is its job's ``base`` plus its job-relative
+    index — the id space the simulator gathers sizes, matrix columns and
+    :class:`~repro.overlay.blocks.Block` objects in. Built once, on the
+    first cycle that validates a directive.
+    """
+
+    __slots__ = ("base", "count", "blocks", "sizes", "gids", "server_ids")
+
+    def __init__(
+        self,
+        jobs: Sequence[MulticastJob],
+        store: PossessionIndex,
+        servers: Iterable[str],
+    ) -> None:
+        self.base: Dict[str, int] = {}
+        self.count: Dict[str, int] = {}
+        self.blocks: List[Block] = []
+        for job in jobs:
+            if job.job_id not in self.base:  # first wins, like _jobs_by_id
+                self.base[job.job_id] = len(self.blocks)
+                self.count[job.job_id] = len(job.blocks)
+                self.blocks.extend(job.blocks)
+        self.sizes = np.array([b.size for b in self.blocks], dtype=np.float64)
+        matrix = store.matrix
+        if matrix is not None:
+            self.server_ids: Dict[str, int] = matrix.server_ids
+            self.gids: Optional[np.ndarray] = np.fromiter(
+                (matrix.intern(b.block_id) for b in self.blocks),
+                dtype=np.int64,
+                count=len(self.blocks),
+            )
+        else:
+            self.server_ids = {n: i for i, n in enumerate(sorted(servers))}
+            self.gids = None
+
+
+class FlowColumns:
+    """One decide's validated directives as row columns.
+
+    Row ``r`` is one block of one directive, directive-major in listed
+    order: ``flat[r]`` is the block's flat number, ``keys[r]`` its
+    :func:`partial_column` key (flat number and destination), and
+    ``bounds[i]:bounds[i + 1]`` are directive ``i``'s rows. ``sizes``
+    (gathered once) and ``flat_list`` serve the per-cycle demand sums
+    and the delivery walk, including on replayed cycles.
+    """
+
+    __slots__ = ("flat", "keys", "bounds", "sizes", "_flat_list")
+
+    def __init__(
+        self, flat: np.ndarray, keys: np.ndarray, bounds: List[int],
+        sizes: np.ndarray,
+    ) -> None:
+        self.flat = flat
+        self.keys = keys
+        self.bounds = bounds
+        self.sizes = sizes
+        self._flat_list: Optional[List[int]] = None
+
+    @property
+    def flat_list(self) -> List[int]:
+        if self._flat_list is None:
+            self._flat_list = self.flat.tolist()
+        return self._flat_list
+
+    def take(self, keep: Sequence[bool]) -> "FlowColumns":
+        """The columns of the directives whose ``keep`` flag is set."""
+        lens = np.diff(self.bounds)
+        keep = np.asarray(keep, dtype=bool)
+        rows = np.repeat(keep, lens)
+        return FlowColumns(
+            self.flat[rows],
+            self.keys[rows],
+            [0] + lens[keep].cumsum().tolist(),
+            self.sizes[rows],
+        )
+
+
 class Simulation:
     """Owns the cycle loop, resource accounting, and metric collection."""
 
@@ -811,6 +1111,10 @@ class Simulation:
 
             self._cand_table = CandidateTable(self.jobs, self.store.matrix)
 
+        # Flat per-block columns for directive validation and demand sums
+        # (see _BlockColumns); built on first use, not at construction.
+        self._cols: Optional[_BlockColumns] = None
+
         # Incremental-engine state: the persistent per-cycle query cache
         # and the memoized capacity maps (see _bulk_capacities).
         self._cycle_cache = CycleCache()
@@ -921,36 +1225,139 @@ class Simulation:
 
     # -- directive validation ----------------------------------------------------
 
+    def _block_columns(self) -> _BlockColumns:
+        if self._cols is None:
+            self._cols = _BlockColumns(
+                self.jobs, self.store, self.topology.servers
+            )
+        return self._cols
+
     def _valid_directives(
         self, directives: Iterable[TransferDirective], failed: Set[str]
-    ) -> List[TransferDirective]:
-        """Drop directives that violate physics or reference failed agents."""
-        valid: List[TransferDirective] = []
+    ) -> Tuple[List[TransferDirective], FlowColumns]:
+        """Drop directives that violate physics or reference failed agents.
+
+        Endpoints are checked per directive; the per-block ``src has ∧
+        dst lacks`` filter runs as one possession gather over all of the
+        cycle's blocks. A directive is rebuilt only when some of its
+        blocks were filtered, dropped when none survive; order is kept
+        and repeated ids inside a directive are not deduped. Returns the
+        surviving directives with their row columns.
+        """
+        servers = self.topology.servers
+        cols = self._block_columns()
+        base, count, sid_of = cols.base, cols.count, cols.server_ids
+        admitted: List[TransferDirective] = []
+        parts: List[np.ndarray] = []
+        meta: List[Tuple[int, int, int, int, int]] = []
         for d in directives:
             if d.src_server in failed or d.dst_server in failed:
                 continue
-            if d.src_server not in self.topology.servers:
+            if d.src_server not in servers:
                 raise KeyError(f"unknown source server {d.src_server!r}")
-            if d.dst_server not in self.topology.servers:
+            if d.dst_server not in servers:
                 raise KeyError(f"unknown destination server {d.dst_server!r}")
-            useful_blocks = tuple(
-                bid
-                for bid in d.block_ids
-                if self.store.has(d.src_server, bid)
-                and not self.store.has(d.dst_server, bid)
-            )
-            if not useful_blocks:
-                continue
-            if useful_blocks != d.block_ids:
-                d = TransferDirective(
-                    job_id=d.job_id,
-                    block_ids=useful_blocks,
-                    src_server=d.src_server,
-                    dst_server=d.dst_server,
-                    rate_cap=d.rate_cap,
+            indices = d.block_indices
+            offset, limit = base.get(d.job_id, 0), count.get(d.job_id, 0)
+            if indices is None:
+                # Blocks of other jobs: number them one by one; unknown
+                # ones get -1 and fail the range check below.
+                indices = np.array(
+                    [
+                        base[j] + i if j in base and 0 <= i < count[j] else -1
+                        for j, i in d.block_ids
+                    ],
+                    dtype=np.int64,
                 )
-            valid.append(d)
-        return valid
+                offset, limit = 0, len(cols.blocks)
+            admitted.append(d)
+            parts.append(indices)
+            meta.append(
+                (offset, limit, sid_of[d.src_server], sid_of[d.dst_server],
+                 len(indices))
+            )
+        if not admitted:
+            empty = np.empty(0, dtype=np.int64)
+            return [], FlowColumns(empty, empty, [0], np.empty(0))
+
+        index = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        per_directive = np.array(meta, dtype=np.int64).T
+        lens = per_directive[4]
+        offset, limit, src, dst = np.repeat(per_directive[:4], lens, axis=1)
+        known = (index >= 0) & (index < limit)
+        flat = np.where(known, index + offset, 0)
+        matrix = self.store.matrix
+        if matrix is not None:
+            useful = known & matrix.test_transfers(src, dst, cols.gids[flat])
+        else:
+            has = self.store.has
+            useful = known & np.fromiter(
+                (
+                    has(d.src_server, bid) and not has(d.dst_server, bid)
+                    for d in admitted
+                    for bid in d.block_ids
+                ),
+                dtype=bool,
+                count=len(index),
+            )
+
+        ends = np.cumsum(lens)
+        if useful.all():
+            valid = admitted
+        else:
+            starts = (ends - lens).tolist()
+            kept = np.add.reduceat(useful, starts, dtype=np.int64).tolist()
+            valid = []
+            for d, lo, n, k in zip(admitted, starts, lens.tolist(), kept):
+                if k == 0:
+                    continue
+                if k != n:
+                    mask = useful[lo : lo + n]
+                    if d.block_indices is None:
+                        ids = d.block_ids
+                        d = TransferDirective(
+                            d.job_id,
+                            tuple(ids[i] for i in np.flatnonzero(mask).tolist()),
+                            d.src_server,
+                            d.dst_server,
+                            d.rate_cap,
+                        )
+                    else:
+                        d = TransferDirective.from_indices(
+                            d.job_id,
+                            index[lo : lo + n][mask],
+                            d.src_server,
+                            d.dst_server,
+                            d.rate_cap,
+                        )
+                valid.append(d)
+            flat = flat[useful]
+            dst = dst[useful]
+            ends = np.cumsum([k for k in kept if k])
+        return valid, FlowColumns(
+            flat, flat * len(sid_of) + dst, [0] + ends.tolist(), cols.sizes[flat]
+        )
+
+    def _flow_demands(self, columns: FlowColumns) -> List[float]:
+        """Bytes each directive still has to move, in directive order.
+
+        Operands (``size - buffered``) are gathered as arrays; each
+        directive's are then folded with the builtin ``sum`` in listed
+        order, the reduction these values have always had —
+        ``bytes_per_cycle`` is fingerprinted, and numpy's pairwise sum
+        differs from it in the last digits.
+        """
+        cols = self._block_columns()
+        buffered = partial_column(
+            self._partial, cols.base, cols.server_ids, columns.keys
+        )
+        sizes = columns.sizes
+        operands = (sizes if buffered is None else sizes - buffered).tolist()
+        bounds = columns.bounds
+        return [
+            sum(operands[bounds[i] : bounds[i + 1]])
+            for i in range(len(bounds) - 1)
+        ]
 
     def snapshot_view(self, cycle: int = 0) -> ClusterView:
         """A :class:`ClusterView` of the current state without simulating.
@@ -1162,22 +1569,8 @@ class Simulation:
                 decide_runtime = 0.0
                 directives = reuse.directives
                 flow_resources = reuse.resources
+                columns = reuse.columns
                 rate_started = _time.perf_counter()
-                flows = []
-                for i, d in enumerate(directives):
-                    remaining = sum(
-                        self._blocks_by_id[bid].size
-                        - self._partial.get((bid, d.dst_server), 0.0)
-                        for bid in d.block_ids
-                    )
-                    flows.append(
-                        Flow(
-                            flow_id=i,
-                            resources=flow_resources[i],
-                            rate_cap=d.rate_cap,
-                            demand=remaining / dt,
-                        )
-                    )
                 reuse.reuses += 1
                 cycles_reused += 1
             else:
@@ -1205,7 +1598,9 @@ class Simulation:
                 time_view_build = decide_started - stage_started
                 raw_directives = self.strategy.decide(view)
                 decide_runtime = _time.perf_counter() - decide_started
-                directives = self._valid_directives(raw_directives, failed)
+                directives, columns = self._valid_directives(
+                    raw_directives, failed
+                )
 
                 if self.agent_monitor is not None and controller_ok:
                     for agent in self._agents:
@@ -1216,7 +1611,6 @@ class Simulation:
                     feedback_samples.append(sample)
 
                 rate_started = _time.perf_counter()
-                flows = []
                 routed: List[TransferDirective] = []
                 flow_resources = []
                 for d in directives:
@@ -1224,32 +1618,25 @@ class Simulation:
                         resources = view.flow_resources(
                             d.src_server, d.dst_server
                         )
-                        if resources is None:
-                            continue  # destination partitioned off this cycle
                     else:
                         try:
                             resources = self.topology.flow_resources(
                                 d.src_server, d.dst_server, failed_links
                             )
                         except ValueError:
-                            continue  # destination partitioned off this cycle
-                    i = len(routed)
-                    remaining = sum(
-                        self._blocks_by_id[bid].size
-                        - self._partial.get((bid, d.dst_server), 0.0)
-                        for bid in d.block_ids
-                    )
-                    routed.append(d)
+                            resources = None
+                    # None: destination partitioned off this cycle.
                     flow_resources.append(resources)
-                    flows.append(
-                        Flow(
-                            flow_id=i,
-                            resources=resources,
-                            rate_cap=d.rate_cap,
-                            demand=remaining / dt,
-                        )
+                    if resources is not None:
+                        routed.append(d)
+                if len(routed) != len(directives):
+                    columns = columns.take(
+                        [r is not None for r in flow_resources]
                     )
-                directives = routed
+                    flow_resources = [
+                        r for r in flow_resources if r is not None
+                    ]
+                    directives = routed
                 if vkey is not None:
                     # Certify this decide for reuse. The strategy's own
                     # per-decision horizon governs (0 when it declined or
@@ -1264,9 +1651,23 @@ class Simulation:
                         else:
                             horizon = 0
                     reuse.store_decision(
-                        vkey, cycle, horizon, directives, flow_resources
+                        vkey, cycle, horizon, directives, flow_resources,
+                        columns,
                     )
 
+            # Demands move every cycle (partial bytes drain them), on
+            # fresh and replayed decisions alike.
+            flows = [
+                Flow(
+                    flow_id=i,
+                    resources=flow_resources[i],
+                    rate_cap=d.rate_cap,
+                    demand=remaining / dt,
+                )
+                for i, (d, remaining) in enumerate(
+                    zip(directives, self._flow_demands(columns))
+                )
+            ]
             kernel_stats = FlowKernelStats()
             if uses_rates and controller_ok:
                 requested = {
@@ -1303,6 +1704,9 @@ class Simulation:
             )
             events: List[Tuple[str, Block, str, str, float]] = []
             current_pairs: Set[Tuple[str, str]] = set()
+            flat_blocks = self._block_columns().blocks
+            flat_list = columns.flat_list
+            bounds = columns.bounds
             for i, d in enumerate(directives):
                 rate = rates.get(i, 0.0)
                 if rate <= 0:
@@ -1316,11 +1720,11 @@ class Simulation:
                     continue
                 budget = rate * window
                 used = 0.0
-                for bid in d.block_ids:
+                for row in range(bounds[i], bounds[i + 1]):
                     if budget <= 1e-12:
                         break
-                    block = self._blocks_by_id[bid]
-                    key = (bid, d.dst_server)
+                    block = flat_blocks[flat_list[row]]
+                    key = (block.block_id, d.dst_server)
                     have = self._partial.get(key, 0.0)
                     need = block.size - have
                     take = min(need, budget)
@@ -1403,7 +1807,13 @@ class Simulation:
                 shard_payload_bytes = 0
                 if not reused and last_decision_fn is not None:
                     decision = last_decision_fn()
-                    if decision is not None and decision.cycle == cycle:
+                    if decision is None or decision.cycle != cycle:
+                        # The strategy keeps a decision log and logged
+                        # nothing this cycle (controller outage: the
+                        # fallback decided). That wall is neither
+                        # scheduling nor routing; time_decide carries it.
+                        time_schedule = 0.0
+                    else:
                         time_schedule = decision.schedule_runtime
                         time_route = decision.routing_runtime
                         routing_iterations = getattr(
@@ -1518,6 +1928,7 @@ class Simulation:
                     reuse,
                     next_arrival,
                     directives,
+                    columns,
                     rates,
                     uses_rates,
                     controller_ok,
@@ -1551,6 +1962,7 @@ class Simulation:
         reuse: DecisionReuseState,
         next_arrival: Optional[int],
         directives: Sequence[TransferDirective],
+        columns: FlowColumns,
         rates: Mapping[int, float],
         uses_rates: bool,
         controller_ok: bool,
@@ -1611,6 +2023,8 @@ class Simulation:
         plan: List[Tuple[Tuple[BlockId, str], float, float, float]] = []
         seen_keys: Set[Tuple[BlockId, str]] = set()
         total = 0.0
+        demands = self._flow_demands(columns)
+        flat_blocks = self._block_columns().blocks
         for i, d in enumerate(directives):
             rate = rates.get(i, 0.0)
             if rate <= 0 or window <= 0:
@@ -1618,11 +2032,7 @@ class Simulation:
             budget = rate * window
             if budget <= 1e-12:
                 continue
-            remaining = sum(
-                self._blocks_by_id[bid].size
-                - self._partial.get((bid, d.dst_server), 0.0)
-                for bid in d.block_ids
-            )
+            remaining = demands[i]
             if uses_rates and controller_ok:
                 # Clip kernel: requested = min(rate_cap, demand); constant
                 # only while the cap, not the demand, is the requested rate.
@@ -1641,16 +2051,15 @@ class Simulation:
             k = min(k, int(headroom / budget))
             if k <= 0:
                 return 0
-            key0 = (d.block_ids[0], d.dst_server)
+            lead = flat_blocks[columns.flat_list[columns.bounds[i]]]
+            key0 = (lead.block_id, d.dst_server)
             if key0 in seen_keys:
                 return 0  # two flows feeding one partial: order-coupled
             seen_keys.add(key0)
             have = self._partial.get(key0, 0.0)
             if have == 0.0:
                 return 0  # not draining into its lead block: bail out
-            plan.append(
-                (key0, have, budget, self._blocks_by_id[d.block_ids[0]].size)
-            )
+            plan.append((key0, have, budget, lead.size))
             total += budget
 
         # First-completion scan: stop before any lead block would finish.

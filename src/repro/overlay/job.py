@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.overlay.blocks import Block, DEFAULT_BLOCK_SIZE, split_into_blocks
 from repro.net.topology import Topology
 from repro.utils.validation import check_non_negative, check_positive
@@ -71,6 +73,7 @@ class MulticastJob:
             self.job_id, self.total_bytes, self.block_size
         )
         self._assignment: Dict[Tuple[str, BlockId], str] = {}
+        self._block_sizes: Optional[np.ndarray] = None
 
     # -- striping ----------------------------------------------------------
 
@@ -126,6 +129,14 @@ class MulticastJob:
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
+
+    def block_sizes(self) -> np.ndarray:
+        """Block sizes as a float64 array aligned with ``blocks`` (cached)."""
+        if self._block_sizes is None:
+            self._block_sizes = np.array(
+                [b.size for b in self.blocks], dtype=np.float64
+            )
+        return self._block_sizes
 
     def block_by_id(self, block_id: BlockId) -> Block:
         job_id, index = block_id

@@ -88,6 +88,10 @@ class PossessionMatrix:
 
     Row ``s`` packs the blocks server ``s`` holds, 64 block columns per
     ``uint64`` word (block ``g`` lives in word ``g >> 6``, bit ``g & 63``).
+    ``holder_words`` is the same relation transposed — row ``g`` packs the
+    servers holding block ``g`` (server ``s`` in word ``s >> 6``, bit
+    ``s & 63``) — so a block's whole holder set is one gather; the router
+    classes selections by it.
     ``dup[g]`` (cluster-wide copy count — the §4.3 rarity measure) and
     ``dc_counts[d, g]`` (copies inside DC ``d``) are maintained
     incrementally on every bit flip, so they always equal the popcount of
@@ -102,7 +106,10 @@ class PossessionMatrix:
         "dc_ids",
         "server_dc_ids",
         "server_dc_list",
+        "dc_order",
+        "dc_starts",
         "bits",
+        "holder_words",
         "dup",
         "dc_counts",
         "block_gids",
@@ -110,6 +117,7 @@ class PossessionMatrix:
         "_capacity",
         "_words",
         "_flat",
+        "_holder_flat",
     )
 
     def __init__(
@@ -124,6 +132,13 @@ class PossessionMatrix:
             [self.dc_ids[server_dc[n]] for n in names], dtype=np.int64
         )
         self.server_dc_list: List[int] = self.server_dc_ids.tolist()
+        # Server ids grouped by DC (ascending DC id, ascending server id
+        # within) and each DC's first position in that order: the row
+        # permutation under which "holders by DC" is a segmented reduce.
+        self.dc_order = np.argsort(self.server_dc_ids, kind="stable")
+        self.dc_starts = np.searchsorted(
+            self.server_dc_ids[self.dc_order], np.arange(len(self.dc_names))
+        )
         capacity = max(64, block_capacity)
         capacity = (capacity + 63) & ~63  # whole uint64 words
         self._capacity = capacity
@@ -131,6 +146,10 @@ class PossessionMatrix:
         num_servers = len(names)
         self.bits = np.zeros((num_servers, self._words), dtype=np.uint64)
         self._flat = self.bits.reshape(-1)
+        self.holder_words = np.zeros(
+            (capacity, (num_servers + 63) >> 6), dtype=np.uint64
+        )
+        self._holder_flat = self.holder_words.reshape(-1)
         self.dup = np.zeros(capacity, dtype=np.int64)
         self.dc_counts = np.zeros(
             (len(self.dc_names), capacity), dtype=np.int64
@@ -197,6 +216,12 @@ class PossessionMatrix:
         bits[:, : self._words] = self.bits
         self.bits = bits
         self._flat = bits.reshape(-1)
+        holder_words = np.zeros(
+            (capacity, self.holder_words.shape[1]), dtype=np.uint64
+        )
+        holder_words[: self._capacity] = self.holder_words
+        self.holder_words = holder_words
+        self._holder_flat = holder_words.reshape(-1)
         dup = np.zeros(capacity, dtype=np.int64)
         dup[: self._capacity] = self.dup
         self.dup = dup
@@ -221,6 +246,8 @@ class PossessionMatrix:
         if word & mask:
             return False
         self._flat[i] = word | mask
+        j = gid * self.holder_words.shape[1] + (sid >> 6)
+        self._holder_flat[j] = self._holder_flat.item(j) | (1 << (sid & 63))
         self.dup[gid] += 1
         self.dc_counts[self.server_dc_list[sid], gid] += 1
         return True
@@ -250,6 +277,7 @@ class PossessionMatrix:
         # bitwise_or.at handles repeated word indices (several new blocks
         # landing in the same 64-column word) where fancy |= would not.
         np.bitwise_or.at(row, words[fresh], masks[fresh])
+        self.holder_words[new_gids, sid >> 6] |= np.uint64(1 << (sid & 63))
         self.dup[new_gids] += 1
         self.dc_counts[self.server_dc_list[sid]][new_gids] += 1
         return int(new_gids.size)
@@ -282,6 +310,11 @@ class PossessionMatrix:
             flat_idx = rows * self._words + (cols >> 6)
             masks = np.uint64(1) << (cols & 63).astype(np.uint64)
             np.bitwise_or.at(self._flat, flat_idx, masks)
+            np.bitwise_or.at(
+                self.holder_words,
+                (cols, rows >> 6),
+                np.uint64(1) << (rows & 63).astype(np.uint64),
+            )
             np.add.at(self.dup, cols, 1)
             np.add.at(self.dc_counts, (self.server_dc_ids[rows], cols), 1)
         return fresh
@@ -294,6 +327,7 @@ class PossessionMatrix:
         self.dup[held] -= 1
         self.dc_counts[self.server_dc_list[sid]][held] -= 1
         self.bits[sid, :] = 0
+        self.holder_words[held, sid >> 6] &= ~np.uint64(1 << (sid & 63))
         return int(held.size)
 
     # -- batched queries (the vectorized control-plane surface) ------------
@@ -319,6 +353,15 @@ class PossessionMatrix:
         words = self.bits[sids, gids >> 6]
         return (words >> (gids & 63).astype(np.uint64)) & np.uint64(1) != 0
 
+    def test_transfers(
+        self, src: np.ndarray, dst: np.ndarray, gids: np.ndarray
+    ) -> np.ndarray:
+        """Per (source, destination, block) row: source holds ∧ destination lacks."""
+        words = gids >> 6
+        bits = self.bits
+        wanted = bits[src, words] & ~bits[dst, words]
+        return (wanted >> (gids & 63).astype(np.uint64)) & np.uint64(1) != 0
+
     def test_row_many(self, sid: int, gids: np.ndarray) -> np.ndarray:
         """Boolean possession gather for one server over many blocks."""
         row = self.bits[sid]
@@ -332,14 +375,19 @@ class PossessionMatrix:
     # -- telemetry ---------------------------------------------------------
 
     def state_bytes(self) -> int:
-        """Bytes held by the possession arrays (bits + dup + dc_counts).
+        """Bytes held by the possession arrays (both bitsets + dup + dc_counts).
 
         The dominant, capacity-proportional memory of the matrix — the
         per-shard footprint the sharded control plane's telemetry tracks
         (interning dicts are excluded; they are O(blocks) pointers and
         identical across backings).
         """
-        return int(self.bits.nbytes + self.dup.nbytes + self.dc_counts.nbytes)
+        return int(
+            self.bits.nbytes
+            + self.holder_words.nbytes
+            + self.dup.nbytes
+            + self.dc_counts.nbytes
+        )
 
 
 class PossessionIndex:

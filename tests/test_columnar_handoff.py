@@ -1,0 +1,520 @@
+"""The columnar decide→deliver hand-off against its per-block oracles.
+
+The router's pick/merge/size/deal kernels and the simulator's one-gather
+validation replaced per-block Python loops; ``tests/oracles.py`` keeps
+those loops as pure functions. Everything here is equality — directive
+for directive, commodity for commodity, float for float — over generated
+scenarios, plus the :class:`TransferDirective` contract the legacy
+readers rely on.
+"""
+
+from __future__ import annotations
+
+import copy
+import pickle
+import random
+from dataclasses import FrozenInstanceError
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tests import oracles
+from repro.analysis.parallel import RunSpec, run_many
+from repro.analysis.runcache import CACHE_CODE_VERSION, RunCache
+from repro.analysis.runner import make_strategy
+from repro.core.config import BDSConfig
+from repro.core.controller import BDSController
+from repro.core.routing import BDSRouter
+from repro.core.scheduling import RarestFirstScheduler
+from repro.net.failures import FailureEvent, FailureSchedule
+from repro.net.simulator import SimConfig, Simulation, TransferDirective
+from repro.net.topology import Topology
+from repro.overlay.job import MulticastJob
+from repro.utils.units import MB, MBps
+
+# -- scenarios ------------------------------------------------------------------
+
+
+def _scenario(seed: int, wide: bool = False, line: bool = False):
+    """A randomized (topology, jobs, failures, pre-seeded copies) tuple.
+
+    Covers: jobs whose last block is short, jobs of one or two blocks
+    (fewer blocks than flowing sources), relay DCs, extra copies on
+    arbitrary servers (holders inside the destination DC), agent
+    failures, and link failures — on a line topology those cut some
+    holders off from some destinations. ``wide`` crosses 64 servers (a
+    holder set then spans two signature words).
+    """
+    rng = random.Random(seed)
+    num_dcs = rng.randint(3, 5)
+    dcs = [f"dc{i}" for i in range(num_dcs)]
+    servers = 14 if wide else rng.randint(1, 4)
+    if line:
+        topo = Topology.line(dcs, servers, 40 * MBps, 5 * MBps)
+    else:
+        topo = Topology.full_mesh(
+            num_dcs=num_dcs, servers_per_dc=servers,
+            wan_capacity=40 * MBps, uplink=5 * MBps,
+        )
+    jobs = []
+    for j in range(rng.randint(1, 3)):
+        src = rng.choice(dcs)
+        others = [d for d in dcs if d != src]
+        rng.shuffle(others)
+        num_dsts = rng.randint(1, len(others))
+        leftovers = others[num_dsts:]
+        job = MulticastJob(
+            job_id=f"job{j}",
+            src_dc=src,
+            dst_dcs=tuple(sorted(others[:num_dsts])),
+            relay_dcs=tuple(leftovers[:1]) if leftovers and rng.random() < 0.5 else (),
+            total_bytes=rng.choice([1, 2, 7, 12, 24]) * 4 * MB
+            - rng.choice([0, 1, 123_457]),
+            block_size=4 * MB,
+            priority=rng.randint(0, 1),
+        )
+        job.bind(topo)
+        jobs.append(job)
+    names = sorted(topo.servers)
+    pre_seeded = {}
+    for _ in range(rng.randint(0, 6)):
+        job = rng.choice(jobs)
+        pre_seeded.setdefault(rng.choice(names), []).append(rng.choice(job.blocks))
+    events = []
+    if rng.random() < 0.5:
+        events.append(FailureEvent(cycle=1, kind="agent_fail", target=rng.choice(names)))
+    if rng.random() < 0.5:
+        a = rng.randrange(num_dcs - 1)
+        events.append(FailureEvent(cycle=1, kind="link_fail", target=(dcs[a], dcs[a + 1])))
+        events.append(FailureEvent(cycle=1, kind="link_fail", target=(dcs[a + 1], dcs[a])))
+    return topo, jobs, FailureSchedule(events) if events else None, pre_seeded
+
+
+def _midrun(seed: int, cycles: int, vectorized: bool = True, **shape) -> Simulation:
+    """A simulation ``cycles`` cycles in: possession spread, partial bytes live."""
+    topo, jobs, failures, pre_seeded = _scenario(seed, **shape)
+    sim = Simulation(
+        topology=topo,
+        jobs=jobs,
+        strategy=make_strategy("bds", seed=seed),
+        config=SimConfig(
+            max_cycles=max(cycles, 1),
+            stop_when_complete=False,
+            vectorized_store=vectorized,
+        ),
+        failures=failures,
+        pre_seeded=pre_seeded,
+        seed=seed,
+    )
+    if cycles:
+        sim.run()
+    return sim
+
+
+# -- the router kernels against the per-selection loops -----------------------
+
+
+@given(
+    sizes=st.lists(st.integers(0, 4), min_size=1, max_size=6),
+    dst_dc=st.integers(0, 5),
+    index=st.integers(0, 10_000),
+    max_sources=st.integers(1, 4),
+)
+def test_pick_dedupe_never_fires(sizes, dst_dc, index, max_sources):
+    """DC buckets are disjoint, so a pick cannot repeat an earlier one."""
+    by_dc, server = {}, 0
+    for dc, n in enumerate(sizes):
+        by_dc[dc] = list(range(server, server + n))
+        server += n
+    assert oracles.pick_sources(
+        by_dc, dst_dc, index, max_sources, dedupe=True
+    ) == oracles.pick_sources(by_dc, dst_dc, index, max_sources, dedupe=False)
+
+
+def _assert_router_matches_oracle(sim, max_sources, merge, cap=0):
+    view = sim.snapshot_view(sim.config.max_cycles)
+    scheduler = RarestFirstScheduler(max_blocks_per_cycle=cap)
+    selections = scheduler.select(view)
+    batch = scheduler.last_batch
+    assert batch is not None  # the columnar path is the one under test
+    router = BDSRouter(max_sources_per_group=max_sources, merge_blocks=merge)
+    directives, diagnostics = router.route(view, selections, batch=batch)
+    want_commodities, want = oracles.route(
+        view, selections,
+        BDSRouter(max_sources_per_group=max_sources, merge_blocks=merge),
+    )
+    assert directives == want
+    assert diagnostics.num_commodities == len(want_commodities)
+    if selections:
+        commodities, _members = router._build_commodities(
+            view, router._group_columns(view, batch)
+        )
+        assert commodities == want_commodities  # names, paths, demands: exact
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    cycles=st.integers(0, 3),
+    max_sources=st.sampled_from([1, 2, 3]),
+    merge=st.booleans(),
+    line=st.booleans(),
+)
+def test_router_equals_per_selection_oracle(seed, cycles, max_sources, merge, line):
+    _assert_router_matches_oracle(
+        _midrun(seed, cycles, line=line), max_sources, merge
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_router_equals_oracle_past_64_servers(seed):
+    _assert_router_matches_oracle(_midrun(seed, 2, wide=True), 3, True)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_router_equals_oracle_under_selection_cap(seed):
+    _assert_router_matches_oracle(_midrun(seed, 1), 2, True, cap=5)
+
+
+class _DealView:
+    """Just enough view for the deal oracle: buffered bytes per (block, dst)."""
+
+    def __init__(self, partial):
+        self._partial = partial
+
+    def received_bytes(self, block_id, dst_server):
+        return self._partial.get((block_id, dst_server), 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num_blocks=st.integers(1, 12),
+    short_tail=st.booleans(),
+    rates=st.lists(st.sampled_from([0.0, 1e-10, 1.0, 1.0, 2.5, 7.0]), min_size=1, max_size=4),
+    buffered=st.lists(st.sampled_from([0.0, 0.0, 1.0, 4096.5]), min_size=12, max_size=12),
+    dst=st.sampled_from(["dc1-s0", "dc1-s1", "dc2-s0"]),
+)
+def test_deal_equals_oracle_with_ties_and_mixed_sizes(
+    num_blocks, short_tail, rates, buffered, dst
+):
+    """Equal rates tie budgets; int and float sizes fold differently."""
+    from repro.core.routing import _Grouping
+    from repro.lp.mcf import Commodity
+
+    job = MulticastJob(
+        job_id="j", src_dc="dc0", dst_dcs=("dc1",),
+        total_bytes=num_blocks * 4 * MB - (12_345.5 if short_tail else 0),
+        block_size=4 * MB,
+    )
+    sources = tuple(f"dc0-s{i}" for i in range(len(rates)))
+    key = ("j", dst, sources)
+    partial = {
+        ((job.job_id, b.index), dst): have
+        for b, have in zip(job.blocks, buffered) if have
+    }
+    commodity = Commodity(
+        name=key,
+        paths=tuple((("up", s), ("down", dst)) for s in sources),
+        demand=1.0,
+    )
+    rate_map = {(key, i): r for i, r in enumerate(rates)}
+    want = oracles.to_directives(
+        _DealView(partial), [commodity], {key: list(job.blocks)}, rate_map
+    )
+    have_col = np.array([partial.get(((job.job_id, b.index), dst), 0.0) for b in job.blocks])
+    grouping = _Grouping(
+        keys=[key], jobs=[job], dst_servers=[dst], bounds=[0, len(job.blocks)],
+        indices=np.arange(len(job.blocks)), sizes=job.block_sizes(),
+        buffered=have_col if have_col.any() else None,
+    )
+    got = BDSRouter._to_directives(grouping, [commodity], [0], rate_map)
+    assert got == want
+    assert [d.rate_cap for d in got] == [d.rate_cap for d in want]
+
+
+def test_group_keys_too_wide_for_one_int64():
+    """12 DCs x 6 servers with 12 picks: 73 ** 12 overflows a packed key."""
+    topo = Topology.full_mesh(
+        num_dcs=12, servers_per_dc=6, wan_capacity=40 * MBps, uplink=5 * MBps
+    )
+    job = MulticastJob(
+        job_id="wide", src_dc="dc0",
+        dst_dcs=tuple(f"dc{i}" for i in range(1, 12)),
+        total_bytes=40 * MB - 7, block_size=4 * MB,
+    )
+    job.bind(topo)
+    sim = Simulation(
+        topo, [job], make_strategy("bds", seed=0),
+        SimConfig(max_cycles=3, stop_when_complete=False), seed=0,
+    )
+    sim.run()
+    assert 72 * 73**12 >= 2**63
+    _assert_router_matches_oracle(sim, 12, True)
+
+
+# -- the simulator's one-gather validation against the scalar loop ------------
+
+
+def _mutated(sim, rng, directives):
+    """The strategy's directives plus every awkward shape validation sees."""
+    names = sorted(sim.topology.servers)
+    jobs = sim.jobs
+    out = list(directives)
+    for d in directives[: 1 + len(directives) // 2]:
+        ids = list(d.block_ids)
+        job = rng.choice(jobs)
+        extra = [rng.choice(job.blocks).block_id for _ in range(rng.randint(1, 4))]
+        out.append(  # duplicates, blocks the source lacks / the destination holds
+            TransferDirective(
+                d.job_id, tuple(ids + ids[:1] + extra), d.src_server,
+                d.dst_server, d.rate_cap,
+            )
+        )
+        out.append(  # unknown blocks and indices out of range
+            TransferDirective(
+                d.job_id, ((d.job_id, 10**6), ("ghost-job", 0), ids[0]),
+                d.src_server, d.dst_server,
+            )
+        )
+        out.append(  # out-of-range index in the array form
+            TransferDirective.from_indices(
+                d.job_id, np.array([10**6, -3, ids[0][1]]), d.src_server,
+                d.dst_server, 1.0,
+            )
+        )
+    for _ in range(4):  # arbitrary endpoints, some of them failed
+        src, dst = rng.sample(names, 2)
+        job = rng.choice(jobs)
+        ids = tuple(rng.choice(job.blocks).block_id for _ in range(rng.randint(1, 5)))
+        out.append(TransferDirective(job.job_id, ids, src, dst))
+    rng.shuffle(out)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    cycles=st.integers(1, 3),
+    vectorized=st.booleans(),
+)
+def test_validation_and_demands_equal_scalar_oracle(seed, cycles, vectorized):
+    sim = _midrun(seed, cycles, vectorized=vectorized)
+    rng = random.Random(seed)
+    view = sim.snapshot_view(cycles)
+    failed = set(view.failed_agents) | set(rng.sample(sorted(sim.topology.servers), 1))
+    directives = _mutated(sim, rng, sim.strategy.decide(view))
+
+    valid, columns = sim._valid_directives(directives, failed)
+    want = oracles.valid_directives(
+        sim.store.has, sim.topology.servers, directives, failed
+    )
+    assert valid == want
+    assert [d.block_ids for d in valid] == [d.block_ids for d in want]
+    assert columns.bounds[-1] == sum(len(d.block_ids) for d in want)
+
+    size_of = {b.block_id: b.size for job in sim.jobs for b in job.blocks}
+    assert sim._flow_demands(columns) == [
+        oracles.flow_remaining(size_of, sim._partial, d) for d in want
+    ]
+
+
+def test_columns_follow_directives_dropped_after_validation():
+    """A destination partitioned off after validation takes its rows along."""
+    sim = _midrun(5, 1)
+    view = sim.snapshot_view(1)
+    valid, columns = sim._valid_directives(sim.strategy.decide(view), set())
+    assert len(valid) >= 3
+    keep = [i % 2 == 0 for i in range(len(valid))]
+    kept = [d for d, k in zip(valid, keep) if k]
+    _again, want = sim._valid_directives(kept, set())
+    taken = columns.take(keep)
+    assert taken.bounds == want.bounds
+    for name in ("flat", "keys", "sizes"):
+        assert getattr(taken, name).tolist() == getattr(want, name).tolist()
+    assert sim._flow_demands(taken) == sim._flow_demands(want)
+
+
+@pytest.mark.parametrize("field", ["src_server", "dst_server"])
+def test_unknown_server_raises_like_the_scalar_loop(field):
+    sim = _midrun(3, 1)
+    view = sim.snapshot_view(1)
+    good = sim.strategy.decide(view)
+    assert good
+    d = good[0]
+    ends = {"src_server": d.src_server, "dst_server": d.dst_server, field: "ghost"}
+    bad = TransferDirective(d.job_id, d.block_ids, **ends)
+    for directives, failed in [
+        (good + [bad], set()),
+        ([bad] + good, set()),
+        # A failed endpoint is skipped before the other one is looked up.
+        ([bad], {ends["src_server" if field == "dst_server" else "dst_server"]}),
+    ]:
+        outcomes = []
+        for run in (
+            lambda: sim._valid_directives(directives, failed)[0],
+            lambda: oracles.valid_directives(
+                sim.store.has, sim.topology.servers, directives, failed
+            ),
+        ):
+            try:
+                outcomes.append(run())
+            except KeyError as error:
+                outcomes.append(str(error))
+        assert outcomes[0] == outcomes[1]
+
+
+# -- the directive contract ---------------------------------------------------
+
+
+class TestDirectiveContract:
+    IDS = (("j", 4), ("j", 0), ("j", 4), ("j", 9))
+
+    def _twins(self, rate_cap=2.5):
+        built = TransferDirective(
+            job_id="j", block_ids=self.IDS, src_server="a", dst_server="b",
+            rate_cap=rate_cap,
+        )
+        column = np.array([7, 4, 0, 4, 9, 7], dtype=np.int64)
+        cut = TransferDirective.from_segment("j", column, 1, 5, "a", "b", rate_cap)
+        whole = TransferDirective.from_indices(
+            "j", np.array([4, 0, 4, 9], dtype=np.int64), "a", "b", rate_cap
+        )
+        return built, cut, whole
+
+    def test_twins_are_equal_hash_equal_and_expose_the_same_ids(self):
+        built, cut, whole = self._twins()
+        assert built == cut == whole and cut == built
+        assert hash(built) == hash(cut) == hash(whole)
+        assert built.block_ids == cut.block_ids == whole.block_ids == self.IDS
+        assert cut.block_indices.tolist() == built.block_indices.tolist() == [4, 0, 4, 9]
+        assert len({built, cut, whole}) == 1
+        assert cut.block_ids is cut.block_ids  # derived once, then cached
+
+    def test_any_differing_field_breaks_equality(self):
+        built, cut, _whole = self._twins()
+        assert cut != TransferDirective.from_indices("j", np.array([4, 0, 4]), "a", "b", 2.5)
+        assert cut != TransferDirective.from_indices("k", np.array([4, 0, 4, 9]), "a", "b", 2.5)
+        assert built != built.with_rate_cap(3.0)
+        assert built.with_rate_cap(3.0) == cut.with_rate_cap(3.0)
+        assert built != "not a directive"
+
+    def test_foreign_ids_have_no_index_form(self):
+        mixed = TransferDirective("j", (("j", 0), ("k", 1)), "a", "b")
+        assert mixed.block_indices is None
+        assert mixed == TransferDirective("j", (("j", 0), ("k", 1)), "a", "b")
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda **kw: TransferDirective(job_id="j", block_ids=kw.pop("ids", (("j", 0),)), **kw),
+            lambda **kw: TransferDirective.from_indices(
+                "j", np.array([i for _j, i in kw.pop("ids", (("j", 0),))], dtype=np.int64), **kw
+            ),
+        ],
+    )
+    def test_validation(self, build):
+        with pytest.raises(ValueError, match="at least one block"):
+            build(ids=(), src_server="a", dst_server="b")
+        with pytest.raises(ValueError, match="endpoints must differ"):
+            build(src_server="a", dst_server="a")
+        with pytest.raises(ValueError, match="rate_cap"):
+            build(src_server="a", dst_server="b", rate_cap=-1.0)
+        assert build(src_server="a", dst_server="b", rate_cap=0.0).rate_cap == 0.0
+
+    def test_frozen(self):
+        built, cut, _whole = self._twins()
+        for d in (built, cut):
+            with pytest.raises(FrozenInstanceError):
+                d.rate_cap = 1.0
+            with pytest.raises(FrozenInstanceError):
+                del d.job_id
+
+    def test_pickle_round_trip_carries_only_the_segment(self):
+        built, cut, _whole = self._twins()
+        big = TransferDirective.from_segment(
+            "j", np.arange(100_000, dtype=np.int64), 10, 14, "a", "b", 1.0
+        )
+        assert len(pickle.dumps(big)) < 600
+        for d in (built, cut, big):
+            again = pickle.loads(pickle.dumps(d))
+            assert again == d and hash(again) == hash(d)
+            assert again.block_ids == d.block_ids
+        assert copy.deepcopy(cut) == cut
+
+
+# -- sharded runs and the run cache against the parent commit -----------------
+
+#: ``SimResult.fingerprint()`` of :func:`_shard_scenario` at the commit
+#: before directives went columnar (shard mirrors share the router, and
+#: process mode pickles directives across the worker boundary).
+PARENT_SHARD_FINGERPRINTS = {
+    2: "06ed95d105273976464a4104010579c1153a40068155f6301888c56e260e7d4b",
+    4: "103bb1c32983155448554bf05adb57d936e19dfb8d33d25a33a8ecda741f11bc",
+}
+
+
+def _shard_scenario():
+    topo = Topology.full_mesh(
+        num_dcs=5, servers_per_dc=4, wan_capacity=30 * MBps, uplink=6 * MBps
+    )
+    jobs = []
+    for j in range(6):
+        src = f"dc{j % 5}"
+        job = MulticastJob(
+            job_id=f"job{j}",
+            src_dc=src,
+            dst_dcs=tuple(f"dc{i}" for i in range(5) if f"dc{i}" != src),
+            total_bytes=46 * MB + 4321,
+            block_size=4 * MB,
+        )
+        job.bind(topo)
+        jobs.append(job)
+    return topo, jobs
+
+
+@pytest.mark.parametrize("mode", ["inprocess", "process"])
+@pytest.mark.parametrize("shards", [2, 4])
+def test_sharded_fingerprints_equal_the_parent_commits(shards, mode):
+    topo, jobs = _shard_scenario()
+    controller = BDSController(BDSConfig(shards=shards, shard_mode=mode))
+    sim = Simulation(
+        topology=topo, jobs=jobs, strategy=controller, config=SimConfig(), seed=90
+    )
+    try:
+        result = sim.run()
+    finally:
+        controller.shutdown()
+    assert controller.config.shard_mode == mode  # no silent takeover
+    assert result.fingerprint() == PARENT_SHARD_FINGERPRINTS[shards]
+
+
+def _cached_scenario():
+    topo = Topology.full_mesh(
+        num_dcs=3, servers_per_dc=3, wan_capacity=40 * MBps, uplink=4 * MBps
+    )
+    job = MulticastJob(
+        job_id="j", src_dc="dc0", dst_dcs=("dc1", "dc2"),
+        total_bytes=30 * MB + 12345, block_size=4 * MB,
+    )
+    job.bind(topo)
+    return topo, [job]
+
+
+def test_parent_written_runcache_entry_still_hits(tmp_path):
+    """Outputs are identical, so the cache salt did not move: an entry the
+    parent commit wrote (``tests/data/runcache_parent``) is served as is,
+    and equals what this commit computes."""
+    assert CACHE_CODE_VERSION == "sim-v7"
+    parent = Path(__file__).parent / "data" / "runcache_parent"
+    spec = RunSpec(strategy="bds", scenario=_cached_scenario, seed=17)
+
+    cache = RunCache(parent)
+    outcomes = run_many([spec], cache=cache)
+    assert outcomes[0].cached and cache.stats.hits == 1 and cache.stats.stores == 0
+
+    fresh = run_many([spec], cache=RunCache(tmp_path))
+    assert not fresh[0].cached
+    assert fresh[0].result.fingerprint() == outcomes[0].result.fingerprint()

@@ -90,3 +90,56 @@ class TestFailureSchedule:
         assert schedule.controller_down
         schedule.advance_to(30)
         assert not schedule.controller_down
+
+
+class TestOutageStageAccounting:
+    """A controller outage is neither scheduling nor routing time."""
+
+    def _run(self, strategy_name):
+        from repro.analysis.runner import make_strategy
+        from repro.net.simulator import SimConfig, Simulation
+        from repro.net.topology import Topology
+        from repro.overlay.job import MulticastJob
+        from repro.utils.units import MB, MBps
+
+        topo = Topology.full_mesh(
+            num_dcs=3, servers_per_dc=2, wan_capacity=40 * MBps, uplink=4 * MBps
+        )
+        job = MulticastJob(
+            job_id="j", src_dc="dc0", dst_dcs=("dc1", "dc2"),
+            total_bytes=96 * MB, block_size=4 * MB,
+        )
+        job.bind(topo)
+        failures = FailureSchedule(
+            [
+                FailureEvent(cycle=2, kind="controller_fail"),
+                FailureEvent(cycle=5, kind="controller_recover"),
+            ]
+        )
+        sim = Simulation(
+            topo, [job], make_strategy(strategy_name, seed=3),
+            SimConfig(max_cycles=9, stop_when_complete=False),
+            failures=failures, seed=3,
+        )
+        return sim.run()
+
+    def test_fallback_cycles_book_no_schedule_or_route_time(self):
+        result = self._run("bds")
+        outage = [s for s in result.cycle_stats if not s.controller_available]
+        assert [s.cycle for s in outage] == [2, 3, 4]
+        for s in outage:
+            assert s.time_decide > 0.0  # the fallback's decide is still timed
+            assert s.time_schedule == 0.0 and s.time_route == 0.0
+        decided = [
+            s for s in result.cycle_stats
+            if s.controller_available and not s.decision_reused
+        ]
+        assert decided and all(s.time_schedule > 0.0 for s in decided)
+        totals = result.stage_time_totals()
+        assert totals["schedule"] + totals["route"] <= totals["decide"]
+
+    def test_strategies_without_a_decision_log_keep_decide_as_schedule(self):
+        result = self._run("gingko")
+        assert result.cycle_stats
+        for s in result.cycle_stats:
+            assert s.time_schedule == s.time_decide and s.time_route == 0.0
