@@ -1,21 +1,22 @@
-"""Routing-solve A/B — vectorized Fleischer FPTAS vs the legacy scalar loop.
+"""Routing-solve benchmark — Fleischer FPTAS cold / warm against the exact LP.
 
-Times the three routing-solve implementations on the same deterministic
-random instances at three commodity scales (the largest matching the
-Fig. 13b regime where the paper runs its FPTAS):
+Times the routing backends on the same deterministic router-shaped
+instances at three commodity scales (the largest matching the Fig. 13b
+regime where the paper runs its FPTAS):
 
-* the legacy Garg–Könemann loop (``repro.lp.fptas_legacy``, the
-  pre-rewrite solver kept in-tree as the baseline),
-* the vectorized Fleischer phase solver (``repro.lp.fptas``), cold and
-  warm-started (demands drifted as between consecutive control cycles),
+* the Fleischer phase solver (``repro.lp.fptas``): cold, warm-started on
+  demands drifted as between consecutive control cycles, and cold on the
+  drifted instance (what the warm start saves);
+* the exact LP (``PathMCF.solve_lp``), the optimum both are priced against;
 * the greedy water-filler, dict-walking reference vs the incidence
   rewrite (which must agree bit-for-bit — it feeds the determinism
   fingerprints).
 
-Every FPTAS objective is checked against the exact LP: the rewrite must
-clear the ``(1−ε)³`` guarantee on every benchmarked instance, and the
-headline target is a ≥5× wall-clock speedup over the legacy solver at
-the largest scale.
+Every FPTAS objective is checked against the exact LP: cold and warm must
+clear the ``(1−ε)³`` guarantee on every benchmarked instance. There is no
+speedup gate: a performance claim is a diff of these times against the
+previous recorded run (``BENCH_routing.json``) and, end to end, the perf
+ledger's ``routing_backends`` workload.
 
 Run as a script to emit ``BENCH_routing.json``::
 
@@ -34,16 +35,14 @@ from pathlib import Path
 from repro.analysis.reporting import format_table
 from repro.core.routing import BDSRouter
 from repro.lp.fptas import max_multicommodity_flow
-from repro.lp.fptas_legacy import legacy_max_multicommodity_flow
 from repro.lp.incidence import PathIncidence
 from repro.lp.mcf import Commodity, PathMCF
 
 EPSILON = 0.1
 FULL_SCALES = (50, 150, 400)
 QUICK_SCALES = (15, 40, 90)
-SPEEDUP_TARGET = 5.0
 
-RESULT_FORMAT_VERSION = 1
+RESULT_FORMAT_VERSION = 2
 
 
 def make_instance(num_commodities, seed):
@@ -152,13 +151,10 @@ def reference_greedy(commodities, capacities, fair_rounds=3):
 
 
 def bench_scale(num_commodities, seed=0):
-    """One scale point: all solver A/Bs on the same instance."""
+    """One scale point: every backend on the same instance."""
     commodities, caps = make_instance(num_commodities, seed)
     guarantee = (1 - EPSILON) ** 3
 
-    legacy, legacy_s = timed(
-        lambda: legacy_max_multicommodity_flow(commodities, caps, epsilon=EPSILON)
-    )
     cold, cold_s = timed(
         lambda: max_multicommodity_flow(commodities, caps, epsilon=EPSILON)
     )
@@ -190,11 +186,9 @@ def bench_scale(num_commodities, seed=0):
         "resources": len(caps),
         "epsilon": EPSILON,
         "fptas": {
-            "legacy_s": legacy_s,
             "cold_s": cold_s,
             "warm_s": warm_s,
             "cold_drifted_s": cold2_s,
-            "speedup_cold": legacy_s / cold_s if cold_s > 0 else float("inf"),
             "speedup_warm_vs_cold": (
                 cold2_s / warm_s if warm_s > 0 else float("inf")
             ),
@@ -206,7 +200,6 @@ def bench_scale(num_commodities, seed=0):
         "objectives": {
             "lp": lp.objective,
             "lp_s": lp_s,
-            "legacy": legacy.objective,
             "cold": cold.objective,
             "warm": warm.objective,
             "lp_drifted": lp2.objective,
@@ -236,7 +229,6 @@ def run_benchmark(scales, seed=0):
     return {
         "format_version": RESULT_FORMAT_VERSION,
         "epsilon": EPSILON,
-        "speedup_target": SPEEDUP_TARGET,
         "scales": [bench_scale(n, seed=seed) for n in scales],
     }
 
@@ -250,12 +242,12 @@ def format_report(payload) -> str:
         rows.append(
             [
                 str(entry["commodities"]),
-                f"{fp['legacy_s'] * 1e3:.0f}",
                 f"{fp['cold_s'] * 1e3:.0f}",
+                str(fp["iterations_cold"]),
                 f"{fp['warm_s'] * 1e3:.0f}",
-                f"{fp['speedup_cold']:.1f}x",
-                f"{obj['cold_ratio']:.4f}",
                 fp["warm_start"],
+                f"{obj['lp_s'] * 1e3:.0f}",
+                f"{obj['cold_ratio']:.4f}",
                 f"{gr['speedup']:.1f}x",
                 "yes" if gr["identical"] else "NO",
             ]
@@ -263,31 +255,33 @@ def format_report(payload) -> str:
     table = format_table(
         [
             "commodities",
-            "legacy (ms)",
             "cold (ms)",
+            "pushes",
             "warm (ms)",
-            "speedup",
-            "obj/LP",
             "warm mode",
+            "LP (ms)",
+            "obj/LP",
             "greedy",
             "greedy ==",
         ],
         rows,
     )
     largest = payload["scales"][-1]
+    fp = largest["fptas"]
     return (
-        f"[routing solver] Fleischer FPTAS vs legacy, eps={EPSILON}\n"
+        f"[routing solver] Fleischer FPTAS vs exact LP, eps={EPSILON}\n"
         + table
         + (
-            f"\nlargest scale ({largest['commodities']} commodities): "
-            f"{largest['fptas']['speedup_cold']:.1f}x cold speedup "
-            f"(target >= {SPEEDUP_TARGET:.0f}x), warm resumes in "
-            f"{largest['fptas']['warm_s'] * 1e3:.0f}ms"
+            f"\nlargest scale ({largest['commodities']} commodities): cold "
+            f"{fp['cold_s'] * 1e3:.0f}ms "
+            f"({fp['cold_s'] / max(fp['iterations_cold'], 1) * 1e6:.1f}us/push), "
+            f"warm resumes in {fp['warm_s'] * 1e3:.0f}ms, exact LP "
+            f"{largest['objectives']['lp_s'] * 1e3:.0f}ms"
         )
     )
 
 
-def check(payload, enforce_speedup) -> list:
+def check(payload) -> list:
     """Acceptance checks; returns a list of failure strings."""
     failures = []
     for entry in payload["scales"]:
@@ -298,14 +292,6 @@ def check(payload, enforce_speedup) -> list:
             failures.append(f"{n} commodities: warm solve below (1-eps)^3 * LP")
         if not entry["greedy"]["identical"]:
             failures.append(f"{n} commodities: greedy rewrite diverged")
-    if enforce_speedup:
-        largest = payload["scales"][-1]
-        speedup = largest["fptas"]["speedup_cold"]
-        if speedup < SPEEDUP_TARGET:
-            failures.append(
-                f"largest scale speedup {speedup:.2f}x below "
-                f"{SPEEDUP_TARGET:.0f}x target"
-            )
     return failures
 
 
@@ -315,10 +301,7 @@ def test_routing_solver(benchmark, report):
         lambda: run_benchmark(QUICK_SCALES, seed=0), rounds=1, iterations=1
     )
     report("\n" + format_report(payload))
-    assert check(payload, enforce_speedup=False) == []
-    # The rewrite must never lose to the scalar loop, even at quick scale
-    # (the >=5x headline is asserted at full scale by the script).
-    assert payload["scales"][-1]["fptas"]["speedup_cold"] > 1.0
+    assert check(payload) == []
 
 
 def main(argv=None) -> int:
@@ -328,7 +311,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="small scales for CI smoke runs (no speedup floor asserted)",
+        help="small scales for CI smoke runs",
     )
     parser.add_argument(
         "--output",
@@ -348,7 +331,7 @@ def main(argv=None) -> int:
     )
     print(f"wrote {args.output}")
 
-    failures = check(payload, enforce_speedup=not args.quick)
+    failures = check(payload)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -8,13 +8,12 @@ to get ε-optimal routing in milliseconds instead of solving the LP exactly.
 
 from repro.lp.model import LinearProgram, LPSolution, LPError
 from repro.lp.mcf import Commodity, PathMCF, MCFResult, solve_lp_incidence
-from repro.lp.incidence import PathIncidence, build_incidence
+from repro.lp.incidence import PathIncidence
 from repro.lp.fptas import (
     max_multicommodity_flow,
     FPTASResult,
     FPTASWarmState,
 )
-from repro.lp.fptas_legacy import legacy_max_multicommodity_flow
 
 __all__ = [
     "LinearProgram",
@@ -25,9 +24,7 @@ __all__ = [
     "MCFResult",
     "solve_lp_incidence",
     "PathIncidence",
-    "build_incidence",
     "max_multicommodity_flow",
     "FPTASResult",
     "FPTASWarmState",
-    "legacy_max_multicommodity_flow",
 ]

@@ -6,22 +6,38 @@ LP in near real-time. This module implements that phase-based variant of
 the Garg–Könemann multiplicative-weights scheme, specialised to *explicit
 path sets* (BDS enumerates candidate overlay paths up-front, so the
 shortest-path oracle reduces to an argmin over each commodity's path
-list) and vectorized over the :class:`~repro.lp.incidence.PathIncidence`
-arrays:
+list):
 
 * **Phases, not global argmins.** Garg–Könemann's textbook loop finds the
   globally lightest path every iteration — an O(paths) Python scan. Fleischer
   showed it suffices to route along any path within ``(1+ε)`` of the global
   minimum, so the solve proceeds in phases with length threshold
   ``δ(1+ε)^k``: within a phase, each commodity is drained until its own
-  lightest path crosses the threshold. The per-commodity oracle is a
-  vectorized ``reduceat`` over the incidence arrays.
+  lightest path crosses the threshold.
 * **A lazy heap of per-commodity best lengths.** Resource lengths only
   grow, so a commodity's cached best-path length is a *lower bound* —
   commodities whose cached bound already exceeds the phase threshold are
   skipped without recomputation, and the heap re-validates entries only
   when popped. The oracle therefore re-evaluates only commodities whose
   paths were actually touched (their bound went stale below threshold).
+* **A scalar push loop, shaped like its callers.** Every caller sends
+  router-shaped instances: :class:`~repro.core.routing.BDSRouter` at most
+  ``max_sources_per_group`` = 3 paths per commodity, each uplink / WAN /
+  downlink plus the virtual demand resource; the routing benchmark 2–3
+  paths × 3; the test generators ≤ 5 paths × ≤ 4. On segments that small
+  one numpy call costs more than the whole reduction, so the loop keeps
+  lengths in a Python list, finds a commodity's lightest path with a
+  ≤ 3-way compare of ≤ 4-term sums, and multiplies ≤ 4 entries per push
+  by growth factors computed once per instance as one array expression.
+  Measured on the perf ledger's ``routing_backends`` workload (325 097
+  pushes, ``lp.fptas_s`` 3.34 s → 0.70 s): 10.3 µs per push with an
+  ``np.add.reduceat`` + ``np.argmin`` oracle and fancy-index updates,
+  2.1 µs with this loop — same pushes, same floats. Whole-instance work
+  (set-up, feasibility scaling, re-clip, dual certificate) stays on the
+  :class:`~repro.lp.incidence.PathIncidence` arrays. The replaced loop is
+  kept as a test oracle (``tests/oracles.py``) and the two are
+  property-tested bit-equal, because push counts are chaotic in the
+  instance: one differently rounded length is a different solve.
 * **Cross-cycle warm starts.** The solver can resume from a previous
   solve's final resource lengths and raw path flows
   (:class:`FPTASWarmState`) when the resource universe, capacities, and ε
@@ -131,9 +147,7 @@ class _Instance:
     """The extended (demand-reduced) instance in solver-internal units.
 
     Appends one virtual resource per demand-capped commodity to all of
-    its usable paths via a single vectorized ``np.insert``, and
-    precomputes the per-commodity segment views the phase oracle reduces
-    over.
+    its usable paths via a single vectorized ``np.insert``.
     """
 
     def __init__(
@@ -166,25 +180,6 @@ class _Instance:
         )
         # Resources actually on a usable path (the dual-bound support).
         self.used_res = np.unique(self.flat) if len(self.flat) else self.flat
-        # Per-commodity oracle segments: (first path id, flat slice view,
-        # local reduceat offsets); None for commodities with no usable path.
-        self.segments: List[Optional[Tuple[int, np.ndarray, np.ndarray]]] = []
-        for ci in range(inc.num_commodities):
-            lo, hi = inc.commodity_path_range[ci]
-            if lo == hi:
-                self.segments.append(None)
-                continue
-            flo = self.starts[lo]
-            fhi = self.starts[hi - 1] + self.lens[hi - 1]
-            self.segments.append(
-                (lo, self.flat[flo:fhi], self.starts[lo:hi] - flo)
-            )
-        # Whether any path crosses the same resource twice: decides
-        # between fast fancy-index length updates and np.multiply.at.
-        self.any_dup = any(
-            len(set(inc.flat_res[s : s + n].tolist())) != n
-            for s, n in zip(inc.path_starts.tolist(), inc.path_lens.tolist())
-        )
 
     def initial_lengths(self, delta: float) -> np.ndarray:
         positive = self.caps > 0
@@ -208,25 +203,58 @@ def _run_fleischer(
 
     Mutates ``lengths``/``raw`` in place and returns them with the push
     and phase counts. Deterministic: the heap breaks length ties on the
-    commodity index and each commodity drains its own exact argmin path.
+    commodity index and each commodity drains its own first-lightest path.
     """
     m = len(ext.used_res)
-    limit = max_iterations or int(
-        10 * m * math.log(m + 2) / (epsilon**2) + 1000
+    limit = (
+        int(10 * m * math.log(m + 2) / (epsilon**2) + 1000)
+        if max_iterations is None
+        else max_iterations
     )
     one_plus = 1.0 + epsilon
     log_one_plus = math.log(one_plus)
 
+    # Scalar working set, built with O(1) numpy calls: lengths and raw flows
+    # as lists; per path its resources split (first, others) for the oracle
+    # and paired with their growth factors for a push, which multiplies each
+    # resource once per crossing, in path order.
+    length = lengths.tolist()
+    pushed = raw.tolist()
+    bottleneck = ext.min_cap.tolist()
+    flat = ext.flat.tolist()
+    growth = (
+        1.0 + np.repeat(epsilon * ext.min_cap, ext.lens) / ext.caps[ext.flat]
+    ).tolist()
+    spans = [(s, s + n) for s, n in zip(ext.starts.tolist(), ext.lens.tolist())]
+    steps = [list(zip(flat[s:e], growth[s:e])) for s, e in spans]
+    split = [(pid, flat[s], flat[s + 1 : e]) for pid, (s, e) in enumerate(spans)]
+    by_commodity = [split[lo:hi] for lo, hi in ext.inc.commodity_path_range]
+
+    def lightest(candidates):
+        # A path's length folds as np.add.reduceat folds a segment of up to
+        # 8 terms: the first term plus a left fold of the others (0.0 + x is
+        # exact) — with explicit +, never builtin sum(), which is compensated
+        # from Python 3.12. That keeps solves bit-equal to the reduceat
+        # oracle in tests/oracles.py; longer paths (numpy goes pairwise, no
+        # caller builds them) keep this one rule. Ties go to the lowest path
+        # id, as argmin breaks them.
+        best, best_pid = math.inf, -1
+        for pid, first, others in candidates:
+            acc = 0.0
+            for r in others:
+                acc += length[r]
+            plen = length[first] + acc
+            if plen < best:
+                best, best_pid = plen, pid
+        return best, best_pid
+
     # Seed the lazy heap with each commodity's exact best length.
     heap: List[Tuple[float, int]] = []
-    for ci, seg in enumerate(ext.segments):
-        if seg is None:
-            continue
-        lo, seg_flat, local_starts = seg
-        plens = np.add.reduceat(lengths[seg_flat], local_starts)
-        best = float(plens.min())
-        if best < 1.0:
-            heap.append((best, ci))
+    for ci, candidates in enumerate(by_commodity):
+        if candidates:
+            best, _pid = lightest(candidates)
+            if best < 1.0:
+                heap.append((best, ci))
     heapq.heapify(heap)
 
     iterations = 0
@@ -245,27 +273,18 @@ def _run_fleischer(
         phases += 1
         while heap and heap[0][0] < t_cur and iterations < limit:
             _cached, ci = heapq.heappop(heap)
-            lo, seg_flat, local_starts = ext.segments[ci]
-            plens = np.add.reduceat(lengths[seg_flat], local_starts)
-            pl = int(np.argmin(plens))
-            best = float(plens[pl])
+            candidates = by_commodity[ci]
+            best, pid = lightest(candidates)
             while best < t_cur and iterations < limit:
-                pid = lo + pl
-                bottleneck = ext.min_cap[pid]
-                raw[pid] += bottleneck
-                s = ext.starts[pid]
-                idxs = ext.flat[s : s + ext.lens[pid]]
-                factors = 1.0 + epsilon * bottleneck / ext.caps[idxs]
-                if ext.any_dup:
-                    np.multiply.at(lengths, idxs, factors)
-                else:
-                    lengths[idxs] *= factors
+                pushed[pid] += bottleneck[pid]
+                for r, factor in steps[pid]:
+                    length[r] *= factor
                 iterations += 1
-                plens = np.add.reduceat(lengths[seg_flat], local_starts)
-                pl = int(np.argmin(plens))
-                best = float(plens[pl])
+                best, pid = lightest(candidates)
             if best < 1.0:
                 heapq.heappush(heap, (best, ci))
+    lengths[:] = length
+    raw[:] = pushed
     return lengths, raw, iterations, phases
 
 
@@ -399,7 +418,10 @@ def max_multicommodity_flow(
     ``(1−ε)³`` guarantee holds unconditionally. ``incidence`` supplies a
     pre-built :class:`~repro.lp.incidence.PathIncidence` (the router
     shares one across backends); when omitted one is compiled here, with
-    strict unknown-resource checking.
+    strict unknown-resource checking. ``max_iterations`` stops each solve
+    attempt after that many pushes — the truncated flow is still feasible,
+    the guarantee no longer holds; ``None`` (only ``None``) means the
+    theoretical bound ``10·m·ln(m+2)/ε² + 1000``.
     """
     check_positive("epsilon", epsilon)
     if epsilon >= 1:

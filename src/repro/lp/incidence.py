@@ -1,18 +1,20 @@
 """Array-backed path×resource incidence structure for the routing solve.
 
-Every routing backend answers the same two questions many times per solve:
-*"what is the length/room of this path?"* (a reduction over the resources
-the path touches) and *"which paths does this resource appear on?"* (the
-reverse incidence). The naive implementations re-walk Python tuples and
-dictionaries for each query, which is what made the FPTAS the slowest part
-of the control cycle. :class:`PathIncidence` compiles a commodity set into
-flat numpy arrays once, so those reductions become vectorized
-``reduceat`` calls shared by
+Every routing backend answers the same question many times per solve —
+*"what is the length/room of this path?"*, a reduction over the resources
+the path touches. Re-walking ``Commodity.paths`` tuples and capacity
+dictionaries for each query is what made the FPTAS the slowest part of
+the control cycle. :class:`PathIncidence` interns a commodity set into
+flat integer arrays once, shared by
 
-* the Fleischer FPTAS (:mod:`repro.lp.fptas` — path lengths),
-* the exact LP (:meth:`repro.lp.mcf.PathMCF.solve_lp` — constraint rows),
+* the Fleischer FPTAS (:mod:`repro.lp.fptas`): whole-instance reductions
+  (static bottlenecks, re-clip, dual certificate) are ``reduceat`` /
+  ``bincount`` over these arrays; its push loop folds each ≤ 4-term path
+  length over ``.tolist()``ed slices of them, in ``reduceat``'s order;
+* the exact LP (:func:`repro.lp.mcf.solve_lp_incidence` — constraint rows);
 * the greedy water-filler (:meth:`repro.core.routing.BDSRouter._solve_greedy`
-  — per-path residual room).
+  — per-path residual room over ``.tolist()``ed index lists, for the same
+  reason: router paths are too short to repay a numpy call each).
 
 Layout (CSR-style, usable paths only, grouped by commodity so each
 commodity's paths occupy one contiguous id range):
@@ -20,7 +22,7 @@ commodity's paths occupy one contiguous id range):
 ``flat_res``
     concatenated resource indices of every usable path, duplicates within
     a path preserved (a path that crosses a resource twice consumes it
-    twice in the greedy/FPTAS semantics);
+    twice, in every backend);
 ``path_starts``
     offset of each path's slice in ``flat_res`` (``np.minimum.reduceat`` /
     ``np.add.reduceat`` segment boundaries);
@@ -40,7 +42,7 @@ uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -199,33 +201,6 @@ class PathIncidence:
         """
         return tuple(self.res_keys)
 
-    # -- vectorized reductions --------------------------------------------
-
-    def path_sums(self, per_resource: np.ndarray) -> np.ndarray:
-        """``sum(per_resource[r] for r in path)`` for every usable path."""
-        if not self.num_paths:
-            return np.zeros(0, dtype=np.float64)
-        return np.add.reduceat(per_resource[self.flat_res], self.path_starts)
-
-    def path_mins(self, per_resource: np.ndarray) -> np.ndarray:
-        """``min(per_resource[r] for r in path)`` for every usable path."""
-        if not self.num_paths:
-            return np.zeros(0, dtype=np.float64)
-        return np.minimum.reduceat(per_resource[self.flat_res], self.path_starts)
-
-    def commodity_slice(self, ci: int) -> slice:
-        lo, hi = self.commodity_path_range[ci]
-        return slice(lo, hi)
-
-    def usage_from_flows(self, flows: np.ndarray) -> np.ndarray:
-        """Per-resource usage implied by per-usable-path ``flows``."""
-        if not self.num_paths:
-            return np.zeros(self.num_resources, dtype=np.float64)
-        per_entry = np.repeat(flows, self.path_lens)
-        return np.bincount(
-            self.flat_res, weights=per_entry, minlength=self.num_resources
-        )
-
     def flows_to_path_map(
         self, flows: np.ndarray, threshold: float = 1e-12, scale: float = 1.0
     ) -> Dict[Tuple[Hashable, int], float]:
@@ -240,17 +215,6 @@ class PathIncidence:
             key = (self.commodities[ci].name, int(self.path_orig_index[pid]))
             out[key] = out.get(key, 0.0) + float(flows[pid]) * scale
         return out
-
-
-def build_incidence(
-    commodities: Sequence[Commodity],
-    capacities: Mapping[ResourceKey, float],
-    strict: bool = True,
-) -> Optional[PathIncidence]:
-    """:meth:`PathIncidence.build`, returning ``None`` for empty inputs."""
-    if not commodities:
-        return None
-    return PathIncidence.build(commodities, capacities, strict=strict)
 
 
 def segment_mins(

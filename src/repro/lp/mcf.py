@@ -134,7 +134,10 @@ def solve_lp_incidence(incidence) -> MCFResult:
     Builds one variable per *usable* path (paths through zero-capacity
     resources and zero-demand commodities can never carry flow, so their
     variables are elided — the optimum is unchanged), one capacity row per
-    resource, and one demand row per capped commodity.
+    resource, and one demand row per capped commodity. A path's
+    coefficient in a resource's row is how many times it crosses that
+    resource — the charge :meth:`MCFResult.resource_usage`, the greedy
+    backend and the FPTAS all apply.
     """
     inc = incidence
     if inc.num_paths == 0:
@@ -150,8 +153,10 @@ def solve_lp_incidence(incidence) -> MCFResult:
     # Per-resource capacity constraints, in resource interning order.
     by_resource: Dict[int, Dict[str, float]] = {}
     for pid in range(inc.num_paths):
-        for ri in set(inc.path_resources(pid).tolist()):
-            by_resource.setdefault(ri, {})[var_names[pid]] = 1.0
+        name = var_names[pid]
+        for ri in inc.path_resources(pid).tolist():
+            row = by_resource.setdefault(ri, {})
+            row[name] = row.get(name, 0.0) + 1.0
     for ri in sorted(by_resource):
         lp.add_constraint(by_resource[ri], "<=", float(inc.caps[ri]))
 

@@ -1,18 +1,30 @@
-"""Reference implementations: the loops the columnar hand-off replaced.
+"""Reference implementations: the loops the array and scalar kernels replaced.
 
-Each function is the body of a per-block Python loop that used to sit
-between the scheduler kernel and the store scatter, lifted verbatim into
-a pure function. Nothing under ``src/`` imports this module; the
-property tests (``tests/test_columnar_handoff.py``) run the array
-kernels against these, result for result and float for float.
+Each function is the body of a loop that used to live under ``src/``,
+lifted verbatim into a pure function. Nothing under ``src/`` imports this
+module; the property tests run the production kernels against these:
+
+* ``tests/test_columnar_handoff.py`` — the per-block Python loops that sat
+  between the scheduler kernel and the store scatter, result for result
+  and float for float;
+* ``tests/test_fptas_kernel.py`` — the ``np.add.reduceat`` Fleischer loop
+  the scalar FPTAS kernel replaced, bit for bit;
+* ``tests/test_fptas_fleischer.py`` — the pre-Fleischer Garg–Könemann
+  loop, within the ε-approximation tolerance.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 import zlib
-from typing import Callable, Dict, Hashable, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.lp.fptas import FPTASResult
 from repro.lp.mcf import Commodity
+from repro.net.topology import ResourceKey
 from repro.net.simulator import TransferDirective
 
 BlockId = Tuple[str, int]
@@ -227,4 +239,261 @@ def flow_remaining(
     return sum(
         size_of[bid] - partial.get((bid, directive.dst_server), 0.0)
         for bid in directive.block_ids
+    )
+
+
+# -- FPTAS: the reduceat phase loop the scalar kernel replaced ----------------
+
+
+def reduceat_run_fleischer(
+    ext,
+    epsilon: float,
+    delta: float,
+    lengths: np.ndarray,
+    raw: np.ndarray,
+    max_iterations: Optional[int],
+) -> Tuple[np.ndarray, np.ndarray, int, int]:
+    """``repro.lp.fptas._run_fleischer`` as it was: one ``reduceat`` per oracle.
+
+    Same arguments (``ext`` is a ``repro.lp.fptas._Instance``), same
+    in-place contract. Per commodity it reduces a slice of the flat
+    incidence with ``np.add.reduceat`` and takes ``np.argmin``; a push is
+    a fancy-index multiply, or ``np.multiply.at`` when any path crosses a
+    resource twice.
+    """
+    inc = ext.inc
+    segments: List[Optional[Tuple[int, np.ndarray, np.ndarray]]] = []
+    for ci in range(inc.num_commodities):
+        lo, hi = inc.commodity_path_range[ci]
+        if lo == hi:
+            segments.append(None)
+            continue
+        flo = ext.starts[lo]
+        fhi = ext.starts[hi - 1] + ext.lens[hi - 1]
+        segments.append((lo, ext.flat[flo:fhi], ext.starts[lo:hi] - flo))
+    any_dup = any(
+        len(set(inc.flat_res[s : s + n].tolist())) != n
+        for s, n in zip(inc.path_starts.tolist(), inc.path_lens.tolist())
+    )
+
+    m = len(ext.used_res)
+    limit = (
+        int(10 * m * math.log(m + 2) / (epsilon**2) + 1000)
+        if max_iterations is None
+        else max_iterations
+    )
+    one_plus = 1.0 + epsilon
+    log_one_plus = math.log(one_plus)
+
+    heap: List[Tuple[float, int]] = []
+    for ci, seg in enumerate(segments):
+        if seg is None:
+            continue
+        lo, seg_flat, local_starts = seg
+        plens = np.add.reduceat(lengths[seg_flat], local_starts)
+        best = float(plens.min())
+        if best < 1.0:
+            heap.append((best, ci))
+    heapq.heapify(heap)
+
+    iterations = 0
+    phases = 0
+    threshold = delta * one_plus
+    while heap and iterations < limit:
+        top = heap[0][0]
+        if threshold <= top:
+            k = math.floor(math.log(top / delta) / log_one_plus) + 1
+            threshold = delta * one_plus**k
+            while threshold <= top:  # float-rounding guard
+                threshold *= one_plus
+        t_cur = min(threshold, 1.0)
+        phases += 1
+        while heap and heap[0][0] < t_cur and iterations < limit:
+            _cached, ci = heapq.heappop(heap)
+            lo, seg_flat, local_starts = segments[ci]
+            plens = np.add.reduceat(lengths[seg_flat], local_starts)
+            pl = int(np.argmin(plens))
+            best = float(plens[pl])
+            while best < t_cur and iterations < limit:
+                pid = lo + pl
+                bottleneck = ext.min_cap[pid]
+                raw[pid] += bottleneck
+                s = ext.starts[pid]
+                idxs = ext.flat[s : s + ext.lens[pid]]
+                factors = 1.0 + epsilon * bottleneck / ext.caps[idxs]
+                if any_dup:
+                    np.multiply.at(lengths, idxs, factors)
+                else:
+                    lengths[idxs] *= factors
+                iterations += 1
+                plens = np.add.reduceat(lengths[seg_flat], local_starts)
+                pl = int(np.argmin(plens))
+                best = float(plens[pl])
+            if best < 1.0:
+                heapq.heappush(heap, (best, ci))
+    return lengths, raw, iterations, phases
+
+
+# -- FPTAS: the pre-Fleischer Garg–Könemann loop ------------------------------
+
+
+def legacy_max_multicommodity_flow(
+    commodities: Sequence[Commodity],
+    capacities: Mapping[ResourceKey, float],
+    epsilon: float = 0.1,
+    max_iterations: Optional[int] = None,
+) -> FPTASResult:
+    """The original ``max_multicommodity_flow``: textbook Garg–Könemann.
+
+    A global lightest-path argmin per iteration (every commodity×path
+    rescanned in pure Python): every resource carries a length that grows
+    exponentially with its congestion; each iteration routes along the
+    currently *lightest* path and inflates the lengths of the resources it
+    used. After termination the accumulated flow is scaled by
+    ``log_{1+ε}(1/δ)`` to restore feasibility, then numerically re-clipped.
+    It carries the same ``(1−ε)³`` guarantee as the Fleischer solver, so
+    the two agree within the approximation slack, not bit for bit.
+    Duplicate candidate paths keep distinct positional indices (the
+    historical ``list.index`` aliasing is fixed here too).
+    """
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must be in (0, 1)")
+    if not commodities:
+        raise ValueError("need at least one commodity")
+
+    # Build the working capacity map with virtual demand resources.
+    caps: Dict[ResourceKey, float] = dict(capacities)
+    # Normalize so the smallest positive capacity is 1: Garg-Konemann's
+    # initial length delta/c(e) must stay below 1 on every usable edge, and
+    # raw byte units mix 1e-6-byte demand remainders with 1e9-byte/s links.
+    positive = [c for c in caps.values() if c > 0]
+    demands_positive = [
+        c.demand for c in commodities if c.demand is not None and c.demand > 0
+    ]
+    cap_scale = min(positive + demands_positive) if (positive or demands_positive) else 1.0
+    if cap_scale <= 0:
+        cap_scale = 1.0
+    caps = {k: v / cap_scale for k, v in caps.items()}
+    commodities = [
+        Commodity(
+            name=c.name,
+            paths=c.paths,
+            demand=None if c.demand is None else c.demand / cap_scale,
+        )
+        for c in commodities
+    ]
+    paths: List[List[Tuple[ResourceKey, ...]]] = []
+    for ci, commodity in enumerate(commodities):
+        extended: List[Tuple[ResourceKey, ...]] = []
+        if commodity.demand is not None:
+            virtual: ResourceKey = ("demand", str(ci))
+            caps[virtual] = commodity.demand
+            for path in commodity.paths:
+                extended.append(tuple(path) + (virtual,))
+        else:
+            extended = [tuple(p) for p in commodity.paths]
+        paths.append(extended)
+
+    # Commodities with zero demand or a zero-capacity resource on all paths
+    # can never carry flow; drop their paths to avoid division by zero.
+    # Unlike the historical version the original index of each kept path is
+    # recorded positionally, so duplicate candidate paths stay distinct.
+    usable: List[List[Tuple[ResourceKey, ...]]] = []
+    usable_orig: List[List[int]] = []
+    for plist in paths:
+        good: List[Tuple[ResourceKey, ...]] = []
+        good_orig: List[int] = []
+        for pi, p in enumerate(plist):
+            if all(caps[r] > 0 for r in p):
+                good.append(p)
+                good_orig.append(pi)
+        usable.append(good)
+        usable_orig.append(good_orig)
+    if not any(usable):
+        return FPTASResult(
+            objective=0.0, path_flows={}, iterations=0, epsilon=epsilon
+        )
+
+    num_resources = len({r for plist in usable for p in plist for r in p})
+    delta = (1 + epsilon) * ((1 + epsilon) * num_resources) ** (-1.0 / epsilon)
+    length: Dict[ResourceKey, float] = {
+        res: delta / caps[res]
+        for plist in usable
+        for p in plist
+        for res in p
+    }
+
+    raw_flow: Dict[Tuple[int, int], float] = {}
+    iterations = 0
+    limit = (
+        int(10 * num_resources * math.log(num_resources + 2) / (epsilon**2) + 1000)
+        if max_iterations is None
+        else max_iterations
+    )
+
+    while iterations < limit:
+        # Oracle: lightest path across all commodities.
+        best: Optional[Tuple[int, int]] = None
+        best_len = math.inf
+        for ci, plist in enumerate(usable):
+            for pi, path in enumerate(plist):
+                plen = sum(length[r] for r in path)
+                if plen < best_len:
+                    best_len = plen
+                    best = (ci, pi)
+        if best is None or best_len >= 1.0:
+            break
+        ci, pi = best
+        path = usable[ci][pi]
+        bottleneck = min(caps[r] for r in path)
+        raw_flow[(ci, pi)] = raw_flow.get((ci, pi), 0.0) + bottleneck
+        for res in path:
+            length[res] *= 1.0 + epsilon * bottleneck / caps[res]
+        iterations += 1
+
+    if not raw_flow:
+        return FPTASResult(
+            objective=0.0, path_flows={}, iterations=iterations, epsilon=epsilon
+        )
+
+    # Scale to feasibility: Garg–Könemann's flow violates each capacity by at
+    # most log_{1+eps}(1/delta).
+    scale = math.log((1 + epsilon) / delta) / math.log(1 + epsilon)
+    flows: Dict[Tuple[int, int], float] = {
+        key: value / scale for key, value in raw_flow.items()
+    }
+
+    # Numerical re-clip: uniform scale per oversubscribed resource.
+    usage: Dict[ResourceKey, float] = {}
+    for (ci, pi), rate in flows.items():
+        for res in usable[ci][pi]:
+            usage[res] = usage.get(res, 0.0) + rate
+    shrink: Dict[ResourceKey, float] = {}
+    for res, used in usage.items():
+        if used > caps[res] > 0:
+            shrink[res] = caps[res] / used
+    if shrink:
+        for key in list(flows):
+            ci, pi = key
+            factor = min(
+                (shrink.get(res, 1.0) for res in usable[ci][pi]), default=1.0
+            )
+            flows[key] *= factor
+
+    # Translate internal (ci, pi-over-usable) indices back to the caller's
+    # (commodity name, original path index).
+    path_flows: Dict[Tuple[Hashable, int], float] = {}
+    for ci, plist in enumerate(usable):
+        for pi, _path in enumerate(plist):
+            rate = flows.get((ci, pi), 0.0)
+            if rate > 1e-12:
+                key = (commodities[ci].name, usable_orig[ci][pi])
+                path_flows[key] = path_flows.get(key, 0.0) + rate * cap_scale
+
+    objective = sum(path_flows.values())
+    return FPTASResult(
+        objective=objective,
+        path_flows=path_flows,
+        iterations=iterations,
+        epsilon=epsilon,
     )

@@ -1,6 +1,8 @@
-"""The vectorized Fleischer FPTAS: incidence compilation, the (1−ε)³
-guarantee on randomized instances, parity with the legacy scalar solver,
-cross-cycle warm starts, and the greedy backend's incidence rewrite."""
+"""The Fleischer FPTAS: incidence compilation, the (1−ε)³ guarantee on
+randomized instances (repeated resources included), tolerance parity with
+the pre-Fleischer Garg–Könemann oracle, cross-cycle warm starts, and the
+greedy backend's incidence rewrite. Bit-parity of the push loop with the
+``reduceat`` oracle lives in ``tests/test_fptas_kernel.py``."""
 
 import random
 
@@ -9,10 +11,10 @@ import pytest
 
 from repro.core.routing import BDSRouter
 from repro.lp.fptas import max_multicommodity_flow
-from repro.lp.fptas_legacy import legacy_max_multicommodity_flow
-from repro.lp.incidence import PathIncidence, build_incidence
+from repro.lp.incidence import PathIncidence
 from repro.lp.mcf import Commodity, PathMCF
 from repro.net.cycle_cache import RoutingWarmStore
+from tests.oracles import legacy_max_multicommodity_flow
 
 
 def commodity(name, *paths, demand=None):
@@ -102,25 +104,11 @@ class TestPathIncidence:
         assert inc.num_paths == 1
         assert inc.caps[inc.res_index["ghost"]] == 0.0
 
-    def test_vectorized_reductions_match_python(self):
-        commodities, caps = random_instance(7, allow_zero_caps=False)
-        inc = PathIncidence.build(commodities, caps)
-        per_res = np.arange(1.0, inc.num_resources + 1)
-        sums = inc.path_sums(per_res)
-        mins = inc.path_mins(per_res)
-        for pid in range(inc.num_paths):
-            idxs = inc.path_resources(pid)
-            assert sums[pid] == pytest.approx(sum(per_res[i] for i in idxs))
-            assert mins[pid] == min(per_res[i] for i in idxs)
-
     def test_flows_to_path_map_accumulates_and_scales(self):
         inc = PathIncidence.build([commodity("c", ["l"], ["l"])], {"l": 5.0})
         flows = np.array([1.0, 2.0])
         out = inc.flows_to_path_map(flows, scale=2.0)
         assert out == {("c", 0): 2.0, ("c", 1): 4.0}
-
-    def test_build_incidence_empty(self):
-        assert build_incidence([], {}) is None
 
 
 class TestFPTASGuarantee:
@@ -154,6 +142,70 @@ class TestFPTASGuarantee:
             assert result.iterations > 0
             assert result.phases > 0
         assert result.warm_start == "cold"
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 40])
+    def test_truncated_solve_stops_at_k_and_stays_feasible(self, k):
+        # 0 used to be read as "no limit" (``max_iterations or default``).
+        commodities, caps = random_instance(5, allow_zero_caps=False)
+        full = max_multicommodity_flow(commodities, caps, epsilon=0.1)
+        assert full.iterations > k
+        result = max_multicommodity_flow(
+            commodities, caps, epsilon=0.1, max_iterations=k
+        )
+        assert result.iterations == k
+        assert (result.objective > 0) == (k > 0)
+        assert result.objective <= full.objective * (1 + 1e-9)
+        for res, used in usage_of(commodities, result.path_flows).items():
+            assert used <= caps[res] * (1 + 1e-9) + 1e-9
+
+
+def repeated_resource_instance(seed):
+    """Paths that cross a resource twice (and some that do not)."""
+    rng = random.Random(seed)
+    caps = {f"r{i}": rng.uniform(0.5, 100.0) for i in range(rng.randint(3, 10))}
+    names = sorted(caps)
+    commodities = []
+    for ci in range(rng.randint(1, 8)):
+        paths = []
+        for _ in range(rng.randint(1, 3)):
+            path = [rng.choice(names) for _ in range(rng.randint(1, 3))]
+            path.insert(rng.randrange(len(path) + 1), rng.choice(path))
+            paths.append(tuple(path))
+        if rng.random() < 0.5:
+            paths.append(tuple(rng.sample(names, 2)))
+        demand = rng.choice([None, rng.uniform(0.1, 60.0)])
+        commodities.append(
+            Commodity(name=f"c{ci}", paths=tuple(paths), demand=demand)
+        )
+    return commodities, caps
+
+
+class TestRepeatedResources:
+    """A path crossing a resource twice is charged twice — by the exact
+    LP too, which used to build its rows from ``set(path)``."""
+
+    def test_lp_charges_each_crossing(self):
+        commodities = [commodity("a", ["r", "r", "s"])]
+        caps = {"r": 10.0, "s": 100.0}
+        lp = PathMCF(commodities, caps).solve_lp()
+        assert lp.objective == pytest.approx(5.0)
+        assert lp.resource_usage(commodities)["r"] <= 10.0 * (1 + 1e-9)
+        fptas = max_multicommodity_flow(commodities, caps, epsilon=0.1)
+        assert (1 - 0.1) ** 3 * 5.0 - 1e-9 <= fptas.objective <= 5.0 + 1e-9
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("epsilon", [0.05, 0.1, 0.3])
+    def test_lp_feasible_and_fptas_within_guarantee(self, seed, epsilon):
+        commodities, caps = repeated_resource_instance(seed)
+        lp = PathMCF(commodities, caps).solve_lp()
+        for res, used in lp.resource_usage(commodities).items():
+            assert used <= caps[res] * (1 + 1e-7) + 1e-7
+        result = max_multicommodity_flow(commodities, caps, epsilon=epsilon)
+        for res, used in usage_of(commodities, result.path_flows).items():
+            assert used <= caps[res] * (1 + 1e-9) + 1e-9
+        assert result.objective >= (1 - epsilon) ** 3 * lp.objective - 1e-9
+        assert result.objective <= lp.objective * (1 + 1e-6) + 1e-6
+        assert result.dual_bound >= lp.objective * (1 - 1e-6) - 1e-9
 
 
 class TestLegacyParity:
