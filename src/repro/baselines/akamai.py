@@ -18,11 +18,12 @@ block order.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.baselines.base import OverlayStrategy
+import numpy as np
+
+from repro.baselines.base import JobPossession, OverlayStrategy, Rows, head
 from repro.net.simulator import ClusterView, TransferDirective
-from repro.overlay.blocks import Block
 from repro.overlay.job import MulticastJob
 from repro.utils.validation import check_positive
 
@@ -30,8 +31,6 @@ from repro.utils.validation import check_positive
 class AkamaiStrategy(OverlayStrategy):
     """Fixed source → reflector → edge dissemination with in-order blocks."""
 
-    uses_controller_rates = False
-    respects_safety_threshold = False
     # Reflector choice is memoized deterministically per job; reusable
     # under the event engine's validity key.
     decisions_reusable = True
@@ -58,97 +57,53 @@ class AkamaiStrategy(OverlayStrategy):
         self, view: ClusterView, job: MulticastJob
     ) -> Dict[str, List[str]]:
         if job.job_id not in self._reflectors:
-            chosen: Dict[str, List[str]] = {}
-            for dc in job.dst_dcs:
-                servers = view.topology.servers_in(dc)
-                chosen[dc] = [
-                    s.server_id for s in servers[: self.reflectors_per_dc]
+            self._reflectors[job.job_id] = {
+                dc: [
+                    s.server_id
+                    for s in view.topology.servers_in(dc)[: self.reflectors_per_dc]
                 ]
-            self._reflectors[job.job_id] = chosen
+                for dc in job.dst_dcs
+            }
         return self._reflectors[job.job_id]
 
     def decide(self, view: ClusterView) -> List[TransferDirective]:
         directives: List[TransferDirective] = []
         for job in view.jobs:
-            reflectors = self._reflectors_for(view, job)
-            directives.extend(self._source_to_reflectors(view, job, reflectors))
-            directives.extend(self._reflectors_to_edges(view, job, reflectors))
+            lens = self.lens(view, job)
+            reflectors = {
+                dc: [lens.sid_of[r] for r in names]
+                for dc, names in self._reflectors_for(view, job).items()
+            }
+            rows = self._source_to_reflectors(lens, reflectors)
+            rows += self._reflectors_to_edges(lens, reflectors)
+            directives.extend(lens.directives(rows))
         return directives
 
     def _source_to_reflectors(
-        self,
-        view: ClusterView,
-        job: MulticastJob,
-        reflectors: Dict[str, List[str]],
-    ) -> List[TransferDirective]:
+        self, lens: JobPossession, reflectors: Dict[str, List[int]]
+    ) -> List[Rows]:
         """Layer 1: stream blocks, in order, from source DC to reflectors."""
-        directives: List[TransferDirective] = []
-        for dc, dc_reflectors in reflectors.items():
+        rows = []
+        stripe = np.arange(len(lens.job.blocks))
+        for dc_reflectors in reflectors.values():
             for i, reflector in enumerate(dc_reflectors):
-                if not view.agent_is_up(reflector):
+                if not lens.up[reflector]:
                     continue
                 # Reflector i of a DC carries the i-th stripe of blocks.
-                wanted = [
-                    b
-                    for b in job.blocks
-                    if b.index % len(dc_reflectors) == i
-                    and not view.store.has(reflector, b.block_id)
-                ]
-                window = wanted[: self.window]
-                partition: Dict[str, List[Block]] = {}
-                for block in window:
-                    src = self._origin_holder(view, job, block, reflector)
-                    if src is None:
-                        continue
-                    partition.setdefault(src, []).append(block)
-                directives.extend(
-                    self.directives_for_partition(job, reflector, partition)
-                )
-        return directives
+                wanted = ~lens.has(reflector) & (stripe % len(dc_reflectors) == i)
+                idx = np.flatnonzero(wanted)[: self.window]
+                rows.append((reflector, lens.origin[idx], idx))
+        return rows
 
     def _reflectors_to_edges(
-        self,
-        view: ClusterView,
-        job: MulticastJob,
-        reflectors: Dict[str, List[str]],
-    ) -> List[TransferDirective]:
+        self, lens: JobPossession, reflectors: Dict[str, List[int]]
+    ) -> List[Rows]:
         """Layer 2: edge servers pull their shard from their DC's reflector."""
-        directives: List[TransferDirective] = []
-        by_server = self.missing_blocks_by_server(view, job)
-        for dst_server, missing in by_server.items():
-            dc = view.store.dc_of(dst_server)
-            dc_reflectors = reflectors.get(dc, ())
-            if dst_server in dc_reflectors:
-                continue  # the reflector itself is fed by layer 1
-            partition: Dict[str, List[Block]] = {}
-            for block in sorted(missing)[: self.window]:
-                src = self._reflector_holder(view, block, dc_reflectors)
-                if src is None or src == dst_server:
-                    continue
-                partition.setdefault(src, []).append(block)
-            directives.extend(
-                self.directives_for_partition(job, dst_server, partition)
-            )
-        return directives
-
-    @staticmethod
-    def _origin_holder(
-        view: ClusterView, job: MulticastJob, block: Block, exclude: str
-    ) -> Optional[str]:
-        """The source-DC server holding ``block`` (layer-1 sender)."""
-        for server in view.eligible_sources(block.block_id):
-            if view.store.dc_of(server) == job.src_dc and server != exclude:
-                return server
-        return None
-
-    @staticmethod
-    def _reflector_holder(
-        view: ClusterView, block: Block, dc_reflectors: List[str]
-    ) -> Optional[str]:
-        """A local reflector that already holds ``block`` (layer-2 sender)."""
-        for reflector in dc_reflectors:
-            if view.agent_is_up(reflector) and view.store.has(
-                reflector, block.block_id
-            ):
-                return reflector
-        return None
+        rows = []
+        edge = np.ones(len(lens.names), dtype=bool)
+        edge[sum(reflectors.values(), [])] = False  # reflectors: fed by layer 1
+        for dc, dst, idx in lens.missing():
+            dst, idx = head(dst[edge[dst]], idx[edge[dst]], self.window)
+            # A block comes from the first live local reflector holding it.
+            rows.append((dst, lens.first_holder(reflectors[dc], idx), idx))
+        return rows

@@ -11,22 +11,19 @@ or avoid uplink hotspots.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
-from repro.baselines.base import OverlayStrategy
+import numpy as np
+
+from repro.baselines.base import JobPossession, OverlayStrategy, draw
 from repro.net.simulator import ClusterView, TransferDirective
-from repro.overlay.blocks import Block
 from repro.utils.rng import SeedLike, make_rng
 from repro.utils.validation import check_positive
-
-BlockId = Tuple[str, int]
 
 
 class BulletStrategy(OverlayStrategy):
     """Mesh overlay: RanSub peer sampling + disjoint block partitions."""
 
-    uses_controller_rates = False
-    respects_safety_threshold = False
 
     def __init__(
         self,
@@ -51,8 +48,8 @@ class BulletStrategy(OverlayStrategy):
         self.refresh_interval = refresh_interval
         self.blocks_per_peer = blocks_per_peer
         self._rng = make_rng(seed)
-        # (job_id, receiver) -> current sending peer set.
-        self._peers: Dict[Tuple[str, str], List[str]] = {}
+        # (job_id, receiver id) -> current sending peer ids.
+        self._peers: Dict[Tuple[str, int], np.ndarray] = {}
         self._last_epoch = -1
 
     def decide(self, view: ClusterView) -> List[TransferDirective]:
@@ -62,67 +59,47 @@ class BulletStrategy(OverlayStrategy):
 
         directives: List[TransferDirective] = []
         for job in view.jobs:
-            by_server = self.missing_blocks_by_server(view, job)
-            for dst_server, missing in by_server.items():
-                key = (job.job_id, dst_server)
+            lens = self.lens(view, job)
+            for dst, missing in lens.missing_by_server():
+                key = (job.job_id, dst)
                 if refresh or key not in self._peers:
-                    self._peers[key] = self._ransub_peers(view, dst_server, missing)
-                partition = self._partition_disjoint(
-                    view, dst_server, missing, self._peers[key]
-                )
+                    # One RanSub epoch: a random subset of the servers
+                    # holding at least one missing block (the summary
+                    # tickets RanSub distributes), of which the node keeps
+                    # up to ``num_peers``.
+                    subset = draw(self._rng, lens.holders(missing), self.ransub_size)
+                    self._peers[key] = subset[: self.num_peers]
+                peers = self._peers[key]
+                partition = self._partition_disjoint(lens, missing, peers)
                 directives.extend(
-                    self.directives_for_partition(job, dst_server, partition)
+                    lens.directive(dst, peer, blocks)
+                    for peer, blocks in zip(peers.tolist(), partition)
+                    if blocks
                 )
         return directives
 
-    def _ransub_peers(
-        self, view: ClusterView, dst_server: str, missing: List[Block]
-    ) -> List[str]:
-        """One RanSub epoch: sample a random subset, keep useful peers.
-
-        The subset is drawn from all servers holding at least one missing
-        block (the summary-ticket information RanSub distributes); the node
-        keeps up to ``num_peers`` of them.
-        """
-        holders: Set[str] = set()
-        for block in missing:
-            holders.update(view.eligible_sources(block.block_id))
-        holders.discard(dst_server)
-        candidates = sorted(holders)
-        if not candidates:
-            return []
-        size = min(self.ransub_size, len(candidates))
-        subset_idx = self._rng.choice(len(candidates), size=size, replace=False)
-        subset = [candidates[int(i)] for i in subset_idx]
-        return subset[: self.num_peers]
-
     def _partition_disjoint(
-        self,
-        view: ClusterView,
-        dst_server: str,
-        missing: List[Block],
-        peers: List[str],
-    ) -> Dict[str, List[Block]]:
+        self, lens: JobPossession, missing: np.ndarray, peers: np.ndarray
+    ) -> List[List[int]]:
         """Assign each missing block to exactly one peer that holds it.
 
         Blocks rotate across peers (round-robin over eligible ones) so the
         data received from different senders is disjoint — Bullet's core
-        mechanism.
+        mechanism. Returns one block list per peer.
         """
-        partition: Dict[str, List[Block]] = {p: [] for p in peers}
-        if not peers:
-            return {}
-        turn = 0
-        for block in sorted(missing):
+        partition: List[List[int]] = [[] for _ in peers]
+        turn = full = 0
+        for block, holders in lens.holder_lists(peers, missing):
             eligible = [
-                p
-                for p in peers
-                if view.store.has(p, block.block_id)
-                and len(partition[p]) < self.blocks_per_peer
+                p for p in holders if len(partition[p]) < self.blocks_per_peer
             ]
             if not eligible:
                 continue
-            pick = eligible[turn % len(eligible)]
-            partition[pick].append(block)
+            bucket = partition[eligible[turn % len(eligible)]]
+            bucket.append(block)
             turn += 1
-        return {p: blocks for p, blocks in partition.items() if blocks}
+            if len(bucket) == self.blocks_per_peer:
+                full += 1
+                if full == len(partition):
+                    break  # every peer is asked for all it may send
+        return partition

@@ -10,11 +10,12 @@ multiple bottleneck-disjoint paths at once.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.baselines.base import OverlayStrategy
+import numpy as np
+
+from repro.baselines.base import JobPossession, OverlayStrategy, Rows, head
 from repro.net.simulator import ClusterView, TransferDirective
-from repro.overlay.blocks import Block
 from repro.overlay.job import MulticastJob
 from repro.utils.validation import check_positive
 
@@ -22,8 +23,6 @@ from repro.utils.validation import check_positive
 class ChainStrategy(OverlayStrategy):
     """Store-and-forward down a fixed DC chain via one relay per DC."""
 
-    uses_controller_rates = False
-    respects_safety_threshold = False
     # Deterministic chain construction from sorted ids; reusable under
     # the event engine's validity key.
     decisions_reusable = True
@@ -37,82 +36,45 @@ class ChainStrategy(OverlayStrategy):
     def _chain_for(self, view: ClusterView, job: MulticastJob) -> List[str]:
         """Relay servers: source stripe stays put; one relay per dest DC."""
         if job.job_id not in self._relays:
-            chain: List[str] = []
-            for dc in job.dst_dcs:
-                servers = view.topology.servers_in(dc)
-                chain.append(servers[0].server_id)
-            self._relays[job.job_id] = chain
+            self._relays[job.job_id] = [
+                view.topology.servers_in(dc)[0].server_id for dc in job.dst_dcs
+            ]
         return self._relays[job.job_id]
 
     def decide(self, view: ClusterView) -> List[TransferDirective]:
         directives: List[TransferDirective] = []
         for job in view.jobs:
-            chain = self._chain_for(view, job)
-            directives.extend(self._feed_chain(view, job, chain))
-            directives.extend(self._fan_out_inside_dcs(view, job, chain))
+            lens = self.lens(view, job)
+            chain = [lens.sid_of[r] for r in self._chain_for(view, job)]
+            rows = self._feed_chain(lens, chain) + self._fan_out(lens, chain)
+            directives.extend(lens.directives(rows))
         return directives
 
-    def _feed_chain(
-        self, view: ClusterView, job: MulticastJob, chain: List[str]
-    ) -> List[TransferDirective]:
-        """Move blocks hop by hop along the relay chain, in order."""
-        directives: List[TransferDirective] = []
+    def _feed_chain(self, lens: JobPossession, chain: List[int]) -> List[Rows]:
+        """Move blocks hop by hop along the relay chain, in order.
+
+        A relay asks for the first ``window`` blocks it lacks — from the
+        origin holders at hop 0, from the previous relay after that — and
+        waits for those the upstream does not have yet.
+        """
+        rows = []
         for hop, relay in enumerate(chain):
-            if not view.agent_is_up(relay):
+            if not lens.up[relay]:
                 continue
-            missing = [
-                b for b in job.blocks if not view.store.has(relay, b.block_id)
-            ][: self.window]
-            partition: Dict[str, List[Block]] = {}
-            for block in missing:
-                src = self._upstream_holder(view, job, chain, hop, block, relay)
-                if src is None:
-                    continue
-                partition.setdefault(src, []).append(block)
-            directives.extend(self.directives_for_partition(job, relay, partition))
-        return directives
+            idx = np.flatnonzero(~lens.has(relay))[: self.window]
+            upstream = chain[hop - 1 : hop]
+            src = lens.first_holder(upstream, idx) if hop else lens.origin[idx]
+            rows.append((relay, src, idx))
+        return rows
 
-    def _fan_out_inside_dcs(
-        self, view: ClusterView, job: MulticastJob, chain: List[str]
-    ) -> List[TransferDirective]:
-        """Each destination server pulls its shard from its DC's relay."""
-        directives: List[TransferDirective] = []
-        by_server = self.missing_blocks_by_server(view, job)
-        relay_by_dc = {view.store.dc_of(r): r for r in chain}
-        for dst_server, missing in by_server.items():
-            relay = relay_by_dc.get(view.store.dc_of(dst_server))
-            if relay is None or relay == dst_server:
-                continue
-            blocks = [
-                b
-                for b in sorted(missing)
-                if view.store.has(relay, b.block_id)
-            ][: self.window]
-            if not blocks:
-                continue
-            directives.extend(
-                self.directives_for_partition(job, dst_server, {relay: blocks})
-            )
-        return directives
-
-    @staticmethod
-    def _upstream_holder(
-        view: ClusterView,
-        job: MulticastJob,
-        chain: List[str],
-        hop: int,
-        block: Block,
-        exclude: str,
-    ) -> Optional[str]:
-        """The upstream sender for a relay: previous relay, or the origin."""
-        if hop > 0:
-            upstream = chain[hop - 1]
-            if view.agent_is_up(upstream) and view.store.has(
-                upstream, block.block_id
-            ):
-                return upstream
-            return None
-        for server in view.eligible_sources(block.block_id):
-            if view.store.dc_of(server) == job.src_dc and server != exclude:
-                return server
-        return None
+    def _fan_out(self, lens: JobPossession, chain: List[int]) -> List[Rows]:
+        """Each destination server pulls its shard from its DC's relay:
+        the first ``window`` of its missing blocks the relay already holds."""
+        rows = []
+        relay_of = dict(zip(lens.job.dst_dcs, chain))
+        for dc, dst, idx in lens.missing():
+            relay = relay_of[dc]
+            held = (dst != relay) & lens.has(relay, idx)
+            dst, idx = head(dst[held], idx[held], self.window)
+            rows.append((dst, relay, idx))
+        return rows

@@ -8,20 +8,16 @@ reused. This is the baseline every overlay improves on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List
 
-from repro.baselines.base import OverlayStrategy
+from repro.baselines.base import OverlayStrategy, head
 from repro.net.simulator import ClusterView, TransferDirective
-from repro.overlay.blocks import Block
-from repro.overlay.job import MulticastJob
 from repro.utils.validation import check_positive
 
 
 class DirectStrategy(OverlayStrategy):
     """Source-DC-only senders; one unicast stream per destination server."""
 
-    uses_controller_rates = False
-    respects_safety_threshold = False
     # Pure function of possession/failures/active jobs — no RNG, no
     # cycle-keyed behavior — so the event engine may replay decisions.
     decisions_reusable = True
@@ -34,25 +30,12 @@ class DirectStrategy(OverlayStrategy):
     def decide(self, view: ClusterView) -> List[TransferDirective]:
         directives: List[TransferDirective] = []
         for job in view.jobs:
-            by_server = self.missing_blocks_by_server(view, job)
-            for dst_server, missing in by_server.items():
-                partition: Dict[str, List[Block]] = {}
-                for block in sorted(missing)[: self.window]:
-                    src = self._origin_holder(view, job, block)
-                    if src is None or src == dst_server:
-                        continue
-                    partition.setdefault(src, []).append(block)
-                directives.extend(
-                    self.directives_for_partition(job, dst_server, partition)
-                )
+            lens = self.lens(view, job)
+            rows = []
+            for _dc, dst, idx in lens.missing():
+                dst, idx = head(dst, idx, self.window)
+                # Only origin-DC holders count: direct replication reuses
+                # nothing that already arrived elsewhere.
+                rows.append((dst, lens.origin[idx], idx))
+            directives.extend(lens.directives(rows))
         return directives
-
-    @staticmethod
-    def _origin_holder(
-        view: ClusterView, job: MulticastJob, block: Block
-    ) -> Optional[str]:
-        """Only origin-DC holders count: direct replication reuses nothing."""
-        for server in view.eligible_sources(block.block_id):
-            if view.store.dc_of(server) == job.src_dc:
-                return server
-        return None

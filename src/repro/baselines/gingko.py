@@ -24,9 +24,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.baselines.base import OverlayStrategy
+import numpy as np
+
+from repro.baselines.base import JobPossession, OverlayStrategy, draw
 from repro.net.simulator import ClusterView, TransferDirective
-from repro.overlay.blocks import Block
 from repro.utils.rng import SeedLike, make_rng
 from repro.utils.validation import check_positive
 
@@ -34,8 +35,6 @@ from repro.utils.validation import check_positive
 class GingkoStrategy(OverlayStrategy):
     """Receiver-driven fetching over limited, slowly-refreshing local views."""
 
-    uses_controller_rates = False
-    respects_safety_threshold = False
 
     def __init__(
         self,
@@ -62,8 +61,8 @@ class GingkoStrategy(OverlayStrategy):
         self.fetch_parallelism = fetch_parallelism
         self.blocks_per_request = blocks_per_request
         self._rng = make_rng(seed)
-        # (job_id, receiver) -> neighbor server ids known this epoch.
-        self._neighbors: Dict[Tuple[str, str], List[str]] = {}
+        # (job_id, receiver id) -> neighbor server ids known this epoch.
+        self._neighbors: Dict[Tuple[str, int], np.ndarray] = {}
         self._last_epoch = -1
 
     def decide(self, view: ClusterView) -> List[TransferDirective]:
@@ -73,56 +72,30 @@ class GingkoStrategy(OverlayStrategy):
 
         directives: List[TransferDirective] = []
         for job in view.jobs:
-            by_server = self.missing_blocks_by_server(view, job)
-            for dst_server, missing in by_server.items():
-                key = (job.job_id, dst_server)
+            lens = self.lens(view, job)
+            sources = lens.holders()
+            for dst, missing in lens.missing_by_server():
+                key = (job.job_id, dst)
                 if refresh or key not in self._neighbors:
-                    self._neighbors[key] = self._sample_neighbors(
-                        view, job.job_id, dst_server
+                    # One epoch's local view: the receiver hears through
+                    # gossip of every healthy server holding any block of
+                    # the job, keeps a random ``view_size`` of them, and is
+                    # stuck with that choice until the next epoch.
+                    self._neighbors[key] = draw(
+                        self._rng, sources[sources != dst], self.view_size
                     )
-                partition = self._fetch_from_neighbors(
-                    view, dst_server, missing, self._neighbors[key]
-                )
+                neighbors = self._neighbors[key]
+                neighbors = neighbors[lens.up[neighbors]]
+                fetched = self._fetch_from_neighbors(lens, missing, neighbors)
                 directives.extend(
-                    self.directives_for_partition(job, dst_server, partition)
+                    lens.directive(dst, neighbors[sender], blocks)
+                    for sender, blocks in fetched.items()
                 )
         return directives
 
-    def _sample_neighbors(
-        self, view: ClusterView, job_id: str, dst_server: str
-    ) -> List[str]:
-        """One epoch's local view: a random sample of servers with data.
-
-        The candidate pool is every healthy server holding at least one
-        block of the job (the receiver hears about data sources through
-        gossip), but the receiver only keeps ``view_size`` of them and is
-        stuck with that choice until the next epoch.
-        """
-        pool: List[str] = []
-        seen = set()
-        for job in view.jobs:
-            if job.job_id != job_id:
-                continue
-            for block in job.blocks:
-                for holder in view.store.holders(block.block_id):
-                    if holder not in seen and holder != dst_server:
-                        if view.agent_is_up(holder):
-                            seen.add(holder)
-                            pool.append(holder)
-        if not pool:
-            return []
-        pool.sort()
-        size = min(self.view_size, len(pool))
-        idx = self._rng.choice(len(pool), size=size, replace=False)
-        return [pool[int(i)] for i in idx]
-
     def _fetch_from_neighbors(
-        self,
-        view: ClusterView,
-        dst_server: str,
-        missing: List[Block],
-        neighbors: List[str],
-    ) -> Dict[str, List[Block]]:
+        self, lens: JobPossession, missing: np.ndarray, neighbors: np.ndarray
+    ) -> Dict[int, List[int]]:
         """Request missing blocks that current neighbors actually hold.
 
         Receivers walk their missing blocks in index order (they do not
@@ -130,28 +103,23 @@ class GingkoStrategy(OverlayStrategy):
         the first neighbor holding each block, up to ``fetch_parallelism``
         senders and ``blocks_per_request`` blocks per sender. Blocks no
         neighbor holds simply wait for a future epoch — the source of the
-        straggler tail.
+        straggler tail. Returns sender (position in ``neighbors``) →
+        blocks, senders in the order they were first asked.
         """
-        partition: Dict[str, List[Block]] = {}
-        for block in sorted(missing):
-            holders = [
-                n
-                for n in neighbors
-                if view.store.has(n, block.block_id) and view.agent_is_up(n)
-            ]
-            if not holders:
-                continue
-            pick = None
-            for holder in holders:
-                if holder in partition:
-                    pick = holder
-                    break
+        fetched: Dict[int, List[int]] = {}
+        full = 0
+        for block, holders in lens.holder_lists(neighbors, missing):
+            pick = next((h for h in holders if h in fetched), None)
             if pick is None:
-                if len(partition) >= self.fetch_parallelism:
+                if len(fetched) >= self.fetch_parallelism:
                     continue
                 pick = holders[int(self._rng.integers(len(holders)))]
-            bucket = partition.setdefault(pick, [])
-            if len(bucket) >= self.blocks_per_request:
-                continue
-            bucket.append(block)
-        return partition
+                fetched[pick] = []
+            bucket = fetched[pick]
+            if len(bucket) < self.blocks_per_request:
+                bucket.append(block)
+                if len(bucket) == self.blocks_per_request:
+                    full += 1
+                    if full == self.fetch_parallelism:
+                        break  # every sender is asked for all it may send
+        return fetched

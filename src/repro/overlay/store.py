@@ -338,6 +338,21 @@ class PossessionMatrix:
         mask = np.uint64(1 << (gid & 63))
         return np.nonzero(column & mask)[0]
 
+    def any_holder_ids(self, gids: np.ndarray) -> np.ndarray:
+        """Server ids holding at least one of the blocks, ascending.
+
+        The holder words are OR-reduced 4 096 blocks at a time, so the
+        temporary is 512 bytes × servers however many blocks are asked
+        about.
+        """
+        any_of = np.zeros(self.holder_words.shape[1], dtype=np.uint64)
+        for lo in range(0, len(gids), 4096):
+            any_of |= np.bitwise_or.reduce(
+                self.holder_words[gids[lo : lo + 4096]], axis=0
+            )
+        bit = np.arange(64, dtype=np.uint64)
+        return np.flatnonzero((any_of[:, None] >> bit) & np.uint64(1))
+
     def row_gids(self, sid: int) -> np.ndarray:
         """Block columns set on one server row, ascending."""
         row = self.bits[sid]

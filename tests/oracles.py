@@ -9,6 +9,9 @@ module; the property tests run the production kernels against these:
   and float for float;
 * ``tests/test_fptas_kernel.py`` — the ``np.add.reduceat`` Fleischer loop
   the scalar FPTAS kernel replaced, bit for bit;
+* ``tests/test_baseline_lens.py`` — the five decentralized baselines as
+  they were, one ``store.has`` probe per (neighbour, block), directive for
+  directive and random draw for random draw;
 * ``tests/test_fptas_fleischer.py`` — the pre-Fleischer Garg–Könemann
   loop, within the ε-approximation tolerance.
 """
@@ -23,6 +26,7 @@ from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from repro.lp.fptas import FPTASResult
+from repro.utils.rng import SeedLike, make_rng
 from repro.lp.mcf import Commodity
 from repro.net.topology import ResourceKey
 from repro.net.simulator import TransferDirective
@@ -497,3 +501,322 @@ def legacy_max_multicommodity_flow(
         iterations=iterations,
         epsilon=epsilon,
     )
+
+
+# -- baselines: the per-(neighbour, block) store.has loops --------------------
+
+
+class BaselineState:
+    """What a baseline carries from one ``decide`` to the next."""
+
+    def __init__(self, seed: SeedLike = None) -> None:
+        self.rng = make_rng(seed)
+        # Gingko/Bullet: (job_id, receiver) -> neighbours/peers this epoch;
+        # Akamai: job_id -> dc -> reflectors; chain: job_id -> relay chain.
+        self.memo: Dict = {}
+        self.last_epoch = -1
+
+
+def missing_blocks_by_server(view, job) -> Dict[str, list]:
+    """Per destination server: its still-missing shard blocks.
+
+    Only includes blocks that have at least one healthy holder, so a
+    directive can actually be formed for them.
+    """
+    result: Dict[str, list] = {}
+    for block, _dc, server in view.pending_deliveries(job):
+        if view.agent_is_up(server) and view.eligible_sources(block.block_id):
+            result.setdefault(server, []).append(block)
+    return result
+
+
+def directives_for_partition(job, dst_server, partition) -> List[TransferDirective]:
+    """Build one directive per (source, dst_server) from a block split."""
+    directives: List[TransferDirective] = []
+    for src, blocks in partition.items():
+        if not blocks or src == dst_server:
+            continue
+        directives.append(
+            TransferDirective(
+                job_id=job.job_id,
+                block_ids=tuple(b.block_id for b in sorted(blocks)),
+                src_server=src,
+                dst_server=dst_server,
+            )
+        )
+    return directives
+
+
+def origin_holder(view, job, block, exclude=None) -> Optional[str]:
+    """The source-DC server holding ``block``: the lowest id among several.
+
+    (``view.eligible_sources`` lists holders in set order; the loops this
+    replaces took its first source-DC entry, which moved with
+    ``PYTHONHASHSEED`` once a block had two copies in the source DC.)
+    """
+    for server in sorted(view.eligible_sources(block.block_id)):
+        if view.store.dc_of(server) == job.src_dc and server != exclude:
+            return server
+    return None
+
+
+def gingko_decide(
+    view,
+    state: BaselineState,
+    view_size: int = 10,
+    epoch_cycles: int = 5,
+    fetch_parallelism: int = 3,
+    blocks_per_request: int = 8,
+) -> List[TransferDirective]:
+    def sample_neighbors(job_id, dst_server):
+        pool: List[str] = []
+        seen = set()
+        for job in view.jobs:
+            if job.job_id != job_id:
+                continue
+            for block in job.blocks:
+                for holder in view.store.holders(block.block_id):
+                    if holder not in seen and holder != dst_server:
+                        if view.agent_is_up(holder):
+                            seen.add(holder)
+                            pool.append(holder)
+        if not pool:
+            return []
+        pool.sort()
+        size = min(view_size, len(pool))
+        idx = state.rng.choice(len(pool), size=size, replace=False)
+        return [pool[int(i)] for i in idx]
+
+    def fetch_from_neighbors(dst_server, missing, neighbors):
+        partition: Dict[str, list] = {}
+        for block in sorted(missing):
+            holders = [
+                n
+                for n in neighbors
+                if view.store.has(n, block.block_id) and view.agent_is_up(n)
+            ]
+            if not holders:
+                continue
+            pick = None
+            for holder in holders:
+                if holder in partition:
+                    pick = holder
+                    break
+            if pick is None:
+                if len(partition) >= fetch_parallelism:
+                    continue
+                pick = holders[int(state.rng.integers(len(holders)))]
+            bucket = partition.setdefault(pick, [])
+            if len(bucket) >= blocks_per_request:
+                continue
+            bucket.append(block)
+        return partition
+
+    epoch = view.cycle // epoch_cycles
+    refresh = epoch != state.last_epoch
+    state.last_epoch = epoch
+    directives: List[TransferDirective] = []
+    for job in view.jobs:
+        by_server = missing_blocks_by_server(view, job)
+        for dst_server, missing in by_server.items():
+            key = (job.job_id, dst_server)
+            if refresh or key not in state.memo:
+                state.memo[key] = sample_neighbors(job.job_id, dst_server)
+            partition = fetch_from_neighbors(dst_server, missing, state.memo[key])
+            directives.extend(directives_for_partition(job, dst_server, partition))
+    return directives
+
+
+def bullet_decide(
+    view,
+    state: BaselineState,
+    ransub_size: int = 10,
+    num_peers: int = 4,
+    refresh_interval: int = 5,
+    blocks_per_peer: int = 8,
+) -> List[TransferDirective]:
+    def ransub_peers(dst_server, missing):
+        holders = set()
+        for block in missing:
+            holders.update(view.eligible_sources(block.block_id))
+        holders.discard(dst_server)
+        candidates = sorted(holders)
+        if not candidates:
+            return []
+        size = min(ransub_size, len(candidates))
+        subset_idx = state.rng.choice(len(candidates), size=size, replace=False)
+        subset = [candidates[int(i)] for i in subset_idx]
+        return subset[:num_peers]
+
+    def partition_disjoint(missing, peers):
+        partition: Dict[str, list] = {p: [] for p in peers}
+        if not peers:
+            return {}
+        turn = 0
+        for block in sorted(missing):
+            eligible = [
+                p
+                for p in peers
+                if view.store.has(p, block.block_id)
+                and len(partition[p]) < blocks_per_peer
+            ]
+            if not eligible:
+                continue
+            pick = eligible[turn % len(eligible)]
+            partition[pick].append(block)
+            turn += 1
+        return {p: blocks for p, blocks in partition.items() if blocks}
+
+    epoch = view.cycle // refresh_interval
+    refresh = epoch != state.last_epoch
+    state.last_epoch = epoch
+    directives: List[TransferDirective] = []
+    for job in view.jobs:
+        by_server = missing_blocks_by_server(view, job)
+        for dst_server, missing in by_server.items():
+            key = (job.job_id, dst_server)
+            if refresh or key not in state.memo:
+                state.memo[key] = ransub_peers(dst_server, missing)
+            partition = partition_disjoint(missing, state.memo[key])
+            directives.extend(directives_for_partition(job, dst_server, partition))
+    return directives
+
+
+def akamai_decide(
+    view, state: BaselineState, reflectors_per_dc: int = 1, window: int = 16
+) -> List[TransferDirective]:
+    def source_to_reflectors(job, reflectors):
+        directives: List[TransferDirective] = []
+        for _dc, dc_reflectors in reflectors.items():
+            for i, reflector in enumerate(dc_reflectors):
+                if not view.agent_is_up(reflector):
+                    continue
+                wanted = [
+                    b
+                    for b in job.blocks
+                    if b.index % len(dc_reflectors) == i
+                    and not view.store.has(reflector, b.block_id)
+                ]
+                partition: Dict[str, list] = {}
+                for block in wanted[:window]:
+                    src = origin_holder(view, job, block, reflector)
+                    if src is None:
+                        continue
+                    partition.setdefault(src, []).append(block)
+                directives.extend(directives_for_partition(job, reflector, partition))
+        return directives
+
+    def reflector_holder(block, dc_reflectors):
+        for reflector in dc_reflectors:
+            if view.agent_is_up(reflector) and view.store.has(
+                reflector, block.block_id
+            ):
+                return reflector
+        return None
+
+    def reflectors_to_edges(job, reflectors):
+        directives: List[TransferDirective] = []
+        by_server = missing_blocks_by_server(view, job)
+        for dst_server, missing in by_server.items():
+            dc = view.store.dc_of(dst_server)
+            dc_reflectors = reflectors.get(dc, ())
+            if dst_server in dc_reflectors:
+                continue  # the reflector itself is fed by layer 1
+            partition: Dict[str, list] = {}
+            for block in sorted(missing)[:window]:
+                src = reflector_holder(block, dc_reflectors)
+                if src is None or src == dst_server:
+                    continue
+                partition.setdefault(src, []).append(block)
+            directives.extend(directives_for_partition(job, dst_server, partition))
+        return directives
+
+    directives: List[TransferDirective] = []
+    for job in view.jobs:
+        if job.job_id not in state.memo:
+            state.memo[job.job_id] = {
+                dc: [
+                    s.server_id
+                    for s in view.topology.servers_in(dc)[:reflectors_per_dc]
+                ]
+                for dc in job.dst_dcs
+            }
+        reflectors = state.memo[job.job_id]
+        directives.extend(source_to_reflectors(job, reflectors))
+        directives.extend(reflectors_to_edges(job, reflectors))
+    return directives
+
+
+def chain_decide(
+    view, state: BaselineState, window: int = 16
+) -> List[TransferDirective]:
+    def upstream_holder(job, chain, hop, block, exclude):
+        if hop > 0:
+            upstream = chain[hop - 1]
+            if view.agent_is_up(upstream) and view.store.has(
+                upstream, block.block_id
+            ):
+                return upstream
+            return None
+        return origin_holder(view, job, block, exclude)
+
+    def feed_chain(job, chain):
+        directives: List[TransferDirective] = []
+        for hop, relay in enumerate(chain):
+            if not view.agent_is_up(relay):
+                continue
+            missing = [
+                b for b in job.blocks if not view.store.has(relay, b.block_id)
+            ][:window]
+            partition: Dict[str, list] = {}
+            for block in missing:
+                src = upstream_holder(job, chain, hop, block, relay)
+                if src is None:
+                    continue
+                partition.setdefault(src, []).append(block)
+            directives.extend(directives_for_partition(job, relay, partition))
+        return directives
+
+    def fan_out_inside_dcs(job, chain):
+        directives: List[TransferDirective] = []
+        by_server = missing_blocks_by_server(view, job)
+        relay_by_dc = {view.store.dc_of(r): r for r in chain}
+        for dst_server, missing in by_server.items():
+            relay = relay_by_dc.get(view.store.dc_of(dst_server))
+            if relay is None or relay == dst_server:
+                continue
+            blocks = [
+                b for b in sorted(missing) if view.store.has(relay, b.block_id)
+            ][:window]
+            if not blocks:
+                continue
+            directives.extend(
+                directives_for_partition(job, dst_server, {relay: blocks})
+            )
+        return directives
+
+    directives: List[TransferDirective] = []
+    for job in view.jobs:
+        if job.job_id not in state.memo:
+            state.memo[job.job_id] = [
+                view.topology.servers_in(dc)[0].server_id for dc in job.dst_dcs
+            ]
+        chain = state.memo[job.job_id]
+        directives.extend(feed_chain(job, chain))
+        directives.extend(fan_out_inside_dcs(job, chain))
+    return directives
+
+
+def direct_decide(view, window: int = 32) -> List[TransferDirective]:
+    directives: List[TransferDirective] = []
+    for job in view.jobs:
+        by_server = missing_blocks_by_server(view, job)
+        for dst_server, missing in by_server.items():
+            partition: Dict[str, list] = {}
+            for block in sorted(missing)[:window]:
+                src = origin_holder(view, job, block)
+                if src is None or src == dst_server:
+                    continue
+                partition.setdefault(src, []).append(block)
+            directives.extend(directives_for_partition(job, dst_server, partition))
+    return directives

@@ -1,0 +1,364 @@
+"""The lens-based baselines against the scalar loops they replaced.
+
+Every ``decide`` of a generated run is made twice — by the production
+strategy, over :class:`~repro.baselines.base.JobPossession`, and by the
+per-``store.has`` oracle in :mod:`tests.oracles` — and must agree in the
+directives (element-wise, in order), in the generator state left behind
+and in the neighbour/peer/relay memo. The run itself supplies the states:
+possession as the simulator moves it, agents that fail and recover
+(receivers, neighbours, relays, reflectors, the only holder of a block),
+copies seeded ahead of time at destinations and in the source DC, jobs
+with relay DCs, several jobs at once, more than 64 servers, block counts
+on either side of a 64-column word, the dict store, speculation overlays.
+
+Mutations this file was checked to catch (each made in ``src/``, each
+failing here): servers ordered by id instead of first appearance in
+``missing``; ``directives`` pairs in sorted order; Gingko's early exit
+taken at the first full bucket, and Bullet's; the ``up`` mask dropped
+from Gingko's neighbours, and added to Bullet's peers; Gingko's pool
+keeping the receiver, or failed servers; Bullet's turn not advancing; one
+draw too many; the chain relay's window cut after the upstream filter;
+the fan-out's cut before it; Akamai's and direct's windows cut after the
+holder filter; Akamai's stripes ignored; relay groups not skipped;
+``sourced`` ignoring failed holders; a failed destination kept;
+``first_holder`` taking the last of its servers, or a failed one;
+``any_holder_ids`` dropping its last chunk.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+from functools import partial
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.baselines import (
+    AkamaiStrategy,
+    BulletStrategy,
+    ChainStrategy,
+    DirectStrategy,
+    GingkoStrategy,
+)
+from repro.core.speculation import SpeculatedDelivery, SpeculatedView
+from repro.net.failures import FailureEvent, FailureSchedule
+from repro.net.simulator import SimConfig, Simulation
+from repro.net.topology import Topology
+from repro.overlay.job import MulticastJob
+from repro.utils.units import GBps, MB, MBps
+
+from tests import oracles
+
+STRATEGIES = {
+    "gingko": (GingkoStrategy, oracles.gingko_decide),
+    "bullet": (BulletStrategy, oracles.bullet_decide),
+    "akamai": (AkamaiStrategy, oracles.akamai_decide),
+    "chain": (ChainStrategy, oracles.chain_decide),
+    "direct": (
+        DirectStrategy,
+        lambda view, _state, **kw: oracles.direct_decide(view, **kw),
+    ),
+}
+
+PARAMS = {
+    "gingko": st.fixed_dictionaries(
+        {
+            "view_size": st.integers(1, 5),
+            "epoch_cycles": st.integers(1, 3),
+            "fetch_parallelism": st.integers(1, 3),
+            "blocks_per_request": st.integers(1, 6),
+        }
+    ),
+    "bullet": st.fixed_dictionaries(
+        {
+            "ransub_size": st.integers(1, 5),
+            "num_peers": st.integers(1, 4),
+            "refresh_interval": st.integers(1, 3),
+            "blocks_per_peer": st.integers(1, 6),
+        }
+    ),
+    "akamai": st.fixed_dictionaries(
+        {"reflectors_per_dc": st.integers(1, 2), "window": st.integers(1, 24)}
+    ),
+    "chain": st.fixed_dictionaries({"window": st.integers(1, 24)}),
+    "direct": st.fixed_dictionaries({"window": st.integers(1, 40)}),
+}
+
+
+class Shadow:
+    """Decides with the production strategy, checks it against the oracle."""
+
+    uses_controller_rates = False
+    respects_safety_threshold = False
+    decisions_reusable = False
+
+    def __init__(self, name, params, seed, speculate=None):
+        production, oracle = STRATEGIES[name]
+        seeded = {"seed": seed} if name in ("gingko", "bullet") else {}
+        self.real = production(**params, **seeded)
+        self.oracle = partial(oracle, **params)
+        self.state = oracles.BaselineState(seed)
+        self.speculate = speculate  # a Generator: overlay some decides
+        self.decides = self.directives = 0
+
+    def decide(self, view):
+        if self.speculate is not None and self.speculate.random() < 0.5:
+            view = SpeculatedView(view, list(self._speculated(view)))
+        got = self.real.decide(view)
+        want = self.oracle(view, self.state)
+        assert got == want
+        rng = getattr(self.real, "_rng", None)
+        if rng is not None:
+            assert rng.bit_generator.state == self.state.rng.bit_generator.state
+        assert self._memo() == self.state.memo
+        self.decides += 1
+        self.directives += len(got)
+        return got
+
+    def _speculated(self, view):
+        for job in view.jobs:
+            for dc in job.dst_dcs:
+                for i in self.speculate.choice(len(job.blocks), 2):
+                    bid = job.blocks[i].block_id
+                    dst = job.assigned_server(dc, bid)
+                    yield SpeculatedDelivery(bid, dst, "anyone")
+
+    def _memo(self):
+        """The production strategy's memo, in the oracle's (name) terms."""
+        real = self.real
+        if isinstance(real, (GingkoStrategy, BulletStrategy)):
+            memo = real._neighbors if isinstance(real, GingkoStrategy) else real._peers
+            names = sorted(self._topology.servers)
+            return {
+                (job_id, names[dst]): [names[s] for s in sids]
+                for (job_id, dst), sids in memo.items()
+            }
+        if isinstance(real, AkamaiStrategy):
+            return real._reflectors
+        if isinstance(real, ChainStrategy):
+            return real._relays
+        return {}
+
+
+@st.composite
+def scenarios(draw):
+    wide = draw(st.integers(0, 7)) == 0  # > 64 servers: a second holder word
+    num_dcs = 3 if wide else draw(st.integers(2, 5))
+    servers_per_dc = 22 if wide else draw(st.integers(1, 5))
+    dcs = [f"dc{i}" for i in range(num_dcs)]
+    jobs = []
+    for j in range(draw(st.integers(1, 3))):
+        order = draw(st.permutations(dcs))
+        n_dst = draw(st.integers(1, num_dcs - 1))
+        n_relay = draw(st.integers(0, num_dcs - 1 - n_dst))
+        jobs.append(
+            {
+                "job_id": f"job{j}",
+                "src_dc": order[0],
+                "dst_dcs": tuple(order[1 : 1 + n_dst]),
+                "relay_dcs": tuple(order[1 + n_dst : 1 + n_dst + n_relay]),
+                "total_bytes": draw(
+                    st.sampled_from([1, 3, 20, 63, 64, 65, 100, 129])
+                ) * MB - draw(st.sampled_from([0, 4321])),
+                "arrival_time": 3.0 * draw(st.integers(0, 3)) * (j > 0),
+            }
+        )
+    servers = num_dcs * servers_per_dc
+    windows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, servers - 1), st.integers(0, 6), st.integers(1, 5)
+            ),
+            max_size=4,
+        )
+    )
+    seeded = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, servers - 1),
+                st.integers(0, len(jobs) - 1),
+                st.lists(st.integers(0, 128), max_size=6),
+            ),
+            max_size=4,
+        )
+    )
+    return {
+        "num_dcs": num_dcs,
+        "servers_per_dc": servers_per_dc,
+        "uplink": draw(st.sampled_from([2, 5, 11])) * MBps,
+        "jobs": jobs,
+        "windows": windows,
+        "seeded": seeded,
+        "vectorized_store": draw(st.booleans()),
+        "speculate": draw(st.integers(0, 3)) == 0,
+        "seed": draw(st.integers(0, 2**16)),
+    }
+
+
+def run_shadowed(name, params, scenario, max_cycles=10):
+    topo = Topology.full_mesh(
+        num_dcs=scenario["num_dcs"],
+        servers_per_dc=scenario["servers_per_dc"],
+        wan_capacity=1 * GBps,
+        uplink=scenario["uplink"],
+    )
+    jobs = [MulticastJob(block_size=1 * MB, **spec) for spec in scenario["jobs"]]
+    for job in jobs:
+        job.bind(topo)
+    names = sorted(topo.servers)
+    events = []
+    for server, start, length in scenario["windows"]:
+        events.append(FailureEvent(start, "agent_fail", names[server]))
+        events.append(FailureEvent(start + length, "agent_recover", names[server]))
+    pre_seeded = {}
+    for server, j, indices in scenario["seeded"]:
+        blocks = jobs[j].blocks
+        pre_seeded.setdefault(names[server], []).extend(
+            blocks[i % len(blocks)] for i in indices
+        )
+    seed = scenario["seed"]
+    shadow = Shadow(
+        name, params, seed,
+        speculate=np.random.default_rng(seed) if scenario["speculate"] else None,
+    )
+    shadow._topology = topo
+    sim = Simulation(
+        topo, jobs, shadow,
+        SimConfig(max_cycles=max_cycles, vectorized_store=scenario["vectorized_store"]),
+        failures=FailureSchedule(events), pre_seeded=pre_seeded, seed=seed,
+    )
+    sim.run()
+    return shadow
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+@settings(
+    max_examples=40, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(data=st.data())
+def test_lens_decide_equals_the_scalar_oracle(name, data):
+    shadow = run_shadowed(name, data.draw(PARAMS[name]), data.draw(scenarios()))
+    assert shadow.decides > 0
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+@pytest.mark.parametrize("vectorized_store", [True, False])
+def test_named_corner_cases(name, vectorized_store):
+    """The cases the issue lists, pinned so no draw has to find them:
+    66 servers, a relay-DC job next to a second job, 65- and 129-block
+    files, a failed relay/reflector (first server of a destination DC), a
+    failed source server (blocks without a healthy holder), a failed
+    receiver, copies seeded at a destination and in the source DC."""
+    scenario = {
+        "num_dcs": 3,
+        "servers_per_dc": 22,
+        "uplink": 1 * MBps,
+        "jobs": [
+            {
+                "job_id": "a", "src_dc": "dc0", "dst_dcs": ("dc2",),
+                "relay_dcs": ("dc1",), "total_bytes": 129 * MB - 4321,
+                "arrival_time": 0.0,
+            },
+            {
+                "job_id": "b", "src_dc": "dc1", "dst_dcs": ("dc0", "dc2"),
+                "relay_dcs": (), "total_bytes": 65 * MB, "arrival_time": 3.0,
+            },
+        ],
+        # sorted names: dc0-s0, dc0-s1, dc0-s10, …; 44 is dc2-s0 (relay and
+        # reflector of dc2), 0 a source of job a, 50 a plain receiver.
+        "windows": [(44, 1, 3), (0, 0, 4), (50, 2, 2)],
+        "seeded": [(45, 0, [0, 1, 64, 128]), (3, 0, [5, 6, 7]), (2, 1, [0, 64])],
+        "vectorized_store": vectorized_store,
+        "speculate": not vectorized_store,
+        "seed": 7,
+    }
+    params = {
+        "gingko": {"view_size": 4, "epoch_cycles": 2},
+        "bullet": {"ransub_size": 5, "num_peers": 3, "refresh_interval": 2},
+        "akamai": {"reflectors_per_dc": 2, "window": 5},
+        "chain": {"window": 5},
+        "direct": {"window": 3},
+    }[name]
+    shadow = run_shadowed(name, params, scenario, max_cycles=8)
+    assert shadow.decides >= 6 and shadow.directives > 0
+
+
+def test_a_large_gingko_decide_stays_small():
+    """1 000 servers × 20 000 blocks: the lens gathers what is asked about,
+    it never unpacks servers × blocks (20 MB as bools)."""
+    topo = Topology.full_mesh(
+        num_dcs=10, servers_per_dc=100, wan_capacity=1 * GBps, uplink=20 * MBps
+    )
+    job = MulticastJob(
+        job_id="big", src_dc="dc0", dst_dcs=("dc1", "dc2", "dc3"),
+        total_bytes=20_000 * MB, block_size=1 * MB,
+    )
+    job.bind(topo)
+    # Every destination server already holds a slice of the whole file:
+    # 400 servers have data, and most neighbours have something to give.
+    pre_seeded = {
+        server.server_id: job.blocks[k % 11 :: 11]
+        for dc in job.dst_dcs
+        for k, server in enumerate(topo.servers_in(dc))
+    }
+    strategy = GingkoStrategy(seed=0)
+    sim = Simulation(topo, [job], strategy, SimConfig(), pre_seeded=pre_seeded)
+    view = sim.snapshot_view()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        directives = strategy.decide(view)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(strategy._neighbors) == 300 and len(directives) > 300
+    assert peak - before < 4 * 2**20
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_views_the_simulator_would_not_reach(name):
+    """Possession frozen while agents fail around it, one view per cycle.
+
+    Every source-DC server is failed in turn, mid-epoch, while copies of
+    its blocks survive elsewhere: a Bullet peer chosen at cycle 0 is still
+    asked after it failed (the simulator drops the directive, the baseline
+    does not know), a Gingko neighbour is not; and ``direct`` cuts its
+    window before it learns that an origin holder is gone.
+    """
+    topo = Topology.full_mesh(
+        num_dcs=3, servers_per_dc=2, wan_capacity=1 * GBps, uplink=5 * MBps
+    )
+    job = MulticastJob(
+        job_id="j", src_dc="dc0", dst_dcs=("dc1", "dc2"),
+        total_bytes=8 * MB, block_size=1 * MB,
+    )
+    job.bind(topo)
+    blocks = job.blocks
+    pre_seeded = {"dc1-s0": blocks, "dc0-s1": [blocks[4], blocks[6]]}
+    params = {
+        "gingko": {"view_size": 3, "epoch_cycles": 5},
+        "bullet": {"ransub_size": 5, "num_peers": 3, "refresh_interval": 5},
+        "akamai": {"window": 2},
+        "chain": {"window": 2},
+        "direct": {"window": 2},
+    }[name]
+    shadow = Shadow(name, params, seed=3)
+    shadow._topology = topo
+    sim = Simulation(topo, [job], shadow, SimConfig(), pre_seeded=pre_seeded)
+    failed_by_cycle = [
+        set(), {"dc0-s0"}, {"dc0-s0", "dc2-s1"}, {"dc0-s1", "dc1-s0"}, {"dc2-s0"},
+    ]
+    emitted = [
+        shadow.decide(sim.snapshot_view(cycle).with_extra_failed_agents(failed))
+        for cycle, failed in enumerate(failed_by_cycle)
+    ]
+    assert all(emitted[:3])
+    if name == "bullet":
+        assert any(d.src_server == "dc0-s0" for d in emitted[1])
+    if name == "direct":
+        # dc2-s0 lacks 0, 2, 4, 6; with dc0-s0 down only 4 and 6 have an
+        # origin holder, and both lie beyond the window.
+        assert not any(d.dst_server == "dc2-s0" for d in emitted[1])

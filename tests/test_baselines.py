@@ -1,5 +1,10 @@
 """Baseline overlay strategies: Gingko, Bullet, Akamai, chain, direct."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.baselines import (
@@ -230,3 +235,59 @@ class TestDirectSpecifics:
             topo, [job], BDSController(seed=0), SimConfig(max_cycles=3000), seed=0
         ).run()
         assert bds.completion_time("j") < direct.completion_time("j")
+
+
+_ORIGIN_TIE_SCRIPT = """
+import sys
+from repro.analysis.runner import make_strategy
+from repro.net.simulator import SimConfig, Simulation
+from repro.net.topology import Topology
+from repro.overlay.job import MulticastJob
+from repro.utils.units import GB, MB, MBps
+
+topo = Topology.full_mesh(
+    num_dcs=3, servers_per_dc=4, wan_capacity=1 * GB, uplink=10 * MBps
+)
+job = MulticastJob(
+    job_id="j", src_dc="dc0", dst_dcs=("dc1", "dc2"),
+    total_bytes=24 * MB, block_size=2 * MB,
+)
+job.bind(topo)
+# The appendix set-up: every source-DC server holds the whole file.
+pre_seeded = {s.server_id: job.blocks for s in topo.servers_in("dc0")}
+sim = Simulation(
+    topo, [job], make_strategy(sys.argv[1], seed=0), SimConfig(max_cycles=500),
+    pre_seeded=pre_seeded, seed=0,
+)
+result = sim.run()
+assert result.all_complete
+for r in result.store.deliveries:
+    print(r.block_id, r.src_server, r.dst_server, r.time)
+"""
+
+
+@pytest.mark.parametrize("strategy", ["direct", "akamai", "chain"])
+def test_origin_holder_does_not_depend_on_the_hash_seed(strategy):
+    """Several source-DC holders of one block: the lowest server id sends.
+
+    ``eligible_sources`` lists holders in string-hash order, so taking its
+    first source-DC entry made the sender change with ``PYTHONHASHSEED``.
+    """
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    provenance = []
+    for hash_seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _ORIGIN_TIE_SCRIPT, strategy],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        provenance.append(done.stdout)
+    assert provenance[0] and provenance[0] == provenance[1] == provenance[2]
+    from_origin = [line for line in provenance[0].splitlines() if " dc0-" in line]
+    assert from_origin and all(" dc0-s0 " in line for line in from_origin)
