@@ -23,8 +23,9 @@ class InOrderScheduler(RarestFirstScheduler):
     """FIFO by block index: ignores rarity entirely."""
 
     def select(self, view: ClusterView) -> List[ScheduledBlock]:
-        selections = super().select(view)
-        selections.sort(key=lambda s: (s.block.index, s.dst_server))
+        selections = sorted(
+            super().select(view), key=lambda s: (s.block.index, s.dst_server)
+        )
         if self.max_blocks_per_cycle:
             selections = selections[: self.max_blocks_per_cycle]
         return selections

@@ -50,6 +50,51 @@ def _resource_from_str(text: str) -> Tuple[str, ...]:
     return tuple(text.split(":"))
 
 
+def _cycle_to_dict(s: CycleStats) -> Dict[str, Any]:
+    return {
+        "cycle": s.cycle,
+        "time": s.time,
+        "blocks_delivered": s.blocks_delivered,
+        "bytes_transferred": s.bytes_transferred,
+        "active_flows": s.active_flows,
+        "controller_available": s.controller_available,
+        "link_bulk_usage": {
+            _resource_to_str(k): v for k, v in s.link_bulk_usage.items()
+        },
+        "link_online_usage": {
+            _resource_to_str(k): v for k, v in s.link_online_usage.items()
+        },
+        "max_delay_inflation": s.max_delay_inflation,
+        "stage_times": {
+            "view_build": s.time_view_build,
+            "decide": s.time_decide,
+            "schedule": s.time_schedule,
+            "route": s.time_route,
+            "rate_resolve": s.time_rate_resolve,
+            "deliver": s.time_deliver,
+            "deliver_apply": s.time_deliver_apply,
+        },
+        "rate_stalemates": s.rate_stalemates,
+        "routing_solver": {
+            "iterations": s.routing_iterations,
+            "phases": s.routing_phases,
+            "warm_start": s.routing_warm_start,
+        },
+        "decision_reused": s.decision_reused,
+        "fast_forwarded": s.fast_forwarded,
+        "sharding": {
+            "shard_count": s.shard_count,
+            "shard_max": s.time_shard_max,
+            "shard_mean": s.time_shard_mean,
+            "reconcile": s.time_reconcile,
+            "stride": s.shard_stride,
+            "state_bytes": s.shard_state_bytes,
+            "candidate_bytes": s.shard_candidate_bytes,
+            "payload_bytes": s.shard_payload_bytes,
+        },
+    }
+
+
 def result_to_dict(result: SimResult, include_cycles: bool = True) -> Dict[str, Any]:
     """Flatten a :class:`SimResult` into JSON-serializable primitives."""
     payload: Dict[str, Any] = {
@@ -81,52 +126,15 @@ def result_to_dict(result: SimResult, include_cycles: bool = True) -> Dict[str, 
         "cycles_fast_forwarded": result.cycles_fast_forwarded,
     }
     if include_cycles:
-        payload["cycles"] = [
-            {
-                "cycle": s.cycle,
-                "time": s.time,
-                "blocks_delivered": s.blocks_delivered,
-                "bytes_transferred": s.bytes_transferred,
-                "active_flows": s.active_flows,
-                "controller_available": s.controller_available,
-                "link_bulk_usage": {
-                    _resource_to_str(k): v for k, v in s.link_bulk_usage.items()
-                },
-                "link_online_usage": {
-                    _resource_to_str(k): v
-                    for k, v in s.link_online_usage.items()
-                },
-                "max_delay_inflation": s.max_delay_inflation,
-                "stage_times": {
-                    "view_build": s.time_view_build,
-                    "decide": s.time_decide,
-                    "schedule": s.time_schedule,
-                    "route": s.time_route,
-                    "rate_resolve": s.time_rate_resolve,
-                    "deliver": s.time_deliver,
-                    "deliver_apply": s.time_deliver_apply,
-                },
-                "rate_stalemates": s.rate_stalemates,
-                "routing_solver": {
-                    "iterations": s.routing_iterations,
-                    "phases": s.routing_phases,
-                    "warm_start": s.routing_warm_start,
-                },
-                "decision_reused": s.decision_reused,
-                "fast_forwarded": s.fast_forwarded,
-                "sharding": {
-                    "shard_count": s.shard_count,
-                    "shard_max": s.time_shard_max,
-                    "shard_mean": s.time_shard_mean,
-                    "reconcile": s.time_reconcile,
-                    "stride": s.shard_stride,
-                    "state_bytes": s.shard_state_bytes,
-                    "candidate_bytes": s.shard_candidate_bytes,
-                    "payload_bytes": s.shard_payload_bytes,
-                },
-            }
-            for s in result.cycle_stats
-        ]
+        cycles: List[Dict[str, Any]] = []
+        dt = result.cycle_stats.cycle_seconds
+        for first, count in result.cycle_stats.runs():
+            entry = _cycle_to_dict(first)
+            cycles.append(entry)
+            # The cycles of a run differ only in ``cycle`` and ``time``.
+            for cycle in range(first.cycle + 1, first.cycle + count):
+                cycles.append({**entry, "cycle": cycle, "time": cycle * dt})
+        payload["cycles"] = cycles
     return payload
 
 

@@ -175,6 +175,12 @@ class BDSController(OverlayStrategy):
         )
         self._shard_executor: Optional[ShardExecutor] = None
         self._shard_runner: Optional[LocalShardRunner] = None
+        # The shard mode in force: ``config.shard_mode`` until a broken
+        # worker pool makes the in-process mirrors take over for the rest
+        # of the run. Takeovers are counted by the exception type that
+        # caused them (and named on that cycle's ControlDecision).
+        self._shard_mode: str = self.config.shard_mode
+        self.shard_takeovers: Dict[str, int] = {}
         self._stride_auto = self.config.shard_stride == SHARD_STRIDE_AUTO
         # Auto mode starts maximally staggered (one shard per cycle) and
         # narrows as measurements show slack; a static stride is taken
@@ -299,11 +305,7 @@ class BDSController(OverlayStrategy):
             return self._decide_sharded(view, fallback_directives)
 
         selections = self.scheduler.select(view)
-        directives, diagnostics = self.router.route(
-            view,
-            selections,
-            batch=getattr(self.scheduler, "last_batch", None),
-        )
+        directives, diagnostics = self.router.route(view, selections)
         # A partition-fallback slice runs the RNG-bearing decentralized
         # protocol and a speculation overlay perturbs next cycle's view
         # from this cycle's directives — neither output is a pure function
@@ -395,8 +397,9 @@ class BDSController(OverlayStrategy):
         payload_bytes_total = 0
 
         results: Optional[List[ShardResult]] = None
-        if cfg.shard_mode == "process" and due and exact:
-            results = self._process_decide(view, buckets, due)
+        takeover = ""
+        if self._shard_mode == "process" and due and exact:
+            results, takeover = self._process_decide(view, buckets, due)
         if results is None and due and exact and cfg.shard_local_state:
             # In-process partition-scoped mirrors (the default): each
             # shard decides against its own possession index, candidate
@@ -416,9 +419,7 @@ class BDSController(OverlayStrategy):
                 sub = view.with_jobs(buckets[s], cache=cache)
                 started = _time.perf_counter()
                 selections = pipe.scheduler.select(sub)
-                dirs, diag = pipe.router.route(
-                    sub, selections, batch=pipe.scheduler.last_batch
-                )
+                dirs, diag = pipe.router.route(sub, selections)
                 wall = _time.perf_counter() - started
                 results.append(
                     ShardResult(
@@ -512,6 +513,7 @@ class BDSController(OverlayStrategy):
                 shard_state_bytes=state_bytes_max,
                 shard_candidate_bytes=candidate_bytes_max,
                 shard_payload_bytes=payload_bytes_total,
+                shard_takeover=takeover,
             )
         )
         if self._stride_auto and shard_walls:
@@ -619,26 +621,30 @@ class BDSController(OverlayStrategy):
         view: ClusterView,
         buckets: List[List[MulticastJob]],
         due: List[int],
-    ) -> Optional[List[ShardResult]]:
+    ) -> Tuple[Optional[List[ShardResult]], str]:
         """Fan the due shards' decides over persistent worker processes.
 
-        Returns the per-shard outcomes in ``due`` order, or ``None`` to
-        fall back to the in-process paths (worker pool unavailable or
-        broken — the in-process mirrors and the shared-store loop are
+        Returns the per-shard outcomes in ``due`` order and ``""`` — or,
+        when the worker pool is unavailable or broken, ``None`` and the
+        exception's type name: the caller falls back to the in-process
+        paths (the in-process mirrors and the shared-store loop are
         always correct; a fresh in-process feed re-snapshots each job's
-        holders from the live store, so mid-run takeover loses nothing).
+        holders from the live store, so mid-run takeover loses nothing),
+        which then stay in force for the rest of the run.
         """
         if self._shard_executor is None:
             self._shard_executor = ShardExecutor(self.config, self._shard_of_id)
         try:
-            return self._shard_executor.decide(view, buckets, due)
-        except Exception:
+            return self._shard_executor.decide(view, buckets, due), ""
+        except Exception as error:
             # A broken pool must never take the control plane down:
-            # abandon process mode for the rest of the run.
+            # abandon process mode for the rest of the run, and say so.
             self._shard_executor.shutdown()
             self._shard_executor = None
-            self.config.shard_mode = "inprocess"
-            return None
+            self._shard_mode = "inprocess"
+            reason = type(error).__name__
+            self.shard_takeovers[reason] = self.shard_takeovers.get(reason, 0) + 1
+            return None, reason
 
     def shutdown(self) -> None:
         """Release the process fan-out workers (no-op otherwise)."""

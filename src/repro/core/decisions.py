@@ -10,8 +10,9 @@ benchmarks (Fig. 11a, 13a).
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,29 +40,102 @@ class ScheduledBlock:
     is_relay: bool = False
 
 
-@dataclass
-class SelectionBatch:
-    """Columnar companion of a scheduler selection list.
+class SelectionBatch(abc.Sequence):
+    """A scheduler selection as int columns: a ``Sequence[ScheduledBlock]``.
 
-    Produced by the vectorized scheduling kernel alongside its
-    :class:`ScheduledBlock` list: row ``i`` of these parallel int64
-    arrays describes ``selections[i]`` in the possession matrix's
-    interned id space (see :class:`repro.overlay.store.PossessionMatrix`).
-    The router groups, sizes and deals selections as index segments over
-    these columns and never walks the object list; names are
-    materialized once per final group.
+    What the vectorized scheduling kernel returns. Row ``i`` of the
+    parallel int64 arrays describes selection ``i`` in the possession
+    matrix's interned id space (see
+    :class:`repro.overlay.store.PossessionMatrix`); the router groups,
+    sizes and deals selections as index segments over these columns and
+    never asks for an object. ``len()`` reads the columns;
+    :class:`ScheduledBlock` objects are built (once, all rows) only when
+    something indexes, iterates or compares the sequence — the
+    per-selection router path of inexact stores, ``core/formulation.py``,
+    tests.
     """
 
-    #: The view's job list; ``job_slots`` indexes into it.
-    jobs: List[MulticastJob]
-    #: Per-row interned block column id.
-    gids: np.ndarray
-    #: Per-row block index within its job.
-    indices: np.ndarray
-    #: Per-row destination server id.
-    dst_sids: np.ndarray
-    #: Per-row index into ``jobs``.
-    job_slots: np.ndarray
+    __slots__ = (
+        "jobs", "gids", "indices", "dst_sids", "job_slots", "duplicates",
+        "slots", "slot_places", "server_names", "_objects",
+    )
+
+    def __init__(
+        self,
+        jobs: List[MulticastJob],
+        gids: np.ndarray,
+        indices: np.ndarray,
+        dst_sids: np.ndarray,
+        job_slots: np.ndarray,
+        duplicates: np.ndarray,
+        slots: np.ndarray,
+        slot_places: List[Tuple[MulticastJob, str, bool]],
+        server_names: Sequence[str],
+    ) -> None:
+        #: The view's job list; ``job_slots`` indexes into it.
+        self.jobs = jobs
+        #: Per-row interned block column id.
+        self.gids = gids
+        #: Per-row block index within its job.
+        self.indices = indices
+        #: Per-row destination server id.
+        self.dst_sids = dst_sids
+        #: Per-row index into ``jobs``.
+        self.job_slots = job_slots
+        #: Per-row cluster-wide copy count when selected (rarity).
+        self.duplicates = duplicates
+        #: Per-row index into ``slot_places``: the (job, destination DC,
+        #: is-relay) constants of the candidate group the row came from.
+        self.slots = slots
+        self.slot_places = slot_places
+        #: Server id -> name (the matrix's interning order).
+        self.server_names = server_names
+        self._objects: Optional[List[ScheduledBlock]] = None
+
+    def __len__(self) -> int:
+        return len(self.gids)
+
+    def _materialized(self) -> List[ScheduledBlock]:
+        objects = self._objects
+        if objects is None:
+            names = self.server_names
+            places = self.slot_places
+            objects = []
+            for slot, index, dst, duplicates in zip(
+                self.slots.tolist(),
+                self.indices.tolist(),
+                self.dst_sids.tolist(),
+                self.duplicates.tolist(),
+            ):
+                job, dst_dc, is_relay = places[slot]
+                objects.append(
+                    ScheduledBlock(
+                        job_id=job.job_id,
+                        block=job.blocks[index],
+                        dst_dc=dst_dc,
+                        dst_server=names[dst],
+                        duplicates=duplicates,
+                        is_relay=is_relay,
+                    )
+                )
+            self._objects = objects
+        return objects
+
+    def __getitem__(self, item):
+        return self._materialized()[item]
+
+    def __iter__(self) -> Iterator[ScheduledBlock]:
+        return iter(self._materialized())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, SelectionBatch)):
+            return self._materialized() == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"SelectionBatch({self._materialized()!r})"
 
 
 @dataclass
@@ -114,6 +188,11 @@ class ControlDecision:
     shard_state_bytes: int = 0
     shard_candidate_bytes: int = 0
     shard_payload_bytes: int = 0
+    #: Set on the one cycle where a broken worker pool made the
+    #: in-process mirrors take over from ``shard_mode="process"`` for the
+    #: rest of the run: the type name of the exception that broke it
+    #: (``BDSController.shard_takeovers`` keeps the counts).
+    shard_takeover: str = ""
 
     @property
     def total_runtime(self) -> float:

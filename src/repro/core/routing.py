@@ -25,6 +25,15 @@ one per-cycle index array — no per-selection Python between the
 scheduler kernel and the solver (:class:`_Grouping` is the hand-off).
 Views without an exact possession matrix (speculation overlays, the
 dict store) group selection by selection instead and join the same tail.
+
+Step 3 hands the solver parallel lists, not objects: per commodity its
+group, its demand, and its candidate paths as tuples of resource numbers
+from the :class:`~repro.net.cycle_cache.CycleCache`'s resource-id table.
+The greedy water-fill (:func:`greedy_waterfill`) runs on exactly those;
+the FPTAS and LP backends build their :class:`~repro.lp.mcf.Commodity`
+list and :class:`~repro.lp.incidence.PathIncidence` from them inside
+their own branch. Either way rates come back as one float row per
+commodity, aligned with its sources.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ import sys
 import time as _time
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +52,6 @@ from repro.lp.incidence import PathIncidence
 from repro.lp.mcf import Commodity, solve_lp_incidence
 from repro.net.cycle_cache import CycleCache, RoutingWarmStore
 from repro.net.simulator import ClusterView, TransferDirective, partial_column
-from repro.net.topology import ResourceKey
 from repro.overlay.job import MulticastJob
 from repro.utils.validation import check_positive
 
@@ -54,6 +62,94 @@ GroupKey = Tuple[str, str, Tuple[str, ...]]  # (job, dst_server, sources)
 #: greedy/lp have no iteration structure so they report the zero triple.
 SolverStats = Tuple[int, int, str]
 _NO_SOLVER_STATS: SolverStats = (0, 0, "")
+
+#: A solve's output: one float row per commodity, aligned with its paths
+#: (0.0 where nothing flows), and the (commodity, path) slots that carry
+#: flow in the order they first received any — the order every fold over
+#: the rates (objective, reuse certificate) has always run in.
+Rates = List[List[float]]
+TouchOrder = List[Tuple[int, int]]
+
+
+def greedy_waterfill(
+    demands: Sequence[float],
+    paths: Sequence[Sequence[Sequence[int]]],
+    residual: List[float],
+    fair_rounds: int = 3,
+) -> Tuple[Rates, TouchOrder]:
+    """Round-robin water-filling in commodity order (rarity order).
+
+    ``demands[c]`` is commodity ``c``'s rate demand (``inf``: uncapped),
+    ``paths[c]`` its candidate paths as non-empty sequences of indices
+    into ``residual``, the per-resource capacity left — consumed in
+    place. A path crossing a resource without capacity has no room and
+    is never chosen (the lenient rule: ``CycleCache.capacity_vector``
+    fills ``residual`` with ``capacities.get(key, 0.0)``).
+
+    Pure first-come-first-served greedy lets the first commodity drain
+    a shared uplink and starves every destination behind it, so the
+    allocation happens in two phases:
+
+    1. ``fair_rounds`` round-robin passes where each commodity pushes at
+       most ``room / remaining_commodities`` on its best residual path —
+       an approximation of max-min sharing;
+    2. a final pass in rarity order that hands out whatever is left.
+
+    A path's room is the min over its resources; ties between paths
+    break on the first maximum (lowest path index) and a push subtracts
+    once per resource *occurrence*. Router commodities have at most
+    ``max_sources_per_group`` paths of two to four resources, so the
+    reductions are plain loops over ints — a numpy call per 3-element
+    segment costs several times the loop.
+    """
+    remaining = list(demands)
+    rates: Rates = [[0.0] * len(candidates) for candidates in paths]
+    order: TouchOrder = []
+
+    def push_flow(ci: int, limit_fraction: float) -> None:
+        demand = remaining[ci]
+        candidates = paths[ci]
+        while demand > 1e-9:
+            best_pi, best_room = -1, 0.0
+            for pi, path in enumerate(candidates):
+                resources = iter(path)
+                room = residual[next(resources)]
+                for i in resources:
+                    if residual[i] < room:
+                        room = residual[i]
+                if room > best_room:
+                    best_room = room
+                    best_pi = pi
+            if best_pi < 0 or best_room <= 1e-9:
+                break
+            push = best_room * limit_fraction
+            if demand < push:
+                push = demand
+            if push <= 1e-9:
+                break
+            row = rates[ci]
+            if row[best_pi] == 0.0:
+                order.append((ci, best_pi))
+            row[best_pi] += push
+            for i in candidates[best_pi]:
+                residual[i] -= push
+            demand -= push
+            if limit_fraction < 1.0:
+                break  # one quantum per fair-round visit
+        remaining[ci] = demand
+
+    active = [ci for ci, demand in enumerate(remaining) if demand > 1e-9]
+    for _round in range(fair_rounds):
+        if not active:
+            break
+        share = 1.0 / len(active)
+        for ci in active:
+            push_flow(ci, share)
+        active = [ci for ci in active if remaining[ci] > 1e-9]
+    for ci in range(len(remaining)):
+        if remaining[ci] > 1e-9:
+            push_flow(ci, 1.0)
+    return rates, order
 
 
 @dataclass
@@ -133,16 +229,16 @@ class BDSRouter:
         self,
         view: ClusterView,
         selections: Sequence[ScheduledBlock],
-        batch: Optional[SelectionBatch] = None,
     ) -> Tuple[List[TransferDirective], RoutingDiagnostics]:
         """Allocate paths and rates for the scheduled blocks.
 
-        ``batch`` is the scheduler's columnar companion of ``selections``
-        (present when the vectorized kernel produced them): with it, the
-        source-candidate picks and the §5.1 merge are array gathers over
-        its columns and server names are only materialized once per
-        final group. Groups, commodities, and directives are identical
-        with or without it.
+        A :class:`~repro.core.decisions.SelectionBatch` over an exact
+        possession matrix (what the vectorized scheduler returns) is
+        read as its columns: the source-candidate picks and the §5.1
+        merge are array gathers and server names are only materialized
+        once per final group. Any other sequence is grouped selection by
+        selection. Groups, commodities, and directives are identical
+        either way.
         """
         started = _time.perf_counter()
         if not selections:
@@ -158,16 +254,15 @@ class BDSRouter:
                 reuse_horizon=None,
             )
 
-        if (
-            batch is not None
-            and len(batch.gids) == len(selections)
-            and getattr(view.store, "is_exact_matrix", False)
+        cache = view._cache if view._cache is not None else CycleCache()
+        if isinstance(selections, SelectionBatch) and getattr(
+            view.store, "is_exact_matrix", False
         ):
-            grouping = self._group_columns(view, batch)
+            grouping = self._group_columns(view, selections, cache)
         else:
             grouping = self._group_selections(view, selections)
-        commodities, members = self._build_commodities(view, grouping)
-        if not commodities:
+        members, demands, paths = self._build_commodities(view, grouping, cache)
+        if not members:
             return [], RoutingDiagnostics(
                 backend=self.backend,
                 num_selections=len(selections),
@@ -177,19 +272,26 @@ class BDSRouter:
                 reuse_horizon=None,
             )
 
-        rates, solver = self._solve(view, commodities, view.bulk_capacities)
-        directives = self._to_directives(grouping, commodities, members, rates)
-        objective = sum(rates.values())
+        if self.backend == "greedy":
+            rates, order = greedy_waterfill(
+                demands, paths, cache.capacity_vector(view.bulk_capacities)
+            )
+            solver = _NO_SOLVER_STATS
+        else:
+            rates, order, solver = self._solve_incidence(
+                view, grouping, members, demands, paths, cache.res_keys
+            )
+        directives = self._to_directives(grouping, members, rates)
         return directives, RoutingDiagnostics(
             backend=self.backend,
             num_selections=len(selections),
-            num_commodities=len(commodities),
-            objective=objective,
+            num_commodities=len(members),
+            objective=sum([rates[ci][pi] for ci, pi in order]),
             runtime=_time.perf_counter() - started,
             iterations=solver[0],
             phases=solver[1],
             warm_start=solver[2],
-            reuse_horizon=self._certify_reuse_horizon(commodities, rates),
+            reuse_horizon=self._certify_reuse_horizon(demands, rates, order),
         )
 
     # -- step 1 & 2: source candidates and merging -------------------------------
@@ -291,7 +393,9 @@ class BDSRouter:
             buffered=np.array(buffered) if any(buffered) else None,
         )
 
-    def _pick_sources(self, view: ClusterView, batch: SelectionBatch) -> np.ndarray:
+    def _pick_sources(
+        self, view: ClusterView, batch: SelectionBatch, cache: CycleCache
+    ) -> np.ndarray:
         """Source server ids per selection: ``(rows, picks)``, -1 padded.
 
         :meth:`_candidate_sources` for every row at once. A pick depends
@@ -353,7 +457,6 @@ class BDSRouter:
         held = np.unpackbits(
             class_words.view(np.uint8), axis=1, bitorder="little"
         )[:, dc_order].view(np.int8)
-        cache = view._cache if view._cache is not None else CycleCache()
         reach = cache.reach_table(
             view.topology.epoch, view.failed_links, num_servers
         )
@@ -417,7 +520,7 @@ class BDSRouter:
         return picked
 
     def _group_columns(
-        self, view: ClusterView, batch: SelectionBatch
+        self, view: ClusterView, batch: SelectionBatch, cache: CycleCache
     ) -> _Grouping:
         """Pick and merge (§5.1) the batch's rows as index segments.
 
@@ -430,7 +533,7 @@ class BDSRouter:
         names = matrix.server_names
         num_servers = matrix.num_servers
         jobs = batch.jobs
-        picked = self._pick_sources(view, batch)
+        picked = self._pick_sources(view, batch, cache)
         slot, dst, index = batch.job_slots, batch.dst_sids, batch.indices
         # Rows without a usable source drop out; ``number`` keeps the
         # surviving rows' selection numbers.
@@ -520,9 +623,14 @@ class BDSRouter:
     # -- step 3: commodity construction and solving -------------------------------
 
     def _build_commodities(
-        self, view: ClusterView, grouping: _Grouping
-    ) -> Tuple[List[Commodity], List[int]]:
-        """One commodity per group with bytes left; and which group each is.
+        self, view: ClusterView, grouping: _Grouping, cache: CycleCache
+    ) -> Tuple[List[int], List[float], List[Tuple[Tuple[int, ...], ...]]]:
+        """One commodity per group with bytes left, as parallel lists.
+
+        Per commodity: which group it is, its demand (bytes/s), and one
+        path per candidate source as resource numbers of ``cache``'s
+        resource-id table (probed through ``view.flow_resources`` the
+        first time a pair is seen).
 
         A group's demand folds its rows' ``size - buffered`` with the
         builtin ``sum`` in selection order — the operands are gathered
@@ -530,11 +638,14 @@ class BDSRouter:
         (numpy's pairwise sum rounds differently, and demands decide
         rates, which decide fingerprinted bytes).
         """
-        commodities: List[Commodity] = []
         members: List[int] = []
+        demands: List[float] = []
+        paths: List[Tuple[Tuple[int, ...], ...]] = []
         dt = view.cycle_seconds
         sizes, buffered, bounds = grouping.sizes, grouping.buffered, grouping.bounds
         operands = (sizes if buffered is None else sizes - buffered).tolist()
+        cache.validate_paths(view.topology.epoch, view.failed_links)
+        path_ids = cache.path_ids
         for g, key in enumerate(grouping.keys):
             remaining = sum(operands[bounds[g] : bounds[g + 1]])
             if remaining <= 0:
@@ -542,66 +653,85 @@ class BDSRouter:
             dst_server = grouping.dst_servers[g]
             # Candidate sources are pre-filtered for routability, so every
             # source has a failure-aware path here.
-            paths = tuple(
-                tuple(view.flow_resources(src, dst_server) or ())
-                for src in key[2]
-            )
-            if any(not p for p in paths):
+            candidates = []
+            for src in key[2]:
+                pair = (src, dst_server)
+                path = path_ids.get(pair)
+                if path is None:
+                    path = cache.intern_path(
+                        pair, view.flow_resources(src, dst_server)
+                    )
+                candidates.append(path)
+            if not all(candidates):
                 continue  # a link failed between grouping and routing
-            commodities.append(
-                Commodity(name=key, paths=paths, demand=remaining / dt)
-            )
             members.append(g)
-        return commodities, members
+            demands.append(remaining / dt)
+            paths.append(tuple(candidates))
+        return members, demands, paths
 
-    def _solve(
+    def _solve_incidence(
         self,
         view: ClusterView,
-        commodities: List[Commodity],
-        capacities: Mapping[ResourceKey, float],
-    ) -> Tuple[Dict[Tuple[GroupKey, int], float], SolverStats]:
-        """Dispatch to the configured backend; returns per-path rates.
+        grouping: _Grouping,
+        members: List[int],
+        demands: List[float],
+        paths: List[Tuple[Tuple[int, ...], ...]],
+        res_keys: Sequence,
+    ) -> Tuple[Rates, TouchOrder, SolverStats]:
+        """The FPTAS and exact-LP backends, over one compiled incidence.
 
-        All three backends solve over one shared
-        :class:`~repro.lp.incidence.PathIncidence` compiled here. Lenient
-        mode reproduces the historical greedy semantics: a resource missing
-        from the capacity map counts as zero capacity, which simply makes
-        the paths crossing it unusable (e.g. a link that failed between
-        grouping and routing).
+        Both want named :class:`~repro.lp.mcf.Commodity` objects with
+        resource-key paths; they are built here, for these backends
+        only. Lenient mode: a resource missing from the capacity map
+        counts as zero capacity, which makes the paths crossing it
+        unusable.
         """
-        incidence = PathIncidence.build(commodities, capacities, strict=False)
-        if self.backend == "greedy":
-            rates = self._solve_greedy(commodities, capacities, incidence=incidence)
-            return rates, _NO_SOLVER_STATS
+        commodities = [
+            Commodity(
+                name=grouping.keys[g],
+                paths=tuple(
+                    tuple([res_keys[i] for i in path]) for path in candidates
+                ),
+                demand=demand,
+            )
+            for g, demand, candidates in zip(members, demands, paths)
+        ]
+        incidence = PathIncidence.build(
+            commodities, view.bulk_capacities, strict=False
+        )
         if self.backend == "lp":
             result = solve_lp_incidence(incidence)
-            return dict(result.path_flows), _NO_SOLVER_STATS
-        # FPTAS with cross-cycle warm start: offer last cycle's solver
-        # state while (topology epoch, failure set) is unchanged. The
-        # solver re-verifies capacities/ε itself and certifies the warm
-        # solve against its dual bound, so this can only help, never hurt.
-        warm = self._warm.validate(view.topology.epoch, view.failed_links)
-        result = max_multicommodity_flow(
-            commodities,
-            capacities,
-            epsilon=self.epsilon,
-            warm=warm,
-            incidence=incidence,
-        )
-        if result.warm_state is not None:
-            self._warm.store(
-                view.topology.epoch, view.failed_links, result.warm_state
+            solver = _NO_SOLVER_STATS
+        else:
+            # FPTAS with cross-cycle warm start: offer last cycle's solver
+            # state while (topology epoch, failure set) is unchanged. The
+            # solver re-verifies capacities/ε itself and certifies the
+            # warm solve against its dual bound, so this can only help,
+            # never hurt.
+            warm = self._warm.validate(view.topology.epoch, view.failed_links)
+            result = max_multicommodity_flow(
+                commodities,
+                view.bulk_capacities,
+                epsilon=self.epsilon,
+                warm=warm,
+                incidence=incidence,
             )
-        return dict(result.path_flows), (
-            result.iterations,
-            result.phases,
-            result.warm_start,
-        )
+            if result.warm_state is not None:
+                self._warm.store(
+                    view.topology.epoch, view.failed_links, result.warm_state
+                )
+            solver = (result.iterations, result.phases, result.warm_start)
+        commodity_of = {c.name: ci for ci, c in enumerate(commodities)}
+        rates: Rates = [[0.0] * len(candidates) for candidates in paths]
+        order: TouchOrder = []
+        for (name, pi), rate in result.path_flows.items():
+            ci = commodity_of[name]
+            rates[ci][pi] = rate
+            order.append((ci, pi))
+        return rates, order, solver
 
     def _certify_reuse_horizon(
-        self,
-        commodities: List[Commodity],
-        rates: Mapping[Tuple[GroupKey, int], float],
+        self, demands: List[float], rates: Rates, order: TouchOrder
     ) -> Optional[int]:
         """Demand-independence certificate for the greedy backend.
 
@@ -633,18 +763,14 @@ class BDSRouter:
         """
         if self.backend != "greedy":
             return 0
-        pushed: Dict[int, float] = {}
-        names = {c.name: i for i, c in enumerate(commodities)}
-        for (name, _path), rate in rates.items():
-            i = names[name]
-            pushed[i] = pushed.get(i, 0.0) + rate
+        # A commodity's pushed total folds its paths' rates in the order
+        # they first carried flow.
+        pushed = [0.0] * len(demands)
+        for ci, pi in order:
+            pushed[ci] += rates[ci][pi]
         horizon: Optional[int] = None
-        for i, commodity in enumerate(commodities):
-            p = pushed.get(i, 0.0)
+        for demand, p in zip(demands, pushed):
             if p <= 0.0:
-                continue
-            demand = commodity.demand
-            if demand is None:
                 continue
             margin = 1e-6 * demand + 1e-3
             slack = demand - p
@@ -657,113 +783,11 @@ class BDSRouter:
                 horizon = h
         return horizon
 
-    @staticmethod
-    def _solve_greedy(
-        commodities: List[Commodity],
-        capacities: Mapping[ResourceKey, float],
-        fair_rounds: int = 3,
-        incidence: Optional[PathIncidence] = None,
-    ) -> Dict[Tuple[GroupKey, int], float]:
-        """Round-robin water-filling in commodity order (rarity order).
-
-        Pure first-come-first-served greedy lets the first commodity drain
-        a shared uplink and starves every destination behind it, so the
-        allocation happens in two phases:
-
-        1. ``fair_rounds`` round-robin passes where each commodity pushes at
-           most ``room / remaining_commodities`` on its best residual path —
-           an approximation of max-min sharing;
-        2. a final pass in rarity order that hands out whatever is left.
-
-        The per-path residual room (a min over the path's resources) is
-        the inner-loop cost. It is precomputed from the shared incidence
-        arrays into per-commodity *(original path index, resource index
-        list)* pairs over a dense residual vector — unusable paths are
-        pre-dropped, only touched resources are materialized (no full
-        capacity-map copy per solve), and the min runs over plain integer
-        indices. Router commodities have at most ``max_sources_per_group``
-        short paths, so these tiny reductions stay in pure Python — a
-        vectorized ``reduceat`` per commodity measures ~2× *slower* at
-        this shape (per-call overhead dominates 9-element segments). The
-        result is bit-identical to the historical dict-walking loop: min
-        is exact over the same floats, ties break on the first maximum
-        (lowest path index), and residual updates subtract once per
-        resource *occurrence*.
-        """
-        inc = incidence
-        if inc is None:
-            inc = PathIncidence.build(commodities, capacities, strict=False)
-        residual: List[float] = inc.caps.tolist()
-        rates: Dict[Tuple[GroupKey, int], float] = {}
-        remaining: Dict[int, float] = {
-            i: (c.demand if c.demand is not None else float("inf"))
-            for i, c in enumerate(commodities)
-        }
-
-        # Per-commodity usable paths as (orig path index, resource index
-        # list) pairs, unpacked from the incidence arrays once.
-        starts = inc.path_starts.tolist()
-        lens = inc.path_lens.tolist()
-        flat = inc.flat_res.tolist()
-        orig = inc.path_orig_index.tolist()
-        paths_of: List[List[Tuple[int, List[int]]]] = []
-        for ci in range(inc.num_commodities):
-            lo, hi = inc.commodity_path_range[ci]
-            paths_of.append(
-                [
-                    (orig[p], flat[starts[p] : starts[p] + lens[p]])
-                    for p in range(lo, hi)
-                ]
-            )
-
-        def push_flow(index: int, limit_fraction: float) -> None:
-            plist = paths_of[index]
-            if not plist:
-                return
-            demand = remaining[index]
-            while demand > 1e-9:
-                best_pi, best_room, best_idxs = -1, 0.0, None
-                for pi, idxs in plist:
-                    room = min(residual[i] for i in idxs)
-                    if room > best_room:
-                        best_room = room
-                        best_pi = pi
-                        best_idxs = idxs
-                if best_pi < 0 or best_room <= 1e-9:
-                    break
-                push = min(demand, best_room * limit_fraction)
-                if push <= 1e-9:
-                    break
-                key = (commodities[index].name, best_pi)
-                rates[key] = rates.get(key, 0.0) + push
-                for i in best_idxs:
-                    residual[i] -= push
-                demand -= push
-                if limit_fraction < 1.0:
-                    break  # one quantum per fair-round visit
-            remaining[index] = demand
-
-        active = [i for i, d in remaining.items() if d > 1e-9]
-        for _round in range(fair_rounds):
-            if not active:
-                break
-            share = 1.0 / max(len(active), 1)
-            for i in active:
-                push_flow(i, share)
-            active = [i for i in active if remaining[i] > 1e-9]
-        for i in range(len(commodities)):
-            if remaining[i] > 1e-9:
-                push_flow(i, 1.0)
-        return rates
-
     # -- step 4: rates -> directives ----------------------------------------------
 
     @staticmethod
     def _to_directives(
-        grouping: _Grouping,
-        commodities: List[Commodity],
-        members: List[int],
-        rates: Mapping[Tuple[GroupKey, int], float],
+        grouping: _Grouping, members: List[int], rates: Rates
     ) -> List[TransferDirective]:
         """Split each merged group's blocks across its allocated sources.
 
@@ -794,13 +818,12 @@ class BDSRouter:
         # ``lo:hi`` is its segment of ``sent``.
         emitted: List[tuple] = []
         sent: List[int] = []
-        for commodity, g in zip(commodities, members):
-            key: GroupKey = commodity.name  # type: ignore[assignment]
-            job_id, _label, sources = key
+        keys = grouping.keys
+        for g, row in zip(members, rates):
+            job_id, _label, sources = keys[g]
             flowing = []
             flows = []
-            for pi, src in enumerate(sources):
-                rate = rates.get((key, pi), 0.0)
+            for src, rate in zip(sources, row):
                 if rate > 1e-9:
                     flowing.append(src)
                     flows.append(rate)

@@ -15,9 +15,10 @@ Three implementations coexist, selected by what the view carries:
   destination) pairs live in the static per-(job, DC) int arrays of a
   :class:`~repro.net.candidates.CandidateTable`; pending-ness, rarity and
   the health filters are numpy gathers against the possession matrix, and
-  the rarity order is one stable integer sort. Emits a
-  :class:`~repro.core.decisions.SelectionBatch` so the router can keep
-  working in interned-id space.
+  the rarity order is one stable integer sort. Returns the selection as
+  its int columns — a :class:`~repro.core.decisions.SelectionBatch`,
+  which is a ``Sequence[ScheduledBlock]`` that builds objects only when
+  read as one — so the router keeps working in interned-id space.
 * **cached scalar**: per-candidate queries deduped through the
   :class:`~repro.net.cycle_cache.CycleCache` (PR 1's path; also the
   fallback whenever the matrix is not the exact truth — speculation
@@ -31,41 +32,13 @@ All three produce identical selections in identical order.
 from __future__ import annotations
 
 import time as _time
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.decisions import ScheduledBlock, SelectionBatch
 from repro.net.simulator import ClusterView
 from repro.overlay.blocks import Block
-
-
-def _make_scheduled(
-    job_id: str,
-    block: Block,
-    dst_dc: str,
-    dst_server: str,
-    duplicates: int,
-    is_relay: bool,
-) -> ScheduledBlock:
-    """Construct a ScheduledBlock without the frozen-dataclass __init__.
-
-    The kernel builds one per selected row; at 10^5-selection cold cycles
-    the dataclass ``__init__`` (five guarded ``object.__setattr__`` calls)
-    is the single largest remaining cost. Writing the ``__dict__`` directly
-    yields an instance indistinguishable from the constructor's (same
-    fields, eq, hash, repr) at roughly a third of the cost.
-    """
-    sb = ScheduledBlock.__new__(ScheduledBlock)
-    sb.__dict__.update(
-        job_id=job_id,
-        block=block,
-        dst_dc=dst_dc,
-        dst_server=dst_server,
-        duplicates=duplicates,
-        is_relay=is_relay,
-    )
-    return sb
 
 
 class RarestFirstScheduler:
@@ -86,11 +59,8 @@ class RarestFirstScheduler:
             raise ValueError("max_blocks_per_cycle must be >= 0")
         self.max_blocks_per_cycle = max_blocks_per_cycle
         self.use_relays = use_relays
-        # Integer companion of the last vectorized selection (None when a
-        # scalar path ran); the router picks it up for its batched build.
-        self.last_batch: Optional[SelectionBatch] = None
 
-    def select(self, view: ClusterView) -> List[ScheduledBlock]:
+    def select(self, view: ClusterView) -> Sequence[ScheduledBlock]:
         """The cycle's ``w`` assignments, rarest blocks first.
 
         Only deliveries with at least one healthy source and a healthy
@@ -98,7 +68,6 @@ class RarestFirstScheduler:
         space, §5.3). Relay placements sort after all real deliveries.
         """
         started = _time.perf_counter()
-        self.last_batch = None
         table = getattr(view, "_candidates", None)
         store = view.store
         # Engage the kernel only when the view's store is the very object
@@ -124,7 +93,7 @@ class RarestFirstScheduler:
 
     def _select_vectorized(
         self, view: ClusterView, table, matrix, started: float
-    ) -> Optional[List[ScheduledBlock]]:
+    ) -> Optional[SelectionBatch]:
         """Array-native selection over the static candidate table.
 
         Returns ``None`` (fall back to the scalar paths) if the table
@@ -160,16 +129,13 @@ class RarestFirstScheduler:
         use_relays = self.use_relays
 
         # Per-surviving-row columns, one array per group, concatenated
-        # once. ``row`` is the candidate's original row in its group, the
-        # index into the group's ScheduledBlock cache. Fields that are
-        # constant within a group (slot, relay flag, priority, DC gid,
-        # job slot) are never materialized as columns: the sort key folds
-        # them in as scalars, and the capped winners recover their group
-        # slot by a searchsorted over the group offsets — at 10^7
-        # candidate rows those five constant columns and their
-        # concatenations were the largest memory-traffic term of a cold
-        # cycle.
-        row_cols: List[np.ndarray] = []
+        # once. Fields that are constant within a group (slot, relay flag,
+        # priority, destination DC, job slot) are never materialized as
+        # columns: the sort key folds them in as scalars, and the capped
+        # winners recover their group slot by a searchsorted over the
+        # group offsets — at 10^7 candidate rows those constant columns
+        # and their concatenations were the largest memory-traffic term
+        # of a cold cycle.
         idx_cols: List[np.ndarray] = []
         dst_cols: List[np.ndarray] = []
         dup_cols: List[np.ndarray] = []
@@ -178,7 +144,8 @@ class RarestFirstScheduler:
         grp_prio: List[int] = []
         grp_dup_max: List[int] = []
         grp_idx_max: List[int] = []
-        group_refs: List[Tuple] = []  # (job, group, job_slot)
+        grp_job_slot: List[int] = []
+        grp_place: List[Tuple] = []  # (job, destination DC, is relay)
 
         for job_slot, job in enumerate(view.jobs):
             groups = groups_by_job.get(job.job_id)
@@ -231,12 +198,11 @@ class RarestFirstScheduler:
                     dst = dst[ok]
                     if dst.size == 0:
                         continue
-                    rows = rows[ok]
                     idx = idx[ok]
                     dup = dup[ok]
                     gids = gids[ok]
-                group_refs.append((job, group, job_slot))
-                row_cols.append(rows)
+                grp_job_slot.append(job_slot)
+                grp_place.append((job, group.dc, group.is_relay))
                 idx_cols.append(idx)
                 dst_cols.append(dst)
                 dup_cols.append(dup)
@@ -246,25 +212,21 @@ class RarestFirstScheduler:
                 grp_dup_max.append(int(dup.max()))
                 grp_idx_max.append(int(idx.max()))
 
-        if not group_refs:
+        jobs = list(view.jobs)
+        if not grp_place:
             empty = np.empty(0, dtype=np.int64)
-            self.last_batch = SelectionBatch(
-                jobs=list(view.jobs),
-                gids=empty,
-                indices=empty,
-                dst_sids=empty,
-                job_slots=empty,
-            )
             self.last_runtime = _time.perf_counter() - started
-            return []
+            return SelectionBatch(
+                jobs, empty, empty, empty, empty, empty, empty, [],
+                matrix.server_names,
+            )
 
-        row_col = np.concatenate(row_cols)
         idx_col = np.concatenate(idx_cols)
         dst_col = np.concatenate(dst_cols)
         dup_col = np.concatenate(dup_cols)
         gid_col = np.concatenate(gid_cols)
         sizes = np.fromiter(
-            (a.size for a in row_cols), dtype=np.int64, count=len(row_cols)
+            (a.size for a in idx_cols), dtype=np.int64, count=len(idx_cols)
         )
         ends = np.cumsum(sizes)
 
@@ -282,7 +244,7 @@ class RarestFirstScheduler:
         idx_range = max(grp_idx_max) + 1
         if 2 * prio_range * dup_range * idx_range < (1 << 62):
             key_cols: List[np.ndarray] = []
-            for g in range(len(group_refs)):
+            for g in range(len(grp_place)):
                 prefix = (
                     (grp_relay[g] * prio_range + (grp_prio[g] - pmin))
                     * dup_range
@@ -304,54 +266,22 @@ class RarestFirstScheduler:
             order = order[: self.max_blocks_per_cycle]
 
         # Winners recover their group slot from the offsets; the per-slot
-        # constants are then two tiny gathers instead of full columns.
-        slot_arr = np.searchsorted(ends, order, side="right")
-        jslot_per_slot = np.fromiter(
-            (js for (_job, _group, js) in group_refs),
-            dtype=np.int64,
-            count=len(group_refs),
-        )
-        sel_slot = slot_arr.tolist()
-        sel_row = row_col[order].tolist()
-        idx_sel = idx_col[order]
-        dst_sel = dst_col[order]
-        sel_idx = idx_sel.tolist()
-        sel_dst = dst_sel.tolist()
-        sel_dup = dup_col[order].tolist()
-        names = matrix.server_names
-        make = _make_scheduled
-        selected: List[ScheduledBlock] = []
-        append = selected.append
-        # ScheduledBlock construction only for the final slice, and only
-        # for rows whose cached object is missing or carries a stale
-        # ``duplicates`` — every other field of a candidate row is static,
-        # so steady-state cycles mostly reuse last cycle's objects.
-        for slot, row, idx, dst, dup in zip(
-            sel_slot, sel_row, sel_idx, sel_dst, sel_dup
-        ):
-            job, group, _job_slot = group_refs[slot]
-            obj = group.objs[row]
-            if obj is None or group.objs_dup[row] != dup:
-                obj = make(
-                    job.job_id,
-                    job.blocks[idx],
-                    group.dc,
-                    names[dst],
-                    dup,
-                    group.is_relay,
-                )
-                group.objs[row] = obj
-                group.objs_dup[row] = dup
-            append(obj)
-        self.last_batch = SelectionBatch(
-            jobs=list(view.jobs),
-            gids=gid_col[order],
-            indices=idx_sel,
-            dst_sids=dst_sel,
-            job_slots=jslot_per_slot[slot_arr],
+        # constants are then one tiny gather instead of full columns, and
+        # the selection leaves as its columns — no per-row Python.
+        slots = np.searchsorted(ends, order, side="right")
+        batch = SelectionBatch(
+            jobs,
+            gid_col[order],
+            idx_col[order],
+            dst_col[order],
+            np.asarray(grp_job_slot, dtype=np.int64)[slots],
+            dup_col[order],
+            slots,
+            grp_place,
+            matrix.server_names,
         )
         self.last_runtime = _time.perf_counter() - started
-        return selected
+        return batch
 
     # -- scalar paths ------------------------------------------------------
 

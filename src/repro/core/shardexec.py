@@ -300,9 +300,7 @@ class ShardMirror:
         )
         started = _time.perf_counter()
         selections = self.scheduler.select(view)
-        directives, diag = self.router.route(
-            view, selections, batch=getattr(self.scheduler, "last_batch", None)
-        )
+        directives, diag = self.router.route(view, selections)
         wall = _time.perf_counter() - started
         return ShardResult(
             directives=directives,

@@ -11,10 +11,11 @@ flat integer arrays once, shared by
   (static bottlenecks, re-clip, dual certificate) are ``reduceat`` /
   ``bincount`` over these arrays; its push loop folds each ≤ 4-term path
   length over ``.tolist()``ed slices of them, in ``reduceat``'s order;
-* the exact LP (:func:`repro.lp.mcf.solve_lp_incidence` — constraint rows);
-* the greedy water-filler (:meth:`repro.core.routing.BDSRouter._solve_greedy`
-  — per-path residual room over ``.tolist()``ed index lists, for the same
-  reason: router paths are too short to repay a numpy call each).
+* the exact LP (:func:`repro.lp.mcf.solve_lp_incidence` — constraint rows).
+
+(The router's greedy water-fill does not compile one: it indexes a
+residual vector with the :class:`~repro.net.cycle_cache.CycleCache`'s
+resource numbers, which outlive the cycle.)
 
 Layout (CSR-style, usable paths only, grouped by commodity so each
 commodity's paths occupy one contiguous id range):

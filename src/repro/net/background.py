@@ -133,18 +133,29 @@ class BackgroundTraffic:
 
     # -- event-engine horizon API -----------------------------------------
 
-    def state_token(self, cycle: int, dt: float) -> int:
-        """A value naming the background state at ``cycle``.
+    def state_token_at(self, time_s: float) -> Optional[int]:
+        """A value naming the background state at ``time_s``, if it has one.
 
-        Equal tokens guarantee equal ``usage`` answers for every link (for
-        a static curve or within one step); a varying continuous curve
-        returns the cycle itself, so no two cycles ever compare equal.
+        Equal tokens guarantee equal ``usage`` answers for every link: a
+        static curve is one state, a stepped curve one state per step. A
+        varying continuous curve has no state that outlives a query
+        (``None``): every ``usage`` call is a fresh draw.
         """
         if self.is_static():
             return -1
         if self.step_seconds > 0:
-            return self._step_index(cycle * dt)
-        return cycle
+            return self._step_index(time_s)
+        return None
+
+    def state_token(self, cycle: int, dt: float) -> int:
+        """A value naming the background state at ``cycle``.
+
+        :meth:`state_token_at` the cycle's start; a varying continuous
+        curve returns the cycle itself, so no two cycles ever compare
+        equal.
+        """
+        token = self.state_token_at(cycle * dt)
+        return cycle if token is None else token
 
     def next_change_after(self, cycle: int, dt: float) -> Optional[int]:
         """First cycle after ``cycle`` whose state token differs.

@@ -48,8 +48,6 @@ class CandidateGroup:
         "indices",
         "dst_sids",
         "alive",
-        "objs",
-        "objs_dup",
     )
 
     def __init__(
@@ -72,14 +70,6 @@ class CandidateGroup:
         # Row positions not yet known to be possession-dead. Starts full;
         # the kernel shrinks it when a cycle's gather finds >50% dead.
         self.alive = np.arange(len(indices), dtype=np.int64)
-        # Per-row ScheduledBlock cache, indexed by *original* row position
-        # (compaction shrinks ``alive`` but never renumbers rows). Every
-        # field of a row's ScheduledBlock is static except ``duplicates``,
-        # so the kernel reuses the cached object while ``objs_dup`` still
-        # matches the cycle's rarity gather and rebuilds it otherwise —
-        # steady-state cycles then construct no objects at all.
-        self.objs: List[object] = [None] * len(indices)
-        self.objs_dup: List[int] = [-1] * len(indices)
 
 
 class CandidateTable:
@@ -200,14 +190,14 @@ class CandidateTable:
         return pat[np.arange(n, dtype=np.int64) % period]
 
     def state_bytes(self) -> int:
-        """Bytes held by the candidate arrays (plus the object caches).
+        """Bytes held by the candidate arrays.
 
         Per group: the shared gids/indices arrays are counted once per
         job via their group references (they alias across a job's
         groups, but the estimate deliberately counts the per-group view
         the kernel touches — a stable, monotone overapproximation that
-        shrinks with ``alive`` compaction), the per-group dst/alive
-        arrays, and 8 pointer bytes per ScheduledBlock cache slot.
+        shrinks with ``alive`` compaction) and the per-group dst/alive
+        arrays.
         """
         total = 0
         for groups in self.groups_by_job.values():
@@ -218,5 +208,4 @@ class CandidateTable:
                     + g.dst_sids.nbytes
                     + g.alive.nbytes
                 )
-                total += 16 * len(g.objs)
         return total

@@ -12,7 +12,10 @@ explicit validity key so stale answers are structurally impossible:
 
 * **paths** — ``flow_resources(src, dst)`` results, valid while
   ``(topology.epoch, failed_links)`` is unchanged. In a failure-free run
-  this cache survives across *all* cycles.
+  this cache survives across *all* cycles. The router's twins of it —
+  the dense ``reach`` table and the resource-id table (``ResourceKey ->
+  int`` plus ``(src, dst) -> tuple of ints``, what the greedy water-fill
+  indexes its residual vector with) — share its key and its flush.
 * **sources** — eligible-source lists per block, valid while
   ``(store.epoch, failed_agents)`` is unchanged. Any possession mutation
   (delivery, seed, drop) bumps the store epoch and flushes it.
@@ -139,6 +142,9 @@ class CycleCache:
         "_path_key",
         "paths",
         "reach",
+        "res_ids",
+        "res_keys",
+        "path_ids",
         "_source_key",
         "sources",
         "rarity",
@@ -159,6 +165,14 @@ class CycleCache:
         # (1 yes, 0 no, -1 not probed yet). Same validity key; flushed
         # together with ``paths``.
         self.reach: Optional[np.ndarray] = None
+        # Integer twin of ``paths`` for the greedy water-fill: resources
+        # numbered in first-appearance order (``res_keys`` is the inverse
+        # of ``res_ids``) and each pair's path as a tuple of those numbers
+        # — ``()`` when the destination is unreachable. Same validity key;
+        # flushed together with ``paths``.
+        self.res_ids: Dict[ResourceKey, int] = {}
+        self.res_keys: List[ResourceKey] = []
+        self.path_ids: Dict[Tuple[str, str], Tuple[int, ...]] = {}
         self._source_key: Optional[SourceKey] = None
         self.sources: Dict[BlockId, List[str]] = {}
         self.rarity: Dict[BlockId, int] = {}
@@ -176,9 +190,12 @@ class CycleCache:
         key = (topology_epoch, failed_links)
         if key != self._path_key:
             self._path_key = key
-            if self.paths or self.reach is not None:
+            if self.paths or self.reach is not None or self.path_ids:
                 self.paths = {}
                 self.reach = None
+                self.res_ids = {}
+                self.res_keys = []
+                self.path_ids = {}
                 self.flushes += 1
         return self.paths
 
@@ -194,6 +211,37 @@ class CycleCache:
             self.reach = np.full((num_servers, num_servers), -1, dtype=np.int8)
             np.fill_diagonal(self.reach, 0)
         return self.reach
+
+    def intern_path(
+        self,
+        pair: Tuple[str, str],
+        resources: Optional[Tuple[ResourceKey, ...]],
+    ) -> Tuple[int, ...]:
+        """Record ``pair``'s path in the resource-id table; returns its ids.
+
+        ``resources`` is what ``flow_resources(*pair)`` answered under the
+        key :meth:`validate_paths` last saw (``None``: unreachable).
+        """
+        res_ids = self.res_ids
+        ids = []
+        for resource in resources or ():
+            number = res_ids.get(resource)
+            if number is None:
+                number = res_ids[resource] = len(self.res_keys)
+                self.res_keys.append(resource)
+            ids.append(number)
+        path = self.path_ids[pair] = tuple(ids)
+        return path
+
+    def capacity_vector(self, capacities) -> List[float]:
+        """``capacities`` by resource number, for the greedy water-fill.
+
+        Lenient: a resource the map lacks has no capacity, which makes
+        the paths crossing it unusable (e.g. a link that failed between
+        grouping and routing).
+        """
+        capacity = capacities.get
+        return [float(capacity(key, 0.0)) for key in self.res_keys]
 
     def validate_sources(
         self, store_epoch: int, failed_agents: FrozenSet

@@ -20,10 +20,23 @@ next cycle, exactly like BDS's per-cycle choice of ``w_b,s``.
 
 from __future__ import annotations
 
+import bisect
 import copy
+import itertools
 import time as _time
-from dataclasses import FrozenInstanceError, dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from collections import abc
+from dataclasses import FrozenInstanceError, dataclass, field, replace
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -55,8 +68,7 @@ BlockId = Tuple[str, int]
 _DELIVERY_BATCH_MIN = 32
 
 #: Fast-forward chunk cap: at most this many cycles are skipped per
-#: analytic pass. Bounds the O(k) cumsum buffers and, with per-cycle stats
-#: on, the stats appended per pass.
+#: analytic pass. Bounds the O(k) cumsum buffers.
 _FF_CHUNK = 131072
 
 
@@ -422,6 +434,100 @@ class CycleStats:
     shard_payload_bytes: int = 0
 
 
+#: ``SimResult.stage_time_totals`` key -> the CycleStats field it sums.
+_STAGE_TIME_FIELDS = {
+    "view_build": "time_view_build",
+    "decide": "time_decide",
+    "schedule": "time_schedule",
+    "route": "time_route",
+    "rate_resolve": "time_rate_resolve",
+    "deliver": "time_deliver",
+    "deliver_apply": "time_deliver_apply",
+    "reconcile": "time_reconcile",
+}
+
+
+class CycleStatsLog(abc.Sequence):
+    """A run's per-cycle :class:`CycleStats`, fast-forwarded stretches as runs.
+
+    Reads like the list it replaces (``len``, index, slice, iteration,
+    ``==`` against a list, truthiness, pickle). A stretch of cycles the
+    event engine skipped in one pass is stored as a single record — its
+    first cycle's stats and a count: the cycles of a stretch differ only
+    in ``cycle`` and ``time`` — and expanded into per-cycle objects only
+    when read as such. :meth:`runs` reads the records as they are.
+    """
+
+    def __init__(
+        self, stats: Iterable[CycleStats] = (), cycle_seconds: float = 0.0
+    ) -> None:
+        self._first: List[CycleStats] = list(stats)
+        self._count: List[int] = [1] * len(self._first)
+        #: Per record, the position of its first cycle (built on demand).
+        self._starts: Optional[List[int]] = None
+        self._len = len(self._first)
+        #: ΔT: cycle ``c`` of a run starts at ``c * cycle_seconds``.
+        self.cycle_seconds = cycle_seconds
+
+    def append(self, stats: CycleStats) -> None:
+        self.append_run(stats, 1)
+
+    def append_run(self, first: CycleStats, count: int) -> None:
+        """``count`` consecutive cycles equal to ``first`` but for
+        ``cycle`` (counting up from ``first.cycle``) and ``time``."""
+        self._first.append(first)
+        self._count.append(count)
+        self._starts = None
+        self._len += count
+
+    def runs(self) -> Iterator[Tuple[CycleStats, int]]:
+        """``(first cycle's stats, number of cycles)`` per record."""
+        return zip(self._first, self._count)
+
+    def _expanded(self, first: CycleStats, offset: int) -> CycleStats:
+        if offset == 0:
+            return first
+        cycle = first.cycle + offset
+        return replace(
+            first,
+            cycle=cycle,
+            time=cycle * self.cycle_seconds,
+            link_bulk_usage=dict(first.link_bulk_usage),
+            link_online_usage=dict(first.link_online_usage),
+        )
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[CycleStats]:
+        for first, count in zip(self._first, self._count):
+            for offset in range(count):
+                yield self._expanded(first, offset)
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            return [self[i] for i in range(*item.indices(self._len))]
+        index = item + self._len if item < 0 else item
+        if not 0 <= index < self._len:
+            raise IndexError("cycle index out of range")
+        if self._starts is None:
+            self._starts = [0, *itertools.accumulate(self._count)]
+        record = bisect.bisect_right(self._starts, index) - 1
+        return self._expanded(self._first[record], index - self._starts[record])
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, CycleStatsLog)):
+            return len(self) == len(other) and all(
+                mine == theirs for mine, theirs in zip(self, other)
+            )
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"CycleStatsLog({list(self)!r})"
+
+
 @dataclass
 class SimResult:
     """Everything the experiments need from one simulation run."""
@@ -432,7 +538,9 @@ class SimResult:
     job_completion: Dict[str, float]
     dc_completion: Dict[Tuple[str, str], float]
     server_completion: Dict[Tuple[str, str], float]
-    cycle_stats: List[CycleStats]
+    #: Per-cycle records; a plain list is wrapped into a
+    #: :class:`CycleStatsLog` so every reader below can walk runs.
+    cycle_stats: Sequence[CycleStats]
     store: PossessionIndex
     all_complete: bool
     # Control-plane feedback-loop samples (one per cycle) when the
@@ -443,6 +551,10 @@ class SimResult:
     # analytic fast-forward stretches. Both zero under the tick loop.
     cycles_decision_reused: int = 0
     cycles_fast_forwarded: int = 0
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.cycle_stats, CycleStatsLog):
+            self.cycle_stats = CycleStatsLog(self.cycle_stats)
 
     def completion_time(self, job_id: str) -> float:
         """Completion time of a job; raises if it never completed."""
@@ -459,7 +571,14 @@ class SimResult:
 
     def blocks_per_cycle(self) -> List[int]:
         """Delivered-block counts per cycle (the Fig. 12a series)."""
-        return [s.blocks_delivered for s in self.cycle_stats]
+        return self._per_cycle("blocks_delivered")
+
+    def _per_cycle(self, field_name: str) -> list:
+        """One :class:`CycleStats` field per cycle, read off the runs."""
+        series: list = []
+        for first, count in self.cycle_stats.runs():
+            series += [getattr(first, field_name)] * count
+        return series
 
     def stage_time_totals(self) -> Dict[str, float]:
         """Summed per-stage wall-clock seconds across all cycles.
@@ -468,34 +587,29 @@ class SimResult:
         loop spends its time (view-build / schedule / route /
         rate-resolve / deliver).
         """
-        totals = {
-            "view_build": 0.0,
-            "decide": 0.0,
-            "schedule": 0.0,
-            "route": 0.0,
-            "rate_resolve": 0.0,
-            "deliver": 0.0,
-            "deliver_apply": 0.0,
-            "reconcile": 0.0,
-        }
-        for s in self.cycle_stats:
-            totals["view_build"] += s.time_view_build
-            totals["decide"] += s.time_decide
-            totals["schedule"] += s.time_schedule
-            totals["route"] += s.time_route
-            totals["rate_resolve"] += s.time_rate_resolve
-            totals["deliver"] += s.time_deliver
-            totals["deliver_apply"] += s.time_deliver_apply
-            totals["reconcile"] += s.time_reconcile
+        totals = dict.fromkeys(_STAGE_TIME_FIELDS, 0.0)
+        for first, count in self.cycle_stats.runs():
+            for stage, field_name in _STAGE_TIME_FIELDS.items():
+                seconds = getattr(first, field_name)
+                if seconds:  # x + 0.0 == x: a fast-forwarded run adds nothing
+                    for _ in range(count):
+                        totals[stage] += seconds
         return totals
 
     def total_rate_stalemates(self) -> int:
         """Waterfill stalemate iterations across the run (diagnostic)."""
-        return sum(s.rate_stalemates for s in self.cycle_stats)
+        return sum(
+            first.rate_stalemates * count
+            for first, count in self.cycle_stats.runs()
+        )
 
     def total_bytes_transferred(self) -> float:
-        """Bytes moved across all flows over the whole run."""
-        return sum(s.bytes_transferred for s in self.cycle_stats)
+        """Bytes moved across all flows over the whole run.
+
+        Folded cycle by cycle, in order (``k`` cycles of ``x`` bytes are
+        not ``k * x`` in floats).
+        """
+        return sum(self._per_cycle("bytes_transferred"))
 
     def fingerprint(self) -> str:
         """Stable digest of the run's *deterministic* outputs.
@@ -524,9 +638,7 @@ class SimResult:
                     (list(k), v) for k, v in self.server_completion.items()
                 ),
                 "blocks_per_cycle": self.blocks_per_cycle(),
-                "bytes_per_cycle": [
-                    s.bytes_transferred for s in self.cycle_stats
-                ],
+                "bytes_per_cycle": self._per_cycle("bytes_transferred"),
             },
             sort_keys=True,
             separators=(",", ":"),
@@ -751,7 +863,8 @@ class ClusterView:
                     if not self.store.has(server, block.block_id):
                         pending.append((block, dc, server))
                 continue
-            order = order_map[key]
+            # The simulator drops a key's order list once its set empties.
+            order = order_map.get(key, ())
             if len(order) > 2 * len(entries):
                 order = [entry for entry in order if entry in entries]
                 order_map[key] = order
@@ -838,7 +951,7 @@ class ClusterView:
                     server = job.assigned_server(dc, block.block_id)
                     placements.append((block, dc, server))
                 continue
-            order = order_map[key]
+            order = order_map.get(key, ())
             if len(order) > 2 * len(entries):
                 order = [bid for bid in order if bid in entries]
                 order_map[key] = order
@@ -1119,7 +1232,7 @@ class Simulation:
         # and the memoized capacity maps (see _bulk_capacities).
         self._cycle_cache = CycleCache()
         self._wan_keys: Tuple[ResourceKey, ...] = tuple(topology.links)
-        self._bulk_cache: Dict[float, Dict[ResourceKey, float]] = {}
+        self._bulk_cache: Dict[float, list] = {}
         self._caps_ref: Optional[Dict[ResourceKey, float]] = None
 
         # Partial-bytes *membership* epoch: bumped whenever a (block, dst)
@@ -1165,9 +1278,12 @@ class Simulation:
         """(bulk capacity, online usage) per resource for this cycle.
 
         The static part (server NICs, WAN capacity × threshold) is built
-        once per threshold and reused; only WAN entries are rewritten per
-        cycle, and only when background traffic or failures can change
-        them. The returned dicts are owned by the simulator and reused
+        once per threshold and reused. WAN entries are rewritten only
+        when something they are computed from moved: the background
+        traffic's state (a stepped curve's step; a continuous varying
+        curve never repeats, so it samples — and draws from its stream —
+        on every call), the failed-link set, or the topology's capacity
+        map. The returned dicts are owned by the simulator and reused
         across cycles — consumers must not mutate or retain them.
         """
         if not self.config.incremental_engine:
@@ -1178,28 +1294,39 @@ class Simulation:
             self._caps_ref = caps
             self._wan_keys = tuple(self.topology.links)
         threshold = self.config.safety_threshold if respect_threshold else 1.0
-        bulk = self._bulk_cache.get(threshold)
-        if bulk is None:
+        budget = self._bulk_cache.get(threshold)
+        if budget is None:
             bulk = {
                 key: threshold * cap if key[0] == "wan" else cap
                 for key, cap in caps.items()
             }
-            self._bulk_cache[threshold] = bulk
-        if self.background is None and self.failures is None:
+            # [bulk, online, what the WAN entries were computed from]
+            budget = self._bulk_cache[threshold] = [bulk, {}, None]
+        bulk = budget[0]
+        background = self.background
+        failures = self.failures
+        if background is None and failures is None:
             # Steady state: WAN entries are exactly threshold × capacity
             # every cycle; nothing to recompute.
-            return bulk, {}
+            return bulk, budget[1]
+        token = -1 if background is None else background.state_token_at(now)
+        state = (
+            token,
+            frozenset(failures.failed_links) if failures else None,
+        )
+        if token is not None and state == budget[2]:
+            return bulk, budget[1]
         online: Dict[ResourceKey, float] = {}
         for key in self._wan_keys:
             cap = caps[key]
-            used = (
-                self.background.usage(key, now, cap) if self.background else 0.0
-            )
+            used = background.usage(key, now, cap) if background else 0.0
             online[key] = used
             usable = max(0.0, threshold * cap - used)
-            if self.failures and not self.failures.link_is_up(key[1], key[2]):
+            if failures and not failures.link_is_up(key[1], key[2]):
                 usable = 0.0
             bulk[key] = usable
+        budget[1] = online
+        budget[2] = state
         return bulk, online
 
     def _bulk_capacities_legacy(
@@ -1429,7 +1556,7 @@ class Simulation:
         job_completion: Dict[str, float] = {}
         dc_completion: Dict[Tuple[str, str], float] = {}
         server_completion: Dict[Tuple[str, str], float] = {}
-        cycle_stats: List[CycleStats] = []
+        cycle_stats = CycleStatsLog(cycle_seconds=dt)
         feedback_samples: List = []
         started = _time.perf_counter()
 
@@ -1966,7 +2093,7 @@ class Simulation:
         rates: Mapping[int, float],
         uses_rates: bool,
         controller_ok: bool,
-        cycle_stats: List[CycleStats],
+        cycle_stats: CycleStatsLog,
         record_stats: bool,
     ) -> int:
         """Skip k cycles analytically after a steady executed cycle.
@@ -2082,20 +2209,19 @@ class Simulation:
             self._partial[key0] = float(acc[k])
 
         if record_stats:
-            n_flows = len(directives)
-            for s in range(1, k + 1):
-                cycle_stats.append(
-                    CycleStats(
-                        cycle=cycle + s,
-                        time=(cycle + s) * dt,
-                        blocks_delivered=0,
-                        bytes_transferred=total,
-                        active_flows=n_flows,
-                        controller_available=controller_ok,
-                        decision_reused=True,
-                        fast_forwarded=True,
-                    )
-                )
+            cycle_stats.append_run(
+                CycleStats(
+                    cycle=cycle + 1,
+                    time=(cycle + 1) * dt,
+                    blocks_delivered=0,
+                    bytes_transferred=total,
+                    active_flows=len(directives),
+                    controller_available=controller_ok,
+                    decision_reused=True,
+                    fast_forwarded=True,
+                ),
+                k,
+            )
         if self.failures is not None:
             # No events fall inside the window (k was capped before the
             # next one); advance the watermark so later queries agree.
@@ -2142,6 +2268,8 @@ class Simulation:
                 relay_pending = relay_map.get((job_id, dst_dc))
                 if relay_pending is not None:
                     relay_pending.discard(bid)
+                    if not relay_pending:
+                        self._relay_order.pop((job_id, dst_dc), None)
             pending = pending_map.get((job_id, dst_dc))
             if pending is None:
                 continue  # delivery to a relay DC: not completion-tracked
@@ -2155,6 +2283,7 @@ class Simulation:
             if remaining == 0:
                 server_completion[skey] = when
             if not pending:
+                self._pending_order.pop((job_id, dst_dc), None)
                 dc_completion[(job_id, dst_dc)] = when
                 job = jobs_by_id[job_id]
                 if all((job_id, dc) in dc_completion for dc in job.dst_dcs):
@@ -2180,6 +2309,8 @@ class Simulation:
         relay_pending = self._relay_pending.get((job_id, dst_dc))
         if relay_pending is not None:
             relay_pending.discard(block.block_id)
+            if not relay_pending:
+                self._relay_order.pop((job_id, dst_dc), None)
         pending = self._pending.get((job_id, dst_dc))
         if pending is None:
             return  # delivery to a relay DC: useful, but not completion-tracked
@@ -2192,6 +2323,7 @@ class Simulation:
         if self._server_missing[skey] == 0:
             server_completion[skey] = when
         if not pending:
+            self._pending_order.pop((job_id, dst_dc), None)
             dc_completion[(job_id, dst_dc)] = when
             job = self._jobs_by_id[job_id]
             if all((job_id, dc) in dc_completion for dc in job.dst_dcs):

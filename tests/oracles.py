@@ -7,6 +7,10 @@ module; the property tests run the production kernels against these:
 * ``tests/test_columnar_handoff.py`` — the per-block Python loops that sat
   between the scheduler kernel and the store scatter, result for result
   and float for float;
+* ``tests/test_object_free_decide.py`` — the object-building middle of
+  the decide (one ``ScheduledBlock`` per selected row, one ``Commodity``
+  per group, the incidence-backed greedy water-fill, the dict-keyed deal
+  and reuse certificate) and the per-cycle WAN budget loop, bit for bit;
 * ``tests/test_fptas_kernel.py`` — the ``np.add.reduceat`` Fleischer loop
   the scalar FPTAS kernel replaced, bit for bit;
 * ``tests/test_baseline_lens.py`` — the five decentralized baselines as
@@ -25,9 +29,11 @@ from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
-from repro.lp.fptas import FPTASResult
+from repro.core.decisions import ScheduledBlock
+from repro.lp.fptas import FPTASResult, max_multicommodity_flow
+from repro.lp.incidence import PathIncidence
 from repro.utils.rng import SeedLike, make_rng
-from repro.lp.mcf import Commodity
+from repro.lp.mcf import Commodity, solve_lp_incidence
 from repro.net.topology import ResourceKey
 from repro.net.simulator import TransferDirective
 
@@ -193,8 +199,298 @@ def route(view, selections, router) -> Tuple[List[Commodity], List[TransferDirec
     commodities, group_blocks = build_commodities(view, groups)
     if not commodities:
         return [], []
-    rates, _stats = router._solve(view, commodities, view.bulk_capacities)
+    rates, _stats = solve(router, view, commodities, view.bulk_capacities)
     return commodities, to_directives(view, commodities, group_blocks, rates)
+
+
+# -- scheduler: one object per selected row -----------------------------------
+
+
+def make_scheduled(job_id, block, dst_dc, dst_server, duplicates, is_relay):
+    """A ScheduledBlock without the frozen-dataclass ``__init__``."""
+    sb = ScheduledBlock.__new__(ScheduledBlock)
+    sb.__dict__.update(
+        job_id=job_id,
+        block=block,
+        dst_dc=dst_dc,
+        dst_server=dst_server,
+        duplicates=duplicates,
+        is_relay=is_relay,
+    )
+    return sb
+
+
+def scheduled_blocks(
+    group_refs: Sequence[tuple],
+    names: Sequence[str],
+    sel_slot: Sequence[int],
+    sel_idx: Sequence[int],
+    sel_dst: Sequence[int],
+    sel_dup: Sequence[int],
+) -> List[ScheduledBlock]:
+    """The vectorized kernel's per-row zip loop (minus its object cache).
+
+    ``group_refs[slot]`` is the ``(job, destination DC, is relay)`` of the
+    candidate group a selected row came from.
+    """
+    selected: List[ScheduledBlock] = []
+    for slot, idx, dst, dup in zip(sel_slot, sel_idx, sel_dst, sel_dup):
+        job, dc, is_relay = group_refs[slot]
+        selected.append(
+            make_scheduled(job.job_id, job.blocks[idx], dc, names[dst], dup, is_relay)
+        )
+    return selected
+
+
+# -- router: Commodity objects, shared incidence, dict-keyed rates ------------
+
+
+def grouping_commodities(view, grouping) -> Tuple[List[Commodity], List[int]]:
+    """One commodity per group with bytes left; and which group each is."""
+    commodities: List[Commodity] = []
+    members: List[int] = []
+    dt = view.cycle_seconds
+    sizes, buffered, bounds = grouping.sizes, grouping.buffered, grouping.bounds
+    operands = (sizes if buffered is None else sizes - buffered).tolist()
+    for g, key in enumerate(grouping.keys):
+        remaining = sum(operands[bounds[g] : bounds[g + 1]])
+        if remaining <= 0:
+            continue
+        dst_server = grouping.dst_servers[g]
+        paths = tuple(
+            tuple(view.flow_resources(src, dst_server) or ()) for src in key[2]
+        )
+        if any(not p for p in paths):
+            continue  # a link failed between grouping and routing
+        commodities.append(Commodity(name=key, paths=paths, demand=remaining / dt))
+        members.append(g)
+    return commodities, members
+
+
+def solve_greedy(
+    commodities: Sequence[Commodity],
+    capacities: Mapping[ResourceKey, float],
+    fair_rounds: int = 3,
+) -> Dict[Tuple[Hashable, int], float]:
+    """The greedy water-fill over a compiled ``PathIncidence``.
+
+    Unusable paths (a resource missing from ``capacities`` or without
+    capacity) are dropped by the lenient build; rates are keyed
+    ``(commodity name, original path index)`` in first-touch order.
+    """
+    inc = PathIncidence.build(commodities, capacities, strict=False)
+    residual: List[float] = inc.caps.tolist()
+    rates: Dict[Tuple[Hashable, int], float] = {}
+    remaining: Dict[int, float] = {
+        i: (c.demand if c.demand is not None else float("inf"))
+        for i, c in enumerate(commodities)
+    }
+    starts = inc.path_starts.tolist()
+    lens = inc.path_lens.tolist()
+    flat = inc.flat_res.tolist()
+    orig = inc.path_orig_index.tolist()
+    paths_of: List[List[Tuple[int, List[int]]]] = []
+    for ci in range(inc.num_commodities):
+        lo, hi = inc.commodity_path_range[ci]
+        paths_of.append(
+            [(orig[p], flat[starts[p] : starts[p] + lens[p]]) for p in range(lo, hi)]
+        )
+
+    def push_flow(index: int, limit_fraction: float) -> None:
+        plist = paths_of[index]
+        if not plist:
+            return
+        demand = remaining[index]
+        while demand > 1e-9:
+            best_pi, best_room, best_idxs = -1, 0.0, None
+            for pi, idxs in plist:
+                room = min(residual[i] for i in idxs)
+                if room > best_room:
+                    best_room = room
+                    best_pi = pi
+                    best_idxs = idxs
+            if best_pi < 0 or best_room <= 1e-9:
+                break
+            push = min(demand, best_room * limit_fraction)
+            if push <= 1e-9:
+                break
+            key = (commodities[index].name, best_pi)
+            rates[key] = rates.get(key, 0.0) + push
+            for i in best_idxs:
+                residual[i] -= push
+            demand -= push
+            if limit_fraction < 1.0:
+                break  # one quantum per fair-round visit
+        remaining[index] = demand
+
+    active = [i for i, d in remaining.items() if d > 1e-9]
+    for _round in range(fair_rounds):
+        if not active:
+            break
+        share = 1.0 / max(len(active), 1)
+        for i in active:
+            push_flow(i, share)
+        active = [i for i in active if remaining[i] > 1e-9]
+    for i in range(len(commodities)):
+        if remaining[i] > 1e-9:
+            push_flow(i, 1.0)
+    return rates
+
+
+def solve(router, view, commodities, capacities):
+    """Backend dispatch over one shared lenient incidence: (rates, stats).
+
+    ``router`` supplies the backend, ε and the FPTAS warm store.
+    """
+    if router.backend == "greedy":
+        return solve_greedy(commodities, capacities), (0, 0, "")
+    incidence = PathIncidence.build(commodities, capacities, strict=False)
+    if router.backend == "lp":
+        return dict(solve_lp_incidence(incidence).path_flows), (0, 0, "")
+    warm = router._warm.validate(view.topology.epoch, view.failed_links)
+    result = max_multicommodity_flow(
+        commodities, capacities, epsilon=router.epsilon, warm=warm,
+        incidence=incidence,
+    )
+    if result.warm_state is not None:
+        router._warm.store(view.topology.epoch, view.failed_links, result.warm_state)
+    return dict(result.path_flows), (
+        result.iterations, result.phases, result.warm_start,
+    )
+
+
+def certify_reuse_horizon(
+    backend: str,
+    commodities: Sequence[Commodity],
+    rates: Mapping[Tuple[Hashable, int], float],
+) -> Optional[int]:
+    """Cycles a greedy decision stays exact while its demands drain."""
+    if backend != "greedy":
+        return 0
+    pushed: Dict[int, float] = {}
+    names = {c.name: i for i, c in enumerate(commodities)}
+    for (name, _path), rate in rates.items():
+        i = names[name]
+        pushed[i] = pushed.get(i, 0.0) + rate
+    horizon: Optional[int] = None
+    for i, commodity in enumerate(commodities):
+        p = pushed.get(i, 0.0)
+        if p <= 0.0:
+            continue
+        demand = commodity.demand
+        if demand is None:
+            continue
+        margin = 1e-6 * demand + 1e-3
+        slack = demand - p
+        if slack <= margin:
+            return 0
+        h = int((slack - margin) / p) - 1
+        if h <= 0:
+            return 0
+        if horizon is None or h < horizon:
+            horizon = h
+    return horizon
+
+
+def grouping_directives(
+    grouping,
+    commodities: Sequence[Commodity],
+    members: Sequence[int],
+    rates: Mapping[Tuple[Hashable, int], float],
+) -> List[TransferDirective]:
+    """Each group's index segment dealt across its flowing sources.
+
+    The columnar deal as it read its rates: one ``rates.get((name,
+    path index))`` per candidate source.
+    """
+    index_list = grouping.indices.tolist()
+    buffered = grouping.buffered
+    half_received = None if buffered is None else (buffered > 0).tolist()
+    bounds = grouping.bounds
+    dst_servers = grouping.dst_servers
+    emitted: List[tuple] = []
+    sent: List[int] = []
+    for commodity, g in zip(commodities, members):
+        key = commodity.name
+        job_id, _label, sources = key
+        flowing = []
+        flows = []
+        for pi, src in enumerate(sources):
+            rate = rates.get((key, pi), 0.0)
+            if rate > 1e-9:
+                flowing.append(src)
+                flows.append(rate)
+        if not flowing:
+            continue
+        lo = bounds[g]
+        hi = bounds[g + 1]
+        dst_server = dst_servers[g]
+        offset = zlib.crc32(dst_server.encode()) % (hi - lo)
+        order = index_list[lo + offset : hi] + index_list[lo : lo + offset]
+        if half_received is not None and True in half_received[lo:hi]:
+            first = half_received[lo + offset : hi] + half_received[lo : lo + offset]
+            order = [i for i, f in zip(order, first) if f] + [
+                i for i, f in zip(order, first) if not f
+            ]
+        at = len(sent)
+        if len(flowing) == 1:
+            sent += order
+            emitted.append((job_id, at, len(sent), flowing[0], dst_server, flows[0]))
+            continue
+        blocks = grouping.jobs[g].blocks
+        sizes = [blocks[i].size for i in order]
+        total_rate = sum(flows)
+        total_bytes = sum(sizes)
+        budgets = [rate / total_rate * total_bytes for rate in flows]
+        parts: List[List[int]] = [[] for _ in flows]
+        for i, size in zip(order, sizes):
+            to = budgets.index(max(budgets))
+            parts[to].append(i)
+            budgets[to] -= size
+        used_rate = sum([rate for rate, part in zip(flows, parts) if part])
+        spare = total_rate - used_rate
+        for src, rate, part in zip(flowing, flows, parts):
+            if part:
+                sent += part
+                share = rate + (spare * rate / used_rate if used_rate > 0 else 0.0)
+                emitted.append((job_id, at, len(sent), src, dst_server, share))
+                at = len(sent)
+    column = np.array(sent, dtype=np.int64)
+    return [
+        TransferDirective.from_segment(job_id, column, lo, hi, src, dst_server, cap)
+        for job_id, lo, hi, src, dst_server, cap in emitted
+    ]
+
+
+# -- simulator: the per-cycle WAN budget loop ---------------------------------
+
+
+def bulk_capacities(
+    caps: Mapping[ResourceKey, float],
+    threshold: float,
+    background,
+    failures,
+    now: float,
+) -> Tuple[Dict[ResourceKey, float], Dict[ResourceKey, float]]:
+    """(bulk capacity, online usage) per resource, rebuilt from scratch.
+
+    Every WAN link samples ``background.usage`` once, in ``caps`` order
+    (a continuous noisy curve draws from its stream once per link per
+    call); a failed link has no bulk capacity.
+    """
+    online: Dict[ResourceKey, float] = {}
+    bulk: Dict[ResourceKey, float] = {}
+    for key, cap in caps.items():
+        if key[0] != "wan":
+            bulk[key] = cap
+            continue
+        used = background.usage(key, now, cap) if background else 0.0
+        online[key] = used
+        usable = max(0.0, threshold * cap - used)
+        if failures and not failures.link_is_up(key[1], key[2]):
+            usable = 0.0
+        bulk[key] = usable
+    return bulk, online
 
 
 # -- simulator: scalar validation and per-flow remaining ----------------------

@@ -27,6 +27,7 @@ from repro.analysis.runcache import CACHE_CODE_VERSION, RunCache
 from repro.analysis.runner import make_strategy
 from repro.core.config import BDSConfig
 from repro.core.controller import BDSController
+from repro.core.decisions import SelectionBatch
 from repro.core.routing import BDSRouter
 from repro.core.scheduling import RarestFirstScheduler
 from repro.net.failures import FailureEvent, FailureSchedule
@@ -138,10 +139,10 @@ def _assert_router_matches_oracle(sim, max_sources, merge, cap=0):
     view = sim.snapshot_view(sim.config.max_cycles)
     scheduler = RarestFirstScheduler(max_blocks_per_cycle=cap)
     selections = scheduler.select(view)
-    batch = scheduler.last_batch
-    assert batch is not None  # the columnar path is the one under test
+    # The columnar path is the one under test.
+    assert isinstance(selections, SelectionBatch)
     router = BDSRouter(max_sources_per_group=max_sources, merge_blocks=merge)
-    directives, diagnostics = router.route(view, selections, batch=batch)
+    directives, diagnostics = router.route(view, selections)
     want_commodities, want = oracles.route(
         view, selections,
         BDSRouter(max_sources_per_group=max_sources, merge_blocks=merge),
@@ -149,10 +150,18 @@ def _assert_router_matches_oracle(sim, max_sources, merge, cap=0):
     assert directives == want
     assert diagnostics.num_commodities == len(want_commodities)
     if selections:
-        commodities, _members = router._build_commodities(
-            view, router._group_columns(view, batch)
-        )
-        assert commodities == want_commodities  # names, paths, demands: exact
+        cache = view._cache
+        grouping = router._group_columns(view, selections, cache)
+        members, demands, paths = router._build_commodities(view, grouping, cache)
+        # Names, paths, demands: exact.
+        assert [grouping.keys[g] for g in members] == [
+            c.name for c in want_commodities
+        ]
+        assert demands == [c.demand for c in want_commodities]
+        assert [
+            tuple(tuple(cache.res_keys[i] for i in path) for path in candidates)
+            for candidates in paths
+        ] == [c.paths for c in want_commodities]
 
 
 @settings(max_examples=60, deadline=None)
@@ -220,9 +229,9 @@ def test_deal_equals_oracle_with_ties_and_mixed_sizes(
         paths=tuple((("up", s), ("down", dst)) for s in sources),
         demand=1.0,
     )
-    rate_map = {(key, i): r for i, r in enumerate(rates)}
     want = oracles.to_directives(
-        _DealView(partial), [commodity], {key: list(job.blocks)}, rate_map
+        _DealView(partial), [commodity], {key: list(job.blocks)},
+        {(key, i): r for i, r in enumerate(rates)},
     )
     have_col = np.array([partial.get(((job.job_id, b.index), dst), 0.0) for b in job.blocks])
     grouping = _Grouping(
@@ -230,7 +239,7 @@ def test_deal_equals_oracle_with_ties_and_mixed_sizes(
         indices=np.arange(len(job.blocks)), sizes=job.block_sizes(),
         buffered=have_col if have_col.any() else None,
     )
-    got = BDSRouter._to_directives(grouping, [commodity], [0], rate_map)
+    got = BDSRouter._to_directives(grouping, [0], [rates])
     assert got == want
     assert [d.rate_cap for d in got] == [d.rate_cap for d in want]
 
@@ -487,7 +496,7 @@ def test_sharded_fingerprints_equal_the_parent_commits(shards, mode):
         result = sim.run()
     finally:
         controller.shutdown()
-    assert controller.config.shard_mode == mode  # no silent takeover
+    assert not controller.shard_takeovers  # no silent takeover
     assert result.fingerprint() == PARENT_SHARD_FINGERPRINTS[shards]
 
 

@@ -191,7 +191,9 @@ class TestEngineEquivalence:
 class TestFastForwardEngages:
     """The speedup machinery must actually fire on steady-state runs."""
 
-    def _steady(self, event_engine: bool, strategy: str = "direct"):
+    def _steady(
+        self, event_engine: bool, strategy: str = "direct", dt: float = 3.0
+    ):
         topo = Topology.full_mesh(
             num_dcs=3, servers_per_dc=2, wan_capacity=2 * MBps, uplink=1 * MBps
         )
@@ -207,7 +209,9 @@ class TestFastForwardEngages:
             topology=topo,
             jobs=[job],
             strategy=make_strategy(strategy, seed=SEED),
-            config=SimConfig(max_cycles=5000, event_engine=event_engine),
+            config=SimConfig(
+                max_cycles=5000, event_engine=event_engine, cycle_seconds=dt
+            ),
             seed=SEED,
         )
         return sim.run()
@@ -234,6 +238,61 @@ class TestFastForwardEngages:
 
     def test_fingerprints_match(self):
         assert self._steady(True).fingerprint() == self._steady(False).fingerprint()
+
+    @pytest.mark.parametrize("dt", [3.0, 0.7])  # 0.7: c * dt rounds
+    @pytest.mark.parametrize("strategy", ["direct", "bds"])
+    def test_a_skipped_stretch_is_one_record_that_reads_as_its_cycles(
+        self, strategy, dt
+    ):
+        """Fast-forward appends one run record per stretch; the log still
+        reads, cycle for cycle, as the tick loop's list."""
+        event = self._steady(True, strategy, dt)
+        tick = self._steady(False, strategy, dt)
+        log = event.cycle_stats
+        records = list(log.runs())
+        skipped = [count for first, count in records if first.fast_forwarded]
+        assert sum(skipped) == event.cycles_fast_forwarded
+        assert len(records) < len(log) == len(tick.cycle_stats)
+        assert len(records) == len(log) - sum(skipped) + len(skipped)
+
+        deterministic = (
+            "cycle", "time", "blocks_delivered", "bytes_transferred",
+            "active_flows", "controller_available",
+        )
+
+        def fields(stats):
+            return [tuple(getattr(s, f) for f in deterministic) for s in stats]
+
+        assert fields(log) == fields(tick.cycle_stats)
+        assert fields(log[i] for i in range(len(log))) == fields(log)
+        assert fields(log[-i] for i in range(1, len(log) + 1)) == fields(log)[::-1]
+        assert fields(log[3:40:7]) == fields(log)[3:40:7]
+        with pytest.raises(IndexError):
+            log[len(log)]
+        assert log and log == list(log) and list(log) == log and log != []
+
+        # The readers walk records, and fold the same floats in cycle order.
+        assert event.blocks_per_cycle() == [s.blocks_delivered for s in log]
+        assert event.total_bytes_transferred() == sum(
+            s.bytes_transferred for s in log
+        ) == tick.total_bytes_transferred()
+        assert event.total_rate_stalemates() == sum(s.rate_stalemates for s in log)
+        totals = event.stage_time_totals()
+        assert totals["deliver"] == sum(s.time_deliver for s in log)
+
+        # Pickle (run_many's transport) and the export round-trip.
+        import pickle
+
+        from repro.analysis.export import result_from_dict, result_to_dict
+
+        again = pickle.loads(pickle.dumps(event))
+        assert again.cycle_stats == log and again.fingerprint() == event.fingerprint()
+        payload = result_to_dict(event)
+        assert [c["cycle"] for c in payload["cycles"]] == [s.cycle for s in log]
+        assert [c["time"] for c in payload["cycles"]] == [s.time for s in log]
+        restored = result_from_dict(payload)
+        assert restored.cycle_stats == log
+        assert restored.fingerprint() == event.fingerprint()
 
 
 class TestIntegerCycleGrid:

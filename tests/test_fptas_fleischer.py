@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.routing import BDSRouter
+from repro.core.routing import greedy_waterfill
 from repro.lp.fptas import max_multicommodity_flow
 from repro.lp.incidence import PathIncidence
 from repro.lp.mcf import Commodity, PathMCF
@@ -318,7 +318,7 @@ class TestRoutingWarmStore:
 class TestGreedyIncidenceRewrite:
     @pytest.mark.parametrize("seed", range(40))
     def test_bit_identical_to_reference_loop(self, seed):
-        """The vectorized greedy must reproduce the historical dict-walking
+        """The id-indexed greedy must reproduce the historical dict-walking
         loop exactly — it feeds the golden determinism fingerprints."""
         rng = random.Random(seed)
         n_res = rng.randint(3, 25)
@@ -340,8 +340,19 @@ class TestGreedyIncidenceRewrite:
                 Commodity(name=f"c{ci}", paths=tuple(paths), demand=demand)
             )
         expected = _reference_greedy(commodities, caps)
-        actual = BDSRouter._solve_greedy(commodities, caps)
-        assert actual == expected  # exact float equality, key for key
+        ids = {}
+        paths = [
+            [[ids.setdefault(r, len(ids)) for r in path] for path in c.paths]
+            for c in commodities
+        ]
+        rates, order = greedy_waterfill(
+            [float("inf") if c.demand is None else c.demand for c in commodities],
+            paths,
+            [caps.get(r, 0.0) for r in ids],
+        )
+        actual = {(commodities[ci].name, pi): rates[ci][pi] for ci, pi in order}
+        # Exact float equality, key for key, in first-touch order.
+        assert list(actual.items()) == list(expected.items())
 
 
 def _reference_greedy(commodities, capacities, fair_rounds=3):

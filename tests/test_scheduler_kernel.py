@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro.analysis.runner import make_strategy
+from repro.core.decisions import SelectionBatch
 from repro.core.routing import BDSRouter
 from repro.core.scheduling import RarestFirstScheduler
 from repro.core.speculation import DeliverySpeculator, SpeculatedView
@@ -104,14 +105,14 @@ class TestVectorizedSelectionEquivalence:
         scheduler = RarestFirstScheduler(max_blocks_per_cycle=cap)
 
         vectorized = scheduler.select(view)
-        # The kernel must actually have run (its integer companion is the
-        # witness); otherwise this test silently compares scalar to scalar.
-        assert scheduler.last_batch is not None
-        assert len(scheduler.last_batch.gids) == len(vectorized)
+        # The kernel must actually have run (the columnar return type is
+        # the witness); otherwise this test silently compares scalar to
+        # scalar.
+        assert isinstance(vectorized, SelectionBatch)
 
         view._candidates = None  # hide the table -> cached scalar path
         cached = scheduler.select(view)
-        assert scheduler.last_batch is None
+        assert isinstance(cached, list)
 
         view._cache = None  # hide the cycle cache -> legacy path
         legacy = scheduler.select(view)
@@ -124,13 +125,13 @@ class TestVectorizedSelectionEquivalence:
         view = _midrun_view(seed)
         scheduler = RarestFirstScheduler(use_relays=False)
         vectorized = scheduler.select(view)
-        assert scheduler.last_batch is not None
+        assert isinstance(vectorized, SelectionBatch)
         view._candidates = None
         assert vectorized == scheduler.select(view)
 
     def test_repeated_select_is_stable(self):
-        # The kernel caches ScheduledBlocks and compacts candidate rows;
-        # neither may change what a repeated select on the same view says.
+        # The kernel compacts candidate rows; that may not change what a
+        # repeated select on the same view says.
         view = _midrun_view(2)
         scheduler = RarestFirstScheduler()
         first = scheduler.select(view)
@@ -146,12 +147,12 @@ class TestBatchedRouterEquivalence:
         view = _midrun_view(seed)
         scheduler = RarestFirstScheduler()
         selections = scheduler.select(view)
-        batch = scheduler.last_batch
-        assert batch is not None
+        assert isinstance(selections, SelectionBatch)
 
         router = BDSRouter()
-        batched, _ = router.route(view, selections, batch=batch)
-        scalar, _ = BDSRouter().route(view, selections, batch=None)
+        batched, _ = router.route(view, selections)
+        # A plain list of the same selections takes the per-selection path.
+        scalar, _ = BDSRouter().route(view, list(selections))
         assert batched == scalar
 
     @pytest.mark.parametrize("merge", [True, False])
@@ -159,12 +160,9 @@ class TestBatchedRouterEquivalence:
         view = _midrun_view(4)
         scheduler = RarestFirstScheduler()
         selections = scheduler.select(view)
-        batch = scheduler.last_batch
         router = BDSRouter(merge_blocks=merge)
-        batched, _ = router.route(view, selections, batch=batch)
-        scalar, _ = BDSRouter(merge_blocks=merge).route(
-            view, selections, batch=None
-        )
+        batched, _ = router.route(view, selections)
+        scalar, _ = BDSRouter(merge_blocks=merge).route(view, list(selections))
         assert batched == scalar
 
 
@@ -320,9 +318,8 @@ class TestSpeculationFallback:
         speculator = DeliverySpeculator(horizon_seconds=3.0)
         scheduler = RarestFirstScheduler()
         selections = scheduler.select(view)
-        batch = scheduler.last_batch
-        assert batch is not None
-        directives, _ = BDSRouter().route(view, selections, batch=batch)
+        assert isinstance(selections, SelectionBatch)
+        directives, _ = BDSRouter().route(view, selections)
         speculated = speculator.speculate(view, directives, sizes)
         if not speculated:
             pytest.skip("no speculatable directives in this scenario")
@@ -333,5 +330,4 @@ class TestSpeculationFallback:
         # phantoms) instead of reading the un-speculated matrix.
         assert overlay.store.is_exact_matrix is False
         assert overlay._candidates is None
-        scheduler.select(overlay)
-        assert scheduler.last_batch is None
+        assert isinstance(scheduler.select(overlay), list)

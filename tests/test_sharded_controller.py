@@ -159,6 +159,55 @@ class TestProcessMode:
         ) == _fingerprint(_run(3, stride=2, mode="inprocess"))
 
 
+class _BrokenPool:
+    """A ShardExecutor whose workers died: every decide raises."""
+
+    def __init__(self):
+        self.shut_down = 0
+
+    def decide(self, view, buckets, due):
+        raise BrokenPipeError("worker gone")
+
+    def shutdown(self):
+        self.shut_down += 1
+
+
+class TestProcessTakeover:
+    def test_broken_pool_hands_over_without_touching_the_config(self):
+        """The in-process mirrors take over for the rest of the run; the
+        caller's BDSConfig (shared across arms, hashed into run-cache
+        keys) is left alone and the takeover is counted, by cause."""
+        topo, jobs = _scenario()
+        cfg = BDSConfig(shards=2, shard_mode="process")
+        before = repr(cfg)
+        controller = BDSController(cfg)
+        pool = controller._shard_executor = _BrokenPool()
+        sim = Simulation(
+            topology=topo, jobs=jobs, strategy=controller,
+            config=SimConfig(), seed=SEED,
+        )
+        result = sim.run()
+
+        assert cfg.shard_mode == "process" and repr(cfg) == before
+        assert controller.shard_takeovers == {"BrokenPipeError": 1}
+        assert pool.shut_down == 1 and controller._shard_executor is None
+        named = [d.cycle for d in controller.decisions if d.shard_takeover]
+        assert named == [0]
+        assert controller.decisions[0].shard_takeover == "BrokenPipeError"
+
+        want_topo, want_jobs = _scenario()
+        inprocess = BDSController(BDSConfig(shards=2, shard_mode="inprocess"))
+        want = Simulation(
+            topology=want_topo, jobs=want_jobs, strategy=inprocess,
+            config=SimConfig(), seed=SEED,
+        ).run()
+        assert not inprocess.shard_takeovers
+        assert [d.directives for d in controller.decisions] == [
+            d.directives for d in inprocess.decisions
+        ]
+        assert result.fingerprint() == want.fingerprint()
+
+
 class TestReconciliation:
     def test_wan_sums_within_budget(self):
         """Controller output (pre-simulator) respects every WAN budget."""

@@ -225,6 +225,41 @@ class TestCompletionTracking:
         assert ("j", "dc1") in result.dc_completion
         assert result.job_completion["j"] == result.dc_completion[("j", "dc1")]
 
+    @pytest.mark.parametrize("vectorized_flow", [True, False])
+    def test_finished_destinations_drop_their_order_hints(self, vectorized_flow):
+        """A (job, DC)'s ordered pending list goes when its set empties —
+        on both delivery paths — and the view's accessors read on."""
+        # Fast NICs: whole destinations finish inside one cycle's batch.
+        topo = Topology.full_mesh(
+            num_dcs=3, servers_per_dc=2, wan_capacity=2000 * MB, uplink=200 * MB
+        )
+        job = MulticastJob(
+            job_id="j", src_dc="dc0", dst_dcs=("dc1",), relay_dcs=("dc2",),
+            total_bytes=400 * MB, block_size=1 * MB,
+        )
+        job.bind(topo)
+        from repro.analysis.runner import make_strategy
+
+        sim = Simulation(
+            topo, [job], make_strategy("bds", seed=0),
+            SimConfig(vectorized_flow=vectorized_flow, stop_when_complete=False,
+                      max_cycles=200),
+        )
+        assert len(sim._pending_order[("j", "dc1")]) == 400
+        assert len(sim._relay_order[("j", "dc2")]) == 400
+        grouped = []
+        apply = sim._apply_deliveries
+        sim._apply_deliveries = lambda events, *rest: (
+            grouped.append(len(events)), apply(events, *rest)
+        )
+        result = sim.run()
+        assert result.all_complete and bool(grouped) == vectorized_flow
+        assert not sim._pending[("j", "dc1")] and not sim._relay_pending[("j", "dc2")]
+        assert sim._pending_order == {} and sim._relay_order == {}
+        view = sim.snapshot_view(200)
+        assert view.pending_deliveries(job) == []
+        assert view.pending_relay_placements(job) == []
+
     def test_job_arrival_delays_start(self):
         topo = two_dc_topology()
         job = one_block_job(topo)
