@@ -184,15 +184,13 @@ def timed_cycles(
             max_blocks_per_cycle=cap,
         )
     )
+    # Fixed ticks: every cycle decides fresh, so each one is a sample.
+    controller.decisions_reusable = False
     sim = Simulation(
         topology=topo,
         jobs=jobs,
         strategy=controller,
-        config=SimConfig(
-            event_engine=False,
-            max_cycles=cycles,
-            stop_when_complete=False,
-        ),
+        config=SimConfig(max_cycles=cycles, stop_when_complete=False),
         seed=0,
     )
     # The scenario heap (10^6+ Block dataclasses plus binding dicts) is
@@ -292,15 +290,12 @@ def partition_compare_arm(
         controller = BDSController(
             BDSConfig(shards=shards, shard_partition=partition)
         )
+        controller.decisions_reusable = False  # fixed ticks
         result = Simulation(
             topology=topo,
             jobs=jobs,
             strategy=controller,
-            config=SimConfig(
-                event_engine=False,
-                max_cycles=cycles,
-                stop_when_complete=False,
-            ),
+            config=SimConfig(max_cycles=cycles, stop_when_complete=False),
             seed=0,
         ).run()
         out[partition] = {
@@ -328,7 +323,6 @@ def quality_arm(num_jobs: int, blocks: int, shards: int) -> dict:
         topology=topo,
         jobs=jobs,
         strategy=controller,
-        config=SimConfig(event_engine=True),
         seed=0,
     )
     result = sim.run()
@@ -367,15 +361,12 @@ def process_mode_arm(
                 max_blocks_per_cycle=TIMED_ARM_CAP,
             )
         )
+        controller.decisions_reusable = False  # fixed ticks
         sim = Simulation(
             topology=topo,
             jobs=jobs,
             strategy=controller,
-            config=SimConfig(
-                event_engine=False,
-                max_cycles=cycles,
-                stop_when_complete=False,
-            ),
+            config=SimConfig(max_cycles=cycles, stop_when_complete=False),
             seed=0,
         )
         started = _time.perf_counter()

@@ -76,7 +76,6 @@ class RunSpec:
     max_cycles: int = 100_000
     safety_threshold: float = 0.8
     record_link_stats: bool = False
-    incremental_engine: bool = True
     control_overhead_seconds: float = 0.0
     flow_setup_seconds: float = 0.0
     stop_when_complete: bool = True
@@ -99,7 +98,6 @@ class RunSpec:
             "max_cycles": self.max_cycles,
             "safety_threshold": self.safety_threshold,
             "record_link_stats": self.record_link_stats,
-            "incremental_engine": self.incremental_engine,
             "control_overhead_seconds": self.control_overhead_seconds,
             "flow_setup_seconds": self.flow_setup_seconds,
             "stop_when_complete": self.stop_when_complete,

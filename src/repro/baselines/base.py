@@ -191,8 +191,7 @@ class JobPossession:
 
 def _scanned_matrix(view: ClusterView, job: MulticastJob) -> PossessionMatrix:
     """The job's possession read one ``store.has`` at a time, for stores
-    whose truth is not a live matrix: the dict backing, a speculation
-    overlay."""
+    whose truth is not a live matrix (a speculation overlay)."""
     ids = [block.block_id for block in job.blocks]
     matrix = PossessionMatrix(
         {s.server_id: s.dc for s in view.topology.servers.values()},

@@ -73,12 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--max-cycles", type=int, default=100_000)
     sim.add_argument(
-        "--tick-engine",
-        action="store_true",
-        help="run the legacy fixed-tick loop (execute every cycle) instead "
-        "of the event-driven core; results are bit-identical",
-    )
-    sim.add_argument(
         "--jobs",
         type=int,
         default=1,
@@ -203,7 +197,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         cycle_seconds=args.cycle,
         max_cycles=args.max_cycles,
         seed=args.seed,
-        event_engine=not args.tick_engine,
         shards=args.shards,
         shard_stride=args.shard_stride,
         shard_partition=args.shard_partition,

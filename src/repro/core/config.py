@@ -24,19 +24,16 @@ class BDSConfig:
     """Tunable parameters of the centralized control loop.
 
     ``cycle_seconds`` is the §5.2 ΔT the whole decide→deliver loop must
-    fit inside for centralized control to be feasible; the data-plane
-    benchmarks (``benchmarks/bench_flow_kernel.py``) measure full cycles
-    against exactly this budget. The per-directive rates the controller
-    assigns are enforced downstream by the shared rate kernel
-    (:func:`repro.net.flow.clip_rates_to_capacity`), which proportionally
-    scales any resource the (possibly stale, §5.1) allocation
-    oversubscribed — the controller itself never needs to re-check
-    physics.
+    fit inside for centralized control to be feasible. The per-directive
+    rates the controller assigns are enforced downstream by the shared
+    rate kernel (:func:`repro.net.flow.clip_rates_to_capacity`), which
+    proportionally scales any resource the (possibly stale, §5.1)
+    allocation oversubscribed — the controller itself never needs to
+    re-check physics.
 
-    Under the event-driven simulator core (``SimConfig.event_engine``,
-    see :mod:`repro.net.simulator`) the loop is not re-run every ΔT:
-    §5.2's observation that decisions stay valid until state changes is
-    made operational through a validity key plus the router's
+    In the simulator (:mod:`repro.net.simulator`) the loop is not re-run
+    every ΔT: §5.2's observation that decisions stay valid until state
+    changes is made operational through a validity key plus the router's
     :attr:`~repro.core.routing.RoutingDiagnostics.reuse_horizon`
     certificate, and jobs may request a coarser per-job cadence via
     :attr:`repro.overlay.job.MulticastJob.cycle_seconds` (a multiple of
@@ -62,8 +59,9 @@ class BDSConfig:
     # scale-out"): partition the job set across this many controller
     # shards by a platform-stable seeded hash of job id
     # (repro.core.sharding). Each shard runs the full vectorized
-    # schedule+route pipeline on its own partition with its own
-    # CycleCache and FPTAS warm store; the shared link budgets are
+    # schedule+route pipeline on a mirror of its own partition
+    # (repro.core.shardexec) with its own CycleCache and FPTAS warm
+    # store; the shared link budgets are
     # reconciled by one outer max-min waterfill over all shards'
     # directives (repro.net.flow.max_min_fair_rates, the data plane's
     # own allocator). 1 keeps the single-controller path, bit-identical
@@ -103,14 +101,6 @@ class BDSConfig:
     # the same WAN links and the outer reconciliation clips fewer
     # directives.
     shard_partition: str = "hash"
-    # Shard-local state ownership (the default): each shard decides
-    # against a partition-scoped mirror — its own PossessionIndex
-    # (shard-local block interning), CandidateTable, and CycleCache fed
-    # by delivery-log watermark replay — so per-shard memory and
-    # cold-build work are O(pairs/shards). False restores the PR 7
-    # shared-store sub-views (results are identical either way; the
-    # equivalence tests assert it).
-    shard_local_state: bool = True
 
     def __post_init__(self) -> None:
         if self.speculation_horizon < 0:

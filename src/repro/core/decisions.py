@@ -177,9 +177,9 @@ class ControlDecision:
     shard_wall_mean: float = 0.0
     reconcile_runtime: float = 0.0
     reconciled_directives: int = 0
-    # Shard-local state telemetry (shard_local_state / process mode;
-    # zeros on the shared-store fallback paths, which hold no per-shard
-    # state): the effective decide stride this cycle (the adaptive
+    # Shard-local state telemetry (zeros on the shared-store path of
+    # speculation-overlay cycles, which holds no per-shard state): the
+    # effective decide stride this cycle (the adaptive
     # stride's current value under shard_stride="auto", the static knob
     # otherwise), the max per-shard possession-array and candidate-table
     # bytes over the shards that decided fresh, and the summed

@@ -254,7 +254,7 @@ class BDSRouter:
                 reuse_horizon=None,
             )
 
-        cache = view._cache if view._cache is not None else CycleCache()
+        cache = view._cache
         if isinstance(selections, SelectionBatch) and getattr(
             view.store, "is_exact_matrix", False
         ):

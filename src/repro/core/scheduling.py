@@ -9,9 +9,9 @@ greedy per-cycle routing step rarely starves any block (§4.4's discussion).
 The selection is what shrinks the routing step's search space: only the
 selected deliveries become LP commodities.
 
-Three implementations coexist, selected by what the view carries:
+Two implementations coexist, selected by what the view carries:
 
-* **vectorized** (the default end-to-end path): candidate (block,
+* **vectorized** (the end-to-end path): candidate (block,
   destination) pairs live in the static per-(job, DC) int arrays of a
   :class:`~repro.net.candidates.CandidateTable`; pending-ness, rarity and
   the health filters are numpy gathers against the possession matrix, and
@@ -19,14 +19,14 @@ Three implementations coexist, selected by what the view carries:
   its int columns — a :class:`~repro.core.decisions.SelectionBatch`,
   which is a ``Sequence[ScheduledBlock]`` that builds objects only when
   read as one — so the router keeps working in interned-id space.
-* **cached scalar**: per-candidate queries deduped through the
-  :class:`~repro.net.cycle_cache.CycleCache` (PR 1's path; also the
-  fallback whenever the matrix is not the exact truth — speculation
-  overlays — or a job is missing from the table).
-* **legacy scalar**: the original store-query-per-candidate loop, kept
-  verbatim as the baseline for benchmarks and determinism A/B tests.
+* **cached scalar**: per-candidate queries deduped through the view's
+  :class:`~repro.net.cycle_cache.CycleCache` — the path whenever the
+  matrix is not the exact truth (speculation overlays), the view carries
+  no candidate table (hand-built views), or a job is missing from it.
 
-All three produce identical selections in identical order.
+Both produce identical selections in identical order — that of the
+store-query-per-candidate loop they replaced, which the tests keep as
+the oracle ``select_rarest_first``.
 """
 
 from __future__ import annotations
@@ -80,14 +80,11 @@ class RarestFirstScheduler:
             and getattr(store, "is_exact_matrix", False)
         ):
             matrix = store.matrix
-            if matrix is not None and table.matrix is matrix:
+            if table.matrix is matrix:
                 result = self._select_vectorized(view, table, matrix, started)
                 if result is not None:
                     return result
-        cache = getattr(view, "_cache", None)
-        if cache is None:
-            return self._select_legacy(view, started)
-        return self._select_cached(view, cache, started)
+        return self._select_cached(view, started)
 
     # -- vectorized kernel -------------------------------------------------
 
@@ -96,17 +93,17 @@ class RarestFirstScheduler:
     ) -> Optional[SelectionBatch]:
         """Array-native selection over the static candidate table.
 
-        Returns ``None`` (fall back to the scalar paths) if the table
+        Returns ``None`` (fall back to the scalar path) if the table
         does not know one of the view's jobs.
 
         Per candidate group: one possession gather decides pending-ness
         (matrix bit test for deliveries, DC copy-count for relays), one
         ``dup`` gather supplies rarity, boolean masks apply the failure
         filters, and the surviving rows of all groups are ordered by a
-        single stable sort on a packed integer key equal to the legacy
-        tuple key ``(is_relay, -priority, duplicates, block index)`` —
+        single stable sort on a packed integer key equal to the scalar
+        path's tuple key ``(is_relay, -priority, duplicates, block index)`` —
         stability supplies the insertion-order tie-break, and the group
-        concatenation order *is* the legacy enumeration order.
+        concatenation order *is* the scalar enumeration order.
 
         Groups compact their ``alive`` rows when a gather finds them
         >50% possession-dead; possession is monotone during a run, so
@@ -230,7 +227,7 @@ class RarestFirstScheduler:
         )
         ends = np.cumsum(sizes)
 
-        # One stable sort on a packed integer key ≡ the legacy ascending
+        # One stable sort on a packed integer key ≡ the scalar ascending
         # tuple sort (relay, -priority, duplicates, block index) with
         # insertion order breaking ties. The (relay, priority) fields are
         # constant within a group, so each group's key is built in place
@@ -286,17 +283,19 @@ class RarestFirstScheduler:
     # -- scalar paths ------------------------------------------------------
 
     def _select_cached(
-        self, view: ClusterView, cache, started: float
+        self, view: ClusterView, started: float
     ) -> List[ScheduledBlock]:
         """Scalar selection with per-cycle memoized store queries.
 
-        Views with a :class:`~repro.net.cycle_cache.CycleCache` attached
-        dedupe the rarity and source queries to one per distinct block id
-        per cycle and sort without a per-comparison key callable. Same
-        blocks, same order as the other paths.
+        The rarity and source queries are deduped to one per distinct
+        block id per cycle through the view's
+        :class:`~repro.net.cycle_cache.CycleCache`, and the sort needs no
+        per-comparison key callable. Same blocks, same order as the
+        vectorized kernel.
         """
         # Validate the cycle memos once, then work on the raw dicts: at
         # 10^5 candidates even a method call per query is measurable.
+        cache = view._cache
         cache.validate_sources(view.store.epoch, view._failed_frozen)
         sources_memo = cache.sources
         rarity_memo = cache.rarity
@@ -305,7 +304,7 @@ class RarestFirstScheduler:
         dup_of = store.duplicate_count
         failed = view.failed_agents
         # Sort tuples carry an insertion counter so ties keep arrival
-        # order (same result as the legacy stable key=item[:4] sort)
+        # order (same result as a stable key=item[:4] sort)
         # without the per-comparison key lambda.
         candidates: List[Tuple[int, int, int, int, int, ScheduledBlock]] = []
         append = candidates.append
@@ -363,55 +362,6 @@ class RarestFirstScheduler:
                 order += 1
         candidates.sort()
         selected = [item[5] for item in candidates]
-        if self.max_blocks_per_cycle:
-            selected = selected[: self.max_blocks_per_cycle]
-        self.last_runtime = _time.perf_counter() - started
-        return selected
-
-    def _select_legacy(
-        self, view: ClusterView, started: float
-    ) -> List[ScheduledBlock]:
-        """The original implementation: per-candidate store queries and a
-        key-callable sort. Kept verbatim as the baseline the hot-path
-        benchmark and determinism A/B run against."""
-        candidates: List[Tuple[int, int, int, int, ScheduledBlock]] = []
-        for job in view.jobs:
-            priority = getattr(job, "priority", 0)
-            pending = [
-                (block, dc, server, False)
-                for block, dc, server in view.pending_deliveries(job)
-            ]
-            if self.use_relays and job.relay_dcs:
-                pending.extend(
-                    (block, dc, server, True)
-                    for block, dc, server in view.pending_relay_placements(job)
-                )
-            for block, dst_dc, dst_server, is_relay in pending:
-                if not view.agent_is_up(dst_server):
-                    continue
-                duplicates = view.store.duplicate_count(block.block_id)
-                if duplicates == 0:
-                    continue
-                if not view.eligible_sources(block.block_id):
-                    continue
-                candidates.append(
-                    (
-                        1 if is_relay else 0,
-                        -priority,
-                        duplicates,
-                        block.index,
-                        ScheduledBlock(
-                            job_id=job.job_id,
-                            block=block,
-                            dst_dc=dst_dc,
-                            dst_server=dst_server,
-                            duplicates=duplicates,
-                            is_relay=is_relay,
-                        ),
-                    )
-                )
-        candidates.sort(key=lambda item: item[:4])
-        selected = [entry for _r, _p, _dup, _idx, entry in candidates]
         if self.max_blocks_per_cycle:
             selected = selected[: self.max_blocks_per_cycle]
         self.last_runtime = _time.perf_counter() - started

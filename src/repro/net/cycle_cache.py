@@ -24,7 +24,8 @@ explicit validity key so stale answers are structurally impossible:
 
 Ownership: the :class:`~repro.net.simulator.Simulation` owns one
 instance and threads it into each cycle's
-:class:`~repro.net.simulator.ClusterView`; each
+:class:`~repro.net.simulator.ClusterView` (a view built without one
+makes its own); each
 :class:`~repro.core.shardexec.ShardMirror` additionally owns its *own*
 persistent instance scoped to that shard's partition, so memo tables
 (and their flush churn) are O(pairs/k) per shard rather than cluster
@@ -50,10 +51,10 @@ SourceKey = Tuple[int, FrozenSet]
 def first_cycle_at_or_after(time_s: float, dt: float) -> int:
     """Smallest cycle index ``c >= 0`` with ``c * dt >= time_s``, exactly.
 
-    All event-engine timestamps derive from integer cycle counts through
+    All simulator timestamps derive from integer cycle counts through
     this helper so fast-forward never compounds ``now += k*dt`` rounding:
-    the comparison is performed on ``c * dt`` itself (the same float the
-    tick loop computes for cycle ``c``), so membership tests like
+    the comparison is performed on ``c * dt`` itself (the same float an
+    executed cycle ``c`` computes), so membership tests like
     "has this job arrived by cycle c" are bit-identical between a loop
     that tests every cycle and a jump that lands directly on ``c``.
     """
@@ -71,9 +72,9 @@ def first_cycle_at_or_after(time_s: float, dt: float) -> int:
 class DecisionReuseState:
     """The previous decide's output plus the validity key certifying it.
 
-    The event-driven simulator core (``SimConfig.event_engine``) skips the
-    decide → validate → path-lookup stages of a cycle when the decision of
-    an earlier cycle is provably still exact. "Provably" is the
+    The simulator's cycle loop (:meth:`repro.net.simulator.Simulation.run`)
+    skips the decide → validate → path-lookup stages of a cycle when the
+    decision of an earlier cycle is provably still exact. "Provably" is the
     conjunction of two certificates:
 
     * the **validity key** — a tuple of every piece of simulator state a
@@ -106,8 +107,6 @@ class DecisionReuseState:
     resources: List = field(default_factory=list)
     #: The directives' row columns (``repro.net.simulator.FlowColumns``).
     columns: object = None
-    # Telemetry consumed by the event-engine benchmark.
-    reuses: int = 0
 
     def valid_for(self, cycle: int, key: tuple) -> bool:
         """True when the cached decision is exact for ``cycle``."""

@@ -10,12 +10,11 @@ Two allocation regimes are needed by the reproduction:
   scaling down any resource that ended up oversubscribed (e.g. because the
   controller worked from slightly stale state, §5.1's non-blocking update).
 
-Both allocators exist in two bit-identical implementations: the original
-scalar dict loops, and array kernels over a CSR flow×resource incidence
+Both allocators exist in two bit-identical implementations: scalar dict
+loops, and array kernels over a CSR flow×resource incidence
 (:class:`repro.lp.incidence.FlowIncidence` — the same interning and
 ``reduceat``/``bincount`` machinery the routing solvers use). The public
-entry points dispatch on ``vectorized`` and input size; the simulator
-routes its choice through ``SimConfig(vectorized_flow=...)``. The
+entry points dispatch on input size (:data:`VECTOR_MIN_FLOWS`). The
 per-kernel bit-identity arguments live next to each vectorized step; the
 randomized equivalence suite in ``tests/test_flow_kernel.py`` asserts
 exact dict equality between the paths.
@@ -78,7 +77,6 @@ def max_min_fair_rates(
     flows: Sequence[Flow],
     capacities: Mapping[ResourceKey, float],
     stats: Optional[FlowKernelStats] = None,
-    vectorized: bool = True,
 ) -> Dict[Hashable, float]:
     """Progressive-filling max-min fair allocation.
 
@@ -92,7 +90,7 @@ def max_min_fair_rates(
     :func:`max_min_fair_rates_vectorized` (bit-identical results): the
     array kernel only pays off past :data:`VECTOR_MIN_FLOWS` flows.
     """
-    if vectorized and len(flows) >= VECTOR_MIN_FLOWS:
+    if len(flows) >= VECTOR_MIN_FLOWS:
         return max_min_fair_rates_vectorized(flows, capacities, stats)
     return max_min_fair_rates_scalar(flows, capacities, stats)
 
@@ -111,9 +109,9 @@ def max_min_fair_rates_scalar(
     the filling progresses, so they are maintained incrementally: each
     frozen flow decrements its resources' counts instead of the counts
     being rebuilt from every active flow each iteration. Allocations are
-    bit-identical to the reference rebuild-every-iteration implementation
-    (kept as :func:`_max_min_fair_rates_reference` for the A/B benchmark)
-    and to the array kernel (:func:`max_min_fair_rates_vectorized`).
+    bit-identical to the rebuild-every-iteration reference (the test
+    oracle ``max_min_fair_rates_reference``) and to the array kernel
+    (:func:`max_min_fair_rates_vectorized`).
     """
     rates: Dict[Hashable, float] = {f.flow_id: 0.0 for f in flows}
     active: List[Flow] = [f for f in flows if f.effective_cap() > 0]
@@ -276,67 +274,10 @@ def max_min_fair_rates_vectorized(
     return rates
 
 
-def _max_min_fair_rates_reference(
-    flows: Sequence[Flow],
-    capacities: Mapping[ResourceKey, float],
-) -> Dict[Hashable, float]:
-    """The original allocator rebuilding ``load`` every iteration.
-
-    Kept as the in-tree baseline for the allocator A/B in
-    ``benchmarks/bench_parallel_suite.py`` and the equivalence regression
-    in ``tests/test_flow.py``; :func:`max_min_fair_rates` must match it
-    bit-for-bit on every input.
-    """
-    rates: Dict[Hashable, float] = {f.flow_id: 0.0 for f in flows}
-    active: List[Flow] = [f for f in flows if f.effective_cap() > 0]
-    for flow in flows:
-        if flow.effective_cap() <= 0:
-            rates[flow.flow_id] = 0.0
-    residual: Dict[ResourceKey, float] = dict(capacities)
-    level = 0.0
-
-    while active:
-        load: Dict[ResourceKey, int] = {}
-        for flow in active:
-            for res in flow.resources:
-                load[res] = load.get(res, 0) + 1
-
-        increment = float("inf")
-        for res, count in load.items():
-            if res not in residual:
-                raise KeyError(f"flow references unknown resource {res!r}")
-            increment = min(increment, residual[res] / count)
-        for flow in active:
-            increment = min(increment, flow.effective_cap() - level)
-        if increment == float("inf"):
-            raise ValueError("unbounded allocation: no capacities bind any flow")
-        increment = max(increment, 0.0)
-
-        level += increment
-        for flow in active:
-            rates[flow.flow_id] = level
-        for res, count in load.items():
-            residual[res] -= increment * count
-            if residual[res] < 0:
-                residual[res] = 0.0
-
-        still_active: List[Flow] = []
-        for flow in active:
-            capped = flow.effective_cap() - level <= 1e-12
-            saturated = any(residual[res] <= 1e-9 for res in flow.resources)
-            if not (capped or saturated):
-                still_active.append(flow)
-        if len(still_active) == len(active):
-            break
-        active = still_active
-    return rates
-
-
 def clip_rates_to_capacity(
     flows: Sequence[Flow],
     requested: Mapping[Hashable, float],
     capacities: Mapping[ResourceKey, float],
-    vectorized: bool = True,
 ) -> Dict[Hashable, float]:
     """Scale requested rates so no resource is oversubscribed.
 
@@ -349,7 +290,7 @@ def clip_rates_to_capacity(
     Dispatches between :func:`clip_rates_to_capacity_scalar` and
     :func:`clip_rates_to_capacity_vectorized` (bit-identical results).
     """
-    if vectorized and len(flows) >= VECTOR_MIN_FLOWS:
+    if len(flows) >= VECTOR_MIN_FLOWS:
         return clip_rates_to_capacity_vectorized(flows, requested, capacities)
     return clip_rates_to_capacity_scalar(flows, requested, capacities)
 

@@ -299,45 +299,6 @@ class SimConfig:
     # active in the previous cycle loses this much of the cycle before
     # transferring (Fig. 12c's third overhead source).
     flow_setup_seconds: float = 0.0
-    # Incremental cycle-state engine: thread the simulator's pending-
-    # delivery bookkeeping and a CycleCache into each ClusterView so the
-    # per-cycle cost tracks remaining work, not total state size. False
-    # reverts to the original O(total work) scan paths — kept as the
-    # in-tree baseline for the hot-path benchmark and the determinism
-    # A/B regression test; results are identical either way.
-    incremental_engine: bool = True
-    # Array-native control plane: back the possession index with a packed
-    # bitset PossessionMatrix and (with the incremental engine) feed the
-    # scheduler/router static candidate arrays + integer server/block ids
-    # so selection is a handful of numpy gathers and one stable sort.
-    # False reverts to the dict-of-sets store and the scalar scheduler —
-    # kept as the in-tree baseline for the scheduler-kernel benchmark and
-    # the determinism A/B tests; selections and directives are
-    # bit-identical either way.
-    vectorized_store: bool = True
-    # Array-native data plane: resolve flow rates with the vectorized
-    # waterfill/clip kernels (repro.net.flow) and apply each cycle's
-    # completed deliveries as one grouped possession pass
-    # (store.record_deliveries) instead of per-pair dict updates. False
-    # reverts to the scalar kernels and per-delivery bookkeeping — kept
-    # as the in-tree baseline for the flow-kernel benchmark and the
-    # determinism A/B tests; allocations and results are bit-identical
-    # either way. Batched delivery additionally needs the matrix store
-    # (vectorized_store=True); without it deliveries stay per-pair.
-    vectorized_flow: bool = True
-    # Event-driven simulator core (§5.2: decisions stay valid until state
-    # changes). When on, the loop (a) replays the previous decision while
-    # its validity key — store/topology/partial-membership epochs, failure
-    # sets, controller availability, active-job signature, background
-    # state token — and the strategy's certified reuse horizon both hold,
-    # skipping decide/validate/path lookups; and (b) fast-forwards whole
-    # stretches of cycles analytically when rates are provably constant,
-    # applying k cycles of delivery in one batched pass bounded by the
-    # next event (flow completion, job arrival, failure event, background
-    # change-point). False reverts to the fixed-tick loop — kept as the
-    # in-tree baseline for the event-engine benchmark and the determinism
-    # A/B tests; results are bit-identical either way.
-    event_engine: bool = True
     # Per-cycle CycleStats collection. Day-scale horizons (10^6+ cycles)
     # do not want a ~500-byte record per cycle; turning this off keeps
     # only the aggregate counters and completion metrics. Implies no
@@ -548,7 +509,8 @@ class SimResult:
     feedback_samples: List = field(default_factory=list)
     # Event-engine accounting (diagnostics, never fingerprinted): cycles
     # that replayed the previous decision, and cycles applied inside
-    # analytic fast-forward stretches. Both zero under the tick loop.
+    # analytic fast-forward stretches. Both zero for a strategy that
+    # does not certify its decisions as reusable.
     cycles_decision_reused: int = 0
     cycles_fast_forwarded: int = 0
 
@@ -581,12 +543,9 @@ class SimResult:
         return series
 
     def stage_time_totals(self) -> Dict[str, float]:
-        """Summed per-stage wall-clock seconds across all cycles.
-
-        The hot-path benchmark consumes this to show where the control
-        loop spends its time (view-build / schedule / route /
-        rate-resolve / deliver).
-        """
+        """Summed per-stage wall-clock seconds across all cycles: where
+        the control loop spends its time (view-build / schedule / route /
+        rate-resolve / deliver)."""
         totals = dict.fromkeys(_STAGE_TIME_FIELDS, 0.0)
         for first, count in self.cycle_stats.runs():
             for stage, field_name in _STAGE_TIME_FIELDS.items():
@@ -674,12 +633,14 @@ class ClusterView:
     strategies must not mutate these mappings or hold a view across
     cycles (the next cycle reuses and mutates them in place).
 
-    When the simulator runs with the incremental engine (the default) it
-    also threads in its pending bookkeeping (``pending`` /
-    ``relay_pending`` / ``blocks_by_id``) and a :class:`CycleCache`, so
-    ``pending_deliveries`` iterates only still-missing entries and the
-    rarity/source/path queries are memoized. All fall back to the
-    original full scans when absent, with identical results.
+    The simulator also threads in its pending bookkeeping (``pending`` /
+    ``relay_pending`` / ``blocks_by_id``) and its persistent
+    :class:`CycleCache`, so ``pending_deliveries`` iterates only
+    still-missing entries and the rarity/source/path memos stay warm
+    across cycles. A hand-built view may omit them: the pending
+    accessors then scan every (destination, block) pair against the
+    store, and the view memoizes in a cache of its own — with identical
+    results.
     """
 
     def __init__(
@@ -717,7 +678,7 @@ class ClusterView:
         self._pending_map = pending
         self._relay_pending_map = relay_pending
         self._blocks_by_id = blocks_by_id
-        self._cache = cache
+        self._cache = cache if cache is not None else CycleCache()
         self._failed_frozen = frozenset(self.failed_agents)
         # Ordered iteration hints for the pending maps (see the accessors)
         # plus the exactness witness: while the store object is this very
@@ -731,7 +692,7 @@ class ClusterView:
         self._map_epoch = getattr(store, "epoch", -1)
         # Static candidate arrays for the vectorized scheduling kernel
         # (see repro.net.candidates); None sends the scheduler down the
-        # scalar paths.
+        # scalar path.
         self._candidates = candidates
 
     def agent_is_up(self, server_id: str) -> bool:
@@ -771,24 +732,22 @@ class ClusterView:
         return clone
 
     def with_jobs(
-        self, jobs: Sequence[MulticastJob], cache: Optional[CycleCache] = None
+        self, jobs: Sequence[MulticastJob], cache: CycleCache
     ) -> "ClusterView":
         """A shallow clone of this view scoped to ``jobs``.
 
         Used by the sharded control plane to hand each controller shard
-        its job partition: the clone shares every other structure with
-        this view (store, pending maps, budgets, candidate table — jobs
-        are disjoint in blocks, so a shard simply never looks at another
-        shard's rows), and ``cache`` substitutes the shard's own
-        :class:`CycleCache` so shards keep independent warm memos.
+        its job partition of a speculation overlay: the clone shares
+        every other structure with this view (store, pending maps,
+        budgets — jobs are disjoint in blocks, so a shard simply never
+        looks at another shard's rows), and memoizes in ``cache``.
         Implemented with :func:`copy.copy` so subclasses (notably
         :class:`~repro.core.speculation.SpeculatedView`) keep their
         exactness witnesses — in particular ``_map_store`` — untouched.
         """
         clone = copy.copy(self)
         clone.jobs = list(jobs)
-        if cache is not None:
-            clone._cache = cache
+        clone._cache = cache
         return clone
 
     def flow_resources(
@@ -801,13 +760,6 @@ class ClusterView:
         per (src, dst) pair while topology and failed links are unchanged.
         """
         cache = self._cache
-        if cache is None:
-            try:
-                return self.topology.flow_resources(
-                    src_server, dst_server, self.failed_links
-                )
-            except ValueError:
-                return None
         table = cache.validate_paths(self.topology.epoch, self.failed_links)
         key = (src_server, dst_server)
         try:
@@ -890,11 +842,6 @@ class ClusterView:
         block, so the second and later queries are dict hits.
         """
         cache = self._cache
-        if cache is None:
-            failed = self.failed_agents
-            return [
-                s for s in self.store.holders(block_id) if s not in failed
-            ]
         cache.validate_sources(self.store.epoch, self._failed_frozen)
         try:
             result = cache.sources[block_id]
@@ -914,8 +861,6 @@ class ClusterView:
     def duplicate_count(self, block_id: BlockId) -> int:
         """Cluster-wide copy count (§4.3 rarity), memoized per block id."""
         cache = self._cache
-        if cache is None:
-            return self.store.duplicate_count(block_id)
         cache.validate_sources(self.store.epoch, self._failed_frozen)
         count = cache.rarity.get(block_id)
         if count is None:
@@ -1017,31 +962,23 @@ class _BlockColumns:
     __slots__ = ("base", "count", "blocks", "sizes", "gids", "server_ids")
 
     def __init__(
-        self,
-        jobs: Sequence[MulticastJob],
-        store: PossessionIndex,
-        servers: Iterable[str],
+        self, jobs: Sequence[MulticastJob], store: PossessionIndex
     ) -> None:
         self.base: Dict[str, int] = {}
         self.count: Dict[str, int] = {}
         self.blocks: List[Block] = []
         for job in jobs:
-            if job.job_id not in self.base:  # first wins, like _jobs_by_id
-                self.base[job.job_id] = len(self.blocks)
-                self.count[job.job_id] = len(job.blocks)
-                self.blocks.extend(job.blocks)
+            self.base[job.job_id] = len(self.blocks)
+            self.count[job.job_id] = len(job.blocks)
+            self.blocks.extend(job.blocks)
         self.sizes = np.array([b.size for b in self.blocks], dtype=np.float64)
         matrix = store.matrix
-        if matrix is not None:
-            self.server_ids: Dict[str, int] = matrix.server_ids
-            self.gids: Optional[np.ndarray] = np.fromiter(
-                (matrix.intern(b.block_id) for b in self.blocks),
-                dtype=np.int64,
-                count=len(self.blocks),
-            )
-        else:
-            self.server_ids = {n: i for i, n in enumerate(sorted(servers))}
-            self.gids = None
+        self.server_ids: Dict[str, int] = matrix.server_ids
+        self.gids = np.fromiter(
+            (matrix.intern(b.block_id) for b in self.blocks),
+            dtype=np.int64,
+            count=len(self.blocks),
+        )
 
 
 class FlowColumns:
@@ -1136,10 +1073,14 @@ class Simulation:
 
         if not self.jobs:
             raise ValueError("need at least one job")
+        # Every per-job structure below is keyed by job id.
+        self._jobs_by_id: Dict[str, MulticastJob] = {}
+        for job in self.jobs:
+            if job.job_id in self._jobs_by_id:
+                raise ValueError(f"duplicate job id {job.job_id!r}")
+            self._jobs_by_id[job.job_id] = job
         server_dc = {s.server_id: s.dc for s in topology.servers.values()}
-        self.store = PossessionIndex(
-            server_dc, vectorized=self.config.vectorized_store
-        )
+        self.store = PossessionIndex(server_dc)
         for job in self.jobs:
             if not job.is_bound():
                 job.bind(topology)
@@ -1153,7 +1094,7 @@ class Simulation:
         self._partial: Dict[Tuple[BlockId, str], float] = {}
         # Pending (job, dc) -> set of (block_id, server) still missing,
         # plus an ordered list of the same entries (ascending block index,
-        # the legacy scan order). The set is the source of truth (_deliver
+        # the order of a full scan). The set is the source of truth (_deliver
         # discards from it); the list is an iteration hint the view
         # compacts lazily, so pending iteration needs no per-cycle sort.
         self._pending: Dict[Tuple[str, str], Set[Tuple[BlockId, str]]] = {}
@@ -1194,13 +1135,8 @@ class Simulation:
 
         self._blocks_by_id: Dict[BlockId, Block] = {}
         self._origin_dc: Dict[str, str] = {}
-        # Job lookup for the delivery bookkeeping: _deliver used to do an
-        # O(jobs) linear scan per completed DC. First-wins like the scan,
-        # should duplicate job ids ever appear.
-        self._jobs_by_id: Dict[str, MulticastJob] = {}
         for job in self.jobs:
             self._origin_dc[job.job_id] = job.src_dc
-            self._jobs_by_id.setdefault(job.job_id, job)
             for block in job.blocks:
                 self._blocks_by_id[block.block_id] = block
 
@@ -1209,17 +1145,13 @@ class Simulation:
         # parallel int arrays. Built once, after seeding (so pre-seeded
         # copies compact out on the first cycle's gather). Skipped when
         # the strategy decides against partition-scoped shard mirrors
-        # (BDSController with shards > 1 and shard_local_state): the
+        # (a sharded BDSController, which has a shard signature): the
         # mirrors build their own shard-scoped tables, O(pairs/shards)
         # each, and a global O(pairs) build would be dead weight — only
         # speculation-overlay cycles would miss it, on their
         # already-scalar fallback path.
         self._cand_table = None
-        if (
-            self.config.incremental_engine
-            and self.store.matrix is not None
-            and not getattr(strategy, "wants_shard_local_state", False)
-        ):
+        if getattr(strategy, "shard_signature", None) is None:
             from repro.net.candidates import CandidateTable
 
             self._cand_table = CandidateTable(self.jobs, self.store.matrix)
@@ -1228,8 +1160,8 @@ class Simulation:
         # (see _BlockColumns); built on first use, not at construction.
         self._cols: Optional[_BlockColumns] = None
 
-        # Incremental-engine state: the persistent per-cycle query cache
-        # and the memoized capacity maps (see _bulk_capacities).
+        # The persistent per-cycle query cache and the memoized capacity
+        # maps (see _bulk_capacities).
         self._cycle_cache = CycleCache()
         self._wan_keys: Tuple[ResourceKey, ...] = tuple(topology.links)
         self._bulk_cache: Dict[float, list] = {}
@@ -1242,9 +1174,9 @@ class Simulation:
         # event engine's decision validity key.
         self._partial_epoch = 0
 
-        # Integer arrival grid (event engine + O(changes) job filtering):
-        # per-job first active cycle, exact on the c*dt float grid so
-        # "arrived by cycle c" matches the legacy arrival_time <= c*dt
+        # Integer arrival grid (fast-forward bounds + O(changes) job
+        # filtering): per-job first active cycle, exact on the c*dt float
+        # grid so "arrived by cycle c" is the arrival_time <= c*dt
         # predicate bit-for-bit, plus a stable arrival-sorted index. Jobs
         # requesting a coarser per-job cadence (MulticastJob.cycle_seconds,
         # a positive multiple of ΔT) have their arrival quantized up to
@@ -1286,8 +1218,6 @@ class Simulation:
         map. The returned dicts are owned by the simulator and reused
         across cycles — consumers must not mutate or retain them.
         """
-        if not self.config.incremental_engine:
-            return self._bulk_capacities_legacy(now, respect_threshold)
         caps = self.topology.resource_capacities()
         if caps is not self._caps_ref:
             self._bulk_cache.clear()
@@ -1329,34 +1259,11 @@ class Simulation:
         budget[2] = state
         return bulk, online
 
-    def _bulk_capacities_legacy(
-        self, now: float, respect_threshold: bool
-    ) -> Tuple[Dict[ResourceKey, float], Dict[ResourceKey, float]]:
-        """The original full per-cycle rebuild (baseline reference)."""
-        caps = self.topology.resource_capacities()
-        online: Dict[ResourceKey, float] = {}
-        threshold = self.config.safety_threshold if respect_threshold else 1.0
-        bulk: Dict[ResourceKey, float] = {}
-        for key, cap in caps.items():
-            if key[0] == "wan":
-                used = (
-                    self.background.usage(key, now, cap) if self.background else 0.0
-                )
-                online[key] = used
-                bulk[key] = max(0.0, threshold * cap - used)
-                if self.failures and not self.failures.link_is_up(key[1], key[2]):
-                    bulk[key] = 0.0
-            else:
-                bulk[key] = cap
-        return bulk, online
-
     # -- directive validation ----------------------------------------------------
 
     def _block_columns(self) -> _BlockColumns:
         if self._cols is None:
-            self._cols = _BlockColumns(
-                self.jobs, self.store, self.topology.servers
-            )
+            self._cols = _BlockColumns(self.jobs, self.store)
         return self._cols
 
     def _valid_directives(
@@ -1413,20 +1320,9 @@ class Simulation:
         offset, limit, src, dst = np.repeat(per_directive[:4], lens, axis=1)
         known = (index >= 0) & (index < limit)
         flat = np.where(known, index + offset, 0)
-        matrix = self.store.matrix
-        if matrix is not None:
-            useful = known & matrix.test_transfers(src, dst, cols.gids[flat])
-        else:
-            has = self.store.has
-            useful = known & np.fromiter(
-                (
-                    has(d.src_server, bid) and not has(d.dst_server, bid)
-                    for d in admitted
-                    for bid in d.block_ids
-                ),
-                dtype=bool,
-                count=len(index),
-            )
+        useful = known & self.store.matrix.test_transfers(
+            src, dst, cols.gids[flat]
+        )
 
         ends = np.cumsum(lens)
         if useful.all():
@@ -1494,7 +1390,6 @@ class Simulation:
         """
         respects = getattr(self.strategy, "respects_safety_threshold", False)
         bulk_caps, _online = self._bulk_capacities(cycle * self.config.cycle_seconds, respects)
-        incremental = self.config.incremental_engine
         return ClusterView(
             topology=self.topology,
             store=self.store,
@@ -1513,13 +1408,13 @@ class Simulation:
             failed_links=frozenset(self.failures.failed_links)
             if self.failures
             else frozenset(),
-            pending=self._pending if incremental else None,
-            relay_pending=self._relay_pending if incremental else None,
-            blocks_by_id=self._blocks_by_id if incremental else None,
-            cache=self._cycle_cache if incremental else None,
-            pending_order=self._pending_order if incremental else None,
-            relay_order=self._relay_order if incremental else None,
-            candidates=self._cand_table if incremental else None,
+            pending=self._pending,
+            relay_pending=self._relay_pending,
+            blocks_by_id=self._blocks_by_id,
+            cache=self._cycle_cache,
+            pending_order=self._pending_order,
+            relay_order=self._relay_order,
+            candidates=self._cand_table,
         )
 
     # -- main loop -------------------------------------------------------------
@@ -1527,17 +1422,19 @@ class Simulation:
     def run(self) -> SimResult:
         """Run until all jobs complete or ``max_cycles`` elapse.
 
-        Two engines share this loop. The fixed-tick engine
-        (``event_engine=False``) executes every stage of every cycle. The
-        event engine adds two provably-exact shortcuts on top of the same
-        stage code:
+        Every cycle runs the same stage code. For a strategy that
+        certifies its decisions as reusable (``decisions_reusable``), with
+        no per-cycle observer attached (agent monitor, ``on_cycle_complete``
+        hook), two provably-exact shortcuts apply (§5.2: decisions stay
+        valid until state changes); any other run executes every stage of
+        every cycle:
 
         * **decision reuse** — while the validity key (epochs, failure
           sets, controller availability, active-job signature, background
           token) and the strategy's certified reuse horizon both hold,
           the previous decision's validated directives are replayed and
           the view/decide/validate stages are skipped. Rates are still
-          resolved fresh each cycle (they are in the tick loop too), so
+          resolved fresh each cycle (as on a freshly decided one), so
           replayed cycles are bit-identical by construction.
         * **analytic fast-forward** — after a replayable cycle that
           delivered nothing and changed no partial membership, the next
@@ -1546,10 +1443,10 @@ class Simulation:
           (remaining/rate), the next job arrival, the next failure event,
           the next background change-point, the reuse horizon, and
           ``max_cycles``. Per-flow byte accumulation uses the same
-          left-fold float additions the tick loop performs (numpy cumsum
+          left-fold float additions executed cycles perform (numpy cumsum
           is a sequential fold), so the skipped cycles' partial bytes,
           per-cycle transferred totals, and eventual completion times are
-          bit-identical to ticking through them.
+          bit-identical to executing them one by one.
         """
         cfg = self.config
         dt = cfg.cycle_seconds
@@ -1577,18 +1474,16 @@ class Simulation:
         # (src, dst) pairs with an active flow last cycle: reused pairs skip
         # the TCP re-establishment cost.
         prev_pairs: Set[Tuple[str, str]] = set()
-        incremental = cfg.incremental_engine
         record_stats = cfg.record_cycle_stats
 
-        # Event-engine gates. Reuse needs a strategy that certifies its
-        # decide as a pure function of the validity key, and no per-cycle
-        # observers that a skipped decide would starve (monitor, hook).
-        # Fast-forward additionally requires nothing that must run every
-        # cycle: replica elections tick per cycle, and link stats sample
-        # per cycle.
+        # Reuse needs a strategy that certifies its decide as a pure
+        # function of the validity key, and no per-cycle observers that a
+        # skipped decide would starve (monitor, hook). Fast-forward
+        # additionally requires nothing that must run every cycle:
+        # replica elections tick per cycle, and link stats sample per
+        # cycle.
         can_reuse = (
-            cfg.event_engine
-            and getattr(self.strategy, "decisions_reusable", False)
+            getattr(self.strategy, "decisions_reusable", False)
             and self.agent_monitor is None
             and getattr(self.strategy, "on_cycle_complete", None) is None
         )
@@ -1698,7 +1593,6 @@ class Simulation:
                 flow_resources = reuse.resources
                 columns = reuse.columns
                 rate_started = _time.perf_counter()
-                reuse.reuses += 1
                 cycles_reused += 1
             else:
                 view = ClusterView(
@@ -1713,13 +1607,13 @@ class Simulation:
                     controller_available=controller_ok,
                     partial_bytes=self._partial,
                     failed_links=failed_links,
-                    pending=self._pending if incremental else None,
-                    relay_pending=self._relay_pending if incremental else None,
-                    blocks_by_id=self._blocks_by_id if incremental else None,
-                    cache=self._cycle_cache if incremental else None,
-                    pending_order=self._pending_order if incremental else None,
-                    relay_order=self._relay_order if incremental else None,
-                    candidates=self._cand_table if incremental else None,
+                    pending=self._pending,
+                    relay_pending=self._relay_pending,
+                    blocks_by_id=self._blocks_by_id,
+                    cache=self._cycle_cache,
+                    pending_order=self._pending_order,
+                    relay_order=self._relay_order,
+                    candidates=self._cand_table,
                 )
                 decide_started = _time.perf_counter()
                 time_view_build = decide_started - stage_started
@@ -1741,18 +1635,8 @@ class Simulation:
                 routed: List[TransferDirective] = []
                 flow_resources = []
                 for d in directives:
-                    if incremental:
-                        resources = view.flow_resources(
-                            d.src_server, d.dst_server
-                        )
-                    else:
-                        try:
-                            resources = self.topology.flow_resources(
-                                d.src_server, d.dst_server, failed_links
-                            )
-                        except ValueError:
-                            resources = None
                     # None: destination partitioned off this cycle.
+                    resources = view.flow_resources(d.src_server, d.dst_server)
                     flow_resources.append(resources)
                     if resources is not None:
                         routed.append(d)
@@ -1797,38 +1681,21 @@ class Simulation:
             ]
             kernel_stats = FlowKernelStats()
             if uses_rates and controller_ok:
-                requested = {
-                    f.flow_id: min(f.effective_cap(), float("inf")) for f in flows
-                }
-                # Replace inf (no cap given) with the demand bound.
-                for f in flows:
-                    if requested[f.flow_id] == float("inf"):
-                        requested[f.flow_id] = f.demand or 0.0
-                rates = clip_rates_to_capacity(
-                    flows, requested, bulk_caps, vectorized=cfg.vectorized_flow
-                )
+                requested = {f.flow_id: f.effective_cap() for f in flows}
+                rates = clip_rates_to_capacity(flows, requested, bulk_caps)
             else:
-                rates = max_min_fair_rates(
-                    flows,
-                    bulk_caps,
-                    stats=kernel_stats,
-                    vectorized=cfg.vectorized_flow,
-                )
+                rates = max_min_fair_rates(flows, bulk_caps, stats=kernel_stats)
             deliver_started = _time.perf_counter()
             time_rate_resolve = deliver_started - rate_started
 
             delivered = 0
             transferred = 0.0
             apply_seconds = 0.0
-            # Batched delivery: completed transfers queue up during the
-            # budget loop and land on the store/bookkeeping in one grouped
-            # pass afterwards. The budget loop never reads anything
-            # _deliver mutates (store, pending maps, completion dicts), so
-            # deferring the application is order-equivalent. Needs the
-            # matrix store for the grouped bit pass.
-            batch_deliver = (
-                cfg.vectorized_flow and self.store.matrix is not None
-            )
+            # Completed transfers queue up during the budget loop and land
+            # on the store/bookkeeping afterwards. The budget loop never
+            # reads anything delivery mutates (store, pending maps,
+            # completion dicts), so deferring the application is
+            # order-equivalent.
             events: List[Tuple[str, Block, str, str, float]] = []
             current_pairs: Set[Tuple[str, str]] = set()
             flat_blocks = self._block_columns().blocks
@@ -1868,26 +1735,10 @@ class Simulation:
                         self._partial.pop(key, None)
                         setup = dt - window
                         finish = now + setup + (used / rate if rate > 0 else dt)
-                        when = min(finish, cycle_end)
-                        if batch_deliver:
-                            events.append(
-                                (d.job_id, block, d.src_server, d.dst_server, when)
-                            )
-                        else:
-                            apply_started = _time.perf_counter()
-                            self._deliver(
-                                d.job_id,
-                                block,
-                                d.src_server,
-                                d.dst_server,
-                                when,
-                                job_completion,
-                                dc_completion,
-                                server_completion,
-                            )
-                            apply_seconds += (
-                                _time.perf_counter() - apply_started
-                            )
+                        events.append(
+                            (d.job_id, block, d.src_server, d.dst_server,
+                             min(finish, cycle_end))
+                        )
                         delivered += 1
                     else:
                         if have == 0.0:
@@ -1916,7 +1767,7 @@ class Simulation:
                     self._apply_deliveries(
                         events, job_completion, dc_completion, server_completion
                     )
-                apply_seconds += _time.perf_counter() - apply_started
+                apply_seconds = _time.perf_counter() - apply_started
 
             if record_stats:
                 time_schedule = decide_runtime
@@ -2114,11 +1965,11 @@ class Simulation:
           otherwise) with a float-dust margin, since a binding demand
           would change the resolved rates;
         * **no completion** — a cumsum over the flow's per-cycle budget
-          replays the tick loop's exact completion predicate
+          replays the executed cycle's exact completion predicate
           (``take >= need - 1e-6``); k stops short of the first hit so
           the completing cycle runs through the real delivery path.
 
-        Byte application is the tick loop's own arithmetic: each skipped
+        Byte application is the executed cycle's own arithmetic: each skipped
         cycle deposits the full budget into the directive's first block
         (``budget -= take`` is exactly ``0.0`` when ``take == budget``),
         and ``np.cumsum`` is the same sequential left-fold of float adds,

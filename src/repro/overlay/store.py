@@ -9,21 +9,18 @@ evaluation logic needs:
 * delivery provenance (whether each delivered block came from the origin DC
   or from an overlay path — the Fig. 13c measurement).
 
-Two backings exist behind the same :class:`PossessionIndex` API:
+The state lives in a :class:`PossessionMatrix` of packed ``uint64``
+bitset rows (servers × blocks) with interned integer ids for servers,
+DCs, and blocks. Duplicate counts and per-DC copy counts are maintained
+incrementally alongside the bits, so rarity is a single array gather and
+the vectorized scheduler can mask/sort whole candidate sets without
+touching Python objects; :class:`PossessionIndex` is the name-keyed
+facade over it. The dict-of-sets bookkeeping the matrix replaced is the
+test oracle ``DictPossessionIndex`` (same facade).
 
-* the **array-native** backing (default): a :class:`PossessionMatrix` of
-  packed ``uint64`` bitset rows (servers × blocks) with interned integer
-  ids for servers, DCs, and blocks. Duplicate counts and per-DC copy
-  counts are maintained incrementally alongside the bits, so rarity is a
-  single array gather and the vectorized scheduler can mask/sort whole
-  candidate sets without touching Python objects;
-* the **legacy dict-of-sets** backing (``vectorized=False``), kept
-  verbatim as the baseline the scheduler-kernel benchmark and the
-  equivalence tests A/B against.
-
-Both backings keep identical epoch arithmetic: every *new* possession
-(seed or delivery) bumps ``epoch`` by one, and ``drop_server`` bumps it
-once per call (not once per dropped block — see the method docstring).
+Epoch arithmetic: every *new* possession (seed or delivery) bumps
+``epoch`` by one, and ``drop_server`` bumps it once per call (not once
+per dropped block — see the method docstring).
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ from typing import (
     Optional,
     AbstractSet,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -394,8 +390,7 @@ class PossessionMatrix:
 
         The dominant, capacity-proportional memory of the matrix — the
         per-shard footprint the sharded control plane's telemetry tracks
-        (interning dicts are excluded; they are O(blocks) pointers and
-        identical across backings).
+        (interning dicts are excluded; they are O(blocks) pointers).
         """
         return int(
             self.bits.nbytes
@@ -415,83 +410,57 @@ class PossessionIndex:
     change bumps the epoch and invalidates every memoized rarity/holder
     query.
 
-    With ``vectorized=True`` (the default) the index is a thin facade over
-    a :class:`PossessionMatrix`; the hot control-plane paths bypass the
-    facade and operate on the matrix arrays directly (see
-    :mod:`repro.core.scheduling`). ``vectorized=False`` keeps the original
-    dict-of-sets bookkeeping as the in-tree baseline for the
-    scheduler-kernel benchmark and the equivalence tests.
+    The index is a thin facade over its :attr:`matrix`; the hot
+    control-plane paths bypass the facade and operate on the matrix
+    arrays directly (see :mod:`repro.core.scheduling`).
     """
 
+    #: Queries answer straight from the live :attr:`matrix`. Overlay
+    #: stores (speculation) wrap an index and add phantom copies; they
+    #: advertise ``False`` so the vectorized scheduler/router know the
+    #: matrix alone is not the whole truth and fall back to the facade
+    #: queries.
+    is_exact_matrix = True
+
     def __init__(
-        self,
-        server_dc: Mapping[str, str],
-        vectorized: bool = True,
-        block_capacity: int = 1024,
+        self, server_dc: Mapping[str, str], block_capacity: int = 1024
     ) -> None:
         # server id -> DC name; fixed for the lifetime of the index.
         self._server_dc: Dict[str, str] = dict(server_dc)
         self.deliveries: List[DeliveryRecord] = []
         self.epoch: int = 0
-        self.matrix: Optional[PossessionMatrix] = None
-        self._holders: Dict[BlockId, Set[str]] = {}
-        self._server_blocks: Dict[str, Set[BlockId]] = {}
-        self._dc_counts: Dict[Tuple[str, BlockId], int] = {}
-        if vectorized:
-            # ``block_capacity`` sizes the matrix's initial column space.
-            # Shard mirrors pass their partition's block count so a 1/k
-            # partition holds ~1/k of the arrays instead of being
-            # quantized up by the default floor + power-of-two growth.
-            self.matrix = PossessionMatrix(
-                self._server_dc, block_capacity=block_capacity
-            )
-        else:
-            self._server_blocks = {s: set() for s in self._server_dc}
-
-    @property
-    def is_exact_matrix(self) -> bool:
-        """True when queries answer straight from a live PossessionMatrix.
-
-        Overlay stores (speculation) wrap an index and add phantom copies;
-        they advertise ``False`` so the vectorized scheduler/router know
-        the matrix alone is not the whole truth and fall back to the
-        facade queries.
-        """
-        return self.matrix is not None
+        # ``block_capacity`` sizes the matrix's initial column space.
+        # Shard mirrors pass their partition's block count so a 1/k
+        # partition holds ~1/k of the arrays instead of being quantized
+        # up by the default floor + power-of-two growth.
+        self.matrix = PossessionMatrix(
+            self._server_dc, block_capacity=block_capacity
+        )
 
     # -- updates --------------------------------------------------------------
+
+    def _sid(self, server_id: str) -> int:
+        try:
+            return self.matrix.server_ids[server_id]
+        except KeyError:
+            raise KeyError(f"unknown server {server_id!r}") from None
 
     def seed(self, server_id: str, blocks: Iterable[Block]) -> None:
         """Place initial copies (no delivery records; they were never sent)."""
         matrix = self.matrix
-        if matrix is not None:
-            try:
-                sid = matrix.server_ids[server_id]
-            except KeyError:
-                raise KeyError(f"unknown server {server_id!r}") from None
-            gids = [matrix.intern(block.block_id) for block in blocks]
-            self.epoch += matrix.set_many(sid, gids)
-            return
-        for block in blocks:
-            self._add(block.block_id, server_id)
+        sid = self._sid(server_id)
+        gids = [matrix.intern(block.block_id) for block in blocks]
+        self.epoch += matrix.set_many(sid, gids)
 
     def seed_gids(self, server_id: str, gids: "np.ndarray") -> None:
-        """Matrix-only bulk :meth:`seed` by pre-interned column ids.
+        """Bulk :meth:`seed` by pre-interned column ids.
 
         The shard mirrors' fast ingest path: a whole (server, job) batch
         of initial copies lands in one :meth:`PossessionMatrix.set_many`
         call instead of per-block facade hops. Same idempotence and
-        epoch bookkeeping as :meth:`seed`; requires the vectorized
-        backing (the scalar dict store has no column ids).
+        epoch bookkeeping as :meth:`seed`.
         """
-        matrix = self.matrix
-        if matrix is None:
-            raise RuntimeError("seed_gids requires the matrix backing")
-        try:
-            sid = matrix.server_ids[server_id]
-        except KeyError:
-            raise KeyError(f"unknown server {server_id!r}") from None
-        self.epoch += matrix.set_many(sid, gids)
+        self.epoch += self.matrix.set_many(self._sid(server_id), gids)
 
     def record_delivery(
         self,
@@ -506,9 +475,11 @@ class PossessionIndex:
         Returns the provenance record, or ``None`` if the destination
         already held the block (duplicate delivery is a no-op).
         """
-        if self.has(dst_server, block.block_id):
+        matrix = self.matrix
+        sid = self._sid(dst_server)
+        if not matrix.set_bit(sid, matrix.intern(block.block_id)):
             return None
-        self._add(block.block_id, dst_server)
+        self.epoch += 1
         record = DeliveryRecord(
             block_id=block.block_id,
             src_server=src_server,
@@ -534,15 +505,13 @@ class PossessionIndex:
         append in event order and the epoch advances once per new copy —
         byte-identical bookkeeping to the sequential loop.
 
-        With the matrix backing, destination servers are resolved (and
-        unknown ones rejected) *before* any bit lands, so a bad event
-        fails the whole batch instead of a prefix — the one deliberate
-        divergence from looping :meth:`record_delivery`, which would
-        apply events preceding the bad one.
+        Destination servers are resolved (and unknown ones rejected)
+        *before* any bit lands, so a bad event fails the whole batch
+        instead of a prefix — the one deliberate divergence from looping
+        :meth:`record_delivery`, which would apply events preceding the
+        bad one.
         """
         matrix = self.matrix
-        if matrix is None:
-            return [self.record_delivery(*event) for event in events]
         n = len(events)
         out: List[Optional[DeliveryRecord]] = [None] * n
         if n == 0:
@@ -580,28 +549,6 @@ class PossessionIndex:
             append(record)
         return out
 
-    def _add(self, block_id: BlockId, server_id: str) -> None:
-        matrix = self.matrix
-        if matrix is not None:
-            try:
-                sid = matrix.server_ids[server_id]
-            except KeyError:
-                raise KeyError(f"unknown server {server_id!r}") from None
-            if matrix.set_bit(sid, matrix.intern(block_id)):
-                self.epoch += 1
-            return
-        if server_id not in self._server_dc:
-            raise KeyError(f"unknown server {server_id!r}")
-        holders = self._holders.setdefault(block_id, set())
-        if server_id in holders:
-            return
-        holders.add(server_id)
-        self._server_blocks[server_id].add(block_id)
-        dc = self._server_dc[server_id]
-        key = (dc, block_id)
-        self._dc_counts[key] = self._dc_counts.get(key, 0) + 1
-        self.epoch += 1
-
     def drop_server(self, server_id: str) -> None:
         """Remove all copies on a failed server (disk loss).
 
@@ -613,26 +560,8 @@ class PossessionIndex:
         CycleCache` only tests epoch *equality*, so its invalidation
         behaviour is unchanged either way.
         """
-        matrix = self.matrix
-        if matrix is not None:
-            sid = matrix.server_ids.get(server_id)
-            if sid is None:
-                return
-            if matrix.clear_row(sid):
-                self.epoch += 1
-            return
-        dropped = False
-        for block_id in list(self._server_blocks.get(server_id, ())):
-            self._holders[block_id].discard(server_id)
-            dc = self._server_dc[server_id]
-            key = (dc, block_id)
-            self._dc_counts[key] -= 1
-            if self._dc_counts[key] == 0:
-                del self._dc_counts[key]
-            dropped = True
-        if server_id in self._server_blocks:
-            self._server_blocks[server_id] = set()
-        if dropped:
+        sid = self.matrix.server_ids.get(server_id)
+        if sid is not None and self.matrix.clear_row(sid):
             self.epoch += 1
 
     # -- queries ---------------------------------------------------------------
@@ -642,98 +571,57 @@ class PossessionIndex:
 
     def has(self, server_id: str, block_id: BlockId) -> bool:
         matrix = self.matrix
-        if matrix is not None:
-            gid = matrix.block_gids.get(block_id)
-            if gid is None:
-                return False
-            sid = matrix.server_ids.get(server_id)
-            if sid is None:
-                return False
-            return matrix.test_bit(sid, gid)
-        return block_id in self._server_blocks.get(server_id, ())
+        gid = matrix.block_gids.get(block_id)
+        if gid is None:
+            return False
+        sid = matrix.server_ids.get(server_id)
+        if sid is None:
+            return False
+        return matrix.test_bit(sid, gid)
 
     def holders(self, block_id: BlockId) -> AbstractSet[str]:
-        """Servers currently holding the block.
-
-        Returns a *read-only view*: the matrix backing materializes a
-        ``frozenset`` from the bit column; the dict backing returns the
-        live internal set (copying here dominated steady-state allocation
-        churn) and unknown blocks get a shared ``frozenset()``. Callers
-        must never mutate the result.
-        """
+        """Servers currently holding the block, as a fresh ``frozenset``
+        decoded from the bit column (a shared empty one for unknown
+        blocks)."""
         matrix = self.matrix
-        if matrix is not None:
-            gid = matrix.block_gids.get(block_id)
-            if gid is None:
-                return _EMPTY_HOLDERS
-            names = matrix.server_names
-            return frozenset(names[i] for i in matrix.holder_ids(gid))
-        return self._holders.get(block_id, _EMPTY_HOLDERS)
+        gid = matrix.block_gids.get(block_id)
+        if gid is None:
+            return _EMPTY_HOLDERS
+        names = matrix.server_names
+        return frozenset(names[i] for i in matrix.holder_ids(gid))
 
     def duplicate_count(self, block_id: BlockId) -> int:
         """Number of copies cluster-wide (the §4.3 rarity measure)."""
-        matrix = self.matrix
-        if matrix is not None:
-            gid = matrix.block_gids.get(block_id)
-            return int(matrix.dup[gid]) if gid is not None else 0
-        return len(self._holders.get(block_id, ()))
+        gid = self.matrix.block_gids.get(block_id)
+        return int(self.matrix.dup[gid]) if gid is not None else 0
 
     def blocks_on(self, server_id: str) -> AbstractSet[BlockId]:
-        """Blocks held by one server, as a read-only view.
-
-        The dict backing returns the live internal set (this used to copy
-        on every call); the matrix backing decodes the server's bit row
-        into a fresh ``frozenset``. Either way callers must treat the
-        result as immutable — derive new sets with ``|``/``-`` instead of
-        mutating in place.
-        """
+        """Blocks held by one server, as a fresh ``frozenset`` decoded
+        from the server's bit row."""
         matrix = self.matrix
-        if matrix is not None:
-            sid = matrix.server_ids.get(server_id)
-            if sid is None:
-                return _EMPTY_BLOCKS
-            names = matrix.block_names
-            return frozenset(names[g] for g in matrix.row_gids(sid))
-        return self._server_blocks.get(server_id, _EMPTY_BLOCKS)
+        sid = matrix.server_ids.get(server_id)
+        if sid is None:
+            return _EMPTY_BLOCKS
+        names = matrix.block_names
+        return frozenset(names[g] for g in matrix.row_gids(sid))
 
     def dc_has_block(self, dc: str, block_id: BlockId) -> bool:
-        matrix = self.matrix
-        if matrix is not None:
-            return self.dc_copy_count(dc, block_id) > 0
-        return self._dc_counts.get((dc, block_id), 0) > 0
+        return self.dc_copy_count(dc, block_id) > 0
 
     def dc_copy_count(self, dc: str, block_id: BlockId) -> int:
         matrix = self.matrix
-        if matrix is not None:
-            gid = matrix.block_gids.get(block_id)
-            if gid is None:
-                return 0
-            did = matrix.dc_ids.get(dc)
-            if did is None:
-                return 0
-            return int(matrix.dc_counts[did, gid])
-        return self._dc_counts.get((dc, block_id), 0)
+        gid = matrix.block_gids.get(block_id)
+        if gid is None:
+            return 0
+        did = matrix.dc_ids.get(dc)
+        if did is None:
+            return 0
+        return int(matrix.dc_counts[did, gid])
 
     def state_bytes(self) -> int:
-        """Approximate bytes of possession state held by this index.
-
-        Matrix backing: the exact array footprint
-        (:meth:`PossessionMatrix.state_bytes`). Dict backing: a
-        structural estimate (64 bytes per holder-set entry and per
-        DC-count entry — hash-table slots plus the interned references),
-        good enough for the relative per-shard comparisons the telemetry
-        exists for.
-        """
-        matrix = self.matrix
-        if matrix is not None:
-            return matrix.state_bytes()
-        entries = sum(len(holders) for holders in self._holders.values())
-        return 64 * (
-            entries
-            + len(self._holders)
-            + sum(len(blocks) for blocks in self._server_blocks.values())
-            + len(self._dc_counts)
-        )
+        """Bytes of possession state held by this index: the exact array
+        footprint (:meth:`PossessionMatrix.state_bytes`)."""
+        return self.matrix.state_bytes()
 
     # -- evaluation helpers -----------------------------------------------------
 

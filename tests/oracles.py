@@ -17,7 +17,14 @@ module; the property tests run the production kernels against these:
   they were, one ``store.has`` probe per (neighbour, block), directive for
   directive and random draw for random draw;
 * ``tests/test_fptas_fleischer.py`` — the pre-Fleischer Garg–Könemann
-  loop, within the ε-approximation tolerance.
+  loop, within the ε-approximation tolerance;
+* ``tests/test_scheduler_kernel.py`` — the store-query-per-candidate
+  rarest-first selection (``RarestFirstScheduler._select_legacy`` as it
+  was) and the dict-of-sets possession index (``PossessionIndex`` with
+  ``vectorized=False`` as it was), query for query;
+* ``tests/test_flow.py`` — the waterfill that rebuilds its per-resource
+  load every iteration (``repro.net.flow._max_min_fair_rates_reference``
+  as it was), float for float.
 """
 
 from __future__ import annotations
@@ -25,7 +32,19 @@ from __future__ import annotations
 import heapq
 import math
 import zlib
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -34,8 +53,11 @@ from repro.lp.fptas import FPTASResult, max_multicommodity_flow
 from repro.lp.incidence import PathIncidence
 from repro.utils.rng import SeedLike, make_rng
 from repro.lp.mcf import Commodity, solve_lp_incidence
+from repro.net.flow import Flow
 from repro.net.topology import ResourceKey
 from repro.net.simulator import TransferDirective
+from repro.overlay.blocks import Block
+from repro.overlay.store import DeliveryRecord
 
 BlockId = Tuple[str, int]
 GroupKey = Tuple[str, str, Tuple[str, ...]]
@@ -540,6 +562,226 @@ def flow_remaining(
         size_of[bid] - partial.get((bid, directive.dst_server), 0.0)
         for bid in directive.block_ids
     )
+
+
+# -- scheduler: one store query per candidate ---------------------------------
+
+
+def select_rarest_first(view, scheduler) -> List[ScheduledBlock]:
+    """``scheduler.select(view)`` by per-candidate store queries and a
+    key-callable sort: no candidate table, no memo."""
+    candidates: List[Tuple[int, int, int, int, ScheduledBlock]] = []
+    for job in view.jobs:
+        priority = getattr(job, "priority", 0)
+        pending = [
+            (block, dc, server, False)
+            for block, dc, server in view.pending_deliveries(job)
+        ]
+        if scheduler.use_relays and job.relay_dcs:
+            pending.extend(
+                (block, dc, server, True)
+                for block, dc, server in view.pending_relay_placements(job)
+            )
+        for block, dst_dc, dst_server, is_relay in pending:
+            if not view.agent_is_up(dst_server):
+                continue
+            duplicates = view.store.duplicate_count(block.block_id)
+            if duplicates == 0:
+                continue
+            holders = view.store.holders(block.block_id)
+            if all(s in view.failed_agents for s in holders):
+                continue  # no eligible source
+            candidates.append(
+                (
+                    1 if is_relay else 0,
+                    -priority,
+                    duplicates,
+                    block.index,
+                    ScheduledBlock(
+                        job_id=job.job_id,
+                        block=block,
+                        dst_dc=dst_dc,
+                        dst_server=dst_server,
+                        duplicates=duplicates,
+                        is_relay=is_relay,
+                    ),
+                )
+            )
+    candidates.sort(key=lambda item: item[:4])
+    selected = [entry for _r, _p, _dup, _idx, entry in candidates]
+    if scheduler.max_blocks_per_cycle:
+        selected = selected[: scheduler.max_blocks_per_cycle]
+    return selected
+
+
+# -- flow: the waterfill that rebuilds its load every iteration ---------------
+
+
+def max_min_fair_rates_reference(
+    flows: Sequence[Flow],
+    capacities: Mapping[ResourceKey, float],
+) -> Dict[Hashable, float]:
+    """Progressive filling, ``load`` rebuilt from the active flows each
+    iteration; :func:`repro.net.flow.max_min_fair_rates` must match it
+    bit for bit on every input."""
+    rates: Dict[Hashable, float] = {f.flow_id: 0.0 for f in flows}
+    active: List[Flow] = [f for f in flows if f.effective_cap() > 0]
+    for flow in flows:
+        if flow.effective_cap() <= 0:
+            rates[flow.flow_id] = 0.0
+    residual: Dict[ResourceKey, float] = dict(capacities)
+    level = 0.0
+
+    while active:
+        load: Dict[ResourceKey, int] = {}
+        for flow in active:
+            for res in flow.resources:
+                load[res] = load.get(res, 0) + 1
+
+        increment = float("inf")
+        for res, count in load.items():
+            if res not in residual:
+                raise KeyError(f"flow references unknown resource {res!r}")
+            increment = min(increment, residual[res] / count)
+        for flow in active:
+            increment = min(increment, flow.effective_cap() - level)
+        if increment == float("inf"):
+            raise ValueError("unbounded allocation: no capacities bind any flow")
+        increment = max(increment, 0.0)
+
+        level += increment
+        for flow in active:
+            rates[flow.flow_id] = level
+        for res, count in load.items():
+            residual[res] -= increment * count
+            if residual[res] < 0:
+                residual[res] = 0.0
+
+        still_active: List[Flow] = []
+        for flow in active:
+            capped = flow.effective_cap() - level <= 1e-12
+            saturated = any(residual[res] <= 1e-9 for res in flow.resources)
+            if not (capped or saturated):
+                still_active.append(flow)
+        if len(still_active) == len(active):
+            break
+        active = still_active
+    return rates
+
+
+# -- store: the dict-of-sets possession index ---------------------------------
+
+
+class DictPossessionIndex:
+    """``repro.overlay.store.PossessionIndex``'s facade over dicts of sets.
+
+    Same updates, queries, ``epoch`` arithmetic and ``deliveries`` log;
+    no ``matrix``. ``holders``/``blocks_on`` return the live internal
+    sets (read-only by contract).
+    """
+
+    def __init__(self, server_dc: Mapping[str, str]) -> None:
+        self._server_dc: Dict[str, str] = dict(server_dc)
+        self.deliveries: List[DeliveryRecord] = []
+        self.epoch: int = 0
+        self._holders: Dict[BlockId, Set[str]] = {}
+        self._server_blocks: Dict[str, Set[BlockId]] = {
+            s: set() for s in self._server_dc
+        }
+        self._dc_counts: Dict[Tuple[str, BlockId], int] = {}
+
+    def seed(self, server_id: str, blocks: Iterable[Block]) -> None:
+        for block in blocks:
+            self._add(block.block_id, server_id)
+
+    def record_delivery(
+        self,
+        block: Block,
+        src_server: str,
+        dst_server: str,
+        time: float,
+        origin_dc: str,
+    ) -> Optional[DeliveryRecord]:
+        if self.has(dst_server, block.block_id):
+            return None
+        self._add(block.block_id, dst_server)
+        record = DeliveryRecord(
+            block_id=block.block_id,
+            src_server=src_server,
+            dst_server=dst_server,
+            time=time,
+            from_origin_dc=self.dc_of(src_server) == origin_dc,
+        )
+        self.deliveries.append(record)
+        return record
+
+    def record_deliveries(
+        self, events: Sequence[Tuple[Block, str, str, float, str]]
+    ) -> List[Optional[DeliveryRecord]]:
+        return [self.record_delivery(*event) for event in events]
+
+    def _add(self, block_id: BlockId, server_id: str) -> None:
+        if server_id not in self._server_dc:
+            raise KeyError(f"unknown server {server_id!r}")
+        holders = self._holders.setdefault(block_id, set())
+        if server_id in holders:
+            return
+        holders.add(server_id)
+        self._server_blocks[server_id].add(block_id)
+        dc = self._server_dc[server_id]
+        key = (dc, block_id)
+        self._dc_counts[key] = self._dc_counts.get(key, 0) + 1
+        self.epoch += 1
+
+    def drop_server(self, server_id: str) -> None:
+        dropped = False
+        for block_id in list(self._server_blocks.get(server_id, ())):
+            self._holders[block_id].discard(server_id)
+            dc = self._server_dc[server_id]
+            key = (dc, block_id)
+            self._dc_counts[key] -= 1
+            if self._dc_counts[key] == 0:
+                del self._dc_counts[key]
+            dropped = True
+        if server_id in self._server_blocks:
+            self._server_blocks[server_id] = set()
+        if dropped:
+            self.epoch += 1
+
+    def dc_of(self, server_id: str) -> str:
+        return self._server_dc[server_id]
+
+    def has(self, server_id: str, block_id: BlockId) -> bool:
+        return block_id in self._server_blocks.get(server_id, ())
+
+    def holders(self, block_id: BlockId) -> AbstractSet[str]:
+        return self._holders.get(block_id, frozenset())
+
+    def duplicate_count(self, block_id: BlockId) -> int:
+        return len(self._holders.get(block_id, ()))
+
+    def blocks_on(self, server_id: str) -> AbstractSet[BlockId]:
+        return self._server_blocks.get(server_id, frozenset())
+
+    def dc_has_block(self, dc: str, block_id: BlockId) -> bool:
+        return self._dc_counts.get((dc, block_id), 0) > 0
+
+    def dc_copy_count(self, dc: str, block_id: BlockId) -> int:
+        return self._dc_counts.get((dc, block_id), 0)
+
+    def origin_fraction_by_server(self) -> Dict[str, float]:
+        totals: Dict[str, int] = {}
+        from_origin: Dict[str, int] = {}
+        for record in self.deliveries:
+            totals[record.dst_server] = totals.get(record.dst_server, 0) + 1
+            if record.from_origin_dc:
+                from_origin[record.dst_server] = (
+                    from_origin.get(record.dst_server, 0) + 1
+                )
+        return {
+            server: from_origin.get(server, 0) / count
+            for server, count in totals.items()
+        }
 
 
 # -- FPTAS: the reduceat phase loop the scalar kernel replaced ----------------

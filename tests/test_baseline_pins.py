@@ -11,6 +11,7 @@ are emitted in, or to a strategy's RNG stream shows up here.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -180,7 +181,14 @@ def _cached_scenario():
 
 
 def test_parent_written_gingko_runcache_entry_still_hits(tmp_path):
-    """The baselines' outputs did not move, so neither did the cache salt."""
+    """The baselines' outputs did not move, so neither did the cache salt.
+    (The entry's key did, once — ``RunSpec`` lost a knob: same bytes,
+    renamed to the new key.)"""
+    (entry,) = (DATA / "runcache_parent").glob("a1/*.json")
+    assert hashlib.sha256(entry.read_bytes()).hexdigest() == (
+        # tests/data/runcache_parent/86/868d2774….json at commit 822fa17
+        "c1117712b6a29217a58738cdea321f5b1c9ca6b4f29aded2ae4f6cb2db458f5f"
+    )
     spec = RunSpec(strategy="gingko", scenario=_cached_scenario, seed=17)
     cache = RunCache(DATA / "runcache_parent")
     outcomes = run_many([spec], cache=cache)

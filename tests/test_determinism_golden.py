@@ -1,9 +1,11 @@
 """Golden determinism regression: same seed => bit-identical results.
 
-The incremental cycle-state engine memoizes and mutates per-cycle state;
-any accidental dependence on set-iteration order or cache warm-up would
-show up here as a diff between two runs of the same scenario, or between
-the incremental engine and the legacy full-scan path it replaced.
+The engine memoizes and mutates per-cycle state; any accidental
+dependence on set-iteration order or cache warm-up would show up here as
+a diff between two runs of the same scenario, or against the runs the
+paths it replaced produced — the full-scan engine, the dict-of-sets
+store, both at once — which ``tests/data/engine_pins.json`` keeps (see
+:mod:`tests.test_engine_pins`).
 
 The scenario is the Fig. 9 BDS-vs-Gingko shape scaled down: one source
 DC multicasting to several destinations over a full mesh, run with both
@@ -21,23 +23,31 @@ from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
 from repro.utils.units import MB, MBps
 
+from tests import test_engine_pins as pins
+
 SEED = 90  # the Fig. 9 headline seed
 
 
-def _run(
+def _simulation(
     strategy_name: str,
-    incremental: bool,
     with_failures: bool = False,
-    vectorized: bool = True,
-) -> SimResult:
+    config: SimConfig = None,
+    deep: bool = False,
+) -> Simulation:
+    """``deep``: thin NICs and a file eight times the size — the run
+    takes tens of cycles and crosses every failure event (the default
+    shape completes inside cycle 0, before the first one)."""
     topo = Topology.full_mesh(
-        num_dcs=5, servers_per_dc=4, wan_capacity=500 * MBps, uplink=25 * MBps
+        num_dcs=5,
+        servers_per_dc=4,
+        wan_capacity=500 * MBps,
+        uplink=(5 if deep else 25) * MBps,
     )
     job = MulticastJob(
         job_id="fig9",
         src_dc="dc0",
         dst_dcs=tuple(f"dc{i}" for i in range(1, 5)),
-        total_bytes=64 * MB,
+        total_bytes=(512 if deep else 64) * MB,
         block_size=4 * MB,
     )
     job.bind(topo)
@@ -51,17 +61,18 @@ def _run(
                 FailureEvent(cycle=5, kind="link_recover", target=("dc0", "dc2")),
             ]
         )
-    sim = Simulation(
+    return Simulation(
         topology=topo,
         jobs=[job],
         strategy=make_strategy(strategy_name, seed=SEED),
-        config=SimConfig(
-            incremental_engine=incremental, vectorized_store=vectorized
-        ),
+        config=config,
         failures=failures,
         seed=SEED,
     )
-    return sim.run()
+
+
+def _run(strategy_name: str, with_failures: bool = False) -> SimResult:
+    return _simulation(strategy_name, with_failures).run()
 
 
 def _fingerprint(result: SimResult):
@@ -76,29 +87,29 @@ def _fingerprint(result: SimResult):
 
 class TestGoldenDeterminism:
     @pytest.mark.parametrize("strategy", ["bds", "gingko"])
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_same_seed_same_result(self, strategy, incremental):
-        first = _run(strategy, incremental)
-        second = _run(strategy, incremental)
+    @pytest.mark.parametrize("with_failures", [True, False])
+    def test_same_seed_same_result(self, strategy, with_failures):
+        first = _run(strategy, with_failures)
+        second = _run(strategy, with_failures)
         assert first.all_complete
         assert _fingerprint(first) == _fingerprint(second)
 
     @pytest.mark.parametrize("strategy", ["bds", "gingko"])
     def test_incremental_matches_legacy(self, strategy):
-        incremental = _run(strategy, incremental=True)
-        legacy = _run(strategy, incremental=False)
-        assert incremental.all_complete
-        assert _fingerprint(incremental) == _fingerprint(legacy)
+        result = _run(strategy)
+        assert result.all_complete
+        pins.check(f"golden:{strategy}:incremental_engine=False", result)
 
     @pytest.mark.parametrize("strategy", ["bds", "gingko"])
     def test_incremental_matches_legacy_under_failures(self, strategy):
-        incremental = _run(strategy, incremental=True, with_failures=True)
-        legacy = _run(strategy, incremental=False, with_failures=True)
-        assert _fingerprint(incremental) == _fingerprint(legacy)
+        pins.check(
+            f"golden:{strategy}:failures:incremental_engine=False",
+            _run(strategy, with_failures=True),
+        )
 
     def test_repeated_runs_with_failures_identical(self):
-        first = _run("bds", incremental=True, with_failures=True)
-        second = _run("bds", incremental=True, with_failures=True)
+        first = _run("bds", with_failures=True)
+        second = _run("bds", with_failures=True)
         assert _fingerprint(first) == _fingerprint(second)
 
 
@@ -108,26 +119,24 @@ class TestArrayNativeDeterminism:
 
     @pytest.mark.parametrize("strategy", ["bds", "gingko"])
     def test_vectorized_matches_scalar(self, strategy):
-        vectorized = _run(strategy, incremental=True, vectorized=True)
-        scalar = _run(strategy, incremental=True, vectorized=False)
-        assert vectorized.all_complete
-        assert _fingerprint(vectorized) == _fingerprint(scalar)
+        result = _run(strategy)
+        assert result.all_complete
+        pins.check(f"golden:{strategy}:vectorized_store=False", result)
 
     @pytest.mark.parametrize("strategy", ["bds", "gingko"])
     def test_vectorized_matches_scalar_under_failures(self, strategy):
-        vectorized = _run(
-            strategy, incremental=True, with_failures=True, vectorized=True
+        pins.check(
+            f"golden:{strategy}:failures:vectorized_store=False",
+            _run(strategy, with_failures=True),
         )
-        scalar = _run(
-            strategy, incremental=True, with_failures=True, vectorized=False
-        )
-        assert _fingerprint(vectorized) == _fingerprint(scalar)
 
     def test_vectorized_matches_legacy_engine(self):
-        # Cross axis: array-native + incremental vs neither.
-        vectorized = _run("bds", incremental=True, vectorized=True)
-        legacy = _run("bds", incremental=False, vectorized=False)
-        assert _fingerprint(vectorized) == _fingerprint(legacy)
+        # Cross axis: the run with neither the matrix store nor the
+        # incremental engine.
+        pins.check(
+            "golden:bds:incremental_engine=False,vectorized_store=False",
+            _run("bds"),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +219,7 @@ class TestParallelParity:
 # ---------------------------------------------------------------------------
 
 
-def _run_sharded(shards: int, event: bool, stride: int = 1) -> SimResult:
-    from repro.core.config import BDSConfig
-    from repro.core.controller import BDSController
-
+def _golden_jobs():
     topo = Topology.full_mesh(
         num_dcs=5, servers_per_dc=4, wan_capacity=500 * MBps, uplink=25 * MBps
     )
@@ -229,50 +235,37 @@ def _run_sharded(shards: int, event: bool, stride: int = 1) -> SimResult:
         )
         job.bind(topo)
         jobs.append(job)
-    sim = Simulation(
-        topology=topo,
-        jobs=jobs,
-        strategy=BDSController(
-            BDSConfig(shards=shards, shard_stride=stride)
-        ),
-        config=SimConfig(event_engine=event),
-        seed=SEED,
+    return topo, jobs
+
+
+def _run_controller(controller, event: bool) -> SimResult:
+    """``event=False``: the controller does not certify its decisions as
+    reusable, so every cycle decides fresh (fixed ticks)."""
+    topo, jobs = _golden_jobs()
+    if not event:
+        controller.decisions_reusable = False
+    return Simulation(
+        topology=topo, jobs=jobs, strategy=controller, seed=SEED
+    ).run()
+
+
+def _run_sharded(shards: int, event: bool, stride: int = 1) -> SimResult:
+    from repro.core.config import BDSConfig
+    from repro.core.controller import BDSController
+
+    return _run_controller(
+        BDSController(BDSConfig(shards=shards, shard_stride=stride)), event
     )
-    return sim.run()
 
 
 class TestShardedGoldenDeterminism:
     @pytest.mark.parametrize("event", [False, True])
     def test_single_shard_matches_default_controller(self, event):
-        sharded_off = _run_sharded(1, event=event)
-        # Same scenario through the default (config-less) controller:
         from repro.core.controller import BDSController
 
-        topo = Topology.full_mesh(
-            num_dcs=5,
-            servers_per_dc=4,
-            wan_capacity=500 * MBps,
-            uplink=25 * MBps,
-        )
-        jobs = []
-        for j in range(4):
-            src = f"dc{j}"
-            job = MulticastJob(
-                job_id=f"golden{j}",
-                src_dc=src,
-                dst_dcs=tuple(f"dc{i}" for i in range(5) if f"dc{i}" != src),
-                total_bytes=48 * MB,
-                block_size=4 * MB,
-            )
-            job.bind(topo)
-            jobs.append(job)
-        baseline = Simulation(
-            topology=topo,
-            jobs=jobs,
-            strategy=BDSController(),
-            config=SimConfig(event_engine=event),
-            seed=SEED,
-        ).run()
+        sharded_off = _run_sharded(1, event=event)
+        # Same scenario through the default (config-less) controller:
+        baseline = _run_controller(BDSController(), event)
         assert sharded_off.all_complete
         assert _fingerprint(sharded_off) == _fingerprint(baseline)
 

@@ -1,11 +1,14 @@
 """Event-driven simulator core: equivalence, fast-forward, and time grid.
 
-The event engine (``SimConfig.event_engine``, the default) adds decision
-reuse and analytic multi-cycle fast-forward on top of the fixed-tick loop.
-Both shortcuts claim *bit-identical* results — these tests hold them to it:
+For a strategy that certifies its decisions as reusable the cycle loop
+adds decision reuse and analytic multi-cycle fast-forward on top of
+fixed ticks. Both shortcuts claim *bit-identical* results — these tests
+hold them to it. The tick arm is the same loop run for the same strategy
+with the certificate withdrawn on the instance (``decisions_reusable =
+False``): every cycle decides fresh and none is skipped.
 
 * randomized property runs compare :meth:`SimResult.fingerprint` between
-  the two engines across failures, background traffic, late arrivals,
+  the two arms across failures, background traffic, late arrivals,
   pre-seeded copies, and controller replica elections;
 * a steady-state scenario asserts fast-forward actually engages (the
   speedup claim is vacuous otherwise);
@@ -107,11 +110,14 @@ def _scenario(
         job = jobs[0]
         dst = job.assigned_server(job.dst_dcs[0], job.blocks[0].block_id)
         seeded = {dst: [b for b in job.blocks[:2]]}
+    strategy = make_strategy(strategy_name, seed=SEED)
+    if not event_engine:
+        strategy.decisions_reusable = False
     sim = Simulation(
         topology=topo,
         jobs=jobs,
-        strategy=make_strategy(strategy_name, seed=SEED),
-        config=SimConfig(max_cycles=max_cycles, event_engine=event_engine),
+        strategy=strategy,
+        config=SimConfig(max_cycles=max_cycles),
         background=bg,
         failures=failures,
         seed=SEED,
@@ -205,13 +211,14 @@ class TestFastForwardEngages:
             block_size=64 * MB,
         )
         job.bind(topo)
+        instance = make_strategy(strategy, seed=SEED)
+        if not event_engine:
+            instance.decisions_reusable = False
         sim = Simulation(
             topology=topo,
             jobs=[job],
-            strategy=make_strategy(strategy, seed=SEED),
-            config=SimConfig(
-                max_cycles=5000, event_engine=event_engine, cycle_seconds=dt
-            ),
+            strategy=instance,
+            config=SimConfig(max_cycles=5000, cycle_seconds=dt),
             seed=SEED,
         )
         return sim.run()
@@ -327,7 +334,6 @@ class TestIntegerCycleGrid:
             config=SimConfig(
                 max_cycles=1_100_000,
                 cycle_seconds=dt,
-                event_engine=True,
                 record_cycle_stats=False,  # 10⁶ CycleStats would dominate RAM
             ),
             seed=SEED,

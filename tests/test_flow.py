@@ -3,11 +3,14 @@
 import pytest
 
 from repro.net.flow import (
+    VECTOR_MIN_FLOWS,
     Flow,
     clip_rates_to_capacity,
     max_min_fair_rates,
     resource_utilization,
 )
+
+from tests.oracles import max_min_fair_rates_reference
 
 
 def flow(fid, *resources, rate_cap=None, demand=None):
@@ -116,22 +119,23 @@ class TestClipping:
 
 
 class TestIncrementalLoadEquivalence:
-    """The incremental ``load`` bookkeeping must match the in-tree
+    """The incremental ``load`` bookkeeping must match the
     rebuild-every-iteration reference bit-for-bit (exact dict equality,
     no tolerance): the same floats in the same order feed both paths."""
 
     def test_matches_reference_on_random_inputs(self):
-        from repro.net.flow import _max_min_fair_rates_reference
         from repro.utils.rng import make_rng
 
         rng = make_rng(123)
+        sizes = []
         for _trial in range(25):
             num_res = int(rng.integers(2, 12))
             capacities = {
                 f"r{i}": float(rng.uniform(1, 20)) for i in range(num_res)
             }
             flows = []
-            for i in range(int(rng.integers(1, 40))):
+            sizes.append(int(rng.integers(1, 2 * VECTOR_MIN_FLOWS)))
+            for i in range(sizes[-1]):
                 k = int(rng.integers(1, min(4, num_res) + 1))
                 resources = tuple(
                     f"r{int(x)}"
@@ -153,13 +157,13 @@ class TestIncrementalLoadEquivalence:
                 )
             assert max_min_fair_rates(
                 flows, capacities
-            ) == _max_min_fair_rates_reference(flows, capacities)
+            ) == max_min_fair_rates_reference(flows, capacities)
+        # Both kernels behind the size dispatch were compared.
+        assert min(sizes) < VECTOR_MIN_FLOWS <= max(sizes)
 
     def test_matches_reference_on_classic_example(self):
-        from repro.net.flow import _max_min_fair_rates_reference
-
         flows = [flow("f1", "l1"), flow("f2", "l2"), flow("f3", "l1", "l2")]
         caps = {"l1": 10, "l2": 4}
-        assert max_min_fair_rates(flows, caps) == _max_min_fair_rates_reference(
+        assert max_min_fair_rates(flows, caps) == max_min_fair_rates_reference(
             flows, caps
         )

@@ -6,8 +6,9 @@ The array waterfill (`max_min_fair_rates_vectorized`), the array clip
 all claim *bit-identity* with the scalar baselines they replace. These
 tests make that claim falsifiable: randomized scenario sweeps compare
 the two implementations dict-for-dict, error paths must raise the same
-exceptions, and whole simulations are fingerprinted under both
-``SimConfig(vectorized_flow=...)`` settings.
+exceptions, and whole simulations must reproduce the runs recorded with
+the scalar kernels and per-pair delivery forced on
+(``tests/data/engine_pins.json``, see :mod:`tests.test_engine_pins`).
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from repro.overlay.blocks import Block
 from repro.overlay.job import MulticastJob
 from repro.overlay.store import PossessionIndex
 from repro.utils.units import MB, MBps
+
+from tests import oracles
+from tests import test_engine_pins as pins
 
 # ---------------------------------------------------------------------------
 # Randomized scenario generation
@@ -198,9 +202,9 @@ class TestIncidenceHelpers:
 def _fresh_indexes():
     server_dc = {f"dc{d}-s{s}": f"dc{d}" for d in range(3) for s in range(4)}
     return (
-        PossessionIndex(server_dc, vectorized=True),
-        PossessionIndex(server_dc, vectorized=True),
-        PossessionIndex(server_dc, vectorized=False),
+        PossessionIndex(server_dc),
+        PossessionIndex(server_dc),
+        oracles.DictPossessionIndex(server_dc),
         sorted(server_dc),
     )
 
@@ -273,13 +277,13 @@ class TestBatchedDelivery:
 
 
 # ---------------------------------------------------------------------------
-# Whole-simulation golden fingerprints: vectorized_flow on/off
+# Whole-simulation golden fingerprints: the scalar data plane's recorded runs
 # ---------------------------------------------------------------------------
 
 SEED = 90
 
 
-def _run(strategy_name: str, vectorized_flow: bool) -> SimResult:
+def _simulation(strategy_name: str, config: SimConfig = None) -> Simulation:
     topo = Topology.full_mesh(
         num_dcs=5, servers_per_dc=4, wan_capacity=500 * MBps, uplink=25 * MBps
     )
@@ -291,42 +295,33 @@ def _run(strategy_name: str, vectorized_flow: bool) -> SimResult:
         block_size=4 * MB,
     )
     job.bind(topo)
-    sim = Simulation(
+    return Simulation(
         topology=topo,
         jobs=[job],
         strategy=make_strategy(strategy_name, seed=SEED),
-        config=SimConfig(vectorized_flow=vectorized_flow),
+        config=config,
         seed=SEED,
     )
-    return sim.run()
 
 
-def _fingerprint(result: SimResult):
-    return (
-        result.job_completion,
-        result.dc_completion,
-        result.server_completion,
-        result.blocks_per_cycle(),
-        [s.bytes_transferred for s in result.cycle_stats],
-        [r.time for r in result.store.deliveries],
-    )
+def _run(strategy_name: str) -> SimResult:
+    return _simulation(strategy_name).run()
 
 
 class TestDataPlaneGolden:
     @pytest.mark.parametrize("strategy", ["bds", "gingko", "bullet"])
     def test_vectorized_flow_matches_scalar(self, strategy):
-        vectorized = _run(strategy, vectorized_flow=True)
-        scalar = _run(strategy, vectorized_flow=False)
-        assert vectorized.all_complete
-        assert _fingerprint(vectorized) == _fingerprint(scalar)
+        result = _run(strategy)
+        assert result.all_complete
+        pins.check(f"flow:{strategy}:vectorized_flow=False", result)
 
     def test_delivery_records_identical(self):
-        vectorized = _run("gingko", vectorized_flow=True)
-        scalar = _run("gingko", vectorized_flow=False)
-        assert vectorized.store.deliveries == scalar.store.deliveries
-        assert len(vectorized.store.deliveries) > 0
+        result = _run("gingko")
+        scalar = pins.load()["flow:gingko:vectorized_flow=False"]["deliveries"]
+        assert pins.delivery_rows(result.store) == scalar
+        assert len(scalar) > 0
 
     def test_stalemate_counter_exported(self):
-        result = _run("bds", vectorized_flow=True)
+        result = _run("bds")
         # Healthy scenario: the counter exists and stays at zero.
         assert result.total_rate_stalemates() == 0

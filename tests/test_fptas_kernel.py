@@ -16,7 +16,7 @@ import inspect
 import textwrap
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import repro.lp.fptas as fptas
@@ -104,15 +104,26 @@ def kernel_trace(kernel, chain):
     return calls, solves
 
 
+#: One capacity at which ``(ε·bottleneck)/cap`` and ``ε·(bottleneck/cap)``
+#: round apart. Which floats a derandomized run draws depends on the
+#: constants hypothesis finds in the modules loaded at the time, so the
+#: rounding mutant gets a witness that does not.
+ROUNDING_WITNESS = (
+    0.1, None, {"r0": 13.159553300512856},
+    [[Commodity("c0", (("r0",),), 10.0)]],
+)
+
+
 def assert_bit_equal_to_oracle(kernel, max_examples):
     @settings(
         max_examples=max_examples,
         deadline=None,
         derandomize=True,
         database=None,
-        phases=[Phase.generate],
+        phases=[Phase.explicit, Phase.generate],
     )
     @given(chains())
+    @example(ROUNDING_WITNESS)
     def prop(chain):
         assert kernel_trace(kernel, chain) == kernel_trace(
             reduceat_run_fleischer, chain

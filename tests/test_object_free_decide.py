@@ -47,6 +47,7 @@ from repro.overlay.job import MulticastJob
 from repro.utils.units import MB, MBps
 
 from tests import oracles
+from tests import test_engine_pins as pins
 from tests.test_columnar_handoff import _midrun
 
 # -- the selection sequence ---------------------------------------------------
@@ -88,24 +89,31 @@ def test_selection_sequence_reads_like_the_list_it_replaced(seed, cycles, cap):
         entry.job_id for entry in want
     ]
 
-    # ... and it is the selection of the per-candidate scalar paths.
+    # ... and it is the selection of the per-candidate scalar path, and
+    # of the loop that asks the store about every candidate.
     view._candidates = None
     cached = scheduler.select(view)
     assert isinstance(cached, list) and cached == want
-    view._cache = None
-    assert scheduler.select(view) == want
+    assert oracles.select_rarest_first(view, scheduler) == want
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_inexact_stores_materialize_the_old_list(seed):
-    """Dict store, speculation overlay: a plain list, equal to the legacy scan."""
-    sim = _midrun(seed, 2, vectorized=False)
-    view = sim.snapshot_view(2)
-    selections = RarestFirstScheduler().select(view)
+    """Speculation overlays — nothing speculated (the selection the dict
+    store made at this point, pinned), and something: a plain list, equal
+    to the per-candidate scan."""
+    scheduler = RarestFirstScheduler()
+    sim = _midrun(seed, 2)
+    view = SpeculatedView(sim.snapshot_view(2), [])
+    selections = scheduler.select(view)
     assert isinstance(selections, list)
     assert all(type(entry) is ScheduledBlock for entry in selections)
-    view._cache = None
-    assert selections == RarestFirstScheduler().select(view)
+    assert selections == oracles.select_rarest_first(view, scheduler)
+    pinned = pins.load()[f"midrun:seed{seed}:cycles2:vectorized_store=False"]
+    assert [
+        [e.job_id, e.block.index, e.dst_dc, e.dst_server, e.duplicates, e.is_relay]
+        for e in selections
+    ] == pinned["selections"]
 
     sim = _midrun(seed, 2)
     view = sim.snapshot_view(2)
@@ -115,10 +123,9 @@ def test_inexact_stores_materialize_the_old_list(seed):
         view, directives, sizes
     )
     overlay = SpeculatedView(view, speculated)
-    selections = RarestFirstScheduler().select(overlay)
+    selections = scheduler.select(overlay)
     assert isinstance(selections, list)
-    overlay._cache = None
-    assert selections == RarestFirstScheduler().select(overlay)
+    assert selections == oracles.select_rarest_first(overlay, scheduler)
 
 
 # -- the router's middle: ids, rows, first-touch order ------------------------

@@ -26,6 +26,8 @@ from repro.overlay.job import MulticastJob
 from repro.overlay.store import PossessionIndex
 from repro.utils.units import MB, MBps
 
+from tests import oracles
+
 
 def _random_scenario(seed: int):
     """A randomized (topology, jobs, failures) triple.
@@ -76,18 +78,13 @@ def _random_scenario(seed: int):
 
 
 def _midrun_view(seed: int, cycles: int = 2):
-    """A cluster view a few cycles into a vectorized-store simulation."""
+    """A cluster view a few cycles into a simulation."""
     topo, jobs, failures = _random_scenario(seed)
     sim = Simulation(
         topology=topo,
         jobs=jobs,
         strategy=make_strategy("bds", seed=seed),
-        config=SimConfig(
-            max_cycles=cycles,
-            stop_when_complete=False,
-            incremental_engine=True,
-            vectorized_store=True,
-        ),
+        config=SimConfig(max_cycles=cycles, stop_when_complete=False),
         failures=failures,
         seed=seed,
     )
@@ -96,7 +93,8 @@ def _midrun_view(seed: int, cycles: int = 2):
 
 
 class TestVectorizedSelectionEquivalence:
-    """vectorized ≡ cached-scalar ≡ legacy: content AND order."""
+    """vectorized ≡ cached-scalar ≡ the per-candidate oracle: content
+    AND order."""
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("cap", [0, 7])
@@ -110,15 +108,20 @@ class TestVectorizedSelectionEquivalence:
         # scalar.
         assert isinstance(vectorized, SelectionBatch)
 
+        # Same possession behind an inexact witness (a speculation
+        # overlay with nothing speculated) -> cached scalar path.
+        overlay = SpeculatedView(view, [])
+        assert scheduler.select(overlay) == vectorized
+
         view._candidates = None  # hide the table -> cached scalar path
         cached = scheduler.select(view)
         assert isinstance(cached, list)
 
-        view._cache = None  # hide the cycle cache -> legacy path
-        legacy = scheduler.select(view)
+        legacy = oracles.select_rarest_first(view, scheduler)
 
         assert vectorized == cached  # list equality: content AND order
         assert vectorized == legacy
+        assert oracles.select_rarest_first(overlay, scheduler) == legacy
 
     @pytest.mark.parametrize("seed", range(4))
     def test_no_relays_mode_identical(self, seed):
@@ -168,14 +171,19 @@ class TestBatchedRouterEquivalence:
 
 def _twin_indices(topo: Topology):
     server_dc = {s.server_id: s.dc for s in topo.servers.values()}
-    return (
-        PossessionIndex(server_dc, vectorized=True),
-        PossessionIndex(server_dc, vectorized=False),
-    )
+    return PossessionIndex(server_dc), oracles.DictPossessionIndex(server_dc)
+
+
+#: The production index and its oracle, which must obey the same contract
+#: to be worth comparing against ("True" is the matrix-backed one).
+BOTH_INDEXES = pytest.mark.parametrize(
+    "index", [PossessionIndex, oracles.DictPossessionIndex], ids=["True", "False"]
+)
 
 
 def _assert_indices_agree(matrix_idx, dict_idx, jobs, servers):
     assert matrix_idx.epoch == dict_idx.epoch
+    assert matrix_idx.deliveries == dict_idx.deliveries
     for job in jobs:
         for block in job.blocks:
             bid = block.block_id
@@ -206,7 +214,8 @@ def _assert_indices_agree(matrix_idx, dict_idx, jobs, servers):
 
 
 class TestPossessionIndexEquivalence:
-    """Matrix backend ≡ dict backend for every query, every step."""
+    """The matrix-backed index ≡ the dict-of-sets oracle for every
+    query, every step."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_mutation_sequences(self, seed):
@@ -244,17 +253,22 @@ class TestPossessionIndexEquivalence:
                     block, src, dst, float(step), origin
                 )
                 assert (r1 is None) == (r2 is None)
-            else:
+            elif op < 0.9:
                 victim = rng.choice(servers)
                 matrix_idx.drop_server(victim)
                 dict_idx.drop_server(victim)
+            else:
+                holder = rng.choice(servers)
+                copies = rng.sample(blocks, 3)
+                matrix_idx.seed(holder, copies)
+                dict_idx.seed(holder, copies)
             _assert_indices_agree(matrix_idx, dict_idx, jobs, servers)
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_unknown_names_behave(self, vectorized):
+    @BOTH_INDEXES
+    def test_unknown_names_behave(self, index):
         topo, jobs, _ = _random_scenario(0)
         server_dc = {s.server_id: s.dc for s in topo.servers.values()}
-        idx = PossessionIndex(server_dc, vectorized=vectorized)
+        idx = index(server_dc)
         assert idx.holders(("nope", 0)) == frozenset()
         assert idx.blocks_on("no-such-server") == frozenset()
         assert idx.duplicate_count(("nope", 0)) == 0
@@ -267,11 +281,11 @@ class TestPossessionIndexEquivalence:
 class TestEpochSemantics:
     """Epoch: +1 per new copy; one bump per effective drop_server call."""
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_seed_and_delivery_bump_per_copy(self, vectorized):
+    @BOTH_INDEXES
+    def test_seed_and_delivery_bump_per_copy(self, index):
         topo, jobs, _ = _random_scenario(0)
         server_dc = {s.server_id: s.dc for s in topo.servers.values()}
-        idx = PossessionIndex(server_dc, vectorized=vectorized)
+        idx = index(server_dc)
         job = jobs[0]
         src = sorted(
             s for s in server_dc if server_dc[s] == job.src_dc
@@ -289,11 +303,11 @@ class TestEpochSemantics:
         idx.record_delivery(block, src, dst, 1.0, job.src_dc)  # duplicate
         assert idx.epoch == len(job.blocks) + 1
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_drop_server_single_bump(self, vectorized):
+    @BOTH_INDEXES
+    def test_drop_server_single_bump(self, index):
         topo, jobs, _ = _random_scenario(0)
         server_dc = {s.server_id: s.dc for s in topo.servers.values()}
-        idx = PossessionIndex(server_dc, vectorized=vectorized)
+        idx = index(server_dc)
         job = jobs[0]
         src = sorted(
             s for s in server_dc if server_dc[s] == job.src_dc

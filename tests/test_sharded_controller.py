@@ -4,10 +4,11 @@ Contracts under test (ISSUE: sharded multi-controller control plane):
 
 * ``shards=1`` takes the original single-controller code path and is
   bit-identical to a controller built before the knob existed — the
-  golden-fingerprint tests assert equality against a default-config run
-  on both the tick and event engines.
+  golden-fingerprint tests assert equality against a default-config run,
+  with decision reuse and with every cycle decided fresh (``event=False``:
+  the controller instance does not certify its decisions as reusable).
 * ``shards=k`` is deterministic: repeated runs produce identical
-  fingerprints, on both engines, in both execution modes.
+  fingerprints, either way, in both execution modes.
 * ``shard_mode="process"`` produces results bit-identical to
   ``"inprocess"`` (worker mirrors replay the possession log).
 * The reconciliation pass bounds each WAN link's summed directive rate
@@ -26,6 +27,8 @@ from repro.net.simulator import SimConfig, SimResult, Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
 from repro.utils.units import MB, MBps
+
+from tests import test_engine_pins as pins
 
 SEED = 90
 
@@ -67,13 +70,9 @@ def _run(
         shards=shards, shard_stride=stride, shard_mode=mode
     )
     controller = BDSController(cfg)
-    sim = Simulation(
-        topology=topo,
-        jobs=jobs,
-        strategy=controller,
-        config=SimConfig(event_engine=event),
-        seed=SEED,
-    )
+    if not event:
+        controller.decisions_reusable = False
+    sim = Simulation(topology=topo, jobs=jobs, strategy=controller, seed=SEED)
     try:
         return sim.run()
     finally:
@@ -214,14 +213,10 @@ class TestReconciliation:
         topo, jobs = _scenario(8)
         cfg = BDSConfig(shards=4)
         controller = BDSController(cfg)
-        sim = Simulation(
-            topology=topo,
-            jobs=jobs,
-            strategy=controller,
-            config=SimConfig(event_engine=False),
-            seed=SEED,
-        )
-        sim.run()
+        controller.decisions_reusable = False  # decide every cycle
+        Simulation(
+            topology=topo, jobs=jobs, strategy=controller, seed=SEED
+        ).run()
         budgets = {
             key: cfg.safety_threshold * link.capacity
             for key, link in topo.links.items()
@@ -244,12 +239,9 @@ class TestReconciliation:
     def test_reconciled_counter_sane(self):
         topo, jobs = _scenario(8)
         controller = BDSController(BDSConfig(shards=4))
+        controller.decisions_reusable = False  # decide every cycle
         Simulation(
-            topology=topo,
-            jobs=jobs,
-            strategy=controller,
-            config=SimConfig(event_engine=False),
-            seed=SEED,
+            topology=topo, jobs=jobs, strategy=controller, seed=SEED
         ).run()
         for decision in controller.decisions:
             assert decision.reconciled_directives <= len(decision.directives)
@@ -257,22 +249,16 @@ class TestReconciliation:
 
 
 class TestShardLocalState:
-    """Partition-scoped mirrors (the default sharded decide path)."""
+    """Partition-scoped mirrors (the sharded decide path)."""
 
     @pytest.mark.parametrize("shards,stride", [(2, 1), (3, 2), (4, 1)])
     def test_mirror_matches_shared_store(self, shards, stride):
-        """shard_local_state=False (shared-store sub-views) is the PR 7
-        decide path; the mirror path must reproduce it bit-for-bit."""
-        legacy = _run(
-            shards,
-            stride=stride,
-            config=BDSConfig(
-                shards=shards, shard_stride=stride, shard_local_state=False
-            ),
-        )
+        """Shards deciding over sub-views of the one shared store was the
+        PR 7 decide path; the mirror path must reproduce its recorded
+        runs bit-for-bit."""
         mirror = _run(shards, stride=stride)
         assert mirror.all_complete
-        assert _fingerprint(mirror) == _fingerprint(legacy)
+        pins.check(f"sharded:{shards}x{stride}:shard_local_state=False", mirror)
 
     def test_state_telemetry_recorded(self):
         result = _run(3)
@@ -284,11 +270,27 @@ class TestShardLocalState:
         assert all(s.shard_stride == 1 for s in fresh)
 
     def test_no_state_telemetry_on_shared_store_path(self):
-        result = _run(
-            2, config=BDSConfig(shards=2, shard_local_state=False)
-        )
-        assert all(s.shard_state_bytes == 0 for s in result.cycle_stats)
-        assert all(s.shard_candidate_bytes == 0 for s in result.cycle_stats)
+        """A speculation overlay's cycles decide over sub-views of the
+        overlay (mirrors must not ingest phantom copies): no per-shard
+        state, none reported."""
+        topo, jobs = _scenario()
+        controller = BDSController(BDSConfig(shards=2, speculation_horizon=3.0))
+        overlays = []
+        decide_sharded = controller._decide_sharded
+
+        def spy(view, fallback):
+            overlays.append(not view.store.is_exact_matrix)
+            return decide_sharded(view, fallback)
+
+        controller._decide_sharded = spy
+        result = Simulation(
+            topology=topo, jobs=jobs, strategy=controller, seed=SEED
+        ).run()
+        assert result.all_complete and any(overlays) and not overlays[0]
+        for stats, overlay in zip(result.cycle_stats, overlays):
+            assert stats.shard_count == 2
+            assert (stats.shard_state_bytes == 0) == overlay
+            assert (stats.shard_candidate_bytes == 0) == overlay
 
     def test_per_shard_state_scales_down(self):
         """At a scale past the matrix's 1024-column capacity floor, each
@@ -321,7 +323,7 @@ class TestShardLocalState:
                 topology=topo,
                 jobs=make_jobs(),
                 strategy=controller,
-                config=SimConfig(max_cycles=2, event_engine=False),
+                config=SimConfig(max_cycles=2),
                 seed=SEED,
             )
             try:

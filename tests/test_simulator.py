@@ -225,13 +225,16 @@ class TestCompletionTracking:
         assert ("j", "dc1") in result.dc_completion
         assert result.job_completion["j"] == result.dc_completion[("j", "dc1")]
 
-    @pytest.mark.parametrize("vectorized_flow", [True, False])
-    def test_finished_destinations_drop_their_order_hints(self, vectorized_flow):
+    @pytest.mark.parametrize("grouped", [True, False])
+    def test_finished_destinations_drop_their_order_hints(self, grouped):
         """A (job, DC)'s ordered pending list goes when its set empties —
         on both delivery paths — and the view's accessors read on."""
         # Fast NICs: whole destinations finish inside one cycle's batch.
+        # Slow ones: a cycle completes a handful of blocks, fewer than a
+        # grouped pass is worth, and they are applied pair by pair.
         topo = Topology.full_mesh(
-            num_dcs=3, servers_per_dc=2, wan_capacity=2000 * MB, uplink=200 * MB
+            num_dcs=3, servers_per_dc=2, wan_capacity=2000 * MB,
+            uplink=(200 if grouped else 2) * MB,
         )
         job = MulticastJob(
             job_id="j", src_dc="dc0", dst_dcs=("dc1",), relay_dcs=("dc2",),
@@ -242,18 +245,17 @@ class TestCompletionTracking:
 
         sim = Simulation(
             topo, [job], make_strategy("bds", seed=0),
-            SimConfig(vectorized_flow=vectorized_flow, stop_when_complete=False,
-                      max_cycles=200),
+            SimConfig(stop_when_complete=False, max_cycles=200),
         )
         assert len(sim._pending_order[("j", "dc1")]) == 400
         assert len(sim._relay_order[("j", "dc2")]) == 400
-        grouped = []
+        batches = []
         apply = sim._apply_deliveries
         sim._apply_deliveries = lambda events, *rest: (
-            grouped.append(len(events)), apply(events, *rest)
+            batches.append(len(events)), apply(events, *rest)
         )
         result = sim.run()
-        assert result.all_complete and bool(grouped) == vectorized_flow
+        assert result.all_complete and bool(batches) == grouped
         assert not sim._pending[("j", "dc1")] and not sim._relay_pending[("j", "dc2")]
         assert sim._pending_order == {} and sim._relay_order == {}
         view = sim.snapshot_view(200)
@@ -298,6 +300,36 @@ class TestCompletionTracking:
         assert len(result.cycle_stats) == 5
         with pytest.raises(KeyError):
             result.completion_time("j")
+
+
+class TestJobIds:
+    """Completion, pending and block bookkeeping are keyed by job id."""
+
+    def _jobs(self, ids):
+        from repro.analysis.runner import make_strategy
+
+        topo = Topology.full_mesh(
+            num_dcs=3, servers_per_dc=2, wan_capacity=1 * GB, uplink=50 * MBps
+        )
+        jobs = [
+            MulticastJob(
+                job_id=job_id, src_dc=f"dc{k}", dst_dcs=(f"dc{(k + 1) % 3}",),
+                total_bytes=8 * MB, block_size=1 * MB,
+            )
+            for k, job_id in enumerate(ids)
+        ]
+        return topo, jobs, make_strategy("bds", seed=0)
+
+    def test_a_repeated_id_is_rejected_by_name(self):
+        # Accepted, the pair finishes at 3 s but the run spins to
+        # max_cycles: one completion entry never equals two jobs.
+        with pytest.raises(ValueError, match="duplicate job id 'j'"):
+            Simulation(*self._jobs(["j", "k", "j"]))
+
+    def test_distinct_ids_run_to_completion(self):
+        result = Simulation(*self._jobs(["j", "k"]), SimConfig(max_cycles=50)).run()
+        assert result.all_complete and sorted(result.job_completion) == ["j", "k"]
+        assert result.cycles_run < 50
 
 
 class TestFailuresAndBackground:
