@@ -67,6 +67,11 @@ class DeliverySpeculator:
                     break
                 if view.store.has(directive.dst_server, block_id):
                     continue  # already arrived for real
+                if not view.store.has(directive.src_server, block_id):
+                    # Phantom source: the directive was decided on a
+                    # speculated copy that never arrived, the simulator
+                    # dropped it, and these bytes never moved.
+                    continue
                 size = block_sizes.get(block_id)
                 if size is None:
                     continue

@@ -145,6 +145,61 @@ class TestSpeculatedView:
         assert after == before - 1
 
 
+def contended(horizon, shards=1, size=600 * MB, **bds):
+    """The livelock scenario of EXPERIMENTS.md ("One possession truth"),
+    shrunk: two jobs from different source DCs to the three other DCs of
+    a 4 x 6 full mesh, NIC-bound, so every cycle's directives compete and
+    most speculated copies are picked as sources the cycle after."""
+    topo = Topology.full_mesh(
+        num_dcs=4, servers_per_dc=6, wan_capacity=2000 * MBps, uplink=20 * MBps
+    )
+    jobs = []
+    for j in range(2):
+        job = MulticastJob(
+            job_id=f"j{j}",
+            src_dc=f"dc{j}",
+            dst_dcs=tuple(f"dc{i}" for i in range(4) if i != j),
+            total_bytes=size,
+            block_size=2 * MB,
+        )
+        job.bind(topo)
+        jobs.append(job)
+    controller = BDSController(
+        BDSConfig(speculation_horizon=horizon, shards=shards, **bds), seed=0
+    )
+    return Simulation(topo, jobs, controller, SimConfig(max_cycles=60), seed=0)
+
+
+class TestPhantomSources:
+    """A copy speculated at cycle c is picked as a source at c; the
+    simulator drops that directive (the source holds nothing), and at
+    c + 1 the speculator must not take the dropped directive for a
+    transfer in flight — or its destination becomes the next phantom
+    source and the block is never sent."""
+
+    def test_a_directive_from_a_phantom_source_is_not_in_flight(self, setup):
+        view, job = setup
+        block = job.blocks[0]
+        directive = TransferDirective(
+            job_id="j",
+            block_ids=(block.block_id,),
+            src_server="dc1-s1",  # holds nothing: the bytes never moved
+            dst_server="dc1-s0",
+            rate_cap=100 * MBps,
+        )
+        sizes = {b.block_id: b.size for b in job.blocks}
+        assert DeliverySpeculator(3.0).speculate(view, [directive], sizes) == []
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("horizon", [0.3, 1.5, 3.0])
+    def test_speculating_runs_complete(self, horizon, shards):
+        plain = contended(0.0, shards).run()
+        assert plain.all_complete and plain.cycles_run >= 5
+        result = contended(horizon, shards).run()
+        assert result.all_complete
+        assert result.cycles_run <= 2 * plain.cycles_run
+
+
 class TestControllerIntegration:
     def test_speculating_controller_still_completes(self):
         topo = Topology.full_mesh(
