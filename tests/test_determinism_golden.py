@@ -28,6 +28,16 @@ from tests import test_engine_pins as pins
 SEED = 90  # the Fig. 9 headline seed
 
 
+def failure_events():
+    """An agent and a WAN link failing and recovering, interleaved."""
+    return [
+        FailureEvent(cycle=1, kind="agent_fail", target="dc1-s0"),
+        FailureEvent(cycle=2, kind="link_fail", target=("dc0", "dc2")),
+        FailureEvent(cycle=4, kind="agent_recover", target="dc1-s0"),
+        FailureEvent(cycle=5, kind="link_recover", target=("dc0", "dc2")),
+    ]
+
+
 def _simulation(
     strategy_name: str,
     with_failures: bool = False,
@@ -53,14 +63,7 @@ def _simulation(
     job.bind(topo)
     failures = None
     if with_failures:
-        failures = FailureSchedule(
-            [
-                FailureEvent(cycle=1, kind="agent_fail", target="dc1-s0"),
-                FailureEvent(cycle=2, kind="link_fail", target=("dc0", "dc2")),
-                FailureEvent(cycle=4, kind="agent_recover", target="dc1-s0"),
-                FailureEvent(cycle=5, kind="link_recover", target=("dc0", "dc2")),
-            ]
-        )
+        failures = FailureSchedule(failure_events())
     return Simulation(
         topology=topo,
         jobs=[job],

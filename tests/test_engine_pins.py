@@ -28,6 +28,13 @@ The tick loop needs no pin: it is what the same loop does for a
 strategy that does not certify its decisions as reusable, and the
 event ≡ tick suites reach it by setting ``decisions_reusable = False``
 on their strategy instance.
+
+``speculating:*`` are younger: whole speculating runs (§5.1), decide by
+decide, recorded by ``python tests/test_engine_pins.py speculating`` at
+the commit ``_recorded_speculating`` names — while a speculated view was
+still a ``has``/``holders`` proxy in front of the store, decided by a
+scalar scheduler and router of its own, in the parent process whatever
+``shard_mode`` said. They are checked here.
 """
 
 from __future__ import annotations
@@ -232,6 +239,86 @@ for _seed, _cycles in MIDRUNS:
     )
 
 
+# -- speculating runs ----------------------------------------------------------
+
+
+def observe_decisions(controller) -> List[list]:
+    """Per logged decide: cycle, selections, commodities, and its
+    directives (blocks, endpoints, rate caps, in order) as a digest."""
+    return [
+        [
+            decision.cycle,
+            decision.scheduled_blocks,
+            decision.num_commodities,
+            hashlib.sha256(
+                json.dumps(
+                    [
+                        [d.job_id, [i for _job, i in d.block_ids], d.src_server,
+                         d.dst_server, d.rate_cap]
+                        for d in decision.directives
+                    ]
+                ).encode()
+            ).hexdigest()[:16],
+        ]
+        for decision in controller.decisions
+    ]
+
+
+def _spec_variants() -> Dict[str, dict]:
+    from repro.utils.units import MB, MBps
+    from tests.test_determinism_golden import failure_events
+    from tests.test_speculation import PARTITION
+
+    deep = {"size": 900 * MB}  # ten cycles or so: past every failure event
+    return {
+        "plain": deep,
+        "relays": {"relays": True, **deep},
+        "failures": {"failures": failure_events(), **deep},
+        "partition": {"failures": PARTITION, "controller_dc": "dc0", **deep},
+        "unmerged": {"merge_blocks": False, **deep},
+        # Thin NICs: 50 blocks are more than a cycle moves, so capped
+        # decides have transfers in flight to speculate on.
+        "capped": {
+            "max_blocks_per_cycle": 50, "size": 100 * MB, "uplink": 2 * MBps,
+        },
+    }
+
+
+def _speculating(
+    horizon: float, shards: int, stride: int = 1, variant: str = "plain"
+) -> Callable[..., Dict[str, object]]:
+    def run(mode: str = "inprocess") -> Dict[str, object]:
+        from tests.test_speculation import contended
+
+        sim = contended(
+            horizon, shards, max_cycles=120, shard_stride=stride,
+            shard_mode=mode, **_spec_variants()[variant],
+        )
+        try:
+            result = sim.run()
+        finally:
+            sim.strategy.shutdown()
+        seen = observe(result)
+        seen["decisions"] = observe_decisions(sim.strategy)
+        return json.loads(json.dumps(seen))
+
+    return run
+
+
+SPEC_ARMS: Dict[str, Callable[..., Dict[str, object]]] = {}
+for _horizon in (0.3, 3.0):
+    for _shards in (1, 2, 3):
+        for _stride in (1, 2):
+            SPEC_ARMS[f"speculating:h{_horizon}:k{_shards}:q{_stride}"] = (
+                _speculating(_horizon, _shards, _stride)
+            )
+    for _variant in ("relays", "failures", "partition", "unmerged", "capped"):
+        for _shards in (1, 2):
+            SPEC_ARMS[f"speculating:h{_horizon}:k{_shards}:{_variant}"] = (
+                _speculating(_horizon, _shards, variant=_variant)
+            )
+
+
 # -- tests ---------------------------------------------------------------------
 
 
@@ -239,7 +326,9 @@ def test_pins_were_recorded_from_the_switched_off_arms():
     pins = load()
     commit = pins["_recorded"]["commit"]
     assert len(commit) == 40 and int(commit, 16) >= 0
-    assert sorted(pins) == sorted(["_recorded", *ARMS])
+    assert sorted(pins) == sorted(
+        ["_recorded", "_recorded_speculating", *ARMS, *SPEC_ARMS]
+    )
     for name, (flags, _run) in ARMS.items():
         assert pins[name]["switches_off"] == flags
         assert flags and not any(flags.values())
@@ -276,6 +365,18 @@ def test_a_run_stopped_midway_is_where_the_dict_store_left_it(seed, cycles):
     assert seen == {key: pin[key] for key in seen}
 
 
+@pytest.mark.parametrize("name", SPEC_ARMS)
+def test_a_speculating_run_is_the_recorded_one(name):
+    """Run for run and decide for decide — and, sharded, wherever the
+    shards execute."""
+    pin = load()[name]
+    seen = SPEC_ARMS[name]()
+    assert seen["all_complete"] and len(seen["decisions"]) > 5
+    assert seen == {key: pin[key] for key in seen}
+    if ":k1:" not in name:
+        assert SPEC_ARMS[name]("process") == seen
+
+
 def test_the_config_surface_is_what_this_file_says():
     """An option added to either config is a visible diff here."""
     assert {f.name for f in dataclasses.fields(SimConfig)} == {
@@ -309,6 +410,24 @@ def _dump(pins: Dict[str, object]) -> str:
     return "{\n" + ",\n".join(rows) + "\n}\n"
 
 
+def _clean_commit() -> str:
+    """The commit ``repro`` is imported from, with nothing uncommitted."""
+    import repro
+
+    src = Path(repro.__file__).resolve().parent
+    commit = subprocess.run(
+        ["git", "-C", str(src), "rev-parse", "HEAD"],
+        check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    dirty = subprocess.run(
+        ["git", "-C", str(src), "status", "--porcelain", "--", str(src)],
+        check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    if dirty:
+        raise SystemExit(f"{src} differs from {commit}:\n{dirty}")
+    return commit
+
+
 def _record() -> None:
     import repro
 
@@ -323,20 +442,9 @@ def _record() -> None:
             "removed. Run this file with PYTHONPATH pointing at that "
             f"commit's src/ ({load()['_recorded']['commit']})."
         )
-    src = Path(repro.__file__).resolve().parent
-    commit = subprocess.run(
-        ["git", "-C", str(src), "rev-parse", "HEAD"],
-        check=True, capture_output=True, text=True,
-    ).stdout.strip()
-    dirty = subprocess.run(
-        ["git", "-C", str(src), "status", "--porcelain", "--", str(src)],
-        check=True, capture_output=True, text=True,
-    ).stdout.strip()
-    if dirty:
-        raise SystemExit(f"{src} differs from {commit}:\n{dirty}")
     pins: Dict[str, object] = {
         "_recorded": {
-            "commit": commit,
+            "commit": _clean_commit(),
             "by": "tests/test_engine_pins.py, every arm with its switches off",
         }
     }
@@ -348,5 +456,20 @@ def _record() -> None:
     PINS_FILE.write_text(_dump(pins))
 
 
+def _record_speculating() -> None:
+    """Re-record the ``speculating:*`` arms, leaving the others as they are."""
+    pins = {
+        name: pin for name, pin in load().items() if "speculating" not in name
+    }
+    pins["_recorded_speculating"] = {
+        "commit": _clean_commit(),
+        "by": "tests/test_engine_pins.py speculating",
+    }
+    for name, run in SPEC_ARMS.items():
+        pins[name] = run()
+        print(name, pins[name]["fingerprint"][:12], file=sys.stderr)
+    PINS_FILE.write_text(_dump(pins))
+
+
 if __name__ == "__main__":
-    _record()
+    _record_speculating() if sys.argv[1:] == ["speculating"] else _record()

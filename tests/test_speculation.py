@@ -8,6 +8,7 @@ from repro.core.speculation import (
     SpeculatedDelivery,
     SpeculatedView,
 )
+from repro.net.failures import FailureEvent, FailureSchedule
 from repro.net.simulator import SimConfig, Simulation, TransferDirective
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
@@ -145,29 +146,60 @@ class TestSpeculatedView:
         assert after == before - 1
 
 
-def contended(horizon, shards=1, size=600 * MB, **bds):
+def contended(
+    horizon,
+    shards=1,
+    size=600 * MB,
+    uplink=20 * MBps,
+    relays=False,
+    failures=(),
+    controller_dc=None,
+    max_cycles=60,
+    **bds,
+):
     """The livelock scenario of EXPERIMENTS.md ("One possession truth"),
-    shrunk: two jobs from different source DCs to the three other DCs of
-    a 4 x 6 full mesh, NIC-bound, so every cycle's directives compete and
-    most speculated copies are picked as sources the cycle after."""
+    shrunk: two jobs from different source DCs to the other DCs of a
+    4 x 6 full mesh, NIC-bound, so every cycle's directives compete and
+    most speculated copies are picked as sources the cycle after.
+    ``relays`` turns each job's last destination into a relay DC."""
     topo = Topology.full_mesh(
-        num_dcs=4, servers_per_dc=6, wan_capacity=2000 * MBps, uplink=20 * MBps
+        num_dcs=4, servers_per_dc=6, wan_capacity=2000 * MBps, uplink=uplink
     )
     jobs = []
     for j in range(2):
+        others = tuple(f"dc{i}" for i in range(4) if i != j)
         job = MulticastJob(
             job_id=f"j{j}",
             src_dc=f"dc{j}",
-            dst_dcs=tuple(f"dc{i}" for i in range(4) if i != j),
+            dst_dcs=others[:2] if relays else others,
+            relay_dcs=others[2:] if relays else (),
             total_bytes=size,
             block_size=2 * MB,
         )
         job.bind(topo)
         jobs.append(job)
     controller = BDSController(
-        BDSConfig(speculation_horizon=horizon, shards=shards, **bds), seed=0
+        BDSConfig(speculation_horizon=horizon, shards=shards, **bds),
+        seed=0,
+        controller_dc=controller_dc,
     )
-    return Simulation(topo, jobs, controller, SimConfig(max_cycles=60), seed=0)
+    return Simulation(
+        topo,
+        jobs,
+        controller,
+        SimConfig(max_cycles=max_cycles),
+        failures=FailureSchedule(failures) if failures else None,
+        seed=0,
+    )
+
+
+#: dc3 cut off from the controller's DC (dc0) for cycles 2-4: its
+#: transfers run on the decentralized fallback meanwhile (§5.3).
+PARTITION = [
+    FailureEvent(cycle, kind, (f"dc{i}", "dc3"))
+    for cycle, kind in ((2, "link_fail"), (5, "link_recover"))
+    for i in range(3)
+]
 
 
 class TestPhantomSources:
