@@ -7,11 +7,11 @@ availability balancing matters: several destination DCs that can re-share
 blocks among themselves.
 """
 
-from typing import List
+import numpy as np
 
 from repro.analysis.reporting import format_table
 from repro.core import BDSController
-from repro.core.decisions import ScheduledBlock
+from repro.core.decisions import SelectionBatch
 from repro.core.scheduling import RarestFirstScheduler
 from repro.net.simulator import ClusterView, SimConfig, Simulation
 from repro.net.topology import Topology
@@ -22,13 +22,19 @@ from repro.utils.units import MB, MBps
 class InOrderScheduler(RarestFirstScheduler):
     """FIFO by block index: ignores rarity entirely."""
 
-    def select(self, view: ClusterView) -> List[ScheduledBlock]:
-        selections = sorted(
-            super().select(view), key=lambda s: (s.block.index, s.dst_server)
-        )
+    def select(self, view: ClusterView) -> SelectionBatch:
+        batch = super().select(view)
+        # By (block index, destination server): server ids are interned
+        # in name order.
+        order = np.lexsort((batch.dst_sids, batch.indices))
         if self.max_blocks_per_cycle:
-            selections = selections[: self.max_blocks_per_cycle]
-        return selections
+            order = order[: self.max_blocks_per_cycle]
+        return SelectionBatch(
+            batch.jobs, batch.gids[order], batch.indices[order],
+            batch.dst_sids[order], batch.job_slots[order],
+            batch.duplicates[order], batch.slots[order], batch.slot_places,
+            batch.server_names,
+        )
 
 
 def _run(scheduler_cls, seed=0):

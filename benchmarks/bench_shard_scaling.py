@@ -758,28 +758,55 @@ def shard_smoke() -> list:
     return failures
 
 
+def check_quick(payload: dict) -> list:
+    """Quick-scale smoke, shared by ``--quick`` and the pytest entry (so
+    they cannot drift): the arms ran, the sharded ones hold per-shard
+    state and complete, and the WAN reconciliation costs under a tenth
+    of ΔT per cycle. Returns failure messages.
+
+    (Not a *fraction* of the decide: PRs 14–17 shrank the decide around
+    an unchanged ``_reconcile_wan``, which is 64 % of it at 2 shards —
+    recorded as an open item in EXPERIMENTS.md, "One possession truth".)
+    """
+    failures = []
+    curve = payload["scales"]["2e4"]["curve"]
+    if [arm["shards"] for arm in curve] != [1, 2, 4]:
+        failures.append(f"curve arms: {[arm['shards'] for arm in curve]}")
+    for arm in curve:
+        label = f"shards={arm['shards']}"
+        if arm["cycles"] <= 0:
+            failures.append(f"{label}: no cycle ran")
+            continue
+        per_cycle = arm["total_reconcile_s"] / arm["cycles"]
+        if per_cycle >= DT_SECONDS / 10:
+            failures.append(
+                f"{label}: reconcile {per_cycle:.3f}s per cycle, "
+                f"ΔT/10 is {DT_SECONDS / 10:.3f}s"
+            )
+        if arm["shards"] > 1 and not (
+            arm["peak_shard_state_bytes"] > 0
+            and arm["peak_shard_candidate_bytes"] > 0
+        ):
+            failures.append(f"{label}: no per-shard state reported")
+    pc = payload["partition_compare"]
+    if (
+        pc["affinity"]["total_reconciled_directives"]
+        > pc["hash"]["total_reconciled_directives"]
+    ):
+        failures.append("affinity partitioning clips more than hash")
+    for key, arm in payload["quality"].items():
+        if key.startswith("shards_") and not arm["all_complete"]:
+            failures.append(f"quality arm {key} did not complete")
+    return failures
+
+
 def test_shard_scaling_quick(benchmark, report):
     """Pytest entry: quick-scale smoke — sharded arms run and complete."""
     payload = benchmark.pedantic(
         lambda: run_bench(quick=True), rounds=1, iterations=1
     )
     report("\n" + format_report(payload))
-    curve = payload["scales"]["2e4"]["curve"]
-    assert [arm["shards"] for arm in curve] == [1, 2, 4]
-    for arm in curve:
-        assert arm["cycles"] > 0
-        assert arm["reconcile_fraction"] < 0.5
-        if arm["shards"] > 1:
-            assert arm["peak_shard_state_bytes"] > 0
-            assert arm["peak_shard_candidate_bytes"] > 0
-    pc = payload["partition_compare"]
-    assert (
-        pc["affinity"]["total_reconciled_directives"]
-        <= pc["hash"]["total_reconciled_directives"]
-    )
-    for key, arm in payload["quality"].items():
-        if key.startswith("shards_"):
-            assert arm["all_complete"]
+    assert check_quick(payload) == []
 
 
 def main(argv=None) -> int:
@@ -790,7 +817,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="small state for CI smoke runs (no floors asserted)",
+        help="small state for CI smoke runs (check_quick, not the floors)",
     )
     parser.add_argument(
         "--output",
@@ -832,9 +859,7 @@ def main(argv=None) -> int:
     )
     print(f"wrote {args.output}")
 
-    if args.quick:
-        return 0
-    failures = check_floors(payload)
+    failures = check_quick(payload) if args.quick else check_floors(payload)
     for message in failures:
         print(f"FAIL: {message}", file=sys.stderr)
     return 1 if failures else 0

@@ -34,7 +34,6 @@ import numpy as np
 from repro.net.candidates import CandidateTable
 from repro.net.simulator import ClusterView, TransferDirective
 from repro.overlay.job import MulticastJob
-from repro.overlay.store import PossessionMatrix
 
 Rows = Tuple[np.ndarray, ...]
 
@@ -79,7 +78,7 @@ class JobPossession:
         self, view: ClusterView, job: MulticastJob, table: CandidateTable
     ) -> None:
         self.job = job
-        self._matrix = matrix = table.matrix
+        self._matrix = matrix = view.store.matrix
         self.names = matrix.server_names
         self.sid_of = matrix.server_ids
         groups = table.groups_by_job[job.job_id]
@@ -189,22 +188,6 @@ class JobPossession:
         ]
 
 
-def _scanned_matrix(view: ClusterView, job: MulticastJob) -> PossessionMatrix:
-    """The job's possession read one ``store.has`` at a time, for stores
-    whose truth is not a live matrix (a speculation overlay)."""
-    ids = [block.block_id for block in job.blocks]
-    matrix = PossessionMatrix(
-        {s.server_id: s.dc for s in view.topology.servers.values()},
-        block_capacity=len(ids),
-    )
-    base = matrix.intern_block_range(job.job_id, len(ids))
-    has = view.store.has
-    for name, sid in matrix.server_ids.items():
-        row = np.fromiter((has(name, bid) for bid in ids), bool, len(ids))
-        matrix.set_many(sid, base + np.flatnonzero(row))
-    return matrix
-
-
 class OverlayStrategy(ABC):
     """Base class for all overlay multicast strategies."""
 
@@ -221,13 +204,11 @@ class OverlayStrategy(ABC):
         """Return this cycle's transfer directives."""
 
     def lens(self, view: ClusterView, job: MulticastJob) -> JobPossession:
-        """``job``'s possession in ``view``, over the simulator's own arrays
-        where the view carries them."""
-        store = view.store
-        exact = getattr(store, "is_exact_matrix", False)
-        matrix = store.matrix if exact else _scanned_matrix(view, job)
-        table = getattr(view, "_candidates", None)
-        if table is None or table.matrix is not matrix:
+        """``job``'s possession in ``view``, over the view's candidate
+        arrays where it carries them."""
+        table = view._candidates
+        if table is None:
+            matrix = view.store.matrix
             table = self._table
             if table is None or table.matrix is not matrix:
                 table = self._table = CandidateTable([], matrix)

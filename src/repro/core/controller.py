@@ -22,10 +22,10 @@ Each shard owns **only its partition's state**: a
 :class:`~repro.core.shardexec.ShardMirror` with a shard-local possession
 index, candidate table, and :class:`~repro.net.cycle_cache.CycleCache`,
 fed by delivery-log watermark replay (see :mod:`repro.core.shardexec`) —
-per-shard memory and cold-build work are O(pairs/shards). (A speculation
-overlay's phantom copies must not enter the mirrors, so its cycles
-decide over sub-views of the overlay instead; results are identical
-either way.) The shared capacities are resolved afterwards by one outer
+per-shard memory and cold-build work are O(pairs/shards). A cycle's
+speculated deliveries (§5.1) are handed to the mirrors beside the
+replay, and each overlays its own store with its share for that decide.
+The shared capacities are resolved afterwards by one outer
 max-min waterfill (:func:`repro.net.flow.max_min_fair_rates` — the data plane's
 own allocator) over every shard's directives against the
 budget-adjusted capacities, so no directive's cap exceeds its global
@@ -56,6 +56,8 @@ import math
 import time as _time
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.baselines.base import OverlayStrategy
 from repro.baselines.gingko import GingkoStrategy
 from repro.core.config import SHARD_STRIDE_AUTO, BDSConfig
@@ -65,7 +67,6 @@ from repro.core.scheduling import RarestFirstScheduler
 from repro.core.sharding import AffinityAssigner, stable_shard
 from repro.core.shardexec import LocalShardRunner, ShardExecutor, ShardResult
 from repro.core.speculation import DeliverySpeculator, SpeculatedView
-from repro.net.cycle_cache import CycleCache
 from repro.net.simulator import ClusterView, TransferDirective
 from repro.overlay.job import MulticastJob
 from repro.utils.rng import SeedLike
@@ -80,15 +81,7 @@ _STRIDE_NARROW_FRACTION = 0.7
 
 
 class _ShardPipeline:
-    """One shard's private control pipeline plus its replay state.
-
-    Each shard owns a scheduler and a router (with its own FPTAS warm
-    store) for the cycles it decides over a shared-store sub-view —
-    nothing here is shared across shards, so in-process shard execution
-    in index order and process fan-out produce identical state
-    evolution.
-
-    ``directives`` / ``context`` implement the stride cadence
+    """One shard's replay state for the stride cadence
     (``BDSConfig.shard_stride``): between a shard's decide turns its
     last fresh directives are replayed verbatim (the simulator
     re-validates them and refreshes their demands every cycle, exactly
@@ -96,19 +89,9 @@ class _ShardPipeline:
     failure/topology context forces an immediate fresh decide.
     """
 
-    __slots__ = ("scheduler", "router", "directives", "context")
+    __slots__ = ("directives", "context")
 
-    def __init__(self, config: BDSConfig) -> None:
-        self.scheduler = RarestFirstScheduler(
-            max_blocks_per_cycle=config.max_blocks_per_cycle,
-            use_relays=config.use_relays,
-        )
-        self.router = BDSRouter(
-            backend=config.routing_backend,
-            epsilon=config.epsilon,
-            max_sources_per_group=config.max_sources_per_group,
-            merge_blocks=config.merge_blocks,
-        )
+    def __init__(self) -> None:
         self.directives: Optional[List[TransferDirective]] = None
         self.context: Optional[tuple] = None
 
@@ -156,13 +139,13 @@ class BDSController(OverlayStrategy):
             else None
         )
         self._previous_directives: List[TransferDirective] = []
-        # Sharded control plane (shards > 1): per-shard pipelines, the
+        # Sharded control plane (shards > 1): per-shard replay state, the
         # memoized job→shard assignment (sticky — possession state lives
         # where the job lives), the lazily started execution backends
         # (in-process mirrors / process fan-out), and the adaptive
         # stride state.
         self._pipelines: List[_ShardPipeline] = (
-            [_ShardPipeline(self.config) for _ in range(self.config.shards)]
+            [_ShardPipeline() for _ in range(self.config.shards)]
             if self.config.shards > 1
             else []
         )
@@ -281,21 +264,21 @@ class BDSController(OverlayStrategy):
                 ]
                 view = view.with_extra_failed_agents(severed_servers)
 
+        # §5.1: (server ids, block column ids) expected to land while
+        # this decide runs, or None.
+        speculated = None
         if self._speculator is not None and self._previous_directives:
-            block_sizes = {
-                block.block_id: block.size
-                for job in view.jobs
-                for block in job.blocks
-            }
-            speculated = self._speculator.speculate(
-                view, self._previous_directives, block_sizes
+            sids, gids = self._speculator.speculate(
+                view, self._previous_directives
             )
-            if speculated:
-                view = SpeculatedView(view, speculated)
+            if len(gids):
+                speculated = (sids, gids)
 
         if self.config.shards > 1:
-            return self._decide_sharded(view, fallback_directives)
+            return self._decide_sharded(view, fallback_directives, speculated)
 
+        if speculated:
+            view = SpeculatedView(view, *speculated)
         selections = self.scheduler.select(view)
         directives, diagnostics = self.router.route(view, selections)
         # A partition-fallback slice runs the RNG-bearing decentralized
@@ -331,19 +314,27 @@ class BDSController(OverlayStrategy):
         self,
         view: ClusterView,
         fallback_directives: List[TransferDirective],
+        speculated: Optional[Tuple[np.ndarray, np.ndarray]],
     ) -> List[TransferDirective]:
-        """Partitioned decide: per-shard pipelines + WAN reconciliation."""
+        """Partitioned decide: per-shard mirrors + WAN reconciliation.
+
+        ``view`` is the real one; the cycle's ``speculated`` deliveries
+        cross to the mirrors by name (each numbers blocks its own way).
+        """
         cfg = self.config
+        pairs: List[Tuple[Tuple[str, int], str]] = []
+        if speculated:
+            matrix = view.store.matrix
+            pairs = [
+                (matrix.block_names[gid], matrix.server_names[sid])
+                for sid, gid in zip(*(ids.tolist() for ids in speculated))
+            ]
         k = cfg.shards
         stride = self._stride
         buckets: List[List[MulticastJob]] = [[] for _ in range(k)]
         for job in view.jobs:
             buckets[self._assign_shard(job)].append(job)
 
-        # Exactness witness: a speculation overlay wraps the store, so
-        # the shard mirrors (which replay the real store's delivery log)
-        # must not decide its cycles.
-        exact = view.store is getattr(view, "_map_store", None)
         context = (view._failed_frozen, view.failed_links, view.topology.epoch)
 
         due: List[int] = []
@@ -362,13 +353,13 @@ class BDSController(OverlayStrategy):
             # work even on cycle 0). Two events break the cadence: a
             # failure/topology context change invalidates cached
             # directives (refresh immediately rather than replay stale
-            # ones), and a speculation overlay (``not exact``) makes
-            # every cycle's view bespoke.
+            # ones), and speculated deliveries make the cycle's
+            # possession bespoke.
             if (
                 stride <= 1
                 or view.cycle % stride == s % stride
                 or (pipe.directives is not None and pipe.context != context)
-                or not exact
+                or pairs
             ):
                 due.append(s)
             else:
@@ -390,43 +381,17 @@ class BDSController(OverlayStrategy):
 
         results: Optional[List[ShardResult]] = None
         takeover = ""
-        if self._shard_mode == "process" and due and exact:
-            results, takeover = self._process_decide(view, buckets, due)
-        if results is None and due and exact:
+        if not due:
+            results = []
+        elif self._shard_mode == "process":
+            results, takeover = self._process_decide(view, buckets, due, pairs)
+        if results is None:
             # In-process partition-scoped mirrors: each shard decides
             # against its own possession index, candidate table, and
-            # cache, fed by watermark replay. Bit-identical to the
-            # shared-store sub-views below.
+            # cache, fed by watermark replay.
             if self._shard_runner is None:
                 self._shard_runner = LocalShardRunner(cfg, self._shard_of_id)
-            results = self._shard_runner.decide(view, buckets, due)
-        if results is None:
-            # Shared-store sub-views: a speculation overlay's store
-            # shadows the real one, and mirrors must not ingest phantom
-            # copies. Its memos answer for this cycle's overlay only.
-            results = []
-            for s in due:
-                pipe = self._pipelines[s]
-                sub = view.with_jobs(buckets[s], cache=CycleCache())
-                started = _time.perf_counter()
-                selections = pipe.scheduler.select(sub)
-                dirs, diag = pipe.router.route(sub, selections)
-                wall = _time.perf_counter() - started
-                results.append(
-                    ShardResult(
-                        directives=dirs,
-                        scheduled_blocks=len(selections),
-                        num_commodities=diag.num_commodities,
-                        objective=diag.objective,
-                        schedule_runtime=pipe.scheduler.last_runtime,
-                        routing_runtime=diag.runtime,
-                        iterations=diag.iterations,
-                        phases=diag.phases,
-                        warm_start=diag.warm_start,
-                        reuse_horizon=diag.reuse_horizon,
-                        wall=wall,
-                    )
-                )
+            results = self._shard_runner.decide(view, buckets, due, pairs)
 
         for s, outcome in zip(due, results):
             pipe = self._pipelines[s]
@@ -612,21 +577,24 @@ class BDSController(OverlayStrategy):
         view: ClusterView,
         buckets: List[List[MulticastJob]],
         due: List[int],
+        speculated: List[Tuple[Tuple[str, int], str]],
     ) -> Tuple[Optional[List[ShardResult]], str]:
         """Fan the due shards' decides over persistent worker processes.
 
         Returns the per-shard outcomes in ``due`` order and ``""`` — or,
         when the worker pool is unavailable or broken, ``None`` and the
         exception's type name: the caller falls back to the in-process
-        paths (the in-process mirrors and the shared-store loop are
-        always correct; a fresh in-process feed re-snapshots each job's
-        holders from the live store, so mid-run takeover loses nothing),
-        which then stay in force for the rest of the run.
+        mirrors (a fresh in-process feed re-snapshots each job's holders
+        from the live store, so mid-run takeover loses nothing), which
+        then stay in force for the rest of the run.
         """
         if self._shard_executor is None:
             self._shard_executor = ShardExecutor(self.config, self._shard_of_id)
         try:
-            return self._shard_executor.decide(view, buckets, due), ""
+            return (
+                self._shard_executor.decide(view, buckets, due, speculated),
+                "",
+            )
         except Exception as error:
             # A broken pool must never take the control plane down:
             # abandon process mode for the rest of the run, and say so.

@@ -50,9 +50,8 @@ class SelectionBatch(abc.Sequence):
     sizes and deals selections as index segments over these columns and
     never asks for an object. ``len()`` reads the columns;
     :class:`ScheduledBlock` objects are built (once, all rows) only when
-    something indexes, iterates or compares the sequence — the
-    per-selection router path of inexact stores, ``core/formulation.py``,
-    tests.
+    something indexes, iterates or compares the sequence —
+    ``core/formulation.py``, tests.
     """
 
     __slots__ = (
@@ -177,11 +176,10 @@ class ControlDecision:
     shard_wall_mean: float = 0.0
     reconcile_runtime: float = 0.0
     reconciled_directives: int = 0
-    # Shard-local state telemetry (zeros on the shared-store path of
-    # speculation-overlay cycles, which holds no per-shard state): the
-    # effective decide stride this cycle (the adaptive
-    # stride's current value under shard_stride="auto", the static knob
-    # otherwise), the max per-shard possession-array and candidate-table
+    # Shard-local state telemetry: the effective decide stride this
+    # cycle (the adaptive stride's current value under
+    # shard_stride="auto", the static knob otherwise), the max per-shard
+    # possession-array and candidate-table
     # bytes over the shards that decided fresh, and the summed
     # structural size of the delta payloads that fed them.
     shard_stride: int = 0

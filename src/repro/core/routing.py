@@ -23,8 +23,6 @@ Steps 1, 2 and 4 are columnar: selections arrive as the int columns of a
 array gathers, and leave as directives whose block lists are segments of
 one per-cycle index array — no per-selection Python between the
 scheduler kernel and the solver (:class:`_Grouping` is the hand-off).
-Views without an exact possession matrix (speculation overlays, the
-dict store) group selection by selection instead and join the same tail.
 
 Step 3 hands the solver parallel lists, not objects: per commodity its
 group, its demand, and its candidate paths as tuples of resource numbers
@@ -42,11 +40,11 @@ import sys
 import time as _time
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.decisions import ScheduledBlock, SelectionBatch
+from repro.core.decisions import SelectionBatch
 from repro.lp.fptas import max_multicommodity_flow
 from repro.lp.incidence import PathIncidence
 from repro.lp.mcf import Commodity, solve_lp_incidence
@@ -55,7 +53,6 @@ from repro.net.simulator import ClusterView, TransferDirective, partial_column
 from repro.overlay.job import MulticastJob
 from repro.utils.validation import check_positive
 
-BlockId = Tuple[str, int]
 GroupKey = Tuple[str, str, Tuple[str, ...]]  # (job, dst_server, sources)
 
 #: (iterations, phases, warm_start) triple the solver backends report;
@@ -218,9 +215,6 @@ class BDSRouter:
         self.epsilon = epsilon
         self.max_sources_per_group = max_sources_per_group
         self.merge_blocks = merge_blocks
-        # Cross-cycle FPTAS warm-start state. Owned by the router (not the
-        # per-cycle CycleCache) so it survives speculation overlays, which
-        # rebuild their caches every cycle.
         self._warm = RoutingWarmStore()
 
     # -- public API -------------------------------------------------------
@@ -228,17 +222,16 @@ class BDSRouter:
     def route(
         self,
         view: ClusterView,
-        selections: Sequence[ScheduledBlock],
+        selections: SelectionBatch,
     ) -> Tuple[List[TransferDirective], RoutingDiagnostics]:
         """Allocate paths and rates for the scheduled blocks.
 
-        A :class:`~repro.core.decisions.SelectionBatch` over an exact
-        possession matrix (what the vectorized scheduler returns) is
-        read as its columns: the source-candidate picks and the §5.1
-        merge are array gathers and server names are only materialized
-        once per final group. Any other sequence is grouped selection by
-        selection. Groups, commodities, and directives are identical
-        either way.
+        The selection (what :meth:`RarestFirstScheduler.select
+        <repro.core.scheduling.RarestFirstScheduler.select>` returns) is
+        read as its columns, against the possession matrix of ``view``'s
+        store: the source-candidate picks and the §5.1 merge are array
+        gathers and server names are only materialized once per final
+        group.
         """
         started = _time.perf_counter()
         if not selections:
@@ -254,13 +247,13 @@ class BDSRouter:
                 reuse_horizon=None,
             )
 
+        if not isinstance(selections, SelectionBatch):
+            raise TypeError(
+                "route() reads the columns of a SelectionBatch (what "
+                f"RarestFirstScheduler.select returns), not a {type(selections).__name__}"
+            )
         cache = view._cache
-        if isinstance(selections, SelectionBatch) and getattr(
-            view.store, "is_exact_matrix", False
-        ):
-            grouping = self._group_columns(view, selections, cache)
-        else:
-            grouping = self._group_selections(view, selections)
+        grouping = self._group_columns(view, selections, cache)
         members, demands, paths = self._build_commodities(view, grouping, cache)
         if not members:
             return [], RoutingDiagnostics(
@@ -296,109 +289,19 @@ class BDSRouter:
 
     # -- step 1 & 2: source candidates and merging -------------------------------
 
-    def _candidate_sources(
-        self, view: ClusterView, entry: ScheduledBlock
-    ) -> Tuple[str, ...]:
-        """Up to ``max_sources_per_group`` diverse source servers.
-
-        Preference order: a holder in the destination's own DC (cheap
-        intra-DC copy), then holders spread across distinct DCs; rotation by
-        block index spreads different blocks over different holders of the
-        same DC, creating Type II path diversity.
-        """
-        holders = [
-            s
-            for s in view.eligible_sources(entry.block.block_id)
-            if s != entry.dst_server
-            # Failure-aware: a holder partitioned away from the destination
-            # is not a usable source this cycle (§5.3).
-            and view.flow_resources(s, entry.dst_server) is not None
-        ]
-        if not holders:
-            return ()
-        holders.sort()
-        by_dc: Dict[str, List[str]] = {}
-        for holder in holders:
-            by_dc.setdefault(view.store.dc_of(holder), []).append(holder)
-
-        picked: List[str] = []
-        dst_dc = entry.dst_dc
-        if dst_dc in by_dc:
-            local = by_dc[dst_dc]
-            picked.append(local[entry.block.index % len(local)])
-        # Round-robin over the other DCs, starting at a block-dependent
-        # offset so consecutive blocks favour different source DCs.
-        other_dcs = sorted(dc for dc in by_dc if dc != dst_dc)
-        if other_dcs:
-            start = entry.block.index % len(other_dcs)
-            ordered = other_dcs[start:] + other_dcs[:start]
-            for dc in ordered:
-                if len(picked) >= self.max_sources_per_group:
-                    break
-                servers = by_dc[dc]
-                candidate = servers[entry.block.index % len(servers)]
-                if candidate not in picked:
-                    picked.append(candidate)
-        return tuple(picked[: self.max_sources_per_group])
-
-    def _build_groups(
-        self, view: ClusterView, selections: Sequence[ScheduledBlock]
-    ) -> Dict[GroupKey, List[ScheduledBlock]]:
-        """Merge selections by (job, destination, source set) — §5.1.
-
-        With merging disabled every block becomes its own group, which is
-        the configuration the merging ablation benchmark exercises.
-        """
-        groups: Dict[GroupKey, List[ScheduledBlock]] = {}
-        for i, entry in enumerate(selections):
-            sources = self._candidate_sources(view, entry)
-            if not sources:
-                continue
-            if self.merge_blocks:
-                key = (entry.job_id, entry.dst_server, sources)
-            else:
-                key = (entry.job_id, f"{entry.dst_server}#{i}", sources)
-            groups.setdefault(key, []).append(entry)
-        return groups
-
-    def _group_selections(
-        self, view: ClusterView, selections: Sequence[ScheduledBlock]
-    ) -> _Grouping:
-        """:meth:`_build_groups` as a :class:`_Grouping` (scalar views)."""
-        groups = self._build_groups(view, selections)
-        jobs_by_id = {job.job_id: job for job in view.jobs}
-        jobs: List[MulticastJob] = []
-        dst_servers: List[str] = []
-        bounds = [0]
-        indices: List[int] = []
-        sizes: List[float] = []
-        buffered: List[float] = []
-        for key, entries in groups.items():
-            dst_server = entries[0].dst_server
-            jobs.append(jobs_by_id[key[0]])
-            dst_servers.append(dst_server)
-            for entry in entries:
-                block = entry.block
-                indices.append(block.index)
-                sizes.append(block.size)
-                buffered.append(view.received_bytes(block.block_id, dst_server))
-            bounds.append(len(indices))
-        return _Grouping(
-            keys=list(groups),
-            jobs=jobs,
-            dst_servers=dst_servers,
-            bounds=bounds,
-            indices=np.array(indices, dtype=np.int64),
-            sizes=np.array(sizes, dtype=np.float64),
-            buffered=np.array(buffered) if any(buffered) else None,
-        )
-
     def _pick_sources(
         self, view: ClusterView, batch: SelectionBatch, cache: CycleCache
     ) -> np.ndarray:
         """Source server ids per selection: ``(rows, picks)``, -1 padded.
 
-        :meth:`_candidate_sources` for every row at once. A pick depends
+        Up to ``max_sources_per_group`` diverse sources per row: a
+        usable holder in the destination's own DC first (cheap intra-DC
+        copy), then one from each other DC in sorted order from a
+        block-dependent offset, each rotated by block index — so
+        consecutive blocks favour different source DCs and different
+        holders of one DC (Type I/II path diversity). A holder is usable
+        when it is not the destination, not a failed agent, and not
+        partitioned away from the destination (§5.3). A pick depends
         only on the row's usable-holder set, destination and block index,
         so rows are first classed by (holder set, destination):
 
@@ -408,14 +311,14 @@ class BDSRouter:
         * per class, usable holders (those with a path to the
           destination, per the cache's ``reach`` table — probed through
           ``view.flow_resources`` the first time a pair is seen) are
-          laid out DC by DC in ascending server id. Interning order is
-          name order, so this *is* the scalar path's sorted holder list;
+          laid out DC by DC in ascending server id — interning order is
+          name order, so these are name-sorted holder lists;
         * each row's picks are then modular gathers into those lists:
           ``local[i % len]`` first, then the other DCs from offset
           ``i % len(other_dcs)``, ``servers[i % len]`` of each.
 
         DC buckets are disjoint, so a pick can never repeat an earlier
-        one (the scalar path's ``candidate not in picked`` never fires).
+        one.
         """
         matrix = view.store.matrix
         num_servers = matrix.num_servers
@@ -524,10 +427,11 @@ class BDSRouter:
     ) -> _Grouping:
         """Pick and merge (§5.1) the batch's rows as index segments.
 
-        Group keys are packed ints; groups are numbered by first
-        appearance and their members kept in selection order (one
-        ``np.unique`` plus one stable sort), exactly the dict-insertion
-        order of :meth:`_build_groups`.
+        Selections sharing (job, destination server, picked sources)
+        are one group — or, with merging disabled, every selection is
+        its own (the merging ablation). Group keys are packed ints;
+        groups are numbered by first appearance and their members kept
+        in selection order (one ``np.unique`` plus one stable sort).
         """
         matrix = view.store.matrix
         names = matrix.server_names

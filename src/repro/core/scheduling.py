@@ -9,36 +9,28 @@ greedy per-cycle routing step rarely starves any block (§4.4's discussion).
 The selection is what shrinks the routing step's search space: only the
 selected deliveries become LP commodities.
 
-Two implementations coexist, selected by what the view carries:
-
-* **vectorized** (the end-to-end path): candidate (block,
-  destination) pairs live in the static per-(job, DC) int arrays of a
-  :class:`~repro.net.candidates.CandidateTable`; pending-ness, rarity and
-  the health filters are numpy gathers against the possession matrix, and
-  the rarity order is one stable integer sort. Returns the selection as
-  its int columns — a :class:`~repro.core.decisions.SelectionBatch`,
-  which is a ``Sequence[ScheduledBlock]`` that builds objects only when
-  read as one — so the router keeps working in interned-id space.
-* **cached scalar**: per-candidate queries deduped through the view's
-  :class:`~repro.net.cycle_cache.CycleCache` — the path whenever the
-  matrix is not the exact truth (speculation overlays), the view carries
-  no candidate table (hand-built views), or a job is missing from it.
-
-Both produce identical selections in identical order — that of the
-store-query-per-candidate loop they replaced, which the tests keep as
-the oracle ``select_rarest_first``.
+Candidate (block, destination) pairs live in the static per-(job, DC)
+int arrays of the view's :class:`~repro.net.candidates.CandidateTable`;
+pending-ness, rarity and the health filters are numpy gathers against
+the view's possession matrix — the live one, or the overlay copy a
+speculated view (§5.1) reads — and the rarity order is one stable
+integer sort. The selection leaves as its int columns — a
+:class:`~repro.core.decisions.SelectionBatch`, which is a
+``Sequence[ScheduledBlock]`` that builds objects only when read as one —
+so the router keeps working in interned-id space. It is, row for row,
+the selection of the store-query-per-candidate loop this replaced, which
+the tests keep as the oracle ``select_rarest_first``.
 """
 
 from __future__ import annotations
 
 import time as _time
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.core.decisions import ScheduledBlock, SelectionBatch
+from repro.core.decisions import SelectionBatch
 from repro.net.simulator import ClusterView
-from repro.overlay.blocks import Block
 
 
 class RarestFirstScheduler:
@@ -60,55 +52,34 @@ class RarestFirstScheduler:
         self.max_blocks_per_cycle = max_blocks_per_cycle
         self.use_relays = use_relays
 
-    def select(self, view: ClusterView) -> Sequence[ScheduledBlock]:
+    def select(self, view: ClusterView) -> SelectionBatch:
         """The cycle's ``w`` assignments, rarest blocks first.
 
         Only deliveries with at least one healthy source and a healthy
         destination are selected (a failed agent drops out of the decision
         space, §5.3). Relay placements sort after all real deliveries.
-        """
-        started = _time.perf_counter()
-        table = getattr(view, "_candidates", None)
-        store = view.store
-        # Engage the kernel only when the view's store is the very object
-        # the view was built around (not a proxy/overlay swapped in — the
-        # same exactness witness the pending maps use) and it answers
-        # straight from a live PossessionMatrix.
-        if (
-            table is not None
-            and store is getattr(view, "_map_store", None)
-            and getattr(store, "is_exact_matrix", False)
-        ):
-            matrix = store.matrix
-            if table.matrix is matrix:
-                result = self._select_vectorized(view, table, matrix, started)
-                if result is not None:
-                    return result
-        return self._select_cached(view, started)
-
-    # -- vectorized kernel -------------------------------------------------
-
-    def _select_vectorized(
-        self, view: ClusterView, table, matrix, started: float
-    ) -> Optional[SelectionBatch]:
-        """Array-native selection over the static candidate table.
-
-        Returns ``None`` (fall back to the scalar path) if the table
-        does not know one of the view's jobs.
 
         Per candidate group: one possession gather decides pending-ness
         (matrix bit test for deliveries, DC copy-count for relays), one
         ``dup`` gather supplies rarity, boolean masks apply the failure
         filters, and the surviving rows of all groups are ordered by a
-        single stable sort on a packed integer key equal to the scalar
-        path's tuple key ``(is_relay, -priority, duplicates, block index)`` —
+        single stable sort on a packed integer key equal to the tuple
+        key ``(is_relay, -priority, duplicates, block index)`` —
         stability supplies the insertion-order tie-break, and the group
-        concatenation order *is* the scalar enumeration order.
+        concatenation order is the enumeration order (jobs, then each
+        job's destination DCs, then its relay DCs, ascending block index).
 
-        Groups compact their ``alive`` rows when a gather finds them
-        >50% possession-dead; possession is monotone during a run, so
-        dead rows never resurrect (see :mod:`repro.net.candidates`).
+        Groups compact their ``alive`` rows when a gather over the
+        table's own matrix finds them >50% possession-dead: real
+        possession is monotone during a run, so dead rows never
+        resurrect (see :mod:`repro.net.candidates`). A copy that is only
+        speculated may never arrive, so an overlay's gather compacts
+        nothing.
         """
+        started = _time.perf_counter()
+        table = view.candidates
+        matrix = view.store.matrix
+        compact = matrix is table.matrix
         groups_by_job = table.groups_by_job
         failed = view.failed_agents
         failed_sids: List[int] = []
@@ -145,9 +116,7 @@ class RarestFirstScheduler:
         grp_place: List[Tuple] = []  # (job, destination DC, is relay)
 
         for job_slot, job in enumerate(view.jobs):
-            groups = groups_by_job.get(job.job_id)
-            if groups is None:
-                return None
+            groups = groups_by_job[job.job_id]
             neg_priority = -getattr(job, "priority", 0)
             for group in groups:
                 if group.is_relay and not use_relays:
@@ -174,7 +143,7 @@ class RarestFirstScheduler:
                     rows = rows[keep]
                     gids = gids[keep]
                     full = False
-                    if ndead * 2 > n:
+                    if compact and ndead * 2 > n:
                         group.alive = rows
                     if rows.size == 0:
                         continue
@@ -279,90 +248,3 @@ class RarestFirstScheduler:
         )
         self.last_runtime = _time.perf_counter() - started
         return batch
-
-    # -- scalar paths ------------------------------------------------------
-
-    def _select_cached(
-        self, view: ClusterView, started: float
-    ) -> List[ScheduledBlock]:
-        """Scalar selection with per-cycle memoized store queries.
-
-        The rarity and source queries are deduped to one per distinct
-        block id per cycle through the view's
-        :class:`~repro.net.cycle_cache.CycleCache`, and the sort needs no
-        per-comparison key callable. Same blocks, same order as the
-        vectorized kernel.
-        """
-        # Validate the cycle memos once, then work on the raw dicts: at
-        # 10^5 candidates even a method call per query is measurable.
-        cache = view._cache
-        cache.validate_sources(view.store.epoch, view._failed_frozen)
-        sources_memo = cache.sources
-        rarity_memo = cache.rarity
-        store = view.store
-        holders_of = store.holders
-        dup_of = store.duplicate_count
-        failed = view.failed_agents
-        # Sort tuples carry an insertion counter so ties keep arrival
-        # order (same result as a stable key=item[:4] sort)
-        # without the per-comparison key lambda.
-        candidates: List[Tuple[int, int, int, int, int, ScheduledBlock]] = []
-        append = candidates.append
-        order = 0
-        for job in view.jobs:
-            priority = getattr(job, "priority", 0)
-            neg_priority = -priority
-            job_id = job.job_id
-            pending: List[Tuple[Block, str, str, bool]] = [
-                (block, dc, server, False)
-                for block, dc, server in view.pending_deliveries(job)
-            ]
-            if self.use_relays and job.relay_dcs:
-                pending.extend(
-                    (block, dc, server, True)
-                    for block, dc, server in view.pending_relay_placements(job)
-                )
-            for block, dst_dc, dst_server, is_relay in pending:
-                if dst_server in failed:
-                    continue
-                bid = block.block_id
-                duplicates = rarity_memo.get(bid)
-                if duplicates is None:
-                    duplicates = dup_of(bid)
-                    rarity_memo[bid] = duplicates
-                if duplicates == 0:
-                    continue
-                sources = sources_memo.get(bid)
-                if sources is None:
-                    holders = holders_of(bid)
-                    if failed:
-                        sources = [s for s in holders if s not in failed]
-                    else:
-                        sources = list(holders)
-                    sources_memo[bid] = sources
-                if not sources:
-                    continue
-                append(
-                    (
-                        1 if is_relay else 0,
-                        neg_priority,
-                        duplicates,
-                        block.index,
-                        order,
-                        ScheduledBlock(
-                            job_id=job_id,
-                            block=block,
-                            dst_dc=dst_dc,
-                            dst_server=dst_server,
-                            duplicates=duplicates,
-                            is_relay=is_relay,
-                        ),
-                    )
-                )
-                order += 1
-        candidates.sort()
-        selected = [item[5] for item in candidates]
-        if self.max_blocks_per_cycle:
-            selected = selected[: self.max_blocks_per_cycle]
-        self.last_runtime = _time.perf_counter() - started
-        return selected

@@ -33,15 +33,14 @@ snapshot alone. Possession is monotone while a simulation runs (the
 simulator never drops copies mid-run; disk-loss enters as *agent*
 failure), so a mirror can never hold a copy the global store has lost.
 
-Because the mirror store answers straight from a live
-:class:`~repro.overlay.store.PossessionMatrix` and carries a candidate
-table, mirror decides run the *vectorized* scheduling kernel and the
-batched router build — bit-identical to the shared-store sub-view path
-by the array-control-plane equivalence guarantees (shard-local gid
-numbering differs with arrival order, but nothing downstream compares
-gids across jobs; holders, duplicate counts, and iteration orders are
-equal), so ``shard_mode`` does not change results. The equivalence tests
-assert this directly.
+A mirror decides exactly what a single controller would decide for its
+jobs (shard-local gid numbering differs with arrival order, but nothing
+downstream compares gids across jobs; holders, duplicate counts, and
+iteration orders are equal), so ``shard_mode`` does not change results;
+the equivalence tests assert this directly. A cycle's *speculated*
+deliveries (§5.1) ride along in the payload and are overlaid on the
+mirror's store for that one decide — never applied: followers apply the
+leader's log, nothing else.
 
 Determinism: the parent feeds and submits due shards in shard-index
 order and gathers results in the same order, so the combined directive
@@ -102,6 +101,9 @@ class ShardPayload:
     #: Possession deltas since this shard's previous payload:
     #: ``(block_id, dst_server)`` in delivery-log order.
     deliveries: List[Tuple[BlockId, str]] = field(default_factory=list)
+    #: This cycle's speculated deliveries of the shard's blocks, same
+    #: shape. Read by this decide only; the mirror never applies them.
+    speculated: List[Tuple[BlockId, str]] = field(default_factory=list)
     #: In-flight partial bytes. Process mode filters to the shard's
     #: blocks (pickle size); in-process passes the live map (strategies
     #: only query their own blocks' keys, so results are identical).
@@ -116,7 +118,8 @@ class ShardPayload:
 
         Counts the components that actually cross the mirror boundary
         each decide — new jobs (dominated by their block lists), holders
-        snapshots, and the watermark delivery replay — with fixed
+        snapshots, the watermark delivery replay, and the speculated
+        deliveries — with fixed
         per-entry costs, so the telemetry is deterministic and identical
         across execution modes (a real ``pickle.dumps`` would charge the
         in-process mode for serialization it never performs). The
@@ -128,7 +131,7 @@ class ShardPayload:
             total += 256 + 96 * len(job.blocks)
         for _job_id, _server, indices in self.new_holders:
             total += 48 + 8 * len(indices)
-        total += 56 * len(self.deliveries)
+        total += 56 * (len(self.deliveries) + len(self.speculated))
         return total
 
 
@@ -154,8 +157,7 @@ class ShardResult:
     wall: float
     #: Shard-local state telemetry: possession-array bytes and candidate
     #: table bytes of the mirror after this decide, and the structural
-    #: size of the delta payload that fed it. Zero on the shared-store
-    #: path (speculation overlays), which holds no per-shard state.
+    #: size of the delta payload that fed it.
     state_bytes: int = 0
     candidate_bytes: int = 0
     payload_bytes: int = 0
@@ -171,9 +173,8 @@ class ShardMirror:
     jobs arrive, the scheduler/router pair (with the router's private
     FPTAS warm store), and a persistent :class:`CycleCache`. Fed by
     :meth:`apply`-ing :class:`ShardPayload` deltas; :meth:`decide` runs
-    one schedule+route over a plain :class:`ClusterView` whose store IS
-    the mirror — the exactness witness holds, so the vectorized kernel
-    and the batched router build engage.
+    one schedule+route over a plain :class:`ClusterView` of the mirror's
+    store — overlaid with the payload's speculated deliveries, if any.
     """
 
     def __init__(
@@ -249,10 +250,21 @@ class ShardMirror:
         import time as _time
 
         from repro.net.simulator import ClusterView
+        from repro.overlay.store import PossessionOverlay
 
+        store = self.store
+        if payload.speculated:
+            matrix = store.matrix
+            pairs = [
+                (matrix.server_ids[dst], matrix.block_gids[block_id])
+                for block_id, dst in payload.speculated
+            ]
+            store = PossessionOverlay(
+                store, *np.array(pairs, dtype=np.int64).T
+            )
         view = ClusterView(
             topology=self.topology,
-            store=self.store,
+            store=store,
             jobs=[self.jobs_by_id[jid] for jid in payload.active_job_ids],
             cycle=payload.cycle,
             time=payload.time,
@@ -312,8 +324,12 @@ class ShardFeed:
         bucket: Sequence["MulticastJob"],
         config: "BDSConfig",
         isolate: bool,
+        speculated: Sequence[Tuple[BlockId, str]] = (),
     ) -> ShardPayload:
         """The shard's delta payload for this cycle's view.
+
+        ``speculated`` is the cycle's speculated ``(block_id, dst_server)``
+        deliveries, all shards'; the payload carries this shard's.
 
         ``isolate=True`` (process mode) copies the budget map and
         filters the partial-bytes map to the shard's blocks — the
@@ -394,6 +410,9 @@ class ShardFeed:
             new_jobs=new_jobs,
             new_holders=new_holders,
             deliveries=deliveries,
+            speculated=[
+                pair for pair in speculated if shard_of(pair[0][0]) == shard
+            ],
             partials=partials,
             topology=view.topology if first else None,
             config=config if first else None,
@@ -404,11 +423,10 @@ class LocalShardRunner:
     """In-process shard-local mirrors.
 
     The in-process twin of :class:`ShardExecutor`: same feed, same
-    mirrors, no process boundary. Compared to sub-views of one shared
-    store this trades one extra (partitioned) copy of possession state
-    for per-shard candidate tables and caches that are O(pairs/shards) —
-    the memory shape that lets a shard lift out to its own process or
-    host unchanged.
+    mirrors, no process boundary. One extra (partitioned) copy of
+    possession state buys per-shard candidate tables and caches that are
+    O(pairs/shards) — the memory shape that lets a shard lift out to its
+    own process or host unchanged.
     """
 
     def __init__(
@@ -423,12 +441,14 @@ class LocalShardRunner:
         view: "ClusterView",
         buckets: Sequence[Sequence["MulticastJob"]],
         due: Sequence[int],
+        speculated: Sequence[Tuple[BlockId, str]] = (),
     ) -> List[ShardResult]:
         """Run the due shards' decides in shard-index order."""
         results: List[ShardResult] = []
         for shard in due:
             payload = self.feed.payload(
-                view, shard, buckets[shard], self.config, isolate=False
+                view, shard, buckets[shard], self.config,
+                isolate=False, speculated=speculated,
             )
             mirror = self._mirrors[shard]
             if mirror is None:
@@ -482,12 +502,14 @@ class ShardExecutor:
         view: "ClusterView",
         buckets: Sequence[Sequence["MulticastJob"]],
         due: Sequence[int],
+        speculated: Sequence[Tuple[BlockId, str]] = (),
     ) -> List[ShardResult]:
         """Run the due shards' decides concurrently; results in due order."""
         futures = []
         for shard in due:
             payload = self.feed.payload(
-                view, shard, buckets[shard], self.config, isolate=True
+                view, shard, buckets[shard], self.config,
+                isolate=True, speculated=speculated,
             )
             pool = self._pools[shard]
             if pool is None:

@@ -1,37 +1,25 @@
 """Per-cycle memoization for the controller/simulator hot path.
 
-The centralized control loop issues the same read-only queries many times
-per cycle: the scheduler asks for rarity and eligible sources once per
-pending *(block, destination)* pair, and the router re-derives the WAN
-path once per *(holder, destination)* candidate. At 10^5 outstanding
-blocks those duplicates dominate the cycle (§5.1's scalability argument
-only holds if per-tick cost tracks the delta in state, not its size).
-
-:class:`CycleCache` memoizes three query families, each guarded by an
-explicit validity key so stale answers are structurally impossible:
-
-* **paths** — ``flow_resources(src, dst)`` results, valid while
-  ``(topology.epoch, failed_links)`` is unchanged. In a failure-free run
-  this cache survives across *all* cycles. The router's twins of it —
-  the dense ``reach`` table and the resource-id table (``ResourceKey ->
-  int`` plus ``(src, dst) -> tuple of ints``, what the greedy water-fill
-  indexes its residual vector with) — share its key and its flush.
-* **sources** — eligible-source lists per block, valid while
-  ``(store.epoch, failed_agents)`` is unchanged. Any possession mutation
-  (delivery, seed, drop) bumps the store epoch and flushes it.
-* **rarity** — cluster-wide duplicate counts per block, same validity
-  as sources.
+The router and the simulator re-derive the WAN path of the same
+*(holder, destination)* pairs cycle after cycle. :class:`CycleCache`
+memoizes ``flow_resources(src, dst)`` results, valid while
+``(topology.epoch, failed_links)`` is unchanged — an explicit validity
+key, so stale answers are structurally impossible; in a failure-free run
+the table survives across *all* cycles. The router's twins of it — the
+dense ``reach`` table and the resource-id table (``ResourceKey -> int``
+plus ``(src, dst) -> tuple of ints``, what the greedy water-fill indexes
+its residual vector with) — share its key and its flush. (Possession is
+not memoized: rarity and holders are array gathers on the possession
+matrix.)
 
 Ownership: the :class:`~repro.net.simulator.Simulation` owns one
 instance and threads it into each cycle's
 :class:`~repro.net.simulator.ClusterView` (a view built without one
-makes its own); each
+makes its own) and the views derived from it — partition clones and
+speculated views read the same topology; each
 :class:`~repro.core.shardexec.ShardMirror` additionally owns its *own*
-persistent instance scoped to that shard's partition, so memo tables
-(and their flush churn) are O(pairs/k) per shard rather than cluster
-wide. Derived views (speculation overlays, partition clones) must *not*
-share any of these because their store/failure state differs — they get
-a fresh instance.
+persistent instance scoped to that shard's partition, so its tables are
+O(pairs/k) per shard rather than cluster wide.
 """
 
 from __future__ import annotations
@@ -43,9 +31,7 @@ import numpy as np
 
 from repro.net.topology import ResourceKey
 
-BlockId = Tuple[str, int]
 PathKey = Tuple[int, FrozenSet]
-SourceKey = Tuple[int, FrozenSet]
 
 
 def first_cycle_at_or_after(time_s: float, dt: float) -> int:
@@ -135,7 +121,7 @@ class DecisionReuseState:
 
 
 class CycleCache:
-    """Epoch-guarded memo tables for the per-cycle read queries."""
+    """Epoch-guarded memo tables for the per-cycle path queries."""
 
     __slots__ = (
         "_path_key",
@@ -144,9 +130,6 @@ class CycleCache:
         "res_ids",
         "res_keys",
         "path_ids",
-        "_source_key",
-        "sources",
-        "rarity",
         "hits",
         "misses",
         "flushes",
@@ -172,10 +155,7 @@ class CycleCache:
         self.res_ids: Dict[ResourceKey, int] = {}
         self.res_keys: List[ResourceKey] = []
         self.path_ids: Dict[Tuple[str, str], Tuple[int, ...]] = {}
-        self._source_key: Optional[SourceKey] = None
-        self.sources: Dict[BlockId, List[str]] = {}
-        self.rarity: Dict[BlockId, int] = {}
-        # Telemetry (coarse; bumped by ClusterView's cached accessors).
+        # Telemetry (coarse; bumped by ClusterView.flow_resources).
         self.hits: int = 0
         self.misses: int = 0
         self.flushes: int = 0
@@ -242,20 +222,8 @@ class CycleCache:
         capacity = capacities.get
         return [float(capacity(key, 0.0)) for key in self.res_keys]
 
-    def validate_sources(
-        self, store_epoch: int, failed_agents: FrozenSet
-    ) -> None:
-        """Flush source/rarity memos if possession or failures changed."""
-        key = (store_epoch, failed_agents)
-        if key != self._source_key:
-            self._source_key = key
-            if self.sources or self.rarity:
-                self.sources = {}
-                self.rarity = {}
-                self.flushes += 1
-
     def stats(self) -> Dict[str, int]:
-        """Hit/miss/flush counters (consumed by the hot-path benchmark)."""
+        """Hit/miss/flush counters (the perf ledger's ``cycle_cache.*``)."""
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -278,9 +246,7 @@ class RoutingWarmStore:
     interning order, per-resource capacities) and certifies every warm
     solve against its own dual bound, so a stale store can degrade a
     solve to cold but never corrupt it. The store is owned by the
-    :class:`~repro.core.routing.BDSRouter` — not by :class:`CycleCache`
-    instances — because speculation overlays build *fresh* caches per
-    cycle while warm starts must survive across cycles.
+    :class:`~repro.core.routing.BDSRouter`.
     """
 
     __slots__ = ("_key", "state", "invalidations", "stores")

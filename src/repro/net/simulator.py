@@ -21,7 +21,6 @@ next cycle, exactly like BDS's per-cycle choice of ``w_b,s``.
 from __future__ import annotations
 
 import bisect
-import copy
 import itertools
 import time as _time
 from collections import abc
@@ -41,6 +40,7 @@ from typing import (
 import numpy as np
 
 from repro.net.background import BackgroundTraffic, delay_inflation
+from repro.net.candidates import CandidateTable
 from repro.net.cycle_cache import (
     CycleCache,
     DecisionReuseState,
@@ -56,7 +56,7 @@ from repro.net.flow import (
 from repro.net.topology import ResourceKey, Topology
 from repro.overlay.blocks import Block
 from repro.overlay.job import MulticastJob
-from repro.overlay.store import PossessionIndex
+from repro.overlay.store import PossessionIndex, PossessionReader
 from repro.utils.rng import SeedLike, make_rng
 from repro.utils.validation import check_fraction, check_positive
 
@@ -64,7 +64,7 @@ BlockId = Tuple[str, int]
 
 #: Below this many completed deliveries in a cycle the grouped numpy pass
 #: costs more than per-pair application; results are bit-identical either
-#: way, so small batches replay through the scalar path.
+#: way, so small batches land one ``record_delivery`` at a time.
 _DELIVERY_BATCH_MIN = 32
 
 #: Fast-forward chunk cap: at most this many cycles are skipped per
@@ -384,7 +384,7 @@ class CycleStats:
     time_shard_mean: float = 0.0
     time_reconcile: float = 0.0
     # Shard-local state telemetry, forwarded from the strategy's
-    # decision record (zeros on the shared-store paths): the effective
+    # decision record (zeros when unsharded): the effective
     # decide stride this cycle (tracks the adaptive stride under
     # shard_stride="auto"), max per-shard possession-array and
     # candidate-table bytes over the shards that decided fresh, and the
@@ -405,6 +405,26 @@ _STAGE_TIME_FIELDS = {
     "deliver": "time_deliver",
     "deliver_apply": "time_deliver_apply",
     "reconcile": "time_reconcile",
+}
+
+
+#: CycleStats field -> the attribute of the strategy's decision record it
+#: is forwarded from, on cycles the strategy logged a decision for (an
+#: attribute the record lacks leaves the field at its default).
+_DECISION_TELEMETRY = {
+    "time_schedule": "schedule_runtime",
+    "time_route": "routing_runtime",
+    "routing_iterations": "routing_iterations",
+    "routing_phases": "routing_phases",
+    "routing_warm_start": "routing_warm_start",
+    "shard_count": "shard_count",
+    "time_shard_max": "shard_wall_max",
+    "time_shard_mean": "shard_wall_mean",
+    "time_reconcile": "reconcile_runtime",
+    "shard_stride": "shard_stride",
+    "shard_state_bytes": "shard_state_bytes",
+    "shard_candidate_bytes": "shard_candidate_bytes",
+    "shard_payload_bytes": "shard_payload_bytes",
 }
 
 
@@ -628,25 +648,24 @@ class ClusterView:
     baselines deliberately use only slices of it (their local views).
 
     **Ownership**: the view borrows the simulator's live structures —
-    ``bulk_capacities``, the pending-delivery maps, and the partial-bytes
-    map are *not* copied. A view is valid for the cycle it was built for;
-    strategies must not mutate these mappings or hold a view across
-    cycles (the next cycle reuses and mutates them in place).
+    ``bulk_capacities`` and the partial-bytes map are *not* copied. A
+    view is valid for the cycle it was built for; strategies must not
+    mutate these mappings or hold a view across cycles (the next cycle
+    reuses and mutates them in place).
 
-    The simulator also threads in its pending bookkeeping (``pending`` /
-    ``relay_pending`` / ``blocks_by_id``) and its persistent
-    :class:`CycleCache`, so ``pending_deliveries`` iterates only
-    still-missing entries and the rarity/source/path memos stay warm
-    across cycles. A hand-built view may omit them: the pending
-    accessors then scan every (destination, block) pair against the
-    store, and the view memoizes in a cache of its own — with identical
-    results.
+    Possession is read from ``store.matrix`` and nowhere else: the
+    scheduler, the router, the baselines' lenses and the accessors below
+    all gather from it through the static per-(job, DC) arrays of a
+    :class:`~repro.net.candidates.CandidateTable`. The simulator threads
+    in its table and its persistent :class:`CycleCache`; a hand-built
+    view may omit either and owns one of its own, built on first use —
+    with identical results.
     """
 
     def __init__(
         self,
         topology: Topology,
-        store: PossessionIndex,
+        store: PossessionReader,
         jobs: Sequence[MulticastJob],
         cycle: int,
         time: float,
@@ -656,13 +675,8 @@ class ClusterView:
         controller_available: bool,
         partial_bytes: Mapping[Tuple[BlockId, str], float],
         failed_links: frozenset = frozenset(),
-        pending: Optional[Mapping[Tuple[str, str], Set[Tuple[BlockId, str]]]] = None,
-        relay_pending: Optional[Mapping[Tuple[str, str], Set[BlockId]]] = None,
-        blocks_by_id: Optional[Mapping[BlockId, Block]] = None,
         cache: Optional[CycleCache] = None,
-        pending_order: Optional[Dict[Tuple[str, str], List[Tuple[BlockId, str]]]] = None,
-        relay_order: Optional[Dict[Tuple[str, str], List[BlockId]]] = None,
-        candidates: Optional["CandidateTableLike"] = None,
+        candidates: Optional[CandidateTable] = None,
     ) -> None:
         self.topology = topology
         self.store = store
@@ -675,25 +689,16 @@ class ClusterView:
         self.controller_available = controller_available
         self.failed_links = frozenset(failed_links)
         self._partial = partial_bytes
-        self._pending_map = pending
-        self._relay_pending_map = relay_pending
-        self._blocks_by_id = blocks_by_id
         self._cache = cache if cache is not None else CycleCache()
         self._failed_frozen = frozenset(self.failed_agents)
-        # Ordered iteration hints for the pending maps (see the accessors)
-        # plus the exactness witness: while the store object is this very
-        # one and its epoch is unchanged since view construction, the
-        # pending maps are exact and the per-entry possession re-check is
-        # skipped. Any out-of-band store mutation bumps the epoch and
-        # drops the view back to the re-checking path.
-        self._pending_order = pending_order
-        self._relay_order = relay_order
-        self._map_store = store
-        self._map_epoch = getattr(store, "epoch", -1)
-        # Static candidate arrays for the vectorized scheduling kernel
-        # (see repro.net.candidates); None sends the scheduler down the
-        # scalar path.
         self._candidates = candidates
+
+    @property
+    def candidates(self) -> CandidateTable:
+        """The candidate (block, destination) arrays of this view's jobs."""
+        if self._candidates is None:
+            self._candidates = CandidateTable(self.jobs, self.store.matrix)
+        return self._candidates
 
     def agent_is_up(self, server_id: str) -> bool:
         return server_id not in self.failed_agents
@@ -705,11 +710,10 @@ class ClusterView:
         cut off from the controller cannot receive commands, so the
         centralized logic must not schedule them as sources or sinks.
 
-        The clone shares this view's :class:`CycleCache`; its different
-        failed-agent set flushes the source/rarity memos via the cache's
-        validity key while the path memos stay warm.
+        The clone shares this view's :class:`CycleCache` (paths do not
+        depend on agent failures) and candidate table.
         """
-        clone = ClusterView(
+        return ClusterView(
             topology=self.topology,
             store=self.store,
             jobs=self.jobs,
@@ -721,34 +725,9 @@ class ClusterView:
             controller_available=self.controller_available,
             partial_bytes=self._partial,
             failed_links=self.failed_links,
-            pending=self._pending_map,
-            relay_pending=self._relay_pending_map,
-            blocks_by_id=self._blocks_by_id,
             cache=self._cache,
-            pending_order=self._pending_order,
-            relay_order=self._relay_order,
             candidates=self._candidates,
         )
-        return clone
-
-    def with_jobs(
-        self, jobs: Sequence[MulticastJob], cache: CycleCache
-    ) -> "ClusterView":
-        """A shallow clone of this view scoped to ``jobs``.
-
-        Used by the sharded control plane to hand each controller shard
-        its job partition of a speculation overlay: the clone shares
-        every other structure with this view (store, pending maps,
-        budgets — jobs are disjoint in blocks, so a shard simply never
-        looks at another shard's rows), and memoizes in ``cache``.
-        Implemented with :func:`copy.copy` so subclasses (notably
-        :class:`~repro.core.speculation.SpeculatedView`) keep their
-        exactness witnesses — in particular ``_map_store`` — untouched.
-        """
-        clone = copy.copy(self)
-        clone.jobs = list(jobs)
-        clone._cache = cache
-        return clone
 
     def flow_resources(
         self, src_server: str, dst_server: str
@@ -784,89 +763,9 @@ class ClusterView:
     def pending_deliveries(
         self, job: MulticastJob
     ) -> List[Tuple[Block, str, str]]:
-        """Undelivered (block, dst_dc, assigned dst server) triples.
-
-        With the simulator's pending map attached this iterates only the
-        still-missing entries, in ascending block-index order (the scan
-        order of the fallback); otherwise it scans every (destination DC,
-        block) pair against the store. The order list is a shared
-        iteration hint compacted lazily against the live set, so no
-        per-cycle sort is needed.
-        """
-        pending: List[Tuple[Block, str, str]] = []
-        pending_map = self._pending_map
-        order_map = self._pending_order
-        blocks_by_id = self._blocks_by_id
-        store = self.store
-        # Exactness: the simulator discards entries on every delivery, so
-        # while the store is untouched otherwise (same object, same
-        # epoch) set membership alone decides pending-ness. A store that
-        # shadows the real one (speculation overlay) or an out-of-band
-        # mutation (epoch bump) drops us to the re-checking path.
-        exact = store is self._map_store and (
-            getattr(store, "epoch", -2) == self._map_epoch
-        )
-        for dc in job.dst_dcs:
-            key = (job.job_id, dc)
-            entries = pending_map.get(key) if pending_map is not None else None
-            if entries is None or blocks_by_id is None or order_map is None:
-                for block in job.blocks:
-                    server = job.assigned_server(dc, block.block_id)
-                    if not self.store.has(server, block.block_id):
-                        pending.append((block, dc, server))
-                continue
-            # The simulator drops a key's order list once its set empties.
-            order = order_map.get(key, ())
-            if len(order) > 2 * len(entries):
-                order = [entry for entry in order if entry in entries]
-                order_map[key] = order
-            if exact:
-                for entry in order:
-                    if entry in entries:
-                        pending.append(
-                            (blocks_by_id[entry[0]], dc, entry[1])
-                        )
-            else:
-                for entry in order:
-                    if entry in entries:
-                        bid, server = entry
-                        if not store.has(server, bid):
-                            pending.append((blocks_by_id[bid], dc, server))
-        return pending
-
-    def eligible_sources(self, block_id: BlockId) -> List[str]:
-        """Healthy servers currently holding the block.
-
-        Memoized per block id while the store and failed-agent set are
-        unchanged — the scheduler and router both ask for every pending
-        block, so the second and later queries are dict hits.
-        """
-        cache = self._cache
-        cache.validate_sources(self.store.epoch, self._failed_frozen)
-        try:
-            result = cache.sources[block_id]
-            cache.hits += 1
-            return result
-        except KeyError:
-            cache.misses += 1
-        failed = self.failed_agents
-        holders = self.store.holders(block_id)
-        if failed:
-            result = [s for s in holders if s not in failed]
-        else:
-            result = list(holders)
-        cache.sources[block_id] = result
-        return result
-
-    def duplicate_count(self, block_id: BlockId) -> int:
-        """Cluster-wide copy count (§4.3 rarity), memoized per block id."""
-        cache = self._cache
-        cache.validate_sources(self.store.epoch, self._failed_frozen)
-        count = cache.rarity.get(block_id)
-        if count is None:
-            count = self.store.duplicate_count(block_id)
-            cache.rarity[block_id] = count
-        return count
+        """Undelivered (block, dst_dc, assigned dst server) triples, per
+        destination DC in ascending block index."""
+        return self._pending_rows(job, relays=False)
 
     def pending_relay_placements(
         self, job: MulticastJob
@@ -878,37 +777,34 @@ class ClusterView:
         not count toward completion but widen the Type I path diversity
         through non-destination DCs (Fig. 1).
         """
-        placements: List[Tuple[Block, str, str]] = []
-        relay_map = self._relay_pending_map
-        order_map = self._relay_order
-        blocks_by_id = self._blocks_by_id
-        store = self.store
-        exact = store is self._map_store and (
-            getattr(store, "epoch", -2) == self._map_epoch
-        )
-        for dc in job.relay_dcs:
-            key = (job.job_id, dc)
-            entries = relay_map.get(key) if relay_map is not None else None
-            if entries is None or blocks_by_id is None or order_map is None:
-                for block in job.blocks:
-                    if self.store.dc_has_block(dc, block.block_id):
-                        continue
-                    server = job.assigned_server(dc, block.block_id)
-                    placements.append((block, dc, server))
+        return self._pending_rows(job, relays=True)
+
+    def _pending_rows(
+        self, job: MulticastJob, relays: bool
+    ) -> List[Tuple[Block, str, str]]:
+        matrix = self.store.matrix
+        names = matrix.server_names
+        pending: List[Tuple[Block, str, str]] = []
+        for group in self.candidates.groups_by_job[job.job_id]:
+            if group.is_relay != relays:
                 continue
-            order = order_map.get(key, ())
-            if len(order) > 2 * len(entries):
-                order = [bid for bid in order if bid in entries]
-                order_map[key] = order
-            for bid in order:
-                if bid not in entries:
-                    continue
-                if not exact and store.dc_has_block(dc, bid):
-                    continue
-                placements.append(
-                    (blocks_by_id[bid], dc, job.assigned_server(dc, bid))
-                )
-        return placements
+            if relays:
+                held = matrix.dc_counts[group.dc_gid, group.gids] > 0
+            else:
+                held = matrix.test_many(group.dst_sids, group.gids)
+            rows = np.flatnonzero(~held)
+            for i, sid in zip(rows.tolist(), group.dst_sids[rows].tolist()):
+                pending.append((job.blocks[i], group.dc, names[sid]))
+        return pending
+
+    def eligible_sources(self, block_id: BlockId) -> List[str]:
+        """Healthy servers currently holding the block, in name order."""
+        failed = self.failed_agents
+        return sorted(s for s in self.store.holders(block_id) if s not in failed)
+
+    def duplicate_count(self, block_id: BlockId) -> int:
+        """Cluster-wide copy count (§4.3 rarity)."""
+        return self.store.duplicate_count(block_id)
 
 
 def partial_column(
@@ -1092,68 +988,35 @@ class Simulation:
 
         # (block_id, dst_server) -> bytes buffered so far.
         self._partial: Dict[Tuple[BlockId, str], float] = {}
-        # Pending (job, dc) -> set of (block_id, server) still missing,
-        # plus an ordered list of the same entries (ascending block index,
-        # the order of a full scan). The set is the source of truth (_deliver
-        # discards from it); the list is an iteration hint the view
-        # compacts lazily, so pending iteration needs no per-cycle sort.
+        # Completion bookkeeping: (job, dc) -> the (block_id, server)
+        # deliveries still missing, and (job, server) -> how many of its
+        # shard's blocks that server still misses.
         self._pending: Dict[Tuple[str, str], Set[Tuple[BlockId, str]]] = {}
-        self._pending_order: Dict[
-            Tuple[str, str], List[Tuple[BlockId, str]]
-        ] = {}
-        # (job, server) -> number of shard blocks still missing.
         self._server_missing: Dict[Tuple[str, str], int] = {}
+        self._origin_dc: Dict[str, str] = {}
         for job in self.jobs:
+            self._origin_dc[job.job_id] = job.src_dc
             for dc in job.dst_dcs:
-                ordered: List[Tuple[BlockId, str]] = []
+                missing = self._pending[(job.job_id, dc)] = set()
                 for block in job.blocks:
                     server = job.assigned_server(dc, block.block_id)
                     if self.store.has(server, block.block_id):
                         continue  # pre-seeded copies count as delivered
-                    ordered.append((block.block_id, server))
+                    missing.add((block.block_id, server))
                     key = (job.job_id, server)
                     self._server_missing[key] = self._server_missing.get(key, 0) + 1
-                self._pending[(job.job_id, dc)] = set(ordered)
-                self._pending_order[(job.job_id, dc)] = ordered
 
-        # (job, relay dc) -> block ids the relay DC holds no copy of yet.
-        # Mirrors what pending_relay_placements would compute by scanning;
-        # maintained incrementally by _deliver.
-        self._relay_pending: Dict[Tuple[str, str], Set[BlockId]] = {}
-        self._relay_order: Dict[Tuple[str, str], List[BlockId]] = {}
-        self._relay_dcs_by_job: Dict[str, Tuple[str, ...]] = {}
-        for job in self.jobs:
-            self._relay_dcs_by_job[job.job_id] = job.relay_dcs
-            for dc in job.relay_dcs:
-                ordered_ids = [
-                    block.block_id
-                    for block in job.blocks
-                    if not self.store.dc_has_block(dc, block.block_id)
-                ]
-                self._relay_pending[(job.job_id, dc)] = set(ordered_ids)
-                self._relay_order[(job.job_id, dc)] = ordered_ids
-
-        self._blocks_by_id: Dict[BlockId, Block] = {}
-        self._origin_dc: Dict[str, str] = {}
-        for job in self.jobs:
-            self._origin_dc[job.job_id] = job.src_dc
-            for block in job.blocks:
-                self._blocks_by_id[block.block_id] = block
-
-        # Static candidate arrays for the vectorized scheduling kernel:
-        # every (block, destination/relay DC) pair of every job, as
-        # parallel int arrays. Built once, after seeding (so pre-seeded
-        # copies compact out on the first cycle's gather). Skipped when
-        # the strategy decides against partition-scoped shard mirrors
-        # (a sharded BDSController, which has a shard signature): the
-        # mirrors build their own shard-scoped tables, O(pairs/shards)
-        # each, and a global O(pairs) build would be dead weight — only
-        # speculation-overlay cycles would miss it, on their
-        # already-scalar fallback path.
+        # Static candidate arrays for the scheduling kernel and the
+        # view's pending accessors: every (block, destination/relay DC)
+        # pair of every job, as parallel int arrays. Built once, after
+        # seeding (so pre-seeded copies compact out on the first cycle's
+        # gather). Skipped when the strategy decides against
+        # partition-scoped shard mirrors (a sharded BDSController, which
+        # has a shard signature): the mirrors build their own
+        # shard-scoped tables, O(pairs/shards) each, and a global
+        # O(pairs) build would be dead weight.
         self._cand_table = None
         if getattr(strategy, "shard_signature", None) is None:
-            from repro.net.candidates import CandidateTable
-
             self._cand_table = CandidateTable(self.jobs, self.store.matrix)
 
         # Flat per-block columns for directive validation and demand sums
@@ -1382,6 +1245,33 @@ class Simulation:
             for i in range(len(bounds) - 1)
         ]
 
+    def _view(
+        self,
+        cycle: int,
+        jobs: Sequence[MulticastJob],
+        bulk_caps: Mapping[ResourceKey, float],
+        failed: Set[str],
+        failed_links: frozenset,
+        controller_ok: bool = True,
+    ) -> ClusterView:
+        """Cycle ``cycle``'s view over the simulator's live structures."""
+        dt = self.config.cycle_seconds
+        return ClusterView(
+            topology=self.topology,
+            store=self.store,
+            jobs=jobs,
+            cycle=cycle,
+            time=cycle * dt,
+            cycle_seconds=dt,
+            bulk_capacities=bulk_caps,
+            failed_agents=failed,
+            controller_available=controller_ok,
+            partial_bytes=self._partial,
+            failed_links=failed_links,
+            cache=self._cycle_cache,
+            candidates=self._cand_table,
+        )
+
     def snapshot_view(self, cycle: int = 0) -> ClusterView:
         """A :class:`ClusterView` of the current state without simulating.
 
@@ -1390,31 +1280,17 @@ class Simulation:
         """
         respects = getattr(self.strategy, "respects_safety_threshold", False)
         bulk_caps, _online = self._bulk_capacities(cycle * self.config.cycle_seconds, respects)
-        return ClusterView(
-            topology=self.topology,
-            store=self.store,
-            jobs=[
+        failures = self.failures
+        return self._view(
+            cycle,
+            [
                 j
                 for i, j in enumerate(self.jobs)
                 if self._arrival_cycle_by_idx[i] <= cycle
             ],
-            cycle=cycle,
-            time=cycle * self.config.cycle_seconds,
-            cycle_seconds=self.config.cycle_seconds,
-            bulk_capacities=bulk_caps,
-            failed_agents=set(self.failures.failed_agents) if self.failures else set(),
-            controller_available=True,
-            partial_bytes=self._partial,
-            failed_links=frozenset(self.failures.failed_links)
-            if self.failures
-            else frozenset(),
-            pending=self._pending,
-            relay_pending=self._relay_pending,
-            blocks_by_id=self._blocks_by_id,
-            cache=self._cycle_cache,
-            pending_order=self._pending_order,
-            relay_order=self._relay_order,
-            candidates=self._cand_table,
+            bulk_caps,
+            set(failures.failed_agents) if failures else set(),
+            frozenset(failures.failed_links) if failures else frozenset(),
         )
 
     # -- main loop -------------------------------------------------------------
@@ -1595,25 +1471,9 @@ class Simulation:
                 rate_started = _time.perf_counter()
                 cycles_reused += 1
             else:
-                view = ClusterView(
-                    topology=self.topology,
-                    store=self.store,
-                    jobs=active_jobs,
-                    cycle=cycle,
-                    time=now,
-                    cycle_seconds=dt,
-                    bulk_capacities=bulk_caps,
-                    failed_agents=failed,
-                    controller_available=controller_ok,
-                    partial_bytes=self._partial,
-                    failed_links=failed_links,
-                    pending=self._pending,
-                    relay_pending=self._relay_pending,
-                    blocks_by_id=self._blocks_by_id,
-                    cache=self._cycle_cache,
-                    pending_order=self._pending_order,
-                    relay_order=self._relay_order,
-                    candidates=self._cand_table,
+                view = self._view(
+                    cycle, active_jobs, bulk_caps, failed, failed_links,
+                    controller_ok,
                 )
                 decide_started = _time.perf_counter()
                 time_view_build = decide_started - stage_started
@@ -1749,40 +1609,13 @@ class Simulation:
 
             if events:
                 apply_started = _time.perf_counter()
-                if len(events) < _DELIVERY_BATCH_MIN:
-                    # Tiny batches: the numpy pass costs more than it
-                    # saves; replay per pair (bit-identical either way).
-                    for job_id, block, src, dst, when in events:
-                        self._deliver(
-                            job_id,
-                            block,
-                            src,
-                            dst,
-                            when,
-                            job_completion,
-                            dc_completion,
-                            server_completion,
-                        )
-                else:
-                    self._apply_deliveries(
-                        events, job_completion, dc_completion, server_completion
-                    )
+                self._apply_deliveries(
+                    events, job_completion, dc_completion, server_completion
+                )
                 apply_seconds = _time.perf_counter() - apply_started
 
             if record_stats:
-                time_schedule = decide_runtime
-                time_route = 0.0
-                routing_iterations = 0
-                routing_phases = 0
-                routing_warm_start = ""
-                shard_count = 0
-                time_shard_max = 0.0
-                time_shard_mean = 0.0
-                time_reconcile = 0.0
-                shard_stride = 0
-                shard_state_bytes = 0
-                shard_candidate_bytes = 0
-                shard_payload_bytes = 0
+                telemetry = {"time_schedule": decide_runtime}
                 if not reused and last_decision_fn is not None:
                     decision = last_decision_fn()
                     if decision is None or decision.cycle != cycle:
@@ -1790,37 +1623,11 @@ class Simulation:
                         # nothing this cycle (controller outage: the
                         # fallback decided). That wall is neither
                         # scheduling nor routing; time_decide carries it.
-                        time_schedule = 0.0
+                        telemetry["time_schedule"] = 0.0
                     else:
-                        time_schedule = decision.schedule_runtime
-                        time_route = decision.routing_runtime
-                        routing_iterations = getattr(
-                            decision, "routing_iterations", 0
-                        )
-                        routing_phases = getattr(decision, "routing_phases", 0)
-                        routing_warm_start = getattr(
-                            decision, "routing_warm_start", ""
-                        )
-                        shard_count = getattr(decision, "shard_count", 0)
-                        time_shard_max = getattr(
-                            decision, "shard_wall_max", 0.0
-                        )
-                        time_shard_mean = getattr(
-                            decision, "shard_wall_mean", 0.0
-                        )
-                        time_reconcile = getattr(
-                            decision, "reconcile_runtime", 0.0
-                        )
-                        shard_stride = getattr(decision, "shard_stride", 0)
-                        shard_state_bytes = getattr(
-                            decision, "shard_state_bytes", 0
-                        )
-                        shard_candidate_bytes = getattr(
-                            decision, "shard_candidate_bytes", 0
-                        )
-                        shard_payload_bytes = getattr(
-                            decision, "shard_payload_bytes", 0
-                        )
+                        for stat, attr in _DECISION_TELEMETRY.items():
+                            if hasattr(decision, attr):
+                                telemetry[stat] = getattr(decision, attr)
                 stats = CycleStats(
                     cycle=cycle,
                     time=now,
@@ -1830,24 +1637,12 @@ class Simulation:
                     controller_available=controller_ok,
                     time_view_build=time_view_build,
                     time_decide=decide_runtime,
-                    time_schedule=time_schedule,
-                    time_route=time_route,
                     time_rate_resolve=time_rate_resolve,
                     time_deliver=_time.perf_counter() - deliver_started,
                     time_deliver_apply=apply_seconds,
                     rate_stalemates=kernel_stats.stalemates,
-                    routing_iterations=routing_iterations,
-                    routing_phases=routing_phases,
-                    routing_warm_start=routing_warm_start,
                     decision_reused=reused,
-                    shard_count=shard_count,
-                    time_shard_max=time_shard_max,
-                    time_shard_mean=time_shard_mean,
-                    time_reconcile=time_reconcile,
-                    shard_stride=shard_stride,
-                    shard_state_bytes=shard_state_bytes,
-                    shard_candidate_bytes=shard_candidate_bytes,
-                    shard_payload_bytes=shard_payload_bytes,
+                    **telemetry,
                 )
                 if cfg.record_link_stats:
                     usage: Dict[ResourceKey, float] = {}
@@ -2088,43 +1883,37 @@ class Simulation:
         dc_completion: Dict[Tuple[str, str], float],
         server_completion: Dict[Tuple[str, str], float],
     ) -> None:
-        """Apply one cycle's completed transfers as a grouped pass.
+        """Land one cycle's completed transfers, then book them.
 
-        Splits :meth:`_deliver` into (a) one batched possession and
-        provenance update via ``store.record_deliveries`` and (b) the
-        pending/server-missing/completion bookkeeping, replayed per event
-        in delivery order. The split is exact: the bookkeeping below
-        never reads the store, so landing every bit first is
-        indistinguishable from interleaving, and duplicate deliveries
-        still run their (idempotent) bookkeeping exactly as the scalar
-        path does.
+        Possession and provenance first — pair by pair below
+        ``_DELIVERY_BATCH_MIN`` events, where the grouped numpy pass
+        costs more than it saves, as one ``store.record_deliveries``
+        above (bit-identical either way) — then the completion
+        bookkeeping, per event in delivery order. The split is exact:
+        the bookkeeping never reads the store, and a duplicate delivery
+        finds its entry already gone.
         """
         origin = self._origin_dc
-        self.store.record_deliveries(
-            [
-                (block, src, dst, when, origin[job_id])
-                for job_id, block, src, dst, when in events
-            ]
-        )
-        dc_of = self.store.dc_of
-        relay_map = self._relay_pending
+        store = self.store
+        if len(events) < _DELIVERY_BATCH_MIN:
+            for job_id, block, src, dst, when in events:
+                store.record_delivery(block, src, dst, when, origin[job_id])
+        else:
+            store.record_deliveries(
+                [
+                    (block, src, dst, when, origin[job_id])
+                    for job_id, block, src, dst, when in events
+                ]
+            )
+        dc_of = store.dc_of
         pending_map = self._pending
         server_missing = self._server_missing
-        jobs_by_id = self._jobs_by_id
-        has_relays = bool(relay_map)
         for job_id, block, _src, dst, when in events:
             dst_dc = dc_of(dst)
-            bid = block.block_id
-            if has_relays:
-                relay_pending = relay_map.get((job_id, dst_dc))
-                if relay_pending is not None:
-                    relay_pending.discard(bid)
-                    if not relay_pending:
-                        self._relay_order.pop((job_id, dst_dc), None)
             pending = pending_map.get((job_id, dst_dc))
             if pending is None:
                 continue  # delivery to a relay DC: not completion-tracked
-            entry = (bid, dst)
+            entry = (block.block_id, dst)
             if entry not in pending:
                 continue  # landed on a non-assigned server of a dest DC
             pending.discard(entry)
@@ -2134,53 +1923,12 @@ class Simulation:
             if remaining == 0:
                 server_completion[skey] = when
             if not pending:
-                self._pending_order.pop((job_id, dst_dc), None)
                 dc_completion[(job_id, dst_dc)] = when
-                job = jobs_by_id[job_id]
+                job = self._jobs_by_id[job_id]
                 if all((job_id, dc) in dc_completion for dc in job.dst_dcs):
                     job_completion[job_id] = max(
                         dc_completion[(job_id, dc)] for dc in job.dst_dcs
                     )
-
-    def _deliver(
-        self,
-        job_id: str,
-        block: Block,
-        src_server: str,
-        dst_server: str,
-        when: float,
-        job_completion: Dict[str, float],
-        dc_completion: Dict[Tuple[str, str], float],
-        server_completion: Dict[Tuple[str, str], float],
-    ) -> None:
-        self.store.record_delivery(
-            block, src_server, dst_server, when, self._origin_dc[job_id]
-        )
-        dst_dc = self.store.dc_of(dst_server)
-        relay_pending = self._relay_pending.get((job_id, dst_dc))
-        if relay_pending is not None:
-            relay_pending.discard(block.block_id)
-            if not relay_pending:
-                self._relay_order.pop((job_id, dst_dc), None)
-        pending = self._pending.get((job_id, dst_dc))
-        if pending is None:
-            return  # delivery to a relay DC: useful, but not completion-tracked
-        entry = (block.block_id, dst_server)
-        if entry not in pending:
-            return  # block landed on a non-assigned server of a dest DC
-        pending.discard(entry)
-        skey = (job_id, dst_server)
-        self._server_missing[skey] -= 1
-        if self._server_missing[skey] == 0:
-            server_completion[skey] = when
-        if not pending:
-            self._pending_order.pop((job_id, dst_dc), None)
-            dc_completion[(job_id, dst_dc)] = when
-            job = self._jobs_by_id[job_id]
-            if all((job_id, dc) in dc_completion for dc in job.dst_dcs):
-                job_completion[job_id] = max(
-                    dc_completion[(job_id, dc)] for dc in job.dst_dcs
-                )
 
 
 class OverlayStrategyLike:
@@ -2194,12 +1942,6 @@ class OverlayStrategyLike:
 
     def decide(self, view: ClusterView) -> List[TransferDirective]:
         raise NotImplementedError
-
-
-class CandidateTableLike:
-    """Duck-type of :class:`repro.net.candidates.CandidateTable`."""
-
-    groups_by_job: Dict[str, List] = {}
 
 
 class ControllerReplicaSetLike:

@@ -25,6 +25,7 @@ per dropped block — see the method docstring).
 
 from __future__ import annotations
 
+import copy
 import sys
 from dataclasses import dataclass
 from typing import (
@@ -315,6 +316,23 @@ class PossessionMatrix:
             np.add.at(self.dc_counts, (self.server_dc_ids[rows], cols), 1)
         return fresh
 
+    def overlay(self, sids: np.ndarray, gids: np.ndarray) -> "PossessionMatrix":
+        """A twin of this matrix that also holds the ``(sids, gids)`` copies.
+
+        The four possession arrays are copied, so nothing written to the
+        twin reaches this matrix; the interning tables are shared, so the
+        twin's ids are this matrix's ids — and it must intern nothing.
+        """
+        twin = copy.copy(self)
+        twin.bits = self.bits.copy()
+        twin._flat = twin.bits.reshape(-1)
+        twin.holder_words = self.holder_words.copy()
+        twin._holder_flat = twin.holder_words.reshape(-1)
+        twin.dup = self.dup.copy()
+        twin.dc_counts = self.dc_counts.copy()
+        twin.record_deliveries(sids, gids)
+        return twin
+
     def clear_row(self, sid: int) -> int:
         """Drop every block on one server; returns how many were held."""
         held = self.row_gids(sid)
@@ -400,33 +418,89 @@ class PossessionMatrix:
         )
 
 
-class PossessionIndex:
+class PossessionReader:
+    """The name-keyed queries over a :attr:`matrix`, shared by the live
+    :class:`PossessionIndex` and the read-only :class:`PossessionOverlay`."""
+
+    matrix: PossessionMatrix
+    #: server id -> DC name; fixed for the lifetime of the index.
+    _server_dc: Dict[str, str]
+
+    def dc_of(self, server_id: str) -> str:
+        return self._server_dc[server_id]
+
+    def has(self, server_id: str, block_id: BlockId) -> bool:
+        matrix = self.matrix
+        gid = matrix.block_gids.get(block_id)
+        if gid is None:
+            return False
+        sid = matrix.server_ids.get(server_id)
+        if sid is None:
+            return False
+        return matrix.test_bit(sid, gid)
+
+    def holders(self, block_id: BlockId) -> AbstractSet[str]:
+        """Servers currently holding the block, as a fresh ``frozenset``
+        decoded from the bit column (a shared empty one for unknown
+        blocks)."""
+        matrix = self.matrix
+        gid = matrix.block_gids.get(block_id)
+        if gid is None:
+            return _EMPTY_HOLDERS
+        names = matrix.server_names
+        return frozenset(names[i] for i in matrix.holder_ids(gid))
+
+    def duplicate_count(self, block_id: BlockId) -> int:
+        """Number of copies cluster-wide (the §4.3 rarity measure)."""
+        gid = self.matrix.block_gids.get(block_id)
+        return int(self.matrix.dup[gid]) if gid is not None else 0
+
+    def blocks_on(self, server_id: str) -> AbstractSet[BlockId]:
+        """Blocks held by one server, as a fresh ``frozenset`` decoded
+        from the server's bit row."""
+        matrix = self.matrix
+        sid = matrix.server_ids.get(server_id)
+        if sid is None:
+            return _EMPTY_BLOCKS
+        names = matrix.block_names
+        return frozenset(names[g] for g in matrix.row_gids(sid))
+
+    def dc_has_block(self, dc: str, block_id: BlockId) -> bool:
+        return self.dc_copy_count(dc, block_id) > 0
+
+    def dc_copy_count(self, dc: str, block_id: BlockId) -> int:
+        matrix = self.matrix
+        gid = matrix.block_gids.get(block_id)
+        if gid is None:
+            return 0
+        did = matrix.dc_ids.get(dc)
+        if did is None:
+            return 0
+        return int(matrix.dc_counts[did, gid])
+
+    def state_bytes(self) -> int:
+        """Bytes of possession state held by this index: the exact array
+        footprint (:meth:`PossessionMatrix.state_bytes`)."""
+        return self.matrix.state_bytes()
+
+
+class PossessionIndex(PossessionReader):
     """Tracks block possession per server with O(1) updates and lookups.
 
     ``epoch`` counts mutation *events*: one bump per newly-placed copy
     (seed or delivery) and one bump per effective ``drop_server`` call.
-    Read-side caches — most importantly the per-cycle :class:`~repro.net.
-    cycle_cache.CycleCache` — key their validity on it: any possession
-    change bumps the epoch and invalidates every memoized rarity/holder
-    query.
+    Read-side caches — the event engine's decision-reuse key — test it
+    for equality: any possession change bumps it.
 
     The index is a thin facade over its :attr:`matrix`; the hot
     control-plane paths bypass the facade and operate on the matrix
     arrays directly (see :mod:`repro.core.scheduling`).
     """
 
-    #: Queries answer straight from the live :attr:`matrix`. Overlay
-    #: stores (speculation) wrap an index and add phantom copies; they
-    #: advertise ``False`` so the vectorized scheduler/router know the
-    #: matrix alone is not the whole truth and fall back to the facade
-    #: queries.
-    is_exact_matrix = True
-
     def __init__(
         self, server_dc: Mapping[str, str], block_capacity: int = 1024
     ) -> None:
-        # server id -> DC name; fixed for the lifetime of the index.
-        self._server_dc: Dict[str, str] = dict(server_dc)
+        self._server_dc = dict(server_dc)
         self.deliveries: List[DeliveryRecord] = []
         self.epoch: int = 0
         # ``block_capacity`` sizes the matrix's initial column space.
@@ -556,72 +630,12 @@ class PossessionIndex:
         dropped), not once per dropped block: a disk-loss event is one
         state transition, and epoch-delta consumers (anything comparing
         ``epoch`` across reads to estimate churn) should see it as one
-        invalidation, not thousands. :class:`~repro.net.cycle_cache.
-        CycleCache` only tests epoch *equality*, so its invalidation
-        behaviour is unchanged either way.
+        invalidation, not thousands. The event engine's decision-reuse
+        key only tests epoch *equality*, so it is unchanged either way.
         """
         sid = self.matrix.server_ids.get(server_id)
         if sid is not None and self.matrix.clear_row(sid):
             self.epoch += 1
-
-    # -- queries ---------------------------------------------------------------
-
-    def dc_of(self, server_id: str) -> str:
-        return self._server_dc[server_id]
-
-    def has(self, server_id: str, block_id: BlockId) -> bool:
-        matrix = self.matrix
-        gid = matrix.block_gids.get(block_id)
-        if gid is None:
-            return False
-        sid = matrix.server_ids.get(server_id)
-        if sid is None:
-            return False
-        return matrix.test_bit(sid, gid)
-
-    def holders(self, block_id: BlockId) -> AbstractSet[str]:
-        """Servers currently holding the block, as a fresh ``frozenset``
-        decoded from the bit column (a shared empty one for unknown
-        blocks)."""
-        matrix = self.matrix
-        gid = matrix.block_gids.get(block_id)
-        if gid is None:
-            return _EMPTY_HOLDERS
-        names = matrix.server_names
-        return frozenset(names[i] for i in matrix.holder_ids(gid))
-
-    def duplicate_count(self, block_id: BlockId) -> int:
-        """Number of copies cluster-wide (the §4.3 rarity measure)."""
-        gid = self.matrix.block_gids.get(block_id)
-        return int(self.matrix.dup[gid]) if gid is not None else 0
-
-    def blocks_on(self, server_id: str) -> AbstractSet[BlockId]:
-        """Blocks held by one server, as a fresh ``frozenset`` decoded
-        from the server's bit row."""
-        matrix = self.matrix
-        sid = matrix.server_ids.get(server_id)
-        if sid is None:
-            return _EMPTY_BLOCKS
-        names = matrix.block_names
-        return frozenset(names[g] for g in matrix.row_gids(sid))
-
-    def dc_has_block(self, dc: str, block_id: BlockId) -> bool:
-        return self.dc_copy_count(dc, block_id) > 0
-
-    def dc_copy_count(self, dc: str, block_id: BlockId) -> int:
-        matrix = self.matrix
-        gid = matrix.block_gids.get(block_id)
-        if gid is None:
-            return 0
-        did = matrix.dc_ids.get(dc)
-        if did is None:
-            return 0
-        return int(matrix.dc_counts[did, gid])
-
-    def state_bytes(self) -> int:
-        """Bytes of possession state held by this index: the exact array
-        footprint (:meth:`PossessionMatrix.state_bytes`)."""
-        return self.matrix.state_bytes()
 
     # -- evaluation helpers -----------------------------------------------------
 
@@ -643,3 +657,20 @@ class PossessionIndex:
             server: from_origin.get(server, 0) / count
             for server, count in totals.items()
         }
+
+
+class PossessionOverlay(PossessionReader):
+    """A possession index as it will read once some copies have landed.
+
+    §5.1's speculated delivery status: ``base``'s possession plus the
+    ``(sids, gids)`` copies (server and block column ids of ``base``'s
+    matrix), answered from a :meth:`PossessionMatrix.overlay` twin. Read
+    only — no updates, no delivery log, no epoch — and ``base`` is
+    untouched.
+    """
+
+    def __init__(
+        self, base: PossessionReader, sids: np.ndarray, gids: np.ndarray
+    ) -> None:
+        self._server_dc = base._server_dc
+        self.matrix = base.matrix.overlay(sids, gids)

@@ -24,7 +24,15 @@ module; the property tests run the production kernels against these:
   ``vectorized=False`` as it was), query for query;
 * ``tests/test_flow.py`` — the waterfill that rebuilds its per-resource
   load every iteration (``repro.net.flow._max_min_fair_rates_reference``
-  as it was), float for float.
+  as it was), float for float;
+* ``tests/test_overlay.py`` — the ``has``/``holders`` proxy a speculated
+  view's store was (``repro.core.speculation._SpeculatedStore`` as it
+  was) and the full pending scans, against the bit-matrix overlay.
+
+No function here reads possession through a view accessor or a matrix:
+each asks ``view.store`` one ``has``/``holders``/``dc_has_block`` at a
+time, so it is a reference for whatever ``view.store`` is — the live
+index, a ``DictPossessionIndex``, a ``SpeculatedStoreOracle``.
 """
 
 from __future__ import annotations
@@ -61,6 +69,36 @@ from repro.overlay.store import DeliveryRecord
 
 BlockId = Tuple[str, int]
 GroupKey = Tuple[str, str, Tuple[str, ...]]
+
+
+# -- view: the full pending scans and the holder filter ----------------------
+
+
+def pending_deliveries(view, job) -> List[Tuple[Block, str, str]]:
+    """Undelivered (block, dst_dc, assigned dst server) triples: every
+    (destination DC, block) pair asked of the store."""
+    pending = []
+    for dc in job.dst_dcs:
+        for block in job.blocks:
+            server = job.assigned_server(dc, block.block_id)
+            if not view.store.has(server, block.block_id):
+                pending.append((block, dc, server))
+    return pending
+
+
+def pending_relay_placements(view, job) -> List[Tuple[Block, str, str]]:
+    """(block, relay_dc, relay server) for every block a relay DC lacks."""
+    return [
+        (block, dc, job.assigned_server(dc, block.block_id))
+        for dc in job.relay_dcs
+        for block in job.blocks
+        if not view.store.dc_has_block(dc, block.block_id)
+    ]
+
+
+def eligible_sources(view, block_id: BlockId) -> List[str]:
+    """Healthy holders of the block, in the store's set order."""
+    return [s for s in view.store.holders(block_id) if s not in view.failed_agents]
 
 
 # -- router: per-selection pick + merge ---------------------------------------
@@ -101,7 +139,7 @@ def candidate_sources(view, entry, max_sources: int) -> Tuple[str, ...]:
     """Usable holders of one selection, by DC, then :func:`pick_sources`."""
     holders = sorted(
         s
-        for s in view.eligible_sources(entry.block.block_id)
+        for s in eligible_sources(view, entry.block.block_id)
         if s != entry.dst_server
         and view.flow_resources(s, entry.dst_server) is not None
     )
@@ -575,12 +613,12 @@ def select_rarest_first(view, scheduler) -> List[ScheduledBlock]:
         priority = getattr(job, "priority", 0)
         pending = [
             (block, dc, server, False)
-            for block, dc, server in view.pending_deliveries(job)
+            for block, dc, server in pending_deliveries(view, job)
         ]
         if scheduler.use_relays and job.relay_dcs:
             pending.extend(
                 (block, dc, server, True)
-                for block, dc, server in view.pending_relay_placements(job)
+                for block, dc, server in pending_relay_placements(view, job)
             )
         for block, dst_dc, dst_server, is_relay in pending:
             if not view.agent_is_up(dst_server):
@@ -782,6 +820,56 @@ class DictPossessionIndex:
             server: from_origin.get(server, 0) / count
             for server, count in totals.items()
         }
+
+
+# -- store: real possession plus speculated copies, behind a proxy ------------
+
+
+class SpeculatedStoreOracle:
+    """Read-only possession overlay: a real store + speculated deliveries.
+
+    ``extra`` are ``(block_id, dst_server)`` pairs. Every query the proxy
+    does not answer itself goes to the wrapped store.
+    """
+
+    def __init__(self, store, extra: Iterable[Tuple[BlockId, str]]) -> None:
+        self._store = store
+        self._extra_by_server: Dict[str, Set[BlockId]] = {}
+        self._extra_holders: Dict[BlockId, Set[str]] = {}
+        for block_id, dst_server in extra:
+            self._extra_by_server.setdefault(dst_server, set()).add(block_id)
+            self._extra_holders.setdefault(block_id, set()).add(dst_server)
+
+    def __getattr__(self, name):
+        if name == "matrix":  # it would answer without the extra copies
+            raise AttributeError("a speculated store oracle has no matrix")
+        return getattr(self._store, name)
+
+    def has(self, server_id: str, block_id: BlockId) -> bool:
+        if block_id in self._extra_by_server.get(server_id, ()):
+            return True
+        return self._store.has(server_id, block_id)
+
+    def holders(self, block_id: BlockId) -> Set[str]:
+        return self._store.holders(block_id) | self._extra_holders.get(
+            block_id, set()
+        )
+
+    def duplicate_count(self, block_id: BlockId) -> int:
+        return len(self.holders(block_id))
+
+    def blocks_on(self, server_id: str) -> Set[BlockId]:
+        return self._store.blocks_on(server_id) | self._extra_by_server.get(
+            server_id, set()
+        )
+
+    def dc_has_block(self, dc: str, block_id: BlockId) -> bool:
+        if self._store.dc_has_block(dc, block_id):
+            return True
+        return any(
+            self._store.dc_of(s) == dc
+            for s in self._extra_holders.get(block_id, ())
+        )
 
 
 # -- FPTAS: the reduceat phase loop the scalar kernel replaced ----------------
@@ -1062,8 +1150,8 @@ def missing_blocks_by_server(view, job) -> Dict[str, list]:
     directive can actually be formed for them.
     """
     result: Dict[str, list] = {}
-    for block, _dc, server in view.pending_deliveries(job):
-        if view.agent_is_up(server) and view.eligible_sources(block.block_id):
+    for block, _dc, server in pending_deliveries(view, job):
+        if view.agent_is_up(server) and eligible_sources(view, block.block_id):
             result.setdefault(server, []).append(block)
     return result
 
@@ -1088,11 +1176,11 @@ def directives_for_partition(job, dst_server, partition) -> List[TransferDirecti
 def origin_holder(view, job, block, exclude=None) -> Optional[str]:
     """The source-DC server holding ``block``: the lowest id among several.
 
-    (``view.eligible_sources`` lists holders in set order; the loops this
-    replaces took its first source-DC entry, which moved with
-    ``PYTHONHASHSEED`` once a block had two copies in the source DC.)
+    (The loops this replaces took the first source-DC entry of the
+    holder set, which moved with ``PYTHONHASHSEED`` once a block had two
+    copies in the source DC.)
     """
-    for server in sorted(view.eligible_sources(block.block_id)):
+    for server in sorted(eligible_sources(view, block.block_id)):
         if view.store.dc_of(server) == job.src_dc and server != exclude:
             return server
     return None
@@ -1176,7 +1264,7 @@ def bullet_decide(
     def ransub_peers(dst_server, missing):
         holders = set()
         for block in missing:
-            holders.update(view.eligible_sources(block.block_id))
+            holders.update(eligible_sources(view, block.block_id))
         holders.discard(dst_server)
         candidates = sorted(holders)
         if not candidates:

@@ -10,8 +10,8 @@ possession as the simulator moves it, agents that fail and recover
 copies seeded ahead of time at destinations and in the source DC, jobs
 with relay DCs, several jobs at once, more than 64 servers, block counts
 on either side of a 64-column word, speculation overlays — with phantom
-copies, and with none (the same possession behind a store that is not a
-live matrix, read one ``store.has`` at a time).
+copies, and with none (the same possession in a copy of the matrix, under
+the simulator's candidate table).
 
 Mutations this file was checked to catch (each made in ``src/``, each
 failing here): servers ordered by id instead of first appearance in
@@ -44,7 +44,7 @@ from repro.baselines import (
     DirectStrategy,
     GingkoStrategy,
 )
-from repro.core.speculation import SpeculatedDelivery, SpeculatedView
+from repro.core.speculation import SpeculatedView
 from repro.net.failures import FailureEvent, FailureSchedule
 from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology
@@ -103,14 +103,14 @@ class Shadow:
         self.oracle = partial(oracle, **params)
         self.state = oracles.BaselineState(seed)
         self.speculate = speculate  # a Generator: overlay some decides
-        self.inexact = inexact  # an empty overlay on every other one
+        self.inexact = inexact  # an overlay without phantoms on every other one
         self.decides = self.directives = 0
 
     def decide(self, view):
         if self.speculate is not None and self.speculate.random() < 0.5:
-            view = SpeculatedView(view, list(self._speculated(view)))
+            view = SpeculatedView(view, *self._speculated(view))
         elif self.inexact:
-            view = SpeculatedView(view, [])
+            view = SpeculatedView(view, *np.empty((2, 0), dtype=np.int64))
         got = self.real.decide(view)
         want = self.oracle(view, self.state)
         assert got == want
@@ -123,12 +123,18 @@ class Shadow:
         return got
 
     def _speculated(self, view):
-        for job in view.jobs:
-            for dc in job.dst_dcs:
-                for i in self.speculate.choice(len(job.blocks), 2):
-                    bid = job.blocks[i].block_id
-                    dst = job.assigned_server(dc, bid)
-                    yield SpeculatedDelivery(bid, dst, "anyone")
+        """Two blocks per (job, destination DC), as id columns."""
+        matrix = view.store.matrix
+        pairs = [
+            (
+                matrix.server_ids[job.assigned_server(dc, job.blocks[i].block_id)],
+                matrix.block_gids[job.blocks[i].block_id],
+            )
+            for job in view.jobs
+            for dc in job.dst_dcs
+            for i in self.speculate.choice(len(job.blocks), 2)
+        ]
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
 
     def _memo(self):
         """The production strategy's memo, in the oracle's (name) terms."""

@@ -1,11 +1,11 @@
-"""The per-cycle query cache: dedupe guarantees and invalidation rules.
+"""The per-cycle path cache and the view's possession accessors.
 
-The scheduler and router together used to issue one rarity query and two
-eligible-source queries per pending (block, destination) pair per cycle.
-With the :class:`~repro.net.cycle_cache.CycleCache` attached, the store
-must be consulted at most once per distinct block id per cycle — that is
-the contract the counting-proxy tests pin down. The invalidation tests
-pin the epoch/failure validity keys that make stale answers impossible.
+The scheduler and router read possession from the matrix, not through
+the store's facade: a decide asks ``duplicate_count``/``holders`` nothing
+— the counting-proxy tests pin that, and that the oracle the selections
+are tested against does ask, pair by pair. The view's accessors answer
+from the live matrix, so no possession answer can be stale; the
+invalidation tests pin the topology/failure key of the path tables.
 """
 
 from __future__ import annotations
@@ -64,34 +64,18 @@ def _sim(num_dcs: int = 4, blocks: int = 12) -> Simulation:
 
 
 class TestSchedulerQueryDedupe:
-    def test_one_store_query_per_block_per_cycle(self):
-        """Every block pends for 3 destinations, yet rarity and holders
-        hit the store at most once per block."""
-        sim = _sim()
-        view = sim.snapshot_view()
-        counter = CountingStore(sim.store)
-        view.store = counter
-
-        selected = RarestFirstScheduler().select(view)
-        # All (block, destination) pairs are pending and selectable.
-        assert len(selected) == 12 * 3
-        assert counter.duplicate_count_calls
-        assert all(
-            n == 1 for n in counter.duplicate_count_calls.values()
-        ), counter.duplicate_count_calls
-        assert all(n <= 1 for n in counter.holders_calls.values())
-
     def test_second_select_same_cycle_hits_cache_only(self):
+        """Nor does the first: rarity and holders are matrix gathers."""
         sim = _sim()
         view = sim.snapshot_view()
         counter = CountingStore(sim.store)
         view.store = counter
 
         scheduler = RarestFirstScheduler()
+        # All (block, destination) pairs are pending and selectable.
+        assert len(scheduler.select(view)) == 12 * 3
         scheduler.select(view)
-        first = dict(counter.duplicate_count_calls)
-        scheduler.select(view)
-        assert counter.duplicate_count_calls == first
+        assert counter.duplicate_count_calls == counter.holders_calls == {}
 
     def test_legacy_view_queries_per_pair(self):
         """The oracle the selections are tested against is the undeduped
@@ -115,8 +99,8 @@ class TestViewCachedQueries:
         job = sim.jobs[0]
         block = job.blocks[0]
         assert view.duplicate_count(block.block_id) == 1
-        # Out-of-band possession change bumps the store epoch; the memo
-        # must not serve the stale count.
+        # An out-of-band possession change is read at once: the view
+        # keeps no possession answer of its own.
         dst = job.assigned_server("dc1", block.block_id)
         sim.store.seed(dst, [block])
         assert view.duplicate_count(block.block_id) == 2
@@ -131,8 +115,8 @@ class TestViewCachedQueries:
         assert sources
         clone = view.with_extra_failed_agents(set(sources))
         assert clone.eligible_sources(bid) == []
-        # The base view's answer is rebuilt after the clone flushed the
-        # shared cache with its different failure key.
+        # The clone shares the base view's cache; neither view's answer
+        # leaks into the other's.
         assert view.eligible_sources(bid) == sources
 
 
@@ -156,26 +140,11 @@ class TestCycleCacheInvalidation:
         assert cache.validate_paths(1, frozenset({("dc0", "dc1")})) == {}
         assert cache.flushes == 1
 
-    def test_sources_flush_on_store_epoch(self):
-        cache = CycleCache()
-        cache.validate_sources(1, frozenset())
-        cache.sources[("j", 0)] = ["s1"]
-        cache.rarity[("j", 0)] = 1
-        cache.validate_sources(2, frozenset())
-        assert cache.sources == {}
-        assert cache.rarity == {}
-        assert cache.flushes == 1
-
-    def test_sources_flush_on_failed_agents_change(self):
-        cache = CycleCache()
-        cache.validate_sources(1, frozenset())
-        cache.sources[("j", 0)] = ["s1"]
-        cache.validate_sources(1, frozenset({"s1"}))
-        assert cache.sources == {}
-        assert cache.flushes == 1
-
     def test_empty_flush_not_counted(self):
         cache = CycleCache()
-        cache.validate_sources(1, frozenset())
-        cache.validate_sources(2, frozenset())
+        cache.validate_paths(1, frozenset())
+        cache.validate_paths(2, frozenset())
         assert cache.flushes == 0
+
+    def test_no_possession_memo_is_left(self):
+        assert not {"sources", "rarity"} & set(CycleCache.__slots__)

@@ -48,9 +48,11 @@ import sys
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
+import numpy as np
 import pytest
 
 from repro.core.config import BDSConfig
+from repro.core.decisions import SelectionBatch
 from repro.core.scheduling import RarestFirstScheduler
 from repro.core.speculation import SpeculatedView
 from repro.net.simulator import SimConfig, SimResult, Simulation
@@ -101,6 +103,14 @@ def observe(result: SimResult, deliveries: bool = False) -> Dict[str, object]:
     return json.loads(json.dumps(seen))
 
 
+def directive_rows(directives) -> List[list]:
+    return [
+        [d.job_id, [i for _job, i in d.block_ids], d.src_server, d.dst_server,
+         d.rate_cap]
+        for d in directives
+    ]
+
+
 def observe_midrun(sim: Simulation, result: SimResult, view) -> Dict[str, object]:
     """:func:`observe`, the live state the run stopped in, and the
     selection and directives made from ``view`` (a view of that state)."""
@@ -113,11 +123,7 @@ def observe_midrun(sim: Simulation, result: SimResult, view) -> Dict[str, object
         [e.job_id, e.block.index, e.dst_dc, e.dst_server, e.duplicates, e.is_relay]
         for e in RarestFirstScheduler().select(view)
     ]
-    seen["directives"] = [
-        [d.job_id, [i for _job, i in d.block_ids], d.src_server, d.dst_server,
-         d.rate_cap]
-        for d in sim.strategy.decide(view)
-    ]
+    seen["directives"] = directive_rows(sim.strategy.decide(view))
     return json.loads(json.dumps(seen))
 
 
@@ -251,13 +257,7 @@ def observe_decisions(controller) -> List[list]:
             decision.scheduled_blocks,
             decision.num_commodities,
             hashlib.sha256(
-                json.dumps(
-                    [
-                        [d.job_id, [i for _job, i in d.block_ids], d.src_server,
-                         d.dst_server, d.rate_cap]
-                        for d in decision.directives
-                    ]
-                ).encode()
+                json.dumps(directive_rows(decision.directives)).encode()
             ).hexdigest()[:16],
         ]
         for decision in controller.decisions
@@ -348,10 +348,9 @@ def test_a_run_across_failures_is_every_switched_off_run(strategy):
 
 @pytest.mark.parametrize("seed,cycles", MIDRUNS)
 def test_a_run_stopped_midway_is_where_the_dict_store_left_it(seed, cycles):
-    """Possession, partial bytes, and the next decide — from the exact
-    view (kernel paths) and from a speculation overlay with nothing
-    speculated (same possession, inexact witness: the scalar paths the
-    dict store took)."""
+    """Possession, partial bytes, and the next decide — from the live
+    matrix and from a speculation overlay with nothing speculated (the
+    same possession in a copy of the matrix): the same kernels."""
     name = f"midrun:seed{seed}:cycles{cycles}:vectorized_store=False"
     pin = load()[name]
     _off, run = ARMS[name]
@@ -359,8 +358,10 @@ def test_a_run_stopped_midway_is_where_the_dict_store_left_it(seed, cycles):
     assert seen == {key: pin[key] for key in seen}
 
     sim, result = _stopped(seed, cycles, {})
-    overlay = SpeculatedView(sim.snapshot_view(cycles), [])
-    assert not overlay.store.is_exact_matrix
+    nothing = np.empty(0, dtype=np.int64)
+    overlay = SpeculatedView(sim.snapshot_view(cycles), nothing, nothing)
+    assert overlay.store.matrix is not sim.store.matrix
+    assert isinstance(RarestFirstScheduler().select(overlay), SelectionBatch)
     seen = observe_midrun(sim, result, overlay)
     assert seen == {key: pin[key] for key in seen}
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +50,7 @@ from repro.utils.units import MB, MBps
 from tests import oracles
 from tests import test_engine_pins as pins
 from tests.test_columnar_handoff import _midrun
+from tests.test_overlay import proxied
 
 # -- the selection sequence ---------------------------------------------------
 
@@ -89,24 +91,25 @@ def test_selection_sequence_reads_like_the_list_it_replaced(seed, cycles, cap):
         entry.job_id for entry in want
     ]
 
-    # ... and it is the selection of the per-candidate scalar path, and
-    # of the loop that asks the store about every candidate.
-    view._candidates = None
-    cached = scheduler.select(view)
-    assert isinstance(cached, list) and cached == want
+    # ... and it is the selection of the loop that asks the store about
+    # every candidate, and of a view that has to build its own table.
     assert oracles.select_rarest_first(view, scheduler) == want
+    view._candidates = None
+    assert scheduler.select(view) == want
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_inexact_stores_materialize_the_old_list(seed):
     """Speculation overlays — nothing speculated (the selection the dict
-    store made at this point, pinned), and something: a plain list, equal
-    to the per-candidate scan."""
+    store made at this point, pinned), and something: columns like any
+    other selection, reading as the list the per-candidate scan makes of
+    the real store and the speculated copies behind a proxy."""
     scheduler = RarestFirstScheduler()
     sim = _midrun(seed, 2)
-    view = SpeculatedView(sim.snapshot_view(2), [])
+    nothing = np.empty(0, dtype=np.int64)
+    view = SpeculatedView(sim.snapshot_view(2), nothing, nothing)
     selections = scheduler.select(view)
-    assert isinstance(selections, list)
+    assert isinstance(selections, SelectionBatch)
     assert all(type(entry) is ScheduledBlock for entry in selections)
     assert selections == oracles.select_rarest_first(view, scheduler)
     pinned = pins.load()[f"midrun:seed{seed}:cycles2:vectorized_store=False"]
@@ -118,14 +121,13 @@ def test_inexact_stores_materialize_the_old_list(seed):
     sim = _midrun(seed, 2)
     view = sim.snapshot_view(2)
     directives = make_strategy("bds", seed=seed).decide(view)
-    sizes = {b.block_id: b.size for job in view.jobs for b in job.blocks}
-    speculated = DeliverySpeculator(horizon_seconds=3.0).speculate(
-        view, directives, sizes
-    )
-    overlay = SpeculatedView(view, speculated)
+    sids, gids = DeliverySpeculator(horizon_seconds=3.0).speculate(view, directives)
+    overlay = SpeculatedView(view, sids, gids)
     selections = scheduler.select(overlay)
-    assert isinstance(selections, list)
-    assert selections == oracles.select_rarest_first(overlay, scheduler)
+    assert isinstance(selections, SelectionBatch)
+    assert selections == oracles.select_rarest_first(
+        proxied(view, sids, gids), scheduler
+    )
 
 
 # -- the router's middle: ids, rows, first-touch order ------------------------
@@ -144,10 +146,7 @@ def _assert_middle_equals_oracle(view, router, selections, fail_links=()):
     looked up with them down.
     """
     cache = view._cache
-    if isinstance(selections, SelectionBatch):
-        grouping = router._group_columns(view, selections, cache)
-    else:
-        grouping = router._group_selections(view, selections)
+    grouping = router._group_columns(view, selections, cache)
     if fail_links:
         view.failed_links = frozenset(view.failed_links | set(fail_links))
 
@@ -240,13 +239,14 @@ def test_router_middle_equals_object_oracle(
         )
         if commodities:  # (no commodity: route() answers 0.0 before solving)
             assert type(diagnostics.objective) is type(sum(want_rates.values()))
-    # The columnar and the per-selection grouping meet in the same middle.
-    by_object, by_object_diag = BDSRouter(
-        max_sources_per_group=max_sources, merge_blocks=merge
-    ).route(view, list(selections))
+    # The per-selection pick and merge end in the same directives.
+    by_object_commodities, by_object = oracles.route(
+        view,
+        list(selections),
+        BDSRouter(max_sources_per_group=max_sources, merge_blocks=merge),
+    )
     assert by_object == routed
-    assert by_object_diag.objective == diagnostics.objective
-    assert by_object_diag.reuse_horizon == diagnostics.reuse_horizon
+    assert len(by_object_commodities) == diagnostics.num_commodities
 
 
 @pytest.mark.parametrize("seed", [1, 3, 5, 6, 7, 9])

@@ -129,9 +129,17 @@ class TestRoutingBehavior:
             view.store.seed(server, [job.blocks[0]])
         selections = RarestFirstScheduler().select(view)
         router = BDSRouter(max_sources_per_group=2)
-        groups = router._build_groups(view, selections)
-        for (_job, _dst, sources) in groups:
-            assert len(sources) <= 2
+        grouping = router._group_columns(view, selections, view._cache)
+        assert grouping.keys
+        for (_job, _dst, sources) in grouping.keys:
+            assert 1 <= len(sources) <= 2
+
+    def test_a_list_of_selections_is_refused(self):
+        """``route`` reads columns; a scheduler must hand it a batch."""
+        view = make_sim().snapshot_view()
+        selections = RarestFirstScheduler().select(view)
+        with pytest.raises(TypeError, match="SelectionBatch"):
+            BDSRouter().route(view, list(selections))
 
     def test_diagnostics_runtime_positive(self):
         sim = make_sim()

@@ -1,8 +1,8 @@
 """Equivalence suite for the array-native control plane.
 
-The vectorized rarest-first kernel, the batched router build, and the
-bitset possession matrix must each be *bit-identical* to the scalar
-implementations they replace: same selections in the same order, same
+The rarest-first kernel, the columnar router build, and the bitset
+possession matrix must each be *bit-identical* to the scalar loops they
+replaced (``tests/oracles.py``): same selections in the same order, same
 directives, same answer to every store query, same epoch trajectory.
 These tests pin that contract over randomized topologies, jobs with
 priorities and relays, failures, and selection caps.
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.analysis.runner import make_strategy
@@ -77,6 +78,9 @@ def _random_scenario(seed: int):
     return topo, jobs, failures
 
 
+NOTHING = np.empty(0, dtype=np.int64)
+
+
 def _midrun_view(seed: int, cycles: int = 2):
     """A cluster view a few cycles into a simulation."""
     topo, jobs, failures = _random_scenario(seed)
@@ -93,8 +97,8 @@ def _midrun_view(seed: int, cycles: int = 2):
 
 
 class TestVectorizedSelectionEquivalence:
-    """vectorized ≡ cached-scalar ≡ the per-candidate oracle: content
-    AND order."""
+    """kernel ≡ kernel over an overlay copy ≡ the per-candidate oracle:
+    content AND order."""
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("cap", [0, 7])
@@ -102,35 +106,32 @@ class TestVectorizedSelectionEquivalence:
         view = _midrun_view(seed)
         scheduler = RarestFirstScheduler(max_blocks_per_cycle=cap)
 
-        vectorized = scheduler.select(view)
-        # The kernel must actually have run (the columnar return type is
-        # the witness); otherwise this test silently compares scalar to
-        # scalar.
-        assert isinstance(vectorized, SelectionBatch)
+        selected = scheduler.select(view)
+        assert isinstance(selected, SelectionBatch)
 
-        # Same possession behind an inexact witness (a speculation
-        # overlay with nothing speculated) -> cached scalar path.
-        overlay = SpeculatedView(view, [])
-        assert scheduler.select(overlay) == vectorized
+        # Same possession in an overlay's copy of the matrix (nothing
+        # speculated), under the simulator's candidate table.
+        overlay = SpeculatedView(view, NOTHING, NOTHING)
+        assert overlay.store.matrix is not view.store.matrix
+        assert scheduler.select(overlay) == selected
 
-        view._candidates = None  # hide the table -> cached scalar path
-        cached = scheduler.select(view)
-        assert isinstance(cached, list)
+        view._candidates = None  # a hand-built view: it builds its own
+        own = scheduler.select(view)
+        assert isinstance(own, SelectionBatch)
+        assert view.candidates.matrix is view.store.matrix
 
         legacy = oracles.select_rarest_first(view, scheduler)
 
-        assert vectorized == cached  # list equality: content AND order
-        assert vectorized == legacy
-        assert oracles.select_rarest_first(overlay, scheduler) == legacy
+        assert selected == own  # list equality: content AND order
+        assert selected == legacy
 
     @pytest.mark.parametrize("seed", range(4))
     def test_no_relays_mode_identical(self, seed):
         view = _midrun_view(seed)
         scheduler = RarestFirstScheduler(use_relays=False)
-        vectorized = scheduler.select(view)
-        assert isinstance(vectorized, SelectionBatch)
-        view._candidates = None
-        assert vectorized == scheduler.select(view)
+        selected = scheduler.select(view)
+        assert isinstance(selected, SelectionBatch)
+        assert selected == oracles.select_rarest_first(view, scheduler)
 
     def test_repeated_select_is_stable(self):
         # The kernel compacts candidate rows; that may not change what a
@@ -143,29 +144,24 @@ class TestVectorizedSelectionEquivalence:
 
 
 class TestBatchedRouterEquivalence:
-    """Batched (interned-id) group build ≡ the scalar build."""
+    """Columnar group build ≡ the per-selection pick and merge."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_directives_identical(self, seed):
         view = _midrun_view(seed)
-        scheduler = RarestFirstScheduler()
-        selections = scheduler.select(view)
-        assert isinstance(selections, SelectionBatch)
-
+        selections = RarestFirstScheduler().select(view)
         router = BDSRouter()
         batched, _ = router.route(view, selections)
-        # A plain list of the same selections takes the per-selection path.
-        scalar, _ = BDSRouter().route(view, list(selections))
+        _commodities, scalar = oracles.route(view, list(selections), router)
         assert batched == scalar
 
     @pytest.mark.parametrize("merge", [True, False])
     def test_merge_ablation_identical(self, merge):
         view = _midrun_view(4)
-        scheduler = RarestFirstScheduler()
-        selections = scheduler.select(view)
+        selections = RarestFirstScheduler().select(view)
         router = BDSRouter(merge_blocks=merge)
         batched, _ = router.route(view, selections)
-        scalar, _ = BDSRouter(merge_blocks=merge).route(view, list(selections))
+        _commodities, scalar = oracles.route(view, list(selections), router)
         assert batched == scalar
 
 
@@ -322,26 +318,30 @@ class TestEpochSemantics:
 
 
 class TestSpeculationFallback:
-    """Speculation overlays must opt out of the vectorized fast paths."""
+    """There is none: a speculated view is decided by the same kernels,
+    over a copy of the matrix that holds the phantom copies too."""
 
     def test_speculated_store_is_not_exact(self):
         view = _midrun_view(0)
-        sizes = {
-            b.block_id: b.size for job in view.jobs for b in job.blocks
-        }
-        speculator = DeliverySpeculator(horizon_seconds=3.0)
         scheduler = RarestFirstScheduler()
         selections = scheduler.select(view)
-        assert isinstance(selections, SelectionBatch)
         directives, _ = BDSRouter().route(view, selections)
-        speculated = speculator.speculate(view, directives, sizes)
-        if not speculated:
-            pytest.skip("no speculatable directives in this scenario")
-        overlay = SpeculatedView(view, speculated)
-        # The overlay's store shadows the matrix with phantom copies: it
-        # must advertise inexactness and drop the candidate table, so the
-        # scheduler takes the scalar path (whose store queries see the
-        # phantoms) instead of reading the un-speculated matrix.
-        assert overlay.store.is_exact_matrix is False
-        assert overlay._candidates is None
-        assert isinstance(scheduler.select(overlay), list)
+        sids, gids = DeliverySpeculator(horizon_seconds=3.0).speculate(
+            view, directives
+        )
+        assert len(gids), "no speculatable directives in this scenario"
+        overlay = SpeculatedView(view, sids, gids)
+        # Not the live matrix, but a matrix: ids, table and cache are the
+        # base view's, the phantom copies are set, the selection is a
+        # batch, and it is the per-candidate scan's.
+        matrix = overlay.store.matrix
+        assert matrix is not view.store.matrix
+        assert matrix.block_gids is view.store.matrix.block_gids
+        assert overlay.candidates is view.candidates
+        assert overlay._cache is view._cache
+        assert matrix.test_many(sids, gids).all()
+        assert not view.store.matrix.test_many(sids, gids).any()
+        speculating = scheduler.select(overlay)
+        assert isinstance(speculating, SelectionBatch)
+        assert speculating != selections
+        assert speculating == oracles.select_rarest_first(overlay, scheduler)

@@ -227,8 +227,10 @@ class TestCompletionTracking:
 
     @pytest.mark.parametrize("grouped", [True, False])
     def test_finished_destinations_drop_their_order_hints(self, grouped):
-        """A (job, DC)'s ordered pending list goes when its set empties —
-        on both delivery paths — and the view's accessors read on."""
+        """There are no order hints to drop: the simulator keeps the
+        completion sets and nothing else per (job, DC), on both delivery
+        paths, and the view's accessors read pending-ness — ascending
+        block index — off the matrix, relays included."""
         # Fast NICs: whole destinations finish inside one cycle's batch.
         # Slow ones: a cycle completes a handful of blocks, fewer than a
         # grouped pass is worth, and they are applied pair by pair.
@@ -247,17 +249,23 @@ class TestCompletionTracking:
             topo, [job], make_strategy("bds", seed=0),
             SimConfig(stop_when_complete=False, max_cycles=200),
         )
-        assert len(sim._pending_order[("j", "dc1")]) == 400
-        assert len(sim._relay_order[("j", "dc2")]) == 400
-        batches = []
-        apply = sim._apply_deliveries
-        sim._apply_deliveries = lambda events, *rest: (
-            batches.append(len(events)), apply(events, *rest)
+        assert len(sim._pending[("j", "dc1")]) == 400
+        assert set(sim._pending) == {("j", "dc1")}  # relays are not tracked
+        view = sim.snapshot_view()
+        assert [b.index for b, _dc, _s in view.pending_deliveries(job)] == list(
+            range(400)
         )
+        assert [
+            (b.index, dc, s) for b, dc, s in view.pending_relay_placements(job)
+        ] == [(i, "dc2", f"dc2-s{i % 2}") for i in range(400)]
+        batches = []
+        record = sim.store.record_deliveries
+        sim.store.record_deliveries = lambda events: (
+            batches.append(len(events)), record(events)
+        )[1]
         result = sim.run()
         assert result.all_complete and bool(batches) == grouped
-        assert not sim._pending[("j", "dc1")] and not sim._relay_pending[("j", "dc2")]
-        assert sim._pending_order == {} and sim._relay_order == {}
+        assert not sim._pending[("j", "dc1")]
         view = sim.snapshot_view(200)
         assert view.pending_deliveries(job) == []
         assert view.pending_relay_placements(job) == []

@@ -1,13 +1,10 @@
 """Speculated delivery status (§5.1 non-blocking update)."""
 
+import numpy as np
 import pytest
 
 from repro.core import BDSConfig, BDSController
-from repro.core.speculation import (
-    DeliverySpeculator,
-    SpeculatedDelivery,
-    SpeculatedView,
-)
+from repro.core.speculation import DeliverySpeculator, SpeculatedView
 from repro.net.failures import FailureEvent, FailureSchedule
 from repro.net.simulator import SimConfig, Simulation, TransferDirective
 from repro.net.topology import Topology
@@ -32,6 +29,24 @@ def setup():
     return sim.snapshot_view(), job
 
 
+def columns(view, pairs):
+    """``(dst_server, block_id)`` pairs as the matrix's id columns."""
+    matrix = view.store.matrix
+    sids = [matrix.server_ids[server] for server, _bid in pairs]
+    gids = [matrix.block_gids[bid] for _server, bid in pairs]
+    return np.array(sids, dtype=np.int64), np.array(gids, dtype=np.int64)
+
+
+def speculated(view, directives, horizon):
+    """What the speculator expects to land, as ``(dst_server, block_id)``."""
+    matrix = view.store.matrix
+    sids, gids = DeliverySpeculator(horizon).speculate(view, directives)
+    return [
+        (matrix.server_names[sid], matrix.block_names[gid])
+        for sid, gid in zip(sids.tolist(), gids.tolist())
+    ]
+
+
 class TestDeliverySpeculator:
     def test_speculates_blocks_within_horizon(self, setup):
         view, job = setup
@@ -42,12 +57,9 @@ class TestDeliverySpeculator:
             dst_server="dc1-s0",
             rate_cap=2 * MBps,
         )
-        sizes = {b.block_id: b.size for b in job.blocks}
         # Horizon of 1.5 s at 2 MB/s moves 3 MB: block 0 (2 MB) completes,
         # block 2 does not.
-        speculator = DeliverySpeculator(horizon_seconds=1.5)
-        out = speculator.speculate(view, [directive], sizes)
-        assert [d.block_id for d in out] == [("j", 0)]
+        assert speculated(view, [directive], 1.5) == [("dc1-s0", ("j", 0))]
 
     def test_uncapped_directives_skipped(self, setup):
         view, job = setup
@@ -57,8 +69,7 @@ class TestDeliverySpeculator:
             src_server="dc0-s0",
             dst_server="dc1-s0",
         )
-        sizes = {b.block_id: b.size for b in job.blocks}
-        assert DeliverySpeculator(10.0).speculate(view, [directive], sizes) == []
+        assert speculated(view, [directive], 10.0) == []
 
     def test_already_delivered_blocks_skipped(self, setup):
         view, job = setup
@@ -71,8 +82,7 @@ class TestDeliverySpeculator:
             dst_server="dc1-s0",
             rate_cap=100 * MBps,
         )
-        sizes = {b.block_id: b.size for b in job.blocks}
-        assert DeliverySpeculator(10.0).speculate(view, [directive], sizes) == []
+        assert speculated(view, [directive], 10.0) == []
 
     def test_partial_progress_counts(self, setup):
         view, job = setup
@@ -85,9 +95,7 @@ class TestDeliverySpeculator:
             dst_server="dc1-s0",
             rate_cap=2000.0,
         )
-        sizes = {b.block_id: b.size for b in job.blocks}
-        out = DeliverySpeculator(1.0).speculate(view, [directive], sizes)
-        assert [d.block_id for d in out] == [block.block_id]
+        assert speculated(view, [directive], 1.0) == [("dc1-s0", block.block_id)]
 
     def test_negative_horizon_rejected(self):
         with pytest.raises(ValueError):
@@ -98,52 +106,45 @@ class TestSpeculatedView:
     def test_overlay_reflects_speculation(self, setup):
         view, job = setup
         block = job.blocks[0]
-        spec = SpeculatedView(
-            view,
-            [
-                SpeculatedDelivery(
-                    block_id=block.block_id,
-                    dst_server="dc1-s0",
-                    src_server="dc0-s0",
-                )
-            ],
-        )
+        spec = SpeculatedView(view, *columns(view, [("dc1-s0", block.block_id)]))
         assert spec.store.has("dc1-s0", block.block_id)
         assert "dc1-s0" in spec.store.holders(block.block_id)
         assert spec.store.duplicate_count(block.block_id) == 2
         assert spec.store.dc_has_block("dc1", block.block_id)
+        assert spec.eligible_sources(block.block_id) == ["dc0-s0", "dc1-s0"]
 
     def test_underlying_store_unchanged(self, setup):
         view, job = setup
         block = job.blocks[0]
-        SpeculatedView(
-            view,
-            [
-                SpeculatedDelivery(
-                    block_id=block.block_id,
-                    dst_server="dc1-s0",
-                    src_server="dc0-s0",
-                )
-            ],
-        )
+        SpeculatedView(view, *columns(view, [("dc1-s0", block.block_id)]))
         assert not view.store.has("dc1-s0", block.block_id)
+        assert view.store.duplicate_count(block.block_id) == 1
 
     def test_pending_deliveries_shrink(self, setup):
         view, job = setup
         block = job.blocks[0]
-        spec = SpeculatedView(
-            view,
-            [
-                SpeculatedDelivery(
-                    block_id=block.block_id,
-                    dst_server=job.assigned_server("dc1", block.block_id),
-                    src_server="dc0-s0",
-                )
-            ],
-        )
-        before = len(view.pending_deliveries(job))
-        after = len(spec.pending_deliveries(job))
-        assert after == before - 1
+        dst = job.assigned_server("dc1", block.block_id)
+        spec = SpeculatedView(view, *columns(view, [(dst, block.block_id)]))
+        before = view.pending_deliveries(job)
+        after = spec.pending_deliveries(job)
+        assert (block, "dc1", dst) in before
+        assert after == [entry for entry in before if entry[0] != block]
+
+    def test_the_view_is_the_base_view_with_its_store_swapped(self, setup):
+        """Every field ``ClusterView.__init__`` sets, ``SpeculatedView``
+        has — a field added there cannot go missing here."""
+        view, job = setup
+        spec = SpeculatedView(view, *columns(view, []))
+        assert vars(spec).keys() == vars(view).keys()
+        for name, value in vars(view).items():
+            if name == "store":
+                assert spec.store.matrix is not view.store.matrix
+            elif name in ("jobs", "failed_agents", "_failed_frozen"):  # copies
+                assert getattr(spec, name) == value
+            elif name == "_candidates":
+                assert spec._candidates is view.candidates
+            else:
+                assert getattr(spec, name) is value, name
 
 
 def contended(
@@ -219,8 +220,7 @@ class TestPhantomSources:
             dst_server="dc1-s0",
             rate_cap=100 * MBps,
         )
-        sizes = {b.block_id: b.size for b in job.blocks}
-        assert DeliverySpeculator(3.0).speculate(view, [directive], sizes) == []
+        assert speculated(view, [directive], 3.0) == []
 
     @pytest.mark.parametrize("shards", [1, 2])
     @pytest.mark.parametrize("horizon", [0.3, 1.5, 3.0])
