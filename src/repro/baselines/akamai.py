@@ -31,8 +31,8 @@ from repro.utils.validation import check_positive
 class AkamaiStrategy(OverlayStrategy):
     """Fixed source → reflector → edge dissemination with in-order blocks."""
 
-    # Reflector choice is memoized deterministically per job; reusable
-    # under the event engine's validity key.
+    # Reflector choice is memoized deterministically per job: no job, no
+    # decision, no state moved — the event engine may skip idle cycles.
     decisions_reusable = True
 
     def __init__(

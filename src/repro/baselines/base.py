@@ -9,14 +9,11 @@ attributes describe how the simulator should treat its flows:
 * ``respects_safety_threshold`` — the strategy keeps bulk traffic under the
   §5.2 safety threshold; decentralized baselines do not, which is exactly
   what produces the Fig. 6 interference incidents.
-* ``decisions_reusable`` — ``decide`` is a pure, deterministic function of
-  the view state captured by the event engine's validity key (possession,
-  failures, active jobs, controller reachability, background state), so
-  the engine may replay the previous cycle's directives while that key is
-  unchanged instead of calling ``decide`` again. Opt-in per strategy:
-  anything that draws randomness per call, keys behavior on
-  ``view.cycle``, or mutates internal state across calls (including an
-  ``on_cycle_complete`` hook) must leave this False.
+* ``decisions_reusable`` — the engine may skip cycles in which no job is
+  active: on a view without jobs ``decide`` returns nothing, draws no
+  randomness and changes nothing a later ``decide`` reads, whatever the
+  cycle number. Opt-in per strategy; one that must see every cycle
+  (including through an ``on_cycle_complete`` hook) leaves this False.
 
 Baselines read possession only through :class:`JobPossession`, the lens
 :meth:`OverlayStrategy.lens` cuts out of the global arrays for one job;

@@ -23,8 +23,8 @@ from repro.utils.validation import check_positive
 class ChainStrategy(OverlayStrategy):
     """Store-and-forward down a fixed DC chain via one relay per DC."""
 
-    # Deterministic chain construction from sorted ids; reusable under
-    # the event engine's validity key.
+    # Deterministic chain construction from sorted ids: no job, no
+    # decision, no state moved — the event engine may skip idle cycles.
     decisions_reusable = True
 
     def __init__(self, window: int = 16) -> None:

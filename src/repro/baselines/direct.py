@@ -19,7 +19,7 @@ class DirectStrategy(OverlayStrategy):
     """Source-DC-only senders; one unicast stream per destination server."""
 
     # Pure function of possession/failures/active jobs — no RNG, no
-    # cycle-keyed behavior — so the event engine may replay decisions.
+    # cycle-keyed behavior — so the event engine may skip idle cycles.
     decisions_reusable = True
 
     def __init__(self, window: int = 32) -> None:

@@ -31,11 +31,9 @@ class BDSConfig:
     allocation oversubscribed — the controller itself never needs to
     re-check physics.
 
-    In the simulator (:mod:`repro.net.simulator`) the loop is not re-run
-    every ΔT: §5.2's observation that decisions stay valid until state
-    changes is made operational through a validity key plus the router's
-    :attr:`~repro.core.routing.RoutingDiagnostics.reuse_horizon`
-    certificate, and jobs may request a coarser per-job cadence via
+    In the simulator (:mod:`repro.net.simulator`) the loop re-runs every
+    ΔT while any job is active (idle stretches are skipped), and jobs may
+    request a coarser per-job cadence via
     :attr:`repro.overlay.job.MulticastJob.cycle_seconds` (a multiple of
     this ΔT).
     """

@@ -84,9 +84,9 @@ class _ShardPipeline:
     """One shard's replay state for the stride cadence
     (``BDSConfig.shard_stride``): between a shard's decide turns its
     last fresh directives are replayed verbatim (the simulator
-    re-validates them and refreshes their demands every cycle, exactly
-    as the event engine's decision reuse does), and any change of the
-    failure/topology context forces an immediate fresh decide.
+    re-validates them and refreshes their demands every cycle), and any
+    change of the failure/topology context forces an immediate fresh
+    decide.
     """
 
     __slots__ = ("directives", "context")
@@ -101,9 +101,8 @@ class BDSController(OverlayStrategy):
 
     uses_controller_rates = True
     respects_safety_threshold = True
-    # The controller is a deterministic function of the view while the
-    # event engine's validity key holds; the per-decision reuse_horizon
-    # below narrows that claim where demands drain (§5.2 decision reuse).
+    # With no active job the controller decides nothing, whatever its
+    # replay or speculation state: the event engine may skip idle cycles.
     decisions_reusable = True
 
     def __init__(
@@ -182,18 +181,13 @@ class BDSController(OverlayStrategy):
 
     @property
     def shard_signature(self) -> Optional[Tuple[int, int, int, str]]:
-        """Sharding identity for the event engine's validity key.
+        """The shard layout in force, ``None`` on the single-controller path.
 
-        ``(shards, shard_seed, effective_stride, shard_partition)`` when
-        sharded, ``None`` on the single-controller path — so a decision
-        cached under one shard layout is never replayed under another.
-        The *effective* stride (not the configured knob) is what goes in:
-        under ``shard_stride="auto"`` a stride change re-keys every
-        cached decision, exactly as resizing the static knob would.
-
-        The :class:`~repro.net.simulator.Simulation` also reads "sharded"
-        off it: shards decide against their own mirrors' candidate
-        tables, so it skips building the global one.
+        ``(shards, shard_seed, effective_stride, shard_partition)`` — the
+        *effective* stride, which moves under ``shard_stride="auto"``.
+        The :class:`~repro.net.simulator.Simulation` reads "sharded" off
+        it: shards decide against their own mirrors' candidate tables,
+        so it skips building the global one.
         """
         if self.config.shards <= 1:
             return None
@@ -281,15 +275,6 @@ class BDSController(OverlayStrategy):
             view = SpeculatedView(view, *speculated)
         selections = self.scheduler.select(view)
         directives, diagnostics = self.router.route(view, selections)
-        # A partition-fallback slice runs the RNG-bearing decentralized
-        # protocol and a speculation overlay perturbs next cycle's view
-        # from this cycle's directives — neither output is a pure function
-        # of the validity key, so both veto reuse outright.
-        reuse_horizon = (
-            0
-            if (fallback_directives or self._speculator is not None)
-            else diagnostics.reuse_horizon
-        )
         self.decisions.append(
             ControlDecision(
                 cycle=view.cycle,
@@ -302,7 +287,6 @@ class BDSController(OverlayStrategy):
                 routing_iterations=diagnostics.iterations,
                 routing_phases=diagnostics.phases,
                 routing_warm_start=diagnostics.warm_start,
-                reuse_horizon=reuse_horizon,
             )
         )
         self._previous_directives = directives
@@ -338,7 +322,6 @@ class BDSController(OverlayStrategy):
         context = (view._failed_frozen, view.failed_links, view.topology.epoch)
 
         due: List[int] = []
-        replayed = False
         for s in range(k):
             pipe = self._pipelines[s]
             if not buckets[s]:
@@ -362,8 +345,6 @@ class BDSController(OverlayStrategy):
                 or pairs
             ):
                 due.append(s)
-            else:
-                replayed = True
 
         scheduled_blocks = 0
         num_commodities = 0
@@ -374,7 +355,6 @@ class BDSController(OverlayStrategy):
         schedule_runtime = 0.0
         routing_runtime = 0.0
         shard_walls: List[float] = []
-        horizons: List[Optional[int]] = []
         state_bytes_max = 0
         candidate_bytes_max = 0
         payload_bytes_total = 0
@@ -407,7 +387,6 @@ class BDSController(OverlayStrategy):
             schedule_runtime += outcome.schedule_runtime
             routing_runtime += outcome.routing_runtime
             shard_walls.append(outcome.wall)
-            horizons.append(outcome.reuse_horizon)
             state_bytes_max = max(state_bytes_max, outcome.state_bytes)
             candidate_bytes_max = max(
                 candidate_bytes_max, outcome.candidate_bytes
@@ -422,21 +401,6 @@ class BDSController(OverlayStrategy):
         reconcile_started = _time.perf_counter()
         directives, reconciled = self._reconcile_wan(view, directives)
         reconcile_runtime = _time.perf_counter() - reconcile_started
-
-        # Replayed shards veto reuse (their cached output is not a pure
-        # function of this cycle's view), as do the single-path vetoes.
-        if replayed or fallback_directives or self._speculator is not None:
-            reuse_horizon: Optional[int] = 0
-        else:
-            reuse_horizon = None
-            for h in horizons:
-                if h == 0:
-                    reuse_horizon = 0
-                    break
-                if h is not None:
-                    reuse_horizon = (
-                        h if reuse_horizon is None else min(reuse_horizon, h)
-                    )
 
         if not warm_starts:
             warm_start = ""
@@ -457,7 +421,6 @@ class BDSController(OverlayStrategy):
                 routing_iterations=iterations,
                 routing_phases=phases,
                 routing_warm_start=warm_start,
-                reuse_horizon=reuse_horizon,
                 shard_count=k,
                 shard_wall_max=max(shard_walls, default=0.0),
                 shard_wall_mean=(
@@ -490,9 +453,7 @@ class BDSController(OverlayStrategy):
         cycle_seconds`` — the hysteresis band that keeps a workload
         sitting at the boundary from oscillating — and widens (one step
         at a time, immediately) while the projection at the current
-        stride exceeds the budget. The next :attr:`shard_signature`
-        reflects the new stride, so the event engine never replays a
-        decision across a stride change.
+        stride exceeds the budget.
         """
         cfg = self.config
         k = cfg.shards

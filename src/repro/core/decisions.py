@@ -154,15 +154,6 @@ class ControlDecision:
     routing_iterations: int = 0
     routing_phases: int = 0
     routing_warm_start: str = ""
-    #: Demand-independence certificate for the event engine's decision
-    #: reuse (§5.2: decisions stay valid until state changes): how many
-    #: cycles past ``cycle`` this decision's directives are guaranteed to
-    #: be re-derivable bit-identically under an unchanged validity key,
-    #: accounting for commodity demands draining as bytes flow. ``None``
-    #: means unbounded (no output depends on a draining quantity); ``0``
-    #: means never reuse (e.g. approximate solver backends, partition
-    #: fallback directives).
-    reuse_horizon: Optional[int] = 0
     # Sharded control plane telemetry (BDSConfig.shards > 1; zeros on
     # the single-controller path). shard_count is the configured shard
     # count; the walls are the max/mean per-shard schedule+route

@@ -62,8 +62,8 @@ _NO_SOLVER_STATS: SolverStats = (0, 0, "")
 
 #: A solve's output: one float row per commodity, aligned with its paths
 #: (0.0 where nothing flows), and the (commodity, path) slots that carry
-#: flow in the order they first received any — the order every fold over
-#: the rates (objective, reuse certificate) has always run in.
+#: flow in the order they first received any — the order the objective
+#: has always folded the rates in.
 Rates = List[List[float]]
 TouchOrder = List[Tuple[int, int]]
 
@@ -178,12 +178,6 @@ class RoutingDiagnostics:
     phase count, and how the solve started — ``"cold"``, ``"warm"``,
     ``"reuse"``, or ``"cold-fallback"`` (see
     :class:`repro.lp.fptas.FPTASResult`).
-
-    ``reuse_horizon`` is the demand-independence certificate consumed by
-    the event engine (see :attr:`repro.core.decisions.ControlDecision.
-    reuse_horizon`): cycles past the decide this routing output stays
-    bit-identical while demands drain, ``None`` = unbounded, ``0`` =
-    never reuse.
     """
 
     backend: str
@@ -194,7 +188,6 @@ class RoutingDiagnostics:
     iterations: int = 0
     phases: int = 0
     warm_start: str = ""
-    reuse_horizon: Optional[int] = 0
 
 
 class BDSRouter:
@@ -235,16 +228,12 @@ class BDSRouter:
         """
         started = _time.perf_counter()
         if not selections:
-            # Nothing scheduled: the (empty) output reads no draining
-            # quantity, so it stays exact for as long as the validity key
-            # holds — unbounded reuse horizon.
             return [], RoutingDiagnostics(
                 backend=self.backend,
                 num_selections=0,
                 num_commodities=0,
                 objective=0.0,
                 runtime=_time.perf_counter() - started,
-                reuse_horizon=None,
             )
 
         if not isinstance(selections, SelectionBatch):
@@ -262,7 +251,6 @@ class BDSRouter:
                 num_commodities=0,
                 objective=0.0,
                 runtime=_time.perf_counter() - started,
-                reuse_horizon=None,
             )
 
         if self.backend == "greedy":
@@ -284,7 +272,6 @@ class BDSRouter:
             iterations=solver[0],
             phases=solver[1],
             warm_start=solver[2],
-            reuse_horizon=self._certify_reuse_horizon(demands, rates, order),
         )
 
     # -- step 1 & 2: source candidates and merging -------------------------------
@@ -633,59 +620,6 @@ class BDSRouter:
             rates[ci][pi] = rate
             order.append((ci, pi))
         return rates, order, solver
-
-    def _certify_reuse_horizon(
-        self, demands: List[float], rates: Rates, order: TouchOrder
-    ) -> Optional[int]:
-        """Demand-independence certificate for the greedy backend.
-
-        The only routing input that changes while the validity key holds
-        is each commodity's demand (``remaining / dt``), which drains by
-        at most the pushed rate per cycle. The greedy water-fill's trace —
-        and therefore its directives, byte-for-byte — is unchanged as
-        long as every commodity's demand stays strictly above what was
-        pushed for it, because every ``min(demand, room)`` step keeps
-        resolving to the room term:
-
-        * commodities with **zero pushed rate** do not drain, so they
-          never constrain the horizon;
-        * a **capacity-limited** commodity (pushed ``p`` < demand ``d``,
-          slack ``d - p``) tolerates ``j`` reused cycles while
-          ``d - j*p > p + margin``, i.e. ``j < (slack - margin) / p``,
-          with ``margin = 1e-6*d + 1e-3`` absorbing the solver's own
-          ``1e-9`` epsilons and float drift; the drain bound ``p`` per
-          cycle is itself conservative (real drain is ``p * window`` /
-          ``dt`` < ``p``);
-        * a **demand-limited** commodity (slack ≈ 0) would push less the
-          very next cycle, so it forces horizon 0.
-
-        The FPTAS solver is ε-approximate with warm-start state that
-        advances per solve, and the LP backend's vertex selection is not
-        certified against demand perturbations — both report 0 (never
-        reuse). ``None`` (unbounded) is returned when no commodity
-        constrains the horizon.
-        """
-        if self.backend != "greedy":
-            return 0
-        # A commodity's pushed total folds its paths' rates in the order
-        # they first carried flow.
-        pushed = [0.0] * len(demands)
-        for ci, pi in order:
-            pushed[ci] += rates[ci][pi]
-        horizon: Optional[int] = None
-        for demand, p in zip(demands, pushed):
-            if p <= 0.0:
-                continue
-            margin = 1e-6 * demand + 1e-3
-            slack = demand - p
-            if slack <= margin:
-                return 0
-            h = int((slack - margin) / p) - 1
-            if h <= 0:
-                return 0
-            if horizon is None or h < horizon:
-                horizon = h
-        return horizon
 
     # -- step 4: rates -> directives ----------------------------------------------
 

@@ -153,7 +153,6 @@ class ShardResult:
     iterations: int
     phases: int
     warm_start: str
-    reuse_horizon: Optional[int]
     wall: float
     #: Shard-local state telemetry: possession-array bytes and candidate
     #: table bytes of the mirror after this decide, and the structural
@@ -291,7 +290,6 @@ class ShardMirror:
             iterations=diag.iterations,
             phases=diag.phases,
             warm_start=diag.warm_start,
-            reuse_horizon=diag.reuse_horizon,
             wall=wall,
             state_bytes=self.store.state_bytes(),
             candidate_bytes=self.candidates.state_bytes(),

@@ -17,15 +17,15 @@ Two sampling modes:
   Stepped usage is therefore *call-pattern independent*: querying a step
   once or a thousand times, or never querying the steps before it, yields
   the same values. That property is what lets the event-driven simulator
-  core fast-forward across cycles inside one step — and it is also the
+  core skip the idle cycles inside one step — and it is also the
   realistic shape for day-scale runs, where online load reports arrive as
   periodic aggregates rather than per-3-seconds samples.
 
-The :meth:`BackgroundTraffic.next_change_after` /
-:meth:`~BackgroundTraffic.state_token` pair is the horizon API the event
-engine uses: the token names the current background state (constant /
-step index / cycle), and ``next_change_after`` bounds how far the state
-is guaranteed not to move.
+:meth:`BackgroundTraffic.state_token_at` names the background state at a
+time (constant / step index / none that outlives a query — the
+simulator's WAN budgets are rewritten only when it moves), and
+:meth:`~BackgroundTraffic.next_change_after` bounds how far that state is
+guaranteed not to move — the cap the event engine puts on an idle skip.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class BackgroundTraffic:
         check_positive("capacity", capacity)
         return self.usage_fraction(link, time_s) * capacity
 
-    # -- event-engine horizon API -----------------------------------------
+    # -- background state and its change-points ---------------------------
 
     def state_token_at(self, time_s: float) -> Optional[int]:
         """A value naming the background state at ``time_s``, if it has one.
@@ -147,18 +147,8 @@ class BackgroundTraffic:
             return self._step_index(time_s)
         return None
 
-    def state_token(self, cycle: int, dt: float) -> int:
-        """A value naming the background state at ``cycle``.
-
-        :meth:`state_token_at` the cycle's start; a varying continuous
-        curve returns the cycle itself, so no two cycles ever compare
-        equal.
-        """
-        token = self.state_token_at(cycle * dt)
-        return cycle if token is None else token
-
     def next_change_after(self, cycle: int, dt: float) -> Optional[int]:
-        """First cycle after ``cycle`` whose state token differs.
+        """First cycle after ``cycle`` whose :meth:`state_token_at` differs.
 
         ``None`` means never (static curve). The stepped answer is exact:
         the candidate boundary cycle is derived from the step length and

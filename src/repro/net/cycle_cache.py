@@ -24,7 +24,6 @@ O(pairs/k) per shard rather than cluster wide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
@@ -38,7 +37,7 @@ def first_cycle_at_or_after(time_s: float, dt: float) -> int:
     """Smallest cycle index ``c >= 0`` with ``c * dt >= time_s``, exactly.
 
     All simulator timestamps derive from integer cycle counts through
-    this helper so fast-forward never compounds ``now += k*dt`` rounding:
+    this helper so an idle skip never compounds ``now += k*dt`` rounding:
     the comparison is performed on ``c * dt`` itself (the same float an
     executed cycle ``c`` computes), so membership tests like
     "has this job arrived by cycle c" are bit-identical between a loop
@@ -52,72 +51,6 @@ def first_cycle_at_or_after(time_s: float, dt: float) -> int:
     while c > 0 and (c - 1) * dt >= time_s:
         c -= 1
     return c
-
-
-@dataclass
-class DecisionReuseState:
-    """The previous decide's output plus the validity key certifying it.
-
-    The simulator's cycle loop (:meth:`repro.net.simulator.Simulation.run`)
-    skips the decide → validate → path-lookup stages of a cycle when the
-    decision of an earlier cycle is provably still exact. "Provably" is the
-    conjunction of two certificates:
-
-    * the **validity key** — a tuple of every piece of simulator state a
-      reusable strategy's decision may depend on: topology epoch, store
-      (possession) epoch, the partial-bytes *membership* epoch (which
-      blocks have buffered bytes, not how many — the router's
-      partial-first reordering reads membership only), failed agent and
-      link sets, controller availability, the active-job signature
-      (arrival pointer + completion count), and the background-traffic
-      state token. If the key at cycle ``c`` equals the key at decide
-      time, every input the strategy read is unchanged.
-    * the **reuse horizon** — decisions that read continuously-draining
-      quantities (the BDS router's commodity demands) are only
-      input-independent while those quantities stay inside a certified
-      slack band; the strategy reports how many cycles that band is
-      guaranteed to last (:attr:`repro.core.decisions.ControlDecision.
-      reuse_horizon`). ``None`` means unbounded (the decision reads no
-      draining quantity), ``0`` means never reuse.
-
-    Both must hold; either failing simply re-runs the decide, so a
-    conservative key or horizon can cost speed but never correctness.
-    """
-
-    key: Optional[tuple] = None
-    decided_cycle: int = -1
-    #: Cycles after ``decided_cycle`` the decision stays exact for under
-    #: an unchanged key (None = unbounded, 0 = this cycle only).
-    horizon: Optional[int] = None
-    directives: List = field(default_factory=list)
-    resources: List = field(default_factory=list)
-    #: The directives' row columns (``repro.net.simulator.FlowColumns``).
-    columns: object = None
-
-    def valid_for(self, cycle: int, key: tuple) -> bool:
-        """True when the cached decision is exact for ``cycle``."""
-        if self.key is None or key != self.key:
-            return False
-        if self.horizon is None:
-            return True
-        return cycle - self.decided_cycle <= self.horizon
-
-    def store_decision(
-        self,
-        key: tuple,
-        cycle: int,
-        horizon: Optional[int],
-        directives: List,
-        resources: List,
-        columns: object = None,
-    ) -> None:
-        """Record a fresh decide's validated output under its key."""
-        self.key = key
-        self.decided_cycle = cycle
-        self.horizon = horizon
-        self.directives = directives
-        self.resources = resources
-        self.columns = columns
 
 
 class CycleCache:

@@ -102,8 +102,8 @@ class FailureSchedule:
         """The first cycle strictly after ``cycle`` with a scheduled event.
 
         ``None`` means no further events exist: the failure state is
-        constant for the rest of the run. This is the horizon API the
-        event-driven simulator core uses to bound its fast-forward — a
+        constant for the rest of the run. This is what the event-driven
+        simulator core caps an idle skip with — a
         stretch of cycles may only be skipped if every one of them is
         known to apply no failure event (events at the stretch's end
         cycle are applied normally when that cycle executes).

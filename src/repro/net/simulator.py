@@ -41,11 +41,7 @@ import numpy as np
 
 from repro.net.background import BackgroundTraffic, delay_inflation
 from repro.net.candidates import CandidateTable
-from repro.net.cycle_cache import (
-    CycleCache,
-    DecisionReuseState,
-    first_cycle_at_or_after,
-)
+from repro.net.cycle_cache import CycleCache, first_cycle_at_or_after
 from repro.net.failures import FailureSchedule
 from repro.net.flow import (
     Flow,
@@ -66,10 +62,6 @@ BlockId = Tuple[str, int]
 #: costs more than per-pair application; results are bit-identical either
 #: way, so small batches land one ``record_delivery`` at a time.
 _DELIVERY_BATCH_MIN = 32
-
-#: Fast-forward chunk cap: at most this many cycles are skipped per
-#: analytic pass. Bounds the O(k) cumsum buffers.
-_FF_CHUNK = 131072
 
 
 class TransferDirective:
@@ -275,6 +267,20 @@ class TransferDirective:
         )
 
 
+def _with_blocks_kept(d: TransferDirective, mask: np.ndarray) -> TransferDirective:
+    """``d`` over only the blocks whose ``mask`` flag is set, in order."""
+    indices = d.block_indices
+    if indices is None:
+        ids = d.block_ids
+        kept = tuple(ids[i] for i in np.flatnonzero(mask).tolist())
+        return TransferDirective(
+            d.job_id, kept, d.src_server, d.dst_server, d.rate_cap
+        )
+    return TransferDirective.from_indices(
+        d.job_id, indices[mask], d.src_server, d.dst_server, d.rate_cap
+    )
+
+
 @dataclass
 class SimConfig:
     """Simulation knobs.
@@ -370,8 +376,8 @@ class CycleStats:
     routing_phases: int = 0
     routing_warm_start: str = ""
     # Event-engine provenance (diagnostics, never fingerprinted): the
-    # cycle replayed the previous decision under an unchanged validity
-    # key / was applied analytically inside a fast-forwarded stretch.
+    # cycle was skipped inside an idle stretch. ``decision_reused`` is
+    # always False — kept because export v8 carries it.
     decision_reused: bool = False
     fast_forwarded: bool = False
     # Sharded control-plane telemetry, forwarded from the strategy's
@@ -429,7 +435,7 @@ _DECISION_TELEMETRY = {
 
 
 class CycleStatsLog(abc.Sequence):
-    """A run's per-cycle :class:`CycleStats`, fast-forwarded stretches as runs.
+    """A run's per-cycle :class:`CycleStats`, skipped idle stretches as runs.
 
     Reads like the list it replaces (``len``, index, slice, iteration,
     ``==`` against a list, truthiness, pickle). A stretch of cycles the
@@ -528,9 +534,9 @@ class SimResult:
     # simulation ran with an AgentMonitor attached.
     feedback_samples: List = field(default_factory=list)
     # Event-engine accounting (diagnostics, never fingerprinted): cycles
-    # that replayed the previous decision, and cycles applied inside
-    # analytic fast-forward stretches. Both zero for a strategy that
-    # does not certify its decisions as reusable.
+    # skipped inside idle stretches — zero for a strategy that does not
+    # certify ``decisions_reusable``. ``cycles_decision_reused`` is
+    # always 0: kept because export v8 and the perf ledger read it.
     cycles_decision_reused: int = 0
     cycles_fast_forwarded: int = 0
 
@@ -570,7 +576,7 @@ class SimResult:
         for first, count in self.cycle_stats.runs():
             for stage, field_name in _STAGE_TIME_FIELDS.items():
                 seconds = getattr(first, field_name)
-                if seconds:  # x + 0.0 == x: a fast-forwarded run adds nothing
+                if seconds:  # x + 0.0 == x: a skipped stretch adds nothing
                     for _ in range(count):
                         totals[stage] += seconds
         return totals
@@ -884,11 +890,10 @@ class FlowColumns:
     order: ``flat[r]`` is the block's flat number, ``keys[r]`` its
     :func:`partial_column` key (flat number and destination), and
     ``bounds[i]:bounds[i + 1]`` are directive ``i``'s rows. ``sizes``
-    (gathered once) and ``flat_list`` serve the per-cycle demand sums
-    and the delivery walk, including on replayed cycles.
+    is the rows' block sizes, gathered once for the demand sums.
     """
 
-    __slots__ = ("flat", "keys", "bounds", "sizes", "_flat_list")
+    __slots__ = ("flat", "keys", "bounds", "sizes")
 
     def __init__(
         self, flat: np.ndarray, keys: np.ndarray, bounds: List[int],
@@ -898,13 +903,6 @@ class FlowColumns:
         self.keys = keys
         self.bounds = bounds
         self.sizes = sizes
-        self._flat_list: Optional[List[int]] = None
-
-    @property
-    def flat_list(self) -> List[int]:
-        if self._flat_list is None:
-            self._flat_list = self.flat.tolist()
-        return self._flat_list
 
     def take(self, keep: Sequence[bool]) -> "FlowColumns":
         """The columns of the directives whose ``keep`` flag is set."""
@@ -988,23 +986,35 @@ class Simulation:
 
         # (block_id, dst_server) -> bytes buffered so far.
         self._partial: Dict[Tuple[BlockId, str], float] = {}
-        # Completion bookkeeping: (job, dc) -> the (block_id, server)
-        # deliveries still missing, and (job, server) -> how many of its
-        # shard's blocks that server still misses.
-        self._pending: Dict[Tuple[str, str], Set[Tuple[BlockId, str]]] = {}
+        # Completion bookkeeping: (job, dc) -> how many of the job's
+        # blocks their assigned servers in that DC still miss, and
+        # (job, server) -> how many of its shard's blocks that server
+        # still misses. Both count down on what the store answers per
+        # delivery (a new copy or a duplicate); neither names a block.
+        self._dc_missing: Dict[Tuple[str, str], int] = {}
         self._server_missing: Dict[Tuple[str, str], int] = {}
         self._origin_dc: Dict[str, str] = {}
         for job in self.jobs:
             self._origin_dc[job.job_id] = job.src_dc
             for dc in job.dst_dcs:
-                missing = self._pending[(job.job_id, dc)] = set()
+                missing = 0
                 for block in job.blocks:
                     server = job.assigned_server(dc, block.block_id)
                     if self.store.has(server, block.block_id):
                         continue  # pre-seeded copies count as delivered
-                    missing.add((block.block_id, server))
+                    missing += 1
                     key = (job.job_id, server)
                     self._server_missing[key] = self._server_missing.get(key, 0) + 1
+                self._dc_missing[(job.job_id, dc)] = missing
+        # What run() fills: completion times per job, (job, dc) and
+        # (job, server); the (src, dst) pairs with a flow in the last
+        # executed cycle (they skip the TCP re-establishment cost). One
+        # run consumes the bookkeeping above, so there is only one.
+        self._job_completion: Dict[str, float] = {}
+        self._dc_completion: Dict[Tuple[str, str], float] = {}
+        self._server_completion: Dict[Tuple[str, str], float] = {}
+        self._prev_pairs: Set[Tuple[str, str]] = set()
+        self._ran = False
 
         # Static candidate arrays for the scheduling kernel and the
         # view's pending accessors: every (block, destination/relay DC)
@@ -1030,14 +1040,7 @@ class Simulation:
         self._bulk_cache: Dict[float, list] = {}
         self._caps_ref: Optional[Dict[ResourceKey, float]] = None
 
-        # Partial-bytes *membership* epoch: bumped whenever a (block, dst)
-        # key appears in or vanishes from self._partial. Routing reads
-        # partial membership (the partial-first reorder) but never the
-        # byte values, so this epoch — not the values — belongs in the
-        # event engine's decision validity key.
-        self._partial_epoch = 0
-
-        # Integer arrival grid (fast-forward bounds + O(changes) job
+        # Integer arrival grid (idle-skip bound + O(changes) job
         # filtering): per-job first active cycle, exact on the c*dt float
         # grid so "arrived by cycle c" is the arrival_time <= c*dt
         # predicate bit-for-bit, plus a stable arrival-sorted index. Jobs
@@ -1064,6 +1067,17 @@ class Simulation:
             range(len(self.jobs)),
             key=self._arrival_cycle_by_idx.__getitem__,
         )
+        # run()'s active-job maintenance (see _active_jobs): arrival
+        # cycles in arrival order, a pointer past the jobs that have
+        # arrived, their indices, and the (jobs-ordered) active list with
+        # the completed-job count it was built at.
+        self._arrival_cycles: List[int] = [
+            self._arrival_cycle_by_idx[i] for i in self._arrival_order
+        ]
+        self._arrival_ptr = 0
+        self._arrived: List[int] = []
+        self._active: List[MulticastJob] = []
+        self._active_built_at = -1
 
     # -- per-cycle resource budgets ------------------------------------------
 
@@ -1198,24 +1212,7 @@ class Simulation:
                 if k == 0:
                     continue
                 if k != n:
-                    mask = useful[lo : lo + n]
-                    if d.block_indices is None:
-                        ids = d.block_ids
-                        d = TransferDirective(
-                            d.job_id,
-                            tuple(ids[i] for i in np.flatnonzero(mask).tolist()),
-                            d.src_server,
-                            d.dst_server,
-                            d.rate_cap,
-                        )
-                    else:
-                        d = TransferDirective.from_indices(
-                            d.job_id,
-                            index[lo : lo + n][mask],
-                            d.src_server,
-                            d.dst_server,
-                            d.rate_cap,
-                        )
+                    d = _with_blocks_kept(d, useful[lo : lo + n])
                 valid.append(d)
             flat = flat[useful]
             dst = dst[useful]
@@ -1296,592 +1293,319 @@ class Simulation:
     # -- main loop -------------------------------------------------------------
 
     def run(self) -> SimResult:
-        """Run until all jobs complete or ``max_cycles`` elapse.
+        """Run until all jobs complete or ``max_cycles`` elapse — once.
 
-        Every cycle runs the same stage code. For a strategy that
-        certifies its decisions as reusable (``decisions_reusable``), with
-        no per-cycle observer attached (agent monitor, ``on_cycle_complete``
-        hook), two provably-exact shortcuts apply (§5.2: decisions stay
-        valid until state changes); any other run executes every stage of
-        every cycle:
-
-        * **decision reuse** — while the validity key (epochs, failure
-          sets, controller availability, active-job signature, background
-          token) and the strategy's certified reuse horizon both hold,
-          the previous decision's validated directives are replayed and
-          the view/decide/validate stages are skipped. Rates are still
-          resolved fresh each cycle (as on a freshly decided one), so
-          replayed cycles are bit-identical by construction.
-        * **analytic fast-forward** — after a replayable cycle that
-          delivered nothing and changed no partial membership, the next
-          k cycles are applied in one pass when rates are certifiably
-          constant: k is bounded by the earliest flow completion
-          (remaining/rate), the next job arrival, the next failure event,
-          the next background change-point, the reuse horizon, and
-          ``max_cycles``. Per-flow byte accumulation uses the same
-          left-fold float additions executed cycles perform (numpy cumsum
-          is a sequential fold), so the skipped cycles' partial bytes,
-          per-cycle transferred totals, and eventual completion times are
-          bit-identical to executing them one by one.
+        Every executed cycle runs the stages below, in order. One
+        shortcut is exact and taken: after a cycle with no active job, a
+        strategy that certifies ``decisions_reusable`` would decide the
+        same nothing until a job arrives or the failure or background
+        state moves, so those cycles are skipped (:meth:`_skip_idle`) —
+        unless something must observe every cycle (an agent monitor, an
+        ``on_cycle_complete`` hook, replica elections, link stats).
         """
+        if self._ran:
+            raise RuntimeError(
+                "a Simulation runs once (the run consumed its completion "
+                "bookkeeping and filled its store): build a new Simulation"
+            )
+        self._ran = True
         cfg = self.config
         dt = cfg.cycle_seconds
-        job_completion: Dict[str, float] = {}
-        dc_completion: Dict[Tuple[str, str], float] = {}
-        server_completion: Dict[Tuple[str, str], float] = {}
-        cycle_stats = CycleStatsLog(cycle_seconds=dt)
-        feedback_samples: List = []
         started = _time.perf_counter()
-
-        # Pre-seeded copies may have satisfied shards before the run starts.
-        for job in self.jobs:
-            for dc in job.dst_dcs:
-                for server in job.destination_servers(dc):
-                    if self._server_missing.get((job.job_id, server), 0) == 0:
-                        server_completion[(job.job_id, server)] = 0.0
-                if not self._pending[(job.job_id, dc)]:
-                    dc_completion[(job.job_id, dc)] = 0.0
-            if all((job.job_id, dc) in dc_completion for dc in job.dst_dcs):
-                job_completion[job.job_id] = 0.0
-
-        uses_rates = getattr(self.strategy, "uses_controller_rates", False)
-        respects = getattr(self.strategy, "respects_safety_threshold", False)
-
-        # (src, dst) pairs with an active flow last cycle: reused pairs skip
-        # the TCP re-establishment cost.
-        prev_pairs: Set[Tuple[str, str]] = set()
-        record_stats = cfg.record_cycle_stats
-
-        # Reuse needs a strategy that certifies its decide as a pure
-        # function of the validity key, and no per-cycle observers that a
-        # skipped decide would starve (monitor, hook). Fast-forward
-        # additionally requires nothing that must run every cycle:
-        # replica elections tick per cycle, and link stats sample per
-        # cycle.
-        can_reuse = (
-            getattr(self.strategy, "decisions_reusable", False)
+        self._book_pre_seeded()
+        strategy = self.strategy
+        clips = getattr(strategy, "uses_controller_rates", False)
+        respects = getattr(strategy, "respects_safety_threshold", False)
+        hook = getattr(strategy, "on_cycle_complete", None)
+        can_skip = (
+            getattr(strategy, "decisions_reusable", False)
             and self.agent_monitor is None
-            and getattr(self.strategy, "on_cycle_complete", None) is None
-        )
-        can_ffwd = (
-            can_reuse
+            and hook is None
             and self.replica_set is None
             and not cfg.record_link_stats
         )
-        reuse = DecisionReuseState()
-        cycles_reused = 0
-        cycles_ffwd = 0
-        cycles_done = 0
-        last_decision_fn = getattr(self.strategy, "last_decision", None)
-        if not callable(last_decision_fn):
-            last_decision_fn = None
-
-        # O(changes) active-job maintenance: a pointer over the
-        # arrival-sorted index plus a completion-count watermark; the
-        # (jobs-ordered) active list is rebuilt only when either moves.
-        arr_order = self._arrival_order
-        arr_cycles = [self._arrival_cycle_by_idx[i] for i in arr_order]
-        num_arrivals = len(arr_cycles)
-        arrival_ptr = 0
-        arrived: List[int] = []
-        active_jobs: List[MulticastJob] = []
-        last_completed = -1
+        cycle_stats = CycleStatsLog(cycle_seconds=dt)
+        log = cycle_stats if cfg.record_cycle_stats else None
+        feedback_samples: List = []
+        num_jobs = len(self.jobs)
+        cycles_skipped = 0
 
         cycle = 0
         while cycle < cfg.max_cycles:
-            now = cycle * dt
-            # All timestamps derive from integer cycle counts: the cycle's
-            # end is (cycle+1)*dt, never now + dt, so fast-forwarding to
-            # cycle c and ticking to cycle c produce the same floats.
-            cycle_end = (cycle + 1) * dt
             stage_started = _time.perf_counter()
-            if self.failures:
-                applied = self.failures.advance_to(cycle)
-                failed = set(self.failures.failed_agents)
-                controller_ok = not self.failures.controller_down
-                failed_links = frozenset(self.failures.failed_links)
-                if self.replica_set is not None:
-                    for event in applied:
-                        if event.kind == "replica_fail":
-                            self.replica_set.fail(str(event.target))
-                        elif event.kind == "replica_recover":
-                            self.replica_set.recover(str(event.target))
-            else:
-                failed = set()
-                controller_ok = True
-                failed_links = frozenset()
-            if self.replica_set is not None:
-                self.replica_set.tick()
-                controller_ok = controller_ok and self.replica_set.has_leader()
-
-            bulk_caps, online = self._bulk_capacities(now, respects)
-
-            moved = False
-            while (
-                arrival_ptr < num_arrivals
-                and arr_cycles[arrival_ptr] <= cycle
-            ):
-                arrived.append(arr_order[arrival_ptr])
-                arrival_ptr += 1
-                moved = True
-            if moved or len(job_completion) != last_completed:
-                arrived.sort()
-                active_jobs = [
-                    self.jobs[i]
-                    for i in arrived
-                    if self.jobs[i].job_id not in job_completion
-                ]
-                last_completed = len(job_completion)
-
-            vkey = None
-            if can_reuse:
-                bg = self.background
-                vkey = (
-                    self.topology.epoch,
-                    self.store.epoch,
-                    self._partial_epoch,
-                    frozenset(failed),
-                    failed_links,
-                    controller_ok,
-                    arrival_ptr,
-                    len(job_completion),
-                    -1 if bg is None else bg.state_token(cycle, dt),
-                    # Sharded control plane: decisions cached under one
-                    # shard layout must not replay under another. The
-                    # signature sits at the END — earlier entries are
-                    # indexed positionally (vkey[0..2]) by the
-                    # fast-forward gate below.
-                    getattr(self.strategy, "shard_signature", None),
-                )
-
-            reused = vkey is not None and reuse.valid_for(cycle, vkey)
-            if reused:
-                # Replay path: the stored directives were validated under
-                # this exact key (same possession, failures, topology), so
-                # re-validating and re-probing paths would reproduce them
-                # verbatim. Only the flows' demands have moved — rebuild
-                # those from the live partial bytes, exactly as the tick
-                # loop would.
-                view = None
-                time_view_build = 0.0
-                decide_runtime = 0.0
-                directives = reuse.directives
-                flow_resources = reuse.resources
-                columns = reuse.columns
-                rate_started = _time.perf_counter()
-                cycles_reused += 1
-            else:
-                view = self._view(
-                    cycle, active_jobs, bulk_caps, failed, failed_links,
-                    controller_ok,
-                )
-                decide_started = _time.perf_counter()
-                time_view_build = decide_started - stage_started
-                raw_directives = self.strategy.decide(view)
-                decide_runtime = _time.perf_counter() - decide_started
-                directives, columns = self._valid_directives(
-                    raw_directives, failed
-                )
-
-                if self.agent_monitor is not None and controller_ok:
-                    for agent in self._agents:
-                        agent.healthy = agent.server_id not in failed
-                    _snapshots, sample = self.agent_monitor.feedback_loop(
-                        self._agents, {}, decide_runtime
-                    )
-                    feedback_samples.append(sample)
-
-                rate_started = _time.perf_counter()
-                routed: List[TransferDirective] = []
-                flow_resources = []
-                for d in directives:
-                    # None: destination partitioned off this cycle.
-                    resources = view.flow_resources(d.src_server, d.dst_server)
-                    flow_resources.append(resources)
-                    if resources is not None:
-                        routed.append(d)
-                if len(routed) != len(directives):
-                    columns = columns.take(
-                        [r is not None for r in flow_resources]
-                    )
-                    flow_resources = [
-                        r for r in flow_resources if r is not None
-                    ]
-                    directives = routed
-                if vkey is not None:
-                    # Certify this decide for reuse. The strategy's own
-                    # per-decision horizon governs (0 when it declined or
-                    # when the fallback decided — last_decision().cycle
-                    # then misses); strategies with no decision log are
-                    # pure view functions, unbounded under the key.
-                    horizon: Optional[int] = None
-                    if last_decision_fn is not None:
-                        decision = last_decision_fn()
-                        if decision is not None and decision.cycle == cycle:
-                            horizon = getattr(decision, "reuse_horizon", 0)
-                        else:
-                            horizon = 0
-                    reuse.store_decision(
-                        vkey, cycle, horizon, directives, flow_resources,
-                        columns,
-                    )
-
-            # Demands move every cycle (partial bytes drain them), on
-            # fresh and replayed decisions alike.
-            flows = [
-                Flow(
-                    flow_id=i,
-                    resources=flow_resources[i],
-                    rate_cap=d.rate_cap,
-                    demand=remaining / dt,
-                )
-                for i, (d, remaining) in enumerate(
-                    zip(directives, self._flow_demands(columns))
-                )
-            ]
-            kernel_stats = FlowKernelStats()
-            if uses_rates and controller_ok:
-                requested = {f.flow_id: f.effective_cap() for f in flows}
-                rates = clip_rates_to_capacity(flows, requested, bulk_caps)
-            else:
-                rates = max_min_fair_rates(flows, bulk_caps, stats=kernel_stats)
+            failed, failed_links, controller_ok = self._advance_failures(cycle)
+            # Every timestamp is cycle * dt, never now + dt: landing on
+            # cycle c after a skip and ticking to it give the same floats.
+            bulk_caps, online = self._bulk_capacities(cycle * dt, respects)
+            active_jobs = self._active_jobs(cycle)
+            view = self._view(
+                cycle, active_jobs, bulk_caps, failed, failed_links, controller_ok
+            )
+            decide_started = _time.perf_counter()
+            raw_directives = strategy.decide(view)
+            decide_runtime = _time.perf_counter() - decide_started
+            directives, columns = self._valid_directives(raw_directives, failed)
+            if self.agent_monitor is not None and controller_ok:
+                feedback_samples.append(self._sample_feedback(failed, decide_runtime))
+            rate_started = _time.perf_counter()
+            directives, columns, flow_resources = self._flow_paths(
+                view, directives, columns
+            )
+            rates, stalemates = self._resolve_rates(
+                directives, columns, flow_resources, bulk_caps,
+                clips and controller_ok,
+            )
             deliver_started = _time.perf_counter()
-            time_rate_resolve = deliver_started - rate_started
-
-            delivered = 0
-            transferred = 0.0
+            transferred, events = self._progress_flows(
+                cycle, directives, columns, rates
+            )
             apply_seconds = 0.0
-            # Completed transfers queue up during the budget loop and land
-            # on the store/bookkeeping afterwards. The budget loop never
-            # reads anything delivery mutates (store, pending maps,
-            # completion dicts), so deferring the application is
-            # order-equivalent.
-            events: List[Tuple[str, Block, str, str, float]] = []
-            current_pairs: Set[Tuple[str, str]] = set()
-            flat_blocks = self._block_columns().blocks
-            flat_list = columns.flat_list
-            bounds = columns.bounds
-            for i, d in enumerate(directives):
-                rate = rates.get(i, 0.0)
-                if rate <= 0:
-                    continue
-                pair = (d.src_server, d.dst_server)
-                window = dt - cfg.control_overhead_seconds
-                if pair not in prev_pairs:
-                    window = max(0.0, window - cfg.flow_setup_seconds)
-                current_pairs.add(pair)
-                if window <= 0:
-                    continue
-                budget = rate * window
-                used = 0.0
-                for row in range(bounds[i], bounds[i + 1]):
-                    if budget <= 1e-12:
-                        break
-                    block = flat_blocks[flat_list[row]]
-                    key = (block.block_id, d.dst_server)
-                    have = self._partial.get(key, 0.0)
-                    need = block.size - have
-                    take = min(need, budget)
-                    budget -= take
-                    used += take
-                    # A microbyte of slack absorbs floating-point dust from
-                    # rate multiplications; without it a block can hover at
-                    # size - 1e-9 bytes forever (the router will not
-                    # schedule sub-nanobyte demands).
-                    if take >= need - 1e-6:
-                        if have > 0.0:
-                            # A stored partial vanished: membership change.
-                            self._partial_epoch += 1
-                        self._partial.pop(key, None)
-                        setup = dt - window
-                        finish = now + setup + (used / rate if rate > 0 else dt)
-                        events.append(
-                            (d.job_id, block, d.src_server, d.dst_server,
-                             min(finish, cycle_end))
-                        )
-                        delivered += 1
-                    else:
-                        if have == 0.0:
-                            # First bytes of a new partial: membership change.
-                            self._partial_epoch += 1
-                        self._partial[key] = have + take
-                transferred += used
-
             if events:
                 apply_started = _time.perf_counter()
-                self._apply_deliveries(
-                    events, job_completion, dc_completion, server_completion
-                )
+                self._apply_deliveries(events)
                 apply_seconds = _time.perf_counter() - apply_started
 
-            if record_stats:
-                telemetry = {"time_schedule": decide_runtime}
-                if not reused and last_decision_fn is not None:
-                    decision = last_decision_fn()
-                    if decision is None or decision.cycle != cycle:
-                        # The strategy keeps a decision log and logged
-                        # nothing this cycle (controller outage: the
-                        # fallback decided). That wall is neither
-                        # scheduling nor routing; time_decide carries it.
-                        telemetry["time_schedule"] = 0.0
-                    else:
-                        for stat, attr in _DECISION_TELEMETRY.items():
-                            if hasattr(decision, attr):
-                                telemetry[stat] = getattr(decision, attr)
+            if log is not None:
                 stats = CycleStats(
                     cycle=cycle,
-                    time=now,
-                    blocks_delivered=delivered,
+                    time=cycle * dt,
+                    blocks_delivered=len(events),
                     bytes_transferred=transferred,
                     active_flows=len(directives),
                     controller_available=controller_ok,
-                    time_view_build=time_view_build,
+                    time_view_build=decide_started - stage_started,
                     time_decide=decide_runtime,
-                    time_rate_resolve=time_rate_resolve,
+                    time_rate_resolve=deliver_started - rate_started,
                     time_deliver=_time.perf_counter() - deliver_started,
                     time_deliver_apply=apply_seconds,
-                    rate_stalemates=kernel_stats.stalemates,
-                    decision_reused=reused,
-                    **telemetry,
+                    rate_stalemates=stalemates,
+                    **self._decision_telemetry(cycle, decide_runtime),
                 )
                 if cfg.record_link_stats:
-                    usage: Dict[ResourceKey, float] = {}
-                    for i, d in enumerate(directives):
-                        rate = rates.get(i, 0.0)
-                        for res in flow_resources[i]:
-                            usage[res] = usage.get(res, 0.0) + rate
-                    keys = cfg.links_of_interest or tuple(self.topology.links)
-                    caps = self.topology.resource_capacities()
-                    worst = 1.0
-                    for key in keys:
-                        stats.link_bulk_usage[key] = usage.get(key, 0.0)
-                        stats.link_online_usage[key] = online.get(key, 0.0)
-                        total = (
-                            stats.link_bulk_usage[key]
-                            + stats.link_online_usage[key]
-                        )
-                        worst = max(
-                            worst,
-                            delay_inflation(
-                                total / caps[key], cfg.safety_threshold
-                            ),
-                        )
-                    stats.max_delay_inflation = worst
-                cycle_stats.append(stats)
-
-            cycles_done += 1
-            prev_pairs = current_pairs
-
-            if not reused:
-                hook = getattr(self.strategy, "on_cycle_complete", None)
-                if hook is not None:
-                    hook(view, delivered)
-
-            if cfg.stop_when_complete and len(job_completion) == len(self.jobs):
+                    self._record_link_stats(
+                        stats, directives, flow_resources, rates, online
+                    )
+                log.append(stats)
+            if hook is not None:
+                hook(view, len(events))
+            if cfg.stop_when_complete and len(self._job_completion) == num_jobs:
                 cycle += 1
                 break
-
-            skipped = 0
-            if (
-                can_ffwd
-                and delivered == 0
-                and vkey is not None
-                and reuse.key == vkey
-                and self.topology.epoch == vkey[0]
-                and self.store.epoch == vkey[1]
-                and self._partial_epoch == vkey[2]
-            ):
-                next_arrival = (
-                    arr_cycles[arrival_ptr]
-                    if arrival_ptr < num_arrivals
-                    else None
-                )
-                skipped = self._attempt_fast_forward(
-                    cycle,
-                    reuse,
-                    next_arrival,
-                    directives,
-                    columns,
-                    rates,
-                    uses_rates,
-                    controller_ok,
-                    cycle_stats,
-                    record_stats,
-                )
-                cycles_ffwd += skipped
-                cycles_done += skipped
-            cycle += 1 + skipped
-        else:
-            cycle = cfg.max_cycles
+            if can_skip and not active_jobs and not directives:
+                skipped = self._skip_idle(cycle, controller_ok, log)
+                cycles_skipped += skipped
+                cycle += skipped
+            cycle += 1
 
         return SimResult(
-            cycles_run=cycle if cycles_done else 0,
-            sim_time=cycles_done * dt,
+            cycles_run=cycle,
+            sim_time=cycle * dt,
             wall_time=_time.perf_counter() - started,
-            job_completion=job_completion,
-            dc_completion=dc_completion,
-            server_completion=server_completion,
+            job_completion=self._job_completion,
+            dc_completion=self._dc_completion,
+            server_completion=self._server_completion,
             cycle_stats=cycle_stats,
             store=self.store,
-            all_complete=len(job_completion) == len(self.jobs),
+            all_complete=len(self._job_completion) == num_jobs,
             feedback_samples=feedback_samples,
-            cycles_decision_reused=cycles_reused,
-            cycles_fast_forwarded=cycles_ffwd,
+            cycles_fast_forwarded=cycles_skipped,
         )
 
-    def _attempt_fast_forward(
+    # -- the stages of a cycle, in run()'s order ---------------------------------
+
+    def _book_pre_seeded(self) -> None:
+        """Pre-seeded copies may have satisfied shards before the run starts."""
+        for job in self.jobs:
+            job_id = job.job_id
+            for dc in job.dst_dcs:
+                for server in job.destination_servers(dc):
+                    if self._server_missing.get((job_id, server), 0) == 0:
+                        self._server_completion[(job_id, server)] = 0.0
+                if not self._dc_missing[(job_id, dc)]:
+                    self._dc_completion[(job_id, dc)] = 0.0
+            if all((job_id, dc) in self._dc_completion for dc in job.dst_dcs):
+                self._job_completion[job_id] = 0.0
+
+    def _advance_failures(self, cycle: int) -> Tuple[Set[str], frozenset, bool]:
+        """Apply the failure schedule through ``cycle``.
+
+        Returns (failed agents, failed links, controller reachable).
+        Replica events reach the replica set, whose elections tick once
+        per cycle and decide reachability with the blanket
+        ``controller_fail`` state.
+        """
+        failures = self.failures
+        replicas = self.replica_set
+        if failures is None:
+            failed: Set[str] = set()
+            failed_links: frozenset = frozenset()
+            controller_ok = True
+        else:
+            applied = failures.advance_to(cycle)
+            failed = set(failures.failed_agents)
+            failed_links = frozenset(failures.failed_links)
+            controller_ok = not failures.controller_down
+            if replicas is not None:
+                for event in applied:
+                    if event.kind == "replica_fail":
+                        replicas.fail(str(event.target))
+                    elif event.kind == "replica_recover":
+                        replicas.recover(str(event.target))
+        if replicas is not None:
+            replicas.tick()
+            controller_ok = controller_ok and replicas.has_leader()
+        return failed, failed_links, controller_ok
+
+    def _active_jobs(self, cycle: int) -> List[MulticastJob]:
+        """Jobs arrived by ``cycle`` and not yet complete, in ``jobs`` order.
+
+        O(changes): the arrival pointer advances over the arrival-sorted
+        index, and the list is rebuilt only when it or the completed-job
+        count moved.
+        """
+        cycles = self._arrival_cycles
+        ptr = self._arrival_ptr
+        while ptr < len(cycles) and cycles[ptr] <= cycle:
+            self._arrived.append(self._arrival_order[ptr])
+            ptr += 1
+        done = self._job_completion
+        if ptr != self._arrival_ptr or len(done) != self._active_built_at:
+            self._arrival_ptr = ptr
+            self._arrived.sort()
+            jobs = self.jobs
+            self._active = [
+                jobs[i] for i in self._arrived if jobs[i].job_id not in done
+            ]
+            self._active_built_at = len(done)
+        return self._active
+
+    def _sample_feedback(self, failed: Set[str], decide_runtime: float):
+        """One control-plane feedback-loop sample (Fig. 11c)."""
+        for agent in self._agents:
+            agent.healthy = agent.server_id not in failed
+        _snapshots, sample = self.agent_monitor.feedback_loop(
+            self._agents, {}, decide_runtime
+        )
+        return sample
+
+    @staticmethod
+    def _flow_paths(
+        view: ClusterView,
+        directives: List[TransferDirective],
+        columns: FlowColumns,
+    ) -> Tuple[List[TransferDirective], FlowColumns, list]:
+        """Each directive's resources; drops those partitioned off this cycle."""
+        flow_resources = [
+            view.flow_resources(d.src_server, d.dst_server) for d in directives
+        ]
+        if None in flow_resources:
+            keep = [r is not None for r in flow_resources]
+            columns = columns.take(keep)
+            directives = [d for d, k in zip(directives, keep) if k]
+            flow_resources = [r for r in flow_resources if r is not None]
+        return directives, columns, flow_resources
+
+    def _resolve_rates(
+        self,
+        directives: List[TransferDirective],
+        columns: FlowColumns,
+        flow_resources: list,
+        bulk_caps: Mapping[ResourceKey, float],
+        clip: bool,
+    ) -> Tuple[Mapping[int, float], int]:
+        """Per-directive rates, and the waterfill's stalemate count.
+
+        Demands move every cycle (partial bytes drain them). ``clip``:
+        the controller assigned rates, which are clipped to capacity;
+        otherwise flows share max-min fairly.
+        """
+        dt = self.config.cycle_seconds
+        flows = [
+            Flow(
+                flow_id=i,
+                resources=flow_resources[i],
+                rate_cap=d.rate_cap,
+                demand=remaining / dt,
+            )
+            for i, (d, remaining) in enumerate(
+                zip(directives, self._flow_demands(columns))
+            )
+        ]
+        if clip:
+            requested = {f.flow_id: f.effective_cap() for f in flows}
+            return clip_rates_to_capacity(flows, requested, bulk_caps), 0
+        kernel_stats = FlowKernelStats()
+        rates = max_min_fair_rates(flows, bulk_caps, stats=kernel_stats)
+        return rates, kernel_stats.stalemates
+
+    def _progress_flows(
         self,
         cycle: int,
-        reuse: DecisionReuseState,
-        next_arrival: Optional[int],
-        directives: Sequence[TransferDirective],
+        directives: List[TransferDirective],
         columns: FlowColumns,
         rates: Mapping[int, float],
-        uses_rates: bool,
-        controller_ok: bool,
-        cycle_stats: CycleStatsLog,
-        record_stats: bool,
-    ) -> int:
-        """Skip k cycles analytically after a steady executed cycle.
+    ) -> Tuple[float, List[Tuple[str, Block, str, str, float]]]:
+        """Move ``rate × window`` bytes along every flow, block by block.
 
-        Called only when cycle ``cycle`` executed with a reusable decision,
-        delivered nothing, and changed no epoch — so cycles
-        ``cycle+1 .. cycle+k`` would replay the same directives at the same
-        rates as long as nothing external changes and no flow completes a
-        block. k is the largest count certified on every axis:
-
-        * **external events** — next job arrival, next failure-schedule
-          event, next background-traffic change-point, the strategy's
-          reuse horizon, and ``max_cycles`` each cap k so the first cycle
-          they affect is executed normally;
-        * **rate constancy** — per draining flow, demand must stay above
-          the level at which it would start binding in the rate kernel
-          (its ``rate_cap`` under the clip kernel, the max-min level
-          otherwise) with a float-dust margin, since a binding demand
-          would change the resolved rates;
-        * **no completion** — a cumsum over the flow's per-cycle budget
-          replays the executed cycle's exact completion predicate
-          (``take >= need - 1e-6``); k stops short of the first hit so
-          the completing cycle runs through the real delivery path.
-
-        Byte application is the executed cycle's own arithmetic: each skipped
-        cycle deposits the full budget into the directive's first block
-        (``budget -= take`` is exactly ``0.0`` when ``take == budget``),
-        and ``np.cumsum`` is the same sequential left-fold of float adds,
-        so the partial bytes after the pass are bit-identical to ticking.
-        Returns the number of cycles skipped (0 = no certification).
+        Returns the bytes moved and the transfers that completed, as
+        :meth:`_apply_deliveries` events: they land on the store and the
+        bookkeeping after the walk, which reads nothing a delivery
+        mutates, so deferring them is order-equivalent.
         """
         cfg = self.config
         dt = cfg.cycle_seconds
-        k = _FF_CHUNK
-        if reuse.horizon is not None:
-            k = min(k, reuse.decided_cycle + reuse.horizon - cycle)
-        k = min(k, cfg.max_cycles - 1 - cycle)
-        if next_arrival is not None:
-            k = min(k, next_arrival - 1 - cycle)
-        if self.failures is not None:
-            nxt = self.failures.next_change_after(cycle)
-            if nxt is not None:
-                k = min(k, nxt - 1 - cycle)
-        if self.background is not None:
-            nxt = self.background.next_change_after(cycle, dt)
-            if nxt is not None:
-                k = min(k, nxt - 1 - cycle)
-        if k <= 0:
-            return 0
-
-        # All pairs were active last cycle, so no flow pays setup again.
-        window = dt - cfg.control_overhead_seconds
-        mm_level = max(rates.values(), default=0.0)
-        plan: List[Tuple[Tuple[BlockId, str], float, float, float]] = []
-        seen_keys: Set[Tuple[BlockId, str]] = set()
-        total = 0.0
-        demands = self._flow_demands(columns)
+        now = cycle * dt
+        cycle_end = (cycle + 1) * dt
+        partial = self._partial
+        prev_pairs = self._prev_pairs
+        current_pairs: Set[Tuple[str, str]] = set()
+        events: List[Tuple[str, Block, str, str, float]] = []
+        transferred = 0.0
         flat_blocks = self._block_columns().blocks
+        flat_list = columns.flat.tolist()
+        bounds = columns.bounds
         for i, d in enumerate(directives):
             rate = rates.get(i, 0.0)
-            if rate <= 0 or window <= 0:
+            if rate <= 0:
+                continue
+            pair = (d.src_server, d.dst_server)
+            window = dt - cfg.control_overhead_seconds
+            if pair not in prev_pairs:
+                window = max(0.0, window - cfg.flow_setup_seconds)
+            current_pairs.add(pair)
+            if window <= 0:
                 continue
             budget = rate * window
-            if budget <= 1e-12:
-                continue
-            remaining = demands[i]
-            if uses_rates and controller_ok:
-                # Clip kernel: requested = min(rate_cap, demand); constant
-                # only while the cap, not the demand, is the requested rate.
-                bound = d.rate_cap
-                if bound is None:
-                    return 0
-            else:
-                # Max-min kernel: demands interact only through
-                # effective_cap clamps; all clamps resolve identically
-                # while every demand clears the highest fair-share level.
-                bound = mm_level
-            margin = 1e-6 * bound + 1e-3
-            headroom = remaining - (bound + margin) * dt
-            if headroom <= 0:
-                return 0
-            k = min(k, int(headroom / budget))
-            if k <= 0:
-                return 0
-            lead = flat_blocks[columns.flat_list[columns.bounds[i]]]
-            key0 = (lead.block_id, d.dst_server)
-            if key0 in seen_keys:
-                return 0  # two flows feeding one partial: order-coupled
-            seen_keys.add(key0)
-            have = self._partial.get(key0, 0.0)
-            if have == 0.0:
-                return 0  # not draining into its lead block: bail out
-            plan.append((key0, have, budget, lead.size))
-            total += budget
-
-        # First-completion scan: stop before any lead block would finish.
-        for _key0, have, budget, size in plan:
-            steps = np.empty(k + 1)
-            steps[0] = have
-            steps[1:] = budget
-            acc = np.cumsum(steps)
-            comp = budget >= (size - acc[:k]) - 1e-6
-            if bool(comp.any()):
-                k = int(np.argmax(comp))
-                if k <= 0:
-                    return 0
-
-        for key0, have, budget, size in plan:
-            steps = np.empty(k + 1)
-            steps[0] = have
-            steps[1:] = budget
-            acc = np.cumsum(steps)
-            self._partial[key0] = float(acc[k])
-
-        if record_stats:
-            cycle_stats.append_run(
-                CycleStats(
-                    cycle=cycle + 1,
-                    time=(cycle + 1) * dt,
-                    blocks_delivered=0,
-                    bytes_transferred=total,
-                    active_flows=len(directives),
-                    controller_available=controller_ok,
-                    decision_reused=True,
-                    fast_forwarded=True,
-                ),
-                k,
-            )
-        if self.failures is not None:
-            # No events fall inside the window (k was capped before the
-            # next one); advance the watermark so later queries agree.
-            self.failures.advance_to(cycle + k)
-        return k
-
-    # -- delivery bookkeeping -----------------------------------------------------
+            used = 0.0
+            for row in range(bounds[i], bounds[i + 1]):
+                if budget <= 1e-12:
+                    break
+                block = flat_blocks[flat_list[row]]
+                key = (block.block_id, d.dst_server)
+                have = partial.get(key, 0.0)
+                need = block.size - have
+                take = min(need, budget)
+                budget -= take
+                used += take
+                # A microbyte of slack absorbs floating-point dust from
+                # rate multiplications; without it a block can hover at
+                # size - 1e-9 bytes forever (the router will not
+                # schedule sub-nanobyte demands).
+                if take >= need - 1e-6:
+                    partial.pop(key, None)
+                    finish = now + (dt - window) + used / rate
+                    events.append(
+                        (d.job_id, block, d.src_server, d.dst_server,
+                         min(finish, cycle_end))
+                    )
+                else:
+                    partial[key] = have + take
+            transferred += used
+        self._prev_pairs = current_pairs
+        return transferred, events
 
     def _apply_deliveries(
-        self,
-        events: List[Tuple[str, Block, str, str, float]],
-        job_completion: Dict[str, float],
-        dc_completion: Dict[Tuple[str, str], float],
-        server_completion: Dict[Tuple[str, str], float],
+        self, events: List[Tuple[str, Block, str, str, float]]
     ) -> None:
         """Land one cycle's completed transfers, then book them.
 
@@ -1889,46 +1613,148 @@ class Simulation:
         ``_DELIVERY_BATCH_MIN`` events, where the grouped numpy pass
         costs more than it saves, as one ``store.record_deliveries``
         above (bit-identical either way) — then the completion
-        bookkeeping, per event in delivery order. The split is exact:
-        the bookkeeping never reads the store, and a duplicate delivery
-        finds its entry already gone.
+        bookkeeping, per event in delivery order. A delivery counts when
+        the store recorded a new copy (possession only grows, so a
+        duplicate was booked before) on the block's assigned server.
         """
         origin = self._origin_dc
         store = self.store
         if len(events) < _DELIVERY_BATCH_MIN:
-            for job_id, block, src, dst, when in events:
+            records = [
                 store.record_delivery(block, src, dst, when, origin[job_id])
+                for job_id, block, src, dst, when in events
+            ]
         else:
-            store.record_deliveries(
+            records = store.record_deliveries(
                 [
                     (block, src, dst, when, origin[job_id])
                     for job_id, block, src, dst, when in events
                 ]
             )
         dc_of = store.dc_of
-        pending_map = self._pending
+        dc_missing = self._dc_missing
         server_missing = self._server_missing
-        for job_id, block, _src, dst, when in events:
+        dc_completion = self._dc_completion
+        jobs_by_id = self._jobs_by_id
+        for (job_id, block, _src, dst, when), record in zip(events, records):
+            if record is None:
+                continue  # the destination already held the block
             dst_dc = dc_of(dst)
-            pending = pending_map.get((job_id, dst_dc))
-            if pending is None:
+            dkey = (job_id, dst_dc)
+            if dkey not in dc_missing:
                 continue  # delivery to a relay DC: not completion-tracked
-            entry = (block.block_id, dst)
-            if entry not in pending:
+            job = jobs_by_id[job_id]
+            if job.assigned_server(dst_dc, block.block_id) != dst:
                 continue  # landed on a non-assigned server of a dest DC
-            pending.discard(entry)
             skey = (job_id, dst)
             remaining = server_missing[skey] - 1
             server_missing[skey] = remaining
             if remaining == 0:
-                server_completion[skey] = when
-            if not pending:
-                dc_completion[(job_id, dst_dc)] = when
-                job = self._jobs_by_id[job_id]
+                self._server_completion[skey] = when
+            remaining = dc_missing[dkey] - 1
+            dc_missing[dkey] = remaining
+            if remaining == 0:
+                dc_completion[dkey] = when
                 if all((job_id, dc) in dc_completion for dc in job.dst_dcs):
-                    job_completion[job_id] = max(
+                    self._job_completion[job_id] = max(
                         dc_completion[(job_id, dc)] for dc in job.dst_dcs
                     )
+
+    def _decision_telemetry(
+        self, cycle: int, decide_runtime: float
+    ) -> Dict[str, object]:
+        """The :class:`CycleStats` fields the strategy's decision record feeds.
+
+        A strategy without a decision log books its whole decide as
+        scheduling. One with a log that logged nothing this cycle was in
+        a controller outage (the fallback decided): that wall is neither
+        scheduling nor routing; ``time_decide`` carries it.
+        """
+        telemetry: Dict[str, object] = {"time_schedule": decide_runtime}
+        last_decision = getattr(self.strategy, "last_decision", None)
+        if callable(last_decision):
+            decision = last_decision()
+            if decision is None or decision.cycle != cycle:
+                telemetry["time_schedule"] = 0.0
+            else:
+                for stat, attr in _DECISION_TELEMETRY.items():
+                    if hasattr(decision, attr):
+                        telemetry[stat] = getattr(decision, attr)
+        return telemetry
+
+    def _record_link_stats(
+        self,
+        stats: CycleStats,
+        directives: List[TransferDirective],
+        flow_resources: list,
+        rates: Mapping[int, float],
+        online: Mapping[ResourceKey, float],
+    ) -> None:
+        """Fill ``stats`` with per-link bulk/online usage and the worst
+        delay inflation over the links of interest (Fig. 6, Fig. 10)."""
+        cfg = self.config
+        usage: Dict[ResourceKey, float] = {}
+        for i in range(len(directives)):
+            rate = rates.get(i, 0.0)
+            for res in flow_resources[i]:
+                usage[res] = usage.get(res, 0.0) + rate
+        caps = self.topology.resource_capacities()
+        worst = 1.0
+        for key in cfg.links_of_interest or tuple(self.topology.links):
+            bulk = stats.link_bulk_usage[key] = usage.get(key, 0.0)
+            used = stats.link_online_usage[key] = online.get(key, 0.0)
+            worst = max(
+                worst,
+                delay_inflation((bulk + used) / caps[key], cfg.safety_threshold),
+            )
+        stats.max_delay_inflation = worst
+
+    def _skip_idle(
+        self, cycle: int, controller_ok: bool, log: Optional[CycleStatsLog]
+    ) -> int:
+        """Skip the idle cycles that follow ``cycle``; returns how many.
+
+        Cycle ``cycle`` executed with no active job and no directive, for
+        a strategy whose decide is a pure function of its view: until
+        something outside moves, every next cycle is the same nothing.
+        The stretch therefore stops short of the next job arrival, the
+        next failure event, the next background change-point and
+        ``max_cycles`` — the first cycle any of them affects executes
+        normally. It lands as one run record, and the failure watermark
+        advances past it so later queries agree.
+        """
+        last = self.config.max_cycles - 1
+        if self._arrival_ptr < len(self._arrival_cycles):
+            last = min(last, self._arrival_cycles[self._arrival_ptr] - 1)
+        if self.failures is not None:
+            change = self.failures.next_change_after(cycle)
+            if change is not None:
+                last = min(last, change - 1)
+        if self.background is not None:
+            change = self.background.next_change_after(
+                cycle, self.config.cycle_seconds
+            )
+            if change is not None:
+                last = min(last, change - 1)
+        skipped = last - cycle
+        if skipped <= 0:
+            return 0
+        if log is not None:
+            log.append_run(
+                CycleStats(
+                    cycle=cycle + 1,
+                    time=(cycle + 1) * self.config.cycle_seconds,
+                    blocks_delivered=0,
+                    bytes_transferred=0.0,
+                    active_flows=0,
+                    controller_available=controller_ok,
+                    fast_forwarded=True,
+                ),
+                skipped,
+            )
+        if self.failures is not None:
+            self.failures.advance_to(last)
+        return skipped
 
 
 class OverlayStrategyLike:

@@ -489,8 +489,7 @@ class PossessionIndex(PossessionReader):
 
     ``epoch`` counts mutation *events*: one bump per newly-placed copy
     (seed or delivery) and one bump per effective ``drop_server`` call.
-    Read-side caches — the event engine's decision-reuse key — test it
-    for equality: any possession change bumps it.
+    Readers test it for equality: any possession change bumps it.
 
     The index is a thin facade over its :attr:`matrix`; the hot
     control-plane paths bypass the facade and operate on the matrix
@@ -630,8 +629,8 @@ class PossessionIndex(PossessionReader):
         dropped), not once per dropped block: a disk-loss event is one
         state transition, and epoch-delta consumers (anything comparing
         ``epoch`` across reads to estimate churn) should see it as one
-        invalidation, not thousands. The event engine's decision-reuse
-        key only tests epoch *equality*, so it is unchanged either way.
+        invalidation, not thousands. Equality tests see a change either
+        way.
         """
         sid = self.matrix.server_ids.get(server_id)
         if sid is not None and self.matrix.clear_row(sid):

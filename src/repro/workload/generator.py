@@ -160,7 +160,7 @@ class WorkloadGenerator:
         ``λ₀ · (1 + amplitude)`` and kept with probability
         ``λ(t) / λ_peak``, the standard exact construction. This is the
         workload shape the event-driven simulator core is built for: long
-        quiet valleys fast-forward in one pass, busy peaks execute
+        quiet valleys are skipped in one pass, busy peaks execute
         normally.
 
         ``flash_crowd_at`` ∈ [0, 1] additionally injects a *flash crowd* —

@@ -419,39 +419,6 @@ def solve(router, view, commodities, capacities):
     )
 
 
-def certify_reuse_horizon(
-    backend: str,
-    commodities: Sequence[Commodity],
-    rates: Mapping[Tuple[Hashable, int], float],
-) -> Optional[int]:
-    """Cycles a greedy decision stays exact while its demands drain."""
-    if backend != "greedy":
-        return 0
-    pushed: Dict[int, float] = {}
-    names = {c.name: i for i, c in enumerate(commodities)}
-    for (name, _path), rate in rates.items():
-        i = names[name]
-        pushed[i] = pushed.get(i, 0.0) + rate
-    horizon: Optional[int] = None
-    for i, commodity in enumerate(commodities):
-        p = pushed.get(i, 0.0)
-        if p <= 0.0:
-            continue
-        demand = commodity.demand
-        if demand is None:
-            continue
-        margin = 1e-6 * demand + 1e-3
-        slack = demand - p
-        if slack <= margin:
-            return 0
-        h = int((slack - margin) / p) - 1
-        if h <= 0:
-            return 0
-        if horizon is None or h < horizon:
-            horizon = h
-    return horizon
-
-
 def grouping_directives(
     grouping,
     commodities: Sequence[Commodity],

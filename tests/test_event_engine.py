@@ -1,17 +1,18 @@
-"""Event-driven simulator core: equivalence, fast-forward, and time grid.
+"""Event-driven simulator core: equivalence, the idle skip, and time grid.
 
-For a strategy that certifies its decisions as reusable the cycle loop
-adds decision reuse and analytic multi-cycle fast-forward on top of
-fixed ticks. Both shortcuts claim *bit-identical* results — these tests
-hold them to it. The tick arm is the same loop run for the same strategy
-with the certificate withdrawn on the instance (``decisions_reusable =
-False``): every cycle decides fresh and none is skipped.
+For a strategy that certifies ``decisions_reusable`` the cycle loop skips
+the cycles in which no job is active, on top of fixed ticks. The skip
+claims *bit-identical* results — these tests hold it to that. The tick
+arm is the same loop run for the same strategy with the certificate
+withdrawn on the instance (``decisions_reusable = False``): every cycle
+executes.
 
 * randomized property runs compare :meth:`SimResult.fingerprint` between
   the two arms across failures, background traffic, late arrivals,
   pre-seeded copies, and controller replica elections;
-* a steady-state scenario asserts fast-forward actually engages (the
-  speedup claim is vacuous otherwise);
+* an idle-gap scenario asserts the skip actually engages, is capped by
+  every change-point, and leaves busy-but-quiet cycles alone (draining
+  flows, a strided shard awaiting its turn, a partitioned source);
 * a million-cycle run pins the integer-cycle time grid: completion
   timestamps stay exact multiples of ΔT no matter how far time advances.
 """
@@ -24,7 +25,7 @@ import pytest
 from repro.analysis.runner import make_strategy
 from repro.core.fault import ControllerReplicaSet
 from repro.net.background import BackgroundTraffic
-from repro.net.cycle_cache import DecisionReuseState, first_cycle_at_or_after
+from repro.net.cycle_cache import first_cycle_at_or_after
 from repro.net.failures import FailureEvent, FailureSchedule
 from repro.net.simulator import SimConfig, SimResult, Simulation
 from repro.net.topology import Topology
@@ -195,11 +196,71 @@ class TestEngineEquivalence:
 
 
 class TestFastForwardEngages:
-    """The speedup machinery must actually fire on steady-state runs."""
+    """The idle skip must fire on idle stretches — and on nothing else."""
 
-    def _steady(
-        self, event_engine: bool, strategy: str = "direct", dt: float = 3.0
+    GAP_ARRIVAL_CYCLE = 300
+
+    def _run(self, topo, jobs, event_engine, strategy, dt=3.0, **sim_kwargs):
+        for job in jobs:
+            job.bind(topo)
+        instance = (
+            make_strategy(strategy, seed=SEED)
+            if isinstance(strategy, str)
+            else strategy
+        )
+        if not event_engine:
+            instance.decisions_reusable = False
+        sim = Simulation(
+            topology=topo,
+            jobs=jobs,
+            strategy=instance,
+            config=SimConfig(max_cycles=5000, cycle_seconds=dt),
+            seed=SEED,
+            **sim_kwargs,
+        )
+        return sim.run()
+
+    def _idle_gap(
+        self,
+        event_engine: bool,
+        strategy: str = "direct",
+        dt: float = 3.0,
+        background: str = "stepped",
+        failures=None,
     ):
+        """Two jobs, the second arriving hundreds of cycles after the
+        first completes; a stepped background's change-points (every 30 s)
+        cut the idle gap into stretches."""
+        topo = Topology.full_mesh(
+            num_dcs=3, servers_per_dc=2, wan_capacity=50 * MBps, uplink=25 * MBps
+        )
+        jobs = [
+            MulticastJob(
+                job_id=name,
+                src_dc="dc0",
+                dst_dcs=("dc1", "dc2"),
+                total_bytes=64 * MB,
+                block_size=4 * MB,
+                arrival_time=arrival_cycle * dt,
+            )
+            for name, arrival_cycle in (("early", 0), ("late", self.GAP_ARRIVAL_CYCLE))
+        ]
+        bg = BackgroundTraffic(
+            base_fraction=0.2,
+            diurnal_fraction=0.1,
+            noise_fraction=0.02,
+            seed=SEED,
+            step_seconds=30.0 if background == "stepped" else 0.0,
+        )
+        return self._run(
+            topo, jobs, event_engine, strategy, dt,
+            background=bg, failures=failures,
+        )
+
+    def _steady(self, event_engine: bool, strategy: str = "direct"):
+        """One 512 MB job in 64 MB blocks over 1 MB/s NICs: every block
+        outlasts 21 cycles, so flows drain for hundreds of cycles with
+        nothing delivered — busy, never idle."""
         topo = Topology.full_mesh(
             num_dcs=3, servers_per_dc=2, wan_capacity=2 * MBps, uplink=1 * MBps
         )
@@ -210,55 +271,219 @@ class TestFastForwardEngages:
             total_bytes=512 * MB,
             block_size=64 * MB,
         )
-        job.bind(topo)
-        instance = make_strategy(strategy, seed=SEED)
-        if not event_engine:
-            instance.decisions_reusable = False
-        sim = Simulation(
-            topology=topo,
-            jobs=[job],
-            strategy=instance,
-            config=SimConfig(max_cycles=5000, cycle_seconds=dt),
-            seed=SEED,
-        )
-        return sim.run()
+        return self._run(topo, [job], event_engine, strategy)
+
+    @staticmethod
+    def _skipped_cycles(result) -> set:
+        return {
+            first.cycle + offset
+            for first, count in result.cycle_stats.runs()
+            if first.fast_forwarded
+            for offset in range(count)
+        }
 
     @pytest.mark.parametrize("strategy", ["direct", "bds"])
     def test_fast_forward_counts(self, strategy):
-        result = self._steady(True, strategy)
+        result = self._idle_gap(True, strategy)
         assert result.all_complete
-        assert result.cycles_fast_forwarded > 0
-        assert result.cycles_decision_reused > 0
+        assert result.cycles_run > self.GAP_ARRIVAL_CYCLE
+        assert result.cycles_fast_forwarded > 200
+        assert result.cycles_decision_reused == 0
         # Accounting closes: every simulated cycle is executed or skipped.
         assert result.cycles_run == len(result.cycle_stats)
+        executed = sum(1 for s in result.cycle_stats if not s.fast_forwarded)
+        assert executed + result.cycles_fast_forwarded == result.cycles_run
 
     def test_tick_engine_never_skips(self):
-        result = self._steady(False)
+        result = self._idle_gap(False)
         assert result.cycles_fast_forwarded == 0
         assert result.cycles_decision_reused == 0
         assert not any(s.fast_forwarded for s in result.cycle_stats)
 
     def test_skipped_cycles_marked(self):
-        result = self._steady(True)
+        result = self._idle_gap(True)
         flagged = sum(1 for s in result.cycle_stats if s.fast_forwarded)
         assert flagged == result.cycles_fast_forwarded
+        assert not any(s.decision_reused for s in result.cycle_stats)
 
     def test_fingerprints_match(self):
-        assert self._steady(True).fingerprint() == self._steady(False).fingerprint()
+        assert (
+            self._idle_gap(True).fingerprint() == self._idle_gap(False).fingerprint()
+        )
+
+    def test_a_speculating_controller_idles_exactly(self):
+        """§5.1 speculation carries last cycle's directives into the next
+        decide; the first idle cycle executes and empties them."""
+        from repro.core.config import BDSConfig
+        from repro.core.controller import BDSController
+
+        def controller():
+            return BDSController(BDSConfig(speculation_horizon=1.5), seed=SEED)
+
+        event = self._idle_gap(True, controller())
+        tick = self._idle_gap(False, controller())
+        assert event.all_complete and event.cycles_fast_forwarded > 200
+        assert event.fingerprint() == tick.fingerprint()
+
+    @pytest.mark.parametrize("strategy", ["direct", "bds"])
+    def test_draining_flows_are_not_idle(self, strategy):
+        """Cycles that deliver nothing while flows drain all execute."""
+        event = self._steady(True, strategy)
+        tick = self._steady(False, strategy)
+        assert event.all_complete and event.cycles_run > 100
+        assert event.cycles_fast_forwarded == 0
+        assert sum(1 for n in event.blocks_per_cycle() if n == 0) > 100
+        assert event.fingerprint() == tick.fingerprint()
+
+    def test_a_strided_shard_awaiting_its_turn_is_not_idle(self):
+        """Mutation witness for the idle predicate. With shards=2,
+        stride=2, the one job (hashed to shard 1) gets no directive on
+        cycle 0 — its shard has not had a turn. The job is active, so
+        the cycle is not idle; a predicate weakened to "no directives"
+        skips from cycle 0 to the last one and the job never completes."""
+        from repro.core.config import BDSConfig
+        from repro.core.controller import BDSController
+        from repro.core.sharding import stable_shard
+
+        assert stable_shard("j", 2, 0) == 1
+
+        def arm(event_engine: bool):
+            topo = Topology.full_mesh(
+                num_dcs=3, servers_per_dc=2, wan_capacity=50 * MBps,
+                uplink=25 * MBps,
+            )
+            job = MulticastJob(
+                job_id="j", src_dc="dc0", dst_dcs=("dc1", "dc2"),
+                total_bytes=64 * MB, block_size=4 * MB,
+            )
+            controller = BDSController(
+                BDSConfig(shards=2, shard_stride=2), seed=SEED
+            )
+            result = self._run(topo, [job], event_engine, controller)
+            return result, controller
+
+        event, controller = arm(True)
+        assert controller.decisions[0].cycle == 0
+        assert not controller.decisions[0].directives  # the witness's premise
+        assert event.all_complete
+        assert event.cycles_fast_forwarded == 0
+        tick, _ = arm(False)
+        assert event.cycles_run == tick.cycles_run < 20
+        assert event.fingerprint() == tick.fingerprint()
+
+    def test_continuous_noisy_background_never_skips(self):
+        """Every cycle is a background change-point: nothing to skip."""
+        event = self._idle_gap(True, background="continuous")
+        tick = self._idle_gap(False, background="continuous")
+        assert event.cycles_run > self.GAP_ARRIVAL_CYCLE
+        assert event.cycles_fast_forwarded == 0
+        assert event.fingerprint() == tick.fingerprint()
+
+    @pytest.mark.parametrize("strategy", ["direct", "bds"])
+    def test_events_inside_an_idle_gap_cap_the_stretch(self, strategy):
+        """The first cycle a failure event or a background step affects
+        executes, so its record shows the state it ran under."""
+
+        def schedule():
+            return FailureSchedule(
+                [
+                    FailureEvent(cycle=100, kind="controller_fail"),
+                    FailureEvent(cycle=137, kind="link_fail", target=("dc0", "dc1")),
+                    FailureEvent(cycle=150, kind="controller_recover"),
+                    FailureEvent(cycle=151, kind="link_recover", target=("dc0", "dc1")),
+                ]
+            )
+
+        event = self._idle_gap(True, strategy, failures=schedule())
+        tick = self._idle_gap(False, strategy, failures=schedule())
+        assert event.fingerprint() == tick.fingerprint()
+        skipped = self._skipped_cycles(event)
+        assert len(skipped) == event.cycles_fast_forwarded > 200
+        # Failure events, the background's steps (10 cycles each) and the
+        # arrival all land on executed cycles — with skipped ones between.
+        executed_in_gap = set(range(50, self.GAP_ARRIVAL_CYCLE + 1)) - skipped
+        assert executed_in_gap == (
+            {100, 137, 150, 151}
+            | set(range(50, self.GAP_ARRIVAL_CYCLE + 1, 10))
+        )
+        assert {99, 136, 149} <= skipped
+        # A stretch copies its first cycle's record: a stretch run across
+        # the outage's edge would report the wrong availability.
+        assert [s.controller_available for s in event.cycle_stats] == [
+            s.controller_available for s in tick.cycle_stats
+        ]
+        assert [
+            s.cycle for s in event.cycle_stats if not s.controller_available
+        ] == list(range(100, 150))
+
+    def test_a_stretch_advances_the_failure_watermark(self):
+        """A run ending inside a stretch leaves the schedule applied
+        through its last cycle: no event can be added at a skipped one."""
+        topo = Topology.full_mesh(
+            num_dcs=3, servers_per_dc=2, wan_capacity=50 * MBps, uplink=25 * MBps
+        )
+        job = MulticastJob(
+            job_id="j", src_dc="dc0", dst_dcs=("dc1",),
+            total_bytes=16 * MB, block_size=4 * MB,
+        )
+        job.bind(topo)
+        failures = FailureSchedule(
+            [FailureEvent(cycle=1, kind="agent_fail", target="dc2-s0")]
+        )
+        result = Simulation(
+            topo, [job], make_strategy("direct", seed=SEED),
+            SimConfig(max_cycles=400, stop_when_complete=False),
+            failures=failures, seed=SEED,
+        ).run()
+        assert result.cycles_run == 400
+        assert list(result.cycle_stats.runs())[-1][0].fast_forwarded
+        with pytest.raises(ValueError, match="already applied through 399"):
+            failures.add(FailureEvent(cycle=399, kind="controller_fail"))
+
+    @pytest.mark.parametrize("strategy", ["direct", "bds"])
+    def test_active_but_blocked_is_not_idle(self, strategy):
+        """The source DC is cut off for 60 cycles: a job is active, no
+        flow can run — those cycles execute, one by one."""
+        cut = [("dc0", "dc1"), ("dc1", "dc0"), ("dc0", "dc2"), ("dc2", "dc0")]
+
+        def arm(event_engine: bool):
+            topo = Topology.full_mesh(
+                num_dcs=3, servers_per_dc=2, wan_capacity=50 * MBps,
+                uplink=25 * MBps,
+            )
+            job = MulticastJob(
+                job_id="blocked", src_dc="dc0", dst_dcs=("dc1", "dc2"),
+                total_bytes=64 * MB, block_size=4 * MB,
+            )
+            failures = FailureSchedule(
+                [FailureEvent(cycle=0, kind="link_fail", target=link) for link in cut]
+                + [
+                    FailureEvent(cycle=60, kind="link_recover", target=link)
+                    for link in cut
+                ]
+            )
+            return self._run(topo, [job], event_engine, strategy, failures=failures)
+
+        event, tick = arm(True), arm(False)
+        assert event.all_complete and event.cycles_run > 60
+        assert [s.active_flows for s in event.cycle_stats][:60] == [0] * 60
+        assert event.cycles_fast_forwarded == 0
+        assert event.fingerprint() == tick.fingerprint()
 
     @pytest.mark.parametrize("dt", [3.0, 0.7])  # 0.7: c * dt rounds
     @pytest.mark.parametrize("strategy", ["direct", "bds"])
     def test_a_skipped_stretch_is_one_record_that_reads_as_its_cycles(
         self, strategy, dt
     ):
-        """Fast-forward appends one run record per stretch; the log still
+        """The idle skip appends one run record per stretch; the log still
         reads, cycle for cycle, as the tick loop's list."""
-        event = self._steady(True, strategy, dt)
-        tick = self._steady(False, strategy, dt)
+        event = self._idle_gap(True, strategy, dt)
+        tick = self._idle_gap(False, strategy, dt)
         log = event.cycle_stats
         records = list(log.runs())
         skipped = [count for first, count in records if first.fast_forwarded]
         assert sum(skipped) == event.cycles_fast_forwarded
+        assert len(skipped) > 3  # the background's steps cut the gap
         assert len(records) < len(log) == len(tick.cycle_stats)
         assert len(records) == len(log) - sum(skipped) + len(skipped)
 
@@ -404,19 +629,19 @@ class TestPerJobCadence:
 
 
 class TestBackgroundChangePoints:
-    """next_change_after / state_token drive reuse and fast-forward."""
+    """next_change_after caps the idle skip; state_token_at names a state."""
 
     def test_static_background_never_changes(self):
         bg = BackgroundTraffic(diurnal_fraction=0.0, noise_fraction=0.0, seed=1)
         assert bg.is_static()
         assert bg.next_change_after(0, 3.0) is None
-        assert bg.state_token(0, 3.0) == bg.state_token(12345, 3.0)
+        assert bg.state_token_at(0.0) == bg.state_token_at(12345 * 3.0)
 
     def test_continuous_background_changes_every_cycle(self):
         bg = BackgroundTraffic(diurnal_fraction=0.2, noise_fraction=0.05, seed=1)
         assert not bg.is_static()
         assert bg.next_change_after(7, 3.0) == 8
-        assert bg.state_token(7, 3.0) != bg.state_token(8, 3.0)
+        assert bg.state_token_at(7 * 3.0) is None  # no state outlives a query
 
     def test_stepped_background_changes_at_step_boundaries(self):
         bg = BackgroundTraffic(
@@ -426,8 +651,8 @@ class TestBackgroundChangePoints:
         nxt = bg.next_change_after(0, dt)
         assert nxt == 10
         # All cycles inside a step share a token; steps differ.
-        assert bg.state_token(0, dt) == bg.state_token(9, dt)
-        assert bg.state_token(9, dt) != bg.state_token(10, dt)
+        assert bg.state_token_at(0 * dt) == bg.state_token_at(9 * dt)
+        assert bg.state_token_at(9 * dt) != bg.state_token_at(10 * dt)
 
     def test_stepped_usage_is_call_order_independent(self):
         mk = lambda: BackgroundTraffic(
@@ -439,14 +664,6 @@ class TestBackgroundChangePoints:
         got_a = [a.usage_fraction(link, t) for t in times]
         got_b = [b.usage_fraction(link, t) for t in reversed(times)]
         assert got_a == list(reversed(got_b))
-
-    def test_decision_reuse_state_horizon(self):
-        state = DecisionReuseState()
-        state.store_decision(("k",), cycle=5, horizon=3, directives=[], resources=[])
-        assert state.valid_for(6, ("k",))
-        assert state.valid_for(8, ("k",))
-        assert not state.valid_for(9, ("k",))  # past the horizon
-        assert not state.valid_for(6, ("other",))  # key mismatch
 
 
 class TestConfigValidation:

@@ -132,7 +132,7 @@ class TestOutageStageAccounting:
             assert s.time_schedule == 0.0 and s.time_route == 0.0
         decided = [
             s for s in result.cycle_stats
-            if s.controller_available and not s.decision_reused
+            if s.controller_available and not s.fast_forwarded
         ]
         assert decided and all(s.time_schedule > 0.0 for s in decided)
         totals = result.stage_time_totals()

@@ -10,8 +10,8 @@ greedy water-fill is :func:`~repro.core.routing.greedy_waterfill` over
 WAN budgets are rewritten only when something they are computed from
 moved. ``tests/oracles.py`` keeps every replaced loop body as a pure
 function; everything here is equality with those — rates, directives
-(order, segments, rate caps), ``objective``, ``reuse_horizon``, budgets,
-random streams — inside generated simulations.
+(order, segments, rate caps), ``objective``, budgets, random streams —
+inside generated simulations.
 
 Mutations this file was checked to catch (each made in ``src/``, each
 failing here): ``order`` appended on every push instead of the first
@@ -19,10 +19,10 @@ touch, and sorted by commodity; ``room >= best_room`` (tie to the
 *highest* path index); the residual filled with ``capacities[key]``
 (KeyError on a missing resource) and with a default of ``inf``; the
 resource-id table left out of the flush; the table's validity key
-without the failed-link set, and without the topology epoch; ``pushed``
-folded in path-index order; the budget memo ignoring the failed-link
-set, the background step, and the threshold; a continuous noisy curve
-sampled once; ``job_slots`` gathered for the wrong rows.
+without the failed-link set, and without the topology epoch; the budget
+memo ignoring the failed-link set, the background step, and the
+threshold; a continuous noisy curve sampled once; ``job_slots`` gathered
+for the wrong rows.
 """
 
 from __future__ import annotations
@@ -176,9 +176,6 @@ def _assert_middle_equals_oracle(view, router, selections, fail_links=()):
     assert [d.rate_cap for d in directives] == [d.rate_cap for d in want]
     assert [d.block_ids for d in directives] == [d.block_ids for d in want]
     assert sum([rates[ci][pi] for ci, pi in order]) == sum(want_rates.values())
-    assert router._certify_reuse_horizon(
-        demands, rates, order
-    ) == oracles.certify_reuse_horizon("greedy", commodities, want_rates)
     return directives, want_rates, commodities
 
 
@@ -234,9 +231,6 @@ def test_router_middle_equals_object_oracle(
         assert routed == directives
         assert diagnostics.num_commodities == len(commodities)
         assert diagnostics.objective == sum(want_rates.values())
-        assert diagnostics.reuse_horizon == oracles.certify_reuse_horizon(
-            "greedy", commodities, want_rates
-        )
         if commodities:  # (no commodity: route() answers 0.0 before solving)
             assert type(diagnostics.objective) is type(sum(want_rates.values()))
     # The per-selection pick and merge end in the same directives.
@@ -318,7 +312,6 @@ def test_incidence_backends_build_the_same_commodities(seed, backend):
         assert directives == want
         assert [d.rate_cap for d in directives] == [d.rate_cap for d in want]
         assert diagnostics.num_commodities == len(commodities)
-        assert diagnostics.reuse_horizon == (None if not commodities else 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -358,29 +351,6 @@ def test_waterfill_kernel_equals_incidence_greedy(data):
     assert len(set(order)) == len(order)
     untouched = {(ci, pi) for ci, row in enumerate(rates) for pi in range(len(row))}
     assert all(rates[ci][pi] == 0.0 for ci, pi in untouched - set(order))
-
-
-@pytest.mark.parametrize(
-    "row, demand",
-    [
-        ([3.7, 1.1, 0.7], 44.001044001044),
-        ([0.7, 0.7, 3.7], 30.6010306010306),
-        ([0.1, 2.3, 0.2], 13.001013001013),
-    ],
-)
-def test_reuse_certificate_folds_pushes_in_first_touch_order(row, demand):
-    """(c + a) + b is not (a + b) + c, and here the last bit decides the
-    horizon: the third path carried flow first."""
-    order = [(0, 2), (0, 0), (0, 1)]
-    commodity = Commodity(name="g", paths=((("r",),) * 3), demand=demand)
-    want = oracles.certify_reuse_horizon(
-        "greedy", [commodity], {("g", pi): row[pi] for _ci, pi in order}
-    )
-    assert BDSRouter()._certify_reuse_horizon([demand], [row], order) == want
-    in_path_order = oracles.certify_reuse_horizon(
-        "greedy", [commodity], {("g", pi): rate for pi, rate in enumerate(row)}
-    )
-    assert in_path_order != want  # the example does tell the two apart
 
 
 _GUARD_SCRIPT = """

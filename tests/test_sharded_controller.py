@@ -411,8 +411,7 @@ class TestAdaptiveStride:
         controller = BDSController(BDSConfig(shards=4, shard_stride="auto"))
         # Auto mode cold-starts maximally staggered (stride = shards).
         assert controller.shard_signature == (4, 0, 4, "hash")
-        # A stride change must change the signature (the event engine's
-        # cached decisions key on it).
+        # The signature carries the effective stride, not the knob.
         controller._stride = 2
         assert controller.shard_signature == (4, 0, 2, "hash")
 

@@ -225,12 +225,69 @@ class TestCompletionTracking:
         assert ("j", "dc1") in result.dc_completion
         assert result.job_completion["j"] == result.dc_completion[("j", "dc1")]
 
+    def test_only_a_new_copy_on_the_assigned_server_counts(self):
+        """The completion counters move on what the store answers. A
+        second delivery of one (block, server) pair inside a cycle, a
+        copy landing on a destination DC's other server and a relay copy
+        are all real deliveries; none of them is progress."""
+        topo = Topology.full_mesh(
+            num_dcs=3, servers_per_dc=2, wan_capacity=1 * GB, uplink=100 * MBps
+        )
+        job = MulticastJob(
+            job_id="j", src_dc="dc0", dst_dcs=("dc1",), relay_dcs=("dc2",),
+            total_bytes=40 * MB, block_size=10 * MB,
+        )
+        job.bind(topo)
+        assert [job.assigned_server("dc1", ("j", i)) for i in range(4)] == [
+            "dc1-s0", "dc1-s1", "dc1-s0", "dc1-s1",
+        ]
+
+        def send(index, src, dst):
+            return TransferDirective(
+                job_id="j", block_ids=(("j", index),), src_server=src,
+                dst_server=dst,
+            )
+
+        def decide(view):
+            if view.cycle == 0:
+                return [
+                    send(0, "dc0-s0", "dc1-s0"),
+                    send(0, "dc0-s0", "dc1-s0"),  # the same pair again
+                    send(1, "dc0-s1", "dc1-s0"),  # block 1 belongs on dc1-s1
+                    send(2, "dc0-s0", "dc2-s0"),  # a relay copy
+                ]
+            if view.cycle == 1:
+                assert sim._dc_missing == {("j", "dc1"): 3}
+                assert sim._server_missing == {
+                    ("j", "dc1-s0"): 1, ("j", "dc1-s1"): 2,
+                }
+            return [
+                send(block.index, f"dc0-s{block.index % 2}", server)
+                for block, _dc, server in view.pending_deliveries(job)
+            ]
+
+        sim = Simulation(
+            topo, [job], ScriptedStrategy(decide), SimConfig(max_cycles=10)
+        )
+        result = sim.run()
+        assert result.blocks_per_cycle() == [4, 3]  # the repeat is a delivery
+        assert [
+            (r.block_id[1], r.dst_server) for r in result.store.deliveries[:3]
+        ] == [(0, "dc1-s0"), (1, "dc1-s0"), (2, "dc2-s0")]  # …but not a copy
+        assert result.all_complete
+        assert result.dc_completion == {("j", "dc1"): result.job_completion["j"]}
+        assert sorted(result.server_completion) == [
+            ("j", "dc1-s0"), ("j", "dc1-s1"),
+        ]
+        assert 3.0 < result.job_completion["j"] <= 6.0
+        assert sim._dc_missing == {("j", "dc1"): 0}
+
     @pytest.mark.parametrize("grouped", [True, False])
     def test_finished_destinations_drop_their_order_hints(self, grouped):
-        """There are no order hints to drop: the simulator keeps the
-        completion sets and nothing else per (job, DC), on both delivery
-        paths, and the view's accessors read pending-ness — ascending
-        block index — off the matrix, relays included."""
+        """There are no order hints to drop: the simulator keeps a
+        missing-delivery count and nothing else per (job, DC), on both
+        delivery paths, and the view's accessors read pending-ness —
+        ascending block index — off the matrix, relays included."""
         # Fast NICs: whole destinations finish inside one cycle's batch.
         # Slow ones: a cycle completes a handful of blocks, fewer than a
         # grouped pass is worth, and they are applied pair by pair.
@@ -249,8 +306,7 @@ class TestCompletionTracking:
             topo, [job], make_strategy("bds", seed=0),
             SimConfig(stop_when_complete=False, max_cycles=200),
         )
-        assert len(sim._pending[("j", "dc1")]) == 400
-        assert set(sim._pending) == {("j", "dc1")}  # relays are not tracked
+        assert sim._dc_missing == {("j", "dc1"): 400}  # relays are not tracked
         view = sim.snapshot_view()
         assert [b.index for b, _dc, _s in view.pending_deliveries(job)] == list(
             range(400)
@@ -265,7 +321,7 @@ class TestCompletionTracking:
         )[1]
         result = sim.run()
         assert result.all_complete and bool(batches) == grouped
-        assert not sim._pending[("j", "dc1")]
+        assert sim._dc_missing == {("j", "dc1"): 0}
         view = sim.snapshot_view(200)
         assert view.pending_deliveries(job) == []
         assert view.pending_relay_placements(job) == []
@@ -338,6 +394,30 @@ class TestJobIds:
         result = Simulation(*self._jobs(["j", "k"]), SimConfig(max_cycles=50)).run()
         assert result.all_complete and sorted(result.job_completion) == ["j", "k"]
         assert result.cycles_run < 50
+
+
+class TestOneRunPerSimulation:
+    def test_a_second_run_raises_and_names_the_remedy(self):
+        """The first run consumes the completion bookkeeping and fills
+        the store: a second one used to "complete" in one cycle at 0.0 s."""
+        topo = two_dc_topology()
+        sim = Simulation(
+            topo, [one_block_job(topo)],
+            ScriptedStrategy(
+                lambda view: [
+                    TransferDirective(
+                        job_id="j", block_ids=(("j", 0),),
+                        src_server="dc0-s0", dst_server="dc1-s0",
+                    )
+                ]
+            ),
+            SimConfig(),
+        )
+        first = sim.run()
+        assert first.all_complete and first.job_completion == {"j": 3.0}
+        with pytest.raises(RuntimeError, match="build a new Simulation"):
+            sim.run()
+        assert first.job_completion == {"j": 3.0}  # and nothing was touched
 
 
 class TestFailuresAndBackground:
