@@ -27,10 +27,8 @@ Quickstart::
 from repro.core import (
     BDSConfig,
     BDSController,
-    BandwidthEnforcer,
     ControllerReplicaSet,
     JointFormulation,
-    NetworkMonitor,
     RarestFirstScheduler,
     BDSRouter,
     StandardLPRouter,
@@ -64,10 +62,8 @@ __version__ = "1.0.0"
 __all__ = [
     "BDSConfig",
     "BDSController",
-    "BandwidthEnforcer",
     "ControllerReplicaSet",
     "JointFormulation",
-    "NetworkMonitor",
     "RarestFirstScheduler",
     "BDSRouter",
     "StandardLPRouter",

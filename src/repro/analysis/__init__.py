@@ -2,23 +2,21 @@
 
 from repro.analysis.metrics import Summary, empirical_cdf, percentile, summarize
 from repro.analysis.reporting import format_cdf_rows, format_series, format_table
-from repro.analysis.runner import make_strategy, run_simulation, STRATEGY_NAMES
+from repro.analysis.runner import (
+    STRATEGY_NAMES,
+    RunSpec,
+    make_strategy,
+    run_many,
+    run_simulation,
+)
 from repro.analysis.appendix import (
     balanced_completion_time,
     imbalanced_completion_time,
     theorem_holds,
 )
-from repro.analysis.parallel import BatchStats, RunOutcome, RunSpec, run_many
 from repro.analysis.plots import ascii_bars, ascii_cdf, ascii_xy
-from repro.analysis.runcache import CacheStats, RunCache, spec_fingerprint
 from repro.analysis.sweeps import SweepResult, compare_sweeps, sweep
-from repro.analysis.export import (
-    load_result,
-    load_result_dict,
-    result_from_dict,
-    result_to_dict,
-    save_result,
-)
+from repro.analysis.export import load_result_dict, result_to_dict, save_result
 
 __all__ = [
     "ascii_bars",
@@ -27,9 +25,7 @@ __all__ = [
     "SweepResult",
     "compare_sweeps",
     "sweep",
-    "load_result",
     "load_result_dict",
-    "result_from_dict",
     "result_to_dict",
     "save_result",
     "Summary",
@@ -42,13 +38,8 @@ __all__ = [
     "make_strategy",
     "run_simulation",
     "STRATEGY_NAMES",
-    "BatchStats",
-    "RunOutcome",
     "RunSpec",
     "run_many",
-    "CacheStats",
-    "RunCache",
-    "spec_fingerprint",
     "balanced_completion_time",
     "imbalanced_completion_time",
     "theorem_holds",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import summarize
-from repro.analysis.runner import make_strategy, run_simulation
+from repro.analysis.runner import RunSpec, make_strategy, run_many, run_simulation
 from repro.baselines.ideal import ideal_server_times
 from repro.core import BDSController
 from repro.core.formulation import StandardLPRouter
@@ -33,17 +33,6 @@ from repro.workload.generator import WorkloadGenerator
 
 def _median(xs: Sequence[float]) -> float:
     return sorted(xs)[len(xs) // 2]
-
-
-def _require(outcome) -> SimResult:
-    """Unwrap a :class:`~repro.analysis.parallel.RunOutcome` or raise.
-
-    Experiment batches are all-or-nothing: a failed run means the figure
-    cannot be produced, so surface the worker's error with the run label.
-    """
-    if not outcome.ok:
-        raise RuntimeError(f"run {outcome.spec.label!r} failed: {outcome.error}")
-    return outcome.result
 
 
 # ---------------------------------------------------------------------------
@@ -151,16 +140,12 @@ def fig3_job(block_size: float = 2 * GB) -> MulticastJob:
 def exp_fig3_illustrative(
     cycle_seconds: float = 1.0,
     seed: SeedLike = 3,
-    workers: int = 1,
-    cache=None,
-    progress: bool = False,
 ) -> Fig3Result:
     """Run direct vs chain vs BDS on the Fig. 3 scenario.
 
     The paper's example has no bandwidth reservation, so the safety
     threshold is lifted to 100 % here.
     """
-    from repro.analysis.parallel import RunSpec, run_many
 
     def scenario() -> Tuple[Topology, List[MulticastJob]]:
         topo = fig3_topology()
@@ -179,10 +164,9 @@ def exp_fig3_illustrative(
         )
         for name in ("direct", "chain", "bds")
     ]
-    outcomes = run_many(specs, workers=workers, cache=cache, progress=progress)
     times = {
-        outcome.spec.strategy: _require(outcome).completion_time("fig3")
-        for outcome in outcomes
+        spec.strategy: result.completion_time("fig3")
+        for spec, result in zip(specs, run_many(specs))
     }
     return Fig3Result(
         direct_s=times["direct"], chain_s=times["chain"], bds_s=times["bds"]
@@ -383,18 +367,13 @@ def exp_fig9_bds_vs_gingko(
     block_size: float = 4 * MB,
     seed: SeedLike = 9,
     days: int = 5,
-    workers: int = 1,
-    cache=None,
-    progress: bool = False,
 ) -> Fig9Result:
     """BDS vs Gingko: one large multicast (9a), three size classes (9b),
     and a per-day timeseries (9c), all on a 1-source/10-destination mesh.
 
-    The full panel — 2 headline runs + 12 size-class runs + ``2*days``
-    timeseries runs — is submitted as one :func:`run_many` batch, so it
-    fans out across every (sub-figure, strategy, seed) cell at once.
+    The full panel is 2 headline runs + 12 size-class runs + ``2*days``
+    timeseries runs.
     """
-    from repro.analysis.parallel import RunSpec, run_many
 
     def make_scenario(size: float):
         def _scenario() -> Tuple[Topology, List[MulticastJob]]:
@@ -444,10 +423,7 @@ def exp_fig9_bds_vs_gingko(
         for name in ("gingko", "bds"):
             add(("c", str(day), name), name, file_bytes / 2, 200 + day)
 
-    outcomes = run_many(specs, workers=workers, cache=cache, progress=progress)
-    by_key = {
-        key: _require(outcome) for key, outcome in zip(keys, outcomes)
-    }
+    by_key = dict(zip(keys, run_many(specs)))
 
     bds_times = by_key[("a", "bds")].server_completion_times("fig9")
     gingko_times = by_key[("a", "gingko")].server_completion_times("fig9")
@@ -519,15 +495,8 @@ def exp_table3_overlay_comparison(
     strategies: Sequence[str] = ("bullet", "akamai", "bds"),
     block_size: float = 8 * MB,
     seed: SeedLike = 11,
-    workers: int = 1,
-    cache=None,
-    progress: bool = False,
 ) -> Table3Result:
-    """Completion times of BDS/Bullet/Akamai in the Table 3 setups.
-
-    The setup × strategy matrix runs as one :func:`run_many` batch.
-    """
-    from repro.analysis.parallel import RunSpec, run_many
+    """Completion times of BDS/Bullet/Akamai in the Table 3 setups."""
 
     def make_scenario(params: Dict[str, float]):
         def _scenario() -> Tuple[Topology, List[MulticastJob]]:
@@ -564,10 +533,9 @@ def exp_table3_overlay_comparison(
                 )
             )
             cells.append((setup_name, strategy))
-    outcomes = run_many(specs, workers=workers, cache=cache, progress=progress)
     times: Dict[str, Dict[str, float]] = {name: {} for name in chosen}
-    for (setup_name, strategy), outcome in zip(cells, outcomes):
-        times[setup_name][strategy] = _require(outcome).completion_time("table3")
+    for (setup_name, strategy), result in zip(cells, run_many(specs)):
+        times[setup_name][strategy] = result.completion_time("table3")
     return Table3Result(times=times)
 
 
@@ -743,12 +711,8 @@ def exp_fig12b_block_size(
     small_block: float = 2 * MB,
     large_block: float = 64 * MB,
     seed: SeedLike = 12,
-    workers: int = 1,
-    cache=None,
-    progress: bool = False,
 ) -> Fig12bResult:
     """Completion per destination DC for small vs large blocks (Fig. 12b)."""
-    from repro.analysis.parallel import RunSpec, run_many
 
     def make_scenario(block_size: float):
         def _scenario() -> Tuple[Topology, List[MulticastJob]]:
@@ -780,10 +744,8 @@ def exp_fig12b_block_size(
         )
         for label, block_size in labelled
     ]
-    outcomes = run_many(specs, workers=workers, cache=cache, progress=progress)
     per_dc: Dict[str, List[float]] = {}
-    for (label, _), outcome in zip(labelled, outcomes):
-        result = _require(outcome)
+    for (label, _), result in zip(labelled, run_many(specs)):
         per_dc[label] = [
             result.dc_completion[("blk", f"dc{i}")] for i in range(1, 11)
         ]
@@ -800,9 +762,6 @@ def exp_fig12c_cycle_length(
     cycle_lengths: Sequence[float] = (0.5, 1, 2, 3, 5, 10, 20, 40, 60, 95),
     file_bytes: float = 1 * GB,
     seed: SeedLike = 12,
-    workers: int = 1,
-    cache=None,
-    progress: bool = False,
 ) -> Fig12cResult:
     """Completion time vs update-cycle length (Fig. 12c).
 
@@ -812,7 +771,6 @@ def exp_fig12c_cycle_length(
     TCP re-establishment for flows that change endpoints
     (``flow_setup_seconds``) — both modeled inside the simulator.
     """
-    from repro.analysis.parallel import RunSpec, run_many
 
     def scenario() -> Tuple[Topology, List[MulticastJob]]:
         topo = Topology.full_mesh(
@@ -840,8 +798,7 @@ def exp_fig12c_cycle_length(
         )
         for dt in cycle_lengths
     ]
-    outcomes = run_many(specs, workers=workers, cache=cache, progress=progress)
-    times = [_require(outcome).completion_time("cyc") for outcome in outcomes]
+    times = [result.completion_time("cyc") for result in run_many(specs)]
     return Fig12cResult(
         cycle_lengths_s=list(cycle_lengths), completion_times_s=times
     )
@@ -897,15 +854,11 @@ def exp_fig13b_near_optimality(
     block_counts: Sequence[int] = (50, 100, 200, 400),
     rate: float = 20 * MBps,
     seed: SeedLike = 13,
-    workers: int = 1,
-    cache=None,
-    progress: bool = False,
 ) -> Fig13bResult:
     """Completion time of BDS vs the standard LP at small scale (Fig. 13b).
 
     Paper setup: 2 DCs, 4 servers, 20 MB/s server rates, varying blocks.
     """
-    from repro.analysis.parallel import RunSpec, run_many
 
     def make_scenario(count: int):
         def _scenario() -> Tuple[Topology, List[MulticastJob]]:
@@ -939,12 +892,11 @@ def exp_fig13b_near_optimality(
         )
         for count, strategy_name in pairs
     ]
-    outcomes = run_many(specs, workers=workers, cache=cache, progress=progress)
     bds_times: List[float] = []
     lp_times: List[float] = []
-    for (count, strategy_name), outcome in zip(pairs, outcomes):
+    for (_, strategy_name), result in zip(pairs, run_many(specs)):
         bucket = bds_times if strategy_name == "bds" else lp_times
-        bucket.append(_require(outcome).completion_time("opt"))
+        bucket.append(result.completion_time("opt"))
     return Fig13bResult(
         block_counts=list(block_counts),
         bds_times_s=bds_times,

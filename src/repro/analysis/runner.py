@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.baselines import (
     AkamaiStrategy,
@@ -94,7 +95,7 @@ def run_simulation(
     """Run one strategy over the given jobs and return the result.
 
     Exposes every :class:`SimConfig` knob — including the Fig. 12c
-    overhead model — so sweeps and the parallel engine need not
+    overhead model — so sweeps and :func:`run_many` need not
     hand-build a :class:`Simulation`. ``record_cycle_stats=False``
     drops the per-cycle records for day-scale horizons where the stats
     list would dominate memory.
@@ -159,6 +160,70 @@ def run_simulation(
             shutdown()
 
 
+ScenarioFn = Callable[[], Tuple[Topology, List[MulticastJob]]]
+
+
+@dataclass
+class RunSpec:
+    """One independent simulation, as data.
+
+    ``scenario`` is a zero-argument factory returning a fresh
+    ``(topology, jobs)``; it is invoked once per execution, so no
+    simulation state (job binding, strategy caches) leaks between runs.
+    """
+
+    strategy: str
+    scenario: ScenarioFn
+    seed: SeedLike = None
+    label: str = ""
+    config: Any = None  # optional strategy config (e.g. BDSConfig)
+    # SimConfig knobs (mirrors run_simulation's signature).
+    cycle_seconds: float = 3.0
+    max_cycles: int = 100_000
+    safety_threshold: float = 0.8
+    record_link_stats: bool = False
+    control_overhead_seconds: float = 0.0
+    flow_setup_seconds: float = 0.0
+    stop_when_complete: bool = True
+
+    def __post_init__(self) -> None:
+        if not self.label:
+            self.label = self.strategy
+
+
+def run_many(specs: Sequence[RunSpec]) -> List[SimResult]:
+    """Run every spec, one after another, and return results in spec order.
+
+    Scenario-factory exceptions propagate unchanged; a run that fails is
+    re-raised as a :class:`RuntimeError` naming the spec's label.
+    """
+    results: List[SimResult] = []
+    for spec in specs:
+        topology, jobs = spec.scenario()
+        try:
+            results.append(
+                run_simulation(
+                    topology,
+                    jobs,
+                    spec.strategy,
+                    seed=spec.seed,
+                    config=spec.config,
+                    cycle_seconds=spec.cycle_seconds,
+                    max_cycles=spec.max_cycles,
+                    safety_threshold=spec.safety_threshold,
+                    record_link_stats=spec.record_link_stats,
+                    control_overhead_seconds=spec.control_overhead_seconds,
+                    flow_setup_seconds=spec.flow_setup_seconds,
+                    stop_when_complete=spec.stop_when_complete,
+                )
+            )
+        except Exception as exc:
+            raise RuntimeError(
+                f"run {spec.label!r} failed: {type(exc).__name__}: {exc}"
+            ) from exc
+    return results
+
+
 def compare_strategies(
     topology_factory: Callable[[], Topology],
     jobs_factory: Callable[[Topology], List[MulticastJob]],
@@ -166,21 +231,12 @@ def compare_strategies(
     cycle_seconds: float = 3.0,
     max_cycles: int = 100_000,
     seed: SeedLike = 7,
-    workers: int = 1,
-    cache=None,
-    progress: bool = False,
 ) -> Dict[str, SimResult]:
     """Run several strategies over *fresh* identical topologies and jobs.
 
     Factories are invoked per strategy so that no simulation state (job
-    binding, strategy caches) leaks between runs. ``workers>1`` fans the
-    per-strategy runs out over a process pool
-    (:func:`repro.analysis.parallel.run_many`) with results bit-identical
-    to ``workers=1``; ``cache`` (a
-    :class:`repro.analysis.runcache.RunCache`) skips runs whose inputs
-    are already cached.
+    binding, strategy caches) leaks between runs.
     """
-    from repro.analysis.parallel import RunSpec, run_many
 
     def scenario() -> tuple:
         topology = topology_factory()
@@ -191,18 +247,9 @@ def compare_strategies(
             strategy=name,
             seed=seed,
             scenario=scenario,
-            label=name,
             cycle_seconds=cycle_seconds,
             max_cycles=max_cycles,
         )
         for name in strategy_names
     ]
-    outcomes = run_many(specs, workers=workers, cache=cache, progress=progress)
-    results: Dict[str, SimResult] = {}
-    for name, outcome in zip(strategy_names, outcomes):
-        if not outcome.ok:
-            raise RuntimeError(
-                f"strategy {name!r} failed: {outcome.error}"
-            )
-        results[name] = outcome.result
-    return results
+    return dict(zip(strategy_names, run_many(specs)))

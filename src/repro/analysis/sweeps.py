@@ -5,12 +5,6 @@ downstream users additionally want capacity planning: *how much WAN/NIC
 bandwidth or how many servers does a replication deadline require?* This
 module provides a small declarative sweep harness reused by the Fig. 12
 experiments, the ablations, and the capacity-planning example.
-
-Sweep points are independent runs, so the harness rides the parallel
-experiment engine (:mod:`repro.analysis.parallel`): pass ``workers=N``
-to fan the points out over a process pool (results bit-identical to the
-serial default) and ``cache=RunCache()`` to skip points whose inputs are
-already cached on disk.
 """
 
 from __future__ import annotations
@@ -18,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.runner import RunSpec, run_many
 from repro.net.simulator import SimResult
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
@@ -64,42 +59,6 @@ class SweepResult:
 ScenarioFactory = Callable[[float], Tuple[Topology, List[MulticastJob]]]
 
 
-def _sweep_specs(
-    knob: str,
-    values: Sequence[float],
-    scenario: ScenarioFactory,
-    strategy: str,
-    cycle_seconds: float,
-    max_cycles: int,
-    seed: SeedLike,
-) -> List:
-    """One :class:`RunSpec` per knob value, factory-fresh per execution."""
-    from repro.analysis.parallel import RunSpec
-
-    def make_scenario(value: float):
-        def _scenario() -> Tuple[Topology, List[MulticastJob]]:
-            topo, jobs = scenario(float(value))
-            if not jobs:
-                raise ValueError(
-                    f"scenario produced no jobs for {knob}={value}"
-                )
-            return topo, jobs
-
-        return _scenario
-
-    return [
-        RunSpec(
-            strategy=strategy,
-            seed=seed,
-            scenario=make_scenario(value),
-            label=f"{strategy}:{knob}={value}",
-            cycle_seconds=cycle_seconds,
-            max_cycles=max_cycles,
-        )
-        for value in values
-    ]
-
-
 def _point_from_result(value: float, run: SimResult) -> SweepPoint:
     completion = (
         max(run.job_completion.values()) if run.all_complete else float("inf")
@@ -120,33 +79,46 @@ def sweep(
     cycle_seconds: float = 3.0,
     max_cycles: int = 100_000,
     seed: SeedLike = 0,
-    workers: int = 1,
-    cache=None,
-    progress: bool = False,
 ) -> SweepResult:
     """Run ``scenario(value)`` for every knob value and collect metrics.
 
     ``scenario`` builds a *fresh* topology and bound job list per value —
     sharing state between runs is the classic sweep bug, so the factory
-    contract makes it impossible. Points are merged in value order
-    regardless of ``workers``.
+    contract makes it impossible.
     """
-    from repro.analysis.parallel import run_many
-
     if not values:
         raise ValueError("sweep needs at least one value")
-    specs = _sweep_specs(
-        knob, values, scenario, strategy, cycle_seconds, max_cycles, seed
+
+    def make_scenario(value: float):
+        def _scenario() -> Tuple[Topology, List[MulticastJob]]:
+            topo, jobs = scenario(float(value))
+            if not jobs:
+                raise ValueError(
+                    f"scenario produced no jobs for {knob}={value}"
+                )
+            return topo, jobs
+
+        return _scenario
+
+    specs = [
+        RunSpec(
+            strategy=strategy,
+            seed=seed,
+            scenario=make_scenario(value),
+            label=f"{strategy}:{knob}={value}",
+            cycle_seconds=cycle_seconds,
+            max_cycles=max_cycles,
+        )
+        for value in values
+    ]
+    return SweepResult(
+        knob=knob,
+        strategy=strategy,
+        points=[
+            _point_from_result(value, run)
+            for value, run in zip(values, run_many(specs))
+        ],
     )
-    outcomes = run_many(specs, workers=workers, cache=cache, progress=progress)
-    result = SweepResult(knob=knob, strategy=strategy)
-    for value, outcome in zip(values, outcomes):
-        if not outcome.ok:
-            raise RuntimeError(
-                f"sweep point {knob}={value} failed: {outcome.error}"
-            )
-        result.points.append(_point_from_result(value, outcome.result))
-    return result
 
 
 def compare_sweeps(
@@ -156,37 +128,16 @@ def compare_sweeps(
     strategies: Sequence[str],
     seed: SeedLike = 0,
     cycle_seconds: float = 3.0,
-    workers: int = 1,
-    cache=None,
-    progress: bool = False,
 ) -> Dict[str, SweepResult]:
-    """The same sweep under several strategies (for crossover hunting).
-
-    The full strategy × value matrix is submitted as *one* batch, so
-    ``workers=N`` parallelizes across strategies as well as values.
-    """
-    from repro.analysis.parallel import run_many
-
-    if not values:
-        raise ValueError("sweep needs at least one value")
-    all_specs = []
-    for strategy in strategies:
-        all_specs.extend(
-            _sweep_specs(
-                knob, values, scenario, strategy, cycle_seconds, 100_000, seed
-            )
+    """The same sweep under several strategies (for crossover hunting)."""
+    return {
+        strategy: sweep(
+            knob,
+            values,
+            scenario,
+            strategy=strategy,
+            cycle_seconds=cycle_seconds,
+            seed=seed,
         )
-    outcomes = run_many(all_specs, workers=workers, cache=cache, progress=progress)
-    results: Dict[str, SweepResult] = {}
-    for s_index, strategy in enumerate(strategies):
-        result = SweepResult(knob=knob, strategy=strategy)
-        for v_index, value in enumerate(values):
-            outcome = outcomes[s_index * len(values) + v_index]
-            if not outcome.ok:
-                raise RuntimeError(
-                    f"sweep point {strategy}/{knob}={value} failed: "
-                    f"{outcome.error}"
-                )
-            result.points.append(_point_from_result(value, outcome.result))
-        results[strategy] = result
-    return results
+        for strategy in strategies
+    }

@@ -6,20 +6,14 @@ writing Python:
 * ``simulate``  — run one multicast over a synthetic mesh with any strategy;
 * ``workload``  — generate a synthetic Baidu-like trace to a JSONL file;
 * ``replay``    — replay a saved trace through the simulator;
-* ``experiment``— run one of the paper's experiments by figure/table id;
-* ``cache``     — inspect or purge the content-addressed run cache.
-
-Multi-run experiments ride the parallel engine: ``--workers N`` fans the
-runs out over a process pool and results are cached on disk by input
-fingerprint (``--no-cache`` to bypass, ``cache purge`` to wipe).
+* ``experiment``— run one of the paper's experiments by figure/table id.
 
 Examples::
 
     python -m repro simulate --strategy bds --num-dcs 5 --size 200MB
     python -m repro workload --count 100 --out trace.jsonl
     python -m repro replay trace.jsonl --strategy bds --scale 1e-5
-    python -m repro experiment fig3 --workers 4
-    python -m repro cache stats
+    python -m repro experiment fig3
 """
 
 from __future__ import annotations
@@ -132,35 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="experiment id (paper figure/table)",
     )
     ex.add_argument("--seed", type=int, default=None)
-    ex.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-pool size for multi-run experiments (1 = in-process)",
-    )
-    ex.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the on-disk run cache (always execute)",
-    )
-    ex.add_argument(
-        "--cache-dir",
-        default=None,
-        help="run-cache directory (default: .repro-cache or $REPRO_CACHE_DIR)",
-    )
-    ex.add_argument(
-        "--progress",
-        action="store_true",
-        help="stream `k/n done, ETA` progress lines to stderr",
-    )
-
-    ca = sub.add_parser("cache", help="inspect or purge the run cache")
-    ca.add_argument("action", choices=("stats", "purge"))
-    ca.add_argument(
-        "--cache-dir",
-        default=None,
-        help="run-cache directory (default: .repro-cache or $REPRO_CACHE_DIR)",
-    )
     return parser
 
 
@@ -284,10 +249,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0 if result.all_complete else 1
 
 
-def _run_fig3(seed: Optional[int], **run_opts) -> None:
-    result = exps.exp_fig3_illustrative(
-        seed=seed if seed is not None else 3, **run_opts
-    )
+def _run_fig3(seed: Optional[int]) -> None:
+    result = exps.exp_fig3_illustrative(seed=seed if seed is not None else 3)
     print(
         format_table(
             ["strategy", "time"],
@@ -300,23 +263,20 @@ def _run_fig3(seed: Optional[int], **run_opts) -> None:
     )
 
 
-def _run_fig4(seed: Optional[int], **_run_opts) -> None:
-    # Single-run experiment: the parallel engine has nothing to fan out.
+def _run_fig4(seed: Optional[int]) -> None:
     result = exps.exp_fig4_disjointness(seed=seed if seed is not None else 4)
     print(format_cdf_rows(result.ratios))
     print(f"bottleneck-disjoint pairs: {result.fraction_disjoint:.1%}")
 
 
-def _run_fig5(seed: Optional[int], **_run_opts) -> None:
+def _run_fig5(seed: Optional[int]) -> None:
     result = exps.exp_fig5_gingko_vs_ideal(seed=seed if seed is not None else 5)
     print(format_cdf_rows(result.gingko_times, unit="s"))
     print(f"median gingko/ideal ratio: {result.median_ratio:.2f}x")
 
 
-def _run_fig12c(seed: Optional[int], **run_opts) -> None:
-    result = exps.exp_fig12c_cycle_length(
-        seed=seed if seed is not None else 12, **run_opts
-    )
+def _run_fig12c(seed: Optional[int]) -> None:
+    result = exps.exp_fig12c_cycle_length(seed=seed if seed is not None else 12)
     print(
         format_series(
             result.cycle_lengths_s,
@@ -327,9 +287,9 @@ def _run_fig12c(seed: Optional[int], **run_opts) -> None:
     )
 
 
-def _run_table3(seed: Optional[int], **run_opts) -> None:
+def _run_table3(seed: Optional[int]) -> None:
     result = exps.exp_table3_overlay_comparison(
-        seed=seed if seed is not None else 11, **run_opts
+        seed=seed if seed is not None else 11
     )
     rows = [
         [setup] + [f"{times[s]:.0f}s" for s in ("bullet", "akamai", "bds")]
@@ -348,35 +308,7 @@ EXPERIMENTS = {
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    cache = None
-    if not args.no_cache:
-        from repro.analysis.runcache import RunCache
-
-        cache = RunCache(root=args.cache_dir)
-    EXPERIMENTS[args.name](
-        args.seed, workers=args.workers, cache=cache, progress=args.progress
-    )
-    if cache is not None:
-        stats = cache.stats
-        if stats.hits or stats.misses or stats.stores:
-            print(
-                f"cache: {stats.hits} hits, {stats.misses} misses, "
-                f"{stats.stores} stored, {stats.invalid} invalid"
-            )
-    return 0
-
-
-def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.analysis.runcache import RunCache
-
-    cache = RunCache(root=args.cache_dir)
-    if args.action == "stats":
-        print(f"cache dir : {cache.root}")
-        print(f"entries   : {cache.entry_count()}")
-        print(f"size      : {cache.size_bytes()} bytes")
-        return 0
-    removed = cache.purge()
-    print(f"purged {removed} entries from {cache.root}")
+    EXPERIMENTS[args.name](args.seed)
     return 0
 
 
@@ -391,8 +323,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_replay(args)
     if args.command == "experiment":
         return _cmd_experiment(args)
-    if args.command == "cache":
-        return _cmd_cache(args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -12,12 +12,7 @@ from repro.core.decisions import ControlDecision, ScheduledBlock
 from repro.core.scheduling import RarestFirstScheduler
 from repro.core.routing import BDSRouter, RoutingDiagnostics
 from repro.core.controller import BDSController
-from repro.core.bandwidth import (
-    BandwidthEnforcer,
-    NetworkMonitor,
-    residual_budget,
-    residual_budgets,
-)
+from repro.core.bandwidth import residual_budget
 from repro.core.fault import ControllerReplicaSet
 from repro.core.formulation import JointFormulation, StandardLPRouter
 from repro.core.speculation import DeliverySpeculator, SpeculatedView
@@ -37,10 +32,7 @@ __all__ = [
     "BDSRouter",
     "RoutingDiagnostics",
     "BDSController",
-    "BandwidthEnforcer",
-    "NetworkMonitor",
     "residual_budget",
-    "residual_budgets",
     "ControllerReplicaSet",
     "JointFormulation",
     "StandardLPRouter",

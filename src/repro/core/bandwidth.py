@@ -1,20 +1,15 @@
-"""Dynamic bandwidth separation (§5.2, Figs. 6 & 10).
+"""Dynamic bandwidth separation (§5.2, Figs. 6 & 10): the budget formula.
 
-The Network Monitor measures the aggregated bandwidth of latency-sensitive
-flows on every link; the controller then hands bulk transfers only the
-*residual* below the safety threshold (80 % of link capacity by default)
-and splits that budget across transfers. Compared to static priorities,
-this adapts to online-traffic dynamics without wasting bandwidth.
+Bulk transfers get only the *residual* below the safety threshold (80 %
+of link capacity by default) once latency-sensitive traffic is served.
+§5.2 is enforced in :meth:`repro.net.simulator.Simulation._bulk_capacities`,
+which computes every WAN link's budget each cycle with this expression
+inlined; :func:`residual_budget` is the validated scalar statement of it
+that the test oracle (``tests/oracles.bulk_capacities``) is built on.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Mapping, Optional, Tuple
-
-import numpy as np
-
-from repro.net.background import BackgroundTraffic
-from repro.net.topology import ResourceKey, Topology
 from repro.utils.validation import check_fraction, check_non_negative, check_positive
 
 
@@ -30,172 +25,3 @@ def residual_budget(
     check_non_negative("online_usage", online_usage)
     check_fraction("threshold", threshold)
     return max(0.0, threshold * capacity - online_usage)
-
-
-def residual_budgets(
-    capacities: np.ndarray, online_usage: np.ndarray, threshold: float = 0.8
-) -> np.ndarray:
-    """Vectorized :func:`residual_budget` over parallel link arrays.
-
-    One validation pass up front, then a single elementwise
-    ``max(0, threshold × capacity − online)`` — the same two-operand IEEE
-    operations per link as the scalar helper, so the values are
-    bit-identical to calling it in a loop.
-    """
-    capacities = np.asarray(capacities, dtype=np.float64)
-    online_usage = np.asarray(online_usage, dtype=np.float64)
-    check_fraction("threshold", threshold)
-    if capacities.size and float(capacities.min()) <= 0:
-        check_positive("capacity", float(capacities.min()))
-    if online_usage.size and float(online_usage.min()) < 0:
-        check_non_negative("online_usage", float(online_usage.min()))
-    return np.maximum(0.0, threshold * capacities - online_usage)
-
-
-class LinkBudgets(Mapping):
-    """Array-backed per-link budget mapping.
-
-    A read-only ``Mapping[ResourceKey, float]`` whose values live in one
-    ``float64`` array aligned with an interned key list — so the flow
-    kernels (:class:`repro.lp.incidence.FlowIncidence` consumes any
-    Mapping) and the sharded controller's reconciliation pass share one
-    representation, and consumers needing the raw array
-    (``.array`` / ``.keys_list``) skip the per-key dict hops entirely.
-    ``__getitem__`` hands back Python floats, matching the values the
-    old dict carried bit-for-bit.
-    """
-
-    __slots__ = ("keys_list", "index", "array")
-
-    def __init__(
-        self,
-        keys_list: List[ResourceKey],
-        index: Dict[ResourceKey, int],
-        array: np.ndarray,
-    ) -> None:
-        self.keys_list = keys_list
-        self.index = index
-        self.array = array
-
-    def __getitem__(self, key: ResourceKey) -> float:
-        return float(self.array[self.index[key]])
-
-    def __iter__(self):
-        return iter(self.keys_list)
-
-    def __len__(self) -> int:
-        return len(self.keys_list)
-
-    def __contains__(self, key) -> bool:
-        return key in self.index
-
-
-class NetworkMonitor:
-    """Per-link view of online traffic and bulk budgets (Fig. 8, step 3).
-
-    The link-key list, the interned key→row index, and the capacity
-    array are cached per :attr:`Topology.epoch` — they only change when
-    the topology itself does — so the per-cycle cost of
-    :meth:`bulk_budgets` is two array fills and one elementwise pass,
-    not a dict rebuild.
-    """
-
-    def __init__(
-        self,
-        topology: Topology,
-        background: Optional[BackgroundTraffic] = None,
-        threshold: float = 0.8,
-    ) -> None:
-        check_fraction("threshold", threshold)
-        self.topology = topology
-        self.background = background
-        self.threshold = threshold
-        self._keys_epoch = -1
-        self._keys: List[ResourceKey] = []
-        self._index: Dict[ResourceKey, int] = {}
-        self._caps = np.empty(0, dtype=np.float64)
-
-    def _interned_links(
-        self,
-    ) -> Tuple[List[ResourceKey], Dict[ResourceKey, int], np.ndarray]:
-        """(keys, key→row index, capacity array), rebuilt per topology epoch."""
-        epoch = getattr(self.topology, "epoch", None)
-        if epoch is None or epoch != self._keys_epoch:
-            keys = list(self.topology.links)
-            self._keys = keys
-            self._index = {k: i for i, k in enumerate(keys)}
-            self._caps = np.fromiter(
-                (self.topology.links[k].capacity for k in keys),
-                dtype=np.float64,
-                count=len(keys),
-            )
-            self._keys_epoch = -1 if epoch is None else epoch
-        return self._keys, self._index, self._caps
-
-    def online_usage(self, time_s: float) -> Dict[ResourceKey, float]:
-        """Latency-sensitive bytes/second on every WAN link at ``time_s``."""
-        keys, _index, caps = self._interned_links()
-        if not self.background:
-            return dict.fromkeys(keys, 0.0)
-        bg = self.background
-        return {
-            key: bg.usage(key, time_s, float(caps[i]))
-            for i, key in enumerate(keys)
-        }
-
-    def online_usage_array(self, time_s: float) -> np.ndarray:
-        """:meth:`online_usage` as a float64 array over the interned keys."""
-        keys, _index, caps = self._interned_links()
-        if not self.background:
-            return np.zeros(len(keys), dtype=np.float64)
-        bg = self.background
-        return np.fromiter(
-            (
-                bg.usage(key, time_s, float(caps[i]))
-                for i, key in enumerate(keys)
-            ),
-            dtype=np.float64,
-            count=len(keys),
-        )
-
-    def bulk_budgets(self, time_s: float) -> LinkBudgets:
-        """Residual bulk budget for every WAN link at ``time_s``.
-
-        Computed through the array form (:func:`residual_budgets`) over
-        the epoch-cached capacity array, returned as an array-backed
-        :class:`LinkBudgets` (a read-only Mapping: values bit-identical
-        to the dict this method used to build).
-        """
-        keys, index, caps = self._interned_links()
-        used = self.online_usage_array(time_s)
-        vals = residual_budgets(caps, used, self.threshold)
-        return LinkBudgets(keys, index, vals)
-
-
-class BandwidthEnforcer:
-    """Splits a link's bulk budget across transfers (the Fig. 10 mechanism).
-
-    Each transfer declares a demand; the enforcer allocates max-min fair
-    shares of the budget, so the *sum* of assigned sending rates never
-    exceeds the budget — which is why BDS's measured usage stays under the
-    cap in Fig. 10 while uncoordinated senders overshoot.
-    """
-
-    def __init__(self, budget: float) -> None:
-        check_non_negative("budget", budget)
-        self.budget = budget
-
-    def allocate(self, demands: Mapping[Hashable, float]) -> Dict[Hashable, float]:
-        """Max-min fair split of the budget across ``demands``."""
-        remaining = self.budget
-        pending: List[Tuple[Hashable, float]] = sorted(
-            ((k, max(0.0, d)) for k, d in demands.items()), key=lambda kv: kv[1]
-        )
-        allocation: Dict[Hashable, float] = {}
-        count = len(pending)
-        for i, (key, demand) in enumerate(pending):
-            fair = remaining / (count - i) if count > i else 0.0
-            grant = min(demand, fair)
-            allocation[key] = grant
-            remaining -= grant
-        return allocation

@@ -53,7 +53,9 @@ scheduling).
 from __future__ import annotations
 
 import math
+import pickle
 import time as _time
+from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -556,9 +558,10 @@ class BDSController(OverlayStrategy):
                 self._shard_executor.decide(view, buckets, due, speculated),
                 "",
             )
-        except Exception as error:
+        except (BrokenProcessPool, pickle.PickleError, OSError, EOFError) as error:
             # A broken pool must never take the control plane down:
             # abandon process mode for the rest of the run, and say so.
+            # Anything else is a bug in shard code and propagates.
             self._shard_executor.shutdown()
             self._shard_executor = None
             self._shard_mode = "inprocess"

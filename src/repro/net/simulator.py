@@ -766,51 +766,10 @@ class ClusterView:
         """Bytes of ``block_id`` already buffered at ``dst_server``."""
         return self._partial.get((block_id, dst_server), 0.0)
 
-    def pending_deliveries(
-        self, job: MulticastJob
-    ) -> List[Tuple[Block, str, str]]:
-        """Undelivered (block, dst_dc, assigned dst server) triples, per
-        destination DC in ascending block index."""
-        return self._pending_rows(job, relays=False)
-
-    def pending_relay_placements(
-        self, job: MulticastJob
-    ) -> List[Tuple[Block, str, str]]:
-        """Relay copies worth creating: (block, relay_dc, relay server).
-
-        Only for jobs configured with ``relay_dcs``. A relay placement is
-        pending while the relay DC holds no copy of the block; relays do
-        not count toward completion but widen the Type I path diversity
-        through non-destination DCs (Fig. 1).
-        """
-        return self._pending_rows(job, relays=True)
-
-    def _pending_rows(
-        self, job: MulticastJob, relays: bool
-    ) -> List[Tuple[Block, str, str]]:
-        matrix = self.store.matrix
-        names = matrix.server_names
-        pending: List[Tuple[Block, str, str]] = []
-        for group in self.candidates.groups_by_job[job.job_id]:
-            if group.is_relay != relays:
-                continue
-            if relays:
-                held = matrix.dc_counts[group.dc_gid, group.gids] > 0
-            else:
-                held = matrix.test_many(group.dst_sids, group.gids)
-            rows = np.flatnonzero(~held)
-            for i, sid in zip(rows.tolist(), group.dst_sids[rows].tolist()):
-                pending.append((job.blocks[i], group.dc, names[sid]))
-        return pending
-
     def eligible_sources(self, block_id: BlockId) -> List[str]:
         """Healthy servers currently holding the block, in name order."""
         failed = self.failed_agents
         return sorted(s for s in self.store.holders(block_id) if s not in failed)
-
-    def duplicate_count(self, block_id: BlockId) -> int:
-        """Cluster-wide copy count (§4.3 rarity)."""
-        return self.store.duplicate_count(block_id)
 
 
 def partial_column(

@@ -56,6 +56,7 @@ from typing import (
 
 import numpy as np
 
+from repro.core.bandwidth import residual_budget
 from repro.core.decisions import ScheduledBlock
 from repro.lp.fptas import FPTASResult, max_multicommodity_flow
 from repro.lp.incidence import PathIncidence
@@ -513,7 +514,7 @@ def bulk_capacities(
             continue
         used = background.usage(key, now, cap) if background else 0.0
         online[key] = used
-        usable = max(0.0, threshold * cap - used)
+        usable = residual_budget(cap, used, threshold)
         if failures and not failures.link_is_up(key[1], key[2]):
             usable = 0.0
         bulk[key] = usable

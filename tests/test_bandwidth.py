@@ -1,11 +1,8 @@
-"""Dynamic bandwidth separation: monitor, budgets, enforcer."""
+"""Dynamic bandwidth separation: the §5.2 residual-budget formula."""
 
 import pytest
 
-from repro.core.bandwidth import BandwidthEnforcer, NetworkMonitor, residual_budget
-from repro.net.background import BackgroundTraffic
-from repro.net.topology import Topology, wan_key
-from repro.utils.units import MBps
+from repro.core.bandwidth import residual_budget
 
 
 class TestResidualBudget:
@@ -25,133 +22,3 @@ class TestResidualBudget:
             residual_budget(100, -1)
         with pytest.raises(ValueError):
             residual_budget(100, 10, threshold=1.2)
-
-
-class TestNetworkMonitor:
-    @pytest.fixture
-    def topo(self):
-        return Topology.full_mesh(
-            num_dcs=2, servers_per_dc=1, wan_capacity=100 * MBps, uplink=10 * MBps
-        )
-
-    def test_no_background_means_full_threshold(self, topo):
-        monitor = NetworkMonitor(topo)
-        budgets = monitor.bulk_budgets(0.0)
-        assert budgets[wan_key("dc0", "dc1")] == pytest.approx(80 * MBps)
-
-    def test_online_usage_reported(self, topo):
-        bg = BackgroundTraffic(
-            base_fraction=0.5, diurnal_fraction=0.0, noise_fraction=0.0, seed=0
-        )
-        monitor = NetworkMonitor(topo, background=bg)
-        online = monitor.online_usage(0.0)
-        assert online[wan_key("dc0", "dc1")] == pytest.approx(50 * MBps)
-
-    def test_budget_subtracts_online(self, topo):
-        bg = BackgroundTraffic(
-            base_fraction=0.5, diurnal_fraction=0.0, noise_fraction=0.0, seed=0
-        )
-        monitor = NetworkMonitor(topo, background=bg, threshold=0.8)
-        budgets = monitor.bulk_budgets(0.0)
-        assert budgets[wan_key("dc0", "dc1")] == pytest.approx(30 * MBps)
-
-    def test_budgets_never_negative(self, topo):
-        bg = BackgroundTraffic(
-            base_fraction=0.9, diurnal_fraction=0.1, noise_fraction=0.0, seed=0
-        )
-        monitor = NetworkMonitor(topo, background=bg)
-        for t in range(0, 24 * 3600, 3600):
-            for budget in monitor.bulk_budgets(float(t)).values():
-                assert budget >= 0.0
-
-
-class TestBandwidthEnforcer:
-    def test_allocations_never_exceed_budget(self):
-        enforcer = BandwidthEnforcer(budget=10.0)
-        allocation = enforcer.allocate({"a": 8, "b": 7, "c": 4})
-        assert sum(allocation.values()) <= 10.0 + 1e-9
-
-    def test_small_demands_fully_served(self):
-        enforcer = BandwidthEnforcer(budget=10.0)
-        allocation = enforcer.allocate({"a": 2, "b": 3})
-        assert allocation == {"a": 2, "b": 3}
-
-    def test_max_min_fair_split(self):
-        enforcer = BandwidthEnforcer(budget=9.0)
-        allocation = enforcer.allocate({"a": 1, "b": 100, "c": 100})
-        assert allocation["a"] == pytest.approx(1)
-        assert allocation["b"] == pytest.approx(4)
-        assert allocation["c"] == pytest.approx(4)
-
-    def test_zero_budget(self):
-        allocation = BandwidthEnforcer(budget=0.0).allocate({"a": 5})
-        assert allocation["a"] == 0.0
-
-    def test_negative_demands_treated_as_zero(self):
-        allocation = BandwidthEnforcer(budget=5.0).allocate({"a": -3, "b": 4})
-        assert allocation["a"] == 0.0
-        assert allocation["b"] == pytest.approx(4)
-
-    def test_empty_demands(self):
-        assert BandwidthEnforcer(budget=5.0).allocate({}) == {}
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError):
-            BandwidthEnforcer(budget=-1)
-
-
-class TestLinkBudgetsInterning:
-    """Array-backed budgets with per-topology-epoch key interning."""
-
-    @pytest.fixture
-    def topo(self):
-        return Topology.full_mesh(
-            num_dcs=3, servers_per_dc=2, wan_capacity=100 * MBps, uplink=10 * MBps
-        )
-
-    def test_mapping_protocol(self, topo):
-        budgets = NetworkMonitor(topo).bulk_budgets(0.0)
-        key = wan_key("dc0", "dc1")
-        assert key in budgets
-        assert len(budgets) == len(topo.links)
-        assert set(budgets) == set(topo.links)
-        assert budgets[key] == pytest.approx(80 * MBps)
-        assert isinstance(budgets[key], float)
-        assert dict(budgets)[key] == budgets[key]
-
-    def test_array_backs_values(self, topo):
-        budgets = NetworkMonitor(topo).bulk_budgets(0.0)
-        assert budgets.array.shape == (len(topo.links),)
-        for i, key in enumerate(budgets.keys_list):
-            assert budgets[key] == budgets.array[i]
-            assert budgets.index[key] == i
-
-    def test_keys_cached_across_cycles(self, topo):
-        monitor = NetworkMonitor(topo)
-        first = monitor.bulk_budgets(0.0)
-        second = monitor.bulk_budgets(3.0)
-        # Same interned key list object while the topology is unchanged.
-        assert first.keys_list is second.keys_list
-        assert first.index is second.index
-
-    def test_epoch_change_rebuilds_keys(self, topo):
-        monitor = NetworkMonitor(topo)
-        first = monitor.bulk_budgets(0.0)
-        topo.epoch += 1
-        second = monitor.bulk_budgets(0.0)
-        assert first.keys_list is not second.keys_list
-        assert list(first.keys_list) == list(second.keys_list)
-
-    def test_values_match_scalar_helper(self, topo):
-        # noise_fraction=0 so repeated queries at one time agree exactly
-        # (continuous-mode noise draws from a sequential RNG stream).
-        background = BackgroundTraffic(
-            base_fraction=0.3, diurnal_fraction=0.2, noise_fraction=0.0, seed=4
-        )
-        monitor = NetworkMonitor(topo, background=background)
-        budgets = monitor.bulk_budgets(123.0)
-        online = monitor.online_usage(123.0)
-        for key, link in topo.links.items():
-            assert budgets[key] == residual_budget(
-                link.capacity, online[key], threshold=monitor.threshold
-            )

@@ -11,7 +11,6 @@ are emitted in, or to a strategy's RNG stream shows up here.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -24,8 +23,6 @@ from repro.analysis.experiments import (
     exp_fig9_bds_vs_gingko,
     exp_table3_overlay_comparison,
 )
-from repro.analysis.parallel import RunSpec, run_many
-from repro.analysis.runcache import RunCache
 from repro.analysis.runner import make_strategy
 from repro.core.config import BDSConfig
 from repro.net.failures import FailureEvent, FailureSchedule
@@ -168,42 +165,8 @@ def test_fallback_cycles_are_crossed():
             assert pin["fallback_cycles"] == 3
 
 
-def _cached_scenario():
-    topo = Topology.full_mesh(
-        num_dcs=3, servers_per_dc=3, wan_capacity=40 * MBps, uplink=4 * MBps
-    )
-    job = MulticastJob(
-        job_id="j", src_dc="dc0", dst_dcs=("dc1", "dc2"),
-        total_bytes=30 * MB + 12345, block_size=4 * MB,
-    )
-    job.bind(topo)
-    return topo, [job]
-
-
-def test_parent_written_gingko_runcache_entry_still_hits(tmp_path):
-    """The baselines' outputs did not move, so neither did the cache salt.
-    (The entry's key did, once — ``RunSpec`` lost a knob: same bytes,
-    renamed to the new key.)"""
-    (entry,) = (DATA / "runcache_parent").glob("a1/*.json")
-    assert hashlib.sha256(entry.read_bytes()).hexdigest() == (
-        # tests/data/runcache_parent/86/868d2774….json at commit 822fa17
-        "c1117712b6a29217a58738cdea321f5b1c9ca6b4f29aded2ae4f6cb2db458f5f"
-    )
-    spec = RunSpec(strategy="gingko", scenario=_cached_scenario, seed=17)
-    cache = RunCache(DATA / "runcache_parent")
-    outcomes = run_many([spec], cache=cache)
-    assert outcomes[0].cached and cache.stats.hits == 1 and cache.stats.stores == 0
-    fresh = run_many([spec], cache=RunCache(tmp_path))
-    assert not fresh[0].cached
-    assert fresh[0].result.fingerprint() == outcomes[0].result.fingerprint()
-
-
 if __name__ == "__main__":
     PINS_FILE.write_text(
         json.dumps({name: SCENARIOS[name]() for name in sorted(SCENARIOS)}, indent=1)
         + "\n"
-    )
-    run_many(
-        [RunSpec(strategy="gingko", scenario=_cached_scenario, seed=17)],
-        cache=RunCache(DATA / "runcache_parent"),
     )

@@ -84,10 +84,15 @@ class TestWorkloadAndReplay:
 
 
 class TestExperiment:
-    def test_fig3(self, capsys):
+    def test_fig3(self, tmp_path, monkeypatch, capsys):
+        """Every invocation simulates: nothing is read from or written
+        to the working directory, and no cache line is printed."""
+        monkeypatch.chdir(tmp_path)
         assert main(["experiment", "fig3"]) == 0
         out = capsys.readouterr().out
         assert "direct" in out and "bds" in out
+        assert "cache:" not in out
+        assert list(tmp_path.iterdir()) == []
 
     def test_fig4(self, capsys):
         assert main(["experiment", "fig4"]) == 0

@@ -11,11 +11,9 @@ readers rely on.
 from __future__ import annotations
 
 import copy
-import hashlib
 import pickle
 import random
 from dataclasses import FrozenInstanceError
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,8 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests import oracles
-from repro.analysis.parallel import RunSpec, run_many
-from repro.analysis.runcache import CACHE_CODE_VERSION, RunCache
 from repro.analysis.runner import make_strategy
 from repro.core.config import BDSConfig
 from repro.core.controller import BDSController
@@ -447,7 +443,7 @@ class TestDirectiveContract:
         assert copy.deepcopy(cut) == cut
 
 
-# -- sharded runs and the run cache against the parent commit -----------------
+# -- sharded runs against the parent commit ------------------------------------
 
 #: ``SimResult.fingerprint()`` of :func:`_shard_scenario` at the commit
 #: before directives went columnar (shard mirrors share the router, and
@@ -491,39 +487,3 @@ def test_sharded_fingerprints_equal_the_parent_commits(shards, mode):
         controller.shutdown()
     assert not controller.shard_takeovers  # no silent takeover
     assert result.fingerprint() == PARENT_SHARD_FINGERPRINTS[shards]
-
-
-def _cached_scenario():
-    topo = Topology.full_mesh(
-        num_dcs=3, servers_per_dc=3, wan_capacity=40 * MBps, uplink=4 * MBps
-    )
-    job = MulticastJob(
-        job_id="j", src_dc="dc0", dst_dcs=("dc1", "dc2"),
-        total_bytes=30 * MB + 12345, block_size=4 * MB,
-    )
-    job.bind(topo)
-    return topo, [job]
-
-
-def test_parent_written_runcache_entry_still_hits(tmp_path):
-    """Outputs are identical, so the cache salt did not move: a result an
-    earlier commit wrote (``tests/data/runcache_parent``) is served as
-    is, and equals what this commit computes. Its *key* moved once, when
-    ``RunSpec`` lost the ``incremental_engine`` knob: the file was renamed
-    to the new key, its bytes are the ones written under the old."""
-    assert CACHE_CODE_VERSION == "sim-v7"
-    parent = Path(__file__).parent / "data" / "runcache_parent"
-    (entry,) = parent.glob("15/*.json")
-    assert hashlib.sha256(entry.read_bytes()).hexdigest() == (
-        # tests/data/runcache_parent/c9/c9c640fc….json at commit 822fa17
-        "699b199f7aaff6ef39648dc2724d57130dfe4162f81b926723fe00bbe940cd38"
-    )
-    spec = RunSpec(strategy="bds", scenario=_cached_scenario, seed=17)
-
-    cache = RunCache(parent)
-    outcomes = run_many([spec], cache=cache)
-    assert outcomes[0].cached and cache.stats.hits == 1 and cache.stats.stores == 0
-
-    fresh = run_many([spec], cache=RunCache(tmp_path))
-    assert not fresh[0].cached
-    assert fresh[0].result.fingerprint() == outcomes[0].result.fingerprint()

@@ -98,12 +98,12 @@ class TestViewCachedQueries:
         view = sim.snapshot_view()
         job = sim.jobs[0]
         block = job.blocks[0]
-        assert view.duplicate_count(block.block_id) == 1
+        assert view.store.duplicate_count(block.block_id) == 1
         # An out-of-band possession change is read at once: the view
         # keeps no possession answer of its own.
         dst = job.assigned_server("dc1", block.block_id)
         sim.store.seed(dst, [block])
-        assert view.duplicate_count(block.block_id) == 2
+        assert view.store.duplicate_count(block.block_id) == 2
         assert len(view.eligible_sources(block.block_id)) == 2
 
     def test_failed_agent_set_changes_flush_sources(self):

@@ -143,80 +143,6 @@ class TestArrayNativeDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# Parallel engine parity: workers=4 must be bit-identical to workers=1
-# ---------------------------------------------------------------------------
-
-
-def _parity_topology() -> Topology:
-    return Topology.full_mesh(
-        num_dcs=5, servers_per_dc=4, wan_capacity=500 * MBps, uplink=25 * MBps
-    )
-
-
-def _parity_jobs(topo: Topology, size=64 * MB):
-    job = MulticastJob(
-        job_id="fig9",
-        src_dc="dc0",
-        dst_dcs=tuple(f"dc{i}" for i in range(1, 5)),
-        total_bytes=size,
-        block_size=4 * MB,
-    )
-    job.bind(topo)
-    return [job]
-
-
-class TestParallelParity:
-    """Every run owns a fresh topology/jobs/seed, so fanning the batch out
-    over a process pool must not change a single bit of any result."""
-
-    def test_compare_strategies_parallel_matches_serial(self):
-        from repro.analysis.runner import compare_strategies
-
-        names = ("bds", "gingko", "direct")
-        serial = compare_strategies(
-            _parity_topology, _parity_jobs, names, seed=SEED
-        )
-        parallel = compare_strategies(
-            _parity_topology, _parity_jobs, names, seed=SEED, workers=4
-        )
-        for name in names:
-            assert serial[name].fingerprint() == parallel[name].fingerprint()
-            assert _fingerprint(serial[name]) == _fingerprint(parallel[name])
-
-    def test_sweep_parallel_matches_serial(self):
-        from repro.analysis.sweeps import sweep
-
-        def scenario(size_mb: float):
-            topo = _parity_topology()
-            return topo, _parity_jobs(topo, size=size_mb * MB)
-
-        serial = sweep("size", [32, 48, 64], scenario, seed=SEED)
-        parallel = sweep("size", [32, 48, 64], scenario, seed=SEED, workers=4)
-        assert serial.completion_times() == parallel.completion_times()
-        assert [p.cycles for p in serial.points] == [
-            p.cycles for p in parallel.points
-        ]
-
-    def test_run_many_parallel_matches_serial(self):
-        from repro.analysis.parallel import RunSpec, run_many
-
-        def scenario():
-            topo = _parity_topology()
-            return topo, _parity_jobs(topo)
-
-        def specs():
-            return [
-                RunSpec(strategy=name, seed=SEED, scenario=scenario)
-                for name in ("bds", "gingko", "bullet", "direct")
-            ]
-
-        serial = run_many(specs(), workers=1)
-        parallel = run_many(specs(), workers=4)
-        assert [o.result.fingerprint() for o in serial] == [
-            o.result.fingerprint() for o in parallel
-        ]
-
-# ---------------------------------------------------------------------------
 # Sharded control plane parity: shards=1 is bit-identical to the default
 # controller; shards=k is deterministic on both engines
 # ---------------------------------------------------------------------------

@@ -512,19 +512,16 @@ class TestFastForwardEngages:
         totals = event.stage_time_totals()
         assert totals["deliver"] == sum(s.time_deliver for s in log)
 
-        # Pickle (run_many's transport) and the export round-trip.
+        # Pickle and the export.
         import pickle
 
-        from repro.analysis.export import result_from_dict, result_to_dict
+        from repro.analysis.export import result_to_dict
 
         again = pickle.loads(pickle.dumps(event))
         assert again.cycle_stats == log and again.fingerprint() == event.fingerprint()
         payload = result_to_dict(event)
         assert [c["cycle"] for c in payload["cycles"]] == [s.cycle for s in log]
         assert [c["time"] for c in payload["cycles"]] == [s.time for s in log]
-        restored = result_from_dict(payload)
-        assert restored.cycle_stats == log
-        assert restored.fingerprint() == event.fingerprint()
 
 
 class TestIntegerCycleGrid:

@@ -145,25 +145,23 @@ class TestShardingTelemetryRoundTrip:
             assert s["payload_bytes"] >= 0
 
     def test_round_trip_preserves_shard_fields(self, tmp_path):
-        from repro.analysis.export import load_result
-
         result = self._sharded_result()
         path = tmp_path / "sharded.json"
         save_result(result, path)
-        restored = load_result(path)
-        for live, back in zip(result.cycle_stats, restored.cycle_stats):
-            assert back.shard_count == live.shard_count
-            assert back.time_shard_max == live.time_shard_max
-            assert back.time_shard_mean == live.time_shard_mean
-            assert back.time_reconcile == live.time_reconcile
-            assert back.shard_stride == live.shard_stride
-            assert back.shard_state_bytes == live.shard_state_bytes
-            assert back.shard_candidate_bytes == live.shard_candidate_bytes
-            assert back.shard_payload_bytes == live.shard_payload_bytes
+        cycles = load_result_dict(path)["cycles"]
+        assert len(cycles) == len(result.cycle_stats)
+        for live, entry in zip(result.cycle_stats, cycles):
+            back = entry["sharding"]
+            assert back["shard_count"] == live.shard_count
+            assert back["shard_max"] == live.time_shard_max
+            assert back["shard_mean"] == live.time_shard_mean
+            assert back["reconcile"] == live.time_reconcile
+            assert back["stride"] == live.shard_stride
+            assert back["state_bytes"] == live.shard_state_bytes
+            assert back["candidate_bytes"] == live.shard_candidate_bytes
+            assert back["payload_bytes"] == live.shard_payload_bytes
 
     def test_v6_payload_still_readable(self, result, tmp_path):
-        from repro.analysis.export import load_result
-
         path = tmp_path / "old.json"
         save_result(result, path)
         with open(path) as handle:
@@ -173,6 +171,7 @@ class TestShardingTelemetryRoundTrip:
             entry.pop("sharding", None)
         with open(path, "w") as handle:
             json.dump(payload, handle)
-        restored = load_result(path)
-        assert all(s.shard_count == 0 for s in restored.cycle_stats)
-        assert restored.job_completion == result.job_completion
+        restored = load_result_dict(path)
+        assert restored["format_version"] == 6
+        assert all("sharding" not in entry for entry in restored["cycles"])
+        assert restored["job_completion"] == result.job_completion

@@ -8,6 +8,8 @@ from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
 from repro.utils.units import GB, MB, MBps
 
+from tests import oracles
+
 
 class AlwaysSend(OverlayStrategy):
     """Pull every pending block straight from any holder, no rate caps."""
@@ -15,7 +17,7 @@ class AlwaysSend(OverlayStrategy):
     def decide(self, view):
         directives = []
         for job in view.jobs:
-            for block, _dc, server in view.pending_deliveries(job):
+            for block, _dc, server in oracles.pending_deliveries(view, job):
                 sources = view.eligible_sources(block.block_id)
                 if not sources or server in sources:
                     continue

