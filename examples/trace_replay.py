@@ -19,6 +19,7 @@ from pathlib import Path
 from repro import Topology, WorkloadGenerator
 from repro.analysis.metrics import summarize
 from repro.analysis.runner import run_simulation
+from repro.net.simulator import SimConfig
 from repro.utils.units import MB, MBps, format_bytes, format_duration
 from repro.workload.traces import replay_as_jobs, save_trace
 
@@ -54,7 +55,7 @@ def main() -> None:
 
     print(f"replaying {len(jobs)} multicast jobs (sizes scaled {SIZE_SCALE:g}x)\n")
     result = run_simulation(
-        topology, jobs, "bds", seed=2024, max_cycles=20000
+        topology, jobs, "bds", seed=2024, sim=SimConfig(max_cycles=20000)
     )
 
     completed = len(result.job_completion)

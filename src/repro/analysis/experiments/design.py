@@ -1,0 +1,446 @@
+"""The appendix theorem, the DESIGN.md §5 ablations and the grand comparison."""
+
+from __future__ import annotations
+
+from types import SimpleNamespace
+
+import numpy as np
+
+from repro.analysis.appendix import (
+    balanced_completion_time,
+    imbalanced_completion_time,
+)
+from repro.analysis.experiments.base import Experiment, cold_view, ms, timed, wall
+from repro.analysis.experiments.motivation import triangle
+from repro.analysis.reporting import format_table
+from repro.analysis.runner import RunSpec, mesh_scenario, run_many, run_simulation
+from repro.baselines.ideal import ideal_completion_time
+from repro.core import BDSConfig, BDSController
+from repro.core.decisions import SelectionBatch
+from repro.core.diffs import diff_stats_over_run
+from repro.core.routing import BDSRouter
+from repro.core.scheduling import RarestFirstScheduler
+from repro.net.presets import baidu_like
+from repro.net.simulator import ClusterView, SimConfig, Simulation
+from repro.overlay.job import MulticastJob
+from repro.utils.units import GB, MB, MBps
+
+
+class Appendix(Experiment):
+    id = "appendix"
+    title = "Appendix: balanced vs imbalanced replica distributions"
+    paper = "t_A < t_B: blocks with k replicas each finish before half k₁ / half k₂"
+    scaling = (
+        "the closed forms at (m, k₁, k₂) = (5, 1, 3), (10, 2, 6), (20, 4, 8), and "
+        "an 80 MB multicast to 5 DCs with the two layouts (every block on 2 DCs; "
+        "half on 1, half on 3) pre-seeded."
+    )
+    sweeps = ((5, 1, 3), (10, 2, 6), (20, 4, 8))
+
+    @staticmethod
+    def _simulate(layout: str, seed: int) -> float:
+        topo, (job,) = mesh_scenario(6, 2, 1 * GB, 1 * MBps, 80 * MB, 2 * MB, "j")
+        seeded = {}
+        for block in job.blocks:
+            if layout == "balanced":
+                copies = 2
+            else:
+                copies = 1 if block.index < len(job.blocks) // 2 else 3
+            for step in range(copies):
+                server = job.assigned_server(
+                    f"dc{1 + (block.index + step) % 5}", block.block_id
+                )
+                seeded.setdefault(server, []).append(block)
+        result = Simulation(
+            topo, [job], BDSController(seed=seed), seed=seed, pre_seeded=seeded
+        ).run()
+        return result.completion_time("j")
+
+    def measure(self, seed):
+        return SimpleNamespace(
+            closed=[
+                (
+                    balanced_completion_time(1000, m, (k1 + k2) // 2, 2.0, 1.0),
+                    imbalanced_completion_time(1000, m, k1, k2, 2.0, 1.0),
+                )
+                for m, k1, k2 in self.sweeps
+            ],
+            balanced=self._simulate("balanced", seed),
+            imbalanced=self._simulate("imbalanced", seed),
+        )
+
+    def report(self, r):
+        rows = [
+            [f"m={m} k={(k1 + k2) // 2} vs ({k1},{k2})", f"{t_a:.0f}", f"{t_b:.0f}"]
+            for (m, k1, k2), (t_a, t_b) in zip(self.sweeps, r.closed)
+        ]
+        return (
+            "[Appendix] Balanced vs imbalanced replica distributions\n"
+            + format_table(["setting", "t_A (balanced)", "t_B (imbalanced)"], rows)
+            + f"\n  simulated: balanced {r.balanced:.0f}s vs imbalanced "
+            + f"{r.imbalanced:.0f}s"
+        )
+
+    def row(self, r):
+        closed = ", ".join(f"{t_a:.0f} < {t_b:.0f}" for t_a, t_b in r.closed)
+        return (
+            f"closed forms {closed}; simulated {r.balanced:.0f} s vs "
+            f"{r.imbalanced:.0f} s"
+        )
+
+    def check(self, r):
+        assert all(t_a < t_b for t_a, t_b in r.closed)
+        assert r.balanced <= r.imbalanced
+
+
+class RoutingBackends(Experiment):
+    id = "ablation-backends"
+    title = "Routing backend: greedy water-filling vs FPTAS vs exact LP"
+    paper = "the FPTAS gives ε-optimal routing in near real time (§4.4)"
+    scaling = (
+        "96 MB to 4 DCs × 3 servers at 10 MB/s: one cold routing pass timed per "
+        "backend, and the whole transfer run under it."
+    )
+    seed = 1
+    backends = ("greedy", "fptas", "lp")
+
+    def measure(self, seed):
+        def scenario():
+            return mesh_scenario(5, 3, 200 * MBps, 10 * MBps, 96 * MB, 4 * MB, "j")
+
+        out = {}
+        for backend in self.backends:
+            config = BDSConfig(routing_backend=backend)
+            view, controller = cold_view(scenario(), config)
+            selections = controller.scheduler.select(view)
+            decision_s, _ = timed(controller.router.route, view, selections)
+            result = run_simulation(*scenario(), "bds", seed=seed, config=config)
+            out[backend] = (decision_s, result.completion_time("j"))
+        return out
+
+    def report(self, r):
+        rows = [
+            [backend, f"{dec * 1000:.1f}ms", f"{comp:.0f}s"]
+            for backend, (dec, comp) in r.items()
+        ]
+        return (
+            "[Ablation] Routing backend: decision runtime vs completion time\n"
+            + format_table(["backend", "decision", "completion"], rows)
+        )
+
+    def row(self, r):
+        return (
+            " / ".join(wall(ms(dec)) for dec, _ in r.values())
+            + " to decide; completion "
+            + " / ".join(f"{comp:.0f}" for _, comp in r.values())
+            + " s (greedy / FPTAS / exact LP)"
+        )
+
+    def check(self, r):
+        # All backends complete within a couple of cycles of the best; the
+        # greedy must be the fastest to decide.
+        completions = [comp for _dec, comp in r.values()]
+        assert max(completions) <= min(completions) * 1.8 + 6.0
+        assert r["greedy"][0] <= r["lp"][0]
+
+
+class BlocksMerging(Experiment):
+    id = "ablation-merging"
+    title = "Blocks merging (§5.1) on vs off"
+    paper = "merging blocks that share a (source, destination) pair cuts subtasks"
+    scaling = "one routing pass over the 768 pending deliveries of a cold 512 MB job."
+
+    def measure(self, seed):
+        view, controller = cold_view(
+            mesh_scenario(4, 4, 1 * GB, 20 * MBps, 512 * MB, 2 * MB, "j")
+        )
+        selections = controller.scheduler.select(view)
+        out = {}
+        for merge in (True, False):
+            elapsed, (directives, diag) = timed(
+                BDSRouter(merge_blocks=merge).route, view, selections
+            )
+            out[merge] = (elapsed, len(directives), diag.num_commodities)
+        return out
+
+    def report(self, r):
+        rows = [
+            ["merged" if merge else "unmerged", f"{t * 1000:.1f}ms", dirs, coms]
+            for merge, (t, dirs, coms) in r.items()
+        ]
+        return (
+            "[Ablation] Blocks merging (768 pending block deliveries)\n"
+            + format_table(["mode", "decision time", "directives", "commodities"], rows)
+        )
+
+    def row(self, r):
+        (t_on, dirs_on, coms_on), (t_off, dirs_off, coms_off) = r[True], r[False]
+        return (
+            f"{coms_on} commodities / {dirs_on} connections merged vs {coms_off} / "
+            f"{dirs_off} unmerged; {wall(ms(t_on))} vs {wall(ms(t_off))} to decide"
+        )
+
+    def check(self, r):
+        assert all(on < off for on, off in zip(r[True], r[False]))
+
+
+class InOrderScheduler(RarestFirstScheduler):
+    """FIFO by block index: ignores rarity entirely."""
+
+    def select(self, view: ClusterView) -> SelectionBatch:
+        batch = super().select(view)
+        # By (block index, destination server): server ids are interned
+        # in name order.
+        order = np.lexsort((batch.dst_sids, batch.indices))
+        if self.max_blocks_per_cycle:
+            order = order[: self.max_blocks_per_cycle]
+        return SelectionBatch(
+            batch.jobs, batch.gids[order], batch.indices[order],
+            batch.dst_sids[order], batch.job_slots[order],
+            batch.duplicates[order], batch.slots[order], batch.slot_places,
+            batch.server_names,
+        )
+
+
+class SchedulingPolicy(Experiment):
+    id = "ablation-scheduler"
+    title = "Scheduling policy: rarest-first vs in-order"
+    paper = "rarest-first balances block availability (§4.3)"
+    scaling = (
+        "96 MB to 4 DCs × 2 servers at 4 MB/s, where destination DCs can "
+        "re-share blocks among themselves."
+    )
+
+    def measure(self, seed):
+        times = []
+        for scheduler in (RarestFirstScheduler, InOrderScheduler):
+            topo, jobs = mesh_scenario(5, 2, 100 * MBps, 4 * MBps, 96 * MB, 4 * MB, "j")
+            controller = BDSController(seed=seed)
+            controller.scheduler = scheduler()
+            result = Simulation(topo, jobs, controller, seed=seed).run()
+            times.append(result.completion_time("j"))
+        return times
+
+    def report(self, r):
+        rows = [["rarest-first (paper)", f"{r[0]:.0f}s"], ["in-order", f"{r[1]:.0f}s"]]
+        return "[Ablation] Scheduling policy\n" + format_table(
+            ["policy", "completion"], rows
+        )
+
+    def row(self, r):
+        return f"rarest-first {r[0]:.0f} s vs in-order {r[1]:.0f} s"
+
+    def check(self, r):
+        # Rarest-first must not lose; typically it wins by balancing
+        # availability across the destination DCs.
+        assert r[0] <= r[1] * 1.1
+
+
+class RelayDCs(Experiment):
+    id = "ablation-relays"
+    title = "Relay DCs (Fig. 1, Type I overlay paths)"
+    paper = "store-and-forward through intermediate DCs circumvents slow WAN paths"
+    scaling = (
+        "240 MB from A to C over a thin 5 MB/s direct route, with and without "
+        "the non-destination DC B behind two fat 100 MB/s legs."
+    )
+
+    def measure(self, seed):
+        times = {}
+        for with_relay in (False, True):
+            # A–C is the slow WAN path.
+            topo = triangle(nic=50 * MBps, ab=100 * MBps, ac=5 * MBps, bc=100 * MBps)
+            job = MulticastJob(
+                "j", "A", ("C",), 240 * MB, block_size=4 * MB,
+                relay_dcs=("B",) if with_relay else (),
+            )
+            job.bind(topo)
+            result = run_simulation(
+                topo, [job], "bds", seed=seed, config=BDSConfig(use_relays=with_relay)
+            )
+            times[with_relay] = result.completion_time("j")
+        return times
+
+    def report(self, r):
+        rows = [
+            ["direct WAN route only", f"{r[False]:.0f}s"],
+            ["with relay DC", f"{r[True]:.0f}s"],
+        ]
+        return (
+            "[Ablation] Relay DCs (thin 5 MB/s direct path, fat 100 MB/s legs)\n"
+            + format_table(["mode", "completion"], rows)
+            + f"\n  relay speedup: {r[False] / r[True]:.1f}x"
+        )
+
+    def row(self, r):
+        return (
+            f"{r[False]:.0f} s without the relay vs {r[True]:.0f} s with "
+            f"({r[False] / r[True]:.1f}×)"
+        )
+
+    def check(self, r):
+        assert r[False] / r[True] > 2.0
+
+
+def _control_plane_scenario():
+    return mesh_scenario(4, 3, 200 * MBps, 5 * MBps, 240 * MB, 2 * MB, "j")
+
+
+class DecisionDiffs(Experiment):
+    id = "ablation-diffs"
+    title = "Decision diffs (§5.1)"
+    paper = "the controller pushes only the difference between consecutive decisions"
+    scaling = (
+        "control messages over a whole 240 MB BDS run to 3 DCs × 3 servers, "
+        "diffs (5 % rate tolerance) vs every directive every cycle."
+    )
+
+    def measure(self, seed):
+        topo, jobs = _control_plane_scenario()
+        controller = BDSController(seed=seed)
+        result = Simulation(topo, jobs, controller, seed=seed).run()
+        return SimpleNamespace(
+            complete=result.all_complete,
+            stats=diff_stats_over_run(
+                [d.directives for d in controller.decisions], rate_tolerance=0.05
+            ),
+        )
+
+    def report(self, r):
+        rows = [
+            ["cycles", r.stats.cycles],
+            ["full-push messages", r.stats.total_directives],
+            ["diff messages", r.stats.total_messages],
+            ["messages saved", f"{r.stats.savings:.0%}"],
+        ]
+        return "[Ablation] Decision diffs over a full BDS run\n" + format_table(
+            ["metric", "value"], rows
+        )
+
+    def row(self, r):
+        return (
+            f"{r.stats.total_messages} diff messages vs {r.stats.total_directives} "
+            f"full-push over {r.stats.cycles} cycles ({r.stats.savings:+.0%} saved): "
+            "per-cycle rarity reordering churns connections — an honest negative "
+            "result on this workload"
+        )
+
+    def check(self, r):
+        assert r.complete
+        # Never pathological.
+        assert r.stats.total_messages <= r.stats.total_directives * 2
+
+
+class Speculation(Experiment):
+    id = "ablation-speculation"
+    title = "Speculated delivery status (§5.1)"
+    paper = "the controller assumes in-flight transfers complete while it computes"
+    scaling = (
+        "the decision-diffs transfer with and without a 0.3 s horizon; in a "
+        "discrete-cycle simulator the effect is small by design."
+    )
+
+    def measure(self, seed):
+        specs = [
+            RunSpec(
+                "bds",
+                _control_plane_scenario,
+                seed,
+                f"speculation:{horizon}",
+                config=BDSConfig(speculation_horizon=horizon),
+            )
+            for horizon in (0.0, 0.3)
+        ]
+        runs = run_many(specs)
+        return SimpleNamespace(
+            complete=all(run.all_complete for run in runs),
+            plain=runs[0].completion_time("j"),
+            speculating=runs[1].completion_time("j"),
+        )
+
+    def report(self, r):
+        rows = [
+            ["no speculation", f"{r.plain:.0f}s"],
+            ["speculating", f"{r.speculating:.0f}s"],
+        ]
+        return "[Ablation] Speculated delivery status (0.3 s horizon)\n" + format_table(
+            ["mode", "completion"], rows
+        )
+
+    def row(self, r):
+        return f"{r.plain:.0f} s without vs {r.speculating:.0f} s with"
+
+    def check(self, r):
+        assert r.complete
+        # Speculation must not derail the transfer (bounded deviation).
+        assert r.speculating <= r.plain * 1.5 + 6.0
+
+
+class GrandComparison(Experiment):
+    id = "grand"
+    title = "Every overlay strategy on the pilot-scale preset"
+    paper = "BDS is 3–5× faster than the overlays it is compared with"
+    scaling = (
+        "1 GB from bj1 to the other 9 DCs of `repro.net.presets.baidu_like` "
+        "(three metro clusters, tiered link capacities, 4 servers per DC), and "
+        "the analytic ideal bound on the same scenario."
+    )
+    seed = 42
+    baselines = ("direct", "chain", "akamai", "bullet", "gingko")
+
+    def measure(self, seed):
+        def scenario():
+            topo = baidu_like(servers_per_dc=4)
+            job = MulticastJob(
+                "pilot",
+                "bj1",
+                tuple(dc for dc in topo.dc_names() if dc != "bj1"),
+                1 * GB,
+                block_size=4 * MB,
+            )
+            job.bind(topo)
+            return topo, [job]
+
+        names = (*self.baselines, "bds")
+        sim = SimConfig(max_cycles=20_000)
+        runs = run_many(
+            [RunSpec(n, scenario, seed, f"grand:{n}", sim=sim) for n in names]
+        )
+        times = {n: run.completion_time("pilot") for n, run in zip(names, runs)}
+        topo, (job,) = scenario()
+        times["ideal bound"] = ideal_completion_time(topo, job)
+        return dict(sorted(times.items(), key=lambda kv: kv[1]))
+
+    def report(self, r):
+        rows = [[n, f"{t:.0f}s", f"{t / r['bds']:.1f}x"] for n, t in r.items()]
+        return (
+            "[Grand comparison] 1 GB from bj1 to 9 DCs (pilot-scale preset)\n"
+            + format_table(["strategy", "completion", "vs bds"], rows)
+        )
+
+    def row(self, r):
+        return "; ".join(
+            f"{n} {t:.0f} s" + ("" if n == "bds" else f" ({t / r['bds']:.1f}×)")
+            for n, t in r.items()
+        )
+
+    def check(self, r):
+        # BDS beats every baseline and stays within ~8 cycles of the bound.
+        assert all(r["bds"] < r[name] for name in self.baselines)
+        assert r["bds"] <= r["ideal bound"] * 10 + 24.0
+
+
+SECTIONS = {
+    "Appendix and ablations (DESIGN.md §5)": (
+        Appendix(),
+        RoutingBackends(),
+        BlocksMerging(),
+        SchedulingPolicy(),
+        RelayDCs(),
+        DecisionDiffs(),
+        Speculation(),
+    ),
+    "Grand comparison (the evaluation's overall claim, not a single figure)": (
+        GrandComparison(),
+    ),
+}

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.baselines import (
     AkamaiStrategy,
@@ -34,6 +35,8 @@ STRATEGY_NAMES = (
     "direct",
 )
 
+_NAMED_BACKENDS = {"bds-fptas": "fptas", "bds-lp": "lp"}
+
 
 def make_strategy(
     name: str, seed: SeedLike = None, config: Optional[BDSConfig] = None
@@ -41,17 +44,16 @@ def make_strategy(
     """Build a fresh strategy by name.
 
     ``bds`` uses the fast greedy routing backend; ``bds-fptas`` / ``bds-lp``
-    select the Garg–Könemann and exact-LP backends; ``bds-standard-lp``
-    swaps in the non-decoupled joint LP router (the Fig. 13 baseline).
+    select the Garg–Könemann and exact-LP backends — the name wins over a
+    ``config`` that says otherwise; ``bds-standard-lp`` swaps in the
+    non-decoupled joint LP router (the Fig. 13 baseline).
     """
-    if name == "bds":
+    if name in _NAMED_BACKENDS:
+        config = dataclasses.replace(
+            config or BDSConfig(), routing_backend=_NAMED_BACKENDS[name]
+        )
+    if name == "bds" or name in _NAMED_BACKENDS:
         return BDSController(config=config or BDSConfig(), seed=seed)
-    if name == "bds-fptas":
-        cfg = config or BDSConfig(routing_backend="fptas")
-        return BDSController(config=cfg, seed=seed)
-    if name == "bds-lp":
-        cfg = config or BDSConfig(routing_backend="lp")
-        return BDSController(config=cfg, seed=seed)
     if name == "bds-standard-lp":
         controller = BDSController(config=config or BDSConfig(), seed=seed)
         controller.router = StandardLPRouter()
@@ -69,98 +71,79 @@ def make_strategy(
     raise ValueError(f"unknown strategy {name!r}; choose from {STRATEGY_NAMES}")
 
 
+Scenario = Tuple[Topology, List[MulticastJob]]
+ScenarioFn = Callable[[], Scenario]
+
+
+def mesh_scenario(
+    num_dcs: int,
+    servers_per_dc: int,
+    wan: float,
+    nic: float,
+    size: float,
+    block_size: float,
+    job_id: str = "job",
+    jobs: int = 1,
+) -> Scenario:
+    """A full mesh and ``jobs`` bound multicasts, each to every other DC.
+
+    One job keeps ``job_id`` and starts at ``dc0``; several are numbered
+    ``<job_id>0``, ``<job_id>1``, … with sources rotating across the DCs.
+    """
+    topology = Topology.full_mesh(
+        num_dcs=num_dcs, servers_per_dc=servers_per_dc, wan_capacity=wan, uplink=nic
+    )
+    bound = []
+    for j in range(jobs):
+        src = f"dc{j % num_dcs}"
+        job = MulticastJob(
+            job_id=job_id if jobs == 1 else f"{job_id}{j}",
+            src_dc=src,
+            dst_dcs=tuple(f"dc{i}" for i in range(num_dcs) if f"dc{i}" != src),
+            total_bytes=size,
+            block_size=block_size,
+        )
+        job.bind(topology)
+        bound.append(job)
+    return topology, bound
+
+
 def run_simulation(
     topology: Topology,
     jobs: Sequence[MulticastJob],
     strategy_name: str,
-    cycle_seconds: float = 3.0,
-    max_cycles: int = 100_000,
+    *,
     seed: SeedLike = None,
+    sim: Optional[SimConfig] = None,
+    config: Optional[BDSConfig] = None,
     background: Optional[BackgroundTraffic] = None,
     failures: Optional[FailureSchedule] = None,
-    record_link_stats: bool = False,
-    config: Optional[BDSConfig] = None,
-    safety_threshold: float = 0.8,
-    control_overhead_seconds: float = 0.0,
-    flow_setup_seconds: float = 0.0,
-    stop_when_complete: bool = True,
-    links_of_interest: tuple = (),
-    record_cycle_stats: bool = True,
-    shards: int = 1,
-    shard_seed: int = 0,
-    shard_stride: Union[int, str] = 1,
-    shard_mode: str = "inprocess",
-    shard_partition: str = "hash",
 ) -> SimResult:
     """Run one strategy over the given jobs and return the result.
 
-    Exposes every :class:`SimConfig` knob — including the Fig. 12c
-    overhead model — so sweeps and :func:`run_many` need not
-    hand-build a :class:`Simulation`. ``record_cycle_stats=False``
-    drops the per-cycle records for day-scale horizons where the stats
-    list would dominate memory.
-
-    ``shards``/``shard_seed``/``shard_stride``/``shard_mode``/
-    ``shard_partition`` configure the sharded control plane (BDS
-    strategies only; see :class:`BDSConfig`). ``shard_stride`` also
-    accepts the string ``"auto"`` for the adaptive stride. Non-default
-    values are overlaid onto ``config`` — explicit shard fields in a
-    caller-supplied config win only when the keyword is left at its
-    default.
+    A run is said by its two config objects: ``sim`` is the simulator's
+    (ΔT, the cycle cap, the Fig. 12c overhead model, what to record) and
+    ``config`` the BDS controller's (routing backend, shards, …; ignored
+    by the decentralized baselines).
     """
-    if (shards, shard_seed, shard_stride, shard_mode, shard_partition) != (
-        1,
-        0,
-        1,
-        "inprocess",
-        "hash",
-    ):
-        import dataclasses
-
-        base = config or BDSConfig()
-        updates: Dict[str, Any] = {}
-        if shards != 1:
-            updates["shards"] = shards
-        if shard_seed != 0:
-            updates["shard_seed"] = shard_seed
-        if shard_stride != 1:
-            updates["shard_stride"] = shard_stride
-        if shard_mode != "inprocess":
-            updates["shard_mode"] = shard_mode
-        if shard_partition != "hash":
-            updates["shard_partition"] = shard_partition
-        config = dataclasses.replace(base, **updates)
     strategy = make_strategy(strategy_name, seed=seed, config=config)
-    sim = Simulation(
+    simulation = Simulation(
         topology=topology,
         jobs=list(jobs),
         strategy=strategy,
-        config=SimConfig(
-            cycle_seconds=cycle_seconds,
-            max_cycles=max_cycles,
-            record_link_stats=record_link_stats,
-            safety_threshold=safety_threshold,
-            control_overhead_seconds=control_overhead_seconds,
-            flow_setup_seconds=flow_setup_seconds,
-            stop_when_complete=stop_when_complete,
-            links_of_interest=tuple(links_of_interest),
-            record_cycle_stats=record_cycle_stats,
-        ),
+        config=sim,
         background=background,
         failures=failures,
         seed=seed,
     )
     try:
-        return sim.run()
+        return simulation.run()
     finally:
         # Release any process fan-out workers the strategy holds
         # (sharded controller in shard_mode="process"; no-op otherwise).
         shutdown = getattr(strategy, "shutdown", None)
         if shutdown is not None:
             shutdown()
-
-
-ScenarioFn = Callable[[], Tuple[Topology, List[MulticastJob]]]
 
 
 @dataclass
@@ -170,21 +153,15 @@ class RunSpec:
     ``scenario`` is a zero-argument factory returning a fresh
     ``(topology, jobs)``; it is invoked once per execution, so no
     simulation state (job binding, strategy caches) leaks between runs.
+    ``config`` and ``sim`` are :func:`run_simulation`'s.
     """
 
     strategy: str
     scenario: ScenarioFn
     seed: SeedLike = None
     label: str = ""
-    config: Any = None  # optional strategy config (e.g. BDSConfig)
-    # SimConfig knobs (mirrors run_simulation's signature).
-    cycle_seconds: float = 3.0
-    max_cycles: int = 100_000
-    safety_threshold: float = 0.8
-    record_link_stats: bool = False
-    control_overhead_seconds: float = 0.0
-    flow_setup_seconds: float = 0.0
-    stop_when_complete: bool = True
+    config: Optional[BDSConfig] = None
+    sim: Optional[SimConfig] = None
 
     def __post_init__(self) -> None:
         if not self.label:
@@ -207,14 +184,8 @@ def run_many(specs: Sequence[RunSpec]) -> List[SimResult]:
                     jobs,
                     spec.strategy,
                     seed=spec.seed,
+                    sim=spec.sim,
                     config=spec.config,
-                    cycle_seconds=spec.cycle_seconds,
-                    max_cycles=spec.max_cycles,
-                    safety_threshold=spec.safety_threshold,
-                    record_link_stats=spec.record_link_stats,
-                    control_overhead_seconds=spec.control_overhead_seconds,
-                    flow_setup_seconds=spec.flow_setup_seconds,
-                    stop_when_complete=spec.stop_when_complete,
                 )
             )
         except Exception as exc:
@@ -222,34 +193,3 @@ def run_many(specs: Sequence[RunSpec]) -> List[SimResult]:
                 f"run {spec.label!r} failed: {type(exc).__name__}: {exc}"
             ) from exc
     return results
-
-
-def compare_strategies(
-    topology_factory: Callable[[], Topology],
-    jobs_factory: Callable[[Topology], List[MulticastJob]],
-    strategy_names: Sequence[str],
-    cycle_seconds: float = 3.0,
-    max_cycles: int = 100_000,
-    seed: SeedLike = 7,
-) -> Dict[str, SimResult]:
-    """Run several strategies over *fresh* identical topologies and jobs.
-
-    Factories are invoked per strategy so that no simulation state (job
-    binding, strategy caches) leaks between runs.
-    """
-
-    def scenario() -> tuple:
-        topology = topology_factory()
-        return topology, jobs_factory(topology)
-
-    specs = [
-        RunSpec(
-            strategy=name,
-            seed=seed,
-            scenario=scenario,
-            cycle_seconds=cycle_seconds,
-            max_cycles=max_cycles,
-        )
-        for name in strategy_names
-    ]
-    return dict(zip(strategy_names, run_many(specs)))

@@ -1,21 +1,19 @@
 """Parameter sweeps: completion time as a function of one scenario knob.
 
-The paper's evaluation sweeps block size and cycle length (Fig. 12b/12c);
-downstream users additionally want capacity planning: *how much WAN/NIC
-bandwidth or how many servers does a replication deadline require?* This
-module provides a small declarative sweep harness reused by the Fig. 12
-experiments, the ablations, and the capacity-planning example.
+The paper's evaluation sweeps block size and cycle length (Fig. 12b/12c,
+entries of ``repro.analysis.experiments``); downstream users additionally
+want capacity planning: *how much WAN/NIC bandwidth or how many servers
+does a replication deadline require?* This module is the small
+declarative sweep harness behind ``examples/capacity_planning.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.analysis.runner import RunSpec, run_many
-from repro.net.simulator import SimResult
-from repro.net.topology import Topology
-from repro.overlay.job import MulticastJob
+from repro.analysis.runner import RunSpec, Scenario, run_many
+from repro.net.simulator import SimConfig, SimResult
 from repro.utils.rng import SeedLike
 
 
@@ -56,7 +54,7 @@ class SweepResult:
         return None
 
 
-ScenarioFactory = Callable[[float], Tuple[Topology, List[MulticastJob]]]
+ScenarioFactory = Callable[[float], Scenario]
 
 
 def _point_from_result(value: float, run: SimResult) -> SweepPoint:
@@ -76,8 +74,7 @@ def sweep(
     values: Sequence[float],
     scenario: ScenarioFactory,
     strategy: str = "bds",
-    cycle_seconds: float = 3.0,
-    max_cycles: int = 100_000,
+    sim: Optional[SimConfig] = None,
     seed: SeedLike = 0,
 ) -> SweepResult:
     """Run ``scenario(value)`` for every knob value and collect metrics.
@@ -90,7 +87,7 @@ def sweep(
         raise ValueError("sweep needs at least one value")
 
     def make_scenario(value: float):
-        def _scenario() -> Tuple[Topology, List[MulticastJob]]:
+        def _scenario() -> Scenario:
             topo, jobs = scenario(float(value))
             if not jobs:
                 raise ValueError(
@@ -106,8 +103,7 @@ def sweep(
             seed=seed,
             scenario=make_scenario(value),
             label=f"{strategy}:{knob}={value}",
-            cycle_seconds=cycle_seconds,
-            max_cycles=max_cycles,
+            sim=sim,
         )
         for value in values
     ]
@@ -127,17 +123,10 @@ def compare_sweeps(
     scenario: ScenarioFactory,
     strategies: Sequence[str],
     seed: SeedLike = 0,
-    cycle_seconds: float = 3.0,
+    sim: Optional[SimConfig] = None,
 ) -> Dict[str, SweepResult]:
     """The same sweep under several strategies (for crossover hunting)."""
     return {
-        strategy: sweep(
-            knob,
-            values,
-            scenario,
-            strategy=strategy,
-            cycle_seconds=cycle_seconds,
-            seed=seed,
-        )
+        strategy: sweep(knob, values, scenario, strategy=strategy, sim=sim, seed=seed)
         for strategy in strategies
     }

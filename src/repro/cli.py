@@ -6,7 +6,8 @@ writing Python:
 * ``simulate``  — run one multicast over a synthetic mesh with any strategy;
 * ``workload``  — generate a synthetic Baidu-like trace to a JSONL file;
 * ``replay``    — replay a saved trace through the simulator;
-* ``experiment``— run one of the paper's experiments by figure/table id.
+* ``experiment``— run one of the paper's experiments by id, or ``all``
+  (``all --write`` regenerates the tables of ``EXPERIMENTS.md``).
 
 Examples::
 
@@ -14,20 +15,22 @@ Examples::
     python -m repro workload --count 100 --out trace.jsonl
     python -m repro replay trace.jsonl --strategy bds --scale 1e-5
     python -m repro experiment fig3
+    python -m repro experiment all --write
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.analysis import experiments as exps
+from repro.analysis.experiments import EXPERIMENTS, write_generated
 from repro.analysis.metrics import summarize
-from repro.analysis.reporting import format_cdf_rows, format_series, format_table
-from repro.analysis.runner import STRATEGY_NAMES, run_simulation
+from repro.analysis.runner import STRATEGY_NAMES, mesh_scenario, run_simulation
+from repro.core import BDSConfig
+from repro.net.simulator import SimConfig
 from repro.net.topology import Topology
-from repro.overlay.job import MulticastJob
 from repro.utils.units import format_duration, parse_rate, parse_size
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.traces import replay_as_jobs, save_trace
@@ -122,10 +125,18 @@ def _build_parser() -> argparse.ArgumentParser:
     ex = sub.add_parser("experiment", help="run a paper experiment")
     ex.add_argument(
         "name",
-        choices=sorted(EXPERIMENTS),
-        help="experiment id (paper figure/table)",
+        choices=sorted(EXPERIMENTS) + ["all"],
+        help="experiment id (paper figure/table/ablation), or all of them",
     )
-    ex.add_argument("--seed", type=int, default=None)
+    ex.add_argument(
+        "--seed", type=int, default=None, help="override the entry's pinned seed"
+    )
+    ex.add_argument(
+        "--write",
+        action="store_true",
+        help="with 'all' at the pinned seeds: check every entry, then rewrite "
+        "the generated block of ./EXPERIMENTS.md",
+    )
     return parser
 
 
@@ -135,36 +146,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    topo = Topology.full_mesh(
-        num_dcs=args.num_dcs,
-        servers_per_dc=args.servers_per_dc,
-        wan_capacity=parse_rate(args.wan),
-        uplink=parse_rate(args.nic),
+    topo, jobs = mesh_scenario(
+        args.num_dcs,
+        args.servers_per_dc,
+        parse_rate(args.wan),
+        parse_rate(args.nic),
+        parse_size(args.size),
+        parse_size(args.block_size),
+        job_id="cli",
+        jobs=max(1, args.jobs),
     )
-    jobs = []
-    for j in range(max(1, args.jobs)):
-        src = f"dc{j % args.num_dcs}"
-        job = MulticastJob(
-            job_id="cli" if args.jobs <= 1 else f"cli{j}",
-            src_dc=src,
-            dst_dcs=tuple(
-                f"dc{i}" for i in range(args.num_dcs) if f"dc{i}" != src
-            ),
-            total_bytes=parse_size(args.size),
-            block_size=parse_size(args.block_size),
-        )
-        job.bind(topo)
-        jobs.append(job)
     result = run_simulation(
         topo,
         jobs,
         args.strategy,
-        cycle_seconds=args.cycle,
-        max_cycles=args.max_cycles,
         seed=args.seed,
-        shards=args.shards,
-        shard_stride=args.shard_stride,
-        shard_partition=args.shard_partition,
+        sim=SimConfig(cycle_seconds=args.cycle, max_cycles=args.max_cycles),
+        config=BDSConfig(
+            shards=args.shards,
+            shard_stride=args.shard_stride,
+            shard_partition=args.shard_partition,
+        ),
     )
     if args.json:
         from repro.analysis.export import save_result
@@ -249,72 +251,27 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0 if result.all_complete else 1
 
 
-def _run_fig3(seed: Optional[int]) -> None:
-    result = exps.exp_fig3_illustrative(seed=seed if seed is not None else 3)
-    print(
-        format_table(
-            ["strategy", "time"],
-            [
-                ["direct", f"{result.direct_s:.0f}s"],
-                ["chain", f"{result.chain_s:.0f}s"],
-                ["bds", f"{result.bds_s:.0f}s"],
-            ],
-        )
-    )
-
-
-def _run_fig4(seed: Optional[int]) -> None:
-    result = exps.exp_fig4_disjointness(seed=seed if seed is not None else 4)
-    print(format_cdf_rows(result.ratios))
-    print(f"bottleneck-disjoint pairs: {result.fraction_disjoint:.1%}")
-
-
-def _run_fig5(seed: Optional[int]) -> None:
-    result = exps.exp_fig5_gingko_vs_ideal(seed=seed if seed is not None else 5)
-    print(format_cdf_rows(result.gingko_times, unit="s"))
-    print(f"median gingko/ideal ratio: {result.median_ratio:.2f}x")
-
-
-def _run_fig12c(seed: Optional[int]) -> None:
-    result = exps.exp_fig12c_cycle_length(seed=seed if seed is not None else 12)
-    print(
-        format_series(
-            result.cycle_lengths_s,
-            [round(t, 1) for t in result.completion_times_s],
-            "cycle (s)",
-            "completion (s)",
-        )
-    )
-
-
-def _run_table3(seed: Optional[int]) -> None:
-    result = exps.exp_table3_overlay_comparison(
-        seed=seed if seed is not None else 11
-    )
-    rows = [
-        [setup] + [f"{times[s]:.0f}s" for s in ("bullet", "akamai", "bds")]
-        for setup, times in result.times.items()
-    ]
-    print(format_table(["setup", "bullet", "akamai", "bds"], rows))
-
-
-EXPERIMENTS = {
-    "fig3": _run_fig3,
-    "fig4": _run_fig4,
-    "fig5": _run_fig5,
-    "fig12c": _run_fig12c,
-    "table3": _run_table3,
-}
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    EXPERIMENTS[args.name](args.seed)
+    results = {}
+    for name in EXPERIMENTS if args.name == "all" else [args.name]:
+        results[name] = EXPERIMENTS[name].run(seed=args.seed)
+        print(EXPERIMENTS[name].report(results[name]) + "\n")
+    if args.write:
+        for name, result in results.items():
+            EXPERIMENTS[name].check(result)
+        changed = write_generated(Path("EXPERIMENTS.md"), results)
+        state = "rewritten" if changed else "is current"
+        print(f"EXPERIMENTS.md: generated block {state}")
     return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "experiment" and args.write:
+        if args.name != "all" or args.seed is not None:
+            parser.error("--write goes with 'all' and the pinned seeds")
     if args.command == "simulate":
         return _cmd_simulate(args)
     if args.command == "workload":

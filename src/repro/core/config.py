@@ -1,7 +1,9 @@
 """Configuration for the BDS controller.
 
-Defaults follow §5.4: 2 MB blocks, 3-second update cycles, 80 % safety
-threshold (20 % of every link reserved for latency-sensitive traffic).
+The §5.4 defaults the controller does not own live where they are read:
+2 MB blocks on :class:`repro.overlay.job.MulticastJob`, the 3-second
+update cycle and the 80 % safety threshold on
+:class:`repro.net.simulator.SimConfig`.
 """
 
 from __future__ import annotations
@@ -9,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from repro.overlay.blocks import DEFAULT_BLOCK_SIZE
 from repro.utils.validation import check_fraction, check_positive
 
 ROUTING_BACKENDS = ("fptas", "lp", "greedy")
@@ -23,11 +24,12 @@ SHARD_STRIDE_AUTO = "auto"
 class BDSConfig:
     """Tunable parameters of the centralized control loop.
 
-    ``cycle_seconds`` is the §5.2 ΔT the whole decide→deliver loop must
-    fit inside for centralized control to be feasible. The per-directive
-    rates the controller assigns are enforced downstream by the shared
-    rate kernel (:func:`repro.net.flow.clip_rates_to_capacity`), which
-    proportionally scales any resource the (possibly stale, §5.1)
+    The §5.2 ΔT the whole decide→deliver loop must fit inside is the
+    simulator's (``SimConfig.cycle_seconds``, which every view carries);
+    the controller reads it from the view it decides on. The
+    per-directive rates the controller assigns are enforced downstream by
+    the shared rate kernel (:func:`repro.net.flow.clip_rates_to_capacity`),
+    which proportionally scales any resource the (possibly stale, §5.1)
     allocation oversubscribed — the controller itself never needs to
     re-check physics.
 
@@ -35,12 +37,9 @@ class BDSConfig:
     ΔT while any job is active (idle stretches are skipped), and jobs may
     request a coarser per-job cadence via
     :attr:`repro.overlay.job.MulticastJob.cycle_seconds` (a multiple of
-    this ΔT).
+    ΔT).
     """
 
-    block_size: float = DEFAULT_BLOCK_SIZE
-    cycle_seconds: float = 3.0
-    safety_threshold: float = 0.8
     routing_backend: str = "greedy"
     epsilon: float = 0.1
     max_blocks_per_cycle: int = 0  # 0 = unlimited
@@ -79,10 +78,10 @@ class BDSConfig:
     # knob to the controller's adaptive stride: it starts at 1 and
     # widens only when the EWMA of the measured per-shard wall
     # (time_shard_max) projects the per-cycle controller wall past
-    # shard_stride_target × cycle_seconds, narrowing back (with
-    # hysteresis) when slack returns.
+    # shard_stride_target × the view's cycle_seconds, narrowing back
+    # (with hysteresis) when slack returns.
     shard_stride: Union[int, str] = 1
-    # Fraction of cycle_seconds the adaptive stride keeps the projected
+    # Fraction of ΔT the adaptive stride keeps the projected
     # per-cycle controller wall under (only read when
     # shard_stride == "auto").
     shard_stride_target: float = 0.5
@@ -103,9 +102,6 @@ class BDSConfig:
     def __post_init__(self) -> None:
         if self.speculation_horizon < 0:
             raise ValueError("speculation_horizon must be >= 0")
-        check_positive("block_size", self.block_size)
-        check_positive("cycle_seconds", self.cycle_seconds)
-        check_fraction("safety_threshold", self.safety_threshold)
         check_positive("epsilon", self.epsilon)
         check_positive("max_sources_per_group", self.max_sources_per_group)
         if self.max_blocks_per_cycle < 0:

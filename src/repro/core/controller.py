@@ -438,11 +438,11 @@ class BDSController(OverlayStrategy):
             )
         )
         if self._stride_auto and shard_walls:
-            self._adapt_stride(max(shard_walls))
+            self._adapt_stride(max(shard_walls), view.cycle_seconds)
         self._previous_directives = directives
         return directives + fallback_directives
 
-    def _adapt_stride(self, wall_max: float) -> None:
+    def _adapt_stride(self, wall_max: float, cycle_seconds: float) -> None:
         """One step of the adaptive-stride control law (auto mode only).
 
         Updates the EWMA of the measured per-shard wall
@@ -466,7 +466,7 @@ class BDSController(OverlayStrategy):
             else (1.0 - _STRIDE_EWMA_ALPHA) * ewma
             + _STRIDE_EWMA_ALPHA * wall_max
         )
-        target = cfg.shard_stride_target * cfg.cycle_seconds
+        target = cfg.shard_stride_target * cycle_seconds
 
         def projected(q: int) -> float:
             return math.ceil(k / q) * self._shard_wall_ewma

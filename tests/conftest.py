@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.experiments import EXPERIMENTS
 from repro.core import BDSController
 from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
 from repro.utils.units import MB, MBps
+
+
+@pytest.fixture(scope="session")
+def results():
+    """Every paper experiment, run once at its pinned parameters (≈ 10 s)."""
+    return {name: entry.run() for name, entry in EXPERIMENTS.items()}
 
 
 @pytest.fixture

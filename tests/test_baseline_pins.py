@@ -18,11 +18,11 @@ from typing import Callable, Dict
 
 import pytest
 
-from repro.analysis.experiments import (
-    exp_fig5_gingko_vs_ideal,
+from repro.analysis.experiments.evaluation import (
     exp_fig9_bds_vs_gingko,
     exp_table3_overlay_comparison,
 )
+from repro.analysis.experiments.motivation import exp_fig5_gingko_vs_ideal
 from repro.analysis.runner import make_strategy
 from repro.core.config import BDSConfig
 from repro.net.failures import FailureEvent, FailureSchedule

@@ -1,8 +1,20 @@
 """The command-line interface."""
 
+import shutil
+from pathlib import Path
+
 import pytest
 
+from repro.analysis.experiments import (
+    EXPERIMENTS,
+    Experiment,
+    generated_block,
+    mask_wall,
+    read_generated,
+)
 from repro.cli import main
+
+EXPERIMENTS_MD = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
 
 
 class TestSimulate:
@@ -90,13 +102,26 @@ class TestExperiment:
         monkeypatch.chdir(tmp_path)
         assert main(["experiment", "fig3"]) == 0
         out = capsys.readouterr().out
-        assert "direct" in out and "bds" in out
+        assert "direct (no overlay)" in out and "BDS (intelligent overlay)" in out
         assert "cache:" not in out
         assert list(tmp_path.iterdir()) == []
 
     def test_fig4(self, capsys):
         assert main(["experiment", "fig4"]) == 0
-        assert "disjoint" in capsys.readouterr().out
+        assert "pairs with ratio != 1" in capsys.readouterr().out
+
+    def test_choices_are_the_table(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["experiment", "--help"])
+        usage = "".join(capsys.readouterr().out.split())
+        assert "{" + ",".join(sorted(EXPERIMENTS) + ["all"]) + "}" in usage
+
+    def test_fig5_is_the_bench_run(self, capsys):
+        """One parameter set per artefact: seed 7, as the bench always ran it."""
+        assert main(["experiment", "fig5"]) == 0
+        assert "median gingko/ideal ratio: 4.69x" in capsys.readouterr().out
+        assert main(["experiment", "fig5", "--seed", "5"]) == 0
+        assert "median gingko/ideal ratio: 3.52x" in capsys.readouterr().out
 
     def test_unknown_experiment(self):
         with pytest.raises(SystemExit):
@@ -105,3 +130,50 @@ class TestExperiment:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestExperimentAllWrite:
+    """``experiment all --write`` on a copy of EXPERIMENTS.md, serving the
+    session's results instead of simulating all 25 entries again."""
+
+    @pytest.fixture
+    def copy(self, tmp_path, monkeypatch, results):
+        monkeypatch.setattr(
+            Experiment, "run", lambda self, seed=None: results[self.id]
+        )
+        monkeypatch.chdir(tmp_path)
+        return Path(shutil.copy(EXPERIMENTS_MD, tmp_path))
+
+    def test_second_write_is_a_no_op(self, copy, capsys):
+        copy.write_text(copy.read_text().replace("## Workload study", "## Stale"))
+        assert main(["experiment", "all", "--write"]) == 0
+        assert "[Table 3]" in capsys.readouterr().out  # every report is printed
+        written = copy.read_text()
+        assert "## Workload study" in written
+        # The same results, read on another machine: only ⟨wall-clock⟩ differs.
+        copy.write_text(written.replace("⟨", "⟨9"))
+        assert main(["experiment", "all", "--write"]) == 0
+        assert "is current" in capsys.readouterr().out
+        assert copy.read_text() == written.replace("⟨", "⟨9")
+
+    def test_a_stale_cell_is_rewritten_and_nothing_outside_the_markers(self, copy):
+        before = copy.read_text()
+        copy.write_text(before.replace("| 138 / 141 / 39 s", "| 1 / 1 / 1 s"))
+        assert copy.read_text() != before
+        assert main(["experiment", "all", "--write"]) == 0
+        after = copy.read_text()
+        assert mask_wall(after) == mask_wall(before)
+        assert after.replace(read_generated(copy), "") == before.replace(
+            read_generated(EXPERIMENTS_MD), ""
+        )
+
+    def test_an_edited_cell_is_not_current(self, copy, results):
+        edited = copy.read_text().replace("(ratio 1.00–1.00)", "(ratio 1.01–1.01)")
+        assert edited != copy.read_text()
+        copy.write_text(edited)
+        assert mask_wall(read_generated(copy)) != mask_wall(generated_block(results))
+
+    def test_write_needs_all_at_the_pinned_seeds(self, copy):
+        for argv in (["fig3", "--write"], ["all", "--seed", "1", "--write"]):
+            with pytest.raises(SystemExit):
+                main(["experiment"] + argv)

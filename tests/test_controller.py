@@ -7,6 +7,7 @@ from repro.core import BDSConfig, BDSController
 from repro.net.failures import FailureEvent, FailureSchedule
 from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology
+from repro.overlay.blocks import DEFAULT_BLOCK_SIZE
 from repro.overlay.job import MulticastJob
 from repro.utils.units import GB, MB, MBps
 
@@ -29,10 +30,14 @@ def make_setup(controller=None):
 
 class TestConfig:
     def test_defaults_match_paper(self):
-        config = BDSConfig()
-        assert config.block_size == 2 * MB
-        assert config.cycle_seconds == 3.0
-        assert config.safety_threshold == 0.8
+        """§5.4: 2 MB blocks, 3 s cycles, 80 % threshold — each said once,
+        where it is read; ``BDSConfig`` shadows none of them."""
+        assert DEFAULT_BLOCK_SIZE == 2 * MB
+        assert SimConfig().cycle_seconds == 3.0
+        assert SimConfig().safety_threshold == 0.8
+        for shadow in ("block_size", "cycle_seconds", "safety_threshold"):
+            with pytest.raises(TypeError):
+                BDSConfig(**{shadow: 1.0})
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError):

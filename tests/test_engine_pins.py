@@ -386,8 +386,7 @@ def test_the_config_surface_is_what_this_file_says():
         "flow_setup_seconds", "record_cycle_stats",
     }
     assert {f.name for f in dataclasses.fields(BDSConfig)} == {
-        "block_size", "cycle_seconds", "safety_threshold", "routing_backend",
-        "epsilon", "max_blocks_per_cycle", "max_sources_per_group",
+        "routing_backend", "epsilon", "max_blocks_per_cycle", "max_sources_per_group",
         "merge_blocks", "speculation_horizon", "use_relays", "shards",
         "shard_seed", "shard_stride", "shard_stride_target", "shard_mode",
         "shard_partition",

@@ -81,7 +81,9 @@ class TestFullPipeline:
         generator = WorkloadGenerator(topo.dc_names(), seed=4)
         requests = generator.generate(count=4)
         jobs = to_jobs(requests, topo, block_size=4 * MB, size_scale=1e-5)
-        result = run_simulation(topo, jobs, "bds", seed=4, max_cycles=5000)
+        result = run_simulation(
+            topo, jobs, "bds", seed=4, sim=SimConfig(max_cycles=5000)
+        )
         assert result.all_complete
 
     def test_completion_time_respects_ideal_bound(self):
@@ -91,7 +93,9 @@ class TestFullPipeline:
         for name in ("bds", "gingko", "direct"):
             topo2 = mesh()
             job2 = multicast(topo2)
-            result = run_simulation(topo2, [job2], name, seed=5, max_cycles=5000)
+            result = run_simulation(
+                topo2, [job2], name, seed=5, sim=SimConfig(max_cycles=5000)
+            )
             assert result.completion_time("j") >= bound * 0.999
 
 

@@ -1,28 +1,23 @@
-"""The strategy factory, runner, and smaller experiment entry points."""
+"""The strategy factory and the runner."""
+
+import dataclasses
+import inspect
 
 import pytest
 
-from repro.analysis.experiments import (
-    exp_fig4_disjointness,
-    exp_fig11bc_delays,
-    exp_fig12a_fault_tolerance,
-    exp_fig13c_origin_fraction,
-    exp_interference,
-    exp_workload_characterization,
-    fig3_topology,
-)
+from repro.analysis.experiments.motivation import fig3_topology
 from repro.analysis.runner import (
     STRATEGY_NAMES,
     RunSpec,
-    compare_strategies,
     make_strategy,
+    mesh_scenario,
     run_many,
     run_simulation,
 )
 from repro.baselines import GingkoStrategy
+from repro.core import BDSConfig
 from repro.core.formulation import StandardLPRouter
-from repro.net.topology import Topology
-from repro.overlay.job import MulticastJob
+from repro.net.simulator import SimConfig
 from repro.utils.units import GB, MB, MBps
 
 
@@ -41,58 +36,58 @@ class TestMakeStrategy:
         assert make_strategy("bds-lp").router.backend == "lp"
         assert isinstance(make_strategy("bds-standard-lp").router, StandardLPRouter)
 
+    @pytest.mark.parametrize("name", ["bds-fptas", "bds-lp"])
+    def test_a_named_backend_wins_over_the_config(self, name):
+        backend = name[len("bds-"):]
+        config = BDSConfig(shards=2)
+        for controller in (make_strategy(name), make_strategy(name, config=config)):
+            assert controller.config.routing_backend == backend
+            assert controller.router.backend == backend
+        assert make_strategy(name, config=config).config.shards == 2
+        assert config.routing_backend == "greedy"  # the caller's is not written
+
     def test_gingko_is_strategy(self):
         assert isinstance(make_strategy("gingko", seed=1), GingkoStrategy)
 
 
-class TestRunnerHelpers:
-    def build(self):
-        topo = Topology.full_mesh(3, 2, 1 * GB, 10 * MBps)
-        job = MulticastJob(
-            job_id="j",
-            src_dc="dc0",
-            dst_dcs=("dc1", "dc2"),
-            total_bytes=20 * MB,
-            block_size=4 * MB,
-        )
-        job.bind(topo)
-        return topo, job
+def scenario():
+    return mesh_scenario(3, 2, 1 * GB, 10 * MBps, 20 * MB, 4 * MB, "j")
 
+
+class TestRunnerHelpers:
     def test_run_simulation(self):
-        topo, job = self.build()
-        result = run_simulation(topo, [job], "bds", seed=0)
+        topo, jobs = scenario()
+        result = run_simulation(topo, jobs, "bds", seed=0)
         assert result.all_complete
 
-    def test_compare_strategies_fresh_state(self):
-        def topo_factory():
-            return Topology.full_mesh(3, 2, 1 * GB, 10 * MBps)
-
-        def jobs_factory(topo):
-            job = MulticastJob(
-                job_id="j",
-                src_dc="dc0",
-                dst_dcs=("dc1", "dc2"),
-                total_bytes=20 * MB,
-                block_size=4 * MB,
-            )
-            job.bind(topo)
-            return [job]
-
-        results = compare_strategies(
-            topo_factory, jobs_factory, ["bds", "direct"], seed=0
+    def test_a_run_is_its_two_config_objects(self):
+        assert list(inspect.signature(run_simulation).parameters) == [
+            "topology", "jobs", "strategy_name",
+            "seed", "sim", "config", "background", "failures",
+        ]
+        assert [f.name for f in dataclasses.fields(RunSpec)] == [
+            "strategy", "scenario", "seed", "label", "config", "sim",
+        ]
+        topo, jobs = scenario()
+        result = run_simulation(
+            topo, jobs, "bds", seed=0,
+            sim=SimConfig(cycle_seconds=1.0, max_cycles=2),
+            config=BDSConfig(max_blocks_per_cycle=1),
         )
-        assert set(results) == {"bds", "direct"}
-        assert all(r.all_complete for r in results.values())
+        assert result.cycles_run == 2 and result.sim_time == 2.0
+        assert [stats.blocks_delivered for stats in result.cycle_stats] == [1, 1]
+
+    def test_mesh_scenario_rotates_sources(self):
+        topo, jobs = mesh_scenario(3, 2, 1 * GB, 10 * MBps, 8 * MB, 4 * MB, "m", jobs=4)
+        assert [job.job_id for job in jobs] == ["m0", "m1", "m2", "m3"]
+        assert [job.src_dc for job in jobs] == ["dc0", "dc1", "dc2", "dc0"]
+        assert jobs[1].dst_dcs == ("dc0", "dc2")
+        assert all(job.is_bound() for job in jobs)
 
 
 class TestRunMany:
-    @staticmethod
-    def scenario():
-        topo, job = TestRunnerHelpers().build()
-        return topo, [job]
-
     def spec(self, strategy="bds", **kwargs):
-        return RunSpec(strategy=strategy, scenario=self.scenario, seed=17, **kwargs)
+        return RunSpec(strategy=strategy, scenario=scenario, seed=17, **kwargs)
 
     def test_results_in_spec_order(self):
         names = ["gingko", "bds", "direct"]
@@ -102,6 +97,22 @@ class TestRunMany:
         assert [r.fingerprint() for r in results] == [
             run_many([self.spec(n)])[0].fingerprint() for n in names
         ]
+
+    def test_fresh_state_per_strategy(self):
+        """Specs sharing a scenario factory share no topology, job or store."""
+        built = []
+
+        def recording():
+            built.append(scenario())
+            return built[-1]
+
+        names = ["bds", "direct", "bds"]
+        results = run_many([RunSpec(n, recording, seed=0) for n in names])
+        assert all(r.all_complete for r in results)
+        assert len({id(topo) for topo, _ in built}) == 3
+        assert len({id(jobs[0]) for _, jobs in built}) == 3
+        assert results[0].store is not results[2].store
+        assert results[0].fingerprint() == results[2].fingerprint()
 
     def test_label_defaults_to_strategy(self):
         assert self.spec("gingko").label == "gingko"
@@ -128,55 +139,9 @@ class TestRunMany:
 
 
 class TestExperimentEntryPoints:
-    """Smoke-level checks that experiments reproduce the paper's *shape*."""
-
-    def test_workload_characterization(self):
-        result = exp_workload_characterization(num_requests=300, seed=1)
-        assert 0.8 < result.overall_share <= 1.0
-        for share in result.share_by_app.values():
-            assert 0.7 <= share <= 1.0
-        assert len(result.sizes_bytes) > 200
-
-    def test_fig4_mostly_disjoint(self):
-        result = exp_fig4_disjointness(num_samples=300, seed=4)
-        assert result.fraction_disjoint > 0.9  # paper: >95%
+    """The entries themselves are checked in ``tests/test_experiments.py``."""
 
     def test_fig3_topology_shape(self):
         topo = fig3_topology()
         assert set(topo.dc_names()) == {"A", "B", "C"}
         assert topo.link_capacity("A", "C") < topo.link_capacity("A", "B")
-
-    def test_fig11bc_delays(self):
-        result = exp_fig11bc_delays(num_requests=500, seed=0)
-        assert len(result.network_delays_s) == 500
-        import statistics
-
-        mean_ms = statistics.mean(result.network_delays_s) * 1000
-        assert 10 < mean_ms < 60  # paper: ~25 ms
-        assert statistics.median(result.feedback_delays_s) < 0.5
-
-    def test_fig12a_failure_dip_and_recovery(self):
-        result = exp_fig12a_fault_tolerance(seed=12)
-        series = result.blocks_per_cycle
-        # Progress during normal operation.
-        normal = sum(series[3:9]) / 6
-        assert normal > 0
-        # Fallback period still makes some progress (graceful degradation).
-        fallback = sum(series[21:29]) / 8
-        assert fallback > 0
-        # Centralized control outperforms the decentralized fallback.
-        assert normal > fallback
-
-    def test_fig13c_overlay_dominates(self):
-        result = exp_fig13c_origin_fraction(seed=13)
-        # Paper: for ~90% of servers, <= 20% of blocks come from the origin.
-        assert result.fraction_servers_below_20pct > 0.5
-
-    def test_interference_gingko_violates_threshold(self):
-        result = exp_interference("gingko", file_bytes=1 * GB, seed=6)
-        assert result.violations > 0
-        assert max(result.inflation) > 1.0
-
-    def test_interference_bds_respects_threshold(self):
-        result = exp_interference("bds", file_bytes=1 * GB, seed=6)
-        assert result.violations == 0

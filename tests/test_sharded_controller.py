@@ -19,10 +19,13 @@ Contracts under test (ISSUE: sharded multi-controller control plane):
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import BDSConfig
 from repro.core.controller import BDSController
+from repro.core.shardexec import LocalShardRunner
 from repro.net.simulator import SimConfig, SimResult, Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
@@ -229,14 +232,12 @@ class TestReconciliation:
     def test_wan_sums_within_budget(self):
         """Controller output (pre-simulator) respects every WAN budget."""
         topo, jobs = _scenario(8)
-        cfg = BDSConfig(shards=4)
-        controller = BDSController(cfg)
+        controller = BDSController(BDSConfig(shards=4))
         controller.decisions_reusable = False  # decide every cycle
-        Simulation(
-            topology=topo, jobs=jobs, strategy=controller, seed=SEED
-        ).run()
+        sim = Simulation(topology=topo, jobs=jobs, strategy=controller, seed=SEED)
+        sim.run()
         budgets = {
-            key: cfg.safety_threshold * link.capacity
+            key: sim.config.safety_threshold * link.capacity
             for key, link in topo.links.items()
         }
         checked = 0
@@ -432,6 +433,30 @@ class TestAdaptiveStride:
         # The signature carries the effective stride, not the knob.
         controller._stride = 2
         assert controller.shard_signature == (4, 0, 2, "hash")
+
+    @pytest.mark.parametrize("dt, settled", [(1.0, 4), (3.0, 2)])
+    def test_auto_budget_is_the_simulators_cycle(self, dt, settled):
+        """Shard walls of 0.3 s under ``shard_stride_target`` 0.5: at
+        ΔT = 1 s the budget is 0.5 s and only the cold-start stride (one
+        shard a cycle) fits it; at ΔT = 3 s it is 1.5 s and two shards a
+        cycle fit — the controller has no ΔT of its own to say otherwise."""
+
+        class SlowShards(LocalShardRunner):
+            def decide(self, *args, **kwargs):
+                results = super().decide(*args, **kwargs)
+                return [dataclasses.replace(r, wall=0.3) for r in results]
+
+        topo, jobs = _scenario(8)
+        controller = BDSController(BDSConfig(shards=4, shard_stride="auto"))
+        controller._shard_runner = SlowShards(
+            controller.config, controller._shard_of_id
+        )
+        result = Simulation(
+            topology=topo, jobs=jobs, strategy=controller,
+            config=SimConfig(cycle_seconds=dt), seed=SEED,
+        ).run()
+        assert result.all_complete
+        assert controller._stride == settled
 
     def test_auto_quality_within_tolerance(self):
         base = _run(1)

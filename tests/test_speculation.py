@@ -160,7 +160,7 @@ def contended(
     max_cycles=60,
     **bds,
 ):
-    """The livelock scenario of EXPERIMENTS.md ("One possession truth"),
+    """The livelock scenario of docs/PERF_LOG.md ("One possession truth"),
     shrunk: two jobs from different source DCs to the other DCs of a
     4 x 6 full mesh, NIC-bound, so every cycle's directives compete and
     most speculated copies are picked as sources the cycle after.

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.sweeps import SweepPoint, SweepResult, compare_sweeps, sweep
+from repro.net.simulator import SimConfig
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
 from repro.utils.units import MB, MBps
@@ -57,7 +58,7 @@ class TestSweep:
             [1 * MBps],
             wan_scenario,
             seed=0,
-            max_cycles=1,
+            sim=SimConfig(max_cycles=1),
         )
         assert not result.points[0].all_complete
         assert result.points[0].completion_time == float("inf")
