@@ -28,9 +28,6 @@ partitions by job):
   pure reconciliation error: measured range is -6% (shards=4, *faster*,
   because each shard's fair-rounds router approximates max-min better
   on fewer commodities) to +2.5% (shards=2).
-* **process mode** — on hosts with >= 4 CPUs, ``shard_mode="process"``
-  must beat in-process wall at 10^6 pairs (skipped on smaller hosts;
-  results are bit-identical either way, which the unit suite asserts).
 
 The 10^5 and 10^6 arms run uncapped — the production default, where a
 cold cycle's cost is dominated by materializing one directive per
@@ -112,9 +109,6 @@ DT_SECONDS = 3.0
 #: the fair 1/k share of the single-controller state (partition
 #: imbalance allowance).
 MEMORY_SCALING_SLACK = 1.5
-#: Process-mode floor, asserted only on hosts with >= this many CPUs.
-PROCESS_MODE_MIN_CPUS = 4
-PROCESS_SPEEDUP_FLOOR = 1.2
 #: Per-cycle selection cap for the 10^7 timed arms (all shard counts):
 #: far above what the scenario network can deliver per ΔT, so it never
 #: binds the physics, but it keeps directive-object churn from
@@ -347,48 +341,10 @@ def quality_delta(base: dict, sharded: dict) -> float:
     return sum(deltas) / len(deltas) if deltas else 0.0
 
 
-def process_mode_arm(
-    num_jobs: int, blocks: int, shards: int, cycles: int
-) -> dict:
-    """Wall-clock of process fan-out vs in-process at one scale."""
-    out = {}
-    for mode in ("inprocess", "process"):
-        topo, jobs = build_scenario(num_jobs, blocks)
-        controller = BDSController(
-            BDSConfig(
-                shards=shards,
-                shard_mode=mode,
-                max_blocks_per_cycle=TIMED_ARM_CAP,
-            )
-        )
-        controller.decisions_reusable = False  # fixed ticks
-        sim = Simulation(
-            topology=topo,
-            jobs=jobs,
-            strategy=controller,
-            config=SimConfig(max_cycles=cycles, stop_when_complete=False),
-            seed=0,
-        )
-        started = _time.perf_counter()
-        result = sim.run()
-        controller.shutdown()
-        out[mode] = {
-            "total_decide_s": sum(s.time_decide for s in result.cycle_stats),
-            "run_wall_s": _time.perf_counter() - started,
-        }
-    out["speedup"] = (
-        out["inprocess"]["total_decide_s"] / out["process"]["total_decide_s"]
-        if out["process"]["total_decide_s"] > 0
-        else 0.0
-    )
-    return out
-
-
 #: Arm kind -> callable; each runs in its own interpreter (see below).
 ARM_KINDS = {
     "timed": timed_cycles,
     "quality": quality_arm,
-    "process_mode": process_mode_arm,
     "partition_compare": partition_compare_arm,
 }
 
@@ -451,7 +407,7 @@ def run_arm(kind: str, repeats: int = 1, **kwargs) -> dict:
     return best
 
 
-def run_bench(quick: bool, with_process_mode: bool = False) -> dict:
+def run_bench(quick: bool) -> dict:
     scales = QUICK_SCALES if quick else FULL_SCALES
     payload = {
         "format_version": RESULT_FORMAT_VERSION,
@@ -550,16 +506,6 @@ def run_bench(quick: bool, with_process_mode: bool = False) -> dict:
         cycles=6,
     )
 
-    if with_process_mode:
-        num_jobs, blocks = scales["2e4" if quick else "1e6"]
-        payload["process_mode"] = run_arm(
-            "process_mode",
-            num_jobs=num_jobs,
-            blocks=blocks,
-            shards=4,
-            cycles=6,
-        )
-
     return payload
 
 
@@ -617,13 +563,6 @@ def format_report(payload: dict) -> str:
                 f"(delta {arm['mean_delta']:+.2%}, "
                 f"complete={arm['all_complete']})"
             )
-    if "process_mode" in payload:
-        pm = payload["process_mode"]
-        lines.append(
-            f"process mode: inprocess {pm['inprocess']['total_decide_s']:.3f}s "
-            f"vs process {pm['process']['total_decide_s']:.3f}s "
-            f"-> {pm['speedup']:.2f}x"
-        )
     return "\n".join(lines)
 
 
@@ -707,14 +646,6 @@ def check_floors(payload: dict) -> list:
                     f"{arm['mean_delta']:+.2%} over the "
                     f"{QUALITY_TOLERANCE:.0%} tolerance"
                 )
-    if "process_mode" in payload:
-        pm = payload["process_mode"]
-        if pm["speedup"] < PROCESS_SPEEDUP_FLOOR:
-            failures.append(
-                f"process-mode speedup {pm['speedup']:.2f}x below "
-                f"{PROCESS_SPEEDUP_FLOOR}x on a "
-                f"{payload['cpu_count']}-CPU host"
-            )
     return failures
 
 
@@ -849,9 +780,7 @@ def main(argv=None) -> int:
             print(f"FAIL: {message}", file=sys.stderr)
         return 1 if failures else 0
 
-    cpus = os.cpu_count() or 1
-    with_process = not args.quick and cpus >= PROCESS_MODE_MIN_CPUS
-    payload = run_bench(quick=args.quick, with_process_mode=with_process)
+    payload = run_bench(quick=args.quick)
     print(format_report(payload))
 
     Path(args.output).write_text(

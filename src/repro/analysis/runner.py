@@ -126,24 +126,15 @@ def run_simulation(
     ``config`` the BDS controller's (routing backend, shards, …; ignored
     by the decentralized baselines).
     """
-    strategy = make_strategy(strategy_name, seed=seed, config=config)
-    simulation = Simulation(
+    return Simulation(
         topology=topology,
         jobs=list(jobs),
-        strategy=strategy,
+        strategy=make_strategy(strategy_name, seed=seed, config=config),
         config=sim,
         background=background,
         failures=failures,
         seed=seed,
-    )
-    try:
-        return simulation.run()
-    finally:
-        # Release any process fan-out workers the strategy holds
-        # (sharded controller in shard_mode="process"; no-op otherwise).
-        shutdown = getattr(strategy, "shutdown", None)
-        if shutdown is not None:
-            shutdown()
+    ).run()
 
 
 @dataclass

@@ -36,19 +36,24 @@ from repro.workload.generator import WorkloadGenerator
 from repro.workload.traces import replay_as_jobs, save_trace
 
 
-def _stride_arg(text: str) -> "int | str":
-    """Parse ``--shard-stride``: a positive int or the literal ``auto``."""
-    if text == "auto":
-        return text
+def _positive_int(text: str, expected: str = "an integer") -> int:
+    """Parse a count that must be at least 1 (``--jobs``, ``--shards``)."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {text!r}"
+            f"expected {expected}, got {text!r}"
         ) from None
     if value < 1:
-        raise argparse.ArgumentTypeError("stride must be >= 1")
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _stride_arg(text: str) -> "int | str":
+    """Parse ``--shard-stride``: a positive int or the literal ``auto``."""
+    if text == "auto":
+        return text
+    return _positive_int(text, "an integer or 'auto'")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,14 +76,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--max-cycles", type=int, default=100_000)
     sim.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help="number of concurrent multicast jobs (sources rotate across "
         "DCs); sharding partitions by job, so >1 makes --shards meaningful",
     )
     sim.add_argument(
         "--shards",
-        type=int,
+        type=_positive_int,
         default=1,
         help="controller shards: partition jobs across this many "
         "schedule+route pipelines with WAN-capacity reconciliation "
@@ -97,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--shard-partition",
         choices=("hash", "affinity"),
         default="hash",
-        help="job-to-shard partition policy: seeded stable hash, or "
+        help="job-to-shard partition policy: stable hash, or "
         "greedy source-DC affinity (co-locates jobs sharing a source, "
         "balanced by pair-count weight)",
     )
@@ -154,7 +159,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         parse_size(args.size),
         parse_size(args.block_size),
         job_id="cli",
-        jobs=max(1, args.jobs),
+        jobs=args.jobs,
     )
     result = run_simulation(
         topo,

@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from repro.utils.validation import check_fraction, check_positive
+from repro.utils.validation import check_positive
 
 ROUTING_BACKENDS = ("fptas", "lp", "greedy")
-SHARD_MODES = ("inprocess", "process")
 SHARD_PARTITIONS = ("hash", "affinity")
 #: Sentinel value of ``shard_stride`` selecting the adaptive controller.
 SHARD_STRIDE_AUTO = "auto"
@@ -54,7 +53,7 @@ class BDSConfig:
     use_relays: bool = True
     # Sharded control plane (ROADMAP "sharded multi-controller
     # scale-out"): partition the job set across this many controller
-    # shards by a platform-stable seeded hash of job id
+    # shards by a platform-stable hash of job id
     # (repro.core.sharding). Each shard runs the full vectorized
     # schedule+route pipeline on a mirror of its own partition
     # (repro.core.shardexec) with its own CycleCache and FPTAS warm
@@ -64,9 +63,6 @@ class BDSConfig:
     # own allocator). 1 keeps the single-controller path, bit-identical
     # to before the shards knob existed.
     shards: int = 1
-    # Seed of the job→shard hash (re-spreads a colliding workload
-    # without renaming jobs).
-    shard_seed: int = 0
     # Shard decide cadence: shard s re-runs schedule+route only on
     # cycles with cycle % stride == s % stride and replays its cached
     # directives (demands refreshed by the simulator) in between. 1 =
@@ -75,23 +71,21 @@ class BDSConfig:
     # shards' worth of work — the knob that fits 10⁷ pairs inside ΔT on
     # one core — at the cost of newly pending work waiting up to
     # stride-1 cycles for its shard's turn. The string "auto" hands the
-    # knob to the controller's adaptive stride: it starts at 1 and
-    # widens only when the EWMA of the measured per-shard wall
-    # (time_shard_max) projects the per-cycle controller wall past
-    # shard_stride_target × the view's cycle_seconds, narrowing back
-    # (with hysteresis) when slack returns.
+    # knob to the controller's adaptive stride: it starts at one shard
+    # per cycle and narrows (with hysteresis) while the EWMA of the
+    # measured per-shard wall (time_shard_max) projects the per-cycle
+    # controller wall under half the view's cycle_seconds, widening
+    # back at once when it does not.
     shard_stride: Union[int, str] = 1
-    # Fraction of ΔT the adaptive stride keeps the projected
-    # per-cycle controller wall under (only read when
-    # shard_stride == "auto").
-    shard_stride_target: float = 0.5
-    # Shard execution: "inprocess" loops over shards in index order;
-    # "process" fans decides over one persistent single-worker process
-    # per shard (pickle-pure payloads, deterministic shard-order
-    # gather). Results are identical either way.
+    # Not an option: shards execute in the controller's process. The
+    # process fan-out this once selected measured 2–13× slower and is
+    # gone (docs/PERF_LOG.md); the field stays, with its one value,
+    # because benchmarks/ledger/workloads.py's sharded_churn_k4 writes
+    # BDSConfig(shards=4, shard_mode="inprocess") and the ledger is
+    # frozen — both go in the next [benchmark] PR.
     shard_mode: str = "inprocess"
     # Job→shard partitioning policy: "hash" is the platform-stable
-    # seeded hash of job id (PR 7 behaviour, the default); "affinity"
+    # hash of job id (the default); "affinity"
     # co-locates jobs sharing a source DC onto the same shard (greedy,
     # balanced by pair-count weight, hash tie-breaks — see
     # repro.core.sharding.AffinityAssigner) so shards contend less on
@@ -121,12 +115,11 @@ class BDSConfig:
                 )
         elif self.shard_stride < 1:
             raise ValueError("shard_stride must be >= 1")
-        check_positive("shard_stride_target", self.shard_stride_target)
-        check_fraction("shard_stride_target", self.shard_stride_target)
-        if self.shard_mode not in SHARD_MODES:
+        if self.shard_mode != "inprocess":
             raise ValueError(
-                f"shard_mode must be one of {SHARD_MODES}, "
-                f"got {self.shard_mode!r}"
+                f"shard_mode={self.shard_mode!r}: shards execute in-process; "
+                "the process fan-out was removed (it measured 2-13x slower "
+                "than the in-process mirrors, docs/PERF_LOG.md)"
             )
         if self.shard_partition not in SHARD_PARTITIONS:
             raise ValueError(

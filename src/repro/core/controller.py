@@ -8,7 +8,7 @@ decentralized overlay protocol* — Gingko — ensuring graceful degradation
 (§5.3); performance recovers the cycle the controller returns (Fig. 12a).
 
 **Sharded control plane** (``BDSConfig.shards > 1``): the job set is
-partitioned across controller shards — by a platform-stable seeded hash
+partitioned across controller shards — by a platform-stable hash
 of job id (:mod:`repro.core.sharding`), or with
 ``shard_partition="affinity"`` by the greedy source-affinity assigner
 (jobs sharing a source DC co-locate, balanced by pair-count weight, hash
@@ -19,10 +19,11 @@ possession, scheduling, and routing all decompose — and each shard runs
 the full vectorized schedule+route pipeline on its own partition.
 
 Each shard owns **only its partition's state**: a
-:class:`~repro.core.shardexec.ShardMirror` with a shard-local possession
-index, candidate table, and :class:`~repro.net.cycle_cache.CycleCache`,
-fed by delivery-log watermark replay (see :mod:`repro.core.shardexec`) —
-per-shard memory and cold-build work are O(pairs/shards). A cycle's
+:class:`~repro.core.shardexec.ShardMirror` in this process with a
+shard-local possession index, candidate table, and
+:class:`~repro.net.cycle_cache.CycleCache`, fed by delivery-log
+watermark replay (see :mod:`repro.core.shardexec`) — per-shard memory
+and cold-build work are O(pairs/shards). A cycle's
 speculated deliveries (§5.1) are handed to the mirrors beside the
 replay, and each overlays its own store with its share for that decide.
 The shared capacities are resolved afterwards by one outer
@@ -39,23 +40,20 @@ since nothing is known about per-shard cost yet) and then tracks an
 EWMA of the measured per-shard wall (``time_shard_max``): it narrows
 one step at a time while the projected per-cycle controller wall —
 ``ceil(shards/stride)`` shards' worth of work — stays under 70 % of
-``shard_stride_target × cycle_seconds``, and widens back immediately
+half of ``cycle_seconds``, and widens back immediately
 when the projection exceeds that budget (narrowing has the hysteresis;
 widening has none — the budget is a feasibility bound, §5.2's ΔT, not
 a preference).
 
 ``shards=1`` takes the original single-controller path, bit-identical to
-before the knob existed; ``shards=k`` is deterministic (shards are
-combined in index order, independent of execution mode or worker
-scheduling).
+before the knob existed; ``shards=k`` is deterministic (shards decide
+and are combined in index order).
 """
 
 from __future__ import annotations
 
 import math
-import pickle
 import time as _time
-from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -64,21 +62,26 @@ from repro.baselines.base import OverlayStrategy
 from repro.baselines.gingko import GingkoStrategy
 from repro.core.config import SHARD_STRIDE_AUTO, BDSConfig
 from repro.core.decisions import ControlDecision
-from repro.core.routing import BDSRouter
-from repro.core.scheduling import RarestFirstScheduler
 from repro.core.sharding import AffinityAssigner, stable_shard
-from repro.core.shardexec import LocalShardRunner, ShardExecutor, ShardResult
+from repro.core.shardexec import (
+    DecideResult,
+    LocalShardRunner,
+    build_pipeline,
+    schedule_and_route,
+)
 from repro.core.speculation import DeliverySpeculator, SpeculatedView
 from repro.net.simulator import ClusterView, TransferDirective
 from repro.overlay.job import MulticastJob
 from repro.utils.rng import SeedLike
 
 #: Adaptive-stride control-law constants (``shard_stride="auto"``):
-#: smoothing factor of the per-shard wall EWMA, and the hysteresis
-#: fraction of the wall budget the projection must fall under before the
+#: smoothing factor of the per-shard wall EWMA, the fraction of ΔT the
+#: projected per-cycle controller wall is kept under, and the hysteresis
+#: fraction of that budget the projection must fall under before the
 #: stride narrows (widening has no hysteresis — the budget is a
 #: feasibility bound, §5.2's ΔT, not a preference).
 _STRIDE_EWMA_ALPHA = 0.3
+_STRIDE_TARGET_FRACTION = 0.5
 _STRIDE_NARROW_FRACTION = 0.7
 
 
@@ -121,16 +124,7 @@ class BDSController(OverlayStrategy):
         reachable from everywhere."""
         self.config = config or BDSConfig()
         self.controller_dc = controller_dc
-        self.scheduler = RarestFirstScheduler(
-            max_blocks_per_cycle=self.config.max_blocks_per_cycle,
-            use_relays=self.config.use_relays,
-        )
-        self.router = BDSRouter(
-            backend=self.config.routing_backend,
-            epsilon=self.config.epsilon,
-            max_sources_per_group=self.config.max_sources_per_group,
-            merge_blocks=self.config.merge_blocks,
-        )
+        self.scheduler, self.router = build_pipeline(self.config)
         self.fallback = fallback or GingkoStrategy(seed=seed)
         self.decisions: List[ControlDecision] = []
         self._fallback_active = False
@@ -142,9 +136,8 @@ class BDSController(OverlayStrategy):
         self._previous_directives: List[TransferDirective] = []
         # Sharded control plane (shards > 1): per-shard replay state, the
         # memoized job→shard assignment (sticky — possession state lives
-        # where the job lives), the lazily started execution backends
-        # (in-process mirrors / process fan-out), and the adaptive
-        # stride state.
+        # where the job lives), the lazily built mirrors, and the
+        # adaptive stride state.
         self._pipelines: List[_ShardPipeline] = (
             [_ShardPipeline() for _ in range(self.config.shards)]
             if self.config.shards > 1
@@ -152,19 +145,12 @@ class BDSController(OverlayStrategy):
         )
         self._shard_assign: Dict[str, int] = {}
         self._affinity: Optional[AffinityAssigner] = (
-            AffinityAssigner(self.config.shards, seed=self.config.shard_seed)
+            AffinityAssigner(self.config.shards)
             if self.config.shards > 1
             and self.config.shard_partition == "affinity"
             else None
         )
-        self._shard_executor: Optional[ShardExecutor] = None
         self._shard_runner: Optional[LocalShardRunner] = None
-        # The shard mode in force: ``config.shard_mode`` until a broken
-        # worker pool makes the in-process mirrors take over for the rest
-        # of the run. Takeovers are counted by the exception type that
-        # caused them (and named on that cycle's ControlDecision).
-        self._shard_mode: str = self.config.shard_mode
-        self.shard_takeovers: Dict[str, int] = {}
         self._stride_auto = self.config.shard_stride == SHARD_STRIDE_AUTO
         # Auto mode starts maximally staggered (one shard per cycle) and
         # narrows as measurements show slack; a static stride is taken
@@ -182,10 +168,10 @@ class BDSController(OverlayStrategy):
         return self._fallback_active
 
     @property
-    def shard_signature(self) -> Optional[Tuple[int, int, int, str]]:
+    def shard_signature(self) -> Optional[Tuple[int, int, str]]:
         """The shard layout in force, ``None`` on the single-controller path.
 
-        ``(shards, shard_seed, effective_stride, shard_partition)`` — the
+        ``(shards, effective_stride, shard_partition)`` — the
         *effective* stride, which moves under ``shard_stride="auto"``.
         The :class:`~repro.net.simulator.Simulation` reads "sharded" off
         it: shards decide against their own mirrors' candidate tables,
@@ -195,7 +181,6 @@ class BDSController(OverlayStrategy):
             return None
         return (
             self.config.shards,
-            self.config.shard_seed,
             self._stride,
             self.config.shard_partition,
         )
@@ -207,9 +192,7 @@ class BDSController(OverlayStrategy):
             if self._affinity is not None:
                 shard = self._affinity.assign(job)
             else:
-                shard = stable_shard(
-                    job.job_id, self.config.shards, self.config.shard_seed
-                )
+                shard = stable_shard(job.job_id, self.config.shards)
             self._shard_assign[job.job_id] = shard
         return shard
 
@@ -225,7 +208,7 @@ class BDSController(OverlayStrategy):
         shard = self._shard_assign.get(job_id)
         if shard is not None:
             return shard
-        return stable_shard(job_id, self.config.shards, self.config.shard_seed)
+        return stable_shard(job_id, self.config.shards)
 
     def decide(self, view: ClusterView) -> List[TransferDirective]:
         """One control cycle: schedule, route, emit directives.
@@ -275,24 +258,39 @@ class BDSController(OverlayStrategy):
 
         if speculated:
             view = SpeculatedView(view, *speculated)
-        selections = self.scheduler.select(view)
-        directives, diagnostics = self.router.route(view, selections)
-        self.decisions.append(
-            ControlDecision(
-                cycle=view.cycle,
-                directives=directives,
-                scheduled_blocks=len(selections),
-                num_commodities=diagnostics.num_commodities,
-                schedule_runtime=getattr(self.scheduler, "last_runtime", 0.0),
-                routing_runtime=diagnostics.runtime,
-                objective=diagnostics.objective,
-                routing_iterations=diagnostics.iterations,
-                routing_phases=diagnostics.phases,
-                routing_warm_start=diagnostics.warm_start,
-            )
+        result = schedule_and_route(self.scheduler, self.router, view)
+        self._log_decision(view.cycle, result.directives, [result])
+        return result.directives + fallback_directives
+
+    def _log_decision(
+        self,
+        cycle: int,
+        directives: List[TransferDirective],
+        results: List[DecideResult],
+        **shard_telemetry,
+    ) -> None:
+        """Record the cycle's decision: ``directives`` as emitted, the
+        fresh schedule+routes' telemetry summed, and — sharded — the
+        control plane's own."""
+        decision = ControlDecision(
+            cycle=cycle, directives=directives, **shard_telemetry
         )
+        warm_starts = set()
+        for r in results:
+            decision.scheduled_blocks += r.scheduled_blocks
+            decision.num_commodities += r.num_commodities
+            decision.schedule_runtime += r.schedule_runtime
+            decision.routing_runtime += r.routing_runtime
+            decision.objective += r.objective
+            decision.routing_iterations += r.iterations
+            decision.routing_phases += r.phases
+            if r.warm_start:
+                warm_starts.add(r.warm_start)
+        decision.routing_warm_start = (
+            "mixed" if len(warm_starts) > 1 else "".join(warm_starts)
+        )
+        self.decisions.append(decision)
         self._previous_directives = directives
-        return directives + fallback_directives
 
     # -- sharded control plane -------------------------------------------------
 
@@ -348,52 +346,17 @@ class BDSController(OverlayStrategy):
             ):
                 due.append(s)
 
-        scheduled_blocks = 0
-        num_commodities = 0
-        objective = 0.0
-        iterations = 0
-        phases = 0
-        warm_starts: List[str] = []
-        schedule_runtime = 0.0
-        routing_runtime = 0.0
-        shard_walls: List[float] = []
-        state_bytes_max = 0
-        candidate_bytes_max = 0
-        payload_bytes_total = 0
-
-        results: Optional[List[ShardResult]] = None
-        takeover = ""
-        if not due:
-            results = []
-        elif self._shard_mode == "process":
-            results, takeover = self._process_decide(view, buckets, due, pairs)
-        if results is None:
-            # In-process partition-scoped mirrors: each shard decides
-            # against its own possession index, candidate table, and
-            # cache, fed by watermark replay.
+        results: List[DecideResult] = []
+        if due:
+            # Each due shard decides against its own mirror (possession
+            # index, candidate table, cache), fed by watermark replay.
             if self._shard_runner is None:
                 self._shard_runner = LocalShardRunner(cfg, self._shard_of_id)
             results = self._shard_runner.decide(view, buckets, due, pairs)
-
         for s, outcome in zip(due, results):
             pipe = self._pipelines[s]
             pipe.directives = outcome.directives
             pipe.context = context
-            scheduled_blocks += outcome.scheduled_blocks
-            num_commodities += outcome.num_commodities
-            objective += outcome.objective
-            iterations += outcome.iterations
-            phases += outcome.phases
-            if outcome.warm_start:
-                warm_starts.append(outcome.warm_start)
-            schedule_runtime += outcome.schedule_runtime
-            routing_runtime += outcome.routing_runtime
-            shard_walls.append(outcome.wall)
-            state_bytes_max = max(state_bytes_max, outcome.state_bytes)
-            candidate_bytes_max = max(
-                candidate_bytes_max, outcome.candidate_bytes
-            )
-            payload_bytes_total += outcome.payload_bytes
 
         directives: List[TransferDirective] = []
         for pipe in self._pipelines:
@@ -404,42 +367,27 @@ class BDSController(OverlayStrategy):
         directives, reconciled = self._reconcile_wan(view, directives)
         reconcile_runtime = _time.perf_counter() - reconcile_started
 
-        if not warm_starts:
-            warm_start = ""
-        elif all(w == warm_starts[0] for w in warm_starts):
-            warm_start = warm_starts[0]
-        else:
-            warm_start = "mixed"
-
-        self.decisions.append(
-            ControlDecision(
-                cycle=view.cycle,
-                directives=directives,
-                scheduled_blocks=scheduled_blocks,
-                num_commodities=num_commodities,
-                schedule_runtime=schedule_runtime,
-                routing_runtime=routing_runtime,
-                objective=objective,
-                routing_iterations=iterations,
-                routing_phases=phases,
-                routing_warm_start=warm_start,
-                shard_count=k,
-                shard_wall_max=max(shard_walls, default=0.0),
-                shard_wall_mean=(
-                    sum(shard_walls) / len(shard_walls) if shard_walls else 0.0
-                ),
-                reconcile_runtime=reconcile_runtime,
-                reconciled_directives=reconciled,
-                shard_stride=stride,
-                shard_state_bytes=state_bytes_max,
-                shard_candidate_bytes=candidate_bytes_max,
-                shard_payload_bytes=payload_bytes_total,
-                shard_takeover=takeover,
-            )
+        shard_walls = [r.wall for r in results]
+        self._log_decision(
+            view.cycle,
+            directives,
+            results,
+            shard_count=k,
+            shard_wall_max=max(shard_walls, default=0.0),
+            shard_wall_mean=(
+                sum(shard_walls) / len(shard_walls) if shard_walls else 0.0
+            ),
+            reconcile_runtime=reconcile_runtime,
+            reconciled_directives=reconciled,
+            shard_stride=stride,
+            shard_state_bytes=max((r.state_bytes for r in results), default=0),
+            shard_candidate_bytes=max(
+                (r.candidate_bytes for r in results), default=0
+            ),
+            shard_payload_bytes=sum(r.payload_bytes for r in results),
         )
         if self._stride_auto and shard_walls:
             self._adapt_stride(max(shard_walls), view.cycle_seconds)
-        self._previous_directives = directives
         return directives + fallback_directives
 
     def _adapt_stride(self, wall_max: float, cycle_seconds: float) -> None:
@@ -451,14 +399,13 @@ class BDSController(OverlayStrategy):
         work of the shards due on one cycle. Starting from the
         maximally staggered cold-start stride (= shards), the stride
         narrows one step at a time only while the projection one step
-        tighter stays under 70 % of ``shard_stride_target ×
-        cycle_seconds`` — the hysteresis band that keeps a workload
+        tighter stays under 70 % of half of ``cycle_seconds`` — the
+        hysteresis band that keeps a workload
         sitting at the boundary from oscillating — and widens (one step
         at a time, immediately) while the projection at the current
         stride exceeds the budget.
         """
-        cfg = self.config
-        k = cfg.shards
+        k = self.config.shards
         ewma = self._shard_wall_ewma
         self._shard_wall_ewma = (
             wall_max
@@ -466,7 +413,7 @@ class BDSController(OverlayStrategy):
             else (1.0 - _STRIDE_EWMA_ALPHA) * ewma
             + _STRIDE_EWMA_ALPHA * wall_max
         )
-        target = cfg.shard_stride_target * cycle_seconds
+        target = _STRIDE_TARGET_FRACTION * cycle_seconds
 
         def projected(q: int) -> float:
             return math.ceil(k / q) * self._shard_wall_ewma
@@ -534,46 +481,6 @@ class BDSController(OverlayStrategy):
                 out[i] = out[i].with_rate_cap(new_cap)
                 reconciled += 1
         return out, reconciled
-
-    def _process_decide(
-        self,
-        view: ClusterView,
-        buckets: List[List[MulticastJob]],
-        due: List[int],
-        speculated: List[Tuple[Tuple[str, int], str]],
-    ) -> Tuple[Optional[List[ShardResult]], str]:
-        """Fan the due shards' decides over persistent worker processes.
-
-        Returns the per-shard outcomes in ``due`` order and ``""`` — or,
-        when the worker pool is unavailable or broken, ``None`` and the
-        exception's type name: the caller falls back to the in-process
-        mirrors (a fresh in-process feed re-snapshots each job's holders
-        from the live store, so mid-run takeover loses nothing), which
-        then stay in force for the rest of the run.
-        """
-        if self._shard_executor is None:
-            self._shard_executor = ShardExecutor(self.config, self._shard_of_id)
-        try:
-            return (
-                self._shard_executor.decide(view, buckets, due, speculated),
-                "",
-            )
-        except (BrokenProcessPool, pickle.PickleError, OSError, EOFError) as error:
-            # A broken pool must never take the control plane down:
-            # abandon process mode for the rest of the run, and say so.
-            # Anything else is a bug in shard code and propagates.
-            self._shard_executor.shutdown()
-            self._shard_executor = None
-            self._shard_mode = "inprocess"
-            reason = type(error).__name__
-            self.shard_takeovers[reason] = self.shard_takeovers.get(reason, 0) + 1
-            return None, reason
-
-    def shutdown(self) -> None:
-        """Release the process fan-out workers (no-op otherwise)."""
-        if self._shard_executor is not None:
-            self._shard_executor.shutdown()
-            self._shard_executor = None
 
     def last_decision(self) -> Optional[ControlDecision]:
         return self.decisions[-1] if self.decisions else None

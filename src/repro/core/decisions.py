@@ -177,11 +177,6 @@ class ControlDecision:
     shard_state_bytes: int = 0
     shard_candidate_bytes: int = 0
     shard_payload_bytes: int = 0
-    #: Set on the one cycle where a broken worker pool made the
-    #: in-process mirrors take over from ``shard_mode="process"`` for the
-    #: rest of the run: the type name of the exception that broke it
-    #: (``BDSController.shard_takeovers`` keeps the counts).
-    shard_takeover: str = ""
 
     @property
     def total_runtime(self) -> float:

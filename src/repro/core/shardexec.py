@@ -7,95 +7,74 @@ PossessionIndex` (shard-local block interning and bitsets), its own
 :class:`~repro.net.candidates.CandidateTable`, and its own
 :class:`~repro.net.cycle_cache.CycleCache` — so per-shard possession and
 candidate memory is O(its partition's pairs), not O(total pairs). The
-same mirror class backs both execution modes:
+mirrors live in the controller's process (:class:`LocalShardRunner`)
+and read everything that is not shard-specific — the clock, budgets,
+failure sets, partial bytes, topology — off the live view.
 
-* ``shard_mode="inprocess"`` (:class:`LocalShardRunner`): mirrors live
-  in the controller's process and are fed directly from the live view;
-* ``shard_mode="process"`` (:class:`ShardExecutor`): one persistent
-  single-worker :class:`~concurrent.futures.ProcessPoolExecutor` per
-  shard gives each shard worker affinity; the worker keeps its mirror
-  across cycles, so per-decide payloads are *deltas*. All payloads are
-  pickle-pure (topologies, jobs, and directives are plain dataclasses of
-  primitives; jobs carry no topology reference — their placement binding
-  is a string dict).
-
-Both modes share :class:`ShardFeed`, the parent-side delta bookkeeping:
-the first time a job reaches its shard the feed snapshots that job's
-current holders outright; every later possession change arrives through
-the **delivery-log watermark replay** — the parent keeps one cursor per
-shard into the store's append-only delivery log and forwards only the
-records of blocks the shard owns (blocks belong to exactly one job, jobs
-to exactly one shard). Replays re-apply via ``seed`` (idempotent: an
-already-set possession bit is a no-op), so overlap between a snapshot
-and the log can never double-count. ``PossessionIndex.seed`` does not
-write the delivery log, so initial placements are covered by the
-snapshot alone. Possession is monotone while a simulation runs (the
-simulator never drops copies mid-run; disk-loss enters as *agent*
-failure), so a mirror can never hold a copy the global store has lost.
+What is shard-specific is possession, and :class:`ShardFeed` keeps each
+mirror's current: the first time a job reaches its shard the feed
+snapshots that job's current holders outright; every later possession
+change arrives through the **delivery-log watermark replay** — the feed
+keeps one cursor per shard into the store's append-only delivery log
+and forwards only the records of blocks the shard owns (blocks belong
+to exactly one job, jobs to exactly one shard). Replays re-apply via
+``seed`` (idempotent: an already-set possession bit is a no-op), so
+overlap between a snapshot and the log can never double-count.
+``PossessionIndex.seed`` does not write the delivery log, so initial
+placements are covered by the snapshot alone. Possession is monotone
+while a simulation runs (the simulator never drops copies mid-run;
+disk-loss enters as *agent* failure), so a mirror can never hold a copy
+the global store has lost.
 
 A mirror decides exactly what a single controller would decide for its
 jobs (shard-local gid numbering differs with arrival order, but nothing
 downstream compares gids across jobs; holders, duplicate counts, and
-iteration orders are equal), so ``shard_mode`` does not change results;
-the equivalence tests assert this directly. A cycle's *speculated*
-deliveries (§5.1) ride along in the payload and are overlaid on the
-mirror's store for that one decide — never applied: followers apply the
-leader's log, nothing else.
+iteration orders are equal). A cycle's *speculated* deliveries (§5.1)
+ride along in the payload and are overlaid on the mirror's store for
+that one decide — never applied: followers apply the leader's log,
+nothing else.
 
-Determinism: the parent feeds and submits due shards in shard-index
-order and gathers results in the same order, so the combined directive
-list is identical regardless of worker scheduling.
+Determinism: due shards are fed and decided in shard-index order, so
+the combined directive list is a function of the view alone.
+
+:func:`build_pipeline` and :func:`schedule_and_route` are the one
+schedule+route a mirror and the single controller (``shards=1``, on the
+global view) both run.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import time as _time
 from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    FrozenSet,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.config import BDSConfig
-    from repro.net.simulator import ClusterView, TransferDirective
-    from repro.net.topology import Topology
-    from repro.overlay.job import MulticastJob
+from repro.core.config import BDSConfig
+from repro.core.routing import BDSRouter
+from repro.core.scheduling import RarestFirstScheduler
+from repro.net.candidates import CandidateTable
+from repro.net.cycle_cache import CycleCache
+from repro.net.simulator import ClusterView, TransferDirective
+from repro.net.topology import Topology
+from repro.overlay.job import MulticastJob
+from repro.overlay.store import PossessionIndex, PossessionOverlay
 
 BlockId = Tuple[str, int]
-ResourceKey = Tuple[str, str]
 
 
 @dataclass
 class ShardPayload:
-    """One due shard's decide input (a delta against the shard mirror)."""
+    """One due shard's possession delta against its mirror."""
 
-    cycle: int
-    time: float
-    cycle_seconds: float
-    budgets: Mapping[ResourceKey, float]
-    failed_agents: Tuple[str, ...]
-    failed_links: FrozenSet
-    active_job_ids: Tuple[str, ...]
     #: Jobs the mirror has not seen yet, with a holders snapshot as
     #: ``(job_id, server_id, block-index array)`` batches — one entry
     #: per (new job, holding server), in job order then ascending
-    #: server-row order (deterministic payload bytes), each carrying the
-    #: ascending indices of that job's blocks the server holds. The
-    #: batched form keeps 10^6-block snapshots out of per-block Python
-    #: loops on both sides of the boundary.
-    new_jobs: List["MulticastJob"] = field(default_factory=list)
-    new_holders: List[Tuple[str, str, "np.ndarray"]] = field(
+    #: server-row order, each carrying the ascending indices of that
+    #: job's blocks the server holds. The batched form keeps 10^6-block
+    #: snapshots out of per-block Python loops on both sides.
+    new_jobs: List[MulticastJob] = field(default_factory=list)
+    new_holders: List[Tuple[str, str, np.ndarray]] = field(
         default_factory=list
     )
     #: Possession deltas since this shard's previous payload:
@@ -104,27 +83,13 @@ class ShardPayload:
     #: This cycle's speculated deliveries of the shard's blocks, same
     #: shape. Read by this decide only; the mirror never applies them.
     speculated: List[Tuple[BlockId, str]] = field(default_factory=list)
-    #: In-flight partial bytes. Process mode filters to the shard's
-    #: blocks (pickle size); in-process passes the live map (strategies
-    #: only query their own blocks' keys, so results are identical).
-    partials: Mapping[Tuple[BlockId, str], float] = field(default_factory=dict)
-    #: First payload only: the topology and controller config the mirror
-    #: is built from.
-    topology: Optional["Topology"] = None
-    config: Optional["BDSConfig"] = None
 
     def approx_bytes(self) -> int:
-        """Structural size estimate of the *delta* stream (bytes).
+        """Structural size estimate of the delta (bytes).
 
-        Counts the components that actually cross the mirror boundary
-        each decide — new jobs (dominated by their block lists), holders
-        snapshots, the watermark delivery replay, and the speculated
-        deliveries — with fixed
-        per-entry costs, so the telemetry is deterministic and identical
-        across execution modes (a real ``pickle.dumps`` would charge the
-        in-process mode for serialization it never performs). The
-        per-cycle scalars and the shared partials/budget references are
-        excluded.
+        New jobs (dominated by their block lists), holders snapshots,
+        the watermark delivery replay and the speculated deliveries, at
+        fixed per-entry costs, so the telemetry is deterministic.
         """
         total = 0
         for job in self.new_jobs:
@@ -136,15 +101,10 @@ class ShardPayload:
 
 
 @dataclass
-class ShardResult:
-    """One shard decide's output, execution-mode independent.
+class DecideResult:
+    """One schedule+route's output: a shard's, or the single controller's."""
 
-    The in-process runner and the process workers both reduce to this
-    shape, so the accumulation and replay bookkeeping in
-    ``BDSController._decide_sharded`` cannot diverge between modes.
-    """
-
-    directives: List["TransferDirective"]
+    directives: List[TransferDirective]
     scheduled_blocks: int
     num_commodities: int
     objective: float
@@ -154,42 +114,73 @@ class ShardResult:
     phases: int
     warm_start: str
     wall: float
-    #: Shard-local state telemetry: possession-array bytes and candidate
-    #: table bytes of the mirror after this decide, and the structural
-    #: size of the delta payload that fed it.
+    #: Set by a mirror: its possession-array and candidate-table bytes
+    #: after this decide, and the structural size of the delta that fed
+    #: it.
     state_bytes: int = 0
     candidate_bytes: int = 0
     payload_bytes: int = 0
 
 
+def build_pipeline(
+    config: BDSConfig,
+) -> Tuple[RarestFirstScheduler, BDSRouter]:
+    """The scheduler/router pair ``config`` describes (the router with a
+    private FPTAS warm store)."""
+    scheduler = RarestFirstScheduler(
+        max_blocks_per_cycle=config.max_blocks_per_cycle,
+        use_relays=config.use_relays,
+    )
+    router = BDSRouter(
+        backend=config.routing_backend,
+        epsilon=config.epsilon,
+        max_sources_per_group=config.max_sources_per_group,
+        merge_blocks=config.merge_blocks,
+    )
+    return scheduler, router
+
+
+def schedule_and_route(scheduler, router, view: ClusterView) -> DecideResult:
+    """One schedule+route over ``view``, with its telemetry read off."""
+    started = _time.perf_counter()
+    selections = scheduler.select(view)
+    directives, diag = router.route(view, selections)
+    wall = _time.perf_counter() - started
+    return DecideResult(
+        directives=directives,
+        scheduled_blocks=len(selections),
+        num_commodities=diag.num_commodities,
+        objective=diag.objective,
+        schedule_runtime=getattr(scheduler, "last_runtime", 0.0),
+        routing_runtime=diag.runtime,
+        iterations=diag.iterations,
+        phases=diag.phases,
+        warm_start=diag.warm_start,
+        wall=wall,
+    )
+
+
 class ShardMirror:
     """One shard's partition-scoped control state.
 
-    Owns everything a shard needs to decide: a shard-local possession
-    index (only the shard's blocks are ever interned, so its matrix
-    capacity — bits, dup counts, DC counts — grows with the partition,
-    not the cluster), the shard's candidate table built incrementally as
-    jobs arrive, the scheduler/router pair (with the router's private
-    FPTAS warm store), and a persistent :class:`CycleCache`. Fed by
-    :meth:`apply`-ing :class:`ShardPayload` deltas; :meth:`decide` runs
-    one schedule+route over a plain :class:`ClusterView` of the mirror's
-    store — overlaid with the payload's speculated deliveries, if any.
+    Owns everything shard-specific a shard needs to decide: a
+    shard-local possession index (only the shard's blocks are ever
+    interned, so its matrix capacity — bits, dup counts, DC counts —
+    grows with the partition, not the cluster), the shard's candidate
+    table built incrementally as jobs arrive, the scheduler/router pair
+    (with the router's private FPTAS warm store), and a persistent
+    :class:`CycleCache`. Fed by :meth:`apply`-ing :class:`ShardPayload`
+    deltas; :meth:`decide` runs one schedule+route over a plain
+    :class:`ClusterView` of the mirror's store — overlaid with the
+    payload's speculated deliveries, if any.
     """
 
     def __init__(
         self,
-        topology: "Topology",
-        config: "BDSConfig",
+        topology: Topology,
+        config: BDSConfig,
         block_capacity: int = 64,
     ) -> None:
-        from repro.core.routing import BDSRouter
-        from repro.core.scheduling import RarestFirstScheduler
-        from repro.net.candidates import CandidateTable
-        from repro.net.cycle_cache import CycleCache
-        from repro.overlay.store import PossessionIndex
-
-        self.topology = topology
-        self.config = config
         server_dc = {
             server.server_id: server.dc
             for server in topology.servers.values()
@@ -198,17 +189,7 @@ class ShardMirror:
         # count of the shard's first job batch, so per-shard possession
         # arrays start at ~pairs/k instead of the cluster-scale floor.
         self.store = PossessionIndex(server_dc, block_capacity=block_capacity)
-        self.jobs_by_id: Dict[str, "MulticastJob"] = {}
-        self.scheduler = RarestFirstScheduler(
-            max_blocks_per_cycle=config.max_blocks_per_cycle,
-            use_relays=config.use_relays,
-        )
-        self.router = BDSRouter(
-            backend=config.routing_backend,
-            epsilon=config.epsilon,
-            max_sources_per_group=config.max_sources_per_group,
-            merge_blocks=config.merge_blocks,
-        )
+        self.scheduler, self.router = build_pipeline(config)
         self.cache = CycleCache()
         self.candidates = CandidateTable((), self.store.matrix)
 
@@ -227,7 +208,6 @@ class ShardMirror:
         matrix = store.matrix
         job_base: Dict[str, int] = {}
         for job in payload.new_jobs:
-            self.jobs_by_id[job.job_id] = job
             base = matrix.intern_block_range(job.job_id, len(job.blocks))
             job_base[job.job_id] = base
             self.candidates.ensure_job(
@@ -244,13 +224,15 @@ class ShardMirror:
             for dst, gids in by_server.items():
                 store.seed_gids(dst, np.asarray(gids, dtype=np.int64))
 
-    def decide(self, payload: ShardPayload) -> ShardResult:
-        """One schedule+route over the mirror for this payload's cycle."""
-        import time as _time
-
-        from repro.net.simulator import ClusterView
-        from repro.overlay.store import PossessionOverlay
-
+    def decide(
+        self,
+        view: ClusterView,
+        bucket: Sequence[MulticastJob],
+        payload: ShardPayload,
+    ) -> DecideResult:
+        """One schedule+route of ``bucket`` (the shard's active jobs)
+        over the mirror, under the live ``view``'s clock, budgets,
+        failures and partial bytes."""
         store = self.store
         if payload.speculated:
             matrix = store.matrix
@@ -261,44 +243,33 @@ class ShardMirror:
             store = PossessionOverlay(
                 store, *np.array(pairs, dtype=np.int64).T
             )
-        view = ClusterView(
-            topology=self.topology,
-            store=store,
-            jobs=[self.jobs_by_id[jid] for jid in payload.active_job_ids],
-            cycle=payload.cycle,
-            time=payload.time,
-            cycle_seconds=payload.cycle_seconds,
-            bulk_capacities=payload.budgets,
-            failed_agents=set(payload.failed_agents),
-            controller_available=True,
-            partial_bytes=payload.partials,
-            failed_links=payload.failed_links,
-            cache=self.cache,
-            candidates=self.candidates,
+        result = schedule_and_route(
+            self.scheduler,
+            self.router,
+            ClusterView(
+                topology=view.topology,
+                store=store,
+                jobs=bucket,
+                cycle=view.cycle,
+                time=view.time,
+                cycle_seconds=view.cycle_seconds,
+                bulk_capacities=view.bulk_capacities,
+                failed_agents=view.failed_agents,
+                controller_available=True,
+                partial_bytes=view._partial,
+                failed_links=view.failed_links,
+                cache=self.cache,
+                candidates=self.candidates,
+            ),
         )
-        started = _time.perf_counter()
-        selections = self.scheduler.select(view)
-        directives, diag = self.router.route(view, selections)
-        wall = _time.perf_counter() - started
-        return ShardResult(
-            directives=directives,
-            scheduled_blocks=len(selections),
-            num_commodities=diag.num_commodities,
-            objective=diag.objective,
-            schedule_runtime=getattr(self.scheduler, "last_runtime", 0.0),
-            routing_runtime=diag.runtime,
-            iterations=diag.iterations,
-            phases=diag.phases,
-            warm_start=diag.warm_start,
-            wall=wall,
-            state_bytes=self.store.state_bytes(),
-            candidate_bytes=self.candidates.state_bytes(),
-            payload_bytes=payload.approx_bytes(),
-        )
+        result.state_bytes = self.store.state_bytes()
+        result.candidate_bytes = self.candidates.state_bytes()
+        result.payload_bytes = payload.approx_bytes()
+        return result
 
 
 class ShardFeed:
-    """Parent-side delta bookkeeping, shared by both execution modes.
+    """Delta bookkeeping between the live store and the mirrors.
 
     Tracks per shard which jobs the mirror already knows and a watermark
     into the store's append-only delivery log; :meth:`payload` emits
@@ -313,28 +284,18 @@ class ShardFeed:
         self._shard_of = shard_of
         self._known_jobs: List[Set[str]] = [set() for _ in range(shards)]
         self._watermarks: List[int] = [0] * shards
-        self._initialized: List[bool] = [False] * shards
 
     def payload(
         self,
-        view: "ClusterView",
+        view: ClusterView,
         shard: int,
-        bucket: Sequence["MulticastJob"],
-        config: "BDSConfig",
-        isolate: bool,
+        bucket: Sequence[MulticastJob],
         speculated: Sequence[Tuple[BlockId, str]] = (),
     ) -> ShardPayload:
         """The shard's delta payload for this cycle's view.
 
         ``speculated`` is the cycle's speculated ``(block_id, dst_server)``
         deliveries, all shards'; the payload carries this shard's.
-
-        ``isolate=True`` (process mode) copies the budget map and
-        filters the partial-bytes map to the shard's blocks — the
-        payload crosses a pickle boundary. ``isolate=False`` (in-process
-        mirrors) passes the live mappings through: the mirror only
-        queries its own blocks' keys, results are identical, and the
-        filtering cost vanishes.
         """
         known = self._known_jobs[shard]
         new_jobs = [job for job in bucket if job.job_id not in known]
@@ -384,51 +345,25 @@ class ShardFeed:
             if shard_of(record.block_id[0]) == shard
         ]
         self._watermarks[shard] = len(log)
-        partial_map = getattr(view, "_partial", {})
-        if isolate:
-            partials = {
-                key: value
-                for key, value in partial_map.items()
-                if shard_of(key[0][0]) == shard
-            }
-            budgets: Mapping[ResourceKey, float] = dict(view.bulk_capacities)
-        else:
-            partials = partial_map
-            budgets = view.bulk_capacities
-        first = not self._initialized[shard]
-        self._initialized[shard] = True
         return ShardPayload(
-            cycle=view.cycle,
-            time=view.time,
-            cycle_seconds=view.cycle_seconds,
-            budgets=budgets,
-            failed_agents=tuple(sorted(view.failed_agents)),
-            failed_links=view.failed_links,
-            active_job_ids=tuple(job.job_id for job in bucket),
             new_jobs=new_jobs,
             new_holders=new_holders,
             deliveries=deliveries,
             speculated=[
                 pair for pair in speculated if shard_of(pair[0][0]) == shard
             ],
-            partials=partials,
-            topology=view.topology if first else None,
-            config=config if first else None,
         )
 
 
 class LocalShardRunner:
-    """In-process shard-local mirrors.
+    """The shards' mirrors, fed and decided in the controller's process.
 
-    The in-process twin of :class:`ShardExecutor`: same feed, same
-    mirrors, no process boundary. One extra (partitioned) copy of
-    possession state buys per-shard candidate tables and caches that are
-    O(pairs/shards) — the memory shape that lets a shard lift out to its
-    own process or host unchanged.
+    One extra (partitioned) copy of possession state buys per-shard
+    candidate tables and caches that are O(pairs/shards).
     """
 
     def __init__(
-        self, config: "BDSConfig", shard_of: Callable[[str], int]
+        self, config: BDSConfig, shard_of: Callable[[str], int]
     ) -> None:
         self.config = config
         self.feed = ShardFeed(config.shards, shard_of)
@@ -436,88 +371,24 @@ class LocalShardRunner:
 
     def decide(
         self,
-        view: "ClusterView",
-        buckets: Sequence[Sequence["MulticastJob"]],
+        view: ClusterView,
+        buckets: Sequence[Sequence[MulticastJob]],
         due: Sequence[int],
         speculated: Sequence[Tuple[BlockId, str]] = (),
-    ) -> List[ShardResult]:
+    ) -> List[DecideResult]:
         """Run the due shards' decides in shard-index order."""
-        results: List[ShardResult] = []
+        results: List[DecideResult] = []
         for shard in due:
-            payload = self.feed.payload(
-                view, shard, buckets[shard], self.config,
-                isolate=False, speculated=speculated,
-            )
+            bucket = buckets[shard]
+            payload = self.feed.payload(view, shard, bucket, speculated)
             mirror = self._mirrors[shard]
             if mirror is None:
+                # Matrix-capacity hint: the first payload's block count.
+                blocks = sum(len(job.blocks) for job in payload.new_jobs)
                 mirror = ShardMirror(
-                    view.topology,
-                    self.config,
-                    block_capacity=_payload_block_count(payload),
+                    view.topology, self.config, block_capacity=max(64, blocks)
                 )
                 self._mirrors[shard] = mirror
             mirror.apply(payload)
-            results.append(mirror.decide(payload))
+            results.append(mirror.decide(view, bucket, payload))
         return results
-
-
-def _payload_block_count(payload: ShardPayload) -> int:
-    """Matrix-capacity hint from a mirror's first payload."""
-    return max(64, sum(len(job.blocks) for job in payload.new_jobs))
-
-
-# Worker-process mirror. Each pool has exactly one worker and serves
-# exactly one shard, so a single module global suffices.
-_MIRROR: Optional[ShardMirror] = None
-
-
-def _worker_decide(payload: ShardPayload) -> ShardResult:
-    global _MIRROR
-    if _MIRROR is None:
-        _MIRROR = ShardMirror(
-            payload.topology,
-            payload.config,
-            block_capacity=_payload_block_count(payload),
-        )
-    _MIRROR.apply(payload)
-    return _MIRROR.decide(payload)
-
-
-class ShardExecutor:
-    """Parent-side manager of the per-shard worker pools."""
-
-    def __init__(
-        self, config: "BDSConfig", shard_of: Callable[[str], int]
-    ) -> None:
-        self.config = config
-        self.feed = ShardFeed(config.shards, shard_of)
-        self._pools: List[Optional[ProcessPoolExecutor]] = [
-            None
-        ] * config.shards
-
-    def decide(
-        self,
-        view: "ClusterView",
-        buckets: Sequence[Sequence["MulticastJob"]],
-        due: Sequence[int],
-        speculated: Sequence[Tuple[BlockId, str]] = (),
-    ) -> List[ShardResult]:
-        """Run the due shards' decides concurrently; results in due order."""
-        futures = []
-        for shard in due:
-            payload = self.feed.payload(
-                view, shard, buckets[shard], self.config,
-                isolate=True, speculated=speculated,
-            )
-            pool = self._pools[shard]
-            if pool is None:
-                pool = ProcessPoolExecutor(max_workers=1)
-                self._pools[shard] = pool
-            futures.append(pool.submit(_worker_decide, payload))
-        return [future.result() for future in futures]
-
-    def shutdown(self) -> None:
-        for pool in self._pools:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-        self._pools = [None] * self.config.shards

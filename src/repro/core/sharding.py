@@ -8,38 +8,36 @@ owns the split itself.
 
 The assignment must be
 
-* **platform-stable** — the same ``(job_id, shards, seed)`` maps to the
-  same shard on every interpreter, OS, and run. Python's builtin
-  ``hash()`` is per-process salted (``PYTHONHASHSEED``) and therefore
-  banned here; we hash the UTF-8 job id through BLAKE2b instead;
-* **seeded** — ``seed`` keys the hash, so a pathological workload whose
-  ids collide into one shard can be re-spread without renaming jobs;
-* **independent of shard count history** — ``stable_shard`` is a pure
-  function of its arguments, so adding jobs never moves existing ones
-  (for a *shard-count* change, :func:`rebalance_moves` reports exactly
-  which jobs migrate).
+* **platform-stable** — the same ``(job_id, shards)`` maps to the same
+  shard on every interpreter, OS, and run. Python's builtin ``hash()``
+  is per-process salted (``PYTHONHASHSEED``) and therefore banned here;
+  we hash the UTF-8 job id through BLAKE2b instead;
+* **independent of arrival history** — ``stable_shard`` is a pure
+  function of its arguments, so adding jobs never moves existing ones.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Sequence, Tuple, TypeVar
+from typing import Dict, List, TypeVar
 
 JobLike = TypeVar("JobLike")
 
 _DIGEST_SIZE = 8  # 64 bits of hash is plenty for a shard index
+#: Part of the hash: another key moves every job, and with it every
+#: sharded fingerprint.
+_HASH_KEY = bytes(8)
 
 
-def _hash64(job_id: str, seed: int) -> int:
-    """Seeded 64-bit BLAKE2b digest of a job id (platform-stable)."""
-    key = int(seed).to_bytes(8, "little", signed=True)
+def _hash64(job_id: str) -> int:
+    """64-bit BLAKE2b digest of a job id (platform-stable)."""
     digest = hashlib.blake2b(
-        job_id.encode("utf-8"), digest_size=_DIGEST_SIZE, key=key
+        job_id.encode("utf-8"), digest_size=_DIGEST_SIZE, key=_HASH_KEY
     ).digest()
     return int.from_bytes(digest, "little")
 
 
-def stable_shard(job_id: str, shards: int, seed: int = 0) -> int:
+def stable_shard(job_id: str, shards: int) -> int:
     """Shard index of ``job_id`` under ``shards`` shards.
 
     A pure function of its arguments: no process state, no iteration
@@ -50,72 +48,7 @@ def stable_shard(job_id: str, shards: int, seed: int = 0) -> int:
         raise ValueError("shards must be >= 1")
     if shards == 1:
         return 0
-    return _hash64(job_id, seed) % shards
-
-
-def partition_jobs(
-    jobs: Sequence[JobLike], shards: int, seed: int = 0
-) -> List[List[JobLike]]:
-    """Split ``jobs`` into ``shards`` lists by :func:`stable_shard`.
-
-    Objects must expose ``job_id``. Relative order within each shard
-    preserves the input order — the scheduler's job-iteration order is
-    part of the deterministic contract, so a shard sees its jobs exactly
-    as the single controller would have.
-    """
-    buckets: List[List[JobLike]] = [[] for _ in range(shards)]
-    for job in jobs:
-        buckets[stable_shard(job.job_id, shards, seed)].append(job)
-    return buckets
-
-
-def partition_indices(
-    job_ids: Iterable[str], shards: int, seed: int = 0
-) -> Dict[str, int]:
-    """Mapping of each job id to its shard index."""
-    return {jid: stable_shard(jid, shards, seed) for jid in job_ids}
-
-
-def rebalance_moves(
-    job_ids: Iterable[str],
-    old_shards: int,
-    new_shards: int,
-    seed: int = 0,
-) -> Dict[str, Tuple[int, int]]:
-    """Jobs that change shards when resizing ``old_shards`` → ``new_shards``.
-
-    Returns ``{job_id: (old_shard, new_shard)}`` for exactly the jobs
-    that move. An operator resizing a sharded controller hands the moved
-    jobs' possession state to the new owner and leaves the rest alone;
-    the companion test asserts unmoved jobs keep their assignment.
-    """
-    moves: Dict[str, Tuple[int, int]] = {}
-    for jid in job_ids:
-        old = stable_shard(jid, old_shards, seed)
-        new = stable_shard(jid, new_shards, seed)
-        if old != new:
-            moves[jid] = (old, new)
-    return moves
-
-
-def assignment_moves(
-    old_assignment: Dict[str, int],
-    new_assignment: Dict[str, int],
-) -> Dict[str, Tuple[int, int]]:
-    """Jobs that change shards between two explicit assignments.
-
-    The policy-agnostic counterpart of :func:`rebalance_moves` for
-    partitioners that are not pure functions of ``(job_id, shards,
-    seed)`` — resizing an affinity-partitioned controller compares the
-    old and re-derived assignments through this. Jobs present in only
-    one of the assignments are ignored (they have nothing to hand over).
-    """
-    moves: Dict[str, Tuple[int, int]] = {}
-    for jid, old in old_assignment.items():
-        new = new_assignment.get(jid)
-        if new is not None and new != old:
-            moves[jid] = (old, new)
-    return moves
+    return _hash64(job_id) % shards
 
 
 def job_weight(job: JobLike) -> int:
@@ -154,21 +87,20 @@ class AffinityAssigner:
     unit tests.
 
     Determinism: assignment depends only on the order jobs are first
-    seen, their ``(src_dc, job_weight)``, and the seed — no wall clock,
-    no ``hash()`` salt, no float accumulation (loads are ints). Feeding
+    seen and their ``(src_dc, job_weight)`` — no wall clock, no
+    ``hash()`` salt, no float accumulation (loads are ints). Feeding
     the same job sequence reproduces the same assignment on every
     platform. Assignments are sticky: once placed, a job never moves
     (possession state lives where the job lives), mirroring
     ``stable_shard``'s add-only stability.
     """
 
-    def __init__(self, shards: int, seed: int = 0, slack: float = 0.25) -> None:
+    def __init__(self, shards: int, slack: float = 0.25) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
         if slack < 0:
             raise ValueError("slack must be >= 0")
         self.shards = shards
-        self.seed = seed
         self.slack = slack
         self.loads: List[int] = [0] * shards
         self.total: int = 0
@@ -192,7 +124,7 @@ class AffinityAssigner:
                 shard = home
             else:
                 lo = min(self.loads)
-                hashed = stable_shard(job_id, self.shards, self.seed)
+                hashed = stable_shard(job_id, self.shards)
                 if self.loads[hashed] == lo:
                     shard = hashed
                 else:
@@ -203,11 +135,3 @@ class AffinityAssigner:
         self.total += weight
         self.assignment[job_id] = shard
         return shard
-
-
-def affinity_partition(
-    jobs: Sequence[JobLike], shards: int, seed: int = 0, slack: float = 0.25
-) -> Dict[str, int]:
-    """One-shot :class:`AffinityAssigner` over ``jobs`` in order."""
-    assigner = AffinityAssigner(shards, seed=seed, slack=slack)
-    return {job.job_id: assigner.assign(job) for job in jobs}

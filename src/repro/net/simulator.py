@@ -78,10 +78,9 @@ class TransferDirective:
     block indices** — what the router emits (:meth:`from_indices`) and
     what the simulator gathers possession and sizes with. Indices are
     valid in every id space at once (the simulator's matrix, each shard
-    mirror's own gid numbering) and pickle as one small array in process
-    mode. Whichever form a directive was not built from is derived on
-    first read and cached; ``==`` and ``hash`` see the same value either
-    way. A hand-built directive naming another job's blocks has no
+    mirror's own gid numbering) and pickle as one small array. Whichever
+    form a directive was not built from is derived on first read and
+    cached; ``==`` and ``hash`` see the same value either way. A hand-built directive naming another job's blocks has no
     index form (``block_indices`` is ``None``).
     """
 
@@ -242,8 +241,8 @@ class TransferDirective:
         )
 
     def __reduce__(self):
-        # The index form when there is one: one int array instead of a
-        # tuple of tuples across the process-mode shard boundary.
+        # The index form when there is one: the directive's own segment
+        # as one int array, not the column it views or a tuple of tuples.
         if isinstance(self._column, np.ndarray):
             return (
                 TransferDirective.from_indices,
@@ -603,10 +602,8 @@ class SimResult:
         moved — everything that must be bit-identical across reruns of the
         same (topology, jobs, strategy, config, seed), but none of the
         wall-clock timing fields. Two runs with equal fingerprints are
-        interchangeable for every analysis consumer; the serial/parallel
-        parity tests and ``benchmarks/bench_parallel_suite.py`` compare
-        runs through this. Survives the export round-trip
-        (:mod:`repro.analysis.export`), cache restores included.
+        interchangeable for every analysis consumer; the golden, pin and
+        parity tests and the perf ledger compare runs through this.
         """
         import hashlib
         import json
@@ -926,6 +923,14 @@ class Simulation:
 
         if not self.jobs:
             raise ValueError("need at least one job")
+        if self.config.record_link_stats:
+            capacities = topology.resource_capacities()
+            for key in self.config.links_of_interest:
+                if key not in capacities:
+                    raise ValueError(
+                        f"links_of_interest names {key!r}, "
+                        "which is not a resource of the topology"
+                    )
         # Every per-job structure below is keyed by job id.
         self._jobs_by_id: Dict[str, MulticastJob] = {}
         for job in self.jobs:

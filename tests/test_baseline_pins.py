@@ -24,7 +24,6 @@ from repro.analysis.experiments.evaluation import (
 )
 from repro.analysis.experiments.motivation import exp_fig5_gingko_vs_ideal
 from repro.analysis.runner import make_strategy
-from repro.core.config import BDSConfig
 from repro.net.failures import FailureEvent, FailureSchedule
 from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology
@@ -52,30 +51,15 @@ def _overlay_compare(seed: int, scale: float) -> Dict[str, str]:
     return {arm.label: arm.sim.run().fingerprint() for arm in arms}
 
 
-def _sharded_churn(seed: int, mode: str) -> Dict[str, object]:
-    """The ledger's churn arm at quick scale, in either shard mode.
+def _sharded_churn(seed: int) -> Dict[str, object]:
+    """The ledger's churn arm at quick scale.
 
     The controller is unreachable for three cycles; Gingko decides them
     on a view that carries no global candidate table.
     """
     workloads = _ledger_workloads()
     (arm,) = workloads.sharded_churn_k4(seed, 0.1, workloads.StageClock())
-    controller = make_strategy(
-        "bds", seed=seed, config=BDSConfig(shards=4, shard_mode=mode)
-    )
-    sim = Simulation(
-        topology=arm.topology,
-        jobs=arm.jobs,
-        strategy=controller,
-        config=arm.sim.config,
-        failures=arm.sim.failures,
-        seed=seed,
-    )
-    try:
-        result = sim.run()
-    finally:
-        controller.shutdown()
-    assert controller.config.shard_mode == mode  # no silent takeover
+    result = arm.sim.run()
     outage = [s.cycle for s in result.cycle_stats if not s.controller_available]
     return {"fingerprint": result.fingerprint(), "fallback_cycles": len(outage)}
 
@@ -139,9 +123,8 @@ SCENARIOS: Dict[str, Callable[[], object]] = {
     "overlay_compare:quick:seed1": lambda: _overlay_compare(1, 0.1),
     "overlay_compare:full:seed0": lambda: _overlay_compare(0, 1.0),
     "overlay_compare:full:seed1": lambda: _overlay_compare(1, 1.0),
-    "sharded_churn_k4:inprocess:seed0": lambda: _sharded_churn(0, "inprocess"),
-    "sharded_churn_k4:inprocess:seed1": lambda: _sharded_churn(1, "inprocess"),
-    "sharded_churn_k4:process:seed0": lambda: _sharded_churn(0, "process"),
+    "sharded_churn_k4:inprocess:seed0": lambda: _sharded_churn(0),
+    "sharded_churn_k4:inprocess:seed1": lambda: _sharded_churn(1),
     "controller_outage:bds": lambda: _controller_outage("bds"),
     "controller_outage:gingko": lambda: _controller_outage("gingko"),
     "fig9:test_scale": _fig9,

@@ -60,6 +60,16 @@ class TestSimulate:
         with pytest.raises(SystemExit):
             main(["simulate", "--strategy", "smoke-signals"])
 
+    @pytest.mark.parametrize(
+        "flag", ["--jobs", "--shards", "--shard-stride"]
+    )
+    def test_a_count_below_one_is_an_argparse_error(self, flag, capsys):
+        # --shards 0 used to surface a BDSConfig traceback; --jobs 0 ran 1.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", flag, "0"])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+
     def test_bad_size_raises(self):
         with pytest.raises(ValueError):
             main(["simulate", "--size", "many bytes"])

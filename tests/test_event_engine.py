@@ -345,7 +345,7 @@ class TestFastForwardEngages:
         from repro.core.controller import BDSController
         from repro.core.sharding import stable_shard
 
-        assert stable_shard("j", 2, 0) == 1
+        assert stable_shard("j", 2) == 1
 
         def arm(event_engine: bool):
             topo = Topology.full_mesh(

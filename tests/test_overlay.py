@@ -30,8 +30,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.runner import make_strategy
 from repro.core import shardexec
-from repro.core.config import BDSConfig
-from repro.core.controller import BDSController
 from repro.core.decisions import SelectionBatch
 from repro.core.routing import BDSRouter
 from repro.core.scheduling import RarestFirstScheduler
@@ -39,7 +37,7 @@ from repro.core.speculation import DeliverySpeculator, SpeculatedView
 from repro.net.simulator import ClusterView
 from repro.overlay.blocks import Block
 from repro.overlay.store import PossessionIndex, PossessionOverlay
-from repro.utils.units import MB, MBps
+from repro.utils.units import MB
 
 from tests import oracles
 from tests.test_columnar_handoff import _midrun
@@ -354,11 +352,11 @@ def test_a_mirror_that_applies_speculated_pairs_leaves_the_store_behind():
 
         def spy(view, fallback, speculated):
             directives = decide_sharded(view, fallback, speculated)
-            for mirror in controller._shard_runner._mirrors:
+            for shard, mirror in enumerate(controller._shard_runner._mirrors):
                 if apply is not None:
                     mirror.apply = apply.__get__(mirror)
                 for job in view.jobs:  # (a finished job's shard is fed no more)
-                    if job.job_id in mirror.jobs_by_id:
+                    if controller._shard_of_id(job.job_id) == shard:
                         for block in job.blocks:
                             bid = block.block_id
                             assert mirror.store.holders(bid) == sim.store.holders(bid)
@@ -372,23 +370,3 @@ def test_a_mirror_that_applies_speculated_pairs_leaves_the_store_behind():
     mirrors_hold_what_the_store_holds(mutant(shardexec.ShardMirror.apply))
     with pytest.raises(AssertionError):
         mirrors_hold_what_the_store_holds(ingesting)
-
-
-def test_speculating_sharded_decides_run_in_the_workers():
-    """``shard_mode="process"`` under speculation used to run in the
-    parent, silently; the parent now holds no mirror at all."""
-    sim = contended(
-        3.0, shards=2, size=120 * MB, uplink=4 * MBps, shard_mode="process"
-    )
-    controller = sim.strategy
-    try:
-        result = sim.run()
-    finally:
-        controller.shutdown()
-    assert result.all_complete and not controller.shard_takeovers
-    assert controller._shard_runner is None
-    assert all(d.shard_state_bytes > 0 for d in controller.decisions)
-    assert len(controller.decisions) > 3
-    assert BDSController(BDSConfig(shards=2))._pipelines[0].__slots__ == (
-        "directives", "context",
-    )

@@ -8,9 +8,7 @@ Contracts under test (ISSUE: sharded multi-controller control plane):
   with decision reuse and with every cycle decided fresh (``event=False``:
   the controller instance does not certify its decisions as reusable).
 * ``shards=k`` is deterministic: repeated runs produce identical
-  fingerprints, either way, in both execution modes.
-* ``shard_mode="process"`` produces results bit-identical to
-  ``"inprocess"`` (worker mirrors replay the possession log).
+  fingerprints, either way.
 * The reconciliation pass bounds each WAN link's summed directive rate
   caps by its bulk budget.
 * Sharded completion times stay within a small tolerance of the single
@@ -19,13 +17,15 @@ Contracts under test (ISSUE: sharded multi-controller control plane):
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
 from repro.core.config import BDSConfig
 from repro.core.controller import BDSController
-from repro.core.shardexec import LocalShardRunner
+from repro.core.shardexec import LocalShardRunner, ShardPayload
 from repro.net.simulator import SimConfig, SimResult, Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
@@ -63,23 +63,18 @@ def _scenario(num_jobs: int = 6):
 def _run(
     shards: int,
     stride: int = 1,
-    mode: str = "inprocess",
     event: bool = True,
     num_jobs: int = 6,
     config: BDSConfig = None,
 ) -> SimResult:
     topo, jobs = _scenario(num_jobs)
-    cfg = config or BDSConfig(
-        shards=shards, shard_stride=stride, shard_mode=mode
-    )
+    cfg = config or BDSConfig(shards=shards, shard_stride=stride)
     controller = BDSController(cfg)
     if not event:
         controller.decisions_reusable = False
-    sim = Simulation(topology=topo, jobs=jobs, strategy=controller, seed=SEED)
-    try:
-        return sim.run()
-    finally:
-        controller.shutdown()
+    return Simulation(
+        topology=topo, jobs=jobs, strategy=controller, seed=SEED
+    ).run()
 
 
 def _fingerprint(result: SimResult):
@@ -110,11 +105,11 @@ class TestSingleShardIdentity:
     def test_signature_none_when_unsharded(self):
         assert BDSController(BDSConfig()).shard_signature is None
         assert BDSController(
-            BDSConfig(shards=3, shard_seed=5, shard_stride=2)
-        ).shard_signature == (3, 5, 2, "hash")
+            BDSConfig(shards=3, shard_stride=2)
+        ).shard_signature == (3, 2, "hash")
         assert BDSController(
             BDSConfig(shards=3, shard_partition="affinity")
-        ).shard_signature == (3, 0, 1, "affinity")
+        ).shard_signature == (3, 1, "affinity")
 
 
 class TestShardedDeterminism:
@@ -149,83 +144,37 @@ class TestShardedDeterminism:
         assert result.stage_time_totals()["reconcile"] >= 0.0
 
 
-class TestProcessMode:
-    def test_process_matches_inprocess(self):
-        assert _fingerprint(_run(2, mode="process")) == _fingerprint(
-            _run(2, mode="inprocess")
-        )
+class TestShardsExecuteInProcess:
+    """Where shards execute is not an option: the process fan-out
+    measured 2-13x slower than the in-process mirrors and is gone."""
 
-    def test_process_matches_inprocess_with_stride(self):
-        assert _fingerprint(
-            _run(3, stride=2, mode="process")
-        ) == _fingerprint(_run(3, stride=2, mode="inprocess"))
+    def test_process_mode_is_refused_and_says_why(self):
+        with pytest.raises(ValueError, match="process fan-out was removed"):
+            BDSConfig(shards=2, shard_mode="process")
 
+    def test_the_ledgers_spelling_still_constructs(self):
+        """``benchmarks/ledger/workloads.py`` (frozen) writes this."""
+        assert BDSConfig(shards=4, shard_mode="inprocess") == BDSConfig(shards=4)
 
-class _BrokenPool:
-    """A ShardExecutor whose workers died: every decide raises."""
-
-    def __init__(self, error: Exception):
-        self.error = error
-        self.shut_down = 0
-
-    def decide(self, view, buckets, due, speculated):
-        raise self.error
-
-    def shutdown(self):
-        self.shut_down += 1
-
-
-class TestProcessTakeover:
-    def test_broken_pool_hands_over_without_touching_the_config(self):
-        """The in-process mirrors take over for the rest of the run; the
-        caller's BDSConfig (shared across arms) is left alone and the
-        takeover is counted, by cause."""
-        topo, jobs = _scenario()
-        cfg = BDSConfig(shards=2, shard_mode="process")
-        before = repr(cfg)
-        controller = BDSController(cfg)
-        pool = controller._shard_executor = _BrokenPool(
-            BrokenPipeError("worker gone")
-        )
-        sim = Simulation(
-            topology=topo, jobs=jobs, strategy=controller,
-            config=SimConfig(), seed=SEED,
-        )
-        result = sim.run()
-
-        assert cfg.shard_mode == "process" and repr(cfg) == before
-        assert controller.shard_takeovers == {"BrokenPipeError": 1}
-        assert pool.shut_down == 1 and controller._shard_executor is None
-        named = [d.cycle for d in controller.decisions if d.shard_takeover]
-        assert named == [0]
-        assert controller.decisions[0].shard_takeover == "BrokenPipeError"
-
-        want_topo, want_jobs = _scenario()
-        inprocess = BDSController(BDSConfig(shards=2, shard_mode="inprocess"))
-        want = Simulation(
-            topology=want_topo, jobs=want_jobs, strategy=inprocess,
-            config=SimConfig(), seed=SEED,
-        ).run()
-        assert not inprocess.shard_takeovers
-        assert [d.directives for d in controller.decisions] == [
-            d.directives for d in inprocess.decisions
+    def test_the_payload_is_the_possession_delta(self):
+        assert [f.name for f in dataclasses.fields(ShardPayload)] == [
+            "new_jobs", "new_holders", "deliveries", "speculated",
         ]
-        assert result.fingerprint() == want.fingerprint()
 
-    def test_a_bug_in_shard_code_is_not_a_takeover(self):
-        """Only pool, pickle and OS failures hand over; a ``ValueError``
-        out of ``ShardExecutor.decide`` is a bug and stops the run."""
-        topo, jobs = _scenario()
-        controller = BDSController(BDSConfig(shards=2, shard_mode="process"))
-        pool = controller._shard_executor = _BrokenPool(ValueError("shard bug"))
-        sim = Simulation(
-            topology=topo, jobs=jobs, strategy=controller,
-            config=SimConfig(), seed=SEED,
-        )
-        with pytest.raises(ValueError, match="shard bug"):
-            sim.run()
-        assert controller.shard_takeovers == {}
-        assert pool.shut_down == 0 and controller._shard_executor is pool
+    def test_src_imports_no_process_or_pool_machinery(self):
+        """The simulator is one process by construction."""
+        banned = ("concurrent", "multiprocessing")
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        for path in sorted(src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                for name in names:
+                    assert name.split(".")[0] not in banned, (path, name)
 
 
 class TestReconciliation:
@@ -346,10 +295,7 @@ class TestShardLocalState:
                 config=SimConfig(max_cycles=2),
                 seed=SEED,
             )
-            try:
-                return sim.run()
-            finally:
-                controller.shutdown()
+            return sim.run()
 
         base = run(BDSConfig())
         base_bytes = base.store.state_bytes()
@@ -389,18 +335,6 @@ class TestAffinityPartition:
             _run(3, event=True, config=BDSConfig(**cfg))
         ) == _fingerprint(_run(3, event=False, config=BDSConfig(**cfg)))
 
-    def test_process_matches_inprocess(self):
-        assert _fingerprint(
-            _run(
-                2,
-                config=BDSConfig(
-                    shards=2, shard_partition="affinity", shard_mode="process"
-                ),
-            )
-        ) == _fingerprint(
-            _run(2, config=BDSConfig(shards=2, shard_partition="affinity"))
-        )
-
     def test_quality_within_tolerance(self):
         base = _run(1)
         sharded = _run(
@@ -429,14 +363,14 @@ class TestAdaptiveStride:
     def test_auto_signature_tracks_effective_stride(self):
         controller = BDSController(BDSConfig(shards=4, shard_stride="auto"))
         # Auto mode cold-starts maximally staggered (stride = shards).
-        assert controller.shard_signature == (4, 0, 4, "hash")
+        assert controller.shard_signature == (4, 4, "hash")
         # The signature carries the effective stride, not the knob.
         controller._stride = 2
-        assert controller.shard_signature == (4, 0, 2, "hash")
+        assert controller.shard_signature == (4, 2, "hash")
 
     @pytest.mark.parametrize("dt, settled", [(1.0, 4), (3.0, 2)])
     def test_auto_budget_is_the_simulators_cycle(self, dt, settled):
-        """Shard walls of 0.3 s under ``shard_stride_target`` 0.5: at
+        """Shard walls of 0.3 s under a target of half of ΔT: at
         ΔT = 1 s the budget is 0.5 s and only the cold-start stride (one
         shard a cycle) fits it; at ΔT = 3 s it is 1.5 s and two shards a
         cycle fit — the controller has no ΔT of its own to say otherwise."""

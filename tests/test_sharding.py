@@ -1,7 +1,7 @@
 """Unit tests for the deterministic job→shard partitioner.
 
-The assignment must be platform-stable: the same job id, shard count,
-and seed map to the same shard on every run, interpreter, and machine
+The assignment must be platform-stable: the same job id and shard
+count map to the same shard on every run, interpreter, and machine
 (no reliance on Python's per-process ``hash()`` randomization). The
 golden values below pin that contract — they may only change with an
 explicit format break.
@@ -14,12 +14,7 @@ import pytest
 from repro.core.sharding import (
     AffinityAssigner,
     _hash64,
-    affinity_partition,
-    assignment_moves,
     job_weight,
-    partition_indices,
-    partition_jobs,
-    rebalance_moves,
     stable_shard,
 )
 
@@ -39,35 +34,27 @@ class _WeightedJob:
 
 class TestStableShard:
     def test_golden_values(self):
-        # Pinned platform-stable assignments (blake2b keyed by the seed).
-        assert _hash64("job0", 0) == 9770455428314747166
-        assert _hash64("job1", 0) == 12121382172694623555
+        # Pinned platform-stable assignments (keyed blake2b).
+        assert _hash64("job0") == 9770455428314747166
+        assert _hash64("job1") == 12121382172694623555
         assert stable_shard("job0", 4) == 2
         assert stable_shard("job1", 4) == 3
         assert stable_shard("alpha", 4) == 3
-        assert stable_shard("alpha", 4, seed=7) == 1
         # Non-ASCII ids hash their UTF-8 bytes.
         assert stable_shard("β-job", 4) == 1
 
     def test_stable_across_calls(self):
         ids = [f"job{i}" for i in range(200)]
-        first = [stable_shard(j, 8, seed=3) for j in ids]
-        second = [stable_shard(j, 8, seed=3) for j in ids]
+        first = [stable_shard(j, 8) for j in ids]
+        second = [stable_shard(j, 8) for j in ids]
         assert first == second
 
     def test_single_shard_short_circuit(self):
         assert stable_shard("anything", 1) == 0
-        assert stable_shard("anything", 1, seed=99) == 0
 
     def test_range(self):
         for i in range(100):
             assert 0 <= stable_shard(f"j{i}", 5) < 5
-
-    def test_seed_respreads(self):
-        ids = [f"job{i}" for i in range(100)]
-        base = [stable_shard(j, 4, seed=0) for j in ids]
-        reseeded = [stable_shard(j, 4, seed=1) for j in ids]
-        assert base != reseeded
 
     def test_roughly_balanced(self):
         ids = [f"job{i}" for i in range(1000)]
@@ -82,49 +69,6 @@ class TestStableShard:
             stable_shard("x", 0)
         with pytest.raises(ValueError):
             stable_shard("x", -2)
-
-
-class TestPartition:
-    def test_partition_jobs_preserves_order(self):
-        jobs = [_FakeJob(f"job{i}") for i in range(50)]
-        buckets = partition_jobs(jobs, 4)
-        assert len(buckets) == 4
-        seen = [job for bucket in buckets for job in bucket]
-        assert sorted(j.job_id for j in seen) == sorted(j.job_id for j in jobs)
-        for s, bucket in enumerate(buckets):
-            ids = [j.job_id for j in bucket]
-            # Within a bucket, original arrival order is preserved.
-            positions = [int(i[3:]) for i in ids]
-            assert positions == sorted(positions)
-            for jid in ids:
-                assert stable_shard(jid, 4) == s
-
-    def test_partition_indices_matches_jobs(self):
-        ids = [f"job{i}" for i in range(30)]
-        jobs = [_FakeJob(j) for j in ids]
-        mapping = partition_indices(ids, 3)
-        buckets = partition_jobs(jobs, 3)
-        for s in range(3):
-            assert [j.job_id for j in buckets[s]] == [
-                jid for jid in ids if mapping[jid] == s
-            ]
-
-
-class TestRebalance:
-    def test_moves_only_reassigned_jobs(self):
-        ids = [f"job{i}" for i in range(100)]
-        moves = rebalance_moves(ids, old_shards=2, new_shards=4)
-        for jid, (old, new) in moves.items():
-            assert old == stable_shard(jid, 2)
-            assert new == stable_shard(jid, 4)
-            assert old != new
-        unmoved = set(ids) - set(moves)
-        for jid in unmoved:
-            assert stable_shard(jid, 2) == stable_shard(jid, 4)
-
-    def test_same_shards_no_moves(self):
-        ids = [f"job{i}" for i in range(20)]
-        assert rebalance_moves(ids, 3, 3) == {}
 
 
 def _workload(count: int = 60, dcs: int = 6):
@@ -150,15 +94,15 @@ class TestJobWeight:
         assert job_weight(_WeightedJob("empty", "dc0", blocks=0, dsts=4)) == 1
 
 
+def _assign(jobs, shards: int):
+    """Job id -> shard, assigning ``jobs`` in order."""
+    assigner = AffinityAssigner(shards)
+    return {job.job_id: assigner.assign(job) for job in jobs}
+
+
 class TestAffinityAssigner:
     def test_deterministic_and_repeatable(self):
-        jobs = _workload()
-        first = affinity_partition(jobs, 4, seed=3)
-        second = affinity_partition(_workload(), 4, seed=3)
-        assert first == second
-        # Incremental assignment matches the one-shot helper.
-        assigner = AffinityAssigner(4, seed=3)
-        assert {j.job_id: assigner.assign(j) for j in jobs} == first
+        assert _assign(_workload(), 4) == _assign(_workload(), 4)
 
     def test_sticky(self):
         jobs = _workload()
@@ -169,10 +113,10 @@ class TestAffinityAssigner:
         assert after == list(reversed(before))
 
     def test_single_shard_all_zero(self):
-        assert set(affinity_partition(_workload(), 1).values()) == {0}
+        assert set(_assign(_workload(), 1).values()) == {0}
 
     def test_range(self):
-        mapping = affinity_partition(_workload(), 5)
+        mapping = _assign(_workload(), 5)
         assert all(0 <= s < 5 for s in mapping.values())
 
     def test_co_locates_same_source(self):
@@ -184,7 +128,7 @@ class TestAffinityAssigner:
             _WeightedJob(f"j{i}", f"dc{i % 4}", blocks=2, dsts=2)
             for i in range(32)
         ]
-        mapping = affinity_partition(jobs, 4)
+        mapping = _assign(jobs, 4)
         by_src = {}
         for job in jobs:
             by_src.setdefault(job.src_dc, set()).add(mapping[job.job_id])
@@ -208,22 +152,3 @@ class TestAffinityAssigner:
             AffinityAssigner(0)
         with pytest.raises(ValueError):
             AffinityAssigner(2, slack=-0.1)
-
-
-class TestAssignmentMoves:
-    def test_reports_only_changed(self):
-        jobs = _workload()
-        old = affinity_partition(jobs, 2)
-        new = affinity_partition(jobs, 4)
-        moves = assignment_moves(old, new)
-        for jid, (o, n) in moves.items():
-            assert old[jid] == o and new[jid] == n and o != n
-        for jid in set(old) - set(moves):
-            assert old[jid] == new[jid]
-
-    def test_ignores_jobs_missing_from_either_side(self):
-        assert assignment_moves({"a": 0}, {"b": 1}) == {}
-
-    def test_identity(self):
-        mapping = affinity_partition(_workload(), 3)
-        assert assignment_moves(mapping, dict(mapping)) == {}

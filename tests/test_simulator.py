@@ -399,6 +399,28 @@ class TestJobIds:
         assert result.cycles_run < 50
 
 
+class TestLinksOfInterest:
+    def _simulation(self, links):
+        topo = two_dc_topology()
+        return Simulation(
+            topo, [one_block_job(topo)], ScriptedStrategy(lambda view: []),
+            SimConfig(
+                max_cycles=2, record_link_stats=True, links_of_interest=links
+            ),
+        )
+
+    def test_a_link_the_topology_lacks_is_rejected_by_name(self):
+        # Accepted, it died with a bare KeyError inside the link-stats
+        # recorder at the end of the first executed cycle.
+        with pytest.raises(ValueError, match=r"'wan', 'dc0', 'dc9'"):
+            self._simulation((wan_key("dc0", "dc1"), wan_key("dc0", "dc9")))
+
+    def test_a_link_it_has_is_recorded(self):
+        key = wan_key("dc0", "dc1")
+        stats = self._simulation((key,)).run().cycle_stats[0]
+        assert list(stats.link_bulk_usage) == [key]
+
+
 class TestOneRunPerSimulation:
     def test_a_second_run_raises_and_names_the_remedy(self):
         """The first run consumes the completion bookkeeping and fills
