@@ -59,12 +59,12 @@ def ideal_server_time(topology: Topology, job: MulticastJob, server_id: str) -> 
     dc = server.dc
     if dc not in job.dst_dcs:
         raise ValueError(f"server {server_id!r} is not in a destination DC")
-    shard_bytes = sum(
-        block.size
-        for block in job.blocks
-        if job.assigned_server(dc, block.block_id) == server_id
-    )
-    return shard_bytes / server.downlink
+    servers, slots = job.stripe(dc)
+    if server_id not in servers:
+        return 0.0  # more servers than blocks: this one gets none
+    # Summed left to right in block order, not by numpy's pairwise sum.
+    shard = job.block_sizes()[slots == servers.index(server_id)]
+    return sum(shard.tolist()) / server.downlink
 
 
 def ideal_server_times(topology: Topology, job: MulticastJob) -> Dict[str, float]:

@@ -21,9 +21,10 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.analysis.experiments import EXPERIMENTS, write_generated
 from repro.analysis.metrics import summarize
@@ -36,17 +37,39 @@ from repro.workload.generator import WorkloadGenerator
 from repro.workload.traces import replay_as_jobs, save_trace
 
 
-def _positive_int(text: str, expected: str = "an integer") -> int:
-    """Parse a count that must be at least 1 (``--jobs``, ``--shards``)."""
+def _positive_int(
+    text: str, expected: str = "an integer", minimum: int = 1
+) -> int:
+    """Parse a count that must be at least ``minimum`` (``--jobs``, ``--shards``)."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected {expected}, got {text!r}"
         ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
     return value
+
+
+def _dc_count(text: str) -> int:
+    """Parse a mesh's DC count: a multicast needs a source and a destination."""
+    return _positive_int(text, minimum=2)
+
+
+def _positive(parse: Callable[[str], float]) -> Callable[[str], float]:
+    """``parse`` as an argparse type that also requires a finite value > 0."""
+
+    def checked(text: str) -> float:
+        try:
+            value = parse(text)
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+        return value
+
+    return checked
 
 
 def _stride_arg(text: str) -> "int | str":
@@ -54,6 +77,11 @@ def _stride_arg(text: str) -> "int | str":
     if text == "auto":
         return text
     return _positive_int(text, "an integer or 'auto'")
+
+
+_positive_float = _positive(float)
+_size = _positive(parse_size)
+_rate = _positive(parse_rate)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,15 +93,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run one multicast over a mesh")
     sim.add_argument("--strategy", choices=STRATEGY_NAMES, default="bds")
-    sim.add_argument("--num-dcs", type=int, default=4)
-    sim.add_argument("--servers-per-dc", type=int, default=4)
-    sim.add_argument("--wan", default="1GB/s", help="WAN link capacity")
-    sim.add_argument("--nic", default="50MB/s", help="server NIC rate")
-    sim.add_argument("--size", default="200MB", help="data size")
-    sim.add_argument("--block-size", default="2MB")
-    sim.add_argument("--cycle", type=float, default=3.0, help="cycle seconds")
+    sim.add_argument("--num-dcs", type=_dc_count, default=4)
+    sim.add_argument("--servers-per-dc", type=_positive_int, default=4)
+    sim.add_argument("--wan", type=_rate, default="1GB/s", help="WAN link capacity")
+    sim.add_argument("--nic", type=_rate, default="50MB/s", help="server NIC rate")
+    sim.add_argument("--size", type=_size, default="200MB", help="data size")
+    sim.add_argument("--block-size", type=_size, default="2MB")
+    sim.add_argument(
+        "--cycle", type=_positive_float, default=3.0, help="cycle seconds"
+    )
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--max-cycles", type=int, default=100_000)
+    sim.add_argument("--max-cycles", type=_positive_int, default=100_000)
     sim.add_argument(
         "--jobs",
         type=_positive_int,
@@ -111,20 +141,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     wl = sub.add_parser("workload", help="generate a synthetic trace")
-    wl.add_argument("--num-dcs", type=int, default=30)
-    wl.add_argument("--count", type=int, default=100)
+    wl.add_argument("--num-dcs", type=_dc_count, default=30)
+    wl.add_argument("--count", type=_positive_int, default=100)
     wl.add_argument("--seed", type=int, default=0)
     wl.add_argument("--out", required=True, help="output JSONL path")
 
     rp = sub.add_parser("replay", help="replay a saved trace")
     rp.add_argument("trace", help="JSONL trace path")
     rp.add_argument("--strategy", choices=STRATEGY_NAMES, default="bds")
-    rp.add_argument("--num-dcs", type=int, default=10)
-    rp.add_argument("--servers-per-dc", type=int, default=4)
-    rp.add_argument("--wan", default="500MB/s")
-    rp.add_argument("--nic", default="25MB/s")
-    rp.add_argument("--block-size", default="4MB")
-    rp.add_argument("--scale", type=float, default=1e-5, help="size scale factor")
+    rp.add_argument("--num-dcs", type=_positive_int, default=10)
+    rp.add_argument("--servers-per-dc", type=_positive_int, default=4)
+    rp.add_argument("--wan", type=_rate, default="500MB/s")
+    rp.add_argument("--nic", type=_rate, default="25MB/s")
+    rp.add_argument("--block-size", type=_size, default="4MB")
+    rp.add_argument(
+        "--scale", type=_positive_float, default=1e-5, help="size scale factor"
+    )
     rp.add_argument("--seed", type=int, default=0)
 
     ex = sub.add_parser("experiment", help="run a paper experiment")
@@ -154,10 +186,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     topo, jobs = mesh_scenario(
         args.num_dcs,
         args.servers_per_dc,
-        parse_rate(args.wan),
-        parse_rate(args.nic),
-        parse_size(args.size),
-        parse_size(args.block_size),
+        args.wan,
+        args.nic,
+        args.size,
+        args.block_size,
         job_id="cli",
         jobs=args.jobs,
     )
@@ -221,13 +253,13 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     topo = Topology.full_mesh(
         num_dcs=args.num_dcs,
         servers_per_dc=args.servers_per_dc,
-        wan_capacity=parse_rate(args.wan),
-        uplink=parse_rate(args.nic),
+        wan_capacity=args.wan,
+        uplink=args.nic,
     )
     jobs = replay_as_jobs(
         args.trace,
         topo,
-        block_size=parse_size(args.block_size),
+        block_size=args.block_size,
         size_scale=args.scale,
     )
     if not jobs:

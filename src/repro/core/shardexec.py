@@ -199,10 +199,10 @@ class ShardMirror:
         Each new job's blocks are interned as one contiguous column
         range up front, so the holders snapshot and the delivery replay
         land as whole-array ``set_many`` batches (``base + block-index``)
-        instead of per-block facade calls — the final possession bits,
-        duplicate counts, and epoch total are identical to the
-        sequential form (seeds are idempotent and commute across
-        distinct (server, block) pairs).
+        instead of per-block facade calls — the final possession bits
+        and duplicate counts are identical to the sequential form
+        (seeds are idempotent and commute across distinct (server,
+        block) pairs).
         """
         store = self.store
         matrix = store.matrix

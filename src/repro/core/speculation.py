@@ -64,20 +64,19 @@ class DeliverySpeculator:
             dst = matrix.server_ids.get(directive.dst_server)
             if src is None or dst is None:
                 continue
+            job_id = directive.job_id
+            size_of = sizes.get(job_id)
+            if size_of is None:
+                continue
             budget = directive.rate_cap * self.horizon_seconds
             # Ids are built block by block: the budget runs out long
             # before a merged directive's block list does.
-            indices = directive.block_indices
-            for block_id in (
-                directive.block_ids
-                if indices is None
-                else ((directive.job_id, i) for i in indices.tolist())
-            ):
+            for index in directive.block_indices.tolist():
                 if budget <= 0:
                     break
+                block_id = (job_id, index)
                 gid = gid_of(block_id)
-                size_of = sizes.get(block_id[0])
-                if gid is None or size_of is None:
+                if gid is None:
                     continue
                 if matrix.test_bit(dst, gid):
                     continue  # already arrived for real
@@ -86,7 +85,7 @@ class DeliverySpeculator:
                     # speculated copy that never arrived, the simulator
                     # dropped it, and these bytes never moved.
                     continue
-                remaining = float(size_of[block_id[1]]) - view.received_bytes(
+                remaining = float(size_of[index]) - view.received_bytes(
                     block_id, directive.dst_server
                 )
                 if remaining <= budget:

@@ -354,10 +354,10 @@ class FlowIncidence:
 def outer_waterfill(inc: FlowIncidence, requested: np.ndarray) -> np.ndarray:
     """One-pass proportional waterfill of ``requested`` over ``inc``.
 
-    The shared entry point of the data-plane clip kernel
-    (:func:`repro.net.flow.clip_rates_to_capacity_vectorized`) and the
-    sharded control plane's WAN-capacity reconciliation
-    (:meth:`repro.core.controller.BDSController`): every resource whose
+    The arithmetic of the data-plane clip kernel
+    (:func:`repro.net.flow.clip_rates_to_capacity_vectorized`; the
+    sharded controller's WAN reconciliation is a max-min waterfill
+    instead, see ``BDSController._reconcile_wan``): every resource whose
     aggregate request exceeds its capacity scales all its flows by the
     same ``cap / used`` factor, and a flow crossing several
     oversubscribed resources takes the most restrictive factor. One pass

@@ -123,16 +123,8 @@ class CandidateTable:
         for dc, is_relay in [(d, False) for d in job.dst_dcs] + [
             (d, True) for d in job.relay_dcs
         ]:
-            dst_sids = self._striped_sids(job, dc)
-            if dst_sids is None:
-                dst_sids = np.fromiter(
-                    (
-                        server_ids[job.assigned_server(dc, b.block_id)]
-                        for b in job.blocks
-                    ),
-                    dtype=np.int64,
-                    count=len(job.blocks),
-                )
+            servers, slots = job.stripe(dc)
+            sids = np.array([server_ids[s] for s in servers], dtype=np.int64)
             groups.append(
                 CandidateGroup(
                     job=job,
@@ -141,50 +133,10 @@ class CandidateTable:
                     is_relay=is_relay,
                     gids=gids,
                     indices=indices,
-                    dst_sids=dst_sids,
+                    dst_sids=sids[slots],
                 )
             )
         self.groups_by_job[job.job_id] = groups
-
-    def _striped_sids(
-        self, job: MulticastJob, dc: str
-    ) -> Optional[np.ndarray]:
-        """Vectorized per-block destination sids via striping periodicity.
-
-        :meth:`MulticastJob.bind` stripes round-robin by block index
-        (``servers[index % len(servers)]``), so the per-block assigned
-        server repeats with period = the DC's server count. Probing the
-        assignment until the first server recurs recovers that pattern
-        with O(servers-per-DC) lookups instead of O(blocks); the pattern
-        is then verified at the last and middle block (and the repeat
-        point itself) before use. Returns ``None`` — caller falls back
-        to the exact per-block loop — if any probe disagrees, so a
-        hypothetical non-round-robin layout stays correct, just slower.
-        """
-        blocks = job.blocks
-        n = len(blocks)
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        server_ids = self.matrix.server_ids
-        assigned = job.assigned_server
-        first = server_ids[assigned(dc, blocks[0].block_id)]
-        pattern: List[int] = [first]
-        for k in range(1, n):
-            sid = server_ids[assigned(dc, blocks[k].block_id)]
-            if sid == first:
-                break
-            pattern.append(sid)
-        period = len(pattern)
-        if period >= n:
-            return np.asarray(pattern, dtype=np.int64)
-        for probe in (period, n // 2, n - 1):
-            if (
-                server_ids[assigned(dc, blocks[probe].block_id)]
-                != pattern[probe % period]
-            ):
-                return None
-        pat = np.asarray(pattern, dtype=np.int64)
-        return pat[np.arange(n, dtype=np.int64) % period]
 
     def state_bytes(self) -> int:
         """Bytes held by the candidate arrays.

@@ -328,15 +328,13 @@ def clip_rates_to_capacity_vectorized(
     """Array one-pass clip over CSR flow×resource incidence.
 
     Bit-identical to :func:`clip_rates_to_capacity_scalar`: the whole
-    arithmetic lives in :func:`repro.lp.incidence.outer_waterfill` (also
-    the sharded controller's WAN reconciliation pass — one
-    implementation, two consumers), which accumulates per-resource usage
-    via ``bincount`` in the same entry order as the scalar dict loop
-    (identical partial sums), applies the same ``cap / used`` guard
-    elementwise, and takes each flow's factor as a segment minimum over
-    its resources (order-independent). Unlike the waterfill, *every*
-    flow's resources are validated — the scalar clip builds usage over
-    all flows, zero-rate ones included.
+    arithmetic lives in :func:`repro.lp.incidence.outer_waterfill`, which
+    accumulates per-resource usage via ``bincount`` in the same entry
+    order as the scalar dict loop (identical partial sums), applies the
+    same ``cap / used`` guard elementwise, and takes each flow's factor
+    as a segment minimum over its resources (order-independent). Unlike
+    the waterfill, *every* flow's resources are validated — the scalar
+    clip builds usage over all flows, zero-rate ones included.
     """
     # Imported lazily: see the waterfill note on the repro.lp cycle.
     from repro.lp.incidence import FlowIncidence, outer_waterfill

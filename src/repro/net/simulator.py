@@ -65,23 +65,22 @@ _DELIVERY_BATCH_MIN = 32
 
 
 class TransferDirective:
-    """One single-hop transfer order: send ``block_ids`` from src to dst.
+    """One single-hop transfer order: send blocks of ``job_id`` from src to dst.
 
     ``rate_cap`` (bytes/s) is set by centralized strategies (BDS) and left
     ``None`` by decentralized ones, whose flows then share bandwidth
     max-min fairly. Blocks are transferred in the listed order, resuming any
     partial progress the destination already accumulated.
 
-    The block list has two interchangeable forms. ``block_ids`` is the
-    tuple of ``(job_id, index)`` ids the constructor takes;
-    ``block_indices`` is the same list as an int array of **job-relative
-    block indices** — what the router emits (:meth:`from_indices`) and
-    what the simulator gathers possession and sizes with. Indices are
+    The block list is held one way: as **job-relative block indices**,
+    ``block_indices`` — the segment ``column[lo:hi]`` of an int array the
+    router cuts all of a cycle's directives from (:meth:`from_segment`),
+    and what the simulator gathers possession and sizes with. Indices are
     valid in every id space at once (the simulator's matrix, each shard
-    mirror's own gid numbering) and pickle as one small array. Whichever
-    form a directive was not built from is derived on first read and
-    cached; ``==`` and ``hash`` see the same value either way. A hand-built directive naming another job's blocks has no
-    index form (``block_indices`` is ``None``).
+    mirror's own gid numbering). The constructor takes ``(job_id, index)``
+    ids and converts them at once; an id of another job is a
+    ``ValueError``. ``block_ids`` is the id tuple, derived on first read
+    and cached.
     """
 
     __slots__ = (
@@ -104,9 +103,15 @@ class TransferDirective:
         rate_cap: Optional[float] = None,
     ) -> None:
         block_ids = tuple(block_ids)
+        foreign = [bid for bid in block_ids if bid[0] != job_id]
+        if foreign:
+            raise ValueError(
+                f"a directive of job {job_id!r} names blocks of other jobs: "
+                f"{foreign!r}"
+            )
+        column = np.array([bid[1] for bid in block_ids], dtype=np.int64)
         self._init(
-            job_id, block_ids, None, 0, len(block_ids),
-            src_server, dst_server, rate_cap,
+            job_id, column, 0, len(column), src_server, dst_server, rate_cap
         )
 
     @classmethod
@@ -142,12 +147,10 @@ class TransferDirective:
         one column, and a (column, lo, hi) triple is smaller than a view.
         """
         self = cls.__new__(cls)
-        self._init(job_id, None, column, lo, hi, src_server, dst_server, rate_cap)
+        self._init(job_id, column, lo, hi, src_server, dst_server, rate_cap)
         return self
 
-    def _init(
-        self, job_id, block_ids, column, lo, hi, src_server, dst_server, rate_cap
-    ):
+    def _init(self, job_id, column, lo, hi, src_server, dst_server, rate_cap):
         if hi <= lo:
             raise ValueError("a directive needs at least one block")
         if src_server == dst_server:
@@ -159,7 +162,7 @@ class TransferDirective:
         put(self, "src_server", src_server)
         put(self, "dst_server", dst_server)
         put(self, "rate_cap", rate_cap)
-        put(self, "_block_ids", block_ids)
+        put(self, "_block_ids", None)
         put(self, "_column", column)
         put(self, "_lo", lo)
         put(self, "_hi", hi)
@@ -180,47 +183,26 @@ class TransferDirective:
         return ids
 
     @property
-    def block_indices(self) -> Optional[np.ndarray]:
-        column = self._column
-        if column is None:
-            job_id = self.job_id
-            try:
-                if any(bid[0] != job_id for bid in self._block_ids):
-                    raise ValueError
-                column = np.array(
-                    [bid[1] for bid in self._block_ids], dtype=np.int64
-                )
-            except (TypeError, ValueError, IndexError, OverflowError):
-                column = False  # no index form; do not retry
-            object.__setattr__(self, "_column", column)
-        if column is False:
-            return None
-        return column[self._lo : self._hi]
+    def block_indices(self) -> np.ndarray:
+        return self._column[self._lo : self._hi]
 
     def with_rate_cap(self, rate_cap: Optional[float]) -> "TransferDirective":
         """This directive with another ``rate_cap`` (block list shared)."""
-        clone = TransferDirective.__new__(TransferDirective)
-        clone._init(
-            self.job_id, self._block_ids, self._column, self._lo, self._hi,
+        return TransferDirective.from_segment(
+            self.job_id, self._column, self._lo, self._hi,
             self.src_server, self.dst_server, rate_cap,
         )
-        return clone
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not TransferDirective:
             return NotImplemented
-        if (
-            self.job_id != other.job_id
-            or self.src_server != other.src_server
-            or self.dst_server != other.dst_server
-            or self.rate_cap != other.rate_cap
-        ):
-            return False
-        if self._block_ids is None or other._block_ids is None:
-            mine, theirs = self.block_indices, other.block_indices
-            if mine is not None and theirs is not None:
-                return bool(np.array_equal(mine, theirs))
-        return self.block_ids == other.block_ids
+        return (
+            self.job_id == other.job_id
+            and self.src_server == other.src_server
+            and self.dst_server == other.dst_server
+            and self.rate_cap == other.rate_cap
+            and np.array_equal(self.block_indices, other.block_indices)
+        )
 
     def __hash__(self) -> int:
         return hash(
@@ -241,43 +223,18 @@ class TransferDirective:
         )
 
     def __reduce__(self):
-        # The index form when there is one: the directive's own segment
-        # as one int array, not the column it views or a tuple of tuples.
-        if isinstance(self._column, np.ndarray):
-            return (
-                TransferDirective.from_indices,
-                (
-                    self.job_id,
-                    self.block_indices,
-                    self.src_server,
-                    self.dst_server,
-                    self.rate_cap,
-                ),
-            )
+        # The directive's own segment as one int array, not the column it
+        # views or a tuple of tuples.
         return (
-            TransferDirective,
+            TransferDirective.from_indices,
             (
                 self.job_id,
-                self._block_ids,
+                self.block_indices,
                 self.src_server,
                 self.dst_server,
                 self.rate_cap,
             ),
         )
-
-
-def _with_blocks_kept(d: TransferDirective, mask: np.ndarray) -> TransferDirective:
-    """``d`` over only the blocks whose ``mask`` flag is set, in order."""
-    indices = d.block_indices
-    if indices is None:
-        ids = d.block_ids
-        kept = tuple(ids[i] for i in np.flatnonzero(mask).tolist())
-        return TransferDirective(
-            d.job_id, kept, d.src_server, d.dst_server, d.rate_cap
-        )
-    return TransferDirective.from_indices(
-        d.job_id, indices[mask], d.src_server, d.dst_server, d.rate_cap
-    )
 
 
 @dataclass
@@ -955,28 +912,46 @@ class Simulation:
         # (job, server) -> how many of its shard's blocks that server
         # still misses. Both count down on what the store answers per
         # delivery (a new copy or a duplicate); neither names a block.
+        # run() fills the completion times per job, (job, dc) and (job,
+        # server); the ones pre-seeded copies completed are booked at 0 here.
         self._dc_missing: Dict[Tuple[str, str], int] = {}
         self._server_missing: Dict[Tuple[str, str], int] = {}
-        self._origin_dc: Dict[str, str] = {}
-        for job in self.jobs:
-            self._origin_dc[job.job_id] = job.src_dc
-            for dc in job.dst_dcs:
-                missing = 0
-                for block in job.blocks:
-                    server = job.assigned_server(dc, block.block_id)
-                    if self.store.has(server, block.block_id):
-                        continue  # pre-seeded copies count as delivered
-                    missing += 1
-                    key = (job.job_id, server)
-                    self._server_missing[key] = self._server_missing.get(key, 0) + 1
-                self._dc_missing[(job.job_id, dc)] = missing
-        # What run() fills: completion times per job, (job, dc) and
-        # (job, server); the (src, dst) pairs with a flow in the last
-        # executed cycle (they skip the TCP re-establishment cost). One
-        # run consumes the bookkeeping above, so there is only one.
         self._job_completion: Dict[str, float] = {}
         self._dc_completion: Dict[Tuple[str, str], float] = {}
         self._server_completion: Dict[Tuple[str, str], float] = {}
+        self._origin_dc: Dict[str, str] = {}
+        matrix = self.store.matrix
+        for job in self.jobs:
+            job_id = job.job_id
+            self._origin_dc[job_id] = job.src_dc
+            # Seeding the source stripe interned every block of the job.
+            gids = np.fromiter(
+                (matrix.block_gids[b.block_id] for b in job.blocks),
+                dtype=np.int64,
+                count=len(job.blocks),
+            )
+            for dc in job.dst_dcs:
+                servers, slots = job.stripe(dc)
+                sids = np.array(
+                    [matrix.server_ids[s] for s in servers], dtype=np.int64
+                )
+                # Pre-seeded copies on the assigned server count as delivered.
+                held = matrix.test_many(sids[slots], gids)
+                counts = np.bincount(slots[~held], minlength=len(servers))
+                for server, missing in zip(servers, counts.tolist()):
+                    if missing:
+                        self._server_missing[(job_id, server)] = missing
+                    else:
+                        self._server_completion[(job_id, server)] = 0.0
+                missing = len(gids) - int(held.sum())
+                self._dc_missing[(job_id, dc)] = missing
+                if not missing:
+                    self._dc_completion[(job_id, dc)] = 0.0
+            if all((job_id, dc) in self._dc_completion for dc in job.dst_dcs):
+                self._job_completion[job_id] = 0.0
+        # The (src, dst) pairs with a flow in the last executed cycle
+        # (they skip the TCP re-establishment cost). One run consumes the
+        # bookkeeping above, so there is only one.
         self._prev_pairs: Set[Tuple[str, str]] = set()
         self._ran = False
 
@@ -1134,17 +1109,6 @@ class Simulation:
                 raise KeyError(f"unknown destination server {d.dst_server!r}")
             indices = d.block_indices
             offset, limit = base.get(d.job_id, 0), count.get(d.job_id, 0)
-            if indices is None:
-                # Blocks of other jobs: number them one by one; unknown
-                # ones get -1 and fail the range check below.
-                indices = np.array(
-                    [
-                        base[j] + i if j in base and 0 <= i < count[j] else -1
-                        for j, i in d.block_ids
-                    ],
-                    dtype=np.int64,
-                )
-                offset, limit = 0, len(cols.blocks)
             admitted.append(d)
             parts.append(indices)
             meta.append(
@@ -1176,7 +1140,10 @@ class Simulation:
                 if k == 0:
                     continue
                 if k != n:
-                    d = _with_blocks_kept(d, useful[lo : lo + n])
+                    d = TransferDirective.from_indices(
+                        d.job_id, d.block_indices[useful[lo : lo + n]],
+                        d.src_server, d.dst_server, d.rate_cap,
+                    )
                 valid.append(d)
             flat = flat[useful]
             dst = dst[useful]
@@ -1276,7 +1243,6 @@ class Simulation:
         cfg = self.config
         dt = cfg.cycle_seconds
         started = _time.perf_counter()
-        self._book_pre_seeded()
         strategy = self.strategy
         clips = getattr(strategy, "uses_controller_rates", False)
         respects = getattr(strategy, "respects_safety_threshold", False)
@@ -1376,19 +1342,6 @@ class Simulation:
         )
 
     # -- the stages of a cycle, in run()'s order ---------------------------------
-
-    def _book_pre_seeded(self) -> None:
-        """Pre-seeded copies may have satisfied shards before the run starts."""
-        for job in self.jobs:
-            job_id = job.job_id
-            for dc in job.dst_dcs:
-                for server in job.destination_servers(dc):
-                    if self._server_missing.get((job_id, server), 0) == 0:
-                        self._server_completion[(job_id, server)] = 0.0
-                if not self._dc_missing[(job_id, dc)]:
-                    self._dc_completion[(job_id, dc)] = 0.0
-            if all((job_id, dc) in self._dc_completion for dc in job.dst_dcs):
-                self._job_completion[job_id] = 0.0
 
     def _advance_failures(self, cycle: int) -> Tuple[Set[str], frozenset, bool]:
         """Apply the failure schedule through ``cycle``.

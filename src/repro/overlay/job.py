@@ -64,6 +64,10 @@ class MulticastJob:
         self.relay_dcs = tuple(self.relay_dcs)
         if not self.dst_dcs:
             raise ValueError("a multicast job needs at least one destination DC")
+        for name, dcs in (("dst_dcs", self.dst_dcs), ("relay_dcs", self.relay_dcs)):
+            repeated = sorted({dc for dc in dcs if dcs.count(dc) > 1})
+            if repeated:
+                raise ValueError(f"{name} repeats DC(s) {repeated}")
         if self.src_dc in self.dst_dcs:
             raise ValueError("source DC cannot also be a destination")
         overlap = set(self.relay_dcs) & ({self.src_dc} | set(self.dst_dcs))
@@ -72,57 +76,70 @@ class MulticastJob:
         self.blocks: List[Block] = split_into_blocks(
             self.job_id, self.total_bytes, self.block_size
         )
-        self._assignment: Dict[Tuple[str, BlockId], str] = {}
+        # DC -> the ids of its servers that get a block, in stripe order.
+        self._stripes: Dict[str, Tuple[str, ...]] = {}
         self._block_sizes: Optional[np.ndarray] = None
 
     # -- striping ----------------------------------------------------------
 
     def bind(self, topology: Topology) -> None:
-        """Compute block-to-server striping for every involved DC.
+        """Record every involved DC's servers in stripe order.
 
         Must be called once before the job enters a simulation. Striping is
         round-robin by block index, the layout used by Baidu's setup in the
-        paper's measurement study.
+        paper's measurement study: block ``i`` lies on the DC's server
+        ``i mod len(servers)``. That is a formula, so binding stores
+        O(servers) per DC and no per-block table; servers past the first
+        ``num_blocks`` get no block and are not recorded.
         """
+        stripes: Dict[str, Tuple[str, ...]] = {}
         for dc in (self.src_dc,) + self.dst_dcs + self.relay_dcs:
             servers = topology.servers_in(dc)
             if not servers:
                 raise ValueError(f"DC {dc!r} has no servers")
-            for block in self.blocks:
-                server = servers[block.index % len(servers)]
-                self._assignment[(dc, block.block_id)] = server.server_id
+            stripes[dc] = tuple(s.server_id for s in servers[: self.num_blocks])
+        self._stripes = stripes
 
     def is_bound(self) -> bool:
-        return bool(self._assignment)
+        return bool(self._stripes)
 
-    def assigned_server(self, dc: str, block_id: BlockId) -> str:
-        """The server in ``dc`` that block ``block_id`` is striped onto."""
+    def _stripe_servers(self, dc: str) -> Tuple[str, ...]:
         try:
-            return self._assignment[(dc, block_id)]
+            return self._stripes[dc]
         except KeyError:
-            if not self._assignment:
+            if not self._stripes:
                 raise RuntimeError(
                     f"job {self.job_id!r} not bound to a topology; call bind()"
                 ) from None
-            raise
+            raise KeyError(f"DC {dc!r} is not in job {self.job_id!r}") from None
+
+    def stripe(self, dc: str) -> Tuple[Tuple[str, ...], np.ndarray]:
+        """``dc``'s stripe: its server ids in stripe order (only servers
+        that get a block) and, as an int64 array aligned with ``blocks``,
+        each block's slot in them — block ``i`` lies on
+        ``servers[slots[i]]``."""
+        servers = self._stripe_servers(dc)
+        slots = np.arange(self.num_blocks, dtype=np.int64) % len(servers)
+        return servers, slots
+
+    def assigned_server(self, dc: str, block_id: BlockId) -> str:
+        """The server in ``dc`` that block ``block_id`` is striped onto."""
+        servers = self._stripe_servers(dc)
+        return servers[self.block_by_id(block_id).index % len(servers)]
 
     def initial_placement(self) -> Dict[str, List[Block]]:
         """Blocks initially present on each source-DC server."""
-        if not self._assignment:
-            raise RuntimeError(f"job {self.job_id!r} not bound; call bind() first")
-        placement: Dict[str, List[Block]] = {}
-        for block in self.blocks:
-            server = self.assigned_server(self.src_dc, block.block_id)
-            placement.setdefault(server, []).append(block)
-        return placement
+        return self.destination_servers(self.src_dc)
 
     def destination_servers(self, dc: str) -> Dict[str, List[Block]]:
-        """Shard map for one destination (or relay) DC: server -> blocks."""
-        shard: Dict[str, List[Block]] = {}
-        for block in self.blocks:
-            server = self.assigned_server(dc, block.block_id)
-            shard.setdefault(server, []).append(block)
-        return shard
+        """Shard map for one involved DC: server -> its blocks, both in
+        stripe order (the order seeding interns blocks in)."""
+        servers = self._stripe_servers(dc)
+        period = len(servers)
+        return {
+            server: self.blocks[slot::period]
+            for slot, server in enumerate(servers)
+        }
 
     # -- bookkeeping ---------------------------------------------------------
 

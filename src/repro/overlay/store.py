@@ -18,9 +18,8 @@ touching Python objects; :class:`PossessionIndex` is the name-keyed
 facade over it. The dict-of-sets bookkeeping the matrix replaced is the
 test oracle ``DictPossessionIndex`` (same facade).
 
-Epoch arithmetic: every *new* possession (seed or delivery) bumps
-``epoch`` by one, and ``drop_server`` bumps it once per call (not once
-per dropped block — see the method docstring).
+Possession only grows: copies are seeded or delivered and never dropped
+(disk loss enters a simulation as *agent* failure).
 """
 
 from __future__ import annotations
@@ -249,8 +248,8 @@ class PossessionMatrix:
         self.dc_counts[self.server_dc_list[sid], gid] += 1
         return True
 
-    def set_many(self, sid: int, gids: Iterable[int]) -> int:
-        """Set a batch of bits on one row; returns how many were new.
+    def set_many(self, sid: int, gids: Iterable[int]) -> None:
+        """Set a batch of bits on one row.
 
         The batched form keeps large initial seedings (10^6-block jobs)
         out of per-bit Python loops: previously-unset columns are found
@@ -263,21 +262,20 @@ class PossessionMatrix:
             arr = np.asarray(list(gids), dtype=np.int64)
         unique = np.unique(arr)
         if unique.size == 0:
-            return 0
+            return
         row = self.bits[sid]
         words = unique >> 6
         masks = np.uint64(1) << (unique & 63).astype(np.uint64)
         fresh = (row[words] & masks) == 0
         new_gids = unique[fresh]
         if new_gids.size == 0:
-            return 0
+            return
         # bitwise_or.at handles repeated word indices (several new blocks
         # landing in the same 64-column word) where fancy |= would not.
         np.bitwise_or.at(row, words[fresh], masks[fresh])
         self.holder_words[new_gids, sid >> 6] |= np.uint64(1 << (sid & 63))
         self.dup[new_gids] += 1
         self.dc_counts[self.server_dc_list[sid]][new_gids] += 1
-        return int(new_gids.size)
 
     def record_deliveries(self, sids: np.ndarray, gids: np.ndarray) -> np.ndarray:
         """Set possession bits for parallel (server, block) arrays.
@@ -333,17 +331,6 @@ class PossessionMatrix:
         twin.record_deliveries(sids, gids)
         return twin
 
-    def clear_row(self, sid: int) -> int:
-        """Drop every block on one server; returns how many were held."""
-        held = self.row_gids(sid)
-        if held.size == 0:
-            return 0
-        self.dup[held] -= 1
-        self.dc_counts[self.server_dc_list[sid]][held] -= 1
-        self.bits[sid, :] = 0
-        self.holder_words[held, sid >> 6] &= ~np.uint64(1 << (sid & 63))
-        return int(held.size)
-
     # -- batched queries (the vectorized control-plane surface) ------------
 
     def holder_ids(self, gid: int) -> np.ndarray:
@@ -396,10 +383,6 @@ class PossessionMatrix:
         row = self.bits[sid]
         words = row[gids >> 6]
         return (words >> (gids & 63).astype(np.uint64)) & np.uint64(1) != 0
-
-    def dc_covered_many(self, dc_gids: np.ndarray, gids: np.ndarray) -> np.ndarray:
-        """Per-(DC, block) "does the DC hold any copy" gather."""
-        return self.dc_counts[dc_gids, gids] > 0
 
     # -- telemetry ---------------------------------------------------------
 
@@ -487,10 +470,6 @@ class PossessionReader:
 class PossessionIndex(PossessionReader):
     """Tracks block possession per server with O(1) updates and lookups.
 
-    ``epoch`` counts mutation *events*: one bump per newly-placed copy
-    (seed or delivery) and one bump per effective ``drop_server`` call.
-    Readers test it for equality: any possession change bumps it.
-
     The index is a thin facade over its :attr:`matrix`; the hot
     control-plane paths bypass the facade and operate on the matrix
     arrays directly (see :mod:`repro.core.scheduling`).
@@ -501,7 +480,6 @@ class PossessionIndex(PossessionReader):
     ) -> None:
         self._server_dc = dict(server_dc)
         self.deliveries: List[DeliveryRecord] = []
-        self.epoch: int = 0
         # ``block_capacity`` sizes the matrix's initial column space.
         # Shard mirrors pass their partition's block count so a 1/k
         # partition holds ~1/k of the arrays instead of being quantized
@@ -522,18 +500,16 @@ class PossessionIndex(PossessionReader):
         """Place initial copies (no delivery records; they were never sent)."""
         matrix = self.matrix
         sid = self._sid(server_id)
-        gids = [matrix.intern(block.block_id) for block in blocks]
-        self.epoch += matrix.set_many(sid, gids)
+        matrix.set_many(sid, [matrix.intern(block.block_id) for block in blocks])
 
     def seed_gids(self, server_id: str, gids: "np.ndarray") -> None:
         """Bulk :meth:`seed` by pre-interned column ids.
 
         The shard mirrors' fast ingest path: a whole (server, job) batch
         of initial copies lands in one :meth:`PossessionMatrix.set_many`
-        call instead of per-block facade hops. Same idempotence and
-        epoch bookkeeping as :meth:`seed`.
+        call instead of per-block facade hops. Idempotent like :meth:`seed`.
         """
-        self.epoch += self.matrix.set_many(self._sid(server_id), gids)
+        self.matrix.set_many(self._sid(server_id), gids)
 
     def record_delivery(
         self,
@@ -552,7 +528,6 @@ class PossessionIndex(PossessionReader):
         sid = self._sid(dst_server)
         if not matrix.set_bit(sid, matrix.intern(block.block_id)):
             return None
-        self.epoch += 1
         record = DeliveryRecord(
             block_id=block.block_id,
             src_server=src_server,
@@ -575,8 +550,8 @@ class PossessionIndex(PossessionReader):
         :class:`DeliveryRecord` per new possession, ``None`` for
         duplicates (a destination that already held the block, or a later
         repeat of the same pair within the batch). Provenance records
-        append in event order and the epoch advances once per new copy —
-        byte-identical bookkeeping to the sequential loop.
+        append in event order — byte-identical bookkeeping to the
+        sequential loop.
 
         Destination servers are resolved (and unknown ones rejected)
         *before* any bit lands, so a bad event fails the whole batch
@@ -603,10 +578,8 @@ class PossessionIndex(PossessionReader):
             gid = gid_map.get(bid)
             gids[k] = intern(bid) if gid is None else gid
         fresh = matrix.record_deliveries(sids, gids)
-        count = int(np.count_nonzero(fresh))
-        if count == 0:
+        if not fresh.any():
             return out
-        self.epoch += count
         server_dc = self._server_dc
         append = self.deliveries.append
         for k in np.flatnonzero(fresh):
@@ -621,20 +594,6 @@ class PossessionIndex(PossessionReader):
             out[k] = record
             append(record)
         return out
-
-    def drop_server(self, server_id: str) -> None:
-        """Remove all copies on a failed server (disk loss).
-
-        Bumps the epoch **once per call** (when anything was actually
-        dropped), not once per dropped block: a disk-loss event is one
-        state transition, and epoch-delta consumers (anything comparing
-        ``epoch`` across reads to estimate churn) should see it as one
-        invalidation, not thousands. Equality tests see a change either
-        way.
-        """
-        sid = self.matrix.server_ids.get(server_id)
-        if sid is not None and self.matrix.clear_row(sid):
-            self.epoch += 1
 
     # -- evaluation helpers -----------------------------------------------------
 
@@ -664,7 +623,7 @@ class PossessionOverlay(PossessionReader):
     §5.1's speculated delivery status: ``base``'s possession plus the
     ``(sids, gids)`` copies (server and block column ids of ``base``'s
     matrix), answered from a :meth:`PossessionMatrix.overlay` twin. Read
-    only — no updates, no delivery log, no epoch — and ``base`` is
+    only — no updates, no delivery log — and ``base`` is
     untouched.
     """
 

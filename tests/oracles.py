@@ -72,6 +72,50 @@ BlockId = Tuple[str, int]
 GroupKey = Tuple[str, str, Tuple[str, ...]]
 
 
+# -- job: striping as a per-(DC, block) table --------------------------------
+
+
+def striping_table(job, topology) -> Dict[Tuple[str, BlockId], str]:
+    """``MulticastJob.bind`` as one entry per (involved DC, block): block
+    ``i`` on the DC's server ``i % len(servers)``."""
+    table: Dict[Tuple[str, BlockId], str] = {}
+    for dc in (job.src_dc,) + job.dst_dcs + job.relay_dcs:
+        servers = topology.servers_in(dc)
+        if not servers:
+            raise ValueError(f"DC {dc!r} has no servers")
+        for block in job.blocks:
+            server = servers[block.index % len(servers)]
+            table[(dc, block.block_id)] = server.server_id
+    return table
+
+
+def shard_map(job, table, dc) -> Dict[str, List[Block]]:
+    """``dc``'s server -> blocks map read off ``table``, in block order."""
+    shard: Dict[str, List[Block]] = {}
+    for block in job.blocks:
+        shard.setdefault(table[(dc, block.block_id)], []).append(block)
+    return shard
+
+
+def missing_counts(jobs, tables, store):
+    """``Simulation``'s ``(_dc_missing, _server_missing)``: one table
+    lookup and one ``store.has`` per (block, destination DC)."""
+    dc_missing: Dict[Tuple[str, str], int] = {}
+    server_missing: Dict[Tuple[str, str], int] = {}
+    for job in jobs:
+        for dc in job.dst_dcs:
+            missing = 0
+            for block in job.blocks:
+                server = tables[job.job_id][(dc, block.block_id)]
+                if store.has(server, block.block_id):
+                    continue
+                missing += 1
+                key = (job.job_id, server)
+                server_missing[key] = server_missing.get(key, 0) + 1
+            dc_missing[(job.job_id, dc)] = missing
+    return dc_missing, server_missing
+
+
 # -- view: the full pending scans and the holder filter ----------------------
 
 
@@ -681,7 +725,7 @@ def max_min_fair_rates_reference(
 class DictPossessionIndex:
     """``repro.overlay.store.PossessionIndex``'s facade over dicts of sets.
 
-    Same updates, queries, ``epoch`` arithmetic and ``deliveries`` log;
+    Same updates, queries and ``deliveries`` log;
     no ``matrix``. ``holders``/``blocks_on`` return the live internal
     sets (read-only by contract).
     """
@@ -689,7 +733,6 @@ class DictPossessionIndex:
     def __init__(self, server_dc: Mapping[str, str]) -> None:
         self._server_dc: Dict[str, str] = dict(server_dc)
         self.deliveries: List[DeliveryRecord] = []
-        self.epoch: int = 0
         self._holders: Dict[BlockId, Set[str]] = {}
         self._server_blocks: Dict[str, Set[BlockId]] = {
             s: set() for s in self._server_dc
@@ -737,22 +780,6 @@ class DictPossessionIndex:
         dc = self._server_dc[server_id]
         key = (dc, block_id)
         self._dc_counts[key] = self._dc_counts.get(key, 0) + 1
-        self.epoch += 1
-
-    def drop_server(self, server_id: str) -> None:
-        dropped = False
-        for block_id in list(self._server_blocks.get(server_id, ())):
-            self._holders[block_id].discard(server_id)
-            dc = self._server_dc[server_id]
-            key = (dc, block_id)
-            self._dc_counts[key] -= 1
-            if self._dc_counts[key] == 0:
-                del self._dc_counts[key]
-            dropped = True
-        if server_id in self._server_blocks:
-            self._server_blocks[server_id] = set()
-        if dropped:
-            self.epoch += 1
 
     def dc_of(self, server_id: str) -> str:
         return self._server_dc[server_id]

@@ -70,9 +70,46 @@ class TestSimulate:
         assert exit_info.value.code == 2
         assert f"argument {flag}: " in capsys.readouterr().err
 
-    def test_bad_size_raises(self):
-        with pytest.raises(ValueError):
+    def test_bad_size_raises(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             main(["simulate", "--size", "many bytes"])
+        assert exit_info.value.code == 2
+        assert "argument --size: unparseable size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["simulate", flag, value], id=f"simulate{flag}={value}")
+        for flag, value in [
+            ("--num-dcs", "1"),
+            ("--servers-per-dc", "0"),
+            ("--cycle", "0"),
+            ("--max-cycles", "0"),
+            ("--wan", "abc"),
+            ("--block-size", "0"),
+            ("--block-size", "0MB"),
+        ]
+    ]
+    + [
+        pytest.param(["replay", "TRACE", flag, value], id=f"replay{flag}={value}")
+        for flag, value in [("--scale", "0"), ("--num-dcs", "0")]
+    ]
+    + [
+        pytest.param(
+            ["workload", "--out", "TRACE", flag, value], id=f"workload{flag}={value}"
+        )
+        for flag, value in [("--count", "0"), ("--num-dcs", "1")]
+    ],
+)
+def test_a_bad_argument_is_an_argparse_error(argv, tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    main(["workload", "--count", "4", "--num-dcs", "4", "--out", str(trace)])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main([str(trace) if arg == "TRACE" else arg for arg in argv])
+    assert exit_info.value.code == 2
+    assert f"error: argument {argv[-2]}: " in capsys.readouterr().err
 
 
 class TestWorkloadAndReplay:

@@ -267,7 +267,7 @@ def _mutated(sim, rng, directives):
     out = list(directives)
     for d in directives[: 1 + len(directives) // 2]:
         ids = list(d.block_ids)
-        job = rng.choice(jobs)
+        job = sim._jobs_by_id[d.job_id]
         extra = [rng.choice(job.blocks).block_id for _ in range(rng.randint(1, 4))]
         out.append(  # duplicates, blocks the source lacks / the destination holds
             TransferDirective(
@@ -275,10 +275,15 @@ def _mutated(sim, rng, directives):
                 d.dst_server, d.rate_cap,
             )
         )
-        out.append(  # unknown blocks and indices out of range
+        out.append(  # indices out of range
             TransferDirective(
-                d.job_id, ((d.job_id, 10**6), ("ghost-job", 0), ids[0]),
+                d.job_id, ((d.job_id, 10**6), (d.job_id, -1), ids[0]),
                 d.src_server, d.dst_server,
+            )
+        )
+        out.append(  # a job the simulation does not run
+            TransferDirective(
+                "ghost-job", (("ghost-job", 0),), d.src_server, d.dst_server
             )
         )
         out.append(  # out-of-range index in the array form
@@ -399,10 +404,10 @@ class TestDirectiveContract:
         assert built.with_rate_cap(3.0) == cut.with_rate_cap(3.0)
         assert built != "not a directive"
 
-    def test_foreign_ids_have_no_index_form(self):
-        mixed = TransferDirective("j", (("j", 0), ("k", 1)), "a", "b")
-        assert mixed.block_indices is None
-        assert mixed == TransferDirective("j", (("j", 0), ("k", 1)), "a", "b")
+    def test_foreign_ids_raise(self):
+        with pytest.raises(ValueError, match=r"other jobs: \[\('k', 1\)\]"):
+            TransferDirective("j", (("j", 0), ("k", 1)), "a", "b")
+        assert isinstance(self._twins()[0].block_indices, np.ndarray)
 
     @pytest.mark.parametrize(
         "build",

@@ -114,7 +114,7 @@ def observe_midrun(sim: Simulation, result: SimResult, view) -> Dict[str, object
     """:func:`observe`, the live state the run stopped in, and the
     selection and directives made from ``view`` (a view of that state)."""
     seen = observe(result)
-    seen["store_epoch"] = sim.store.epoch
+    seen["store_epoch"] = int(sim.store.matrix.dup.sum())  # copies placed
     seen["partial_bytes"] = sorted(
         [*bid, server, have] for (bid, server), have in sim._partial.items()
     )

@@ -233,7 +233,6 @@ class TestBatchedDelivery:
 
         assert out_batch == out_seq == out_dict
         assert batched.deliveries == sequential.deliveries
-        assert batched.epoch == sequential.epoch == dict_backed.epoch
         for server in servers:
             assert batched.blocks_on(server) == sequential.blocks_on(server)
         for block in {e[0] for e in events}:
@@ -268,12 +267,12 @@ class TestBatchedDelivery:
         with pytest.raises(KeyError, match="unknown server"):
             batched.record_deliveries([(block, servers[0], "ghost", 1.0, "dc0")])
         # Whole-batch rejection: nothing landed.
-        assert batched.epoch == 0 and not batched.deliveries
+        assert not batched.matrix.dup.any() and not batched.deliveries
 
     def test_empty_batch_is_noop(self):
         batched, _, _, _ = _fresh_indexes()
         assert batched.record_deliveries([]) == []
-        assert batched.epoch == 0
+        assert not batched.matrix.dup.any()
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,21 @@
 """Multicast jobs: validation, striping, placement."""
 
-import pytest
+import random
+import tracemalloc
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import BDSController
+from repro.net.simulator import Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
 from repro.utils.units import GB, MB, MBps
+from repro.workload.generator import WorkloadGenerator, to_jobs
+
+from tests import oracles
 
 
 @pytest.fixture
@@ -50,6 +61,21 @@ class TestValidation:
     def test_blocks_created(self):
         job = make_job()
         assert job.num_blocks == 5
+
+    @pytest.mark.parametrize("field", ["dst_dcs", "relay_dcs"])
+    def test_rejects_a_repeated_dc(self, field):
+        dcs = {"dst_dcs": ("dc1", "dc1", "dc2"), "relay_dcs": ("dc2", "dc2")}
+        with pytest.raises(ValueError, match=f"{field} repeats DC.*'dc[12]'"):
+            make_job(**{"dst_dcs": ("dc1",), field: dcs[field]})
+
+    def test_generated_workloads_still_construct(self):
+        dcs = [f"dc{i}" for i in range(8)]
+        topo = Topology.full_mesh(
+            num_dcs=8, servers_per_dc=2, wan_capacity=1 * GB, uplink=10 * MBps
+        )
+        requests = WorkloadGenerator(dcs, seed=3).generate(count=200)
+        jobs = to_jobs(requests, topo, block_size=4 * MB, size_scale=1e-6)
+        assert jobs and all(len(set(j.dst_dcs)) == len(j.dst_dcs) for j in jobs)
 
 
 class TestStriping:
@@ -97,6 +123,38 @@ class TestStriping:
         with pytest.raises(ValueError, match="no servers"):
             job.bind(topo)
 
+    def test_assignment_errors(self, topo):
+        job = make_job(dst_dcs=("dc1",))
+        job.bind(topo)
+        for dc, block_id in [
+            ("dc1", ("other", 0)),  # a foreign block
+            ("dc1", ("j", 5)),  # out of range
+            ("dc1", ("j", -1)),
+            ("dc2", ("j", 0)),  # an uninvolved DC
+        ]:
+            with pytest.raises(KeyError):
+                job.assigned_server(dc, block_id)
+        with pytest.raises(KeyError):
+            job.destination_servers("dc2")
+
+    def test_binding_stores_no_per_block_table(self):
+        """1.8 M (block, DC) pairs bind in O(servers) memory."""
+        topo = Topology.full_mesh(
+            num_dcs=10, servers_per_dc=64, wan_capacity=1 * GB, uplink=10 * MBps
+        )
+        job = make_job(
+            dst_dcs=tuple(f"dc{i}" for i in range(1, 10)),
+            total_bytes=200_000 * MB, block_size=1 * MB,
+        )
+        tracemalloc.start()
+        try:
+            job.bind(topo)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert job.assigned_server("dc9", ("j", 199_999)) == "dc9-s63"
+
     def test_block_by_id(self, topo):
         job = make_job()
         assert job.block_by_id(("j", 2)).index == 2
@@ -104,3 +162,92 @@ class TestStriping:
             job.block_by_id(("other", 0))
         with pytest.raises(KeyError):
             job.block_by_id(("j", 99))
+
+
+# -- striping as a formula ≡ the per-(DC, block) table ------------------------
+
+
+@st.composite
+def striped_scenarios(draw):
+    """A mesh with a random server count per DC (server names whose sorted
+    order is not their insertion order), one or two jobs with random
+    destination and relay sets, and pre-seeded copies."""
+    num_dcs = draw(st.integers(2, 5))
+    topo = Topology()
+    dcs = [f"dc{i}" for i in range(num_dcs)]
+    for dc in dcs:
+        topo.add_dc(dc)
+        count = draw(st.integers(1, 6))
+        for k in draw(st.permutations(range(count))):
+            topo.add_server(f"{dc}-s{k}", dc, 10 * MBps, 10 * MBps)
+    for i, a in enumerate(dcs):
+        for b in dcs[i + 1 :]:
+            topo.add_bidirectional_link(a, b, 1 * GB)
+    jobs = []
+    for j in range(draw(st.integers(1, 2))):
+        src = draw(st.sampled_from(dcs))
+        others = [dc for dc in dcs if dc != src]
+        dsts = draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
+        relays = draw(
+            st.lists(
+                st.sampled_from([dc for dc in others if dc not in dsts] or [src]),
+                unique=True,
+            ).filter(lambda r: src not in r)
+        )
+        blocks = draw(st.integers(1, 13))
+        jobs.append(
+            MulticastJob(
+                job_id=f"j{j}", src_dc=src, dst_dcs=tuple(dsts),
+                total_bytes=blocks * MB - draw(st.sampled_from([0, 1])),
+                block_size=1 * MB, relay_dcs=tuple(relays),
+            )
+        )
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    names = sorted(topo.servers)
+    pre_seeded = {}
+    for _ in range(draw(st.integers(0, 12))):
+        job = rng.choice(jobs)
+        pre_seeded.setdefault(rng.choice(names), []).append(rng.choice(job.blocks))
+    return topo, jobs, pre_seeded
+
+
+@settings(max_examples=60, deadline=None)
+@given(striped_scenarios())
+def test_striping_formula_equals_the_table(scenario):
+    topo, jobs, pre_seeded = scenario
+    for job in jobs:
+        with pytest.raises(RuntimeError, match="not bound"):
+            job.initial_placement()
+        job.bind(topo)
+    tables = {job.job_id: oracles.striping_table(job, topo) for job in jobs}
+    for job in jobs:
+        table = tables[job.job_id]
+        for (dc, block_id), server in table.items():
+            assert job.assigned_server(dc, block_id) == server
+        for got, want in [
+            (job.initial_placement(), oracles.shard_map(job, table, job.src_dc)),
+            *[
+                (job.destination_servers(dc), oracles.shard_map(job, table, dc))
+                for dc in job.dst_dcs + job.relay_dcs
+            ],
+        ]:
+            assert list(got) == list(want)  # key order too
+            assert got == want
+
+    sim = Simulation(
+        topo, jobs, BDSController(seed=0), seed=0, pre_seeded=pre_seeded
+    )
+    server_ids = sim.store.matrix.server_ids
+    for job in jobs:
+        groups = sim._cand_table.groups_by_job[job.job_id]
+        assert [g.dc for g in groups] == list(job.dst_dcs + job.relay_dcs)
+        for group in groups:
+            want = [
+                server_ids[tables[job.job_id][(group.dc, b.block_id)]]
+                for b in job.blocks
+            ]
+            assert group.dst_sids.tolist() == want
+            assert group.dst_sids.dtype == np.int64
+    dc_missing, server_missing = oracles.missing_counts(jobs, tables, sim.store)
+    assert sim._dc_missing == dc_missing
+    assert sim._server_missing == server_missing

@@ -52,7 +52,7 @@ def frozen(index: PossessionIndex):
     return (
         matrix.bits.tobytes(), matrix.holder_words.tobytes(),
         matrix.dup.tobytes(), matrix.dc_counts.tobytes(),
-        index.epoch, list(index.deliveries),
+        list(index.deliveries),
         dict(matrix.block_gids), list(matrix.block_names),
     )
 
@@ -130,9 +130,9 @@ def test_overlay_answers_like_the_proxy_and_leaves_the_base_alone(drawn):
 
     assert frozen(index) == before
     assert overlay.matrix.block_gids is matrix.block_gids  # same id space
-    for mutator in ("seed", "record_delivery", "record_deliveries", "drop_server"):
+    for mutator in ("seed", "record_delivery", "record_deliveries"):
         assert not hasattr(overlay, mutator)
-    assert not hasattr(overlay, "epoch") and not hasattr(overlay, "deliveries")
+    assert not hasattr(overlay, "deliveries")
 
 
 # -- the view: accessors ≡ the full scans --------------------------------------

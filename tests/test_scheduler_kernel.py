@@ -3,7 +3,7 @@
 The rarest-first kernel, the columnar router build, and the bitset
 possession matrix must each be *bit-identical* to the scalar loops they
 replaced (``tests/oracles.py``): same selections in the same order, same
-directives, same answer to every store query, same epoch trajectory.
+directives, same answer to every store query.
 These tests pin that contract over randomized topologies, jobs with
 priorities and relays, failures, and selection caps.
 """
@@ -178,7 +178,6 @@ BOTH_INDEXES = pytest.mark.parametrize(
 
 
 def _assert_indices_agree(matrix_idx, dict_idx, jobs, servers):
-    assert matrix_idx.epoch == dict_idx.epoch
     assert matrix_idx.deliveries == dict_idx.deliveries
     for job in jobs:
         for block in job.blocks:
@@ -249,10 +248,6 @@ class TestPossessionIndexEquivalence:
                     block, src, dst, float(step), origin
                 )
                 assert (r1 is None) == (r2 is None)
-            elif op < 0.9:
-                victim = rng.choice(servers)
-                matrix_idx.drop_server(victim)
-                dict_idx.drop_server(victim)
             else:
                 holder = rng.choice(servers)
                 copies = rng.sample(blocks, 3)
@@ -268,14 +263,13 @@ class TestPossessionIndexEquivalence:
         assert idx.holders(("nope", 0)) == frozenset()
         assert idx.blocks_on("no-such-server") == frozenset()
         assert idx.duplicate_count(("nope", 0)) == 0
-        idx.drop_server("no-such-server")  # no-op, no epoch bump
-        assert idx.epoch == 0
         with pytest.raises(KeyError):
             idx.seed("no-such-server", jobs[0].blocks[:1])
 
 
 class TestEpochSemantics:
-    """Epoch: +1 per new copy; one bump per effective drop_server call."""
+    """The store epoch the engine pins record is the number of copies
+    placed: +1 per new copy, nothing for a duplicate, never less."""
 
     @BOTH_INDEXES
     def test_seed_and_delivery_bump_per_copy(self, index):
@@ -288,33 +282,19 @@ class TestEpochSemantics:
         )[0]
         dst = sorted(s for s in server_dc if server_dc[s] != job.src_dc)[0]
 
+        def epoch():
+            return sum(idx.duplicate_count(b.block_id) for b in job.blocks)
+
         idx.seed(src, job.blocks)
-        assert idx.epoch == len(job.blocks)
+        assert epoch() == len(job.blocks)
         idx.seed(src, job.blocks)  # all duplicates: no bump
-        assert idx.epoch == len(job.blocks)
+        assert epoch() == len(job.blocks)
 
         block = job.blocks[0]
         idx.record_delivery(block, src, dst, 0.0, job.src_dc)
-        assert idx.epoch == len(job.blocks) + 1
+        assert epoch() == len(job.blocks) + 1
         idx.record_delivery(block, src, dst, 1.0, job.src_dc)  # duplicate
-        assert idx.epoch == len(job.blocks) + 1
-
-    @BOTH_INDEXES
-    def test_drop_server_single_bump(self, index):
-        topo, jobs, _ = _random_scenario(0)
-        server_dc = {s.server_id: s.dc for s in topo.servers.values()}
-        idx = index(server_dc)
-        job = jobs[0]
-        src = sorted(
-            s for s in server_dc if server_dc[s] == job.src_dc
-        )[0]
-        idx.seed(src, job.blocks)  # several blocks on one server
-        before = idx.epoch
-        idx.drop_server(src)
-        assert idx.epoch == before + 1  # one event, not one per block
-        idx.drop_server(src)  # nothing left: no bump
-        assert idx.epoch == before + 1
-        assert idx.blocks_on(src) == frozenset()
+        assert epoch() == len(job.blocks) + 1
 
 
 class TestSpeculationFallback:

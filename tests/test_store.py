@@ -89,21 +89,3 @@ class TestDeliveries:
     def test_origin_fraction_empty(self, store):
         assert store.origin_fraction_by_server() == {}
 
-
-class TestDropServer:
-    def test_drop_removes_copies(self, store):
-        store.seed("a0", [BLOCK, BLOCK2])
-        store.drop_server("a0")
-        assert not store.has("a0", BLOCK.block_id)
-        assert store.duplicate_count(BLOCK.block_id) == 0
-        assert not store.dc_has_block("A", BLOCK.block_id)
-
-    def test_drop_keeps_other_copies(self, store):
-        store.seed("a0", [BLOCK])
-        store.seed("a1", [BLOCK])
-        store.drop_server("a0")
-        assert store.dc_has_block("A", BLOCK.block_id)
-        assert store.duplicate_count(BLOCK.block_id) == 1
-
-    def test_drop_unknown_server_is_noop(self, store):
-        store.drop_server("nope")  # nothing to do, nothing raised
