@@ -258,10 +258,11 @@ class FlowIncidence:
     (>2^53) would lose the exact-int division the pure-Python path
     performs, which no real input does (capacities are bytes/second).
 
-    Consumed by :func:`repro.net.flow.max_min_fair_rates_vectorized` and
-    :func:`repro.net.flow.clip_rates_to_capacity_vectorized`; both reduce
-    over the CSR layout with ``reduceat``/``bincount`` exactly like the
-    routing solvers reduce over :class:`PathIncidence`.
+    Consumed by :func:`repro.net.flow.max_min_fair_rates` (which indexes
+    its resources by these ids) and
+    :func:`repro.net.flow.clip_rates_to_capacity_vectorized` (which
+    reduces over the CSR layout with ``reduceat``/``bincount`` exactly
+    like the routing solvers reduce over :class:`PathIncidence`).
     """
 
     #: index → resource key, in first-appearance order.

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 
 class LPError(RuntimeError):
@@ -97,7 +95,14 @@ class LinearProgram:
     # -- solving --------------------------------------------------------------
 
     def solve(self, method: str = "highs") -> LPSolution:
-        """Solve and return an :class:`LPSolution`; raises :class:`LPError`."""
+        """Solve and return an :class:`LPSolution`; raises :class:`LPError`.
+
+        scipy is imported here, not at module load: only the exact-LP
+        paths solve, and ``import repro`` should not pay for it.
+        """
+        from scipy import sparse
+        from scipy.optimize import linprog
+
         if not self._names:
             raise LPError("empty model: no variables")
         n = len(self._names)

@@ -10,14 +10,16 @@ Two allocation regimes are needed by the reproduction:
   scaling down any resource that ended up oversubscribed (e.g. because the
   controller worked from slightly stale state, §5.1's non-blocking update).
 
-Both allocators exist in two bit-identical implementations: scalar dict
-loops, and array kernels over a CSR flow×resource incidence
+The waterfill is one event-driven kernel whose work per freeze event is
+over resources, not over every active flow. The clip has a scalar dict
+loop and an array kernel, dispatched on input size
+(:data:`VECTOR_MIN_FLOWS`). The waterfill and the array clip compile
+their flows into a CSR flow×resource incidence
 (:class:`repro.lp.incidence.FlowIncidence` — the same interning and
-``reduceat``/``bincount`` machinery the routing solvers use). The public
-entry points dispatch on input size (:data:`VECTOR_MIN_FLOWS`). The
-per-kernel bit-identity arguments live next to each vectorized step; the
-randomized equivalence suite in ``tests/test_flow_kernel.py`` asserts
-exact dict equality between the paths.
+``reduceat``/``bincount`` machinery the routing solvers use).
+The bit-identity arguments live in the docstrings; the equivalence suite
+in ``tests/test_flow_kernel.py`` asserts exact dict equality against the
+retired kernels and the textbook loop kept in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ import numpy as np
 
 from repro.net.topology import ResourceKey
 
-#: Below this many flows the scalar loops win on constant factors, so the
-#: dispatchers fall back to them; results are bit-identical either way.
+#: Below this many flows the scalar clip wins on constant factors, so the
+#: dispatcher falls back to it; results are bit-identical either way.
 VECTOR_MIN_FLOWS = 64
 
 
@@ -86,191 +88,130 @@ def max_min_fair_rates(
     honoured: a flow freezes when it hits its own cap, releasing capacity
     to the others.
 
-    Dispatches between :func:`max_min_fair_rates_scalar` and
-    :func:`max_min_fair_rates_vectorized` (bit-identical results): the
-    array kernel only pays off past :data:`VECTOR_MIN_FLOWS` flows.
-    """
-    if len(flows) >= VECTOR_MIN_FLOWS:
-        return max_min_fair_rates_vectorized(flows, capacities, stats)
-    return max_min_fair_rates_scalar(flows, capacities, stats)
+    Event-driven: each iteration of the loop is one freeze event, and
+    only what the event touches is revisited. The caps are sorted once,
+    so the flows frozen by their own cap are a prefix of what is left of
+    that order; a resource→flows index names the flows a saturated
+    resource freezes; load decrements touch only the frozen flows'
+    entries. The array work per event is over resources only: one
+    minimum of ``residual / load``, one ``residual -= increment * load``
+    and the saturation test. A saturated resource's residual becomes
+    ``inf``: it has no flow left to load, and must neither bind nor
+    saturate again.
 
-
-def max_min_fair_rates_scalar(
-    flows: Sequence[Flow],
-    capacities: Mapping[ResourceKey, float],
-    stats: Optional[FlowKernelStats] = None,
-) -> Dict[Hashable, float]:
-    """The scalar progressive-filling loop (dict bookkeeping).
-
-    Runs in O(iterations × flows × path length); iterations are bounded
-    by the number of resources plus the number of flows.
-
-    The per-resource active-flow counts (``load``) only ever lose flows as
-    the filling progresses, so they are maintained incrementally: each
-    frozen flow decrements its resources' counts instead of the counts
-    being rebuilt from every active flow each iteration. Allocations are
-    bit-identical to the rebuild-every-iteration reference (the test
-    oracle ``max_min_fair_rates_reference``) and to the array kernel
-    (:func:`max_min_fair_rates_vectorized`).
-    """
-    rates: Dict[Hashable, float] = {f.flow_id: 0.0 for f in flows}
-    active: List[Flow] = [f for f in flows if f.effective_cap() > 0]
-    for flow in flows:
-        if flow.effective_cap() <= 0:
-            rates[flow.flow_id] = 0.0
-    residual: Dict[ResourceKey, float] = dict(capacities)
-    level = 0.0  # the common fair-share water level so far
-
-    # Active flows per resource; maintained incrementally as flows freeze.
-    load: Dict[ResourceKey, int] = {}
-    for flow in active:
-        for res in flow.resources:
-            if res not in residual:
-                raise KeyError(f"flow references unknown resource {res!r}")
-            load[res] = load.get(res, 0) + 1
-
-    while active:
-        # Smallest increment that saturates a resource or hits a flow cap.
-        increment = float("inf")
-        for res, count in load.items():
-            increment = min(increment, residual[res] / count)
-        for flow in active:
-            increment = min(increment, flow.effective_cap() - level)
-        if increment == float("inf"):
-            raise ValueError("unbounded allocation: no capacities bind any flow")
-        increment = max(increment, 0.0)
-
-        level += increment
-        for flow in active:
-            rates[flow.flow_id] = level
-        for res, count in load.items():
-            residual[res] -= increment * count
-            if residual[res] < 0:  # numerical dust
-                residual[res] = 0.0
-
-        still_active: List[Flow] = []
-        frozen: List[Flow] = []
-        for flow in active:
-            capped = flow.effective_cap() - level <= 1e-12
-            saturated = any(residual[res] <= 1e-9 for res in flow.resources)
-            if capped or saturated:
-                frozen.append(flow)
-            else:
-                still_active.append(flow)
-        if not frozen:
-            # Numerical stalemate: nothing saturated and nothing capped
-            # within tolerance. Freeze everything to terminate, and count
-            # the event so it is observable (CycleStats.rate_stalemates).
-            if stats is not None:
-                stats.stalemates += 1
-            break
-        for flow in frozen:
-            for res in flow.resources:
-                load[res] -= 1
-                if load[res] == 0:
-                    del load[res]
-        active = still_active
-    return rates
-
-
-def max_min_fair_rates_vectorized(
-    flows: Sequence[Flow],
-    capacities: Mapping[ResourceKey, float],
-    stats: Optional[FlowKernelStats] = None,
-) -> Dict[Hashable, float]:
-    """Array progressive filling over CSR flow×resource incidence.
-
-    Bit-identical to :func:`max_min_fair_rates_scalar`; every step of the
-    scalar loop has an exact array counterpart:
-
-    * the bottleneck increment ``min(residual/load)`` is a float minimum —
-      order-independent, so an array ``.min()`` equals the dict-iteration
-      ``min`` chain;
-    * the cap increment ``min(cap_i - level)`` equals ``min(cap_i) -
-      level`` because IEEE subtraction by a constant is monotone, so only
-      the running cap minimum is subtracted;
-    * per-resource residual updates subtract ``increment × load`` with
-      one elementwise multiply — the same two-operand IEEE ops, per
-      resource, as the scalar loop;
-    * flow freezing is boolean masking (``capped | saturated``) with
-      saturation detected by per-flow segment minima over residuals;
-    * load updates scatter-subtract each frozen flow's resource counts
-      (integer arithmetic — exact).
-
-    Duplicate ``flow_id`` values resolve like the scalar loop: the final
-    dict value is the freeze level of the longest-surviving duplicate
-    (levels are monotone, so that is the maximum).
+    The water level is a running float sum, so events stay sequential,
+    and each increment, residual update and freeze test is the IEEE
+    operation of the textbook loop (``tests/oracles.py`` keeps it and
+    the two kernels this one replaced): ``min(cap_i - level)`` is
+    ``min(cap_i) - level`` because subtracting a constant is monotone,
+    float minima are order-independent, and the load counts are exact.
+    A duplicate ``flow_id`` keeps the highest level any of its flows
+    froze at, as the textbook loop's last write does.
     """
     # Imported lazily: repro.lp.__init__ imports repro.lp.mcf, which
     # imports repro.net.topology, which triggers repro.net.__init__ →
     # this module — an eager import here would close that cycle onto a
     # partially-initialized repro.lp.mcf.
-    from repro.lp.incidence import FlowIncidence, segment_mins
+    from repro.lp.incidence import FlowIncidence
 
     rates: Dict[Hashable, float] = {f.flow_id: 0.0 for f in flows}
-    active: List[Flow] = [f for f in flows if f.effective_cap() > 0]
+    active: List[Flow] = []
+    caps: List[float] = []
+    for flow in flows:
+        cap = flow.effective_cap()
+        if cap > 0:
+            active.append(flow)
+            caps.append(cap)
     if not active:
         return rates
 
-    # Only active flows are compiled (and therefore validated) — the
-    # scalar loop likewise never looks at a zero-cap flow's resources.
+    # Only active flows are compiled (and therefore validated): a
+    # zero-cap flow's resources are never looked at.
     inc = FlowIncidence.build((f.resources for f in active), capacities)
+    n = len(active)
     residual = inc.caps.copy()
-    load = inc.loads()  # int64: exact scatter arithmetic
-    num_res = residual.size
+    counts = inc.loads()
+    # Active flows per resource: a list for the per-entry decrements,
+    # mirrored into floats (exact — small integers) for the array passes.
+    count = counts.tolist()
+    load = counts.astype(np.float64)
+    scratch = np.empty_like(residual)
+    entries = inc.flat_res.tolist()
+    starts = inc.starts.tolist()
+    ends = (inc.starts + inc.lens).tolist()
+    # Resource → the flows that load it, as CSR over the entries.
+    by_res = np.repeat(np.arange(n), inc.lens)[
+        np.argsort(inc.flat_res, kind="stable")
+    ].tolist()
+    res_bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+    by_cap = np.argsort(np.asarray(caps), kind="stable").tolist()
 
-    act_flat = inc.flat_res
-    act_lens = inc.lens
-    act_caps = np.array([f.effective_cap() for f in active], dtype=np.float64)
-    act_ids = np.arange(len(active), dtype=np.intp)
-    final_level = np.zeros(len(active), dtype=np.float64)
+    alive = [True] * n
+    final = [0.0] * n
+    remaining = n
+    head = 0  # position in by_cap of the smallest cap still alive
     level = 0.0
+    inf = float("inf")
+    with np.errstate(divide="ignore"):  # finite / 0 on unloaded resources
+        while remaining:
+            while not alive[by_cap[head]]:
+                head += 1
+            np.divide(residual, load, out=scratch)
+            increment = min(
+                float(np.minimum.reduce(scratch, initial=inf)),
+                caps[by_cap[head]] - level,
+            )
+            if increment == inf:
+                raise ValueError(
+                    "unbounded allocation: no capacities bind any flow"
+                )
+            increment = max(increment, 0.0)
 
-    while act_ids.size:
-        pos = load > 0
-        if pos.any():
-            inc_res = (residual[pos] / load[pos]).min()
-        else:
-            inc_res = np.inf
-        increment = min(inc_res, act_caps.min() - level)
-        if increment == float("inf"):
-            raise ValueError("unbounded allocation: no capacities bind any flow")
-        increment = float(max(increment, 0.0))
+            level += increment
+            np.multiply(load, increment, out=scratch)
+            np.subtract(residual, scratch, out=residual)
 
-        level += increment
-        residual[pos] -= increment * load[pos]
-        np.maximum(residual, 0.0, out=residual)  # numerical dust
+            frozen: List[int] = []
+            while head < n:
+                f = by_cap[head]
+                if alive[f]:
+                    if caps[f] - level > 1e-12:
+                        break
+                    alive[f] = False
+                    frozen.append(f)
+                head += 1
+            # A residual below zero is numerical dust the textbook loop
+            # clamps to 0; it saturates either way, and a saturated
+            # residual is replaced by inf, so no clamp is needed.
+            saturated = (residual <= 1e-9).nonzero()[0].tolist()
+            if saturated:
+                residual[saturated] = inf
+                for r in saturated:
+                    for f in by_res[res_bounds[r] : res_bounds[r + 1]]:
+                        if alive[f]:
+                            alive[f] = False
+                            frozen.append(f)
+            if not frozen:
+                # Numerical stalemate: nothing saturated and nothing
+                # capped within tolerance. Freeze everything at the
+                # current level, and count the event so it is observable
+                # (CycleStats.rate_stalemates).
+                if stats is not None:
+                    stats.stalemates += 1
+                for f in range(n):
+                    if alive[f]:
+                        final[f] = level
+                break
+            remaining -= len(frozen)
+            for f in frozen:
+                final[f] = level
+                for r in entries[starts[f] : ends[f]]:
+                    count[r] -= 1
+                    load[r] = count[r]
 
-        capped = (act_caps - level) <= 1e-12
-        act_starts = np.concatenate(
-            ([0], np.cumsum(act_lens[:-1]))
-        ) if act_lens.size else act_lens
-        saturated = (
-            segment_mins(residual[act_flat], act_starts, act_lens, np.inf)
-            <= 1e-9
-        )
-        frozen = capped | saturated
-        if not frozen.any():
-            # Numerical stalemate (see the scalar loop): freeze the
-            # remaining flows at the current level and count the event.
-            if stats is not None:
-                stats.stalemates += 1
-            final_level[act_ids] = level
-            break
-        final_level[act_ids[frozen]] = level
-
-        entry_frozen = np.repeat(frozen, act_lens)
-        load -= np.bincount(act_flat[entry_frozen], minlength=num_res)
-        keep = ~frozen
-        act_flat = act_flat[~entry_frozen]
-        act_lens = act_lens[keep]
-        act_caps = act_caps[keep]
-        act_ids = act_ids[keep]
-
-    for i, flow in enumerate(active):
-        r = final_level[i]
+    for flow, r in zip(active, final):
         if r > rates[flow.flow_id]:
-            rates[flow.flow_id] = float(r)
+            rates[flow.flow_id] = r
     return rates
 
 

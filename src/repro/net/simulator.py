@@ -222,20 +222,6 @@ class TransferDirective:
             f"dst_server={self.dst_server!r}, rate_cap={self.rate_cap!r})"
         )
 
-    def __reduce__(self):
-        # The directive's own segment as one int array, not the column it
-        # views or a tuple of tuples.
-        return (
-            TransferDirective.from_indices,
-            (
-                self.job_id,
-                self.block_indices,
-                self.src_server,
-                self.dst_server,
-                self.rate_cap,
-            ),
-        )
-
 
 @dataclass
 class SimConfig:

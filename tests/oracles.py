@@ -25,6 +25,10 @@ module; the property tests run the production kernels against these:
 * ``tests/test_flow.py`` — the waterfill that rebuilds its per-resource
   load every iteration (``repro.net.flow._max_min_fair_rates_reference``
   as it was), float for float;
+* ``tests/test_flow_kernel.py`` — the scalar and the array waterfill
+  (``repro.net.flow.max_min_fair_rates_scalar`` / ``_vectorized`` as they
+  were, one full pass over the active flows per iteration) against the
+  event-driven kernel, dict for dict;
 * ``tests/test_overlay.py`` — the ``has``/``holders`` proxy a speculated
   view's store was (``repro.core.speculation._SpeculatedStore`` as it
   was) and the full pending scans, against the bit-matrix overlay.
@@ -59,10 +63,10 @@ import numpy as np
 from repro.core.bandwidth import residual_budget
 from repro.core.decisions import ScheduledBlock
 from repro.lp.fptas import FPTASResult, max_multicommodity_flow
-from repro.lp.incidence import PathIncidence
+from repro.lp.incidence import FlowIncidence, PathIncidence, segment_mins
 from repro.utils.rng import SeedLike, make_rng
 from repro.lp.mcf import Commodity, solve_lp_incidence
-from repro.net.flow import Flow
+from repro.net.flow import Flow, FlowKernelStats
 from repro.net.topology import ResourceKey
 from repro.net.simulator import TransferDirective
 from repro.overlay.blocks import Block
@@ -716,6 +720,147 @@ def max_min_fair_rates_reference(
         if len(still_active) == len(active):
             break
         active = still_active
+    return rates
+
+
+# -- flow: the two waterfill kernels the event-driven one replaced -------------
+
+
+def max_min_fair_rates_scalar(
+    flows: Sequence[Flow],
+    capacities: Mapping[ResourceKey, float],
+    stats: Optional[FlowKernelStats] = None,
+) -> Dict[Hashable, float]:
+    """The scalar progressive-filling loop (dict bookkeeping), ``load``
+    maintained incrementally: each frozen flow decrements its resources'
+    counts. O(iterations × active flows × path length)."""
+    rates: Dict[Hashable, float] = {f.flow_id: 0.0 for f in flows}
+    active: List[Flow] = [f for f in flows if f.effective_cap() > 0]
+    for flow in flows:
+        if flow.effective_cap() <= 0:
+            rates[flow.flow_id] = 0.0
+    residual: Dict[ResourceKey, float] = dict(capacities)
+    level = 0.0  # the common fair-share water level so far
+
+    # Active flows per resource; maintained incrementally as flows freeze.
+    load: Dict[ResourceKey, int] = {}
+    for flow in active:
+        for res in flow.resources:
+            if res not in residual:
+                raise KeyError(f"flow references unknown resource {res!r}")
+            load[res] = load.get(res, 0) + 1
+
+    while active:
+        # Smallest increment that saturates a resource or hits a flow cap.
+        increment = float("inf")
+        for res, count in load.items():
+            increment = min(increment, residual[res] / count)
+        for flow in active:
+            increment = min(increment, flow.effective_cap() - level)
+        if increment == float("inf"):
+            raise ValueError("unbounded allocation: no capacities bind any flow")
+        increment = max(increment, 0.0)
+
+        level += increment
+        for flow in active:
+            rates[flow.flow_id] = level
+        for res, count in load.items():
+            residual[res] -= increment * count
+            if residual[res] < 0:  # numerical dust
+                residual[res] = 0.0
+
+        still_active: List[Flow] = []
+        frozen: List[Flow] = []
+        for flow in active:
+            capped = flow.effective_cap() - level <= 1e-12
+            saturated = any(residual[res] <= 1e-9 for res in flow.resources)
+            if capped or saturated:
+                frozen.append(flow)
+            else:
+                still_active.append(flow)
+        if not frozen:
+            # Numerical stalemate: freeze everything and count it.
+            if stats is not None:
+                stats.stalemates += 1
+            break
+        for flow in frozen:
+            for res in flow.resources:
+                load[res] -= 1
+                if load[res] == 0:
+                    del load[res]
+        active = still_active
+    return rates
+
+
+def max_min_fair_rates_vectorized(
+    flows: Sequence[Flow],
+    capacities: Mapping[ResourceKey, float],
+    stats: Optional[FlowKernelStats] = None,
+) -> Dict[Hashable, float]:
+    """Array progressive filling over CSR flow×resource incidence: every
+    iteration re-gathers the residuals of every active flow's entries,
+    takes per-flow segment minima and compacts the active arrays —
+    O(iterations × active entries)."""
+    rates: Dict[Hashable, float] = {f.flow_id: 0.0 for f in flows}
+    active: List[Flow] = [f for f in flows if f.effective_cap() > 0]
+    if not active:
+        return rates
+
+    inc = FlowIncidence.build((f.resources for f in active), capacities)
+    residual = inc.caps.copy()
+    load = inc.loads()  # int64: exact scatter arithmetic
+    num_res = residual.size
+
+    act_flat = inc.flat_res
+    act_lens = inc.lens
+    act_caps = np.array([f.effective_cap() for f in active], dtype=np.float64)
+    act_ids = np.arange(len(active), dtype=np.intp)
+    final_level = np.zeros(len(active), dtype=np.float64)
+    level = 0.0
+
+    while act_ids.size:
+        pos = load > 0
+        if pos.any():
+            inc_res = (residual[pos] / load[pos]).min()
+        else:
+            inc_res = np.inf
+        increment = min(inc_res, act_caps.min() - level)
+        if increment == float("inf"):
+            raise ValueError("unbounded allocation: no capacities bind any flow")
+        increment = float(max(increment, 0.0))
+
+        level += increment
+        residual[pos] -= increment * load[pos]
+        np.maximum(residual, 0.0, out=residual)  # numerical dust
+
+        capped = (act_caps - level) <= 1e-12
+        act_starts = np.concatenate(
+            ([0], np.cumsum(act_lens[:-1]))
+        ) if act_lens.size else act_lens
+        saturated = (
+            segment_mins(residual[act_flat], act_starts, act_lens, np.inf)
+            <= 1e-9
+        )
+        frozen = capped | saturated
+        if not frozen.any():
+            if stats is not None:
+                stats.stalemates += 1
+            final_level[act_ids] = level
+            break
+        final_level[act_ids[frozen]] = level
+
+        entry_frozen = np.repeat(frozen, act_lens)
+        load -= np.bincount(act_flat[entry_frozen], minlength=num_res)
+        keep = ~frozen
+        act_flat = act_flat[~entry_frozen]
+        act_lens = act_lens[keep]
+        act_caps = act_caps[keep]
+        act_ids = act_ids[keep]
+
+    for i, flow in enumerate(active):
+        r = final_level[i]
+        if r > rates[flow.flow_id]:
+            rates[flow.flow_id] = float(r)
     return rates
 
 

@@ -10,8 +10,6 @@ readers rely on.
 
 from __future__ import annotations
 
-import copy
-import pickle
 import random
 from dataclasses import FrozenInstanceError
 
@@ -434,18 +432,6 @@ class TestDirectiveContract:
                 d.rate_cap = 1.0
             with pytest.raises(FrozenInstanceError):
                 del d.job_id
-
-    def test_pickle_round_trip_carries_only_the_segment(self):
-        built, cut, _whole = self._twins()
-        big = TransferDirective.from_segment(
-            "j", np.arange(100_000, dtype=np.int64), 10, 14, "a", "b", 1.0
-        )
-        assert len(pickle.dumps(big)) < 600
-        for d in (built, cut, big):
-            again = pickle.loads(pickle.dumps(d))
-            assert again == d and hash(again) == hash(d)
-            assert again.block_ids == d.block_ids
-        assert copy.deepcopy(cut) == cut
 
 
 # -- sharded runs against the parent commit ------------------------------------

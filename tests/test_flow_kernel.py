@@ -1,23 +1,31 @@
-"""Equivalence suite for the vectorized data-plane kernels.
+"""Equivalence suite for the data-plane kernels.
 
-The array waterfill (`max_min_fair_rates_vectorized`), the array clip
+The event-driven waterfill (`max_min_fair_rates`), the array clip
 (`clip_rates_to_capacity_vectorized`), and the batched delivery path
 (`PossessionIndex.record_deliveries` + `Simulation._apply_deliveries`)
-all claim *bit-identity* with the scalar baselines they replace. These
-tests make that claim falsifiable: randomized scenario sweeps compare
-the two implementations dict-for-dict, error paths must raise the same
-exceptions, and whole simulations must reproduce the runs recorded with
-the scalar kernels and per-pair delivery forced on
-(``tests/data/engine_pins.json``, see :mod:`tests.test_engine_pins`).
+all claim *bit-identity* with the loops they replace. These tests make
+that claim falsifiable: randomized scenario sweeps and a Hypothesis
+property compare the implementations dict-for-dict (the waterfill
+against the scalar and array kernels and the textbook loop kept in
+``tests/oracles.py``), error paths must raise the same exceptions, three
+mutants of the waterfill must be told apart from it, and whole
+simulations must reproduce the runs recorded with the scalar kernels and
+per-pair delivery forced on (``tests/data/engine_pins.json``, see
+:mod:`tests.test_engine_pins`).
 """
 
 from __future__ import annotations
 
+import inspect
 import random
+import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
+import repro.net.flow as flow_mod
 from repro.analysis.runner import make_strategy
 from repro.lp.incidence import FlowIncidence, segment_mins
 from repro.net.flow import (
@@ -25,8 +33,7 @@ from repro.net.flow import (
     FlowKernelStats,
     clip_rates_to_capacity_scalar,
     clip_rates_to_capacity_vectorized,
-    max_min_fair_rates_scalar,
-    max_min_fair_rates_vectorized,
+    max_min_fair_rates,
 )
 from repro.net.simulator import SimConfig, SimResult, Simulation
 from repro.net.topology import Topology
@@ -65,8 +72,49 @@ def _random_scenario(rng: random.Random, num_flows: int):
 
 
 # ---------------------------------------------------------------------------
-# Waterfill: vectorized ≡ scalar
+# Waterfill: event-driven ≡ scalar oracle ≡ array oracle ≡ textbook loop
 # ---------------------------------------------------------------------------
+
+#: The production kernel and the two it replaced, all with a stats slot.
+WATERFILLS = {
+    "event": max_min_fair_rates,
+    "scalar": oracles.max_min_fair_rates_scalar,
+    "vectorized": oracles.max_min_fair_rates_vectorized,
+}
+
+
+def exact(rates):
+    """A rates dict as (id, float bits) pairs in key order."""
+    assert all(type(v) is float for v in rates.values())
+    return [(k, v.hex()) for k, v in rates.items()]
+
+
+def outcome(kernel, flows, capacities):
+    """``(exact rates, stalemates)``, or ``(error type, message)``."""
+    stats = FlowKernelStats()
+    try:
+        return exact(kernel(flows, capacities, stats)), stats.stalemates
+    except Exception as exc:  # a mutant may fail in any way
+        return type(exc).__name__, str(exc)
+
+
+def reference_outcome(flows, capacities):
+    """The textbook loop's rates or error (it counts no stalemates)."""
+    try:
+        return exact(oracles.max_min_fair_rates_reference(flows, capacities))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_all_agree(flows, capacities, kernel=max_min_fair_rates):
+    expected = outcome(oracles.max_min_fair_rates_scalar, flows, capacities)
+    assert outcome(oracles.max_min_fair_rates_vectorized, flows, capacities) == expected
+    if isinstance(expected[0], list):
+        assert reference_outcome(flows, capacities) == expected[0]
+    else:
+        assert reference_outcome(flows, capacities) == expected
+    assert outcome(kernel, flows, capacities) == expected
+    return expected
 
 
 class TestWaterfillEquivalence:
@@ -75,24 +123,19 @@ class TestWaterfillEquivalence:
     def test_randomized_bit_identity(self, seed, num_flows):
         rng = random.Random(1000 * seed + num_flows)
         flows, capacities = _random_scenario(rng, num_flows)
-        scalar = max_min_fair_rates_scalar(flows, capacities)
-        vectorized = max_min_fair_rates_vectorized(flows, capacities)
-        # Exact dict equality: same keys, same float bits.
-        assert scalar == vectorized
-        assert all(isinstance(v, float) for v in vectorized.values())
+        # Exact dict equality: same keys, same order, same float bits.
+        assert isinstance(assert_all_agree(flows, capacities)[0], list)
 
     def test_zero_cap_flows_skip_resource_validation(self):
-        # Scalar semantics: flows with no effective capacity are preset to
-        # 0 and never validated, so their unknown resources must not raise
-        # in the vectorized path either.
+        # Flows with no effective capacity are preset to 0 and never
+        # validated, so their unknown resources must not raise.
         flows = [
             Flow(flow_id="dead", resources=(("wan", "x", "y"),), rate_cap=0.0),
             Flow(flow_id="live", resources=(("wan", "a", "b"),), demand=5.0),
         ]
         caps = {("wan", "a", "b"): 2.0}
-        scalar = max_min_fair_rates_scalar(flows, caps)
-        vectorized = max_min_fair_rates_vectorized(flows, caps)
-        assert scalar == vectorized == {"dead": 0.0, "live": 2.0}
+        for kernel in WATERFILLS.values():
+            assert kernel(flows, caps) == {"dead": 0.0, "live": 2.0}
 
     def test_flow_caps_hit_before_saturation(self):
         # Rate caps freeze flows below every link's fair share; the
@@ -105,32 +148,219 @@ class TestWaterfillEquivalence:
         ]
         caps = {shared: 12.0}
         expected = {"small": 1.0, "mid": 3.0, "big": 8.0}
-        assert max_min_fair_rates_scalar(flows, caps) == expected
-        assert max_min_fair_rates_vectorized(flows, caps) == expected
+        for kernel in WATERFILLS.values():
+            assert kernel(flows, caps) == expected
 
     def test_unknown_resource_raises_same_keyerror(self):
         flows = [Flow(flow_id="f", resources=(("wan", "a", "b"),), demand=1.0)]
-        with pytest.raises(KeyError) as scalar_err:
-            max_min_fair_rates_scalar(flows, {})
-        with pytest.raises(KeyError) as vec_err:
-            max_min_fair_rates_vectorized(flows, {})
-        assert str(scalar_err.value) == str(vec_err.value)
+        messages = set()
+        for kernel in WATERFILLS.values():
+            with pytest.raises(KeyError) as err:
+                kernel(flows, {})
+            messages.add(str(err.value))
+        assert messages == {"\"flow references unknown resource ('wan', 'a', 'b')\""}
 
     def test_unbounded_raises_same_valueerror(self):
         flows = [Flow(flow_id="f", resources=())]
-        with pytest.raises(ValueError, match="unbounded"):
-            max_min_fair_rates_scalar(flows, {})
-        with pytest.raises(ValueError, match="unbounded"):
-            max_min_fair_rates_vectorized(flows, {})
+        for kernel in WATERFILLS.values():
+            with pytest.raises(ValueError, match="unbounded"):
+                kernel(flows, {})
 
     def test_stats_counter_threads_through(self):
         flows = [
             Flow(flow_id="f", resources=(("wan", "a", "b"),), demand=1.0)
         ]
-        stats = FlowKernelStats()
-        max_min_fair_rates_vectorized(flows, {("wan", "a", "b"): 5.0}, stats=stats)
-        # A healthy run records no stalemates.
-        assert stats.stalemates == 0
+        for kernel in WATERFILLS.values():
+            stats = FlowKernelStats()
+            kernel(flows, {("wan", "a", "b"): 5.0}, stats=stats)
+            # A healthy run records no stalemates.
+            assert stats.stalemates == 0
+
+
+# -- generated inputs ------------------------------------------------------------
+
+_NAMES = [f"r{i}" for i in range(6)]
+_capacity = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, 10.0, 10.0]),  # dead resources, exact ties
+    st.floats(0.5, 100.0),
+)
+_bound = st.one_of(
+    st.none(),
+    st.sampled_from([0.0, 0.5, 2.0, 2.0, 7.5]),  # zero caps, tied caps
+    st.floats(0.1, 60.0),  # distinct caps
+)
+
+
+@st.composite
+def waterfill_inputs(draw):
+    """``(flows, capacities)`` over ≤ 6 resources and ≤ 16 flows.
+
+    A flow may cross a resource twice or cross none, share its id with
+    another flow, carry a zero cap or a tied cap; a resource may have
+    zero capacity; now and then a flow names a resource ``capacities``
+    lacks.
+    """
+    names = _NAMES[: draw(st.integers(1, 6))]
+    # At 1e9, ulp(capacity) > 1e-9: a bottleneck's residual may stay
+    # above the saturation tolerance — a numerical stalemate.
+    scale = draw(st.sampled_from([1.0, 1.0, 1e9]))
+    capacities = {name: draw(_capacity) * scale for name in names}
+    pool = names + (["ghost"] if draw(st.integers(0, 7)) == 0 else [])
+    # r0 is a hub: many flows sharing one bottleneck, many freeze events.
+    resources = st.lists(
+        st.sampled_from(pool + ["r0"] * len(pool)), min_size=1, max_size=4
+    )
+    bound = _bound.map(lambda b: None if b is None else b * scale)
+    flows = []
+    for _ in range(draw(st.integers(0, 16))):
+        path = () if draw(st.integers(0, 9)) == 0 else draw(resources)
+        flows.append(
+            Flow(
+                flow_id=draw(st.integers(0, 12)),
+                resources=tuple(path),
+                rate_cap=draw(bound),
+                demand=draw(bound),
+            )
+        )
+    return flows, capacities
+
+
+#: Seven flows split a capacity whose seventh, times seven, falls short of
+#: it by more than 1e-9: nothing saturates, nothing caps — a stalemate.
+STALEMATE_WITNESS = ([Flow(i, ("r0",)) for i in range(7)], {"r0": 8128674335.0})
+#: After the level reaches 1.0 (r1 saturates), flow 0 sits 5e-10 below its
+#: cap: inside 1e-9, outside 1e-12.
+CAP_TOLERANCE_WITNESS = (
+    [Flow(0, ("r0",), rate_cap=1.0 + 5e-10), Flow(1, ("r1",))],
+    {"r0": 100.0, "r1": 1.0},
+)
+#: Two resources saturate in one event: r0 exactly, r1 within 1e-9.
+TWO_SATURATIONS_WITNESS = (
+    [Flow(0, ("r0",)), Flow(1, ("r1",))],
+    {"r0": 1.0, "r1": 1.0 + 5e-10},
+)
+
+
+def assert_kernel_matches_oracles(kernel, max_examples):
+    @settings(
+        max_examples=max_examples,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        phases=[Phase.explicit, Phase.generate],
+    )
+    @given(waterfill_inputs())
+    @example(STALEMATE_WITNESS)
+    @example(CAP_TOLERANCE_WITNESS)
+    @example(TWO_SATURATIONS_WITNESS)
+    def prop(case):
+        assert_all_agree(*case, kernel=kernel)
+
+    prop()
+
+
+def test_event_kernel_matches_every_oracle():
+    assert_kernel_matches_oracles(max_min_fair_rates, max_examples=300)
+
+
+def test_witnesses_hit_their_corner():
+    assert outcome(max_min_fair_rates, *STALEMATE_WITNESS)[1] == 1
+    for case in (CAP_TOLERANCE_WITNESS, TWO_SATURATIONS_WITNESS):
+        rates, stalemates = outcome(max_min_fair_rates, *case)
+        assert stalemates == 0 and float.fromhex(rates[1][1]) == 1.0
+
+
+def corners(flows, capacities):
+    """Which of the suite's named corners one generated input reaches."""
+    seen = set()
+    caps = [f.effective_cap() for f in flows]
+    live = [c for c in caps if 0 < c < float("inf")]
+    if len(set(live)) >= 5:
+        seen.add("distinct caps")
+    if len(set(live)) < len(live):
+        seen.add("tied caps")
+    if any(c <= 0 for c in caps):
+        seen.add("zero cap")
+    if any(capacities.get(r) == 0.0 for f in flows for r in f.resources):
+        seen.add("zero-capacity resource")
+    if len({f.flow_id for f in flows}) < len(flows):
+        seen.add("duplicate id")
+    if any(len(set(f.resources)) < len(f.resources) for f in flows):
+        seen.add("repeated resource")
+    if any(not f.resources for f in flows):
+        seen.add("no resources")
+    result, stalemates = outcome(max_min_fair_rates, flows, capacities)
+    if isinstance(result, list):
+        seen.add("stalemate" if stalemates else "allocated")
+    else:
+        seen.add(result)
+    return seen
+
+
+def test_property_inputs_reach_every_corner():
+    """The property's inputs — witnesses and generated — reach every
+    corner. (Generated stalemates are rare: a bottleneck must be left
+    with more than 1e-9 after ``r - (r / l) * l``.)"""
+    seen = set()
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        phases=[Phase.explicit, Phase.generate],
+    )
+    @given(waterfill_inputs())
+    @example(STALEMATE_WITNESS)
+    @example(CAP_TOLERANCE_WITNESS)
+    @example(TWO_SATURATIONS_WITNESS)
+    def collect(case):
+        seen.update(corners(*case))
+
+    collect()
+    assert seen == {
+        "distinct caps", "tied caps", "zero cap", "zero-capacity resource",
+        "duplicate id", "repeated resource", "no resources", "allocated",
+        "stalemate", "KeyError", "ValueError",
+    }
+
+
+# -- mutants ---------------------------------------------------------------------
+
+
+def mutant_waterfill(*edits):
+    """``max_min_fair_rates`` recompiled with each ``(old, new)`` edit applied once."""
+    source = textwrap.dedent(inspect.getsource(flow_mod.max_min_fair_rates))
+    for old, new in edits:
+        assert source.count(old) == 1, f"kernel no longer contains {old!r}"
+        source = source.replace(old, new)
+    namespace = dict(vars(flow_mod))
+    exec(compile(source, "<mutant max_min_fair_rates>", "exec"), namespace)
+    return namespace["max_min_fair_rates"]
+
+
+WATERFILL_MUTANTS = {
+    # a flow is capped within 1e-12 of its cap, not 1e-9
+    "cap-tolerance": [("caps[f] - level > 1e-12", "caps[f] - level > 1e-9")],
+    # every entry of a frozen flow gives its load back, the first included
+    "skipped-decrement": [
+        ("entries[starts[f] : ends[f]]", "entries[starts[f] + 1 : ends[f]]")
+    ],
+    # every resource that saturates in an event freezes its flows
+    "first-saturated-only": [("for r in saturated:", "for r in saturated[:1]:")],
+}
+
+
+def test_recompiled_waterfill_without_edits_passes():
+    assert_kernel_matches_oracles(mutant_waterfill(), max_examples=50)
+
+
+@pytest.mark.parametrize("name", sorted(WATERFILL_MUTANTS))
+def test_waterfill_mutant_is_caught(name):
+    with pytest.raises(AssertionError):
+        assert_kernel_matches_oracles(
+            mutant_waterfill(*WATERFILL_MUTANTS[name]), max_examples=300
+        )
 
 
 # ---------------------------------------------------------------------------

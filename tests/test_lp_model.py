@@ -1,8 +1,34 @@
 """The LP model builder over scipy."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.lp.model import LinearProgram, LPError
+
+
+def test_import_repro_leaves_scipy_unloaded():
+    """scipy loads on the first solve, not with the package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).resolve().parents[1])]
+        + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestBuilder:
