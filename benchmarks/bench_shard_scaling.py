@@ -42,7 +42,7 @@ isolates sharding: what remains is the O(pending pairs) rarity scan +
 candidate build. Quality arms run uncapped (a per-shard cap is not
 semantically comparable to a global cap).
 
-Shard-local state (this PR) adds three more measurements:
+Shard-local state adds two more measurements:
 
 * **per-shard memory** — every timed arm records the peak per-shard
   possession-matrix and candidate-table bytes (from the cycle stats'
@@ -56,9 +56,6 @@ Shard-local state (this PR) adds three more measurements:
   policies): affinity co-locates each pod on one shard, so the outer
   reconciliation sees no cross-shard link sharing and its clip count
   and wall must come in at or below hash's.
-* **adaptive stride** — a 10^7 capped arm with ``shard_stride="auto"``:
-  the controller must widen the stride off the measured per-shard walls
-  (engaged stride > 1) and keep every cycle under the 3 s ΔT.
 
 Every arm runs in a fresh interpreter (``--arm``, spawned by the
 parent): allocator and GC state left by earlier arms measurably
@@ -158,7 +155,7 @@ def timed_cycles(
     num_jobs: int,
     blocks: int,
     shards: int,
-    stride,
+    stride: int,
     cycles: int,
     cap: int = 0,
     partition: str = "hash",
@@ -166,8 +163,7 @@ def timed_cycles(
     """Run ``cycles`` fixed tick cycles; report controller-wall stats.
 
     ``cap`` is ``max_blocks_per_cycle`` (0 = uncapped, the production
-    default; the 10^7 arms cap — see the module docstring). ``stride``
-    accepts the literal ``"auto"`` for the adaptive-stride arm.
+    default; the 10^7 arms cap — see the module docstring).
     """
     topo, jobs = build_scenario(num_jobs, blocks)
     controller = BDSController(
@@ -220,9 +216,6 @@ def timed_cycles(
         ),
         "total_reconciled_directives": sum(
             d.reconciled_directives for d in controller.decisions
-        ),
-        "max_effective_stride": max(
-            (s.shard_stride for s in result.cycle_stats), default=0
         ),
         "store_state_bytes": result.store.state_bytes(),
         "base_candidate_bytes": (
@@ -449,18 +442,6 @@ def run_bench(quick: bool) -> dict:
                         cap=TIMED_ARM_CAP,
                     )
                 )
-            # Adaptive stride at the ΔT-critical scale: starts fully
-            # staggered and narrows only as measured walls show slack.
-            entry["auto_stride"] = run_arm(
-                "timed",
-                repeats=2,
-                num_jobs=num_jobs,
-                blocks=blocks,
-                shards=8,
-                stride="auto",
-                cycles=10,
-                cap=TIMED_ARM_CAP,
-            )
         else:
             shard_counts = (1, 2, 4) if quick else (1, 2, 4, 8)
             entry["curve"] = [
@@ -531,13 +512,6 @@ def format_report(payload: dict) -> str:
                     f"{arm['peak_shard_candidate_bytes']/1e6:.2f}MB cand "
                     f"(store {arm['store_state_bytes']/1e6:.2f}MB)"
                 )
-        if "auto_stride" in entry:
-            arm = entry["auto_stride"]
-            lines.append(
-                f"  auto stride (shards={arm['shards']}): max cycle wall "
-                f"{arm['max_cycle_wall_s']:.3f}s, effective stride up to "
-                f"{arm['max_effective_stride']}"
-            )
     if "partition_compare" in payload:
         pc = payload["partition_compare"]
         lines.append(
@@ -611,18 +585,6 @@ def check_floors(payload: dict) -> list:
             failures.append(
                 f"10^7 pairs with shards={arm['shards']}: max cycle wall "
                 f"{arm['max_cycle_wall_s']:.2f}s not under {DT_SECONDS}s dt"
-            )
-    auto = payload["scales"]["1e7"].get("auto_stride")
-    if auto is not None:
-        if auto["max_cycle_wall_s"] >= DT_SECONDS:
-            failures.append(
-                f"auto stride at 10^7: max cycle wall "
-                f"{auto['max_cycle_wall_s']:.2f}s not under {DT_SECONDS}s dt"
-            )
-        if auto["max_effective_stride"] <= 1:
-            failures.append(
-                "auto stride at 10^7 never widened past 1 "
-                "(adaptive control not engaged)"
             )
     pc = payload.get("partition_compare")
     if pc is not None:

@@ -27,7 +27,7 @@ EXPORT_FORMAT_VERSION = 8
 #: predate the sharded control-plane telemetry (per-cycle ``sharding``
 #: subdict: shard count, per-shard walls, reconciliation wall), and v7
 #: payloads predate the shard-local state telemetry (``sharding`` gains
-#: the effective ``stride`` and per-shard ``state_bytes`` /
+#: the decide ``stride`` and per-shard ``state_bytes`` /
 #: ``candidate_bytes`` / ``payload_bytes``); older payloads simply lack
 #: the later keys.
 _READABLE_VERSIONS = (3, 4, 5, 6, 7, 8)

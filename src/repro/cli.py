@@ -72,13 +72,6 @@ def _positive(parse: Callable[[str], float]) -> Callable[[str], float]:
     return checked
 
 
-def _stride_arg(text: str) -> "int | str":
-    """Parse ``--shard-stride``: a positive int or the literal ``auto``."""
-    if text == "auto":
-        return text
-    return _positive_int(text, "an integer or 'auto'")
-
-
 _positive_float = _positive(float)
 _size = _positive(parse_size)
 _rate = _positive(parse_rate)
@@ -121,12 +114,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument(
         "--shard-stride",
-        type=_stride_arg,
+        type=_positive_int,
         default=1,
         help="shard decide cadence: shard s re-decides only on cycles "
         "with cycle %% stride == s %% stride, replaying its cached "
-        "directives in between (1 = every shard every cycle; 'auto' "
-        "widens/narrows adaptively from measured per-shard walls)",
+        "directives in between (1 = every shard every cycle)",
     )
     sim.add_argument(
         "--shard-partition",

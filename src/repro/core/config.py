@@ -9,14 +9,11 @@ update cycle and the 80 % safety threshold on
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from repro.utils.validation import check_positive
 
 ROUTING_BACKENDS = ("fptas", "lp", "greedy")
 SHARD_PARTITIONS = ("hash", "affinity")
-#: Sentinel value of ``shard_stride`` selecting the adaptive controller.
-SHARD_STRIDE_AUTO = "auto"
 
 
 @dataclass
@@ -70,13 +67,10 @@ class BDSConfig:
     # the per-cycle controller wall at roughly ceil(shards/stride)
     # shards' worth of work — the knob that fits 10⁷ pairs inside ΔT on
     # one core — at the cost of newly pending work waiting up to
-    # stride-1 cycles for its shard's turn. The string "auto" hands the
-    # knob to the controller's adaptive stride: it starts at one shard
-    # per cycle and narrows (with hysteresis) while the EWMA of the
-    # measured per-shard wall (time_shard_max) projects the per-cycle
-    # controller wall under half the view's cycle_seconds, widening
-    # back at once when it does not.
-    shard_stride: Union[int, str] = 1
+    # stride-1 cycles for its shard's turn. A count, never a measured
+    # time: the cadence, and with it the run's fingerprint, is a
+    # function of the seed alone.
+    shard_stride: int = 1
     # Not an option: shards execute in the controller's process. The
     # process fan-out this once selected measured 2–13× slower and is
     # gone (docs/PERF_LOG.md); the field stays, with its one value,
@@ -107,14 +101,10 @@ class BDSConfig:
             )
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
-        if isinstance(self.shard_stride, str):
-            if self.shard_stride != SHARD_STRIDE_AUTO:
-                raise ValueError(
-                    f"shard_stride must be an int >= 1 or "
-                    f"{SHARD_STRIDE_AUTO!r}, got {self.shard_stride!r}"
-                )
-        elif self.shard_stride < 1:
-            raise ValueError("shard_stride must be >= 1")
+        if not isinstance(self.shard_stride, int) or self.shard_stride < 1:
+            raise ValueError(
+                f"shard_stride must be an int >= 1, got {self.shard_stride!r}"
+            )
         if self.shard_mode != "inprocess":
             raise ValueError(
                 f"shard_mode={self.shard_mode!r}: shards execute in-process; "

@@ -33,18 +33,6 @@ budget-adjusted capacities, so no directive's cap exceeds its global
 fair share and the Fig. 10 "sum of assigned rates never exceeds the
 budget" property holds at the controller output already.
 
-``shard_stride="auto"`` replaces the static decide cadence with an
-adaptive control law: the stride starts maximally staggered (stride =
-shards, one shard's decide per cycle — the safe side of the ΔT budget,
-since nothing is known about per-shard cost yet) and then tracks an
-EWMA of the measured per-shard wall (``time_shard_max``): it narrows
-one step at a time while the projected per-cycle controller wall —
-``ceil(shards/stride)`` shards' worth of work — stays under 70 % of
-half of ``cycle_seconds``, and widens back immediately
-when the projection exceeds that budget (narrowing has the hysteresis;
-widening has none — the budget is a feasibility bound, §5.2's ΔT, not
-a preference).
-
 ``shards=1`` takes the original single-controller path, bit-identical to
 before the knob existed; ``shards=k`` is deterministic (shards decide
 and are combined in index order).
@@ -52,7 +40,6 @@ and are combined in index order).
 
 from __future__ import annotations
 
-import math
 import time as _time
 from typing import Dict, List, Optional, Tuple
 
@@ -60,7 +47,7 @@ import numpy as np
 
 from repro.baselines.base import OverlayStrategy
 from repro.baselines.gingko import GingkoStrategy
-from repro.core.config import SHARD_STRIDE_AUTO, BDSConfig
+from repro.core.config import BDSConfig
 from repro.core.decisions import ControlDecision
 from repro.core.sharding import AffinityAssigner, stable_shard
 from repro.core.shardexec import (
@@ -73,16 +60,6 @@ from repro.core.speculation import DeliverySpeculator, SpeculatedView
 from repro.net.simulator import ClusterView, TransferDirective
 from repro.overlay.job import MulticastJob
 from repro.utils.rng import SeedLike
-
-#: Adaptive-stride control-law constants (``shard_stride="auto"``):
-#: smoothing factor of the per-shard wall EWMA, the fraction of ΔT the
-#: projected per-cycle controller wall is kept under, and the hysteresis
-#: fraction of that budget the projection must fall under before the
-#: stride narrows (widening has no hysteresis — the budget is a
-#: feasibility bound, §5.2's ΔT, not a preference).
-_STRIDE_EWMA_ALPHA = 0.3
-_STRIDE_TARGET_FRACTION = 0.5
-_STRIDE_NARROW_FRACTION = 0.7
 
 
 class _ShardPipeline:
@@ -136,8 +113,7 @@ class BDSController(OverlayStrategy):
         self._previous_directives: List[TransferDirective] = []
         # Sharded control plane (shards > 1): per-shard replay state, the
         # memoized job→shard assignment (sticky — possession state lives
-        # where the job lives), the lazily built mirrors, and the
-        # adaptive stride state.
+        # where the job lives) and the lazily built mirrors.
         self._pipelines: List[_ShardPipeline] = (
             [_ShardPipeline() for _ in range(self.config.shards)]
             if self.config.shards > 1
@@ -151,16 +127,6 @@ class BDSController(OverlayStrategy):
             else None
         )
         self._shard_runner: Optional[LocalShardRunner] = None
-        self._stride_auto = self.config.shard_stride == SHARD_STRIDE_AUTO
-        # Auto mode starts maximally staggered (one shard per cycle) and
-        # narrows as measurements show slack; a static stride is taken
-        # as configured.
-        self._stride: int = (
-            max(1, self.config.shards)
-            if self._stride_auto
-            else int(self.config.shard_stride)
-        )
-        self._shard_wall_ewma: float = 0.0
 
     @property
     def fallback_active(self) -> bool:
@@ -168,22 +134,11 @@ class BDSController(OverlayStrategy):
         return self._fallback_active
 
     @property
-    def shard_signature(self) -> Optional[Tuple[int, int, str]]:
-        """The shard layout in force, ``None`` on the single-controller path.
-
-        ``(shards, effective_stride, shard_partition)`` — the
-        *effective* stride, which moves under ``shard_stride="auto"``.
-        The :class:`~repro.net.simulator.Simulation` reads "sharded" off
-        it: shards decide against their own mirrors' candidate tables,
-        so it skips building the global one.
-        """
-        if self.config.shards <= 1:
-            return None
-        return (
-            self.config.shards,
-            self._stride,
-            self.config.shard_partition,
-        )
+    def shard_signature(self) -> bool:
+        """Whether shards decide against their own mirrors' candidate
+        tables: the :class:`~repro.net.simulator.Simulation` then skips
+        building the global one."""
+        return self.config.shards > 1
 
     def _assign_shard(self, job: MulticastJob) -> int:
         """The job's shard, assigning it on first sight (sticky after)."""
@@ -195,20 +150,6 @@ class BDSController(OverlayStrategy):
                 shard = stable_shard(job.job_id, self.config.shards)
             self._shard_assign[job.job_id] = shard
         return shard
-
-    def _shard_of_id(self, job_id: str) -> int:
-        """Shard ownership lookup by bare job id (the feed's filter).
-
-        Every job with possession churn was bucketed — and therefore
-        assigned — before its first delivery, so the memo answers; the
-        stable-hash fallback only covers ids the controller has never
-        seen (nothing real routes through it, and it is not memoized so
-        an affinity assignment made later still wins).
-        """
-        shard = self._shard_assign.get(job_id)
-        if shard is not None:
-            return shard
-        return stable_shard(job_id, self.config.shards)
 
     def decide(self, view: ClusterView) -> List[TransferDirective]:
         """One control cycle: schedule, route, emit directives.
@@ -314,7 +255,7 @@ class BDSController(OverlayStrategy):
                 for sid, gid in zip(*(ids.tolist() for ids in speculated))
             ]
         k = cfg.shards
-        stride = self._stride
+        stride = cfg.shard_stride
         buckets: List[List[MulticastJob]] = [[] for _ in range(k)]
         for job in view.jobs:
             buckets[self._assign_shard(job)].append(job)
@@ -351,7 +292,7 @@ class BDSController(OverlayStrategy):
             # Each due shard decides against its own mirror (possession
             # index, candidate table, cache), fed by watermark replay.
             if self._shard_runner is None:
-                self._shard_runner = LocalShardRunner(cfg, self._shard_of_id)
+                self._shard_runner = LocalShardRunner(cfg)
             results = self._shard_runner.decide(view, buckets, due, pairs)
         for s, outcome in zip(due, results):
             pipe = self._pipelines[s]
@@ -386,49 +327,7 @@ class BDSController(OverlayStrategy):
             ),
             shard_payload_bytes=sum(r.payload_bytes for r in results),
         )
-        if self._stride_auto and shard_walls:
-            self._adapt_stride(max(shard_walls), view.cycle_seconds)
         return directives + fallback_directives
-
-    def _adapt_stride(self, wall_max: float, cycle_seconds: float) -> None:
-        """One step of the adaptive-stride control law (auto mode only).
-
-        Updates the EWMA of the measured per-shard wall
-        (``time_shard_max``), then projects the per-cycle controller
-        wall at a candidate stride q as ``ceil(shards/q) × EWMA`` — the
-        work of the shards due on one cycle. Starting from the
-        maximally staggered cold-start stride (= shards), the stride
-        narrows one step at a time only while the projection one step
-        tighter stays under 70 % of half of ``cycle_seconds`` — the
-        hysteresis band that keeps a workload
-        sitting at the boundary from oscillating — and widens (one step
-        at a time, immediately) while the projection at the current
-        stride exceeds the budget.
-        """
-        k = self.config.shards
-        ewma = self._shard_wall_ewma
-        self._shard_wall_ewma = (
-            wall_max
-            if ewma <= 0.0
-            else (1.0 - _STRIDE_EWMA_ALPHA) * ewma
-            + _STRIDE_EWMA_ALPHA * wall_max
-        )
-        target = _STRIDE_TARGET_FRACTION * cycle_seconds
-
-        def projected(q: int) -> float:
-            return math.ceil(k / q) * self._shard_wall_ewma
-
-        stride = self._stride
-        if projected(stride) > target:
-            while stride < k and projected(stride) > target:
-                stride += 1
-        else:
-            while (
-                stride > 1
-                and projected(stride - 1) <= _STRIDE_NARROW_FRACTION * target
-            ):
-                stride -= 1
-        self._stride = stride
 
     def _reconcile_wan(
         self,

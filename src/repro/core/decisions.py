@@ -167,12 +167,10 @@ class ControlDecision:
     shard_wall_mean: float = 0.0
     reconcile_runtime: float = 0.0
     reconciled_directives: int = 0
-    # Shard-local state telemetry: the effective decide stride this
-    # cycle (the adaptive stride's current value under
-    # shard_stride="auto", the static knob otherwise), the max per-shard
-    # possession-array and candidate-table
-    # bytes over the shards that decided fresh, and the summed
-    # structural size of the delta payloads that fed them.
+    # Shard-local state telemetry: the configured decide stride
+    # (BDSConfig.shard_stride), the max per-shard possession-array and
+    # candidate-table bytes over the shards that decided fresh, and the
+    # summed structural size of the delta payloads that fed them.
     shard_stride: int = 0
     shard_state_bytes: int = 0
     shard_candidate_bytes: int = 0

@@ -16,7 +16,7 @@ mirror's current: the first time a job reaches its shard the feed
 snapshots that job's current holders outright; every later possession
 change arrives through the **delivery-log watermark replay** — the feed
 keeps one cursor per shard into the store's append-only delivery log
-and forwards only the records of blocks the shard owns (blocks belong
+and forwards only the records of jobs the mirror knows (blocks belong
 to exactly one job, jobs to exactly one shard). Replays re-apply via
 ``seed`` (idempotent: an already-set possession bit is a no-op), so
 overlap between a snapshot and the log can never double-count.
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -274,14 +274,14 @@ class ShardFeed:
     Tracks per shard which jobs the mirror already knows and a watermark
     into the store's append-only delivery log; :meth:`payload` emits
     exactly the delta between the mirror's last feeding and the live
-    view. Job→shard ownership is resolved through the controller's
-    ``shard_of`` callable so hash and affinity partitioning feed the
-    same mirrors they decide (the feed must never re-derive assignments
-    with a different policy than the bucketer).
+    view. A record is forwarded only if its job is one the mirror knows:
+    the known set is built from the buckets the controller hands in, so
+    hash and affinity partitioning feed the same mirrors they decide,
+    and a job the controller never bucketed (one that arrived and
+    finished under the decentralized fallback) reaches no mirror.
     """
 
-    def __init__(self, shards: int, shard_of: Callable[[str], int]) -> None:
-        self._shard_of = shard_of
+    def __init__(self, shards: int) -> None:
         self._known_jobs: List[Set[str]] = [set() for _ in range(shards)]
         self._watermarks: List[int] = [0] * shards
 
@@ -338,20 +338,17 @@ class ShardFeed:
                     )
         log = store.deliveries
         watermark = self._watermarks[shard]
-        shard_of = self._shard_of
         deliveries = [
             (record.block_id, record.dst_server)
             for record in log[watermark:]
-            if shard_of(record.block_id[0]) == shard
+            if record.block_id[0] in known
         ]
         self._watermarks[shard] = len(log)
         return ShardPayload(
             new_jobs=new_jobs,
             new_holders=new_holders,
             deliveries=deliveries,
-            speculated=[
-                pair for pair in speculated if shard_of(pair[0][0]) == shard
-            ],
+            speculated=[pair for pair in speculated if pair[0][0] in known],
         )
 
 
@@ -362,11 +359,9 @@ class LocalShardRunner:
     candidate tables and caches that are O(pairs/shards).
     """
 
-    def __init__(
-        self, config: BDSConfig, shard_of: Callable[[str], int]
-    ) -> None:
+    def __init__(self, config: BDSConfig) -> None:
         self.config = config
-        self.feed = ShardFeed(config.shards, shard_of)
+        self.feed = ShardFeed(config.shards)
         self._mirrors: List[Optional[ShardMirror]] = [None] * config.shards
 
     def decide(

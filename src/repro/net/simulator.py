@@ -332,11 +332,10 @@ class CycleStats:
     time_shard_mean: float = 0.0
     time_reconcile: float = 0.0
     # Shard-local state telemetry, forwarded from the strategy's
-    # decision record (zeros when unsharded): the effective
-    # decide stride this cycle (tracks the adaptive stride under
-    # shard_stride="auto"), max per-shard possession-array and
-    # candidate-table bytes over the shards that decided fresh, and the
-    # summed structural size of the mirror delta payloads.
+    # decision record (zeros when unsharded): the configured decide
+    # stride (BDSConfig.shard_stride), max per-shard possession-array
+    # and candidate-table bytes over the shards that decided fresh, and
+    # the summed structural size of the mirror delta payloads.
     shard_stride: int = 0
     shard_state_bytes: int = 0
     shard_candidate_bytes: int = 0
@@ -946,12 +945,12 @@ class Simulation:
         # pair of every job, as parallel int arrays. Built once, after
         # seeding (so pre-seeded copies compact out on the first cycle's
         # gather). Skipped when the strategy decides against
-        # partition-scoped shard mirrors (a sharded BDSController, which
-        # has a shard signature): the mirrors build their own
+        # partition-scoped shard mirrors (a sharded BDSController, whose
+        # shard_signature is true): the mirrors build their own
         # shard-scoped tables, O(pairs/shards) each, and a global
         # O(pairs) build would be dead weight.
         self._cand_table = None
-        if getattr(strategy, "shard_signature", None) is None:
+        if not getattr(strategy, "shard_signature", False):
             self._cand_table = CandidateTable(self.jobs, self.store.matrix)
 
         # Flat per-block columns for directive validation and demand sums

@@ -89,6 +89,7 @@ class TestSimulate:
             ("--wan", "abc"),
             ("--block-size", "0"),
             ("--block-size", "0MB"),
+            ("--shard-stride", "auto"),
         ]
     ]
     + [

@@ -356,7 +356,7 @@ def test_a_mirror_that_applies_speculated_pairs_leaves_the_store_behind():
                 if apply is not None:
                     mirror.apply = apply.__get__(mirror)
                 for job in view.jobs:  # (a finished job's shard is fed no more)
-                    if controller._shard_of_id(job.job_id) == shard:
+                    if controller._shard_assign[job.job_id] == shard:
                         for block in job.blocks:
                             bid = block.block_id
                             assert mirror.store.holders(bid) == sim.store.holders(bid)

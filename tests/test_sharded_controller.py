@@ -19,13 +19,17 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import itertools
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.core.config import BDSConfig
 from repro.core.controller import BDSController
-from repro.core.shardexec import LocalShardRunner, ShardPayload
+from repro.core.sharding import stable_shard
+from repro.core.shardexec import ShardPayload
+from repro.net.failures import FailureEvent, FailureSchedule
 from repro.net.simulator import SimConfig, SimResult, Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
@@ -103,13 +107,13 @@ class TestSingleShardIdentity:
         assert all(s.time_reconcile == 0.0 for s in result.cycle_stats)
 
     def test_signature_none_when_unsharded(self):
-        assert BDSController(BDSConfig()).shard_signature is None
+        assert BDSController(BDSConfig()).shard_signature is False
         assert BDSController(
             BDSConfig(shards=3, shard_stride=2)
-        ).shard_signature == (3, 2, "hash")
+        ).shard_signature is True
         assert BDSController(
             BDSConfig(shards=3, shard_partition="affinity")
-        ).shard_signature == (3, 1, "affinity")
+        ).shard_signature is True
 
 
 class TestShardedDeterminism:
@@ -349,61 +353,90 @@ class TestAffinityPartition:
             )
 
 
-class TestAdaptiveStride:
-    def test_auto_run_completes_with_sane_telemetry(self):
-        result = _run(
-            3, config=BDSConfig(shards=3, shard_stride="auto")
+class TestNoClockInTheDecision:
+    """The decide cadence is a count: a run's outcome is a function of
+    its seed, not of how fast the host ran its shards."""
+
+    @pytest.mark.parametrize("stride", ["auto", 0, 1.5])
+    def test_a_stride_that_is_not_a_positive_int_is_refused(self, stride):
+        with pytest.raises(ValueError, match="shard_stride"):
+            BDSConfig(shards=4, shard_stride=stride)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pytest.param(dict(shards=s, shard_stride=q), id=f"{s}x{q}")
+            for s in (1, 4)
+            for q in (1, 4)
+        ]
+        + [
+            pytest.param(dict(shards=3, shard_partition="affinity"), id="affinity"),
+            pytest.param(dict(shards=2, speculation_horizon=3.0), id="speculating"),
+            pytest.param(dict(shards=2, routing_backend="fptas"), id="fptas"),
+        ],
+    )
+    def test_a_slow_clock_moves_nothing(self, config, monkeypatch):
+        """Every ``perf_counter`` reading 10 s after the last one — a
+        host on which each shard's decide takes tens of seconds — must
+        leave the run as the real clock left it."""
+        shards = config["shards"]
+        real = _run(shards, num_jobs=8, config=BDSConfig(**config))
+        ticks = itertools.count()
+        monkeypatch.setattr(time, "perf_counter", lambda: 10.0 * next(ticks))
+        slow = _run(shards, num_jobs=8, config=BDSConfig(**config))
+        assert real.all_complete
+        assert max(s.time_decide for s in slow.cycle_stats) >= 10.0
+        assert (slow.fingerprint(), slow.cycles_run) == (
+            real.fingerprint(),
+            real.cycles_run,
         )
-        assert result.all_complete
-        fresh = [s for s in result.cycle_stats if s.shard_count]
-        assert fresh
-        # The effective stride is always a positive int within [1, k].
-        assert all(1 <= s.shard_stride <= 3 for s in fresh)
 
-    def test_auto_signature_tracks_effective_stride(self):
-        controller = BDSController(BDSConfig(shards=4, shard_stride="auto"))
-        # Auto mode cold-starts maximally staggered (stride = shards).
-        assert controller.shard_signature == (4, 4, "hash")
-        # The signature carries the effective stride, not the knob.
-        controller._stride = 2
-        assert controller.shard_signature == (4, 2, "hash")
 
-    @pytest.mark.parametrize("dt, settled", [(1.0, 4), (3.0, 2)])
-    def test_auto_budget_is_the_simulators_cycle(self, dt, settled):
-        """Shard walls of 0.3 s under a target of half of ΔT: at
-        ΔT = 1 s the budget is 0.5 s and only the cold-start stride (one
-        shard a cycle) fits it; at ΔT = 3 s it is 1.5 s and two shards a
-        cycle fit — the controller has no ΔT of its own to say otherwise."""
+class TestAJobTheControllerNeverBucketed:
+    """A job that arrives and completes while the controller is down is
+    never assigned a shard; its deliveries sit in the store's log, and no
+    mirror — not even the one its id hashes to — may be fed them."""
 
-        class SlowShards(LocalShardRunner):
-            def decide(self, *args, **kwargs):
-                results = super().decide(*args, **kwargs)
-                return [dataclasses.replace(r, wall=0.3) for r in results]
-
-        topo, jobs = _scenario(8)
-        controller = BDSController(BDSConfig(shards=4, shard_stride="auto"))
-        controller._shard_runner = SlowShards(
-            controller.config, controller._shard_of_id
+    @pytest.mark.parametrize(
+        "shards, partition",
+        [(2, "hash"), (3, "hash"), (4, "hash"), (2, "affinity")],
+    )
+    def test_its_deliveries_reach_no_mirror(self, shards, partition):
+        topo = Topology.full_mesh(
+            num_dcs=3, servers_per_dc=2, wan_capacity=20 * MBps,
+            uplink=20 * MBps,
+        )
+        small_shard = stable_shard("small", shards)
+        late = next(
+            f"late{i}" for i in itertools.count()
+            if stable_shard(f"late{i}", shards) == small_shard
+        )
+        jobs = [
+            MulticastJob("big", "dc0", ("dc1", "dc2"), 600 * MB),
+            MulticastJob("small", "dc1", ("dc2",), 2 * MB, arrival_time=9.0),
+            MulticastJob(late, "dc0", ("dc1",), 2 * MB, arrival_time=40.0),
+        ]
+        for job in jobs:
+            job.bind(topo)
+        controller = BDSController(
+            BDSConfig(shards=shards, shard_partition=partition)
         )
         result = Simulation(
-            topology=topo, jobs=jobs, strategy=controller,
-            config=SimConfig(cycle_seconds=dt), seed=SEED,
+            topology=topo,
+            jobs=jobs,
+            strategy=controller,
+            failures=FailureSchedule(
+                [
+                    FailureEvent(cycle=2, kind="controller_fail"),
+                    FailureEvent(cycle=7, kind="controller_recover"),
+                ]
+            ),
+            seed=SEED,
         ).run()
         assert result.all_complete
-        assert controller._stride == settled
-
-    def test_auto_quality_within_tolerance(self):
-        base = _run(1)
-        auto = _run(4, config=BDSConfig(shards=4, shard_stride="auto"))
-        assert auto.all_complete
-        dt = 3.0
-        for job_id, t_base in base.job_completion.items():
-            # Worst case the stride widens to k: same envelope as the
-            # static stride=k test below.
-            assert (
-                auto.job_completion[job_id]
-                <= t_base + (QUALITY_SLACK_CYCLES + 4) * dt
-            )
+        assert result.job_completion["small"] <= 7 * 3.0
+        assert "small" not in controller._shard_assign
+        assert late in controller._shard_assign
 
 
 class TestShardedQuality:
