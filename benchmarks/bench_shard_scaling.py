@@ -45,11 +45,12 @@ semantically comparable to a global cap).
 Shard-local state adds two more measurements:
 
 * **per-shard memory** — every timed arm records the peak per-shard
-  possession-matrix and candidate-table bytes (from the cycle stats'
-  shard-local telemetry) next to the full store's bytes; the floor
-  asserts peak possession+candidate state at 10^6 pairs scales ≈ 1/k
-  (within 1.5x, the partition-imbalance allowance) for shards ∈
-  {2, 4, 8}.
+  state (a shard's candidate table: shards read the one live store, so
+  possession is held once) next to the full store's bytes; the floor
+  asserts peak shard state at 10^6 pairs scales ≈ 1/k of the single
+  controller's candidate table (within 1.5x, the partition-imbalance
+  allowance) for shards ∈ {2, 4, 8}, and the quick smoke that at 4
+  shards it stays within half the ``shards=1`` store.
 * **partition compare** — hash vs affinity on a *pod* workload (4
   disjoint source→{2 dst} groups; an all-to-all workload contends on
   every link regardless of partition, so it cannot distinguish the
@@ -66,15 +67,13 @@ deterministic; run-to-run spread is scheduler/steal noise on a shared
 host, so the minimum estimates intrinsic cost — all repeats are
 recorded in the JSON).
 
-Run as a script to emit ``BENCH_shards.json``::
+Run as a script to emit ``BENCH_shards.json`` (``--quick`` is the CI
+smoke: its exit status asserts :func:`check_quick`, the full run
+:func:`check_floors`)::
 
     PYTHONPATH=src python benchmarks/bench_shard_scaling.py [--quick]
 
-through pytest like the other benchmarks (quick scale), or as the CI
-shard smoke (exit status asserts the memory ratio and the partition
-clip comparison at quick scale)::
-
-    PYTHONPATH=src python benchmarks/bench_shard_scaling.py --shard-smoke
+or through pytest like the other benchmarks (quick scale).
 """
 
 import argparse
@@ -196,7 +195,8 @@ def timed_cycles(
     reconcile = [s.time_reconcile for s in result.cycle_stats]
     # Single-controller candidate-table bytes (the shards=1 baseline the
     # per-shard memory floor divides by); sharded runs skip the global
-    # build, so this is 0 there and the mirror telemetry carries instead.
+    # build, so this is 0 there and each shard's own table is reported
+    # as its state instead.
     table = getattr(sim, "_cand_table", None)
     return {
         "shards": shards,
@@ -223,9 +223,6 @@ def timed_cycles(
         ),
         "peak_shard_state_bytes": max(
             (s.shard_state_bytes for s in result.cycle_stats), default=0
-        ),
-        "peak_shard_candidate_bytes": max(
-            (s.shard_candidate_bytes for s in result.cycle_stats), default=0
         ),
         "total_payload_bytes": sum(
             s.shard_payload_bytes for s in result.cycle_stats
@@ -486,6 +483,14 @@ def run_bench(quick: bool) -> dict:
         shards=PODS,
         cycles=6,
     )
+    if quick:
+        # Per-shard memory at 4 balanced shards (check_quick): hash puts
+        # half of the 8 quick jobs on one shard, affinity two on each.
+        num_jobs, blocks = scales["2e4"]
+        payload["memory_k4"] = run_arm(
+            "timed", num_jobs=num_jobs, blocks=blocks, shards=4, stride=1,
+            cycles=2, partition="affinity",
+        )
 
     return payload
 
@@ -508,8 +513,7 @@ def format_report(payload: dict) -> str:
             if arm["shards"] > 1:
                 lines.append(
                     f"      peak shard state "
-                    f"{arm['peak_shard_state_bytes']/1e6:.2f}MB poss + "
-                    f"{arm['peak_shard_candidate_bytes']/1e6:.2f}MB cand "
+                    f"{arm['peak_shard_state_bytes']/1e6:.2f}MB "
                     f"(store {arm['store_state_bytes']/1e6:.2f}MB)"
                 )
     if "partition_compare" in payload:
@@ -525,6 +529,13 @@ def format_report(payload: dict) -> str:
                 f"reconcile {arm['total_reconcile_s']*1e3:.2f}ms  "
                 f"peak shard state {arm['peak_shard_state_bytes']/1e6:.2f}MB"
             )
+    if "memory_k4" in payload:
+        arm = payload["memory_k4"]
+        lines.append(
+            f"shards=4 affinity: peak shard state "
+            f"{arm['peak_shard_state_bytes']/1e6:.2f}MB "
+            f"(store {arm['store_state_bytes']/1e6:.2f}MB)"
+        )
     q = payload["quality"]
     lines.append(
         f"quality: baseline mean completion "
@@ -562,17 +573,15 @@ def check_floors(payload: dict) -> list:
                 f"10^6/{arm['shards']} shards exceeds "
                 f"{RECONCILE_OVERHEAD_CEILING:.0%}"
             )
-    # Per-shard memory floor: possession+candidate state ~ 1/k of the
-    # single-controller state, within the imbalance allowance.
-    base = curve_1e6[0]
-    base_state = base["store_state_bytes"] + base["base_candidate_bytes"]
+    # Per-shard memory floor: a shard's state (its candidate table) ~ 1/k
+    # of the single controller's table, within the imbalance allowance.
+    # Possession is the store's, held once whatever k is.
+    base_state = curve_1e6[0]["base_candidate_bytes"]
     for arm in curve_1e6:
         k = arm["shards"]
         if k <= 1:
             continue
-        peak = (
-            arm["peak_shard_state_bytes"] + arm["peak_shard_candidate_bytes"]
-        )
+        peak = arm["peak_shard_state_bytes"]
         ceiling = MEMORY_SCALING_SLACK * base_state / k
         if not 0 < peak <= ceiling:
             failures.append(
@@ -611,51 +620,13 @@ def check_floors(payload: dict) -> list:
     return failures
 
 
-def shard_smoke() -> list:
-    """CI smoke assertions at quick scale; returns failure messages.
-
-    (a) shard-local memory: with 4 shards each mirror's possession bytes
-        stay at or under half the single-controller store;
-    (b) partition policy: affinity's reconciliation clip count on the
-        pod workload is no worse than hash's.
-    """
-    failures = []
-    num_jobs, blocks = QUICK_SCALES["2e4"]
-    base = run_arm("timed", num_jobs=num_jobs, blocks=blocks, shards=1,
-                   stride=1, cycles=2)
-    sharded = run_arm("timed", num_jobs=num_jobs, blocks=blocks, shards=4,
-                      stride=1, cycles=2, partition="affinity")
-    peak = sharded["peak_shard_state_bytes"]
-    if not 0 < peak <= 0.5 * base["store_state_bytes"]:
-        failures.append(
-            f"shards=4 peak possession bytes {peak} not within half of "
-            f"the shards=1 store ({base['store_state_bytes']} bytes)"
-        )
-    pc = run_arm("partition_compare", jobs_per_pod=2, blocks=312,
-                 shards=PODS, cycles=6)
-    if (
-        pc["affinity"]["total_reconciled_directives"]
-        > pc["hash"]["total_reconciled_directives"]
-    ):
-        failures.append(
-            f"affinity clips {pc['affinity']['total_reconciled_directives']}"
-            f" exceed hash clips {pc['hash']['total_reconciled_directives']}"
-            " on the smoke pod workload"
-        )
-    print(
-        f"[shard smoke] possession ratio "
-        f"{peak / base['store_state_bytes']:.3f} (floor 0.5); clips "
-        f"affinity={pc['affinity']['total_reconciled_directives']} vs "
-        f"hash={pc['hash']['total_reconciled_directives']}"
-    )
-    return failures
-
-
 def check_quick(payload: dict) -> list:
     """Quick-scale smoke, shared by ``--quick`` and the pytest entry (so
     they cannot drift): the arms ran, the sharded ones hold per-shard
-    state and complete, and the WAN reconciliation costs under a tenth
-    of ΔT per cycle. Returns failure messages.
+    state — at 4 shards at most half the ``shards=1`` store — and
+    complete, affinity partitioning clips no more than hash, and the WAN
+    reconciliation costs under a tenth of ΔT per cycle. Returns failure
+    messages.
 
     (Not a *fraction* of the decide: PRs 14–17 shrank the decide around
     an unchanged ``_reconcile_wan``, which is 64 % of it at 2 shards —
@@ -676,11 +647,15 @@ def check_quick(payload: dict) -> list:
                 f"{label}: reconcile {per_cycle:.3f}s per cycle, "
                 f"ΔT/10 is {DT_SECONDS / 10:.3f}s"
             )
-        if arm["shards"] > 1 and not (
-            arm["peak_shard_state_bytes"] > 0
-            and arm["peak_shard_candidate_bytes"] > 0
-        ):
+        if arm["shards"] > 1 and not arm["peak_shard_state_bytes"] > 0:
             failures.append(f"{label}: no per-shard state reported")
+    peak = payload["memory_k4"]["peak_shard_state_bytes"]
+    store = curve[0]["store_state_bytes"]
+    if not 0 < peak <= 0.5 * store:
+        failures.append(
+            f"shards=4 (affinity): peak shard state {peak} bytes not within "
+            f"half the shards=1 store ({store} bytes)"
+        )
     pc = payload["partition_compare"]
     if (
         pc["affinity"]["total_reconciled_directives"]
@@ -722,12 +697,6 @@ def main(argv=None) -> int:
         metavar="SPEC",
         help="internal: run one arm from a JSON spec and print its result",
     )
-    parser.add_argument(
-        "--shard-smoke",
-        action="store_true",
-        help="CI smoke: assert the shard-local memory ratio and the "
-        "affinity-vs-hash clip comparison at quick scale, then exit",
-    )
     args = parser.parse_args(argv)
 
     if args.arm:
@@ -735,12 +704,6 @@ def main(argv=None) -> int:
         fn = ARM_KINDS[spec.pop("kind")]
         print(json.dumps(fn(**spec)))
         return 0
-
-    if args.shard_smoke:
-        failures = shard_smoke()
-        for message in failures:
-            print(f"FAIL: {message}", file=sys.stderr)
-        return 1 if failures else 0
 
     payload = run_bench(quick=args.quick)
     print(format_report(payload))

@@ -16,7 +16,7 @@ from repro.net.simulator import CycleStats, SimResult
 
 PathLike = Union[str, Path]
 
-EXPORT_FORMAT_VERSION = 8
+EXPORT_FORMAT_VERSION = 9
 
 #: Versions :func:`load_result_dict` accepts. v3 payloads predate the
 #: routing-solver telemetry (iterations/phases/warm_start), v4 payloads
@@ -29,8 +29,11 @@ EXPORT_FORMAT_VERSION = 8
 #: payloads predate the shard-local state telemetry (``sharding`` gains
 #: the decide ``stride`` and per-shard ``state_bytes`` /
 #: ``candidate_bytes`` / ``payload_bytes``); older payloads simply lack
-#: the later keys.
-_READABLE_VERSIONS = (3, 4, 5, 6, 7, 8)
+#: the later keys. v9 drops ``sharding.candidate_bytes``: a shard owns
+#: no possession copy any more, so its ``state_bytes`` *is* its
+#: candidate-table bytes (v7/v8 ``state_bytes`` counted a shard's
+#: possession arrays alone).
+_READABLE_VERSIONS = (3, 4, 5, 6, 7, 8, 9)
 
 
 def _resource_to_str(key) -> str:
@@ -76,7 +79,6 @@ def _cycle_to_dict(s: CycleStats) -> Dict[str, Any]:
             "reconcile": s.time_reconcile,
             "stride": s.shard_stride,
             "state_bytes": s.shard_state_bytes,
-            "candidate_bytes": s.shard_candidate_bytes,
             "payload_bytes": s.shard_payload_bytes,
         },
     }

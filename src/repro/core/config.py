@@ -8,12 +8,21 @@ update cycle and the 80 % safety threshold on
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from repro.utils.validation import check_positive
 
 ROUTING_BACKENDS = ("fptas", "lp", "greedy")
 SHARD_PARTITIONS = ("hash", "affinity")
+#: The fields that count something, and their least value. A count is
+#: an integer — numpy's too — and never a bool.
+_COUNTS = {
+    "max_blocks_per_cycle": 0,
+    "max_sources_per_group": 1,
+    "shards": 1,
+    "shard_stride": 1,
+}
 
 
 @dataclass
@@ -52,9 +61,9 @@ class BDSConfig:
     # scale-out"): partition the job set across this many controller
     # shards by a platform-stable hash of job id
     # (repro.core.sharding). Each shard runs the full vectorized
-    # schedule+route pipeline on a mirror of its own partition
-    # (repro.core.shardexec) with its own CycleCache and FPTAS warm
-    # store; the shared link budgets are
+    # schedule+route pipeline on the live view restricted to its jobs
+    # (repro.core.shardexec), with its own candidate table, CycleCache
+    # and FPTAS warm store; the shared link budgets are
     # reconciled by one outer max-min waterfill over all shards'
     # directives (repro.net.flow.max_min_fair_rates, the data plane's
     # own allocator). 1 keeps the single-controller path, bit-identical
@@ -91,25 +100,24 @@ class BDSConfig:
         if self.speculation_horizon < 0:
             raise ValueError("speculation_horizon must be >= 0")
         check_positive("epsilon", self.epsilon)
-        check_positive("max_sources_per_group", self.max_sources_per_group)
-        if self.max_blocks_per_cycle < 0:
-            raise ValueError("max_blocks_per_cycle must be >= 0 (0 = unlimited)")
+        for name, least in _COUNTS.items():
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Integral)
+                or value < least
+            ):
+                raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
         if self.routing_backend not in ROUTING_BACKENDS:
             raise ValueError(
                 f"routing_backend must be one of {ROUTING_BACKENDS}, "
                 f"got {self.routing_backend!r}"
             )
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
-        if not isinstance(self.shard_stride, int) or self.shard_stride < 1:
-            raise ValueError(
-                f"shard_stride must be an int >= 1, got {self.shard_stride!r}"
-            )
         if self.shard_mode != "inprocess":
             raise ValueError(
                 f"shard_mode={self.shard_mode!r}: shards execute in-process; "
                 "the process fan-out was removed (it measured 2-13x slower "
-                "than the in-process mirrors, docs/PERF_LOG.md)"
+                "than in-process shards, docs/PERF_LOG.md)"
             )
         if self.shard_partition not in SHARD_PARTITIONS:
             raise ValueError(

@@ -18,15 +18,16 @@ except for WAN link budgets — blocks belong to exactly one job, so
 possession, scheduling, and routing all decompose — and each shard runs
 the full vectorized schedule+route pipeline on its own partition.
 
-Each shard owns **only its partition's state**: a
-:class:`~repro.core.shardexec.ShardMirror` in this process with a
-shard-local possession index, candidate table, and
-:class:`~repro.net.cycle_cache.CycleCache`, fed by delivery-log
-watermark replay (see :mod:`repro.core.shardexec`) — per-shard memory
-and cold-build work are O(pairs/shards). A cycle's
-speculated deliveries (§5.1) are handed to the mirrors beside the
-replay, and each overlays its own store with its share for that decide.
-The shared capacities are resolved afterwards by one outer
+A shard is a subset of jobs, not a copy of the store: each due shard
+decides on the live view restricted to its bucket — on a speculating
+cycle (§5.1) the one :class:`~repro.core.speculation.SpeculatedView`
+the single controller would read — and keeps private only its
+per-decide state (a :class:`~repro.core.shardexec.ShardMirror`: its
+partition's candidate table, a
+:class:`~repro.net.cycle_cache.CycleCache` and the FPTAS warm store;
+see :mod:`repro.core.shardexec`), so per-shard memory and cold-build
+work are O(pairs/shards). The shared capacities are resolved afterwards
+by one outer
 max-min waterfill (:func:`repro.net.flow.max_min_fair_rates` — the data plane's
 own allocator) over every shard's directives against the
 budget-adjusted capacities, so no directive's cap exceeds its global
@@ -112,8 +113,9 @@ class BDSController(OverlayStrategy):
         )
         self._previous_directives: List[TransferDirective] = []
         # Sharded control plane (shards > 1): per-shard replay state, the
-        # memoized job→shard assignment (sticky — possession state lives
-        # where the job lives) and the lazily built mirrors.
+        # memoized job→shard assignment (sticky — a shard's candidate
+        # rows and warm store live where the job lives) and the lazily
+        # built per-shard state.
         self._pipelines: List[_ShardPipeline] = (
             [_ShardPipeline() for _ in range(self.config.shards)]
             if self.config.shards > 1
@@ -135,9 +137,9 @@ class BDSController(OverlayStrategy):
 
     @property
     def shard_signature(self) -> bool:
-        """Whether shards decide against their own mirrors' candidate
-        tables: the :class:`~repro.net.simulator.Simulation` then skips
-        building the global one."""
+        """Whether shards decide against their own partition-scoped
+        candidate tables: the :class:`~repro.net.simulator.Simulation`
+        then skips building the global one."""
         return self.config.shards > 1
 
     def _assign_shard(self, job: MulticastJob) -> int:
@@ -241,19 +243,15 @@ class BDSController(OverlayStrategy):
         fallback_directives: List[TransferDirective],
         speculated: Optional[Tuple[np.ndarray, np.ndarray]],
     ) -> List[TransferDirective]:
-        """Partitioned decide: per-shard mirrors + WAN reconciliation.
+        """Partitioned decide: per-shard decides + WAN reconciliation.
 
-        ``view`` is the real one; the cycle's ``speculated`` deliveries
-        cross to the mirrors by name (each numbers blocks its own way).
+        ``view`` is the real one; the shards read it, or the
+        :class:`SpeculatedView` of the cycle's ``speculated`` deliveries.
         """
         cfg = self.config
-        pairs: List[Tuple[Tuple[str, int], str]] = []
-        if speculated:
-            matrix = view.store.matrix
-            pairs = [
-                (matrix.block_names[gid], matrix.server_names[sid])
-                for sid, gid in zip(*(ids.tolist() for ids in speculated))
-            ]
+        if self._shard_runner is None:
+            # The shards' candidate tables index the live matrix.
+            self._shard_runner = LocalShardRunner(cfg, view.store.matrix)
         k = cfg.shards
         stride = cfg.shard_stride
         buckets: List[List[MulticastJob]] = [[] for _ in range(k)]
@@ -283,17 +281,14 @@ class BDSController(OverlayStrategy):
                 stride <= 1
                 or view.cycle % stride == s % stride
                 or (pipe.directives is not None and pipe.context != context)
-                or pairs
+                or speculated
             ):
                 due.append(s)
 
         results: List[DecideResult] = []
         if due:
-            # Each due shard decides against its own mirror (possession
-            # index, candidate table, cache), fed by watermark replay.
-            if self._shard_runner is None:
-                self._shard_runner = LocalShardRunner(cfg)
-            results = self._shard_runner.decide(view, buckets, due, pairs)
+            shard_view = SpeculatedView(view, *speculated) if speculated else view
+            results = self._shard_runner.decide(shard_view, buckets, due)
         for s, outcome in zip(due, results):
             pipe = self._pipelines[s]
             pipe.directives = outcome.directives
@@ -322,9 +317,6 @@ class BDSController(OverlayStrategy):
             reconciled_directives=reconciled,
             shard_stride=stride,
             shard_state_bytes=max((r.state_bytes for r in results), default=0),
-            shard_candidate_bytes=max(
-                (r.candidate_bytes for r in results), default=0
-            ),
             shard_payload_bytes=sum(r.payload_bytes for r in results),
         )
         return directives + fallback_directives

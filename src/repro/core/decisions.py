@@ -168,12 +168,12 @@ class ControlDecision:
     reconcile_runtime: float = 0.0
     reconciled_directives: int = 0
     # Shard-local state telemetry: the configured decide stride
-    # (BDSConfig.shard_stride), the max per-shard possession-array and
-    # candidate-table bytes over the shards that decided fresh, and the
-    # summed structural size of the delta payloads that fed them.
+    # (BDSConfig.shard_stride), the max bytes of the arrays a shard owns
+    # (its candidate table; possession is the store's, counted once)
+    # over the shards that decided fresh, and the summed structural size
+    # of the jobs those shards saw for the first time.
     shard_stride: int = 0
     shard_state_bytes: int = 0
-    shard_candidate_bytes: int = 0
     shard_payload_bytes: int = 0
 
     @property

@@ -91,7 +91,7 @@ class AffinityAssigner:
     ``hash()`` salt, no float accumulation (loads are ints). Feeding
     the same job sequence reproduces the same assignment on every
     platform. Assignments are sticky: once placed, a job never moves
-    (possession state lives where the job lives), mirroring
+    (its candidate rows and warm store live where the job lives), mirroring
     ``stable_shard``'s add-only stability.
     """
 

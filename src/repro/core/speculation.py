@@ -100,8 +100,9 @@ class SpeculatedView(ClusterView):
 
     Everything but the store is ``base``'s own — jobs, budgets, failure
     sets, partial bytes, the :class:`~repro.net.cycle_cache.CycleCache`
-    and the candidate table (block and server ids are the same in the
-    overlay's matrix).
+    and the candidate table, if ``base`` carries one (block and server
+    ids are the same in the overlay's matrix). A sharded controller's
+    base carries none: its shards decide with their own tables.
     """
 
     def __init__(
@@ -120,5 +121,5 @@ class SpeculatedView(ClusterView):
             partial_bytes=base._partial,
             failed_links=base.failed_links,
             cache=base._cache,
-            candidates=base.candidates,
+            candidates=base._candidates,
         )

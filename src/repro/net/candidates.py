@@ -25,7 +25,7 @@ therefore tracks remaining work, not total state size.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -82,12 +82,11 @@ class CandidateTable:
     gathers read the overlay's bits and compact nothing: ``matrix``
     names the one whose dead rows stay dead).
 
-    The table also grows incrementally: a sharded controller's
-    partition-scoped mirrors start empty and :meth:`ensure_job` each job
-    the first time its shard sees it (the group arrays are identical to
-    a build-at-once table — only the interned gid numbering differs with
-    arrival order, and nothing downstream compares gids across jobs), so
-    a mirror's candidate memory is O(its partition's pairs).
+    The table also grows incrementally: each shard of a sharded
+    controller starts an empty table over the same live matrix and calls
+    :meth:`ensure_job` for each job the first time the shard sees it
+    (the group arrays are those a build-at-once table holds), so a
+    shard's candidate memory is O(its partition's pairs).
     """
 
     def __init__(
@@ -98,26 +97,17 @@ class CandidateTable:
         for job in jobs:
             self.ensure_job(job)
 
-    def ensure_job(
-        self, job: MulticastJob, gids: Optional[np.ndarray] = None
-    ) -> None:
-        """Build the job's candidate groups if not already present.
-
-        ``gids`` lets a caller that just bulk-interned the job's blocks
-        (shard mirrors via :meth:`PossessionMatrix.intern_block_range`)
-        hand the column ids over directly, skipping the per-block intern
-        loop on the cold path.
-        """
+    def ensure_job(self, job: MulticastJob) -> None:
+        """Build the job's candidate groups if not already present."""
         if job.job_id in self.groups_by_job:
             return
         matrix = self.matrix
         server_ids = matrix.server_ids
-        if gids is None:
-            gids = np.fromiter(
-                (matrix.intern(b.block_id) for b in job.blocks),
-                dtype=np.int64,
-                count=len(job.blocks),
-            )
+        gids = np.fromiter(
+            (matrix.intern(b.block_id) for b in job.blocks),
+            dtype=np.int64,
+            count=len(job.blocks),
+        )
         indices = np.arange(len(job.blocks), dtype=np.int64)
         groups: List[CandidateGroup] = []
         for dc, is_relay in [(d, False) for d in job.dst_dcs] + [

@@ -16,10 +16,10 @@ Ownership: the :class:`~repro.net.simulator.Simulation` owns one
 instance and threads it into each cycle's
 :class:`~repro.net.simulator.ClusterView` (a view built without one
 makes its own) and the views derived from it — partition clones and
-speculated views read the same topology; each
-:class:`~repro.core.shardexec.ShardMirror` additionally owns its *own*
-persistent instance scoped to that shard's partition, so its tables are
-O(pairs/k) per shard rather than cluster wide.
+speculated views read the same topology; each controller shard
+(:class:`~repro.core.shardexec.ShardMirror`) additionally owns its *own*
+persistent instance scoped to its jobs, so its tables are O(pairs/k)
+per shard rather than cluster wide.
 """
 
 from __future__ import annotations

@@ -75,9 +75,9 @@ class TransferDirective:
     The block list is held one way: as **job-relative block indices**,
     ``block_indices`` — the segment ``column[lo:hi]`` of an int array the
     router cuts all of a cycle's directives from (:meth:`from_segment`),
-    and what the simulator gathers possession and sizes with. Indices are
-    valid in every id space at once (the simulator's matrix, each shard
-    mirror's own gid numbering). The constructor takes ``(job_id, index)``
+    and what the simulator gathers possession and sizes with. Indices do
+    not depend on how a possession matrix numbers its block columns. The
+    constructor takes ``(job_id, index)``
     ids and converts them at once; an id of another job is a
     ``ValueError``. ``block_ids`` is the id tuple, derived on first read
     and cached.
@@ -319,7 +319,7 @@ class CycleStats:
     routing_warm_start: str = ""
     # Event-engine provenance (diagnostics, never fingerprinted): the
     # cycle was skipped inside an idle stretch. ``decision_reused`` is
-    # always False — kept because export v8 carries it.
+    # always False — kept because export v9 carries it.
     decision_reused: bool = False
     fast_forwarded: bool = False
     # Sharded control-plane telemetry, forwarded from the strategy's
@@ -333,12 +333,11 @@ class CycleStats:
     time_reconcile: float = 0.0
     # Shard-local state telemetry, forwarded from the strategy's
     # decision record (zeros when unsharded): the configured decide
-    # stride (BDSConfig.shard_stride), max per-shard possession-array
-    # and candidate-table bytes over the shards that decided fresh, and
-    # the summed structural size of the mirror delta payloads.
+    # stride (BDSConfig.shard_stride), max per-shard candidate-table
+    # bytes over the shards that decided fresh, and the summed
+    # structural size of the jobs those shards saw for the first time.
     shard_stride: int = 0
     shard_state_bytes: int = 0
-    shard_candidate_bytes: int = 0
     shard_payload_bytes: int = 0
 
 
@@ -370,7 +369,6 @@ _DECISION_TELEMETRY = {
     "time_reconcile": "reconcile_runtime",
     "shard_stride": "shard_stride",
     "shard_state_bytes": "shard_state_bytes",
-    "shard_candidate_bytes": "shard_candidate_bytes",
     "shard_payload_bytes": "shard_payload_bytes",
 }
 
@@ -477,7 +475,7 @@ class SimResult:
     # Event-engine accounting (diagnostics, never fingerprinted): cycles
     # skipped inside idle stretches — zero for a strategy that does not
     # certify ``decisions_reusable``. ``cycles_decision_reused`` is
-    # always 0: kept because export v8 and the perf ledger read it.
+    # always 0: kept because export v9 and the perf ledger read it.
     cycles_decision_reused: int = 0
     cycles_fast_forwarded: int = 0
 
@@ -945,10 +943,10 @@ class Simulation:
         # pair of every job, as parallel int arrays. Built once, after
         # seeding (so pre-seeded copies compact out on the first cycle's
         # gather). Skipped when the strategy decides against
-        # partition-scoped shard mirrors (a sharded BDSController, whose
-        # shard_signature is true): the mirrors build their own
-        # shard-scoped tables, O(pairs/shards) each, and a global
-        # O(pairs) build would be dead weight.
+        # partition-scoped tables (a sharded BDSController, whose
+        # shard_signature is true): its shards build their own over this
+        # store's matrix, O(pairs/shards) each, and a global O(pairs)
+        # build would be dead weight.
         self._cand_table = None
         if not getattr(strategy, "shard_signature", False):
             self._cand_table = CandidateTable(self.jobs, self.store.matrix)

@@ -78,9 +78,9 @@ class PossessionMatrix:
       order (DC-id comparisons reproduce DC-name comparisons);
     * **blocks** are interned on first touch (seed, delivery, or an
       explicit :meth:`intern`) and keep their column for the lifetime of
-      the matrix. The column space grows geometrically (capacity doubles,
-      rounded to whole 64-bit words); existing bits are copied, ids never
-      move.
+      the matrix. The column space starts at 1 024 and grows
+      geometrically (capacity doubles, rounded to whole 64-bit words);
+      existing bits are copied, ids never move.
 
     Row ``s`` packs the blocks server ``s`` holds, 64 block columns per
     ``uint64`` word (block ``g`` lives in word ``g >> 6``, bit ``g & 63``).
@@ -116,9 +116,7 @@ class PossessionMatrix:
         "_holder_flat",
     )
 
-    def __init__(
-        self, server_dc: Mapping[str, str], block_capacity: int = 1024
-    ) -> None:
+    def __init__(self, server_dc: Mapping[str, str]) -> None:
         names = sorted(server_dc)
         self.server_names: List[str] = names
         self.server_ids: Dict[str, int] = {n: i for i, n in enumerate(names)}
@@ -135,8 +133,7 @@ class PossessionMatrix:
         self.dc_starts = np.searchsorted(
             self.server_dc_ids[self.dc_order], np.arange(len(self.dc_names))
         )
-        capacity = max(64, block_capacity)
-        capacity = (capacity + 63) & ~63  # whole uint64 words
+        capacity = 1024  # block columns: 16 whole uint64 words
         self._capacity = capacity
         self._words = capacity >> 6
         num_servers = len(names)
@@ -177,32 +174,6 @@ class PossessionMatrix:
     def gid_of(self, block_id: BlockId) -> Optional[int]:
         """The block's column id, or ``None`` if never interned."""
         return self.block_gids.get(block_id)
-
-    def intern_block_range(self, job_id: str, count: int) -> int:
-        """Intern blocks ``(job_id, 0..count-1)`` as consecutive columns.
-
-        Returns the first column id, so callers can address the whole
-        job with ``base + block_index`` arrays instead of per-block dict
-        lookups. If block 0 is already interned the existing base is
-        returned — the caller contract is that the *same* bulk call
-        interned the full range then (shard mirrors intern each job
-        exactly once, before any of its possession bits land), so the
-        range is contiguous by construction.
-        """
-        base = self.block_gids.get((job_id, 0))
-        if base is not None:
-            return base
-        base = len(self.block_names)
-        if base + count > self._capacity:
-            self._grow(base + count)
-        # Bulk-register the range: one tuple list shared by the dict and
-        # the name table keeps a 10^6-block job out of a per-block Python
-        # loop (the mirror cold path runs inside the controller's decide
-        # wall, unlike the simulator's build-at-init interning).
-        new_ids = [(job_id, index) for index in range(count)]
-        self.block_gids.update(zip(new_ids, range(base, base + count)))
-        self.block_names.extend(new_ids)
-        return base
 
     def _grow(self, needed: int) -> None:
         capacity = max(self._capacity * 2, (needed + 63) & ~63)
@@ -389,8 +360,7 @@ class PossessionMatrix:
     def state_bytes(self) -> int:
         """Bytes held by the possession arrays (both bitsets + dup + dc_counts).
 
-        The dominant, capacity-proportional memory of the matrix — the
-        per-shard footprint the sharded control plane's telemetry tracks
+        The dominant, capacity-proportional memory of the matrix
         (interning dicts are excluded; they are O(blocks) pointers).
         """
         return int(
@@ -472,21 +442,16 @@ class PossessionIndex(PossessionReader):
 
     The index is a thin facade over its :attr:`matrix`; the hot
     control-plane paths bypass the facade and operate on the matrix
-    arrays directly (see :mod:`repro.core.scheduling`).
+    arrays directly (see :mod:`repro.core.scheduling`). A simulation
+    holds exactly one: the single controller, every controller shard and
+    every baseline read this index (or a speculated
+    :class:`PossessionOverlay` of it), never a copy.
     """
 
-    def __init__(
-        self, server_dc: Mapping[str, str], block_capacity: int = 1024
-    ) -> None:
+    def __init__(self, server_dc: Mapping[str, str]) -> None:
         self._server_dc = dict(server_dc)
         self.deliveries: List[DeliveryRecord] = []
-        # ``block_capacity`` sizes the matrix's initial column space.
-        # Shard mirrors pass their partition's block count so a 1/k
-        # partition holds ~1/k of the arrays instead of being quantized
-        # up by the default floor + power-of-two growth.
-        self.matrix = PossessionMatrix(
-            self._server_dc, block_capacity=block_capacity
-        )
+        self.matrix = PossessionMatrix(self._server_dc)
 
     # -- updates --------------------------------------------------------------
 
@@ -501,15 +466,6 @@ class PossessionIndex(PossessionReader):
         matrix = self.matrix
         sid = self._sid(server_id)
         matrix.set_many(sid, [matrix.intern(block.block_id) for block in blocks])
-
-    def seed_gids(self, server_id: str, gids: "np.ndarray") -> None:
-        """Bulk :meth:`seed` by pre-interned column ids.
-
-        The shard mirrors' fast ingest path: a whole (server, job) batch
-        of initial copies lands in one :meth:`PossessionMatrix.set_many`
-        call instead of per-block facade hops. Idempotent like :meth:`seed`.
-        """
-        self.matrix.set_many(self._sid(server_id), gids)
 
     def record_delivery(
         self,

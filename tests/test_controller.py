@@ -1,5 +1,6 @@
 """The BDS controller: decision loop, fallback, diagnostics."""
 
+import numpy as np
 import pytest
 
 from repro.baselines.gingko import GingkoStrategy
@@ -46,6 +47,35 @@ class TestConfig:
     def test_negative_blocks_cap_rejected(self):
         with pytest.raises(ValueError):
             BDSConfig(max_blocks_per_cycle=-1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("shards", 2.0),
+            ("shards", True),
+            ("shard_stride", True),
+            ("shard_stride", 2.0),
+            ("max_sources_per_group", 1.5),
+            ("max_sources_per_group", 0),
+            ("max_blocks_per_cycle", 2.5),
+            ("max_blocks_per_cycle", False),
+        ],
+    )
+    def test_a_count_that_is_not_an_int_is_refused_by_name(self, field, value):
+        """A float or a bool is refused at construction, naming the field
+        — not a bare ``TypeError`` from the controller, or a ``True``
+        that silently means 1."""
+        with pytest.raises(ValueError, match=field):
+            BDSConfig(**{field: value})
+
+    def test_numpy_counts_pass(self):
+        config = BDSConfig(
+            shards=np.int64(2),
+            shard_stride=np.int32(2),
+            max_sources_per_group=np.int64(2),
+            max_blocks_per_cycle=np.int64(0),
+        )
+        assert BDSController(config).config.shards == 2
 
 
 class TestDecide:

@@ -7,14 +7,11 @@ possession arrays with the speculated bits set
 (:class:`~repro.overlay.store.PossessionOverlay`), decided by the one
 scheduler and router there are. ``tests/oracles.py`` keeps the proxy
 (``SpeculatedStoreOracle``) and the per-candidate loops; everything here
-is equality with those, plus the two guards the design rests on, each
-shown to be load-bearing by recompiling the guarded function without it:
-
-* a speculated copy may never arrive, so a gather over an overlay must
-  not compact candidate rows away (``RarestFirstScheduler.select``);
-* a shard mirror replays the store's delivery log and nothing else: the
-  speculated pairs in its payload are read by one decide, never applied
-  (``ShardMirror.apply``).
+is equality with those, plus the guard the design rests on, shown to be
+load-bearing by recompiling the guarded function without it: a
+speculated copy may never arrive, so a gather over an overlay must not
+compact candidate rows away (``RarestFirstScheduler.select``). Sharded
+or not, a speculating decide writes nothing to the store.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.runner import make_strategy
-from repro.core import shardexec
 from repro.core.decisions import SelectionBatch
 from repro.core.routing import BDSRouter
 from repro.core.scheduling import RarestFirstScheduler
@@ -330,43 +326,3 @@ def test_rows_compacted_on_a_phantom_copy_are_never_scheduled_again():
     assert same.fingerprint() == plain.fingerprint()
     broken, _late = run(compacting)
     assert not broken.all_complete and broken.cycles_run == 60
-
-
-def test_a_mirror_that_applies_speculated_pairs_leaves_the_store_behind():
-    """Mutant (b): let ``ShardMirror.apply`` ingest the payload's
-    speculated pairs with the delivery replay."""
-    ingesting = mutant(
-        shardexec.ShardMirror.apply,
-        ("if payload.deliveries:", "if payload.deliveries or payload.speculated:"),
-        (
-            "in payload.deliveries:",
-            "in list(payload.deliveries) + list(payload.speculated):",
-        ),
-    )
-
-    def mirrors_hold_what_the_store_holds(apply):
-        sim = contended(3.0, shards=2)
-        controller = sim.strategy
-        decide_sharded = controller._decide_sharded
-        checked = []
-
-        def spy(view, fallback, speculated):
-            directives = decide_sharded(view, fallback, speculated)
-            for shard, mirror in enumerate(controller._shard_runner._mirrors):
-                if apply is not None:
-                    mirror.apply = apply.__get__(mirror)
-                for job in view.jobs:  # (a finished job's shard is fed no more)
-                    if controller._shard_assign[job.job_id] == shard:
-                        for block in job.blocks:
-                            bid = block.block_id
-                            assert mirror.store.holders(bid) == sim.store.holders(bid)
-                            checked.append(bid)
-            return directives
-
-        controller._decide_sharded = spy
-        assert sim.run().all_complete and checked
-
-    mirrors_hold_what_the_store_holds(None)
-    mirrors_hold_what_the_store_holds(mutant(shardexec.ShardMirror.apply))
-    with pytest.raises(AssertionError):
-        mirrors_hold_what_the_store_holds(ingesting)

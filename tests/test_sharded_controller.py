@@ -27,12 +27,15 @@ import pytest
 
 from repro.core.config import BDSConfig
 from repro.core.controller import BDSController
+from repro.core import shardexec
 from repro.core.sharding import stable_shard
-from repro.core.shardexec import ShardPayload
+from repro.core.shardexec import LocalShardRunner, ShardPayload
+from repro.core.speculation import SpeculatedView
 from repro.net.failures import FailureEvent, FailureSchedule
 from repro.net.simulator import SimConfig, SimResult, Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
+from repro.overlay.store import PossessionOverlay
 from repro.utils.units import MB, MBps
 
 from tests import test_engine_pins as pins
@@ -161,8 +164,11 @@ class TestShardsExecuteInProcess:
         assert BDSConfig(shards=4, shard_mode="inprocess") == BDSConfig(shards=4)
 
     def test_the_payload_is_the_possession_delta(self):
+        """Possession has no delta to ship: a shard reads the live store,
+        and all its payload carries is the jobs it sees for the first
+        time (the ledger's ``shardexec.payload_bytes``)."""
         assert [f.name for f in dataclasses.fields(ShardPayload)] == [
-            "new_jobs", "new_holders", "deliveries", "speculated",
+            "new_jobs"
         ]
 
     def test_src_imports_no_process_or_pool_machinery(self):
@@ -221,53 +227,101 @@ class TestReconciliation:
 
 
 class TestShardLocalState:
-    """Partition-scoped mirrors (the sharded decide path)."""
+    """A shard is a subset of jobs deciding on the live store."""
 
     @pytest.mark.parametrize("shards,stride", [(2, 1), (3, 2), (4, 1)])
     def test_mirror_matches_shared_store(self, shards, stride):
         """Shards deciding over sub-views of the one shared store was the
-        PR 7 decide path; the mirror path must reproduce its recorded
-        runs bit-for-bit."""
-        mirror = _run(shards, stride=stride)
-        assert mirror.all_complete
-        pins.check(f"sharded:{shards}x{stride}:shard_local_state=False", mirror)
+        PR 7 decide path, and is again: the recorded runs of that path
+        must come back bit-for-bit."""
+        result = _run(shards, stride=stride)
+        assert result.all_complete
+        pins.check(f"sharded:{shards}x{stride}:shard_local_state=False", result)
 
     def test_state_telemetry_recorded(self):
         result = _run(3)
         fresh = [s for s in result.cycle_stats if s.shard_count]
         assert fresh
         assert any(s.shard_state_bytes > 0 for s in fresh)
-        assert any(s.shard_candidate_bytes > 0 for s in fresh)
         assert any(s.shard_payload_bytes > 0 for s in fresh)
         assert all(s.shard_stride == 1 for s in fresh)
 
-    def test_no_state_telemetry_on_shared_store_path(self):
-        """There is no shared-store path: speculating cycles are decided
-        by the mirrors like any other, over the real view — each overlays
-        its own store with its share of the speculated copies (and
-        applies none: ``tests/test_overlay.py``) — so per-shard state is
-        reported on every cycle."""
+    def test_no_state_telemetry_on_shared_store_path(self, monkeypatch):
+        """There is no second path: speculating cycles are decided by the
+        shards like any other, over the one :class:`SpeculatedView` the
+        single controller would read (and that builds no global candidate
+        table), so per-shard state is reported on every cycle."""
         topo, jobs = _scenario()
         controller = BDSController(BDSConfig(shards=2, speculation_horizon=3.0))
-        speculating = []
-        decide_sharded = controller._decide_sharded
-
-        def spy(view, fallback, speculated):
-            assert view.store is sim.store
-            speculating.append(bool(speculated))
-            return decide_sharded(view, fallback, speculated)
-
-        controller._decide_sharded = spy
         sim = Simulation(topology=topo, jobs=jobs, strategy=controller, seed=SEED)
+        views = []
+        decide = LocalShardRunner.decide
+
+        def spy(runner, view, buckets, due):
+            views.append(view)
+            return decide(runner, view, buckets, due)
+
+        monkeypatch.setattr(LocalShardRunner, "decide", spy)
         result = sim.run()
+        speculating = [isinstance(view, SpeculatedView) for view in views]
         assert result.all_complete and any(speculating) and not speculating[0]
+        for view in views:
+            if isinstance(view, SpeculatedView):
+                assert view.store.matrix.block_gids is sim.store.matrix.block_gids
+                assert view._candidates is None
+            else:
+                assert view.store is sim.store
         for stats in result.cycle_stats:
             assert stats.shard_count == 2
-            assert stats.shard_state_bytes > 0 and stats.shard_candidate_bytes > 0
+            assert stats.shard_state_bytes > 0
+
+    @pytest.mark.parametrize("horizon", [0.0, 3.0])
+    def test_every_shard_decides_on_the_live_store(self, horizon, monkeypatch):
+        """Each shard decide reads the simulator's index — or, speculating,
+        an overlay of it — through a table indexing the live matrix."""
+        topo, jobs = _scenario()
+        controller = BDSController(
+            BDSConfig(shards=3, speculation_horizon=horizon)
+        )
+        sim = Simulation(topology=topo, jobs=jobs, strategy=controller, seed=SEED)
+        seen = []
+        real = shardexec.schedule_and_route
+
+        def spy(scheduler, router, view):
+            seen.append((view.store, view.candidates.matrix))
+            return real(scheduler, router, view)
+
+        monkeypatch.setattr(shardexec, "schedule_and_route", spy)
+        assert sim.run().all_complete
+        live = sim.store
+        overlays = 0
+        for store, table_matrix in seen:
+            assert table_matrix is live.matrix
+            if store is not live:
+                assert isinstance(store, PossessionOverlay)
+                assert store.matrix.block_gids is live.matrix.block_gids
+                overlays += 1
+        assert seen and (overlays > 0) == (horizon > 0)
+
+    def test_a_shard_constructs_no_possession_state(self):
+        """Possession is held once, in the store: the shard module builds
+        no index, matrix or overlay of its own."""
+        tree = ast.parse(Path(shardexec.__file__).read_text(encoding="utf-8"))
+        called = {
+            node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))
+        }
+        assert called
+        assert not called & {
+            "PossessionIndex", "PossessionMatrix", "PossessionOverlay",
+        }
 
     def test_per_shard_state_scales_down(self):
         """At a scale past the matrix's 1024-column capacity floor, each
-        shard's possession state is a fraction of the full store's."""
+        shard's state — its candidate table — is a fraction of the full
+        store's possession arrays."""
         topo = Topology.full_mesh(
             num_dcs=5, servers_per_dc=4, wan_capacity=500 * MBps,
             uplink=25 * MBps,
