@@ -23,7 +23,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import time as _time
-from collections import abc
+from collections import Counter, abc
 from dataclasses import FrozenInstanceError, dataclass, field, replace
 from typing import (
     Dict,
@@ -57,11 +57,6 @@ from repro.utils.rng import SeedLike, make_rng
 from repro.utils.validation import check_fraction, check_positive
 
 BlockId = Tuple[str, int]
-
-#: Below this many completed deliveries in a cycle the grouped numpy pass
-#: costs more than per-pair application; results are bit-identical either
-#: way, so small batches land one ``record_delivery`` at a time.
-_DELIVERY_BATCH_MIN = 32
 
 
 class TransferDirective:
@@ -749,33 +744,66 @@ def partial_column(
 
 
 class _BlockColumns:
-    """The simulation's static per-block columns, in one flat numbering.
+    """The simulation's static per-block columns, in one flat numbering,
+    and the per-job tables its deliveries are booked with.
 
     A block's flat number is its job's ``base`` plus its job-relative
     index — the id space the simulator gathers sizes, matrix columns and
-    :class:`~repro.overlay.blocks.Block` objects in. Built once, on the
-    first cycle that validates a directive.
+    block ids in; ``starts`` holds the bases in job order and ``origin``
+    each job's origin DC id. Built once, on the first cycle that
+    validates a directive.
+
+    Completion is booked per *destination*, a (job, destination DC)
+    pair; ``dest[j * num_dcs + d]`` numbers job ``j``'s destination in
+    DC id ``d``, or is the sentinel ``len(stripe_lo) - 1`` (a stripe of
+    one server id no server has) when ``d`` is not one of the job's
+    destination DCs. Destination ``k``'s stripe
+    (:meth:`MulticastJob.stripe`) is the ``stripe_width[k]`` server ids
+    from ``stripe_sids[stripe_lo[k]]`` on.
     """
 
-    __slots__ = ("base", "count", "blocks", "sizes", "gids", "server_ids")
+    __slots__ = (
+        "base", "count", "ids", "sizes", "gids", "server_ids", "starts",
+        "origin", "num_dcs", "dest", "stripe_lo", "stripe_width",
+        "stripe_sids",
+    )
 
     def __init__(
         self, jobs: Sequence[MulticastJob], store: PossessionIndex
     ) -> None:
+        matrix = store.matrix
         self.base: Dict[str, int] = {}
         self.count: Dict[str, int] = {}
-        self.blocks: List[Block] = []
-        for job in jobs:
-            self.base[job.job_id] = len(self.blocks)
+        self.ids: List[BlockId] = []
+        self.num_dcs = len(matrix.dc_names)
+        self.dest = np.full(len(jobs) * self.num_dcs, -1, dtype=np.int64)
+        lo: List[int] = []
+        width: List[int] = []
+        sids: List[int] = []
+        for j, job in enumerate(jobs):
+            self.base[job.job_id] = len(self.ids)
             self.count[job.job_id] = len(job.blocks)
-            self.blocks.extend(job.blocks)
-        self.sizes = np.array([b.size for b in self.blocks], dtype=np.float64)
-        matrix = store.matrix
+            self.ids.extend(b.block_id for b in job.blocks)
+            for dc in job.dst_dcs:
+                servers, _slots = job.stripe(dc)
+                self.dest[j * self.num_dcs + matrix.dc_ids[dc]] = len(lo)
+                lo.append(len(sids))
+                width.append(len(servers))
+                sids.extend(matrix.server_ids[s] for s in servers)
+        self.dest[self.dest < 0] = len(lo)
+        self.stripe_lo = np.array(lo + [len(sids)], dtype=np.int64)
+        self.stripe_width = np.array(width + [1], dtype=np.int64)
+        self.stripe_sids = np.array(sids + [-1], dtype=np.int64)
+        self.starts = np.array(list(self.base.values()), dtype=np.int64)
+        self.origin = np.array(
+            [matrix.dc_ids[job.src_dc] for job in jobs], dtype=np.int64
+        )
+        self.sizes = np.concatenate([job.block_sizes() for job in jobs])
         self.server_ids: Dict[str, int] = matrix.server_ids
         self.gids = np.fromiter(
-            (matrix.intern(b.block_id) for b in self.blocks),
+            (matrix.intern(bid) for bid in self.ids),
             dtype=np.int64,
-            count=len(self.blocks),
+            count=len(self.ids),
         )
 
 
@@ -783,19 +811,22 @@ class FlowColumns:
     """One decide's validated directives as row columns.
 
     Row ``r`` is one block of one directive, directive-major in listed
-    order: ``flat[r]`` is the block's flat number, ``keys[r]`` its
-    :func:`partial_column` key (flat number and destination), and
+    order: ``flat[r]`` is the block's flat number, ``src[r]`` and
+    ``dst[r]`` the directive's endpoint server ids, ``keys[r]`` the
+    row's :func:`partial_column` key (flat number and destination), and
     ``bounds[i]:bounds[i + 1]`` are directive ``i``'s rows. ``sizes``
     is the rows' block sizes, gathered once for the demand sums.
     """
 
-    __slots__ = ("flat", "keys", "bounds", "sizes")
+    __slots__ = ("flat", "src", "dst", "keys", "bounds", "sizes")
 
     def __init__(
-        self, flat: np.ndarray, keys: np.ndarray, bounds: List[int],
-        sizes: np.ndarray,
+        self, flat: np.ndarray, src: np.ndarray, dst: np.ndarray,
+        keys: np.ndarray, bounds: List[int], sizes: np.ndarray,
     ) -> None:
         self.flat = flat
+        self.src = src
+        self.dst = dst
         self.keys = keys
         self.bounds = bounds
         self.sizes = sizes
@@ -807,6 +838,8 @@ class FlowColumns:
         rows = np.repeat(keep, lens)
         return FlowColumns(
             self.flat[rows],
+            self.src[rows],
+            self.dst[rows],
             self.keys[rows],
             [0] + lens[keep].cumsum().tolist(),
             self.sizes[rows],
@@ -902,11 +935,9 @@ class Simulation:
         self._job_completion: Dict[str, float] = {}
         self._dc_completion: Dict[Tuple[str, str], float] = {}
         self._server_completion: Dict[Tuple[str, str], float] = {}
-        self._origin_dc: Dict[str, str] = {}
         matrix = self.store.matrix
         for job in self.jobs:
             job_id = job.job_id
-            self._origin_dc[job_id] = job.src_dc
             # Seeding the source stripe interned every block of the job.
             gids = np.fromiter(
                 (matrix.block_gids[b.block_id] for b in job.blocks),
@@ -1100,7 +1131,7 @@ class Simulation:
             )
         if not admitted:
             empty = np.empty(0, dtype=np.int64)
-            return [], FlowColumns(empty, empty, [0], np.empty(0))
+            return [], FlowColumns(empty, empty, empty, empty, [0], np.empty(0))
 
         index = np.concatenate(parts) if len(parts) > 1 else parts[0]
         per_directive = np.array(meta, dtype=np.int64).T
@@ -1129,10 +1160,12 @@ class Simulation:
                     )
                 valid.append(d)
             flat = flat[useful]
+            src = src[useful]
             dst = dst[useful]
             ends = np.cumsum([k for k in kept if k])
         return valid, FlowColumns(
-            flat, flat * len(sid_of) + dst, [0] + ends.tolist(), cols.sizes[flat]
+            flat, src, dst, flat * len(sid_of) + dst, [0] + ends.tolist(),
+            cols.sizes[flat],
         )
 
     def _flow_demands(self, columns: FlowColumns) -> List[float]:
@@ -1269,20 +1302,20 @@ class Simulation:
                 clips and controller_ok,
             )
             deliver_started = _time.perf_counter()
-            transferred, events = self._progress_flows(
+            transferred, done, finish = self._progress_flows(
                 cycle, directives, columns, rates
             )
             apply_seconds = 0.0
-            if events:
+            if done:
                 apply_started = _time.perf_counter()
-                self._apply_deliveries(events)
+                self._apply_deliveries(columns, done, finish)
                 apply_seconds = _time.perf_counter() - apply_started
 
             if log is not None:
                 stats = CycleStats(
                     cycle=cycle,
                     time=cycle * dt,
-                    blocks_delivered=len(events),
+                    blocks_delivered=len(done),
                     bytes_transferred=transferred,
                     active_flows=len(directives),
                     controller_available=controller_ok,
@@ -1300,7 +1333,7 @@ class Simulation:
                     )
                 log.append(stats)
             if hook is not None:
-                hook(view, len(events))
+                hook(view, len(done))
             if cfg.stop_when_complete and len(self._job_completion) == num_jobs:
                 cycle += 1
                 break
@@ -1444,13 +1477,13 @@ class Simulation:
         directives: List[TransferDirective],
         columns: FlowColumns,
         rates: Mapping[int, float],
-    ) -> Tuple[float, List[Tuple[str, Block, str, str, float]]]:
+    ) -> Tuple[float, List[int], List[float]]:
         """Move ``rate × window`` bytes along every flow, block by block.
 
-        Returns the bytes moved and the transfers that completed, as
-        :meth:`_apply_deliveries` events: they land on the store and the
-        bookkeeping after the walk, which reads nothing a delivery
-        mutates, so deferring them is order-equivalent.
+        Returns the bytes moved, the rows of ``columns`` whose transfer
+        completed and their finish times: :meth:`_apply_deliveries` lands
+        them after the walk, which reads nothing a delivery mutates, so
+        deferring them is order-equivalent.
         """
         cfg = self.config
         dt = cfg.cycle_seconds
@@ -1459,16 +1492,19 @@ class Simulation:
         partial = self._partial
         prev_pairs = self._prev_pairs
         current_pairs: Set[Tuple[str, str]] = set()
-        events: List[Tuple[str, Block, str, str, float]] = []
+        done: List[int] = []
+        finish: List[float] = []
         transferred = 0.0
-        flat_blocks = self._block_columns().blocks
-        flat_list = columns.flat.tolist()
+        block_ids = self._block_columns().ids
+        flat = columns.flat.tolist()
+        sizes = columns.sizes.tolist()
         bounds = columns.bounds
         for i, d in enumerate(directives):
             rate = rates.get(i, 0.0)
             if rate <= 0:
                 continue
-            pair = (d.src_server, d.dst_server)
+            dst = d.dst_server
+            pair = (d.src_server, dst)
             window = dt - cfg.control_overhead_seconds
             if pair not in prev_pairs:
                 window = max(0.0, window - cfg.flow_setup_seconds)
@@ -1480,10 +1516,9 @@ class Simulation:
             for row in range(bounds[i], bounds[i + 1]):
                 if budget <= 1e-12:
                     break
-                block = flat_blocks[flat_list[row]]
-                key = (block.block_id, d.dst_server)
+                key = (block_ids[flat[row]], dst)
                 have = partial.get(key, 0.0)
-                need = block.size - have
+                need = sizes[row] - have
                 take = min(need, budget)
                 budget -= take
                 used += take
@@ -1493,72 +1528,88 @@ class Simulation:
                 # schedule sub-nanobyte demands).
                 if take >= need - 1e-6:
                     partial.pop(key, None)
-                    finish = now + (dt - window) + used / rate
-                    events.append(
-                        (d.job_id, block, d.src_server, d.dst_server,
-                         min(finish, cycle_end))
-                    )
+                    done.append(row)
+                    finish.append(min(now + (dt - window) + used / rate, cycle_end))
                 else:
                     partial[key] = have + take
             transferred += used
         self._prev_pairs = current_pairs
-        return transferred, events
+        return transferred, done, finish
 
     def _apply_deliveries(
-        self, events: List[Tuple[str, Block, str, str, float]]
+        self, columns: FlowColumns, rows: List[int], finish: List[float]
     ) -> None:
         """Land one cycle's completed transfers, then book them.
 
-        Possession and provenance first — pair by pair below
-        ``_DELIVERY_BATCH_MIN`` events, where the grouped numpy pass
-        costs more than it saves, as one ``store.record_deliveries``
-        above (bit-identical either way) — then the completion
-        bookkeeping, per event in delivery order. A delivery counts when
-        the store recorded a new copy (possession only grows, so a
-        duplicate was booked before) on the block's assigned server.
+        ``rows`` of ``columns`` completed at ``finish`` times, in walk
+        order. They land as one ``store.record_deliveries`` scatter,
+        which answers which placed a new copy (possession only grows, so
+        a duplicate was booked before). A new copy on its block's
+        assigned server in one of its job's destination DCs counts that
+        (job, server)'s and that (job, DC)'s missing deliveries down,
+        once per key; a count reaching zero books its completion at the
+        finish time of the delivery that zeroed it — the key's last in
+        walk order — and completions are booked in that order (for one
+        delivery: server, DC, then job), as a loop over the deliveries
+        would. A cycle's batch is often a dozen rows, so the array work
+        is counted in calls and the per-key work is on Python ints.
         """
-        origin = self._origin_dc
-        store = self.store
-        if len(events) < _DELIVERY_BATCH_MIN:
-            records = [
-                store.record_delivery(block, src, dst, when, origin[job_id])
-                for job_id, block, src, dst, when in events
-            ]
-        else:
-            records = store.record_deliveries(
-                [
-                    (block, src, dst, when, origin[job_id])
-                    for job_id, block, src, dst, when in events
-                ]
-            )
-        dc_of = store.dc_of
-        dc_missing = self._dc_missing
-        server_missing = self._server_missing
+        cols = self._block_columns()
+        matrix = self.store.matrix
+        rows = np.array(rows, dtype=np.int64)
+        flat = columns.flat[rows]
+        dst = columns.dst[rows]
+        when = np.array(finish)
+        job = cols.starts.searchsorted(flat, side="right") - 1
+        fresh = self.store.record_deliveries(
+            dst, cols.gids[flat], columns.src[rows], when, cols.origin[job]
+        )
+        if not fresh.all():
+            flat, dst, when, job = flat[fresh], dst[fresh], when[fresh], job[fresh]
+        dest = cols.dest[job * cols.num_dcs + matrix.server_dc_ids[dst]]
+        slot = MulticastJob.stripe_slot(
+            flat - cols.starts[job], cols.stripe_width[dest]
+        )
+        counted = np.flatnonzero(
+            cols.stripe_sids[cols.stripe_lo[dest] + slot] == dst
+        )
+        if not len(counted):
+            return
+        num_servers = matrix.num_servers
+        keys = (job[counted] * num_servers + dst[counted]).tolist()
+        when = when[counted].tolist()
+        last = {key: at for at, key in enumerate(keys)}
+        names, dc_of, jobs = matrix.server_names, self.store.dc_of, self.jobs
+        server_missing, dc_missing = self._server_missing, self._dc_missing
+        booked: List[Tuple[int, bool, Tuple[str, str]]] = []
+        per_dc: Dict[Tuple[str, str], List[int]] = {}
+        for key, count in Counter(keys).items():
+            job_id, server = jobs[key // num_servers].job_id, names[key % num_servers]
+            skey = (job_id, server)
+            left = server_missing[skey] - count
+            server_missing[skey] = left
+            if not left:
+                booked.append((last[key], False, skey))
+            tally = per_dc.setdefault((job_id, dc_of(server)), [0, -1])
+            tally[0] += count
+            tally[1] = max(tally[1], last[key])
+        for dkey, (count, at) in per_dc.items():
+            left = dc_missing[dkey] - count
+            dc_missing[dkey] = left
+            if not left:
+                booked.append((at, True, dkey))
         dc_completion = self._dc_completion
-        jobs_by_id = self._jobs_by_id
-        for (job_id, block, _src, dst, when), record in zip(events, records):
-            if record is None:
-                continue  # the destination already held the block
-            dst_dc = dc_of(dst)
-            dkey = (job_id, dst_dc)
-            if dkey not in dc_missing:
-                continue  # delivery to a relay DC: not completion-tracked
-            job = jobs_by_id[job_id]
-            if job.assigned_server(dst_dc, block.block_id) != dst:
-                continue  # landed on a non-assigned server of a dest DC
-            skey = (job_id, dst)
-            remaining = server_missing[skey] - 1
-            server_missing[skey] = remaining
-            if remaining == 0:
-                self._server_completion[skey] = when
-            remaining = dc_missing[dkey] - 1
-            dc_missing[dkey] = remaining
-            if remaining == 0:
-                dc_completion[dkey] = when
-                if all((job_id, dc) in dc_completion for dc in job.dst_dcs):
-                    self._job_completion[job_id] = max(
-                        dc_completion[(job_id, dc)] for dc in job.dst_dcs
-                    )
+        for at, is_dc, key in sorted(booked):
+            if not is_dc:
+                self._server_completion[key] = when[at]
+                continue
+            dc_completion[key] = when[at]
+            job_id = key[0]
+            dst_dcs = self._jobs_by_id[job_id].dst_dcs
+            if all((job_id, dc) in dc_completion for dc in dst_dcs):
+                self._job_completion[job_id] = max(
+                    dc_completion[(job_id, dc)] for dc in dst_dcs
+                )
 
     def _decision_telemetry(
         self, cycle: int, decide_runtime: float

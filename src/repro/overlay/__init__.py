@@ -1,7 +1,7 @@
 """Overlay data plane: blocks, possession index, jobs, agents, messaging."""
 
 from repro.overlay.blocks import Block, split_into_blocks, group_by_pair
-from repro.overlay.store import DeliveryRecord, PossessionIndex
+from repro.overlay.store import DeliveryLog, DeliveryRecord, PossessionIndex
 from repro.overlay.job import MulticastJob
 from repro.overlay.agent import AgentSnapshot, ServerAgent
 from repro.overlay.monitor import AgentMonitor, FeedbackLoopSample
@@ -10,6 +10,7 @@ __all__ = [
     "Block",
     "split_into_blocks",
     "group_by_pair",
+    "DeliveryLog",
     "DeliveryRecord",
     "PossessionIndex",
     "MulticastJob",

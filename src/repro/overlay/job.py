@@ -119,13 +119,21 @@ class MulticastJob:
         each block's slot in them — block ``i`` lies on
         ``servers[slots[i]]``."""
         servers = self._stripe_servers(dc)
-        slots = np.arange(self.num_blocks, dtype=np.int64) % len(servers)
-        return servers, slots
+        index = np.arange(self.num_blocks, dtype=np.int64)
+        return servers, self.stripe_slot(index, len(servers))
+
+    @staticmethod
+    def stripe_slot(index, width):
+        """The slot of block ``index`` in a stripe of ``width`` servers
+        (ints or int arrays alike): the one place striping is written."""
+        return index % width
 
     def assigned_server(self, dc: str, block_id: BlockId) -> str:
         """The server in ``dc`` that block ``block_id`` is striped onto."""
         servers = self._stripe_servers(dc)
-        return servers[self.block_by_id(block_id).index % len(servers)]
+        return servers[
+            self.stripe_slot(self.block_by_id(block_id).index, len(servers))
+        ]
 
     def initial_placement(self) -> Dict[str, List[Block]]:
         """Blocks initially present on each source-DC server."""

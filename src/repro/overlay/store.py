@@ -7,7 +7,8 @@ evaluation logic needs:
 * per-block duplicate counts (for rarest-first scheduling, §4.3);
 * per-DC possession (for completion detection);
 * delivery provenance (whether each delivered block came from the origin DC
-  or from an overlay path — the Fig. 13c measurement).
+  or from an overlay path — the Fig. 13c measurement), as the columns of
+  a :class:`DeliveryLog`.
 
 The state lives in a :class:`PossessionMatrix` of packed ``uint64``
 bitset rows (servers × blocks) with interned integer ids for servers,
@@ -26,16 +27,17 @@ from __future__ import annotations
 
 import copy
 import sys
+from collections import abc
 from dataclasses import dataclass
 from typing import (
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
     AbstractSet,
-    Sequence,
     Tuple,
 )
 
@@ -205,20 +207,6 @@ class PossessionMatrix:
         word = self._flat.item(sid * self._words + (gid >> 6))
         return bool((word >> (gid & 63)) & 1)
 
-    def set_bit(self, sid: int, gid: int) -> bool:
-        """Set one possession bit; returns ``True`` if it was newly set."""
-        i = sid * self._words + (gid >> 6)
-        word = self._flat.item(i)
-        mask = 1 << (gid & 63)
-        if word & mask:
-            return False
-        self._flat[i] = word | mask
-        j = gid * self.holder_words.shape[1] + (sid >> 6)
-        self._holder_flat[j] = self._holder_flat.item(j) | (1 << (sid & 63))
-        self.dup[gid] += 1
-        self.dc_counts[self.server_dc_list[sid], gid] += 1
-        return True
-
     def set_many(self, sid: int, gids: Iterable[int]) -> None:
         """Set a batch of bits on one row.
 
@@ -251,38 +239,42 @@ class PossessionMatrix:
     def record_deliveries(self, sids: np.ndarray, gids: np.ndarray) -> np.ndarray:
         """Set possession bits for parallel (server, block) arrays.
 
-        The batched counterpart of per-pair :meth:`set_bit` for one
-        cycle's deliveries, which may span many destination rows. Returns
-        a boolean mask of which pairs were *newly* set; pairs already
-        held — or repeated within the batch, where only the first
-        occurrence wins — come back ``False``, exactly as a sequential
-        ``set_bit`` loop would report. The bits land with one
+        One cycle's deliveries, which may span many destination rows.
+        Returns a boolean mask of which pairs were *newly* set; pairs
+        already held — or repeated within the batch, where only the
+        first occurrence wins — come back ``False``, exactly as setting
+        them one at a time would report. The bits land with one
         ``bitwise_or.at`` scatter (repeated words are safe) and the
         duplicate/DC counters advance with ``add.at`` scatter-adds
-        (repeated columns accumulate).
+        (repeated columns accumulate). A cycle's batch is often a dozen
+        rows, so the work is counted in array calls, not elements.
         """
-        fresh = ~self.test_many(sids, gids)
-        if fresh.any():
-            # First-occurrence dedupe inside the batch: two deliveries of
-            # the same (server, block) pair in one cycle must register as
-            # one new bit plus one duplicate, in that order.
-            pair = sids * np.int64(self._capacity) + gids
-            _vals, first = np.unique(pair, return_index=True)
-            is_first = np.zeros(len(pair), dtype=bool)
-            is_first[first] = True
-            fresh &= is_first
-            rows = sids[fresh]
-            cols = gids[fresh]
-            flat_idx = rows * self._words + (cols >> 6)
-            masks = np.uint64(1) << (cols & 63).astype(np.uint64)
-            np.bitwise_or.at(self._flat, flat_idx, masks)
+        words = sids * self._words + (gids >> 6)
+        masks = np.uint64(1) << (gids & 63).astype(np.uint64)
+        fresh = (self._flat[words] & masks) == 0
+        # First-occurrence dedupe inside the batch: two deliveries of the
+        # same (server, block) pair in one cycle must register as one new
+        # bit plus one duplicate, in that order. Repeats are rare; a set
+        # of the pairs tells whether there are any.
+        pair = (sids * np.int64(self._capacity) + gids).tolist()
+        if len(set(pair)) < len(pair):
+            seen = set()
+            for k, key in enumerate(pair):
+                if key in seen:
+                    fresh[k] = False
+                seen.add(key)
+        if not fresh.all():
+            sids, gids = sids[fresh], gids[fresh]
+            words, masks = words[fresh], masks[fresh]
+        if len(gids):
+            np.bitwise_or.at(self._flat, words, masks)
             np.bitwise_or.at(
-                self.holder_words,
-                (cols, rows >> 6),
-                np.uint64(1) << (rows & 63).astype(np.uint64),
+                self._holder_flat,
+                gids * self.holder_words.shape[1] + (sids >> 6),
+                np.uint64(1) << (sids & 63).astype(np.uint64),
             )
-            np.add.at(self.dup, cols, 1)
-            np.add.at(self.dc_counts, (self.server_dc_ids[rows], cols), 1)
+            np.add.at(self.dup, gids, 1)
+            np.add.at(self.dc_counts, (self.server_dc_ids[sids], gids), 1)
         return fresh
 
     def overlay(self, sids: np.ndarray, gids: np.ndarray) -> "PossessionMatrix":
@@ -371,6 +363,84 @@ class PossessionMatrix:
         )
 
 
+class DeliveryLog(abc.Sequence):
+    """A store's delivery provenance: one row per delivery that placed a
+    new copy, in landing order.
+
+    The rows are five parallel columns in the matrix's id space — block
+    column, source server, destination server, finish time, and whether
+    the source sat in the job's origin DC — appended one batch per
+    :meth:`PossessionIndex.record_deliveries` call and joined on first
+    read (:meth:`columns`). The log is a sequence of
+    :class:`DeliveryRecord` (``len``, index, slice, iteration, ``==``
+    against a list) whose records are built only when read as such.
+    """
+
+    __slots__ = ("_matrix", "_parts", "_len")
+
+    def __init__(self, matrix: PossessionMatrix) -> None:
+        self._matrix = matrix
+        self._parts: List[Tuple[np.ndarray, ...]] = []
+        self._len = 0
+
+    def append(
+        self,
+        gids: np.ndarray,
+        src: np.ndarray,
+        dst: np.ndarray,
+        times: np.ndarray,
+        from_origin: np.ndarray,
+    ) -> None:
+        """Append a batch of rows; the arrays are kept, not copied."""
+        self._parts.append((gids, src, dst, times, from_origin))
+        self._len += len(gids)
+
+    def columns(self) -> Tuple[np.ndarray, ...]:
+        """``(gids, src, dst, times, from_origin)`` over every row."""
+        parts = self._parts
+        if not parts:
+            none = np.empty(0, dtype=np.int64)
+            return none, none, none, np.empty(0), np.empty(0, dtype=bool)
+        if len(parts) > 1:
+            self._parts = parts = [tuple(np.concatenate(c) for c in zip(*parts))]
+        return parts[0]
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[DeliveryRecord]:
+        blocks = self._matrix.block_names
+        servers = self._matrix.server_names
+        for gid, src, dst, time, origin in zip(
+            *(column.tolist() for column in self.columns())
+        ):
+            yield DeliveryRecord(blocks[gid], servers[src], servers[dst], time, origin)
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            return [self[i] for i in range(*item.indices(self._len))]
+        index = item + self._len if item < 0 else item
+        if not 0 <= index < self._len:
+            raise IndexError("delivery index out of range")
+        gid, src, dst, time, origin = (c[index].item() for c in self.columns())
+        servers = self._matrix.server_names
+        return DeliveryRecord(
+            self._matrix.block_names[gid], servers[src], servers[dst], time, origin
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, DeliveryLog)):
+            return len(self) == len(other) and all(
+                mine == theirs for mine, theirs in zip(self, other)
+            )
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"DeliveryLog({list(self)!r})"
+
+
 class PossessionReader:
     """The name-keyed queries over a :attr:`matrix`, shared by the live
     :class:`PossessionIndex` and the read-only :class:`PossessionOverlay`."""
@@ -445,13 +515,14 @@ class PossessionIndex(PossessionReader):
     arrays directly (see :mod:`repro.core.scheduling`). A simulation
     holds exactly one: the single controller, every controller shard and
     every baseline read this index (or a speculated
-    :class:`PossessionOverlay` of it), never a copy.
+    :class:`PossessionOverlay` of it), never a copy. Its
+    :attr:`deliveries` log is columnar, in the matrix's ids.
     """
 
     def __init__(self, server_dc: Mapping[str, str]) -> None:
         self._server_dc = dict(server_dc)
-        self.deliveries: List[DeliveryRecord] = []
         self.matrix = PossessionMatrix(self._server_dc)
+        self.deliveries = DeliveryLog(self.matrix)
 
     # -- updates --------------------------------------------------------------
 
@@ -475,101 +546,77 @@ class PossessionIndex(PossessionReader):
         time: float,
         origin_dc: str,
     ) -> Optional[DeliveryRecord]:
-        """Register a completed transfer of ``block`` to ``dst_server``.
+        """Register one completed transfer of ``block`` to ``dst_server``:
+        a one-row :meth:`record_deliveries`, by name.
 
         Returns the provenance record, or ``None`` if the destination
         already held the block (duplicate delivery is a no-op).
         """
         matrix = self.matrix
-        sid = self._sid(dst_server)
-        if not matrix.set_bit(sid, matrix.intern(block.block_id)):
-            return None
-        record = DeliveryRecord(
-            block_id=block.block_id,
-            src_server=src_server,
-            dst_server=dst_server,
-            time=time,
-            from_origin_dc=self.dc_of(src_server) == origin_dc,
+        fresh = self.record_deliveries(
+            np.array([self._sid(dst_server)]),
+            np.array([matrix.intern(block.block_id)]),
+            np.array([self._sid(src_server)]),
+            np.array([time], dtype=np.float64),
+            np.array([matrix.dc_ids.get(origin_dc, -1)]),
         )
-        self.deliveries.append(record)
-        return record
+        if not fresh[0]:
+            return None
+        return DeliveryRecord(
+            block.block_id, src_server, dst_server, time,
+            self.dc_of(src_server) == origin_dc,
+        )
 
     def record_deliveries(
         self,
-        events: Sequence[Tuple[Block, str, str, float, str]],
-    ) -> List[Optional[DeliveryRecord]]:
-        """Batch :meth:`record_delivery`: one grouped possession pass.
+        dst: np.ndarray,
+        gids: np.ndarray,
+        src: np.ndarray,
+        times: np.ndarray,
+        origin_dcs: np.ndarray,
+    ) -> np.ndarray:
+        """Land a batch of completed transfers, given as parallel columns.
 
-        ``events`` is a sequence of ``(block, src_server, dst_server,
-        time, origin_dc)`` tuples — the same arguments, applied in order.
-        Returns a list aligned with ``events``: the fresh
-        :class:`DeliveryRecord` per new possession, ``None`` for
-        duplicates (a destination that already held the block, or a later
-        repeat of the same pair within the batch). Provenance records
-        append in event order — byte-identical bookkeeping to the
-        sequential loop.
-
-        Destination servers are resolved (and unknown ones rejected)
-        *before* any bit lands, so a bad event fails the whole batch
-        instead of a prefix — the one deliberate divergence from looping
-        :meth:`record_delivery`, which would apply events preceding the
-        bad one.
+        Row ``k`` moved block column ``gids[k]`` from server ``src[k]`` to
+        server ``dst[k]``, finishing at ``times[k]``; ``origin_dcs[k]`` is
+        the DC id of its job's origin. Ids are the matrix's, and every
+        block is already interned. Possession lands with one
+        :meth:`PossessionMatrix.record_deliveries` scatter; the rows that
+        placed a new copy append to :attr:`deliveries` in row order, their
+        provenance one gather. Returns that boolean mask: a row whose
+        destination already held the block, or that repeats an earlier
+        row's (destination, block) pair, lands nothing — what
+        :meth:`record_delivery` row by row reports as ``None``. A
+        destination id past the last server raises ``IndexError`` before
+        anything lands.
         """
         matrix = self.matrix
-        n = len(events)
-        out: List[Optional[DeliveryRecord]] = [None] * n
-        if n == 0:
-            return out
-        sids = np.empty(n, dtype=np.int64)
-        gids = np.empty(n, dtype=np.int64)
-        server_ids = matrix.server_ids
-        gid_map = matrix.block_gids
-        intern = matrix.intern
-        for k, (block, _src, dst, _when, _origin) in enumerate(events):
-            sid = server_ids.get(dst)
-            if sid is None:
-                raise KeyError(f"unknown server {dst!r}")
-            sids[k] = sid
-            bid = block.block_id
-            gid = gid_map.get(bid)
-            gids[k] = intern(bid) if gid is None else gid
-        fresh = matrix.record_deliveries(sids, gids)
-        if not fresh.any():
-            return out
-        server_dc = self._server_dc
-        append = self.deliveries.append
-        for k in np.flatnonzero(fresh):
-            block, src, dst, when, origin = events[k]
-            record = DeliveryRecord(
-                block_id=block.block_id,
-                src_server=src,
-                dst_server=dst,
-                time=when,
-                from_origin_dc=server_dc[src] == origin,
+        fresh = matrix.record_deliveries(dst, gids)
+        if not fresh.all():
+            dst, gids, src = dst[fresh], gids[fresh], src[fresh]
+            times, origin_dcs = times[fresh], origin_dcs[fresh]
+        if len(gids):
+            self.deliveries.append(
+                gids, src, dst, times, matrix.server_dc_ids[src] == origin_dcs
             )
-            out[k] = record
-            append(record)
-        return out
+        return fresh
 
     # -- evaluation helpers -----------------------------------------------------
 
     def origin_fraction_by_server(self) -> Dict[str, float]:
         """Per destination server: fraction of deliveries from the origin DC.
 
-        The Fig. 13c statistic. Servers that never received anything are
-        omitted.
+        The Fig. 13c statistic, in order of each server's first delivery.
+        Servers that never received anything are omitted.
         """
-        totals: Dict[str, int] = {}
-        from_origin: Dict[str, int] = {}
-        for record in self.deliveries:
-            totals[record.dst_server] = totals.get(record.dst_server, 0) + 1
-            if record.from_origin_dc:
-                from_origin[record.dst_server] = (
-                    from_origin.get(record.dst_server, 0) + 1
-                )
+        _gids, _src, dst, _times, from_origin = self.deliveries.columns()
+        totals = np.bincount(dst)
+        hits = np.bincount(dst[from_origin], minlength=len(totals))
+        servers, first = np.unique(dst, return_index=True)
+        names = self.matrix.server_names
         return {
-            server: from_origin.get(server, 0) / count
-            for server, count in totals.items()
+            names[s]: int(hits[s]) / int(totals[s])
+            for s in servers[np.argsort(first)].tolist()
         }
 
 

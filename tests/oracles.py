@@ -962,6 +962,54 @@ class DictPossessionIndex:
         }
 
 
+def delivery_columns(matrix, events):
+    """``(block, src, dst, time, origin_dc)`` events as the parallel
+    columns ``PossessionIndex.record_deliveries`` takes (blocks interned)."""
+    return (
+        np.array([matrix.server_ids[e[2]] for e in events], dtype=np.int64),
+        np.array([matrix.intern(e[0].block_id) for e in events], dtype=np.int64),
+        np.array([matrix.server_ids[e[1]] for e in events], dtype=np.int64),
+        np.array([e[3] for e in events], dtype=np.float64),
+        np.array([matrix.dc_ids.get(e[4], -1) for e in events], dtype=np.int64),
+    )
+
+
+# -- simulator: one cycle's deliveries, landed and booked one by one ----------
+
+
+def apply_deliveries(sim, events) -> None:
+    """``Simulation._apply_deliveries`` as the per-delivery loop it was.
+
+    ``events`` are ``(job_id, block, src, dst, when)`` in walk order;
+    each lands with ``store.record_delivery`` and, when it placed a new
+    copy on its block's assigned server in a destination DC, counts down
+    and books in place.
+    """
+    dc_missing, server_missing = sim._dc_missing, sim._server_missing
+    dc_completion = sim._dc_completion
+    for job_id, block, src, dst, when in events:
+        job = sim._jobs_by_id[job_id]
+        if sim.store.record_delivery(block, src, dst, when, job.src_dc) is None:
+            continue  # the destination already held the block
+        dst_dc = sim.store.dc_of(dst)
+        dkey = (job_id, dst_dc)
+        if dkey not in dc_missing:
+            continue  # delivery to a relay DC: not completion-tracked
+        if job.assigned_server(dst_dc, block.block_id) != dst:
+            continue  # landed on a non-assigned server of a dest DC
+        skey = (job_id, dst)
+        server_missing[skey] -= 1
+        if server_missing[skey] == 0:
+            sim._server_completion[skey] = when
+        dc_missing[dkey] -= 1
+        if dc_missing[dkey] == 0:
+            dc_completion[dkey] = when
+            if all((job_id, dc) in dc_completion for dc in job.dst_dcs):
+                sim._job_completion[job_id] = max(
+                    dc_completion[(job_id, dc)] for dc in job.dst_dcs
+                )
+
+
 # -- store: real possession plus speculated copies, behind a proxy ------------
 
 

@@ -333,7 +333,7 @@ def test_columns_follow_directives_dropped_after_validation():
     _again, want = sim._valid_directives(kept, set())
     taken = columns.take(keep)
     assert taken.bounds == want.bounds
-    for name in ("flat", "keys", "sizes"):
+    for name in ("flat", "src", "dst", "keys", "sizes"):
         assert getattr(taken, name).tolist() == getattr(want, name).tolist()
     assert sim._flow_demands(taken) == sim._flow_demands(want)
 

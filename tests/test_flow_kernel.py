@@ -429,6 +429,15 @@ class TestIncidenceHelpers:
 # ---------------------------------------------------------------------------
 
 
+def _land(index: PossessionIndex, events):
+    """``index.record_deliveries`` over tuple events, answered the way a
+    ``record_delivery`` loop answers: a record per new copy, else None."""
+    before = len(index.deliveries)
+    fresh = index.record_deliveries(*oracles.delivery_columns(index.matrix, events))
+    records = iter(index.deliveries[before:])
+    return [next(records) if new else None for new in fresh.tolist()]
+
+
 def _fresh_indexes():
     server_dc = {f"dc{d}-s{s}": f"dc{d}" for d in range(3) for s in range(4)}
     return (
@@ -457,7 +466,7 @@ class TestBatchedDelivery:
         batched, sequential, dict_backed, servers = _fresh_indexes()
         events = _random_events(rng, servers, count)
 
-        out_batch = batched.record_deliveries(events)
+        out_batch = _land(batched, events)
         out_seq = [sequential.record_delivery(*e) for e in events]
         out_dict = dict_backed.record_deliveries(events)
 
@@ -485,7 +494,7 @@ class TestBatchedDelivery:
             (block, servers[0], servers[1], 1.0, "dc0"),
             (block, servers[2], servers[1], 2.0, "dc0"),  # same pair, later
         ]
-        out = batched.record_deliveries(events)
+        out = _land(batched, events)
         assert out[0] is not None and out[1] is None
         assert [r.time for r in batched.deliveries] == [1.0]
         assert sequential.record_delivery(*events[0]) is not None
@@ -494,15 +503,20 @@ class TestBatchedDelivery:
     def test_unknown_destination_rejected(self):
         batched, _, _, servers = _fresh_indexes()
         block = Block(job_id="j", index=0, size=MB)
-        with pytest.raises(KeyError, match="unknown server"):
-            batched.record_deliveries([(block, servers[0], "ghost", 1.0, "dc0")])
+        dst, gids, src, times, origin = oracles.delivery_columns(
+            batched.matrix,
+            [(block, servers[0], servers[1], 1.0, "dc0")] * 2,
+        )
+        dst[1] = len(servers)  # one past the last server id
+        with pytest.raises(IndexError):
+            batched.record_deliveries(dst, gids, src, times, origin)
         # Whole-batch rejection: nothing landed.
         assert not batched.matrix.dup.any() and not batched.deliveries
 
     def test_empty_batch_is_noop(self):
         batched, _, _, _ = _fresh_indexes()
-        assert batched.record_deliveries([]) == []
-        assert not batched.matrix.dup.any()
+        assert _land(batched, []) == []
+        assert not batched.matrix.dup.any() and not batched.deliveries
 
 
 # ---------------------------------------------------------------------------

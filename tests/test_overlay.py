@@ -86,7 +86,7 @@ def possession(draw):
         for when, (dst, block) in enumerate(draw(st.lists(pair, max_size=40)))
     ]
     if draw(st.booleans()):
-        index.record_deliveries(events)
+        index.record_deliveries(*oracles.delivery_columns(index.matrix, events))
     else:
         for event in events:
             index.record_delivery(*event)

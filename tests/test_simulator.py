@@ -284,18 +284,18 @@ class TestCompletionTracking:
         assert 3.0 < result.job_completion["j"] <= 6.0
         assert sim._dc_missing == {("j", "dc1"): 0}
 
-    @pytest.mark.parametrize("grouped", [True, False])
-    def test_finished_destinations_drop_their_order_hints(self, grouped):
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_finished_destinations_drop_their_order_hints(self, fast):
         """There are no order hints to drop: the simulator keeps a
-        missing-delivery count and nothing else per (job, DC), on both
-        delivery paths; pending-ness — ascending block index — is read
-        off the store, relays included."""
+        missing-delivery count and nothing else per (job, DC), whatever
+        a cycle's batch size; pending-ness — ascending block index — is
+        read off the store, relays included."""
         # Fast NICs: whole destinations finish inside one cycle's batch.
-        # Slow ones: a cycle completes a handful of blocks, fewer than a
-        # grouped pass is worth, and they are applied pair by pair.
+        # Slow ones: a cycle completes a handful of blocks. Either way a
+        # cycle's deliveries land in one store call.
         topo = Topology.full_mesh(
             num_dcs=3, servers_per_dc=2, wan_capacity=2000 * MB,
-            uplink=(200 if grouped else 2) * MB,
+            uplink=(200 if fast else 2) * MB,
         )
         job = MulticastJob(
             job_id="j", src_dc="dc0", dst_dcs=("dc1",), relay_dcs=("dc2",),
@@ -319,11 +319,13 @@ class TestCompletionTracking:
         ] == [(i, "dc2", f"dc2-s{i % 2}") for i in range(400)]
         batches = []
         record = sim.store.record_deliveries
-        sim.store.record_deliveries = lambda events: (
-            batches.append(len(events)), record(events)
+        sim.store.record_deliveries = lambda *columns: (
+            batches.append(len(columns[0])), record(*columns)
         )[1]
         result = sim.run()
-        assert result.all_complete and bool(batches) == grouped
+        assert result.all_complete
+        assert batches == [n for n in result.blocks_per_cycle() if n]
+        assert max(batches) > 32 if fast else max(batches) < 32
         assert sim._dc_missing == {("j", "dc1"): 0}
         view = sim.snapshot_view(200)
         assert oracles.pending_deliveries(view, job) == []
