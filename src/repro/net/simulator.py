@@ -1570,14 +1570,12 @@ class Simulation:
         slot = MulticastJob.stripe_slot(
             flat - cols.starts[job], cols.stripe_width[dest]
         )
-        counted = np.flatnonzero(
-            cols.stripe_sids[cols.stripe_lo[dest] + slot] == dst
-        )
-        if not len(counted):
-            return
+        counted = cols.stripe_sids[cols.stripe_lo[dest] + slot] == dst
+        if not counted.all():
+            job, dst, when = job[counted], dst[counted], when[counted]
         num_servers = matrix.num_servers
-        keys = (job[counted] * num_servers + dst[counted]).tolist()
-        when = when[counted].tolist()
+        keys = (job * num_servers + dst).tolist()
+        when = when.tolist()
         last = {key: at for at, key in enumerate(keys)}
         names, dc_of, jobs = matrix.server_names, self.store.dc_of, self.jobs
         server_missing, dc_missing = self._server_missing, self._dc_missing

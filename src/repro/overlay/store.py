@@ -66,6 +66,9 @@ class DeliveryRecord:
 _EMPTY_HOLDERS: FrozenSet[str] = frozenset()
 _EMPTY_BLOCKS: FrozenSet[BlockId] = frozenset()
 
+#: ``_BITS[i]`` is the ``uint64`` word with only bit ``i`` set.
+_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
+
 
 class PossessionMatrix:
     """Packed servers × blocks possession bitset with interned integer ids.
@@ -250,13 +253,14 @@ class PossessionMatrix:
         rows, so the work is counted in array calls, not elements.
         """
         words = sids * self._words + (gids >> 6)
-        masks = np.uint64(1) << (gids & 63).astype(np.uint64)
+        bit = gids & 63
+        masks = _BITS[bit]
         fresh = (self._flat[words] & masks) == 0
         # First-occurrence dedupe inside the batch: two deliveries of the
         # same (server, block) pair in one cycle must register as one new
         # bit plus one duplicate, in that order. Repeats are rare; a set
-        # of the pairs tells whether there are any.
-        pair = (sids * np.int64(self._capacity) + gids).tolist()
+        # of the pairs (word, bit) tells whether there are any.
+        pair = ((words << 6) + bit).tolist()
         if len(set(pair)) < len(pair):
             seen = set()
             for k, key in enumerate(pair):
@@ -271,7 +275,7 @@ class PossessionMatrix:
             np.bitwise_or.at(
                 self._holder_flat,
                 gids * self.holder_words.shape[1] + (sids >> 6),
-                np.uint64(1) << (sids & 63).astype(np.uint64),
+                _BITS[sids & 63],
             )
             np.add.at(self.dup, gids, 1)
             np.add.at(self.dc_counts, (self.server_dc_ids[sids], gids), 1)
