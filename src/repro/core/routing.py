@@ -23,6 +23,12 @@ Steps 1, 2 and 4 are columnar: selections arrive as the int columns of a
 array gathers, and leave as directives whose block lists are segments of
 one per-cycle index array — no per-selection Python between the
 scheduler kernel and the solver (:class:`_Grouping` is the hand-off).
+Their work is proportional to merge groups, plus a few gathers and
+sorts per row: picks are computed once per (job, class, residue)
+representative (:meth:`BDSRouter._pick_sources`), groups are formed over
+representatives, and a group's send order is two ranges of one gather;
+only a group dealt across several flowing sources walks its blocks in
+Python.
 
 Step 3 hands the solver parallel lists, not objects: per commodity its
 group, its demand, and its candidate paths as tuples of resource numbers
@@ -40,7 +46,7 @@ import sys
 import time as _time
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -147,6 +153,43 @@ def greedy_waterfill(
         if remaining[ci] > 1e-9:
             push_flow(ci, 1.0)
     return rates, order
+
+
+def _number_runs(
+    order: np.ndarray, columns: Sequence[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Number the runs of equal rows of ``columns`` taken in ``order``.
+
+    ``order`` must put equal rows next to each other. Returns each row's
+    run number (runs numbered in sorted order) and the mask of the
+    positions in ``order`` where a run starts.
+    """
+    is_head = np.empty(len(order), dtype=bool)
+    is_head[:1] = True
+    column, *rest = columns
+    column = column[order]
+    np.not_equal(column[1:], column[:-1], out=is_head[1:])
+    for column in rest:
+        column = column[order]
+        is_head[1:] |= column[1:] != column[:-1]
+    number = np.empty(len(order), dtype=np.int64)
+    number[order] = is_head.cumsum() - 1
+    return number, is_head
+
+
+@np.errstate(over="ignore")  # an infinite product saturates like any other
+def _periods(moduli: np.ndarray, rotation: np.ndarray, bound: int) -> np.ndarray:
+    """Per row: the product of its ``moduli`` and ``rotation``, saturated.
+
+    The product is a multiple of every operand, so indices equal modulo
+    it are equal modulo each. (The lcm is smaller where operands share
+    factors, at an int64 gcd per operand.) It is capped at ``bound``,
+    past every block index, so ``i % bound == i``, and never wraps.
+    Below the cap (at most 2**53) the float product is exact: every
+    partial product is an integer no larger than the whole.
+    """
+    product = np.multiply.reduce(moduli, axis=1, dtype=float) * rotation
+    return np.minimum(product, bound).astype(np.int64)
 
 
 @dataclass
@@ -278,8 +321,8 @@ class BDSRouter:
 
     def _pick_sources(
         self, view: ClusterView, batch: SelectionBatch, cache: CycleCache
-    ) -> np.ndarray:
-        """Source server ids per selection: ``(rows, picks)``, -1 padded.
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Source server ids per representative: ``(picked, rep, first)``.
 
         Up to ``max_sources_per_group`` diverse sources per row: a
         usable holder in the destination's own DC first (cheap intra-DC
@@ -288,9 +331,16 @@ class BDSRouter:
         consecutive blocks favour different source DCs and different
         holders of one DC (Type I/II path diversity). A holder is usable
         when it is not the destination, not a failed agent, and not
-        partitioned away from the destination (§5.3). A pick depends
-        only on the row's usable-holder set, destination and block index,
-        so rows are first classed by (holder set, destination):
+        partitioned away from the destination (§5.3).
+
+        A row's picks depend on its class — (usable-holder set,
+        destination) — and on its block index ``i`` only through ``i %
+        count`` of each DC's usable holders and ``i % rotation`` (the
+        number of other DCs), so ``i`` and ``i + P`` pick alike for any
+        common multiple ``P`` of the rotation and every count — the
+        class's period, here their product. The picks are
+        therefore computed once per *representative*, one per distinct
+        (class, job slot, ``i % P``), and gathered back to the rows:
 
         * a row's holder set is one gather of the matrix's
           ``holder_words`` (failed agents masked out), and equal
@@ -300,12 +350,19 @@ class BDSRouter:
           ``view.flow_resources`` the first time a pair is seen) are
           laid out DC by DC in ascending server id — interning order is
           name order, so these are name-sorted holder lists;
-        * each row's picks are then modular gathers into those lists:
-          ``local[i % len]`` first, then the other DCs from offset
-          ``i % len(other_dcs)``, ``servers[i % len]`` of each.
+        * ``P`` saturates, never wraps (:func:`_periods`): it is capped
+          at one past the largest block index, where ``i % P`` is ``i``
+          itself; representatives are the runs of one sort of packed
+          (class, slot, residue) keys;
+        * a representative's picks are modular gathers into its class's
+          lists: ``local[i % len]`` first, then the other DCs from
+          offset ``i % len(other_dcs)``, ``servers[i % len]`` of each.
 
         DC buckets are disjoint, so a pick can never repeat an earlier
-        one.
+        one. Returns ``picked[r]``, representative ``r``'s picks (-1
+        padded); ``rep``, each row's representative; ``first[r]``, its
+        lowest row number. Work is per class and per representative,
+        plus a few gathers and two sorts per row.
         """
         matrix = view.store.matrix
         num_servers = matrix.num_servers
@@ -324,18 +381,9 @@ class BDSRouter:
                     up[sid >> 6] &= ~np.uint64(1 << (sid & 63))
             words = words & up
         # Classes: runs of equal (words, destination) in lexsorted order.
-        columns = words.T
-        order = np.lexsort((dst, *columns))
-        is_head = np.empty(len(order), dtype=bool)
-        is_head[0] = True
-        sorted_dst = dst[order]
-        np.not_equal(sorted_dst[1:], sorted_dst[:-1], out=is_head[1:])
-        for column in columns:
-            column = column[order]
-            is_head[1:] |= column[1:] != column[:-1]
-        cls = np.empty(len(order), dtype=np.int64)
-        cls[order] = is_head.cumsum()
-        cls -= 1
+        columns = (dst, *words.T)
+        order = np.lexsort(columns)
+        cls, is_head = _number_runs(order, columns)
         heads = order[is_head]
         class_dst = dst[heads]
 
@@ -352,10 +400,10 @@ class BDSRouter:
         )
         # held x reach: 1 usable, 0 not held or no path, -1 not probed yet.
         state = held * reach[class_dst[:, None], dc_order]
-        if state.min() < 0:
+        if np.minimum.reduce(state, axis=None) < 0:
             names = matrix.server_names
             which, column = np.nonzero(state < 0)
-            for to, src in set(
+            for to, src in dict.fromkeys(  # probed in class order, once each
                 zip(class_dst[which].tolist(), dc_order[column].tolist())
             ):
                 reach[to, src] = (
@@ -366,8 +414,8 @@ class BDSRouter:
 
         # Per (class, DC), flat ``class * num_dcs + dc``: how many usable
         # holders, and where their list starts in ``holders``. The lists
-        # are padded by one entry so that rows without a pick in some
-        # column can gather harmlessly.
+        # are padded by one entry so that representatives without a pick
+        # in some column can gather harmlessly.
         count = np.add.reduceat(
             usable, matrix.dc_starts, axis=1, dtype=np.int64
         ).ravel()
@@ -379,35 +427,37 @@ class BDSRouter:
         local = np.arange(0, len(count), num_dcs) + matrix.server_dc_ids[class_dst]
         other = count > 0
         other[local] = False
-        others = other.reshape(-1, num_dcs).sum(axis=1)
+        others = np.add.reduce(other.reshape(-1, num_dcs), axis=1, dtype=np.int64)
         other_ends = others.cumsum()
         other_lists = np.zeros(other_ends[-1] + 1, dtype=np.int64)
         other_lists[:-1] = other.nonzero()[0]
+        rotation = np.maximum(others, 1)
 
-        # Per row (as columns, to broadcast against the pick columns):
-        # its class's local list and its rotation over the other DCs.
-        row = cls[:, None]
-        at = index[:, None]
+        # Per class: its period; per row: its representative; per
+        # representative: its lowest row.
+        bound = max([len(job.blocks) for job in batch.jobs])
+        period = _periods(length.reshape(-1, num_dcs), rotation, bound)
+        key = (cls * len(batch.jobs) + batch.job_slots) * bound + index % period[cls]
+        order = key.argsort()
+        rep, is_head = _number_runs(order, (key,))
+        first = np.minimum.reduceat(order, is_head.nonzero()[0])
+
+        # Per representative (as columns, to broadcast against the pick
+        # columns): column k holds the local DC where it has a usable
+        # holder (turn -1), else the (k - has_local)-th DC of the rotation
+        # over the other DCs from offset i.
+        row = cls[first, None]
+        at = index[first, None]
         local_list = local[row]
-        has_local = count[local_list] > 0
         n_other = others[row]
-        rotation = np.maximum(n_other, 1)
-        # Column k holds the (k - has_local)-th DC of the row's rotation.
-        turn = np.arange(picks) - has_local
-        lists = other_lists[
-            (other_ends[row] - n_other) + (at % rotation + turn) % rotation
-        ]
-        picked = np.where(
-            (turn >= 0) & (turn < n_other),
-            holders[start[lists] + at % length[lists]],
-            -1,
+        turn = np.arange(picks) - (count[local_list] > 0)
+        dcs = np.where(
+            turn < 0,
+            local_list,
+            other_lists[other_ends[row] - n_other + (at + turn) % rotation[row]],
         )
-        picked[:, :1] = np.where(
-            has_local,
-            holders[start[local_list] + at % length[local_list]],
-            picked[:, :1],
-        )
-        return picked
+        picked = np.where(turn < n_other, holders[start[dcs] + at % length[dcs]], -1)
+        return picked, rep, first
 
     def _group_columns(
         self, view: ClusterView, batch: SelectionBatch, cache: CycleCache
@@ -416,62 +466,62 @@ class BDSRouter:
 
         Selections sharing (job, destination server, picked sources)
         are one group — or, with merging disabled, every selection is
-        its own (the merging ablation). Group keys are packed ints;
-        groups are numbered by first appearance and their members kept
-        in selection order (one ``np.unique`` plus one stable sort).
+        its own (the merging ablation). Groups are formed over the
+        :meth:`_pick_sources` representatives (rows of one
+        representative share all three), numbered by first appearance,
+        and their members kept in selection order: one lexsort per
+        representative, one stable argsort per row.
         """
         matrix = view.store.matrix
         names = matrix.server_names
         num_servers = matrix.num_servers
         jobs = batch.jobs
-        picked = self._pick_sources(view, batch, cache)
+        picked, rep, first = self._pick_sources(view, batch, cache)
         slot, dst, index = batch.job_slots, batch.dst_sids, batch.indices
-        # Rows without a usable source drop out; ``number`` keeps the
-        # surviving rows' selection numbers.
-        number = np.arange(len(index))
-        routable = picked[:, 0] >= 0
-        if not routable.all():
-            number = routable.nonzero()[0]
-            picked, slot, dst, index = (
-                picked[number], slot[number], dst[number], index[number]
-            )
-        if self.merge_blocks and len(number):
-            radix = num_servers + 1
+        if self.merge_blocks:
+            # Representatives sharing (job, destination, picks) are one
+            # group: one packed int64 key (picks, -1 included, as digits
+            # base ``radix``), or the columns themselves when the key
+            # would not fit (many picks x many servers).
             width = picked.shape[1]
+            radix = num_servers + 1
+            columns = (slot[first], dst[first], *picked.T)
             if len(jobs) * num_servers * radix**width < 2**63:
-                key = (slot * num_servers + dst) * radix**width + (picked + 1) @ (
-                    radix ** np.arange(width - 1, -1, -1)
+                columns = (
+                    (columns[0] * num_servers + columns[1]) * radix**width
+                    + picked @ [radix**k for k in range(width - 1, -1, -1)],
                 )
-                _, first, group = np.unique(
-                    key, return_index=True, return_inverse=True
-                )
-            else:  # many picks x many servers: keys do not fit one int64
-                _, first, group = np.unique(
-                    np.column_stack((slot, dst, picked)),
-                    axis=0,
-                    return_index=True,
-                    return_inverse=True,
-                )
-                group = group.ravel()
-            # A group's first row numbers it: sorting rows by that number
-            # lists groups by first appearance, members in selection order.
-            order = first[group].argsort(kind="stable")
-            by_appearance = first.argsort()
-            heads = first[by_appearance]
-            bounds = [0] + np.bincount(group)[by_appearance].cumsum().tolist()
+            order = np.lexsort((first, *columns))
+            group, is_head = _number_runs(order, columns)
+            heads = order[is_head]
+            # A group's first row numbers it — after every row when it
+            # has no usable source, so that it sorts last and drops out
+            # below. Rows are listed by group, members in selection order
+            # (one stable sort).
+            lead = first[heads] + len(rep) * (picked[heads, 0] < 0)
+            by_appearance = lead.argsort()
+            row_rank = by_appearance.argsort()[group[rep]]
+            order = row_rank.argsort(kind="stable")
+            heads = heads[by_appearance]
+            picked, number = picked[heads], first[heads]
+            bounds = [0] + np.bincount(row_rank).cumsum().tolist()
         else:
-            order = heads = np.arange(len(number))
-            bounds = list(range(len(number) + 1))
+            # Rows without a usable source drop out.
+            order = number = (picked[rep, 0] >= 0).nonzero()[0]
+            picked = picked[rep[order]]
+            bounds = list(range(len(order) + 1))
 
         keys: List[GroupKey] = []
         group_jobs: List[MulticastJob] = []
         dst_servers: List[str] = []
         for at, job_slot, dst_sid, sources in zip(
-            number[heads].tolist(),
-            slot[heads].tolist(),
-            dst[heads].tolist(),
-            picked[heads].tolist(),
+            number.tolist(),
+            slot[number].tolist(),
+            dst[number].tolist(),
+            picked.tolist(),
         ):
+            if sources[0] < 0:
+                break  # the groups without a usable source, and their rows
             job = jobs[job_slot]
             dst_server = names[dst_sid]
             keys.append(
@@ -483,6 +533,8 @@ class BDSRouter:
             )
             group_jobs.append(job)
             dst_servers.append(dst_server)
+        del bounds[len(keys) + 1 :]
+        order = order[: bounds[-1]]
 
         slot, dst, index = slot[order], dst[order], index[order]
         if len(jobs) == 1:
@@ -629,67 +681,89 @@ class BDSRouter:
     ) -> List[TransferDirective]:
         """Split each merged group's blocks across its allocated sources.
 
-        Per group, on plain lists (a group is a ``.tolist()``ed slice of
-        the index column; the directives' index arrays are cut from one
-        array built at the end):
+        The send order of every group with a flowing source is one
+        gather of the index column:
 
         * stagger block order per destination (Fig. 1's circled send
           order): different destinations start at different offsets, so
           they accumulate *disjoint* prefixes and can then serve each
           other over bottleneck-disjoint paths. Without this, every
           destination receives the same blocks in the same order and the
-          overlay has nothing to exchange;
+          overlay has nothing to exchange. Rotated by ``shift`` (crc32
+          of the destination modulo its size), a group is the two row
+          ranges ``[lo + shift, hi)`` and ``[lo, lo + shift)``: the
+          gather is one ``arange`` plus each range's offset;
         * half-received blocks go first, so their buffered bytes are not
-          stranded by the rotation;
+          stranded by the rotation — one stable sort on (group, not
+          half-received);
         * blocks are dealt to sources in proportion to each source's
           share of the group's total rate, preserving that order. A
           group with one flowing source — most of them, on bulk
-          transfers — hands it the whole segment; only the others run
-          the (inherently sequential) deal.
+          transfers — hands it its whole segment; only the others run
+          the (inherently sequential) deal in Python.
         """
-        index_list = grouping.indices.tolist()
-        buffered = grouping.buffered
-        half_received = None if buffered is None else (buffered > 0).tolist()
         bounds = grouping.bounds
         dst_servers = grouping.dst_servers
-        # One record per directive: (job, lo, hi, src, dst, rate), where
-        # ``lo:hi`` is its segment of ``sent``.
-        emitted: List[tuple] = []
-        sent: List[int] = []
         keys = grouping.keys
+        stagger: Dict[str, int] = {}
+        # Per group with a flowing source: (group, output segment, flowing
+        # sources, their rates). Per rotated range: its length and the
+        # offset from output position to row.
+        groups: List[tuple] = []
+        lengths: List[int] = []
+        offsets: List[int] = []
+        at = 0
         for g, row in zip(members, rates):
-            job_id, _label, sources = keys[g]
             flowing = []
             flows = []
-            for src, rate in zip(sources, row):
+            for src, rate in zip(keys[g][2], row):
                 if rate > 1e-9:
                     flowing.append(src)
                     flows.append(rate)
             if not flowing:
                 continue
             lo = bounds[g]
-            hi = bounds[g + 1]
+            size = bounds[g + 1] - lo
             dst_server = dst_servers[g]
-            offset = zlib.crc32(dst_server.encode()) % (hi - lo)
-            order = index_list[lo + offset : hi] + index_list[lo : lo + offset]
-            if half_received is not None and True in half_received[lo:hi]:
-                first = half_received[lo + offset : hi] + half_received[lo : lo + offset]
-                order = [i for i, f in zip(order, first) if f] + [
-                    i for i, f in zip(order, first) if not f
-                ]
-            at = len(sent)
+            crc = stagger.get(dst_server)
+            if crc is None:
+                crc = stagger[dst_server] = zlib.crc32(dst_server.encode())
+            shift = crc % size
+            lengths += (size - shift, shift)
+            offsets += (lo + shift - at, lo + shift - at - size)
+            groups.append((g, at, at + size, flowing, flows))
+            at += size
+        if not groups:
+            return []
+        take = np.arange(at) + np.array(offsets).repeat(lengths)
+        if grouping.buffered is not None:
+            # Sorted on (2 x group ordinal, not half-received).
+            segment = (np.arange(len(lengths)) & -2).repeat(lengths)
+            take = take[
+                (segment + (grouping.buffered[take] <= 0)).argsort(kind="stable")
+            ]
+        column = grouping.indices[take]
+        listed = None  # ``column`` as ints, once some group is dealt
+
+        directives: List[TransferDirective] = []
+        build = TransferDirective.from_segment
+        for g, lo, hi, flowing, flows in groups:
+            job_id = keys[g][0]
+            dst_server = dst_servers[g]
             if len(flowing) == 1:
                 # The spare-rate formula below collapses to the rate
                 # itself: spare is exactly 0.0.
-                sent += order
-                emitted.append(
-                    (job_id, at, len(sent), flowing[0], dst_server, flows[0])
+                directives.append(
+                    build(job_id, column, lo, hi, flowing[0], dst_server, flows[0])
                 )
                 continue
             # Deal blocks to sources by descending byte deficit (ties to
             # the earlier source). Sizes are read off the blocks, not the
             # float column: builtin ``sum`` folds ints and floats
-            # differently.
+            # differently. The dealt order is written over the segment.
+            if listed is None:
+                listed = column.tolist()
+            order = listed[lo:hi]
             blocks = grouping.jobs[g].blocks
             sizes = [blocks[i].size for i in order]
             total_rate = sum(flows)
@@ -700,6 +774,7 @@ class BDSRouter:
                 to = budgets.index(max(budgets))
                 parts[to].append(i)
                 budgets[to] -= size
+            column[lo:hi] = [i for part in parts for i in part]
             # A group with fewer blocks than flowing paths leaves some
             # sources empty; hand their rate to the sources that did get
             # blocks, or small block remainders drain geometrically and
@@ -709,17 +784,11 @@ class BDSRouter:
             spare = total_rate - used_rate
             for src, rate, part in zip(flowing, flows, parts):
                 if part:
-                    sent += part
                     share = rate + (
                         spare * rate / used_rate if used_rate > 0 else 0.0
                     )
-                    emitted.append(
-                        (job_id, at, len(sent), src, dst_server, share)
-                    )
-                    at = len(sent)
-        column = np.array(sent, dtype=np.int64)
-        build = TransferDirective.from_segment
-        return [
-            build(job_id, column, lo, hi, src, dst_server, rate_cap)
-            for job_id, lo, hi, src, dst_server, rate_cap in emitted
-        ]
+                    directives.append(build(
+                        job_id, column, lo, lo + len(part), src, dst_server, share
+                    ))
+                    lo += len(part)
+        return directives

@@ -10,7 +10,11 @@ readers rely on.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
+import warnings
+import zlib
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -235,6 +239,106 @@ def test_deal_equals_oracle_with_ties_and_mixed_sizes(
     assert [d.rate_cap for d in got] == [d.rate_cap for d in want]
 
 
+def _emit_against_oracle(groups):
+    """``_to_directives`` over several groups, beside ``oracles.to_directives``.
+
+    A group is ``(rows, rates, dst, half, member)``: its job-relative
+    block indices in selection order (its own job, of ``max(rows) + 1``
+    blocks with a short last one), one rate per source, its destination,
+    which rows are half-received, and whether it is a commodity at all.
+    """
+    from repro.core.routing import _Grouping
+    from repro.lp.mcf import Commodity
+
+    keys, jobs, dsts, bounds, index, sizes, have = [], [], [], [0], [], [], []
+    partial, commodities, group_blocks, members, member_rates, rates = (
+        {}, [], {}, [], [], {}
+    )
+    for g, (rows, row_rates, dst, half, member) in enumerate(groups):
+        job = MulticastJob(
+            job_id=f"j{g}", src_dc="dc0", dst_dcs=("dc1",),
+            total_bytes=(max(rows) + 1) * 4 * MB - 12_345.5, block_size=4 * MB,
+        )
+        sources = tuple(f"dc0-s{i}" for i in range(len(row_rates)))
+        key = (job.job_id, dst, sources)
+        for i, buffered in zip(rows, half):
+            have.append(4096.5 if buffered else 0.0)
+            if buffered:
+                partial[(job.blocks[i].block_id, dst)] = 4096.5
+        keys.append(key)
+        jobs.append(job)
+        dsts.append(dst)
+        index += rows
+        sizes += [job.blocks[i].size for i in rows]
+        bounds.append(len(index))
+        if member:
+            members.append(g)
+            member_rates.append(list(row_rates))
+            commodities.append(Commodity(
+                name=key, paths=tuple((("up", s), ("down", dst)) for s in sources),
+                demand=1.0,
+            ))
+            group_blocks[key] = [job.blocks[i] for i in rows]
+            rates.update({(key, i): r for i, r in enumerate(row_rates)})
+    grouping = _Grouping(
+        keys=keys, jobs=jobs, dst_servers=dsts, bounds=bounds,
+        indices=np.array(index, dtype=np.int64), sizes=np.array(sizes),
+        buffered=np.array(have) if any(have) else None,
+    )
+    got = BDSRouter._to_directives(grouping, members, member_rates)
+    want = oracles.to_directives(_DealView(partial), commodities, group_blocks, rates)
+    assert got == want
+    assert [d.rate_cap for d in got] == [d.rate_cap for d in want]
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), num_groups=st.integers(1, 5))
+def test_emission_equals_oracle_across_groups(data, num_groups):
+    """One output column for many groups: rotations, skipped groups,
+    destinations shared between groups, half-received rows anywhere."""
+    groups = []
+    for _ in range(num_groups):
+        n = data.draw(st.integers(1, 9))
+        rows = data.draw(st.permutations(range(n + data.draw(st.integers(0, 2)))))[:n]
+        groups.append((
+            rows,
+            data.draw(st.lists(st.sampled_from([0.0, 1e-10, 1.0, 2.5, 7.0]),
+                               min_size=1, max_size=4)),
+            data.draw(st.sampled_from(["dc1-s0", "dc1-s1", "dc2-s0"])),
+            data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+            data.draw(st.booleans()) or num_groups == 1,
+        ))
+    _emit_against_oracle(groups)
+
+
+@pytest.mark.parametrize("dst", ["dc1-s0", "dc1-s1", "dc2-s0"])
+def test_emission_edge_cases_equal_the_oracle(dst):
+    """Half-received rows on both sides of the rotation point, one-row
+    groups, and multi-source groups with fewer blocks than flowing
+    sources, in one call."""
+    crc = zlib.crc32(dst.encode())
+    n = next(n for n in range(4, 64) if 1 < crc % n < n - 1)
+    shift = crc % n
+    half = [i in (shift - 1, shift, n - 1) for i in range(n)]
+    # Another destination, whose rotation of m rows differs from dst's.
+    other = "dc1-s0" if dst == "dc2-s0" else "dc2-s0"
+    m = next(m for m in range(2, 64) if crc % m != zlib.crc32(other.encode()) % m)
+    got = _emit_against_oracle([
+        ([0], [2.0], dst, [True], True),
+        (list(range(n)), [1.0, 2.5], dst, half, True),
+        ([3], [1.0, 0.0, 7.0], "dc1-s1", [False], True),
+        ([1, 0], [1.0, 2.5, 7.0], dst, [False, True], True),
+        (list(range(n)), [2.0], dst, half, False),
+        (list(range(n, 0, -1)), [1.0], "dc2-s0", half[::-1], True),
+        (list(range(m)), [1.0], other, [False] * m, True),
+    ])
+    # A one-source group sends its half-received blocks first.
+    (last,) = [d for d in got if d.job_id == "j5"]
+    held = {i for i, h in zip(range(n, 0, -1), half[::-1]) if h}
+    assert set(last.block_indices.tolist()[: len(held)]) == held
+
+
 def test_group_keys_too_wide_for_one_int64():
     """12 DCs x 6 servers with 12 picks: 73 ** 12 overflows a packed key."""
     topo = Topology.full_mesh(
@@ -253,6 +357,146 @@ def test_group_keys_too_wide_for_one_int64():
     sim.run()
     assert 72 * 73**12 >= 2**63
     _assert_router_matches_oracle(sim, 12, True)
+
+
+# -- picks per (class, residue): the period and its saturation -----------------
+
+
+def _holder_sim(
+    holding, sizes=None, dst_servers=2, local=1, num_blocks=1800, failed=()
+):
+    """One job into DC ``dst``; every block held by fixed servers.
+
+    DC ``dc{k}`` has ``sizes[k]`` servers (default: ``holding[k]``), the
+    first ``holding[k]`` of which hold every block (``dc0``, the source,
+    must hold on all of them, or its striping varies the holder sets).
+    ``dst`` has ``dst_servers`` servers, the first ``local`` holding every
+    block. So all rows to one destination server are one class, whose
+    period is ``local * prod(holding) * len(holding)`` minus what
+    ``failed`` agents take away.
+    """
+    sizes = sizes or holding
+    assert sizes[0] == holding[0]
+    topo = Topology()
+    dcs = [f"dc{k}" for k in range(len(holding))] + ["dst"]
+    for dc, n in zip(dcs, list(sizes) + [dst_servers]):
+        topo.add_dc(dc)
+        for s in range(n):
+            topo.add_server(f"{dc}-s{s}", dc, 5 * MBps, 5 * MBps)
+    for a, b in itertools.combinations(dcs, 2):
+        topo.add_bidirectional_link(a, b, 40 * MBps)
+    job = MulticastJob(
+        job_id="held", src_dc="dc0", dst_dcs=("dst",),
+        total_bytes=num_blocks * MB - 7, block_size=MB,
+    )
+    job.bind(topo)
+    seeded = [
+        f"{dc}-s{s}" for dc, n in zip(dcs, list(holding) + [local]) for s in range(n)
+    ]
+    events = [FailureEvent(cycle=0, kind="agent_fail", target=s) for s in failed]
+    sim = Simulation(
+        topology=topo, jobs=[job], strategy=make_strategy("bds", seed=0),
+        config=SimConfig(max_cycles=1, stop_when_complete=False),
+        failures=FailureSchedule(events) if events else None,
+        pre_seeded={server: job.blocks for server in seeded}, seed=0,
+    )
+    if events:
+        sim.failures.advance_to(0)
+    return sim
+
+
+@pytest.mark.parametrize("merge", [True, False])
+@pytest.mark.parametrize("max_sources", [2, 3, 4])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        # P = 1 * 5 * 7 * 8 * 3 = 840 over 900 rows: residues repeat.
+        dict(holding=(5, 7, 8), sizes=(5, 9, 8)),
+        # An agent failure takes dc2 to 7 holders: P = 735.
+        dict(holding=(5, 7, 8), sizes=(5, 9, 8), failed=("dc2-s3",)),
+        # P = 840 over 20 rows per class: a period past the row count.
+        dict(holding=(5, 7, 8), sizes=(5, 9, 8), dst_servers=6, local=0,
+             num_blocks=120),
+        # 6-8 holders next to 1-2: periods 144 and 448 over 900 rows.
+        dict(holding=(6, 8, 1), sizes=(6, 9, 5)),
+        dict(holding=(7, 2, 8, 1), sizes=(7, 5, 8, 6)),
+    ],
+)
+def test_router_equals_oracle_when_residues_repeat(shape, max_sources, merge):
+    _assert_router_matches_oracle(_holder_sim(**shape), max_sources, merge)
+
+
+@pytest.mark.parametrize("max_sources", [3, 4])
+def test_router_equals_oracle_when_the_period_overflows(max_sources):
+    """16 holder DCs of prime sizes 2..53 — every server holds — and
+    rotation 16: the product is past int64, so the period saturates.
+    Blocks 0 and 12 of 13 share a class, and a saturated period that
+    stopped short of the last index would fold one onto the other."""
+    primes = (53, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+    assert math.prod(primes) * len(primes) >= 2**63
+    sim = _holder_sim(primes, dst_servers=2, local=0, num_blocks=13)
+    _assert_router_matches_oracle(sim, max_sources, True)
+    _assert_router_matches_oracle(sim, max_sources, False)
+
+
+@pytest.mark.parametrize("bound", [1000, 2**53])
+def test_periods_are_exact_products_or_saturate(bound):
+    """``_periods`` against Python's unbounded ints: the exact product
+    of a row's moduli and rotation, or ``bound`` (past every block index)
+    wherever that product reaches it — never a rounded, wrapped or
+    infinite product, and without a floating-point warning."""
+    from repro.core.routing import _periods
+
+    rows = [
+        ((5, 7, 8), 3),
+        ((), 1),
+        ((60, 4, 9, 1, 1, 7), 2),
+        ((2,) * 52, 1),  # just under 2**53
+        ((2,) * 52, 2),
+        # 2..47: 2**59.1, odd over 2, so its nearest float is no multiple
+        ((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47), 1),
+        ((53, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47), 16),
+        ((4,) * 600, 7),  # past the largest float
+    ]
+    moduli = np.ones((len(rows), 600), dtype=np.int64)
+    for r, (row, _rotation) in enumerate(rows):
+        moduli[r, : len(row)] = row
+    rotation = np.array([rotation for _row, rotation in rows], dtype=np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        period = _periods(moduli, rotation, bound).tolist()
+    for (row, rot), p in zip(rows, period):
+        product = math.prod(row) * rot
+        assert p == min(product, bound)
+        # Indices equal modulo the period pick alike.
+        assert p >= bound or p % math.lcm(*row, rot) == 0
+
+
+def test_router_on_hundreds_of_dcs():
+    """450 DCs of 4 servers each, the cluster of ``replay --num-dcs 450``:
+    a class's period multiplies every DC's modulus, and must neither
+    overflow nor raise on a product that large. Only dc0..dc3 are linked,
+    which keeps the run small."""
+    topo = Topology()
+    dcs = [f"dc{k}" for k in range(450)]
+    for dc in dcs:
+        topo.add_dc(dc)
+        for s in range(4):
+            topo.add_server(f"{dc}-s{s}", dc, 5 * MBps, 5 * MBps)
+    for a, b in itertools.combinations(dcs[:4], 2):
+        topo.add_bidirectional_link(a, b, 40 * MBps)
+    job = MulticastJob(
+        job_id="wide", src_dc="dc0", dst_dcs=("dc1", "dc2", "dc3"),
+        total_bytes=256 * MB - 7, block_size=4 * MB,
+    )
+    job.bind(topo)
+    sim = Simulation(
+        topology=topo, jobs=[job], strategy=make_strategy("bds", seed=0),
+        config=SimConfig(max_cycles=2, stop_when_complete=False), seed=0,
+    )
+    sim.run()
+    assert RarestFirstScheduler().select(sim.snapshot_view(2))
+    _assert_router_matches_oracle(sim, 3, True)
 
 
 # -- the simulator's one-gather validation against the scalar loop ------------
