@@ -55,7 +55,7 @@ from repro.lp.fptas import max_multicommodity_flow
 from repro.lp.incidence import PathIncidence
 from repro.lp.mcf import Commodity, solve_lp_incidence
 from repro.net.cycle_cache import CycleCache, RoutingWarmStore
-from repro.net.simulator import ClusterView, TransferDirective, partial_column
+from repro.net.simulator import ClusterView, TransferDirective
 from repro.overlay.job import MulticastJob
 from repro.utils.validation import check_positive
 
@@ -544,15 +544,10 @@ class BDSRouter:
             sizes = np.concatenate([job.block_sizes() for job in jobs])[
                 offsets[slot] + index
             ]
-        buffered = None
-        if view._partial:
-            stride = max(len(job.blocks) for job in jobs)
-            buffered = partial_column(
-                view._partial,
-                {job.job_id: i * stride for i, job in enumerate(jobs)},
-                matrix.server_ids,
-                (slot * stride + index) * num_servers + dst,
-            )
+        partial = view.partial_bytes
+        buffered = (
+            partial.gather(partial.key(batch.gids[order], dst)) if partial else None
+        )
         return _Grouping(
             keys=keys,
             jobs=group_jobs,

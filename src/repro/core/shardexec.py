@@ -158,7 +158,7 @@ class ShardMirror:
                 bulk_capacities=view.bulk_capacities,
                 failed_agents=view.failed_agents,
                 controller_available=True,
-                partial_bytes=view._partial,
+                partial_bytes=view.partial_bytes,
                 failed_links=view.failed_links,
                 cache=self.cache,
                 candidates=self.candidates,

@@ -54,6 +54,7 @@ class DeliverySpeculator:
         """
         matrix = view.store.matrix
         gid_of = matrix.block_gids.get
+        partial = view.partial_bytes
         sizes = {job.job_id: job.block_sizes() for job in view.jobs}
         sids: List[int] = []
         gids: List[int] = []
@@ -85,8 +86,8 @@ class DeliverySpeculator:
                     # speculated copy that never arrived, the simulator
                     # dropped it, and these bytes never moved.
                     continue
-                remaining = float(size_of[index]) - view.received_bytes(
-                    block_id, directive.dst_server
+                remaining = float(size_of[index]) - partial.get(
+                    partial.key(gid, dst), 0.0
                 )
                 if remaining <= budget:
                     sids.append(dst)
@@ -118,7 +119,7 @@ class SpeculatedView(ClusterView):
             bulk_capacities=base.bulk_capacities,
             failed_agents=base.failed_agents,
             controller_available=base.controller_available,
-            partial_bytes=base._partial,
+            partial_bytes=base.partial_bytes,
             failed_links=base.failed_links,
             cache=base._cache,
             candidates=base._candidates,

@@ -52,7 +52,7 @@ from repro.net.flow import (
 from repro.net.topology import ResourceKey, Topology
 from repro.overlay.blocks import Block
 from repro.overlay.job import MulticastJob
-from repro.overlay.store import PossessionIndex, PossessionReader
+from repro.overlay.store import PossessionIndex, PossessionMatrix, PossessionReader
 from repro.utils.rng import SeedLike, make_rng
 from repro.utils.validation import check_fraction, check_positive
 
@@ -586,7 +586,7 @@ class ClusterView:
     baselines deliberately use only slices of it (their local views).
 
     **Ownership**: the view borrows the simulator's live structures —
-    ``bulk_capacities`` and the partial-bytes map are *not* copied. A
+    ``bulk_capacities`` and the partial-bytes store are *not* copied. A
     view is valid for the cycle it was built for; strategies must not
     mutate these mappings or hold a view across cycles (the next cycle
     reuses and mutates them in place).
@@ -611,7 +611,7 @@ class ClusterView:
         bulk_capacities: Mapping[ResourceKey, float],
         failed_agents: Set[str],
         controller_available: bool,
-        partial_bytes: Mapping[Tuple[BlockId, str], float],
+        partial_bytes: PartialBytes,
         failed_links: frozenset = frozenset(),
         cache: Optional[CycleCache] = None,
         candidates: Optional[CandidateTable] = None,
@@ -626,7 +626,7 @@ class ClusterView:
         self.failed_agents = set(failed_agents)
         self.controller_available = controller_available
         self.failed_links = frozenset(failed_links)
-        self._partial = partial_bytes
+        self.partial_bytes = partial_bytes
         self._cache = cache if cache is not None else CycleCache()
         self._failed_frozen = frozenset(self.failed_agents)
         self._candidates = candidates
@@ -661,7 +661,7 @@ class ClusterView:
             bulk_capacities=self.bulk_capacities,
             failed_agents=self.failed_agents | set(extra),
             controller_available=self.controller_available,
-            partial_bytes=self._partial,
+            partial_bytes=self.partial_bytes,
             failed_links=self.failed_links,
             cache=self._cache,
             candidates=self._candidates,
@@ -696,7 +696,11 @@ class ClusterView:
 
     def received_bytes(self, block_id: BlockId, dst_server: str) -> float:
         """Bytes of ``block_id`` already buffered at ``dst_server``."""
-        return self._partial.get((block_id, dst_server), 0.0)
+        matrix = self.partial_bytes.matrix
+        gid, sid = matrix.gid_of(block_id), matrix.server_ids.get(dst_server)
+        if gid is None or sid is None:
+            return 0.0
+        return self.partial_bytes.get(self.partial_bytes.key(gid, sid), 0.0)
 
     def eligible_sources(self, block_id: BlockId) -> List[str]:
         """Healthy servers currently holding the block, in name order."""
@@ -704,43 +708,42 @@ class ClusterView:
         return sorted(s for s in self.store.holders(block_id) if s not in failed)
 
 
-def partial_column(
-    partial: Mapping[Tuple[BlockId, str], float],
-    job_offset: Mapping[str, int],
-    server_ids: Mapping[str, int],
-    row_keys: np.ndarray,
-) -> Optional[np.ndarray]:
-    """Buffered bytes of each (block, destination) row.
+class PartialBytes(dict):
+    """Bytes buffered at destinations, of blocks whose transfer is underway.
 
-    ``partial`` is the simulator's sparse ``(block_id, dst_server) ->
-    bytes`` map. A row's key is ``block number * len(server_ids) +
-    destination id``, a block's number being ``job_offset[job_id] +
-    index`` in whatever numbering the caller's rows use (entries of jobs
-    the caller does not number are skipped). Only keys that exist are
-    probed — one pass over the map, one ``searchsorted`` of the rows
-    against it — and ``None`` is returned when no row has buffered
-    bytes, so callers can skip the subtraction (``size - 0.0 == size``).
+    One entry per (block, destination server) with bytes buffered, keyed
+    ``gid * num_servers + sid`` in the ids of ``matrix``, the live
+    possession matrix. The simulator owns it and writes it after each
+    cycle's progress walk; views lend it to strategies, read only.
     """
-    if not partial:
-        return None
-    num_servers = len(server_ids)
-    keys: List[int] = []
-    values: List[float] = []
-    for (bid, server), have in partial.items():
-        offset = job_offset.get(bid[0])
-        if offset is not None:
-            keys.append((offset + bid[1]) * num_servers + server_ids[server])
-            values.append(have)
-    if not keys:
-        return None
-    probe = np.array(keys, dtype=np.int64)
-    order = probe.argsort()
-    probe = probe[order]
-    pos = np.minimum(probe.searchsorted(row_keys), len(keys) - 1)
-    hit = probe[pos] == row_keys
-    if not hit.any():
-        return None
-    return np.where(hit, np.array(values)[order][pos], 0.0)
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: PossessionMatrix) -> None:
+        super().__init__()
+        self.matrix = matrix
+
+    def key(self, gids, sids):
+        """The key of block column(s) ``gids`` at server id(s) ``sids``."""
+        return gids * self.matrix.num_servers + sids
+
+    def gather(self, keys: np.ndarray) -> Optional[np.ndarray]:
+        """Buffered bytes of each key of ``keys``; ``None`` when no key
+        has any, so callers can skip the subtraction (``size - 0.0 ==
+        size``). One sort of the store, one ``searchsorted`` of ``keys``.
+        """
+        count = len(self)
+        if not count:
+            return None
+        probe = np.fromiter(self, dtype=np.int64, count=count)
+        order = probe.argsort()
+        probe = probe[order]
+        pos = np.minimum(probe.searchsorted(keys), count - 1)
+        hit = probe[pos] == keys
+        if not hit.any():
+            return None
+        values = np.fromiter(self.values(), dtype=float, count=count)[order]
+        return np.where(hit, values[pos], 0.0)
 
 
 class _BlockColumns:
@@ -813,12 +816,13 @@ class FlowColumns:
     Row ``r`` is one block of one directive, directive-major in listed
     order: ``flat[r]`` is the block's flat number, ``src[r]`` and
     ``dst[r]`` the directive's endpoint server ids, ``keys[r]`` the
-    row's :func:`partial_column` key (flat number and destination), and
+    row's :class:`PartialBytes` key (block column and destination), and
     ``bounds[i]:bounds[i + 1]`` are directive ``i``'s rows. ``sizes``
-    is the rows' block sizes, gathered once for the demand sums.
+    is the rows' block sizes, gathered once for the demand sums, which
+    also leave ``buffered`` and ``need`` (``sizes - buffered``, a list).
     """
 
-    __slots__ = ("flat", "src", "dst", "keys", "bounds", "sizes")
+    __slots__ = ("flat", "src", "dst", "keys", "bounds", "sizes", "buffered", "need")
 
     def __init__(
         self, flat: np.ndarray, src: np.ndarray, dst: np.ndarray,
@@ -830,6 +834,8 @@ class FlowColumns:
         self.keys = keys
         self.bounds = bounds
         self.sizes = sizes
+        self.buffered: Optional[np.ndarray] = None
+        self.need: Optional[List[float]] = None
 
     def take(self, keep: Sequence[bool]) -> "FlowColumns":
         """The columns of the directives whose ``keep`` flag is set."""
@@ -921,8 +927,7 @@ class Simulation:
             for server, blocks in pre_seeded.items():
                 self.store.seed(server, blocks)
 
-        # (block_id, dst_server) -> bytes buffered so far.
-        self._partial: Dict[Tuple[BlockId, str], float] = {}
+        self._partial = PartialBytes(self.store.matrix)
         # Completion bookkeeping: (job, dc) -> how many of the job's
         # blocks their assigned servers in that DC still miss, and
         # (job, server) -> how many of its shard's blocks that server
@@ -1139,9 +1144,8 @@ class Simulation:
         offset, limit, src, dst = np.repeat(per_directive[:4], lens, axis=1)
         known = (index >= 0) & (index < limit)
         flat = np.where(known, index + offset, 0)
-        useful = known & self.store.matrix.test_transfers(
-            src, dst, cols.gids[flat]
-        )
+        gids = cols.gids[flat]
+        useful = known & self.store.matrix.test_transfers(src, dst, gids)
 
         ends = np.cumsum(lens)
         if useful.all():
@@ -1162,9 +1166,10 @@ class Simulation:
             flat = flat[useful]
             src = src[useful]
             dst = dst[useful]
+            gids = gids[useful]
             ends = np.cumsum([k for k in kept if k])
         return valid, FlowColumns(
-            flat, src, dst, flat * len(sid_of) + dst, [0] + ends.tolist(),
+            flat, src, dst, self._partial.key(gids, dst), [0] + ends.tolist(),
             cols.sizes[flat],
         )
 
@@ -1175,18 +1180,15 @@ class Simulation:
         directive's are then folded with the builtin ``sum`` in listed
         order, the reduction these values have always had —
         ``bytes_per_cycle`` is fingerprinted, and numpy's pairwise sum
-        differs from it in the last digits.
+        differs from it in the last digits. The operands stay on
+        ``columns`` as ``need``, for the progress walk.
         """
-        cols = self._block_columns()
-        buffered = partial_column(
-            self._partial, cols.base, cols.server_ids, columns.keys
-        )
+        buffered = columns.buffered = self._partial.gather(columns.keys)
         sizes = columns.sizes
-        operands = (sizes if buffered is None else sizes - buffered).tolist()
+        need = columns.need = (sizes if buffered is None else sizes - buffered).tolist()
         bounds = columns.bounds
         return [
-            sum(operands[bounds[i] : bounds[i + 1]])
-            for i in range(len(bounds) - 1)
+            sum(need[bounds[i] : bounds[i + 1]]) for i in range(len(bounds) - 1)
         ]
 
     def _view(
@@ -1310,6 +1312,8 @@ class Simulation:
                 apply_started = _time.perf_counter()
                 self._apply_deliveries(columns, done, finish)
                 apply_seconds = _time.perf_counter() - apply_started
+            # The rows (and the walk's need list) go before the next decide.
+            del columns
 
             if log is not None:
                 stats = CycleStats(
@@ -1477,8 +1481,16 @@ class Simulation:
         directives: List[TransferDirective],
         columns: FlowColumns,
         rates: Mapping[int, float],
+        moved: Optional[Dict[int, float]] = None,
     ) -> Tuple[float, List[int], List[float]]:
         """Move ``rate × window`` bytes along every flow, block by block.
+
+        A flow walks only the prefix of its rows its budget reaches, on
+        the ``columns.need`` that :meth:`_flow_demands` left (sizes less
+        the bytes buffered at the cycle's start), and writes the store
+        after the walk. That is exact unless walked rows repeat a key:
+        then the cycle is walked again with ``moved`` tracking each
+        walked key's bytes, so a later row sees an earlier one's progress.
 
         Returns the bytes moved, the rows of ``columns`` whose transfer
         completed and their finish times: :meth:`_apply_deliveries` lands
@@ -1494,17 +1506,17 @@ class Simulation:
         current_pairs: Set[Tuple[str, str]] = set()
         done: List[int] = []
         finish: List[float] = []
+        stops: List[int] = []
+        takes: List[float] = []
         transferred = 0.0
-        block_ids = self._block_columns().ids
-        flat = columns.flat.tolist()
-        sizes = columns.sizes.tolist()
-        bounds = columns.bounds
+        need, bounds = columns.need, columns.bounds
+        if moved is not None:
+            keys, sizes = columns.keys.tolist(), columns.sizes.tolist()
         for i, d in enumerate(directives):
             rate = rates.get(i, 0.0)
             if rate <= 0:
                 continue
-            dst = d.dst_server
-            pair = (d.src_server, dst)
+            pair = (d.src_server, d.dst_server)
             window = dt - cfg.control_overhead_seconds
             if pair not in prev_pairs:
                 window = max(0.0, window - cfg.flow_setup_seconds)
@@ -1516,23 +1528,44 @@ class Simulation:
             for row in range(bounds[i], bounds[i + 1]):
                 if budget <= 1e-12:
                     break
-                key = (block_ids[flat[row]], dst)
-                have = partial.get(key, 0.0)
-                need = sizes[row] - have
-                take = min(need, budget)
+                left = need[row]
+                if moved is not None:
+                    key = keys[row]
+                    if key in moved:
+                        left = sizes[row] - moved[key]
+                take = left if left <= budget else budget
                 budget -= take
                 used += take
                 # A microbyte of slack absorbs floating-point dust from
                 # rate multiplications; without it a block can hover at
                 # size - 1e-9 bytes forever (the router will not
                 # schedule sub-nanobyte demands).
-                if take >= need - 1e-6:
-                    partial.pop(key, None)
-                    done.append(row)
-                    finish.append(min(now + (dt - window) + used / rate, cycle_end))
-                else:
-                    partial[key] = have + take
+                if take < left - 1e-6:
+                    stops.append(row)
+                    takes.append(take)
+                    if moved is not None:
+                        moved[key] = moved.get(key, partial.get(key, 0.0)) + take
+                    break
+                done.append(row)
+                at = now + (dt - window) + used / rate
+                finish.append(cycle_end if cycle_end < at else at)
+                if moved is not None:
+                    moved[key] = 0.0
             transferred += used
+        if moved is None and (done or stops):
+            walked = done + stops
+            keys = columns.keys[walked].tolist()
+            if len(set(keys)) < len(keys):
+                return self._progress_flows(cycle, directives, columns, rates, {})
+            buffered = columns.buffered
+            had = [0.0] * len(keys) if buffered is None else buffered[walked].tolist()
+            n = len(done)  # rows done with bytes buffered, then rows stopped in
+            moved = {keys[at]: 0.0 for at in range(n) if had[at]}
+            moved.update((keys[at], had[at] + take) for at, take in enumerate(takes, n))
+        if moved:
+            partial.update(moved)
+            for key in [key for key, have in moved.items() if not have]:
+                del partial[key]
         self._prev_pairs = current_pairs
         return transferred, done, finish
 

@@ -29,6 +29,10 @@ module; the property tests run the production kernels against these:
   (``repro.net.flow.max_min_fair_rates_scalar`` / ``_vectorized`` as they
   were, one full pass over the active flows per iteration) against the
   event-driven kernel, dict for dict;
+* ``tests/test_progress_walk.py`` — the progress walk that visited
+  every row up to the budget's end and probed a ``(block_id, server)``
+  dict per row (``Simulation._progress_flows`` as it was), float for
+  float;
 * ``tests/test_overlay.py`` — the ``has``/``holders`` proxy a speculated
   view's store was (``repro.core.speculation._SpeculatedStore`` as it
   was) and the full pending scans, against the bit-matrix overlay.
@@ -604,6 +608,73 @@ def valid_directives(
             )
         valid.append(d)
     return valid
+
+
+def partial_map(view) -> Dict[Tuple[BlockId, str], float]:
+    """``view.partial_bytes`` as the ``(block_id, dst_server) -> bytes``
+    dict it was."""
+    partial = view.partial_bytes
+    matrix, n = partial.matrix, partial.matrix.num_servers
+    return {
+        (matrix.block_names[key // n], matrix.server_names[key % n]): have
+        for key, have in partial.items()
+    }
+
+
+def progress_flows(
+    config, cycle, directives, columns, rates, block_ids, partial, prev_pairs
+) -> Tuple[float, List[int], List[float], Set[Tuple[str, str]]]:
+    """``Simulation._progress_flows`` as the per-row loop it was.
+
+    Every row up to the budget's end is visited in order and probes
+    ``partial``, the ``(block_id, dst_server) -> bytes`` dict, which the
+    walk updates as it goes (so a repeated key sees the earlier row's
+    progress). ``block_ids[flat]`` names a flat block number. Mutates
+    ``partial``; returns the bytes moved, the rows done, their finish
+    times and the (src, dst) pairs that had a flow.
+    """
+    cfg = config
+    dt = cfg.cycle_seconds
+    now = cycle * dt
+    cycle_end = (cycle + 1) * dt
+    current_pairs: Set[Tuple[str, str]] = set()
+    done: List[int] = []
+    finish: List[float] = []
+    transferred = 0.0
+    flat = columns.flat.tolist()
+    sizes = columns.sizes.tolist()
+    bounds = columns.bounds
+    for i, d in enumerate(directives):
+        rate = rates.get(i, 0.0)
+        if rate <= 0:
+            continue
+        dst = d.dst_server
+        pair = (d.src_server, dst)
+        window = dt - cfg.control_overhead_seconds
+        if pair not in prev_pairs:
+            window = max(0.0, window - cfg.flow_setup_seconds)
+        current_pairs.add(pair)
+        if window <= 0:
+            continue
+        budget = rate * window
+        used = 0.0
+        for row in range(bounds[i], bounds[i + 1]):
+            if budget <= 1e-12:
+                break
+            key = (block_ids[flat[row]], dst)
+            have = partial.get(key, 0.0)
+            need = sizes[row] - have
+            take = min(need, budget)
+            budget -= take
+            used += take
+            if take >= need - 1e-6:
+                partial.pop(key, None)
+                done.append(row)
+                finish.append(min(now + (dt - window) + used / rate, cycle_end))
+            else:
+                partial[key] = have + take
+        transferred += used
+    return transferred, done, finish, current_pairs
 
 
 def flow_remaining(

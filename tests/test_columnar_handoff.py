@@ -187,10 +187,10 @@ class _DealView:
     """Just enough view for the deal oracle: buffered bytes per (block, dst)."""
 
     def __init__(self, partial):
-        self._partial = partial
+        self.partial = partial
 
     def received_bytes(self, block_id, dst_server):
-        return self._partial.get((block_id, dst_server), 0.0)
+        return self.partial.get((block_id, dst_server), 0.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -562,7 +562,7 @@ def test_validation_and_demands_equal_scalar_oracle(seed, cycles):
 
     size_of = {b.block_id: b.size for job in sim.jobs for b in job.blocks}
     assert sim._flow_demands(columns) == [
-        oracles.flow_remaining(size_of, sim._partial, d) for d in want
+        oracles.flow_remaining(size_of, oracles.partial_map(view), d) for d in want
     ]
 
 

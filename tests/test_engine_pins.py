@@ -55,6 +55,7 @@ from repro.core.decisions import SelectionBatch
 from repro.core.scheduling import RarestFirstScheduler
 from repro.core.speculation import SpeculatedView
 from repro.net.simulator import SimConfig, SimResult, Simulation
+from tests import oracles
 
 PINS_FILE = Path(__file__).parent / "data" / "engine_pins.json"
 
@@ -116,7 +117,8 @@ def observe_midrun(sim: Simulation, result: SimResult, view) -> Dict[str, object
     seen = observe(result)
     seen["store_epoch"] = int(sim.store.matrix.dup.sum())  # copies placed
     seen["partial_bytes"] = sorted(
-        [*bid, server, have] for (bid, server), have in sim._partial.items()
+        [*bid, server, have]
+        for (bid, server), have in oracles.partial_map(view).items()
     )
     seen["selections"] = [
         [e.job_id, e.block.index, e.dst_dc, e.dst_server, e.duplicates, e.is_relay]

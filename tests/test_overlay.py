@@ -189,7 +189,7 @@ def test_view_accessors_are_the_full_scans(seed, cycles, wide):
         topology=view.topology, store=view.store, jobs=view.jobs,
         cycle=view.cycle, time=view.time, cycle_seconds=view.cycle_seconds,
         bulk_capacities=view.bulk_capacities, failed_agents=view.failed_agents,
-        controller_available=True, partial_bytes=view._partial,
+        controller_available=True, partial_bytes=view.partial_bytes,
         failed_links=view.failed_links,
     )
     assert bare._candidates is None
