@@ -24,11 +24,12 @@ array gathers, and leave as directives whose block lists are segments of
 one per-cycle index array — no per-selection Python between the
 scheduler kernel and the solver (:class:`_Grouping` is the hand-off).
 Their work is proportional to merge groups, plus a few gathers and
-sorts per row: picks are computed once per (job, class, residue)
-representative (:meth:`BDSRouter._pick_sources`), groups are formed over
-representatives, and a group's send order is two ranges of one gather;
-only a group dealt across several flowing sources walks its blocks in
-Python.
+three sorts per row — a lexsort into classes, a stable argsort into
+(job, class, residue) representatives, whose picks are computed once
+(:meth:`BDSRouter._pick_sources`), and an argsort into group order
+after one lexsort of the representatives into groups. A group's send
+order is two ranges of one gather; only a group dealt across several
+flowing sources walks its blocks in Python.
 
 Step 3 hands the solver parallel lists, not objects: per commodity its
 group, its demand, and its candidate paths as tuples of resource numbers
@@ -42,7 +43,6 @@ commodity, aligned with its sources.
 
 from __future__ import annotations
 
-import sys
 import time as _time
 import zlib
 from dataclasses import dataclass
@@ -103,31 +103,62 @@ def greedy_waterfill(
     once per resource *occurrence*. Router commodities have at most
     ``max_sources_per_group`` paths of two to four resources, so the
     reductions are plain loops over ints — a numpy call per 3-element
-    segment costs several times the loop.
+    segment costs several times the loop — written out in both phases,
+    as a call per visit would cost as much as the scan.
     """
     remaining = list(demands)
     rates: Rates = [[0.0] * len(candidates) for candidates in paths]
     order: TouchOrder = []
 
-    def push_flow(ci: int, limit_fraction: float) -> None:
-        demand = remaining[ci]
-        candidates = paths[ci]
-        while demand > 1e-9:
-            best_pi, best_room = -1, 0.0
-            for pi, path in enumerate(candidates):
-                resources = iter(path)
-                room = residual[next(resources)]
-                for i in resources:
+    active = [ci for ci, demand in enumerate(remaining) if demand > 1e-9]
+    for _round in range(fair_rounds):
+        if not active:
+            break
+        share = 1.0 / len(active)
+        for ci in active:  # one quantum per visit
+            candidates = paths[ci]
+            best_pi, best_room, pi = -1, 0.0, 0
+            for path in candidates:
+                room = residual[path[0]]
+                for i in path:
                     if residual[i] < room:
                         room = residual[i]
                 if room > best_room:
                     best_room = room
                     best_pi = pi
+                pi += 1
             if best_pi < 0 or best_room <= 1e-9:
-                break
-            push = best_room * limit_fraction
+                continue
+            demand = remaining[ci]
+            push = best_room * share
             if demand < push:
                 push = demand
+            if push <= 1e-9:
+                continue
+            row = rates[ci]
+            if row[best_pi] == 0.0:
+                order.append((ci, best_pi))
+            row[best_pi] += push
+            for i in candidates[best_pi]:
+                residual[i] -= push
+            remaining[ci] = demand - push
+        active = [ci for ci in active if remaining[ci] > 1e-9]
+    for ci, demand in enumerate(remaining):
+        candidates = paths[ci]
+        while demand > 1e-9:
+            best_pi, best_room, pi = -1, 0.0, 0
+            for path in candidates:
+                room = residual[path[0]]
+                for i in path:
+                    if residual[i] < room:
+                        room = residual[i]
+                if room > best_room:
+                    best_room = room
+                    best_pi = pi
+                pi += 1
+            if best_pi < 0 or best_room <= 1e-9:
+                break
+            push = best_room if demand >= best_room else demand
             if push <= 1e-9:
                 break
             row = rates[ci]
@@ -137,49 +168,22 @@ def greedy_waterfill(
             for i in candidates[best_pi]:
                 residual[i] -= push
             demand -= push
-            if limit_fraction < 1.0:
-                break  # one quantum per fair-round visit
-        remaining[ci] = demand
-
-    active = [ci for ci, demand in enumerate(remaining) if demand > 1e-9]
-    for _round in range(fair_rounds):
-        if not active:
-            break
-        share = 1.0 / len(active)
-        for ci in active:
-            push_flow(ci, share)
-        active = [ci for ci in active if remaining[ci] > 1e-9]
-    for ci in range(len(remaining)):
-        if remaining[ci] > 1e-9:
-            push_flow(ci, 1.0)
     return rates, order
 
 
-def _number_runs(
-    order: np.ndarray, columns: Sequence[np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Number the runs of equal rows of ``columns`` taken in ``order``.
-
-    ``order`` must put equal rows next to each other. Returns each row's
-    run number (runs numbered in sorted order) and the mask of the
-    positions in ``order`` where a run starts.
-    """
-    is_head = np.empty(len(order), dtype=bool)
-    is_head[:1] = True
-    column, *rest = columns
-    column = column[order]
-    np.not_equal(column[1:], column[:-1], out=is_head[1:])
+def _run_heads(column: np.ndarray, *rest: np.ndarray) -> np.ndarray:
+    """Where a run of equal rows starts, over columns read in order."""
+    is_head = np.empty(len(column), dtype=bool)
+    is_head[0] = True
+    is_head[1:] = column[1:] != column[:-1]
     for column in rest:
-        column = column[order]
         is_head[1:] |= column[1:] != column[:-1]
-    number = np.empty(len(order), dtype=np.int64)
-    number[order] = is_head.cumsum() - 1
-    return number, is_head
+    return is_head
 
 
 @np.errstate(over="ignore")  # an infinite product saturates like any other
 def _periods(moduli: np.ndarray, rotation: np.ndarray, bound: int) -> np.ndarray:
-    """Per row: the product of its ``moduli`` and ``rotation``, saturated.
+    """Per row: the product of its ``moduli`` (at least 1) and ``rotation``, saturated.
 
     The product is a multiple of every operand, so indices equal modulo
     it are equal modulo each. (The lcm is smaller where operands share
@@ -188,8 +192,8 @@ def _periods(moduli: np.ndarray, rotation: np.ndarray, bound: int) -> np.ndarray
     Below the cap (at most 2**53) the float product is exact: every
     partial product is an integer no larger than the whole.
     """
-    product = np.multiply.reduce(moduli, axis=1, dtype=float) * rotation
-    return np.minimum(product, bound).astype(np.int64)
+    product = np.multiply.reduce(np.maximum(moduli, 1), axis=1, dtype=float)
+    return np.minimum(product * rotation, bound).astype(np.int64)
 
 
 @dataclass
@@ -206,7 +210,7 @@ class _Grouping:
     dst_servers: List[str]
     bounds: List[int]
     #: Per row: job-relative block index, block size, and bytes already
-    #: buffered at the destination (``None``: no row has any).
+    #: buffered at the destination (``None``: nothing is buffered anywhere).
     indices: np.ndarray
     sizes: np.ndarray
     buffered: Optional[np.ndarray]
@@ -321,8 +325,8 @@ class BDSRouter:
 
     def _pick_sources(
         self, view: ClusterView, batch: SelectionBatch, cache: CycleCache
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Source server ids per representative: ``(picked, rep, first)``.
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per representative, its group key: ``(key, first, rows, rep)``.
 
         Up to ``max_sources_per_group`` diverse sources per row: a
         usable holder in the destination's own DC first (cheap intra-DC
@@ -344,7 +348,8 @@ class BDSRouter:
 
         * a row's holder set is one gather of the matrix's
           ``holder_words`` (failed agents masked out), and equal
-          (words, destination) rows are one class — one lexsort;
+          (words, destination) rows are one class — one lexsort, stable,
+          so that each class keeps its rows in row order;
         * per class, usable holders (those with a path to the
           destination, per the cache's ``reach`` table — probed through
           ``view.flow_resources`` the first time a pair is seen) are
@@ -352,24 +357,25 @@ class BDSRouter:
           name order, so these are name-sorted holder lists;
         * ``P`` saturates, never wraps (:func:`_periods`): it is capped
           at one past the largest block index, where ``i % P`` is ``i``
-          itself; representatives are the runs of one sort of packed
-          (class, slot, residue) keys;
+          itself; representatives are the runs of one stable argsort of
+          the class-ordered rows' packed (class, slot, residue) keys, so
+          that a run's head is its lowest row;
         * a representative's picks are modular gathers into its class's
           lists: ``local[i % len]`` first, then the other DCs from
-          offset ``i % len(other_dcs)``, ``servers[i % len]`` of each.
+          offset ``i % len(other_dcs)`` (one ``searchsorted`` into their
+          running count), ``servers[i % len]`` of each.
 
         DC buckets are disjoint, so a pick can never repeat an earlier
-        one. Returns ``picked[r]``, representative ``r``'s picks (-1
-        padded); ``rep``, each row's representative; ``first[r]``, its
-        lowest row number. Work is per class and per representative,
-        plus a few gathers and two sorts per row.
+        one. Returns ``key[r]``, representative ``r``'s (job slot,
+        destination, picks -1 padded) as one int64 row; ``first[r]``,
+        its lowest row; every row, representative by representative and
+        in row order within each (``rows``); and the representative of
+        each of those (``rep``). Work is per class and per
+        representative, plus a few gathers and two sorts per row.
         """
         matrix = view.store.matrix
-        num_servers = matrix.num_servers
         num_dcs = len(matrix.dc_names)
         dc_order = matrix.dc_order
-        index = batch.indices
-        dst = batch.dst_sids
         picks = min(self.max_sources_per_group, num_dcs)
 
         words = matrix.holder_words[batch.gids]
@@ -379,85 +385,86 @@ class BDSRouter:
                 sid = matrix.server_ids.get(server)
                 if sid is not None:
                     up[sid >> 6] &= ~np.uint64(1 << (sid & 63))
-            words = words & up
+            words &= up
         # Classes: runs of equal (words, destination) in lexsorted order.
-        columns = (dst, *words.T)
+        # Rows stay in this order until the representatives are found.
+        columns = (batch.dst_sids, *words.T)
         order = np.lexsort(columns)
-        cls, is_head = _number_runs(order, columns)
+        is_head = _run_heads(*[column[order] for column in columns])
+        cls = is_head.cumsum() - 1
         heads = order[is_head]
-        class_dst = dst[heads]
+        class_dst = batch.dst_sids[heads]
 
-        # Usable holders per class: columns follow ``dc_order``, so each
-        # DC's holders are one contiguous, ascending-id run.
-        class_words = words[heads]
-        if sys.byteorder == "big":  # pragma: no cover - x86/arm are little
-            class_words = class_words.byteswap()
-        held = np.unpackbits(
-            class_words.view(np.uint8), axis=1, bitorder="little"
-        )[:, dc_order].view(np.int8)
-        reach = cache.reach_table(
-            view.topology.epoch, view.failed_links, num_servers
-        )
-        # held x reach: 1 usable, 0 not held or no path, -1 not probed yet.
-        state = held * reach[class_dst[:, None], dc_order]
+        # Per class, over ``dc_order`` (each DC's servers one contiguous,
+        # ascending-id run): held x reach — 1 usable, 0 not held or no
+        # path, -1 not probed yet.
+        held = (words[heads][:, matrix.dc_words] & matrix.dc_bits) != 0
+        reach = cache.reach_table(view.topology.epoch, view.failed_links, dc_order)
+        state = held * reach[class_dst]
         if np.minimum.reduce(state, axis=None) < 0:
             names = matrix.server_names
             which, column = np.nonzero(state < 0)
-            for to, src in dict.fromkeys(  # probed in class order, once each
-                zip(class_dst[which].tolist(), dc_order[column].tolist())
+            for to, at in dict.fromkeys(  # probed in class order, once each
+                zip(class_dst[which].tolist(), column.tolist())
             ):
-                reach[to, src] = (
-                    view.flow_resources(names[src], names[to]) is not None
-                )
-            state = held * reach[class_dst[:, None], dc_order]
+                src = names[dc_order[at]]
+                reach[to, at] = view.flow_resources(src, names[to]) is not None
+            state = held * reach[class_dst]
         usable = state > 0
 
         # Per (class, DC), flat ``class * num_dcs + dc``: how many usable
-        # holders, and where their list starts in ``holders``. The lists
-        # are padded by one entry so that representatives without a pick
-        # in some column can gather harmlessly.
-        count = np.add.reduceat(
-            usable, matrix.dc_starts, axis=1, dtype=np.int64
-        ).ravel()
+        # holders, and where their list ends in ``holders`` — padded by
+        # one entry, so that a representative without a pick in some
+        # column gathers harmlessly. ``rank`` counts the other DCs (those
+        # with a usable holder, not the destination's) over that layout:
+        # ``before[c]`` of them belong to earlier classes.
+        count = np.add.reduceat(usable, matrix.dc_starts, axis=1, dtype=np.int64)
         ends = count.cumsum()
         holders = np.zeros(ends[-1] + 1, dtype=np.int64)
         holders[:-1] = dc_order[usable.nonzero()[1]]
-        start = ends - count
-        length = np.maximum(count, 1)
-        local = np.arange(0, len(count), num_dcs) + matrix.server_dc_ids[class_dst]
+        local = cls[is_head] * num_dcs + matrix.server_dc_ids[class_dst]
         other = count > 0
-        other[local] = False
-        others = np.add.reduce(other.reshape(-1, num_dcs), axis=1, dtype=np.int64)
-        other_ends = others.cumsum()
-        other_lists = np.zeros(other_ends[-1] + 1, dtype=np.int64)
-        other_lists[:-1] = other.nonzero()[0]
+        has_local = other.flat[local]
+        other.flat[local] = False
+        rank = other.cumsum()
+        before = rank[::num_dcs] - other[:, 0]
+        others = rank[num_dcs - 1 :: num_dcs] - before
         rotation = np.maximum(others, 1)
 
-        # Per class: its period; per row: its representative; per
-        # representative: its lowest row.
+        # Representatives: runs of equal (class, slot, i % period) in one
+        # stable argsort of the class-ordered rows.
         bound = max([len(job.blocks) for job in batch.jobs])
-        period = _periods(length.reshape(-1, num_dcs), rotation, bound)
-        key = (cls * len(batch.jobs) + batch.job_slots) * bound + index % period[cls]
-        order = key.argsort()
-        rep, is_head = _number_runs(order, (key,))
-        first = np.minimum.reduceat(order, is_head.nonzero()[0])
+        period = _periods(count, rotation, bound)
+        index = batch.indices[order]
+        rep_key = (cls * len(batch.jobs) + batch.job_slots[order]) * bound + (
+            index % period[cls]
+        )
+        by_rep = rep_key.argsort(kind="stable")
+        is_head = _run_heads(rep_key[by_rep])
+        head = by_rep[is_head]
+        first = order[head]
 
         # Per representative (as columns, to broadcast against the pick
-        # columns): column k holds the local DC where it has a usable
-        # holder (turn -1), else the (k - has_local)-th DC of the rotation
-        # over the other DCs from offset i.
-        row = cls[first, None]
-        at = index[first, None]
-        local_list = local[row]
-        n_other = others[row]
-        turn = np.arange(picks) - (count[local_list] > 0)
-        dcs = np.where(
-            turn < 0,
-            local_list,
-            other_lists[other_ends[row] - n_other + (at + turn) % rotation[row]],
+        # columns): column k picks in the local DC where the class has a
+        # usable holder there (turn -1), else in the (k - has_local)-th
+        # DC of the rotation over the other DCs from offset i. The search
+        # leaves out the last running count, so that a turn past every
+        # other DC stays in range; such a turn is masked out.
+        row = cls[head, None]
+        at = index[head, None]
+        turn = np.arange(picks) - has_local[row]
+        rotated = rank[:-1].searchsorted(
+            before[row] + (at + turn) % rotation[row], side="right"
         )
-        picked = np.where(turn < n_other, holders[start[dcs] + at % length[dcs]], -1)
-        return picked, rep, first
+        flat = np.where(turn < 0, local[row], rotated)
+        key = np.empty((len(head), picks + 2), dtype=np.int64)
+        key[:, 0] = batch.job_slots[first]
+        key[:, 1] = batch.dst_sids[first]
+        size = count.flat[flat]
+        key[:, 2:] = np.where(
+            turn < others[row], holders[ends[flat] - size + at % np.maximum(size, 1)], -1
+        )
+        return key, first, order[by_rep], is_head.cumsum() - 1
 
     def _group_columns(
         self, view: ClusterView, batch: SelectionBatch, cache: CycleCache
@@ -468,85 +475,76 @@ class BDSRouter:
         are one group — or, with merging disabled, every selection is
         its own (the merging ablation). Groups are formed over the
         :meth:`_pick_sources` representatives (rows of one
-        representative share all three), numbered by first appearance,
-        and their members kept in selection order: one lexsort per
-        representative, one stable argsort per row.
+        representative share all three) and numbered by first
+        appearance, their members in selection order: one lexsort of
+        the representatives on (key row as one sort key, lowest row),
+        whose runs give each its group's lowest row (scattered back by
+        representative), then one argsort of the rows on (that lead,
+        row).
         """
-        matrix = view.store.matrix
-        names = matrix.server_names
-        num_servers = matrix.num_servers
+        names = view.store.matrix.server_names
         jobs = batch.jobs
-        picked, rep, first = self._pick_sources(view, batch, cache)
-        slot, dst, index = batch.job_slots, batch.dst_sids, batch.indices
+        key, first, rows, rep = self._pick_sources(view, batch, cache)
+        n = len(rows)
+        # Each row's lead is its group's lowest row, plus ``n`` when the
+        # group has no usable source, so that such groups sort last.
+        low = first + n * (key[:, 2] < 0)
         if self.merge_blocks:
-            # Representatives sharing (job, destination, picks) are one
-            # group: one packed int64 key (picks, -1 included, as digits
-            # base ``radix``), or the columns themselves when the key
-            # would not fit (many picks x many servers).
-            width = picked.shape[1]
-            radix = num_servers + 1
-            columns = (slot[first], dst[first], *picked.T)
-            if len(jobs) * num_servers * radix**width < 2**63:
-                columns = (
-                    (columns[0] * num_servers + columns[1]) * radix**width
-                    + picked @ [radix**k for k in range(width - 1, -1, -1)],
-                )
-            order = np.lexsort((first, *columns))
-            group, is_head = _number_runs(order, columns)
-            heads = order[is_head]
-            # A group's first row numbers it — after every row when it
-            # has no usable source, so that it sorts last and drops out
-            # below. Rows are listed by group, members in selection order
-            # (one stable sort).
-            lead = first[heads] + len(rep) * (picked[heads, 0] < 0)
-            by_appearance = lead.argsort()
-            row_rank = by_appearance.argsort()[group[rep]]
-            order = row_rank.argsort(kind="stable")
-            heads = heads[by_appearance]
-            picked, number = picked[heads], first[heads]
-            bounds = [0] + np.bincount(row_rank).cumsum().tolist()
+            # One sort key per representative: the key row packed into an
+            # int64 (picks, -1 included, as digits base ``radix``), or the
+            # row as one opaque record when the packing would not fit.
+            radix = len(names) + 1
+            if len(jobs) * radix ** key.shape[1] < 2**63:
+                record = key @ [radix**k for k in range(key.shape[1] - 1, -1, -1)]
+            else:
+                record = key.view(f"V{key.itemsize * key.shape[1]}")[:, 0]
+            by_group = np.lexsort((low, record))
+            is_head = _run_heads(record[by_group])
+            lead = np.empty_like(low)
+            lead[by_group] = low[by_group[is_head]][is_head.cumsum() - 1]
+            lead = lead[rep]
         else:
-            # Rows without a usable source drop out.
-            order = number = (picked[rep, 0] >= 0).nonzero()[0]
-            picked = picked[rep[order]]
-            bounds = list(range(len(order) + 1))
+            lead = rows + (low - first)[rep]
+        by_lead = (lead * n + rows).argsort()
+        order = rows[by_lead]
+        starts = _run_heads(lead[by_lead]).nonzero()[0]
 
         keys: List[GroupKey] = []
         group_jobs: List[MulticastJob] = []
         dst_servers: List[str] = []
-        for at, job_slot, dst_sid, sources in zip(
-            number.tolist(),
-            slot[number].tolist(),
-            dst[number].tolist(),
-            picked.tolist(),
-        ):
-            if sources[0] < 0:
+        merged = self.merge_blocks
+        records = key[rep[by_lead[starts]]].tolist()
+        starts = starts.tolist() + [n]
+        for start, row in zip(starts, records):
+            if row[2] < 0:
                 break  # the groups without a usable source, and their rows
-            job = jobs[job_slot]
-            dst_server = names[dst_sid]
+            job = jobs[row[0]]
+            dst_server = names[row[1]]
             keys.append(
                 (
                     job.job_id,
-                    dst_server if self.merge_blocks else f"{dst_server}#{at}",
-                    tuple([names[s] for s in sources if s >= 0]),
+                    dst_server if merged else f"{dst_server}#{order[start]}",
+                    tuple([names[s] for s in row[2:] if s >= 0]),
                 )
             )
             group_jobs.append(job)
             dst_servers.append(dst_server)
-        del bounds[len(keys) + 1 :]
+        bounds = starts[: len(keys) + 1]
         order = order[: bounds[-1]]
 
-        slot, dst, index = slot[order], dst[order], index[order]
+        index = batch.indices[order]
         if len(jobs) == 1:
             sizes = jobs[0].block_sizes()[index]
         else:
             offsets = np.cumsum([0] + [len(job.blocks) for job in jobs[:-1]])
             sizes = np.concatenate([job.block_sizes() for job in jobs])[
-                offsets[slot] + index
+                offsets[batch.job_slots[order]] + index
             ]
         partial = view.partial_bytes
         buffered = (
-            partial.gather(partial.key(batch.gids[order], dst)) if partial else None
+            partial.gather(partial.key(batch.gids[order], batch.dst_sids[order]))
+            if partial
+            else None
         )
         return _Grouping(
             keys=keys,

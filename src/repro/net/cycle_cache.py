@@ -76,9 +76,9 @@ class CycleCache:
             Tuple[str, str], Optional[Tuple[ResourceKey, ...]]
         ] = {}
         # Dense twin of ``paths`` for the router's columnar build: the
-        # int8 table ``reach[dst, src]`` of "does src have a path to dst"
-        # (1 yes, 0 no, -1 not probed yet). Same validity key; flushed
-        # together with ``paths``.
+        # int8 table ``reach[dst, j]`` of "does server ``dc_order[j]`` have
+        # a path to dst" (1 yes, 0 no, -1 not probed yet). Same validity
+        # key; flushed together with ``paths``.
         self.reach: Optional[np.ndarray] = None
         # Integer twin of ``paths`` for the greedy water-fill: resources
         # numbered in first-appearance order (``res_keys`` is the inverse
@@ -112,16 +112,17 @@ class CycleCache:
         return self.paths
 
     def reach_table(
-        self, topology_epoch: int, failed_links: FrozenSet, num_servers: int
+        self, topology_epoch: int, failed_links: FrozenSet, dc_order: np.ndarray
     ) -> np.ndarray:
         """The reachability table, flushed with the path memo.
 
-        The diagonal is 0: a server is never its own source.
+        Column ``j`` is server ``dc_order[j]``; a server is never its own
+        source (0).
         """
         self.validate_paths(topology_epoch, failed_links)
         if self.reach is None:
-            self.reach = np.full((num_servers, num_servers), -1, dtype=np.int8)
-            np.fill_diagonal(self.reach, 0)
+            self.reach = np.full((len(dc_order),) * 2, -1, dtype=np.int8)
+            self.reach[dc_order, np.arange(len(dc_order))] = 0
         return self.reach
 
     def intern_path(

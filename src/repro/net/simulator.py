@@ -83,10 +83,10 @@ class TransferDirective:
         "src_server",
         "dst_server",
         "rate_cap",
-        "_block_ids",
         "_column",
         "_lo",
         "_hi",
+        "_block_ids",
     )
 
     def __init__(
@@ -105,9 +105,7 @@ class TransferDirective:
                 f"{foreign!r}"
             )
         column = np.array([bid[1] for bid in block_ids], dtype=np.int64)
-        self._init(
-            job_id, column, 0, len(column), src_server, dst_server, rate_cap
-        )
+        self._init(job_id, column, 0, len(column), src_server, dst_server, rate_cap)
 
     @classmethod
     def from_indices(
@@ -141,7 +139,7 @@ class TransferDirective:
         never written: the router cuts all of a cycle's directives from
         one column, and a (column, lo, hi) triple is smaller than a view.
         """
-        self = cls.__new__(cls)
+        self = object.__new__(cls)
         self._init(job_id, column, lo, hi, src_server, dst_server, rate_cap)
         return self
 
@@ -152,15 +150,14 @@ class TransferDirective:
             raise ValueError("directive endpoints must differ")
         if rate_cap is not None and rate_cap < 0:
             raise ValueError("rate_cap must be >= 0")
-        put = object.__setattr__
-        put(self, "job_id", job_id)
-        put(self, "src_server", src_server)
-        put(self, "dst_server", dst_server)
-        put(self, "rate_cap", rate_cap)
-        put(self, "_block_ids", None)
-        put(self, "_column", column)
-        put(self, "_lo", lo)
-        put(self, "_hi", hi)
+        _set_job_id(self, job_id)
+        _set_src_server(self, src_server)
+        _set_dst_server(self, dst_server)
+        _set_rate_cap(self, rate_cap)
+        _set_column(self, column)
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+        _set_block_ids(self, None)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -174,7 +171,7 @@ class TransferDirective:
         if ids is None:
             job_id = self.job_id
             ids = tuple((job_id, i) for i in self.block_indices.tolist())
-            object.__setattr__(self, "_block_ids", ids)
+            _set_block_ids(self, ids)
         return ids
 
     @property
@@ -216,6 +213,13 @@ class TransferDirective:
             f"block_ids={self.block_ids!r}, src_server={self.src_server!r}, "
             f"dst_server={self.dst_server!r}, rate_cap={self.rate_cap!r})"
         )
+
+
+# The slots' own setters fill a directive past the frozen ``__setattr__``,
+# without ``object.__setattr__``'s lookup of the name.
+(_set_job_id, _set_src_server, _set_dst_server, _set_rate_cap, _set_column,
+ _set_lo, _set_hi, _set_block_ids) = (
+    TransferDirective.__dict__[name].__set__ for name in TransferDirective.__slots__)
 
 
 @dataclass
@@ -728,9 +732,10 @@ class PartialBytes(dict):
         return gids * self.matrix.num_servers + sids
 
     def gather(self, keys: np.ndarray) -> Optional[np.ndarray]:
-        """Buffered bytes of each key of ``keys``; ``None`` when no key
-        has any, so callers can skip the subtraction (``size - 0.0 ==
-        size``). One sort of the store, one ``searchsorted`` of ``keys``.
+        """Buffered bytes of each key of ``keys`` (0.0 where none);
+        ``None`` when the store is empty, so callers can skip the
+        subtraction (``size - 0.0 == size``). One sort of the store, one
+        ``searchsorted`` of ``keys``.
         """
         count = len(self)
         if not count:
@@ -739,11 +744,8 @@ class PartialBytes(dict):
         order = probe.argsort()
         probe = probe[order]
         pos = np.minimum(probe.searchsorted(keys), count - 1)
-        hit = probe[pos] == keys
-        if not hit.any():
-            return None
-        values = np.fromiter(self.values(), dtype=float, count=count)[order]
-        return np.where(hit, values[pos], 0.0)
+        values = np.fromiter(self.values(), dtype=float, count=count)
+        return values[order[pos]] * (probe[pos] == keys)  # bytes are >= 0
 
 
 class _BlockColumns:

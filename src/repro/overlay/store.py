@@ -109,6 +109,8 @@ class PossessionMatrix:
         "server_dc_list",
         "dc_order",
         "dc_starts",
+        "dc_words",
+        "dc_bits",
         "bits",
         "holder_words",
         "dup",
@@ -138,6 +140,9 @@ class PossessionMatrix:
         self.dc_starts = np.searchsorted(
             self.server_dc_ids[self.dc_order], np.arange(len(self.dc_names))
         )
+        # Each one's word and bit (as a mask) in a ``holder_words`` row.
+        self.dc_words = self.dc_order >> 6
+        self.dc_bits = np.uint64(1) << (self.dc_order & 63).astype(np.uint64)
         capacity = 1024  # block columns: 16 whole uint64 words
         self._capacity = capacity
         self._words = capacity >> 6

@@ -19,7 +19,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tests import oracles
@@ -167,15 +167,106 @@ def _assert_router_matches_oracle(sim, max_sources, merge, cap=0):
     merge=st.booleans(),
     line=st.booleans(),
 )
+@example(seed=512, cycles=2, max_sources=1, merge=False, line=True)
+@example(seed=512, cycles=2, max_sources=1, merge=True, line=True)
 def test_router_equals_per_selection_oracle(seed, cycles, max_sources, merge, line):
+    """The two examples kill the mutant (applied to a copy of
+    ``core/routing.py``) that leaves groups without a usable source in
+    their first-appearance place instead of after every other group:
+    seed 512 (a line topology with a failed link) lists one ahead of
+    groups that have a source, which would then drop out with it."""
     _assert_router_matches_oracle(
         _midrun(seed, cycles, line=line), max_sources, merge
     )
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_router_equals_oracle_past_64_servers(seed):
-    _assert_router_matches_oracle(_midrun(seed, 2, wide=True), 3, True)
+@pytest.mark.parametrize(
+    "seed, max_sources, merge",
+    [
+        # The merging, three-source cases keep their seed-only ids.
+        pytest.param(seed, k, merge, id=str(seed) if (k, merge) == (3, True)
+                     else f"{seed}-{k}-{'merge' if merge else 'no-merge'}")
+        for seed in range(4) for k in (1, 3, 4) for merge in (True, False)
+    ],
+)
+def test_router_equals_oracle_past_64_servers(seed, max_sources, merge):
+    _assert_router_matches_oracle(_midrun(seed, 2, wide=True), max_sources, merge)
+
+
+def _two_word_sim(failed):
+    """70 servers (two holder words), two jobs two cycles in, with copies
+    seeded on, and agent failures at cycle 1 of, the servers at ``failed``
+    (sids)."""
+    topo = Topology.full_mesh(
+        num_dcs=5, servers_per_dc=14, wan_capacity=40 * MBps, uplink=5 * MBps
+    )
+    names = sorted(topo.servers)
+    jobs = []
+    for j, src in enumerate(("dc0", "dc3")):
+        job = MulticastJob(
+            job_id=f"job{j}", src_dc=src,
+            dst_dcs=tuple(d for d in ("dc1", "dc2", "dc4") if d != src),
+            total_bytes=24 * 4 * MB - 123_457, block_size=4 * MB,
+        )
+        job.bind(topo)
+        jobs.append(job)
+    pre_seeded = {names[sid]: jobs[0].blocks[::2] + jobs[1].blocks[1::3] for sid in failed}
+    events = [FailureEvent(cycle=1, kind="agent_fail", target=names[sid]) for sid in failed]
+    sim = Simulation(
+        topology=topo, jobs=jobs, strategy=make_strategy("bds", seed=0),
+        config=SimConfig(max_cycles=2, stop_when_complete=False),
+        failures=FailureSchedule(events), pre_seeded=pre_seeded, seed=0,
+    )
+    sim.run()
+    assert {names[sid] for sid in failed} <= set(sim.snapshot_view(2).failed_agents)
+    return sim
+
+
+@pytest.mark.parametrize("merge", [True, False])
+@pytest.mark.parametrize("max_sources", [1, 3, 4])
+def test_router_equals_oracle_with_failed_agents_at_the_word_boundary(
+    max_sources, merge
+):
+    """Servers 63 and 64 — the last bit of the first holder word and the
+    first bit of the second — hold copies and fail mid-run: the
+    failed-agent mask must clear both words (a mask applied to the first
+    word only, as a mutant, fails here and nowhere else)."""
+    _assert_router_matches_oracle(_two_word_sim((63, 64)), max_sources, merge)
+
+
+@pytest.mark.parametrize("merge", [True, False])
+def test_router_equals_oracle_when_server_ids_interleave_dcs(merge):
+    """Server names that do not sort DC by DC (``s00`` in east, ``s01``
+    in north, ...): the possession matrix's ``dc_order`` is no identity,
+    so holder columns, reach columns and server ids all differ.
+
+    Mutants killed here and nowhere else: the reach table's zero
+    diagonal set by server id rather than by ``dc_order`` column
+    (``core/cycle_cache.py``); holder bits read per column number rather
+    than per server id. Also killed here: class runs that ignore the
+    destination."""
+    topo = Topology()
+    dcs = ("east", "north", "west", "zulu")
+    for dc in dcs:
+        topo.add_dc(dc)
+    for i in range(12):
+        topo.add_server(f"s{i:02d}", dcs[i % len(dcs)], 5 * MBps, 5 * MBps)
+    for a, b in itertools.combinations(dcs, 2):
+        topo.add_bidirectional_link(a, b, 40 * MBps)
+    job = MulticastJob(
+        job_id="mixed", src_dc="east", dst_dcs=("north", "west", "zulu"),
+        total_bytes=30 * 4 * MB - 7, block_size=4 * MB,
+    )
+    job.bind(topo)
+    sim = Simulation(
+        topology=topo, jobs=[job], strategy=make_strategy("bds", seed=0),
+        config=SimConfig(max_cycles=2, stop_when_complete=False),
+        pre_seeded={"s05": job.blocks[::3], "s10": job.blocks[1::4]}, seed=0,
+    )
+    sim.run()
+    assert sim.store.matrix.dc_order.tolist() != list(range(12))
+    for max_sources in (1, 2, 3):
+        _assert_router_matches_oracle(sim, max_sources, merge)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -316,7 +407,12 @@ def test_emission_equals_oracle_across_groups(data, num_groups):
 def test_emission_edge_cases_equal_the_oracle(dst):
     """Half-received rows on both sides of the rotation point, one-row
     groups, and multi-source groups with fewer blocks than flowing
-    sources, in one call."""
+    sources, in one call.
+
+    Mutants this kills, each applied to a copy of ``core/routing.py``:
+    the second rotated range's offset one off; the half-received sort
+    dropped; the half-received sort ignoring group boundaries; one
+    destination's stagger reused for every destination."""
     crc = zlib.crc32(dst.encode())
     n = next(n for n in range(4, 64) if 1 < crc % n < n - 1)
     shift = crc % n
@@ -423,6 +519,17 @@ def _holder_sim(
     ],
 )
 def test_router_equals_oracle_when_residues_repeat(shape, max_sources, merge):
+    """Rows of one class whose block indices agree modulo the period
+    share a representative; representatives of one class and of several
+    merge into one group.
+
+    Mutants this kills, each applied to a copy of ``core/routing.py``:
+    the period without its rotation term, or without the DC moduli; the
+    representatives' argsort unstable, so that a run's head need not be
+    its lowest row; the groups' lexsort without the lowest-row key; each
+    group's lead scattered to the representative one place over; the
+    rows' argsort on the lead alone, members out of selection order; the
+    rotation's ``searchsorted`` on the left side."""
     _assert_router_matches_oracle(_holder_sim(**shape), max_sources, merge)
 
 
@@ -431,7 +538,8 @@ def test_router_equals_oracle_when_the_period_overflows(max_sources):
     """16 holder DCs of prime sizes 2..53 — every server holds — and
     rotation 16: the product is past int64, so the period saturates.
     Blocks 0 and 12 of 13 share a class, and a saturated period that
-    stopped short of the last index would fold one onto the other."""
+    stopped short of the last index would fold one onto the other (the
+    mutant capped one short of the largest index, killed here too)."""
     primes = (53, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
     assert math.prod(primes) * len(primes) >= 2**63
     sim = _holder_sim(primes, dst_servers=2, local=0, num_blocks=13)
@@ -444,7 +552,15 @@ def test_periods_are_exact_products_or_saturate(bound):
     """``_periods`` against Python's unbounded ints: the exact product
     of a row's moduli and rotation, or ``bound`` (past every block index)
     wherever that product reaches it — never a rounded, wrapped or
-    infinite product, and without a floating-point warning."""
+    infinite product, and without a floating-point warning.
+
+    Mutants this kills, each applied to a copy of ``core/routing.py``:
+    the period without the rotation term; without the DC moduli;
+    uncapped (the float product cast to int64 unguarded); capped one
+    short of the largest index; an int64 product that wraps. The
+    uncapped and wrapping ones only fail here: a wrapped or rounded
+    period that still separates every index is invisible in the
+    router's output."""
     from repro.core.routing import _periods
 
     rows = [
