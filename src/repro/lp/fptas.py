@@ -14,30 +14,32 @@ list):
   minimum, so the solve proceeds in phases with length threshold
   ``δ(1+ε)^k``: within a phase, each commodity is drained until its own
   lightest path crosses the threshold.
-* **A lazy heap of per-commodity best lengths.** Resource lengths only
-  grow, so a commodity's cached best-path length is a *lower bound* —
-  commodities whose cached bound already exceeds the phase threshold are
-  skipped without recomputation, and the heap re-validates entries only
-  when popped. The oracle therefore re-evaluates only commodities whose
-  paths were actually touched (their bound went stale below threshold).
+* **One sort per phase.** Lengths only grow, and a visit stores its
+  commodity's new key (lightest path length) only once it is ``≥`` the
+  phase threshold ``t`` (or the push limit has ended the solve), so a
+  phase visits exactly the commodities whose key was ``< t`` when it
+  began, each once, in ``(key, index)`` order — a lazy heap's pop order,
+  which one ``list.sort()`` of the stored keys per phase gives.
 * **A scalar push loop, shaped like its callers.** Every caller sends
   router-shaped instances: :class:`~repro.core.routing.BDSRouter` at most
   ``max_sources_per_group`` = 3 paths per commodity, each uplink / WAN /
   downlink plus the virtual demand resource; the routing benchmark 2–3
-  paths × 3; the test generators ≤ 5 paths × ≤ 4. On segments that small
+  paths × 3; the test generators ≤ 5 paths × ≤ 8. On segments that small
   one numpy call costs more than the whole reduction, so the loop keeps
-  lengths in a Python list, finds a commodity's lightest path with a
-  ≤ 3-way compare of ≤ 4-term sums, and multiplies ≤ 4 entries per push
-  by growth factors computed once per instance as one array expression.
-  Measured on the perf ledger's ``routing_backends`` workload (325 097
-  pushes, ``lp.fptas_s`` 3.34 s → 0.70 s): 10.3 µs per push with an
-  ``np.add.reduceat`` + ``np.argmin`` oracle and fancy-index updates,
-  2.1 µs with this loop — same pushes, same floats. Whole-instance work
-  (set-up, feasibility scaling, re-clip, dual certificate) stays on the
-  :class:`~repro.lp.incidence.PathIncidence` arrays. The replaced loop is
-  kept as a test oracle (``tests/oracles.py``) and the two are
-  property-tested bit-equal, because push counts are chaotic in the
-  instance: one differently rounded length is a different solve.
+  lengths in a Python list, folds a path as ``s0 + ((s1 + s2) + s3)``
+  over four slots (a zero-length sentinel pads shorter paths, a tail
+  extends longer ones) and multiplies ≤ 4 entries per push by growth
+  factors computed once per instance. On the 50 kernel calls of the perf
+  ledger's ``routing_backends`` workload (625 897 commodity visits, 62 %
+  pushing nothing; 325 097 pushes; AMD EPYC, Python 3.11) a numpy
+  ``reduceat`` + ``argmin`` loop takes 2.3 s, a per-term loop with a
+  lazy heap 0.38 s (0.61 µs a visit), this loop 0.25 s (0.40 µs): same
+  pushes, same floats. Whole-instance work (set-up, feasibility scaling,
+  re-clip, dual certificate) stays on the
+  :class:`~repro.lp.incidence.PathIncidence` arrays. The ``reduceat``
+  loop is kept as a test oracle (``tests/oracles.py``), property-tested
+  bit-equal, because push counts are chaotic in the instance: one
+  differently rounded length is a different solve.
 * **Cross-cycle warm starts.** The solver can resume from a previous
   solve's final resource lengths and raw path flows
   (:class:`FPTASWarmState`) when the resource universe, capacities, and ε
@@ -59,8 +61,8 @@ optimum (we additionally re-clip numerically so feasibility is exact).
 
 from __future__ import annotations
 
-import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
@@ -202,8 +204,8 @@ def _run_fleischer(
     """The phase loop: drains commodities below a rising length threshold.
 
     Mutates ``lengths``/``raw`` in place and returns them with the push
-    and phase counts. Deterministic: the heap breaks length ties on the
-    commodity index and each commodity drains its own first-lightest path.
+    and phase counts. Deterministic: a phase visits its commodities in
+    ``(key, index)`` order and each drains its own first-lightest path.
     """
     m = len(ext.used_res)
     limit = (
@@ -214,11 +216,11 @@ def _run_fleischer(
     one_plus = 1.0 + epsilon
     log_one_plus = math.log(one_plus)
 
-    # Scalar working set, built with O(1) numpy calls: lengths and raw flows
-    # as lists; per path its resources split (first, others) for the oracle
-    # and paired with their growth factors for a push, which multiplies each
-    # resource once per crossing, in path order.
-    length = lengths.tolist()
+    # Scalar working set, built with O(1) numpy calls: lengths (and a zero-
+    # length sentinel) and raw flows as lists; per path its four fold slots
+    # and tail, and its (resource, growth factor) steps for a push.
+    length = lengths.tolist() + [0.0]
+    pad = [len(lengths)] * 3
     pushed = raw.tolist()
     bottleneck = ext.min_cap.tolist()
     flat = ext.flat.tolist()
@@ -227,41 +229,50 @@ def _run_fleischer(
     ).tolist()
     spans = [(s, s + n) for s, n in zip(ext.starts.tolist(), ext.lens.tolist())]
     steps = [list(zip(flat[s:e], growth[s:e])) for s, e in spans]
-    split = [(pid, flat[s], flat[s + 1 : e]) for pid, (s, e) in enumerate(spans)]
-    by_commodity = [split[lo:hi] for lo, hi in ext.inc.commodity_path_range]
+    slots = [
+        (pid, *(flat[s:e] + pad)[:4], flat[s + 4 : e])
+        for pid, (s, e) in enumerate(spans)
+    ]
+    by_commodity = [slots[lo:hi] for lo, hi in ext.inc.commodity_path_range]
 
-    def lightest(candidates):
-        # A path's length folds as np.add.reduceat folds a segment of up to
-        # 8 terms: the first term plus a left fold of the others (0.0 + x is
-        # exact) — with explicit +, never builtin sum(), which is compensated
-        # from Python 3.12. That keeps solves bit-equal to the reduceat
-        # oracle in tests/oracles.py; longer paths (numpy goes pairwise, no
-        # caller builds them) keep this one rule. Ties go to the lowest path
-        # id, as argmin breaks them.
-        best, best_pid = math.inf, -1
-        for pid, first, others in candidates:
-            acc = 0.0
-            for r in others:
-                acc += length[r]
-            plen = length[first] + acc
-            if plen < best:
-                best, best_pid = plen, pid
-        return best, best_pid
-
-    # Seed the lazy heap with each commodity's exact best length.
-    heap: List[Tuple[float, int]] = []
-    for ci, candidates in enumerate(by_commodity):
-        if candidates:
-            best, _pid = lightest(candidates)
-            if best < 1.0:
-                heap.append((best, ci))
-    heapq.heapify(heap)
-
-    iterations = 0
-    phases = 0
+    # Pass 0 only measures (lengths are ≥ 0: none is below t_cur = 0.0); each
+    # later pass is a phase, and only measures once the push limit is reached.
+    queue = [(0.0, ci) for ci, paths in enumerate(by_commodity) if paths]
+    due, t_cur = len(queue), 0.0
+    iterations = phases = 0
     threshold = delta * one_plus
-    while heap and iterations < limit:
-        top = heap[0][0]
+    while True:
+        kept = queue[due:]
+        for _key, ci in queue[:due]:
+            paths = by_commodity[ci]
+            while True:
+                # As np.add.reduceat folds ≤ 8 terms: first + left fold of the
+                # rest, with explicit + (sum() is compensated from Python 3.12)
+                # and sentinels (x + 0.0 == x); longer paths (numpy: pairwise;
+                # no caller builds them) keep this rule. Ties go to the lowest
+                # path id, as argmin breaks them.
+                best, pid = math.inf, -1
+                for p, a, b, c, d, tail in paths:
+                    acc = (length[b] + length[c]) + length[d]
+                    if tail:
+                        for r in tail:
+                            acc += length[r]
+                    plen = length[a] + acc
+                    if plen < best:
+                        best, pid = plen, p
+                if best >= t_cur or iterations >= limit:
+                    break
+                pushed[pid] += bottleneck[pid]
+                for r, factor in steps[pid]:
+                    length[r] *= factor
+                iterations += 1
+            if best < 1.0:
+                kept.append((best, ci))
+        queue = kept
+        if not queue or iterations >= limit:
+            break
+        queue.sort()
+        top = queue[0][0]
         if threshold <= top:
             # Fast-forward across empty phases: jump straight to the first
             # threshold above the (lower-bound) lightest commodity.
@@ -271,19 +282,8 @@ def _run_fleischer(
                 threshold *= one_plus
         t_cur = min(threshold, 1.0)
         phases += 1
-        while heap and heap[0][0] < t_cur and iterations < limit:
-            _cached, ci = heapq.heappop(heap)
-            candidates = by_commodity[ci]
-            best, pid = lightest(candidates)
-            while best < t_cur and iterations < limit:
-                pushed[pid] += bottleneck[pid]
-                for r, factor in steps[pid]:
-                    length[r] *= factor
-                iterations += 1
-                best, pid = lightest(candidates)
-            if best < 1.0:
-                heapq.heappush(heap, (best, ci))
-    lengths[:] = length
+        due = bisect_left(queue, (t_cur, -1))
+    lengths[:] = length[:-1]
     raw[:] = pushed
     return lengths, raw, iterations, phases
 

@@ -355,12 +355,17 @@ def test_recompiled_waterfill_without_edits_passes():
     assert_kernel_matches_oracles(mutant_waterfill(), max_examples=50)
 
 
+def test_waterfill_mutant_with_a_missing_edit_text_fails():
+    """A stale edit is an error here, never a mutant that 'was caught'."""
+    with pytest.raises(AssertionError, match="no longer contains"):
+        mutant_waterfill(("for r in saturated[:1]:", "for r in saturated:"))
+
+
 @pytest.mark.parametrize("name", sorted(WATERFILL_MUTANTS))
 def test_waterfill_mutant_is_caught(name):
+    kernel = mutant_waterfill(*WATERFILL_MUTANTS[name])  # a stale edit fails here
     with pytest.raises(AssertionError):
-        assert_kernel_matches_oracles(
-            mutant_waterfill(*WATERFILL_MUTANTS[name]), max_examples=300
-        )
+        assert_kernel_matches_oracles(kernel, max_examples=300)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """The scalar Fleischer push loop against the ``reduceat`` loop it replaced.
 
-``repro.lp.fptas._run_fleischer`` folds path lengths and applies pushes
-over Python lists; ``tests/oracles.reduceat_run_fleischer`` is the numpy
-loop it replaced. ``lp.fptas_iterations`` is chaotic in the instance, so
-the contract is equality to the last bit — final ``lengths``, ``raw``,
-``iterations`` and ``phases`` of every kernel call — over generated
-router-shaped instances, solved cold and then resumed warm. Three mutants
-of the production kernel (each a one-line rounding or tie-break change)
-must be told apart from it by the same property.
+``repro.lp.fptas._run_fleischer`` folds path lengths over four slots and
+applies pushes over Python lists, and sorts each phase's commodities
+once; ``tests/oracles.reduceat_run_fleischer`` is the numpy loop it
+replaced, with its lazy heap. ``lp.fptas_iterations`` is chaotic in the
+instance, so the contract is equality to the last bit — final
+``lengths``, ``raw``, ``iterations`` and ``phases`` of every kernel call
+— over generated router-shaped instances, solved cold and then resumed
+warm, and over one router-scale chain. Six mutants of the production
+kernel (each a one-line rounding, tie-break or ordering change) must be
+told apart from it by the same property.
 """
 
 from __future__ import annotations
@@ -19,9 +21,15 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+import repro.core.routing as routing
 import repro.lp.fptas as fptas
+from repro.analysis.runner import make_strategy
 from repro.lp.fptas import max_multicommodity_flow
 from repro.lp.mcf import Commodity
+from repro.net.simulator import SimConfig, Simulation
+from repro.net.topology import Topology
+from repro.overlay.job import MulticastJob
+from repro.utils.units import MB, GBps, MBps
 from tests.oracles import reduceat_run_fleischer
 
 # -- generated instances ---------------------------------------------------------
@@ -113,6 +121,24 @@ ROUNDING_WITNESS = (
     [[Commodity("c0", (("r0",),), 10.0)]],
 )
 
+#: Two 4-term paths over the same resources in another order, whose
+#: comparison turns on the last bit of ``(s1 + s2) + s3`` — the
+#: derandomized generator reaches no such instance.
+FOLD_WITNESS = (
+    0.1, None, {"r0": 10.0, "r1": 1.0},
+    [[Commodity("c0", (("r1", "r0", "r0"), ("r0", "r1", "r0")), 1.0)]],
+)
+
+#: A path of six terms that crosses ``r0`` twice, so the fold's tail and
+#: the sentinel padding of the shorter candidates run on every draw.
+LONG_PATH_WITNESS = (
+    0.1, None, {"r0": 10.0, "r1": 1.0, "r2": 5.0},
+    [[
+        Commodity("c0", (("r0", "r1", "r0", "r2", "r1"), ("r2",)), 10.0),
+        Commodity("c1", (("r1", "r2"), ("r0",)), None),
+    ]],
+)
+
 
 def assert_bit_equal_to_oracle(kernel, max_examples):
     @settings(
@@ -124,6 +150,8 @@ def assert_bit_equal_to_oracle(kernel, max_examples):
     )
     @given(chains())
     @example(ROUNDING_WITNESS)
+    @example(FOLD_WITNESS)
+    @example(LONG_PATH_WITNESS)
     def prop(chain):
         assert kernel_trace(kernel, chain) == kernel_trace(
             reduceat_run_fleischer, chain
@@ -153,6 +181,69 @@ def test_generator_reaches_every_warm_start_tier():
     assert {"cold", "warm", "reuse", "cold-fallback"} <= seen
 
 
+# -- the router's own instances --------------------------------------------------
+
+
+def router_chain(max_cycles):
+    """The instances a ``bds-fptas`` router solves on ``routing_backends``' mesh.
+
+    One 480 MB file from dc0 to five DCs of 4 servers (2 MB/s NICs, 1 GB/s
+    WAN), simulated for ``max_cycles`` cycles: every ``route()`` call's
+    commodities, in order, as a chain that :func:`kernel_trace` replays
+    warm from one solve to the next, as the router does while the
+    topology is unchanged.
+    """
+    topo = Topology.full_mesh(
+        num_dcs=6, servers_per_dc=4, wan_capacity=1 * GBps, uplink=2 * MBps
+    )
+    job = MulticastJob(
+        job_id="backends",
+        src_dc="dc0",
+        dst_dcs=tuple(f"dc{i}" for i in range(1, 6)),
+        total_bytes=60 * 8 * MB,
+        block_size=8 * MB,
+    )
+    job.bind(topo)
+    solved = []
+    production = routing.max_multicommodity_flow
+
+    def recording(commodities, capacities, epsilon, **kwargs):
+        solved.append((list(commodities), dict(capacities), epsilon))
+        return production(commodities, capacities, epsilon, **kwargs)
+
+    routing.max_multicommodity_flow = recording
+    try:
+        Simulation(
+            topo,
+            [job],
+            make_strategy("bds-fptas", seed=0),
+            SimConfig(max_cycles=max_cycles),
+            seed=0,
+        ).run()
+    finally:
+        routing.max_multicommodity_flow = production
+    _first, caps, epsilon = solved[0]
+    assert all((c, e) == (caps, epsilon) for _s, c, e in solved)
+    return epsilon, None, caps, [commodities for commodities, _c, _e in solved]
+
+
+def test_router_scale_chain_is_bit_equal_to_reduceat_oracle():
+    """Many commodities a phase, where the phase sort's order matters.
+
+    The generated chains hold at most five commodities; the router's hold
+    up to a hundred on a symmetric mesh, so lengths tie exactly and a
+    phase visits tens of commodities in ``(key, index)`` order.
+    """
+    chain = router_chain(max_cycles=12)
+    calls, solves = kernel_trace(fptas._run_fleischer, chain)
+    assert (calls, solves) == kernel_trace(reduceat_run_fleischer, chain)
+    sizes = [len(commodities) for commodities in chain[3]]
+    labels = [label for label, _iterations, _flows in solves]
+    first = next(i for i, n in enumerate(sizes) if n >= 40)
+    assert labels[first : first + 2] == ["cold", "warm"]
+    assert sizes[first + 1] >= 40 and solves[first][1] > 10_000  # pushes
+
+
 # -- mutants ---------------------------------------------------------------------
 
 
@@ -170,8 +261,18 @@ def mutant_kernel(*edits):
 MUTANTS = {
     # numpy's reduceat is first + fold(rest), not a plain left fold
     "left-fold": [
-        ("acc = 0.0", "acc = length[first]"),
-        ("plen = length[first] + acc", "plen = acc"),
+        (
+            "acc = (length[b] + length[c]) + length[d]",
+            "acc = ((length[a] + length[b]) + length[c]) + length[d]",
+        ),
+        ("plen = length[a] + acc", "plen = acc"),
+    ],
+    # the fold of the rest runs left to right: (s1 + s2) + s3
+    "right-fold": [
+        (
+            "acc = (length[b] + length[c]) + length[d]",
+            "acc = length[b] + (length[c] + length[d])",
+        )
     ],
     # argmin returns the first minimum
     "last-minimum": [("if plen < best:", "if plen <= best:")],
@@ -182,6 +283,14 @@ MUTANTS = {
             "epsilon * (np.repeat(ext.min_cap, ext.lens) / ext.caps[ext.flat])",
         )
     ],
+    # the heap pops equal keys in index order, not in last phase's order
+    "key-only-sort": [("queue.sort()", "queue.sort(key=lambda entry: entry[0])")],
+    # a visited commodity keeps a stale key, not its new best: its old
+    # key, lifted to t_cur (δ after the measuring pass) so the solve ends
+    # — the old key alone is below t_cur and would be due again forever
+    "stale-key": [
+        ("kept.append((best, ci))", "kept.append((max(_key, t_cur, delta), ci))")
+    ],
 }
 
 
@@ -189,7 +298,14 @@ def test_recompiled_kernel_without_edits_passes():
     assert_bit_equal_to_oracle(mutant_kernel(), max_examples=50)
 
 
+def test_mutant_with_a_missing_edit_text_fails():
+    """A stale edit is an error here, never a mutant that 'was caught'."""
+    with pytest.raises(AssertionError, match="no longer contains"):
+        mutant_kernel(("acc = 0.0", "acc = length[first]"))
+
+
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_mutant_is_caught(name):
+    kernel = mutant_kernel(*MUTANTS[name])  # a stale edit fails here
     with pytest.raises(AssertionError):
-        assert_bit_equal_to_oracle(mutant_kernel(*MUTANTS[name]), max_examples=300)
+        assert_bit_equal_to_oracle(kernel, max_examples=300)
