@@ -197,8 +197,9 @@ class OverlayStrategy(ABC):
     _table: Optional[CandidateTable] = None
 
     @abstractmethod
-    def decide(self, view: ClusterView) -> List[TransferDirective]:
-        """Return this cycle's transfer directives."""
+    def decide(self, view: ClusterView) -> Sequence[TransferDirective]:
+        """Return this cycle's transfer directives: a list, or a
+        :class:`~repro.net.simulator.DirectiveBatch`."""
 
     def lens(self, view: ClusterView, job: MulticastJob) -> JobPossession:
         """``job``'s possession in ``view``, over the view's candidate

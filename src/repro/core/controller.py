@@ -41,8 +41,9 @@ and are combined in index order).
 
 from __future__ import annotations
 
+import dataclasses
 import time as _time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,7 +59,7 @@ from repro.core.shardexec import (
     schedule_and_route,
 )
 from repro.core.speculation import DeliverySpeculator, SpeculatedView
-from repro.net.simulator import ClusterView, TransferDirective
+from repro.net.simulator import ClusterView, DirectiveBatch, TransferDirective
 from repro.overlay.job import MulticastJob
 from repro.utils.rng import SeedLike
 
@@ -75,7 +76,7 @@ class _ShardPipeline:
     __slots__ = ("directives", "context")
 
     def __init__(self) -> None:
-        self.directives: Optional[List[TransferDirective]] = None
+        self.directives: Optional[Sequence[TransferDirective]] = None
         self.context: Optional[tuple] = None
 
 
@@ -111,7 +112,7 @@ class BDSController(OverlayStrategy):
             if self.config.speculation_horizon > 0
             else None
         )
-        self._previous_directives: List[TransferDirective] = []
+        self._previous_directives: Sequence[TransferDirective] = []
         # Sharded control plane (shards > 1): per-shard replay state, the
         # memoized job→shard assignment (sticky — a shard's candidate
         # rows and warm store live where the job lives) and the lazily
@@ -153,8 +154,12 @@ class BDSController(OverlayStrategy):
             self._shard_assign[job.job_id] = shard
         return shard
 
-    def decide(self, view: ClusterView) -> List[TransferDirective]:
+    def decide(self, view: ClusterView) -> Sequence[TransferDirective]:
         """One control cycle: schedule, route, emit directives.
+
+        The directives are the router's :class:`DirectiveBatch`
+        (concatenated and reconciled across shards), with any partition
+        fallback's appended; an outage returns the fallback's own list.
 
         When ``view.controller_available`` is false the decentralized
         fallback decides instead; its flows are *not* rate-capped by the
@@ -203,12 +208,14 @@ class BDSController(OverlayStrategy):
             view = SpeculatedView(view, *speculated)
         result = schedule_and_route(self.scheduler, self.router, view)
         self._log_decision(view.cycle, result.directives, [result])
-        return result.directives + fallback_directives
+        return DirectiveBatch.concat(
+            [result.directives, fallback_directives], view.store.matrix
+        )
 
     def _log_decision(
         self,
         cycle: int,
-        directives: List[TransferDirective],
+        directives: Sequence[TransferDirective],
         results: List[DecideResult],
         **shard_telemetry,
     ) -> None:
@@ -242,7 +249,7 @@ class BDSController(OverlayStrategy):
         view: ClusterView,
         fallback_directives: List[TransferDirective],
         speculated: Optional[Tuple[np.ndarray, np.ndarray]],
-    ) -> List[TransferDirective]:
+    ) -> Sequence[TransferDirective]:
         """Partitioned decide: per-shard decides + WAN reconciliation.
 
         ``view`` is the real one; the shards read it, or the
@@ -294,10 +301,10 @@ class BDSController(OverlayStrategy):
             pipe.directives = outcome.directives
             pipe.context = context
 
-        directives: List[TransferDirective] = []
-        for pipe in self._pipelines:
-            if pipe.directives:
-                directives.extend(pipe.directives)
+        directives = DirectiveBatch.concat(
+            [pipe.directives for pipe in self._pipelines if pipe.directives],
+            view.store.matrix,
+        )
 
         reconcile_started = _time.perf_counter()
         directives, reconciled = self._reconcile_wan(view, directives)
@@ -319,13 +326,15 @@ class BDSController(OverlayStrategy):
             shard_state_bytes=max((r.state_bytes for r in results), default=0),
             shard_payload_bytes=sum(r.payload_bytes for r in results),
         )
-        return directives + fallback_directives
+        return DirectiveBatch.concat(
+            [directives, fallback_directives], view.store.matrix
+        )
 
     def _reconcile_wan(
         self,
         view: ClusterView,
-        directives: List[TransferDirective],
-    ) -> Tuple[List[TransferDirective], int]:
+        directives: DirectiveBatch,
+    ) -> Tuple[DirectiveBatch, int]:
         """Outer shared-capacity reconciliation over all shards' directives.
 
         Each shard routed against the *full* link budgets, so the
@@ -342,36 +351,41 @@ class BDSController(OverlayStrategy):
         flows the single controller would have left alone, which showed
         up as a multi-percent completion-time regression. Directives are
         kept in shard-major order and the kernel is deterministic, so
-        the pass is too; path lookups go through ``view.flow_resources``,
-        sharing the simulator's warm path memos.
-        """
-        from repro.net.flow import Flow, max_min_fair_rates
+        the pass is too.
 
-        capped: List[int] = []
-        flows: List[Flow] = []
-        requested: List[float] = []
-        for i, d in enumerate(directives):
-            if d.rate_cap is None:
-                continue
-            res = view.flow_resources(d.src_server, d.dst_server)
-            if res is None:
-                continue  # partitioned off; the simulator drops it too
-            flows.append(
-                Flow(flow_id=len(capped), resources=res, rate_cap=d.rate_cap)
-            )
-            capped.append(i)
-            requested.append(d.rate_cap)
+        The batch stays columns: a capped directive's path is its pair's
+        ``path_ids`` row in the simulator's cycle cache (as the data
+        plane reads it), and the lowered caps come back as a new caps
+        column over the same rows.
+        """
+        from repro.net import flow
+
+        capped = [i for i, cap in enumerate(directives.caps) if cap is not None]
+        paths = view.path_rows(
+            [directives.src[i] for i in capped],
+            [directives.dst[i] for i in capped],
+            directives.names,
+        )
+        # A pair partitioned off is left out; the simulator drops it too.
+        capped = [i for i, path in zip(capped, paths) if path]
+        paths = [path for path in paths if path]
+        requested = [directives.caps[i] for i in capped]
         if len(capped) <= 1:
             return directives, 0
-        rates = max_min_fair_rates(flows, view.bulk_capacities)
+        rates = flow.max_min_fair_rates(
+            flow.FlowRows(paths, requested, view._cache.res_keys),
+            view.bulk_capacities,
+        )
+        caps = list(directives.caps)
         reconciled = 0
-        out = list(directives)
-        for j, i in enumerate(capped):
-            new_cap = float(rates[j])
-            if new_cap < requested[j]:
-                out[i] = out[i].with_rate_cap(new_cap)
+        for i, asked, rate in zip(capped, requested, rates):
+            if rate < asked:
+                caps[i] = rate
                 reconciled += 1
-        return out, reconciled
+        if not reconciled:
+            return directives, 0
+        # Rows, bounds and endpoints shared; objects rebuilt on request.
+        return dataclasses.replace(directives, caps=caps, _objects=None), reconciled
 
     def last_decision(self) -> Optional[ControlDecision]:
         return self.decisions[-1] if self.decisions else None

@@ -142,7 +142,8 @@ class ControlDecision:
     """The controller's output for one cycle."""
 
     cycle: int
-    directives: List[TransferDirective] = field(default_factory=list)
+    #: The emitted directives (the router's ``DirectiveBatch``).
+    directives: Sequence[TransferDirective] = field(default_factory=list)
     scheduled_blocks: int = 0
     num_commodities: int = 0
     schedule_runtime: float = 0.0

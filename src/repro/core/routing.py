@@ -14,15 +14,18 @@ Given the scheduling step's block selections, the router:
    * ``fptas``   — Garg–Könemann ε-approximation (the paper's choice);
    * ``lp``      — exact LP via scipy/HiGHS (slowest; optimality yardstick);
 
-4. converts per-path rates into rate-capped single-hop
-   :class:`~repro.net.simulator.TransferDirective`s, splitting each merged
-   group's blocks across its sources in proportion to the allocated rates.
+4. converts per-path rates into rate-capped single-hop transfer
+   directives — one :class:`~repro.net.simulator.DirectiveBatch` —
+   splitting each merged group's blocks across its sources in
+   proportion to the allocated rates.
 
 Steps 1, 2 and 4 are columnar: selections arrive as the int columns of a
 :class:`~repro.core.decisions.SelectionBatch`, are picked and merged as
-array gathers, and leave as directives whose block lists are segments of
-one per-cycle index array — no per-selection Python between the
-scheduler kernel and the solver (:class:`_Grouping` is the hand-off).
+array gathers, and leave as a batch of directives whose block lists are
+segments of one per-cycle index array and whose endpoints are server
+ids — no per-selection Python between the scheduler kernel and the
+solver (:class:`_Grouping` is the hand-off), and no directive object
+unless someone asks for one.
 Their work is proportional to merge groups, plus a few gathers and
 three sorts per row — a lexsort into classes, a stable argsort into
 (job, class, residue) representatives, whose picks are computed once
@@ -55,7 +58,7 @@ from repro.lp.fptas import max_multicommodity_flow
 from repro.lp.incidence import PathIncidence
 from repro.lp.mcf import Commodity, solve_lp_incidence
 from repro.net.cycle_cache import CycleCache, RoutingWarmStore
-from repro.net.simulator import ClusterView, TransferDirective
+from repro.net.simulator import ClusterView, DirectiveBatch
 from repro.overlay.job import MulticastJob
 from repro.utils.validation import check_positive
 
@@ -209,6 +212,11 @@ class _Grouping:
     jobs: List[MulticastJob]
     dst_servers: List[str]
     bounds: List[int]
+    #: Per group: its key row ``[job slot, destination, picked sources,
+    #: -1 padding]`` in server ids of ``names`` (the possession matrix's
+    #: interning order) — the ids its directives carry.
+    records: List[List[int]]
+    names: Sequence[str]
     #: Per row: job-relative block index, block size, and bytes already
     #: buffered at the destination (``None``: nothing is buffered anywhere).
     indices: np.ndarray
@@ -263,7 +271,7 @@ class BDSRouter:
         self,
         view: ClusterView,
         selections: SelectionBatch,
-    ) -> Tuple[List[TransferDirective], RoutingDiagnostics]:
+    ) -> Tuple[DirectiveBatch, RoutingDiagnostics]:
         """Allocate paths and rates for the scheduled blocks.
 
         The selection (what :meth:`RarestFirstScheduler.select
@@ -271,11 +279,12 @@ class BDSRouter:
         read as its columns, against the possession matrix of ``view``'s
         store: the source-candidate picks and the §5.1 merge are array
         gathers and server names are only materialized once per final
-        group.
+        group. The directives come back as a :class:`DirectiveBatch` in
+        that matrix's server ids.
         """
         started = _time.perf_counter()
         if not selections:
-            return [], RoutingDiagnostics(
+            return DirectiveBatch.pack((), view.store.matrix), RoutingDiagnostics(
                 backend=self.backend,
                 num_selections=0,
                 num_commodities=0,
@@ -292,7 +301,7 @@ class BDSRouter:
         grouping = self._group_columns(view, selections, cache)
         members, demands, paths = self._build_commodities(view, grouping, cache)
         if not members:
-            return [], RoutingDiagnostics(
+            return DirectiveBatch.pack((), view.store.matrix), RoutingDiagnostics(
                 backend=self.backend,
                 num_selections=len(selections),
                 num_commodities=0,
@@ -551,6 +560,8 @@ class BDSRouter:
             jobs=group_jobs,
             dst_servers=dst_servers,
             bounds=bounds,
+            records=records,
+            names=names,
             indices=index,
             sizes=sizes,
             buffered=buffered,
@@ -671,8 +682,12 @@ class BDSRouter:
     @staticmethod
     def _to_directives(
         grouping: _Grouping, members: List[int], rates: Rates
-    ) -> List[TransferDirective]:
+    ) -> DirectiveBatch:
         """Split each merged group's blocks across its allocated sources.
+
+        The directives leave as one :class:`DirectiveBatch`: their rows
+        are consecutive ranges of one send-order column, their endpoints
+        the groups' server ids.
 
         The send order of every group with a flowing source is one
         gather of the index column:
@@ -697,7 +712,7 @@ class BDSRouter:
         """
         bounds = grouping.bounds
         dst_servers = grouping.dst_servers
-        keys = grouping.keys
+        records = grouping.records
         stagger: Dict[str, int] = {}
         # Per group with a flowing source: (group, output segment, flowing
         # sources, their rates). Per rotated range: its length and the
@@ -709,7 +724,8 @@ class BDSRouter:
         for g, row in zip(members, rates):
             flowing = []
             flows = []
-            for src, rate in zip(keys[g][2], row):
+            # The picks' -1 padding trails them: ``row`` has one rate per pick.
+            for src, rate in zip(records[g][2:], row):
                 if rate > 1e-9:
                     flowing.append(src)
                     flows.append(rate)
@@ -727,7 +743,8 @@ class BDSRouter:
             groups.append((g, at, at + size, flowing, flows))
             at += size
         if not groups:
-            return []
+            empty = np.empty(0, dtype=np.int64)
+            return DirectiveBatch(empty, [0], [], [], [], [], grouping.names)
         take = np.arange(at) + np.array(offsets).repeat(lengths)
         if grouping.buffered is not None:
             # Sorted on (2 x group ordinal, not half-received).
@@ -738,17 +755,15 @@ class BDSRouter:
         column = grouping.indices[take]
         listed = None  # ``column`` as ints, once some group is dealt
 
-        directives: List[TransferDirective] = []
-        build = TransferDirective.from_segment
+        # Per directive: (job, source id, destination id, cap, end row).
+        emitted: List[Tuple[str, int, int, float, int]] = []
         for g, lo, hi, flowing, flows in groups:
-            job_id = keys[g][0]
-            dst_server = dst_servers[g]
+            job_id = grouping.keys[g][0]
+            dst = records[g][1]
             if len(flowing) == 1:
                 # The spare-rate formula below collapses to the rate
                 # itself: spare is exactly 0.0.
-                directives.append(
-                    build(job_id, column, lo, hi, flowing[0], dst_server, flows[0])
-                )
+                emitted.append((job_id, flowing[0], dst, flows[0], hi))
                 continue
             # Deal blocks to sources by descending byte deficit (ties to
             # the earlier source). Sizes are read off the blocks, not the
@@ -777,11 +792,11 @@ class BDSRouter:
             spare = total_rate - used_rate
             for src, rate, part in zip(flowing, flows, parts):
                 if part:
-                    share = rate + (
-                        spare * rate / used_rate if used_rate > 0 else 0.0
-                    )
-                    directives.append(build(
-                        job_id, column, lo, lo + len(part), src, dst_server, share
-                    ))
+                    share = rate + (spare * rate / used_rate if used_rate > 0 else 0.0)
                     lo += len(part)
-        return directives
+                    emitted.append((job_id, src, dst, share, lo))
+        job_ids, srcs, dsts, caps, ends = zip(*emitted)
+        return DirectiveBatch(
+            column, [0, *ends], list(job_ids), list(srcs), list(dsts), list(caps),
+            grouping.names,
+        )

@@ -64,7 +64,7 @@ class ShardPayload:
 class DecideResult:
     """One schedule+route's output: a shard's, or the single controller's."""
 
-    directives: List[TransferDirective]
+    directives: Sequence[TransferDirective]
     scheduled_blocks: int
     num_commodities: int
     objective: float

@@ -43,7 +43,7 @@ uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -242,140 +242,3 @@ def segment_mins(
     if values.size:
         out[nonzero] = np.minimum.reduceat(values, starts[nonzero])
     return out
-
-
-@dataclass
-class FlowIncidence:
-    """Compiled flow×resource incidence for the data-plane rate kernels.
-
-    The flow-level sibling of :class:`PathIncidence`, sharing its
-    interning contract: resources are interned in first-appearance order
-    over the given flows, duplicates within one flow's resource tuple are
-    preserved (a flow crossing a resource twice loads it twice), and an
-    unknown resource raises :class:`KeyError` at build time with the same
-    message the scalar allocators raise. Capacities are converted to
-    ``float64`` once at build; callers passing huge integer capacities
-    (>2^53) would lose the exact-int division the pure-Python path
-    performs, which no real input does (capacities are bytes/second).
-
-    Consumed by :func:`repro.net.flow.max_min_fair_rates` (which indexes
-    its resources by these ids) and
-    :func:`repro.net.flow.clip_rates_to_capacity_vectorized` (which
-    reduces over the CSR layout with ``reduceat``/``bincount`` exactly
-    like the routing solvers reduce over :class:`PathIncidence`).
-    """
-
-    #: index → resource key, in first-appearance order.
-    res_keys: List[ResourceKey]
-    #: resource key → index (inverse of ``res_keys``).
-    res_index: Dict[ResourceKey, int]
-    #: per-resource capacity, ``float64``.
-    caps: np.ndarray
-    #: concatenated resource indices of all flows.
-    flat_res: np.ndarray
-    #: start offset of each flow's slice inside ``flat_res``.
-    starts: np.ndarray
-    #: number of resources on each flow.
-    lens: np.ndarray
-
-    @classmethod
-    def build(
-        cls,
-        resource_seqs: Iterable[Sequence[ResourceKey]],
-        capacities: Mapping[ResourceKey, float],
-    ) -> "FlowIncidence":
-        """Compile per-flow resource tuples over ``capacities``.
-
-        Always strict: every referenced resource must exist in
-        ``capacities`` (callers that tolerate unknown resources — the
-        waterfill's zero-cap flows — simply exclude those flows from the
-        sequence, matching the scalar validation scope).
-        """
-        res_keys: List[ResourceKey] = []
-        res_index: Dict[ResourceKey, int] = {}
-        caps_list: List[float] = []
-        flat: List[int] = []
-        starts: List[int] = []
-        lens: List[int] = []
-        get = res_index.get
-        for seq in resource_seqs:
-            starts.append(len(flat))
-            lens.append(len(seq))
-            for res in seq:
-                idx = get(res)
-                if idx is None:
-                    if res not in capacities:
-                        raise KeyError(
-                            f"flow references unknown resource {res!r}"
-                        )
-                    idx = len(res_keys)
-                    res_index[res] = idx
-                    res_keys.append(res)
-                    caps_list.append(float(capacities[res]))
-                flat.append(idx)
-        return cls(
-            res_keys=res_keys,
-            res_index=res_index,
-            caps=np.asarray(caps_list, dtype=np.float64),
-            flat_res=np.asarray(flat, dtype=np.intp),
-            starts=np.asarray(starts, dtype=np.intp),
-            lens=np.asarray(lens, dtype=np.intp),
-        )
-
-    @property
-    def num_flows(self) -> int:
-        return len(self.starts)
-
-    @property
-    def num_resources(self) -> int:
-        return len(self.res_keys)
-
-    def loads(self) -> np.ndarray:
-        """Per-resource incidence counts (how many flow entries touch it)."""
-        return np.bincount(self.flat_res, minlength=self.num_resources)
-
-    def flow_mins(self, per_resource: np.ndarray, default: float) -> np.ndarray:
-        """``min(per_resource[r] for r in flow)``, ``default`` if no resources."""
-        return segment_mins(
-            per_resource[self.flat_res], self.starts, self.lens, default
-        )
-
-    def usage(self, per_flow: np.ndarray) -> np.ndarray:
-        """Per-resource usage implied by per-flow rates.
-
-        ``bincount`` accumulates in entry order — the same partial-sum
-        order as the scalar dict loop, so the sums are bit-identical.
-        """
-        per_entry = np.repeat(per_flow, self.lens)
-        return np.bincount(
-            self.flat_res, weights=per_entry, minlength=self.num_resources
-        )
-
-
-def outer_waterfill(inc: FlowIncidence, requested: np.ndarray) -> np.ndarray:
-    """One-pass proportional waterfill of ``requested`` over ``inc``.
-
-    The arithmetic of the data-plane clip kernel
-    (:func:`repro.net.flow.clip_rates_to_capacity_vectorized`; the
-    sharded controller's WAN reconciliation is a max-min waterfill
-    instead, see ``BDSController._reconcile_wan``): every resource whose
-    aggregate request exceeds its capacity scales all its flows by the
-    same ``cap / used`` factor, and a flow crossing several
-    oversubscribed resources takes the most restrictive factor. One pass
-    suffices because scaling only ever decreases loads.
-
-    ``requested`` is a per-flow float64 array aligned with the incidence
-    rows; the clipped per-flow array comes back in the same order. The
-    arithmetic is exactly the scalar clip's: ``bincount`` accumulates
-    usage in entry order (identical partial sums), the guard
-    ``used > cap and used > 0`` matches elementwise, and the per-flow
-    factor is a segment minimum (order-independent) — so results are
-    bit-identical to the dict loop.
-    """
-    requested = np.asarray(requested, dtype=np.float64)
-    usage = inc.usage(requested)
-    scale = np.ones(inc.num_resources, dtype=np.float64)
-    over = (usage > inc.caps) & (usage > 0)
-    scale[over] = inc.caps[over] / usage[over]
-    factor = inc.flow_mins(scale, default=1.0)
-    return requested * factor

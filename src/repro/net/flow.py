@@ -10,30 +10,29 @@ Two allocation regimes are needed by the reproduction:
   scaling down any resource that ended up oversubscribed (e.g. because the
   controller worked from slightly stale state, §5.1's non-blocking update).
 
-The waterfill is one event-driven kernel whose work per freeze event is
-over resources, not over every active flow. The clip has a scalar dict
-loop and an array kernel, dispatched on input size
-(:data:`VECTOR_MIN_FLOWS`). The waterfill and the array clip compile
-their flows into a CSR flow×resource incidence
-(:class:`repro.lp.incidence.FlowIncidence` — the same interning and
-``reduceat``/``bincount`` machinery the routing solvers use).
-The bit-identity arguments live in the docstrings; the equivalence suite
-in ``tests/test_flow_kernel.py`` asserts exact dict equality against the
-retired kernels and the textbook loop kept in ``tests/oracles.py``.
+Each regime is one kernel over :class:`FlowRows` — every flow as a row of
+resource numbers, the numbering of a
+:class:`~repro.net.cycle_cache.CycleCache`'s resource-id table — shared
+by the data plane and the sharded controller's WAN reconciliation. Both
+kernels also take a ``Sequence[Flow]``, which is converted once at entry
+into the same rows, and then answer by ``flow_id``. The waterfill's
+work per freeze event is over resources, not over every active flow;
+the clip is one pass of ``bincount`` and a segment minimum. The
+bit-identity arguments live in the docstrings; the equivalence suites
+in ``tests/test_flow_kernel.py`` and ``tests/test_directive_batch.py``
+assert exact equality against the retired kernels and the textbook loop
+kept in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.net.topology import ResourceKey
-
-#: Below this many flows the scalar clip wins on constant factors, so the
-#: dispatcher falls back to it; results are bit-identical either way.
-VECTOR_MIN_FLOWS = 64
 
 
 @dataclass
@@ -75,18 +74,80 @@ class FlowKernelStats:
     stalemates: int = 0
 
 
+@dataclass(slots=True)
+class FlowRows:
+    """Flows as rows of resource numbers: what the rate kernels run on.
+
+    ``paths[i]`` is flow ``i``'s resources as indices into ``res_keys``
+    (duplicates kept: a flow crossing a resource twice loads it twice),
+    and ``caps[i]`` its own upper bound — rate cap and demand folded as
+    :meth:`Flow.effective_cap` folds them, ``inf`` when unconstrained.
+    ``len()`` is the flow count. The data plane and the reconciler pass
+    the rows of a :class:`~repro.net.cycle_cache.CycleCache`'s
+    ``path_ids`` with its ``res_keys``; :meth:`of` numbers a
+    ``Sequence[Flow]``'s resources in first-appearance order.
+    """
+
+    paths: Sequence[Sequence[int]]
+    caps: Sequence[float]
+    res_keys: Sequence[ResourceKey]
+
+    @classmethod
+    def of(cls, flows: Sequence[Flow]) -> "FlowRows":
+        numbers: Dict[ResourceKey, int] = {}
+        paths = [
+            [numbers.setdefault(res, len(numbers)) for res in flow.resources]
+            for flow in flows
+        ]
+        return cls(paths, [flow.effective_cap() for flow in flows], list(numbers))
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def compile(
+        self, which: Optional[List[int]], capacities: Mapping[ResourceKey, float]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The CSR incidence of flows ``which`` (all when ``None``).
+
+        Returns their concatenated resource numbers, where each flow's
+        slice starts and how long it is, and the capacity of every
+        resource number as ``float64``. Only these flows are validated:
+        one of their resources that ``capacities`` lacks raises
+        :class:`KeyError` — the first in flow order, as a dict filled
+        flow by flow meets it — while any other resource's capacity
+        reads NaN.
+        """
+        paths = self.paths if which is None else [self.paths[i] for i in which]
+        lens = [len(path) for path in paths]
+        flat = np.fromiter(
+            itertools.chain.from_iterable(paths), dtype=np.intp, count=sum(lens)
+        )
+        get = capacities.get
+        caps = [get(key) for key in self.res_keys]
+        if None in caps:
+            for res in flat.tolist():
+                if caps[res] is None:
+                    key = self.res_keys[res]
+                    raise KeyError(f"flow references unknown resource {key!r}")
+            caps = [np.nan if cap is None else cap for cap in caps]
+        ends = np.cumsum(lens, dtype=np.intp)
+        lens = np.array(lens, dtype=np.intp)
+        return flat, ends - lens, lens, np.array(caps, dtype=np.float64)
+
+
 def max_min_fair_rates(
-    flows: Sequence[Flow],
+    flows: Union[FlowRows, Sequence[Flow]],
     capacities: Mapping[ResourceKey, float],
     stats: Optional[FlowKernelStats] = None,
-) -> Dict[Hashable, float]:
+) -> Union[List[float], Dict[Hashable, float]]:
     """Progressive-filling max-min fair allocation.
 
     All flows grow at the same rate until some resource saturates; flows
     through that resource freeze at their current rate, and the remaining
     flows keep growing. Flow-level caps (``rate_cap``/``demand``) are
     honoured: a flow freezes when it hits its own cap, releasing capacity
-    to the others.
+    to the others. Returns one rate per row of :class:`FlowRows`, or
+    ``{flow_id: rate}`` for a ``Sequence[Flow]``.
 
     Event-driven: each iteration of the loop is one freeze event, and
     only what the event touches is revisited. The caps are sorted once,
@@ -97,51 +158,41 @@ def max_min_fair_rates(
     minimum of ``residual / load``, one ``residual -= increment * load``
     and the saturation test. A saturated resource's residual becomes
     ``inf``: it has no flow left to load, and must neither bind nor
-    saturate again.
+    saturate again — and a resource no active flow crosses starts there.
 
     The water level is a running float sum, so events stay sequential,
     and each increment, residual update and freeze test is the IEEE
     operation of the textbook loop (``tests/oracles.py`` keeps it and
     the two kernels this one replaced): ``min(cap_i - level)`` is
     ``min(cap_i) - level`` because subtracting a constant is monotone,
-    float minima are order-independent, and the load counts are exact.
-    A duplicate ``flow_id`` keeps the highest level any of its flows
-    froze at, as the textbook loop's last write does.
+    float minima are order-independent, and the load counts are exact —
+    so how resources are numbered does not reach a rate.
     """
-    # Imported lazily: repro.lp.__init__ imports repro.lp.mcf, which
-    # imports repro.net.topology, which triggers repro.net.__init__ →
-    # this module — an eager import here would close that cycle onto a
-    # partially-initialized repro.lp.mcf.
-    from repro.lp.incidence import FlowIncidence
-
-    rates: Dict[Hashable, float] = {f.flow_id: 0.0 for f in flows}
-    active: List[Flow] = []
-    caps: List[float] = []
-    for flow in flows:
-        cap = flow.effective_cap()
-        if cap > 0:
-            active.append(flow)
-            caps.append(cap)
+    rows = flows if isinstance(flows, FlowRows) else FlowRows.of(flows)
+    rates = [0.0] * len(rows)
+    active = [i for i, cap in enumerate(rows.caps) if cap > 0]
     if not active:
-        return rates
+        return _by_flow_id(flows, rows, rates)
 
     # Only active flows are compiled (and therefore validated): a
     # zero-cap flow's resources are never looked at.
-    inc = FlowIncidence.build((f.resources for f in active), capacities)
+    flat, starts, lens, capacity = rows.compile(active, capacities)
+    caps = [rows.caps[i] for i in active]
     n = len(active)
-    residual = inc.caps.copy()
-    counts = inc.loads()
+    inf = float("inf")
+    counts = np.bincount(flat, minlength=len(capacity))
+    residual = np.where(counts > 0, capacity, inf)
     # Active flows per resource: a list for the per-entry decrements,
     # mirrored into floats (exact — small integers) for the array passes.
     count = counts.tolist()
     load = counts.astype(np.float64)
     scratch = np.empty_like(residual)
-    entries = inc.flat_res.tolist()
-    starts = inc.starts.tolist()
-    ends = (inc.starts + inc.lens).tolist()
+    entries = flat.tolist()
+    ends = (starts + lens).tolist()
+    starts = starts.tolist()
     # Resource → the flows that load it, as CSR over the entries.
-    by_res = np.repeat(np.arange(n), inc.lens)[
-        np.argsort(inc.flat_res, kind="stable")
+    by_res = np.repeat(np.arange(n), lens)[
+        np.argsort(flat, kind="stable")
     ].tolist()
     res_bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
     by_cap = np.argsort(np.asarray(caps), kind="stable").tolist()
@@ -151,7 +202,6 @@ def max_min_fair_rates(
     remaining = n
     head = 0  # position in by_cap of the smallest cap still alive
     level = 0.0
-    inf = float("inf")
     with np.errstate(divide="ignore"):  # finite / 0 on unloaded resources
         while remaining:
             while not alive[by_cap[head]]:
@@ -209,97 +259,67 @@ def max_min_fair_rates(
                     count[r] -= 1
                     load[r] = count[r]
 
-    for flow, r in zip(active, final):
-        if r > rates[flow.flow_id]:
-            rates[flow.flow_id] = r
-    return rates
+    for i, r in zip(active, final):
+        rates[i] = r
+    return _by_flow_id(flows, rows, rates)
+
+
+def _by_flow_id(flows, rows: FlowRows, rates: List[float]):
+    """The waterfill's rates as its caller passed the flows: one per row
+    of :class:`FlowRows`, or ``{flow_id: rate}``, where a duplicate
+    ``flow_id`` keeps the highest rate any of its flows froze at (the
+    textbook loop's last write)."""
+    if rows is flows:
+        return rates
+    by_id: Dict[Hashable, float] = {flow.flow_id: 0.0 for flow in flows}
+    for flow, r in zip(flows, rates):
+        if r > by_id[flow.flow_id]:
+            by_id[flow.flow_id] = r
+    return by_id
 
 
 def clip_rates_to_capacity(
-    flows: Sequence[Flow],
-    requested: Mapping[Hashable, float],
+    flows: Union[FlowRows, Sequence[Flow]],
+    requested: Union[Sequence[float], Mapping[Hashable, float]],
     capacities: Mapping[ResourceKey, float],
-) -> Dict[Hashable, float]:
+) -> Union[List[float], Dict[Hashable, float]]:
     """Scale requested rates so no resource is oversubscribed.
 
     Every resource with aggregate demand above capacity scales all its flows
     by the same factor (the network's approximation of per-link fair
     dropping); a flow crossing several oversubscribed resources gets the
     most restrictive factor. One pass is sufficient because scaling only
-    ever decreases loads.
+    ever decreases loads. ``requested`` is one rate per row of
+    :class:`FlowRows` (the clipped rates come back as a list), or
+    ``{flow_id: rate}`` for a ``Sequence[Flow]`` (absent ids request 0;
+    the answer is keyed the same way, a repeated id's last flow winning).
 
-    Dispatches between :func:`clip_rates_to_capacity_scalar` and
-    :func:`clip_rates_to_capacity_vectorized` (bit-identical results).
+    One array pass, bit-identical to the dict loop it replaced (kept in
+    ``tests/oracles.py``): ``bincount`` accumulates per-resource usage in
+    entry order (identical partial sums), the guard ``used > cap and
+    used > 0`` applies elementwise, and each flow's factor is a segment
+    minimum over its resources (order-independent). Unlike the
+    waterfill, *every* flow's resources are validated, zero-rate ones
+    included.
     """
-    if len(flows) >= VECTOR_MIN_FLOWS:
-        return clip_rates_to_capacity_vectorized(flows, requested, capacities)
-    return clip_rates_to_capacity_scalar(flows, requested, capacities)
+    # Imported lazily: repro.lp.__init__ imports repro.lp.mcf, which
+    # imports repro.net.topology, which triggers repro.net.__init__ →
+    # this module — an eager import here would close that cycle onto a
+    # partially-initialized repro.lp.mcf.
+    from repro.lp.incidence import segment_mins
 
-
-def clip_rates_to_capacity_scalar(
-    flows: Sequence[Flow],
-    requested: Mapping[Hashable, float],
-    capacities: Mapping[ResourceKey, float],
-) -> Dict[Hashable, float]:
-    """The scalar one-pass clip (dict bookkeeping)."""
-    usage: Dict[ResourceKey, float] = {}
-    for flow in flows:
-        r = requested.get(flow.flow_id, 0.0)
-        for res in flow.resources:
-            usage[res] = usage.get(res, 0.0) + r
-    scale: Dict[ResourceKey, float] = {}
-    for res, used in usage.items():
-        cap = capacities.get(res)
-        if cap is None:
-            raise KeyError(f"flow references unknown resource {res!r}")
-        scale[res] = 1.0 if used <= cap or used <= 0 else cap / used
-    result: Dict[Hashable, float] = {}
-    for flow in flows:
-        r = requested.get(flow.flow_id, 0.0)
-        factor = min((scale[res] for res in flow.resources), default=1.0)
-        result[flow.flow_id] = r * factor
-    return result
-
-
-def clip_rates_to_capacity_vectorized(
-    flows: Sequence[Flow],
-    requested: Mapping[Hashable, float],
-    capacities: Mapping[ResourceKey, float],
-) -> Dict[Hashable, float]:
-    """Array one-pass clip over CSR flow×resource incidence.
-
-    Bit-identical to :func:`clip_rates_to_capacity_scalar`: the whole
-    arithmetic lives in :func:`repro.lp.incidence.outer_waterfill`, which
-    accumulates per-resource usage via ``bincount`` in the same entry
-    order as the scalar dict loop (identical partial sums), applies the
-    same ``cap / used`` guard elementwise, and takes each flow's factor
-    as a segment minimum over its resources (order-independent). Unlike
-    the waterfill, *every* flow's resources are validated — the scalar
-    clip builds usage over all flows, zero-rate ones included.
-    """
-    # Imported lazily: see the waterfill note on the repro.lp cycle.
-    from repro.lp.incidence import FlowIncidence, outer_waterfill
-
-    if not flows:
-        return {}
-    inc = FlowIncidence.build((f.resources for f in flows), capacities)
-    r = np.fromiter(
-        (requested.get(f.flow_id, 0.0) for f in flows),
-        dtype=np.float64,
-        count=len(flows),
-    )
-    vals = outer_waterfill(inc, r)
-    return {f.flow_id: float(vals[i]) for i, f in enumerate(flows)}
-
-
-def resource_utilization(
-    flows: Sequence[Flow],
-    rates: Mapping[Hashable, float],
-) -> Dict[ResourceKey, float]:
-    """Aggregate bytes/second crossing each resource under ``rates``."""
-    usage: Dict[ResourceKey, float] = {}
-    for flow in flows:
-        r = rates.get(flow.flow_id, 0.0)
-        for res in flow.resources:
-            usage[res] = usage.get(res, 0.0) + r
-    return usage
+    rows = flows if isinstance(flows, FlowRows) else FlowRows.of(flows)
+    if rows is not flows:
+        asked = requested.get
+        requested = [asked(flow.flow_id, 0.0) for flow in flows]
+    if not len(rows):
+        return [] if rows is flows else {}
+    flat, starts, lens, caps = rows.compile(None, capacities)
+    rates = np.array(requested, dtype=np.float64)
+    usage = np.bincount(flat, weights=rates.repeat(lens), minlength=len(caps))
+    over = (usage > caps) & (usage > 0)
+    scale = np.divide(caps, usage, out=np.ones(len(caps)), where=over)
+    clipped = (rates * segment_mins(scale[flat], starts, lens, 1.0)).tolist()
+    if rows is flows:
+        return clipped
+    return {flow.flow_id: rate for flow, rate in zip(flows, clipped)}

@@ -44,8 +44,8 @@ from repro.net.candidates import CandidateTable
 from repro.net.cycle_cache import CycleCache, first_cycle_at_or_after
 from repro.net.failures import FailureSchedule
 from repro.net.flow import (
-    Flow,
     FlowKernelStats,
+    FlowRows,
     clip_rates_to_capacity,
     max_min_fair_rates,
 )
@@ -220,6 +220,124 @@ class TransferDirective:
 (_set_job_id, _set_src_server, _set_dst_server, _set_rate_cap, _set_column,
  _set_lo, _set_hi, _set_block_ids) = (
     TransferDirective.__dict__[name].__set__ for name in TransferDirective.__slots__)
+
+
+@dataclass(eq=False, repr=False, slots=True)
+class DirectiveBatch(abc.Sequence):
+    """One decide's directives as columns: a ``Sequence[TransferDirective]``.
+
+    Directive ``i`` sends the blocks ``column[bounds[i]:bounds[i + 1]]``
+    (job-relative indices, one int64 column for the whole batch, rows
+    directive-major) of job ``job_ids[i]`` from server id ``src[i]`` to
+    server id ``dst[i]`` at ``caps[i]`` (``None``: uncapped). Ids index
+    ``names``, the possession matrix's ``server_names`` — extended by
+    :meth:`pack` with any name the matrix lacks, which validation then
+    rejects. The router emits one; the sharded controller concatenates
+    and reconciles them; the simulator validates, routes and clips them
+    as columns. :class:`TransferDirective` objects are built (once, all
+    rows) only when something indexes, iterates or compares the batch.
+    """
+
+    column: np.ndarray
+    bounds: List[int]
+    job_ids: List[str]
+    src: List[int]
+    dst: List[int]
+    caps: List[Optional[float]]
+    names: Sequence[str]
+    _objects: Optional[List[TransferDirective]] = None
+
+    @classmethod
+    def pack(
+        cls, directives: Iterable[TransferDirective], matrix: PossessionMatrix
+    ) -> "DirectiveBatch":
+        """``directives`` in ``matrix``'s server ids; a batch already in
+        them is returned as is. The objects are kept, as the batch's
+        materialized form."""
+        names = matrix.server_names
+        if isinstance(directives, DirectiveBatch) and directives.names is names:
+            return directives
+        objects = list(directives)
+        ids = dict(matrix.server_ids)
+        src = [ids.setdefault(d.src_server, len(ids)) for d in objects]
+        dst = [ids.setdefault(d.dst_server, len(ids)) for d in objects]
+        parts = [d.block_indices for d in objects]
+        return cls(
+            np.concatenate(parts) if parts else np.empty(0, dtype=np.int64),
+            [0, *itertools.accumulate(len(part) for part in parts)],
+            [d.job_id for d in objects],
+            src,
+            dst,
+            [d.rate_cap for d in objects],
+            names if len(ids) == len(names) else list(ids),
+            objects,
+        )
+
+    @classmethod
+    def concat(
+        cls, parts: Sequence[Sequence[TransferDirective]], matrix: PossessionMatrix
+    ) -> "DirectiveBatch":
+        """The directives of ``parts`` in order, as one batch (the one
+        non-empty part itself)."""
+        parts = [cls.pack(part, matrix) for part in parts if len(part)]
+        if len(parts) <= 1:
+            return parts[0] if parts else cls.pack((), matrix)
+        bounds = [0]
+        for part in parts:
+            shift = bounds[-1]
+            bounds += [b + shift for b in part.bounds[1:]]
+        return cls(
+            np.concatenate([part.column for part in parts]),
+            bounds,
+            [j for part in parts for j in part.job_ids],
+            [s for part in parts for s in part.src],
+            [t for part in parts for t in part.dst],
+            [c for part in parts for c in part.caps],
+            parts[0].names,
+        )
+
+    def keep(
+        self, flags: Sequence[bool], column: np.ndarray, bounds: List[int]
+    ) -> "DirectiveBatch":
+        """The directives whose flag is set, over their rows ``column``
+        cut at ``bounds``."""
+        return DirectiveBatch(column, bounds, *(
+            list(itertools.compress(values, flags))
+            for values in (self.job_ids, self.src, self.dst, self.caps)
+        ), self.names)
+
+    def __len__(self) -> int:
+        return len(self.job_ids)
+
+    def _materialized(self) -> List[TransferDirective]:
+        if self._objects is None:
+            names, column, bounds = self.names, self.column, self.bounds
+            self._objects = [
+                TransferDirective.from_segment(
+                    job_id, column, bounds[i], bounds[i + 1],
+                    names[s], names[t], cap,
+                )
+                for i, (job_id, s, t, cap) in enumerate(
+                    zip(self.job_ids, self.src, self.dst, self.caps)
+                )
+            ]
+        return self._objects
+
+    def __getitem__(self, item):
+        return self._materialized()[item]
+
+    def __iter__(self) -> Iterator[TransferDirective]:
+        return iter(self._materialized())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, tuple, DirectiveBatch)):
+            return self._materialized() == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"DirectiveBatch({self._materialized()!r})"
 
 
 @dataclass
@@ -698,6 +816,25 @@ class ClusterView:
         table[key] = result
         return result
 
+    def path_rows(
+        self, src: Sequence[int], dst: Sequence[int], names: Sequence[str]
+    ) -> List[Tuple[int, ...]]:
+        """The failure-aware paths of the ``(src[i], dst[i])`` server-id
+        pairs as rows of resource numbers — the cycle cache's
+        ``path_ids``, ``()`` when partitioned off. A pair seen for the
+        first time is interned through :meth:`flow_resources`; a
+        memoized one counts the cache hit that lookup would have."""
+        cache = self._cache
+        cache.validate_paths(self.topology.epoch, self.failed_links)
+        path_ids = cache.path_ids
+        paths = [path_ids.get((names[s], names[t])) for s, t in zip(src, dst)]
+        cache.hits += len(paths)
+        for i in [i for i, path in enumerate(paths) if path is None]:
+            cache.hits -= 1  # flow_resources counts this lookup itself
+            pair = (names[src[i]], names[dst[i]])
+            paths[i] = cache.intern_path(pair, self.flow_resources(*pair))
+        return paths
+
     def received_bytes(self, block_id: BlockId, dst_server: str) -> float:
         """Bytes of ``block_id`` already buffered at ``dst_server``."""
         matrix = self.partial_bytes.matrix
@@ -768,7 +905,7 @@ class _BlockColumns:
     """
 
     __slots__ = (
-        "base", "count", "ids", "sizes", "gids", "server_ids", "starts",
+        "base", "count", "ids", "sizes", "gids", "starts",
         "origin", "num_dcs", "dest", "stripe_lo", "stripe_width",
         "stripe_sids",
     )
@@ -804,7 +941,6 @@ class _BlockColumns:
             [matrix.dc_ids[job.src_dc] for job in jobs], dtype=np.int64
         )
         self.sizes = np.concatenate([job.block_sizes() for job in jobs])
-        self.server_ids: Dict[str, int] = matrix.server_ids
         self.gids = np.fromiter(
             (matrix.intern(bid) for bid in self.ids),
             dtype=np.int64,
@@ -973,7 +1109,7 @@ class Simulation:
         # The (src, dst) pairs with a flow in the last executed cycle
         # (they skip the TCP re-establishment cost). One run consumes the
         # bookkeeping above, so there is only one.
-        self._prev_pairs: Set[Tuple[str, str]] = set()
+        self._prev_pairs: Set[int] = set()
         self._ran = False
 
         # Static candidate arrays for the scheduling kernel and the
@@ -1029,8 +1165,9 @@ class Simulation:
         )
         # run()'s active-job maintenance (see _active_jobs): arrival
         # cycles in arrival order, a pointer past the jobs that have
-        # arrived, their indices, and the (jobs-ordered) active list with
-        # the completed-job count it was built at.
+        # arrived, the indices of those not complete at the last rebuild,
+        # and the (jobs-ordered) active list with the completed-job count
+        # it was built at.
         self._arrival_cycles: List[int] = [
             self._arrival_cycle_by_idx[i] for i in self._arrival_order
         ]
@@ -1105,73 +1242,68 @@ class Simulation:
 
     def _valid_directives(
         self, directives: Iterable[TransferDirective], failed: Set[str]
-    ) -> Tuple[List[TransferDirective], FlowColumns]:
+    ) -> Tuple[DirectiveBatch, FlowColumns]:
         """Drop directives that violate physics or reference failed agents.
 
-        Endpoints are checked per directive; the per-block ``src has ∧
+        A strategy's list is packed into a :class:`DirectiveBatch` here,
+        once. Endpoints are checked per directive — a failed one skips
+        the directive before an unknown one raises — and only when some
+        agent failed or some name is unknown; the per-block ``src has ∧
         dst lacks`` filter runs as one possession gather over all of the
-        cycle's blocks. A directive is rebuilt only when some of its
-        blocks were filtered, dropped when none survive; order is kept
-        and repeated ids inside a directive are not deduped. Returns the
-        surviving directives with their row columns.
+        cycle's rows. The batch itself is returned when every row
+        survives; otherwise a new one with the surviving rows, dropping
+        the directives left without any. Order is kept and repeated ids
+        inside a directive are not deduped. Returns the surviving
+        directives with their row columns.
         """
-        servers = self.topology.servers
-        cols = self._block_columns()
-        base, count, sid_of = cols.base, cols.count, cols.server_ids
-        admitted: List[TransferDirective] = []
-        parts: List[np.ndarray] = []
-        meta: List[Tuple[int, int, int, int, int]] = []
-        for d in directives:
-            if d.src_server in failed or d.dst_server in failed:
-                continue
-            if d.src_server not in servers:
-                raise KeyError(f"unknown source server {d.src_server!r}")
-            if d.dst_server not in servers:
-                raise KeyError(f"unknown destination server {d.dst_server!r}")
-            indices = d.block_indices
-            offset, limit = base.get(d.job_id, 0), count.get(d.job_id, 0)
-            admitted.append(d)
-            parts.append(indices)
-            meta.append(
-                (offset, limit, sid_of[d.src_server], sid_of[d.dst_server],
-                 len(indices))
-            )
-        if not admitted:
+        matrix = self.store.matrix
+        batch = DirectiveBatch.pack(directives, matrix)
+        if not batch:
             empty = np.empty(0, dtype=np.int64)
-            return [], FlowColumns(empty, empty, empty, empty, [0], np.empty(0))
+            return batch, FlowColumns(empty, empty, empty, empty, [0], np.empty(0))
+        cols = self._block_columns()
+        base, count = cols.base, cols.count
+        job_ids, bounds = batch.job_ids, batch.bounds
+        offset = [base.get(job_id, 0) for job_id in job_ids]
+        limit = [count.get(job_id, 0) for job_id in job_ids]
+        names, src, dst = batch.names, batch.src, batch.dst
+        if failed or len(names) > matrix.num_servers:
+            known = matrix.num_servers
+            ids = matrix.server_ids
+            down = {ids[name] for name in failed if name in ids}
+            down.update(i for i in range(known, len(names)) if names[i] in failed)
+            src, dst = list(src), list(dst)
+            for i, (s, t) in enumerate(zip(batch.src, batch.dst)):
+                if s in down or t in down:
+                    # No row of it is known, so it is dropped below.
+                    limit[i] = src[i] = dst[i] = 0
+                elif s >= known:
+                    raise KeyError(f"unknown source server {names[s]!r}")
+                elif t >= known:
+                    raise KeyError(f"unknown destination server {names[t]!r}")
 
-        index = np.concatenate(parts) if len(parts) > 1 else parts[0]
-        per_directive = np.array(meta, dtype=np.int64).T
-        lens = per_directive[4]
-        offset, limit, src, dst = np.repeat(per_directive[:4], lens, axis=1)
+        index = batch.column
+        lens = np.diff(bounds)
+        offset, limit, src, dst = np.repeat(
+            np.array([offset, limit, src, dst], dtype=np.int64), lens, axis=1
+        )
         known = (index >= 0) & (index < limit)
         flat = np.where(known, index + offset, 0)
         gids = cols.gids[flat]
-        useful = known & self.store.matrix.test_transfers(src, dst, gids)
+        useful = known & matrix.test_transfers(src, dst, gids)
 
-        ends = np.cumsum(lens)
-        if useful.all():
-            valid = admitted
-        else:
-            starts = (ends - lens).tolist()
-            kept = np.add.reduceat(useful, starts, dtype=np.int64).tolist()
-            valid = []
-            for d, lo, n, k in zip(admitted, starts, lens.tolist(), kept):
-                if k == 0:
-                    continue
-                if k != n:
-                    d = TransferDirective.from_indices(
-                        d.job_id, d.block_indices[useful[lo : lo + n]],
-                        d.src_server, d.dst_server, d.rate_cap,
-                    )
-                valid.append(d)
+        if not useful.all():
+            kept = np.add.reduceat(useful, bounds[:-1], dtype=np.int64).tolist()
+            batch = batch.keep(
+                [k > 0 for k in kept], index[useful],
+                [0, *itertools.accumulate(k for k in kept if k)],
+            )
             flat = flat[useful]
             src = src[useful]
             dst = dst[useful]
             gids = gids[useful]
-            ends = np.cumsum([k for k in kept if k])
-        return valid, FlowColumns(
-            flat, src, dst, self._partial.key(gids, dst), [0] + ends.tolist(),
+        return batch, FlowColumns(
+            flat, src, dst, self._partial.key(gids, dst), batch.bounds,
             cols.sizes[flat],
         )
 
@@ -1298,12 +1430,9 @@ class Simulation:
             if self.agent_monitor is not None and controller_ok:
                 feedback_samples.append(self._sample_feedback(failed, decide_runtime))
             rate_started = _time.perf_counter()
-            directives, columns, flow_resources = self._flow_paths(
-                view, directives, columns
-            )
+            directives, columns, paths = self._flow_paths(view, directives, columns)
             rates, stalemates = self._resolve_rates(
-                directives, columns, flow_resources, bulk_caps,
-                clips and controller_ok,
+                directives, columns, paths, bulk_caps, clips and controller_ok
             )
             deliver_started = _time.perf_counter()
             transferred, done, finish = self._progress_flows(
@@ -1334,9 +1463,7 @@ class Simulation:
                     **self._decision_telemetry(cycle, decide_runtime),
                 )
                 if cfg.record_link_stats:
-                    self._record_link_stats(
-                        stats, directives, flow_resources, rates, online
-                    )
+                    self._record_link_stats(stats, paths, rates, online)
                 log.append(stats)
             if hook is not None:
                 hook(view, len(done))
@@ -1400,7 +1527,9 @@ class Simulation:
 
         O(changes): the arrival pointer advances over the arrival-sorted
         index, and the list is rebuilt only when it or the completed-job
-        count moved.
+        count moved. A rebuild prunes the completed jobs from the
+        arrived indices, so it costs O(active + arrivals), not
+        O(arrived).
         """
         cycles = self._arrival_cycles
         ptr = self._arrival_ptr
@@ -1410,11 +1539,11 @@ class Simulation:
         done = self._job_completion
         if ptr != self._arrival_ptr or len(done) != self._active_built_at:
             self._arrival_ptr = ptr
-            self._arrived.sort()
             jobs = self.jobs
-            self._active = [
-                jobs[i] for i in self._arrived if jobs[i].job_id not in done
+            self._arrived = [
+                i for i in sorted(self._arrived) if jobs[i].job_id not in done
             ]
+            self._active = [jobs[i] for i in self._arrived]
             self._active_built_at = len(done)
         return self._active
 
@@ -1430,59 +1559,53 @@ class Simulation:
     @staticmethod
     def _flow_paths(
         view: ClusterView,
-        directives: List[TransferDirective],
+        directives: DirectiveBatch,
         columns: FlowColumns,
-    ) -> Tuple[List[TransferDirective], FlowColumns, list]:
-        """Each directive's resources; drops those partitioned off this cycle."""
-        flow_resources = [
-            view.flow_resources(d.src_server, d.dst_server) for d in directives
-        ]
-        if None in flow_resources:
-            keep = [r is not None for r in flow_resources]
+    ) -> Tuple[DirectiveBatch, FlowColumns, List[Tuple[int, ...]]]:
+        """Each directive's path as resource numbers of ``view``'s cycle
+        cache; drops those partitioned off this cycle."""
+        paths = view.path_rows(directives.src, directives.dst, directives.names)
+        if () in paths:  # no path: partitioned off
+            keep = [bool(path) for path in paths]
+            rows = np.repeat(keep, np.diff(directives.bounds))
             columns = columns.take(keep)
-            directives = [d for d, k in zip(directives, keep) if k]
-            flow_resources = [r for r in flow_resources if r is not None]
-        return directives, columns, flow_resources
+            directives = directives.keep(keep, directives.column[rows], columns.bounds)
+            paths = [path for path in paths if path]
+        return directives, columns, paths
 
     def _resolve_rates(
         self,
-        directives: List[TransferDirective],
+        directives: DirectiveBatch,
         columns: FlowColumns,
-        flow_resources: list,
+        paths: List[Tuple[int, ...]],
         bulk_caps: Mapping[ResourceKey, float],
         clip: bool,
-    ) -> Tuple[Mapping[int, float], int]:
+    ) -> Tuple[List[float], int]:
         """Per-directive rates, and the waterfill's stalemate count.
 
-        Demands move every cycle (partial bytes drain them). ``clip``:
-        the controller assigned rates, which are clipped to capacity;
-        otherwise flows share max-min fairly.
+        Demands move every cycle (partial bytes drain them); a flow's
+        own bound is the smaller of its rate cap and its demand.
+        ``clip``: the controller assigned rates, which are clipped to
+        capacity; otherwise flows share max-min fairly.
         """
         dt = self.config.cycle_seconds
-        flows = [
-            Flow(
-                flow_id=i,
-                resources=flow_resources[i],
-                rate_cap=d.rate_cap,
-                demand=remaining / dt,
-            )
-            for i, (d, remaining) in enumerate(
-                zip(directives, self._flow_demands(columns))
-            )
-        ]
+        caps = []
+        for cap, remaining in zip(directives.caps, self._flow_demands(columns)):
+            demand = remaining / dt
+            caps.append(demand if cap is None or demand < cap else cap)
+        rows = FlowRows(paths, caps, self._cycle_cache.res_keys)
         if clip:
-            requested = {f.flow_id: f.effective_cap() for f in flows}
-            return clip_rates_to_capacity(flows, requested, bulk_caps), 0
+            return clip_rates_to_capacity(rows, caps, bulk_caps), 0
         kernel_stats = FlowKernelStats()
-        rates = max_min_fair_rates(flows, bulk_caps, stats=kernel_stats)
+        rates = max_min_fair_rates(rows, bulk_caps, stats=kernel_stats)
         return rates, kernel_stats.stalemates
 
     def _progress_flows(
         self,
         cycle: int,
-        directives: List[TransferDirective],
+        directives: DirectiveBatch,
         columns: FlowColumns,
-        rates: Mapping[int, float],
+        rates: Sequence[float],
         moved: Optional[Dict[int, float]] = None,
     ) -> Tuple[float, List[int], List[float]]:
         """Move ``rate × window`` bytes along every flow, block by block.
@@ -1494,6 +1617,8 @@ class Simulation:
         then the cycle is walked again with ``moved`` tracking each
         walked key's bytes, so a later row sees an earlier one's progress.
 
+        A (source, destination) pair is the int ``src * num_servers +
+        dst``; the pairs with a flow this cycle skip next cycle's set-up.
         Returns the bytes moved, the rows of ``columns`` whose transfer
         completed and their finish times: :meth:`_apply_deliveries` lands
         them after the walk, which reads nothing a delivery mutates, so
@@ -1505,7 +1630,8 @@ class Simulation:
         cycle_end = (cycle + 1) * dt
         partial = self._partial
         prev_pairs = self._prev_pairs
-        current_pairs: Set[Tuple[str, str]] = set()
+        current_pairs: Set[int] = set()
+        num_servers = self.store.matrix.num_servers
         done: List[int] = []
         finish: List[float] = []
         stops: List[int] = []
@@ -1514,11 +1640,11 @@ class Simulation:
         need, bounds = columns.need, columns.bounds
         if moved is not None:
             keys, sizes = columns.keys.tolist(), columns.sizes.tolist()
-        for i, d in enumerate(directives):
-            rate = rates.get(i, 0.0)
+        for i, (src, dst) in enumerate(zip(directives.src, directives.dst)):
+            rate = rates[i]
             if rate <= 0:
                 continue
-            pair = (d.src_server, d.dst_server)
+            pair = src * num_servers + dst
             window = dt - cfg.control_overhead_seconds
             if pair not in prev_pairs:
                 window = max(0.0, window - cfg.flow_setup_seconds)
@@ -1669,19 +1795,20 @@ class Simulation:
     def _record_link_stats(
         self,
         stats: CycleStats,
-        directives: List[TransferDirective],
-        flow_resources: list,
-        rates: Mapping[int, float],
+        paths: List[Tuple[int, ...]],
+        rates: Sequence[float],
         online: Mapping[ResourceKey, float],
     ) -> None:
         """Fill ``stats`` with per-link bulk/online usage and the worst
-        delay inflation over the links of interest (Fig. 6, Fig. 10)."""
+        delay inflation over the links of interest (Fig. 6, Fig. 10).
+        ``paths`` are the flows' resource numbers in the cycle cache."""
         cfg = self.config
+        res_keys = self._cycle_cache.res_keys
         usage: Dict[ResourceKey, float] = {}
-        for i in range(len(directives)):
-            rate = rates.get(i, 0.0)
-            for res in flow_resources[i]:
-                usage[res] = usage.get(res, 0.0) + rate
+        for path, rate in zip(paths, rates):
+            for res in path:
+                key = res_keys[res]
+                usage[key] = usage.get(key, 0.0) + rate
         caps = self.topology.resource_capacities()
         worst = 1.0
         for key in cfg.links_of_interest or tuple(self.topology.links):
@@ -1750,7 +1877,7 @@ class OverlayStrategyLike:
     uses_controller_rates: bool = False
     respects_safety_threshold: bool = False
 
-    def decide(self, view: ClusterView) -> List[TransferDirective]:
+    def decide(self, view: ClusterView) -> Sequence[TransferDirective]:
         raise NotImplementedError
 
 

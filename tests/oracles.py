@@ -29,6 +29,12 @@ module; the property tests run the production kernels against these:
   (``repro.net.flow.max_min_fair_rates_scalar`` / ``_vectorized`` as they
   were, one full pass over the active flows per iteration) against the
   event-driven kernel, dict for dict;
+* ``tests/test_directive_batch.py`` — the object-based emission, the
+  scalar and the array clip (``repro.net.flow.clip_rates_to_capacity_scalar``
+  / ``_vectorized`` and the ``FlowIncidence`` they compiled, as they
+  were) and the ``Flow``-per-directive WAN reconcile
+  (``BDSController._reconcile_wan`` as it was), against the directive
+  batch and the one clip kernel over path-id rows;
 * ``tests/test_progress_walk.py`` — the progress walk that visited
   every row up to the budget's end and probed a ``(block_id, server)``
   dict per row (``Simulation._progress_flows`` as it was), float for
@@ -48,6 +54,7 @@ from __future__ import annotations
 import heapq
 import math
 import zlib
+from dataclasses import dataclass
 from typing import (
     AbstractSet,
     Callable,
@@ -67,7 +74,7 @@ import numpy as np
 from repro.core.bandwidth import residual_budget
 from repro.core.decisions import ScheduledBlock
 from repro.lp.fptas import FPTASResult, max_multicommodity_flow
-from repro.lp.incidence import FlowIncidence, PathIncidence, segment_mins
+from repro.lp.incidence import PathIncidence, segment_mins
 from repro.utils.rng import SeedLike, make_rng
 from repro.lp.mcf import Commodity, solve_lp_incidence
 from repro.net.flow import Flow, FlowKernelStats
@@ -933,6 +940,261 @@ def max_min_fair_rates_vectorized(
         if r > rates[flow.flow_id]:
             rates[flow.flow_id] = float(r)
     return rates
+
+# -- flow: the incidence, the clip twins and the object-based reconcile -------
+
+
+@dataclass
+class FlowIncidence:
+    """Compiled flow×resource incidence for the data-plane rate kernels.
+
+    The flow-level sibling of :class:`PathIncidence`, sharing its
+    interning contract: resources are interned in first-appearance order
+    over the given flows, duplicates within one flow's resource tuple are
+    preserved (a flow crossing a resource twice loads it twice), and an
+    unknown resource raises :class:`KeyError` at build time with the same
+    message the scalar allocators raise. Capacities are converted to
+    ``float64`` once at build; callers passing huge integer capacities
+    (>2^53) would lose the exact-int division the pure-Python path
+    performs, which no real input does (capacities are bytes/second).
+
+    What the data-plane kernels compiled their flows into before they
+    ran on :class:`repro.net.flow.FlowRows`; the array waterfill and
+    the array clip below still do.
+    """
+
+    #: index → resource key, in first-appearance order.
+    res_keys: List[ResourceKey]
+    #: resource key → index (inverse of ``res_keys``).
+    res_index: Dict[ResourceKey, int]
+    #: per-resource capacity, ``float64``.
+    caps: np.ndarray
+    #: concatenated resource indices of all flows.
+    flat_res: np.ndarray
+    #: start offset of each flow's slice inside ``flat_res``.
+    starts: np.ndarray
+    #: number of resources on each flow.
+    lens: np.ndarray
+
+    @classmethod
+    def build(
+        cls,
+        resource_seqs: Iterable[Sequence[ResourceKey]],
+        capacities: Mapping[ResourceKey, float],
+    ) -> "FlowIncidence":
+        """Compile per-flow resource tuples over ``capacities``.
+
+        Always strict: every referenced resource must exist in
+        ``capacities`` (callers that tolerate unknown resources — the
+        waterfill's zero-cap flows — simply exclude those flows from the
+        sequence, matching the scalar validation scope).
+        """
+        res_keys: List[ResourceKey] = []
+        res_index: Dict[ResourceKey, int] = {}
+        caps_list: List[float] = []
+        flat: List[int] = []
+        starts: List[int] = []
+        lens: List[int] = []
+        get = res_index.get
+        for seq in resource_seqs:
+            starts.append(len(flat))
+            lens.append(len(seq))
+            for res in seq:
+                idx = get(res)
+                if idx is None:
+                    if res not in capacities:
+                        raise KeyError(
+                            f"flow references unknown resource {res!r}"
+                        )
+                    idx = len(res_keys)
+                    res_index[res] = idx
+                    res_keys.append(res)
+                    caps_list.append(float(capacities[res]))
+                flat.append(idx)
+        return cls(
+            res_keys=res_keys,
+            res_index=res_index,
+            caps=np.asarray(caps_list, dtype=np.float64),
+            flat_res=np.asarray(flat, dtype=np.intp),
+            starts=np.asarray(starts, dtype=np.intp),
+            lens=np.asarray(lens, dtype=np.intp),
+        )
+
+    @property
+    def num_flows(self) -> int:
+        return len(self.starts)
+
+    @property
+    def num_resources(self) -> int:
+        return len(self.res_keys)
+
+    def loads(self) -> np.ndarray:
+        """Per-resource incidence counts (how many flow entries touch it)."""
+        return np.bincount(self.flat_res, minlength=self.num_resources)
+
+    def flow_mins(self, per_resource: np.ndarray, default: float) -> np.ndarray:
+        """``min(per_resource[r] for r in flow)``, ``default`` if no resources."""
+        return segment_mins(
+            per_resource[self.flat_res], self.starts, self.lens, default
+        )
+
+    def usage(self, per_flow: np.ndarray) -> np.ndarray:
+        """Per-resource usage implied by per-flow rates.
+
+        ``bincount`` accumulates in entry order — the same partial-sum
+        order as the scalar dict loop, so the sums are bit-identical.
+        """
+        per_entry = np.repeat(per_flow, self.lens)
+        return np.bincount(
+            self.flat_res, weights=per_entry, minlength=self.num_resources
+        )
+
+
+def outer_waterfill(inc: FlowIncidence, requested: np.ndarray) -> np.ndarray:
+    """One-pass proportional waterfill of ``requested`` over ``inc``.
+
+    The arithmetic of :func:`clip_rates_to_capacity_vectorized`: every
+    resource whose
+    aggregate request exceeds its capacity scales all its flows by the
+    same ``cap / used`` factor, and a flow crossing several
+    oversubscribed resources takes the most restrictive factor. One pass
+    suffices because scaling only ever decreases loads.
+
+    ``requested`` is a per-flow float64 array aligned with the incidence
+    rows; the clipped per-flow array comes back in the same order. The
+    arithmetic is exactly the scalar clip's: ``bincount`` accumulates
+    usage in entry order (identical partial sums), the guard
+    ``used > cap and used > 0`` matches elementwise, and the per-flow
+    factor is a segment minimum (order-independent) — so results are
+    bit-identical to the dict loop.
+    """
+    requested = np.asarray(requested, dtype=np.float64)
+    usage = inc.usage(requested)
+    scale = np.ones(inc.num_resources, dtype=np.float64)
+    over = (usage > inc.caps) & (usage > 0)
+    scale[over] = inc.caps[over] / usage[over]
+    factor = inc.flow_mins(scale, default=1.0)
+    return requested * factor
+
+
+def clip_rates_to_capacity_scalar(
+    flows: Sequence[Flow],
+    requested: Mapping[Hashable, float],
+    capacities: Mapping[ResourceKey, float],
+) -> Dict[Hashable, float]:
+    """The scalar one-pass clip (dict bookkeeping)."""
+    usage: Dict[ResourceKey, float] = {}
+    for flow in flows:
+        r = requested.get(flow.flow_id, 0.0)
+        for res in flow.resources:
+            usage[res] = usage.get(res, 0.0) + r
+    scale: Dict[ResourceKey, float] = {}
+    for res, used in usage.items():
+        cap = capacities.get(res)
+        if cap is None:
+            raise KeyError(f"flow references unknown resource {res!r}")
+        scale[res] = 1.0 if used <= cap or used <= 0 else cap / used
+    result: Dict[Hashable, float] = {}
+    for flow in flows:
+        r = requested.get(flow.flow_id, 0.0)
+        factor = min((scale[res] for res in flow.resources), default=1.0)
+        result[flow.flow_id] = r * factor
+    return result
+
+
+def clip_rates_to_capacity_vectorized(
+    flows: Sequence[Flow],
+    requested: Mapping[Hashable, float],
+    capacities: Mapping[ResourceKey, float],
+) -> Dict[Hashable, float]:
+    """Array one-pass clip over CSR flow×resource incidence.
+
+    Bit-identical to :func:`clip_rates_to_capacity_scalar`: the whole
+    arithmetic lives in :func:`outer_waterfill`, which
+    accumulates per-resource usage via ``bincount`` in the same entry
+    order as the scalar dict loop (identical partial sums), applies the
+    same ``cap / used`` guard elementwise, and takes each flow's factor
+    as a segment minimum over its resources (order-independent). Unlike
+    the waterfill, *every* flow's resources are validated — the scalar
+    clip builds usage over all flows, zero-rate ones included.
+    """
+    if not flows:
+        return {}
+    inc = FlowIncidence.build((f.resources for f in flows), capacities)
+    r = np.fromiter(
+        (requested.get(f.flow_id, 0.0) for f in flows),
+        dtype=np.float64,
+        count=len(flows),
+    )
+    vals = outer_waterfill(inc, r)
+    return {f.flow_id: float(vals[i]) for i, f in enumerate(flows)}
+
+
+def resource_utilization(
+    flows: Sequence[Flow],
+    rates: Mapping[Hashable, float],
+) -> Dict[ResourceKey, float]:
+    """Aggregate bytes/second crossing each resource under ``rates``."""
+    usage: Dict[ResourceKey, float] = {}
+    for flow in flows:
+        r = rates.get(flow.flow_id, 0.0)
+        for res in flow.resources:
+            usage[res] = usage.get(res, 0.0) + r
+    return usage
+
+
+def reconcile_wan(
+    view: ClusterView,
+    directives: List[TransferDirective],
+) -> Tuple[List[TransferDirective], int]:
+    """``BDSController._reconcile_wan`` as it was: a ``Flow`` per capped
+    directive, its resources re-interned by the waterfill, and a
+    ``with_rate_cap`` copy per lowered cap.
+
+    Outer shared-capacity reconciliation over all shards' directives.
+
+    Each shard routed against the *full* link budgets, so the
+    combined rate caps can oversubscribe shared resources. One
+    max-min waterfill (here the array kernel, which the event kernel
+    matches bit for bit) over the combined directives,
+    with each directive's requested cap as its flow cap and the
+    budget-adjusted capacities (``view.bulk_capacities``) as the
+    resource limits, rewrites every cap to at most the directive's
+    global fair share. Max-min (rather than a proportional clip)
+    matters for quality: a flow that requested no more than its fair
+    share keeps its full request, and the freed headroom goes to the
+    flows that can use it — a proportional clip starves exactly the
+    flows the single controller would have left alone, which showed
+    up as a multi-percent completion-time regression. Directives are
+    kept in shard-major order and the kernel is deterministic, so
+    the pass is too; path lookups go through ``view.flow_resources``,
+    sharing the simulator's warm path memos.
+    """
+    capped: List[int] = []
+    flows: List[Flow] = []
+    requested: List[float] = []
+    for i, d in enumerate(directives):
+        if d.rate_cap is None:
+            continue
+        res = view.flow_resources(d.src_server, d.dst_server)
+        if res is None:
+            continue  # partitioned off; the simulator drops it too
+        flows.append(
+            Flow(flow_id=len(capped), resources=res, rate_cap=d.rate_cap)
+        )
+        capped.append(i)
+        requested.append(d.rate_cap)
+    if len(capped) <= 1:
+        return directives, 0
+    rates = max_min_fair_rates_vectorized(flows, view.bulk_capacities)
+    reconciled = 0
+    out = list(directives)
+    for j, i in enumerate(capped):
+        new_cap = float(rates[j])
+        if new_cap < requested[j]:
+            out[i] = out[i].with_rate_cap(new_cap)
+            reconciled += 1
+    return out, reconciled
 
 
 # -- store: the dict-of-sets possession index ---------------------------------

@@ -274,6 +274,10 @@ def test_router_equals_oracle_under_selection_cap(seed):
     _assert_router_matches_oracle(_midrun(seed, 1), 2, True, cap=5)
 
 
+#: The server names the hand-built groupings number their endpoints in.
+_SERVERS = [f"dc0-s{i}" for i in range(4)] + ["dc1-s0", "dc1-s1", "dc2-s0"]
+
+
 class _DealView:
     """Just enough view for the deal oracle: buffered bytes per (block, dst)."""
 
@@ -320,9 +324,11 @@ def test_deal_equals_oracle_with_ties_and_mixed_sizes(
         {(key, i): r for i, r in enumerate(rates)},
     )
     have_col = np.array([partial.get(((job.job_id, b.index), dst), 0.0) for b in job.blocks])
+    names = _SERVERS
     grouping = _Grouping(
         keys=[key], jobs=[job], dst_servers=[dst], bounds=[0, len(job.blocks)],
-        indices=np.arange(len(job.blocks)), sizes=job.block_sizes(),
+        records=[[0, names.index(dst), *map(names.index, sources)]],
+        names=names, indices=np.arange(len(job.blocks)), sizes=job.block_sizes(),
         buffered=have_col if have_col.any() else None,
     )
     got = BDSRouter._to_directives(grouping, [0], [rates])
@@ -371,8 +377,14 @@ def _emit_against_oracle(groups):
             ))
             group_blocks[key] = [job.blocks[i] for i in rows]
             rates.update({(key, i): r for i, r in enumerate(row_rates)})
+    names = _SERVERS
     grouping = _Grouping(
         keys=keys, jobs=jobs, dst_servers=dsts, bounds=bounds,
+        records=[
+            [g, names.index(dst), *map(names.index, key[2])]
+            for g, (key, dst) in enumerate(zip(keys, dsts))
+        ],
+        names=names,
         indices=np.array(index, dtype=np.int64), sizes=np.array(sizes),
         buffered=np.array(have) if any(have) else None,
     )
@@ -702,7 +714,7 @@ def test_columns_follow_directives_dropped_after_validation():
 def test_unknown_server_raises_like_the_scalar_loop(field):
     sim = _midrun(3, 1)
     view = sim.snapshot_view(1)
-    good = sim.strategy.decide(view)
+    good = list(sim.strategy.decide(view))
     assert good
     d = good[0]
     ends = {"src_server": d.src_server, "dst_server": d.dst_server, field: "ghost"}

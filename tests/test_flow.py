@@ -6,10 +6,9 @@ from repro.net.flow import (
     Flow,
     clip_rates_to_capacity,
     max_min_fair_rates,
-    resource_utilization,
 )
 
-from tests.oracles import max_min_fair_rates_reference
+from tests.oracles import max_min_fair_rates_reference, resource_utilization
 
 
 def flow(fid, *resources, rate_cap=None, demand=None):

@@ -1,7 +1,9 @@
 """Equivalence suite for the data-plane kernels.
 
 The event-driven waterfill (`max_min_fair_rates`), the array clip
-(`clip_rates_to_capacity_vectorized`), and the batched delivery path
+(`clip_rates_to_capacity_vectorized`, now an oracle beside its scalar
+twin — the production clip is checked against both in
+``tests/test_directive_batch.py``), and the batched delivery path
 (`PossessionIndex.record_deliveries` + `Simulation._apply_deliveries`)
 all claim *bit-identity* with the loops they replace. These tests make
 that claim falsifiable: randomized scenario sweeps and a Hypothesis
@@ -27,14 +29,8 @@ from hypothesis import strategies as st
 
 import repro.net.flow as flow_mod
 from repro.analysis.runner import make_strategy
-from repro.lp.incidence import FlowIncidence, segment_mins
-from repro.net.flow import (
-    Flow,
-    FlowKernelStats,
-    clip_rates_to_capacity_scalar,
-    clip_rates_to_capacity_vectorized,
-    max_min_fair_rates,
-)
+from repro.lp.incidence import segment_mins
+from repro.net.flow import Flow, FlowKernelStats, max_min_fair_rates
 from repro.net.simulator import SimConfig, SimResult, Simulation
 from repro.net.topology import Topology
 from repro.overlay.blocks import Block
@@ -381,8 +377,8 @@ class TestClipEquivalence:
         requested = {
             f.flow_id: rng.choice([0.0, 0.3, 1.5, 4.0, 20.0]) for f in flows
         }
-        scalar = clip_rates_to_capacity_scalar(flows, requested, capacities)
-        vectorized = clip_rates_to_capacity_vectorized(
+        scalar = oracles.clip_rates_to_capacity_scalar(flows, requested, capacities)
+        vectorized = oracles.clip_rates_to_capacity_vectorized(
             flows, requested, capacities
         )
         assert scalar == vectorized
@@ -391,9 +387,9 @@ class TestClipEquivalence:
         # clip (unlike the waterfill) validates every flow's resources.
         flows = [Flow(flow_id="f", resources=(("wan", "x", "y"),))]
         with pytest.raises(KeyError):
-            clip_rates_to_capacity_scalar(flows, {"f": 0.0}, {})
+            oracles.clip_rates_to_capacity_scalar(flows, {"f": 0.0}, {})
         with pytest.raises(KeyError):
-            clip_rates_to_capacity_vectorized(flows, {"f": 0.0}, {})
+            oracles.clip_rates_to_capacity_vectorized(flows, {"f": 0.0}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +413,11 @@ class TestIncidenceHelpers:
 
     def test_incidence_build_rejects_unknown_resource(self):
         with pytest.raises(KeyError, match="unknown resource"):
-            FlowIncidence.build([(("wan", "a", "b"),)], {})
+            oracles.FlowIncidence.build([(("wan", "a", "b"),)], {})
 
     def test_incidence_loads_and_usage(self):
         r1, r2 = ("wan", "a", "b"), ("wan", "b", "c")
-        inc = FlowIncidence.build(
+        inc = oracles.FlowIncidence.build(
             [(r1,), (r1, r2)], {r1: 10.0, r2: 20.0}
         )
         assert inc.num_flows == 2 and inc.num_resources == 2

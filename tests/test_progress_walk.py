@@ -147,16 +147,22 @@ def _case(seed, cycles, overhead, setup, repeat, modes, plant):
     return sim, view, valid, columns, rates
 
 
+def _pair_names(sim, pairs):
+    """The walk's ``src * num_servers + dst`` pair keys as name pairs."""
+    names = sim.store.matrix.server_names
+    return {(names[pair // len(names)], names[pair % len(names)]) for pair in pairs}
+
+
 def _assert_walk_is_the_loop(sim, view, valid, columns, rates, cycle):
     partial = oracles.partial_map(view)
-    prev = set(sim._prev_pairs)
+    prev = _pair_names(sim, sim._prev_pairs)
     want = oracles.progress_flows(
         sim.config, cycle, valid, columns, rates,
         sim._block_columns().ids, partial, prev,
     )
     got = sim._progress_flows(cycle, valid, columns, rates)
     assert got == want[:3]
-    assert sim._prev_pairs == want[3]
+    assert _pair_names(sim, sim._prev_pairs) == want[3]
     assert oracles.partial_map(view) == partial
     return got
 

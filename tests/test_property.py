@@ -14,9 +14,11 @@ from repro.analysis.metrics import empirical_cdf
 from repro.core.bandwidth import residual_budget
 from repro.lp.fptas import max_multicommodity_flow
 from repro.lp.mcf import Commodity, PathMCF
-from repro.net.flow import Flow, max_min_fair_rates, resource_utilization
+from repro.net.flow import Flow, max_min_fair_rates
 from repro.overlay.blocks import split_into_blocks, total_size
 from repro.workload.distributions import PiecewiseLinearCDF
+
+from tests.oracles import resource_utilization
 
 
 # ---------------------------------------------------------------------------

@@ -401,6 +401,57 @@ class TestJobIds:
         assert result.cycles_run < 50
 
 
+class TestActiveJobs:
+    """The active list is every arrived, incomplete job in ``jobs``
+    order, however the jobs arrive and finish."""
+
+    def test_out_of_order_completions_keep_jobs_order(self):
+        from repro.core import BDSController
+
+        topo = Topology.full_mesh(
+            num_dcs=3, servers_per_dc=2, wan_capacity=1 * GB, uplink=20 * MBps
+        )
+        # (id, arrival s, MB): listed, arriving and finishing in three
+        # different orders.
+        shapes = [("a", 6.0, 200), ("b", 0.0, 900), ("c", 3.0, 40), ("d", 0.0, 400)]
+        jobs = []
+        for k, (job_id, arrival, size) in enumerate(shapes):
+            job = MulticastJob(
+                job_id=job_id, src_dc=f"dc{k % 3}", dst_dcs=(f"dc{(k + 1) % 3}",),
+                total_bytes=size * MB, block_size=4 * MB, arrival_time=arrival,
+            )
+            job.bind(topo)
+            jobs.append(job)
+        controller = BDSController(seed=0)
+        seen = []
+
+        def decide(view):
+            done = set(sim._job_completion)
+            want = [
+                job.job_id for job in jobs
+                if job.arrival_time <= view.time and job.job_id not in done
+            ]
+            seen.append(([job.job_id for job in view.jobs], want))
+            # Completed jobs are pruned from the arrived indices.
+            assert sim._arrived == [jobs.index(job) for job in view.jobs]
+            return controller.decide(view)
+
+        sim = Simulation(
+            topo, jobs, ScriptedStrategy(decide, uses_rates=True),
+            SimConfig(max_cycles=200), seed=0,
+        )
+        result = sim.run()
+        assert result.all_complete
+        finished = sorted(result.job_completion, key=result.job_completion.get)
+        arrived = sorted("abcd", key=lambda j: dict((s[0], s[1]) for s in shapes)[j])
+        assert finished != arrived and finished != list("abcd")
+        assert all(got == want for got, want in seen)
+        # c joins between b and d, and leaves before them; a, the last
+        # to arrive, is listed first.
+        lists = {tuple(got) for got, _want in seen}
+        assert {("b", "c", "d"), ("a", "b", "d")} <= lists
+
+
 class TestLinksOfInterest:
     def _simulation(self, links):
         topo = two_dc_topology()
