@@ -17,7 +17,8 @@ from typing import Any, Callable, Optional, Sequence, Tuple
 
 from repro.analysis.runner import Scenario
 from repro.core import BDSConfig, BDSController
-from repro.net.simulator import ClusterView, Simulation
+from repro.net.simulator import Simulation
+from repro.net.view import ClusterView
 
 
 def wall(text: str) -> str:

@@ -21,7 +21,8 @@ from repro.core.diffs import diff_stats_over_run
 from repro.core.routing import BDSRouter
 from repro.core.scheduling import RarestFirstScheduler
 from repro.net.presets import baidu_like
-from repro.net.simulator import ClusterView, SimConfig, Simulation
+from repro.net.simulator import SimConfig, Simulation
+from repro.net.view import ClusterView
 from repro.overlay.job import MulticastJob
 from repro.utils.units import GB, MB, MBps
 

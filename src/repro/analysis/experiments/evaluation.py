@@ -29,7 +29,8 @@ from repro.core import BDSController
 from repro.core.formulation import StandardLPRouter
 from repro.net.failures import FailureSchedule
 from repro.net.latency import LatencyModel
-from repro.net.simulator import ClusterView, SimConfig, Simulation
+from repro.net.simulator import SimConfig, Simulation
+from repro.net.view import ClusterView
 from repro.overlay.monitor import AgentMonitor
 from repro.utils.rng import make_rng
 from repro.utils.units import GB, MB, MBps

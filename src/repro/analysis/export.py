@@ -1,6 +1,6 @@
 """Exporting simulation results to JSON for external analysis.
 
-:class:`~repro.net.simulator.SimResult` holds live objects (the possession
+:class:`~repro.net.result.SimResult` holds live objects (the possession
 index, cycle stats); this module flattens the analysis-relevant parts into
 plain JSON so results can be archived, diffed across runs, or loaded into
 other tools. Resource keys are rendered as ``kind:part:part`` strings.
@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Union
 
-from repro.net.simulator import CycleStats, SimResult
+from repro.net.result import CycleStats, SimResult
 
 PathLike = Union[str, Path]
 

@@ -18,7 +18,8 @@ from repro.core import BDSConfig, BDSController
 from repro.core.formulation import StandardLPRouter
 from repro.net.background import BackgroundTraffic
 from repro.net.failures import FailureSchedule
-from repro.net.simulator import SimConfig, SimResult, Simulation
+from repro.net.result import SimResult
+from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
 from repro.utils.rng import SeedLike

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.runner import RunSpec, Scenario, run_many
-from repro.net.simulator import SimConfig, SimResult
+from repro.net.result import SimResult
+from repro.net.simulator import SimConfig
 from repro.utils.rng import SeedLike
 
 

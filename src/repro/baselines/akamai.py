@@ -23,7 +23,8 @@ from typing import Dict, List
 import numpy as np
 
 from repro.baselines.base import JobPossession, OverlayStrategy, Rows, head
-from repro.net.simulator import ClusterView, TransferDirective
+from repro.net.directive import TransferDirective
+from repro.net.view import ClusterView
 from repro.overlay.job import MulticastJob
 from repro.utils.validation import check_positive
 

@@ -1,7 +1,7 @@
 """The strategy interface every overlay scheme implements.
 
-A strategy looks at the per-cycle :class:`~repro.net.simulator.ClusterView`
-and returns :class:`~repro.net.simulator.TransferDirective`s. Three class
+A strategy looks at the per-cycle :class:`~repro.net.view.ClusterView`
+and returns :class:`~repro.net.directive.TransferDirective`s. Three class
 attributes describe how the simulator should treat its flows:
 
 * ``uses_controller_rates`` — the strategy assigns explicit per-flow rates
@@ -29,7 +29,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.net.candidates import CandidateTable
-from repro.net.simulator import ClusterView, TransferDirective
+from repro.net.directive import TransferDirective
+from repro.net.view import ClusterView
 from repro.overlay.job import MulticastJob
 
 Rows = Tuple[np.ndarray, ...]
@@ -199,7 +200,7 @@ class OverlayStrategy(ABC):
     @abstractmethod
     def decide(self, view: ClusterView) -> Sequence[TransferDirective]:
         """Return this cycle's transfer directives: a list, or a
-        :class:`~repro.net.simulator.DirectiveBatch`."""
+        :class:`~repro.net.directive.DirectiveBatch`."""
 
     def lens(self, view: ClusterView, job: MulticastJob) -> JobPossession:
         """``job``'s possession in ``view``, over the view's candidate

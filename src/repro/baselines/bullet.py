@@ -16,7 +16,8 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.baselines.base import JobPossession, OverlayStrategy, draw
-from repro.net.simulator import ClusterView, TransferDirective
+from repro.net.directive import TransferDirective
+from repro.net.view import ClusterView
 from repro.utils.rng import SeedLike, make_rng
 from repro.utils.validation import check_positive
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 from typing import List
 
 from repro.baselines.base import OverlayStrategy, head
-from repro.net.simulator import ClusterView, TransferDirective
+from repro.net.directive import TransferDirective
+from repro.net.view import ClusterView
 from repro.utils.validation import check_positive
 
 

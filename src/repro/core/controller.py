@@ -59,7 +59,8 @@ from repro.core.shardexec import (
     schedule_and_route,
 )
 from repro.core.speculation import DeliverySpeculator, SpeculatedView
-from repro.net.simulator import ClusterView, DirectiveBatch, TransferDirective
+from repro.net.directive import DirectiveBatch, TransferDirective
+from repro.net.view import ClusterView
 from repro.overlay.job import MulticastJob
 from repro.utils.rng import SeedLike
 

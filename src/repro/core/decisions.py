@@ -16,7 +16,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.net.simulator import TransferDirective
+from repro.net.directive import TransferDirective
 from repro.overlay.blocks import Block
 from repro.overlay.job import MulticastJob
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from repro.net.simulator import TransferDirective
+from repro.net.directive import TransferDirective
 
 BlockId = Tuple[str, int]
 # A transfer's identity from the agent's perspective: one TCP connection

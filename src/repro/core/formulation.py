@@ -25,8 +25,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.core.decisions import ScheduledBlock
 from repro.core.routing import RoutingDiagnostics
 from repro.lp.model import LinearProgram, LPError
-from repro.net.simulator import ClusterView, TransferDirective
+from repro.net.directive import TransferDirective
 from repro.net.topology import ResourceKey
+from repro.net.view import ClusterView
 from repro.utils.validation import check_positive
 
 BlockId = Tuple[str, int]

@@ -15,7 +15,7 @@ Given the scheduling step's block selections, the router:
    * ``lp``      — exact LP via scipy/HiGHS (slowest; optimality yardstick);
 
 4. converts per-path rates into rate-capped single-hop transfer
-   directives — one :class:`~repro.net.simulator.DirectiveBatch` —
+   directives — one :class:`~repro.net.directive.DirectiveBatch` —
    splitting each merged group's blocks across its sources in
    proportion to the allocated rates.
 
@@ -58,7 +58,8 @@ from repro.lp.fptas import max_multicommodity_flow
 from repro.lp.incidence import PathIncidence
 from repro.lp.mcf import Commodity, solve_lp_incidence
 from repro.net.cycle_cache import CycleCache, RoutingWarmStore
-from repro.net.simulator import ClusterView, DirectiveBatch
+from repro.net.directive import DirectiveBatch
+from repro.net.view import ClusterView
 from repro.overlay.job import MulticastJob
 from repro.utils.validation import check_positive
 

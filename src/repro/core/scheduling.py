@@ -30,7 +30,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.core.decisions import SelectionBatch
-from repro.net.simulator import ClusterView
+from repro.net.view import ClusterView
 
 
 class RarestFirstScheduler:

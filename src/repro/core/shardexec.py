@@ -2,7 +2,7 @@
 
 A shard (``BDSConfig.shards > 1``) is a subset of the jobs, not a copy
 of the store. Each due shard decides on the live
-:class:`~repro.net.simulator.ClusterView` restricted to its bucket: it
+:class:`~repro.net.view.ClusterView` restricted to its bucket: it
 reads the simulator's :class:`~repro.overlay.store.PossessionIndex` —
 or, on a speculating cycle (§5.1), the controller's one
 :class:`~repro.core.speculation.SpeculatedView` of it — together with
@@ -42,7 +42,8 @@ from repro.core.routing import BDSRouter
 from repro.core.scheduling import RarestFirstScheduler
 from repro.net.candidates import CandidateTable
 from repro.net.cycle_cache import CycleCache
-from repro.net.simulator import ClusterView, TransferDirective
+from repro.net.directive import TransferDirective
+from repro.net.view import ClusterView
 from repro.overlay.job import MulticastJob
 from repro.overlay.store import PossessionMatrix
 

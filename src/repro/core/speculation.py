@@ -10,7 +10,7 @@ that will land during the decision window have landed.
 produces the block deliveries expected to complete within a given
 horizon, as (server id, block column id) columns of the possession
 matrix; :class:`SpeculatedView` is the real
-:class:`~repro.net.simulator.ClusterView` reading possession from a
+:class:`~repro.net.view.ClusterView` reading possession from a
 :class:`~repro.overlay.store.PossessionOverlay` that holds them too. The
 same scheduler and router decide it; the real index is not touched.
 """
@@ -21,7 +21,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.net.simulator import ClusterView, TransferDirective
+from repro.net.directive import TransferDirective
+from repro.net.view import ClusterView
 from repro.overlay.store import PossessionOverlay
 from repro.utils.validation import check_non_negative
 

@@ -6,6 +6,8 @@ servers with uplink/downlink caps, max-min fair bandwidth sharing, latency,
 diurnal latency-sensitive background traffic, and failure injection.
 """
 
+import importlib
+
 from repro.net.topology import DataCenter, Link, Server, Topology
 from repro.net.paths import (
     OverlayPath,
@@ -21,25 +23,24 @@ from repro.net.background import BackgroundTraffic, delay_inflation
 from repro.net.failures import FailureEvent, FailureSchedule
 from repro.net.presets import baidu_like, dumbbell, global_regions
 
-# The simulator sits above the overlay data plane (it moves blocks between
-# agents), so importing it here eagerly would be circular:
-# net.simulator -> overlay.job -> net.topology -> this __init__.
-# PEP 562 lazy attributes break the cycle while keeping
-# ``from repro.net import Simulation`` working.
-_SIMULATOR_EXPORTS = (
-    "ClusterView",
-    "SimConfig",
-    "SimResult",
-    "Simulation",
-    "TransferDirective",
-)
+# The simulator and its types sit above the overlay data plane (they
+# move blocks between agents), so importing them here eagerly would be
+# circular: net.simulator -> overlay.job -> net.topology -> this __init__.
+# PEP 562 lazy attributes, each read from its home module, break the
+# cycle while keeping ``from repro.net import Simulation`` working.
+_SIMULATOR_EXPORTS = {
+    "ClusterView": "view",
+    "SimConfig": "simulator",
+    "SimResult": "result",
+    "Simulation": "simulator",
+    "TransferDirective": "directive",
+}
 
 
 def __getattr__(name):
     if name in _SIMULATOR_EXPORTS:
-        from repro.net import simulator
-
-        return getattr(simulator, name)
+        module = importlib.import_module(f"repro.net.{_SIMULATOR_EXPORTS[name]}")
+        return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [

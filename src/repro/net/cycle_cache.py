@@ -14,7 +14,7 @@ matrix.)
 
 Ownership: the :class:`~repro.net.simulator.Simulation` owns one
 instance and threads it into each cycle's
-:class:`~repro.net.simulator.ClusterView` (a view built without one
+:class:`~repro.net.view.ClusterView` (a view built without one
 makes its own) and the views derived from it — partition clones and
 speculated views read the same topology; each controller shard
 (:class:`~repro.core.shardexec.ShardMirror`) additionally owns its *own*

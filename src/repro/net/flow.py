@@ -74,7 +74,7 @@ class FlowKernelStats:
     stalemates: int = 0
 
 
-@dataclass(slots=True)
+@dataclass
 class FlowRows:
     """Flows as rows of resource numbers: what the rate kernels run on.
 

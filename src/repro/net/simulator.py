@@ -20,15 +20,14 @@ next cycle, exactly like BDS's per-cycle choice of ``w_b,s``.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import time as _time
-from collections import Counter, abc
-from dataclasses import FrozenInstanceError, dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Dict,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -42,6 +41,7 @@ import numpy as np
 from repro.net.background import BackgroundTraffic, delay_inflation
 from repro.net.candidates import CandidateTable
 from repro.net.cycle_cache import CycleCache, first_cycle_at_or_after
+from repro.net.directive import BlockId, DirectiveBatch, TransferDirective
 from repro.net.failures import FailureSchedule
 from repro.net.flow import (
     FlowKernelStats,
@@ -49,295 +49,19 @@ from repro.net.flow import (
     clip_rates_to_capacity,
     max_min_fair_rates,
 )
+from repro.net.result import CycleStats, CycleStatsLog, SimResult
 from repro.net.topology import ResourceKey, Topology
+from repro.net.view import ClusterView, PartialBytes
 from repro.overlay.blocks import Block
 from repro.overlay.job import MulticastJob
-from repro.overlay.store import PossessionIndex, PossessionMatrix, PossessionReader
+from repro.overlay.store import PossessionIndex
 from repro.utils.rng import SeedLike, make_rng
 from repro.utils.validation import check_fraction, check_positive
 
-BlockId = Tuple[str, int]
-
-
-class TransferDirective:
-    """One single-hop transfer order: send blocks of ``job_id`` from src to dst.
-
-    ``rate_cap`` (bytes/s) is set by centralized strategies (BDS) and left
-    ``None`` by decentralized ones, whose flows then share bandwidth
-    max-min fairly. Blocks are transferred in the listed order, resuming any
-    partial progress the destination already accumulated.
-
-    The block list is held one way: as **job-relative block indices**,
-    ``block_indices`` — the segment ``column[lo:hi]`` of an int array the
-    router cuts all of a cycle's directives from (:meth:`from_segment`),
-    and what the simulator gathers possession and sizes with. Indices do
-    not depend on how a possession matrix numbers its block columns. The
-    constructor takes ``(job_id, index)``
-    ids and converts them at once; an id of another job is a
-    ``ValueError``. ``block_ids`` is the id tuple, derived on first read
-    and cached.
-    """
-
-    __slots__ = (
-        "job_id",
-        "src_server",
-        "dst_server",
-        "rate_cap",
-        "_column",
-        "_lo",
-        "_hi",
-        "_block_ids",
-    )
-
-    def __init__(
-        self,
-        job_id: str,
-        block_ids: Sequence[BlockId],
-        src_server: str,
-        dst_server: str,
-        rate_cap: Optional[float] = None,
-    ) -> None:
-        block_ids = tuple(block_ids)
-        foreign = [bid for bid in block_ids if bid[0] != job_id]
-        if foreign:
-            raise ValueError(
-                f"a directive of job {job_id!r} names blocks of other jobs: "
-                f"{foreign!r}"
-            )
-        column = np.array([bid[1] for bid in block_ids], dtype=np.int64)
-        self._init(job_id, column, 0, len(column), src_server, dst_server, rate_cap)
-
-    @classmethod
-    def from_indices(
-        cls,
-        job_id: str,
-        block_indices: np.ndarray,
-        src_server: str,
-        dst_server: str,
-        rate_cap: Optional[float] = None,
-    ) -> "TransferDirective":
-        """A directive over blocks ``(job_id, i) for i in block_indices``."""
-        return cls.from_segment(
-            job_id, block_indices, 0, len(block_indices),
-            src_server, dst_server, rate_cap,
-        )
-
-    @classmethod
-    def from_segment(
-        cls,
-        job_id: str,
-        column: np.ndarray,
-        lo: int,
-        hi: int,
-        src_server: str,
-        dst_server: str,
-        rate_cap: Optional[float] = None,
-    ) -> "TransferDirective":
-        """A directive over blocks ``(job_id, i) for i in column[lo:hi]``.
-
-        ``column`` must be a 1-D int64 array. It is kept by reference and
-        never written: the router cuts all of a cycle's directives from
-        one column, and a (column, lo, hi) triple is smaller than a view.
-        """
-        self = object.__new__(cls)
-        self._init(job_id, column, lo, hi, src_server, dst_server, rate_cap)
-        return self
-
-    def _init(self, job_id, column, lo, hi, src_server, dst_server, rate_cap):
-        if hi <= lo:
-            raise ValueError("a directive needs at least one block")
-        if src_server == dst_server:
-            raise ValueError("directive endpoints must differ")
-        if rate_cap is not None and rate_cap < 0:
-            raise ValueError("rate_cap must be >= 0")
-        _set_job_id(self, job_id)
-        _set_src_server(self, src_server)
-        _set_dst_server(self, dst_server)
-        _set_rate_cap(self, rate_cap)
-        _set_column(self, column)
-        _set_lo(self, lo)
-        _set_hi(self, hi)
-        _set_block_ids(self, None)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    @property
-    def block_ids(self) -> Tuple[BlockId, ...]:
-        ids = self._block_ids
-        if ids is None:
-            job_id = self.job_id
-            ids = tuple((job_id, i) for i in self.block_indices.tolist())
-            _set_block_ids(self, ids)
-        return ids
-
-    @property
-    def block_indices(self) -> np.ndarray:
-        return self._column[self._lo : self._hi]
-
-    def with_rate_cap(self, rate_cap: Optional[float]) -> "TransferDirective":
-        """This directive with another ``rate_cap`` (block list shared)."""
-        return TransferDirective.from_segment(
-            self.job_id, self._column, self._lo, self._hi,
-            self.src_server, self.dst_server, rate_cap,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not TransferDirective:
-            return NotImplemented
-        return (
-            self.job_id == other.job_id
-            and self.src_server == other.src_server
-            and self.dst_server == other.dst_server
-            and self.rate_cap == other.rate_cap
-            and np.array_equal(self.block_indices, other.block_indices)
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (
-                self.job_id,
-                self.block_ids,
-                self.src_server,
-                self.dst_server,
-                self.rate_cap,
-            )
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"TransferDirective(job_id={self.job_id!r}, "
-            f"block_ids={self.block_ids!r}, src_server={self.src_server!r}, "
-            f"dst_server={self.dst_server!r}, rate_cap={self.rate_cap!r})"
-        )
-
-
-# The slots' own setters fill a directive past the frozen ``__setattr__``,
-# without ``object.__setattr__``'s lookup of the name.
-(_set_job_id, _set_src_server, _set_dst_server, _set_rate_cap, _set_column,
- _set_lo, _set_hi, _set_block_ids) = (
-    TransferDirective.__dict__[name].__set__ for name in TransferDirective.__slots__)
-
-
-@dataclass(eq=False, repr=False, slots=True)
-class DirectiveBatch(abc.Sequence):
-    """One decide's directives as columns: a ``Sequence[TransferDirective]``.
-
-    Directive ``i`` sends the blocks ``column[bounds[i]:bounds[i + 1]]``
-    (job-relative indices, one int64 column for the whole batch, rows
-    directive-major) of job ``job_ids[i]`` from server id ``src[i]`` to
-    server id ``dst[i]`` at ``caps[i]`` (``None``: uncapped). Ids index
-    ``names``, the possession matrix's ``server_names`` — extended by
-    :meth:`pack` with any name the matrix lacks, which validation then
-    rejects. The router emits one; the sharded controller concatenates
-    and reconciles them; the simulator validates, routes and clips them
-    as columns. :class:`TransferDirective` objects are built (once, all
-    rows) only when something indexes, iterates or compares the batch.
-    """
-
-    column: np.ndarray
-    bounds: List[int]
-    job_ids: List[str]
-    src: List[int]
-    dst: List[int]
-    caps: List[Optional[float]]
-    names: Sequence[str]
-    _objects: Optional[List[TransferDirective]] = None
-
-    @classmethod
-    def pack(
-        cls, directives: Iterable[TransferDirective], matrix: PossessionMatrix
-    ) -> "DirectiveBatch":
-        """``directives`` in ``matrix``'s server ids; a batch already in
-        them is returned as is. The objects are kept, as the batch's
-        materialized form."""
-        names = matrix.server_names
-        if isinstance(directives, DirectiveBatch) and directives.names is names:
-            return directives
-        objects = list(directives)
-        ids = dict(matrix.server_ids)
-        src = [ids.setdefault(d.src_server, len(ids)) for d in objects]
-        dst = [ids.setdefault(d.dst_server, len(ids)) for d in objects]
-        parts = [d.block_indices for d in objects]
-        return cls(
-            np.concatenate(parts) if parts else np.empty(0, dtype=np.int64),
-            [0, *itertools.accumulate(len(part) for part in parts)],
-            [d.job_id for d in objects],
-            src,
-            dst,
-            [d.rate_cap for d in objects],
-            names if len(ids) == len(names) else list(ids),
-            objects,
-        )
-
-    @classmethod
-    def concat(
-        cls, parts: Sequence[Sequence[TransferDirective]], matrix: PossessionMatrix
-    ) -> "DirectiveBatch":
-        """The directives of ``parts`` in order, as one batch (the one
-        non-empty part itself)."""
-        parts = [cls.pack(part, matrix) for part in parts if len(part)]
-        if len(parts) <= 1:
-            return parts[0] if parts else cls.pack((), matrix)
-        bounds = [0]
-        for part in parts:
-            shift = bounds[-1]
-            bounds += [b + shift for b in part.bounds[1:]]
-        return cls(
-            np.concatenate([part.column for part in parts]),
-            bounds,
-            [j for part in parts for j in part.job_ids],
-            [s for part in parts for s in part.src],
-            [t for part in parts for t in part.dst],
-            [c for part in parts for c in part.caps],
-            parts[0].names,
-        )
-
-    def keep(
-        self, flags: Sequence[bool], column: np.ndarray, bounds: List[int]
-    ) -> "DirectiveBatch":
-        """The directives whose flag is set, over their rows ``column``
-        cut at ``bounds``."""
-        return DirectiveBatch(column, bounds, *(
-            list(itertools.compress(values, flags))
-            for values in (self.job_ids, self.src, self.dst, self.caps)
-        ), self.names)
-
-    def __len__(self) -> int:
-        return len(self.job_ids)
-
-    def _materialized(self) -> List[TransferDirective]:
-        if self._objects is None:
-            names, column, bounds = self.names, self.column, self.bounds
-            self._objects = [
-                TransferDirective.from_segment(
-                    job_id, column, bounds[i], bounds[i + 1],
-                    names[s], names[t], cap,
-                )
-                for i, (job_id, s, t, cap) in enumerate(
-                    zip(self.job_ids, self.src, self.dst, self.caps)
-                )
-            ]
-        return self._objects
-
-    def __getitem__(self, item):
-        return self._materialized()[item]
-
-    def __iter__(self) -> Iterator[TransferDirective]:
-        return iter(self._materialized())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (list, tuple, DirectiveBatch)):
-            return self._materialized() == list(other)
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"DirectiveBatch({self._materialized()!r})"
+if TYPE_CHECKING:
+    from repro.baselines.base import OverlayStrategy
+    from repro.core.fault import ControllerReplicaSet
+    from repro.overlay.monitor import AgentMonitor
 
 
 @dataclass
@@ -364,11 +88,6 @@ class SimConfig:
     # active in the previous cycle loses this much of the cycle before
     # transferring (Fig. 12c's third overhead source).
     flow_setup_seconds: float = 0.0
-    # Per-cycle CycleStats collection. Day-scale horizons (10^6+ cycles)
-    # do not want a ~500-byte record per cycle; turning this off keeps
-    # only the aggregate counters and completion metrics. Implies no
-    # per-cycle link stats.
-    record_cycle_stats: bool = True
 
     def __post_init__(self) -> None:
         check_positive("cycle_seconds", self.cycle_seconds)
@@ -383,92 +102,6 @@ class SimConfig:
                 "control_overhead_seconds must be < cycle_seconds "
                 "(the cycle would have no transfer window)"
             )
-        if self.record_link_stats and not self.record_cycle_stats:
-            raise ValueError(
-                "record_link_stats requires record_cycle_stats "
-                "(link stats live on the per-cycle records)"
-            )
-
-
-@dataclass
-class CycleStats:
-    """Aggregates recorded at the end of each simulated cycle.
-
-    The ``time_*`` fields are the per-stage wall-clock breakdown of the
-    cycle's control loop (seconds): building the cluster view, the
-    strategy's scheduling and routing steps (when the strategy reports
-    them — BDS does; decentralized baselines land entirely in
-    ``time_schedule``), resolving flow rates against capacities, and
-    progressing/delivering flows. ``time_decide`` is the whole strategy
-    call and contains schedule + route plus any strategy-private work —
-    all of it on the cycles of a controller outage, when BDS's fallback
-    decides and neither step runs (schedule and route are then 0).
-    """
-
-    cycle: int
-    time: float
-    blocks_delivered: int
-    bytes_transferred: float
-    active_flows: int
-    controller_available: bool
-    link_bulk_usage: Dict[ResourceKey, float] = field(default_factory=dict)
-    link_online_usage: Dict[ResourceKey, float] = field(default_factory=dict)
-    max_delay_inflation: float = 1.0
-    # Per-stage wall-clock timing breakdown (seconds).
-    time_view_build: float = 0.0
-    time_decide: float = 0.0
-    time_schedule: float = 0.0
-    time_route: float = 0.0
-    time_rate_resolve: float = 0.0
-    time_deliver: float = 0.0
-    # Portion of time_deliver spent applying completed deliveries to the
-    # possession store and completion bookkeeping (batched or per-pair);
-    # the remainder of time_deliver is budget-loop simulator overhead.
-    time_deliver_apply: float = 0.0
-    # Progressive-filling iterations this cycle that terminated without
-    # freezing any flow (numerical stalemate — see repro.net.flow).
-    rate_stalemates: int = 0
-    # Routing-solver telemetry, forwarded from the strategy's decision
-    # record when it reports one (the FPTAS backend; zero/empty for
-    # greedy/LP and for decentralized baselines).
-    routing_iterations: int = 0
-    routing_phases: int = 0
-    routing_warm_start: str = ""
-    # Event-engine provenance (diagnostics, never fingerprinted): the
-    # cycle was skipped inside an idle stretch. ``decision_reused`` is
-    # always False — kept because export v9 carries it.
-    decision_reused: bool = False
-    fast_forwarded: bool = False
-    # Sharded control-plane telemetry, forwarded from the strategy's
-    # decision record (zeros on the single-controller path and for
-    # decentralized baselines): configured shard count, max/mean
-    # per-shard schedule+route wall over the shards that decided fresh
-    # this cycle, and the outer WAN-reconciliation wall.
-    shard_count: int = 0
-    time_shard_max: float = 0.0
-    time_shard_mean: float = 0.0
-    time_reconcile: float = 0.0
-    # Shard-local state telemetry, forwarded from the strategy's
-    # decision record (zeros when unsharded): the configured decide
-    # stride (BDSConfig.shard_stride), max per-shard candidate-table
-    # bytes over the shards that decided fresh, and the summed
-    # structural size of the jobs those shards saw for the first time.
-    shard_stride: int = 0
-    shard_state_bytes: int = 0
-    shard_payload_bytes: int = 0
-
-
-#: ``SimResult.stage_time_totals`` key -> the CycleStats field it sums.
-_STAGE_TIME_FIELDS = {
-    "view_build": "time_view_build",
-    "decide": "time_decide",
-    "schedule": "time_schedule",
-    "route": "time_route",
-    "rate_resolve": "time_rate_resolve",
-    "deliver": "time_deliver",
-    "deliver_apply": "time_deliver_apply",
-    "reconcile": "time_reconcile",
-}
 
 
 #: CycleStats field -> the attribute of the strategy's decision record it
@@ -488,401 +121,6 @@ _DECISION_TELEMETRY = {
     "shard_state_bytes": "shard_state_bytes",
     "shard_payload_bytes": "shard_payload_bytes",
 }
-
-
-class CycleStatsLog(abc.Sequence):
-    """A run's per-cycle :class:`CycleStats`, skipped idle stretches as runs.
-
-    Reads like the list it replaces (``len``, index, slice, iteration,
-    ``==`` against a list, truthiness, pickle). A stretch of cycles the
-    event engine skipped in one pass is stored as a single record — its
-    first cycle's stats and a count: the cycles of a stretch differ only
-    in ``cycle`` and ``time`` — and expanded into per-cycle objects only
-    when read as such. :meth:`runs` reads the records as they are.
-    """
-
-    def __init__(
-        self, stats: Iterable[CycleStats] = (), cycle_seconds: float = 0.0
-    ) -> None:
-        self._first: List[CycleStats] = list(stats)
-        self._count: List[int] = [1] * len(self._first)
-        #: Per record, the position of its first cycle (built on demand).
-        self._starts: Optional[List[int]] = None
-        self._len = len(self._first)
-        #: ΔT: cycle ``c`` of a run starts at ``c * cycle_seconds``.
-        self.cycle_seconds = cycle_seconds
-
-    def append(self, stats: CycleStats) -> None:
-        self.append_run(stats, 1)
-
-    def append_run(self, first: CycleStats, count: int) -> None:
-        """``count`` consecutive cycles equal to ``first`` but for
-        ``cycle`` (counting up from ``first.cycle``) and ``time``."""
-        self._first.append(first)
-        self._count.append(count)
-        self._starts = None
-        self._len += count
-
-    def runs(self) -> Iterator[Tuple[CycleStats, int]]:
-        """``(first cycle's stats, number of cycles)`` per record."""
-        return zip(self._first, self._count)
-
-    def _expanded(self, first: CycleStats, offset: int) -> CycleStats:
-        if offset == 0:
-            return first
-        cycle = first.cycle + offset
-        return replace(
-            first,
-            cycle=cycle,
-            time=cycle * self.cycle_seconds,
-            link_bulk_usage=dict(first.link_bulk_usage),
-            link_online_usage=dict(first.link_online_usage),
-        )
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __iter__(self) -> Iterator[CycleStats]:
-        for first, count in zip(self._first, self._count):
-            for offset in range(count):
-                yield self._expanded(first, offset)
-
-    def __getitem__(self, item):
-        if isinstance(item, slice):
-            return [self[i] for i in range(*item.indices(self._len))]
-        index = item + self._len if item < 0 else item
-        if not 0 <= index < self._len:
-            raise IndexError("cycle index out of range")
-        if self._starts is None:
-            self._starts = [0, *itertools.accumulate(self._count)]
-        record = bisect.bisect_right(self._starts, index) - 1
-        return self._expanded(self._first[record], index - self._starts[record])
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (list, CycleStatsLog)):
-            return len(self) == len(other) and all(
-                mine == theirs for mine, theirs in zip(self, other)
-            )
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"CycleStatsLog({list(self)!r})"
-
-
-@dataclass
-class SimResult:
-    """Everything the experiments need from one simulation run."""
-
-    cycles_run: int
-    sim_time: float
-    wall_time: float
-    job_completion: Dict[str, float]
-    dc_completion: Dict[Tuple[str, str], float]
-    server_completion: Dict[Tuple[str, str], float]
-    #: Per-cycle records; a plain list is wrapped into a
-    #: :class:`CycleStatsLog` so every reader below can walk runs.
-    cycle_stats: Sequence[CycleStats]
-    store: PossessionIndex
-    all_complete: bool
-    # Control-plane feedback-loop samples (one per cycle) when the
-    # simulation ran with an AgentMonitor attached.
-    feedback_samples: List = field(default_factory=list)
-    # Event-engine accounting (diagnostics, never fingerprinted): cycles
-    # skipped inside idle stretches — zero for a strategy that does not
-    # certify ``decisions_reusable``. ``cycles_decision_reused`` is
-    # always 0: kept because export v9 and the perf ledger read it.
-    cycles_decision_reused: int = 0
-    cycles_fast_forwarded: int = 0
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.cycle_stats, CycleStatsLog):
-            self.cycle_stats = CycleStatsLog(self.cycle_stats)
-
-    def completion_time(self, job_id: str) -> float:
-        """Completion time of a job; raises if it never completed."""
-        try:
-            return self.job_completion[job_id]
-        except KeyError:
-            raise KeyError(f"job {job_id!r} did not complete") from None
-
-    def server_completion_times(self, job_id: str) -> List[float]:
-        """Per-destination-server completion times (the Fig. 5/9a CDF data)."""
-        return [
-            t for (jid, _server), t in self.server_completion.items() if jid == job_id
-        ]
-
-    def blocks_per_cycle(self) -> List[int]:
-        """Delivered-block counts per cycle (the Fig. 12a series)."""
-        return self._per_cycle("blocks_delivered")
-
-    def _per_cycle(self, field_name: str) -> list:
-        """One :class:`CycleStats` field per cycle, read off the runs."""
-        series: list = []
-        for first, count in self.cycle_stats.runs():
-            series += [getattr(first, field_name)] * count
-        return series
-
-    def stage_time_totals(self) -> Dict[str, float]:
-        """Summed per-stage wall-clock seconds across all cycles: where
-        the control loop spends its time (view-build / schedule / route /
-        rate-resolve / deliver)."""
-        totals = dict.fromkeys(_STAGE_TIME_FIELDS, 0.0)
-        for first, count in self.cycle_stats.runs():
-            for stage, field_name in _STAGE_TIME_FIELDS.items():
-                seconds = getattr(first, field_name)
-                if seconds:  # x + 0.0 == x: a skipped stretch adds nothing
-                    for _ in range(count):
-                        totals[stage] += seconds
-        return totals
-
-    def total_rate_stalemates(self) -> int:
-        """Waterfill stalemate iterations across the run (diagnostic)."""
-        return sum(
-            first.rate_stalemates * count
-            for first, count in self.cycle_stats.runs()
-        )
-
-    def total_bytes_transferred(self) -> float:
-        """Bytes moved across all flows over the whole run.
-
-        Folded cycle by cycle, in order (``k`` cycles of ``x`` bytes are
-        not ``k * x`` in floats).
-        """
-        return sum(self._per_cycle("bytes_transferred"))
-
-    def fingerprint(self) -> str:
-        """Stable digest of the run's *deterministic* outputs.
-
-        Covers completion metrics, per-cycle delivery counts, and bytes
-        moved — everything that must be bit-identical across reruns of the
-        same (topology, jobs, strategy, config, seed), but none of the
-        wall-clock timing fields. Two runs with equal fingerprints are
-        interchangeable for every analysis consumer; the golden, pin and
-        parity tests and the perf ledger compare runs through this.
-        """
-        import hashlib
-        import json
-
-        canonical = json.dumps(
-            {
-                "cycles_run": self.cycles_run,
-                "all_complete": self.all_complete,
-                "job_completion": sorted(self.job_completion.items()),
-                "dc_completion": sorted(
-                    (list(k), v) for k, v in self.dc_completion.items()
-                ),
-                "server_completion": sorted(
-                    (list(k), v) for k, v in self.server_completion.items()
-                ),
-                "blocks_per_cycle": self.blocks_per_cycle(),
-                "bytes_per_cycle": self._per_cycle("bytes_transferred"),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    def summary(self) -> str:
-        """A short human-readable report of the run."""
-        lines = [
-            f"cycles run      : {self.cycles_run}",
-            f"simulated time  : {self.sim_time:.1f}s",
-            f"wall time       : {self.wall_time:.2f}s",
-            f"jobs completed  : {len(self.job_completion)}",
-            f"all complete    : {self.all_complete}",
-            f"bytes moved     : {self.total_bytes_transferred():.3g}",
-        ]
-        for job_id in sorted(self.job_completion):
-            lines.append(
-                f"  {job_id}: done at {self.job_completion[job_id]:.1f}s"
-            )
-        return "\n".join(lines)
-
-
-class ClusterView:
-    """Read-only snapshot handed to strategies each cycle.
-
-    This is the "global view" a centralized controller enjoys; decentralized
-    baselines deliberately use only slices of it (their local views).
-
-    **Ownership**: the view borrows the simulator's live structures —
-    ``bulk_capacities`` and the partial-bytes store are *not* copied. A
-    view is valid for the cycle it was built for; strategies must not
-    mutate these mappings or hold a view across cycles (the next cycle
-    reuses and mutates them in place).
-
-    Possession is read from ``store.matrix`` and nowhere else: the
-    scheduler, the router, the baselines' lenses and the accessors below
-    all gather from it through the static per-(job, DC) arrays of a
-    :class:`~repro.net.candidates.CandidateTable`. The simulator threads
-    in its table and its persistent :class:`CycleCache`; a hand-built
-    view may omit either and owns one of its own, built on first use —
-    with identical results.
-    """
-
-    def __init__(
-        self,
-        topology: Topology,
-        store: PossessionReader,
-        jobs: Sequence[MulticastJob],
-        cycle: int,
-        time: float,
-        cycle_seconds: float,
-        bulk_capacities: Mapping[ResourceKey, float],
-        failed_agents: Set[str],
-        controller_available: bool,
-        partial_bytes: PartialBytes,
-        failed_links: frozenset = frozenset(),
-        cache: Optional[CycleCache] = None,
-        candidates: Optional[CandidateTable] = None,
-    ) -> None:
-        self.topology = topology
-        self.store = store
-        self.jobs = list(jobs)
-        self.cycle = cycle
-        self.time = time
-        self.cycle_seconds = cycle_seconds
-        self.bulk_capacities = bulk_capacities
-        self.failed_agents = set(failed_agents)
-        self.controller_available = controller_available
-        self.failed_links = frozenset(failed_links)
-        self.partial_bytes = partial_bytes
-        self._cache = cache if cache is not None else CycleCache()
-        self._failed_frozen = frozenset(self.failed_agents)
-        self._candidates = candidates
-
-    @property
-    def candidates(self) -> CandidateTable:
-        """The candidate (block, destination) arrays of this view's jobs."""
-        if self._candidates is None:
-            self._candidates = CandidateTable(self.jobs, self.store.matrix)
-        return self._candidates
-
-    def agent_is_up(self, server_id: str) -> bool:
-        return server_id not in self.failed_agents
-
-    def with_extra_failed_agents(self, extra: Iterable[str]) -> "ClusterView":
-        """A copy of this view treating ``extra`` servers as failed.
-
-        Used by the controller's partition handling (§5.3): servers in DCs
-        cut off from the controller cannot receive commands, so the
-        centralized logic must not schedule them as sources or sinks.
-
-        The clone shares this view's :class:`CycleCache` (paths do not
-        depend on agent failures) and candidate table.
-        """
-        return ClusterView(
-            topology=self.topology,
-            store=self.store,
-            jobs=self.jobs,
-            cycle=self.cycle,
-            time=self.time,
-            cycle_seconds=self.cycle_seconds,
-            bulk_capacities=self.bulk_capacities,
-            failed_agents=self.failed_agents | set(extra),
-            controller_available=self.controller_available,
-            partial_bytes=self.partial_bytes,
-            failed_links=self.failed_links,
-            cache=self._cache,
-            candidates=self._candidates,
-        )
-
-    def flow_resources(
-        self, src_server: str, dst_server: str
-    ) -> Optional[Tuple[ResourceKey, ...]]:
-        """Failure-aware flow resources, or ``None`` when partitioned off.
-
-        Strategies should use this instead of ``topology.flow_resources``
-        so their paths detour around failed WAN links (§5.3). Memoized
-        per (src, dst) pair while topology and failed links are unchanged.
-        """
-        cache = self._cache
-        table = cache.validate_paths(self.topology.epoch, self.failed_links)
-        key = (src_server, dst_server)
-        try:
-            result = table[key]
-            cache.hits += 1
-            return result
-        except KeyError:
-            cache.misses += 1
-        try:
-            result = self.topology.flow_resources(
-                src_server, dst_server, self.failed_links
-            )
-        except ValueError:
-            result = None
-        table[key] = result
-        return result
-
-    def path_rows(
-        self, src: Sequence[int], dst: Sequence[int], names: Sequence[str]
-    ) -> List[Tuple[int, ...]]:
-        """The failure-aware paths of the ``(src[i], dst[i])`` server-id
-        pairs as rows of resource numbers — the cycle cache's
-        ``path_ids``, ``()`` when partitioned off. A pair seen for the
-        first time is interned through :meth:`flow_resources`; a
-        memoized one counts the cache hit that lookup would have."""
-        cache = self._cache
-        cache.validate_paths(self.topology.epoch, self.failed_links)
-        path_ids = cache.path_ids
-        paths = [path_ids.get((names[s], names[t])) for s, t in zip(src, dst)]
-        cache.hits += len(paths)
-        for i in [i for i, path in enumerate(paths) if path is None]:
-            cache.hits -= 1  # flow_resources counts this lookup itself
-            pair = (names[src[i]], names[dst[i]])
-            paths[i] = cache.intern_path(pair, self.flow_resources(*pair))
-        return paths
-
-    def received_bytes(self, block_id: BlockId, dst_server: str) -> float:
-        """Bytes of ``block_id`` already buffered at ``dst_server``."""
-        matrix = self.partial_bytes.matrix
-        gid, sid = matrix.gid_of(block_id), matrix.server_ids.get(dst_server)
-        if gid is None or sid is None:
-            return 0.0
-        return self.partial_bytes.get(self.partial_bytes.key(gid, sid), 0.0)
-
-    def eligible_sources(self, block_id: BlockId) -> List[str]:
-        """Healthy servers currently holding the block, in name order."""
-        failed = self.failed_agents
-        return sorted(s for s in self.store.holders(block_id) if s not in failed)
-
-
-class PartialBytes(dict):
-    """Bytes buffered at destinations, of blocks whose transfer is underway.
-
-    One entry per (block, destination server) with bytes buffered, keyed
-    ``gid * num_servers + sid`` in the ids of ``matrix``, the live
-    possession matrix. The simulator owns it and writes it after each
-    cycle's progress walk; views lend it to strategies, read only.
-    """
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: PossessionMatrix) -> None:
-        super().__init__()
-        self.matrix = matrix
-
-    def key(self, gids, sids):
-        """The key of block column(s) ``gids`` at server id(s) ``sids``."""
-        return gids * self.matrix.num_servers + sids
-
-    def gather(self, keys: np.ndarray) -> Optional[np.ndarray]:
-        """Buffered bytes of each key of ``keys`` (0.0 where none);
-        ``None`` when the store is empty, so callers can skip the
-        subtraction (``size - 0.0 == size``). One sort of the store, one
-        ``searchsorted`` of ``keys``.
-        """
-        count = len(self)
-        if not count:
-            return None
-        probe = np.fromiter(self, dtype=np.int64, count=count)
-        order = probe.argsort()
-        probe = probe[order]
-        pos = np.minimum(probe.searchsorted(keys), count - 1)
-        values = np.fromiter(self.values(), dtype=float, count=count)
-        return values[order[pos]] * (probe[pos] == keys)  # bytes are >= 0
 
 
 class _BlockColumns:
@@ -997,14 +235,14 @@ class Simulation:
         self,
         topology: Topology,
         jobs: Sequence[MulticastJob],
-        strategy: "OverlayStrategyLike",
+        strategy: OverlayStrategy,
         config: Optional[SimConfig] = None,
         background: Optional[BackgroundTraffic] = None,
         failures: Optional[FailureSchedule] = None,
         seed: SeedLike = None,
         pre_seeded: Optional[Mapping[str, Sequence[Block]]] = None,
-        replica_set: Optional["ControllerReplicaSetLike"] = None,
-        agent_monitor: Optional["AgentMonitorLike"] = None,
+        replica_set: Optional[ControllerReplicaSet] = None,
+        agent_monitor: Optional[AgentMonitor] = None,
     ) -> None:
         """``pre_seeded`` places extra block copies on servers before the
         run (e.g. partially replicated states for the appendix experiment);
@@ -1407,7 +645,6 @@ class Simulation:
             and not cfg.record_link_stats
         )
         cycle_stats = CycleStatsLog(cycle_seconds=dt)
-        log = cycle_stats if cfg.record_cycle_stats else None
         feedback_samples: List = []
         num_jobs = len(self.jobs)
         cycles_skipped = 0
@@ -1446,32 +683,31 @@ class Simulation:
             # The rows (and the walk's need list) go before the next decide.
             del columns
 
-            if log is not None:
-                stats = CycleStats(
-                    cycle=cycle,
-                    time=cycle * dt,
-                    blocks_delivered=len(done),
-                    bytes_transferred=transferred,
-                    active_flows=len(directives),
-                    controller_available=controller_ok,
-                    time_view_build=decide_started - stage_started,
-                    time_decide=decide_runtime,
-                    time_rate_resolve=deliver_started - rate_started,
-                    time_deliver=_time.perf_counter() - deliver_started,
-                    time_deliver_apply=apply_seconds,
-                    rate_stalemates=stalemates,
-                    **self._decision_telemetry(cycle, decide_runtime),
-                )
-                if cfg.record_link_stats:
-                    self._record_link_stats(stats, paths, rates, online)
-                log.append(stats)
+            stats = CycleStats(
+                cycle=cycle,
+                time=cycle * dt,
+                blocks_delivered=len(done),
+                bytes_transferred=transferred,
+                active_flows=len(directives),
+                controller_available=controller_ok,
+                time_view_build=decide_started - stage_started,
+                time_decide=decide_runtime,
+                time_rate_resolve=deliver_started - rate_started,
+                time_deliver=_time.perf_counter() - deliver_started,
+                time_deliver_apply=apply_seconds,
+                rate_stalemates=stalemates,
+                **self._decision_telemetry(cycle, decide_runtime),
+            )
+            if cfg.record_link_stats:
+                self._record_link_stats(stats, paths, rates, online)
+            cycle_stats.append(stats)
             if hook is not None:
                 hook(view, len(done))
             if cfg.stop_when_complete and len(self._job_completion) == num_jobs:
                 cycle += 1
                 break
             if can_skip and not active_jobs and not directives:
-                skipped = self._skip_idle(cycle, controller_ok, log)
+                skipped = self._skip_idle(cycle, controller_ok, cycle_stats)
                 cycles_skipped += skipped
                 cycle += skipped
             cycle += 1
@@ -1821,7 +1057,7 @@ class Simulation:
         stats.max_delay_inflation = worst
 
     def _skip_idle(
-        self, cycle: int, controller_ok: bool, log: Optional[CycleStatsLog]
+        self, cycle: int, controller_ok: bool, log: CycleStatsLog
     ) -> int:
         """Skip the idle cycles that follow ``cycle``; returns how many.
 
@@ -1850,55 +1086,18 @@ class Simulation:
         skipped = last - cycle
         if skipped <= 0:
             return 0
-        if log is not None:
-            log.append_run(
-                CycleStats(
-                    cycle=cycle + 1,
-                    time=(cycle + 1) * self.config.cycle_seconds,
-                    blocks_delivered=0,
-                    bytes_transferred=0.0,
-                    active_flows=0,
-                    controller_available=controller_ok,
-                    fast_forwarded=True,
-                ),
-                skipped,
-            )
+        log.append_run(
+            CycleStats(
+                cycle=cycle + 1,
+                time=(cycle + 1) * self.config.cycle_seconds,
+                blocks_delivered=0,
+                bytes_transferred=0.0,
+                active_flows=0,
+                controller_available=controller_ok,
+                fast_forwarded=True,
+            ),
+            skipped,
+        )
         if self.failures is not None:
             self.failures.advance_to(last)
         return skipped
-
-
-class OverlayStrategyLike:
-    """Typing helper documenting the strategy duck-type the simulator uses.
-
-    Real strategies subclass :class:`repro.baselines.base.OverlayStrategy`.
-    """
-
-    uses_controller_rates: bool = False
-    respects_safety_threshold: bool = False
-
-    def decide(self, view: ClusterView) -> Sequence[TransferDirective]:
-        raise NotImplementedError
-
-
-class ControllerReplicaSetLike:
-    """Duck-type of :class:`repro.core.fault.ControllerReplicaSet`."""
-
-    def fail(self, name: str) -> None:
-        raise NotImplementedError
-
-    def recover(self, name: str) -> None:
-        raise NotImplementedError
-
-    def tick(self) -> None:
-        raise NotImplementedError
-
-    def has_leader(self) -> bool:
-        raise NotImplementedError
-
-
-class AgentMonitorLike:
-    """Duck-type of :class:`repro.overlay.monitor.AgentMonitor`."""
-
-    def feedback_loop(self, agents, blocks_by_server, algorithm_runtime):
-        raise NotImplementedError

@@ -79,7 +79,8 @@ from repro.utils.rng import SeedLike, make_rng
 from repro.lp.mcf import Commodity, solve_lp_incidence
 from repro.net.flow import Flow, FlowKernelStats
 from repro.net.topology import ResourceKey
-from repro.net.simulator import TransferDirective
+from repro.net.directive import TransferDirective
+from repro.net.view import ClusterView
 from repro.overlay.blocks import Block
 from repro.overlay.store import DeliveryRecord
 

@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.runner import make_strategy
-from repro.net.simulator import Simulation, TransferDirective
+from repro.net.directive import TransferDirective
+from repro.net.simulator import Simulation
 from repro.net.topology import Topology
 from repro.overlay.blocks import Block
 from repro.overlay.job import MulticastJob

@@ -29,8 +29,9 @@ from repro.core.controller import BDSController
 from repro.core.decisions import SelectionBatch
 from repro.core.routing import BDSRouter
 from repro.core.scheduling import RarestFirstScheduler
+from repro.net.directive import TransferDirective
 from repro.net.failures import FailureEvent, FailureSchedule
-from repro.net.simulator import SimConfig, Simulation, TransferDirective
+from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
 from repro.utils.units import MB, MBps

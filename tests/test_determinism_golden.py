@@ -18,7 +18,8 @@ import pytest
 
 from repro.analysis.runner import make_strategy
 from repro.net.failures import FailureEvent, FailureSchedule
-from repro.net.simulator import SimConfig, SimResult, Simulation
+from repro.net.result import SimResult
+from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
 from repro.utils.units import MB, MBps

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core import BDSController
 from repro.core.diffs import DiffStats, diff_decisions, diff_stats_over_run
-from repro.net.simulator import SimConfig, Simulation, TransferDirective
+from repro.net.directive import TransferDirective
+from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
 from repro.utils.units import GB, MB, MBps

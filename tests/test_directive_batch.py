@@ -1,7 +1,7 @@
 """The directive batch from the router to the store, against its oracles.
 
 A decide's directives stay columns from ``BDSRouter.route`` to the data
-plane (:class:`repro.net.simulator.DirectiveBatch`): the sharded
+plane (:class:`repro.net.directive.DirectiveBatch`): the sharded
 controller concatenates and reconciles them in place, and the simulator
 validates and clips them over the cycle cache's path-id rows with one
 kernel per regime (:class:`repro.net.flow.FlowRows`). Everything here is
@@ -36,14 +36,10 @@ from repro.core.config import BDSConfig
 from repro.core.routing import BDSRouter
 from repro.core.scheduling import RarestFirstScheduler
 from repro.net.background import BackgroundTraffic
+from repro.net.directive import DirectiveBatch, TransferDirective
 from repro.net.failures import FailureEvent, FailureSchedule
 from repro.net.flow import Flow, FlowRows, clip_rates_to_capacity
-from repro.net.simulator import (
-    DirectiveBatch,
-    SimConfig,
-    Simulation,
-    TransferDirective,
-)
+from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
 from repro.utils.units import MB, MBps

@@ -7,13 +7,10 @@ from repro.core import BDSController
 from repro.core.diffs import DecisionDiff
 from repro.lp.fptas import max_multicommodity_flow
 from repro.lp.mcf import Commodity
+from repro.net.directive import TransferDirective
 from repro.net.flow import Flow
-from repro.net.simulator import (
-    CycleStats,
-    SimConfig,
-    Simulation,
-    TransferDirective,
-)
+from repro.net.result import CycleStats
+from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Server, Topology
 from repro.overlay.job import MulticastJob
 from repro.utils.units import GB, MB, MBps, format_bytes

@@ -54,7 +54,8 @@ from repro.core.config import BDSConfig
 from repro.core.decisions import SelectionBatch
 from repro.core.scheduling import RarestFirstScheduler
 from repro.core.speculation import SpeculatedView
-from repro.net.simulator import SimConfig, SimResult, Simulation
+from repro.net.result import SimResult
+from repro.net.simulator import SimConfig, Simulation
 from tests import oracles
 
 PINS_FILE = Path(__file__).parent / "data" / "engine_pins.json"
@@ -378,7 +379,7 @@ def test_the_config_surface_is_what_this_file_says():
     assert {f.name for f in dataclasses.fields(SimConfig)} == {
         "cycle_seconds", "max_cycles", "safety_threshold", "stop_when_complete",
         "record_link_stats", "links_of_interest", "control_overhead_seconds",
-        "flow_setup_seconds", "record_cycle_stats",
+        "flow_setup_seconds",
     }
     assert {f.name for f in dataclasses.fields(BDSConfig)} == {
         "routing_backend", "epsilon", "max_blocks_per_cycle", "max_sources_per_group",

@@ -27,7 +27,8 @@ from repro.core.fault import ControllerReplicaSet
 from repro.net.background import BackgroundTraffic
 from repro.net.cycle_cache import first_cycle_at_or_after
 from repro.net.failures import FailureEvent, FailureSchedule
-from repro.net.simulator import SimConfig, SimResult, Simulation
+from repro.net.result import SimResult
+from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
 from repro.utils.units import MB, MBps
@@ -553,11 +554,7 @@ class TestIntegerCycleGrid:
             topology=topo,
             jobs=[job],
             strategy=make_strategy("direct", seed=SEED),
-            config=SimConfig(
-                max_cycles=1_100_000,
-                cycle_seconds=dt,
-                record_cycle_stats=False,  # 10⁶ CycleStats would dominate RAM
-            ),
+            config=SimConfig(max_cycles=1_100_000, cycle_seconds=dt),
             seed=SEED,
         )
         result = sim.run()
@@ -661,34 +658,3 @@ class TestBackgroundChangePoints:
         got_a = [a.usage_fraction(link, t) for t in times]
         got_b = [b.usage_fraction(link, t) for t in reversed(times)]
         assert got_a == list(reversed(got_b))
-
-
-class TestConfigValidation:
-    def test_link_stats_require_cycle_stats(self):
-        with pytest.raises(ValueError, match="record_cycle_stats"):
-            SimConfig(record_link_stats=True, record_cycle_stats=False)
-
-    def test_cycle_stats_off_still_counts(self):
-        topo = Topology.full_mesh(
-            num_dcs=3, servers_per_dc=2, wan_capacity=50 * MBps, uplink=25 * MBps
-        )
-        job = MulticastJob(
-            job_id="nostats",
-            src_dc="dc0",
-            dst_dcs=("dc1", "dc2"),
-            total_bytes=16 * MB,
-            block_size=4 * MB,
-        )
-        job.bind(topo)
-        sim = Simulation(
-            topology=topo,
-            jobs=[job],
-            strategy=make_strategy("direct", seed=SEED),
-            config=SimConfig(max_cycles=500, record_cycle_stats=False),
-            seed=SEED,
-        )
-        result = sim.run()
-        assert result.all_complete
-        assert result.cycle_stats == []
-        assert result.cycles_run > 0
-        assert result.sim_time == result.cycles_run * 3.0

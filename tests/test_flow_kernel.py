@@ -31,7 +31,8 @@ import repro.net.flow as flow_mod
 from repro.analysis.runner import make_strategy
 from repro.lp.incidence import segment_mins
 from repro.net.flow import Flow, FlowKernelStats, max_min_fair_rates
-from repro.net.simulator import SimConfig, SimResult, Simulation
+from repro.net.result import SimResult
+from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology
 from repro.overlay.blocks import Block
 from repro.overlay.job import MulticastJob

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.baselines.base import OverlayStrategy
-from repro.net.simulator import SimConfig, Simulation, TransferDirective
+from repro.net.directive import TransferDirective
+from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
 from repro.utils.units import GB, MB, MBps

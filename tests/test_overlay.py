@@ -30,7 +30,7 @@ from repro.core.decisions import SelectionBatch
 from repro.core.routing import BDSRouter
 from repro.core.scheduling import RarestFirstScheduler
 from repro.core.speculation import DeliverySpeculator, SpeculatedView
-from repro.net.simulator import ClusterView
+from repro.net.view import ClusterView
 from repro.overlay.blocks import Block
 from repro.overlay.store import PossessionIndex, PossessionOverlay
 from repro.utils.units import MB

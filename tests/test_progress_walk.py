@@ -39,7 +39,8 @@ from hypothesis import strategies as st
 
 from tests import oracles
 from repro.analysis.runner import make_strategy
-from repro.net.simulator import SimConfig, Simulation, TransferDirective
+from repro.net.directive import TransferDirective
+from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
 from repro.utils.units import MB, MBps

@@ -32,7 +32,8 @@ from repro.core.sharding import stable_shard
 from repro.core.shardexec import LocalShardRunner, ShardPayload
 from repro.core.speculation import SpeculatedView
 from repro.net.failures import FailureEvent, FailureSchedule
-from repro.net.simulator import SimConfig, SimResult, Simulation
+from repro.net.result import SimResult
+from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
 from repro.overlay.store import PossessionOverlay
@@ -170,21 +171,6 @@ class TestShardsExecuteInProcess:
         assert [f.name for f in dataclasses.fields(ShardPayload)] == [
             "new_jobs"
         ]
-
-    def test_src_imports_no_process_or_pool_machinery(self):
-        """The simulator is one process by construction."""
-        banned = ("concurrent", "multiprocessing")
-        src = Path(__file__).resolve().parents[1] / "src" / "repro"
-        for path in sorted(src.rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom):
-                    names = [node.module or ""]
-                else:
-                    continue
-                for name in names:
-                    assert name.split(".")[0] not in banned, (path, name)
 
 
 class TestReconciliation:

@@ -4,8 +4,9 @@ import pytest
 
 from repro.baselines.base import OverlayStrategy
 from repro.net.background import BackgroundTraffic
+from repro.net.directive import TransferDirective
 from repro.net.failures import FailureEvent, FailureSchedule
-from repro.net.simulator import SimConfig, Simulation, TransferDirective
+from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology, wan_key
 from repro.overlay.job import MulticastJob
 from repro.utils.units import GB, MB, MBps

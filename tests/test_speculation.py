@@ -5,8 +5,9 @@ import pytest
 
 from repro.core import BDSConfig, BDSController
 from repro.core.speculation import DeliverySpeculator, SpeculatedView
+from repro.net.directive import TransferDirective
 from repro.net.failures import FailureEvent, FailureSchedule
-from repro.net.simulator import SimConfig, Simulation, TransferDirective
+from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
 from repro.utils.units import GB, MB, MBps
