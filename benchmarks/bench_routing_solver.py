@@ -7,7 +7,8 @@ regime where the paper runs its FPTAS):
 * the Fleischer phase solver (``repro.lp.fptas``): cold, warm-started on
   demands drifted as between consecutive control cycles, and cold on the
   drifted instance (what the warm start saves);
-* the exact LP (``PathMCF.solve_lp``), the optimum both are priced against;
+* the exact LP (``solve_lp_incidence`` over a strict ``PathIncidence``, as
+  ``routing_backend="lp"`` solves it), the optimum both are priced against;
 * the greedy water-filler, dict-walking reference vs the router's
   ``greedy_waterfill`` kernel over resource numbers (which must agree
   bit-for-bit — it feeds the determinism fingerprints). The result keys
@@ -38,7 +39,8 @@ from pathlib import Path
 from repro.analysis.reporting import format_table
 from repro.core.routing import greedy_waterfill
 from repro.lp.fptas import max_multicommodity_flow
-from repro.lp.mcf import Commodity, PathMCF
+from repro.lp.incidence import PathIncidence
+from repro.lp.mcf import Commodity, solve_lp_incidence
 
 EPSILON = 0.1
 FULL_SCALES = (50, 150, 400)
@@ -152,6 +154,11 @@ def reference_greedy(commodities, capacities, fair_rounds=3):
     return rates
 
 
+def exact_lp(commodities, caps):
+    """The exact max-MCF optimum: the LP over the instance's incidence."""
+    return solve_lp_incidence(PathIncidence.build(commodities, caps, strict=True))
+
+
 def bench_scale(num_commodities, seed=0):
     """One scale point: every backend on the same instance."""
     commodities, caps = make_instance(num_commodities, seed)
@@ -160,7 +167,7 @@ def bench_scale(num_commodities, seed=0):
     cold, cold_s = timed(
         lambda: max_multicommodity_flow(commodities, caps, epsilon=EPSILON)
     )
-    lp, lp_s = timed(lambda: PathMCF(commodities, caps).solve_lp())
+    lp, lp_s = timed(lambda: exact_lp(commodities, caps))
 
     drifted = drift_demands(commodities)
     warm, warm_s = timed(
@@ -171,7 +178,7 @@ def bench_scale(num_commodities, seed=0):
     cold2, cold2_s = timed(
         lambda: max_multicommodity_flow(drifted, caps, epsilon=EPSILON)
     )
-    lp2 = PathMCF(drifted, caps).solve_lp()
+    lp2 = exact_lp(drifted, caps)
 
     greedy_old, greedy_old_s = timed(lambda: reference_greedy(commodities, caps))
     # Match the router's call pattern: paths arrive as resource numbers

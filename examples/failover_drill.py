@@ -32,10 +32,12 @@ def replica_set_demo() -> None:
     replicas.fail("controller-0")
     replicas.tick()
     print(f"  after leader crash  -> new leader: {replicas.leader}")
-    replicas.fail_all()
+    for name in replicas.replicas:
+        replicas.fail(name)
     replicas.tick()
     print(f"  after full partition -> leader: {replicas.leader} (fallback mode)")
-    replicas.recover_all()
+    for name in replicas.replicas:
+        replicas.recover(name)
     replicas.tick()
     print(f"  after recovery      -> leader: {replicas.leader}\n")
 

@@ -73,8 +73,9 @@ def main() -> None:
     decision = controller.decisions[0]
     print(
         f"first cycle: scheduled {decision.scheduled_blocks} block deliveries "
-        f"as {decision.num_commodities} merged subtasks in "
-        f"{decision.total_runtime * 1000:.1f} ms"
+        f"in {decision.schedule_runtime * 1000:.1f} ms, routed them as "
+        f"{decision.num_commodities} merged subtasks in "
+        f"{decision.routing_runtime * 1000:.1f} ms"
     )
 
 

@@ -28,7 +28,6 @@ from repro.core import (
     BDSConfig,
     BDSController,
     ControllerReplicaSet,
-    JointFormulation,
     RarestFirstScheduler,
     BDSRouter,
     StandardLPRouter,
@@ -63,7 +62,6 @@ __all__ = [
     "BDSConfig",
     "BDSController",
     "ControllerReplicaSet",
-    "JointFormulation",
     "RarestFirstScheduler",
     "BDSRouter",
     "StandardLPRouter",

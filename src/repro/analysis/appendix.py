@@ -102,16 +102,3 @@ def theorem_holds(
     t_a = balanced_completion_time(num_blocks, m, k, rho, rate)
     t_b = imbalanced_completion_time(num_blocks, m, k1, k2, rho, rate)
     return t_a < t_b
-
-
-def completion_time_derivative_sign(m: int, k: float) -> float:
-    """Sign of d/dk [(m−k)²/(k)] — Eq. 7's monotonicity (always negative).
-
-    Returns the value ``1 − m²/k²`` whose sign matches the derivative's
-    for ``0 < k < m`` (the positive prefactor is dropped).
-    """
-    check_positive("m", m)
-    check_positive("k", k)
-    if k >= m:
-        raise ValueError("k must be < m")
-    return 1.0 - (m / k) ** 2

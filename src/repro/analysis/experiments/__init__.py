@@ -68,9 +68,9 @@ def write_generated(path: Path, results: Mapping[str, Any]) -> bool:
     left alone, so a second ``--write`` is a no-op.
     """
     block = generated_block(results)
+    if mask_wall(read_generated(path)) == mask_wall(block):
+        return False
     text = Path(path).read_text(encoding="utf-8")
     start, end = _generated_span(text)
-    if mask_wall(text[start:end]) == mask_wall(block):
-        return False
     Path(path).write_text(text[:start] + block + text[end:], encoding="utf-8")
     return True

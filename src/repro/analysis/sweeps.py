@@ -39,9 +39,6 @@ class SweepResult:
     def values(self) -> List[float]:
         return [p.value for p in self.points]
 
-    def completion_times(self) -> List[float]:
-        return [p.completion_time for p in self.points]
-
     def cheapest_meeting_deadline(self, deadline_s: float) -> Optional[SweepPoint]:
         """The smallest knob value whose run met the deadline.
 

@@ -202,6 +202,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
         save_result(result, args.json)
         print(f"result export written to {args.json}")
+    print(f"strategy          : {args.strategy}")
+    print(result.summary())
     if not result.all_complete:
         print(f"jobs did not complete within {args.max_cycles} cycles")
         return 1
@@ -212,9 +214,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     ]
     stats = summarize(times)
     completion = max(result.completion_time(job.job_id) for job in jobs)
-    print(f"strategy          : {args.strategy}")
     print(f"completion        : {format_duration(completion)}")
-    print(f"cycles            : {result.cycles_run}")
     if args.shards > 1:
         print(f"controller shards : {args.shards} (stride {args.shard_stride})")
     print(

@@ -14,7 +14,7 @@ from repro.core.routing import BDSRouter, RoutingDiagnostics
 from repro.core.controller import BDSController
 from repro.core.bandwidth import residual_budget
 from repro.core.fault import ControllerReplicaSet
-from repro.core.formulation import JointFormulation, StandardLPRouter
+from repro.core.formulation import StandardLPRouter
 from repro.core.speculation import DeliverySpeculator, SpeculatedView
 from repro.core.diffs import DecisionDiff, DiffStats, diff_decisions, diff_stats_over_run
 
@@ -34,6 +34,5 @@ __all__ = [
     "BDSController",
     "residual_budget",
     "ControllerReplicaSet",
-    "JointFormulation",
     "StandardLPRouter",
 ]

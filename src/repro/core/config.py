@@ -8,15 +8,14 @@ update cycle and the 80 % safety threshold on
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_count
 
 ROUTING_BACKENDS = ("fptas", "lp", "greedy")
 SHARD_PARTITIONS = ("hash", "affinity")
-#: The fields that count something, and their least value. A count is
-#: an integer — numpy's too — and never a bool.
+#: The fields that count something, and their least value
+#: (:func:`~repro.utils.validation.check_count`).
 _COUNTS = {
     "max_blocks_per_cycle": 0,
     "max_sources_per_group": 1,
@@ -99,15 +98,10 @@ class BDSConfig:
     def __post_init__(self) -> None:
         if self.speculation_horizon < 0:
             raise ValueError("speculation_horizon must be >= 0")
-        check_positive("epsilon", self.epsilon)
+        if not 0 < self.epsilon < 1:  # the FPTAS's own range
+            raise ValueError(f"epsilon must be within (0, 1), got {self.epsilon!r}")
         for name, least in _COUNTS.items():
-            value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Integral)
-                or value < least
-            ):
-                raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+            check_count(name, getattr(self, name), least)
         if self.routing_backend not in ROUTING_BACKENDS:
             raise ValueError(
                 f"routing_backend must be one of {ROUTING_BACKENDS}, "

@@ -107,7 +107,6 @@ class BDSController(OverlayStrategy):
         self.scheduler, self.router = build_pipeline(self.config)
         self.fallback = fallback or GingkoStrategy(seed=seed)
         self.decisions: List[ControlDecision] = []
-        self._fallback_active = False
         self._speculator = (
             DeliverySpeculator(self.config.speculation_horizon)
             if self.config.speculation_horizon > 0
@@ -131,11 +130,6 @@ class BDSController(OverlayStrategy):
             else None
         )
         self._shard_runner: Optional[LocalShardRunner] = None
-
-    @property
-    def fallback_active(self) -> bool:
-        """Whether the last cycle ran on the decentralized fallback."""
-        return self._fallback_active
 
     @property
     def shard_signature(self) -> bool:
@@ -168,9 +162,7 @@ class BDSController(OverlayStrategy):
         controller is reachable (the simulator checks both).
         """
         if not view.controller_available:
-            self._fallback_active = True
             return self.fallback.decide(view)
-        self._fallback_active = False
 
         # §5.3 partition handling: DCs severed from the controller's DC run
         # on the fallback; the controller only commands its own partition.
@@ -390,9 +382,3 @@ class BDSController(OverlayStrategy):
 
     def last_decision(self) -> Optional[ControlDecision]:
         return self.decisions[-1] if self.decisions else None
-
-    def mean_runtime(self) -> float:
-        """Mean controller running time across cycles (Fig. 11a metric)."""
-        if not self.decisions:
-            return 0.0
-        return sum(d.total_runtime for d in self.decisions) / len(self.decisions)

@@ -176,12 +176,3 @@ class ControlDecision:
     shard_stride: int = 0
     shard_state_bytes: int = 0
     shard_payload_bytes: int = 0
-
-    @property
-    def total_runtime(self) -> float:
-        """Controller algorithm running time (the Fig. 11a metric).
-
-        Includes the sharded reconciliation pass (zero when unsharded):
-        it is on the decide critical path just like schedule and route.
-        """
-        return self.schedule_runtime + self.routing_runtime + self.reconcile_runtime

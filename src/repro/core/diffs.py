@@ -46,9 +46,6 @@ class DecisionDiff:
         """Control messages needed to apply this diff."""
         return len(self.added) + len(self.removed) + len(self.updated)
 
-    def is_empty(self) -> bool:
-        return self.num_messages == 0
-
 
 def diff_decisions(
     previous: Sequence[TransferDirective],

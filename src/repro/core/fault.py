@@ -61,17 +61,6 @@ class ControllerReplicaSet:
         """Restart one replica (it rejoins as a follower)."""
         self._get(name).up = True
 
-    def fail_all(self) -> None:
-        """Partition away the whole replica group (Fig. 12a, cycle 20)."""
-        for replica in self.replicas.values():
-            replica.up = False
-        self._leader = None
-        self._cycles_without_leader = 0
-
-    def recover_all(self) -> None:
-        for replica in self.replicas.values():
-            replica.up = True
-
     def _get(self, name: str) -> ReplicaState:
         try:
             return self.replicas[name]
@@ -106,6 +95,3 @@ class ControllerReplicaSet:
     def has_leader(self) -> bool:
         """True when a controller is available to make centralized decisions."""
         return self._leader is not None
-
-    def up_count(self) -> int:
-        return sum(1 for r in self.replicas.values() if r.up)

@@ -1,30 +1,25 @@
 """The paper's §4.1 joint formulation — the "standard LP" baseline.
 
 BDS's contribution is *decoupling* scheduling from routing. To quantify
-what that buys (Fig. 13a running time, Fig. 13b near-optimality), this
-module implements the non-decoupled alternative two ways:
-
-* :class:`StandardLPRouter` — a drop-in replacement for
-  :class:`~repro.core.routing.BDSRouter` that solves one *joint* LP per
-  cycle with per-block variables ``w_{b,s}`` (relaxed to [0,1]) and
-  ``f_{b,p}``, no block merging, exactly the Eq. 1–5 constraint structure.
-  Its running time grows quickly with the number of blocks, which is the
-  paper's point.
-* :class:`JointFormulation` — the full multi-cycle problem: find the
-  minimum number of cycles ``N`` for which a feasible transfer plan exists
-  (the §4.1 objective). Solved by a linear search over ``N`` with one LP
-  feasibility check each; tractable only at toy scale, as the paper notes.
+what that buys (Fig. 13a running time), :class:`StandardLPRouter` is the
+non-decoupled alternative: a drop-in replacement for
+:class:`~repro.core.routing.BDSRouter` that solves one *joint* LP per
+cycle with per-block variables ``w_{b,s}`` (relaxed to [0,1]) and
+``f_{b,p}``, no block merging, exactly the Eq. 1–5 constraint structure.
+Its running time grows quickly with the number of blocks, which is the
+paper's point. (The full multi-cycle problem, the minimum ``N`` cycles
+with a feasible plan, is tractable only at toy scale; it lives with its
+tests in ``tests/test_formulation.py``.)
 """
 
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.decisions import ScheduledBlock
 from repro.core.routing import RoutingDiagnostics
-from repro.lp.model import LinearProgram, LPError
+from repro.lp.model import LinearProgram
 from repro.net.directive import TransferDirective
 from repro.net.topology import ResourceKey
 from repro.net.view import ClusterView
@@ -173,99 +168,3 @@ class StandardLPRouter:
             objective=solution.objective,
             runtime=_time.perf_counter() - started,
         )
-
-
-@dataclass
-class JointPlan:
-    """Result of the multi-cycle joint formulation."""
-
-    num_cycles: int
-    # (cycle, block index, path index) -> bytes/second.
-    flows: Dict[Tuple[int, int, int], float]
-    feasible: bool
-
-
-class JointFormulation:
-    """Minimum-cycle transfer planning, the intractable §4.1 original.
-
-    ``blocks`` are byte sizes; ``paths_per_block`` lists, per block, the
-    candidate paths (tuples of resource keys); ``capacities`` bound each
-    resource per cycle. The plan must ship every block's full size within
-    ``N`` cycles of ``dt`` seconds; the solver searches the smallest such N.
-    """
-
-    def __init__(
-        self,
-        blocks: Sequence[float],
-        paths_per_block: Sequence[Sequence[Tuple[ResourceKey, ...]]],
-        capacities: Mapping[ResourceKey, float],
-        dt: float = 3.0,
-    ) -> None:
-        if len(blocks) != len(paths_per_block):
-            raise ValueError("blocks and paths_per_block must align")
-        if not blocks:
-            raise ValueError("need at least one block")
-        check_positive("dt", dt)
-        self.blocks = [float(b) for b in blocks]
-        self.paths = [list(p) for p in paths_per_block]
-        self.capacities = dict(capacities)
-        self.dt = dt
-
-    def feasible_in(self, num_cycles: int) -> Optional[JointPlan]:
-        """LP feasibility: can everything ship within ``num_cycles``?"""
-        check_positive("num_cycles", num_cycles)
-        lp = LinearProgram(maximize=False)
-        flow_vars: Dict[Tuple[int, int, int], str] = {}
-        for k in range(num_cycles):
-            for bi, paths in enumerate(self.paths):
-                for pi in range(len(paths)):
-                    flow_vars[(k, bi, pi)] = lp.add_variable(
-                        f"f_{k}_{bi}_{pi}", lower=0.0, objective=1.0
-                    )
-        # Per cycle per resource capacity.
-        for k in range(num_cycles):
-            by_resource: Dict[ResourceKey, Dict[str, float]] = {}
-            for bi, paths in enumerate(self.paths):
-                for pi, path in enumerate(paths):
-                    for res in set(path):
-                        by_resource.setdefault(res, {})[
-                            flow_vars[(k, bi, pi)]
-                        ] = 1.0
-            for res, coeffs in by_resource.items():
-                if res not in self.capacities:
-                    raise KeyError(f"unknown resource {res!r}")
-                lp.add_constraint(coeffs, "<=", self.capacities[res])
-        # Eq. 4: full delivery of every block across all cycles.
-        for bi, size in enumerate(self.blocks):
-            coeffs = {
-                flow_vars[(k, bi, pi)]: self.dt
-                for k in range(num_cycles)
-                for pi in range(len(self.paths[bi]))
-            }
-            if not coeffs:
-                return None  # a block with no path can never ship
-            lp.add_constraint(coeffs, ">=", size)
-        try:
-            solution = lp.solve()
-        except LPError:
-            return None
-        flows = {
-            key: solution.values[name]
-            for key, name in flow_vars.items()
-            if solution.values[name] > 1e-9
-        }
-        return JointPlan(num_cycles=num_cycles, flows=flows, feasible=True)
-
-    def solve_min_cycles(self, max_cycles: int = 64) -> JointPlan:
-        """Linear search for the minimum feasible N (the paper's objective).
-
-        The search is linear rather than binary because infeasibility at N
-        implies nothing cheap about N+1 bounds in general LP solvers, and
-        N is small in every instance this class is meant for.
-        """
-        check_positive("max_cycles", max_cycles)
-        for n in range(1, max_cycles + 1):
-            plan = self.feasible_in(n)
-            if plan is not None:
-                return plan
-        return JointPlan(num_cycles=max_cycles, flows={}, feasible=False)

@@ -7,7 +7,7 @@ to get ε-optimal routing in milliseconds instead of solving the LP exactly.
 """
 
 from repro.lp.model import LinearProgram, LPSolution, LPError
-from repro.lp.mcf import Commodity, PathMCF, MCFResult, solve_lp_incidence
+from repro.lp.mcf import Commodity, MCFResult, solve_lp_incidence
 from repro.lp.incidence import PathIncidence
 from repro.lp.fptas import (
     max_multicommodity_flow,
@@ -20,7 +20,6 @@ __all__ = [
     "LPSolution",
     "LPError",
     "Commodity",
-    "PathMCF",
     "MCFResult",
     "solve_lp_incidence",
     "PathIncidence",

@@ -106,7 +106,7 @@ class PathIncidence:
         """Compile ``commodities`` over ``capacities`` into flat arrays.
 
         ``strict`` controls unknown-resource handling: ``True`` raises
-        :class:`KeyError` (the :class:`~repro.lp.mcf.PathMCF` contract),
+        :class:`KeyError` (the exact LP's contract),
         ``False`` treats missing resources as zero-capacity (the greedy
         backend's historical ``residual.get(r, 0.0)`` semantics — such
         paths simply become unusable).

@@ -2,8 +2,10 @@
 
 BDS's routing step (§4.4) is "essentially an integer MCF problem", made
 tractable by (a) the fractional relaxation over explicit candidate paths and
-(b) an FPTAS. This module defines the problem container and its exact-LP
-solution; :mod:`repro.lp.fptas` provides the ε-approximate fast path.
+(b) an FPTAS. This module defines the commodity, the result and the exact-LP
+solution over a :class:`~repro.lp.incidence.PathIncidence`
+(:func:`solve_lp_incidence`, the ``routing_backend="lp"`` path);
+:mod:`repro.lp.fptas` provides the ε-approximate fast path.
 
 A *commodity* is a merged block group (same source/destination server pair
 after §5.1 blocks merging) with an explicit set of candidate overlay paths,
@@ -14,7 +16,7 @@ bytes/second the group can still usefully absorb this cycle).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.lp.model import LinearProgram
 from repro.net.topology import ResourceKey
@@ -53,80 +55,6 @@ class MCFResult:
     objective: float
     path_flows: Dict[Tuple[Hashable, int], float]
 
-    def commodity_flow(self, name: Hashable) -> float:
-        """Total allocated rate of one commodity."""
-        return sum(
-            rate for (cname, _i), rate in self.path_flows.items() if cname == name
-        )
-
-    def resource_usage(
-        self, commodities: Sequence[Commodity]
-    ) -> Dict[ResourceKey, float]:
-        """Aggregate usage per resource implied by the path flows."""
-        by_name = {c.name: c for c in commodities}
-        usage: Dict[ResourceKey, float] = {}
-        for (cname, pi), rate in self.path_flows.items():
-            for res in by_name[cname].paths[pi]:
-                usage[res] = usage.get(res, 0.0) + rate
-        return usage
-
-
-class PathMCF:
-    """A max-throughput MCF instance over explicit paths.
-
-    Objective (paper Eq. 5): maximize total flow. Constraints: per-resource
-    capacity (Eq. 1 & 2 collapsed onto the resource set of each path) and
-    per-commodity demand (the per-cycle volume bound of Eq. 3).
-
-    On construction the instance is compiled once into a
-    :class:`~repro.lp.incidence.PathIncidence`; the exact LP and the
-    FPTAS both solve over those shared arrays.
-    """
-
-    def __init__(
-        self,
-        commodities: Sequence[Commodity],
-        capacities: Mapping[ResourceKey, float],
-    ) -> None:
-        if not commodities:
-            raise ValueError("need at least one commodity")
-        self.commodities = list(commodities)
-        self.capacities = dict(capacities)
-        for commodity in self.commodities:
-            for path in commodity.paths:
-                for res in path:
-                    if res not in self.capacities:
-                        raise KeyError(
-                            f"path of {commodity.name!r} uses unknown resource {res!r}"
-                        )
-        from repro.lp.incidence import PathIncidence
-
-        self.incidence = PathIncidence.build(
-            self.commodities, self.capacities, strict=True
-        )
-
-    def solve_lp(self) -> MCFResult:
-        """Exact solution via the dense LP (the Fig. 13a 'standard' route)."""
-        return solve_lp_incidence(self.incidence)
-
-    def solve_fptas(self, epsilon: float = 0.1, warm=None) -> MCFResult:
-        """ε-approximate solution via Fleischer's FPTAS (the BDS fast path).
-
-        ``warm`` forwards a previous solve's
-        :class:`~repro.lp.fptas.FPTASWarmState`; see
-        :func:`~repro.lp.fptas.max_multicommodity_flow`.
-        """
-        from repro.lp.fptas import max_multicommodity_flow
-
-        result = max_multicommodity_flow(
-            self.commodities,
-            self.capacities,
-            epsilon=epsilon,
-            warm=warm,
-            incidence=self.incidence,
-        )
-        return MCFResult(objective=result.objective, path_flows=result.path_flows)
-
 
 def solve_lp_incidence(incidence) -> MCFResult:
     """Exact max-MCF over a pre-built incidence structure.
@@ -136,8 +64,7 @@ def solve_lp_incidence(incidence) -> MCFResult:
     variables are elided — the optimum is unchanged), one capacity row per
     resource, and one demand row per capped commodity. A path's
     coefficient in a resource's row is how many times it crosses that
-    resource — the charge :meth:`MCFResult.resource_usage`, the greedy
-    backend and the FPTAS all apply.
+    resource — the charge the greedy backend and the FPTAS apply too.
     """
     inc = incidence
     if inc.num_paths == 0:

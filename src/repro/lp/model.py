@@ -72,9 +72,6 @@ class LinearProgram:
         self._upper.append(upper)
         return name
 
-    def set_objective(self, name: str, coefficient: float) -> None:
-        self._objective[self._index[name]] = coefficient
-
     def add_constraint(
         self, coefficients: Mapping[str, float], sense: str, rhs: float
     ) -> None:
@@ -83,14 +80,6 @@ class LinearProgram:
             raise ValueError(f"unknown sense {sense!r}")
         indexed = {self._index[name]: coef for name, coef in coefficients.items()}
         self._constraints.append((indexed, sense, rhs))
-
-    @property
-    def num_variables(self) -> int:
-        return len(self._names)
-
-    @property
-    def num_constraints(self) -> int:
-        return len(self._constraints)
 
     # -- solving --------------------------------------------------------------
 

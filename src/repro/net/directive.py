@@ -137,13 +137,6 @@ class TransferDirective:
     def block_indices(self) -> np.ndarray:
         return self._column[self._lo : self._hi]
 
-    def with_rate_cap(self, rate_cap: Optional[float]) -> "TransferDirective":
-        """This directive with another ``rate_cap`` (block list shared)."""
-        return TransferDirective.from_segment(
-            self.job_id, self._column, self._lo, self._hi,
-            self.src_server, self.dst_server, rate_cap,
-        )
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not TransferDirective:
             return NotImplemented

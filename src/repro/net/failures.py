@@ -113,9 +113,6 @@ class FailureSchedule:
                 return event.cycle
         return None
 
-    def agent_is_up(self, server_id: str) -> bool:
-        return server_id not in self.failed_agents
-
     def link_is_up(self, src_dc: str, dst_dc: str) -> bool:
         return (src_dc, dst_dc) not in self.failed_links
 

@@ -10,7 +10,7 @@ heavy-but-thin tail of the measured CDF.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.utils.rng import SeedLike, make_rng
 from repro.utils.validation import check_positive
@@ -54,7 +54,3 @@ class LatencyModel:
         # Lognormal jitter with median 1: occasional congestion spikes.
         jitter = math.exp(self._rng.normal(0.0, self.jitter_sigma))
         return base * jitter / 1000.0
-
-    def sample_many(self, src_dc: str, dst_dc: str, count: int) -> List[float]:
-        """Convenience: ``count`` independent delay samples in seconds."""
-        return [self.sample_delay(src_dc, dst_dc) for _ in range(count)]

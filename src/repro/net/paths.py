@@ -51,15 +51,6 @@ class OverlayPath:
     def source(self) -> str:
         return self.servers[0]
 
-    @property
-    def destination(self) -> str:
-        return self.servers[-1]
-
-    @property
-    def num_hops(self) -> int:
-        """Number of server-to-server transfers on this path."""
-        return len(self.servers) - 1
-
 
 def build_overlay_path(topology: Topology, servers: Sequence[str]) -> OverlayPath:
     """Construct an :class:`OverlayPath` through the given server sequence.

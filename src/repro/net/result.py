@@ -281,14 +281,14 @@ class SimResult:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def summary(self) -> str:
-        """A short human-readable report of the run."""
+        """A short human-readable report of the run (``repro simulate``)."""
         lines = [
-            f"cycles run      : {self.cycles_run}",
-            f"simulated time  : {self.sim_time:.1f}s",
-            f"wall time       : {self.wall_time:.2f}s",
-            f"jobs completed  : {len(self.job_completion)}",
-            f"all complete    : {self.all_complete}",
-            f"bytes moved     : {self.total_bytes_transferred():.3g}",
+            f"cycles run        : {self.cycles_run}",
+            f"simulated time    : {self.sim_time:.1f}s",
+            f"wall time         : {self.wall_time:.2f}s",
+            f"jobs completed    : {len(self.job_completion)}",
+            f"all complete      : {self.all_complete}",
+            f"bytes moved       : {self.total_bytes_transferred():.3g}",
         ]
         for job_id in sorted(self.job_completion):
             lines.append(

@@ -56,7 +56,7 @@ from repro.overlay.blocks import Block
 from repro.overlay.job import MulticastJob
 from repro.overlay.store import PossessionIndex
 from repro.utils.rng import SeedLike, make_rng
-from repro.utils.validation import check_fraction, check_positive
+from repro.utils.validation import check_count, check_fraction, check_positive
 
 if TYPE_CHECKING:
     from repro.baselines.base import OverlayStrategy
@@ -91,7 +91,7 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         check_positive("cycle_seconds", self.cycle_seconds)
-        check_positive("max_cycles", self.max_cycles)
+        check_count("max_cycles", self.max_cycles, 1)
         check_fraction("safety_threshold", self.safety_threshold)
         if self.control_overhead_seconds < 0:
             raise ValueError("control_overhead_seconds must be >= 0")

@@ -276,13 +276,6 @@ class Topology:
         except KeyError:
             raise ValueError(f"no WAN route from {src_dc!r} to {dst_dc!r}") from None
 
-    def route_dcs(self, src_dc: str, dst_dc: str) -> Tuple[str, ...]:
-        """The DC sequence of the WAN route, including both endpoints."""
-        dcs = [src_dc]
-        for key in self.route(src_dc, dst_dc):
-            dcs.append(key[2])
-        return tuple(dcs)
-
     def flow_resources(
         self,
         src_server: str,

@@ -77,9 +77,6 @@ class ClusterView:
             self._candidates = CandidateTable(self.jobs, self.store.matrix)
         return self._candidates
 
-    def agent_is_up(self, server_id: str) -> bool:
-        return server_id not in self.failed_agents
-
     def with_extra_failed_agents(self, extra: Iterable[str]) -> "ClusterView":
         """A copy of this view treating ``extra`` servers as failed.
 

@@ -10,7 +10,7 @@ file splitting, and the block-merging helper used by the controller's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from repro.utils.units import MB
 from repro.utils.validation import check_positive
@@ -82,8 +82,3 @@ def group_by_pair(
     for members in groups.values():
         members.sort()
     return groups
-
-
-def total_size(blocks: Iterable[Block]) -> float:
-    """Sum of block sizes in bytes."""
-    return sum(b.size for b in blocks)

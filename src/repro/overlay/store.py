@@ -26,7 +26,6 @@ Possession only grows: copies are seeded or delivered and never dropped
 from __future__ import annotations
 
 import copy
-import sys
 from collections import abc
 from dataclasses import dataclass
 from typing import (
@@ -59,12 +58,11 @@ class DeliveryRecord:
     from_origin_dc: bool
 
 
-#: Immutable empties returned for unknown blocks/servers. These used to be
-#: module-level *mutable* sets: one stray caller mutation would have
-#: poisoned every future query for every index in the process. Frozen
-#: variants make that class of bug structurally impossible.
+#: The immutable empty returned for unknown blocks. It used to be a
+#: module-level *mutable* set: one stray caller mutation would have
+#: poisoned every future query for every index in the process. A frozen
+#: one makes that class of bug structurally impossible.
 _EMPTY_HOLDERS: FrozenSet[str] = frozenset()
-_EMPTY_BLOCKS: FrozenSet[BlockId] = frozenset()
 
 #: ``_BITS[i]`` is the ``uint64`` word with only bit ``i`` set.
 _BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
@@ -326,16 +324,6 @@ class PossessionMatrix:
         bit = np.arange(64, dtype=np.uint64)
         return np.flatnonzero((any_of[:, None] >> bit) & np.uint64(1))
 
-    def row_gids(self, sid: int) -> np.ndarray:
-        """Block columns set on one server row, ascending."""
-        row = self.bits[sid]
-        if not row.any():
-            return np.empty(0, dtype=np.int64)
-        if sys.byteorder == "big":  # pragma: no cover - x86/arm are little
-            row = row.byteswap()
-        flags = np.unpackbits(row.view(np.uint8), bitorder="little")
-        return np.nonzero(flags)[0].astype(np.int64)
-
     def test_many(self, sids: np.ndarray, gids: np.ndarray) -> np.ndarray:
         """Boolean possession gather for parallel (server, block) arrays."""
         words = self.bits[sids, gids >> 6]
@@ -481,34 +469,6 @@ class PossessionReader:
             return _EMPTY_HOLDERS
         names = matrix.server_names
         return frozenset(names[i] for i in matrix.holder_ids(gid))
-
-    def duplicate_count(self, block_id: BlockId) -> int:
-        """Number of copies cluster-wide (the §4.3 rarity measure)."""
-        gid = self.matrix.block_gids.get(block_id)
-        return int(self.matrix.dup[gid]) if gid is not None else 0
-
-    def blocks_on(self, server_id: str) -> AbstractSet[BlockId]:
-        """Blocks held by one server, as a fresh ``frozenset`` decoded
-        from the server's bit row."""
-        matrix = self.matrix
-        sid = matrix.server_ids.get(server_id)
-        if sid is None:
-            return _EMPTY_BLOCKS
-        names = matrix.block_names
-        return frozenset(names[g] for g in matrix.row_gids(sid))
-
-    def dc_has_block(self, dc: str, block_id: BlockId) -> bool:
-        return self.dc_copy_count(dc, block_id) > 0
-
-    def dc_copy_count(self, dc: str, block_id: BlockId) -> int:
-        matrix = self.matrix
-        gid = matrix.block_gids.get(block_id)
-        if gid is None:
-            return 0
-        did = matrix.dc_ids.get(dc)
-        if did is None:
-            return 0
-        return int(matrix.dc_counts[did, gid])
 
     def state_bytes(self) -> int:
         """Bytes of possession state held by this index: the exact array

@@ -6,6 +6,7 @@ far more useful inside a long simulation run than a late ``ZeroDivisionError``.
 
 from __future__ import annotations
 
+import numbers
 from typing import Any, Tuple, Type, Union
 
 
@@ -20,6 +21,18 @@ def check_non_negative(name: str, value: float) -> float:
     """Require ``value >= 0`` and return it."""
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
+    return value
+
+
+def check_count(name: str, value: Any, least: int) -> int:
+    """Require an integer ``>= least`` and return it. A count is an
+    integer — numpy's too — and never a bool."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < least
+    ):
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
     return value
 
 

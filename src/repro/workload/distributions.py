@@ -63,21 +63,6 @@ class PiecewiseLinearCDF:
         self._ps = list(ps)
         self._raw_xs = list(xs)
 
-    def cdf(self, value: float) -> float:
-        """P(X <= value)."""
-        x = math.log10(value) if self.log_space else value
-        if x <= self._xs[0]:
-            return 0.0
-        if x >= self._xs[-1]:
-            return 1.0
-        hi = bisect.bisect_right(self._xs, x)
-        lo = hi - 1
-        x0, x1 = self._xs[lo], self._xs[hi]
-        p0, p1 = self._ps[lo], self._ps[hi]
-        if x1 == x0:
-            return p1
-        return p0 + (p1 - p0) * (x - x0) / (x1 - x0)
-
     def quantile(self, probability: float) -> float:
         """Inverse CDF: the value at the given probability."""
         if not 0.0 <= probability <= 1.0:
@@ -150,18 +135,3 @@ def sample_application(seed: SeedLike = None) -> str:
         if roll <= acc:
             return name
     return names[-1]
-
-
-def multicast_traffic_share(
-    app_bytes: Dict[str, float], multicast_bytes: Dict[str, float]
-) -> Dict[str, float]:
-    """Per-application multicast share from byte totals (Table 1 layout)."""
-    shares: Dict[str, float] = {}
-    for app, total in app_bytes.items():
-        if total <= 0:
-            continue
-        shares[app] = multicast_bytes.get(app, 0.0) / total
-    all_total = sum(app_bytes.values())
-    if all_total > 0:
-        shares["all"] = sum(multicast_bytes.values()) / all_total
-    return shares

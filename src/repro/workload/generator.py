@@ -30,6 +30,7 @@ from repro.utils.validation import check_positive
 from repro.workload.distributions import (
     APP_PROFILES,
     destination_fraction_cdf,
+    sample_application,
     transfer_size_cdf,
 )
 
@@ -83,18 +84,6 @@ class WorkloadGenerator:
 
     # -- sampling pieces ---------------------------------------------------
 
-    def _sample_app(self) -> str:
-        names = sorted(APP_PROFILES)
-        weights = [APP_PROFILES[n]["traffic_weight"] for n in names]
-        total = sum(weights)
-        roll = float(self._rng.uniform(0, total))
-        acc = 0.0
-        for name, weight in zip(names, weights):
-            acc += weight
-            if roll <= acc:
-                return name
-        return names[-1]
-
     def _sample_destinations(self, src_dc: str, multicast: bool) -> Tuple[str, ...]:
         others = [d for d in self.dc_names if d != src_dc]
         if not multicast:
@@ -107,7 +96,7 @@ class WorkloadGenerator:
 
     def sample_request(self, arrival_time: float) -> TransferRequest:
         """Sample one request at the given arrival time."""
-        app = self._sample_app()
+        app = sample_application(self._rng)
         share = APP_PROFILES[app]["multicast_share"]
         multicast = bool(self._rng.uniform(0, 1) < share)
         src_dc = self.dc_names[int(self._rng.integers(len(self.dc_names)))]

@@ -43,14 +43,25 @@ module; the property tests run the production kernels against these:
   view's store was (``repro.core.speculation._SpeculatedStore`` as it
   was) and the full pending scans, against the bit-matrix overlay.
 
-No function here reads possession through a view accessor or a matrix:
-each asks ``view.store`` one ``has``/``holders``/``dc_has_block`` at a
+Some definitions here left ``src/`` because only tests called them
+(``tests/test_layering.py`` keeps ``src/`` to what the system runs):
+``PathMCF``, the exact-LP reference the FPTAS tests price against; the
+store's name-keyed queries below; ``route_dcs``, ``cdf`` and
+``with_rate_cap``.
+
+No reference function reads possession through a view accessor or a
+matrix: each asks ``view.store`` one ``has``/``holders``/``dc_of`` at a
 time, so it is a reference for whatever ``view.store`` is — the live
-index, a ``DictPossessionIndex``, a ``SpeculatedStoreOracle``.
+index, a ``DictPossessionIndex``, a ``SpeculatedStoreOracle``. The
+name-keyed queries the store's facade does not serve are functions
+here: ``duplicate_count`` and ``dc_has_block`` over that same facade,
+``blocks_on`` and ``dc_copy_count`` over a live store's matrix (the
+tests compare them against the dict-backed index).
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import zlib
@@ -59,6 +70,7 @@ from typing import (
     AbstractSet,
     Callable,
     Dict,
+    FrozenSet,
     Hashable,
     Iterable,
     List,
@@ -76,7 +88,7 @@ from repro.core.decisions import ScheduledBlock
 from repro.lp.fptas import FPTASResult, max_multicommodity_flow
 from repro.lp.incidence import PathIncidence, segment_mins
 from repro.utils.rng import SeedLike, make_rng
-from repro.lp.mcf import Commodity, solve_lp_incidence
+from repro.lp.mcf import Commodity, MCFResult, solve_lp_incidence
 from repro.net.flow import Flow, FlowKernelStats
 from repro.net.topology import ResourceKey
 from repro.net.directive import TransferDirective
@@ -153,7 +165,7 @@ def pending_relay_placements(view, job) -> List[Tuple[Block, str, str]]:
         (block, dc, job.assigned_server(dc, block.block_id))
         for dc in job.relay_dcs
         for block in job.blocks
-        if not view.store.dc_has_block(dc, block.block_id)
+        if not dc_has_block(view.store, dc, block.block_id)
     ]
 
 
@@ -716,12 +728,12 @@ def select_rarest_first(view, scheduler) -> List[ScheduledBlock]:
                 for block, dc, server in pending_relay_placements(view, job)
             )
         for block, dst_dc, dst_server, is_relay in pending:
-            if not view.agent_is_up(dst_server):
-                continue
-            duplicates = view.store.duplicate_count(block.block_id)
-            if duplicates == 0:
+            if dst_server in view.failed_agents:
                 continue
             holders = view.store.holders(block.block_id)
+            duplicates = len(holders)
+            if duplicates == 0:
+                continue
             if all(s in view.failed_agents for s in holders):
                 continue  # no eligible source
             candidates.append(
@@ -1144,6 +1156,16 @@ def resource_utilization(
     return usage
 
 
+def with_rate_cap(
+    directive: TransferDirective, rate_cap: Optional[float]
+) -> TransferDirective:
+    """``directive`` with another ``rate_cap`` (block list shared)."""
+    return TransferDirective.from_segment(
+        directive.job_id, directive._column, directive._lo, directive._hi,
+        directive.src_server, directive.dst_server, rate_cap,
+    )
+
+
 def reconcile_wan(
     view: ClusterView,
     directives: List[TransferDirective],
@@ -1193,9 +1215,66 @@ def reconcile_wan(
     for j, i in enumerate(capped):
         new_cap = float(rates[j])
         if new_cap < requested[j]:
-            out[i] = out[i].with_rate_cap(new_cap)
+            out[i] = with_rate_cap(out[i], new_cap)
             reconciled += 1
     return out, reconciled
+
+
+# -- workload -----------------------------------------------------------------
+
+
+def cdf(distribution, value: float) -> float:
+    """P(X <= value) of a ``PiecewiseLinearCDF``: the forward
+    interpolation its ``quantile`` inverts."""
+    xs, ps = distribution._xs, distribution._ps
+    x = math.log10(value) if distribution.log_space else value
+    if x <= xs[0]:
+        return 0.0
+    if x >= xs[-1]:
+        return 1.0
+    hi = bisect.bisect_right(xs, x)
+    lo = hi - 1
+    if xs[hi] == xs[lo]:
+        return ps[hi]
+    return ps[lo] + (ps[hi] - ps[lo]) * (x - xs[lo]) / (xs[hi] - xs[lo])
+
+
+# -- topology -----------------------------------------------------------------
+
+
+def route_dcs(topology, src_dc: str, dst_dc: str) -> Tuple[str, ...]:
+    """The DC sequence of the WAN route, including both endpoints."""
+    return (src_dc,) + tuple(key[2] for key in topology.route(src_dc, dst_dc))
+
+
+# -- store: the name-keyed queries the facade does not serve ------------------
+
+
+def duplicate_count(store, block_id: BlockId) -> int:
+    """Copies of ``block_id`` cluster-wide (the §4.3 rarity measure)."""
+    return len(store.holders(block_id))
+
+
+def dc_has_block(store, dc: str, block_id: BlockId) -> bool:
+    """Whether some server of ``dc`` holds ``block_id``."""
+    return any(store.dc_of(server) == dc for server in store.holders(block_id))
+
+
+def blocks_on(store, server_id: str) -> FrozenSet[BlockId]:
+    """The blocks one server holds: a ``has`` probe per block the
+    store's matrix names (empty for an unknown server)."""
+    return frozenset(
+        b for b in store.matrix.block_names if store.has(server_id, b)
+    )
+
+
+def dc_copy_count(store, dc: str, block_id: BlockId) -> int:
+    """A matrix-backed store's ``dc_counts`` cell, by name (0 for an
+    unknown DC or block)."""
+    matrix = store.matrix
+    gid = matrix.block_gids.get(block_id)
+    did = matrix.dc_ids.get(dc)
+    return 0 if gid is None or did is None else int(matrix.dc_counts[did, gid])
 
 
 # -- store: the dict-of-sets possession index ---------------------------------
@@ -1269,14 +1348,8 @@ class DictPossessionIndex:
     def holders(self, block_id: BlockId) -> AbstractSet[str]:
         return self._holders.get(block_id, frozenset())
 
-    def duplicate_count(self, block_id: BlockId) -> int:
-        return len(self._holders.get(block_id, ()))
-
     def blocks_on(self, server_id: str) -> AbstractSet[BlockId]:
         return self._server_blocks.get(server_id, frozenset())
-
-    def dc_has_block(self, dc: str, block_id: BlockId) -> bool:
-        return self._dc_counts.get((dc, block_id), 0) > 0
 
     def dc_copy_count(self, dc: str, block_id: BlockId) -> int:
         return self._dc_counts.get((dc, block_id), 0)
@@ -1377,21 +1450,72 @@ class SpeculatedStoreOracle:
             block_id, set()
         )
 
-    def duplicate_count(self, block_id: BlockId) -> int:
-        return len(self.holders(block_id))
-
     def blocks_on(self, server_id: str) -> Set[BlockId]:
-        return self._store.blocks_on(server_id) | self._extra_by_server.get(
+        return blocks_on(self._store, server_id) | self._extra_by_server.get(
             server_id, set()
         )
 
-    def dc_has_block(self, dc: str, block_id: BlockId) -> bool:
-        if self._store.dc_has_block(dc, block_id):
-            return True
-        return any(
-            self._store.dc_of(s) == dc
-            for s in self._extra_holders.get(block_id, ())
+
+# -- MCF: the exact-LP reference over explicit paths --------------------------
+
+
+class PathMCF:
+    """A max-throughput MCF instance over explicit paths: the exact LP
+    (Fig. 13a's 'standard' route) every backend is priced against.
+
+    Objective (paper Eq. 5): maximize total flow. Constraints: per-resource
+    capacity (Eq. 1 & 2 collapsed onto the resource set of each path) and
+    per-commodity demand (the per-cycle volume bound of Eq. 3). The
+    instance is compiled once into a strict
+    :class:`~repro.lp.incidence.PathIncidence` (an unknown resource
+    raises ``KeyError``); both solves run over it.
+    """
+
+    def __init__(
+        self,
+        commodities: Sequence[Commodity],
+        capacities: Mapping[ResourceKey, float],
+    ) -> None:
+        self.commodities = list(commodities)
+        self.capacities = dict(capacities)
+        self.incidence = PathIncidence.build(
+            self.commodities, self.capacities, strict=True
         )
+
+    def solve_lp(self) -> MCFResult:
+        """Exact solution via the dense LP."""
+        return solve_lp_incidence(self.incidence)
+
+    def solve_fptas(self, epsilon: float = 0.1, warm=None) -> MCFResult:
+        """ε-approximate solution via Fleischer's FPTAS over the same
+        incidence (``warm`` as in ``max_multicommodity_flow``)."""
+        result = max_multicommodity_flow(
+            self.commodities,
+            self.capacities,
+            epsilon=epsilon,
+            warm=warm,
+            incidence=self.incidence,
+        )
+        return MCFResult(objective=result.objective, path_flows=result.path_flows)
+
+
+def commodity_flow(result: MCFResult, name: Hashable) -> float:
+    """Total allocated rate of one commodity."""
+    return sum(
+        rate for (cname, _i), rate in result.path_flows.items() if cname == name
+    )
+
+
+def resource_usage(
+    result: MCFResult, commodities: Sequence[Commodity]
+) -> Dict[ResourceKey, float]:
+    """Aggregate usage per resource implied by the path flows."""
+    by_name = {c.name: c for c in commodities}
+    usage: Dict[ResourceKey, float] = {}
+    for (cname, pi), rate in result.path_flows.items():
+        for res in by_name[cname].paths[pi]:
+            usage[res] = usage.get(res, 0.0) + rate
+    return usage
 
 
 # -- FPTAS: the reduceat phase loop the scalar kernel replaced ----------------
@@ -1673,7 +1797,9 @@ def missing_blocks_by_server(view, job) -> Dict[str, list]:
     """
     result: Dict[str, list] = {}
     for block, _dc, server in pending_deliveries(view, job):
-        if view.agent_is_up(server) and eligible_sources(view, block.block_id):
+        if server not in view.failed_agents and eligible_sources(
+            view, block.block_id
+        ):
             result.setdefault(server, []).append(block)
     return result
 
@@ -1725,7 +1851,7 @@ def gingko_decide(
             for block in job.blocks:
                 for holder in view.store.holders(block.block_id):
                     if holder not in seen and holder != dst_server:
-                        if view.agent_is_up(holder):
+                        if holder not in view.failed_agents:
                             seen.add(holder)
                             pool.append(holder)
         if not pool:
@@ -1741,7 +1867,7 @@ def gingko_decide(
             holders = [
                 n
                 for n in neighbors
-                if view.store.has(n, block.block_id) and view.agent_is_up(n)
+                if view.store.has(n, block.block_id) and n not in view.failed_agents
             ]
             if not holders:
                 continue
@@ -1837,7 +1963,7 @@ def akamai_decide(
         directives: List[TransferDirective] = []
         for _dc, dc_reflectors in reflectors.items():
             for i, reflector in enumerate(dc_reflectors):
-                if not view.agent_is_up(reflector):
+                if reflector in view.failed_agents:
                     continue
                 wanted = [
                     b
@@ -1856,7 +1982,7 @@ def akamai_decide(
 
     def reflector_holder(block, dc_reflectors):
         for reflector in dc_reflectors:
-            if view.agent_is_up(reflector) and view.store.has(
+            if reflector not in view.failed_agents and view.store.has(
                 reflector, block.block_id
             ):
                 return reflector
@@ -1901,7 +2027,7 @@ def chain_decide(
     def upstream_holder(job, chain, hop, block, exclude):
         if hop > 0:
             upstream = chain[hop - 1]
-            if view.agent_is_up(upstream) and view.store.has(
+            if upstream not in view.failed_agents and view.store.has(
                 upstream, block.block_id
             ):
                 return upstream
@@ -1911,7 +2037,7 @@ def chain_decide(
     def feed_chain(job, chain):
         directives: List[TransferDirective] = []
         for hop, relay in enumerate(chain):
-            if not view.agent_is_up(relay):
+            if relay in view.failed_agents:
                 continue
             missing = [
                 b for b in job.blocks if not view.store.has(relay, b.block_id)

@@ -7,7 +7,6 @@ from repro.overlay.blocks import (
     DEFAULT_BLOCK_SIZE,
     group_by_pair,
     split_into_blocks,
-    total_size,
 )
 from repro.utils.units import MB
 
@@ -61,7 +60,7 @@ class TestSplit:
 
     def test_sizes_sum_to_total(self):
         blocks = split_into_blocks("j", 7.3 * MB, 2 * MB)
-        assert total_size(blocks) == pytest.approx(7.3 * MB)
+        assert sum(b.size for b in blocks) == pytest.approx(7.3 * MB)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -771,8 +771,8 @@ class TestDirectiveContract:
         built, cut, _whole = self._twins()
         assert cut != TransferDirective.from_indices("j", np.array([4, 0, 4]), "a", "b", 2.5)
         assert cut != TransferDirective.from_indices("k", np.array([4, 0, 4, 9]), "a", "b", 2.5)
-        assert built != built.with_rate_cap(3.0)
-        assert built.with_rate_cap(3.0) == cut.with_rate_cap(3.0)
+        assert built != oracles.with_rate_cap(built, 3.0)
+        assert oracles.with_rate_cap(built, 3.0) == oracles.with_rate_cap(cut, 3.0)
         assert built != "not a directive"
 
     def test_foreign_ids_raise(self):

@@ -44,6 +44,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             BDSConfig(routing_backend="quantum")
 
+    @pytest.mark.parametrize("epsilon", [1.0, 1.5, 0.0, -0.1])
+    def test_epsilon_outside_the_fptas_range_rejected(self, epsilon):
+        """The FPTAS takes ``0 < epsilon < 1``; the config says so at
+        construction, not at the first decide."""
+        with pytest.raises(ValueError, match="epsilon"):
+            BDSConfig(epsilon=epsilon, routing_backend="fptas")
+
     def test_negative_blocks_cap_rejected(self):
         with pytest.raises(ValueError):
             BDSConfig(max_blocks_per_cycle=-1)
@@ -88,7 +95,7 @@ class TestDecide:
         first = controller.decisions[0]
         assert first.scheduled_blocks == 20  # 10 blocks x 2 DCs
         assert first.directives
-        assert first.total_runtime > 0
+        assert first.schedule_runtime + first.routing_runtime > 0
 
     def test_rate_caps_always_set(self):
         topo, job, controller = make_setup()
@@ -97,14 +104,6 @@ class TestDecide:
         for directive in controller.decide(view):
             assert directive.rate_cap is not None
             assert directive.rate_cap > 0
-
-    def test_mean_runtime(self):
-        topo, job, controller = make_setup()
-        Simulation(topo, [job], controller, SimConfig()).run()
-        assert controller.mean_runtime() > 0
-
-    def test_mean_runtime_empty(self):
-        assert BDSController().mean_runtime() == 0.0
 
     def test_last_decision(self):
         controller = BDSController()
@@ -118,9 +117,9 @@ class TestFallback:
         sim = Simulation(
             topo, [job], controller, SimConfig(max_cycles=2), failures=failures
         )
-        sim.run()
-        assert controller.fallback_active
-        # No centralized decisions were recorded while down.
+        result = sim.run()
+        # The fallback moved blocks; no centralized decision was recorded.
+        assert sum(result.blocks_per_cycle()) > 0
         assert controller.decisions == []
 
     def test_fallback_still_makes_progress(self):
@@ -157,7 +156,6 @@ class TestFallback:
             topo, [job], controller, SimConfig(max_cycles=500), failures=failures
         )
         sim.run()
-        assert not controller.fallback_active
         assert controller.decisions
         assert controller.decisions[0].cycle >= 3
 

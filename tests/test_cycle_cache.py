@@ -1,9 +1,9 @@
 """The per-cycle path cache and the view's possession accessors.
 
 The scheduler and router read possession from the matrix, not through
-the store's facade: a decide asks ``duplicate_count``/``holders`` nothing
-— the counting-proxy tests pin that, and that the oracle the selections
-are tested against does ask, pair by pair. The view's accessors answer
+the store's facade: a decide asks ``holders`` nothing — the
+counting-proxy tests pin that, and that the oracle the selections are
+tested against does ask, pair by pair. The view's accessors answer
 from the live matrix, so no possession answer can be stale; the
 invalidation tests pin the topology/failure key of the path tables.
 """
@@ -22,21 +22,14 @@ from tests import oracles
 
 
 class CountingStore:
-    """Read-only proxy counting per-block store queries."""
+    """Read-only proxy counting per-block ``holders`` queries."""
 
     def __init__(self, store):
         self._store = store
-        self.duplicate_count_calls = {}
         self.holders_calls = {}
 
     def __getattr__(self, name):
         return getattr(self._store, name)
-
-    def duplicate_count(self, block_id):
-        self.duplicate_count_calls[block_id] = (
-            self.duplicate_count_calls.get(block_id, 0) + 1
-        )
-        return self._store.duplicate_count(block_id)
 
     def holders(self, block_id):
         self.holders_calls[block_id] = self.holders_calls.get(block_id, 0) + 1
@@ -75,7 +68,7 @@ class TestSchedulerQueryDedupe:
         # All (block, destination) pairs are pending and selectable.
         assert len(scheduler.select(view)) == 12 * 3
         scheduler.select(view)
-        assert counter.duplicate_count_calls == counter.holders_calls == {}
+        assert counter.holders_calls == {}
 
     def test_legacy_view_queries_per_pair(self):
         """The oracle the selections are tested against is the undeduped
@@ -88,8 +81,8 @@ class TestSchedulerQueryDedupe:
         oracles.select_rarest_first(view, RarestFirstScheduler())
         # One rarity query per (block, destination) pair: 3 per block.
         assert all(
-            n == 3 for n in counter.duplicate_count_calls.values()
-        ), counter.duplicate_count_calls
+            n == 3 for n in counter.holders_calls.values()
+        ), counter.holders_calls
 
 
 class TestViewCachedQueries:
@@ -98,12 +91,12 @@ class TestViewCachedQueries:
         view = sim.snapshot_view()
         job = sim.jobs[0]
         block = job.blocks[0]
-        assert view.store.duplicate_count(block.block_id) == 1
+        assert len(view.store.holders(block.block_id)) == 1
         # An out-of-band possession change is read at once: the view
         # keeps no possession answer of its own.
         dst = job.assigned_server("dc1", block.block_id)
         sim.store.seed(dst, [block])
-        assert view.store.duplicate_count(block.block_id) == 2
+        assert len(view.store.holders(block.block_id)) == 2
         assert len(view.eligible_sources(block.block_id)) == 2
 
     def test_failed_agent_set_changes_flush_sources(self):

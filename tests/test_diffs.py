@@ -38,7 +38,7 @@ class TestDiffDecisions:
     def test_identical_decisions_empty_diff(self):
         d = directive(rate=5.0)
         diff = diff_decisions([d], [directive(rate=5.0)])
-        assert diff.is_empty()
+        assert diff.num_messages == 0
         assert diff.unchanged == 1
 
     def test_rerate_detected(self):
@@ -52,7 +52,7 @@ class TestDiffDecisions:
         old = directive(rate=100.0)
         new = directive(rate=100.5)
         diff = diff_decisions([old], [new], rate_tolerance=0.01)
-        assert diff.is_empty()
+        assert diff.num_messages == 0
 
     def test_new_blocks_is_an_update(self):
         old = directive(blocks=[("j", 0)])
@@ -65,7 +65,7 @@ class TestDiffDecisions:
         old = directive(blocks=[("j", 0), ("j", 1)], rate=5.0)
         new = directive(blocks=[("j", 1)], rate=5.0)
         diff = diff_decisions([old], [new])
-        assert diff.is_empty()
+        assert diff.num_messages == 0
         assert diff.unchanged == 1
 
     def test_changed_endpoint_is_add_plus_remove(self):

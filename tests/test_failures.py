@@ -31,11 +31,11 @@ class TestFailureSchedule:
             ]
         )
         schedule.advance_to(1)
-        assert schedule.agent_is_up("s1")
+        assert "s1" not in schedule.failed_agents
         schedule.advance_to(2)
-        assert not schedule.agent_is_up("s1")
+        assert "s1" in schedule.failed_agents
         schedule.advance_to(5)
-        assert schedule.agent_is_up("s1")
+        assert "s1" not in schedule.failed_agents
 
     def test_advance_is_idempotent(self):
         schedule = FailureSchedule(
@@ -82,9 +82,9 @@ class TestFailureSchedule:
     def test_paper_fig12a_shape(self):
         schedule = FailureSchedule.paper_fig12a(agent="s0")
         schedule.advance_to(10)
-        assert not schedule.agent_is_up("s0")
+        assert "s0" in schedule.failed_agents
         schedule.advance_to(15)
-        assert schedule.agent_is_up("s0")  # recovers next cycle
+        assert "s0" not in schedule.failed_agents  # recovers next cycle
         assert not schedule.controller_down
         schedule.advance_to(20)
         assert schedule.controller_down

@@ -10,7 +10,7 @@ class TestReplicaSet:
         replicas = ControllerReplicaSet()
         assert replicas.has_leader()
         assert replicas.leader == "controller-0"
-        assert replicas.up_count() == 3
+        assert all(r.up for r in replicas.replicas.values())
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
@@ -46,11 +46,13 @@ class TestReplicaSet:
 
     def test_fail_all_and_recover_all(self):
         replicas = ControllerReplicaSet()
-        replicas.fail_all()
+        for name in replicas.replicas:
+            replicas.fail(name)
         replicas.tick()
         assert not replicas.has_leader()
-        assert replicas.up_count() == 0
-        replicas.recover_all()
+        assert not any(r.up for r in replicas.replicas.values())
+        for name in replicas.replicas:
+            replicas.recover(name)
         replicas.tick()
         assert replicas.has_leader()
 

@@ -12,9 +12,9 @@ import pytest
 from repro.core.routing import greedy_waterfill
 from repro.lp.fptas import max_multicommodity_flow
 from repro.lp.incidence import PathIncidence
-from repro.lp.mcf import Commodity, PathMCF
+from repro.lp.mcf import Commodity
 from repro.net.cycle_cache import RoutingWarmStore
-from tests.oracles import legacy_max_multicommodity_flow
+from tests.oracles import PathMCF, legacy_max_multicommodity_flow, resource_usage
 
 
 def commodity(name, *paths, demand=None):
@@ -189,7 +189,7 @@ class TestRepeatedResources:
         caps = {"r": 10.0, "s": 100.0}
         lp = PathMCF(commodities, caps).solve_lp()
         assert lp.objective == pytest.approx(5.0)
-        assert lp.resource_usage(commodities)["r"] <= 10.0 * (1 + 1e-9)
+        assert resource_usage(lp, commodities)["r"] <= 10.0 * (1 + 1e-9)
         fptas = max_multicommodity_flow(commodities, caps, epsilon=0.1)
         assert (1 - 0.1) ** 3 * 5.0 - 1e-9 <= fptas.objective <= 5.0 + 1e-9
 
@@ -198,7 +198,7 @@ class TestRepeatedResources:
     def test_lp_feasible_and_fptas_within_guarantee(self, seed, epsilon):
         commodities, caps = repeated_resource_instance(seed)
         lp = PathMCF(commodities, caps).solve_lp()
-        for res, used in lp.resource_usage(commodities).items():
+        for res, used in resource_usage(lp, commodities).items():
             assert used <= caps[res] * (1 + 1e-7) + 1e-7
         result = max_multicommodity_flow(commodities, caps, epsilon=epsilon)
         for res, used in usage_of(commodities, result.path_flows).items():

@@ -12,6 +12,8 @@ from repro.overlay.job import MulticastJob
 from repro.utils.units import MB, MBps
 from repro.workload.generator import WorkloadGenerator, to_jobs
 
+from tests import oracles
+
 
 def mesh(num_dcs=4, servers=3, wan=200 * MBps, uplink=10 * MBps):
     return Topology.full_mesh(
@@ -44,7 +46,7 @@ class TestFullPipeline:
         # Every destination DC holds every block.
         for dc in job.dst_dcs:
             for block in job.blocks:
-                assert result.store.dc_has_block(dc, block.block_id)
+                assert oracles.dc_has_block(result.store, dc, block.block_id)
 
     def test_multiple_jobs_with_staggered_arrivals(self):
         topo = mesh()
@@ -147,7 +149,8 @@ class TestFaultToleranceIntegration:
         replicas.fail("controller-0")
         replicas.tick()
         assert replicas.has_leader()  # failover within one cycle
-        replicas.fail_all()
+        for name in replicas.replicas:
+            replicas.fail(name)
         replicas.tick()
         assert not replicas.has_leader()  # now agents would fall back
 

@@ -5,14 +5,19 @@ Each row of ``RULES`` names the files it reads and a check that yields
 The control plane and the baselines read a :class:`ClusterView` and emit
 directives (``repro.net.view``, ``repro.net.directive``); none of them
 depends on the data-plane driver, ``repro.net.simulator``.
+
+``src/`` holds what the system runs: every ``def``/``class`` there is
+named somewhere else in ``src/`` or exported by an ``__all__``. Code
+only tests call lives in ``tests/oracles.py`` or the test that uses it.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from functools import lru_cache
 from pathlib import Path
-from typing import FrozenSet, Iterator, List, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 import pytest
 
@@ -91,6 +96,93 @@ def imports_process_or_pool_machinery(tree: ast.Module) -> Iterator[Violation]:
                 yield node.lineno, f"imports {module}"
 
 
+def _definitions(body: list, prefix: str = "") -> Iterator[Tuple[str, ast.AST]]:
+    """Module-level and class-body ``def``/``class`` nodes, by dotted name."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield prefix + node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from _definitions(node.body, f"{prefix}{node.name}.")
+
+
+@lru_cache(maxsize=None)
+def _references(
+    modules: Tuple[ast.Module, ...]
+) -> Tuple[Dict[str, List[Tuple[ast.Module, int]]], FrozenSet[str]]:
+    """Where each name is used across ``modules`` — a load or store, an
+    attribute, an import alias or a string equal to it (``getattr(x,
+    "name")``) — and the names any ``__all__`` exports."""
+    uses: Dict[str, List[Tuple[ast.Module, int]]] = {}
+    exported = set()
+    for module in modules:
+        for node in ast.walk(module):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rpartition(".")[2]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+                ):
+                    exported.update(ast.literal_eval(node.value))
+                continue
+            # An import alias carries no line number before Python 3.10.
+            uses.setdefault(name, []).append((module, getattr(node, "lineno", 0)))
+    return uses, frozenset(exported)
+
+
+def unreferenced_definitions(
+    tree: ast.Module, modules: Sequence[ast.Module]
+) -> Iterator[Violation]:
+    """The definitions of ``tree`` no code in ``modules`` names outside
+    the definition itself. Dunders and ``__all__`` names are exempt."""
+    uses, exported = _references(tuple(modules))
+    for qualname, node in _definitions(tree.body):
+        name = node.name
+        if name.startswith("__") and name.endswith("__") or name in exported:
+            continue
+        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        if all(
+            module is tree and first <= line <= node.end_lineno
+            for module, line in uses.get(name, ())
+        ):
+            yield node.lineno, qualname
+
+
+def _src_trees() -> Tuple[ast.Module, ...]:
+    return tuple(_tree(path) for path in sorted(ROOT.glob("src/**/*.py")))
+
+
+#: The definitions ``src/`` keeps for a caller outside it. A reason is
+#: one of the two forms ``_REASON`` accepts, and its file must name the
+#: definition; an entry the check no longer flags is stale.
+LEDGER = "the frozen ledger reads it (`benchmarks/ledger/{}`)"
+EXAMPLE = "an example calls it (`examples/{}`)"
+ALLOWED = {
+    "SimResult.fingerprint": LEDGER.format("child.py"),
+    "SimResult.stage_time_totals": LEDGER.format("child.py"),
+    "SimResult.total_rate_stalemates": LEDGER.format("child.py"),
+    "PossessionIndex.record_delivery": LEDGER.format("trace.py"),
+    "WorkloadGenerator.generate_diurnal": LEDGER.format("workloads.py"),
+    "ControllerReplicaSet.leader": EXAMPLE.format("failover_drill.py"),
+    "SweepResult.cheapest_meeting_deadline": EXAMPLE.format("capacity_planning.py"),
+}
+_REASON = re.compile(
+    r"(?:the frozen ledger reads it \(`(benchmarks/ledger/\w+\.py)`\)"
+    r"|an example calls it \(`(examples/\w+\.py)`\))"
+)
+
+
+def src_definitions_have_a_src_caller(tree: ast.Module) -> Iterator[Violation]:
+    for line, qualname in unreferenced_definitions(tree, _src_trees()):
+        if qualname not in ALLOWED:
+            yield line, f"{qualname} has no caller in src/"
+
+
 SRC = ("src/**/*.py",)
 EVERYWHERE = SRC + ("tests/**/*.py", "examples/**/*.py", "benchmarks/**/*.py")
 
@@ -115,6 +207,7 @@ RULES = {
         SRC,
         imports_process_or_pool_machinery,
     ),
+    "src-definitions-have-a-src-caller": (SRC, src_definitions_have_a_src_caller),
 }
 
 
@@ -129,3 +222,41 @@ def test_layering(rule):
         for line, what in check(_tree(path))
     ]
     assert not violations, "\n".join(violations)
+
+
+def test_allowed_is_current():
+    """Each entry is still flagged, and the file its reason names uses
+    it as ``src/`` code would."""
+    flagged = {
+        qualname
+        for tree in _src_trees()
+        for _line, qualname in unreferenced_definitions(tree, _src_trees())
+    }
+    for qualname, reason in ALLOWED.items():
+        match = _REASON.fullmatch(reason)
+        assert match, f"{qualname}: {reason!r} is not an accepted reason"
+        caller = ROOT / (match.group(1) or match.group(2))
+        uses, _exported = _references((_tree(caller),))
+        named = qualname.rpartition(".")[2] in uses
+        assert named, f"{caller.relative_to(ROOT)} does not name {qualname}"
+        assert qualname in flagged, f"{qualname} has a src/ caller: drop it"
+
+
+def test_unreferenced_definitions_on_a_synthetic_module():
+    tree = ast.parse(
+        "__all__ = ['exported']\n"
+        "def exported(): pass\n"
+        "def orphan(): return orphan()\n"
+        "def by_string(): pass\n"
+        "class Box:\n"
+        "    def __len__(self): return 0\n"
+        "    @property\n"
+        "    def called(self): return 1\n"
+        "    def uncalled(self): pass\n"
+        "def use(box): return getattr(box, 'by_string'), box.called, Box\n"
+    )
+    assert [name for _line, name in unreferenced_definitions(tree, [tree])] == [
+        "orphan",
+        "Box.uncalled",
+        "use",
+    ]

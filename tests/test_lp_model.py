@@ -50,14 +50,6 @@ class TestBuilder:
         with pytest.raises(KeyError):
             lp.add_constraint({"y": 1}, "<=", 1)
 
-    def test_counts(self):
-        lp = LinearProgram()
-        lp.add_variable("x")
-        lp.add_variable("y")
-        lp.add_constraint({"x": 1, "y": 1}, "<=", 1)
-        assert lp.num_variables == 2
-        assert lp.num_constraints == 1
-
     def test_empty_model_raises(self):
         with pytest.raises(LPError, match="empty"):
             LinearProgram().solve()
@@ -103,12 +95,6 @@ class TestSolve:
         lp.add_variable("x", objective=1.0)  # no upper bound, no constraints
         with pytest.raises(LPError):
             lp.solve()
-
-    def test_set_objective_after_add(self):
-        lp = LinearProgram(maximize=True)
-        lp.add_variable("x", upper=2)
-        lp.set_objective("x", 3.0)
-        assert lp.solve().objective == pytest.approx(6.0)
 
     def test_lower_bounds_respected(self):
         lp = LinearProgram(maximize=False)

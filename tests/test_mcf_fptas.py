@@ -3,7 +3,9 @@
 import pytest
 
 from repro.lp.fptas import max_multicommodity_flow
-from repro.lp.mcf import Commodity, MCFResult, PathMCF
+from repro.lp.mcf import Commodity, MCFResult
+
+from tests.oracles import PathMCF, commodity_flow, resource_usage
 
 
 def commodity(name, *paths, demand=None):
@@ -29,7 +31,7 @@ class TestPathMCFLP:
         problem = PathMCF([commodity("c", ["l"])], {"l": 10})
         result = problem.solve_lp()
         assert result.objective == pytest.approx(10)
-        assert result.commodity_flow("c") == pytest.approx(10)
+        assert commodity_flow(result, "c") == pytest.approx(10)
 
     def test_demand_caps_flow(self):
         problem = PathMCF([commodity("c", ["l"], demand=4)], {"l": 10})
@@ -58,7 +60,7 @@ class TestPathMCFLP:
         caps = {"x": 4, "y": 5, "z": 3}
         problem = PathMCF(commodities, caps)
         result = problem.solve_lp()
-        usage = result.resource_usage(commodities)
+        usage = resource_usage(result, commodities)
         for res, used in usage.items():
             assert used <= caps[res] + 1e-6
 

@@ -35,8 +35,8 @@ class TestOverlayPath:
     def test_endpoints_and_hops(self, mesh):
         path = build_overlay_path(mesh, ("dc0-s0", "dc1-s0", "dc2-s0"))
         assert path.source == "dc0-s0"
-        assert path.destination == "dc2-s0"
-        assert path.num_hops == 2
+        assert path.servers[-1] == "dc2-s0"
+        assert len(path.servers) - 1 == 2
 
     def test_resources_accumulate_per_hop(self, mesh):
         path = build_overlay_path(mesh, ("dc0-s0", "dc1-s0"))
@@ -119,7 +119,7 @@ class TestEnumeration:
         paths = enumerate_overlay_paths(
             mesh, "dc0-s0", "dc1-s0", max_intermediate=1, seed=0
         )
-        hops = sorted(p.num_hops for p in paths)
+        hops = sorted(len(p.servers) - 1 for p in paths)
         assert hops[0] == 1  # direct
         assert hops[-1] == 2  # through a relay DC
         assert len(paths) == 3  # direct + dc2 relay + dc3 relay

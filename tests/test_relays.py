@@ -84,7 +84,7 @@ class TestRelayScheduling:
         relayed = sum(
             1
             for block in job.blocks
-            if result.store.dc_has_block("B", block.block_id)
+            if oracles.dc_has_block(result.store, "B", block.block_id)
         )
         assert relayed > 0
 

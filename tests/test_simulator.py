@@ -371,6 +371,13 @@ class TestCompletionTracking:
         with pytest.raises(KeyError):
             result.completion_time("j")
 
+    @pytest.mark.parametrize("max_cycles", [40.5, 5.5, 6.0, True, 0])
+    def test_max_cycles_is_a_count(self, max_cycles):
+        """Rejected at construction: 40.5 with a late arrival used to
+        raise ``TypeError`` inside ``run()``, and 5.5 ran 6 cycles."""
+        with pytest.raises(ValueError, match="max_cycles must be an int >= 1"):
+            SimConfig(max_cycles=max_cycles)
+
 
 class TestJobIds:
     """Completion, pending and block bookkeeping are keyed by job id."""

@@ -114,8 +114,8 @@ class TestSpeculatedView:
         spec = SpeculatedView(view, *columns(view, [("dc1-s0", block.block_id)]))
         assert spec.store.has("dc1-s0", block.block_id)
         assert "dc1-s0" in spec.store.holders(block.block_id)
-        assert spec.store.duplicate_count(block.block_id) == 2
-        assert spec.store.dc_has_block("dc1", block.block_id)
+        assert oracles.duplicate_count(spec.store, block.block_id) == 2
+        assert oracles.dc_has_block(spec.store, "dc1", block.block_id)
         assert spec.eligible_sources(block.block_id) == ["dc0-s0", "dc1-s0"]
 
     def test_underlying_store_unchanged(self, setup):
@@ -123,7 +123,7 @@ class TestSpeculatedView:
         block = job.blocks[0]
         SpeculatedView(view, *columns(view, [("dc1-s0", block.block_id)]))
         assert not view.store.has("dc1-s0", block.block_id)
-        assert view.store.duplicate_count(block.block_id) == 1
+        assert oracles.duplicate_count(view.store, block.block_id) == 1
 
     def test_pending_deliveries_shrink(self, setup):
         view, job = setup

@@ -38,7 +38,7 @@ class TestSweep:
     def test_values_and_times_aligned(self):
         result = sweep("wan", [10 * MBps], wan_scenario, seed=0)
         assert result.values() == [10 * MBps]
-        assert len(result.completion_times()) == 1
+        assert len(result.points) == 1
 
     def test_empty_values_rejected(self):
         with pytest.raises(ValueError):
@@ -105,7 +105,5 @@ class TestCompareSweeps:
             seed=0,
         )
         assert set(sweeps) == {"direct", "bds"}
-        for d, b in zip(
-            sweeps["direct"].completion_times(), sweeps["bds"].completion_times()
-        ):
-            assert b <= d * 1.01 + 3.0
+        for d, b in zip(sweeps["direct"].points, sweeps["bds"].points):
+            assert b.completion_time <= d.completion_time * 1.01 + 3.0
