@@ -54,13 +54,6 @@ def _generated_span(text: str) -> Tuple[int, int]:
     return start, text.index(END, start)
 
 
-def read_generated(path: Path) -> str:
-    """The text between the two marker lines of ``path``."""
-    text = Path(path).read_text(encoding="utf-8")
-    start, end = _generated_span(text)
-    return text[start:end]
-
-
 def write_generated(path: Path, results: Mapping[str, Any]) -> bool:
     """Rewrite the generated block of ``path``; return whether it changed.
 
@@ -68,9 +61,9 @@ def write_generated(path: Path, results: Mapping[str, Any]) -> bool:
     left alone, so a second ``--write`` is a no-op.
     """
     block = generated_block(results)
-    if mask_wall(read_generated(path)) == mask_wall(block):
-        return False
     text = Path(path).read_text(encoding="utf-8")
     start, end = _generated_span(text)
+    if mask_wall(text[start:end]) == mask_wall(block):
+        return False
     Path(path).write_text(text[:start] + block + text[end:], encoding="utf-8")
     return True

@@ -46,17 +46,17 @@ module; the property tests run the production kernels against these:
 Some definitions here left ``src/`` because only tests called them
 (``tests/test_layering.py`` keeps ``src/`` to what the system runs):
 ``PathMCF``, the exact-LP reference the FPTAS tests price against; the
-store's name-keyed queries below; ``route_dcs``, ``cdf`` and
-``with_rate_cap``.
+store's name-keyed queries below; ``route_dcs``, ``cdf``,
+``with_rate_cap`` and ``read_generated``.
 
 No reference function reads possession through a view accessor or a
 matrix: each asks ``view.store`` one ``has``/``holders``/``dc_of`` at a
 time, so it is a reference for whatever ``view.store`` is — the live
 index, a ``DictPossessionIndex``, a ``SpeculatedStoreOracle``. The
 name-keyed queries the store's facade does not serve are functions
-here: ``duplicate_count`` and ``dc_has_block`` over that same facade,
-``blocks_on`` and ``dc_copy_count`` over a live store's matrix (the
-tests compare them against the dict-backed index).
+here: ``dc_has_block`` over that same facade; ``blocks_on``,
+``dc_copy_count`` and ``duplicate_count`` over a live store's matrix
+(the tests compare them against the dict-backed index).
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ import heapq
 import math
 import zlib
 from dataclasses import dataclass
+from pathlib import Path
 from typing import (
     AbstractSet,
     Callable,
@@ -83,6 +84,7 @@ from typing import (
 
 import numpy as np
 
+from repro.analysis.experiments import BEGIN, END
 from repro.core.bandwidth import residual_budget
 from repro.core.decisions import ScheduledBlock
 from repro.lp.fptas import FPTASResult, max_multicommodity_flow
@@ -1239,6 +1241,17 @@ def cdf(distribution, value: float) -> float:
     return ps[lo] + (ps[hi] - ps[lo]) * (x - xs[lo]) / (xs[hi] - xs[lo])
 
 
+# -- experiments --------------------------------------------------------------
+
+
+def read_generated(path) -> str:
+    """The text between the two marker lines of ``path`` (the block
+    ``repro experiment all --write`` rewrites)."""
+    text = Path(path).read_text(encoding="utf-8")
+    start = text.index(BEGIN) + len(BEGIN) + 1
+    return text[start : text.index(END, start)]
+
+
 # -- topology -----------------------------------------------------------------
 
 
@@ -1251,8 +1264,14 @@ def route_dcs(topology, src_dc: str, dst_dc: str) -> Tuple[str, ...]:
 
 
 def duplicate_count(store, block_id: BlockId) -> int:
-    """Copies of ``block_id`` cluster-wide (the §4.3 rarity measure)."""
-    return len(store.holders(block_id))
+    """Copies of ``block_id`` cluster-wide (the §4.3 rarity measure): a
+    matrix-backed store's ``dup`` cell, the column the schedulers read
+    (0 for an unknown block); ``len(holders)`` for a store without one."""
+    matrix = getattr(store, "matrix", None)
+    if matrix is None:
+        return len(store.holders(block_id))
+    gid = matrix.block_gids.get(block_id)
+    return 0 if gid is None else int(matrix.dup[gid])
 
 
 def dc_has_block(store, dc: str, block_id: BlockId) -> bool:

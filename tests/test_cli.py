@@ -10,9 +10,9 @@ from repro.analysis.experiments import (
     Experiment,
     generated_block,
     mask_wall,
-    read_generated,
 )
 from repro.cli import main
+from tests import oracles
 
 EXPERIMENTS_MD = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
 
@@ -211,15 +211,17 @@ class TestExperimentAllWrite:
         assert main(["experiment", "all", "--write"]) == 0
         after = copy.read_text()
         assert mask_wall(after) == mask_wall(before)
-        assert after.replace(read_generated(copy), "") == before.replace(
-            read_generated(EXPERIMENTS_MD), ""
+        assert after.replace(oracles.read_generated(copy), "") == before.replace(
+            oracles.read_generated(EXPERIMENTS_MD), ""
         )
 
     def test_an_edited_cell_is_not_current(self, copy, results):
         edited = copy.read_text().replace("(ratio 1.00–1.00)", "(ratio 1.01–1.01)")
         assert edited != copy.read_text()
         copy.write_text(edited)
-        assert mask_wall(read_generated(copy)) != mask_wall(generated_block(results))
+        assert mask_wall(oracles.read_generated(copy)) != mask_wall(
+            generated_block(results)
+        )
 
     def test_write_needs_all_at_the_pinned_seeds(self, copy):
         for argv in (["fig3", "--write"], ["all", "--seed", "1", "--write"]):

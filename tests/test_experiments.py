@@ -17,8 +17,8 @@ from repro.analysis.experiments import (
     SECTIONS,
     generated_block,
     mask_wall,
-    read_generated,
 )
+from tests import oracles
 
 EXPERIMENTS_MD = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
 
@@ -37,7 +37,7 @@ def test_check(name, results):
 
 def test_experiments_md_is_current(results):
     """Regenerate with ``python -m repro experiment all --write``."""
-    assert mask_wall(read_generated(EXPERIMENTS_MD)) == mask_wall(
+    assert mask_wall(oracles.read_generated(EXPERIMENTS_MD)) == mask_wall(
         generated_block(results)
     )
 

@@ -482,6 +482,11 @@ class TestBatchedDelivery:
             bid = block.block_id
             assert batched.holders(bid) == sequential.holders(bid)
             assert batched.holders(bid) == dict_backed.holders(bid)
+            assert (
+                oracles.duplicate_count(batched, bid)
+                == oracles.duplicate_count(sequential, bid)
+                == oracles.duplicate_count(dict_backed, bid)
+            )
             for dc in ("dc0", "dc1", "dc2"):
                 assert oracles.dc_copy_count(
                     batched, dc, bid

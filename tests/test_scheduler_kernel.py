@@ -183,6 +183,10 @@ def _assert_indices_agree(matrix_idx, dict_idx, jobs, servers):
         for block in job.blocks:
             bid = block.block_id
             assert set(matrix_idx.holders(bid)) == set(dict_idx.holders(bid))
+            # the matrix's incrementally kept rarity column
+            assert oracles.duplicate_count(matrix_idx, bid) == len(
+                dict_idx.holders(bid)
+            )
             for dc in {dc for dc in (s.split("-")[0] for s in servers)}:
                 assert oracles.dc_copy_count(
                     matrix_idx, dc, bid
@@ -255,6 +259,7 @@ class TestPossessionIndexEquivalence:
         server_dc = {s.server_id: s.dc for s in topo.servers.values()}
         idx = index(server_dc)
         assert idx.holders(("nope", 0)) == frozenset()
+        assert oracles.duplicate_count(idx, ("nope", 0)) == 0
         assert not idx.has("no-such-server", jobs[0].blocks[0].block_id)
         with pytest.raises(KeyError):
             idx.seed("no-such-server", jobs[0].blocks[:1])
@@ -275,7 +280,7 @@ class TestEpochSemantics:
         )[0]
         dst = sorted(s for s in server_dc if server_dc[s] != job.src_dc)[0]
 
-        def epoch():
+        def epoch():  # the matrix's ``dup`` column, holder count without one
             return sum(oracles.duplicate_count(idx, b.block_id) for b in job.blocks)
 
         idx.seed(src, job.blocks)
