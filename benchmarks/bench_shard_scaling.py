@@ -2,61 +2,55 @@
 
 Fig. 11a asks whether one controller cycle fits the 3 s update interval
 ΔT as state grows. This bench measures the sharded control plane
-(``BDSConfig.shards``) at 10^5 / 10^6 / 10^7 (block, destination) pairs
-of controller state spread over many concurrent jobs (sharding
-partitions by job):
+(``BDSConfig.shards``: jobs bucketed by a stable hash of job id, every
+shard with an active job deciding every cycle, one WAN reconciliation
+over their combined directives) at 10^5 / 10^6 / 10^7 (block,
+destination) pairs of controller state spread over many concurrent jobs
+(sharding partitions by job):
 
 * **shard-scaling curve** — max per-cycle controller wall (decide +
-  reconcile) for shards ∈ {1, 2, 4, 8} at 10^6 pairs, uncapped (the
-  production config), with the staggered stride cadence
-  (``shard_stride = shards``): each cycle runs ~one shard's
-  schedule+route over a 1/k working set, so the curve must fall
-  monotonically as shards grow. The win is algorithmic (per-shard
-  working sets + staggering), not parallelism, so it holds on one core.
-* **ΔT headline** — at 10^7 pairs a single controller's cold decide
-  blows through ΔT even with its per-cycle selection capped; with
-  shards > 1 the max per-cycle wall must come back under 3 s.
+  reconcile) for shards ∈ {1, 2, 4, 8} at 10^5 and 10^6 pairs,
+  uncapped (the production config). Every shard decides every cycle,
+  so a cycle does the single controller's work split k ways plus one
+  reconciliation: on one core the curve is roughly flat, and it is
+  recorded, not asserted.
+* **ΔT headline** — at 10^7 pairs every arm, the single controller
+  included, runs with its per-cycle selection capped at
+  :data:`TIMED_ARM_CAP` and must keep its max per-cycle wall under ΔT.
+  The cap, not the shard count, is what holds ΔT: per-decision work
+  tracks what the cycle can deliver.
 * **reconciliation overhead** — the outer max-min waterfill over all
   shards' directives, per cycle, must stay below 10% of the controller
   wall at 10^6 pairs.
-* **quality** — sharded completion (stride=1) vs the single controller
-  at 10^5 pairs, recorded as the mean relative completion-time delta;
-  the stated tolerance is 3% (one-sided: sharding must not be slower
-  than that). The only decision the decomposition changes is the rate
+* **quality** — sharded completion vs the single controller at 10^5
+  pairs, recorded as the mean relative completion-time delta; the
+  stated tolerance is 3% (one-sided: sharding must not be slower than
+  that). The only decision the decomposition changes is the rate
   allocation — with uncapped selection both controllers schedule every
   pending pair and pick the same rotation sources — so the delta is
-  pure reconciliation error: measured range is -6% (shards=4, *faster*,
-  because each shard's fair-rounds router approximates max-min better
-  on fewer commodities) to +2.5% (shards=2).
+  pure reconciliation error.
 
 The 10^5 and 10^6 arms run uncapped — the production default, where a
 cold cycle's cost is dominated by materializing one directive per
-pending pair, which is exactly the work a 1/k shard divides. The 10^7
-arms run with ``max_blocks_per_cycle = 20_000`` (:data:`TIMED_ARM_CAP`):
+pending pair. The 10^7 arms run with ``max_blocks_per_cycle = 20_000``:
 the scenario's network delivers well under a thousand blocks per ΔT, so
 an uncapped 10^7 controller would spend tens of seconds materializing
 ~10^6 directive objects the data plane immediately starves — real
-deployments bound per-cycle decision output the same way. The cap
-applies to the 10^7 ``shards=1`` baseline too, so that comparison
-isolates sharding: what remains is the O(pending pairs) rarity scan +
-candidate build. Quality arms run uncapped (a per-shard cap is not
-semantically comparable to a global cap).
+deployments bound per-cycle decision output the same way. Each shard
+applies the cap to its own selection. Quality arms run uncapped (a
+per-shard cap is not semantically comparable to a global cap).
 
-Shard-local state adds two more measurements:
+Shard-local state adds one more measurement:
 
 * **per-shard memory** — every timed arm records the peak per-shard
   state (a shard's candidate table: shards read the one live store, so
-  possession is held once) next to the full store's bytes; the floor
-  asserts peak shard state at 10^6 pairs scales ≈ 1/k of the single
-  controller's candidate table (within 1.5x, the partition-imbalance
-  allowance) for shards ∈ {2, 4, 8}, and the quick smoke that at 4
-  shards it stays within half the ``shards=1`` store.
-* **partition compare** — hash vs affinity on a *pod* workload (4
-  disjoint source→{2 dst} groups; an all-to-all workload contends on
-  every link regardless of partition, so it cannot distinguish the
-  policies): affinity co-locates each pod on one shard, so the outer
-  reconciliation sees no cross-shard link sharing and its clip count
-  and wall must come in at or below hash's.
+  possession is held once) next to the full store's bytes and the pairs
+  of the largest shard. The full-run floor asserts peak shard state at
+  10^6 pairs scales ≈ 1/k of the single controller's candidate table
+  (within 1.5x, the partition-imbalance allowance) for shards ∈
+  {2, 4, 8}; the quick smoke asserts that a 4-shard arm's largest
+  shard holds no more bytes per pair than the ``shards=1`` candidate
+  table, within :data:`PER_PAIR_SLACK`.
 
 Every arm runs in a fresh interpreter (``--arm``, spawned by the
 parent): allocator and GC state left by earlier arms measurably
@@ -88,16 +82,16 @@ from pathlib import Path
 import repro
 from repro.core.config import BDSConfig
 from repro.core.controller import BDSController
+from repro.core.sharding import stable_shard
 from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
 from repro.utils.units import MB, MBps
 
-RESULT_FORMAT_VERSION = 2
+RESULT_FORMAT_VERSION = 3
 
 #: Stated sharded-quality tolerance: mean relative completion-time delta
-#: vs the single controller at the quality scale (measured range is
-#: -6% .. +2.5% across shard counts; see the module docstring).
+#: vs the single controller at the quality scale.
 QUALITY_TOLERANCE = 0.03
 RECONCILE_OVERHEAD_CEILING = 0.10
 DT_SECONDS = 3.0
@@ -105,10 +99,15 @@ DT_SECONDS = 3.0
 #: the fair 1/k share of the single-controller state (partition
 #: imbalance allowance).
 MEMORY_SCALING_SLACK = 1.5
-#: Per-cycle selection cap for the 10^7 timed arms (all shard counts):
-#: far above what the scenario network can deliver per ΔT, so it never
-#: binds the physics, but it keeps directive-object churn from
-#: swamping the working-set scan those arms measure.
+#: A shard's candidate-table bytes per (block, destination) pair may
+#: exceed the ``shards=1`` table's by at most this factor: the tables
+#: differ only by fixed per-table overhead (32.0 vs 31.4 B/pair at the
+#: quick scale).
+PER_PAIR_SLACK = 1.10
+#: Per-cycle selection cap for the 10^7 timed arms (all shard counts,
+#: applied per shard): far above what the scenario network can deliver
+#: per ΔT, so it never binds the physics, but it keeps directive-object
+#: churn from swamping the working-set scan those arms measure.
 TIMED_ARM_CAP = 20_000
 
 NUM_DCS = 5
@@ -151,13 +150,7 @@ def build_scenario(num_jobs: int, blocks_per_job: int):
 
 
 def timed_cycles(
-    num_jobs: int,
-    blocks: int,
-    shards: int,
-    stride: int,
-    cycles: int,
-    cap: int = 0,
-    partition: str = "hash",
+    num_jobs: int, blocks: int, shards: int, cycles: int, cap: int = 0
 ) -> dict:
     """Run ``cycles`` fixed tick cycles; report controller-wall stats.
 
@@ -166,12 +159,7 @@ def timed_cycles(
     """
     topo, jobs = build_scenario(num_jobs, blocks)
     controller = BDSController(
-        BDSConfig(
-            shards=shards,
-            shard_stride=stride,
-            shard_partition=partition,
-            max_blocks_per_cycle=cap,
-        )
+        BDSConfig(shards=shards, max_blocks_per_cycle=cap)
     )
     # Fixed ticks: every cycle decides fresh, so each one is a sample.
     controller.decisions_reusable = False
@@ -198,10 +186,13 @@ def timed_cycles(
     # build, so this is 0 there and each shard's own table is reported
     # as its state instead.
     table = getattr(sim, "_cand_table", None)
+    shard_jobs = [0] * shards
+    for job in jobs:
+        shard_jobs[stable_shard(job.job_id, shards)] += 1
     return {
         "shards": shards,
-        "stride": stride,
-        "partition": partition,
+        "pairs": num_jobs * blocks * DST_DCS,
+        "peak_shard_pairs": max(shard_jobs) * blocks * DST_DCS,
         "cycles": len(result.cycle_stats),
         "max_cycle_wall_s": max(walls, default=0.0),
         "mean_cycle_wall_s": sum(walls) / len(walls) if walls else 0.0,
@@ -230,77 +221,8 @@ def timed_cycles(
     }
 
 
-#: Pod workload shape for the partition-compare arm: disjoint
-#: source→destination groups, so co-locating a pod on one shard removes
-#: that pod's links from cross-shard contention entirely.
-PODS = 4
-
-
-def build_pod_scenario(jobs_per_pod: int, blocks: int):
-    """``PODS`` disjoint multicast groups over a 3-DC-per-pod mesh.
-
-    Pod p's jobs all flow ``dc(3p) -> {dc(3p+1), dc(3p+2)}``; no link is
-    shared between pods. Jobs arrive round-robin across pods so the
-    affinity assigner's home shards land on distinct shards.
-    """
-    topo = Topology.full_mesh(
-        num_dcs=3 * PODS,
-        servers_per_dc=SERVERS_PER_DC,
-        wan_capacity=500 * MBps,
-        uplink=25 * MBps,
-    )
-    jobs = []
-    for i in range(PODS * jobs_per_pod):
-        pod = i % PODS
-        job = MulticastJob(
-            job_id=f"pod-bench-{i}",
-            src_dc=f"dc{3 * pod}",
-            dst_dcs=(f"dc{3 * pod + 1}", f"dc{3 * pod + 2}"),
-            total_bytes=blocks * 2 * MB,
-            block_size=2 * MB,
-        )
-        job.bind(topo)
-        jobs.append(job)
-    return topo, jobs
-
-
-def partition_compare_arm(
-    jobs_per_pod: int, blocks: int, shards: int, cycles: int
-) -> dict:
-    """Hash vs affinity reconciliation cost on the pod workload."""
-    out = {"pods": PODS, "jobs_per_pod": jobs_per_pod, "shards": shards}
-    for partition in ("hash", "affinity"):
-        topo, jobs = build_pod_scenario(jobs_per_pod, blocks)
-        controller = BDSController(
-            BDSConfig(shards=shards, shard_partition=partition)
-        )
-        controller.decisions_reusable = False  # fixed ticks
-        result = Simulation(
-            topology=topo,
-            jobs=jobs,
-            strategy=controller,
-            config=SimConfig(max_cycles=cycles, stop_when_complete=False),
-            seed=0,
-        ).run()
-        out[partition] = {
-            "total_reconcile_s": sum(
-                s.time_reconcile for s in result.cycle_stats
-            ),
-            "total_reconciled_directives": sum(
-                d.reconciled_directives for d in controller.decisions
-            ),
-            "total_directives": sum(
-                len(d.directives) for d in controller.decisions
-            ),
-            "peak_shard_state_bytes": max(
-                (s.shard_state_bytes for s in result.cycle_stats), default=0
-            ),
-        }
-    return out
-
-
 def quality_arm(num_jobs: int, blocks: int, shards: int) -> dict:
-    """Run to completion (stride=1); report per-job completion times."""
+    """Run to completion; report per-job completion times."""
     topo, jobs = build_scenario(num_jobs, blocks)
     controller = BDSController(BDSConfig(shards=shards))
     sim = Simulation(
@@ -335,7 +257,6 @@ def quality_delta(base: dict, sharded: dict) -> float:
 ARM_KINDS = {
     "timed": timed_cycles,
     "quality": quality_arm,
-    "partition_compare": partition_compare_arm,
 }
 
 
@@ -412,50 +333,26 @@ def run_bench(quick: bool) -> dict:
         pairs = num_jobs * blocks * DST_DCS
         entry = {"pairs": pairs, "jobs": num_jobs, "blocks_per_job": blocks}
         if label == "1e7":
-            # Single-controller baseline: one cold cycle is enough to
-            # show the ΔT blow-through; sharded arms run a full stagger.
-            entry["curve"] = [
-                run_arm(
-                    "timed",
-                    repeats=3,
-                    num_jobs=num_jobs,
-                    blocks=blocks,
-                    shards=1,
-                    stride=1,
-                    cycles=1,
-                    cap=TIMED_ARM_CAP,
-                )
-            ]
-            for shards in (8, 16):
-                entry["curve"].append(
-                    run_arm(
-                        "timed",
-                        repeats=3,
-                        num_jobs=num_jobs,
-                        blocks=blocks,
-                        shards=shards,
-                        stride=shards,
-                        cycles=shards + 2,
-                        cap=TIMED_ARM_CAP,
-                    )
-                )
+            # Capped (see TIMED_ARM_CAP): a cold cycle and two warm ones.
+            shard_counts, cycles, repeats, cap = (1, 8, 16), 3, 3, TIMED_ARM_CAP
         else:
             shard_counts = (1, 2, 4) if quick else (1, 2, 4, 8)
-            entry["curve"] = [
-                run_arm(
-                    "timed",
-                    repeats=1 if quick else 2,
-                    num_jobs=num_jobs,
-                    blocks=blocks,
-                    shards=shards,
-                    stride=max(1, shards),
-                    cycles=max(6, shards + 2),
-                )
-                for shards in shard_counts
-            ]
+            cycles, repeats, cap = 6, 1 if quick else 2, 0
+        entry["curve"] = [
+            run_arm(
+                "timed",
+                repeats=repeats,
+                num_jobs=num_jobs,
+                blocks=blocks,
+                shards=shards,
+                cycles=cycles,
+                cap=cap,
+            )
+            for shards in shard_counts
+        ]
         payload["scales"][label] = entry
 
-    # Quality arms at the smallest scale (stride=1, run to completion).
+    # Quality arms at the smallest scale, run to completion.
     label = "2e4" if quick else "1e5"
     num_jobs, blocks = scales[label]
     base = run_arm("quality", num_jobs=num_jobs, blocks=blocks, shards=1)
@@ -471,27 +368,6 @@ def run_bench(quick: bool) -> dict:
         }
     payload["quality"] = quality
 
-    # Partition policy compare on the pod workload (see module docstring).
-    if quick:
-        jobs_per_pod, pod_blocks = 2, 312
-    else:
-        jobs_per_pod, pod_blocks = 4, 3_125
-    payload["partition_compare"] = run_arm(
-        "partition_compare",
-        jobs_per_pod=jobs_per_pod,
-        blocks=pod_blocks,
-        shards=PODS,
-        cycles=6,
-    )
-    if quick:
-        # Per-shard memory at 4 balanced shards (check_quick): hash puts
-        # half of the 8 quick jobs on one shard, affinity two on each.
-        num_jobs, blocks = scales["2e4"]
-        payload["memory_k4"] = run_arm(
-            "timed", num_jobs=num_jobs, blocks=blocks, shards=4, stride=1,
-            cycles=2, partition="affinity",
-        )
-
     return payload
 
 
@@ -504,7 +380,7 @@ def format_report(payload: dict) -> str:
         lines.append(f"scale {label}: {entry['pairs']} pairs")
         for arm in entry["curve"]:
             lines.append(
-                f"  shards={arm['shards']:<3} stride={arm['stride']:<3} "
+                f"  shards={arm['shards']:<3} "
                 f"max cycle wall {arm['max_cycle_wall_s']:.3f}s  "
                 f"mean {arm['mean_cycle_wall_s']:.3f}s  "
                 f"reconcile {arm['total_reconcile_s']*1e3:.2f}ms "
@@ -516,26 +392,6 @@ def format_report(payload: dict) -> str:
                     f"{arm['peak_shard_state_bytes']/1e6:.2f}MB "
                     f"(store {arm['store_state_bytes']/1e6:.2f}MB)"
                 )
-    if "partition_compare" in payload:
-        pc = payload["partition_compare"]
-        lines.append(
-            f"partition compare (pods={pc['pods']}, shards={pc['shards']}):"
-        )
-        for policy in ("hash", "affinity"):
-            arm = pc[policy]
-            lines.append(
-                f"  {policy:<9} clips "
-                f"{arm['total_reconciled_directives']:<6} "
-                f"reconcile {arm['total_reconcile_s']*1e3:.2f}ms  "
-                f"peak shard state {arm['peak_shard_state_bytes']/1e6:.2f}MB"
-            )
-    if "memory_k4" in payload:
-        arm = payload["memory_k4"]
-        lines.append(
-            f"shards=4 affinity: peak shard state "
-            f"{arm['peak_shard_state_bytes']/1e6:.2f}MB "
-            f"(store {arm['store_state_bytes']/1e6:.2f}MB)"
-        )
     q = payload["quality"]
     lines.append(
         f"quality: baseline mean completion "
@@ -555,15 +411,6 @@ def check_floors(payload: dict) -> list:
     """Full-scale acceptance floors; returns failure messages."""
     failures = []
     curve_1e6 = payload["scales"]["1e6"]["curve"]
-    walls = [arm["max_cycle_wall_s"] for arm in curve_1e6]
-    for i in range(1, len(walls)):
-        # Monotone shard-scaling curve (10% noise slack).
-        if walls[i] > walls[i - 1] * 1.10:
-            failures.append(
-                f"10^6 curve not monotone: shards="
-                f"{curve_1e6[i]['shards']} wall {walls[i]:.3f}s > "
-                f"shards={curve_1e6[i-1]['shards']} {walls[i-1]:.3f}s"
-            )
     for arm in curve_1e6:
         if arm["shards"] > 1 and (
             arm["reconcile_fraction"] > RECONCILE_OVERHEAD_CEILING
@@ -590,22 +437,10 @@ def check_floors(payload: dict) -> list:
                 f"1/{k} share of {base_state} bytes"
             )
     for arm in payload["scales"]["1e7"]["curve"]:
-        if arm["shards"] > 1 and arm["max_cycle_wall_s"] >= DT_SECONDS:
+        if arm["max_cycle_wall_s"] >= DT_SECONDS:
             failures.append(
                 f"10^7 pairs with shards={arm['shards']}: max cycle wall "
                 f"{arm['max_cycle_wall_s']:.2f}s not under {DT_SECONDS}s dt"
-            )
-    pc = payload.get("partition_compare")
-    if pc is not None:
-        if (
-            pc["affinity"]["total_reconciled_directives"]
-            > pc["hash"]["total_reconciled_directives"]
-        ):
-            failures.append(
-                f"affinity clips "
-                f"{pc['affinity']['total_reconciled_directives']} exceed "
-                f"hash clips {pc['hash']['total_reconciled_directives']} "
-                "on the pod workload"
             )
     for key, arm in payload["quality"].items():
         if key.startswith("shards_"):
@@ -623,10 +458,10 @@ def check_floors(payload: dict) -> list:
 def check_quick(payload: dict) -> list:
     """Quick-scale smoke, shared by ``--quick`` and the pytest entry (so
     they cannot drift): the arms ran, the sharded ones hold per-shard
-    state — at 4 shards at most half the ``shards=1`` store — and
-    complete, affinity partitioning clips no more than hash, and the WAN
-    reconciliation costs under a tenth of ΔT per cycle. Returns failure
-    messages.
+    state — at 4 shards no more bytes per pair than the ``shards=1``
+    candidate table, within :data:`PER_PAIR_SLACK` — the quality arms
+    complete, and the WAN reconciliation costs under a tenth of ΔT per
+    cycle. Returns failure messages.
 
     (Not a *fraction* of the decide: PRs 14–17 shrank the decide around
     an unchanged ``_reconcile_wan``, which is 64 % of it at 2 shards —
@@ -649,19 +484,14 @@ def check_quick(payload: dict) -> list:
             )
         if arm["shards"] > 1 and not arm["peak_shard_state_bytes"] > 0:
             failures.append(f"{label}: no per-shard state reported")
-    peak = payload["memory_k4"]["peak_shard_state_bytes"]
-    store = curve[0]["store_state_bytes"]
-    if not 0 < peak <= 0.5 * store:
+    single, k4 = curve[0], curve[-1]
+    base = single["base_candidate_bytes"] / single["pairs"]
+    per_pair = k4["peak_shard_state_bytes"] / k4["peak_shard_pairs"]
+    if not 0 < per_pair <= PER_PAIR_SLACK * base:
         failures.append(
-            f"shards=4 (affinity): peak shard state {peak} bytes not within "
-            f"half the shards=1 store ({store} bytes)"
+            f"shards=4: {per_pair:.1f} B per pair on its largest shard, "
+            f"over {PER_PAIR_SLACK}x the shards=1 table's {base:.1f}"
         )
-    pc = payload["partition_compare"]
-    if (
-        pc["affinity"]["total_reconciled_directives"]
-        > pc["hash"]["total_reconciled_directives"]
-    ):
-        failures.append("affinity partitioning clips more than hash")
     for key, arm in payload["quality"].items():
         if key.startswith("shards_") and not arm["all_complete"]:
             failures.append(f"quality arm {key} did not complete")

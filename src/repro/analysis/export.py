@@ -16,7 +16,7 @@ from repro.net.result import CycleStats, SimResult
 
 PathLike = Union[str, Path]
 
-EXPORT_FORMAT_VERSION = 9
+EXPORT_FORMAT_VERSION = 10
 
 #: Versions :func:`load_result_dict` accepts. v3 payloads predate the
 #: routing-solver telemetry (iterations/phases/warm_start), v4 payloads
@@ -32,8 +32,9 @@ EXPORT_FORMAT_VERSION = 9
 #: the later keys. v9 drops ``sharding.candidate_bytes``: a shard owns
 #: no possession copy any more, so its ``state_bytes`` *is* its
 #: candidate-table bytes (v7/v8 ``state_bytes`` counted a shard's
-#: possession arrays alone).
-_READABLE_VERSIONS = (3, 4, 5, 6, 7, 8, 9)
+#: possession arrays alone). v10 drops ``sharding.stride``: every shard
+#: decides every cycle, so there is no decide cadence to report.
+_READABLE_VERSIONS = (3, 4, 5, 6, 7, 8, 9, 10)
 
 
 def _resource_to_str(key) -> str:
@@ -77,7 +78,6 @@ def _cycle_to_dict(s: CycleStats) -> Dict[str, Any]:
             "shard_max": s.time_shard_max,
             "shard_mean": s.time_shard_mean,
             "reconcile": s.time_reconcile,
-            "stride": s.shard_stride,
             "state_bytes": s.shard_state_bytes,
             "payload_bytes": s.shard_payload_bytes,
         },

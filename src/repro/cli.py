@@ -113,22 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(1 = single controller, bit-identical to before the knob)",
     )
     sim.add_argument(
-        "--shard-stride",
-        type=_positive_int,
-        default=1,
-        help="shard decide cadence: shard s re-decides only on cycles "
-        "with cycle %% stride == s %% stride, replaying its cached "
-        "directives in between (1 = every shard every cycle)",
-    )
-    sim.add_argument(
-        "--shard-partition",
-        choices=("hash", "affinity"),
-        default="hash",
-        help="job-to-shard partition policy: stable hash, or "
-        "greedy source-DC affinity (co-locates jobs sharing a source, "
-        "balanced by pair-count weight)",
-    )
-    sim.add_argument(
         "--json", default=None, help="write a JSON result export to this path"
     )
 
@@ -191,11 +175,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         args.strategy,
         seed=args.seed,
         sim=SimConfig(cycle_seconds=args.cycle, max_cycles=args.max_cycles),
-        config=BDSConfig(
-            shards=args.shards,
-            shard_stride=args.shard_stride,
-            shard_partition=args.shard_partition,
-        ),
+        config=BDSConfig(shards=args.shards),
     )
     if args.json:
         from repro.analysis.export import save_result
@@ -216,7 +196,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     completion = max(result.completion_time(job.job_id) for job in jobs)
     print(f"completion        : {format_duration(completion)}")
     if args.shards > 1:
-        print(f"controller shards : {args.shards} (stride {args.shard_stride})")
+        print(f"controller shards : {args.shards}")
     print(
         "per-server times  : "
         f"median {stats.median:.1f}s  p90 {stats.p90:.1f}s  max {stats.maximum:.1f}s"

@@ -13,14 +13,12 @@ from dataclasses import dataclass
 from repro.utils.validation import check_count
 
 ROUTING_BACKENDS = ("fptas", "lp", "greedy")
-SHARD_PARTITIONS = ("hash", "affinity")
 #: The fields that count something, and their least value
 #: (:func:`~repro.utils.validation.check_count`).
 _COUNTS = {
     "max_blocks_per_cycle": 0,
     "max_sources_per_group": 1,
     "shards": 1,
-    "shard_stride": 1,
 }
 
 
@@ -59,8 +57,9 @@ class BDSConfig:
     # Sharded control plane (ROADMAP "sharded multi-controller
     # scale-out"): partition the job set across this many controller
     # shards by a platform-stable hash of job id
-    # (repro.core.sharding). Each shard runs the full vectorized
-    # schedule+route pipeline on the live view restricted to its jobs
+    # (repro.core.sharding). Each shard with an active job runs the full
+    # vectorized schedule+route pipeline every cycle on the live view
+    # restricted to its jobs
     # (repro.core.shardexec), with its own candidate table, CycleCache
     # and FPTAS warm store; the shared link budgets are
     # reconciled by one outer max-min waterfill over all shards'
@@ -68,17 +67,6 @@ class BDSConfig:
     # own allocator). 1 keeps the single-controller path, bit-identical
     # to before the shards knob existed.
     shards: int = 1
-    # Shard decide cadence: shard s re-runs schedule+route only on
-    # cycles with cycle % stride == s % stride and replays its cached
-    # directives (demands refreshed by the simulator) in between. 1 =
-    # every shard decides every cycle (no staleness). Strides > 1 cap
-    # the per-cycle controller wall at roughly ceil(shards/stride)
-    # shards' worth of work — the knob that fits 10⁷ pairs inside ΔT on
-    # one core — at the cost of newly pending work waiting up to
-    # stride-1 cycles for its shard's turn. A count, never a measured
-    # time: the cadence, and with it the run's fingerprint, is a
-    # function of the seed alone.
-    shard_stride: int = 1
     # Not an option: shards execute in the controller's process. The
     # process fan-out this once selected measured 2–13× slower and is
     # gone (docs/PERF_LOG.md); the field stays, with its one value,
@@ -86,14 +74,6 @@ class BDSConfig:
     # BDSConfig(shards=4, shard_mode="inprocess") and the ledger is
     # frozen — both go in the next [benchmark] PR.
     shard_mode: str = "inprocess"
-    # Job→shard partitioning policy: "hash" is the platform-stable
-    # hash of job id (the default); "affinity"
-    # co-locates jobs sharing a source DC onto the same shard (greedy,
-    # balanced by pair-count weight, hash tie-breaks — see
-    # repro.core.sharding.AffinityAssigner) so shards contend less on
-    # the same WAN links and the outer reconciliation clips fewer
-    # directives.
-    shard_partition: str = "hash"
 
     def __post_init__(self) -> None:
         if self.speculation_horizon < 0:
@@ -112,9 +92,4 @@ class BDSConfig:
                 f"shard_mode={self.shard_mode!r}: shards execute in-process; "
                 "the process fan-out was removed (it measured 2-13x slower "
                 "than in-process shards, docs/PERF_LOG.md)"
-            )
-        if self.shard_partition not in SHARD_PARTITIONS:
-            raise ValueError(
-                f"shard_partition must be one of {SHARD_PARTITIONS}, "
-                f"got {self.shard_partition!r}"
             )

@@ -8,17 +8,14 @@ decentralized overlay protocol* — Gingko — ensuring graceful degradation
 (§5.3); performance recovers the cycle the controller returns (Fig. 12a).
 
 **Sharded control plane** (``BDSConfig.shards > 1``): the job set is
-partitioned across controller shards — by a platform-stable hash
-of job id (:mod:`repro.core.sharding`), or with
-``shard_partition="affinity"`` by the greedy source-affinity assigner
-(jobs sharing a source DC co-locate, balanced by pair-count weight, hash
-tie-breaks), which lowers the outer reconciliation's clip count because
-one shard sees the contention on its origin links. Jobs are independent
+partitioned across controller shards by a platform-stable hash of job
+id (:func:`repro.core.sharding.stable_shard`). Jobs are independent
 except for WAN link budgets — blocks belong to exactly one job, so
-possession, scheduling, and routing all decompose — and each shard runs
-the full vectorized schedule+route pipeline on its own partition.
+possession, scheduling, and routing all decompose — and every shard
+with an active job runs the full vectorized schedule+route pipeline on
+its own partition, every cycle.
 
-A shard is a subset of jobs, not a copy of the store: each due shard
+A shard is a subset of jobs, not a copy of the store: each shard
 decides on the live view restricted to its bucket — on a speculating
 cycle (§5.1) the one :class:`~repro.core.speculation.SpeculatedView`
 the single controller would read — and keeps private only its
@@ -43,7 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import time as _time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,7 +48,7 @@ from repro.baselines.base import OverlayStrategy
 from repro.baselines.gingko import GingkoStrategy
 from repro.core.config import BDSConfig
 from repro.core.decisions import ControlDecision
-from repro.core.sharding import AffinityAssigner, stable_shard
+from repro.core.sharding import stable_shard
 from repro.core.shardexec import (
     DecideResult,
     LocalShardRunner,
@@ -65,29 +62,13 @@ from repro.overlay.job import MulticastJob
 from repro.utils.rng import SeedLike
 
 
-class _ShardPipeline:
-    """One shard's replay state for the stride cadence
-    (``BDSConfig.shard_stride``): between a shard's decide turns its
-    last fresh directives are replayed verbatim (the simulator
-    re-validates them and refreshes their demands every cycle), and any
-    change of the failure/topology context forces an immediate fresh
-    decide.
-    """
-
-    __slots__ = ("directives", "context")
-
-    def __init__(self) -> None:
-        self.directives: Optional[Sequence[TransferDirective]] = None
-        self.context: Optional[tuple] = None
-
-
 class BDSController(OverlayStrategy):
     """Centralized scheduler + router with decentralized fallback."""
 
     uses_controller_rates = True
     respects_safety_threshold = True
     # With no active job the controller decides nothing, whatever its
-    # replay or speculation state: the event engine may skip idle cycles.
+    # speculation state: the event engine may skip idle cycles.
     decisions_reusable = True
 
     def __init__(
@@ -113,22 +94,8 @@ class BDSController(OverlayStrategy):
             else None
         )
         self._previous_directives: Sequence[TransferDirective] = []
-        # Sharded control plane (shards > 1): per-shard replay state, the
-        # memoized job→shard assignment (sticky — a shard's candidate
-        # rows and warm store live where the job lives) and the lazily
-        # built per-shard state.
-        self._pipelines: List[_ShardPipeline] = (
-            [_ShardPipeline() for _ in range(self.config.shards)]
-            if self.config.shards > 1
-            else []
-        )
-        self._shard_assign: Dict[str, int] = {}
-        self._affinity: Optional[AffinityAssigner] = (
-            AffinityAssigner(self.config.shards)
-            if self.config.shards > 1
-            and self.config.shard_partition == "affinity"
-            else None
-        )
+        # Sharded control plane (shards > 1): the lazily built per-shard
+        # state.
         self._shard_runner: Optional[LocalShardRunner] = None
 
     @property
@@ -137,17 +104,6 @@ class BDSController(OverlayStrategy):
         candidate tables: the :class:`~repro.net.simulator.Simulation`
         then skips building the global one."""
         return self.config.shards > 1
-
-    def _assign_shard(self, job: MulticastJob) -> int:
-        """The job's shard, assigning it on first sight (sticky after)."""
-        shard = self._shard_assign.get(job.job_id)
-        if shard is None:
-            if self._affinity is not None:
-                shard = self._affinity.assign(job)
-            else:
-                shard = stable_shard(job.job_id, self.config.shards)
-            self._shard_assign[job.job_id] = shard
-        return shard
 
     def decide(self, view: ClusterView) -> Sequence[TransferDirective]:
         """One control cycle: schedule, route, emit directives.
@@ -213,7 +169,7 @@ class BDSController(OverlayStrategy):
         **shard_telemetry,
     ) -> None:
         """Record the cycle's decision: ``directives`` as emitted, the
-        fresh schedule+routes' telemetry summed, and — sharded — the
+        schedule+routes' telemetry summed, and — sharded — the
         control plane's own."""
         decision = ControlDecision(
             cycle=cycle, directives=directives, **shard_telemetry
@@ -253,49 +209,13 @@ class BDSController(OverlayStrategy):
             # The shards' candidate tables index the live matrix.
             self._shard_runner = LocalShardRunner(cfg, view.store.matrix)
         k = cfg.shards
-        stride = cfg.shard_stride
         buckets: List[List[MulticastJob]] = [[] for _ in range(k)]
         for job in view.jobs:
-            buckets[self._assign_shard(job)].append(job)
-
-        context = (view._failed_frozen, view.failed_links, view.topology.epoch)
-
-        due: List[int] = []
-        for s in range(k):
-            pipe = self._pipelines[s]
-            if not buckets[s]:
-                # Shard has no active jobs: nothing to decide or replay.
-                pipe.directives = []
-                pipe.context = context
-                continue
-            # A shard decides on its stride turn; off-turn it replays its
-            # cached directives — or contributes nothing if it has not
-            # had a turn yet (staggered cold start: this is what bounds
-            # the per-cycle controller wall to ~ceil(k/stride) shards'
-            # work even on cycle 0). Two events break the cadence: a
-            # failure/topology context change invalidates cached
-            # directives (refresh immediately rather than replay stale
-            # ones), and speculated deliveries make the cycle's
-            # possession bespoke.
-            if (
-                stride <= 1
-                or view.cycle % stride == s % stride
-                or (pipe.directives is not None and pipe.context != context)
-                or speculated
-            ):
-                due.append(s)
-
-        results: List[DecideResult] = []
-        if due:
-            shard_view = SpeculatedView(view, *speculated) if speculated else view
-            results = self._shard_runner.decide(shard_view, buckets, due)
-        for s, outcome in zip(due, results):
-            pipe = self._pipelines[s]
-            pipe.directives = outcome.directives
-            pipe.context = context
-
+            buckets[stable_shard(job.job_id, k)].append(job)
+        shard_view = SpeculatedView(view, *speculated) if speculated else view
+        results = self._shard_runner.decide(shard_view, buckets)
         directives = DirectiveBatch.concat(
-            [pipe.directives for pipe in self._pipelines if pipe.directives],
+            [r.directives for r in results if r.directives],
             view.store.matrix,
         )
 
@@ -315,7 +235,6 @@ class BDSController(OverlayStrategy):
             ),
             reconcile_runtime=reconcile_runtime,
             reconciled_directives=reconciled,
-            shard_stride=stride,
             shard_state_bytes=max((r.state_bytes for r in results), default=0),
             shard_payload_bytes=sum(r.payload_bytes for r in results),
         )

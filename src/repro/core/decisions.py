@@ -158,21 +158,18 @@ class ControlDecision:
     # Sharded control plane telemetry (BDSConfig.shards > 1; zeros on
     # the single-controller path). shard_count is the configured shard
     # count; the walls are the max/mean per-shard schedule+route
-    # wall-clock this cycle over the shards that decided fresh (replayed
-    # shards cost ~nothing and are excluded); reconcile_runtime is the
-    # outer WAN-capacity waterfill over all shards' directives; and
-    # reconciled_directives counts directives whose rate cap the
-    # reconciliation pass actually lowered.
+    # wall-clock this cycle over the shards that decided (those with an
+    # active job); reconcile_runtime is the outer WAN-capacity waterfill
+    # over all shards' directives; and reconciled_directives counts
+    # directives whose rate cap the reconciliation pass actually lowered.
     shard_count: int = 0
     shard_wall_max: float = 0.0
     shard_wall_mean: float = 0.0
     reconcile_runtime: float = 0.0
     reconciled_directives: int = 0
-    # Shard-local state telemetry: the configured decide stride
-    # (BDSConfig.shard_stride), the max bytes of the arrays a shard owns
-    # (its candidate table; possession is the store's, counted once)
-    # over the shards that decided fresh, and the summed structural size
+    # Shard-local state telemetry: the max bytes of the arrays a shard
+    # owns (its candidate table; possession is the store's, counted
+    # once) over the shards that decided, and the summed structural size
     # of the jobs those shards saw for the first time.
-    shard_stride: int = 0
     shard_state_bytes: int = 0
     shard_payload_bytes: int = 0

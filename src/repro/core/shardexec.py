@@ -1,7 +1,7 @@
 """Shard-local execution for the sharded controller.
 
 A shard (``BDSConfig.shards > 1``) is a subset of the jobs, not a copy
-of the store. Each due shard decides on the live
+of the store. Each shard with an active job decides on the live
 :class:`~repro.net.view.ClusterView` restricted to its bucket: it
 reads the simulator's :class:`~repro.overlay.store.PossessionIndex` —
 or, on a speculating cycle (§5.1), the controller's one
@@ -23,7 +23,7 @@ A shard decides exactly what a single controller would decide for its
 jobs: blocks belong to exactly one job, so holders, duplicate counts and
 iteration orders are those of the global view.
 
-Determinism: due shards are decided in shard-index order, so the
+Determinism: shards are decided in shard-index order, so the
 combined directive list is a function of the view alone.
 
 :func:`build_pipeline` and :func:`schedule_and_route` are the one
@@ -50,7 +50,7 @@ from repro.overlay.store import PossessionMatrix
 
 @dataclass
 class ShardPayload:
-    """The jobs a due shard sees for the first time this cycle."""
+    """The jobs a shard sees for the first time this cycle."""
 
     new_jobs: List[MulticastJob] = field(default_factory=list)
 
@@ -174,8 +174,7 @@ class ShardFeed:
     """Which jobs each shard has seen.
 
     The known sets are built from the buckets the controller hands in,
-    so hash and affinity partitioning feed the shards they decide, and a
-    job the controller never bucketed (one that arrived and finished
+    so a job the controller never bucketed (one that arrived and finished
     under the decentralized fallback) reaches no shard.
     """
 
@@ -206,12 +205,13 @@ class LocalShardRunner:
         self,
         view: ClusterView,
         buckets: Sequence[Sequence[MulticastJob]],
-        due: Sequence[int],
     ) -> List[DecideResult]:
-        """Run the due shards' decides in shard-index order."""
+        """Decide every shard whose bucket holds a job, in shard-index
+        order; ``buckets[i]`` is shard i's active jobs."""
         results: List[DecideResult] = []
-        for shard in due:
-            bucket = buckets[shard]
+        for shard, bucket in enumerate(buckets):
+            if not bucket:
+                continue
             payload = self.feed.payload(shard, bucket)
             mirror = self._mirrors[shard]
             if mirror is None:

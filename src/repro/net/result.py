@@ -64,18 +64,16 @@ class CycleStats:
     # Sharded control-plane telemetry, forwarded from the strategy's
     # decision record (zeros on the single-controller path and for
     # decentralized baselines): configured shard count, max/mean
-    # per-shard schedule+route wall over the shards that decided fresh
-    # this cycle, and the outer WAN-reconciliation wall.
+    # per-shard schedule+route wall over the shards that decided this
+    # cycle, and the outer WAN-reconciliation wall.
     shard_count: int = 0
     time_shard_max: float = 0.0
     time_shard_mean: float = 0.0
     time_reconcile: float = 0.0
     # Shard-local state telemetry, forwarded from the strategy's
-    # decision record (zeros when unsharded): the configured decide
-    # stride (BDSConfig.shard_stride), max per-shard candidate-table
-    # bytes over the shards that decided fresh, and the summed
+    # decision record (zeros when unsharded): max per-shard
+    # candidate-table bytes over the shards that decided, and the summed
     # structural size of the jobs those shards saw for the first time.
-    shard_stride: int = 0
     shard_state_bytes: int = 0
     shard_payload_bytes: int = 0
 

@@ -117,7 +117,6 @@ _DECISION_TELEMETRY = {
     "time_shard_max": "shard_wall_max",
     "time_shard_mean": "shard_wall_mean",
     "time_reconcile": "reconcile_runtime",
-    "shard_stride": "shard_stride",
     "shard_state_bytes": "shard_state_bytes",
     "shard_payload_bytes": "shard_payload_bytes",
 }

@@ -67,7 +67,6 @@ class ClusterView:
         self.failed_links = frozenset(failed_links)
         self.partial_bytes = partial_bytes
         self._cache = cache if cache is not None else CycleCache()
-        self._failed_frozen = frozenset(self.failed_agents)
         self._candidates = candidates
 
     @property

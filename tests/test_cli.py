@@ -60,9 +60,7 @@ class TestSimulate:
         with pytest.raises(SystemExit):
             main(["simulate", "--strategy", "smoke-signals"])
 
-    @pytest.mark.parametrize(
-        "flag", ["--jobs", "--shards", "--shard-stride"]
-    )
+    @pytest.mark.parametrize("flag", ["--jobs", "--shards"])
     def test_a_count_below_one_is_an_argparse_error(self, flag, capsys):
         # --shards 0 used to surface a BDSConfig traceback; --jobs 0 ran 1.
         with pytest.raises(SystemExit) as exit_info:
@@ -89,7 +87,6 @@ class TestSimulate:
             ("--wan", "abc"),
             ("--block-size", "0"),
             ("--block-size", "0MB"),
-            ("--shard-stride", "auto"),
         ]
     ]
     + [

@@ -60,8 +60,6 @@ class TestConfig:
         [
             ("shards", 2.0),
             ("shards", True),
-            ("shard_stride", True),
-            ("shard_stride", 2.0),
             ("max_sources_per_group", 1.5),
             ("max_sources_per_group", 0),
             ("max_blocks_per_cycle", 2.5),
@@ -78,7 +76,6 @@ class TestConfig:
     def test_numpy_counts_pass(self):
         config = BDSConfig(
             shards=np.int64(2),
-            shard_stride=np.int32(2),
             max_sources_per_group=np.int64(2),
             max_blocks_per_cycle=np.int64(0),
         )

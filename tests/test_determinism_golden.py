@@ -179,12 +179,12 @@ def _run_controller(controller, event: bool) -> SimResult:
     ).run()
 
 
-def _run_sharded(shards: int, event: bool, stride: int = 1) -> SimResult:
+def _run_sharded(shards: int, event: bool) -> SimResult:
     from repro.core.config import BDSConfig
     from repro.core.controller import BDSController
 
     return _run_controller(
-        BDSController(BDSConfig(shards=shards, shard_stride=stride)), event
+        BDSController(BDSConfig(shards=shards)), event
     )
 
 
@@ -206,9 +206,3 @@ class TestShardedGoldenDeterminism:
         second = _run_sharded(shards, event=event)
         assert first.all_complete
         assert _fingerprint(first) == _fingerprint(second)
-
-    def test_sharded_stride_engines_agree(self):
-        tick = _run_sharded(4, event=False, stride=2)
-        ev = _run_sharded(4, event=True, stride=2)
-        assert tick.all_complete
-        assert _fingerprint(tick) == _fingerprint(ev)

@@ -34,6 +34,7 @@ from hypothesis import strategies as st
 from repro.core import BDSController
 from repro.core.config import BDSConfig
 from repro.core.routing import BDSRouter
+from repro.core.shardexec import LocalShardRunner
 from repro.core.scheduling import RarestFirstScheduler
 from repro.net.background import BackgroundTraffic
 from repro.net.directive import DirectiveBatch, TransferDirective
@@ -177,10 +178,17 @@ def _check_reconciles(monkeypatch):
     returns is the object-based reconcile's. Returns the per-call
     (concatenated parts, clips) it saw."""
     seen = []
+    decided = []
+    decide = LocalShardRunner.decide
     reconcile = BDSController._reconcile_wan
 
+    def recorded(self, view, buckets):
+        results = decide(self, view, buckets)
+        decided[:] = results
+        return results
+
     def checked(self, view, directives):
-        parts = [list(p.directives) for p in self._pipelines if p.directives]
+        parts = [list(r.directives) for r in decided if r.directives]
         out, reconciled = reconcile(self, view, directives)
         _assert_same(directives, [d for part in parts for d in part])
         want, want_clips = oracles.reconcile_wan(view, list(directives))
@@ -189,11 +197,12 @@ def _check_reconciles(monkeypatch):
         seen.append((len(parts), reconciled))
         return out, reconciled
 
+    monkeypatch.setattr(LocalShardRunner, "decide", recorded)
     monkeypatch.setattr(BDSController, "_reconcile_wan", checked)
     return seen
 
 
-def _sharded_sim(shards=3, stride=1, cycles=3):
+def _sharded_sim(shards=3, cycles=3):
     topo = Topology.full_mesh(
         num_dcs=5, servers_per_dc=3, wan_capacity=30 * MBps, uplink=8 * MBps
     )
@@ -208,20 +217,17 @@ def _sharded_sim(shards=3, stride=1, cycles=3):
         job.bind(topo)
         jobs.append(job)
     return Simulation(
-        topo, jobs, BDSController(BDSConfig(shards=shards, shard_stride=stride)),
+        topo, jobs, BDSController(BDSConfig(shards=shards)),
         SimConfig(max_cycles=cycles, stop_when_complete=False), seed=5,
     )
 
 
-@pytest.mark.parametrize("stride", [1, 2])
-def test_shard_batches_concatenate_and_reconcile_like_the_objects(
-    monkeypatch, stride
-):
+def test_shard_batches_concatenate_and_reconcile_like_the_objects(monkeypatch):
     """Mutants killed here: ``DirectiveBatch.concat`` shifting the
     second part's bounds one row short; ``concat`` dropping the parts'
     caps; ``_reconcile_wan`` writing a clipped cap one row up."""
     seen = _check_reconciles(monkeypatch)
-    _sharded_sim(stride=stride).run()
+    _sharded_sim().run()
     assert any(parts > 1 for parts, _clips in seen)
     assert sum(clips for _parts, clips in seen)
 

@@ -173,12 +173,12 @@ def _flow(strategy: str) -> Callable:
     return run
 
 
-def _sharded(shards: int, stride: int) -> Callable:
+def _sharded(shards: int) -> Callable:
     def run(_sim_flags: dict, bds_flags: dict) -> Dict[str, object]:
         from tests.test_sharded_controller import _run
 
-        config = BDSConfig(shards=shards, shard_stride=stride, **bds_flags)
-        return observe(_run(shards, stride=stride, config=config))
+        config = BDSConfig(shards=shards, **bds_flags)
+        return observe(_run(shards, config=config))
 
     return run
 
@@ -237,9 +237,10 @@ for _strategy in ("bds", "gingko", "bullet"):
     ARMS[f"flow:{_strategy}:vectorized_flow=False"] = (
         {"vectorized_flow": False}, _flow(_strategy)
     )
-for _shards, _stride in ((2, 1), (3, 2), (4, 1)):
-    ARMS[f"sharded:{_shards}x{_stride}:shard_local_state=False"] = (
-        {"shard_local_state": False}, _sharded(_shards, _stride)
+# "x1": recorded at decide stride 1, every shard deciding every cycle.
+for _shards in (2, 4):
+    ARMS[f"sharded:{_shards}x1:shard_local_state=False"] = (
+        {"shard_local_state": False}, _sharded(_shards)
     )
 for _seed, _cycles in MIDRUNS:
     ARMS[f"midrun:seed{_seed}:cycles{_cycles}:vectorized_store=False"] = (
@@ -287,13 +288,13 @@ def _spec_variants() -> Dict[str, dict]:
 
 
 def _speculating(
-    horizon: float, shards: int, stride: int = 1, variant: str = "plain"
+    horizon: float, shards: int, variant: str = "plain"
 ) -> Callable[[], Dict[str, object]]:
     def run() -> Dict[str, object]:
         from tests.test_speculation import contended
 
         sim = contended(
-            horizon, shards, max_cycles=120, shard_stride=stride,
+            horizon, shards, max_cycles=120,
             **_spec_variants()[variant],
         )
         result = sim.run()
@@ -306,11 +307,11 @@ def _speculating(
 
 SPEC_ARMS: Dict[str, Callable[[], Dict[str, object]]] = {}
 for _horizon in (0.3, 3.0):
+    # "q1": recorded at decide stride 1, every shard deciding every cycle.
     for _shards in (1, 2, 3):
-        for _stride in (1, 2):
-            SPEC_ARMS[f"speculating:h{_horizon}:k{_shards}:q{_stride}"] = (
-                _speculating(_horizon, _shards, _stride)
-            )
+        SPEC_ARMS[f"speculating:h{_horizon}:k{_shards}:q1"] = _speculating(
+            _horizon, _shards
+        )
     for _variant in ("relays", "failures", "partition", "unmerged", "capped"):
         for _shards in (1, 2):
             SPEC_ARMS[f"speculating:h{_horizon}:k{_shards}:{_variant}"] = (
@@ -384,13 +385,15 @@ def test_the_config_surface_is_what_this_file_says():
     assert {f.name for f in dataclasses.fields(BDSConfig)} == {
         "routing_backend", "epsilon", "max_blocks_per_cycle", "max_sources_per_group",
         "merge_blocks", "speculation_horizon", "use_relays", "shards",
-        "shard_stride", "shard_partition",
         "shard_mode",  # one legal value, for the frozen ledger's spelling
     }
     for switch in SIM_SWITCHES:
         with pytest.raises(TypeError):
             SimConfig(**{switch: False})
-    for gone in ("shard_local_state", "shard_seed", "shard_stride_target"):
+    for gone in (
+        "shard_local_state", "shard_seed", "shard_stride_target",
+        "shard_stride", "shard_partition",
+    ):
         with pytest.raises(TypeError):
             BDSConfig(**{gone: 0})
 

@@ -12,7 +12,7 @@ executes.
   pre-seeded copies, and controller replica elections;
 * an idle-gap scenario asserts the skip actually engages, is capped by
   every change-point, and leaves busy-but-quiet cycles alone (draining
-  flows, a strided shard awaiting its turn, a partitioned source);
+  flows, a job whose holders are all down, a partitioned source);
 * a million-cycle run pins the integer-cycle time grid: completion
   timestamps stay exact multiples of ΔT no matter how far time advances.
 """
@@ -336,17 +336,13 @@ class TestFastForwardEngages:
         assert sum(1 for n in event.blocks_per_cycle() if n == 0) > 100
         assert event.fingerprint() == tick.fingerprint()
 
-    def test_a_strided_shard_awaiting_its_turn_is_not_idle(self):
-        """Mutation witness for the idle predicate. With shards=2,
-        stride=2, the one job (hashed to shard 1) gets no directive on
-        cycle 0 — its shard has not had a turn. The job is active, so
-        the cycle is not idle; a predicate weakened to "no directives"
-        skips from cycle 0 to the last one and the job never completes."""
-        from repro.core.config import BDSConfig
+    def test_a_job_whose_holders_are_all_down_is_not_idle(self):
+        """Mutation witness for the idle predicate. Every server of the
+        job's source DC is down for cycles 0-4, so no one holds a block
+        the controller could schedule and it emits no directive. The job
+        is active, so those cycles are not idle; a predicate weakened to
+        "no directives" skips cycles 1-4."""
         from repro.core.controller import BDSController
-        from repro.core.sharding import stable_shard
-
-        assert stable_shard("j", 2) == 1
 
         def arm(event_engine: bool):
             topo = Topology.full_mesh(
@@ -357,15 +353,21 @@ class TestFastForwardEngages:
                 job_id="j", src_dc="dc0", dst_dcs=("dc1", "dc2"),
                 total_bytes=64 * MB, block_size=4 * MB,
             )
-            controller = BDSController(
-                BDSConfig(shards=2, shard_stride=2), seed=SEED
+            down = [s for s, server in topo.servers.items() if server.dc == "dc0"]
+            failures = FailureSchedule(
+                [FailureEvent(0, "agent_fail", s) for s in down]
+                + [FailureEvent(5, "agent_recover", s) for s in down]
             )
-            result = self._run(topo, [job], event_engine, controller)
+            controller = BDSController(seed=SEED)
+            result = self._run(
+                topo, [job], event_engine, controller, failures=failures
+            )
             return result, controller
 
         event, controller = arm(True)
-        assert controller.decisions[0].cycle == 0
-        assert not controller.decisions[0].directives  # the witness's premise
+        quiet = [d for d in controller.decisions if d.cycle < 5]
+        assert len(quiet) == 5
+        assert not any(d.directives for d in quiet)  # the witness's premise
         assert event.all_complete
         assert event.cycles_fast_forwarded == 0
         tick, _ = arm(False)

@@ -98,7 +98,7 @@ class TestCliExport:
 
 
 class TestShardingTelemetryRoundTrip:
-    """Format v7–v9: per-cycle sharding telemetry survives the round-trip."""
+    """Format v7–v10: per-cycle sharding telemetry survives the round-trip."""
 
     def _sharded_result(self):
         from repro.core import BDSConfig
@@ -139,10 +139,10 @@ class TestShardingTelemetryRoundTrip:
             assert s["shard_max"] >= s["shard_mean"] >= 0.0
             assert s["reconcile"] >= 0.0
             # v8: shard-local state telemetry; v9 drops candidate_bytes
-            # (a shard's state is its candidate table).
-            assert s["stride"] == 1
+            # (a shard's state is its candidate table), v10 the stride.
             assert s["state_bytes"] > 0
             assert "candidate_bytes" not in s
+            assert "stride" not in s
             assert s["payload_bytes"] >= 0
 
     def test_round_trip_preserves_shard_fields(self, tmp_path):
@@ -157,7 +157,6 @@ class TestShardingTelemetryRoundTrip:
             assert back["shard_max"] == live.time_shard_max
             assert back["shard_mean"] == live.time_shard_mean
             assert back["reconcile"] == live.time_reconcile
-            assert back["stride"] == live.shard_stride
             assert back["state_bytes"] == live.shard_state_bytes
             assert back["payload_bytes"] == live.shard_payload_bytes
 
@@ -176,7 +175,7 @@ class TestShardingTelemetryRoundTrip:
         assert all("sharding" not in entry for entry in restored["cycles"])
         assert restored["job_completion"] == result.job_completion
 
-    @pytest.mark.parametrize("version", [3, 4, 5, 6, 7, 8, 9])
+    @pytest.mark.parametrize("version", [3, 4, 5, 6, 7, 8, 9, 10])
     def test_every_version_since_3_is_readable(self, result, tmp_path, version):
         path = tmp_path / "old.json"
         save_result(result, path)

@@ -70,13 +70,12 @@ def _scenario(num_jobs: int = 6):
 
 def _run(
     shards: int,
-    stride: int = 1,
     event: bool = True,
     num_jobs: int = 6,
     config: BDSConfig = None,
 ) -> SimResult:
     topo, jobs = _scenario(num_jobs)
-    cfg = config or BDSConfig(shards=shards, shard_stride=stride)
+    cfg = config or BDSConfig(shards=shards)
     controller = BDSController(cfg)
     if not event:
         controller.decisions_reusable = False
@@ -112,12 +111,7 @@ class TestSingleShardIdentity:
 
     def test_signature_none_when_unsharded(self):
         assert BDSController(BDSConfig()).shard_signature is False
-        assert BDSController(
-            BDSConfig(shards=3, shard_stride=2)
-        ).shard_signature is True
-        assert BDSController(
-            BDSConfig(shards=3, shard_partition="affinity")
-        ).shard_signature is True
+        assert BDSController(BDSConfig(shards=3)).shard_signature is True
 
 
 class TestShardedDeterminism:
@@ -134,13 +128,6 @@ class TestShardedDeterminism:
         assert _fingerprint(_run(shards, event=True)) == _fingerprint(
             _run(shards, event=False)
         )
-
-    @pytest.mark.parametrize("stride", [2, 3])
-    def test_stride_deterministic_both_engines(self, stride):
-        tick = _run(3, stride=stride, event=False)
-        ev = _run(3, stride=stride, event=True)
-        assert tick.all_complete
-        assert _fingerprint(tick) == _fingerprint(ev)
 
     def test_shard_telemetry_recorded(self):
         result = _run(3)
@@ -215,14 +202,15 @@ class TestReconciliation:
 class TestShardLocalState:
     """A shard is a subset of jobs deciding on the live store."""
 
-    @pytest.mark.parametrize("shards,stride", [(2, 1), (3, 2), (4, 1)])
-    def test_mirror_matches_shared_store(self, shards, stride):
-        """Shards deciding over sub-views of the one shared store was the
-        PR 7 decide path, and is again: the recorded runs of that path
-        must come back bit-for-bit."""
-        result = _run(shards, stride=stride)
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_mirror_matches_shared_store(self, shards):
+        """Shards deciding over sub-views of the one shared store was an
+        earlier decide path, and is again: the recorded runs of that path
+        (at decide stride 1, every shard every cycle) must come back
+        bit-for-bit."""
+        result = _run(shards)
         assert result.all_complete
-        pins.check(f"sharded:{shards}x{stride}:shard_local_state=False", result)
+        pins.check(f"sharded:{shards}x1:shard_local_state=False", result)
 
     def test_state_telemetry_recorded(self):
         result = _run(3)
@@ -230,7 +218,6 @@ class TestShardLocalState:
         assert fresh
         assert any(s.shard_state_bytes > 0 for s in fresh)
         assert any(s.shard_payload_bytes > 0 for s in fresh)
-        assert all(s.shard_stride == 1 for s in fresh)
 
     def test_no_state_telemetry_on_shared_store_path(self, monkeypatch):
         """There is no second path: speculating cycles are decided by the
@@ -243,9 +230,9 @@ class TestShardLocalState:
         views = []
         decide = LocalShardRunner.decide
 
-        def spy(runner, view, buckets, due):
+        def spy(runner, view, buckets):
             views.append(view)
-            return decide(runner, view, buckets, due)
+            return decide(runner, view, buckets)
 
         monkeypatch.setattr(LocalShardRunner, "decide", spy)
         result = sim.run()
@@ -344,73 +331,19 @@ class TestShardLocalState:
         base = run(BDSConfig())
         base_bytes = base.store.state_bytes()
         assert base_bytes > 0
-        sharded = run(BDSConfig(shards=4, shard_partition="affinity"))
+        sharded = run(BDSConfig(shards=4))
         peak = max(s.shard_state_bytes for s in sharded.cycle_stats)
         assert 0 < peak <= 0.5 * base_bytes
 
 
-class TestAffinityPartition:
-    @pytest.mark.parametrize("event", [False, True])
-    def test_single_shard_matches_hash(self, event):
-        """At shards=1 the partition policy is irrelevant: affinity must
-        reproduce the default-config golden fingerprint."""
-        baseline = _run(1, event=event, config=BDSConfig())
-        affinity = _run(
-            1,
-            event=event,
-            config=BDSConfig(shards=1, shard_partition="affinity"),
-        )
-        assert _fingerprint(baseline) == _fingerprint(affinity)
-
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_deterministic(self, shards):
-        cfg = BDSConfig(shards=shards, shard_partition="affinity")
-        first = _run(shards, config=cfg)
-        second = _run(
-            shards,
-            config=BDSConfig(shards=shards, shard_partition="affinity"),
-        )
-        assert first.all_complete
-        assert _fingerprint(first) == _fingerprint(second)
-
-    def test_event_matches_tick(self):
-        cfg = dict(shards=3, shard_partition="affinity")
-        assert _fingerprint(
-            _run(3, event=True, config=BDSConfig(**cfg))
-        ) == _fingerprint(_run(3, event=False, config=BDSConfig(**cfg)))
-
-    def test_quality_within_tolerance(self):
-        base = _run(1)
-        sharded = _run(
-            3, config=BDSConfig(shards=3, shard_partition="affinity")
-        )
-        assert sharded.all_complete
-        dt = 3.0
-        for job_id, t_base in base.job_completion.items():
-            assert (
-                sharded.job_completion[job_id]
-                <= t_base + QUALITY_SLACK_CYCLES * dt
-            )
-
-
 class TestNoClockInTheDecision:
-    """The decide cadence is a count: a run's outcome is a function of
+    """Every shard decides every cycle: a run's outcome is a function of
     its seed, not of how fast the host ran its shards."""
-
-    @pytest.mark.parametrize("stride", ["auto", 0, 1.5])
-    def test_a_stride_that_is_not_a_positive_int_is_refused(self, stride):
-        with pytest.raises(ValueError, match="shard_stride"):
-            BDSConfig(shards=4, shard_stride=stride)
 
     @pytest.mark.parametrize(
         "config",
-        [
-            pytest.param(dict(shards=s, shard_stride=q), id=f"{s}x{q}")
-            for s in (1, 4)
-            for q in (1, 4)
-        ]
+        [pytest.param(dict(shards=s), id=f"k{s}") for s in (1, 4)]
         + [
-            pytest.param(dict(shards=3, shard_partition="affinity"), id="affinity"),
             pytest.param(dict(shards=2, speculation_horizon=3.0), id="speculating"),
             pytest.param(dict(shards=2, routing_backend="fptas"), id="fptas"),
         ],
@@ -434,14 +367,11 @@ class TestNoClockInTheDecision:
 
 class TestAJobTheControllerNeverBucketed:
     """A job that arrives and completes while the controller is down is
-    never assigned a shard; its deliveries sit in the store's log, and no
-    mirror — not even the one its id hashes to — may be fed them."""
+    never bucketed; its deliveries sit in the store's log, and no shard
+    — not even the one its id hashes to — may be fed it."""
 
-    @pytest.mark.parametrize(
-        "shards, partition",
-        [(2, "hash"), (3, "hash"), (4, "hash"), (2, "affinity")],
-    )
-    def test_its_deliveries_reach_no_mirror(self, shards, partition):
+    @pytest.mark.parametrize("shards", [2, 3, 4])
+    def test_its_deliveries_reach_no_mirror(self, shards):
         topo = Topology.full_mesh(
             num_dcs=3, servers_per_dc=2, wan_capacity=20 * MBps,
             uplink=20 * MBps,
@@ -458,9 +388,7 @@ class TestAJobTheControllerNeverBucketed:
         ]
         for job in jobs:
             job.bind(topo)
-        controller = BDSController(
-            BDSConfig(shards=shards, shard_partition=partition)
-        )
+        controller = BDSController(BDSConfig(shards=shards))
         result = Simulation(
             topology=topo,
             jobs=jobs,
@@ -475,8 +403,9 @@ class TestAJobTheControllerNeverBucketed:
         ).run()
         assert result.all_complete
         assert result.job_completion["small"] <= 7 * 3.0
-        assert "small" not in controller._shard_assign
-        assert late in controller._shard_assign
+        fed = controller._shard_runner.feed._known_jobs
+        assert not any("small" in known for known in fed)
+        assert late in fed[small_shard]
 
 
 class TestShardedQuality:
@@ -489,14 +418,3 @@ class TestShardedQuality:
         for job_id, t_base in base.job_completion.items():
             t_shard = sharded.job_completion[job_id]
             assert t_shard <= t_base + QUALITY_SLACK_CYCLES * dt
-
-    def test_stride_completion_within_tolerance(self):
-        base = _run(1)
-        strided = _run(4, stride=4)
-        assert strided.all_complete
-        dt = 3.0
-        for job_id, t_base in base.job_completion.items():
-            assert (
-                strided.job_completion[job_id]
-                <= t_base + (QUALITY_SLACK_CYCLES + 4) * dt
-            )

@@ -11,25 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.sharding import (
-    AffinityAssigner,
-    _hash64,
-    job_weight,
-    stable_shard,
-)
-
-
-class _FakeJob:
-    def __init__(self, job_id: str) -> None:
-        self.job_id = job_id
-
-
-class _WeightedJob:
-    def __init__(self, job_id: str, src_dc: str, blocks: int, dsts: int) -> None:
-        self.job_id = job_id
-        self.src_dc = src_dc
-        self.blocks = list(range(blocks))
-        self.dst_dcs = tuple(f"dst{i}" for i in range(dsts))
+from repro.core.sharding import _hash64, stable_shard
 
 
 class TestStableShard:
@@ -70,85 +52,3 @@ class TestStableShard:
         with pytest.raises(ValueError):
             stable_shard("x", -2)
 
-
-def _workload(count: int = 60, dcs: int = 6):
-    """Deterministic mixed-weight workload: rotating sources, varied sizes."""
-    return [
-        _WeightedJob(
-            f"job{i}",
-            f"dc{i % dcs}",
-            blocks=4 + (i * 7) % 40,
-            dsts=2 + i % 4,
-        )
-        for i in range(count)
-    ]
-
-
-class TestJobWeight:
-    def test_pair_count(self):
-        job = _WeightedJob("a", "dc0", blocks=12, dsts=3)
-        assert job_weight(job) == 36
-
-    def test_never_zero(self):
-        assert job_weight(_FakeJob("bare")) == 1
-        assert job_weight(_WeightedJob("empty", "dc0", blocks=0, dsts=4)) == 1
-
-
-def _assign(jobs, shards: int):
-    """Job id -> shard, assigning ``jobs`` in order."""
-    assigner = AffinityAssigner(shards)
-    return {job.job_id: assigner.assign(job) for job in jobs}
-
-
-class TestAffinityAssigner:
-    def test_deterministic_and_repeatable(self):
-        assert _assign(_workload(), 4) == _assign(_workload(), 4)
-
-    def test_sticky(self):
-        jobs = _workload()
-        assigner = AffinityAssigner(4)
-        before = [assigner.assign(j) for j in jobs]
-        # Re-asking (any order) never moves a placed job.
-        after = [assigner.assign(j) for j in reversed(jobs)]
-        assert after == list(reversed(before))
-
-    def test_single_shard_all_zero(self):
-        assert set(_assign(_workload(), 1).values()) == {0}
-
-    def test_range(self):
-        mapping = _assign(_workload(), 5)
-        assert all(0 <= s < 5 for s in mapping.values())
-
-    def test_co_locates_same_source(self):
-        # Equal-weight round-robin over as many sources as shards: homes
-        # land on distinct shards, the fleet stays balanced, and every
-        # source keeps all its jobs on its home shard (the hash
-        # partitioner scatters them almost surely).
-        jobs = [
-            _WeightedJob(f"j{i}", f"dc{i % 4}", blocks=2, dsts=2)
-            for i in range(32)
-        ]
-        mapping = _assign(jobs, 4)
-        by_src = {}
-        for job in jobs:
-            by_src.setdefault(job.src_dc, set()).add(mapping[job.job_id])
-        assert all(len(shards) == 1 for shards in by_src.values())
-        # ...and the four sources occupy four distinct shards.
-        assert len({next(iter(s)) for s in by_src.values()}) == 4
-
-    @pytest.mark.parametrize("shards", [2, 4, 8])
-    def test_balance_bound(self, shards):
-        jobs = _workload(count=120)
-        assigner = AffinityAssigner(shards, slack=0.25)
-        for job in jobs:
-            assigner.assign(job)
-        mean = assigner.total / shards
-        max_w = max(job_weight(j) for j in jobs)
-        # Documented bound: the slack envelope plus one indivisible job.
-        assert max(assigner.loads) <= (1 + assigner.slack) * mean + max_w
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            AffinityAssigner(0)
-        with pytest.raises(ValueError):
-            AffinityAssigner(2, slack=-0.1)

@@ -144,7 +144,7 @@ class TestSpeculatedView:
         for name, value in vars(view).items():
             if name == "store":
                 assert spec.store.matrix is not view.store.matrix
-            elif name in ("jobs", "failed_agents", "_failed_frozen"):  # copies
+            elif name in ("jobs", "failed_agents"):  # copies
                 assert getattr(spec, name) == value
             elif name == "_candidates":
                 assert spec._candidates is view.candidates
