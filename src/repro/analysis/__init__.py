@@ -12,11 +12,10 @@ from repro.analysis.runner import (
 from repro.analysis.appendix import (
     balanced_completion_time,
     imbalanced_completion_time,
-    theorem_holds,
 )
 from repro.analysis.plots import ascii_bars, ascii_cdf, ascii_xy
 from repro.analysis.sweeps import SweepResult, compare_sweeps, sweep
-from repro.analysis.export import load_result_dict, result_to_dict, save_result
+from repro.analysis.export import result_to_dict, save_result
 
 __all__ = [
     "ascii_bars",
@@ -25,7 +24,6 @@ __all__ = [
     "SweepResult",
     "compare_sweeps",
     "sweep",
-    "load_result_dict",
     "result_to_dict",
     "save_result",
     "Summary",
@@ -42,5 +40,4 @@ __all__ = [
     "run_many",
     "balanced_completion_time",
     "imbalanced_completion_time",
-    "theorem_holds",
 ]

@@ -81,24 +81,3 @@ def imbalanced_completion_time(
     if link_capacity is not None:
         serving_rate = min(serving_rate, link_capacity)
     return volume / serving_rate
-
-
-def theorem_holds(
-    num_blocks: int,
-    m: int,
-    k1: int,
-    k2: int,
-    rho: float,
-    rate: float,
-) -> bool:
-    """Check ``t_A < t_B`` for ``k = (k1 + k2) / 2`` (requires k integral).
-
-    Returns True when the balanced distribution is strictly faster, which
-    the appendix proves always holds for ``k1 < k2 < m``.
-    """
-    if (k1 + k2) % 2 != 0:
-        raise ValueError("(k1 + k2) must be even so the balanced k is integral")
-    k = (k1 + k2) // 2
-    t_a = balanced_completion_time(num_blocks, m, k, rho, rate)
-    t_b = imbalanced_completion_time(num_blocks, m, k1, k2, rho, rate)
-    return t_a < t_b

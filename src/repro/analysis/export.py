@@ -18,24 +18,6 @@ PathLike = Union[str, Path]
 
 EXPORT_FORMAT_VERSION = 10
 
-#: Versions :func:`load_result_dict` accepts. v3 payloads predate the
-#: routing-solver telemetry (iterations/phases/warm_start), v4 payloads
-#: predate the data-plane fields (stage ``deliver_apply``, per-cycle
-#: ``rate_stalemates``), v5 payloads predate the event-engine
-#: accounting (per-cycle ``decision_reused``/``fast_forwarded``, top-level
-#: ``cycles_decision_reused``/``cycles_fast_forwarded``), v6 payloads
-#: predate the sharded control-plane telemetry (per-cycle ``sharding``
-#: subdict: shard count, per-shard walls, reconciliation wall), and v7
-#: payloads predate the shard-local state telemetry (``sharding`` gains
-#: the decide ``stride`` and per-shard ``state_bytes`` /
-#: ``candidate_bytes`` / ``payload_bytes``); older payloads simply lack
-#: the later keys. v9 drops ``sharding.candidate_bytes``: a shard owns
-#: no possession copy any more, so its ``state_bytes`` *is* its
-#: candidate-table bytes (v7/v8 ``state_bytes`` counted a shard's
-#: possession arrays alone). v10 drops ``sharding.stride``: every shard
-#: decides every cycle, so there is no decide cadence to report.
-_READABLE_VERSIONS = (3, 4, 5, 6, 7, 8, 9, 10)
-
 
 def _resource_to_str(key) -> str:
     return ":".join(str(part) for part in key)
@@ -135,16 +117,3 @@ def save_result(
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def load_result_dict(path: PathLike) -> Dict[str, Any]:
-    """Read a result export back as a dictionary (not a live SimResult)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    version = payload.get("format_version")
-    if version not in _READABLE_VERSIONS:
-        raise ValueError(
-            f"unsupported export format version {version!r} "
-            f"(expected one of {_READABLE_VERSIONS})"
-        )
-    return payload

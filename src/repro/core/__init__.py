@@ -12,7 +12,6 @@ from repro.core.decisions import ControlDecision, ScheduledBlock
 from repro.core.scheduling import RarestFirstScheduler
 from repro.core.routing import BDSRouter, RoutingDiagnostics
 from repro.core.controller import BDSController
-from repro.core.bandwidth import residual_budget
 from repro.core.fault import ControllerReplicaSet
 from repro.core.formulation import StandardLPRouter
 from repro.core.speculation import DeliverySpeculator, SpeculatedView
@@ -32,7 +31,6 @@ __all__ = [
     "BDSRouter",
     "RoutingDiagnostics",
     "BDSController",
-    "residual_budget",
     "ControllerReplicaSet",
     "StandardLPRouter",
 ]

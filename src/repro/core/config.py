@@ -17,7 +17,6 @@ ROUTING_BACKENDS = ("fptas", "lp", "greedy")
 #: (:func:`~repro.utils.validation.check_count`).
 _COUNTS = {
     "max_blocks_per_cycle": 0,
-    "max_sources_per_group": 1,
     "shards": 1,
 }
 
@@ -45,7 +44,6 @@ class BDSConfig:
     routing_backend: str = "greedy"
     epsilon: float = 0.1
     max_blocks_per_cycle: int = 0  # 0 = unlimited
-    max_sources_per_group: int = 3
     merge_blocks: bool = True
     # §5.1 non-blocking update: feed the algorithm a delivery state that
     # speculates the completion of in-flight transfers over this horizon

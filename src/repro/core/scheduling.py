@@ -93,7 +93,6 @@ class RarestFirstScheduler:
                 failed_lut = np.zeros(matrix.num_servers, dtype=bool)
                 failed_lut[failed_sids] = True
         dup_all = matrix.dup
-        dc_counts = matrix.dc_counts
         use_relays = self.use_relays
 
         # Per-surviving-row columns, one array per group, concatenated
@@ -132,7 +131,9 @@ class RarestFirstScheduler:
                 full = n == group.gids.size
                 gids = group.gids if full else group.gids[rows]
                 if group.is_relay:
-                    dead = dc_counts[group.dc_gid, gids] > 0
+                    # Some server of the relay DC already holds the block.
+                    held = matrix.holder_words[gids] & matrix.dc_mask[group.dc_gid]
+                    dead = held.any(axis=1)
                 else:
                     dead = matrix.test_many(
                         group.dst_sids if full else group.dst_sids[rows], gids

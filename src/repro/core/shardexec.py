@@ -94,7 +94,6 @@ def build_pipeline(
     router = BDSRouter(
         backend=config.routing_backend,
         epsilon=config.epsilon,
-        max_sources_per_group=config.max_sources_per_group,
         merge_blocks=config.merge_blocks,
     )
     return scheduler, router

@@ -1,4 +1,4 @@
-"""Network substrate: topology, overlay paths, flows, and the cycle simulator.
+"""Network substrate: topology, flows, and the cycle simulator.
 
 This package is the stand-in for the inter-datacenter WAN the paper's pilot
 deployment ran on. It models datacenters connected by capacitated WAN links,
@@ -9,19 +9,11 @@ diurnal latency-sensitive background traffic, and failure injection.
 import importlib
 
 from repro.net.topology import DataCenter, Link, Server, Topology
-from repro.net.paths import (
-    OverlayPath,
-    bottleneck_capacity,
-    bottleneck_resources,
-    are_bottleneck_disjoint,
-    enumerate_dc_paths,
-    enumerate_overlay_paths,
-)
-from repro.net.flow import Flow, max_min_fair_rates, clip_rates_to_capacity
+from repro.net.flow import max_min_fair_rates, clip_rates_to_capacity
 from repro.net.latency import LatencyModel
 from repro.net.background import BackgroundTraffic, delay_inflation
 from repro.net.failures import FailureEvent, FailureSchedule
-from repro.net.presets import baidu_like, dumbbell, global_regions
+from repro.net.presets import baidu_like
 
 # The simulator and its types sit above the overlay data plane (they
 # move blocks between agents), so importing them here eagerly would be
@@ -48,13 +40,6 @@ __all__ = [
     "Link",
     "Server",
     "Topology",
-    "OverlayPath",
-    "bottleneck_capacity",
-    "bottleneck_resources",
-    "are_bottleneck_disjoint",
-    "enumerate_dc_paths",
-    "enumerate_overlay_paths",
-    "Flow",
     "max_min_fair_rates",
     "clip_rates_to_capacity",
     "LatencyModel",
@@ -63,8 +48,6 @@ __all__ = [
     "FailureEvent",
     "FailureSchedule",
     "baidu_like",
-    "dumbbell",
-    "global_regions",
     "ClusterView",
     "SimConfig",
     "SimResult",

@@ -13,11 +13,10 @@ Two allocation regimes are needed by the reproduction:
 Each regime is one kernel over :class:`FlowRows` — every flow as a row of
 resource numbers, the numbering of a
 :class:`~repro.net.cycle_cache.CycleCache`'s resource-id table — shared
-by the data plane and the sharded controller's WAN reconciliation. Both
-kernels also take a ``Sequence[Flow]``, which is converted once at entry
-into the same rows, and then answer by ``flow_id``. The waterfill's
-work per freeze event is over resources, not over every active flow;
-the clip is one pass of ``bincount`` and a segment minimum. The
+by the data plane and the sharded controller's WAN reconciliation. Each
+answers one rate per row. The waterfill's work per freeze event is over
+resources, not over every active flow; the clip is one pass of
+``bincount`` and a segment minimum. The
 bit-identity arguments live in the docstrings; the equivalence suites
 in ``tests/test_flow_kernel.py`` and ``tests/test_directive_batch.py``
 assert exact equality against the retired kernels and the textbook loop
@@ -28,36 +27,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.net.topology import ResourceKey
-
-
-@dataclass
-class Flow:
-    """A unidirectional transfer consuming a fixed set of resources.
-
-    ``rate_cap`` optionally bounds the rate from above (BDS's bandwidth
-    allocation, or a per-flow application limit); ``demand`` optionally
-    bounds it by how much the flow can actually use this cycle
-    (remaining bytes / cycle length).
-    """
-
-    flow_id: Hashable
-    resources: Tuple[ResourceKey, ...]
-    rate_cap: Optional[float] = None
-    demand: Optional[float] = None
-
-    def effective_cap(self) -> float:
-        """The flow's own upper bound, +inf when unconstrained."""
-        cap = float("inf")
-        if self.rate_cap is not None:
-            cap = min(cap, self.rate_cap)
-        if self.demand is not None:
-            cap = min(cap, self.demand)
-        return cap
 
 
 @dataclass
@@ -80,26 +54,16 @@ class FlowRows:
 
     ``paths[i]`` is flow ``i``'s resources as indices into ``res_keys``
     (duplicates kept: a flow crossing a resource twice loads it twice),
-    and ``caps[i]`` its own upper bound — rate cap and demand folded as
-    :meth:`Flow.effective_cap` folds them, ``inf`` when unconstrained.
-    ``len()`` is the flow count. The data plane and the reconciler pass
-    the rows of a :class:`~repro.net.cycle_cache.CycleCache`'s
-    ``path_ids`` with its ``res_keys``; :meth:`of` numbers a
-    ``Sequence[Flow]``'s resources in first-appearance order.
+    and ``caps[i]`` its own upper bound — the smaller of its rate cap
+    and its demand, ``inf`` when unconstrained. ``len()`` is the flow
+    count. The data plane and the reconciler pass the rows of a
+    :class:`~repro.net.cycle_cache.CycleCache`'s ``path_ids`` with its
+    ``res_keys``.
     """
 
     paths: Sequence[Sequence[int]]
     caps: Sequence[float]
     res_keys: Sequence[ResourceKey]
-
-    @classmethod
-    def of(cls, flows: Sequence[Flow]) -> "FlowRows":
-        numbers: Dict[ResourceKey, int] = {}
-        paths = [
-            [numbers.setdefault(res, len(numbers)) for res in flow.resources]
-            for flow in flows
-        ]
-        return cls(paths, [flow.effective_cap() for flow in flows], list(numbers))
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -136,18 +100,17 @@ class FlowRows:
 
 
 def max_min_fair_rates(
-    flows: Union[FlowRows, Sequence[Flow]],
+    rows: FlowRows,
     capacities: Mapping[ResourceKey, float],
     stats: Optional[FlowKernelStats] = None,
-) -> Union[List[float], Dict[Hashable, float]]:
+) -> List[float]:
     """Progressive-filling max-min fair allocation.
 
     All flows grow at the same rate until some resource saturates; flows
     through that resource freeze at their current rate, and the remaining
-    flows keep growing. Flow-level caps (``rate_cap``/``demand``) are
-    honoured: a flow freezes when it hits its own cap, releasing capacity
-    to the others. Returns one rate per row of :class:`FlowRows`, or
-    ``{flow_id: rate}`` for a ``Sequence[Flow]``.
+    flows keep growing. Each row's own cap (``rows.caps``) is honoured:
+    a flow freezes when it hits it, releasing capacity to the others.
+    Returns one rate per row of ``rows``.
 
     Event-driven: each iteration of the loop is one freeze event, and
     only what the event touches is revisited. The caps are sorted once,
@@ -168,11 +131,10 @@ def max_min_fair_rates(
     float minima are order-independent, and the load counts are exact —
     so how resources are numbered does not reach a rate.
     """
-    rows = flows if isinstance(flows, FlowRows) else FlowRows.of(flows)
     rates = [0.0] * len(rows)
     active = [i for i, cap in enumerate(rows.caps) if cap > 0]
     if not active:
-        return _by_flow_id(flows, rows, rates)
+        return rates
 
     # Only active flows are compiled (and therefore validated): a
     # zero-cap flow's resources are never looked at.
@@ -261,38 +223,22 @@ def max_min_fair_rates(
 
     for i, r in zip(active, final):
         rates[i] = r
-    return _by_flow_id(flows, rows, rates)
-
-
-def _by_flow_id(flows, rows: FlowRows, rates: List[float]):
-    """The waterfill's rates as its caller passed the flows: one per row
-    of :class:`FlowRows`, or ``{flow_id: rate}``, where a duplicate
-    ``flow_id`` keeps the highest rate any of its flows froze at (the
-    textbook loop's last write)."""
-    if rows is flows:
-        return rates
-    by_id: Dict[Hashable, float] = {flow.flow_id: 0.0 for flow in flows}
-    for flow, r in zip(flows, rates):
-        if r > by_id[flow.flow_id]:
-            by_id[flow.flow_id] = r
-    return by_id
+    return rates
 
 
 def clip_rates_to_capacity(
-    flows: Union[FlowRows, Sequence[Flow]],
-    requested: Union[Sequence[float], Mapping[Hashable, float]],
+    rows: FlowRows,
+    requested: Sequence[float],
     capacities: Mapping[ResourceKey, float],
-) -> Union[List[float], Dict[Hashable, float]]:
+) -> List[float]:
     """Scale requested rates so no resource is oversubscribed.
 
     Every resource with aggregate demand above capacity scales all its flows
     by the same factor (the network's approximation of per-link fair
     dropping); a flow crossing several oversubscribed resources gets the
     most restrictive factor. One pass is sufficient because scaling only
-    ever decreases loads. ``requested`` is one rate per row of
-    :class:`FlowRows` (the clipped rates come back as a list), or
-    ``{flow_id: rate}`` for a ``Sequence[Flow]`` (absent ids request 0;
-    the answer is keyed the same way, a repeated id's last flow winning).
+    ever decreases loads. ``requested`` is one rate per row of ``rows``,
+    and so are the clipped rates.
 
     One array pass, bit-identical to the dict loop it replaced (kept in
     ``tests/oracles.py``): ``bincount`` accumulates per-resource usage in
@@ -308,18 +254,11 @@ def clip_rates_to_capacity(
     # partially-initialized repro.lp.mcf.
     from repro.lp.incidence import segment_mins
 
-    rows = flows if isinstance(flows, FlowRows) else FlowRows.of(flows)
-    if rows is not flows:
-        asked = requested.get
-        requested = [asked(flow.flow_id, 0.0) for flow in flows]
     if not len(rows):
-        return [] if rows is flows else {}
+        return []
     flat, starts, lens, caps = rows.compile(None, capacities)
     rates = np.array(requested, dtype=np.float64)
     usage = np.bincount(flat, weights=rates.repeat(lens), minlength=len(caps))
     over = (usage > caps) & (usage > 0)
     scale = np.divide(caps, usage, out=np.ones(len(caps)), where=over)
-    clipped = (rates * segment_mins(scale[flat], starts, lens, 1.0)).tolist()
-    if rows is flows:
-        return clipped
-    return {flow.flow_id: rate for flow, rate in zip(flows, clipped)}
+    return (rates * segment_mins(scale[flat], starts, lens, 1.0)).tolist()

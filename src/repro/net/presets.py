@@ -1,23 +1,16 @@
 """Named topology presets modeled on real inter-DC deployments.
 
 The paper's pilot ran on 10 geo-distributed DCs; its trace covered 30+.
-These presets give examples and experiments realistic starting points
-without hand-building topologies:
-
-* :func:`baidu_like` — 10 DCs in three metro clusters (the pilot's scale):
-  fat intra-metro links, thinner long-haul links, uniform server NICs.
-* :func:`global_regions` — 6 named continental regions with
-  distance-tiered link capacities (metro / continental / transoceanic).
-* :func:`dumbbell` — two server-rich DCs joined through two thin transit
-  DCs; the classic stress topology for store-and-forward relays.
-
-All capacities scale with one ``scale`` factor so the same shape can run
-as a quick test (small scale) or a longer evaluation.
+:func:`baidu_like` gives examples and experiments that scale without
+hand-building a topology: 10 DCs in three metro clusters, fat
+intra-metro links, thinner long-haul links, uniform server NICs. All
+capacities scale with one ``scale`` factor so the same shape can run as
+a quick test (small scale) or a longer evaluation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.net.topology import Topology
 from repro.utils.units import MBps
@@ -29,27 +22,6 @@ _BAIDU_LIKE_CLUSTERS: Tuple[Tuple[str, ...], ...] = (
     ("sh1", "sh2", "sh3"),         # east
     ("gz1", "gz2", "gz3"),         # south
 )
-
-_GLOBAL_REGIONS = (
-    "us-west",
-    "us-east",
-    "eu-west",
-    "eu-central",
-    "ap-south",
-    "ap-east",
-)
-
-# Coarse geography tiers for global_regions: 0 = same continent-pair
-# shorthand below, capacities in multiples of the base long-haul rate.
-_CONTINENT: Dict[str, str] = {
-    "us-west": "na",
-    "us-east": "na",
-    "eu-west": "eu",
-    "eu-central": "eu",
-    "ap-south": "ap",
-    "ap-east": "ap",
-}
-
 
 def baidu_like(
     servers_per_dc: int = 7,
@@ -82,59 +54,4 @@ def baidu_like(
                 4 * long_haul if cluster_of[a] == cluster_of[b] else long_haul
             )
             topo.add_bidirectional_link(a, b, capacity)
-    return topo
-
-
-def global_regions(
-    servers_per_dc: int = 5,
-    scale: float = 1.0,
-) -> Topology:
-    """Six continental regions with distance-tiered WAN capacities.
-
-    Same-continent links are 3× the base; transoceanic links 1×.
-    Baseline rates (scale=1): transoceanic 100 MB/s, NIC 40 MB/s.
-    """
-    check_positive("servers_per_dc", servers_per_dc)
-    check_positive("scale", scale)
-    ocean = 100 * MBps * scale
-    nic = 40 * MBps * scale
-    topo = Topology()
-    for name in _GLOBAL_REGIONS:
-        topo.add_dc(name)
-        for j in range(servers_per_dc):
-            topo.add_server(f"{name}-s{j}", name, uplink=nic, downlink=nic)
-    for i, a in enumerate(_GLOBAL_REGIONS):
-        for b in _GLOBAL_REGIONS[i + 1 :]:
-            same_continent = _CONTINENT[a] == _CONTINENT[b]
-            topo.add_bidirectional_link(a, b, 3 * ocean if same_continent else ocean)
-    return topo
-
-
-def dumbbell(
-    servers_per_end: int = 6,
-    transit_capacity: float = 50 * MBps,
-    end_nic: float = 30 * MBps,
-) -> Topology:
-    """Two fat endpoint DCs connected only through two thin transit DCs.
-
-    ``left`` and ``right`` carry the servers; ``transit-a`` / ``transit-b``
-    have a single relay server each. There is no direct left–right link,
-    so all traffic store-and-forwards — the stress case for relay
-    scheduling and bottleneck-disjoint path use.
-    """
-    check_positive("servers_per_end", servers_per_end)
-    check_positive("transit_capacity", transit_capacity)
-    check_positive("end_nic", end_nic)
-    topo = Topology()
-    for name in ("left", "right"):
-        topo.add_dc(name)
-        for j in range(servers_per_end):
-            topo.add_server(f"{name}-s{j}", name, uplink=end_nic, downlink=end_nic)
-    for name in ("transit-a", "transit-b"):
-        topo.add_dc(name)
-        topo.add_server(
-            f"{name}-s0", name, uplink=transit_capacity, downlink=transit_capacity
-        )
-        topo.add_bidirectional_link("left", name, transit_capacity)
-        topo.add_bidirectional_link(name, "right", transit_capacity)
     return topo

@@ -2,15 +2,15 @@
 
 BDS splits every bulk file into fixed-size blocks (2 MB by default in the
 paper) so that different blocks can ride different bottleneck-disjoint
-overlay paths simultaneously. This module provides the block abstraction,
-file splitting, and the block-merging helper used by the controller's
-"blocks merging" optimization (§5.1).
+overlay paths simultaneously. This module provides the block abstraction
+and file splitting; the router merges blocks that share a server pair
+(§5.1's "blocks merging") over its own columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import List, Tuple
 
 from repro.utils.units import MB
 from repro.utils.validation import check_positive
@@ -63,22 +63,3 @@ def split_into_blocks(
         remaining -= size
         index += 1
     return blocks
-
-
-def group_by_pair(
-    assignments: Mapping[Tuple[str, int], Tuple[str, str]],
-    blocks: Mapping[Tuple[str, int], Block],
-) -> Dict[Tuple[str, str], List[Block]]:
-    """Merge blocks that share a (source server, destination server) pair.
-
-    This is the §5.1 "blocks merging" optimization: a merged group becomes a
-    single subtask / TCP connection, shrinking both the controller's decision
-    space and the number of parallel connections. ``assignments`` maps a
-    block id to its chosen (src, dst) pair.
-    """
-    groups: Dict[Tuple[str, str], List[Block]] = {}
-    for block_id, pair in assignments.items():
-        groups.setdefault(pair, []).append(blocks[block_id])
-    for members in groups.values():
-        members.sort()
-    return groups

@@ -91,11 +91,12 @@ class PossessionMatrix:
     servers holding block ``g`` (server ``s`` in word ``s >> 6``, bit
     ``s & 63``) — so a block's whole holder set is one gather; the router
     classes selections by it.
-    ``dup[g]`` (cluster-wide copy count — the §4.3 rarity measure) and
-    ``dc_counts[d, g]`` (copies inside DC ``d``) are maintained
-    incrementally on every bit flip, so they always equal the popcount of
-    the corresponding column (resp. the column restricted to the DC's
-    rows); the equivalence tests assert this invariant directly.
+    ``dup[g]`` (cluster-wide copy count — the §4.3 rarity measure) is
+    maintained incrementally on every bit flip, so it always equals the
+    popcount of column ``g``; the equivalence tests assert this invariant
+    directly. ``dc_mask[d]`` packs DC ``d``'s servers as a ``holder_words``
+    row, so "some server of DC ``d`` holds block ``g``" is
+    ``(holder_words[g] & dc_mask[d]).any()``.
     """
 
     __slots__ = (
@@ -104,15 +105,14 @@ class PossessionMatrix:
         "dc_names",
         "dc_ids",
         "server_dc_ids",
-        "server_dc_list",
         "dc_order",
         "dc_starts",
         "dc_words",
         "dc_bits",
+        "dc_mask",
         "bits",
         "holder_words",
         "dup",
-        "dc_counts",
         "block_gids",
         "block_names",
         "_capacity",
@@ -130,7 +130,6 @@ class PossessionMatrix:
         self.server_dc_ids = np.array(
             [self.dc_ids[server_dc[n]] for n in names], dtype=np.int64
         )
-        self.server_dc_list: List[int] = self.server_dc_ids.tolist()
         # Server ids grouped by DC (ascending DC id, ascending server id
         # within) and each DC's first position in that order: the row
         # permutation under which "holders by DC" is a segmented reduce.
@@ -141,10 +140,17 @@ class PossessionMatrix:
         # Each one's word and bit (as a mask) in a ``holder_words`` row.
         self.dc_words = self.dc_order >> 6
         self.dc_bits = np.uint64(1) << (self.dc_order & 63).astype(np.uint64)
+        num_servers = len(names)
+        self.dc_mask = np.zeros(
+            (len(self.dc_names), (num_servers + 63) >> 6), dtype=np.uint64
+        )
+        sids = np.arange(num_servers)
+        np.bitwise_or.at(
+            self.dc_mask, (self.server_dc_ids, sids >> 6), _BITS[sids & 63]
+        )
         capacity = 1024  # block columns: 16 whole uint64 words
         self._capacity = capacity
         self._words = capacity >> 6
-        num_servers = len(names)
         self.bits = np.zeros((num_servers, self._words), dtype=np.uint64)
         self._flat = self.bits.reshape(-1)
         self.holder_words = np.zeros(
@@ -152,9 +158,6 @@ class PossessionMatrix:
         )
         self._holder_flat = self.holder_words.reshape(-1)
         self.dup = np.zeros(capacity, dtype=np.int64)
-        self.dc_counts = np.zeros(
-            (len(self.dc_names), capacity), dtype=np.int64
-        )
         self.block_gids: Dict[BlockId, int] = {}
         self.block_names: List[BlockId] = []
 
@@ -200,9 +203,6 @@ class PossessionMatrix:
         dup = np.zeros(capacity, dtype=np.int64)
         dup[: self._capacity] = self.dup
         self.dup = dup
-        dc_counts = np.zeros((self.dc_counts.shape[0], capacity), dtype=np.int64)
-        dc_counts[:, : self._capacity] = self.dc_counts
-        self.dc_counts = dc_counts
         self._capacity = capacity
         self._words = words
 
@@ -219,7 +219,7 @@ class PossessionMatrix:
         The batched form keeps large initial seedings (10^6-block jobs)
         out of per-bit Python loops: previously-unset columns are found
         with one gather, the row is OR-updated wordwise, and the
-        duplicate/DC counters advance with unique fancy indexing.
+        duplicate counter advances with unique fancy indexing.
         """
         if isinstance(gids, np.ndarray):
             arr = gids.astype(np.int64, copy=False)
@@ -240,7 +240,6 @@ class PossessionMatrix:
         np.bitwise_or.at(row, words[fresh], masks[fresh])
         self.holder_words[new_gids, sid >> 6] |= np.uint64(1 << (sid & 63))
         self.dup[new_gids] += 1
-        self.dc_counts[self.server_dc_list[sid]][new_gids] += 1
 
     def record_deliveries(self, sids: np.ndarray, gids: np.ndarray) -> np.ndarray:
         """Set possession bits for parallel (server, block) arrays.
@@ -251,7 +250,7 @@ class PossessionMatrix:
         first occurrence wins — come back ``False``, exactly as setting
         them one at a time would report. The bits land with one
         ``bitwise_or.at`` scatter (repeated words are safe) and the
-        duplicate/DC counters advance with ``add.at`` scatter-adds
+        duplicate counter advances with an ``add.at`` scatter-add
         (repeated columns accumulate). A cycle's batch is often a dozen
         rows, so the work is counted in array calls, not elements.
         """
@@ -281,13 +280,12 @@ class PossessionMatrix:
                 _BITS[sids & 63],
             )
             np.add.at(self.dup, gids, 1)
-            np.add.at(self.dc_counts, (self.server_dc_ids[sids], gids), 1)
         return fresh
 
     def overlay(self, sids: np.ndarray, gids: np.ndarray) -> "PossessionMatrix":
         """A twin of this matrix that also holds the ``(sids, gids)`` copies.
 
-        The four possession arrays are copied, so nothing written to the
+        The three possession arrays are copied, so nothing written to the
         twin reaches this matrix; the interning tables are shared, so the
         twin's ids are this matrix's ids — and it must intern nothing.
         """
@@ -297,7 +295,6 @@ class PossessionMatrix:
         twin.holder_words = self.holder_words.copy()
         twin._holder_flat = twin.holder_words.reshape(-1)
         twin.dup = self.dup.copy()
-        twin.dc_counts = self.dc_counts.copy()
         twin.record_deliveries(sids, gids)
         return twin
 
@@ -347,7 +344,7 @@ class PossessionMatrix:
     # -- telemetry ---------------------------------------------------------
 
     def state_bytes(self) -> int:
-        """Bytes held by the possession arrays (both bitsets + dup + dc_counts).
+        """Bytes held by the possession arrays (both bitsets + dup).
 
         The dominant, capacity-proportional memory of the matrix
         (interning dicts are excluded; they are O(blocks) pointers).
@@ -356,7 +353,6 @@ class PossessionMatrix:
             self.bits.nbytes
             + self.holder_words.nbytes
             + self.dup.nbytes
-            + self.dc_counts.nbytes
         )
 
 

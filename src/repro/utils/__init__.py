@@ -15,12 +15,11 @@ from repro.utils.units import (
     parse_size,
     parse_rate,
 )
-from repro.utils.rng import make_rng, spawn_rngs
+from repro.utils.rng import make_rng
 from repro.utils.validation import (
     check_positive,
     check_non_negative,
     check_fraction,
-    check_type,
 )
 
 __all__ = [
@@ -38,9 +37,7 @@ __all__ = [
     "parse_size",
     "parse_rate",
     "make_rng",
-    "spawn_rngs",
     "check_positive",
     "check_non_negative",
     "check_fraction",
-    "check_type",
 ]

@@ -7,7 +7,7 @@ decentralized baselines, latency model, failure injection) takes an explicit
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import Union
 
 import numpy as np
 
@@ -23,18 +23,3 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: SeedLike, count: int) -> List[np.random.Generator]:
-    """Derive ``count`` independent generators from one seed.
-
-    Used to give each simulated server/agent its own stream so that adding
-    an agent does not perturb the randomness seen by the others.
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    root = make_rng(seed)
-    seeds = root.bit_generator._seed_seq  # type: ignore[attr-defined]
-    if seeds is None:
-        return [np.random.default_rng(root.integers(2**63)) for _ in range(count)]
-    return [np.random.default_rng(child) for child in seeds.spawn(count)]

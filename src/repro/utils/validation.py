@@ -7,7 +7,7 @@ far more useful inside a long simulation run than a late ``ZeroDivisionError``.
 from __future__ import annotations
 
 import numbers
-from typing import Any, Tuple, Type, Union
+from typing import Any
 
 
 def check_positive(name: str, value: float) -> float:
@@ -40,20 +40,4 @@ def check_fraction(name: str, value: float) -> float:
     """Require ``0 <= value <= 1`` and return it."""
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be within [0, 1], got {value!r}")
-    return value
-
-
-def check_type(
-    name: str, value: Any, expected: Union[Type, Tuple[Type, ...]]
-) -> Any:
-    """Require ``isinstance(value, expected)`` and return the value."""
-    if not isinstance(value, expected):
-        expected_names = (
-            expected.__name__
-            if isinstance(expected, type)
-            else "/".join(t.__name__ for t in expected)
-        )
-        raise TypeError(
-            f"{name} must be {expected_names}, got {type(value).__name__}"
-        )
     return value

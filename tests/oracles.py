@@ -47,7 +47,11 @@ Some definitions here left ``src/`` because only tests called them
 (``tests/test_layering.py`` keeps ``src/`` to what the system runs):
 ``PathMCF``, the exact-LP reference the FPTAS tests price against; the
 store's name-keyed queries below; ``route_dcs``, ``cdf``,
-``with_rate_cap`` and ``read_generated``.
+``with_rate_cap``, ``read_generated`` and ``residual_budget`` (the §5.2
+budget, which ``bulk_capacities`` is built on). ``Flow`` is how the
+kernel tests state a flow: ``flow_rows`` turns flows into the
+``FlowRows`` the rate kernels take, and ``fair_rates_by_id`` /
+``clip_by_id`` answer by ``flow_id``.
 
 No reference function reads possession through a view accessor or a
 matrix: each asks ``view.store`` one ``has``/``holders``/``dc_of`` at a
@@ -85,13 +89,18 @@ from typing import (
 import numpy as np
 
 from repro.analysis.experiments import BEGIN, END
-from repro.core.bandwidth import residual_budget
 from repro.core.decisions import ScheduledBlock
 from repro.lp.fptas import FPTASResult, max_multicommodity_flow
 from repro.lp.incidence import PathIncidence, segment_mins
 from repro.utils.rng import SeedLike, make_rng
+from repro.utils.validation import check_fraction, check_non_negative, check_positive
 from repro.lp.mcf import Commodity, MCFResult, solve_lp_incidence
-from repro.net.flow import Flow, FlowKernelStats
+from repro.net.flow import (
+    FlowKernelStats,
+    FlowRows,
+    clip_rates_to_capacity,
+    max_min_fair_rates,
+)
 from repro.net.topology import ResourceKey
 from repro.net.directive import TransferDirective
 from repro.net.view import ClusterView
@@ -567,6 +576,21 @@ def grouping_directives(
 # -- simulator: the per-cycle WAN budget loop ---------------------------------
 
 
+def residual_budget(
+    capacity: float, online_usage: float, threshold: float = 0.8
+) -> float:
+    """Bandwidth available to bulk traffic on one link (§5.2).
+
+    ``max(0, threshold × capacity − online)``: bulk may use what remains
+    under the safety threshold after latency-sensitive traffic is served
+    (``Simulation._bulk_capacities`` computes it inline, link by link).
+    """
+    check_positive("capacity", capacity)
+    check_non_negative("online_usage", online_usage)
+    check_fraction("threshold", threshold)
+    return max(0.0, threshold * capacity - online_usage)
+
+
 def bulk_capacities(
     caps: Mapping[ResourceKey, float],
     threshold: float,
@@ -759,6 +783,75 @@ def select_rarest_first(view, scheduler) -> List[ScheduledBlock]:
     if scheduler.max_blocks_per_cycle:
         selected = selected[: scheduler.max_blocks_per_cycle]
     return selected
+
+
+# -- flow: one object per flow, and the kernels keyed by flow id ---------------
+
+
+@dataclass
+class Flow:
+    """A unidirectional transfer consuming a fixed set of resources.
+
+    ``rate_cap`` optionally bounds the rate from above (BDS's bandwidth
+    allocation, or a per-flow application limit); ``demand`` optionally
+    bounds it by how much the flow can actually use this cycle
+    (remaining bytes / cycle length).
+    """
+
+    flow_id: Hashable
+    resources: Tuple[ResourceKey, ...]
+    rate_cap: Optional[float] = None
+    demand: Optional[float] = None
+
+    def effective_cap(self) -> float:
+        """The flow's own upper bound, +inf when unconstrained."""
+        cap = float("inf")
+        if self.rate_cap is not None:
+            cap = min(cap, self.rate_cap)
+        if self.demand is not None:
+            cap = min(cap, self.demand)
+        return cap
+
+
+def flow_rows(flows: Sequence[Flow]) -> FlowRows:
+    """The rows the rate kernels run on, one per flow, resources numbered
+    in first-appearance order."""
+    numbers: Dict[ResourceKey, int] = {}
+    paths = [
+        [numbers.setdefault(res, len(numbers)) for res in flow.resources]
+        for flow in flows
+    ]
+    return FlowRows(paths, [flow.effective_cap() for flow in flows], list(numbers))
+
+
+def fair_rates_by_id(
+    flows: Sequence[Flow],
+    capacities: Mapping[ResourceKey, float],
+    stats: Optional[FlowKernelStats] = None,
+    kernel: Callable = max_min_fair_rates,
+) -> Dict[Hashable, float]:
+    """``kernel`` (the waterfill) over ``flows``' rows, as ``{flow_id:
+    rate}``: a duplicate id keeps the highest rate any of its flows froze
+    at (the textbook loop's last write)."""
+    rates = kernel(flow_rows(flows), capacities, stats)
+    by_id: Dict[Hashable, float] = {flow.flow_id: 0.0 for flow in flows}
+    for flow, rate in zip(flows, rates):
+        if rate > by_id[flow.flow_id]:
+            by_id[flow.flow_id] = rate
+    return by_id
+
+
+def clip_by_id(
+    flows: Sequence[Flow],
+    requested: Mapping[Hashable, float],
+    capacities: Mapping[ResourceKey, float],
+) -> Dict[Hashable, float]:
+    """:func:`repro.net.flow.clip_rates_to_capacity` over ``flows``' rows,
+    keyed by ``flow_id``: an absent id requests 0, and a repeated id's
+    last flow wins."""
+    asked = [requested.get(flow.flow_id, 0.0) for flow in flows]
+    clipped = clip_rates_to_capacity(flow_rows(flows), asked, capacities)
+    return {flow.flow_id: rate for flow, rate in zip(flows, clipped)}
 
 
 # -- flow: the waterfill that rebuilds its load every iteration ---------------
@@ -1288,12 +1381,16 @@ def blocks_on(store, server_id: str) -> FrozenSet[BlockId]:
 
 
 def dc_copy_count(store, dc: str, block_id: BlockId) -> int:
-    """A matrix-backed store's ``dc_counts`` cell, by name (0 for an
+    """Copies of ``block_id`` inside DC ``dc``: the servers of ``dc``
+    whose row of a matrix-backed store's ``bits`` holds it (0 for an
     unknown DC or block)."""
     matrix = store.matrix
     gid = matrix.block_gids.get(block_id)
     did = matrix.dc_ids.get(dc)
-    return 0 if gid is None or did is None else int(matrix.dc_counts[did, gid])
+    if gid is None or did is None:
+        return 0
+    words = matrix.bits[matrix.server_dc_ids == did, gid >> 6]
+    return int(np.count_nonzero((words >> np.uint64(gid & 63)) & np.uint64(1)))
 
 
 # -- store: the dict-of-sets possession index ---------------------------------

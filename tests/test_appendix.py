@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.appendix import (
     balanced_completion_time,
     imbalanced_completion_time,
-    theorem_holds,
 )
 
 
@@ -43,11 +42,11 @@ class TestTheorem:
         [(5, 1, 3), (10, 2, 4), (10, 1, 7), (20, 3, 9), (8, 2, 6)],
     )
     def test_balanced_always_faster(self, m, k1, k2):
-        assert theorem_holds(num_blocks=100, m=m, k1=k1, k2=k2, rho=2.0, rate=1.5)
-
-    def test_requires_integral_k(self):
-        with pytest.raises(ValueError):
-            theorem_holds(10, 5, 1, 2, 1.0, 1.0)
+        """``t_A < t_B`` at the same mean ``k = (k1 + k2) / 2``."""
+        k = (k1 + k2) // 2
+        t_a = balanced_completion_time(100, m, k, rho=2.0, rate=1.5)
+        t_b = imbalanced_completion_time(100, m, k1, k2, rho=2.0, rate=1.5)
+        assert t_a < t_b
 
     def test_derivative_always_negative(self):
         """Eq. 7: the balanced completion time falls as ``k`` grows."""

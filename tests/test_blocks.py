@@ -1,11 +1,10 @@
-"""Blocks: splitting, identity, merging."""
+"""Blocks: splitting and identity."""
 
 import pytest
 
 from repro.overlay.blocks import (
     Block,
     DEFAULT_BLOCK_SIZE,
-    group_by_pair,
     split_into_blocks,
 )
 from repro.utils.units import MB
@@ -67,26 +66,3 @@ class TestSplit:
             split_into_blocks("j", 0)
         with pytest.raises(ValueError):
             split_into_blocks("j", 1 * MB, 0)
-
-
-class TestGrouping:
-    def test_merges_same_pair(self):
-        blocks = {b.block_id: b for b in split_into_blocks("j", 8 * MB, 2 * MB)}
-        assignments = {
-            ("j", 0): ("s1", "s2"),
-            ("j", 1): ("s1", "s2"),
-            ("j", 2): ("s1", "s3"),
-            ("j", 3): ("s4", "s2"),
-        }
-        groups = group_by_pair(assignments, blocks)
-        assert len(groups) == 3
-        assert [b.index for b in groups[("s1", "s2")]] == [0, 1]
-
-    def test_groups_sorted_by_block(self):
-        blocks = {b.block_id: b for b in split_into_blocks("j", 6 * MB, 2 * MB)}
-        assignments = {("j", 2): ("a", "b"), ("j", 0): ("a", "b")}
-        groups = group_by_pair(assignments, blocks)
-        assert [b.index for b in groups[("a", "b")]] == [0, 2]
-
-    def test_empty(self):
-        assert group_by_pair({}, {}) == {}

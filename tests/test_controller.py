@@ -60,8 +60,6 @@ class TestConfig:
         [
             ("shards", 2.0),
             ("shards", True),
-            ("max_sources_per_group", 1.5),
-            ("max_sources_per_group", 0),
             ("max_blocks_per_cycle", 2.5),
             ("max_blocks_per_cycle", False),
         ],
@@ -76,7 +74,6 @@ class TestConfig:
     def test_numpy_counts_pass(self):
         config = BDSConfig(
             shards=np.int64(2),
-            max_sources_per_group=np.int64(2),
             max_blocks_per_cycle=np.int64(0),
         )
         assert BDSController(config).config.shards == 2

@@ -39,12 +39,13 @@ from repro.core.scheduling import RarestFirstScheduler
 from repro.net.background import BackgroundTraffic
 from repro.net.directive import DirectiveBatch, TransferDirective
 from repro.net.failures import FailureEvent, FailureSchedule
-from repro.net.flow import Flow, FlowRows, clip_rates_to_capacity
+from repro.net.flow import FlowRows, clip_rates_to_capacity
 from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
 from repro.utils.units import MB, MBps
 from tests import oracles
+from tests.oracles import Flow
 from tests.test_columnar_handoff import _midrun
 
 # -- helpers --------------------------------------------------------------------
@@ -287,9 +288,9 @@ def test_clip_is_bit_equal_to_both_retired_clips(case):
     flows, requested, capacities = case
     want = _outcome(oracles.clip_rates_to_capacity_scalar, *case)
     assert _outcome(oracles.clip_rates_to_capacity_vectorized, *case) == want
-    assert _outcome(clip_rates_to_capacity, *case) == want
-    # The rows entry point: one rate per row, in row order.
-    rows = FlowRows.of(flows)
+    assert _outcome(oracles.clip_by_id, *case) == want
+    # The kernel itself: one rate per row, in row order.
+    rows = oracles.flow_rows(flows)
     asked = [requested.get(f.flow_id, 0.0) for f in flows]
     try:
         got = [r.hex() for r in clip_rates_to_capacity(rows, asked, capacities)]
@@ -304,15 +305,12 @@ def test_clip_is_bit_equal_to_both_retired_clips(case):
 
 
 def test_zero_rate_flows_still_validate_their_resources():
-    with pytest.raises(KeyError, match="unknown resource 'ghost'"):
-        clip_rates_to_capacity(*ZERO_RATE_GHOST)
-    rows = FlowRows.of(ZERO_RATE_GHOST[0])
+    rows = oracles.flow_rows(ZERO_RATE_GHOST[0])
     with pytest.raises(KeyError, match="unknown resource 'ghost'"):
         clip_rates_to_capacity(rows, [3.0, 0.0], ZERO_RATE_GHOST[2])
 
 
 def test_empty_input_clips_to_nothing():
-    assert clip_rates_to_capacity([], {}, {}) == {}
     assert clip_rates_to_capacity(FlowRows([], [], []), [], {}) == []
 
 

@@ -8,7 +8,6 @@ from repro.core.diffs import DecisionDiff
 from repro.lp.fptas import max_multicommodity_flow
 from repro.lp.mcf import Commodity
 from repro.net.directive import TransferDirective
-from repro.net.flow import Flow
 from repro.net.result import CycleStats
 from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Server, Topology
@@ -16,6 +15,7 @@ from repro.overlay.job import MulticastJob
 from repro.utils.units import GB, MB, MBps, format_bytes
 
 from tests import oracles
+from tests.oracles import Flow
 
 
 class TestUnitsEdges:

@@ -18,6 +18,7 @@ per-pair delivery forced on (``tests/data/engine_pins.json``, see
 
 from __future__ import annotations
 
+import functools
 import inspect
 import random
 import textwrap
@@ -30,7 +31,7 @@ from hypothesis import strategies as st
 import repro.net.flow as flow_mod
 from repro.analysis.runner import make_strategy
 from repro.lp.incidence import segment_mins
-from repro.net.flow import Flow, FlowKernelStats, max_min_fair_rates
+from repro.net.flow import FlowKernelStats
 from repro.net.result import SimResult
 from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology
@@ -40,6 +41,7 @@ from repro.overlay.store import PossessionIndex
 from repro.utils.units import MB, MBps
 
 from tests import oracles
+from tests.oracles import Flow, fair_rates_by_id
 from tests import test_engine_pins as pins
 
 # ---------------------------------------------------------------------------
@@ -72,9 +74,10 @@ def _random_scenario(rng: random.Random, num_flows: int):
 # Waterfill: event-driven ≡ scalar oracle ≡ array oracle ≡ textbook loop
 # ---------------------------------------------------------------------------
 
-#: The production kernel and the two it replaced, all with a stats slot.
+#: The production kernel (over the flows' rows, keyed by flow id) and the
+#: two it replaced, all with a stats slot.
 WATERFILLS = {
-    "event": max_min_fair_rates,
+    "event": fair_rates_by_id,
     "scalar": oracles.max_min_fair_rates_scalar,
     "vectorized": oracles.max_min_fair_rates_vectorized,
 }
@@ -103,7 +106,7 @@ def reference_outcome(flows, capacities):
         return type(exc).__name__, str(exc)
 
 
-def assert_all_agree(flows, capacities, kernel=max_min_fair_rates):
+def assert_all_agree(flows, capacities, kernel=fair_rates_by_id):
     expected = outcome(oracles.max_min_fair_rates_scalar, flows, capacities)
     assert outcome(oracles.max_min_fair_rates_vectorized, flows, capacities) == expected
     if isinstance(expected[0], list):
@@ -257,13 +260,13 @@ def assert_kernel_matches_oracles(kernel, max_examples):
 
 
 def test_event_kernel_matches_every_oracle():
-    assert_kernel_matches_oracles(max_min_fair_rates, max_examples=300)
+    assert_kernel_matches_oracles(fair_rates_by_id, max_examples=300)
 
 
 def test_witnesses_hit_their_corner():
-    assert outcome(max_min_fair_rates, *STALEMATE_WITNESS)[1] == 1
+    assert outcome(fair_rates_by_id, *STALEMATE_WITNESS)[1] == 1
     for case in (CAP_TOLERANCE_WITNESS, TWO_SATURATIONS_WITNESS):
-        rates, stalemates = outcome(max_min_fair_rates, *case)
+        rates, stalemates = outcome(fair_rates_by_id, *case)
         assert stalemates == 0 and float.fromhex(rates[1][1]) == 1.0
 
 
@@ -286,7 +289,7 @@ def corners(flows, capacities):
         seen.add("repeated resource")
     if any(not f.resources for f in flows):
         seen.add("no resources")
-    result, stalemates = outcome(max_min_fair_rates, flows, capacities)
+    result, stalemates = outcome(fair_rates_by_id, flows, capacities)
     if isinstance(result, list):
         seen.add("stalemate" if stalemates else "allocated")
     else:
@@ -326,14 +329,15 @@ def test_property_inputs_reach_every_corner():
 
 
 def mutant_waterfill(*edits):
-    """``max_min_fair_rates`` recompiled with each ``(old, new)`` edit applied once."""
+    """``max_min_fair_rates`` recompiled with each ``(old, new)`` edit
+    applied once, keyed by flow id as :func:`fair_rates_by_id` keys it."""
     source = textwrap.dedent(inspect.getsource(flow_mod.max_min_fair_rates))
     for old, new in edits:
         assert source.count(old) == 1, f"kernel no longer contains {old!r}"
         source = source.replace(old, new)
     namespace = dict(vars(flow_mod))
     exec(compile(source, "<mutant max_min_fair_rates>", "exec"), namespace)
-    return namespace["max_min_fair_rates"]
+    return functools.partial(fair_rates_by_id, kernel=namespace["max_min_fair_rates"])
 
 
 WATERFILL_MUTANTS = {

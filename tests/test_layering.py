@@ -7,8 +7,10 @@ directives (``repro.net.view``, ``repro.net.directive``); none of them
 depends on the data-plane driver, ``repro.net.simulator``.
 
 ``src/`` holds what the system runs: every ``def``/``class`` there is
-named somewhere else in ``src/`` or exported by an ``__all__``. Code
-only tests call lives in ``tests/oracles.py`` or the test that uses it.
+named somewhere else in ``src/``. Exporting is not naming: an ``__all__``
+entry or a package ``__init__`` re-importing a definition does not count.
+Code only tests call lives in ``tests/oracles.py`` or the test that uses
+it.
 """
 
 from __future__ import annotations
@@ -105,45 +107,54 @@ def _definitions(body: list, prefix: str = "") -> Iterator[Tuple[str, ast.AST]]:
                 yield from _definitions(node.body, f"{prefix}{node.name}.")
 
 
+def _all_strings(module: ast.Module) -> FrozenSet[int]:
+    """The ids of the string nodes an ``__all__`` assignment lists."""
+    return frozenset(
+        id(node)
+        for assign in ast.walk(module)
+        if isinstance(assign, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in assign.targets)
+        for node in ast.walk(assign.value)
+    )
+
+
 @lru_cache(maxsize=None)
 def _references(
     modules: Tuple[ast.Module, ...]
-) -> Tuple[Dict[str, List[Tuple[ast.Module, int]]], FrozenSet[str]]:
-    """Where each name is used across ``modules`` — a load or store, an
-    attribute, an import alias or a string equal to it (``getattr(x,
-    "name")``) — and the names any ``__all__`` exports."""
+) -> Dict[str, List[Tuple[ast.Module, int]]]:
+    """Where each name is used across ``modules``: a load or store, an
+    attribute or a string equal to it (``getattr(x, "name")``). An
+    import alias and an ``__all__`` entry are not uses: exporting a name
+    does not call it."""
     uses: Dict[str, List[Tuple[ast.Module, int]]] = {}
-    exported = set()
     for module in modules:
+        exports = _all_strings(module)
         for node in ast.walk(module):
             if isinstance(node, ast.Name):
                 name = node.id
             elif isinstance(node, ast.Attribute):
                 name = node.attr
-            elif isinstance(node, ast.alias):
-                name = node.name.rpartition(".")[2]
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and id(node) not in exports
+            ):
                 name = node.value
             else:
-                if isinstance(node, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-                ):
-                    exported.update(ast.literal_eval(node.value))
                 continue
-            # An import alias carries no line number before Python 3.10.
-            uses.setdefault(name, []).append((module, getattr(node, "lineno", 0)))
-    return uses, frozenset(exported)
+            uses.setdefault(name, []).append((module, node.lineno))
+    return uses
 
 
 def unreferenced_definitions(
     tree: ast.Module, modules: Sequence[ast.Module]
 ) -> Iterator[Violation]:
     """The definitions of ``tree`` no code in ``modules`` names outside
-    the definition itself. Dunders and ``__all__`` names are exempt."""
-    uses, exported = _references(tuple(modules))
+    the definition itself. Dunders are exempt."""
+    uses = _references(tuple(modules))
     for qualname, node in _definitions(tree.body):
         name = node.name
-        if name.startswith("__") and name.endswith("__") or name in exported:
+        if name.startswith("__") and name.endswith("__"):
             continue
         first = min([node.lineno] + [d.lineno for d in node.decorator_list])
         if all(
@@ -170,6 +181,8 @@ ALLOWED = {
     "WorkloadGenerator.generate_diurnal": LEDGER.format("workloads.py"),
     "ControllerReplicaSet.leader": EXAMPLE.format("failover_drill.py"),
     "SweepResult.cheapest_meeting_deadline": EXAMPLE.format("capacity_planning.py"),
+    "compare_sweeps": EXAMPLE.format("capacity_planning.py"),
+    "format_rate": EXAMPLE.format("capacity_planning.py"),
 }
 _REASON = re.compile(
     r"(?:the frozen ledger reads it \(`(benchmarks/ledger/\w+\.py)`\)"
@@ -236,7 +249,7 @@ def test_allowed_is_current():
         match = _REASON.fullmatch(reason)
         assert match, f"{qualname}: {reason!r} is not an accepted reason"
         caller = ROOT / (match.group(1) or match.group(2))
-        uses, _exported = _references((_tree(caller),))
+        uses = _references((_tree(caller),))
         named = qualname.rpartition(".")[2] in uses
         assert named, f"{caller.relative_to(ROOT)} does not name {qualname}"
         assert qualname in flagged, f"{qualname} has a src/ caller: drop it"
@@ -246,6 +259,7 @@ def test_unreferenced_definitions_on_a_synthetic_module():
     tree = ast.parse(
         "__all__ = ['exported']\n"
         "def exported(): pass\n"
+        "def reimported(): pass\n"
         "def orphan(): return orphan()\n"
         "def by_string(): pass\n"
         "class Box:\n"
@@ -255,7 +269,16 @@ def test_unreferenced_definitions_on_a_synthetic_module():
         "    def uncalled(self): pass\n"
         "def use(box): return getattr(box, 'by_string'), box.called, Box\n"
     )
-    assert [name for _line, name in unreferenced_definitions(tree, [tree])] == [
+    package = ast.parse(
+        "from m import reimported\n"
+        "from m import reimported as alias\n"
+        "__all__ = ['reimported', 'alias']\n"
+    )
+    assert [
+        name for _line, name in unreferenced_definitions(tree, [tree, package])
+    ] == [
+        "exported",
+        "reimported",
         "orphan",
         "Box.uncalled",
         "use",

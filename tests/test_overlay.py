@@ -47,21 +47,25 @@ def frozen(index: PossessionIndex):
     matrix = index.matrix
     return (
         matrix.bits.tobytes(), matrix.holder_words.tobytes(),
-        matrix.dup.tobytes(), matrix.dc_counts.tobytes(),
-        list(index.deliveries),
+        matrix.dup.tobytes(), list(index.deliveries),
         dict(matrix.block_gids), list(matrix.block_names),
     )
 
 
 def assert_counts_are_popcounts(matrix):
-    """``dup``/``dc_counts``/``holder_words`` are the bit columns, counted."""
-    for gid in range(matrix.num_blocks):
+    """``dup`` and ``holder_words`` are the bit columns, counted; the
+    scheduler's relay test (a holder word masked by ``dc_mask``) is a
+    non-zero per-DC popcount of them."""
+    gids = np.arange(matrix.num_blocks)
+    for dc in range(len(matrix.dc_names)):
+        relay_held = (matrix.holder_words[gids] & matrix.dc_mask[dc]).any(axis=1)
+        for gid in gids:
+            holders = matrix.holder_ids(gid)
+            in_dc = np.count_nonzero(matrix.server_dc_ids[holders] == dc)
+            assert relay_held[gid] == (in_dc > 0)
+    for gid in gids:
         holders = matrix.holder_ids(gid)
         assert matrix.dup[gid] == len(holders)
-        for dc in range(len(matrix.dc_names)):
-            assert matrix.dc_counts[dc, gid] == np.count_nonzero(
-                matrix.server_dc_ids[holders] == dc
-            )
         assert matrix.any_holder_ids(np.array([gid])).tolist() == holders.tolist()
 
 
@@ -81,6 +85,7 @@ def possession(draw):
     pair = st.tuples(st.sampled_from(servers), st.sampled_from(blocks))
     for server, block in draw(st.lists(pair, min_size=1, max_size=30)):
         index.seed(server, [block])
+    assert_counts_are_popcounts(index.matrix)  # after the seeds (set_many)
     events = [
         (block, servers[0], dst, float(when), "dc0")
         for when, (dst, block) in enumerate(draw(st.lists(pair, max_size=40)))

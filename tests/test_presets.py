@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core import BDSController
-from repro.net.presets import baidu_like, dumbbell, global_regions
+from repro.net.presets import baidu_like
 from repro.net.simulator import SimConfig, Simulation
+from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
 from repro.utils.units import MB, MBps
 
@@ -35,6 +36,12 @@ class TestBaiduLike:
             big.servers["bj1-s0"].uplink == 2 * small.servers["bj1-s0"].uplink
         )
 
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            baidu_like(servers_per_dc=0)
+        with pytest.raises(ValueError):
+            baidu_like(scale=0)
+
     def test_runs_a_multicast(self):
         topo = baidu_like(servers_per_dc=2)
         job = MulticastJob(
@@ -51,35 +58,29 @@ class TestBaiduLike:
         assert result.all_complete
 
 
-class TestGlobalRegions:
-    def test_shape(self):
-        topo = global_regions(servers_per_dc=2)
-        assert len(topo.dcs) == 6
-        assert len(topo.servers) == 12
-
-    def test_continental_links_fatter(self):
-        topo = global_regions()
-        assert topo.link_capacity("us-west", "us-east") == 3 * topo.link_capacity(
-            "us-west", "eu-west"
+def dumbbell(servers_per_end: int, transit_capacity: float) -> Topology:
+    """Two server-rich DCs joined only through two thin transit DCs of
+    one relay server each: every byte store-and-forwards."""
+    topo = Topology()
+    for name in ("left", "right"):
+        topo.add_dc(name)
+        for j in range(servers_per_end):
+            topo.add_server(f"{name}-s{j}", name, uplink=30 * MBps, downlink=30 * MBps)
+    for name in ("transit-a", "transit-b"):
+        topo.add_dc(name)
+        topo.add_server(
+            f"{name}-s0", name, uplink=transit_capacity, downlink=transit_capacity
         )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            global_regions(servers_per_dc=0)
-        with pytest.raises(ValueError):
-            baidu_like(scale=0)
+        topo.add_bidirectional_link("left", name, transit_capacity)
+        topo.add_bidirectional_link(name, "right", transit_capacity)
+    return topo
 
 
 class TestDumbbell:
-    def test_no_direct_left_right_link(self):
-        topo = dumbbell()
-        route = oracles.route_dcs(topo, "left", "right")
-        assert len(route) == 3  # must pass through a transit DC
-        assert route[1] in ("transit-a", "transit-b")
-
     def test_both_transits_usable(self):
         """BDS should use both bottleneck-disjoint transit paths at once."""
         topo = dumbbell(servers_per_end=4, transit_capacity=10 * MBps)
+        assert oracles.route_dcs(topo, "left", "right")[1] in ("transit-a", "transit-b")
         job = MulticastJob(
             job_id="j",
             src_dc="left",

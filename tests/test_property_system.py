@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 from repro.core import BDSController
 from repro.core.routing import BDSRouter
 from repro.core.scheduling import RarestFirstScheduler
-from repro.net.flow import Flow
 from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
 from repro.utils.units import MB, MBps
 
-from tests.oracles import resource_utilization
+from tests.oracles import Flow, resource_utilization
 
 
 @st.composite

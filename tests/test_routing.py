@@ -5,13 +5,12 @@ import pytest
 from repro.core import BDSController
 from repro.core.routing import BDSRouter
 from repro.core.scheduling import RarestFirstScheduler
-from repro.net.flow import Flow
 from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
 from repro.utils.units import GB, MB, MBps
 
-from tests.oracles import resource_utilization
+from tests.oracles import Flow, resource_utilization
 
 
 def make_sim(num_dcs=3, servers=2, blocks=6, uplink=10 * MBps):

@@ -125,6 +125,31 @@ class TestVectorizedSelectionEquivalence:
         assert selected == own  # list equality: content AND order
         assert selected == legacy
 
+    def test_relay_dc_across_two_holder_words(self):
+        """80 servers: the relay DC's (sids 60–79) straddle two holder
+        words, so "some server of the DC holds it" must OR the words."""
+        topo = Topology.full_mesh(
+            num_dcs=4, servers_per_dc=20, wan_capacity=40 * MBps, uplink=5 * MBps
+        )
+        job = MulticastJob(
+            job_id="wide", src_dc="dc0", dst_dcs=("dc1", "dc2"),
+            relay_dcs=("dc3",), total_bytes=640 * MB, block_size=4 * MB,
+        )
+        job.bind(topo)
+        sim = Simulation(
+            topology=topo, jobs=[job], strategy=make_strategy("bds", seed=0),
+            config=SimConfig(max_cycles=3, stop_when_complete=False), seed=0,
+        )
+        sim.run()
+        view = sim.snapshot_view()
+        matrix = view.store.matrix
+        relay = matrix.dc_ids["dc3"]
+        words = matrix.holder_words[: matrix.num_blocks] & matrix.dc_mask[relay]
+        # Relay copies already sit in each of the two words.
+        assert (words[:, 0] != 0).any() and (words[:, 1] != 0).any()
+        scheduler = RarestFirstScheduler()
+        assert scheduler.select(view) == oracles.select_rarest_first(view, scheduler)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_no_relays_mode_identical(self, seed):
         view = _midrun_view(seed)

@@ -293,8 +293,9 @@ class TestShardLocalState:
 
     def test_per_shard_state_scales_down(self):
         """At a scale past the matrix's 1024-column capacity floor, each
-        shard's state — its candidate table — is a fraction of the full
-        store's possession arrays."""
+        shard's state — its candidate table — is a fraction of the single
+        controller's candidate table (the largest shard holds 3 of the 8
+        jobs)."""
         topo = Topology.full_mesh(
             num_dcs=5, servers_per_dc=4, wan_capacity=500 * MBps,
             uplink=25 * MBps,
@@ -326,12 +327,12 @@ class TestShardLocalState:
                 config=SimConfig(max_cycles=2),
                 seed=SEED,
             )
-            return sim.run()
+            return sim, sim.run()
 
-        base = run(BDSConfig())
-        base_bytes = base.store.state_bytes()
+        base, _result = run(BDSConfig())
+        base_bytes = base._cand_table.state_bytes()
         assert base_bytes > 0
-        sharded = run(BDSConfig(shards=4))
+        _sim, sharded = run(BDSConfig(shards=4))
         peak = max(s.shard_state_bytes for s in sharded.cycle_stats)
         assert 0 < peak <= 0.5 * base_bytes
 
