@@ -22,7 +22,13 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.baselines.base import JobPossession, OverlayStrategy, Rows, head
+from repro.baselines.base import (
+    JobPossession,
+    OverlayStrategy,
+    Rows,
+    first_true,
+    head,
+)
 from repro.net.directive import TransferDirective
 from repro.net.view import ClusterView
 from repro.overlay.job import MulticastJob
@@ -71,40 +77,43 @@ class AkamaiStrategy(OverlayStrategy):
         directives: List[TransferDirective] = []
         for job in view.jobs:
             lens = self.lens(view, job)
-            reflectors = {
-                dc: [lens.sid_of[r] for r in names]
-                for dc, names in self._reflectors_for(view, job).items()
-            }
-            rows = self._source_to_reflectors(lens, reflectors)
-            rows += self._reflectors_to_edges(lens, reflectors)
+            reflectors = [
+                [lens.sid_of[r] for r in names]
+                for names in self._reflectors_for(view, job).values()
+            ]
+            rows = [
+                self._source_to_reflectors(lens, reflectors),
+                self._reflectors_to_edges(lens, reflectors),
+            ]
             directives.extend(lens.directives(rows))
         return directives
 
     def _source_to_reflectors(
-        self, lens: JobPossession, reflectors: Dict[str, List[int]]
-    ) -> List[Rows]:
-        """Layer 1: stream blocks, in order, from source DC to reflectors."""
-        rows = []
-        stripe = np.arange(len(lens.job.blocks))
-        for dc_reflectors in reflectors.values():
-            for i, reflector in enumerate(dc_reflectors):
-                if not lens.up[reflector]:
-                    continue
-                # Reflector i of a DC carries the i-th stripe of blocks.
-                wanted = ~lens.has(reflector) & (stripe % len(dc_reflectors) == i)
-                idx = np.flatnonzero(wanted)[: self.window]
-                rows.append((reflector, lens.origin[idx], idx))
-        return rows
+        self, lens: JobPossession, reflectors: List[List[int]]
+    ) -> Rows:
+        """Layer 1: stream blocks, in order, from source DC to reflectors.
+
+        Reflector ``i`` of a DC with ``k`` carries the blocks ``≡ i (mod k)``.
+        """
+        sids, period, phase = np.array(
+            [(sid, len(dc), i) for dc in reflectors for i, sid in enumerate(dc)]
+        ).T[:, :, None]
+        stripe = np.arange(len(lens.job.blocks)) % period == phase
+        row, idx = first_true(stripe & lens.up[sids] & ~lens.holds(sids), self.window)
+        return sids[row, 0], lens.origin[idx], idx
 
     def _reflectors_to_edges(
-        self, lens: JobPossession, reflectors: Dict[str, List[int]]
-    ) -> List[Rows]:
+        self, lens: JobPossession, reflectors: List[List[int]]
+    ) -> Rows:
         """Layer 2: edge servers pull their shard from their DC's reflector."""
-        rows = []
+        width = max(map(len, reflectors))
+        # Per DC (a row), its reflectors by rank; -1 pads a short DC.
+        ranks = np.array([dc + [-1] * (width - len(dc)) for dc in reflectors])
+        seg, dst, idx = lens.missing()
         edge = np.ones(len(lens.names), dtype=bool)
-        edge[sum(reflectors.values(), [])] = False  # reflectors: fed by layer 1
-        for dc, dst, idx in lens.missing():
-            dst, idx = head(dst[edge[dst]], idx[edge[dst]], self.window)
-            # A block comes from the first live local reflector holding it.
-            rows.append((dst, lens.first_holder(reflectors[dc], idx), idx))
-        return rows
+        edge[ranks[ranks >= 0]] = False  # reflectors: fed by layer 1
+        # Whole runs of a server go, so the window is cut on every run.
+        rows = np.flatnonzero(head(dst, self.window) & edge[dst])
+        dst, idx = dst[rows], idx[rows]
+        # A block comes from the first live local reflector holding it.
+        return dst, lens.first_holder(ranks[seg[rows]].T, idx), idx

@@ -35,6 +35,9 @@ from repro.overlay.job import MulticastJob
 
 Rows = Tuple[np.ndarray, ...]
 
+#: (server or DC, block) pairs one chunk of a job-wide pass tests at once.
+CHUNK = 8192
+
 
 def run_bounds(keys: np.ndarray) -> np.ndarray:
     """``[0, …, len(keys)]``: where each run of equal, adjacent keys starts."""
@@ -43,17 +46,45 @@ def run_bounds(keys: np.ndarray) -> np.ndarray:
     )
 
 
-def head(dst: np.ndarray, idx: np.ndarray, window: int) -> Rows:
-    """The first ``window`` rows of every run of equal ``dst``."""
-    bounds = run_bounds(dst)
-    first = np.arange(len(dst)) - np.repeat(bounds[:-1], np.diff(bounds)) < window
-    return dst[first], idx[first]
+def head(keys: np.ndarray, window: int) -> np.ndarray:
+    """Which rows are among the first ``window`` of their run of equal keys.
+
+    Each run adds one at its start and takes it back ``window`` rows on
+    (or at its end), so the mask is a running sum of one byte per row.
+    """
+    bounds = run_bounds(keys)
+    step = np.zeros(len(keys) + 1, dtype=np.int8)
+    step[bounds[:-1]] = 1
+    step[np.minimum(bounds[:-1] + window, bounds[1:])] -= 1
+    return np.cumsum(step[:-1], dtype=np.int8).view(bool)
+
+
+def first_true(mask: np.ndarray, window: int) -> Rows:
+    """``(row, col)`` of the first ``window`` true cells of each row of
+    ``mask``, row by row."""
+    row, col = np.nonzero(mask)
+    keep = head(row, window)
+    return row[keep], col[keep]
+
+
+def _first_seen(keys: np.ndarray, size: int) -> np.ndarray:
+    """Stable row order putting equal keys together, in first-seen order.
+
+    ``keys`` are ints in ``[0, size)``. Each key's first row comes from
+    one scatter, and the rows are sorted by it as the narrowest unsigned
+    ints that hold a row number, which numpy sorts stably in linear time.
+    """
+    first = np.full(size, len(keys))
+    np.minimum.at(first, keys, np.arange(len(keys)))
+    return np.argsort(
+        first[keys].astype(np.min_scalar_type(len(keys))), kind="stable"
+    )
 
 
 def _grouped(keys: np.ndarray) -> np.ndarray:
-    """Stable row order putting equal keys together, in first-seen order."""
-    _keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return np.argsort(first[inverse], kind="stable")
+    """:func:`_first_seen` for keys of any range."""
+    unique, inverse = np.unique(keys, return_inverse=True)
+    return _first_seen(inverse, len(unique))
 
 
 def draw(rng: np.random.Generator, pool: np.ndarray, size: int) -> np.ndarray:
@@ -79,9 +110,11 @@ class JobPossession:
         self._matrix = matrix = view.store.matrix
         self.names = matrix.server_names
         self.sid_of = matrix.server_ids
-        groups = table.groups_by_job[job.job_id]
-        self._groups = [g for g in groups if not g.is_relay]
-        self._gids = groups[0].gids
+        # The destination DCs' rows: a job's groups list them first.
+        self._assigned = table.assigned[job.job_id][: len(job.dst_dcs)]
+        self._gids = table.groups_by_job[job.job_id][0].gids
+        # Rows (servers or DCs) per chunk of a pass over all blocks.
+        self._step = max(1, CHUNK // len(self._gids))
         failed = [self.sid_of[s] for s in view.failed_agents if s in self.sid_of]
         self.up = np.ones(len(self.names), dtype=bool)
         self.up[failed] = False
@@ -94,29 +127,54 @@ class JobPossession:
         """Does server ``sids`` hold block ``idx``? Broadcasts like ``a[i, j]``."""
         return self._matrix.test_many(sids, self._gids[idx])
 
-    def missing(self) -> Iterator[Tuple[str, np.ndarray, np.ndarray]]:
-        """Per destination DC with work left: ``(dc, dst, idx)`` rows.
+    def holds(self, sids: np.ndarray) -> np.ndarray:
+        """:meth:`has` over every block, as a rows × blocks matrix.
+
+        ``sids`` is a column of servers (rows × 1) or a server per block
+        (rows × blocks). Rows are tested a chunk at a time: as many as
+        make at most :data:`CHUNK` pairs, or one when one is more.
+        """
+        held = np.empty((len(sids), len(self._gids)), dtype=bool)
+        step = self._step
+        for lo in range(0, len(sids), step):
+            held[lo : lo + step] = self.has(sids[lo : lo + step])
+        return held
+
+    def missing(self) -> Rows:
+        """Every destination server's missing blocks: ``(seg, dst, idx)``.
 
         A row is a block its assigned server lacks, while that server is
-        up and some healthy server holds the block. Rows are grouped by
-        server, servers in order of first appearance, blocks ascending.
+        up and some healthy server holds the block; ``seg`` is the
+        server's DC as its position in ``job.dst_dcs``. Rows run DC by DC,
+        in that order; within a DC they are grouped by server, servers in
+        order of first appearance, blocks ascending.
+
+        Possession is tested, and rows grouped, one chunk of whole DCs at
+        a time (a DC's servers are its own, so grouping a chunk by server
+        keeps that order). Beside the answer and a byte per (DC, block)
+        pair, a call's temporaries are :data:`CHUNK` pairs' worth, or one
+        DC's when that is more.
         """
-        for group in self._groups:
-            assigned = group.dst_sids
-            idx = np.flatnonzero(
-                self._sourced & self.up[assigned] & ~self.has(assigned)
-            )
-            if idx.size:
-                idx = idx[_grouped(assigned[idx])]
-                yield group.dc, assigned[idx], idx
+        assigned = self._assigned
+        live = self._sourced & self.up[assigned] & ~self.holds(assigned)
+        seg, idx = np.nonzero(live)
+        dst = assigned[seg, idx]
+        step = self._step
+        bounds = np.searchsorted(seg, range(0, len(assigned) + step, step)).tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            order = _first_seen(dst[lo:hi], len(self.names)) + lo
+            seg[lo:hi], dst[lo:hi], idx[lo:hi] = seg[order], dst[order], idx[order]
+        return seg, dst, idx
 
     def missing_by_server(self) -> Iterator[Tuple[int, np.ndarray]]:
         """:meth:`missing`, one ``(server, its missing blocks)`` at a time."""
-        for _dc, dst, idx in self.missing():
-            bounds = run_bounds(dst).tolist()
-            servers = dst[bounds[:-1]].tolist()
-            for server, lo, hi in zip(servers, bounds, bounds[1:]):
-                yield server, idx[lo:hi]
+        _seg, dst, idx = self.missing()
+        if not dst.size:
+            return
+        bounds = run_bounds(dst).tolist()
+        servers = dst[bounds[:-1]].tolist()
+        for server, lo, hi in zip(servers, bounds, bounds[1:]):
+            yield server, idx[lo:hi]
 
     def holders(self, idx=slice(None)) -> np.ndarray:
         """Healthy servers holding at least one of the blocks, ascending."""
@@ -136,12 +194,15 @@ class JobPossession:
             for block, lo, hi in zip(blocks, bounds, bounds[1:]):
                 yield block, who[lo:hi]
 
-    def first_holder(self, sids: Sequence[int], idx=slice(None)) -> np.ndarray:
-        """Per block: the first of ``sids`` that is up and holds it, or -1."""
+    def first_holder(self, sids: Sequence, idx=slice(None)) -> np.ndarray:
+        """Per block: the first of ``sids`` that is up and holds it, or -1.
+
+        An entry of ``sids`` is a server id, or a column of them aligned
+        with ``idx`` in which -1 stands for no server.
+        """
         src = np.full(self._gids[idx].shape, -1)
         for sid in reversed(sids):
-            if self.up[sid]:
-                src[self.has(sid, idx)] = sid
+            src = np.where((sid >= 0) & self.up[sid] & self.has(sid, idx), sid, src)
         return src
 
     @cached_property
@@ -161,15 +222,11 @@ class JobPossession:
     def directives(self, rows: Sequence[Rows]) -> List[TransferDirective]:
         """One directive per (destination, source) pair of ``rows``.
 
-        ``rows`` are ``(dst, src, idx)`` column triples (a scalar stands
-        for a constant column), taken in the order given; a row whose
-        ``src`` is negative has no sender and is dropped. Pairs come out
-        in order of first appearance, each with its blocks in row order
-        (callers list them ascending).
+        ``rows`` are ``(dst, src, idx)`` column triples, taken in the order
+        given; a row whose ``src`` is negative has no sender and is
+        dropped. Pairs come out in order of first appearance, each with
+        its blocks in row order (callers list them ascending).
         """
-        if not rows:
-            return []
-        rows = [np.broadcast_arrays(*triple) for triple in rows]
         dst, src, idx = (np.concatenate(column) for column in zip(*rows))
         sent = np.flatnonzero(src >= 0)
         pair = (dst * len(self.names) + src)[sent]

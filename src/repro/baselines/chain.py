@@ -14,7 +14,13 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.baselines.base import JobPossession, OverlayStrategy, Rows, head
+from repro.baselines.base import (
+    JobPossession,
+    OverlayStrategy,
+    Rows,
+    first_true,
+    head,
+)
 from repro.net.directive import TransferDirective
 from repro.net.view import ClusterView
 from repro.overlay.job import MulticastJob
@@ -46,36 +52,38 @@ class ChainStrategy(OverlayStrategy):
         directives: List[TransferDirective] = []
         for job in view.jobs:
             lens = self.lens(view, job)
-            chain = [lens.sid_of[r] for r in self._chain_for(view, job)]
-            rows = self._feed_chain(lens, chain) + self._fan_out(lens, chain)
+            chain = np.array([lens.sid_of[r] for r in self._chain_for(view, job)])
+            held = lens.holds(chain[:, None])
+            rows = [
+                self._feed_chain(lens, chain, held),
+                self._fan_out(lens, chain, held),
+            ]
             directives.extend(lens.directives(rows))
         return directives
 
-    def _feed_chain(self, lens: JobPossession, chain: List[int]) -> List[Rows]:
+    def _feed_chain(
+        self, lens: JobPossession, chain: np.ndarray, held: np.ndarray
+    ) -> Rows:
         """Move blocks hop by hop along the relay chain, in order.
 
         A relay asks for the first ``window`` blocks it lacks — from the
         origin holders at hop 0, from the previous relay after that — and
-        waits for those the upstream does not have yet.
+        waits for those the upstream does not have yet. ``held[hop]`` is
+        what relay ``chain[hop]`` holds.
         """
-        rows = []
-        for hop, relay in enumerate(chain):
-            if not lens.up[relay]:
-                continue
-            idx = np.flatnonzero(~lens.has(relay))[: self.window]
-            upstream = chain[hop - 1 : hop]
-            src = lens.first_holder(upstream, idx) if hop else lens.origin[idx]
-            rows.append((relay, src, idx))
-        return rows
+        hop = np.flatnonzero(lens.up[chain])
+        row, idx = first_true(~held[hop], self.window)
+        hop = hop[row]
+        upstream = lens.first_holder([np.where(hop > 0, chain[hop - 1], -1)], idx)
+        return chain[hop], np.where(hop > 0, upstream, lens.origin[idx]), idx
 
-    def _fan_out(self, lens: JobPossession, chain: List[int]) -> List[Rows]:
+    def _fan_out(
+        self, lens: JobPossession, chain: np.ndarray, held: np.ndarray
+    ) -> Rows:
         """Each destination server pulls its shard from its DC's relay:
-        the first ``window`` of its missing blocks the relay already holds."""
-        rows = []
-        relay_of = dict(zip(lens.job.dst_dcs, chain))
-        for dc, dst, idx in lens.missing():
-            relay = relay_of[dc]
-            held = (dst != relay) & lens.has(relay, idx)
-            dst, idx = head(dst[held], idx[held], self.window)
-            rows.append((dst, relay, idx))
-        return rows
+        the first ``window`` of its missing blocks the relay already holds.
+        (A relay's own missing blocks are ones it does not hold.)"""
+        seg, dst, idx = lens.missing()
+        rows = np.flatnonzero(held[seg, idx])
+        rows = rows[head(dst[rows], self.window)]
+        return dst[rows], chain[seg[rows]], idx[rows]

@@ -32,11 +32,10 @@ class DirectStrategy(OverlayStrategy):
         directives: List[TransferDirective] = []
         for job in view.jobs:
             lens = self.lens(view, job)
-            rows = []
-            for _dc, dst, idx in lens.missing():
-                dst, idx = head(dst, idx, self.window)
-                # Only origin-DC holders count: direct replication reuses
-                # nothing that already arrived elsewhere.
-                rows.append((dst, lens.origin[idx], idx))
-            directives.extend(lens.directives(rows))
+            _seg, dst, idx = lens.missing()
+            keep = head(dst, self.window)
+            dst, idx = dst[keep], idx[keep]
+            # Only origin-DC holders count: direct replication reuses
+            # nothing that already arrived elsewhere.
+            directives.extend(lens.directives([(dst, lens.origin[idx], idx)]))
         return directives

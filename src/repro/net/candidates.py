@@ -94,6 +94,9 @@ class CandidateTable:
     ) -> None:
         self.matrix = matrix
         self.groups_by_job: Dict[str, List[CandidateGroup]] = {}
+        #: Per job, its groups' ``dst_sids`` as the rows of one array (in
+        #: group order), so a pass over every DC of a job is one gather.
+        self.assigned: Dict[str, np.ndarray] = {}
         for job in jobs:
             self.ensure_job(job)
 
@@ -109,24 +112,28 @@ class CandidateTable:
             count=len(job.blocks),
         )
         indices = np.arange(len(job.blocks), dtype=np.int64)
-        groups: List[CandidateGroup] = []
-        for dc, is_relay in [(d, False) for d in job.dst_dcs] + [
-            (d, True) for d in job.relay_dcs
-        ]:
-            servers, slots = job.stripe(dc)
-            sids = np.array([server_ids[s] for s in servers], dtype=np.int64)
-            groups.append(
-                CandidateGroup(
-                    job=job,
-                    dc=dc,
-                    dc_gid=matrix.dc_ids[dc],
-                    is_relay=is_relay,
-                    gids=gids,
-                    indices=indices,
-                    dst_sids=sids[slots],
-                )
+        dcs = [(d, False) for d in job.dst_dcs] + [(d, True) for d in job.relay_dcs]
+        stripes = [job.stripe(dc) for dc, _is_relay in dcs]
+        assigned = np.array(
+            [
+                np.array([server_ids[s] for s in servers], dtype=np.int64)[slots]
+                for servers, slots in stripes
+            ]
+        )
+        groups = [
+            CandidateGroup(
+                job=job,
+                dc=dc,
+                dc_gid=matrix.dc_ids[dc],
+                is_relay=is_relay,
+                gids=gids,
+                indices=indices,
+                dst_sids=dst_sids,
             )
+            for (dc, is_relay), dst_sids in zip(dcs, assigned)
+        ]
         self.groups_by_job[job.job_id] = groups
+        self.assigned[job.job_id] = assigned
 
     def state_bytes(self) -> int:
         """Bytes held by the candidate arrays.

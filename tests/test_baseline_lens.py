@@ -24,11 +24,18 @@ the fan-out's cut before it; Akamai's and direct's windows cut after the
 holder filter; Akamai's stripes ignored; relay groups not skipped;
 ``sourced`` ignoring failed holders; a failed destination kept;
 ``first_holder`` taking the last of its servers, or a failed one;
-``any_holder_ids`` dropping its last chunk.
+``any_holder_ids`` dropping its last chunk. The job-wide pass's own
+mutants are built and run below (:data:`MUTANTS`). One named for it is
+not a mutant: grouping servers by first appearance across the whole job
+instead of within each chunk of DCs orders the rows the same way,
+because no server belongs to two DCs.
 """
 
 from __future__ import annotations
 
+import inspect
+import sys
+import textwrap
 import tracemalloc
 from functools import partial
 
@@ -43,7 +50,9 @@ from repro.baselines import (
     ChainStrategy,
     DirectStrategy,
     GingkoStrategy,
+    base,
 )
+from repro.baselines.base import JobPossession
 from repro.core.speculation import SpeculatedView
 from repro.net.failures import FailureEvent, FailureSchedule
 from repro.net.simulator import SimConfig, Simulation
@@ -256,9 +265,7 @@ def test_lens_decide_equals_the_scalar_oracle(name, data):
     assert shadow.decides > 0
 
 
-@pytest.mark.parametrize("name", sorted(STRATEGIES))
-@pytest.mark.parametrize("exact", [True, False])
-def test_named_corner_cases(name, exact):
+def corner_case(exact=True):
     """The cases the issue lists, pinned so no draw has to find them:
     66 servers, a relay-DC job next to a second job, 65- and 129-block
     files, a failed relay/reflector (first server of a destination DC), a
@@ -266,7 +273,7 @@ def test_named_corner_cases(name, exact):
     receiver, copies seeded at a destination and in the source DC. Not
     ``exact``: every decide reads an overlay, about half of them one
     with phantom copies."""
-    scenario = {
+    return {
         "num_dcs": 3,
         "servers_per_dc": 22,
         "uplink": 1 * MBps,
@@ -289,20 +296,38 @@ def test_named_corner_cases(name, exact):
         "speculate": not exact,
         "seed": 7,
     }
-    params = {
-        "gingko": {"view_size": 4, "epoch_cycles": 2},
-        "bullet": {"ransub_size": 5, "num_peers": 3, "refresh_interval": 2},
-        "akamai": {"reflectors_per_dc": 2, "window": 5},
-        "chain": {"window": 5},
-        "direct": {"window": 3},
-    }[name]
-    shadow = run_shadowed(name, params, scenario, max_cycles=8)
+
+
+CORNER_PARAMS = {
+    "gingko": {"view_size": 4, "epoch_cycles": 2},
+    "bullet": {"ransub_size": 5, "num_peers": 3, "refresh_interval": 2},
+    "akamai": {"reflectors_per_dc": 2, "window": 5},
+    "chain": {"window": 5},
+    "direct": {"window": 3},
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+@pytest.mark.parametrize("exact", [True, False])
+def test_named_corner_cases(name, exact):
+    shadow = run_shadowed(name, CORNER_PARAMS[name], corner_case(exact), max_cycles=8)
     assert shadow.decides >= 6 and shadow.directives > 0
 
 
-def test_a_large_gingko_decide_stays_small():
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_one_dc_per_chunk_equals_the_scalar_oracle(name, monkeypatch):
+    """A job-wide pass tests and groups one DC (or relay, or reflector)
+    per chunk when a chunk holds fewer pairs than a job has blocks."""
+    monkeypatch.setattr(base, "CHUNK", 1)
+    shadow = run_shadowed(name, CORNER_PARAMS[name], corner_case(), max_cycles=8)
+    assert shadow.decides >= 6 and shadow.directives > 0
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_a_large_decide_stays_small(name):
     """1 000 servers × 20 000 blocks: the lens gathers what is asked about,
-    it never unpacks servers × blocks (20 MB as bools)."""
+    it never unpacks servers × blocks (20 MB as bools), and a job-wide
+    pass holds its answer and one chunk's temporaries, not all of them."""
     topo = Topology.full_mesh(
         num_dcs=10, servers_per_dc=100, wan_capacity=1 * GBps, uplink=20 * MBps
     )
@@ -318,7 +343,8 @@ def test_a_large_gingko_decide_stays_small():
         for dc in job.dst_dcs
         for k, server in enumerate(topo.servers_in(dc))
     }
-    strategy = GingkoStrategy(seed=0)
+    production, _oracle = STRATEGIES[name]
+    strategy = production(seed=0) if name in ("gingko", "bullet") else production()
     sim = Simulation(topo, [job], strategy, SimConfig(), pre_seeded=pre_seeded)
     view = sim.snapshot_view()
     tracemalloc.start()
@@ -328,7 +354,9 @@ def test_a_large_gingko_decide_stays_small():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(strategy._neighbors) == 300 and len(directives) > 300
+    assert len(directives) > 280
+    if name == "gingko":
+        assert len(strategy._neighbors) == 300 and len(directives) > 300
     assert peak - before < 4 * 2**20
 
 
@@ -376,3 +404,53 @@ def test_views_the_simulator_would_not_reach(name):
         # dc2-s0 lacks 0, 2, 4, 6; with dc0-s0 down only 4 and 6 have an
         # origin holder, and both lie beyond the window.
         assert not any(d.dst_server == "dc2-s0" for d in emitted[1])
+
+
+# -- mutants of the job-wide pass ------------------------------------------------
+
+
+def mutant(cls, name, *edits):
+    """``cls.name`` recompiled with each ``(old, new)`` edit applied once."""
+    source = textwrap.dedent(inspect.getsource(getattr(cls, name)))
+    for old, new in edits:
+        assert source.count(old) == 1, f"{name} no longer contains {old!r}"
+        source = source.replace(old, new)
+    namespace = dict(vars(sys.modules[cls.__module__]))
+    exec(compile(source, f"<mutant {cls.__name__}.{name}>", "exec"), namespace)
+    return namespace[name]
+
+
+_BOUNDS = "np.searchsorted(seg, range(0, len(assigned) + step, step))"
+
+#: name -> (the strategy whose corner case catches it, class, method, edits)
+MUTANTS = {
+    # every chunk's server grouping starts one row late and ends one late
+    "segment-bounds-shifted": (
+        "direct", JobPossession, "missing", [(_BOUNDS, f"({_BOUNDS} + 1)")]
+    ),
+    # a fan-out row names the relay of the DC before its own
+    "relay-from-the-neighbouring-segment": (
+        "chain", ChainStrategy, "_fan_out",
+        [("chain[seg[rows]]", "chain[seg[rows] - 1]")],
+    ),
+    # an edge row asks the reflectors of the DC before its own
+    "reflector-from-the-neighbouring-segment": (
+        "akamai", AkamaiStrategy, "_reflectors_to_edges",
+        [("ranks[seg[rows]]", "ranks[seg[rows] - 1]")],
+    ),
+}
+
+
+def test_mutant_with_a_missing_edit_text_fails():
+    """A stale edit is an error here, never a mutant that 'was caught'."""
+    with pytest.raises(AssertionError, match="no longer contains"):
+        mutant(JobPossession, "missing", ("for dc in self._groups:", "pass"))
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_mutant_is_caught(name, monkeypatch):
+    strategy, cls, method, edits = MUTANTS[name]
+    function = mutant(cls, method, *edits)  # a stale edit fails here
+    monkeypatch.setattr(cls, method, function)
+    with pytest.raises(AssertionError):
+        run_shadowed(strategy, CORNER_PARAMS[strategy], corner_case(), max_cycles=8)

@@ -40,14 +40,11 @@ def _is_numpy(key) -> bool:
     )
 
 
-def numpy_calls(view, batch) -> int:
-    """numpy calls made by ``BDSRouter().route(view, batch)``, by the rule
-    of the module docstring."""
-    router = BDSRouter()
-    router.route(view, batch)
+def numpy_calls_of(call) -> int:
+    """numpy calls made by ``call()``, by the rule of the module docstring."""
     profile = cProfile.Profile()
     profile.enable()
-    router.route(view, batch)
+    call()
     profile.disable()
     calls = 0
     for key, (_cc, _nc, _tt, _ct, callers) in pstats.Stats(profile).stats.items():
@@ -56,6 +53,14 @@ def numpy_calls(view, batch) -> int:
                 count[0] for caller, count in callers.items() if not _is_numpy(caller)
             )
     return calls
+
+
+def numpy_calls(view, batch) -> int:
+    """numpy calls made by ``BDSRouter().route(view, batch)``, by the rule
+    of the module docstring."""
+    router = BDSRouter()
+    router.route(view, batch)
+    return numpy_calls_of(lambda: router.route(view, batch))
 
 
 def _batch(blocks: int, cycles: int):
