@@ -16,23 +16,17 @@ module; the property tests run the production kernels against these:
 * ``tests/test_baseline_lens.py`` — the five decentralized baselines as
   they were, one ``store.has`` probe per (neighbour, block), directive for
   directive and random draw for random draw;
-* ``tests/test_fptas_fleischer.py`` — the pre-Fleischer Garg–Könemann
-  loop, within the ε-approximation tolerance;
 * ``tests/test_scheduler_kernel.py`` — the store-query-per-candidate
   rarest-first selection (``RarestFirstScheduler._select_legacy`` as it
   was) and the dict-of-sets possession index (``PossessionIndex`` with
   ``vectorized=False`` as it was), query for query;
-* ``tests/test_flow.py`` — the waterfill that rebuilds its per-resource
-  load every iteration (``repro.net.flow._max_min_fair_rates_reference``
-  as it was), float for float;
-* ``tests/test_flow_kernel.py`` — the scalar and the array waterfill
-  (``repro.net.flow.max_min_fair_rates_scalar`` / ``_vectorized`` as they
-  were, one full pass over the active flows per iteration) against the
-  event-driven kernel, dict for dict;
+* ``tests/test_flow.py`` and ``tests/test_flow_kernel.py`` — the
+  waterfill that rebuilds its per-resource load every iteration
+  (``repro.net.flow._max_min_fair_rates_reference`` as it was), against
+  the event-driven kernel, float for float and stalemate for stalemate;
 * ``tests/test_directive_batch.py`` — the object-based emission, the
-  scalar and the array clip (``repro.net.flow.clip_rates_to_capacity_scalar``
-  / ``_vectorized`` and the ``FlowIncidence`` they compiled, as they
-  were) and the ``Flow``-per-directive WAN reconcile
+  scalar clip (``repro.net.flow.clip_rates_to_capacity_scalar`` as it
+  was) and the ``Flow``-per-directive WAN reconcile
   (``BDSController._reconcile_wan`` as it was), against the directive
   batch and the one clip kernel over path-id rows;
 * ``tests/test_progress_walk.py`` — the progress walk that visited
@@ -90,8 +84,8 @@ import numpy as np
 
 from repro.analysis.experiments import BEGIN, END
 from repro.core.decisions import ScheduledBlock
-from repro.lp.fptas import FPTASResult, max_multicommodity_flow
-from repro.lp.incidence import PathIncidence, segment_mins
+from repro.lp.fptas import max_multicommodity_flow
+from repro.lp.incidence import PathIncidence
 from repro.utils.rng import SeedLike, make_rng
 from repro.utils.validation import check_fraction, check_non_negative, check_positive
 from repro.lp.mcf import Commodity, MCFResult, solve_lp_incidence
@@ -860,10 +854,12 @@ def clip_by_id(
 def max_min_fair_rates_reference(
     flows: Sequence[Flow],
     capacities: Mapping[ResourceKey, float],
+    stats: Optional[FlowKernelStats] = None,
 ) -> Dict[Hashable, float]:
     """Progressive filling, ``load`` rebuilt from the active flows each
     iteration; :func:`repro.net.flow.max_min_fair_rates` must match it
-    bit for bit on every input."""
+    bit for bit on every input, and count the same stalemates (an
+    iteration that freezes no flow ends the loop)."""
     rates: Dict[Hashable, float] = {f.flow_id: 0.0 for f in flows}
     active: List[Flow] = [f for f in flows if f.effective_cap() > 0]
     for flow in flows:
@@ -904,285 +900,14 @@ def max_min_fair_rates_reference(
             if not (capped or saturated):
                 still_active.append(flow)
         if len(still_active) == len(active):
+            if stats is not None:
+                stats.stalemates += 1
             break
         active = still_active
     return rates
 
 
-# -- flow: the two waterfill kernels the event-driven one replaced -------------
-
-
-def max_min_fair_rates_scalar(
-    flows: Sequence[Flow],
-    capacities: Mapping[ResourceKey, float],
-    stats: Optional[FlowKernelStats] = None,
-) -> Dict[Hashable, float]:
-    """The scalar progressive-filling loop (dict bookkeeping), ``load``
-    maintained incrementally: each frozen flow decrements its resources'
-    counts. O(iterations × active flows × path length)."""
-    rates: Dict[Hashable, float] = {f.flow_id: 0.0 for f in flows}
-    active: List[Flow] = [f for f in flows if f.effective_cap() > 0]
-    for flow in flows:
-        if flow.effective_cap() <= 0:
-            rates[flow.flow_id] = 0.0
-    residual: Dict[ResourceKey, float] = dict(capacities)
-    level = 0.0  # the common fair-share water level so far
-
-    # Active flows per resource; maintained incrementally as flows freeze.
-    load: Dict[ResourceKey, int] = {}
-    for flow in active:
-        for res in flow.resources:
-            if res not in residual:
-                raise KeyError(f"flow references unknown resource {res!r}")
-            load[res] = load.get(res, 0) + 1
-
-    while active:
-        # Smallest increment that saturates a resource or hits a flow cap.
-        increment = float("inf")
-        for res, count in load.items():
-            increment = min(increment, residual[res] / count)
-        for flow in active:
-            increment = min(increment, flow.effective_cap() - level)
-        if increment == float("inf"):
-            raise ValueError("unbounded allocation: no capacities bind any flow")
-        increment = max(increment, 0.0)
-
-        level += increment
-        for flow in active:
-            rates[flow.flow_id] = level
-        for res, count in load.items():
-            residual[res] -= increment * count
-            if residual[res] < 0:  # numerical dust
-                residual[res] = 0.0
-
-        still_active: List[Flow] = []
-        frozen: List[Flow] = []
-        for flow in active:
-            capped = flow.effective_cap() - level <= 1e-12
-            saturated = any(residual[res] <= 1e-9 for res in flow.resources)
-            if capped or saturated:
-                frozen.append(flow)
-            else:
-                still_active.append(flow)
-        if not frozen:
-            # Numerical stalemate: freeze everything and count it.
-            if stats is not None:
-                stats.stalemates += 1
-            break
-        for flow in frozen:
-            for res in flow.resources:
-                load[res] -= 1
-                if load[res] == 0:
-                    del load[res]
-        active = still_active
-    return rates
-
-
-def max_min_fair_rates_vectorized(
-    flows: Sequence[Flow],
-    capacities: Mapping[ResourceKey, float],
-    stats: Optional[FlowKernelStats] = None,
-) -> Dict[Hashable, float]:
-    """Array progressive filling over CSR flow×resource incidence: every
-    iteration re-gathers the residuals of every active flow's entries,
-    takes per-flow segment minima and compacts the active arrays —
-    O(iterations × active entries)."""
-    rates: Dict[Hashable, float] = {f.flow_id: 0.0 for f in flows}
-    active: List[Flow] = [f for f in flows if f.effective_cap() > 0]
-    if not active:
-        return rates
-
-    inc = FlowIncidence.build((f.resources for f in active), capacities)
-    residual = inc.caps.copy()
-    load = inc.loads()  # int64: exact scatter arithmetic
-    num_res = residual.size
-
-    act_flat = inc.flat_res
-    act_lens = inc.lens
-    act_caps = np.array([f.effective_cap() for f in active], dtype=np.float64)
-    act_ids = np.arange(len(active), dtype=np.intp)
-    final_level = np.zeros(len(active), dtype=np.float64)
-    level = 0.0
-
-    while act_ids.size:
-        pos = load > 0
-        if pos.any():
-            inc_res = (residual[pos] / load[pos]).min()
-        else:
-            inc_res = np.inf
-        increment = min(inc_res, act_caps.min() - level)
-        if increment == float("inf"):
-            raise ValueError("unbounded allocation: no capacities bind any flow")
-        increment = float(max(increment, 0.0))
-
-        level += increment
-        residual[pos] -= increment * load[pos]
-        np.maximum(residual, 0.0, out=residual)  # numerical dust
-
-        capped = (act_caps - level) <= 1e-12
-        act_starts = np.concatenate(
-            ([0], np.cumsum(act_lens[:-1]))
-        ) if act_lens.size else act_lens
-        saturated = (
-            segment_mins(residual[act_flat], act_starts, act_lens, np.inf)
-            <= 1e-9
-        )
-        frozen = capped | saturated
-        if not frozen.any():
-            if stats is not None:
-                stats.stalemates += 1
-            final_level[act_ids] = level
-            break
-        final_level[act_ids[frozen]] = level
-
-        entry_frozen = np.repeat(frozen, act_lens)
-        load -= np.bincount(act_flat[entry_frozen], minlength=num_res)
-        keep = ~frozen
-        act_flat = act_flat[~entry_frozen]
-        act_lens = act_lens[keep]
-        act_caps = act_caps[keep]
-        act_ids = act_ids[keep]
-
-    for i, flow in enumerate(active):
-        r = final_level[i]
-        if r > rates[flow.flow_id]:
-            rates[flow.flow_id] = float(r)
-    return rates
-
-# -- flow: the incidence, the clip twins and the object-based reconcile -------
-
-
-@dataclass
-class FlowIncidence:
-    """Compiled flow×resource incidence for the data-plane rate kernels.
-
-    The flow-level sibling of :class:`PathIncidence`, sharing its
-    interning contract: resources are interned in first-appearance order
-    over the given flows, duplicates within one flow's resource tuple are
-    preserved (a flow crossing a resource twice loads it twice), and an
-    unknown resource raises :class:`KeyError` at build time with the same
-    message the scalar allocators raise. Capacities are converted to
-    ``float64`` once at build; callers passing huge integer capacities
-    (>2^53) would lose the exact-int division the pure-Python path
-    performs, which no real input does (capacities are bytes/second).
-
-    What the data-plane kernels compiled their flows into before they
-    ran on :class:`repro.net.flow.FlowRows`; the array waterfill and
-    the array clip below still do.
-    """
-
-    #: index → resource key, in first-appearance order.
-    res_keys: List[ResourceKey]
-    #: resource key → index (inverse of ``res_keys``).
-    res_index: Dict[ResourceKey, int]
-    #: per-resource capacity, ``float64``.
-    caps: np.ndarray
-    #: concatenated resource indices of all flows.
-    flat_res: np.ndarray
-    #: start offset of each flow's slice inside ``flat_res``.
-    starts: np.ndarray
-    #: number of resources on each flow.
-    lens: np.ndarray
-
-    @classmethod
-    def build(
-        cls,
-        resource_seqs: Iterable[Sequence[ResourceKey]],
-        capacities: Mapping[ResourceKey, float],
-    ) -> "FlowIncidence":
-        """Compile per-flow resource tuples over ``capacities``.
-
-        Always strict: every referenced resource must exist in
-        ``capacities`` (callers that tolerate unknown resources — the
-        waterfill's zero-cap flows — simply exclude those flows from the
-        sequence, matching the scalar validation scope).
-        """
-        res_keys: List[ResourceKey] = []
-        res_index: Dict[ResourceKey, int] = {}
-        caps_list: List[float] = []
-        flat: List[int] = []
-        starts: List[int] = []
-        lens: List[int] = []
-        get = res_index.get
-        for seq in resource_seqs:
-            starts.append(len(flat))
-            lens.append(len(seq))
-            for res in seq:
-                idx = get(res)
-                if idx is None:
-                    if res not in capacities:
-                        raise KeyError(
-                            f"flow references unknown resource {res!r}"
-                        )
-                    idx = len(res_keys)
-                    res_index[res] = idx
-                    res_keys.append(res)
-                    caps_list.append(float(capacities[res]))
-                flat.append(idx)
-        return cls(
-            res_keys=res_keys,
-            res_index=res_index,
-            caps=np.asarray(caps_list, dtype=np.float64),
-            flat_res=np.asarray(flat, dtype=np.intp),
-            starts=np.asarray(starts, dtype=np.intp),
-            lens=np.asarray(lens, dtype=np.intp),
-        )
-
-    @property
-    def num_flows(self) -> int:
-        return len(self.starts)
-
-    @property
-    def num_resources(self) -> int:
-        return len(self.res_keys)
-
-    def loads(self) -> np.ndarray:
-        """Per-resource incidence counts (how many flow entries touch it)."""
-        return np.bincount(self.flat_res, minlength=self.num_resources)
-
-    def flow_mins(self, per_resource: np.ndarray, default: float) -> np.ndarray:
-        """``min(per_resource[r] for r in flow)``, ``default`` if no resources."""
-        return segment_mins(
-            per_resource[self.flat_res], self.starts, self.lens, default
-        )
-
-    def usage(self, per_flow: np.ndarray) -> np.ndarray:
-        """Per-resource usage implied by per-flow rates.
-
-        ``bincount`` accumulates in entry order — the same partial-sum
-        order as the scalar dict loop, so the sums are bit-identical.
-        """
-        per_entry = np.repeat(per_flow, self.lens)
-        return np.bincount(
-            self.flat_res, weights=per_entry, minlength=self.num_resources
-        )
-
-
-def outer_waterfill(inc: FlowIncidence, requested: np.ndarray) -> np.ndarray:
-    """One-pass proportional waterfill of ``requested`` over ``inc``.
-
-    The arithmetic of :func:`clip_rates_to_capacity_vectorized`: every
-    resource whose
-    aggregate request exceeds its capacity scales all its flows by the
-    same ``cap / used`` factor, and a flow crossing several
-    oversubscribed resources takes the most restrictive factor. One pass
-    suffices because scaling only ever decreases loads.
-
-    ``requested`` is a per-flow float64 array aligned with the incidence
-    rows; the clipped per-flow array comes back in the same order. The
-    arithmetic is exactly the scalar clip's: ``bincount`` accumulates
-    usage in entry order (identical partial sums), the guard
-    ``used > cap and used > 0`` matches elementwise, and the per-flow
-    factor is a segment minimum (order-independent) — so results are
-    bit-identical to the dict loop.
-    """
-    requested = np.asarray(requested, dtype=np.float64)
-    usage = inc.usage(requested)
-    scale = np.ones(inc.num_resources, dtype=np.float64)
-    over = (usage > inc.caps) & (usage > 0)
-    scale[over] = inc.caps[over] / usage[over]
-    factor = inc.flow_mins(scale, default=1.0)
-    return requested * factor
+# -- flow: the clip and the object-based reconcile ----------------------------
 
 
 def clip_rates_to_capacity_scalar(
@@ -1208,34 +933,6 @@ def clip_rates_to_capacity_scalar(
         factor = min((scale[res] for res in flow.resources), default=1.0)
         result[flow.flow_id] = r * factor
     return result
-
-
-def clip_rates_to_capacity_vectorized(
-    flows: Sequence[Flow],
-    requested: Mapping[Hashable, float],
-    capacities: Mapping[ResourceKey, float],
-) -> Dict[Hashable, float]:
-    """Array one-pass clip over CSR flow×resource incidence.
-
-    Bit-identical to :func:`clip_rates_to_capacity_scalar`: the whole
-    arithmetic lives in :func:`outer_waterfill`, which
-    accumulates per-resource usage via ``bincount`` in the same entry
-    order as the scalar dict loop (identical partial sums), applies the
-    same ``cap / used`` guard elementwise, and takes each flow's factor
-    as a segment minimum over its resources (order-independent). Unlike
-    the waterfill, *every* flow's resources are validated — the scalar
-    clip builds usage over all flows, zero-rate ones included.
-    """
-    if not flows:
-        return {}
-    inc = FlowIncidence.build((f.resources for f in flows), capacities)
-    r = np.fromiter(
-        (requested.get(f.flow_id, 0.0) for f in flows),
-        dtype=np.float64,
-        count=len(flows),
-    )
-    vals = outer_waterfill(inc, r)
-    return {f.flow_id: float(vals[i]) for i, f in enumerate(flows)}
 
 
 def resource_utilization(
@@ -1273,7 +970,7 @@ def reconcile_wan(
 
     Each shard routed against the *full* link budgets, so the
     combined rate caps can oversubscribe shared resources. One
-    max-min waterfill (here the array kernel, which the event kernel
+    max-min waterfill (here the reference loop, which the event kernel
     matches bit for bit) over the combined directives,
     with each directive's requested cap as its flow cap and the
     budget-adjusted capacities (``view.bulk_capacities``) as the
@@ -1304,7 +1001,7 @@ def reconcile_wan(
         requested.append(d.rate_cap)
     if len(capped) <= 1:
         return directives, 0
-    rates = max_min_fair_rates_vectorized(flows, view.bulk_capacities)
+    rates = max_min_fair_rates_reference(flows, view.bulk_capacities)
     reconciled = 0
     out = list(directives)
     for j, i in enumerate(capped):
@@ -1724,171 +1421,6 @@ def reduceat_run_fleischer(
             if best < 1.0:
                 heapq.heappush(heap, (best, ci))
     return lengths, raw, iterations, phases
-
-
-# -- FPTAS: the pre-Fleischer Garg–Könemann loop ------------------------------
-
-
-def legacy_max_multicommodity_flow(
-    commodities: Sequence[Commodity],
-    capacities: Mapping[ResourceKey, float],
-    epsilon: float = 0.1,
-    max_iterations: Optional[int] = None,
-) -> FPTASResult:
-    """The original ``max_multicommodity_flow``: textbook Garg–Könemann.
-
-    A global lightest-path argmin per iteration (every commodity×path
-    rescanned in pure Python): every resource carries a length that grows
-    exponentially with its congestion; each iteration routes along the
-    currently *lightest* path and inflates the lengths of the resources it
-    used. After termination the accumulated flow is scaled by
-    ``log_{1+ε}(1/δ)`` to restore feasibility, then numerically re-clipped.
-    It carries the same ``(1−ε)³`` guarantee as the Fleischer solver, so
-    the two agree within the approximation slack, not bit for bit.
-    Duplicate candidate paths keep distinct positional indices (the
-    historical ``list.index`` aliasing is fixed here too).
-    """
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must be in (0, 1)")
-    if not commodities:
-        raise ValueError("need at least one commodity")
-
-    # Build the working capacity map with virtual demand resources.
-    caps: Dict[ResourceKey, float] = dict(capacities)
-    # Normalize so the smallest positive capacity is 1: Garg-Konemann's
-    # initial length delta/c(e) must stay below 1 on every usable edge, and
-    # raw byte units mix 1e-6-byte demand remainders with 1e9-byte/s links.
-    positive = [c for c in caps.values() if c > 0]
-    demands_positive = [
-        c.demand for c in commodities if c.demand is not None and c.demand > 0
-    ]
-    cap_scale = min(positive + demands_positive) if (positive or demands_positive) else 1.0
-    if cap_scale <= 0:
-        cap_scale = 1.0
-    caps = {k: v / cap_scale for k, v in caps.items()}
-    commodities = [
-        Commodity(
-            name=c.name,
-            paths=c.paths,
-            demand=None if c.demand is None else c.demand / cap_scale,
-        )
-        for c in commodities
-    ]
-    paths: List[List[Tuple[ResourceKey, ...]]] = []
-    for ci, commodity in enumerate(commodities):
-        extended: List[Tuple[ResourceKey, ...]] = []
-        if commodity.demand is not None:
-            virtual: ResourceKey = ("demand", str(ci))
-            caps[virtual] = commodity.demand
-            for path in commodity.paths:
-                extended.append(tuple(path) + (virtual,))
-        else:
-            extended = [tuple(p) for p in commodity.paths]
-        paths.append(extended)
-
-    # Commodities with zero demand or a zero-capacity resource on all paths
-    # can never carry flow; drop their paths to avoid division by zero.
-    # Unlike the historical version the original index of each kept path is
-    # recorded positionally, so duplicate candidate paths stay distinct.
-    usable: List[List[Tuple[ResourceKey, ...]]] = []
-    usable_orig: List[List[int]] = []
-    for plist in paths:
-        good: List[Tuple[ResourceKey, ...]] = []
-        good_orig: List[int] = []
-        for pi, p in enumerate(plist):
-            if all(caps[r] > 0 for r in p):
-                good.append(p)
-                good_orig.append(pi)
-        usable.append(good)
-        usable_orig.append(good_orig)
-    if not any(usable):
-        return FPTASResult(
-            objective=0.0, path_flows={}, iterations=0, epsilon=epsilon
-        )
-
-    num_resources = len({r for plist in usable for p in plist for r in p})
-    delta = (1 + epsilon) * ((1 + epsilon) * num_resources) ** (-1.0 / epsilon)
-    length: Dict[ResourceKey, float] = {
-        res: delta / caps[res]
-        for plist in usable
-        for p in plist
-        for res in p
-    }
-
-    raw_flow: Dict[Tuple[int, int], float] = {}
-    iterations = 0
-    limit = (
-        int(10 * num_resources * math.log(num_resources + 2) / (epsilon**2) + 1000)
-        if max_iterations is None
-        else max_iterations
-    )
-
-    while iterations < limit:
-        # Oracle: lightest path across all commodities.
-        best: Optional[Tuple[int, int]] = None
-        best_len = math.inf
-        for ci, plist in enumerate(usable):
-            for pi, path in enumerate(plist):
-                plen = sum(length[r] for r in path)
-                if plen < best_len:
-                    best_len = plen
-                    best = (ci, pi)
-        if best is None or best_len >= 1.0:
-            break
-        ci, pi = best
-        path = usable[ci][pi]
-        bottleneck = min(caps[r] for r in path)
-        raw_flow[(ci, pi)] = raw_flow.get((ci, pi), 0.0) + bottleneck
-        for res in path:
-            length[res] *= 1.0 + epsilon * bottleneck / caps[res]
-        iterations += 1
-
-    if not raw_flow:
-        return FPTASResult(
-            objective=0.0, path_flows={}, iterations=iterations, epsilon=epsilon
-        )
-
-    # Scale to feasibility: Garg–Könemann's flow violates each capacity by at
-    # most log_{1+eps}(1/delta).
-    scale = math.log((1 + epsilon) / delta) / math.log(1 + epsilon)
-    flows: Dict[Tuple[int, int], float] = {
-        key: value / scale for key, value in raw_flow.items()
-    }
-
-    # Numerical re-clip: uniform scale per oversubscribed resource.
-    usage: Dict[ResourceKey, float] = {}
-    for (ci, pi), rate in flows.items():
-        for res in usable[ci][pi]:
-            usage[res] = usage.get(res, 0.0) + rate
-    shrink: Dict[ResourceKey, float] = {}
-    for res, used in usage.items():
-        if used > caps[res] > 0:
-            shrink[res] = caps[res] / used
-    if shrink:
-        for key in list(flows):
-            ci, pi = key
-            factor = min(
-                (shrink.get(res, 1.0) for res in usable[ci][pi]), default=1.0
-            )
-            flows[key] *= factor
-
-    # Translate internal (ci, pi-over-usable) indices back to the caller's
-    # (commodity name, original path index).
-    path_flows: Dict[Tuple[Hashable, int], float] = {}
-    for ci, plist in enumerate(usable):
-        for pi, _path in enumerate(plist):
-            rate = flows.get((ci, pi), 0.0)
-            if rate > 1e-12:
-                key = (commodities[ci].name, usable_orig[ci][pi])
-                path_flows[key] = path_flows.get(key, 0.0) + rate * cap_scale
-
-    objective = sum(path_flows.values())
-    return FPTASResult(
-        objective=objective,
-        path_flows=path_flows,
-        iterations=iterations,
-        epsilon=epsilon,
-    )
 
 
 # -- baselines: the per-(neighbour, block) store.has loops --------------------

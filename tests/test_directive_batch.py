@@ -10,7 +10,7 @@ equality with what the objects did, kept in ``tests/oracles.py``:
 * the materialized batch is the per-selection emission, object for
   object — single controller, §5.3 partition fallback, shard
   concatenation;
-* the clip is bit-equal to the dict loop and the array clip it replaced;
+* the clip is bit-equal to the dict loop it replaced;
 * the batch reconcile is the ``Flow``-per-directive one, cap for cap;
 * per-link bulk usage and delay inflation (Fig. 10's path, which no
   ledger workload records) are pinned to the object-based data plane.
@@ -45,7 +45,7 @@ from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
 from repro.utils.units import MB, MBps
 from tests import oracles
-from tests.oracles import Flow
+from tests.oracles import Flow, clip_by_id
 from tests.test_columnar_handoff import _midrun
 
 # -- helpers --------------------------------------------------------------------
@@ -233,13 +233,9 @@ def test_shard_batches_concatenate_and_reconcile_like_the_objects(monkeypatch):
     assert sum(clips for _parts, clips in seen)
 
 
-# -- the clip: one kernel, bit-equal to both retired ones ------------------------
+# -- the clip: one kernel, bit-equal to the retired dict loop ------------------
 
 _POOL = [f"r{i}" for i in range(8)]
-_rates = st.one_of(
-    st.sampled_from([0.0, 0.0, 0.5, 1.5, 4.0, 20.0]),
-    st.floats(0.0, 50.0),
-)
 
 
 @st.composite
@@ -247,19 +243,32 @@ def clip_inputs(draw, max_flows=200):
     """``(flows, requested, capacities)``: 0–200 flows over ≤ 8
     resources, some of capacity 0, some flows crossing none or one
     twice, zero-rate flows, repeated ids, and now and then a resource
-    ``capacities`` lacks."""
+    ``capacities`` lacks.
+
+    Hypothesis draws the resources, their capacities, the flow count
+    and one rate from its float edge cases; the flows themselves come
+    from a drawn ``random.Random`` seed, since one draw per flow field
+    cost most of the property's time."""
     names = _POOL[: draw(st.integers(1, 8))]
     capacities = {
         name: draw(st.sampled_from([0.0, 1.0, 2.5, 10.0, 10.0, 64.0]))
         for name in names
     }
     pool = names + (["ghost"] if draw(st.integers(0, 9)) == 0 else [])
-    flows = []
-    for _ in range(draw(st.integers(0, max_flows))):
-        path = draw(st.lists(st.sampled_from(pool), min_size=0, max_size=4))
-        fid = draw(st.integers(0, 2 * max_flows))
-        flows.append(Flow(flow_id=fid, resources=tuple(path)))
-    requested = {f.flow_id: draw(_rates) for f in flows}
+    count = draw(st.integers(0, max_flows))
+    rates = [0.0, 0.0, 0.5, 1.5, 4.0, 20.0, draw(st.floats(0.0, 50.0))]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    flows = [
+        Flow(
+            flow_id=rng.randint(0, 2 * max_flows),
+            resources=tuple(rng.choices(pool, k=rng.randint(0, 4))),
+        )
+        for _ in range(count)
+    ]
+    requested = {
+        f.flow_id: rng.choice(rates) if rng.random() < 0.5 else rng.uniform(0, 50)
+        for f in flows
+    }
     return flows, requested, capacities
 
 
@@ -284,11 +293,10 @@ ZERO_RATE_GHOST = (
 @example(([], {}, {}))
 @example(ZERO_RATE_GHOST)
 @example(([Flow(0, ("r0", "r0")), Flow(1, ())], {0: 4.0, 1: 2.0}, {"r0": 6.0}))
-def test_clip_is_bit_equal_to_both_retired_clips(case):
+def test_clip_is_bit_equal_to_the_retired_clip(case):
     flows, requested, capacities = case
     want = _outcome(oracles.clip_rates_to_capacity_scalar, *case)
-    assert _outcome(oracles.clip_rates_to_capacity_vectorized, *case) == want
-    assert _outcome(oracles.clip_by_id, *case) == want
+    assert _outcome(clip_by_id, *case) == want
     # The kernel itself: one rate per row, in row order.
     rows = oracles.flow_rows(flows)
     asked = [requested.get(f.flow_id, 0.0) for f in flows]
@@ -302,6 +310,50 @@ def test_clip_is_bit_equal_to_both_retired_clips(case):
         assert [v for _k, v in _outcome(
             oracles.clip_rates_to_capacity_scalar, unique, ids, capacities
         )] == got
+
+
+def clip_corners(flows, requested, capacities):
+    """Which of the clip property's named corners one input reaches."""
+    seen = set()
+    if not flows:
+        seen.add("empty input")
+    outcome = _outcome(clip_by_id, flows, requested, capacities)
+    if isinstance(outcome, tuple) and "'ghost'" in outcome[1]:
+        seen.add("ghost raises KeyError")
+    if any(capacities.get(r) == 0.0 for f in flows for r in f.resources):
+        seen.add("zero-capacity resource")
+    if len({f.flow_id for f in flows}) < len(flows):
+        seen.add("repeated id")
+    if any(len(set(f.resources)) < len(f.resources) for f in flows):
+        seen.add("resource crossed twice")
+    if any(not f.resources for f in flows):
+        seen.add("empty path")
+    if 0.0 in requested.values():
+        seen.add("zero rate")
+    if len(flows) >= 150:
+        seen.add(">= 150 flows")
+    return seen
+
+
+def test_clip_inputs_reach_every_corner():
+    """The clip property's inputs — its witnesses and the 150 generated
+    ones — reach every corner the clip has."""
+    seen = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(clip_inputs())
+    @example(([], {}, {}))
+    @example(ZERO_RATE_GHOST)
+    @example(([Flow(0, ("r0", "r0")), Flow(1, ())], {0: 4.0, 1: 2.0}, {"r0": 6.0}))
+    def collect(case):
+        seen.update(clip_corners(*case))
+
+    collect()
+    assert seen == {
+        "empty input", "ghost raises KeyError", "zero-capacity resource",
+        "repeated id", "resource crossed twice", "empty path", "zero rate",
+        ">= 150 flows",
+    }
 
 
 def test_zero_rate_flows_still_validate_their_resources():
@@ -499,7 +551,8 @@ def partitioned_run():
 
 
 #: ``(cycles_run, link_stats_digest)``, recorded with the object-based
-#: data plane: a ``Flow`` per directive, clipped by the scalar/array twins.
+#: data plane: a ``Flow`` per directive, clipped by the dict loop
+#: (``oracles.clip_rates_to_capacity_scalar``) or its bit-equal array twin.
 LINK_STATS_PINS = {
     "loaded": (
         17, "5e6051421d36990dba6ce02977aa53b3def3ed260ca2d31b47bd60b693904ec7"

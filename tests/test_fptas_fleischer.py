@@ -1,8 +1,8 @@
-"""The Fleischer FPTAS: incidence compilation, the (1−ε)³ guarantee on
-randomized instances (repeated resources included), tolerance parity with
-the pre-Fleischer Garg–Könemann oracle, cross-cycle warm starts, and the
-greedy backend's incidence rewrite. Bit-parity of the push loop with the
-``reduceat`` oracle lives in ``tests/test_fptas_kernel.py``."""
+"""The Fleischer FPTAS: incidence compilation, the (1−ε)³ guarantee
+against the exact LP on randomized instances (repeated resources
+included), cross-cycle warm starts, and the greedy backend's incidence
+rewrite. Bit-parity of the push loop with the ``reduceat`` oracle lives
+in ``tests/test_fptas_kernel.py``."""
 
 import random
 
@@ -14,7 +14,7 @@ from repro.lp.fptas import max_multicommodity_flow
 from repro.lp.incidence import PathIncidence
 from repro.lp.mcf import Commodity
 from repro.net.cycle_cache import RoutingWarmStore
-from tests.oracles import PathMCF, legacy_max_multicommodity_flow, resource_usage
+from tests.oracles import PathMCF, resource_usage
 
 
 def commodity(name, *paths, demand=None):
@@ -127,6 +127,18 @@ class TestFPTASGuarantee:
         # The self-reported dual certificate brackets the optimum too.
         assert result.dual_bound >= lp.objective * (1 - 1e-6) - 1e-9
 
+    def test_shared_bottleneck_saturates(self):
+        # Two commodities whose only paths share one link: the optimum
+        # fills it exactly.
+        caps = {"shared": 6.0, "pa": 10.0, "pb": 10.0}
+        commodities = [
+            commodity("a", ["shared", "pa"]),
+            commodity("b", ["shared", "pb"]),
+        ]
+        assert PathMCF(commodities, caps).solve_lp().objective == pytest.approx(6.0)
+        result = max_multicommodity_flow(commodities, caps, epsilon=0.05)
+        assert result.objective == pytest.approx(6.0, rel=0.05)
+
     def test_duplicate_paths_route_independently(self):
         # Both duplicates may carry flow; together they fill the link.
         result = max_multicommodity_flow(
@@ -206,34 +218,6 @@ class TestRepeatedResources:
         assert result.objective >= (1 - epsilon) ** 3 * lp.objective - 1e-9
         assert result.objective <= lp.objective * (1 + 1e-6) + 1e-6
         assert result.dual_bound >= lp.objective * (1 - 1e-6) - 1e-9
-
-
-class TestLegacyParity:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_legacy_within_tolerance(self, seed):
-        commodities, caps = random_instance(seed, n_commodities=6)
-        new = max_multicommodity_flow(commodities, caps, epsilon=0.1)
-        old = legacy_max_multicommodity_flow(commodities, caps, epsilon=0.1)
-        # Both carry the same (1−ε)³ guarantee; they can differ only
-        # within the approximation slack around the optimum.
-        lp = PathMCF(commodities, caps).solve_lp()
-        floor = (1 - 0.1) ** 3 * lp.objective - 1e-9
-        assert new.objective >= floor
-        assert old.objective >= floor
-        assert new.objective <= lp.objective * (1 + 1e-6) + 1e-6
-        assert old.objective <= lp.objective * (1 + 1e-6) + 1e-6
-
-    def test_golden_instance_exact_paths(self):
-        # A fixed instance where both solvers must saturate the bottleneck.
-        caps = {"shared": 6.0, "pa": 10.0, "pb": 10.0}
-        commodities = [
-            commodity("a", ["shared", "pa"]),
-            commodity("b", ["shared", "pb"]),
-        ]
-        new = max_multicommodity_flow(commodities, caps, epsilon=0.05)
-        old = legacy_max_multicommodity_flow(commodities, caps, epsilon=0.05)
-        assert new.objective == pytest.approx(6.0, rel=0.05)
-        assert old.objective == pytest.approx(6.0, rel=0.05)
 
 
 class TestWarmStart:

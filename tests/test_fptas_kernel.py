@@ -15,6 +15,7 @@ told apart from it by the same property.
 from __future__ import annotations
 
 import inspect
+import random
 import textwrap
 
 import pytest
@@ -53,30 +54,33 @@ def chains(draw):
     listed twice, resources may have zero capacity, demands may be zero
     or absent. Later instances move only the demands, so the solver
     resumes them from the previous instance's warm state.
+
+    Hypothesis draws the resources, capacities, demands and counts; the
+    paths and the demand moves come from a drawn ``random.Random`` seed,
+    since one draw per path hop cost a third of the property's time.
     """
     names = [f"r{i}" for i in range(draw(st.integers(1, 9)))]
     caps = {name: draw(_capacity) for name in names}
-    resource = st.sampled_from(names)
+    demands = [draw(_demand) for _ in range(draw(st.integers(1, 5)))]
+    moves = draw(st.integers(0, 2))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     commodities = []
-    for ci in range(draw(st.integers(1, 5))):
-        paths = draw(
-            st.lists(st.lists(resource, min_size=1, max_size=7), min_size=1, max_size=4)
-        )
-        if draw(st.booleans()):
-            paths.append(draw(st.sampled_from(paths)))  # duplicate candidate
-        commodities.append(
-            Commodity(f"c{ci}", tuple(tuple(p) for p in paths), draw(_demand))
-        )
+    for ci, demand in enumerate(demands):
+        paths = [
+            tuple(rng.choices(names, k=rng.randint(1, 7)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        if rng.random() < 0.5:
+            paths.append(rng.choice(paths))  # duplicate candidate
+        commodities.append(Commodity(f"c{ci}", tuple(paths), demand))
     steps = [commodities]
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(moves):
         steps.append(
             [
                 Commodity(
                     c.name,
                     c.paths,
-                    None
-                    if c.demand is None
-                    else c.demand * draw(st.sampled_from([1.0, 0.9, 0.5])),
+                    None if c.demand is None else c.demand * rng.choice([1.0, 0.9, 0.5]),
                 )
                 for c in steps[-1]
             ]

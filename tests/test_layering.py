@@ -77,19 +77,6 @@ def imports_a_name_it_does_not_define(tree: ast.Module) -> Iterator[Violation]:
                     yield node.lineno, f"{alias.name} is not defined in {SIMULATOR}"
 
 
-def dataclass_keywords_past_python_3_9(tree: ast.Module) -> Iterator[Violation]:
-    """``slots=`` and ``kw_only=`` arrived in Python 3.10."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
-            for keyword in node.keywords:
-                if keyword.arg == "kw_only" or (
-                    keyword.arg == "slots" and name == "dataclass"
-                ):
-                    yield node.lineno, f"{name}({keyword.arg}=...)"
-
-
 def imports_process_or_pool_machinery(tree: ast.Module) -> Iterator[Violation]:
     """The simulator is one process by construction."""
     for node in ast.walk(tree):
@@ -215,7 +202,6 @@ RULES = {
         EVERYWHERE,
         imports_a_name_it_does_not_define,
     ),
-    "src-dataclasses-run-on-python-3.9": (SRC, dataclass_keywords_past_python_3_9),
     "src-imports-no-process-or-pool-machinery": (
         SRC,
         imports_process_or_pool_machinery,
