@@ -120,7 +120,7 @@ class JobPossession:
         self.up[failed] = False
         # Healthy copies per block: the cluster-wide count minus what
         # failed agents hold, the way the scheduler kernel derives it.
-        lost = sum(self.has(sid).astype(np.int64) for sid in failed)
+        lost = matrix.held_among(self._gids, failed)
         self._sourced = matrix.dup[self._gids] - lost > 0
 
     def has(self, sids, idx=slice(None)) -> np.ndarray:

@@ -61,10 +61,11 @@ class RarestFirstScheduler:
 
         Per candidate group: one possession gather decides pending-ness
         (matrix bit test for deliveries, DC copy-count for relays), one
-        ``dup`` gather supplies rarity, boolean masks apply the failure
-        filters, and the surviving rows of all groups are ordered by a
-        single stable sort on a packed integer key equal to the tuple
-        key ``(is_relay, -priority, duplicates, block index)`` —
+        ``dup`` gather supplies rarity, boolean masks and the failed
+        holders' per-word count (``PossessionMatrix.held_among``) apply
+        the failure filters, and the surviving rows of all groups are
+        ordered by a single stable sort on a packed integer key equal to
+        the tuple key ``(is_relay, -priority, duplicates, block index)`` —
         stability supplies the insertion-order tie-break, and the group
         concatenation order is the enumeration order (jobs, then each
         job's destination DCs, then its relay DCs, ascending block index).
@@ -82,13 +83,10 @@ class RarestFirstScheduler:
         compact = matrix is table.matrix
         groups_by_job = table.groups_by_job
         failed = view.failed_agents
-        failed_sids: List[int] = []
         failed_lut = None
         if failed:
             server_ids = matrix.server_ids
-            failed_sids = sorted(
-                server_ids[s] for s in failed if s in server_ids
-            )
+            failed_sids = [server_ids[s] for s in failed if s in server_ids]
             if failed_sids:
                 failed_lut = np.zeros(matrix.num_servers, dtype=bool)
                 failed_lut[failed_sids] = True
@@ -155,9 +153,7 @@ class RarestFirstScheduler:
                     # Eligible sources = holders minus failed agents; the
                     # destination cannot be a holder of a pending block,
                     # so the count never double-discounts it.
-                    held_by_failed = np.zeros(gids.size, dtype=np.int64)
-                    for fsid in failed_sids:
-                        held_by_failed += matrix.test_row_many(fsid, gids)
+                    held_by_failed = matrix.held_among(gids, failed_sids)
                     ok = ~failed_lut[dst] & (dup - held_by_failed > 0)
                 else:
                     ok = dup > 0

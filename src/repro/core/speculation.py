@@ -80,9 +80,9 @@ class DeliverySpeculator:
                 gid = gid_of(block_id)
                 if gid is None:
                     continue
-                if matrix.test_bit(dst, gid):
+                if matrix.test_many(dst, gid):
                     continue  # already arrived for real
-                if not matrix.test_bit(src, gid):
+                if not matrix.test_many(src, gid):
                     # Phantom source: the directive was decided on a
                     # speculated copy that never arrived, the simulator
                     # dropped it, and these bytes never moved.

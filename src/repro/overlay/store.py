@@ -11,11 +11,11 @@ evaluation logic needs:
   a :class:`DeliveryLog`.
 
 The state lives in a :class:`PossessionMatrix` of packed ``uint64``
-bitset rows (servers × blocks) with interned integer ids for servers,
-DCs, and blocks. Duplicate counts and per-DC copy counts are maintained
-incrementally alongside the bits, so rarity is a single array gather and
-the vectorized scheduler can mask/sort whole candidate sets without
-touching Python objects; :class:`PossessionIndex` is the name-keyed
+bitset rows (blocks × servers, one row of holders per block) with
+interned integer ids for servers, DCs, and blocks. Duplicate counts are
+maintained incrementally alongside the bits, so rarity is a single array
+gather and the vectorized scheduler can mask/sort whole candidate sets
+without touching Python objects; :class:`PossessionIndex` is the name-keyed
 facade over it. The dict-of-sets bookkeeping the matrix replaced is the
 test oracle ``DictPossessionIndex`` (same facade).
 
@@ -64,36 +64,36 @@ class DeliveryRecord:
 #: one makes that class of bug structurally impossible.
 _EMPTY_HOLDERS: FrozenSet[str] = frozenset()
 
+_SHIFTS = np.arange(64, dtype=np.uint64)
 #: ``_BITS[i]`` is the ``uint64`` word with only bit ``i`` set.
-_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
+_BITS = np.uint64(1) << _SHIFTS
 
 
 class PossessionMatrix:
-    """Packed servers × blocks possession bitset with interned integer ids.
+    """Packed blocks × servers possession bitset with interned integer ids.
 
     The id interning contract:
 
     * **servers** are interned once at construction, in ascending name
       order — so ascending server id equals lexicographic server-name
-      order, and ``np.nonzero`` over a bit column yields holders already
-      sorted the way the router's candidate-source logic sorts names;
+      order, and unpacking a holder row yields holders already sorted
+      the way the router's candidate-source logic sorts names;
     * **DCs** are interned once at construction, also in sorted-name
       order (DC-id comparisons reproduce DC-name comparisons);
     * **blocks** are interned on first touch (seed, delivery, or an
-      explicit :meth:`intern`) and keep their column for the lifetime of
-      the matrix. The column space starts at 1 024 and grows
-      geometrically (capacity doubles, rounded to whole 64-bit words);
-      existing bits are copied, ids never move.
+      explicit :meth:`intern`) and keep their row for the lifetime of
+      the matrix. The row space starts at 1 024 and doubles when full;
+      existing rows are copied, ids never move.
 
-    Row ``s`` packs the blocks server ``s`` holds, 64 block columns per
-    ``uint64`` word (block ``g`` lives in word ``g >> 6``, bit ``g & 63``).
-    ``holder_words`` is the same relation transposed — row ``g`` packs the
-    servers holding block ``g`` (server ``s`` in word ``s >> 6``, bit
-    ``s & 63``) — so a block's whole holder set is one gather; the router
-    classes selections by it.
+    ``holder_words`` is the one possession layout: row ``g`` packs the
+    servers holding block ``g``, 64 per ``uint64`` word (server ``s`` in
+    word ``s >> 6``, bit ``s & 63``). A (server, block) test is one
+    gather, a block's whole holder set is one row — the router classes
+    selections by it — and the holders among a set of servers are a
+    masked popcount of the words those servers sit in (:meth:`held_among`).
     ``dup[g]`` (cluster-wide copy count — the §4.3 rarity measure) is
     maintained incrementally on every bit flip, so it always equals the
-    popcount of column ``g``; the equivalence tests assert this invariant
+    popcount of row ``g``; the equivalence tests assert this invariant
     directly. ``dc_mask[d]`` packs DC ``d``'s servers as a ``holder_words``
     row, so "some server of DC ``d`` holds block ``g``" is
     ``(holder_words[g] & dc_mask[d]).any()``.
@@ -110,14 +110,11 @@ class PossessionMatrix:
         "dc_words",
         "dc_bits",
         "dc_mask",
-        "bits",
         "holder_words",
         "dup",
         "block_gids",
         "block_names",
         "_capacity",
-        "_words",
-        "_flat",
         "_holder_flat",
     )
 
@@ -148,15 +145,15 @@ class PossessionMatrix:
         np.bitwise_or.at(
             self.dc_mask, (self.server_dc_ids, sids >> 6), _BITS[sids & 63]
         )
-        capacity = 1024  # block columns: 16 whole uint64 words
+        capacity = 1024  # block rows
         self._capacity = capacity
-        self._words = capacity >> 6
-        self.bits = np.zeros((num_servers, self._words), dtype=np.uint64)
-        self._flat = self.bits.reshape(-1)
         self.holder_words = np.zeros(
             (capacity, (num_servers + 63) >> 6), dtype=np.uint64
         )
         self._holder_flat = self.holder_words.reshape(-1)
+        # The popcount of each holder row, kept beside it: counting it
+        # per candidate row instead gathers servers/64 words a row (a
+        # 2.5 MB transient for a 20 000-block job over 1 000 servers).
         self.dup = np.zeros(capacity, dtype=np.int64)
         self.block_gids: Dict[BlockId, int] = {}
         self.block_names: List[BlockId] = []
@@ -172,7 +169,7 @@ class PossessionMatrix:
         return len(self.block_names)
 
     def intern(self, block_id: BlockId) -> int:
-        """The block's column id, allocating one on first sight."""
+        """The block's row id, allocating one on first sight."""
         gid = self.block_gids.get(block_id)
         if gid is None:
             gid = len(self.block_names)
@@ -183,17 +180,11 @@ class PossessionMatrix:
         return gid
 
     def gid_of(self, block_id: BlockId) -> Optional[int]:
-        """The block's column id, or ``None`` if never interned."""
+        """The block's row id, or ``None`` if never interned."""
         return self.block_gids.get(block_id)
 
     def _grow(self, needed: int) -> None:
-        capacity = max(self._capacity * 2, (needed + 63) & ~63)
-        capacity = (capacity + 63) & ~63
-        words = capacity >> 6
-        bits = np.zeros((self.bits.shape[0], words), dtype=np.uint64)
-        bits[:, : self._words] = self.bits
-        self.bits = bits
-        self._flat = bits.reshape(-1)
+        capacity = max(self._capacity * 2, needed)
         holder_words = np.zeros(
             (capacity, self.holder_words.shape[1]), dtype=np.uint64
         )
@@ -204,60 +195,50 @@ class PossessionMatrix:
         dup[: self._capacity] = self.dup
         self.dup = dup
         self._capacity = capacity
-        self._words = words
 
-    # -- single-bit updates/queries ---------------------------------------
-
-    def test_bit(self, sid: int, gid: int) -> bool:
-        """Does server ``sid`` hold block column ``gid``?"""
-        word = self._flat.item(sid * self._words + (gid >> 6))
-        return bool((word >> (gid & 63)) & 1)
+    # -- updates -----------------------------------------------------------
 
     def set_many(self, sid: int, gids: Iterable[int]) -> None:
-        """Set a batch of bits on one row.
+        """Give server ``sid`` a batch of blocks.
 
         The batched form keeps large initial seedings (10^6-block jobs)
-        out of per-bit Python loops: previously-unset columns are found
-        with one gather, the row is OR-updated wordwise, and the
-        duplicate counter advances with unique fancy indexing.
+        out of per-bit Python loops: the server's holder-word column is
+        tested for the blocks it lacks with one gather, OR-updated, and
+        the duplicate counter advances with unique fancy indexing.
         """
         if isinstance(gids, np.ndarray):
             arr = gids.astype(np.int64, copy=False)
         else:
             arr = np.asarray(list(gids), dtype=np.int64)
         unique = np.unique(arr)
-        if unique.size == 0:
-            return
-        row = self.bits[sid]
-        words = unique >> 6
-        masks = np.uint64(1) << (unique & 63).astype(np.uint64)
-        fresh = (row[words] & masks) == 0
-        new_gids = unique[fresh]
+        word, mask = sid >> 6, _BITS[sid & 63]
+        new_gids = unique[(self.holder_words[unique, word] & mask) == 0]
         if new_gids.size == 0:
             return
-        # bitwise_or.at handles repeated word indices (several new blocks
-        # landing in the same 64-column word) where fancy |= would not.
-        np.bitwise_or.at(row, words[fresh], masks[fresh])
-        self.holder_words[new_gids, sid >> 6] |= np.uint64(1 << (sid & 63))
+        self.holder_words[new_gids, word] |= mask
         self.dup[new_gids] += 1
 
     def record_deliveries(self, sids: np.ndarray, gids: np.ndarray) -> np.ndarray:
         """Set possession bits for parallel (server, block) arrays.
 
-        One cycle's deliveries, which may span many destination rows.
+        One cycle's deliveries, which may span many destination servers.
         Returns a boolean mask of which pairs were *newly* set; pairs
         already held — or repeated within the batch, where only the
         first occurrence wins — come back ``False``, exactly as setting
         them one at a time would report. The bits land with one
         ``bitwise_or.at`` scatter (repeated words are safe) and the
         duplicate counter advances with an ``add.at`` scatter-add
-        (repeated columns accumulate). A cycle's batch is often a dozen
+        (repeated rows accumulate). A cycle's batch is often a dozen
         rows, so the work is counted in array calls, not elements.
+        A server id past the last server raises ``IndexError`` before
+        anything lands: its bit would otherwise be a row's padding.
         """
-        words = sids * self._words + (gids >> 6)
-        bit = gids & 63
+        if len(sids) and sids.max() >= self.num_servers:
+            raise IndexError("destination server id out of range")
+        words = gids * self.holder_words.shape[1] + (sids >> 6)
+        bit = sids & 63
         masks = _BITS[bit]
-        fresh = (self._flat[words] & masks) == 0
+        fresh = (self._holder_flat[words] & masks) == 0
         # First-occurrence dedupe inside the batch: two deliveries of the
         # same (server, block) pair in one cycle must register as one new
         # bit plus one duplicate, in that order. Repeats are rare; a set
@@ -270,28 +251,20 @@ class PossessionMatrix:
                     fresh[k] = False
                 seen.add(key)
         if not fresh.all():
-            sids, gids = sids[fresh], gids[fresh]
-            words, masks = words[fresh], masks[fresh]
+            gids, words, masks = gids[fresh], words[fresh], masks[fresh]
         if len(gids):
-            np.bitwise_or.at(self._flat, words, masks)
-            np.bitwise_or.at(
-                self._holder_flat,
-                gids * self.holder_words.shape[1] + (sids >> 6),
-                _BITS[sids & 63],
-            )
+            np.bitwise_or.at(self._holder_flat, words, masks)
             np.add.at(self.dup, gids, 1)
         return fresh
 
     def overlay(self, sids: np.ndarray, gids: np.ndarray) -> "PossessionMatrix":
         """A twin of this matrix that also holds the ``(sids, gids)`` copies.
 
-        The three possession arrays are copied, so nothing written to the
-        twin reaches this matrix; the interning tables are shared, so the
+        The possession arrays are copied, so nothing written to the twin
+        reaches this matrix; the interning tables are shared, so the
         twin's ids are this matrix's ids — and it must intern nothing.
         """
         twin = copy.copy(self)
-        twin.bits = self.bits.copy()
-        twin._flat = twin.bits.reshape(-1)
         twin.holder_words = self.holder_words.copy()
         twin._holder_flat = twin.holder_words.reshape(-1)
         twin.dup = self.dup.copy()
@@ -302,9 +275,7 @@ class PossessionMatrix:
 
     def holder_ids(self, gid: int) -> np.ndarray:
         """Server ids holding the block, ascending (== sorted by name)."""
-        column = self.bits[:, gid >> 6]
-        mask = np.uint64(1 << (gid & 63))
-        return np.nonzero(column & mask)[0]
+        return _set_bits(self.holder_words[gid])
 
     def any_holder_ids(self, gids: np.ndarray) -> np.ndarray:
         """Server ids holding at least one of the blocks, ascending.
@@ -318,42 +289,45 @@ class PossessionMatrix:
             any_of |= np.bitwise_or.reduce(
                 self.holder_words[gids[lo : lo + 4096]], axis=0
             )
-        bit = np.arange(64, dtype=np.uint64)
-        return np.flatnonzero((any_of[:, None] >> bit) & np.uint64(1))
+        return _set_bits(any_of)
 
-    def test_many(self, sids: np.ndarray, gids: np.ndarray) -> np.ndarray:
-        """Boolean possession gather for parallel (server, block) arrays."""
-        words = self.bits[sids, gids >> 6]
-        return (words >> (gids & 63).astype(np.uint64)) & np.uint64(1) != 0
+    def test_many(self, sids, gids):
+        """Does server ``sids`` hold block ``gids``? Scalars or arrays,
+        broadcast like ``a[i, j]``."""
+        return self.holder_words[gids, sids >> 6] & _BITS[sids & 63] != 0
 
     def test_transfers(
         self, src: np.ndarray, dst: np.ndarray, gids: np.ndarray
     ) -> np.ndarray:
         """Per (source, destination, block) row: source holds ∧ destination lacks."""
-        words = gids >> 6
-        bits = self.bits
-        wanted = bits[src, words] & ~bits[dst, words]
-        return (wanted >> (gids & 63).astype(np.uint64)) & np.uint64(1) != 0
+        return self.test_many(src, gids) & ~self.test_many(dst, gids)
 
-    def test_row_many(self, sid: int, gids: np.ndarray) -> np.ndarray:
-        """Boolean possession gather for one server over many blocks."""
-        row = self.bits[sid]
-        words = row[gids >> 6]
-        return (words >> (gids & 63).astype(np.uint64)) & np.uint64(1) != 0
+    def held_among(self, gids: np.ndarray, sids) -> np.ndarray:
+        """Per block of ``gids``, how many of the distinct servers ``sids``
+        hold it: one masked gather and popcount per holder word that
+        contains a server of ``sids``."""
+        sids = np.asarray(sids, dtype=np.int64)
+        mask = np.zeros(self.holder_words.shape[1], dtype=np.uint64)
+        np.bitwise_or.at(mask, sids >> 6, _BITS[sids & 63])
+        held = np.zeros(len(gids), dtype=np.int64)
+        for word in np.flatnonzero(mask).tolist():
+            held += np.bitwise_count(self.holder_words[gids, word] & mask[word])
+        return held
 
     # -- telemetry ---------------------------------------------------------
 
     def state_bytes(self) -> int:
-        """Bytes held by the possession arrays (both bitsets + dup).
+        """Bytes held by the possession arrays (``holder_words`` + ``dup``).
 
         The dominant, capacity-proportional memory of the matrix
         (interning dicts are excluded; they are O(blocks) pointers).
         """
-        return int(
-            self.bits.nbytes
-            + self.holder_words.nbytes
-            + self.dup.nbytes
-        )
+        return int(self.holder_words.nbytes + self.dup.nbytes)
+
+
+def _set_bits(words: np.ndarray) -> np.ndarray:
+    """The positions of the set bits of a packed word row, ascending."""
+    return np.flatnonzero((words[:, None] >> _SHIFTS) & np.uint64(1))
 
 
 class DeliveryLog(abc.Sequence):
@@ -361,7 +335,7 @@ class DeliveryLog(abc.Sequence):
     new copy, in landing order.
 
     The rows are five parallel columns in the matrix's id space — block
-    column, source server, destination server, finish time, and whether
+    id, source server, destination server, finish time, and whether
     the source sat in the job's origin DC — appended one batch per
     :meth:`PossessionIndex.record_deliveries` call and joined on first
     read (:meth:`columns`). The log is a sequence of
@@ -453,11 +427,11 @@ class PossessionReader:
         sid = matrix.server_ids.get(server_id)
         if sid is None:
             return False
-        return matrix.test_bit(sid, gid)
+        return bool(matrix.test_many(sid, gid))
 
     def holders(self, block_id: BlockId) -> AbstractSet[str]:
         """Servers currently holding the block, as a fresh ``frozenset``
-        decoded from the bit column (a shared empty one for unknown
+        decoded from the block's holder row (a shared empty one for unknown
         blocks)."""
         matrix = self.matrix
         gid = matrix.block_gids.get(block_id)
@@ -542,7 +516,7 @@ class PossessionIndex(PossessionReader):
     ) -> np.ndarray:
         """Land a batch of completed transfers, given as parallel columns.
 
-        Row ``k`` moved block column ``gids[k]`` from server ``src[k]`` to
+        Row ``k`` moved block ``gids[k]`` from server ``src[k]`` to
         server ``dst[k]``, finishing at ``times[k]``; ``origin_dcs[k]`` is
         the DC id of its job's origin. Ids are the matrix's, and every
         block is already interned. Possession lands with one
@@ -589,7 +563,7 @@ class PossessionOverlay(PossessionReader):
     """A possession index as it will read once some copies have landed.
 
     §5.1's speculated delivery status: ``base``'s possession plus the
-    ``(sids, gids)`` copies (server and block column ids of ``base``'s
+    ``(sids, gids)`` copies (server and block ids of ``base``'s
     matrix), answered from a :meth:`PossessionMatrix.overlay` twin. Read
     only — no updates, no delivery log — and ``base`` is
     untouched.

@@ -1078,16 +1078,15 @@ def blocks_on(store, server_id: str) -> FrozenSet[BlockId]:
 
 
 def dc_copy_count(store, dc: str, block_id: BlockId) -> int:
-    """Copies of ``block_id`` inside DC ``dc``: the servers of ``dc``
-    whose row of a matrix-backed store's ``bits`` holds it (0 for an
-    unknown DC or block)."""
+    """Copies of ``block_id`` inside DC ``dc``: the holders of a
+    matrix-backed store's block row that sit in ``dc`` (0 for an unknown
+    DC or block)."""
     matrix = store.matrix
     gid = matrix.block_gids.get(block_id)
     did = matrix.dc_ids.get(dc)
     if gid is None or did is None:
         return 0
-    words = matrix.bits[matrix.server_dc_ids == did, gid >> 6]
-    return int(np.count_nonzero((words >> np.uint64(gid & 63)) & np.uint64(1)))
+    return int(np.count_nonzero(matrix.server_dc_ids[matrix.holder_ids(gid)] == did))
 
 
 # -- store: the dict-of-sets possession index ---------------------------------

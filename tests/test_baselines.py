@@ -255,24 +255,25 @@ job = MulticastJob(
 job.bind(topo)
 # The appendix set-up: every source-DC server holds the whole file.
 pre_seeded = {s.server_id: job.blocks for s in topo.servers_in("dc0")}
-sim = Simulation(
-    topo, [job], make_strategy(sys.argv[1], seed=0), SimConfig(max_cycles=500),
-    pre_seeded=pre_seeded, seed=0,
-)
-result = sim.run()
-assert result.all_complete
-for r in result.store.deliveries:
-    print(r.block_id, r.src_server, r.dst_server, r.time)
+for name in sys.argv[1:]:
+    sim = Simulation(
+        topo, [job], make_strategy(name, seed=0), SimConfig(max_cycles=500),
+        pre_seeded=pre_seeded, seed=0,
+    )
+    result = sim.run()
+    assert result.all_complete
+    print("==", name)
+    for r in result.store.deliveries:
+        print(r.block_id, r.src_server, r.dst_server, r.time)
 """
 
+_ORIGIN_TIE_STRATEGIES = ("direct", "akamai", "chain")
 
-@pytest.mark.parametrize("strategy", ["direct", "akamai", "chain"])
-def test_origin_holder_does_not_depend_on_the_hash_seed(strategy):
-    """Several source-DC holders of one block: the lowest server id sends.
 
-    ``eligible_sources`` lists holders in string-hash order, so taking its
-    first source-DC entry made the sender change with ``PYTHONHASHSEED``.
-    """
+@pytest.fixture(scope="module")
+def origin_tie_provenance():
+    """Per hash seed, each strategy's delivery provenance: one interpreter
+    per seed runs every strategy of ``_ORIGIN_TIE_STRATEGIES``."""
     import repro
 
     src = str(Path(repro.__file__).resolve().parents[1])
@@ -283,11 +284,25 @@ def test_origin_holder_does_not_depend_on_the_hash_seed(strategy):
             [src] + [p for p in [env.get("PYTHONPATH")] if p]
         )
         done = subprocess.run(
-            [sys.executable, "-c", _ORIGIN_TIE_SCRIPT, strategy],
+            [sys.executable, "-c", _ORIGIN_TIE_SCRIPT, *_ORIGIN_TIE_STRATEGIES],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        provenance.append(done.stdout)
+        sections = done.stdout.split("== ")[1:]
+        provenance.append(dict(s.split("\n", 1) for s in sections))
+    return provenance
+
+
+@pytest.mark.parametrize("strategy", _ORIGIN_TIE_STRATEGIES)
+def test_origin_holder_does_not_depend_on_the_hash_seed(
+    strategy, origin_tie_provenance
+):
+    """Several source-DC holders of one block: the lowest server id sends.
+
+    ``eligible_sources`` lists holders in string-hash order, so taking its
+    first source-DC entry made the sender change with ``PYTHONHASHSEED``.
+    """
+    provenance = [by_name[strategy] for by_name in origin_tie_provenance]
     assert provenance[0] and provenance[0] == provenance[1] == provenance[2]
     from_origin = [line for line in provenance[0].splitlines() if " dc0-" in line]
     assert from_origin and all(" dc0-s0 " in line for line in from_origin)

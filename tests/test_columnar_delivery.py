@@ -124,8 +124,8 @@ def _events(sim: Simulation, columns, rows, finish):
 def _state(sim: Simulation):
     matrix = sim.store.matrix
     return (
-        matrix.bits.tobytes(), matrix.holder_words.tobytes(),
-        matrix.dup.tobytes(), list(sim.store.deliveries),
+        matrix.holder_words.tobytes(), matrix.dup.tobytes(),
+        list(sim.store.deliveries),
         list(sim._dc_missing.items()), list(sim._server_missing.items()),
         list(sim._dc_completion.items()), list(sim._server_completion.items()),
         list(sim._job_completion.items()),

@@ -46,26 +46,40 @@ def frozen(index: PossessionIndex):
     """Everything an overlay must leave as it found it, byte for byte."""
     matrix = index.matrix
     return (
-        matrix.bits.tobytes(), matrix.holder_words.tobytes(),
-        matrix.dup.tobytes(), list(index.deliveries),
+        matrix.holder_words.tobytes(), matrix.dup.tobytes(),
+        list(index.deliveries),
         dict(matrix.block_gids), list(matrix.block_names),
     )
 
 
-def assert_counts_are_popcounts(matrix):
-    """``dup`` and ``holder_words`` are the bit columns, counted; the
-    scheduler's relay test (a holder word masked by ``dc_mask``) is a
-    non-zero per-DC popcount of them."""
+def assert_counts_are_popcounts(store, among):
+    """``dup`` counts the holder rows; the scheduler's relay test (a
+    holder word masked by ``dc_mask``) is a non-zero per-DC popcount of
+    them. Every other possession query reads those rows too: ``has`` and
+    ``test_many`` answer each (server, block) pair, ``test_transfers``
+    each (source, destination, block) triple, and ``held_among`` counts
+    the servers ``among`` in each row."""
+    matrix = store.matrix
     gids = np.arange(matrix.num_blocks)
+    held = np.zeros((matrix.num_servers, gids.size), dtype=bool)
+    for gid in gids:
+        held[matrix.holder_ids(gid), gid] = True
+    names = matrix.server_names
+    has = [[store.has(s, b) for b in matrix.block_names] for s in names]
+    assert (np.array(has, dtype=bool).reshape(held.shape) == held).all()
+    sids = np.arange(matrix.num_servers)
+    assert (matrix.test_many(sids[:, None], gids) == held).all()
+    assert (
+        matrix.test_transfers(sids[:, None, None], sids[None, :, None], gids)
+        == held[:, None, :] & ~held[None, :, :]
+    ).all()
+    assert (matrix.held_among(gids, among) == held[among].sum(axis=0)).all()
+    assert (matrix.dup[gids] == held.sum(axis=0)).all()
     for dc in range(len(matrix.dc_names)):
         relay_held = (matrix.holder_words[gids] & matrix.dc_mask[dc]).any(axis=1)
-        for gid in gids:
-            holders = matrix.holder_ids(gid)
-            in_dc = np.count_nonzero(matrix.server_dc_ids[holders] == dc)
-            assert relay_held[gid] == (in_dc > 0)
+        assert (relay_held == held[matrix.server_dc_ids == dc].any(axis=0)).all()
     for gid in gids:
-        holders = matrix.holder_ids(gid)
-        assert matrix.dup[gid] == len(holders)
+        holders = np.flatnonzero(held[:, gid])
         assert matrix.any_holder_ids(np.array([gid])).tolist() == holders.tolist()
 
 
@@ -82,10 +96,13 @@ def possession(draw):
         for i in range(n)
     ]
     index = PossessionIndex({s: s.split("-")[0] for s in servers})
+    # A subset drawn server by server: past 64 servers, both words.
+    n = len(servers)
+    among = np.flatnonzero(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     pair = st.tuples(st.sampled_from(servers), st.sampled_from(blocks))
     for server, block in draw(st.lists(pair, min_size=1, max_size=30)):
         index.seed(server, [block])
-    assert_counts_are_popcounts(index.matrix)  # after the seeds (set_many)
+    assert_counts_are_popcounts(index, among)  # after the seeds (set_many)
     events = [
         (block, servers[0], dst, float(when), "dc0")
         for when, (dst, block) in enumerate(draw(st.lists(pair, max_size=40)))
@@ -98,13 +115,13 @@ def possession(draw):
     # Phantoms: held already, new, repeated — of interned blocks only.
     known = [b for b in blocks if b.block_id in index.matrix.block_gids]
     phantom = st.tuples(st.sampled_from(servers), st.sampled_from(known))
-    return index, servers, blocks, draw(st.lists(phantom, max_size=25))
+    return index, servers, blocks, draw(st.lists(phantom, max_size=25)), among
 
 
 @settings(max_examples=150, deadline=None)
 @given(possession())
 def test_overlay_answers_like_the_proxy_and_leaves_the_base_alone(drawn):
-    index, servers, blocks, phantoms = drawn
+    index, servers, blocks, phantoms, among = drawn
     matrix = index.matrix
     before = frozen(index)
     sids = np.array([matrix.server_ids[s] for s, _b in phantoms], dtype=np.int64)
@@ -127,8 +144,8 @@ def test_overlay_answers_like_the_proxy_and_leaves_the_base_alone(drawn):
         assert oracles.blocks_on(overlay, server) == proxy.blocks_on(server)
         assert overlay.dc_of(servers[0]) == index.dc_of(servers[0])
     assert overlay.matrix.test_many(sids, gids).all()
-    assert_counts_are_popcounts(overlay.matrix)
-    assert_counts_are_popcounts(matrix)
+    assert_counts_are_popcounts(overlay, among)
+    assert_counts_are_popcounts(index, among)
 
     assert frozen(index) == before
     assert overlay.matrix.block_gids is matrix.block_gids  # same id space

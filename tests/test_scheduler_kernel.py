@@ -127,7 +127,8 @@ class TestVectorizedSelectionEquivalence:
 
     def test_relay_dc_across_two_holder_words(self):
         """80 servers: the relay DC's (sids 60–79) straddle two holder
-        words, so "some server of the DC holds it" must OR the words."""
+        words, so "some server of the DC holds it" must OR the words, and
+        the failed holders of a block must be counted in both."""
         topo = Topology.full_mesh(
             num_dcs=4, servers_per_dc=20, wan_capacity=40 * MBps, uplink=5 * MBps
         )
@@ -149,6 +150,18 @@ class TestVectorizedSelectionEquivalence:
         assert (words[:, 0] != 0).any() and (words[:, 1] != 0).any()
         scheduler = RarestFirstScheduler()
         assert scheduler.select(view) == oracles.select_rarest_first(view, scheduler)
+        # Fail both holders of a block held once in each word: only a
+        # failed-holder count that reads both words leaves it unsourced.
+        pair = next(
+            held for held in map(matrix.holder_ids, range(matrix.num_blocks))
+            if len(held) == 2 and held[0] < 64 <= held[1]
+        )
+        failing = view.with_extra_failed_agents(
+            matrix.server_names[sid] for sid in pair
+        )
+        selected = scheduler.select(failing)
+        assert selected == oracles.select_rarest_first(failing, scheduler)
+        assert selected != scheduler.select(view)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_no_relays_mode_identical(self, seed):
