@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from functools import cached_property
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from repro.net.candidates import CandidateTable
 from repro.net.directive import TransferDirective
 from repro.net.view import ClusterView
 from repro.overlay.job import MulticastJob
+from repro.overlay.store import set_bits
 
 Rows = Tuple[np.ndarray, ...]
 
@@ -115,7 +116,9 @@ class JobPossession:
         self._gids = table.groups_by_job[job.job_id][0].gids
         # Rows (servers or DCs) per chunk of a pass over all blocks.
         self._step = max(1, CHUNK // len(self._gids))
-        failed = [self.sid_of[s] for s in view.failed_agents if s in self.sid_of]
+        self._failed = failed = [
+            self.sid_of[s] for s in view.failed_agents if s in self.sid_of
+        ]
         self.up = np.ones(len(self.names), dtype=bool)
         self.up[failed] = False
         # Healthy copies per block: the cluster-wide count minus what
@@ -176,10 +179,21 @@ class JobPossession:
         for server, lo, hi in zip(servers, bounds, bounds[1:]):
             yield server, idx[lo:hi]
 
-    def holders(self, idx=slice(None)) -> np.ndarray:
-        """Healthy servers holding at least one of the blocks, ascending."""
-        sids = self._matrix.any_holder_ids(self._gids[idx])
-        return sids[self.up[sids]]
+    def holders(self) -> np.ndarray:
+        """Healthy servers holding at least one block of the job, ascending."""
+        (sids,) = self.holders_by_run(slice(None), [0, len(self._gids)], [0])
+        return sids
+
+    def holders_by_run(
+        self, idx: np.ndarray, bounds: Sequence[int], runs: Iterable[int]
+    ) -> Iterator[np.ndarray]:
+        """:meth:`holders` of ``idx[bounds[k]:bounds[k + 1]]`` for each
+        ``k`` of ``runs``, in that order. The holder rows of every run are
+        OR-reduced at once; a run's are unpacked when it is reached."""
+        words = self._matrix.any_holder_words(self._gids[idx], bounds)
+        for k in runs:
+            sids = set_bits(words[k])
+            yield sids[self.up[sids]]
 
     def holder_lists(
         self, sids: np.ndarray, idx: np.ndarray
@@ -207,10 +221,22 @@ class JobPossession:
 
     @cached_property
     def origin(self) -> np.ndarray:
-        """Per block: its healthy source-DC holder of lowest id, or -1."""
+        """Per block: its healthy source-DC holder of lowest id, or -1.
+
+        Each holder word is masked to the healthy source-DC servers, and
+        the words are read from the highest to the lowest, so the lowest
+        set bit of the lowest non-zero word is what is left: its
+        position is the popcount of the bits below it.
+        """
         matrix = self._matrix
-        in_src_dc = matrix.server_dc_ids == matrix.dc_ids[self.job.src_dc]
-        return self.first_holder(np.flatnonzero(in_src_dc).tolist())
+        mask = matrix.dc_mask[matrix.dc_ids[self.job.src_dc]]
+        mask = mask & ~matrix.mask_of(self._failed)
+        src = np.full(len(self._gids), -1)
+        for word in np.flatnonzero(mask)[::-1].tolist():
+            held = matrix.holder_words[self._gids, word] & mask[word]
+            low = np.bitwise_count((held & -held) - np.uint64(1))
+            src = np.where(held != 0, low + np.int64(64 * word), src)
+        return src
 
     def directive(self, dst: int, src: int, blocks) -> TransferDirective:
         """Send ``blocks`` (job-relative indices) from ``src`` to ``dst``."""

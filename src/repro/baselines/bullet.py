@@ -11,11 +11,18 @@ or avoid uplink hotspots.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.base import JobPossession, OverlayStrategy, draw
+from repro.baselines.base import (
+    CHUNK,
+    JobPossession,
+    OverlayStrategy,
+    Rows,
+    draw,
+    run_bounds,
+)
 from repro.net.directive import TransferDirective
 from repro.net.view import ClusterView
 from repro.utils.rng import SeedLike, make_rng
@@ -61,46 +68,123 @@ class BulletStrategy(OverlayStrategy):
         directives: List[TransferDirective] = []
         for job in view.jobs:
             lens = self.lens(view, job)
-            for dst, missing in lens.missing_by_server():
-                key = (job.job_id, dst)
-                if refresh or key not in self._peers:
-                    # One RanSub epoch: a random subset of the servers
-                    # holding at least one missing block (the summary
-                    # tickets RanSub distributes), of which the node keeps
-                    # up to ``num_peers``.
-                    subset = draw(self._rng, lens.holders(missing), self.ransub_size)
-                    self._peers[key] = subset[: self.num_peers]
-                peers = self._peers[key]
-                partition = self._partition_disjoint(lens, missing, peers)
-                directives.extend(
-                    lens.directive(dst, peer, blocks)
-                    for peer, blocks in zip(peers.tolist(), partition)
-                    if blocks
-                )
+            _seg, dst, idx = lens.missing()
+            if not dst.size:
+                continue
+            bounds = run_bounds(dst)
+            keys = [(job.job_id, r) for r in dst[bounds[:-1]].tolist()]
+            redraw = [
+                k for k, key in enumerate(keys) if refresh or key not in self._peers
+            ]
+            self._ransub(lens, idx, bounds, keys, redraw)
+            peers = [self._peers[key] for key in keys]
+            rows = self._partition_disjoint(lens, dst, idx, bounds, peers)
+            directives.extend(lens.directives([rows]))
         return directives
 
-    def _partition_disjoint(
-        self, lens: JobPossession, missing: np.ndarray, peers: np.ndarray
-    ) -> List[List[int]]:
-        """Assign each missing block to exactly one peer that holds it.
+    def _ransub(
+        self,
+        lens: JobPossession,
+        idx: np.ndarray,
+        bounds: np.ndarray,
+        keys: List[Tuple[str, int]],
+        redraw: List[int],
+    ) -> None:
+        """One RanSub epoch for each receiver of ``redraw`` (positions in
+        ``keys`` and among the runs of ``idx`` between ``bounds``): a
+        random subset of the servers holding at least one of its missing
+        blocks (the summary tickets RanSub distributes), of which the
+        node keeps up to ``num_peers``. The pools are found for every
+        receiver at once (and not at all when none is redrawn); the draws
+        are made one by one, in order."""
+        pools = lens.holders_by_run(idx, bounds.tolist(), redraw)
+        for k, pool in zip(redraw, pools):
+            subset = draw(self._rng, pool, self.ransub_size)
+            self._peers[keys[k]] = subset[: self.num_peers]
 
-        Blocks rotate across peers (round-robin over eligible ones) so the
-        data received from different senders is disjoint — Bullet's core
-        mechanism. Returns one block list per peer.
+    def _partition_disjoint(
+        self,
+        lens: JobPossession,
+        dst: np.ndarray,
+        idx: np.ndarray,
+        bounds: np.ndarray,
+        peers: Sequence[np.ndarray],
+    ) -> Rows:
+        """Assign each receiver's missing blocks to its peers, each block
+        to exactly one peer that holds it: ``(dst, src, idx)`` rows.
+
+        Receiver ``k`` has the rows ``bounds[k]:bounds[k + 1]`` of ``dst``
+        and ``idx`` (blocks ascending) and the sending peers ``peers[k]``.
+        Its blocks rotate across the peers that hold them and may take
+        more (round-robin over eligible ones), so the data received from
+        different senders is disjoint — Bullet's core mechanism — until
+        every peer is asked for ``blocks_per_peer`` blocks.
+
+        All receivers are dealt in lockstep. Between two rows at which
+        one of a receiver's buckets fills, the eligible peers of each row
+        are fixed, so a phase deals every receiver's rows up to and
+        including its next such row at once; the turn and the counts
+        carry over into its next phase. A receiver is dealt a window of
+        ``num_peers × blocks_per_peer`` rows at a time (all it could
+        take, were every row eligible), and windows go to as many
+        receivers at once as make :data:`CHUNK` rows.
+        Rows come out by receiver, then peer, then block.
         """
-        partition: List[List[int]] = [[] for _ in peers]
-        turn = full = 0
-        for block, holders in lens.holder_lists(peers, missing):
-            eligible = [
-                p for p in holders if len(partition[p]) < self.blocks_per_peer
-            ]
-            if not eligible:
-                continue
-            bucket = partition[eligible[turn % len(eligible)]]
-            bucket.append(block)
-            turn += 1
-            if len(bucket) == self.blocks_per_peer:
-                full += 1
-                if full == len(partition):
-                    break  # every peer is asked for all it may send
-        return partition
+        width, cap = self.num_peers, self.blocks_per_peer
+        window = width * cap
+        step = max(1, CHUNK // window)
+        table = np.full((len(peers), width), -1)
+        sizes = np.array([len(p) for p in peers])
+        table[_ranges(np.zeros_like(sizes), sizes)] = np.concatenate(peers)
+        # A padding slot counts as a full bucket: it is never eligible.
+        full = table < 0
+        taken = np.zeros(table.shape, dtype=np.int64)
+        turn = np.zeros(len(peers), dtype=np.int64)
+        pos, end = bounds[:-1].copy(), bounds[1:]
+        dealt = [(idx[:0], idx[:0])]  # (row, receiver × width + peer) pairs
+        live = np.flatnonzero(~full.all(axis=1))
+        while live.size:
+            chunk = live[:step]
+            hi = np.minimum(pos[chunk] + window, end[chunk])
+            owner, row = _ranges(pos[chunk], hi)
+            rec = chunk[owner]
+            holds = lens.has(table[rec], idx[row][:, None])
+            some = holds.any(axis=1)  # a row no peer holds is never dealt
+            rec, row, holds = rec[some], row[some], holds[some]
+            start = np.searchsorted(rec, rec)  # each row's receiver's first
+            at = np.arange(len(row))
+            while True:
+                eligible = holds & ~full[rec] & (row >= pos[rec])[:, None]
+                choices = eligible.sum(axis=1)
+                ready = choices > 0
+                before = np.cumsum(ready) - ready
+                nth = (turn[rec] + before - before[start]) % np.maximum(choices, 1)
+                pick = (eligible.cumsum(axis=1) > nth[:, None]).argmax(axis=1)
+                hit = ready[:, None] & (pick[:, None] == np.arange(width))
+                run = hit.cumsum(axis=0)
+                run -= (run - hit)[start]
+                count = taken[rec, pick] + run[at, pick]  # of the pick, this row in
+                fills = np.flatnonzero(ready & (count == cap))
+                fills = fills[np.unique(rec[fills], return_index=True)[1]]
+                full[rec[fills], pick[fills]] = True
+                # A phase ends at the row that fills a bucket, that row in.
+                pos[chunk] = hi
+                pos[rec[fills]] = row[fills] + 1
+                keep = ready & (row < pos[rec])
+                dealt.append((row[keep], rec[keep] * width + pick[keep]))
+                np.add.at(taken, (rec[keep], pick[keep]), 1)
+                turn += np.bincount(rec[keep], minlength=len(turn))
+                if not fills.size:
+                    break
+            live = live[~full[live].all(axis=1) & (pos[live] < end[live])]
+        rows, slots = (np.concatenate(column) for column in zip(*dealt))
+        order = np.lexsort((rows, slots))
+        rows = rows[order]
+        return dst[rows], table.reshape(-1)[slots[order]], idx[rows]
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(k, i)`` for every ``lo[k] <= i < hi[k]``, by ``k``, then ``i``."""
+    size = hi - lo
+    owner = np.repeat(np.arange(len(lo)), size)
+    return owner, np.arange(size.sum()) + (lo - np.cumsum(size) + size)[owner]

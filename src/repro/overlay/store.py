@@ -26,6 +26,7 @@ Possession only grows: copies are seeded or delivered and never dropped
 from __future__ import annotations
 
 import copy
+from bisect import bisect_left, bisect_right
 from collections import abc
 from dataclasses import dataclass
 from typing import (
@@ -37,6 +38,7 @@ from typing import (
     Mapping,
     Optional,
     AbstractSet,
+    Sequence,
     Tuple,
 )
 
@@ -275,21 +277,38 @@ class PossessionMatrix:
 
     def holder_ids(self, gid: int) -> np.ndarray:
         """Server ids holding the block, ascending (== sorted by name)."""
-        return _set_bits(self.holder_words[gid])
+        return set_bits(self.holder_words[gid])
 
-    def any_holder_ids(self, gids: np.ndarray) -> np.ndarray:
-        """Server ids holding at least one of the blocks, ascending.
+    def any_holder_words(self, gids: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
+        """Per run ``gids[bounds[k]:bounds[k + 1]]`` of blocks, the servers
+        holding at least one of them, packed like a holder row: runs ×
+        words. Runs are not empty (unless ``gids`` is).
 
-        The holder words are OR-reduced 4 096 blocks at a time, so the
-        temporary is 512 bytes × servers however many blocks are asked
-        about.
+        The holder rows are OR-reduced by one segmented reduce per chunk
+        of as many rows as make 8 192 words, so a call's temporaries are
+        64 kB (or one row) beside its answer.
         """
-        any_of = np.zeros(self.holder_words.shape[1], dtype=np.uint64)
-        for lo in range(0, len(gids), 4096):
-            any_of |= np.bitwise_or.reduce(
-                self.holder_words[gids[lo : lo + 4096]], axis=0
+        words = self.holder_words.shape[1]
+        bounds = list(bounds)
+        any_of = np.zeros((len(bounds) - 1, words), dtype=np.uint64)
+        step = max(1, 8192 // words)
+        for lo in range(0, bounds[-1], step):
+            hi = min(lo + step, bounds[-1])
+            first = bisect_right(bounds, lo) - 1
+            last = bisect_left(bounds, hi)
+            # Where each run starts in the chunk: the first is under way.
+            cuts = [0] + [start - lo for start in bounds[first + 1 : last]]
+            any_of[first:last] |= np.bitwise_or.reduceat(
+                self.holder_words[gids[lo:hi]], cuts, axis=0
             )
-        return _set_bits(any_of)
+        return any_of
+
+    def mask_of(self, sids) -> np.ndarray:
+        """The holder row whose set bits are the servers ``sids``."""
+        sids = np.asarray(sids, dtype=np.int64)
+        mask = np.zeros(self.holder_words.shape[1], dtype=np.uint64)
+        np.bitwise_or.at(mask, sids >> 6, _BITS[sids & 63])
+        return mask
 
     def test_many(self, sids, gids):
         """Does server ``sids`` hold block ``gids``? Scalars or arrays,
@@ -306,9 +325,7 @@ class PossessionMatrix:
         """Per block of ``gids``, how many of the distinct servers ``sids``
         hold it: one masked gather and popcount per holder word that
         contains a server of ``sids``."""
-        sids = np.asarray(sids, dtype=np.int64)
-        mask = np.zeros(self.holder_words.shape[1], dtype=np.uint64)
-        np.bitwise_or.at(mask, sids >> 6, _BITS[sids & 63])
+        mask = self.mask_of(sids)
         held = np.zeros(len(gids), dtype=np.int64)
         for word in np.flatnonzero(mask).tolist():
             held += np.bitwise_count(self.holder_words[gids, word] & mask[word])
@@ -325,7 +342,7 @@ class PossessionMatrix:
         return int(self.holder_words.nbytes + self.dup.nbytes)
 
 
-def _set_bits(words: np.ndarray) -> np.ndarray:
+def set_bits(words: np.ndarray) -> np.ndarray:
     """The positions of the set bits of a packed word row, ascending."""
     return np.flatnonzero((words[:, None] >> _SHIFTS) & np.uint64(1))
 

@@ -16,19 +16,22 @@ the simulator's candidate table).
 Mutations this file was checked to catch (each made in ``src/``, each
 failing here): servers ordered by id instead of first appearance in
 ``missing``; ``directives`` pairs in sorted order; Gingko's early exit
-taken at the first full bucket, and Bullet's; the ``up`` mask dropped
-from Gingko's neighbours, and added to Bullet's peers; Gingko's pool
-keeping the receiver, or failed servers; Bullet's turn not advancing; one
-draw too many; the chain relay's window cut after the upstream filter;
-the fan-out's cut before it; Akamai's and direct's windows cut after the
-holder filter; Akamai's stripes ignored; relay groups not skipped;
-``sourced`` ignoring failed holders; a failed destination kept;
-``first_holder`` taking the last of its servers, or a failed one;
-``any_holder_ids`` dropping its last chunk. The job-wide pass's own
-mutants are built and run below (:data:`MUTANTS`). One named for it is
-not a mutant: grouping servers by first appearance across the whole job
-instead of within each chunk of DCs orders the rows the same way,
-because no server belongs to two DCs.
+taken at the first full bucket; the ``up`` mask dropped from Gingko's
+neighbours, and added to Bullet's peers; Gingko's pool keeping the
+receiver, or failed servers; one draw too many; the chain relay's
+window cut after the upstream filter; the fan-out's cut before it;
+Akamai's and direct's windows cut after the holder filter; Akamai's
+stripes ignored; relay groups not skipped; ``sourced`` ignoring failed
+holders; a failed destination kept; ``first_holder`` taking the last of
+its servers, or a failed one; ``any_holder_words`` dropping its last
+chunk; ``origin`` reading its words lowest first, or counting failed
+holders. The own mutants of the job-wide pass and of Bullet's column
+deal are built and run below (:data:`MUTANTS`), each on the case that
+reaches it: the corner case gives no Bullet receiver enough rows to
+fill a bucket, so the deal's run on :func:`deal_case`. One named for
+the job-wide pass is not a mutant: grouping servers by first
+appearance across the whole job instead of within each chunk of DCs
+orders the rows the same way, because no server belongs to two DCs.
 """
 
 from __future__ import annotations
@@ -314,6 +317,48 @@ def test_named_corner_cases(name, exact):
     assert shadow.decides >= 6 and shadow.directives > 0
 
 
+def deal_case():
+    """Bullet's deal past its first phase and window: two servers per DC,
+    so a receiver lacks half the file, and copies of all, half and a
+    third of it beside the striped source, so that a receiver's peers
+    hold blocks in common and fill their buckets of three. One
+    receiver fails for three cycles."""
+    return {
+        "num_dcs": 4,
+        "servers_per_dc": 2,
+        "uplink": 2 * MBps,
+        "jobs": [
+            {
+                "job_id": "a", "src_dc": "dc0", "dst_dcs": ("dc1", "dc2"),
+                "relay_dcs": ("dc3",), "total_bytes": 65 * MB,
+                "arrival_time": 0.0,
+            },
+        ],
+        # sorted names: dc0-s0, dc0-s1, dc1-s0, …; 6 and 7 are dc3's.
+        "windows": [(2, 2, 3)],
+        "seeded": [
+            (6, 0, list(range(65))), (7, 0, list(range(0, 65, 2))),
+            (3, 0, list(range(0, 65, 3))),
+        ],
+        "inexact": False,
+        "speculate": False,
+        "seed": 7,
+    }
+
+
+#: Bullet, its parameters and :func:`deal_case`.
+DEAL = (
+    "bullet",
+    {"ransub_size": 5, "num_peers": 3, "refresh_interval": 2, "blocks_per_peer": 3},
+    deal_case(),
+)
+
+
+def test_bullet_deal_case():
+    shadow = run_shadowed(*DEAL, max_cycles=8)
+    assert shadow.decides >= 6 and shadow.directives > 0
+
+
 @pytest.mark.parametrize("name", sorted(STRATEGIES))
 def test_one_dc_per_chunk_equals_the_scalar_oracle(name, monkeypatch):
     """A job-wide pass tests and groups one DC (or relay, or reflector)
@@ -406,6 +451,34 @@ def test_views_the_simulator_would_not_reach(name):
         assert not any(d.dst_server == "dc2-s0" for d in emitted[1])
 
 
+def test_origin_over_two_holder_words_with_a_failed_holder_in_each():
+    """70 source-DC servers (two holder words), a failed holder in each
+    word, copies beside them in both: ``origin`` is the lowest healthy
+    holder, as ``first_holder`` over the source DC and the scalar oracle
+    find it, and -1 where every source-DC holder failed."""
+    topo = Topology.full_mesh(
+        num_dcs=2, servers_per_dc=70, wan_capacity=1 * GBps, uplink=5 * MBps
+    )
+    job = MulticastJob(
+        job_id="j", src_dc="dc0", dst_dcs=("dc1",),
+        total_bytes=280 * MB, block_size=1 * MB,
+    )
+    job.bind(topo)
+    names = sorted(topo.servers)  # ids 0-63 are word 0, 64-69 word 1
+    blocks = job.blocks
+    pre_seeded = {names[5]: blocks[::2], names[68]: blocks[1::4]}
+    strategy = DirectStrategy()
+    sim = Simulation(topo, [job], strategy, SimConfig(), pre_seeded=pre_seeded)
+    view = sim.snapshot_view().with_extra_failed_agents({names[3], names[66]})
+    lens = strategy.lens(view, job)
+    in_src_dc = np.flatnonzero(np.char.startswith(np.array(names), "dc0-"))
+    origin = lens.origin
+    assert (origin == lens.first_holder(in_src_dc.tolist())).all()
+    want = [oracles.origin_holder(view, job, block) for block in blocks]
+    assert [names[s] if s >= 0 else None for s in origin.tolist()] == want
+    assert {5, 68} <= set(origin.tolist()) and -1 in origin and 69 in origin
+
+
 # -- mutants of the job-wide pass ------------------------------------------------
 
 
@@ -422,21 +495,47 @@ def mutant(cls, name, *edits):
 
 _BOUNDS = "np.searchsorted(seg, range(0, len(assigned) + step, step))"
 
-#: name -> (the strategy whose corner case catches it, class, method, edits)
+def corner(strategy):
+    """``strategy``, its corner-case parameters and the corner case."""
+    return strategy, CORNER_PARAMS[strategy], corner_case()
+
+
+#: name -> ((strategy, parameters, the scenario that catches it), class,
+#: method, edits)
 MUTANTS = {
     # every chunk's server grouping starts one row late and ends one late
     "segment-bounds-shifted": (
-        "direct", JobPossession, "missing", [(_BOUNDS, f"({_BOUNDS} + 1)")]
+        corner("direct"), JobPossession, "missing", [(_BOUNDS, f"({_BOUNDS} + 1)")]
     ),
     # a fan-out row names the relay of the DC before its own
     "relay-from-the-neighbouring-segment": (
-        "chain", ChainStrategy, "_fan_out",
+        corner("chain"), ChainStrategy, "_fan_out",
         [("chain[seg[rows]]", "chain[seg[rows] - 1]")],
     ),
     # an edge row asks the reflectors of the DC before its own
     "reflector-from-the-neighbouring-segment": (
-        "akamai", AkamaiStrategy, "_reflectors_to_edges",
+        corner("akamai"), AkamaiStrategy, "_reflectors_to_edges",
         [("ranks[seg[rows]]", "ranks[seg[rows] - 1]")],
+    ),
+    # every phase of Bullet's deal starts its rotation at the first peer
+    "turn-reset-at-each-phase": (
+        DEAL, BulletStrategy, "_partition_disjoint",
+        [("(turn[rec] + before - before[start])", "(before - before[start])")],
+    ),
+    # the row that fills a bucket is dealt again in the next phase
+    "filling-row-in-the-next-phase": (
+        DEAL, BulletStrategy, "_partition_disjoint",
+        [("pos[rec[fills]] = row[fills] + 1", "pos[rec[fills]] = row[fills]")],
+    ),
+    # a receiver's pairs come out in order of first block, not of peer
+    "pairs-in-first-appearance-order": (
+        DEAL, BulletStrategy, "_partition_disjoint",
+        [("np.lexsort((rows, slots))", "np.argsort(rows)")],
+    ),
+    # a receiver its first window did not finish is dealt no further rows
+    "no-further-window": (
+        DEAL, BulletStrategy, "_partition_disjoint",
+        [("(pos[live] < end[live])", "~np.isin(live, chunk)")],
     ),
 }
 
@@ -449,8 +548,8 @@ def test_mutant_with_a_missing_edit_text_fails():
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_mutant_is_caught(name, monkeypatch):
-    strategy, cls, method, edits = MUTANTS[name]
+    (strategy, params, scenario), cls, method, edits = MUTANTS[name]
     function = mutant(cls, method, *edits)  # a stale edit fails here
     monkeypatch.setattr(cls, method, function)
     with pytest.raises(AssertionError):
-        run_shadowed(strategy, CORNER_PARAMS[strategy], corner_case(), max_cycles=8)
+        run_shadowed(strategy, params, scenario, max_cycles=8)

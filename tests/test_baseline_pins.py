@@ -3,7 +3,9 @@
 ``tests/data/baseline_pins.json`` was recorded at the commit before the
 five baselines moved from scalar ``store.has`` probes to the
 :class:`~repro.baselines.base.JobPossession` lens (run this file as a
-script against that commit's ``src/`` to record it again). Every value
+script against that commit's ``src/`` to record it again), and
+``bullet:relay_failure`` at the commit before Bullet dealt all its
+receivers at once. Every value
 is a ``SimResult.fingerprint()`` or the exact floats an experiment
 runner returns, so any change to a directive, to the order directives
 are emitted in, or to a strategy's RNG stream shows up here.
@@ -28,7 +30,7 @@ from repro.net.failures import FailureEvent, FailureSchedule
 from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
-from repro.utils.units import MB, MBps
+from repro.utils.units import GBps, MB, MBps
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).parent / "data"
@@ -88,6 +90,41 @@ def _controller_outage(strategy: str) -> str:
     return sim.run().fingerprint()
 
 
+def _relay_failure(strategy: str) -> str:
+    """A run in which Bullet's peers are not direct's origin holders.
+
+    Two destination DCs start with a fifth of the file on each server,
+    so Bullet's RanSub subsets reach beyond the source DC, and one of
+    those servers fails mid-run. (The ledger's ``overlay_compare`` and
+    its pins cannot tell Bullet from direct: the receivers' downlinks
+    bound both to the same deliveries.)
+    """
+    topo = Topology.full_mesh(
+        num_dcs=6, servers_per_dc=4, wan_capacity=1 * GBps, uplink=8 * MBps
+    )
+    job = MulticastJob(
+        job_id="j", src_dc="dc0", dst_dcs=("dc1", "dc2", "dc3", "dc4", "dc5"),
+        total_bytes=160 * MB, block_size=4 * MB,
+    )
+    job.bind(topo)
+    pre_seeded = {
+        server.server_id: job.blocks[k % 5 :: 5]
+        for dc in ("dc1", "dc2")
+        for k, server in enumerate(topo.servers_in(dc))
+    }
+    failures = FailureSchedule(
+        [
+            FailureEvent(cycle=3, kind="agent_fail", target="dc1-s0"),
+            FailureEvent(cycle=7, kind="agent_recover", target="dc1-s0"),
+        ]
+    )
+    sim = Simulation(
+        topo, [job], make_strategy(strategy, seed=4), SimConfig(),
+        failures=failures, pre_seeded=pre_seeded, seed=4,
+    )
+    return sim.run().fingerprint()
+
+
 def _fig9() -> Dict[str, object]:
     result = exp_fig9_bds_vs_gingko(
         file_bytes=128 * MB, servers_per_dc=3, days=1
@@ -130,6 +167,7 @@ SCENARIOS: Dict[str, Callable[[], object]] = {
     "fig9:test_scale": _fig9,
     "table3:baseline": _table3,
     "fig5:test_scale": _fig5,
+    "bullet:relay_failure": lambda: _relay_failure("bullet"),
 }
 
 
@@ -146,6 +184,12 @@ def test_fallback_cycles_are_crossed():
     for name, pin in pins.items():
         if name.startswith("sharded_churn_k4"):
             assert pin["fallback_cycles"] == 3
+
+
+def test_the_bullet_pin_is_not_direct():
+    """The relay-failure pin sees Bullet's own peers and partitions."""
+    pins = json.loads(PINS_FILE.read_text())
+    assert pins["bullet:relay_failure"] != _relay_failure("direct")
 
 
 if __name__ == "__main__":

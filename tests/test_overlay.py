@@ -32,7 +32,7 @@ from repro.core.scheduling import RarestFirstScheduler
 from repro.core.speculation import DeliverySpeculator, SpeculatedView
 from repro.net.view import ClusterView
 from repro.overlay.blocks import Block
-from repro.overlay.store import PossessionIndex, PossessionOverlay
+from repro.overlay.store import PossessionIndex, PossessionOverlay, set_bits
 from repro.utils.units import MB
 
 from tests import oracles
@@ -57,8 +57,9 @@ def assert_counts_are_popcounts(store, among):
     holder word masked by ``dc_mask``) is a non-zero per-DC popcount of
     them. Every other possession query reads those rows too: ``has`` and
     ``test_many`` answer each (server, block) pair, ``test_transfers``
-    each (source, destination, block) triple, and ``held_among`` counts
-    the servers ``among`` in each row."""
+    each (source, destination, block) triple, ``held_among`` counts
+    the servers ``among`` in each row, and ``any_holder_words`` ORs the
+    rows of each run of blocks."""
     matrix = store.matrix
     gids = np.arange(matrix.num_blocks)
     held = np.zeros((matrix.num_servers, gids.size), dtype=bool)
@@ -78,9 +79,15 @@ def assert_counts_are_popcounts(store, among):
     for dc in range(len(matrix.dc_names)):
         relay_held = (matrix.holder_words[gids] & matrix.dc_mask[dc]).any(axis=1)
         assert (relay_held == held[matrix.server_dc_ids == dc].any(axis=0)).all()
-    for gid in gids:
-        holders = np.flatnonzero(held[:, gid])
-        assert matrix.any_holder_ids(np.array([gid])).tolist() == holders.tolist()
+    # Runs of blocks over more rows than one chunk of the segmented OR.
+    rng = np.random.default_rng(gids.size)
+    picks = rng.integers(gids.size, size=20_000 if gids.size else 0)
+    bounds = np.unique(np.r_[0, rng.integers(1, 20_000, 40), 20_000])
+    bounds = bounds if gids.size else np.zeros(2, dtype=np.int64)
+    words = matrix.any_holder_words(picks, bounds.tolist())
+    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        holders = np.flatnonzero(held[:, picks[lo:hi]].any(axis=1))
+        assert set_bits(words[k]).tolist() == holders.tolist()
 
 
 @st.composite
