@@ -83,9 +83,12 @@ def _first_seen(keys: np.ndarray, size: int) -> np.ndarray:
 
 
 def _grouped(keys: np.ndarray) -> np.ndarray:
-    """:func:`_first_seen` for keys of any range."""
-    unique, inverse = np.unique(keys, return_inverse=True)
-    return _first_seen(inverse, len(unique))
+    """:func:`_first_seen` for keys of any range: ``np.unique`` names
+    each key's first row."""
+    _unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return np.argsort(
+        first[inverse].astype(np.min_scalar_type(len(keys))), kind="stable"
+    )
 
 
 def draw(rng: np.random.Generator, pool: np.ndarray, size: int) -> np.ndarray:
@@ -251,16 +254,24 @@ class JobPossession:
         ``rows`` are ``(dst, src, idx)`` column triples, taken in the order
         given; a row whose ``src`` is negative has no sender and is
         dropped. Pairs come out in order of first appearance, each with
-        its blocks in row order (callers list them ascending).
+        its blocks in row order (callers list them ascending). Rows that
+        arrive grouped (each pair one run, as Bullet's deal emits them)
+        are already in that order: only the runs' keys are sorted, to
+        tell.
         """
         dst, src, idx = (np.concatenate(column) for column in zip(*rows))
         sent = np.flatnonzero(src >= 0)
         pair = (dst * len(self.names) + src)[sent]
         if not pair.size:
             return []
-        order = _grouped(pair)
-        column, pair = idx[sent[order]], pair[order]
-        bounds = run_bounds(pair).tolist()
+        bounds = run_bounds(pair)
+        if len(np.unique(pair[bounds[:-1]])) == len(bounds) - 1:
+            column = idx[sent]
+        else:
+            order = _grouped(pair)
+            column, pair = idx[sent[order]], pair[order]
+            bounds = run_bounds(pair)
+        bounds = bounds.tolist()
         ends = np.divmod(pair[bounds[:-1]], len(self.names))
         names, job_id = self.names, self.job.job_id
         return [

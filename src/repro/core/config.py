@@ -42,7 +42,6 @@ class BDSConfig:
     """
 
     routing_backend: str = "greedy"
-    epsilon: float = 0.1
     max_blocks_per_cycle: int = 0  # 0 = unlimited
     merge_blocks: bool = True
     # §5.1 non-blocking update: feed the algorithm a delivery state that
@@ -76,8 +75,6 @@ class BDSConfig:
     def __post_init__(self) -> None:
         if self.speculation_horizon < 0:
             raise ValueError("speculation_horizon must be >= 0")
-        if not 0 < self.epsilon < 1:  # the FPTAS's own range
-            raise ValueError(f"epsilon must be within (0, 1), got {self.epsilon!r}")
         for name, least in _COUNTS.items():
             check_count(name, getattr(self, name), least)
         if self.routing_backend not in ROUTING_BACKENDS:

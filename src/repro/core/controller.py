@@ -266,9 +266,9 @@ class BDSController(OverlayStrategy):
         the pass is too.
 
         The batch stays columns: a capped directive's path is its pair's
-        ``path_ids`` row in the simulator's cycle cache (as the data
-        plane reads it), and the lowered caps come back as a new caps
-        column over the same rows.
+        row of the simulator's cycle cache (as the data plane reads it),
+        and the lowered caps come back as a new caps column over the
+        same rows.
         """
         from repro.net import flow
 
@@ -276,7 +276,6 @@ class BDSController(OverlayStrategy):
         paths = view.path_rows(
             [directives.src[i] for i in capped],
             [directives.dst[i] for i in capped],
-            directives.names,
         )
         # A pair partitioned off is left out; the simulator drops it too.
         capped = [i for i, path in zip(capped, paths) if path]

@@ -36,7 +36,9 @@ flowing sources walks its blocks in Python.
 
 Step 3 hands the solver parallel lists, not objects: per commodity its
 group, its demand, and its candidate paths as tuples of resource numbers
-from the :class:`~repro.net.cycle_cache.CycleCache`'s resource-id table.
+of the :class:`~repro.net.cycle_cache.CycleCache` — each the source's
+uplink, the DC route of the cache's table and the destination's
+downlink.
 The greedy water-fill (:func:`greedy_waterfill`) runs on exactly those;
 the FPTAS and LP backends build their :class:`~repro.lp.mcf.Commodity`
 list and :class:`~repro.lp.incidence.PathIncidence` from them inside
@@ -57,7 +59,7 @@ from repro.core.decisions import SelectionBatch
 from repro.lp.fptas import max_multicommodity_flow
 from repro.lp.incidence import PathIncidence
 from repro.lp.mcf import Commodity, solve_lp_incidence
-from repro.net.cycle_cache import CycleCache, RoutingWarmStore
+from repro.net.cycle_cache import RoutingWarmStore
 from repro.net.directive import DirectiveBatch
 from repro.net.view import ClusterView
 from repro.overlay.job import MulticastJob
@@ -258,7 +260,8 @@ class BDSRouter:
     ) -> None:
         if backend not in ("greedy", "fptas", "lp"):
             raise ValueError(f"unknown routing backend {backend!r}")
-        check_positive("epsilon", epsilon)
+        if not 0 < epsilon < 1:  # the FPTAS's own range
+            raise ValueError(f"epsilon must be within (0, 1), got {epsilon!r}")
         check_positive("max_sources_per_group", max_sources_per_group)
         self.backend = backend
         self.epsilon = epsilon
@@ -298,9 +301,8 @@ class BDSRouter:
                 "route() reads the columns of a SelectionBatch (what "
                 f"RarestFirstScheduler.select returns), not a {type(selections).__name__}"
             )
-        cache = view._cache
-        grouping = self._group_columns(view, selections, cache)
-        members, demands, paths = self._build_commodities(view, grouping, cache)
+        grouping = self._group_columns(view, selections)
+        members, demands, paths = self._build_commodities(view, grouping)
         if not members:
             return DirectiveBatch.pack((), view.store.matrix), RoutingDiagnostics(
                 backend=self.backend,
@@ -310,6 +312,7 @@ class BDSRouter:
                 runtime=_time.perf_counter() - started,
             )
 
+        cache = view.route_table()
         if self.backend == "greedy":
             rates, order = greedy_waterfill(
                 demands, paths, cache.capacity_vector(view.bulk_capacities)
@@ -334,7 +337,7 @@ class BDSRouter:
     # -- step 1 & 2: source candidates and merging -------------------------------
 
     def _pick_sources(
-        self, view: ClusterView, batch: SelectionBatch, cache: CycleCache
+        self, view: ClusterView, batch: SelectionBatch
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per representative, its group key: ``(key, first, rows, rep)``.
 
@@ -360,11 +363,10 @@ class BDSRouter:
           ``holder_words`` (failed agents masked out), and equal
           (words, destination) rows are one class — one lexsort, stable,
           so that each class keeps its rows in row order;
-        * per class, usable holders (those with a path to the
-          destination, per the cache's ``reach`` table — probed through
-          ``view.flow_resources`` the first time a pair is seen) are
-          laid out DC by DC in ascending server id — interning order is
-          name order, so these are name-sorted holder lists;
+        * per class, usable holders (those whose DC has a route to the
+          destination's in the cache's DC × DC table) are laid out DC by
+          DC in ascending server id — interning order is name order, so
+          these are name-sorted holder lists;
         * ``P`` saturates, never wraps (:func:`_periods`): it is capped
           at one past the largest block index, where ``i % P`` is ``i``
           itself; representatives are the runs of one stable argsort of
@@ -406,21 +408,10 @@ class BDSRouter:
         class_dst = batch.dst_sids[heads]
 
         # Per class, over ``dc_order`` (each DC's servers one contiguous,
-        # ascending-id run): held x reach — 1 usable, 0 not held or no
-        # path, -1 not probed yet.
+        # ascending-id run): held, routed to the destination's DC, and
+        # not the destination itself.
         held = (words[heads][:, matrix.dc_words] & matrix.dc_bits) != 0
-        reach = cache.reach_table(view.topology.epoch, view.failed_links, dc_order)
-        state = held * reach[class_dst]
-        if np.minimum.reduce(state, axis=None) < 0:
-            names = matrix.server_names
-            which, column = np.nonzero(state < 0)
-            for to, at in dict.fromkeys(  # probed in class order, once each
-                zip(class_dst[which].tolist(), column.tolist())
-            ):
-                src = names[dc_order[at]]
-                reach[to, at] = view.flow_resources(src, names[to]) is not None
-            state = held * reach[class_dst]
-        usable = state > 0
+        usable = held & view.route_table().reachable(dc_order, class_dst[:, None])
 
         # Per (class, DC), flat ``class * num_dcs + dc``: how many usable
         # holders, and where their list ends in ``holders`` — padded by
@@ -476,9 +467,7 @@ class BDSRouter:
         )
         return key, first, order[by_rep], is_head.cumsum() - 1
 
-    def _group_columns(
-        self, view: ClusterView, batch: SelectionBatch, cache: CycleCache
-    ) -> _Grouping:
+    def _group_columns(self, view: ClusterView, batch: SelectionBatch) -> _Grouping:
         """Pick and merge (§5.1) the batch's rows as index segments.
 
         Selections sharing (job, destination server, picked sources)
@@ -494,7 +483,7 @@ class BDSRouter:
         """
         names = view.store.matrix.server_names
         jobs = batch.jobs
-        key, first, rows, rep = self._pick_sources(view, batch, cache)
+        key, first, rows, rep = self._pick_sources(view, batch)
         n = len(rows)
         # Each row's lead is its group's lowest row, plus ``n`` when the
         # group has no usable source, so that such groups sort last.
@@ -571,14 +560,15 @@ class BDSRouter:
     # -- step 3: commodity construction and solving -------------------------------
 
     def _build_commodities(
-        self, view: ClusterView, grouping: _Grouping, cache: CycleCache
+        self, view: ClusterView, grouping: _Grouping
     ) -> Tuple[List[int], List[float], List[Tuple[Tuple[int, ...], ...]]]:
         """One commodity per group with bytes left, as parallel lists.
 
         Per commodity: which group it is, its demand (bytes/s), and one
-        path per candidate source as resource numbers of ``cache``'s
-        resource-id table (probed through ``view.flow_resources`` the
-        first time a pair is seen).
+        path per candidate source as a row of the view's route table,
+        read by server id from the group's key record. A group with a
+        source cut off since it was grouped (a link failed in between)
+        is left out.
 
         A group's demand folds its rows' ``size - buffered`` with the
         builtin ``sum`` in selection order — the operands are gathered
@@ -592,24 +582,14 @@ class BDSRouter:
         dt = view.cycle_seconds
         sizes, buffered, bounds = grouping.sizes, grouping.buffered, grouping.bounds
         operands = (sizes if buffered is None else sizes - buffered).tolist()
-        cache.validate_paths(view.topology.epoch, view.failed_links)
-        path_ids = cache.path_ids
-        for g, key in enumerate(grouping.keys):
+        cache = view.route_table()
+        for g in range(len(grouping.keys)):
             remaining = sum(operands[bounds[g] : bounds[g + 1]])
             if remaining <= 0:
                 continue
-            dst_server = grouping.dst_servers[g]
-            # Candidate sources are pre-filtered for routability, so every
-            # source has a failure-aware path here.
-            candidates = []
-            for src in key[2]:
-                pair = (src, dst_server)
-                path = path_ids.get(pair)
-                if path is None:
-                    path = cache.intern_path(
-                        pair, view.flow_resources(src, dst_server)
-                    )
-                candidates.append(path)
+            record = grouping.records[g]
+            sources = [s for s in record[2:] if s >= 0]
+            candidates = cache.rows(sources, [record[1]] * len(sources))
             if not all(candidates):
                 continue  # a link failed between grouping and routing
             members.append(g)

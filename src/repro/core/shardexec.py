@@ -93,7 +93,6 @@ def build_pipeline(
     )
     router = BDSRouter(
         backend=config.routing_backend,
-        epsilon=config.epsilon,
         merge_blocks=config.merge_blocks,
     )
     return scheduler, router

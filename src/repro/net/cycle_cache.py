@@ -1,14 +1,18 @@
 """Per-cycle memoization for the controller/simulator hot path.
 
-The router and the simulator re-derive the WAN path of the same
-*(holder, destination)* pairs cycle after cycle. :class:`CycleCache`
-memoizes ``flow_resources(src, dst)`` results, valid while
-``(topology.epoch, failed_links)`` is unchanged — an explicit validity
-key, so stale answers are structurally impossible; in a failure-free run
-the table survives across *all* cycles. The router's twins of it — the
-dense ``reach`` table and the resource-id table (``ResourceKey -> int``
-plus ``(src, dst) -> tuple of ints``, what the greedy water-fill indexes
-its residual vector with) — share its key and its flush. (Possession is
+A server-to-server transfer consumes the source's uplink, the WAN route
+between the two DCs and the destination's downlink (§4.4). The router
+and the simulator ask for such paths, pair after pair, cycle after
+cycle; :class:`CycleCache` holds the one fact they need per validity key
+``(topology.epoch, failed_links)``: every NIC and WAN link of the
+topology numbered once (``res_keys``, what the greedy water-fill indexes
+its residual vector with and the rate kernels number their rows in),
+and a DC × DC table of failure-aware WAN routes as tuples of those
+numbers, read from :meth:`~repro.net.topology.Topology.route` — ``None``
+where the pair is partitioned. A pair's path is derived from that table
+(:meth:`CycleCache.rows`), so nothing is stored per server pair. The
+key is explicit, so a stale answer is structurally impossible; in a
+failure-free run the table survives across *all* cycles. (Possession is
 not memoized: rarity and holders are array gathers on the possession
 matrix.)
 
@@ -17,18 +21,16 @@ instance and threads it into each cycle's
 :class:`~repro.net.view.ClusterView` (a view built without one
 makes its own) and the views derived from it — partition clones and
 speculated views read the same topology; each controller shard
-(:class:`~repro.core.shardexec.ShardMirror`) additionally owns its *own*
-persistent instance scoped to its jobs, so its tables are O(pairs/k)
-per shard rather than cluster wide.
+(:class:`~repro.core.shardexec.ShardMirror`) owns its own instance.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.net.topology import ResourceKey
+from repro.net.topology import ResourceKey, Topology, downlink_key, uplink_key
 
 PathKey = Tuple[int, FrozenSet]
 
@@ -54,97 +56,111 @@ def first_cycle_at_or_after(time_s: float, dt: float) -> int:
 
 
 class CycleCache:
-    """Epoch-guarded memo tables for the per-cycle path queries."""
+    """One validity key's resource numbering and DC × DC route table.
+
+    Resources are numbered ``uplink(s)`` as ``s``, ``downlink(s)`` as
+    ``n + s`` (server ids of ``names``, ``n`` of them), then the WAN
+    links in the topology's order. Rates do not depend on the numbering:
+    the greedy fill and the waterfill take minima, the clip sums per
+    resource in entry order, and the FPTAS and the LP intern their own
+    keys.
+
+    Telemetry (the perf ledger's ``cycle_cache.*``): ``hits`` counts path
+    rows served, ``misses`` route tables built, ``flushes`` key changes
+    that discard a built table.
+    """
 
     __slots__ = (
-        "_path_key",
-        "paths",
-        "reach",
-        "res_ids",
+        "_key",
+        "_names",
         "res_keys",
-        "path_ids",
+        "_server_dc",
+        "_linked",
+        "_dc_of",
+        "_routes",
         "hits",
         "misses",
         "flushes",
     )
 
     def __init__(self) -> None:
-        self._path_key: Optional[PathKey] = None
-        # (src_server, dst_server) -> resource tuple, or None when the
-        # destination is unreachable (partitioned off).
-        self.paths: Dict[
-            Tuple[str, str], Optional[Tuple[ResourceKey, ...]]
-        ] = {}
-        # Dense twin of ``paths`` for the router's columnar build: the
-        # int8 table ``reach[dst, j]`` of "does server ``dc_order[j]`` have
-        # a path to dst" (1 yes, 0 no, -1 not probed yet). Same validity
-        # key; flushed together with ``paths``.
-        self.reach: Optional[np.ndarray] = None
-        # Integer twin of ``paths`` for the greedy water-fill: resources
-        # numbered in first-appearance order (``res_keys`` is the inverse
-        # of ``res_ids``) and each pair's path as a tuple of those numbers
-        # — ``()`` when the destination is unreachable. Same validity key;
-        # flushed together with ``paths``.
-        self.res_ids: Dict[ResourceKey, int] = {}
+        self._key: Optional[PathKey] = None
+        self._names: Optional[Sequence[str]] = None
         self.res_keys: List[ResourceKey] = []
-        self.path_ids: Dict[Tuple[str, str], Tuple[int, ...]] = {}
-        # Telemetry (coarse; bumped by ClusterView.flow_resources).
+        # Per server id, its DC's number (topology order): a list for
+        # rows(), an array for reachable().
+        self._dc_of: List[int] = []
+        self._server_dc: np.ndarray = np.empty(0, dtype=np.int64)
+        # ``_routes[a * num_dcs + b]``: DC a's route to DC b as resource
+        # numbers, ``None`` where partitioned off; ``_linked`` is its
+        # DC × DC "has a route" mask.
+        self._routes: List[Optional[Tuple[int, ...]]] = []
+        self._linked: np.ndarray = np.empty((0, 0), dtype=bool)
         self.hits: int = 0
         self.misses: int = 0
         self.flushes: int = 0
 
-    # -- validity gates ----------------------------------------------------
-
-    def validate_paths(
-        self, topology_epoch: int, failed_links: FrozenSet
-    ) -> Dict[Tuple[str, str], Optional[Tuple[ResourceKey, ...]]]:
-        """The path memo table, flushed if topology/failures changed."""
-        key = (topology_epoch, failed_links)
-        if key != self._path_key:
-            self._path_key = key
-            if self.paths or self.reach is not None or self.path_ids:
-                self.paths = {}
-                self.reach = None
-                self.res_ids = {}
-                self.res_keys = []
-                self.path_ids = {}
+    def validate(
+        self, topology: Topology, failed_links: FrozenSet, names: Sequence[str]
+    ) -> "CycleCache":
+        """This cache, its table built for ``topology`` less
+        ``failed_links`` with servers numbered as in ``names`` —
+        rebuilt (and a flush counted) when either moved."""
+        key = (topology.epoch, failed_links)
+        if key != self._key or names is not self._names:
+            if self._names is not None:
                 self.flushes += 1
-        return self.paths
+            self._key, self._names = key, names
+            self._build(topology, failed_links, names)
+        return self
 
-    def reach_table(
-        self, topology_epoch: int, failed_links: FrozenSet, dc_order: np.ndarray
-    ) -> np.ndarray:
-        """The reachability table, flushed with the path memo.
+    def _build(
+        self, topology: Topology, failed_links: FrozenSet, names: Sequence[str]
+    ) -> None:
+        n = len(names)
+        links = list(topology.links)
+        number = {key: 2 * n + i for i, key in enumerate(links)}
+        self.res_keys = (
+            [uplink_key(s) for s in names] + [downlink_key(s) for s in names] + links
+        )
+        dcs = list(topology.dcs)
+        routes: List[Optional[Tuple[int, ...]]] = []
+        for a in dcs:
+            for b in dcs:
+                try:
+                    route = topology.route(a, b, failed_links)
+                except ValueError:
+                    routes.append(None)
+                    continue
+                routes.append(tuple([number[key] for key in route]))
+        self._routes = routes
+        self._linked = np.array(
+            [route is not None for route in routes], dtype=bool
+        ).reshape(len(dcs), len(dcs))
+        dc_number = {dc: i for i, dc in enumerate(dcs)}
+        self._dc_of = [dc_number[topology.servers[s].dc] for s in names]
+        self._server_dc = np.array(self._dc_of, dtype=np.int64)
+        self.misses += 1
 
-        Column ``j`` is server ``dc_order[j]``; a server is never its own
-        source (0).
-        """
-        self.validate_paths(topology_epoch, failed_links)
-        if self.reach is None:
-            self.reach = np.full((len(dc_order),) * 2, -1, dtype=np.int8)
-            self.reach[dc_order, np.arange(len(dc_order))] = 0
-        return self.reach
+    def rows(self, src: Sequence[int], dst: Sequence[int]) -> List[Tuple[int, ...]]:
+        """The paths of the ``(src[i], dst[i])`` server-id pairs as rows of
+        resource numbers: ``(uplink, *route, downlink)``, ``()`` where the
+        DCs are partitioned or the two are one server."""
+        dc_of, routes = self._dc_of, self._routes
+        width, n = len(self._linked), len(dc_of)
+        out = []
+        for s, t in zip(src, dst):
+            route = routes[dc_of[s] * width + dc_of[t]]
+            out.append(() if route is None or s == t else (s, *route, n + t))
+        self.hits += len(out)
+        return out
 
-    def intern_path(
-        self,
-        pair: Tuple[str, str],
-        resources: Optional[Tuple[ResourceKey, ...]],
-    ) -> Tuple[int, ...]:
-        """Record ``pair``'s path in the resource-id table; returns its ids.
-
-        ``resources`` is what ``flow_resources(*pair)`` answered under the
-        key :meth:`validate_paths` last saw (``None``: unreachable).
-        """
-        res_ids = self.res_ids
-        ids = []
-        for resource in resources or ():
-            number = res_ids.get(resource)
-            if number is None:
-                number = res_ids[resource] = len(self.res_keys)
-                self.res_keys.append(resource)
-            ids.append(number)
-        path = self.path_ids[pair] = tuple(ids)
-        return path
+    def reachable(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Whether each ``(src, dst)`` server-id pair (broadcast) has a
+        path — a route between their DCs, and two servers, not one:
+        where :meth:`rows` answers a non-empty row."""
+        dc_of = self._server_dc
+        return self._linked[dc_of[src], dc_of[dst]] & (src != dst)
 
     def capacity_vector(self, capacities) -> List[float]:
         """``capacities`` by resource number, for the greedy water-fill.
@@ -168,7 +184,7 @@ class CycleCache:
 class RoutingWarmStore:
     """Epoch-guarded holder for the router's FPTAS warm-start state.
 
-    Same validity discipline as the path memo above: the carried solver
+    Same validity discipline as the route table above: the carried solver
     state (final resource lengths + raw path flows of the previous
     cycle's solve — see :class:`repro.lp.fptas.FPTASWarmState`) is only
     offered back to the solver while ``(topology.epoch, failed_links)``

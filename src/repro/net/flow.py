@@ -12,7 +12,7 @@ Two allocation regimes are needed by the reproduction:
 
 Each regime is one kernel over :class:`FlowRows` — every flow as a row of
 resource numbers, the numbering of a
-:class:`~repro.net.cycle_cache.CycleCache`'s resource-id table — shared
+:class:`~repro.net.cycle_cache.CycleCache` — shared
 by the data plane and the sharded controller's WAN reconciliation. Each
 answers one rate per row. The waterfill's work per freeze event is over
 resources, not over every active flow; the clip is one pass of
@@ -57,8 +57,7 @@ class FlowRows:
     and ``caps[i]`` its own upper bound — the smaller of its rate cap
     and its demand, ``inf`` when unconstrained. ``len()`` is the flow
     count. The data plane and the reconciler pass the rows of a
-    :class:`~repro.net.cycle_cache.CycleCache`'s ``path_ids`` with its
-    ``res_keys``.
+    :class:`~repro.net.cycle_cache.CycleCache` with its ``res_keys``.
     """
 
     paths: Sequence[Sequence[int]]

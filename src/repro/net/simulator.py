@@ -799,7 +799,7 @@ class Simulation:
     ) -> Tuple[DirectiveBatch, FlowColumns, List[Tuple[int, ...]]]:
         """Each directive's path as resource numbers of ``view``'s cycle
         cache; drops those partitioned off this cycle."""
-        paths = view.path_rows(directives.src, directives.dst, directives.names)
+        paths = view.path_rows(directives.src, directives.dst)
         if () in paths:  # no path: partitioned off
             keep = [bool(path) for path in paths]
             rows = np.repeat(keep, np.diff(directives.bounds))

@@ -107,46 +107,31 @@ class ClusterView:
     ) -> Optional[Tuple[ResourceKey, ...]]:
         """Failure-aware flow resources, or ``None`` when partitioned off.
 
-        Strategies should use this instead of ``topology.flow_resources``
-        so their paths detour around failed WAN links (§5.3). Memoized
-        per (src, dst) pair while topology and failed links are unchanged.
+        Paths detour around failed WAN links (§5.3). The name API, for
+        strategies that build named commodities; the hot path reads
+        :meth:`route_table` by server id instead.
         """
-        cache = self._cache
-        table = cache.validate_paths(self.topology.epoch, self.failed_links)
-        key = (src_server, dst_server)
         try:
-            result = table[key]
-            cache.hits += 1
-            return result
-        except KeyError:
-            cache.misses += 1
-        try:
-            result = self.topology.flow_resources(
+            return self.topology.flow_resources(
                 src_server, dst_server, self.failed_links
             )
         except ValueError:
-            result = None
-        table[key] = result
-        return result
+            return None
+
+    def route_table(self) -> CycleCache:
+        """The cycle cache, its route table valid for this view's
+        topology and failed links, in the possession matrix's server ids."""
+        return self._cache.validate(
+            self.topology, self.failed_links, self.store.matrix.server_names
+        )
 
     def path_rows(
-        self, src: Sequence[int], dst: Sequence[int], names: Sequence[str]
+        self, src: Sequence[int], dst: Sequence[int]
     ) -> List[Tuple[int, ...]]:
         """The failure-aware paths of the ``(src[i], dst[i])`` server-id
-        pairs as rows of resource numbers — the cycle cache's
-        ``path_ids``, ``()`` when partitioned off. A pair seen for the
-        first time is interned through :meth:`flow_resources`; a
-        memoized one counts the cache hit that lookup would have."""
-        cache = self._cache
-        cache.validate_paths(self.topology.epoch, self.failed_links)
-        path_ids = cache.path_ids
-        paths = [path_ids.get((names[s], names[t])) for s, t in zip(src, dst)]
-        cache.hits += len(paths)
-        for i in [i for i, path in enumerate(paths) if path is None]:
-            cache.hits -= 1  # flow_resources counts this lookup itself
-            pair = (names[src[i]], names[dst[i]])
-            paths[i] = cache.intern_path(pair, self.flow_resources(*pair))
-        return paths
+        pairs as rows of resource numbers of the cycle cache, ``()`` when
+        partitioned off."""
+        return self.route_table().rows(src, dst)
 
     def received_bytes(self, block_id: BlockId, dst_server: str) -> float:
         """Bytes of ``block_id`` already buffered at ``dst_server``."""

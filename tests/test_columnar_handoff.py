@@ -147,8 +147,8 @@ def _assert_router_matches_oracle(sim, max_sources, merge, cap=0):
     assert diagnostics.num_commodities == len(want_commodities)
     if selections:
         cache = view._cache
-        grouping = router._group_columns(view, selections, cache)
-        members, demands, paths = router._build_commodities(view, grouping, cache)
+        grouping = router._group_columns(view, selections)
+        members, demands, paths = router._build_commodities(view, grouping)
         # Names, paths, demands: exact.
         assert [grouping.keys[g] for g in members] == [
             c.name for c in want_commodities
@@ -241,11 +241,11 @@ def test_router_equals_oracle_when_server_ids_interleave_dcs(merge):
     in north, ...): the possession matrix's ``dc_order`` is no identity,
     so holder columns, reach columns and server ids all differ.
 
-    Mutants killed here and nowhere else: the reach table's zero
-    diagonal set by server id rather than by ``dc_order`` column
-    (``core/cycle_cache.py``); holder bits read per column number rather
-    than per server id. Also killed here: class runs that ignore the
-    destination."""
+    Mutants killed here and nowhere else: the usable-holder mask read
+    per column number rather than per server id
+    (``CycleCache.reachable`` handed ``arange`` for ``dc_order``);
+    holder bits read per column number rather than per server id. Also
+    killed here: class runs that ignore the destination."""
     topo = Topology()
     dcs = ("east", "north", "west", "zulu")
     for dc in dcs:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.baselines.gingko import GingkoStrategy
 from repro.core import BDSConfig, BDSController
+from repro.core.routing import BDSRouter
 from repro.net.failures import FailureEvent, FailureSchedule
 from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology
@@ -46,10 +47,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("epsilon", [1.0, 1.5, 0.0, -0.1])
     def test_epsilon_outside_the_fptas_range_rejected(self, epsilon):
-        """The FPTAS takes ``0 < epsilon < 1``; the config says so at
-        construction, not at the first decide."""
+        """The FPTAS takes ``0 < epsilon < 1``; the router, which hands ε
+        to it, says so at construction, not at the first decide."""
         with pytest.raises(ValueError, match="epsilon"):
-            BDSConfig(epsilon=epsilon, routing_backend="fptas")
+            BDSRouter(backend="fptas", epsilon=epsilon)
 
     def test_negative_blocks_cap_rejected(self):
         with pytest.raises(ValueError):

@@ -5,17 +5,24 @@ the store's facade: a decide asks ``holders`` nothing — the
 counting-proxy tests pin that, and that the oracle the selections are
 tested against does ask, pair by pair. The view's accessors answer
 from the live matrix, so no possession answer can be stale; the
-invalidation tests pin the topology/failure key of the path tables.
+invalidation tests pin the topology/failure key of the route table, and
+a property pins the table to the topology it was read from.
 """
 
 from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import BDSController
 from repro.core.scheduling import RarestFirstScheduler
 from repro.net.cycle_cache import CycleCache
 from repro.net.simulator import Simulation
 from repro.net.topology import Topology
+from repro.net.view import ClusterView, PartialBytes
 from repro.overlay.job import MulticastJob
+from repro.overlay.store import PossessionIndex
 from repro.utils.units import MB, MBps
 
 from tests import oracles
@@ -113,31 +120,103 @@ class TestViewCachedQueries:
         assert view.eligible_sources(bid) == sources
 
 
+def _mesh(num_dcs: int = 3) -> Topology:
+    return Topology.full_mesh(
+        num_dcs=num_dcs, servers_per_dc=2, wan_capacity=100 * MBps, uplink=25 * MBps
+    )
+
+
+def _view(topo: Topology, failed_links: frozenset) -> ClusterView:
+    store = PossessionIndex({s.server_id: s.dc for s in topo.servers.values()})
+    return ClusterView(
+        topo, store, [], 0, 0.0, 3.0, topo.resource_capacities(), set(), True,
+        PartialBytes(store.matrix), failed_links=failed_links,
+    )
+
+
 class TestCycleCacheInvalidation:
     def test_paths_survive_same_key(self):
-        cache = CycleCache()
-        table = cache.validate_paths(1, frozenset())
-        table[("a", "b")] = ()
-        assert cache.validate_paths(1, frozenset()) is table
-        assert cache.flushes == 0
+        topo = _mesh()
+        names = sorted(topo.servers)
+        cache = CycleCache().validate(topo, frozenset(), names)
+        keys = cache.res_keys
+        assert cache.validate(topo, frozenset(), names).res_keys is keys
+        assert (cache.misses, cache.flushes) == (1, 0)
 
     def test_paths_flush_on_topology_epoch(self):
-        cache = CycleCache()
-        cache.validate_paths(1, frozenset())[("a", "b")] = ()
-        assert cache.validate_paths(2, frozenset()) == {}
-        assert cache.flushes == 1
+        topo = _mesh()
+        names = sorted(topo.servers)
+        cache = CycleCache().validate(topo, frozenset(), names)
+        topo.add_dc("dc9")
+        topo.add_bidirectional_link("dc0", "dc9", 100 * MBps)
+        assert ("wan", "dc0", "dc9") in cache.validate(topo, frozenset(), names).res_keys
+        assert (cache.misses, cache.flushes) == (2, 1)
 
     def test_paths_flush_on_failed_links_change(self):
-        cache = CycleCache()
-        cache.validate_paths(1, frozenset())[("a", "b")] = ()
-        assert cache.validate_paths(1, frozenset({("dc0", "dc1")})) == {}
-        assert cache.flushes == 1
+        topo = Topology.line(["a", "b", "c"], 1, 100 * MBps, 25 * MBps)
+        names = sorted(topo.servers)  # a-s0, b-s0, c-s0
+        cache = CycleCache().validate(topo, frozenset(), names)
+        assert cache.rows([0], [2]) != [()]
+        cache.validate(topo, frozenset({("a", "b")}), names)
+        keys = cache.res_keys
+        assert [tuple(keys[r] for r in row) for row in cache.rows([0, 2], [2, 0])] == [
+            (),
+            (("up", "c-s0"), ("wan", "c", "b"), ("wan", "b", "a"), ("down", "a-s0")),
+        ]
+        assert (cache.misses, cache.flushes) == (2, 1)
 
     def test_empty_flush_not_counted(self):
+        """A flush is a key change that discards a built table: the first
+        table discards none, and a repeated key none either."""
+        topo = _mesh()
+        names = sorted(topo.servers)
+        cut = frozenset({("dc0", "dc1")})
         cache = CycleCache()
-        cache.validate_paths(1, frozenset())
-        cache.validate_paths(2, frozenset())
-        assert cache.flushes == 0
+        keys = [frozenset(), frozenset(), cut, cut, cut, frozenset(), cut]
+        for failed in keys:
+            cache.validate(topo, failed, names)
+        changes = sum(a != b for a, b in zip(keys, keys[1:]))
+        assert (cache.misses, cache.flushes) == (1 + changes, changes)
 
     def test_no_possession_memo_is_left(self):
-        assert not {"sources", "rarity"} & set(CycleCache.__slots__)
+        """Nor a per-server-pair one: paths and reach are derived from the
+        DC × DC table."""
+        assert not {
+            "sources", "rarity", "paths", "reach", "path_ids", "res_ids"
+        } & set(CycleCache.__slots__)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    num_dcs=st.integers(2, 6),
+    servers=st.integers(1, 3),
+    data=st.data(),
+)
+def test_the_table_equals_the_topology(seed, num_dcs, servers, data):
+    """Over random meshes, drawn failed-link sets and server pairs: each
+    row, as resource keys, is ``topology.flow_resources`` (``()`` where
+    that raises), and the router's usable-holder mask is "has a path and
+    is not the destination"."""
+    topo = Topology.random_mesh(
+        num_dcs, servers, (10 * MBps, 100 * MBps), (5 * MBps, 20 * MBps),
+        seed=seed, extra_edge_prob=0.3,
+    )
+    links = sorted((link.src_dc, link.dst_dc) for link in topo.links.values())
+    failed = frozenset(data.draw(st.lists(st.sampled_from(links), unique=True)))
+    view = _view(topo, failed)
+    names = view.store.matrix.server_names
+    ids = st.integers(0, len(names) - 1)
+    src, dst = zip(*data.draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=40)))
+    want = []
+    for s, t in zip(src, dst):
+        try:
+            want.append(topo.flow_resources(names[s], names[t], failed))
+        except ValueError:
+            want.append(())
+    cache = view.route_table()
+    rows = view.path_rows(src, dst)
+    assert [tuple(cache.res_keys[r] for r in row) for row in rows] == want
+    usable = cache.reachable(np.array(src), np.array(dst))
+    assert usable.tolist() == [bool(path) for path in want]
+    assert cache.hits == len(src) and cache.misses == 1

@@ -383,7 +383,7 @@ def test_the_config_surface_is_what_this_file_says():
         "flow_setup_seconds",
     }
     assert {f.name for f in dataclasses.fields(BDSConfig)} == {
-        "routing_backend", "epsilon", "max_blocks_per_cycle", "merge_blocks", "speculation_horizon", "use_relays", "shards",
+        "routing_backend", "max_blocks_per_cycle", "merge_blocks", "speculation_horizon", "use_relays", "shards",
         "shard_mode",  # one legal value, for the frozen ledger's spelling
     }
     for switch in SIM_SWITCHES:
@@ -392,6 +392,7 @@ def test_the_config_surface_is_what_this_file_says():
     for gone in (
         "shard_local_state", "shard_seed", "shard_stride_target",
         "shard_stride", "shard_partition", "max_sources_per_group",
+        "epsilon",
     ):
         with pytest.raises(TypeError):
             BDSConfig(**{gone: 0})

@@ -85,6 +85,17 @@ def imports_process_or_pool_machinery(tree: ast.Module) -> Iterator[Violation]:
                 yield node.lineno, f"imports {module}"
 
 
+def calls_flow_resources(tree: ast.Module) -> Iterator[Violation]:
+    """The decide and the data plane read paths from the cycle cache's
+    route table by server id, not per server pair by name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name == "flow_resources":
+                yield node.lineno, "calls flow_resources"
+
+
 def _definitions(body: list, prefix: str = "") -> Iterator[Tuple[str, ast.AST]]:
     """Module-level and class-body ``def``/``class`` nodes, by dotted name."""
     for node in body:
@@ -207,6 +218,14 @@ RULES = {
         imports_process_or_pool_machinery,
     ),
     "src-definitions-have-a-src-caller": (SRC, src_definitions_have_a_src_caller),
+    "hot-path-reads-paths-by-server-id": (
+        (
+            "src/repro/core/routing.py",
+            "src/repro/core/controller.py",
+            "src/repro/net/simulator.py",
+        ),
+        calls_flow_resources,
+    ),
 }
 
 

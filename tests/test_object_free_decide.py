@@ -3,8 +3,8 @@
 Between the scheduler kernel's sort and the router's directives nothing
 is a per-selection or per-commodity object any more: the selection is a
 :class:`~repro.core.decisions.SelectionBatch` (its int columns, objects
-on demand), commodities are parallel lists over the
-:class:`~repro.net.cycle_cache.CycleCache`'s resource-id table, the
+on demand), commodities are parallel lists of rows of the
+:class:`~repro.net.cycle_cache.CycleCache`'s route table, the
 greedy water-fill is :func:`~repro.core.routing.greedy_waterfill` over
 ``(demands, paths, residual)`` and rates are float rows. The simulator's
 WAN budgets are rewritten only when something they are computed from
@@ -18,8 +18,8 @@ failing here): ``order`` appended on every push instead of the first
 touch, and sorted by commodity; ``room >= best_room`` (tie to the
 *highest* path index); the residual filled with ``capacities[key]``
 (KeyError on a missing resource) and with a default of ``inf``; the
-resource-id table left out of the flush; the table's validity key
-without the failed-link set, and without the topology epoch; the budget
+route table left out of the flush; the table's validity key without
+the failed-link set, and without the topology epoch; the budget
 memo ignoring the failed-link set, the background step, and the
 threshold; a continuous noisy curve sampled once; ``job_slots`` gathered
 for the wrong rows.
@@ -146,11 +146,11 @@ def _assert_middle_equals_oracle(view, router, selections, fail_links=()):
     looked up with them down.
     """
     cache = view._cache
-    grouping = router._group_columns(view, selections, cache)
+    grouping = router._group_columns(view, selections)
     if fail_links:
         view.failed_links = frozenset(view.failed_links | set(fail_links))
 
-    members, demands, paths = router._build_commodities(view, grouping, cache)
+    members, demands, paths = router._build_commodities(view, grouping)
     commodities, want_members = oracles.grouping_commodities(view, grouping)
     assert members == want_members
     if not members:  # route() returns before solving
@@ -243,28 +243,52 @@ def test_router_middle_equals_object_oracle(
     assert len(by_object_commodities) == diagnostics.num_commodities
 
 
+def _rows_by_pair(view):
+    """Every server pair's row of ``view``'s route table, as resource keys."""
+    names = view.store.matrix.server_names
+    pairs = [(s, t) for s in range(len(names)) for t in range(len(names))]
+    rows = view.path_rows(*zip(*pairs))
+    keys = view._cache.res_keys
+    return {pair: tuple(keys[r] for r in row) for pair, row in zip(pairs, rows)}
+
+
+def _assert_rows_are_the_topology(view):
+    names = view.store.matrix.server_names
+    assert _rows_by_pair(view) == {
+        (s, t): view.flow_resources(names[s], names[t]) or ()
+        for s in range(len(names)) for t in range(len(names))
+    }
+
+
 @pytest.mark.parametrize("seed", [1, 3, 5, 6, 7, 9])
 def test_a_link_failing_between_grouping_and_routing_flushes_the_id_table(seed):
-    """On a line a failed link disconnects: stale ids would still route."""
+    """On a line a failed link disconnects: a stale table would still route."""
     sim = _midrun(seed, 1, line=True)
     view = sim.snapshot_view(1)
     router = BDSRouter()
     selections = RarestFirstScheduler().select(view)
     cache = view._cache
-    router.route(view, selections)  # fills the table under "no failed link"
-    before = dict(cache.path_ids)
+    router.route(view, selections)  # builds the table under "no failed link"
+    _assert_rows_are_the_topology(view)
     # Cut a WAN link some commodity's path crosses.
-    _wan, a, b = next(key for key in cache.res_keys if key[0] == "wan")
-    crossing = {
-        pair for pair, path in before.items()
-        if cache.res_ids[("wan", a, b)] in path
-    }
-    assert crossing
-    _assert_middle_equals_oracle(view, router, selections, [(a, b), (b, a)])
-    assert all(cache.path_ids.get(pair, ()) == () for pair in crossing)
-    assert all(
-        cache.res_keys[number] == key for key, number in cache.res_ids.items()
+    _members, _demands, paths = router._build_commodities(
+        view, router._group_columns(view, selections)
     )
+    _wan, a, b = next(
+        cache.res_keys[r]
+        for candidates in paths for path in candidates for r in path
+        if cache.res_keys[r][0] == "wan"
+    )
+    crossing = [
+        pair for pair, row in _rows_by_pair(view).items() if ("wan", a, b) in row
+    ]
+    assert crossing
+    flushes = cache.flushes
+    _assert_middle_equals_oracle(view, router, selections, [(a, b), (b, a)])
+    assert cache.flushes == flushes + 1
+    _assert_rows_are_the_topology(view)
+    rows = _rows_by_pair(view)
+    assert all(rows[pair] == () for pair in crossing)
 
 
 @pytest.mark.parametrize("backend", ["greedy", "fptas", "lp"])
@@ -284,17 +308,13 @@ def test_epoch_change_mid_run_flushes_the_id_table(backend):
         assert directives == want
         assert [d.rate_cap for d in directives] == [d.rate_cap for d in want]
         assert diagnostics.num_commodities == len(want_commodities)
-        assert all(
-            cache.path_ids[pair]
-            == tuple(cache.res_ids[r] for r in cache.paths[pair] or ())
-            for pair in cache.path_ids
-        )
+        _assert_rows_are_the_topology(view)
         if step == 0:
-            flushes, known = cache.flushes, set(cache.res_ids)
+            flushes, known = cache.flushes, set(cache.res_keys)
             dcs = sorted(topo.dcs)
             topo.add_bidirectional_link(dcs[0], dcs[-1], 90 * MBps)
     assert cache.flushes == flushes + 1
-    assert set(cache.res_ids) != known  # the new link is on somebody's path
+    assert set(cache.res_keys) > known  # the new links are numbered
 
 
 @pytest.mark.parametrize("backend", ["fptas", "lp"])

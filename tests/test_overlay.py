@@ -264,7 +264,7 @@ def test_select_and_route_on_an_overlay_are_the_loops_over_the_proxy(
 
     router = BDSRouter(max_sources_per_group=max_sources, merge_blocks=merge)
     if want:  # (nothing selected: route() answers before grouping)
-        grouping = router._group_columns(overlay, selections, overlay._cache)
+        grouping = router._group_columns(overlay, selections)
         groups = oracles.merge_selections(reference, want, max_sources, merge)
         assert grouping.keys == list(groups)
         assert [

@@ -12,8 +12,8 @@ numpy's — a Python function defined in numpy's package (its
 cProfile name mentions numpy — and its caller is not. Calls numpy makes
 to itself do not count, and neither do operator ufuncs and indexing
 (``a + b``, ``a[i]``), which cProfile does not see. Each count is of a
-second ``route()`` over the same view, so that first-seen work (reach
-probes, path interning) is not in it.
+second ``route()`` over the same view, so that first-seen work (the
+cycle cache's route table) is not in it.
 """
 
 from __future__ import annotations

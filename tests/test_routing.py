@@ -130,7 +130,7 @@ class TestRoutingBehavior:
             view.store.seed(server, [job.blocks[0]])
         selections = RarestFirstScheduler().select(view)
         router = BDSRouter(max_sources_per_group=2)
-        grouping = router._group_columns(view, selections, view._cache)
+        grouping = router._group_columns(view, selections)
         assert grouping.keys
         for (_job, _dst, sources) in grouping.keys:
             assert 1 <= len(sources) <= 2
