@@ -172,16 +172,6 @@ class JobPossession:
             seg[lo:hi], dst[lo:hi], idx[lo:hi] = seg[order], dst[order], idx[order]
         return seg, dst, idx
 
-    def missing_by_server(self) -> Iterator[Tuple[int, np.ndarray]]:
-        """:meth:`missing`, one ``(server, its missing blocks)`` at a time."""
-        _seg, dst, idx = self.missing()
-        if not dst.size:
-            return
-        bounds = run_bounds(dst).tolist()
-        servers = dst[bounds[:-1]].tolist()
-        for server, lo, hi in zip(servers, bounds, bounds[1:]):
-            yield server, idx[lo:hi]
-
     def holders(self) -> np.ndarray:
         """Healthy servers holding at least one block of the job, ascending."""
         (sids,) = self.holders_by_run(slice(None), [0, len(self._gids)], [0])
@@ -197,19 +187,6 @@ class JobPossession:
         for k in runs:
             sids = set_bits(words[k])
             yield sids[self.up[sids]]
-
-    def holder_lists(
-        self, sids: np.ndarray, idx: np.ndarray
-    ) -> Iterator[Tuple[int, List[int]]]:
-        """``(block, positions in sids of its holders)``, ascending block,
-        for every block of ``idx`` that some server of ``sids`` holds."""
-        col, who = np.nonzero(self.has(sids, idx[:, None]))
-        if col.size:
-            bounds = run_bounds(col).tolist()
-            blocks = idx[col[bounds[:-1]]].tolist()
-            who = who.tolist()
-            for block, lo, hi in zip(blocks, bounds, bounds[1:]):
-                yield block, who[lo:hi]
 
     def first_holder(self, sids: Sequence, idx=slice(None)) -> np.ndarray:
         """Per block: the first of ``sids`` that is up and holds it, or -1.
@@ -241,13 +218,6 @@ class JobPossession:
             src = np.where(held != 0, low + np.int64(64 * word), src)
         return src
 
-    def directive(self, dst: int, src: int, blocks) -> TransferDirective:
-        """Send ``blocks`` (job-relative indices) from ``src`` to ``dst``."""
-        column = np.asarray(blocks, dtype=np.int64)
-        return TransferDirective.from_indices(
-            self.job.job_id, column, self.names[src], self.names[dst]
-        )
-
     def directives(self, rows: Sequence[Rows]) -> List[TransferDirective]:
         """One directive per (destination, source) pair of ``rows``.
 
@@ -255,9 +225,9 @@ class JobPossession:
         given; a row whose ``src`` is negative has no sender and is
         dropped. Pairs come out in order of first appearance, each with
         its blocks in row order (callers list them ascending). Rows that
-        arrive grouped (each pair one run, as Bullet's deal emits them)
-        are already in that order: only the runs' keys are sorted, to
-        tell.
+        arrive grouped (each pair one run, as Bullet's and Gingko's deals
+        emit them) are already in that order: only the runs' keys are
+        sorted, to tell.
         """
         dst, src, idx = (np.concatenate(column) for column in zip(*rows))
         sent = np.flatnonzero(src >= 0)

@@ -22,11 +22,14 @@ unreachable (§5.3).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from bisect import bisect_right
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.base import JobPossession, OverlayStrategy, draw
+from repro.baselines.base import (
+    CHUNK, JobPossession, OverlayStrategy, Rows, draw, head, run_bounds,
+)
 from repro.net.directive import TransferDirective
 from repro.net.view import ClusterView
 from repro.utils.rng import SeedLike, make_rng
@@ -35,7 +38,6 @@ from repro.utils.validation import check_positive
 
 class GingkoStrategy(OverlayStrategy):
     """Receiver-driven fetching over limited, slowly-refreshing local views."""
-
 
     def __init__(
         self,
@@ -74,53 +76,97 @@ class GingkoStrategy(OverlayStrategy):
         directives: List[TransferDirective] = []
         for job in view.jobs:
             lens = self.lens(view, job)
-            sources = lens.holders()
-            for dst, missing in lens.missing_by_server():
-                key = (job.job_id, dst)
-                if refresh or key not in self._neighbors:
-                    # One epoch's local view: the receiver hears through
-                    # gossip of every healthy server holding any block of
-                    # the job, keeps a random ``view_size`` of them, and is
-                    # stuck with that choice until the next epoch.
+            _seg, dst, idx = lens.missing()
+            if not dst.size:
+                continue
+            bounds = run_bounds(dst)
+            receivers = dst[bounds[:-1]]
+            keys = [(job.job_id, r) for r in receivers.tolist()]
+            redraw = [key for key in keys if refresh or key not in self._neighbors]
+            if redraw:
+                # An epoch's local view: a random ``view_size`` of the job's holders.
+                sources = lens.holders()
+                for key in redraw:
                     self._neighbors[key] = draw(
-                        self._rng, sources[sources != dst], self.view_size
+                        self._rng, sources[sources != key[1]], self.view_size
                     )
-                neighbors = self._neighbors[key]
-                neighbors = neighbors[lens.up[neighbors]]
-                fetched = self._fetch_from_neighbors(lens, missing, neighbors)
-                directives.extend(
-                    lens.directive(dst, neighbors[sender], blocks)
-                    for sender, blocks in fetched.items()
-                )
+            # A draw per receiver and sender it may ask, whatever they hold.
+            picks = self._rng.random((len(keys), self.fetch_parallelism))
+            neighbors = [self._neighbors[key] for key in keys]
+            rows = self._fetch(lens, receivers, idx, bounds, neighbors, picks)
+            directives.extend(lens.directives(rows))
         return directives
 
-    def _fetch_from_neighbors(
-        self, lens: JobPossession, missing: np.ndarray, neighbors: np.ndarray
-    ) -> Dict[int, List[int]]:
-        """Request missing blocks that current neighbors actually hold.
+    def _fetch(
+        self, lens: JobPossession, receivers: np.ndarray, idx: np.ndarray,
+        bounds: np.ndarray, neighbors: Sequence[np.ndarray], picks: np.ndarray,
+    ) -> List[Rows]:
+        """Request missing blocks current neighbors hold: ``(dst, src, idx)`` rows.
 
-        Receivers walk their missing blocks in index order (they do not
-        know global rarity — that is the controller's privilege) and ask
-        the first neighbor holding each block, up to ``fetch_parallelism``
-        senders and ``blocks_per_request`` blocks per sender. Blocks no
-        neighbor holds simply wait for a future epoch — the source of the
-        straggler tail. Returns sender (position in ``neighbors``) →
-        blocks, senders in the order they were first asked.
+        Receiver ``k`` is ``receivers[k]``, lacks ``idx[bounds[k]:bounds[k
+        + 1]]`` (ascending) and asks those of ``neighbors[k]`` that are up.
+        It walks its blocks in index order (global rarity is the
+        controller's privilege) and asks for each the first neighbor
+        already asked that holds it; where none does, and fewer than
+        ``fetch_parallelism`` are asked, its ``n``-th new sender is entry
+        ``⌊picks[k, n] · h⌋`` of the ``h`` that hold the block. A sender
+        gets at most ``blocks_per_request`` blocks. Blocks no neighbor
+        holds wait for a future epoch — the source of the straggler tail.
+
+        Receivers are dealt in lockstep, as many at once as have at most
+        :data:`CHUNK` rows (or one with more), their neighbors' bits read
+        :data:`CHUNK` pairs at a time. An asked set is fixed between two
+        new senders, so each of at most ``fetch_parallelism`` phases finds
+        every receiver's next block no asked neighbor holds. Rows come out
+        by receiver, then sender in the order asked, then block.
         """
-        fetched: Dict[int, List[int]] = {}
-        full = 0
-        for block, holders in lens.holder_lists(neighbors, missing):
-            pick = next((h for h in holders if h in fetched), None)
-            if pick is None:
-                if len(fetched) >= self.fetch_parallelism:
-                    continue
-                pick = holders[int(self._rng.integers(len(holders)))]
-                fetched[pick] = []
-            bucket = fetched[pick]
-            if len(bucket) < self.blocks_per_request:
-                bucket.append(block)
-                if len(bucket) == self.blocks_per_request:
-                    full += 1
-                    if full == self.fetch_parallelism:
-                        break  # every sender is asked for all it may send
-        return fetched
+        width, parallel, never = self.view_size, self.fetch_parallelism, len(idx)
+        # Padding and failed neighbors name the receiver: it holds none of its rows.
+        table = np.repeat(receivers[:, None], width, axis=1)
+        sizes = np.array([len(n) for n in neighbors])
+        table[np.arange(width) < sizes[:, None]] = np.concatenate(neighbors)
+        table = np.where(lens.up[table], table, receivers[:, None])
+        # Per receiver and turn: the sender's position and the row it was asked at.
+        sender = np.zeros((len(neighbors), parallel), dtype=np.int32)
+        asked = np.full(sender.shape, never, dtype=np.int32)
+        cuts = bounds.tolist()
+        dealt: List[Rows] = []
+        lo, step = 0, max(1, CHUNK // width)
+        while lo < len(cuts) - 1:
+            hi = max(lo + 1, bisect_right(cuts, cuts[lo] + CHUNK) - 1)
+            first, last = cuts[lo], cuts[hi]
+            rec = np.repeat(np.arange(lo, hi), np.diff(bounds[lo : hi + 1]))
+            rows = np.arange(last - first)
+            holds = np.empty((len(rows), width), dtype=bool)
+            for a in range(0, len(rows), step):  # CHUNK pairs at a time
+                part = slice(a, a + step)
+                holds[part] = lens.has(table[rec[part]], idx[first:last][part, None])
+            fresh = holds.any(axis=1)  # held by a neighbor, by none asked yet
+            starts, ends = bounds[lo:hi] - first, bounds[lo + 1 : hi + 1] - first
+            # Per row: the position and turn of its sender so far, the first
+            # neighbor holding it among those asked by then.
+            best, turn = np.full(len(rows), width), np.zeros_like(rows)
+            for n in range(parallel):
+                seen = np.cumsum(fresh)
+                at = np.searchsorted(seen, seen[starts] - fresh[starts] + 1)
+                new = np.flatnonzero(at < ends)  # receivers with a fresh row
+                if not new.size:
+                    break
+                hold = holds[at[new]]
+                h = hold.sum(axis=1)
+                nth = np.minimum((picks[lo + new, n] * h).astype(np.int64), h - 1)
+                pick = (hold.cumsum(axis=1) > nth[:, None]).argmax(axis=1)
+                sender[lo + new, n], asked[lo + new, n] = pick, at[new]
+                mine = sender[rec, n]
+                took = holds[rows, mine] & (asked[rec, n] <= rows)
+                fresh &= ~took
+                better = took & (mine < best)
+                best[better], turn[better] = mine[better], n
+            sent = np.flatnonzero(best < width)
+            key = (rec * parallel + turn)[sent]  # (receiver, sender in the order asked)
+            order = np.argsort(key, kind="stable")
+            sent = sent[order[head(key[order], self.blocks_per_request)]]
+            rec, turn, row = rec[sent], turn[sent], first + sent
+            dealt.append((receivers[rec], table[rec, sender[rec, turn]], idx[row]))
+            lo = hi
+        return dealt

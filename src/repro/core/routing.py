@@ -566,9 +566,9 @@ class BDSRouter:
 
         Per commodity: which group it is, its demand (bytes/s), and one
         path per candidate source as a row of the view's route table,
-        read by server id from the group's key record. A group with a
-        source cut off since it was grouped (a link failed in between)
-        is left out.
+        read by server id from the group's key record, every group's in
+        one call. A group with a source cut off since it was grouped (a
+        link failed in between) is left out.
 
         A group's demand folds its rows' ``size - buffered`` with the
         builtin ``sum`` in selection order — the operands are gathered
@@ -576,25 +576,24 @@ class BDSRouter:
         (numpy's pairwise sum rounds differently, and demands decide
         rates, which decide fingerprinted bytes).
         """
-        members: List[int] = []
-        demands: List[float] = []
-        paths: List[Tuple[Tuple[int, ...], ...]] = []
         dt = view.cycle_seconds
         sizes, buffered, bounds = grouping.sizes, grouping.buffered, grouping.bounds
         operands = (sizes if buffered is None else sizes - buffered).tolist()
-        cache = view.route_table()
-        for g in range(len(grouping.keys)):
+        live, src, dst, cuts = [], [], [], [0]
+        for g, record in enumerate(grouping.records[: len(grouping.keys)]):
             remaining = sum(operands[bounds[g] : bounds[g + 1]])
-            if remaining <= 0:
-                continue
-            record = grouping.records[g]
-            sources = [s for s in record[2:] if s >= 0]
-            candidates = cache.rows(sources, [record[1]] * len(sources))
-            if not all(candidates):
-                continue  # a link failed between grouping and routing
-            members.append(g)
-            demands.append(remaining / dt)
-            paths.append(tuple(candidates))
+            if remaining > 0:
+                live.append((g, remaining / dt))
+                src += [s for s in record[2:] if s >= 0]
+                dst += [record[1]] * (len(src) - cuts[-1])
+                cuts.append(len(src))
+        rows = view.route_table().rows(src, dst)  # every live group's at once
+        members, demands, paths = [], [], []
+        for (g, demand), lo, hi in zip(live, cuts, cuts[1:]):
+            if all(rows[lo:hi]):  # else a link failed since grouping
+                members.append(g)
+                demands.append(demand)
+                paths.append(tuple(rows[lo:hi]))
         return members, demands, paths
 
     def _solve_incidence(

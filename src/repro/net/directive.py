@@ -67,21 +67,6 @@ class TransferDirective:
         self._init(job_id, column, 0, len(column), src_server, dst_server, rate_cap)
 
     @classmethod
-    def from_indices(
-        cls,
-        job_id: str,
-        block_indices: np.ndarray,
-        src_server: str,
-        dst_server: str,
-        rate_cap: Optional[float] = None,
-    ) -> "TransferDirective":
-        """A directive over blocks ``(job_id, i) for i in block_indices``."""
-        return cls.from_segment(
-            job_id, block_indices, 0, len(block_indices),
-            src_server, dst_server, rate_cap,
-        )
-
-    @classmethod
     def from_segment(
         cls,
         job_id: str,

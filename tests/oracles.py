@@ -948,6 +948,20 @@ def resource_utilization(
     return usage
 
 
+def from_indices(
+    job_id: str,
+    block_indices: np.ndarray,
+    src_server: str,
+    dst_server: str,
+    rate_cap: Optional[float] = None,
+) -> TransferDirective:
+    """A directive over blocks ``(job_id, i) for i in block_indices``."""
+    return TransferDirective.from_segment(
+        job_id, block_indices, 0, len(block_indices), src_server, dst_server,
+        rate_cap,
+    )
+
+
 def with_rate_cap(
     directive: TransferDirective, rate_cap: Optional[float]
 ) -> TransferDirective:
@@ -1508,7 +1522,7 @@ def gingko_decide(
         idx = state.rng.choice(len(pool), size=size, replace=False)
         return [pool[int(i)] for i in idx]
 
-    def fetch_from_neighbors(dst_server, missing, neighbors):
+    def fetch_from_neighbors(missing, neighbors, picks):
         partition: Dict[str, list] = {}
         for block in sorted(missing):
             holders = [
@@ -1526,7 +1540,8 @@ def gingko_decide(
             if pick is None:
                 if len(partition) >= fetch_parallelism:
                     continue
-                pick = holders[int(state.rng.integers(len(holders)))]
+                u = picks[len(partition)]
+                pick = holders[min(int(u * len(holders)), len(holders) - 1)]
             bucket = partition.setdefault(pick, [])
             if len(bucket) >= blocks_per_request:
                 continue
@@ -1539,11 +1554,19 @@ def gingko_decide(
     directives: List[TransferDirective] = []
     for job in view.jobs:
         by_server = missing_blocks_by_server(view, job)
-        for dst_server, missing in by_server.items():
+        if not by_server:
+            continue
+        # Every redrawn receiver's neighbours first, then one pick draw
+        # per receiver and sender it may ask.
+        for dst_server in by_server:
             key = (job.job_id, dst_server)
             if refresh or key not in state.memo:
                 state.memo[key] = sample_neighbors(job.job_id, dst_server)
-            partition = fetch_from_neighbors(dst_server, missing, state.memo[key])
+        picks = state.rng.random((len(by_server), fetch_parallelism))
+        for row, (dst_server, missing) in enumerate(by_server.items()):
+            partition = fetch_from_neighbors(
+                missing, state.memo[(job.job_id, dst_server)], picks[row].tolist()
+            )
             directives.extend(directives_for_partition(job, dst_server, partition))
     return directives
 

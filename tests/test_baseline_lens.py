@@ -15,21 +15,21 @@ the simulator's candidate table).
 
 Mutations this file was checked to catch (each made in ``src/``, each
 failing here): servers ordered by id instead of first appearance in
-``missing``; ``directives`` pairs in sorted order; Gingko's early exit
-taken at the first full bucket; the ``up`` mask dropped from Gingko's
-neighbours, and added to Bullet's peers; Gingko's pool keeping the
-receiver, or failed servers; one draw too many; the chain relay's
-window cut after the upstream filter; the fan-out's cut before it;
-Akamai's and direct's windows cut after the holder filter; Akamai's
-stripes ignored; relay groups not skipped; ``sourced`` ignoring failed
-holders; a failed destination kept; ``first_holder`` taking the last of
-its servers, or a failed one; ``any_holder_words`` dropping its last
-chunk; ``origin`` reading its words lowest first, or counting failed
-holders. The own mutants of the job-wide pass and of Bullet's column
-deal are built and run below (:data:`MUTANTS`), each on the case that
+``missing``; ``directives`` pairs in sorted order; the ``up`` mask added
+to Bullet's peers; Gingko's pool keeping the receiver, or failed
+servers; one draw too many; the chain relay's window cut after the
+upstream filter; the fan-out's cut before it; Akamai's and direct's
+windows cut after the holder filter; Akamai's stripes ignored; relay
+groups not skipped; ``sourced`` ignoring failed holders; a failed
+destination kept; ``first_holder`` taking the last of its servers, or a
+failed one; ``any_holder_words`` dropping its last chunk; ``origin``
+reading its words lowest first, or counting failed holders. The own
+mutants of the job-wide pass and of Bullet's and Gingko's column deals
+are built and run below (:data:`MUTANTS`), each on the case that
 reaches it: the corner case gives no Bullet receiver enough rows to
-fill a bucket, so the deal's run on :func:`deal_case`. One named for
-the job-wide pass is not a mutant: grouping servers by first
+fill a bucket, so Bullet's deal's run on :func:`deal_case`, and
+Gingko's on :func:`chunk_case`, in chunks smaller than a receiver. One
+named for the job-wide pass is not a mutant: grouping servers by first
 appearance across the whole job instead of within each chunk of DCs
 orders the rows the same way, because no server belongs to two DCs.
 """
@@ -54,6 +54,7 @@ from repro.baselines import (
     DirectStrategy,
     GingkoStrategy,
     base,
+    gingko,
 )
 from repro.baselines.base import JobPossession
 from repro.core.speculation import SpeculatedView
@@ -359,6 +360,67 @@ def test_bullet_deal_case():
     assert shadow.decides >= 6 and shadow.directives > 0
 
 
+def chunk_case():
+    """Gingko's deal over more than one chunk: three servers per DC and
+    a 60-block file, so a receiver lacks 20 blocks, where two receivers
+    in ``dc1`` start with three quarters of theirs. With chunks of
+    :data:`GINGKO_CHUNK` rows, the first receiver is a chunk on its own,
+    and the next two share one. A source server fails in the middle of
+    the first epoch, while receivers still count it among their
+    neighbours."""
+    return {
+        "num_dcs": 3,
+        "servers_per_dc": 3,
+        "uplink": 2 * MBps,
+        "jobs": [
+            {
+                "job_id": "a", "src_dc": "dc0", "dst_dcs": ("dc1", "dc2"),
+                "relay_dcs": (), "total_bytes": 60 * MB, "arrival_time": 0.0,
+            },
+        ],
+        # sorted names: dc0-s0, dc0-s1, dc0-s2, dc1-s0, …; 4 and 5 are in dc1.
+        "windows": [(1, 1, 3)],
+        "seeded": [
+            (4, 0, [i for i in range(60) if i % 4]),
+            (5, 0, [i for i in range(60) if i % 4 != 1]),
+        ],
+        "inexact": False,
+        "speculate": False,
+        "seed": 7,
+    }
+
+
+#: Rows per chunk of Gingko's deal in :func:`chunk_case`.
+GINGKO_CHUNK = 16
+
+#: Gingko, its parameters and :func:`chunk_case`.
+FETCH = (
+    "gingko",
+    {"view_size": 4, "epoch_cycles": 2, "fetch_parallelism": 3,
+     "blocks_per_request": 3},
+    chunk_case(),
+)
+
+
+def test_gingko_chunks_equal_the_scalar_oracle(monkeypatch):
+    """A receiver with more rows than a chunk is dealt alone, two that
+    fit are dealt together, and the directives, the stream and the
+    neighbour memo are the oracle's, which knows no chunks."""
+    rows = []  # per decide, each receiver's rows, in order
+
+    def recorded(lens):
+        seg, dst, idx = missing(lens)
+        rows.append(np.diff(base.run_bounds(dst)).tolist())
+        return seg, dst, idx
+
+    missing = JobPossession.missing
+    monkeypatch.setattr(JobPossession, "missing", recorded)
+    monkeypatch.setattr(gingko, "CHUNK", GINGKO_CHUNK)
+    shadow = run_shadowed(*FETCH, max_cycles=8)
+    assert shadow.decides >= 6 and shadow.directives > 0
+    assert rows[0][:3] == [20, 5, 5] and 5 + 5 <= GINGKO_CHUNK < 20
+
+
 @pytest.mark.parametrize("name", sorted(STRATEGIES))
 def test_one_dc_per_chunk_equals_the_scalar_oracle(name, monkeypatch):
     """A job-wide pass tests and groups one DC (or relay, or reflector)
@@ -537,6 +599,42 @@ MUTANTS = {
         DEAL, BulletStrategy, "_partition_disjoint",
         [("(pos[live] < end[live])", "~np.isin(live, chunk)")],
     ),
+    # a neighbour that failed mid-epoch is still asked
+    "failed-neighbour-asked": (
+        FETCH, GingkoStrategy, "_fetch",
+        [("np.where(lens.up[table], table, receivers[:, None])", "table")],
+    ),
+    # a row goes to a neighbour asked only at a later row
+    "sender-asked-later-takes-an-earlier-row": (
+        FETCH, GingkoStrategy, "_fetch",
+        [("(asked[rec, n] <= rows)", "(asked[rec, n] < never)")],
+    ),
+    # a chunk past the first reads the first chunk's picks
+    "picks-of-the-first-chunk": (
+        FETCH, GingkoStrategy, "_fetch",
+        [("picks[lo + new, n]", "picks[new, n]")],
+    ),
+    # a receiver's first row is never its first draw point
+    "first-row-not-fresh": (
+        FETCH, GingkoStrategy, "_fetch",
+        [("seen[starts] - fresh[starts] + 1", "seen[starts] + 1")],
+    ),
+    # a receiver's senders come out in neighbour order, not asked order
+    "senders-in-neighbour-order": (
+        FETCH, GingkoStrategy, "_fetch",
+        [("rec * parallel + turn", "rec * width + sender[rec, turn]")],
+    ),
+    # a row goes to the first sender asked that holds it, not the first
+    # of its neighbours
+    "first-asked-holder": (
+        FETCH, GingkoStrategy, "_fetch",
+        [("took & (mine < best)", "took & (best == width)")],
+    ),
+    # a sender is asked for one block more than it may send
+    "one-block-over-the-request": (
+        FETCH, GingkoStrategy, "_fetch",
+        [("self.blocks_per_request)", "self.blocks_per_request + 1)")],
+    ),
 }
 
 
@@ -549,6 +647,9 @@ def test_mutant_with_a_missing_edit_text_fails():
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_mutant_is_caught(name, monkeypatch):
     (strategy, params, scenario), cls, method, edits = MUTANTS[name]
+    # Gingko's deal in the chunks of its corner test (nothing else reads
+    # it), set before the mutant copies the module's names.
+    monkeypatch.setattr(gingko, "CHUNK", GINGKO_CHUNK)
     function = mutant(cls, method, *edits)  # a stale edit fails here
     monkeypatch.setattr(cls, method, function)
     with pytest.raises(AssertionError):

@@ -5,7 +5,10 @@ five baselines moved from scalar ``store.has`` probes to the
 :class:`~repro.baselines.base.JobPossession` lens (run this file as a
 script against that commit's ``src/`` to record it again), and
 ``bullet:relay_failure`` at the commit before Bullet dealt all its
-receivers at once. Every value
+receivers at once. Every entry a Gingko run reaches was recorded again
+(``python tests/test_baseline_pins.py``) on the commit after f89399a,
+when Gingko's sender picks became one draw per job; the others read as
+before, byte for byte. Every value
 is a ``SimResult.fingerprint()`` or the exact floats an experiment
 runner returns, so any change to a directive, to the order directives
 are emitted in, or to a strategy's RNG stream shows up here.

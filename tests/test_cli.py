@@ -164,7 +164,7 @@ class TestExperiment:
     def test_fig5_is_the_bench_run(self, capsys):
         """One parameter set per artefact: seed 7, as the bench always ran it."""
         assert main(["experiment", "fig5"]) == 0
-        assert "median gingko/ideal ratio: 4.69x" in capsys.readouterr().out
+        assert "median gingko/ideal ratio: 4.45x" in capsys.readouterr().out
         assert main(["experiment", "fig5", "--seed", "5"]) == 0
         assert "median gingko/ideal ratio: 3.52x" in capsys.readouterr().out
 

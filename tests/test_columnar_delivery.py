@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.runner import make_strategy
-from repro.net.directive import TransferDirective
 from repro.net.simulator import Simulation
 from repro.net.topology import Topology
 from repro.overlay.blocks import Block
@@ -92,7 +91,7 @@ def _batch(sim: Simulation, rng: random.Random):
         if not holders:
             continue
         directives.append(
-            TransferDirective.from_indices(
+            oracles.from_indices(
                 job.job_id, np.array(indices), rng.choice(holders), dst
             )
         )
@@ -192,7 +191,7 @@ def _witness(apply=None) -> bool:
         sim._apply_deliveries = apply.__get__(sim)
     _valid, columns = sim._valid_directives(
         [
-            TransferDirective.from_indices("j", np.array(blocks), src, dst)
+            oracles.from_indices("j", np.array(blocks), src, dst)
             for blocks, src, dst in [
                 ([0], "dc0-s0", "dc1-s0"),
                 ([1, 3], "dc0-s1", "dc1-s1"),

@@ -658,7 +658,7 @@ def _mutated(sim, rng, directives):
             )
         )
         out.append(  # out-of-range index in the array form
-            TransferDirective.from_indices(
+            oracles.from_indices(
                 d.job_id, np.array([10**6, -3, ids[0][1]]), d.src_server,
                 d.dst_server, 1.0,
             )
@@ -753,7 +753,7 @@ class TestDirectiveContract:
         )
         column = np.array([7, 4, 0, 4, 9, 7], dtype=np.int64)
         cut = TransferDirective.from_segment("j", column, 1, 5, "a", "b", rate_cap)
-        whole = TransferDirective.from_indices(
+        whole = oracles.from_indices(
             "j", np.array([4, 0, 4, 9], dtype=np.int64), "a", "b", rate_cap
         )
         return built, cut, whole
@@ -769,8 +769,8 @@ class TestDirectiveContract:
 
     def test_any_differing_field_breaks_equality(self):
         built, cut, _whole = self._twins()
-        assert cut != TransferDirective.from_indices("j", np.array([4, 0, 4]), "a", "b", 2.5)
-        assert cut != TransferDirective.from_indices("k", np.array([4, 0, 4, 9]), "a", "b", 2.5)
+        assert cut != oracles.from_indices("j", np.array([4, 0, 4]), "a", "b", 2.5)
+        assert cut != oracles.from_indices("k", np.array([4, 0, 4, 9]), "a", "b", 2.5)
         assert built != oracles.with_rate_cap(built, 3.0)
         assert oracles.with_rate_cap(built, 3.0) == oracles.with_rate_cap(cut, 3.0)
         assert built != "not a directive"
@@ -784,7 +784,7 @@ class TestDirectiveContract:
         "build",
         [
             lambda **kw: TransferDirective(job_id="j", block_ids=kw.pop("ids", (("j", 0),)), **kw),
-            lambda **kw: TransferDirective.from_indices(
+            lambda **kw: oracles.from_indices(
                 "j", np.array([i for _j, i in kw.pop("ids", (("j", 0),))], dtype=np.int64), **kw
             ),
         ],

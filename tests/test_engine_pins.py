@@ -34,6 +34,11 @@ decide, recorded by ``python tests/test_engine_pins.py speculating`` at
 the commit ``_recorded_speculating`` names — while a speculated view was
 still a ``has``/``holders`` proxy in front of the store, decided by a
 scalar scheduler and router of its own. They are checked here.
+
+The ``*:gingko:*`` arms were re-recorded by ``python
+tests/test_engine_pins.py gingko`` on the commit after f89399a, when
+Gingko's sender picks became one draw per job: a new stream, not a new
+engine.
 """
 
 from __future__ import annotations
@@ -471,5 +476,19 @@ def _record_speculating() -> None:
     PINS_FILE.write_text(_dump(pins))
 
 
+def _record_gingko() -> None:
+    """Re-record the Gingko arms with the one engine, leaving the others
+    as they are: for a new Gingko stream, since the switches whose off
+    arms the pins hold are gone (the other arms check that the one
+    engine reproduces them)."""
+    pins = dict(load())
+    for name, (flags, run) in ARMS.items():
+        if ":gingko:" in name:
+            pins[name] = {"switches_off": flags, **run({}, {})}
+            print(name, pins[name]["fingerprint"][:12], file=sys.stderr)
+    PINS_FILE.write_text(_dump(pins))
+
+
 if __name__ == "__main__":
-    _record_speculating() if sys.argv[1:] == ["speculating"] else _record()
+    modes = {"speculating": _record_speculating, "gingko": _record_gingko}
+    modes.get(" ".join(sys.argv[1:]), _record)()
