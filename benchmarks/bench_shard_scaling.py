@@ -170,10 +170,10 @@ def timed_cycles(
         config=SimConfig(max_cycles=cycles, stop_when_complete=False),
         seed=0,
     )
-    # The scenario heap (10^6+ Block dataclasses plus binding dicts) is
-    # immortal for this process; freeze it out of the collector so full
-    # generation scans don't alias multi-second pauses into whichever
-    # cycle they happen to land on.
+    # The scenario heap (jobs, bindings, the shards' tables; a job's
+    # blocks are a formula, not objects) is immortal for this process;
+    # freeze it out of the collector so full generation scans don't alias
+    # pauses into whichever cycle they happen to land on.
     gc.collect()
     gc.freeze()
     started = _time.perf_counter()

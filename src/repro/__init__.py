@@ -44,7 +44,7 @@ from repro.net import (
     Topology,
     TransferDirective,
 )
-from repro.overlay import Block, MulticastJob, PossessionIndex, split_into_blocks
+from repro.overlay import Block, MulticastJob, PossessionIndex
 from repro.baselines import (
     AkamaiStrategy,
     BulletStrategy,
@@ -78,7 +78,6 @@ __all__ = [
     "Block",
     "MulticastJob",
     "PossessionIndex",
-    "split_into_blocks",
     "AkamaiStrategy",
     "BulletStrategy",
     "ChainStrategy",

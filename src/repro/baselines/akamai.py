@@ -98,7 +98,7 @@ class AkamaiStrategy(OverlayStrategy):
         sids, period, phase = np.array(
             [(sid, len(dc), i) for dc in reflectors for i, sid in enumerate(dc)]
         ).T[:, :, None]
-        stripe = np.arange(len(lens.job.blocks)) % period == phase
+        stripe = np.arange(lens.job.num_blocks) % period == phase
         row, idx = first_true(stripe & lens.up[sids] & ~lens.holds(sids), self.window)
         return sids[row, 0], lens.origin[idx], idx
 

@@ -434,7 +434,7 @@ class BDSRouter:
 
         # Representatives: runs of equal (class, slot, i % period) in one
         # stable argsort of the class-ordered rows.
-        bound = max([len(job.blocks) for job in batch.jobs])
+        bound = max([job.num_blocks for job in batch.jobs])
         period = _periods(count, rotation, bound)
         index = batch.indices[order]
         rep_key = (cls * len(batch.jobs) + batch.job_slots[order]) * bound + (
@@ -535,7 +535,7 @@ class BDSRouter:
         if len(jobs) == 1:
             sizes = jobs[0].block_sizes()[index]
         else:
-            offsets = np.cumsum([0] + [len(job.blocks) for job in jobs[:-1]])
+            offsets = np.cumsum([0] + [job.num_blocks for job in jobs[:-1]])
             sizes = np.concatenate([job.block_sizes() for job in jobs])[
                 offsets[batch.job_slots[order]] + index
             ]
@@ -746,14 +746,13 @@ class BDSRouter:
                 emitted.append((job_id, flowing[0], dst, flows[0], hi))
                 continue
             # Deal blocks to sources by descending byte deficit (ties to
-            # the earlier source). Sizes are read off the blocks, not the
-            # float column: builtin ``sum`` folds ints and floats
+            # the earlier source). Sizes keep the types blocks carry, not
+            # the float column's: builtin ``sum`` folds ints and floats
             # differently. The dealt order is written over the segment.
             if listed is None:
                 listed = column.tolist()
             order = listed[lo:hi]
-            blocks = grouping.jobs[g].blocks
-            sizes = [blocks[i].size for i in order]
+            sizes = grouping.jobs[g].size_list(order)
             total_rate = sum(flows)
             total_bytes = sum(sizes)
             budgets = [rate / total_rate * total_bytes for rate in flows]

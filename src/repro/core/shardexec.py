@@ -55,10 +55,10 @@ class ShardPayload:
     new_jobs: List[MulticastJob] = field(default_factory=list)
 
     def approx_bytes(self) -> int:
-        """Structural size of the new jobs (bytes), dominated by their
-        block lists, at fixed per-entry costs so the telemetry is
+        """Structural size of the new jobs (bytes): 256 per job and 96
+        per block, fixed per-entry costs so the telemetry is
         deterministic."""
-        return sum(256 + 96 * len(job.blocks) for job in self.new_jobs)
+        return sum(256 + 96 * job.num_blocks for job in self.new_jobs)
 
 
 @dataclass

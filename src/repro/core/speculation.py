@@ -54,7 +54,6 @@ class DeliverySpeculator:
         — as are those of jobs the view no longer lists.
         """
         matrix = view.store.matrix
-        gid_of = matrix.block_gids.get
         partial = view.partial_bytes
         sizes = {job.job_id: job.block_sizes() for job in view.jobs}
         sids: List[int] = []
@@ -70,16 +69,16 @@ class DeliverySpeculator:
             size_of = sizes.get(job_id)
             if size_of is None:
                 continue
+            base, count = matrix.spans.get(job_id, (0, 0))
             budget = directive.rate_cap * self.horizon_seconds
-            # Ids are built block by block: the budget runs out long
+            # Rows are read block by block: the budget runs out long
             # before a merged directive's block list does.
             for index in directive.block_indices.tolist():
                 if budget <= 0:
                     break
-                block_id = (job_id, index)
-                gid = gid_of(block_id)
-                if gid is None:
+                if not 0 <= index < count:
                     continue
+                gid = base + index
                 if matrix.test_many(dst, gid):
                     continue  # already arrived for real
                 if not matrix.test_many(src, gid):

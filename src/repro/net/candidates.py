@@ -72,9 +72,10 @@ class CandidateGroup:
 class CandidateTable:
     """Per-job candidate groups, keyed by job id.
 
-    Built once after initial seeding (all of a job's blocks are interned
-    into the matrix by then; :meth:`PossessionMatrix.intern` is still
-    called defensively so the table never depends on seeding order).
+    Built once after initial seeding (every job's span is interned into
+    the matrix by then; :meth:`PossessionMatrix.intern_job` is still
+    called, a no-op for a known job, so the table never depends on
+    seeding order).
     Owned by the :class:`~repro.net.simulator.Simulation` and shared by
     every cycle's view — including partition clones, whose extra failed
     agents are a per-cycle mask, not a table property, and speculated
@@ -106,12 +107,8 @@ class CandidateTable:
             return
         matrix = self.matrix
         server_ids = matrix.server_ids
-        gids = np.fromiter(
-            (matrix.intern(b.block_id) for b in job.blocks),
-            dtype=np.int64,
-            count=len(job.blocks),
-        )
-        indices = np.arange(len(job.blocks), dtype=np.int64)
+        indices = np.arange(job.num_blocks, dtype=np.int64)
+        gids = matrix.intern_job(job.job_id, job.num_blocks) + indices
         dcs = [(d, False) for d in job.dst_dcs] + [(d, True) for d in job.relay_dcs]
         stripes = [job.stripe(dc) for dc, _is_relay in dcs]
         assigned = np.array(

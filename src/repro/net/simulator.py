@@ -41,7 +41,7 @@ import numpy as np
 from repro.net.background import BackgroundTraffic, delay_inflation
 from repro.net.candidates import CandidateTable
 from repro.net.cycle_cache import CycleCache, first_cycle_at_or_after
-from repro.net.directive import BlockId, DirectiveBatch, TransferDirective
+from repro.net.directive import DirectiveBatch, TransferDirective
 from repro.net.failures import FailureSchedule
 from repro.net.flow import (
     FlowKernelStats,
@@ -123,14 +123,14 @@ _DECISION_TELEMETRY = {
 
 
 class _BlockColumns:
-    """The simulation's static per-block columns, in one flat numbering,
-    and the per-job tables its deliveries are booked with.
+    """The simulation's static per-block columns, and the per-job tables
+    its deliveries are booked with.
 
-    A block's flat number is its job's ``base`` plus its job-relative
-    index — the id space the simulator gathers sizes, matrix columns and
-    block ids in; ``starts`` holds the bases in job order and ``origin``
-    each job's origin DC id. Built once, on the first cycle that
-    validates a directive.
+    The simulation interns its jobs first, in order, so a block's matrix
+    row is its flat number: its job's ``base`` plus its job-relative
+    index. ``starts`` holds the bases in job order and ``origin`` each
+    job's origin DC id. Built once, on the first cycle that validates a
+    directive.
 
     Completion is booked per *destination*, a (job, destination DC)
     pair; ``dest[j * num_dcs + d]`` numbers job ``j``'s destination in
@@ -142,7 +142,7 @@ class _BlockColumns:
     """
 
     __slots__ = (
-        "base", "count", "ids", "sizes", "gids", "starts",
+        "base", "count", "sizes", "starts",
         "origin", "num_dcs", "dest", "stripe_lo", "stripe_width",
         "stripe_sids",
     )
@@ -151,18 +151,14 @@ class _BlockColumns:
         self, jobs: Sequence[MulticastJob], store: PossessionIndex
     ) -> None:
         matrix = store.matrix
-        self.base: Dict[str, int] = {}
-        self.count: Dict[str, int] = {}
-        self.ids: List[BlockId] = []
+        self.base = {job.job_id: matrix.spans[job.job_id][0] for job in jobs}
+        self.count = {job.job_id: job.num_blocks for job in jobs}
         self.num_dcs = len(matrix.dc_names)
         self.dest = np.full(len(jobs) * self.num_dcs, -1, dtype=np.int64)
         lo: List[int] = []
         width: List[int] = []
         sids: List[int] = []
         for j, job in enumerate(jobs):
-            self.base[job.job_id] = len(self.ids)
-            self.count[job.job_id] = len(job.blocks)
-            self.ids.extend(b.block_id for b in job.blocks)
             for dc in job.dst_dcs:
                 servers, _slots = job.stripe(dc)
                 self.dest[j * self.num_dcs + matrix.dc_ids[dc]] = len(lo)
@@ -178,23 +174,24 @@ class _BlockColumns:
             [matrix.dc_ids[job.src_dc] for job in jobs], dtype=np.int64
         )
         self.sizes = np.concatenate([job.block_sizes() for job in jobs])
-        self.gids = np.fromiter(
-            (matrix.intern(bid) for bid in self.ids),
-            dtype=np.int64,
-            count=len(self.ids),
-        )
+        if (
+            self.starts.tolist() != np.cumsum([0, *self.count.values()])[:-1].tolist()
+            or matrix.num_blocks != len(self.sizes)
+        ):
+            raise ValueError("the matrix's rows are not the jobs' blocks in order")
 
 
 class FlowColumns:
     """One decide's validated directives as row columns.
 
     Row ``r`` is one block of one directive, directive-major in listed
-    order: ``flat[r]`` is the block's flat number, ``src[r]`` and
-    ``dst[r]`` the directive's endpoint server ids, ``keys[r]`` the
-    row's :class:`PartialBytes` key (block column and destination), and
-    ``bounds[i]:bounds[i + 1]`` are directive ``i``'s rows. ``sizes``
-    is the rows' block sizes, gathered once for the demand sums, which
-    also leave ``buffered`` and ``need`` (``sizes - buffered``, a list).
+    order: ``flat[r]`` is the block's flat number (its matrix row),
+    ``src[r]`` and ``dst[r]`` the directive's endpoint server ids,
+    ``keys[r]`` the row's :class:`PartialBytes` key (block row and
+    destination), and ``bounds[i]:bounds[i + 1]`` are directive ``i``'s
+    rows. ``sizes`` is the rows' block sizes, gathered once for the
+    demand sums, which also leave ``buffered`` and ``need``
+    (``sizes - buffered``, a list).
     """
 
     __slots__ = ("flat", "src", "dst", "keys", "bounds", "sizes", "buffered", "need")
@@ -293,11 +290,16 @@ class Simulation:
             self._jobs_by_id[job.job_id] = job
         server_dc = {s.server_id: s.dc for s in topology.servers.values()}
         self.store = PossessionIndex(server_dc)
+        matrix = self.store.matrix
         for job in self.jobs:
             if not job.is_bound():
                 job.bind(topology)
-            for server, blocks in job.initial_placement().items():
-                self.store.seed(server, blocks)
+            base = matrix.intern_job(job.job_id, job.num_blocks)
+            servers, slots = job.stripe(job.src_dc)
+            for slot, server in enumerate(servers):
+                matrix.set_many(
+                    matrix.server_ids[server], base + np.flatnonzero(slots == slot)
+                )
         if pre_seeded:
             for server, blocks in pre_seeded.items():
                 self.store.seed(server, blocks)
@@ -315,15 +317,9 @@ class Simulation:
         self._job_completion: Dict[str, float] = {}
         self._dc_completion: Dict[Tuple[str, str], float] = {}
         self._server_completion: Dict[Tuple[str, str], float] = {}
-        matrix = self.store.matrix
         for job in self.jobs:
             job_id = job.job_id
-            # Seeding the source stripe interned every block of the job.
-            gids = np.fromiter(
-                (matrix.block_gids[b.block_id] for b in job.blocks),
-                dtype=np.int64,
-                count=len(job.blocks),
-            )
+            gids = matrix.spans[job_id][0] + np.arange(job.num_blocks)
             for dc in job.dst_dcs:
                 servers, slots = job.stripe(dc)
                 sids = np.array(
@@ -526,8 +522,7 @@ class Simulation:
         )
         known = (index >= 0) & (index < limit)
         flat = np.where(known, index + offset, 0)
-        gids = cols.gids[flat]
-        useful = known & matrix.test_transfers(src, dst, gids)
+        useful = known & matrix.test_transfers(src, dst, flat)
 
         if not useful.all():
             kept = np.add.reduceat(useful, bounds[:-1], dtype=np.int64).tolist()
@@ -538,9 +533,8 @@ class Simulation:
             flat = flat[useful]
             src = src[useful]
             dst = dst[useful]
-            gids = gids[useful]
         return batch, FlowColumns(
-            flat, src, dst, self._partial.key(gids, dst), batch.bounds,
+            flat, src, dst, self._partial.key(flat, dst), batch.bounds,
             cols.sizes[flat],
         )
 
@@ -958,7 +952,7 @@ class Simulation:
         when = np.array(finish)
         job = cols.starts.searchsorted(flat, side="right") - 1
         fresh = self.store.record_deliveries(
-            dst, cols.gids[flat], columns.src[rows], when, cols.origin[job]
+            dst, flat, columns.src[rows], when, cols.origin[job]
         )
         if not fresh.all():
             flat, dst, when, job = flat[fresh], dst[fresh], when[fresh], job[fresh]

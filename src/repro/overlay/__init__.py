@@ -1,6 +1,6 @@
 """Overlay data plane: blocks, possession index, jobs, agents, messaging."""
 
-from repro.overlay.blocks import Block, split_into_blocks
+from repro.overlay.blocks import Block
 from repro.overlay.store import DeliveryLog, DeliveryRecord, PossessionIndex
 from repro.overlay.job import MulticastJob
 from repro.overlay.agent import AgentSnapshot, ServerAgent
@@ -8,7 +8,6 @@ from repro.overlay.monitor import AgentMonitor, FeedbackLoopSample
 
 __all__ = [
     "Block",
-    "split_into_blocks",
     "DeliveryLog",
     "DeliveryRecord",
     "PossessionIndex",

@@ -1,6 +1,7 @@
 """Multicast jobs: one bulk file replicated from a source DC to many DCs.
 
-A job owns its blocks and the *striping* of those blocks across servers:
+A job owns its blocks and the *striping* of those blocks across servers,
+both as formulas — no per-block object or table is stored:
 
 * in the **source DC** the file starts evenly spread over the DC's servers
   (exactly the Fig. 5 setup: "this 30GB file was evenly stored across all
@@ -16,16 +17,59 @@ DCs.
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.overlay.blocks import Block, DEFAULT_BLOCK_SIZE, split_into_blocks
+from repro.overlay.blocks import Block, DEFAULT_BLOCK_SIZE
 from repro.net.topology import Topology
 from repro.utils.validation import check_non_negative, check_positive
 
 BlockId = Tuple[str, int]
+
+
+def _split(total_bytes: float, block_size: float) -> Tuple[int, float]:
+    """The full blocks and the tail (0.0 for none) that subtracting
+    ``block_size`` from ``float(total_bytes)`` while over 1e-9 bytes
+    remain leaves: one integer ``divmod`` when every remainder is exact
+    in a float (both sizes are multiples of a power of two the total is
+    fewer than 2**53 of, as integral sizes are), else that loop."""
+    remaining = float(total_bytes)
+    if type(block_size) in (int, float) and block_size > 1e-9:
+        t_num, t_den = remaining.as_integer_ratio()
+        b_num, b_den = block_size.as_integer_ratio()
+        den = max(t_den, b_den)  # both powers of two
+        t, b = t_num * (den // t_den), b_num * (den // b_den)
+        if t // ((t | b) & -(t | b)) < 2**53:
+            full, rest = divmod(t, b)
+            tail = rest / den
+            return full, tail if tail > 1e-9 else 0.0
+    full = 0
+    while remaining > 1e-9 and not remaining < block_size:
+        remaining -= block_size
+        full += 1
+    return full, remaining if remaining > 1e-9 else 0.0
+
+
+class JobBlocks(abc.Sequence):
+    """A job's blocks as a ``Sequence[Block]`` that builds each
+    :class:`Block` only when read, sized by :meth:`MulticastJob.size_list`."""
+
+    __slots__ = ("_job",)
+
+    def __init__(self, job: "MulticastJob") -> None:
+        self._job = job
+
+    def __len__(self) -> int:
+        return self._job.num_blocks
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            return [self[i] for i in range(*item.indices(len(self)))]
+        index = range(len(self))[item]
+        return Block(self._job.job_id, index, self._job.size_list([index])[0])
 
 
 @dataclass
@@ -73,9 +117,9 @@ class MulticastJob:
         overlap = set(self.relay_dcs) & ({self.src_dc} | set(self.dst_dcs))
         if overlap:
             raise ValueError(f"relay DCs overlap endpoints: {sorted(overlap)}")
-        self.blocks: List[Block] = split_into_blocks(
-            self.job_id, self.total_bytes, self.block_size
-        )
+        self._full, self.tail = _split(self.total_bytes, self.block_size)
+        self.num_blocks = self._full + (self.tail > 0)
+        self.blocks: Sequence[Block] = JobBlocks(self)
         # DC -> the ids of its servers that get a block, in stripe order.
         self._stripes: Dict[str, Tuple[str, ...]] = {}
         self._block_sizes: Optional[np.ndarray] = None
@@ -135,36 +179,25 @@ class MulticastJob:
             self.stripe_slot(self.block_by_id(block_id).index, len(servers))
         ]
 
-    def initial_placement(self) -> Dict[str, List[Block]]:
-        """Blocks initially present on each source-DC server."""
-        return self.destination_servers(self.src_dc)
-
-    def destination_servers(self, dc: str) -> Dict[str, List[Block]]:
-        """Shard map for one involved DC: server -> its blocks, both in
-        stripe order (the order seeding interns blocks in)."""
-        servers = self._stripe_servers(dc)
-        period = len(servers)
-        return {
-            server: self.blocks[slot::period]
-            for slot, server in enumerate(servers)
-        }
-
     # -- bookkeeping ---------------------------------------------------------
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
 
     def block_sizes(self) -> np.ndarray:
         """Block sizes as a float64 array aligned with ``blocks`` (cached)."""
         if self._block_sizes is None:
-            self._block_sizes = np.array(
-                [b.size for b in self.blocks], dtype=np.float64
-            )
+            self._block_sizes = np.full(self.num_blocks, float(self.block_size))
+            if self.tail:
+                self._block_sizes[-1] = self.tail
         return self._block_sizes
+
+    def size_list(self, indices: Sequence[int]) -> list:
+        """The sizes of blocks ``indices``: ``block_size`` itself (int or
+        float) for a full block, the float ``tail`` for the last — types
+        the builtin ``sum`` folds differently."""
+        full, size, tail = self._full, self.block_size, self.tail
+        return [size if i < full else tail for i in indices]
 
     def block_by_id(self, block_id: BlockId) -> Block:
         job_id, index = block_id
-        if job_id != self.job_id or not 0 <= index < len(self.blocks):
+        if job_id != self.job_id or not 0 <= index < self.num_blocks:
             raise KeyError(f"block {block_id!r} not in job {self.job_id!r}")
         return self.blocks[index]

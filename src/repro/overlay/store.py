@@ -69,6 +69,7 @@ _EMPTY_HOLDERS: FrozenSet[str] = frozenset()
 _SHIFTS = np.arange(64, dtype=np.uint64)
 #: ``_BITS[i]`` is the ``uint64`` word with only bit ``i`` set.
 _BITS = np.uint64(1) << _SHIFTS
+_SIGNED_BITS = _BITS.view(np.int64)  # the same words, as ``_holder_flat`` reads them
 
 
 class PossessionMatrix:
@@ -82,10 +83,13 @@ class PossessionMatrix:
       the way the router's candidate-source logic sorts names;
     * **DCs** are interned once at construction, also in sorted-name
       order (DC-id comparisons reproduce DC-name comparisons);
-    * **blocks** are interned on first touch (seed, delivery, or an
-      explicit :meth:`intern`) and keep their row for the lifetime of
-      the matrix. The row space starts at 1 024 and doubles when full;
-      existing rows are copied, ids never move.
+    * **blocks** are interned per job, as one span: :meth:`intern_job`
+      gives a job's ``n`` blocks the rows ``base .. base + n - 1`` after
+      every span before it (``spans[job_id] == (base, n)``), so block
+      ``i``'s row is ``base + i`` and no per-block table exists. A job's
+      span is allocated once and keeps its rows for the lifetime of the
+      matrix. The row space starts empty and grows to fit each new
+      span, at least doubling; existing rows are copied, ids never move.
 
     ``holder_words`` is the one possession layout: row ``g`` packs the
     servers holding block ``g``, 64 per ``uint64`` word (server ``s`` in
@@ -114,8 +118,8 @@ class PossessionMatrix:
         "dc_mask",
         "holder_words",
         "dup",
-        "block_gids",
-        "block_names",
+        "spans",
+        "num_blocks",
         "_capacity",
         "_holder_flat",
     )
@@ -147,18 +151,18 @@ class PossessionMatrix:
         np.bitwise_or.at(
             self.dc_mask, (self.server_dc_ids, sids >> 6), _BITS[sids & 63]
         )
-        capacity = 1024  # block rows
+        capacity = 0  # block rows: each span grows them (see intern_job)
         self._capacity = capacity
         self.holder_words = np.zeros(
             (capacity, (num_servers + 63) >> 6), dtype=np.uint64
         )
-        self._holder_flat = self.holder_words.reshape(-1)
+        self._holder_flat = self.holder_words.reshape(-1).view(np.int64)
         # The popcount of each holder row, kept beside it: counting it
         # per candidate row instead gathers servers/64 words a row (a
         # 2.5 MB transient for a 20 000-block job over 1 000 servers).
         self.dup = np.zeros(capacity, dtype=np.int64)
-        self.block_gids: Dict[BlockId, int] = {}
-        self.block_names: List[BlockId] = []
+        self.spans: Dict[str, Tuple[int, int]] = {}
+        self.num_blocks = 0  # rows spanned
 
     # -- interning ---------------------------------------------------------
 
@@ -166,24 +170,30 @@ class PossessionMatrix:
     def num_servers(self) -> int:
         return len(self.server_names)
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self.block_names)
-
-    def intern(self, block_id: BlockId) -> int:
-        """The block's row id, allocating one on first sight."""
-        gid = self.block_gids.get(block_id)
-        if gid is None:
-            gid = len(self.block_names)
-            if gid >= self._capacity:
-                self._grow(gid + 1)
-            self.block_gids[block_id] = gid
-            self.block_names.append(block_id)
-        return gid
+    def intern_job(self, job_id: str, num_blocks: int) -> int:
+        """The first row of the job's span, allocating ``num_blocks``
+        rows on first sight."""
+        base, count = self.spans.setdefault(job_id, (self.num_blocks, num_blocks))
+        if count != num_blocks:
+            raise ValueError(f"job {job_id!r} already spans {count} blocks")
+        if base == self.num_blocks:
+            self.num_blocks += num_blocks
+            if self.num_blocks > self._capacity:
+                self._grow(self.num_blocks)
+        return base
 
     def gid_of(self, block_id: BlockId) -> Optional[int]:
-        """The block's row id, or ``None`` if never interned."""
-        return self.block_gids.get(block_id)
+        """The block's row id, or ``None`` if its job has no span here."""
+        job_id, index = block_id
+        base, count = self.spans.get(job_id, (0, 0))
+        return base + index if 0 <= index < count else None
+
+    def block_ids(self, gids: np.ndarray) -> List[BlockId]:
+        """The ``(job id, index)`` of each row of ``gids``."""
+        bases = np.array([base for base, _count in self.spans.values()])
+        slot = bases.searchsorted(gids, side="right") - 1
+        jobs = list(self.spans)
+        return list(zip([jobs[j] for j in slot.tolist()], (gids - bases[slot]).tolist()))
 
     def _grow(self, needed: int) -> None:
         capacity = max(self._capacity * 2, needed)
@@ -192,7 +202,7 @@ class PossessionMatrix:
         )
         holder_words[: self._capacity] = self.holder_words
         self.holder_words = holder_words
-        self._holder_flat = holder_words.reshape(-1)
+        self._holder_flat = holder_words.reshape(-1).view(np.int64)
         dup = np.zeros(capacity, dtype=np.int64)
         dup[: self._capacity] = self.dup
         self.dup = dup
@@ -206,17 +216,16 @@ class PossessionMatrix:
         The batched form keeps large initial seedings (10^6-block jobs)
         out of per-bit Python loops: the server's holder-word column is
         tested for the blocks it lacks with one gather, OR-updated, and
-        the duplicate counter advances with unique fancy indexing.
+        the duplicate counter advances with one fancy ``+=``. Both
+        updates are buffered, so a block listed twice still gains one
+        copy.
         """
         if isinstance(gids, np.ndarray):
             arr = gids.astype(np.int64, copy=False)
         else:
             arr = np.asarray(list(gids), dtype=np.int64)
-        unique = np.unique(arr)
         word, mask = sid >> 6, _BITS[sid & 63]
-        new_gids = unique[(self.holder_words[unique, word] & mask) == 0]
-        if new_gids.size == 0:
-            return
+        new_gids = arr[(self.holder_words[arr, word] & mask) == 0]
         self.holder_words[new_gids, word] |= mask
         self.dup[new_gids] += 1
 
@@ -239,7 +248,7 @@ class PossessionMatrix:
             raise IndexError("destination server id out of range")
         words = gids * self.holder_words.shape[1] + (sids >> 6)
         bit = sids & 63
-        masks = _BITS[bit]
+        masks = _SIGNED_BITS[bit]
         fresh = (self._holder_flat[words] & masks) == 0
         # First-occurrence dedupe inside the batch: two deliveries of the
         # same (server, block) pair in one cycle must register as one new
@@ -268,7 +277,7 @@ class PossessionMatrix:
         """
         twin = copy.copy(self)
         twin.holder_words = self.holder_words.copy()
-        twin._holder_flat = twin.holder_words.reshape(-1)
+        twin._holder_flat = twin.holder_words.reshape(-1).view(np.int64)
         twin.dup = self.dup.copy()
         twin.record_deliveries(sids, gids)
         return twin
@@ -312,8 +321,22 @@ class PossessionMatrix:
 
     def test_many(self, sids, gids):
         """Does server ``sids`` hold block ``gids``? Scalars or arrays,
-        broadcast like ``a[i, j]``."""
-        return self.holder_words[gids, sids >> 6] & _BITS[sids & 63] != 0
+        broadcast like ``a[i, j]``. A call of 256 or more pairs whose
+        ``sids`` is an int64 array of the broadcast shape holds two 8-byte
+        temporaries per pair, not three: its flat word index is reused
+        for the bit masks and the AND is in place. Smaller calls take the
+        direct expression, 2–3 µs faster at a dozen pairs (the 256 is
+        where the two cross; docs/PERF_LOG.md)."""
+        if (
+            not isinstance(sids, np.ndarray) or sids.size < 256
+            or sids.dtype != np.int64 or sids.shape != np.broadcast(sids, gids).shape
+        ):
+            return self.holder_words[gids, sids >> 6] & _BITS[sids & 63] != 0
+        index = sids >> 6
+        index += gids * self.holder_words.shape[1]
+        words = self._holder_flat[index]
+        words &= np.left_shift(1, np.bitwise_and(sids, 63, out=index), out=index)
+        return words != 0
 
     def test_transfers(
         self, src: np.ndarray, dst: np.ndarray, gids: np.ndarray
@@ -336,8 +359,8 @@ class PossessionMatrix:
     def state_bytes(self) -> int:
         """Bytes held by the possession arrays (``holder_words`` + ``dup``).
 
-        The dominant, capacity-proportional memory of the matrix
-        (interning dicts are excluded; they are O(blocks) pointers).
+        The dominant, capacity-proportional memory of the matrix; the
+        only other table, ``spans``, holds one entry per job.
         """
         return int(self.holder_words.nbytes + self.dup.nbytes)
 
@@ -393,12 +416,12 @@ class DeliveryLog(abc.Sequence):
         return self._len
 
     def __iter__(self) -> Iterator[DeliveryRecord]:
-        blocks = self._matrix.block_names
+        gids, *rest = self.columns()
         servers = self._matrix.server_names
-        for gid, src, dst, time, origin in zip(
-            *(column.tolist() for column in self.columns())
+        for block_id, src, dst, time, origin in zip(
+            self._matrix.block_ids(gids), *(column.tolist() for column in rest)
         ):
-            yield DeliveryRecord(blocks[gid], servers[src], servers[dst], time, origin)
+            yield DeliveryRecord(block_id, servers[src], servers[dst], time, origin)
 
     def __getitem__(self, item):
         if isinstance(item, slice):
@@ -408,9 +431,8 @@ class DeliveryLog(abc.Sequence):
             raise IndexError("delivery index out of range")
         gid, src, dst, time, origin = (c[index].item() for c in self.columns())
         servers = self._matrix.server_names
-        return DeliveryRecord(
-            self._matrix.block_names[gid], servers[src], servers[dst], time, origin
-        )
+        (block_id,) = self._matrix.block_ids(np.array([gid]))
+        return DeliveryRecord(block_id, servers[src], servers[dst], time, origin)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (list, DeliveryLog)):
@@ -438,7 +460,7 @@ class PossessionReader:
 
     def has(self, server_id: str, block_id: BlockId) -> bool:
         matrix = self.matrix
-        gid = matrix.block_gids.get(block_id)
+        gid = matrix.gid_of(block_id)
         if gid is None:
             return False
         sid = matrix.server_ids.get(server_id)
@@ -451,7 +473,7 @@ class PossessionReader:
         decoded from the block's holder row (a shared empty one for unknown
         blocks)."""
         matrix = self.matrix
-        gid = matrix.block_gids.get(block_id)
+        gid = matrix.gid_of(block_id)
         if gid is None:
             return _EMPTY_HOLDERS
         names = matrix.server_names
@@ -488,11 +510,17 @@ class PossessionIndex(PossessionReader):
         except KeyError:
             raise KeyError(f"unknown server {server_id!r}") from None
 
+    def _gid(self, block_id: BlockId) -> int:
+        gid = self.matrix.gid_of(block_id)
+        if gid is None:
+            raise KeyError(f"block {block_id!r} is in no interned job")
+        return gid
+
     def seed(self, server_id: str, blocks: Iterable[Block]) -> None:
-        """Place initial copies (no delivery records; they were never sent)."""
-        matrix = self.matrix
+        """Place initial copies (no delivery records; they were never sent)
+        of blocks whose jobs are interned."""
         sid = self._sid(server_id)
-        matrix.set_many(sid, [matrix.intern(block.block_id) for block in blocks])
+        self.matrix.set_many(sid, [self._gid(block.block_id) for block in blocks])
 
     def record_delivery(
         self,
@@ -511,7 +539,7 @@ class PossessionIndex(PossessionReader):
         matrix = self.matrix
         fresh = self.record_deliveries(
             np.array([self._sid(dst_server)]),
-            np.array([matrix.intern(block.block_id)]),
+            np.array([self._gid(block.block_id)]),
             np.array([self._sid(src_server)]),
             np.array([time], dtype=np.float64),
             np.array([matrix.dc_ids.get(origin_dc, -1)]),

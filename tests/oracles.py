@@ -39,7 +39,8 @@ module; the property tests run the production kernels against these:
 
 Some definitions here left ``src/`` because only tests called them
 (``tests/test_layering.py`` keeps ``src/`` to what the system runs):
-``PathMCF``, the exact-LP reference the FPTAS tests price against; the
+``split_into_blocks``, the loop a job's block formula is checked
+against; ``PathMCF``, the exact-LP reference the FPTAS tests price against; the
 store's name-keyed queries below; ``route_dcs``, ``cdf``,
 ``with_rate_cap``, ``read_generated`` and ``residual_budget`` (the §5.2
 budget, which ``bulk_capacities`` is built on). ``Flow`` is how the
@@ -98,11 +99,35 @@ from repro.net.flow import (
 from repro.net.topology import ResourceKey
 from repro.net.directive import TransferDirective
 from repro.net.view import ClusterView
-from repro.overlay.blocks import Block
+from repro.overlay.blocks import DEFAULT_BLOCK_SIZE, Block
 from repro.overlay.store import DeliveryRecord
 
 BlockId = Tuple[str, int]
 GroupKey = Tuple[str, str, Tuple[str, ...]]
+
+
+# -- job: the split as a list of blocks, striping as a per-(DC, block) table --
+
+
+def split_into_blocks(
+    job_id: str, total_bytes: float, block_size: float = DEFAULT_BLOCK_SIZE
+) -> List[Block]:
+    """Split ``total_bytes`` into fixed-size blocks; the tail may be smaller.
+
+    The loop ``MulticastJob`` kept its blocks as (``job.blocks`` was this
+    list) before it kept them as a formula.
+    """
+    check_positive("total_bytes", total_bytes)
+    check_positive("block_size", block_size)
+    blocks: List[Block] = []
+    remaining = float(total_bytes)
+    index = 0
+    while remaining > 1e-9:
+        size = min(block_size, remaining)
+        blocks.append(Block(job_id=job_id, index=index, size=size))
+        remaining -= size
+        index += 1
+    return blocks
 
 
 # -- job: striping as a per-(DC, block) table --------------------------------
@@ -655,9 +680,12 @@ def partial_map(view) -> Dict[Tuple[BlockId, str], float]:
     dict it was."""
     partial = view.partial_bytes
     matrix, n = partial.matrix, partial.matrix.num_servers
+    keys = np.array(list(partial), dtype=np.int64)
     return {
-        (matrix.block_names[key // n], matrix.server_names[key % n]): have
-        for key, have in partial.items()
+        (block_id, matrix.server_names[key % n]): have
+        for block_id, key, have in zip(
+            matrix.block_ids(keys // n), keys.tolist(), partial.values()
+        )
     }
 
 
@@ -1074,7 +1102,7 @@ def duplicate_count(store, block_id: BlockId) -> int:
     matrix = getattr(store, "matrix", None)
     if matrix is None:
         return len(store.holders(block_id))
-    gid = matrix.block_gids.get(block_id)
+    gid = matrix.gid_of(block_id)
     return 0 if gid is None else int(matrix.dup[gid])
 
 
@@ -1086,8 +1114,11 @@ def dc_has_block(store, dc: str, block_id: BlockId) -> bool:
 def blocks_on(store, server_id: str) -> FrozenSet[BlockId]:
     """The blocks one server holds: a ``has`` probe per block the
     store's matrix names (empty for an unknown server)."""
+    matrix = store.matrix
     return frozenset(
-        b for b in store.matrix.block_names if store.has(server_id, b)
+        b
+        for b in matrix.block_ids(np.arange(matrix.num_blocks))
+        if store.has(server_id, b)
     )
 
 
@@ -1096,7 +1127,7 @@ def dc_copy_count(store, dc: str, block_id: BlockId) -> int:
     matrix-backed store's block row that sit in ``dc`` (0 for an unknown
     DC or block)."""
     matrix = store.matrix
-    gid = matrix.block_gids.get(block_id)
+    gid = matrix.gid_of(block_id)
     did = matrix.dc_ids.get(dc)
     if gid is None or did is None:
         return 0
@@ -1197,10 +1228,11 @@ class DictPossessionIndex:
 
 def delivery_columns(matrix, events):
     """``(block, src, dst, time, origin_dc)`` events as the parallel
-    columns ``PossessionIndex.record_deliveries`` takes (blocks interned)."""
+    columns ``PossessionIndex.record_deliveries`` takes (the blocks' jobs
+    interned)."""
     return (
         np.array([matrix.server_ids[e[2]] for e in events], dtype=np.int64),
-        np.array([matrix.intern(e[0].block_id) for e in events], dtype=np.int64),
+        np.array([matrix.gid_of(e[0].block_id) for e in events], dtype=np.int64),
         np.array([matrix.server_ids[e[1]] for e in events], dtype=np.int64),
         np.array([e[3] for e in events], dtype=np.float64),
         np.array([matrix.dc_ids.get(e[4], -1) for e in events], dtype=np.int64),

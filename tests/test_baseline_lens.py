@@ -141,7 +141,7 @@ class Shadow:
         pairs = [
             (
                 matrix.server_ids[job.assigned_server(dc, job.blocks[i].block_id)],
-                matrix.block_gids[job.blocks[i].block_id],
+                matrix.gid_of(job.blocks[i].block_id),
             )
             for job in view.jobs
             for dc in job.dst_dcs

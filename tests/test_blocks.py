@@ -1,13 +1,14 @@
-"""Blocks: splitting and identity."""
+"""Blocks: splitting and identity; a job's split against the loop."""
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from repro.overlay.blocks import (
-    Block,
-    DEFAULT_BLOCK_SIZE,
-    split_into_blocks,
-)
+from repro.overlay.blocks import Block, DEFAULT_BLOCK_SIZE
+from repro.overlay.job import MulticastJob
 from repro.utils.units import MB
+
+from tests.oracles import split_into_blocks
 
 
 class TestBlock:
@@ -66,3 +67,45 @@ class TestSplit:
             split_into_blocks("j", 0)
         with pytest.raises(ValueError):
             split_into_blocks("j", 1 * MB, 0)
+
+
+# -- a job's split: the formula ≡ the loop -------------------------------------
+
+#: Tails around the loop's 1e-9 drop rule: just below, at, and just above.
+TAILS = [1e-9 * (1 + e) for e in (-1e-3, -1e-12, 0.0, 1e-12, 1e-3)]
+
+
+@st.composite
+def splits(draw):
+    """``(total_bytes, block_size)``: integral, or floats whose tail is
+    drawn or sits around 1e-9; at most ≈ 500 blocks."""
+    if draw(st.booleans()):
+        block = draw(st.integers(1, 4 * MB))
+        total = draw(st.integers(0, 500)) * block + draw(st.integers(0, block - 1))
+    else:
+        block = draw(
+            st.floats(1e-12, 1e9) | st.sampled_from([0.1, 0.3, 1 / 3, 2.0 * MB])
+        )
+        tail = draw(st.sampled_from(TAILS) | st.floats(0.0, block))
+        total = draw(st.integers(0, 500)) * block + tail
+    assume(total > 0)
+    return total, block
+
+
+@settings(max_examples=200, deadline=None)
+@given(splits())
+@example(split=(TAILS[2], 1.0))  # a tail of exactly 1e-9 is dropped
+@example(split=(TAILS[3], 1.0))
+def test_a_job_splits_as_the_loop_does(split):
+    total, block = split
+    job = MulticastJob("j", "dc0", ("dc1",), total, block)
+    want = split_into_blocks("j", total, block)
+    assert job.num_blocks == len(job.blocks) == len(want)
+    assert job.block_sizes().tolist() == [float(b.size) for b in want]
+    for i, expected in enumerate(want):
+        got = job.blocks[i]
+        assert got == expected and type(got.size) is type(expected.size)
+        assert job.block_by_id(expected.block_id) == expected
+    assert job.blocks[-1:] == want[-1:]
+    with pytest.raises(KeyError):
+        job.block_by_id(("j", len(want)))

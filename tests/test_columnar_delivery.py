@@ -241,7 +241,9 @@ def test_mutant_is_caught(name):
 
 @pytest.fixture
 def store() -> PossessionIndex:
-    return PossessionIndex({"a0": "A", "a1": "A", "b0": "B", "c0": "C"})
+    store = PossessionIndex({"a0": "A", "a1": "A", "b0": "B", "c0": "C"})
+    store.matrix.intern_job("j", 4)
+    return store
 
 
 def _columns(store, events):
@@ -284,8 +286,7 @@ def test_a_batch_keeps_no_object_per_delivery():
     servers = {f"s{i:03d}": f"dc{i % 4}" for i in range(100)}
     store = PossessionIndex(servers)
     count = 100_000
-    for i in range(count // 100):
-        store.matrix.intern(("j", i))
+    store.matrix.intern_job("j", count // 100)
     rng = np.random.default_rng(0)
     pair = rng.permutation(100 * (count // 100))[:count]
     columns = (

@@ -423,9 +423,12 @@ def _land(index: PossessionIndex, events):
 
 def _fresh_indexes():
     server_dc = {f"dc{d}-s{s}": f"dc{d}" for d in range(3) for s in range(4)}
+    batched, sequential = PossessionIndex(server_dc), PossessionIndex(server_dc)
+    for index in (batched, sequential):
+        index.matrix.intern_job("j", 10)  # the blocks of _random_events
     return (
-        PossessionIndex(server_dc),
-        PossessionIndex(server_dc),
+        batched,
+        sequential,
         oracles.DictPossessionIndex(server_dc),
         sorted(server_dc),
     )

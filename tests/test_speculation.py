@@ -36,7 +36,7 @@ def columns(view, pairs):
     """``(dst_server, block_id)`` pairs as the matrix's id columns."""
     matrix = view.store.matrix
     sids = [matrix.server_ids[server] for server, _bid in pairs]
-    gids = [matrix.block_gids[bid] for _server, bid in pairs]
+    gids = [matrix.gid_of(bid) for _server, bid in pairs]
     return np.array(sids, dtype=np.int64), np.array(gids, dtype=np.int64)
 
 
@@ -45,8 +45,8 @@ def speculated(view, directives, horizon):
     matrix = view.store.matrix
     sids, gids = DeliverySpeculator(horizon).speculate(view, directives)
     return [
-        (matrix.server_names[sid], matrix.block_names[gid])
-        for sid, gid in zip(sids.tolist(), gids.tolist())
+        (matrix.server_names[sid], block_id)
+        for sid, block_id in zip(sids.tolist(), matrix.block_ids(gids))
     ]
 
 
