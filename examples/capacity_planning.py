@@ -11,31 +11,19 @@ each, quantifying how much provisioning the overlay saves.
 Run:  python examples/capacity_planning.py
 """
 
+from repro.analysis.runner import Scenario
 from repro.analysis.sweeps import compare_sweeps
-from repro.net.topology import Topology
-from repro.overlay.job import MulticastJob
 from repro.utils.units import GB, MB, MBps, format_duration, format_rate
 
 DEADLINE_S = 60.0
 WAN_CAPACITIES = [10 * MBps, 20 * MBps, 40 * MBps, 80 * MBps, 160 * MBps]
 
 
-def scenario(wan_capacity: float):
-    topo = Topology.full_mesh(
-        num_dcs=6,
-        servers_per_dc=4,
-        wan_capacity=wan_capacity,
-        uplink=30 * MBps,
+def scenario(wan_capacity: float) -> Scenario:
+    """1 GB from dc0 to the five other DCs of a 6-DC mesh."""
+    return Scenario.mesh(
+        6, 4, wan_capacity, 30 * MBps, 1 * GB, 4 * MB, "nightly-build", seed=11
     )
-    job = MulticastJob(
-        job_id="nightly-build",
-        src_dc="dc0",
-        dst_dcs=tuple(f"dc{i}" for i in range(1, 6)),
-        total_bytes=1 * GB,
-        block_size=4 * MB,
-    )
-    job.bind(topo)
-    return topo, [job]
 
 
 def main() -> None:
@@ -45,7 +33,6 @@ def main() -> None:
         WAN_CAPACITIES,
         scenario,
         strategies=("direct", "bds"),
-        seed=11,
     )
 
     header = f"{'WAN capacity':>14} | {'direct':>10} | {'bds':>10}"

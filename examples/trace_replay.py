@@ -3,9 +3,11 @@
 
 Generates a trace matching the paper's published workload distributions
 (Table 1 application mix, Fig. 2a destination fan-out, Fig. 2b sizes),
-saves it to JSON lines, replays the multicasts through the simulator with
-BDS, and reports fleet-level statistics — the closest offline analogue of
-the paper's trace-driven evaluation methodology (§6.1.1).
+saves its multicasts as a scenario file (what ``python -m repro workload``
+writes and ``python -m repro simulate --scenario`` runs), replays that file
+through the simulator with BDS in chronological order, and reports
+fleet-level statistics — the closest offline analogue of the paper's
+trace-driven evaluation methodology (§6.1.1).
 
 Sizes are scaled down by 10^-4 so the replay finishes in seconds; relative
 job sizes and the arrival process are preserved.
@@ -16,24 +18,20 @@ Run:  python examples/trace_replay.py
 import tempfile
 from pathlib import Path
 
-from repro import Topology, WorkloadGenerator
+from repro import Simulation, Topology, WorkloadGenerator
 from repro.analysis.metrics import summarize
-from repro.analysis.runner import run_simulation
+from repro.analysis.runner import Scenario, non_default_fields
 from repro.net.simulator import SimConfig
 from repro.utils.units import MB, MBps, format_bytes, format_duration
-from repro.workload.traces import replay_as_jobs, save_trace
+from repro.workload.generator import to_jobs
 
 SIZE_SCALE = 1e-4
 NUM_REQUESTS = 30
+MESH = dict(num_dcs=10, servers_per_dc=4, wan_capacity=500 * MBps, uplink=25 * MBps)
 
 
 def main() -> None:
-    topology = Topology.full_mesh(
-        num_dcs=10,
-        servers_per_dc=4,
-        wan_capacity=500 * MBps,
-        uplink=25 * MBps,
-    )
+    topology = Topology.full_mesh(**MESH)
 
     generator = WorkloadGenerator(
         topology.dc_names(), seed=2024, mean_interarrival_s=60.0
@@ -46,17 +44,23 @@ def main() -> None:
         f"({len(multicasts)} multicasts, {format_bytes(total)} of bulk data)"
     )
 
+    jobs = to_jobs(requests, topology, block_size=4 * MB, size_scale=SIZE_SCALE)
+    scenario = Scenario(
+        "full_mesh",
+        tuple(non_default_fields(job) for job in jobs),
+        MESH,
+        sim=SimConfig(max_cycles=20000),
+        seed=2024,
+    )
     with tempfile.TemporaryDirectory() as tmp:
-        trace_path = Path(tmp) / "week.jsonl"
-        save_trace(requests, trace_path)
-        jobs = replay_as_jobs(
-            trace_path, topology, block_size=4 * MB, size_scale=SIZE_SCALE
-        )
+        path = Path(tmp) / "week.json"
+        path.write_text(scenario.to_json())
+        scenario = Scenario.from_json(path.read_text())
 
     print(f"replaying {len(jobs)} multicast jobs (sizes scaled {SIZE_SCALE:g}x)\n")
-    result = run_simulation(
-        topology, jobs, "bds", seed=2024, sim=SimConfig(max_cycles=20000)
-    )
+    parts = scenario.build()
+    jobs = parts["jobs"]
+    result = Simulation(**parts).run()
 
     completed = len(result.job_completion)
     print(f"jobs completed : {completed}/{len(jobs)}")

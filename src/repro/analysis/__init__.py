@@ -4,10 +4,9 @@ from repro.analysis.metrics import Summary, empirical_cdf, percentile, summarize
 from repro.analysis.reporting import format_cdf_rows, format_series, format_table
 from repro.analysis.runner import (
     STRATEGY_NAMES,
-    RunSpec,
+    Scenario,
     make_strategy,
     run_many,
-    run_simulation,
 )
 from repro.analysis.appendix import (
     balanced_completion_time,
@@ -34,9 +33,8 @@ __all__ = [
     "format_series",
     "format_table",
     "make_strategy",
-    "run_simulation",
     "STRATEGY_NAMES",
-    "RunSpec",
+    "Scenario",
     "run_many",
     "balanced_completion_time",
     "imbalanced_completion_time",

@@ -16,7 +16,7 @@ import time
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 from repro.analysis.runner import Scenario
-from repro.core import BDSConfig, BDSController
+from repro.core import BDSController
 from repro.net.simulator import Simulation
 from repro.net.view import ClusterView
 
@@ -46,15 +46,11 @@ def timed(call: Callable, *args: Any) -> Tuple[float, Any]:
     return time.perf_counter() - started, out
 
 
-def cold_view(
-    scenario: Scenario, config: Optional[BDSConfig] = None, seed: int = 0
-) -> Tuple[ClusterView, BDSController]:
-    """The view of ``scenario`` before anything moved, and a BDS controller
-    that has not decided on it yet (for timing one cold pass)."""
-    topology, jobs = scenario
-    controller = BDSController(config, seed=seed)
-    view = Simulation(topology, jobs, controller, seed=seed).snapshot_view()
-    return view, controller
+def cold_view(scenario: Scenario) -> Tuple[ClusterView, BDSController]:
+    """The view of a BDS ``scenario`` before anything moved, and its
+    controller, which has not decided on it yet (for timing one cold pass)."""
+    parts = scenario.build()
+    return Simulation(**parts).snapshot_view(), parts["strategy"]
 
 
 def upper_median(xs: Sequence[float]) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,19 +12,16 @@ from repro.analysis.appendix import (
     imbalanced_completion_time,
 )
 from repro.analysis.experiments.base import Experiment, cold_view, ms, timed, wall
-from repro.analysis.experiments.motivation import triangle
 from repro.analysis.reporting import format_table
-from repro.analysis.runner import RunSpec, mesh_scenario, run_many, run_simulation
+from repro.analysis.runner import Scenario, run_many
 from repro.baselines.ideal import ideal_completion_time
-from repro.core import BDSConfig, BDSController
+from repro.core import BDSConfig
 from repro.core.decisions import SelectionBatch
 from repro.core.diffs import diff_stats_over_run
 from repro.core.routing import BDSRouter
 from repro.core.scheduling import RarestFirstScheduler
-from repro.net.presets import baidu_like
 from repro.net.simulator import SimConfig, Simulation
 from repro.net.view import ClusterView
-from repro.overlay.job import MulticastJob
 from repro.utils.units import GB, MB, MBps
 
 
@@ -40,7 +38,10 @@ class Appendix(Experiment):
 
     @staticmethod
     def _simulate(layout: str, seed: int) -> float:
-        topo, (job,) = mesh_scenario(6, 2, 1 * GB, 1 * MBps, 80 * MB, 2 * MB, "j")
+        parts = Scenario.mesh(
+            6, 2, 1 * GB, 1 * MBps, 80 * MB, 2 * MB, "j", seed=seed
+        ).build()
+        (job,) = parts["jobs"]
         seeded = {}
         for block in job.blocks:
             if layout == "balanced":
@@ -52,9 +53,7 @@ class Appendix(Experiment):
                     f"dc{1 + (block.index + step) % 5}", block.block_id
                 )
                 seeded.setdefault(server, []).append(block)
-        result = Simulation(
-            topo, [job], BDSController(seed=seed), seed=seed, pre_seeded=seeded
-        ).run()
+        result = Simulation(**parts, pre_seeded=seeded).run()
         return result.completion_time("j")
 
     def measure(self, seed):
@@ -106,17 +105,16 @@ class RoutingBackends(Experiment):
     backends = ("greedy", "fptas", "lp")
 
     def measure(self, seed):
-        def scenario():
-            return mesh_scenario(5, 3, 200 * MBps, 10 * MBps, 96 * MB, 4 * MB, "j")
-
         out = {}
         for backend in self.backends:
-            config = BDSConfig(routing_backend=backend)
-            view, controller = cold_view(scenario(), config)
+            scenario = Scenario.mesh(
+                5, 3, 200 * MBps, 10 * MBps, 96 * MB, 4 * MB, "j",
+                config=BDSConfig(routing_backend=backend), seed=seed,
+            )
+            view, controller = cold_view(scenario)
             selections = controller.scheduler.select(view)
             decision_s, _ = timed(controller.router.route, view, selections)
-            result = run_simulation(*scenario(), "bds", seed=seed, config=config)
-            out[backend] = (decision_s, result.completion_time("j"))
+            out[backend] = (decision_s, scenario.run().completion_time("j"))
         return out
 
     def report(self, r):
@@ -153,7 +151,7 @@ class BlocksMerging(Experiment):
 
     def measure(self, seed):
         view, controller = cold_view(
-            mesh_scenario(4, 4, 1 * GB, 20 * MBps, 512 * MB, 2 * MB, "j")
+            Scenario.mesh(4, 4, 1 * GB, 20 * MBps, 512 * MB, 2 * MB, "j")
         )
         selections = controller.scheduler.select(view)
         out = {}
@@ -215,11 +213,11 @@ class SchedulingPolicy(Experiment):
     def measure(self, seed):
         times = []
         for scheduler in (RarestFirstScheduler, InOrderScheduler):
-            topo, jobs = mesh_scenario(5, 2, 100 * MBps, 4 * MBps, 96 * MB, 4 * MB, "j")
-            controller = BDSController(seed=seed)
-            controller.scheduler = scheduler()
-            result = Simulation(topo, jobs, controller, seed=seed).run()
-            times.append(result.completion_time("j"))
+            parts = Scenario.mesh(
+                5, 2, 100 * MBps, 4 * MBps, 96 * MB, 4 * MB, "j", seed=seed
+            ).build()
+            parts["strategy"].scheduler = scheduler()
+            times.append(Simulation(**parts).run().completion_time("j"))
         return times
 
     def report(self, r):
@@ -249,17 +247,14 @@ class RelayDCs(Experiment):
     def measure(self, seed):
         times = {}
         for with_relay in (False, True):
-            # A–C is the slow WAN path.
-            topo = triangle(nic=50 * MBps, ab=100 * MBps, ac=5 * MBps, bc=100 * MBps)
-            job = MulticastJob(
-                "j", "A", ("C",), 240 * MB, block_size=4 * MB,
-                relay_dcs=("B",) if with_relay else (),
-            )
-            job.bind(topo)
-            result = run_simulation(
-                topo, [job], "bds", seed=seed, config=BDSConfig(use_relays=with_relay)
-            )
-            times[with_relay] = result.completion_time("j")
+            times[with_relay] = Scenario(
+                "triangle",  # A–C is the slow WAN path.
+                (dict(job_id="j", src_dc="A", dst_dcs=("C",), total_bytes=240 * MB,
+                      block_size=4 * MB, relay_dcs=("B",) if with_relay else ()),),
+                dict(nic=50 * MBps, ab=100 * MBps, ac=5 * MBps, bc=100 * MBps),
+                config=BDSConfig(use_relays=with_relay),
+                seed=seed,
+            ).run().completion_time("j")
         return times
 
     def report(self, r):
@@ -283,8 +278,8 @@ class RelayDCs(Experiment):
         assert r[False] / r[True] > 2.0
 
 
-def _control_plane_scenario():
-    return mesh_scenario(4, 3, 200 * MBps, 5 * MBps, 240 * MB, 2 * MB, "j")
+def _control_plane(**fields) -> Scenario:
+    return Scenario.mesh(4, 3, 200 * MBps, 5 * MBps, 240 * MB, 2 * MB, "j", **fields)
 
 
 class DecisionDiffs(Experiment):
@@ -297,9 +292,9 @@ class DecisionDiffs(Experiment):
     )
 
     def measure(self, seed):
-        topo, jobs = _control_plane_scenario()
-        controller = BDSController(seed=seed)
-        result = Simulation(topo, jobs, controller, seed=seed).run()
+        parts = _control_plane(seed=seed).build()
+        controller = parts["strategy"]
+        result = Simulation(**parts).run()
         return SimpleNamespace(
             complete=result.all_complete,
             stats=diff_stats_over_run(
@@ -342,17 +337,12 @@ class Speculation(Experiment):
     )
 
     def measure(self, seed):
-        specs = [
-            RunSpec(
-                "bds",
-                _control_plane_scenario,
-                seed,
-                f"speculation:{horizon}",
-                config=BDSConfig(speculation_horizon=horizon),
-            )
-            for horizon in (0.0, 0.3)
-        ]
-        runs = run_many(specs)
+        runs = run_many(
+            [
+                _control_plane(config=BDSConfig(speculation_horizon=h), seed=seed)
+                for h in (0.0, 0.3)
+            ]
+        )
         return SimpleNamespace(
             complete=all(run.all_complete for run in runs),
             plain=runs[0].completion_time("j"),
@@ -390,26 +380,28 @@ class GrandComparison(Experiment):
     baselines = ("direct", "chain", "akamai", "bullet", "gingko")
 
     def measure(self, seed):
-        def scenario():
-            topo = baidu_like(servers_per_dc=4)
-            job = MulticastJob(
-                "pilot",
-                "bj1",
-                tuple(dc for dc in topo.dc_names() if dc != "bj1"),
-                1 * GB,
-                block_size=4 * MB,
-            )
-            job.bind(topo)
-            return topo, [job]
-
-        names = (*self.baselines, "bds")
-        sim = SimConfig(max_cycles=20_000)
-        runs = run_many(
-            [RunSpec(n, scenario, seed, f"grand:{n}", sim=sim) for n in names]
+        scenario = Scenario(
+            "baidu_like",
+            (
+                dict(
+                    job_id="pilot",
+                    src_dc="bj1",
+                    dst_dcs=(
+                        "bj2", "bj3", "bj4", "sh1", "sh2", "sh3", "gz1", "gz2", "gz3"
+                    ),
+                    total_bytes=1 * GB,
+                    block_size=4 * MB,
+                ),
+            ),
+            dict(servers_per_dc=4),
+            sim=SimConfig(max_cycles=20_000),
+            seed=seed,
         )
+        names = (*self.baselines, "bds")
+        runs = run_many([replace(scenario, strategy=n) for n in names])
         times = {n: run.completion_time("pilot") for n, run in zip(names, runs)}
-        topo, (job,) = scenario()
-        times["ideal bound"] = ideal_completion_time(topo, job)
+        parts = scenario.build()
+        times["ideal bound"] = ideal_completion_time(parts["topology"], *parts["jobs"])
         return dict(sorted(times.items(), key=lambda kv: kv[1]))
 
     def report(self, r):

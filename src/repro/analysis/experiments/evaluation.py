@@ -24,7 +24,7 @@ from repro.analysis.reporting import (
     format_table,
     sparkline,
 )
-from repro.analysis.runner import RunSpec, mesh_scenario, run_many, run_simulation
+from repro.analysis.runner import Scenario, run_many
 from repro.core import BDSController
 from repro.core.formulation import StandardLPRouter
 from repro.net.failures import FailureSchedule
@@ -60,16 +60,12 @@ def exp_fig9_bds_vs_gingko(
     timeseries runs, seeded ``10*seed`` + 0 / 10 + repetition / 110 + day.
     """
     sizes = {"large": file_bytes, "medium": file_bytes / 4, "small": file_bytes / 16}
-    specs: Dict[Tuple[str, ...], RunSpec] = {}
+    specs: Dict[Tuple[str, ...], Scenario] = {}
 
     def add(key: Tuple[str, ...], name: str, size: float, offset: int) -> None:
-        specs[key] = RunSpec(
-            name,
-            lambda: mesh_scenario(
-                11, servers_per_dc, 500 * MBps, 25 * MBps, size, 4 * MB, "fig9"
-            ),
-            10 * seed + offset,
-            "fig9:" + ":".join(key),
+        specs[key] = Scenario.mesh(
+            11, servers_per_dc, 500 * MBps, 25 * MBps, size, 4 * MB, "fig9",
+            strategy=name, seed=10 * seed + offset,
         )
 
     for name in ("bds", "gingko"):
@@ -205,14 +201,16 @@ def exp_table3_overlay_comparison(
     """Completion times of Bullet / Akamai / BDS in the Table 3 setups
     (all three unless ``setups`` names some)."""
     cells = [(s, arm) for s in setups or TABLE3_SETUPS for arm in _TABLE3_ARMS]
-
-    def scenario(setup: str):
+    scenarios = []
+    for setup, arm in cells:
         size, servers, nic = TABLE3_SETUPS[setup]
-        return lambda: mesh_scenario(12, servers, 1 * GB, nic, size, 8 * MB, "table3")
-
-    runs = run_many(
-        [RunSpec(arm, scenario(s), seed, f"table3:{s}:{arm}") for s, arm in cells]
-    )
+        scenarios.append(
+            Scenario.mesh(
+                12, servers, 1 * GB, nic, size, 8 * MB, "table3",
+                strategy=arm, seed=seed,
+            )
+        )
+    runs = run_many(scenarios)
     times: Dict[str, Dict[str, float]] = {}
     for (setup, arm), run in zip(cells, runs):
         times.setdefault(setup, {})[arm] = run.completion_time("table3")
@@ -330,7 +328,7 @@ def _outstanding(num_blocks: int, seed: int) -> Tuple[ClusterView, BDSController
     # Each block is pending at 3 destination DCs; divide to get the file.
     size = max(1, num_blocks // 3) * MB
     return cold_view(
-        mesh_scenario(4, 8, 1 * GB, 50 * MBps, size, 1 * MB, "scale"), seed=seed
+        Scenario.mesh(4, 8, 1 * GB, 50 * MBps, size, 1 * MB, "scale", seed=seed)
     )
 
 
@@ -397,14 +395,12 @@ class Fig11bc(Experiment):
         for _ in range(5000):
             a, b = rng.choice(10, size=2, replace=False)
             network.append(latency.sample_delay(f"dc{int(a)}", f"dc{int(b)}"))
-        topo, jobs = mesh_scenario(10, 7, GB, 4 * MBps, 1.5 * GB, 2 * MB, "loop")
         result = Simulation(
-            topo,
-            jobs,
-            BDSController(seed=seed),
-            SimConfig(max_cycles=200),
+            **Scenario.mesh(
+                10, 7, GB, 4 * MBps, 1.5 * GB, 2 * MB, "loop",
+                sim=SimConfig(max_cycles=200), seed=seed,
+            ).build(),
             agent_monitor=AgentMonitor(controller_dc="dc0", latency=latency),
-            seed=seed,
         ).run()
         return SimpleNamespace(
             network=network, loop=[s.total for s in result.feedback_samples]
@@ -450,17 +446,12 @@ class Fig12a(Experiment):
     seed = 12
 
     def measure(self, seed):
-        topo, jobs = mesh_scenario(
-            3, 6, 200 * MBps, 1.2 * MBps, 600 * MB, 2 * MB, "fault"
-        )
-        series = run_simulation(
-            topo,
-            jobs,
-            "bds",
-            seed=seed,
+        series = Scenario.mesh(
+            3, 6, 200 * MBps, 1.2 * MBps, 600 * MB, 2 * MB, "fault",
             sim=SimConfig(max_cycles=45),
-            failures=FailureSchedule.paper_fig12a(agent="dc1-s0"),
-        ).blocks_per_cycle()
+            failures=tuple(FailureSchedule.paper_fig12a(agent="dc1-s0").events),
+            seed=seed,
+        ).run().blocks_per_cycle()
         return SimpleNamespace(
             series=series,
             normal=statistics.mean(series[3:10]),
@@ -504,15 +495,12 @@ class Fig12b(Experiment):
     blocks = {"2M/blk": 2 * MB, "64M/blk": 64 * MB}
 
     def measure(self, seed):
-        def scenario(block_size):
-            return lambda: mesh_scenario(
-                11, 4, 500 * MBps, 25 * MBps, 1 * GB, block_size, "blk"
-            )
-
         runs = run_many(
             [
-                RunSpec("bds", scenario(size), seed, f"fig12b:{label}")
-                for label, size in self.blocks.items()
+                Scenario.mesh(
+                    11, 4, 500 * MBps, 25 * MBps, 1 * GB, size, "blk", seed=seed
+                )
+                for size in self.blocks.values()
             ]
         )
         return [
@@ -554,15 +542,10 @@ class Fig12c(Experiment):
     cycles = (0.5, 1, 2, 3, 5, 10, 20, 40, 60, 95)
 
     def measure(self, seed):
-        def scenario():
-            return mesh_scenario(6, 4, 500 * MBps, 25 * MBps, 1 * GB, 8 * MB, "cyc")
-
         specs = [
-            RunSpec(
-                "bds",
-                scenario,
-                seed,
-                f"fig12c:dt={dt}",
+            Scenario.mesh(
+                6, 4, 500 * MBps, 25 * MBps, 1 * GB, 8 * MB, "cyc",
+                seed=seed,
                 sim=SimConfig(
                     cycle_seconds=dt,
                     control_overhead_seconds=min(0.3, dt * 0.55),
@@ -660,14 +643,15 @@ class Fig13b(Experiment):
     counts = (50, 100, 200)
 
     def measure(self, seed):
-        def scenario(count):
-            return lambda: mesh_scenario(
-                2, 2, 1 * GB, 20 * MBps, count * 2 * MB, 2 * MB, "opt"
-            )
-
-        arms = [(c, name) for c in self.counts for name in ("bds", "bds-standard-lp")]
         runs = run_many(
-            [RunSpec(n, scenario(c), seed, f"fig13b:{n}:blocks={c}") for c, n in arms]
+            [
+                Scenario.mesh(
+                    2, 2, 1 * GB, 20 * MBps, count * 2 * MB, 2 * MB, "opt",
+                    strategy=name, seed=seed,
+                )
+                for count in self.counts
+                for name in ("bds", "bds-standard-lp")
+            ]
         )
         times = [run.completion_time("opt") for run in runs]
         return list(zip(times[0::2], times[1::2]))
@@ -705,10 +689,9 @@ class Fig13c(Experiment):
     seed = 13
 
     def measure(self, seed):
-        topo, jobs = mesh_scenario(
-            10, 8, 500 * MBps, 10 * MBps, 2 * GB, 2 * MB, "origin"
-        )
-        result = run_simulation(topo, jobs, "bds", seed=seed)
+        result = Scenario.mesh(
+            10, 8, 500 * MBps, 10 * MBps, 2 * GB, 2 * MB, "origin", seed=seed
+        ).run()
         return list(result.store.origin_fraction_by_server().values())
 
     def report(self, r):

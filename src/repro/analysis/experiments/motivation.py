@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Dict, List
 
@@ -11,13 +11,12 @@ from repro.analysis.experiments.base import Experiment, upper_median
 from repro.analysis.metrics import fraction_above, percentile
 from repro.analysis.plots import ascii_cdf
 from repro.analysis.reporting import format_cdf_rows, format_table, sparkline
-from repro.analysis.runner import RunSpec, mesh_scenario, run_many, run_simulation
+from repro.analysis.runner import Scenario, run_many
 from repro.baselines.ideal import ideal_server_times
-from repro.net.background import BackgroundTraffic, delay_inflation
+from repro.net.background import delay_inflation
 from repro.net.paths import throughput_ratio_samples
-from repro.net.simulator import SimConfig
+from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology, wan_key
-from repro.overlay.job import MulticastJob
 from repro.utils.units import GB, MB, MBps, TB
 from repro.workload.distributions import APP_PROFILES
 from repro.workload.generator import WorkloadGenerator
@@ -123,29 +122,18 @@ class Fig2(Experiment):
         assert r.over_1tb > 0.5
 
 
-def triangle(nic: float, ab: float, ac: float, bc: float) -> Topology:
-    """DCs A, B and C, two servers each, joined by three WAN links."""
-    topo = Topology()
-    for dc in ("A", "B", "C"):
-        topo.add_dc(dc)
-        for j in range(2):
-            topo.add_server(f"{dc}-s{j}", dc, uplink=nic, downlink=nic)
-    topo.add_bidirectional_link("A", "B", ab)
-    topo.add_bidirectional_link("A", "C", ac)
-    topo.add_bidirectional_link("B", "C", bc)
-    return topo
-
-
-def fig3_topology() -> Topology:
-    """The Fig. 3 scenario: three DCs with asymmetric WAN capacities.
-
-    The shape of the example needs (a) a thin path from A to C, (b) a
-    fatter relayed route through B, so the intelligent overlay can ship
-    most blocks A→B→C while the thin direct path carries the rest.
-    Capacities: A—B 3 GB/s, A—C 1.5 GB/s, B—C 3 GB/s; server NICs are
-    fat (6 GB/s) so the WAN links are the bottlenecks, as in the figure.
-    """
-    return triangle(nic=6 * GB, ab=3 * GB, ac=1.5 * GB, bc=3 * GB)
+#: The Fig. 3 scenario: three DCs with asymmetric WAN capacities. The
+#: example needs a thin path from A to C and a fatter relayed route
+#: through B, so the intelligent overlay can ship most blocks A→B→C while
+#: the thin direct path carries the rest. Server NICs are fat (6 GB/s) so
+#: the WAN links are the bottlenecks, as in the figure.
+FIG3 = Scenario(
+    "triangle",
+    (dict(job_id="fig3", src_dc="A", dst_dcs=("B", "C"), total_bytes=36 * GB,
+          block_size=2 * GB),),
+    dict(nic=6 * GB, ab=3 * GB, ac=1.5 * GB, bc=3 * GB),
+    sim=SimConfig(cycle_seconds=1.0, safety_threshold=1.0),
+)
 
 
 class Fig3(Experiment):
@@ -161,17 +149,8 @@ class Fig3(Experiment):
     seed = 3
 
     def measure(self, seed):
-        def scenario():
-            topo = fig3_topology()
-            job = MulticastJob("fig3", "A", ("B", "C"), 36 * GB, block_size=2 * GB)
-            job.bind(topo)
-            return topo, [job]
-
         names = ("direct", "chain", "bds")
-        sim = SimConfig(cycle_seconds=1.0, safety_threshold=1.0)
-        runs = run_many(
-            [RunSpec(n, scenario, seed, f"fig3:{n}", sim=sim) for n in names]
-        )
+        runs = run_many([replace(FIG3, strategy=n, seed=seed) for n in names])
         return {n: run.completion_time("fig3") for n, run in zip(names, runs)}
 
     def report(self, r):
@@ -245,12 +224,13 @@ def exp_fig5_gingko_vs_ideal(
     """One source DC, two destination DCs, a striped file, at the paper's
     20 Mbps per-server budget (``tests/test_baseline_pins.py`` pins a
     smaller instance)."""
-    topo, (job,) = mesh_scenario(
-        3, servers_per_dc, 10 * GB, 2.5 * MBps, file_bytes, 4 * MB, "fig5"
-    )
-    gingko = run_simulation(topo, [job], "gingko", seed=seed)
+    parts = Scenario.mesh(
+        3, servers_per_dc, 10 * GB, 2.5 * MBps, file_bytes, 4 * MB, "fig5",
+        strategy="gingko", seed=seed,
+    ).build()
+    gingko = Simulation(**parts).run()
     gingko_times = gingko.server_completion_times("fig5")
-    ideal_times = list(ideal_server_times(topo, job).values())
+    ideal_times = list(ideal_server_times(parts["topology"], *parts["jobs"]).values())
     return Fig5Result(
         gingko_times=gingko_times,
         ideal_times=ideal_times,
@@ -297,21 +277,19 @@ class Fig5(Experiment):
 def interference(strategy: str, seed: int) -> SimpleNamespace:
     """A 2 GB bulk multicast over one WAN link that also carries diurnal
     online traffic (Fig. 6 uncoordinated, Fig. 10 under BDS)."""
-    topo, jobs = mesh_scenario(2, 6, 100 * MBps, 40 * MBps, 2 * GB, 4 * MB, "bulk")
     link = wan_key("dc0", "dc1")
-    sim = SimConfig(record_link_stats=True, links_of_interest=(link,))
-    result = run_simulation(
-        topo,
-        jobs,
-        strategy,
+    scenario = Scenario.mesh(
+        2, 6, 100 * MBps, 40 * MBps, 2 * GB, 4 * MB, "bulk",
+        strategy=strategy,
         seed=seed,
-        sim=sim,
-        background=BackgroundTraffic(
+        sim=SimConfig(record_link_stats=True, links_of_interest=(link,)),
+        background=dict(
             base_fraction=0.35, diurnal_fraction=0.25, noise_fraction=0.05, seed=seed
         ),
     )
-    capacity = topo.links[link].capacity
-    threshold = sim.safety_threshold
+    result = scenario.run()
+    capacity = scenario.topology_args["wan_capacity"]
+    threshold = scenario.sim.safety_threshold
     bulk = [s.link_bulk_usage.get(link, 0.0) / capacity for s in result.cycle_stats]
     total = [
         s.link_online_usage.get(link, 0.0) / capacity + b

@@ -9,13 +9,11 @@ declarative sweep harness behind ``examples/capacity_planning.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.analysis.runner import RunSpec, Scenario, run_many
+from repro.analysis.runner import Scenario, run_many
 from repro.net.result import SimResult
-from repro.net.simulator import SimConfig
-from repro.utils.rng import SeedLike
 
 
 @dataclass
@@ -72,46 +70,18 @@ def sweep(
     values: Sequence[float],
     scenario: ScenarioFactory,
     strategy: str = "bds",
-    sim: Optional[SimConfig] = None,
-    seed: SeedLike = 0,
 ) -> SweepResult:
-    """Run ``scenario(value)`` for every knob value and collect metrics.
-
-    ``scenario`` builds a *fresh* topology and bound job list per value —
-    sharing state between runs is the classic sweep bug, so the factory
-    contract makes it impossible.
-    """
+    """Run ``scenario(value)`` under ``strategy`` for every knob value and
+    collect metrics."""
     if not values:
         raise ValueError("sweep needs at least one value")
-
-    def make_scenario(value: float):
-        def _scenario() -> Scenario:
-            topo, jobs = scenario(float(value))
-            if not jobs:
-                raise ValueError(
-                    f"scenario produced no jobs for {knob}={value}"
-                )
-            return topo, jobs
-
-        return _scenario
-
-    specs = [
-        RunSpec(
-            strategy=strategy,
-            seed=seed,
-            scenario=make_scenario(value),
-            label=f"{strategy}:{knob}={value}",
-            sim=sim,
-        )
-        for value in values
-    ]
+    runs = run_many(
+        [replace(scenario(float(value)), strategy=strategy) for value in values]
+    )
     return SweepResult(
         knob=knob,
         strategy=strategy,
-        points=[
-            _point_from_result(value, run)
-            for value, run in zip(values, run_many(specs))
-        ],
+        points=[_point_from_result(value, run) for value, run in zip(values, runs)],
     )
 
 
@@ -120,11 +90,9 @@ def compare_sweeps(
     values: Sequence[float],
     scenario: ScenarioFactory,
     strategies: Sequence[str],
-    seed: SeedLike = 0,
-    sim: Optional[SimConfig] = None,
 ) -> Dict[str, SweepResult]:
     """The same sweep under several strategies (for crossover hunting)."""
     return {
-        strategy: sweep(knob, values, scenario, strategy=strategy, sim=sim, seed=seed)
+        strategy: sweep(knob, values, scenario, strategy=strategy)
         for strategy in strategies
     }

@@ -1,19 +1,19 @@
 """Command-line interface for the BDS reproduction.
 
-Four subcommands cover the workflows a user of the library needs without
+Three subcommands cover the workflows a user of the library needs without
 writing Python:
 
-* ``simulate``  — run one multicast over a synthetic mesh with any strategy;
-* ``workload``  — generate a synthetic Baidu-like trace to a JSONL file;
-* ``replay``    — replay a saved trace through the simulator;
+* ``simulate``  — run multicasts over a synthetic mesh with any strategy,
+  or the scenario file given with ``--scenario``;
+* ``workload``  — write a synthetic Baidu-like trace as a scenario file;
 * ``experiment``— run one of the paper's experiments by id, or ``all``
   (``all --write`` regenerates the tables of ``EXPERIMENTS.md``).
 
 Examples::
 
     python -m repro simulate --strategy bds --num-dcs 5 --size 200MB
-    python -m repro workload --count 100 --out trace.jsonl
-    python -m repro replay trace.jsonl --strategy bds --scale 1e-5
+    python -m repro workload --count 100 --scale 1e-5 --out trace.json
+    python -m repro simulate --scenario trace.json --strategy gingko
     python -m repro experiment fig3
     python -m repro experiment all --write
 """
@@ -21,6 +21,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -28,19 +29,21 @@ from typing import Callable, Optional, Sequence
 
 from repro.analysis.experiments import EXPERIMENTS, write_generated
 from repro.analysis.metrics import summarize
-from repro.analysis.runner import STRATEGY_NAMES, mesh_scenario, run_simulation
-from repro.core import BDSConfig
-from repro.net.simulator import SimConfig
+from repro.analysis.runner import (
+    STRATEGY_NAMES,
+    Scenario,
+    non_default_fields,
+)
+from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology
 from repro.utils.units import format_duration, parse_rate, parse_size
-from repro.workload.generator import WorkloadGenerator
-from repro.workload.traces import replay_as_jobs, save_trace
+from repro.workload.generator import WorkloadGenerator, to_jobs
 
 
 def _positive_int(
     text: str, expected: str = "an integer", minimum: int = 1
 ) -> int:
-    """Parse a count that must be at least ``minimum`` (``--jobs``, ``--shards``)."""
+    """Parse a count that must be at least ``minimum`` (``--jobs``, ``--count``)."""
     try:
         value = int(text)
     except ValueError:
@@ -76,6 +79,23 @@ _positive_float = _positive(float)
 _size = _positive(parse_size)
 _rate = _positive(parse_rate)
 
+#: ``simulate``'s flags and their values when not given. ``--strategy``
+#: and ``--seed`` override a ``--scenario`` file's; the others say what
+#: the file says, and are an error beside it.
+_SIMULATE = dict(
+    strategy="bds",
+    seed=0,
+    num_dcs=4,
+    servers_per_dc=4,
+    wan=parse_rate("1GB/s"),
+    nic=parse_rate("50MB/s"),
+    size=parse_size("200MB"),
+    block_size=parse_size("2MB"),
+    cycle=3.0,
+    max_cycles=100_000,
+    jobs=1,
+)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -84,56 +104,43 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run one multicast over a mesh")
-    sim.add_argument("--strategy", choices=STRATEGY_NAMES, default="bds")
-    sim.add_argument("--num-dcs", type=_dc_count, default=4)
-    sim.add_argument("--servers-per-dc", type=_positive_int, default=4)
-    sim.add_argument("--wan", type=_rate, default="1GB/s", help="WAN link capacity")
-    sim.add_argument("--nic", type=_rate, default="50MB/s", help="server NIC rate")
-    sim.add_argument("--size", type=_size, default="200MB", help="data size")
-    sim.add_argument("--block-size", type=_size, default="2MB")
-    sim.add_argument(
-        "--cycle", type=_positive_float, default=3.0, help="cycle seconds"
+    sim = sub.add_parser(
+        "simulate",
+        help="run multicasts over a mesh, or a scenario file",
+        argument_default=argparse.SUPPRESS,
     )
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--max-cycles", type=_positive_int, default=100_000)
+    sim.add_argument("--scenario", default=None, help="scenario JSON file to run")
+    sim.add_argument("--strategy", choices=STRATEGY_NAMES)
+    sim.add_argument("--seed", type=int)
+    sim.add_argument("--num-dcs", type=_dc_count)
+    sim.add_argument("--servers-per-dc", type=_positive_int)
+    sim.add_argument("--wan", type=_rate, help="WAN link capacity")
+    sim.add_argument("--nic", type=_rate, help="server NIC rate")
+    sim.add_argument("--size", type=_size, help="data size")
+    sim.add_argument("--block-size", type=_size)
+    sim.add_argument("--cycle", type=_positive_float, help="cycle seconds")
+    sim.add_argument("--max-cycles", type=_positive_int)
     sim.add_argument(
         "--jobs",
         type=_positive_int,
-        default=1,
-        help="number of concurrent multicast jobs (sources rotate across "
-        "DCs); sharding partitions by job, so >1 makes --shards meaningful",
-    )
-    sim.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=1,
-        help="controller shards: partition jobs across this many "
-        "schedule+route pipelines with WAN-capacity reconciliation "
-        "(1 = single controller, bit-identical to before the knob)",
+        help="number of concurrent multicast jobs (sources rotate across DCs)",
     )
     sim.add_argument(
         "--json", default=None, help="write a JSON result export to this path"
     )
 
-    wl = sub.add_parser("workload", help="generate a synthetic trace")
+    wl = sub.add_parser("workload", help="write a synthetic trace as a scenario")
     wl.add_argument("--num-dcs", type=_dc_count, default=30)
-    wl.add_argument("--count", type=_positive_int, default=100)
-    wl.add_argument("--seed", type=int, default=0)
-    wl.add_argument("--out", required=True, help="output JSONL path")
-
-    rp = sub.add_parser("replay", help="replay a saved trace")
-    rp.add_argument("trace", help="JSONL trace path")
-    rp.add_argument("--strategy", choices=STRATEGY_NAMES, default="bds")
-    rp.add_argument("--num-dcs", type=_positive_int, default=10)
-    rp.add_argument("--servers-per-dc", type=_positive_int, default=4)
-    rp.add_argument("--wan", type=_rate, default="500MB/s")
-    rp.add_argument("--nic", type=_rate, default="25MB/s")
-    rp.add_argument("--block-size", type=_size, default="4MB")
-    rp.add_argument(
+    wl.add_argument("--servers-per-dc", type=_positive_int, default=4)
+    wl.add_argument("--wan", type=_rate, default="500MB/s")
+    wl.add_argument("--nic", type=_rate, default="25MB/s")
+    wl.add_argument("--block-size", type=_size, default="4MB")
+    wl.add_argument(
         "--scale", type=_positive_float, default=1e-5, help="size scale factor"
     )
-    rp.add_argument("--seed", type=int, default=0)
+    wl.add_argument("--count", type=_positive_int, default=100)
+    wl.add_argument("--seed", type=int, default=0)
+    wl.add_argument("--out", required=True, help="output scenario JSON path")
 
     ex = sub.add_parser("experiment", help="run a paper experiment")
     ex.add_argument(
@@ -158,34 +165,47 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
+def _scenario(args: argparse.Namespace) -> Scenario:
+    """The run ``simulate``'s flags, or its ``--scenario`` file, say."""
+    flags = argparse.Namespace(**{**_SIMULATE, **vars(args)})
+    if args.scenario is None:
+        return Scenario.mesh(
+            flags.num_dcs,
+            flags.servers_per_dc,
+            flags.wan,
+            flags.nic,
+            flags.size,
+            flags.block_size,
+            job_id="cli",
+            jobs=flags.jobs,
+            strategy=flags.strategy,
+            seed=flags.seed,
+            sim=SimConfig(cycle_seconds=flags.cycle, max_cycles=flags.max_cycles),
+        )
+    scenario = Scenario.from_json(Path(args.scenario).read_text(encoding="utf-8"))
+    given = {name: getattr(args, name) for name in ("strategy", "seed") if name in args}
+    return dataclasses.replace(scenario, **given)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    topo, jobs = mesh_scenario(
-        args.num_dcs,
-        args.servers_per_dc,
-        args.wan,
-        args.nic,
-        args.size,
-        args.block_size,
-        job_id="cli",
-        jobs=args.jobs,
-    )
-    result = run_simulation(
-        topo,
-        jobs,
-        args.strategy,
-        seed=args.seed,
-        sim=SimConfig(cycle_seconds=args.cycle, max_cycles=args.max_cycles),
-        config=BDSConfig(shards=args.shards),
-    )
+    scenario = _scenario(args)
+    parts = scenario.build()
+    jobs = parts["jobs"]
+    result = Simulation(**parts).run()
     if args.json:
         from repro.analysis.export import save_result
 
         save_result(result, args.json)
         print(f"result export written to {args.json}")
-    print(f"strategy          : {args.strategy}")
+    print(f"strategy          : {scenario.strategy}")
     print(result.summary())
+    if result.cycles_fast_forwarded:
+        print(
+            f"event engine      : {result.cycles_fast_forwarded} of "
+            f"{result.cycles_run} cycles skipped (no job active)"
+        )
     if not result.all_complete:
-        print(f"jobs did not complete within {args.max_cycles} cycles")
+        print(f"jobs did not complete within {scenario.sim.max_cycles} cycles")
         return 1
     times = [
         t
@@ -195,8 +215,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     stats = summarize(times)
     completion = max(result.completion_time(job.job_id) for job in jobs)
     print(f"completion        : {format_duration(completion)}")
-    if args.shards > 1:
-        print(f"controller shards : {args.shards}")
+    if len(jobs) > 1:
+        durations = summarize(
+            [result.completion_time(job.job_id) - job.arrival_time for job in jobs]
+        )
+        print(
+            "job durations     : "
+            f"median {format_duration(durations.median)}, "
+            f"p90 {format_duration(durations.p90)}"
+        )
     print(
         "per-server times  : "
         f"median {stats.median:.1f}s  p90 {stats.p90:.1f}s  max {stats.maximum:.1f}s"
@@ -209,55 +236,34 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_workload(args: argparse.Namespace) -> int:
-    generator = WorkloadGenerator(
-        [f"dc{i}" for i in range(args.num_dcs)], seed=args.seed
-    )
-    requests = generator.generate(count=args.count)
-    save_trace(requests, args.out)
-    multicasts = sum(r.is_multicast for r in requests)
-    print(
-        f"wrote {len(requests)} requests ({multicasts} multicasts) to {args.out}"
-    )
-    return 0
-
-
-def _cmd_replay(args: argparse.Namespace) -> int:
-    topo = Topology.full_mesh(
+    mesh = dict(
         num_dcs=args.num_dcs,
         servers_per_dc=args.servers_per_dc,
         wan_capacity=args.wan,
         uplink=args.nic,
     )
-    jobs = replay_as_jobs(
-        args.trace,
-        topo,
+    generator = WorkloadGenerator(
+        [f"dc{i}" for i in range(args.num_dcs)], seed=args.seed
+    )
+    requests = generator.generate(count=args.count)
+    jobs = to_jobs(
+        requests,
+        Topology.full_mesh(**mesh),
         block_size=args.block_size,
         size_scale=args.scale,
     )
     if not jobs:
-        print("trace contains no multicasts that fit the topology")
+        print("the trace holds no multicast")
         return 1
-    result = run_simulation(topo, jobs, args.strategy, seed=args.seed)
-    print(f"jobs completed : {len(result.job_completion)}/{len(jobs)}")
-    if result.cycles_fast_forwarded:
-        print(
-            "event engine   : "
-            f"{result.cycles_fast_forwarded} of {result.cycles_run} cycles "
-            "skipped (no job active)"
-        )
-    if result.job_completion:
-        durations = [
-            result.job_completion[j.job_id] - j.arrival_time
-            for j in jobs
-            if j.job_id in result.job_completion
-        ]
-        stats = summarize(durations)
-        print(
-            "durations      : "
-            f"median {format_duration(stats.median)}, "
-            f"p90 {format_duration(stats.p90)}"
-        )
-    return 0 if result.all_complete else 1
+    scenario = Scenario(
+        "full_mesh",
+        tuple(non_default_fields(job) for job in jobs),
+        mesh,
+        seed=args.seed,
+    )
+    Path(args.out).write_text(scenario.to_json(), encoding="utf-8")
+    print(f"wrote {len(requests)} requests ({len(jobs)} multicasts) to {args.out}")
+    return 0
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -282,11 +288,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.name != "all" or args.seed is not None:
             parser.error("--write goes with 'all' and the pinned seeds")
     if args.command == "simulate":
+        mesh = sorted(set(vars(args)) & set(_SIMULATE) - {"strategy", "seed"})
+        if args.scenario is not None and mesh:
+            flags = ", ".join("--" + name.replace("_", "-") for name in mesh)
+            parser.error(f"--scenario says the run; drop {flags}")
         return _cmd_simulate(args)
     if args.command == "workload":
         return _cmd_workload(args)
-    if args.command == "replay":
-        return _cmd_replay(args)
     if args.command == "experiment":
         return _cmd_experiment(args)
     raise AssertionError(f"unhandled command {args.command!r}")

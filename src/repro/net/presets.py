@@ -1,16 +1,18 @@
-"""Named topology presets modeled on real inter-DC deployments.
+"""Named topology presets: the shapes a :class:`repro.analysis.runner.Scenario`
+names, by the keys of :data:`PRESETS`.
 
 The paper's pilot ran on 10 geo-distributed DCs; its trace covered 30+.
 :func:`baidu_like` gives examples and experiments that scale without
 hand-building a topology: 10 DCs in three metro clusters, fat
 intra-metro links, thinner long-haul links, uniform server NICs. All
 capacities scale with one ``scale`` factor so the same shape can run as
-a quick test (small scale) or a longer evaluation.
+a quick test (small scale) or a longer evaluation. :func:`triangle` is
+Fig. 3's three DCs, and ``full_mesh`` is :meth:`Topology.full_mesh`.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.net.topology import Topology
 from repro.utils.units import MBps
@@ -55,3 +57,23 @@ def baidu_like(
             )
             topo.add_bidirectional_link(a, b, capacity)
     return topo
+
+
+def triangle(nic: float, ab: float, ac: float, bc: float) -> Topology:
+    """DCs A, B and C, two servers each, joined by three WAN links."""
+    topo = Topology()
+    for dc in ("A", "B", "C"):
+        topo.add_dc(dc)
+        for j in range(2):
+            topo.add_server(f"{dc}-s{j}", dc, uplink=nic, downlink=nic)
+    topo.add_bidirectional_link("A", "B", ab)
+    topo.add_bidirectional_link("A", "C", ac)
+    topo.add_bidirectional_link("B", "C", bc)
+    return topo
+
+
+PRESETS: Dict[str, Callable[..., Topology]] = {
+    "full_mesh": Topology.full_mesh,
+    "baidu_like": baidu_like,
+    "triangle": triangle,
+}

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.utils.rng import SeedLike, make_rng
 from repro.utils.validation import check_positive
@@ -341,26 +341,6 @@ class Topology:
             for j in range(servers_per_dc):
                 topo.add_server(f"{name}-s{j}", name, uplink, downlink)
         for a, b in itertools.combinations(names, 2):
-            topo.add_bidirectional_link(a, b, wan_capacity)
-        return topo
-
-    @staticmethod
-    def line(
-        dc_names: Sequence[str],
-        servers_per_dc: int,
-        wan_capacity: float,
-        uplink: float,
-        downlink: Optional[float] = None,
-    ) -> "Topology":
-        """A chain of DCs (used by the Fig. 3 illustrative example)."""
-        if downlink is None:
-            downlink = uplink
-        topo = Topology()
-        for name in dc_names:
-            topo.add_dc(name)
-            for j in range(servers_per_dc):
-                topo.add_server(f"{name}-s{j}", name, uplink, downlink)
-        for a, b in zip(dc_names, dc_names[1:]):
             topo.add_bidirectional_link(a, b, wan_capacity)
         return topo
 

@@ -8,7 +8,6 @@ from repro.workload.distributions import (
     transfer_size_cdf,
 )
 from repro.workload.generator import TransferRequest, WorkloadGenerator
-from repro.workload.traces import load_trace, save_trace, replay_as_jobs
 
 __all__ = [
     "APP_PROFILES",
@@ -18,7 +17,4 @@ __all__ = [
     "transfer_size_cdf",
     "TransferRequest",
     "WorkloadGenerator",
-    "load_trace",
-    "save_trace",
-    "replay_as_jobs",
 ]

@@ -96,7 +96,7 @@ from repro.net.flow import (
     clip_rates_to_capacity,
     max_min_fair_rates,
 )
-from repro.net.topology import ResourceKey
+from repro.net.topology import ResourceKey, Topology
 from repro.net.directive import TransferDirective
 from repro.net.view import ClusterView
 from repro.overlay.blocks import DEFAULT_BLOCK_SIZE, Block
@@ -107,6 +107,20 @@ GroupKey = Tuple[str, str, Tuple[str, ...]]
 
 
 # -- job: the split as a list of blocks, striping as a per-(DC, block) table --
+
+
+def line_topology(
+    dc_names: Sequence[str], servers_per_dc: int, wan_capacity: float, uplink: float
+) -> Topology:
+    """A chain of DCs: each joined to the next by one pair of WAN links."""
+    topo = Topology()
+    for name in dc_names:
+        topo.add_dc(name)
+        for j in range(servers_per_dc):
+            topo.add_server(f"{name}-s{j}", name, uplink, uplink)
+    for a, b in zip(dc_names, dc_names[1:]):
+        topo.add_bidirectional_link(a, b, wan_capacity)
+    return topo
 
 
 def split_into_blocks(

@@ -11,6 +11,7 @@ from repro.analysis.experiments import (
     generated_block,
     mask_wall,
 )
+from repro.analysis.runner import Scenario
 from repro.cli import main
 from tests import oracles
 
@@ -60,9 +61,9 @@ class TestSimulate:
         with pytest.raises(SystemExit):
             main(["simulate", "--strategy", "smoke-signals"])
 
-    @pytest.mark.parametrize("flag", ["--jobs", "--shards"])
+    @pytest.mark.parametrize("flag", ["--jobs"])
     def test_a_count_below_one_is_an_argparse_error(self, flag, capsys):
-        # --shards 0 used to surface a BDSConfig traceback; --jobs 0 ran 1.
+        # --jobs 0 used to run 1.
         with pytest.raises(SystemExit) as exit_info:
             main(["simulate", flag, "0"])
         assert exit_info.value.code == 2
@@ -90,20 +91,19 @@ class TestSimulate:
         ]
     ]
     + [
-        pytest.param(["replay", "TRACE", flag, value], id=f"replay{flag}={value}")
-        for flag, value in [("--scale", "0"), ("--num-dcs", "0")]
-    ]
-    + [
         pytest.param(
             ["workload", "--out", "TRACE", flag, value], id=f"workload{flag}={value}"
         )
-        for flag, value in [("--count", "0"), ("--num-dcs", "1")]
+        for flag, value in [
+            ("--count", "0"),
+            ("--num-dcs", "1"),
+            ("--scale", "0"),
+            ("--servers-per-dc", "0"),
+        ]
     ],
 )
 def test_a_bad_argument_is_an_argparse_error(argv, tmp_path, capsys):
-    trace = tmp_path / "trace.jsonl"
-    main(["workload", "--count", "4", "--num-dcs", "4", "--out", str(trace)])
-    capsys.readouterr()
+    trace = tmp_path / "trace.json"
     with pytest.raises(SystemExit) as exit_info:
         main([str(trace) if arg == "TRACE" else arg for arg in argv])
     assert exit_info.value.code == 2
@@ -111,33 +111,47 @@ def test_a_bad_argument_is_an_argparse_error(argv, tmp_path, capsys):
 
 
 class TestWorkloadAndReplay:
+    """``workload`` writes a scenario file and ``simulate --scenario`` runs it."""
+
     def test_workload_writes_trace(self, tmp_path, capsys):
-        out = tmp_path / "trace.jsonl"
+        out = tmp_path / "trace.json"
         code = main(
             ["workload", "--count", "20", "--num-dcs", "8", "--out", str(out)]
         )
         assert code == 0
-        assert out.exists()
+        assert Scenario.from_json(out.read_text()).topology_args["num_dcs"] == 8
         assert "20 requests" in capsys.readouterr().out
 
     def test_replay_roundtrip(self, tmp_path, capsys):
-        out = tmp_path / "trace.jsonl"
-        main(["workload", "--count", "8", "--num-dcs", "8", "--out", str(out)])
-        code = main(
+        out = tmp_path / "trace.json"
+        main(
             [
-                "replay", str(out),
-                "--num-dcs", "8",
-                "--scale", "1e-6",
-                "--block-size", "2MB",
+                "workload", "--count", "8", "--num-dcs", "8",
+                "--scale", "1e-6", "--block-size", "2MB", "--out", str(out),
             ]
         )
+        capsys.readouterr()
+        assert main(["simulate", "--scenario", str(out)]) == 0
         text = capsys.readouterr().out
-        assert code == 0
-        assert "jobs completed" in text
+        assert "strategy          : bds" in text and "jobs completed" in text
+        assert "event engine      : " in text  # the requests arrive apart
+        assert main(["simulate", "--scenario", str(out), "--strategy", "gingko"]) == 0
+        assert "strategy          : gingko" in capsys.readouterr().out
 
     def test_replay_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            main(["replay", str(tmp_path / "nope.jsonl")])
+            main(["simulate", "--scenario", str(tmp_path / "nope.json")])
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--num-dcs", "3"), ("--size", "3MB"), ("--max-cycles", "3")]
+    )
+    def test_a_scenario_file_and_a_mesh_flag_are_an_argparse_error(
+        self, flag, value, tmp_path, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--scenario", str(tmp_path / "s.json"), flag, value])
+        assert exit_info.value.code == 2
+        assert f"--scenario says the run; drop {flag}" in capsys.readouterr().err
 
 
 class TestExperiment:

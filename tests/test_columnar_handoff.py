@@ -54,7 +54,7 @@ def _scenario(seed: int, wide: bool = False, line: bool = False):
     dcs = [f"dc{i}" for i in range(num_dcs)]
     servers = 14 if wide else rng.randint(1, 4)
     if line:
-        topo = Topology.line(dcs, servers, 40 * MBps, 5 * MBps)
+        topo = oracles.line_topology(dcs, servers, 40 * MBps, 5 * MBps)
     else:
         topo = Topology.full_mesh(
             num_dcs=num_dcs, servers_per_dc=servers,

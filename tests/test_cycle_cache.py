@@ -153,7 +153,7 @@ class TestCycleCacheInvalidation:
         assert (cache.misses, cache.flushes) == (2, 1)
 
     def test_paths_flush_on_failed_links_change(self):
-        topo = Topology.line(["a", "b", "c"], 1, 100 * MBps, 25 * MBps)
+        topo = oracles.line_topology(["a", "b", "c"], 1, 100 * MBps, 25 * MBps)
         names = sorted(topo.servers)  # a-s0, b-s0, c-s0
         cache = CycleCache().validate(topo, frozenset(), names)
         assert cache.rows([0], [2]) != [()]

@@ -1,7 +1,7 @@
 """End-to-end integration tests across the full stack."""
 
 
-from repro.analysis.runner import run_simulation
+from repro.analysis.runner import make_strategy
 from repro.baselines.ideal import ideal_completion_time
 from repro.core import BDSConfig, BDSController, ControllerReplicaSet
 from repro.net.background import BackgroundTraffic
@@ -83,9 +83,9 @@ class TestFullPipeline:
         generator = WorkloadGenerator(topo.dc_names(), seed=4)
         requests = generator.generate(count=4)
         jobs = to_jobs(requests, topo, block_size=4 * MB, size_scale=1e-5)
-        result = run_simulation(
-            topo, jobs, "bds", seed=4, sim=SimConfig(max_cycles=5000)
-        )
+        result = Simulation(
+            topo, jobs, make_strategy("bds", seed=4), SimConfig(max_cycles=5000), seed=4
+        ).run()
         assert result.all_complete
 
     def test_completion_time_respects_ideal_bound(self):
@@ -95,9 +95,10 @@ class TestFullPipeline:
         for name in ("bds", "gingko", "direct"):
             topo2 = mesh()
             job2 = multicast(topo2)
-            result = run_simulation(
-                topo2, [job2], name, seed=5, sim=SimConfig(max_cycles=5000)
-            )
+            result = Simulation(
+                topo2, [job2], make_strategy(name, seed=5), SimConfig(max_cycles=5000),
+                seed=5,
+            ).run()
             assert result.completion_time("j") >= bound * 0.999
 
 
@@ -155,7 +156,7 @@ class TestFaultToleranceIntegration:
         assert not replicas.has_leader()  # now agents would fall back
 
     def test_link_failure_forces_detour_or_wait(self):
-        topo = Topology.line(["X", "Y", "Z"], 2, 100 * MBps, 10 * MBps)
+        topo = oracles.line_topology(["X", "Y", "Z"], 2, 100 * MBps, 10 * MBps)
         job = MulticastJob(
             job_id="j", src_dc="X", dst_dcs=("Z",),
             total_bytes=20 * MB, block_size=4 * MB,

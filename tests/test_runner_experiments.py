@@ -1,18 +1,15 @@
-"""The strategy factory and the runner."""
+"""The strategy factory, the scenario value and the runner."""
 
 import dataclasses
-import inspect
 
 import pytest
 
-from repro.analysis.experiments.motivation import fig3_topology
+from repro.analysis.experiments.motivation import FIG3
 from repro.analysis.runner import (
     STRATEGY_NAMES,
-    RunSpec,
+    Scenario,
     make_strategy,
-    mesh_scenario,
     run_many,
-    run_simulation,
 )
 from repro.baselines import GingkoStrategy
 from repro.core import BDSConfig
@@ -50,35 +47,29 @@ class TestMakeStrategy:
         assert isinstance(make_strategy("gingko", seed=1), GingkoStrategy)
 
 
-def scenario():
-    return mesh_scenario(3, 2, 1 * GB, 10 * MBps, 20 * MB, 4 * MB, "j")
+def scenario(**fields):
+    return Scenario.mesh(3, 2, 1 * GB, 10 * MBps, 20 * MB, 4 * MB, "j", **fields)
 
 
 class TestRunnerHelpers:
     def test_run_simulation(self):
-        topo, jobs = scenario()
-        result = run_simulation(topo, jobs, "bds", seed=0)
-        assert result.all_complete
+        assert scenario().run().all_complete
 
     def test_a_run_is_its_two_config_objects(self):
-        assert list(inspect.signature(run_simulation).parameters) == [
-            "topology", "jobs", "strategy_name",
-            "seed", "sim", "config", "background", "failures",
+        assert [f.name for f in dataclasses.fields(Scenario)] == [
+            "topology", "jobs", "topology_args", "failures", "background",
+            "strategy", "config", "sim", "seed",
         ]
-        assert [f.name for f in dataclasses.fields(RunSpec)] == [
-            "strategy", "scenario", "seed", "label", "config", "sim",
-        ]
-        topo, jobs = scenario()
-        result = run_simulation(
-            topo, jobs, "bds", seed=0,
+        result = scenario(
             sim=SimConfig(cycle_seconds=1.0, max_cycles=2),
             config=BDSConfig(max_blocks_per_cycle=1),
-        )
+        ).run()
         assert result.cycles_run == 2 and result.sim_time == 2.0
         assert [stats.blocks_delivered for stats in result.cycle_stats] == [1, 1]
 
     def test_mesh_scenario_rotates_sources(self):
-        topo, jobs = mesh_scenario(3, 2, 1 * GB, 10 * MBps, 8 * MB, 4 * MB, "m", jobs=4)
+        mesh = Scenario.mesh(3, 2, 1 * GB, 10 * MBps, 8 * MB, 4 * MB, "m", jobs=4)
+        jobs = mesh.build()["jobs"]
         assert [job.job_id for job in jobs] == ["m0", "m1", "m2", "m3"]
         assert [job.src_dc for job in jobs] == ["dc0", "dc1", "dc2", "dc0"]
         assert jobs[1].dst_dcs == ("dc0", "dc2")
@@ -86,53 +77,40 @@ class TestRunnerHelpers:
 
 
 class TestRunMany:
-    def spec(self, strategy="bds", **kwargs):
-        return RunSpec(strategy=strategy, scenario=scenario, seed=17, **kwargs)
+    def spec(self, strategy="bds", **fields):
+        return scenario(strategy=strategy, seed=17, **fields)
 
     def test_results_in_spec_order(self):
         names = ["gingko", "bds", "direct"]
         results = run_many([self.spec(n) for n in names])
         assert all(r.all_complete for r in results)
-        # Each result is the run of its own spec, not of a neighbour.
+        # Each result is the run of its own scenario, not of a neighbour.
         assert [r.fingerprint() for r in results] == [
             run_many([self.spec(n)])[0].fingerprint() for n in names
         ]
 
     def test_fresh_state_per_strategy(self):
-        """Specs sharing a scenario factory share no topology, job or store."""
-        built = []
-
-        def recording():
-            built.append(scenario())
-            return built[-1]
-
+        """Runs of one scenario value share no store and agree."""
         names = ["bds", "direct", "bds"]
-        results = run_many([RunSpec(n, recording, seed=0) for n in names])
+        results = run_many([self.spec(n) for n in names])
         assert all(r.all_complete for r in results)
-        assert len({id(topo) for topo, _ in built}) == 3
-        assert len({id(jobs[0]) for _, jobs in built}) == 3
         assert results[0].store is not results[2].store
         assert results[0].fingerprint() == results[2].fingerprint()
 
-    def test_label_defaults_to_strategy(self):
-        assert self.spec("gingko").label == "gingko"
-        assert self.spec("gingko", label="arm-3").label == "arm-3"
-
     def test_spec_rejects_a_missing_scenario(self):
         with pytest.raises(TypeError):
-            RunSpec(strategy="bds")
+            Scenario(strategy="bds")
 
     def test_scenario_errors_propagate_from_the_factory(self):
-        def broken():
-            raise ValueError("scenario produced no jobs for x=1")
-
         with pytest.raises(ValueError, match="no jobs"):
-            run_many([RunSpec(strategy="bds", scenario=broken)])
+            run_many([Scenario.mesh(3, 2, 1 * GB, 1 * MBps, 8 * MB, 4 * MB, jobs=0)])
 
     def test_failed_run_raises_naming_its_label(self):
-        specs = [self.spec(), self.spec("no-such-strategy", label="arm-2")]
+        unknown = SimConfig(record_link_stats=True, links_of_interest=(("x",),))
+        specs = [self.spec(), self.spec("gingko", sim=unknown)]
         with pytest.raises(
-            RuntimeError, match="run 'arm-2' failed: ValueError: unknown strategy"
+            RuntimeError,
+            match="run 1 [(]gingko[)] failed: ValueError: links_of_interest",
         ) as raised:
             run_many(specs)
         assert isinstance(raised.value.__cause__, ValueError)
@@ -142,6 +120,6 @@ class TestExperimentEntryPoints:
     """The entries themselves are checked in ``tests/test_experiments.py``."""
 
     def test_fig3_topology_shape(self):
-        topo = fig3_topology()
+        topo = FIG3.build()["topology"]
         assert set(topo.dc_names()) == {"A", "B", "C"}
         assert topo.link_capacity("A", "C") < topo.link_capacity("A", "B")

@@ -1,34 +1,24 @@
 """The parameter-sweep harness."""
 
+import dataclasses
+
 import pytest
 
+from repro.analysis.runner import Scenario
 from repro.analysis.sweeps import SweepPoint, SweepResult, compare_sweeps, sweep
 from repro.net.simulator import SimConfig
-from repro.net.topology import Topology
-from repro.overlay.job import MulticastJob
 from repro.utils.units import MB, MBps
 
 
-def wan_scenario(wan_capacity: float):
-    topo = Topology.full_mesh(
-        num_dcs=3, servers_per_dc=2, wan_capacity=wan_capacity, uplink=50 * MBps
+def wan_scenario(wan_capacity: float, **fields) -> Scenario:
+    return Scenario.mesh(
+        3, 2, wan_capacity, 50 * MBps, 60 * MB, 4 * MB, "s", seed=0, **fields
     )
-    job = MulticastJob(
-        job_id="s",
-        src_dc="dc0",
-        dst_dcs=("dc1", "dc2"),
-        total_bytes=60 * MB,
-        block_size=4 * MB,
-    )
-    job.bind(topo)
-    return topo, [job]
 
 
 class TestSweep:
     def test_basic_sweep(self):
-        result = sweep(
-            "wan", [5 * MBps, 20 * MBps], wan_scenario, strategy="bds", seed=0
-        )
+        result = sweep("wan", [5 * MBps, 20 * MBps], wan_scenario, strategy="bds")
         assert result.knob == "wan"
         assert len(result.points) == 2
         assert all(p.all_complete for p in result.points)
@@ -36,7 +26,7 @@ class TestSweep:
         assert result.points[1].completion_time <= result.points[0].completion_time
 
     def test_values_and_times_aligned(self):
-        result = sweep("wan", [10 * MBps], wan_scenario, seed=0)
+        result = sweep("wan", [10 * MBps], wan_scenario)
         assert result.values() == [10 * MBps]
         assert len(result.points) == 1
 
@@ -46,8 +36,7 @@ class TestSweep:
 
     def test_scenario_must_produce_jobs(self):
         def broken(value):
-            topo, _jobs = wan_scenario(value)
-            return topo, []
+            return dataclasses.replace(wan_scenario(value), jobs=())
 
         with pytest.raises(ValueError, match="no jobs"):
             sweep("wan", [10 * MBps], broken)
@@ -56,9 +45,7 @@ class TestSweep:
         result = sweep(
             "wan",
             [1 * MBps],
-            wan_scenario,
-            seed=0,
-            sim=SimConfig(max_cycles=1),
+            lambda wan: wan_scenario(wan, sim=SimConfig(max_cycles=1)),
         )
         assert not result.points[0].all_complete
         assert result.points[0].completion_time == float("inf")
@@ -102,7 +89,6 @@ class TestCompareSweeps:
             [5 * MBps, 20 * MBps],
             wan_scenario,
             strategies=("direct", "bds"),
-            seed=0,
         )
         assert set(sweeps) == {"direct", "bds"}
         for d, b in zip(sweeps["direct"].points, sweeps["bds"].points):

@@ -145,7 +145,7 @@ class TestBuilders:
         assert server.downlink == server.uplink == 5 * MBps
 
     def test_line_topology_routes_through_middle(self):
-        topo = Topology.line(["X", "Y", "Z"], 1, 1 * GB, 1 * MBps)
+        topo = oracles.line_topology(["X", "Y", "Z"], 1, 1 * GB, 1 * MBps)
         assert oracles.route_dcs(topo, "X", "Z") == ("X", "Y", "Z")
 
     def test_random_mesh_connected_and_deterministic(self):

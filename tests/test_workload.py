@@ -13,7 +13,6 @@ from repro.workload.distributions import (
     transfer_size_cdf,
 )
 from repro.workload.generator import TransferRequest, WorkloadGenerator, to_jobs
-from repro.workload.traces import load_trace, replay_as_jobs, save_trace
 
 from tests import oracles
 
@@ -191,37 +190,3 @@ class TestToJobs:
         )
         with pytest.raises(ValueError):
             to_jobs([request], topo)
-
-
-class TestTraces:
-    def test_save_load_roundtrip(self, tmp_path):
-        generator = WorkloadGenerator([f"dc{i}" for i in range(8)], seed=5)
-        requests = generator.generate(count=25)
-        path = tmp_path / "trace.jsonl"
-        save_trace(requests, path)
-        loaded = load_trace(path)
-        assert loaded == sorted(requests, key=lambda r: r.arrival_time)
-
-    def test_load_skips_blank_lines(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        save_trace(
-            WorkloadGenerator([f"dc{i}" for i in range(5)], seed=6).generate(count=3),
-            path,
-        )
-        path.write_text(path.read_text() + "\n\n")
-        assert len(load_trace(path)) == 3
-
-    def test_load_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text("not json\n")
-        with pytest.raises(ValueError, match="bad trace line 1"):
-            load_trace(path)
-
-    def test_replay_as_jobs(self, tmp_path):
-        topo = Topology.full_mesh(6, 2, 1 * GB, 10 * MBps)
-        generator = WorkloadGenerator(topo.dc_names(), seed=7)
-        path = tmp_path / "trace.jsonl"
-        save_trace(generator.generate(count=15), path)
-        jobs = replay_as_jobs(path, topo, size_scale=1e-6)
-        assert jobs
-        assert all(j.is_bound() for j in jobs)
