@@ -29,7 +29,7 @@ from repro.baselines.base import (
     first_true,
     head,
 )
-from repro.net.directive import TransferDirective
+from repro.net.directive import DirectiveBatch
 from repro.net.view import ClusterView
 from repro.overlay.job import MulticastJob
 from repro.utils.validation import check_positive
@@ -73,8 +73,8 @@ class AkamaiStrategy(OverlayStrategy):
             }
         return self._reflectors[job.job_id]
 
-    def decide(self, view: ClusterView) -> List[TransferDirective]:
-        directives: List[TransferDirective] = []
+    def decide(self, view: ClusterView) -> DirectiveBatch:
+        batches = []
         for job in view.jobs:
             lens = self.lens(view, job)
             reflectors = [
@@ -85,8 +85,8 @@ class AkamaiStrategy(OverlayStrategy):
                 self._source_to_reflectors(lens, reflectors),
                 self._reflectors_to_edges(lens, reflectors),
             ]
-            directives.extend(lens.directives(rows))
-        return directives
+            batches.append(lens.directives(rows))
+        return DirectiveBatch.concat(batches, view.store.matrix)
 
     def _source_to_reflectors(
         self, lens: JobPossession, reflectors: List[List[int]]

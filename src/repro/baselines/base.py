@@ -1,7 +1,10 @@
 """The strategy interface every overlay scheme implements.
 
 A strategy looks at the per-cycle :class:`~repro.net.view.ClusterView`
-and returns :class:`~repro.net.directive.TransferDirective`s. Three class
+and returns its transfer directives: a
+:class:`~repro.net.directive.DirectiveBatch` of columns (every strategy
+here), or a list of :class:`~repro.net.directive.TransferDirective`
+objects, which the simulator packs into one. Three class
 attributes describe how the simulator should treat its flows:
 
 * ``uses_controller_rates`` — the strategy assigns explicit per-flow rates
@@ -24,12 +27,12 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from functools import cached_property
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.net.candidates import CandidateTable
-from repro.net.directive import TransferDirective
+from repro.net.directive import DirectiveBatch, TransferDirective
 from repro.net.view import ClusterView
 from repro.overlay.job import MulticastJob
 from repro.overlay.store import set_bits
@@ -126,7 +129,7 @@ class JobPossession:
         self.up[failed] = False
         # Healthy copies per block: the cluster-wide count minus what
         # failed agents hold, the way the scheduler kernel derives it.
-        lost = matrix.held_among(self._gids, failed)
+        lost = matrix.held_among(self._gids, failed) if failed else 0
         self._sourced = matrix.dup[self._gids] - lost > 0
 
     def has(self, sids, idx=slice(None)) -> np.ndarray:
@@ -218,36 +221,38 @@ class JobPossession:
             src = np.where(held != 0, low + np.int64(64 * word), src)
         return src
 
-    def directives(self, rows: Sequence[Rows]) -> List[TransferDirective]:
+    def directives(self, rows: Sequence[Rows]) -> DirectiveBatch:
         """One directive per (destination, source) pair of ``rows``.
 
         ``rows`` are ``(dst, src, idx)`` column triples, taken in the order
         given; a row whose ``src`` is negative has no sender and is
         dropped. Pairs come out in order of first appearance, each with
-        its blocks in row order (callers list them ascending). Rows that
-        arrive grouped (each pair one run, as Bullet's and Gingko's deals
-        emit them) are already in that order: only the runs' keys are
-        sorted, to tell.
+        its blocks in row order (callers list them ascending), as one
+        uncapped batch over the matrix's server ids. Rows that arrive
+        grouped (each pair one run, as Bullet's and Gingko's deals emit
+        them) are already in that order: only the runs' keys are
+        checked for a repeat, to tell.
         """
         dst, src, idx = (np.concatenate(column) for column in zip(*rows))
         sent = np.flatnonzero(src >= 0)
         pair = (dst * len(self.names) + src)[sent]
         if not pair.size:
-            return []
+            return DirectiveBatch(idx[:0], [0], [], [], [], [], self.names)
         bounds = run_bounds(pair)
-        if len(np.unique(pair[bounds[:-1]])) == len(bounds) - 1:
+        keys = pair[bounds[:-1]].tolist()
+        if len(set(keys)) == len(keys):
             column = idx[sent]
         else:
             order = _grouped(pair)
             column, pair = idx[sent[order]], pair[order]
             bounds = run_bounds(pair)
-        bounds = bounds.tolist()
-        ends = np.divmod(pair[bounds[:-1]], len(self.names))
-        names, job_id = self.names, self.job.job_id
-        return [
-            TransferDirective.from_segment(job_id, column, lo, hi, names[s], names[d])
-            for lo, hi, d, s in zip(bounds, bounds[1:], *map(np.ndarray.tolist, ends))
-        ]
+            keys = pair[bounds[:-1]].tolist()
+        width, count = len(self.names), len(keys)
+        return DirectiveBatch(
+            column, bounds.tolist(), [self.job.job_id] * count,
+            [key % width for key in keys], [key // width for key in keys],
+            [None] * count, self.names,
+        )
 
 
 class OverlayStrategy(ABC):
@@ -263,8 +268,9 @@ class OverlayStrategy(ABC):
 
     @abstractmethod
     def decide(self, view: ClusterView) -> Sequence[TransferDirective]:
-        """Return this cycle's transfer directives: a list, or a
-        :class:`~repro.net.directive.DirectiveBatch`."""
+        """Return this cycle's transfer directives: a
+        :class:`~repro.net.directive.DirectiveBatch`, or a list of
+        objects."""
 
     def lens(self, view: ClusterView, job: MulticastJob) -> JobPossession:
         """``job``'s possession in ``view``, over the view's candidate

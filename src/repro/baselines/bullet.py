@@ -23,7 +23,7 @@ from repro.baselines.base import (
     draw,
     run_bounds,
 )
-from repro.net.directive import TransferDirective
+from repro.net.directive import DirectiveBatch
 from repro.net.view import ClusterView
 from repro.utils.rng import SeedLike, make_rng
 from repro.utils.validation import check_positive
@@ -60,12 +60,12 @@ class BulletStrategy(OverlayStrategy):
         self._peers: Dict[Tuple[str, int], np.ndarray] = {}
         self._last_epoch = -1
 
-    def decide(self, view: ClusterView) -> List[TransferDirective]:
+    def decide(self, view: ClusterView) -> DirectiveBatch:
         epoch = view.cycle // self.refresh_interval
         refresh = epoch != self._last_epoch
         self._last_epoch = epoch
 
-        directives: List[TransferDirective] = []
+        batches = []
         for job in view.jobs:
             lens = self.lens(view, job)
             _seg, dst, idx = lens.missing()
@@ -79,8 +79,8 @@ class BulletStrategy(OverlayStrategy):
             self._ransub(lens, idx, bounds, keys, redraw)
             peers = [self._peers[key] for key in keys]
             rows = self._partition_disjoint(lens, dst, idx, bounds, peers)
-            directives.extend(lens.directives([rows]))
-        return directives
+            batches.append(lens.directives([rows]))
+        return DirectiveBatch.concat(batches, view.store.matrix)
 
     def _ransub(
         self,

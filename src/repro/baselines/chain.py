@@ -21,7 +21,7 @@ from repro.baselines.base import (
     first_true,
     head,
 )
-from repro.net.directive import TransferDirective
+from repro.net.directive import DirectiveBatch
 from repro.net.view import ClusterView
 from repro.overlay.job import MulticastJob
 from repro.utils.validation import check_positive
@@ -48,8 +48,8 @@ class ChainStrategy(OverlayStrategy):
             ]
         return self._relays[job.job_id]
 
-    def decide(self, view: ClusterView) -> List[TransferDirective]:
-        directives: List[TransferDirective] = []
+    def decide(self, view: ClusterView) -> DirectiveBatch:
+        batches = []
         for job in view.jobs:
             lens = self.lens(view, job)
             chain = np.array([lens.sid_of[r] for r in self._chain_for(view, job)])
@@ -58,8 +58,8 @@ class ChainStrategy(OverlayStrategy):
                 self._feed_chain(lens, chain, held),
                 self._fan_out(lens, chain, held),
             ]
-            directives.extend(lens.directives(rows))
-        return directives
+            batches.append(lens.directives(rows))
+        return DirectiveBatch.concat(batches, view.store.matrix)
 
     def _feed_chain(
         self, lens: JobPossession, chain: np.ndarray, held: np.ndarray

@@ -8,10 +8,8 @@ reused. This is the baseline every overlay improves on.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.baselines.base import OverlayStrategy, head
-from repro.net.directive import TransferDirective
+from repro.net.directive import DirectiveBatch
 from repro.net.view import ClusterView
 from repro.utils.validation import check_positive
 
@@ -28,8 +26,8 @@ class DirectStrategy(OverlayStrategy):
         check_positive("window", window)
         self.window = window
 
-    def decide(self, view: ClusterView) -> List[TransferDirective]:
-        directives: List[TransferDirective] = []
+    def decide(self, view: ClusterView) -> DirectiveBatch:
+        batches = []
         for job in view.jobs:
             lens = self.lens(view, job)
             _seg, dst, idx = lens.missing()
@@ -37,5 +35,5 @@ class DirectStrategy(OverlayStrategy):
             dst, idx = dst[keep], idx[keep]
             # Only origin-DC holders count: direct replication reuses
             # nothing that already arrived elsewhere.
-            directives.extend(lens.directives([(dst, lens.origin[idx], idx)]))
-        return directives
+            batches.append(lens.directives([(dst, lens.origin[idx], idx)]))
+        return DirectiveBatch.concat(batches, view.store.matrix)

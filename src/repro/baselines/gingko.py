@@ -30,7 +30,7 @@ import numpy as np
 from repro.baselines.base import (
     CHUNK, JobPossession, OverlayStrategy, Rows, draw, head, run_bounds,
 )
-from repro.net.directive import TransferDirective
+from repro.net.directive import DirectiveBatch
 from repro.net.view import ClusterView
 from repro.utils.rng import SeedLike, make_rng
 from repro.utils.validation import check_positive
@@ -68,12 +68,12 @@ class GingkoStrategy(OverlayStrategy):
         self._neighbors: Dict[Tuple[str, int], np.ndarray] = {}
         self._last_epoch = -1
 
-    def decide(self, view: ClusterView) -> List[TransferDirective]:
+    def decide(self, view: ClusterView) -> DirectiveBatch:
         epoch = view.cycle // self.epoch_cycles
         refresh = epoch != self._last_epoch
         self._last_epoch = epoch
 
-        directives: List[TransferDirective] = []
+        batches = []
         for job in view.jobs:
             lens = self.lens(view, job)
             _seg, dst, idx = lens.missing()
@@ -94,8 +94,8 @@ class GingkoStrategy(OverlayStrategy):
             picks = self._rng.random((len(keys), self.fetch_parallelism))
             neighbors = [self._neighbors[key] for key in keys]
             rows = self._fetch(lens, receivers, idx, bounds, neighbors, picks)
-            directives.extend(lens.directives(rows))
-        return directives
+            batches.append(lens.directives(rows))
+        return DirectiveBatch.concat(batches, view.store.matrix)
 
     def _fetch(
         self, lens: JobPossession, receivers: np.ndarray, idx: np.ndarray,

@@ -208,7 +208,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"jobs did not complete within {scenario.sim.max_cycles} cycles")
         return 1
     times = [
-        t
+        t - job.arrival_time
         for job in jobs
         for t in result.server_completion_times(job.job_id)
     ]

@@ -110,7 +110,7 @@ class BDSController(OverlayStrategy):
 
         The directives are the router's :class:`DirectiveBatch`
         (concatenated and reconciled across shards), with any partition
-        fallback's appended; an outage returns the fallback's own list.
+        fallback's appended; an outage returns the fallback's own batch.
 
         When ``view.controller_available`` is false the decentralized
         fallback decides instead; its flows are *not* rate-capped by the
@@ -122,7 +122,7 @@ class BDSController(OverlayStrategy):
 
         # §5.3 partition handling: DCs severed from the controller's DC run
         # on the fallback; the controller only commands its own partition.
-        fallback_directives: List[TransferDirective] = []
+        fallback_directives: Sequence[TransferDirective] = []
         if self.controller_dc is not None and view.failed_links:
             reachable = view.topology.reachable_dcs(
                 self.controller_dc, view.failed_links
@@ -133,11 +133,12 @@ class BDSController(OverlayStrategy):
                 if server.dc not in reachable
             }
             if severed_servers:
-                fallback_directives = [
-                    d
-                    for d in self.fallback.decide(view)
-                    if view.store.dc_of(d.dst_server) not in reachable
-                ]
+                batch = DirectiveBatch.pack(
+                    self.fallback.decide(view), view.store.matrix
+                )
+                fallback_directives = batch.keep(
+                    [batch.names[dst] in severed_servers for dst in batch.dst]
+                )
                 view = view.with_extra_failed_agents(severed_servers)
 
         # §5.1: (server ids, block column ids) expected to land while
@@ -196,7 +197,7 @@ class BDSController(OverlayStrategy):
     def _decide_sharded(
         self,
         view: ClusterView,
-        fallback_directives: List[TransferDirective],
+        fallback_directives: Sequence[TransferDirective],
         speculated: Optional[Tuple[np.ndarray, np.ndarray]],
     ) -> Sequence[TransferDirective]:
         """Partitioned decide: per-shard decides + WAN reconciliation.

@@ -188,11 +188,6 @@ class PathIncidence:
     def num_commodities(self) -> int:
         return len(self.commodities)
 
-    def path_resources(self, path_id: int) -> np.ndarray:
-        """Resource indices of one usable path (a view into ``flat_res``)."""
-        lo = self.path_starts[path_id]
-        return self.flat_res[lo : lo + self.path_lens[path_id]]
-
     def resource_signature(self) -> Tuple[ResourceKey, ...]:
         """The instance's resource universe, in interning order.
 

@@ -16,9 +16,11 @@ bytes/second the group can still usefully absorb this cycle).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
-from repro.lp.model import LinearProgram
+import numpy as np
+
+from repro.lp.model import LPError
 from repro.net.topology import ResourceKey
 
 
@@ -59,50 +61,36 @@ class MCFResult:
 def solve_lp_incidence(incidence) -> MCFResult:
     """Exact max-MCF over a pre-built incidence structure.
 
-    Builds one variable per *usable* path (paths through zero-capacity
-    resources and zero-demand commodities can never carry flow, so their
-    variables are elided — the optimum is unchanged), one capacity row per
-    resource, and one demand row per capped commodity. A path's
+    One variable per *usable* path (paths through zero-capacity resources
+    and zero-demand commodities can never carry flow, so the incidence
+    has none for them — the optimum is unchanged), bounded below by 0.
+    The constraint rows are one CSR built from the incidence arrays: a
+    capacity row per resource some usable path crosses, ascending, then
+    a demand row per capped commodity with a usable path. A path's
     coefficient in a resource's row is how many times it crosses that
     resource — the charge the greedy backend and the FPTAS apply too.
+    scipy is imported here, as :meth:`LinearProgram.solve` imports it.
     """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     inc = incidence
-    if inc.num_paths == 0:
+    n = inc.num_paths
+    if n == 0:
         return MCFResult(objective=0.0, path_flows={})
-    lp = LinearProgram(maximize=True)
-    var_names: List[str] = []
-    for pid in range(inc.num_paths):
-        ci = int(inc.path_commodity[pid])
-        name = f"f_{ci}_{int(inc.path_orig_index[pid])}"
-        var_names.append(name)
-        lp.add_variable(name, lower=0.0, objective=1.0)
-
-    # Per-resource capacity constraints, in resource interning order.
-    by_resource: Dict[int, Dict[str, float]] = {}
-    for pid in range(inc.num_paths):
-        name = var_names[pid]
-        for ri in inc.path_resources(pid).tolist():
-            row = by_resource.setdefault(ri, {})
-            row[name] = row.get(name, 0.0) + 1.0
-    for ri in sorted(by_resource):
-        lp.add_constraint(by_resource[ri], "<=", float(inc.caps[ri]))
-
-    # Per-commodity demand caps over the commodity's usable paths.
-    for ci in range(inc.num_commodities):
-        demand = inc.demands[ci]
-        lo, hi = inc.commodity_path_range[ci]
-        if not (demand < float("inf")) or lo == hi:
-            continue
-        lp.add_constraint(
-            {var_names[pid]: 1.0 for pid in range(lo, hi)}, "<=", float(demand)
-        )
-
-    solution = lp.solve()
-    flows: Dict[Tuple[Hashable, int], float] = {}
-    for pid, name in enumerate(var_names):
-        rate = solution.values[name]
-        if rate > 1e-12:
-            ci = int(inc.path_commodity[pid])
-            key = (inc.commodities[ci].name, int(inc.path_orig_index[pid]))
-            flows[key] = flows.get(key, 0.0) + rate
-    return MCFResult(objective=solution.objective, path_flows=flows)
+    used, res_row = np.unique(inc.flat_res, return_inverse=True)
+    # Per path: whether its commodity's demand caps it.
+    finite = inc.demands[inc.path_commodity] < np.inf
+    capped, demand_row = np.unique(inc.path_commodity[finite], return_inverse=True)
+    rows = np.concatenate((res_row, demand_row + len(used)))
+    cols = np.concatenate(
+        (np.repeat(np.arange(n), inc.path_lens), np.flatnonzero(finite))
+    )
+    a_ub = sparse.csr_matrix(
+        (np.ones(len(rows)), (rows, cols)), shape=(len(used) + len(capped), n)
+    )
+    b_ub = np.concatenate((inc.caps[used], inc.demands[capped]))
+    result = linprog(-np.ones(n), A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
+    if not result.success:
+        raise LPError(f"LP solve failed: {result.message} (status {result.status})")
+    return MCFResult(-float(result.fun), inc.flows_to_path_map(result.x))

@@ -169,10 +169,11 @@ class DirectiveBatch(abc.Sequence):
     server id ``dst[i]`` at ``caps[i]`` (``None``: uncapped). Ids index
     ``names``, the possession matrix's ``server_names`` — extended by
     :meth:`pack` with any name the matrix lacks, which validation then
-    rejects. The router emits one; the sharded controller concatenates
-    and reconciles them; the simulator validates, routes and clips them
-    as columns. :class:`TransferDirective` objects are built (once, all
-    rows) only when something indexes, iterates or compares the batch.
+    rejects. The router and every baseline emit one; the sharded
+    controller concatenates and reconciles them; the simulator
+    validates, routes and clips them as columns.
+    :class:`TransferDirective` objects are built (once, all rows) only
+    when something indexes, iterates or compares the batch.
     """
 
     column: np.ndarray
@@ -189,8 +190,8 @@ class DirectiveBatch(abc.Sequence):
         cls, directives: Iterable[TransferDirective], matrix: PossessionMatrix
     ) -> "DirectiveBatch":
         """``directives`` in ``matrix``'s server ids; a batch already in
-        them is returned as is. The objects are kept, as the batch's
-        materialized form."""
+        them is returned as is. Objects (a hand-written strategy's, the
+        joint-LP router's) are kept, as the batch's materialized form."""
         names = matrix.server_names
         if isinstance(directives, DirectiveBatch) and directives.names is names:
             return directives
@@ -234,10 +235,16 @@ class DirectiveBatch(abc.Sequence):
         )
 
     def keep(
-        self, flags: Sequence[bool], column: np.ndarray, bounds: List[int]
+        self, flags: Sequence[bool], column: Optional[np.ndarray] = None,
+        bounds: Optional[List[int]] = None,
     ) -> "DirectiveBatch":
         """The directives whose flag is set, over their rows ``column``
-        cut at ``bounds``."""
+        cut at ``bounds`` (by default, all of their rows)."""
+        if column is None:
+            flags = np.asarray(flags, dtype=bool)  # an empty list too
+            lens = np.diff(self.bounds)
+            column = self.column[np.repeat(flags, lens)]
+            bounds = [0, *itertools.accumulate(lens[flags].tolist())]
         return DirectiveBatch(column, bounds, *(
             list(itertools.compress(values, flags))
             for values in (self.job_ids, self.src, self.dst, self.caps)

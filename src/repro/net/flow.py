@@ -77,21 +77,27 @@ class FlowRows:
         resource number as ``float64``. Only these flows are validated:
         one of their resources that ``capacities`` lacks raises
         :class:`KeyError` — the first in flow order, as a dict filled
-        flow by flow meets it — while any other resource's capacity
-        reads NaN.
+        flow by flow meets it — while any other may read NaN. The map is
+        asked for the resources the flows load (one ``bincount``) when
+        they have fewer entries than there are resources, else for all.
         """
         paths = self.paths if which is None else [self.paths[i] for i in which]
         lens = [len(path) for path in paths]
         flat = np.fromiter(
             itertools.chain.from_iterable(paths), dtype=np.intp, count=sum(lens)
         )
+        keys = self.res_keys
         get = capacities.get
-        caps = [get(key) for key in self.res_keys]
+        if len(flat) < len(keys):
+            caps = [np.nan] * len(keys)
+            for res in np.flatnonzero(np.bincount(flat, minlength=len(keys))).tolist():
+                caps[res] = get(keys[res])
+        else:
+            caps = [get(key) for key in keys]
         if None in caps:
             for res in flat.tolist():
                 if caps[res] is None:
-                    key = self.res_keys[res]
-                    raise KeyError(f"flow references unknown resource {key!r}")
+                    raise KeyError(f"flow references unknown resource {keys[res]!r}")
             caps = [np.nan if cap is None else cap for cap in caps]
         ends = np.cumsum(lens, dtype=np.intp)
         lens = np.array(lens, dtype=np.intp)

@@ -796,9 +796,8 @@ class Simulation:
         paths = view.path_rows(directives.src, directives.dst)
         if () in paths:  # no path: partitioned off
             keep = [bool(path) for path in paths]
-            rows = np.repeat(keep, np.diff(directives.bounds))
             columns = columns.take(keep)
-            directives = directives.keep(keep, directives.column[rows], columns.bounds)
+            directives = directives.keep(keep)
             paths = [path for path in paths if path]
         return directives, columns, paths
 

@@ -6,16 +6,41 @@ import pytest
 
 from repro.analysis.experiments import EXPERIMENTS
 from repro.core import BDSController
+from repro.net.directive import TransferDirective
 from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology
+from repro.overlay.blocks import Block
 from repro.overlay.job import MulticastJob
 from repro.utils.units import MB, MBps
+
+from tests import oracles
 
 
 @pytest.fixture(scope="session")
 def results():
     """Every paper experiment, run once at its pinned parameters (≈ 10 s)."""
     return {name: entry.run() for name, entry in EXPERIMENTS.items()}
+
+
+@pytest.fixture(scope="session")
+def golden_builds():
+    """Every golden scenario run once (``test_determinism_golden.golden_runs``),
+    with what each built counted through ``oracles.count_calls``: a dict
+    ``label -> (complete, Blocks, TransferDirectives)``, plus the
+    ``"decided"`` flags of the fallback's decides."""
+    from tests import test_determinism_golden as golden
+
+    decided: list = []
+    built = {"decided": decided}
+    with pytest.MonkeyPatch.context() as patch:
+        blocks = oracles.count_calls(patch, Block, "__post_init__")
+        directives = oracles.count_calls(patch, TransferDirective, "_init")
+        for label, run in golden.golden_runs(decided):
+            complete = run().all_complete
+            built[label] = (complete, len(blocks), len(directives))
+            blocks.clear()
+            directives.clear()
+    return built
 
 
 @pytest.fixture

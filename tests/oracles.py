@@ -13,9 +13,17 @@ module; the property tests run the production kernels against these:
   and reuse certificate) and the per-cycle WAN budget loop, bit for bit;
 * ``tests/test_fptas_kernel.py`` — the ``np.add.reduceat`` Fleischer loop
   the scalar FPTAS kernel replaced, bit for bit;
+* ``tests/test_mcf_fptas.py`` — the exact LP built as one named
+  ``LinearProgram`` variable per path (``solve_lp_named``), against the
+  CSR ``solve_lp_incidence`` builds from the incidence arrays, bit for
+  bit;
 * ``tests/test_baseline_lens.py`` — the five decentralized baselines as
   they were, one ``store.has`` probe per (neighbour, block), directive for
   directive and random draw for random draw;
+* ``tests/test_baseline_batches.py`` — the lens's per-pair
+  ``TransferDirective`` builder (``lens_directives``), against the
+  batch it emits; ``count_calls`` counts what the golden runs construct
+  (the ``golden_builds`` fixture of ``tests/conftest.py``);
 * ``tests/test_scheduler_kernel.py`` — the store-query-per-candidate
   rarest-first selection (``RarestFirstScheduler._select_legacy`` as it
   was) and the dict-of-sets possession index (``PossessionIndex`` with
@@ -90,6 +98,7 @@ from repro.lp.incidence import PathIncidence
 from repro.utils.rng import SeedLike, make_rng
 from repro.utils.validation import check_fraction, check_non_negative, check_positive
 from repro.lp.mcf import Commodity, MCFResult, solve_lp_incidence
+from repro.lp.model import LinearProgram
 from repro.net.flow import (
     FlowKernelStats,
     FlowRows,
@@ -1331,6 +1340,45 @@ class SpeculatedStoreOracle:
 # -- MCF: the exact-LP reference over explicit paths --------------------------
 
 
+def solve_lp_named(inc: PathIncidence) -> MCFResult:
+    """``solve_lp_incidence`` as it was: one named ``LinearProgram``
+    variable per usable path, and the constraint rows as name → coefficient
+    dicts (resources ascending, then capped commodities)."""
+    if inc.num_paths == 0:
+        return MCFResult(objective=0.0, path_flows={})
+    lp = LinearProgram(maximize=True)
+    var_names: List[str] = []
+    for pid in range(inc.num_paths):
+        name = f"f_{int(inc.path_commodity[pid])}_{int(inc.path_orig_index[pid])}"
+        var_names.append(name)
+        lp.add_variable(name, lower=0.0, objective=1.0)
+    by_resource: Dict[int, Dict[str, float]] = {}
+    for pid, name in enumerate(var_names):
+        lo = inc.path_starts[pid]
+        for ri in inc.flat_res[lo : lo + inc.path_lens[pid]].tolist():
+            row = by_resource.setdefault(ri, {})
+            row[name] = row.get(name, 0.0) + 1.0
+    for ri in sorted(by_resource):
+        lp.add_constraint(by_resource[ri], "<=", float(inc.caps[ri]))
+    for ci in range(inc.num_commodities):
+        demand = inc.demands[ci]
+        lo, hi = inc.commodity_path_range[ci]
+        if not (demand < float("inf")) or lo == hi:
+            continue
+        lp.add_constraint(
+            {var_names[pid]: 1.0 for pid in range(lo, hi)}, "<=", float(demand)
+        )
+    solution = lp.solve()
+    flows: Dict[Tuple[Hashable, int], float] = {}
+    for pid, name in enumerate(var_names):
+        rate = solution.values[name]
+        if rate > 1e-12:
+            ci = int(inc.path_commodity[pid])
+            key = (inc.commodities[ci].name, int(inc.path_orig_index[pid]))
+            flows[key] = flows.get(key, 0.0) + rate
+    return MCFResult(objective=solution.objective, path_flows=flows)
+
+
 class PathMCF:
     """A max-throughput MCF instance over explicit paths: the exact LP
     (Fig. 13a's 'standard' route) every backend is priced against.
@@ -1526,6 +1574,42 @@ def directives_for_partition(job, dst_server, partition) -> List[TransferDirecti
             )
         )
     return directives
+
+
+def lens_directives(lens, rows) -> List[TransferDirective]:
+    """:meth:`JobPossession.directives` as objects: one per (destination,
+    source) pair of the ``(dst, src, idx)`` column triples ``rows``, in
+    order of first appearance, with its blocks in row order; a row
+    without a sender (``src`` negative) is dropped. The per-pair builder
+    the lens's batch replaced, as a dict of lists."""
+    pairs: Dict[Tuple[int, int], List[int]] = {}
+    columns = (np.concatenate(column).tolist() for column in zip(*rows))
+    for dst, src, idx in zip(*columns):
+        if src >= 0:
+            pairs.setdefault((dst, src), []).append(idx)
+    names = lens.names
+    return [
+        TransferDirective(
+            lens.job.job_id, [(lens.job.job_id, i) for i in idx], names[s], names[d]
+        )
+        for (d, s), idx in pairs.items()
+    ]
+
+
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """The first argument of every call of ``owner.name`` from now on,
+    which still runs: ``self`` for a method, so counting a constructor's
+    hook (``Block.__post_init__``, ``TransferDirective._init``) lists
+    the objects built."""
+    calls: list = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def origin_holder(view, job, block, exclude=None) -> Optional[str]:

@@ -5,8 +5,10 @@ as one span of rows, so constructing a simulation does the same Python
 work for a job of 10³ blocks as for one of 10⁵ — counted, as
 ``tests/test_route_calls.py`` counts, not timed: every call cProfile
 sees during ``Simulation(...)``, builtins and numpy's included. Neither
-construction nor a run builds a :class:`~repro.overlay.blocks.Block`
-(counted through ``Block.__post_init__``), and after construction the
+construction nor a golden run builds a
+:class:`~repro.overlay.blocks.Block` (counted through
+``Block.__post_init__``, in the ``golden_builds`` fixture's one pass over
+the golden scenarios), and after construction the
 matrix holds no Python container with an entry per block.
 """
 
@@ -18,8 +20,6 @@ import pstats
 import pytest
 
 from repro.analysis.runner import make_strategy
-from repro.core.config import BDSConfig
-from repro.core.controller import BDSController
 from repro.net.simulator import SimConfig, Simulation, _BlockColumns
 from repro.net.topology import Topology
 from repro.overlay.blocks import Block
@@ -27,7 +27,7 @@ from repro.overlay.job import MulticastJob
 from repro.overlay.store import PossessionIndex
 from repro.utils.units import MB, MBps
 
-from tests import test_determinism_golden as golden
+from tests import oracles
 
 
 def _admit(blocks: int, strategy: str) -> Simulation:
@@ -81,31 +81,10 @@ def test_block_columns_refuse_rows_that_are_not_the_jobs_blocks():
         _BlockColumns(sim.jobs, store)
 
 
-def _golden_runs():
-    for strategy in ("bds", "gingko"):
-        for failures in (False, True):
-            yield lambda s=strategy, f=failures: golden._simulation(s, f).run()
-        yield lambda s=strategy: golden._simulation(s, True, deep=True).run()
-    for shards in (1, 2, 4):
-        yield lambda k=shards: golden._run_controller(
-            BDSController(BDSConfig(shards=k)), event=True
-        )
-    yield lambda: golden._run_controller(BDSController(), event=False)
-
-
-def test_the_golden_scenarios_build_no_block(monkeypatch):
-    built = []
-    post_init = Block.__post_init__
-
-    def counted(self):
-        built.append(self.index)
-        post_init(self)
-
-    monkeypatch.setattr(Block, "__post_init__", counted)
-    runs = 0
-    for run in _golden_runs():
-        assert run().all_complete
-        runs += 1
-    assert runs == 10 and built == []
+def test_the_golden_scenarios_build_no_block(golden_builds, monkeypatch):
+    runs = [built for label, built in golden_builds.items() if label != "decided"]
+    assert len(runs) == 23
+    assert all(complete and blocks == 0 for complete, blocks, _ in runs)
+    built = oracles.count_calls(monkeypatch, Block, "__post_init__")
     MulticastJob("j", "dc0", ("dc1",), 3 * MB, MB).blocks[2]
-    assert built == [2]  # the count sees a block that is read
+    assert [block.index for block in built] == [2]  # the count sees a block read

@@ -138,6 +138,34 @@ class TestWorkloadAndReplay:
         assert main(["simulate", "--scenario", str(out), "--strategy", "gingko"]) == 0
         assert "strategy          : gingko" in capsys.readouterr().out
 
+    def test_per_server_times_count_from_each_job_arrival(self, tmp_path, capsys):
+        """Two equal jobs 999 s (333 cycles) apart take equally long, so
+        with times counted from each job's arrival the slowest server is
+        the single-job run's, not the later job's absolute completion."""
+        job = {
+            "src_dc": "dc0", "dst_dcs": ("dc1", "dc2"),
+            "total_bytes": 40 * 2**20, "block_size": 4 * 2**20,
+        }
+        mesh = {
+            "num_dcs": 3, "servers_per_dc": 2,
+            "wan_capacity": 100 * 2**20, "uplink": 2 * 2**20,
+        }
+        one = Scenario("full_mesh", ({"job_id": "a", **job},), mesh)
+        two = Scenario("full_mesh", (
+            {"job_id": "a", **job}, {"job_id": "b", "arrival_time": 999.0, **job},
+        ), mesh)
+        printed = []
+        for scenario in (one, two):
+            path = tmp_path / "s.json"
+            path.write_text(scenario.to_json())
+            assert main(["simulate", "--scenario", str(path)]) == 0
+            (line,) = [
+                line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("per-server times")
+            ]
+            printed.append(line.rpartition("max ")[2])
+        assert printed[0] == printed[1]
+
     def test_replay_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             main(["simulate", "--scenario", str(tmp_path / "nope.json")])

@@ -14,9 +14,12 @@ strategies, with and without mid-run failures.
 
 from __future__ import annotations
 
+import dataclasses
+from pathlib import Path
+
 import pytest
 
-from repro.analysis.runner import make_strategy
+from repro.analysis.runner import Scenario, make_strategy
 from repro.net.failures import FailureEvent, FailureSchedule
 from repro.net.result import SimResult
 from repro.net.simulator import SimConfig, Simulation
@@ -186,6 +189,63 @@ def _run_sharded(shards: int, event: bool) -> SimResult:
     return _run_controller(
         BDSController(BDSConfig(shards=shards)), event
     )
+
+
+STRATEGIES = ("bds", "gingko", "bullet", "akamai", "chain", "direct")
+DEEP_SCENARIO = Path(__file__).parent / "data" / "scenarios" / "golden_deep_failures.json"
+
+
+def fallback_run(decided) -> SimResult:
+    """The deep golden scenario under a controller in ``dc0`` that is down
+    for cycles 1–2 and cut off from ``dc4`` for cycles 4–6: its Gingko
+    fallback decides alone, then beside the controller for the severed
+    DC. ``decided`` gets ``view.controller_available`` of each fallback
+    decide."""
+    from repro.core.controller import BDSController
+
+    scenario = Scenario.from_json(DEEP_SCENARIO.read_text(encoding="utf-8"))
+    cut = [
+        (kind, target)
+        for other in ("dc0", "dc1", "dc2", "dc3")
+        for target in ((other, "dc4"), ("dc4", other))
+        for kind in ("link_fail", "link_recover")
+    ]
+    events = (
+        FailureEvent(1, "controller_fail"),
+        FailureEvent(3, "controller_recover"),
+        *(FailureEvent(4 if kind == "link_fail" else 7, kind, t) for kind, t in cut),
+    )
+    parts = dataclasses.replace(scenario, failures=events).build()
+    controller = parts["strategy"] = BDSController(seed=SEED, controller_dc="dc0")
+    decide = controller.fallback.decide
+
+    def recorded(view):
+        decided.append(view.controller_available)
+        return decide(view)
+
+    controller.fallback.decide = recorded
+    return Simulation(**parts).run()
+
+
+def golden_runs(decided):
+    """Every golden scenario once, as ``(label, run)``: each strategy of
+    :data:`STRATEGIES` plain, with failures and deep; the controller over
+    1, 2 and 4 shards and at fixed ticks; and :func:`fallback_run`, which
+    appends to ``decided``."""
+    from repro.core.config import BDSConfig
+    from repro.core.controller import BDSController
+
+    for name in STRATEGIES:
+        for failures, deep in ((False, False), (True, False), (True, True)):
+            yield (name, failures, deep), (
+                lambda n=name, f=failures, d=deep: _simulation(n, f, deep=d).run()
+            )
+    for shards in (1, 2, 4):
+        yield ("shards", shards), lambda k=shards: _run_controller(
+            BDSController(BDSConfig(shards=k)), event=True
+        )
+    yield ("fixed-ticks",), lambda: _run_controller(BDSController(), event=False)
+    yield ("fallback",), lambda: fallback_run(decided)
 
 
 class TestShardedGoldenDeterminism:

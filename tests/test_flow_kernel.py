@@ -387,6 +387,48 @@ class TestClipEquivalence:
             clip_by_id(flows, {"f": 0.0}, {})
 
 
+class TestCompile:
+    """``FlowRows.compile``, which both kernels call, over resources
+    numbered apart from flow order, as a cycle cache numbers them: with
+    fewer entries than resources (``FEW``) the map is asked for the
+    loaded ones only, else (``MANY``) for every resource."""
+
+    KEYS = ["a", "b", "c", "idle"]
+    FEW = flow_mod.FlowRows([[2, 0], [1]], [5.0, 5.0], KEYS)
+    MANY = flow_mod.FlowRows([[2, 0], [1], [0, 1]], [5.0, 5.0, 5.0], KEYS)
+
+    def test_the_map_is_asked_for_the_fewer_keys(self):
+        class Asked(dict):
+            def get(self, key, default=None):
+                asked.append(key)
+                return super().get(key, default)
+
+        capacity = Asked(a=1.0, b=2.0, c=4.0)  # "idle" is missing, unloaded
+        for rows, fair, clipped, keys in (
+            (self.FEW, [1.0, 2.0], [1.0, 2.0], ["a", "b", "c"]),
+            (self.MANY, [0.5, 1.5, 0.5], [0.5, 1.0, 0.5], self.KEYS),
+        ):
+            asked = []
+            assert flow_mod.max_min_fair_rates(rows, capacity) == fair
+            assert sorted(asked) == keys
+            requested = [3.0] * len(rows)
+            assert flow_mod.clip_rates_to_capacity(rows, requested, capacity) == clipped
+
+    @pytest.mark.parametrize("rows", ["FEW", "MANY"])
+    def test_the_first_missing_resource_in_flow_order_raises(self, rows):
+        """``b`` and ``c`` are missing: the first flow meets ``c`` first,
+        though ``b`` has the lower number."""
+        rows = getattr(self, rows)
+        for call in (
+            lambda: flow_mod.max_min_fair_rates(rows, {"a": 1.0}),
+            lambda: flow_mod.clip_rates_to_capacity(
+                rows, [1.0] * len(rows), {"a": 1.0}
+            ),
+        ):
+            with pytest.raises(KeyError, match="'c'"):
+                call()
+
+
 # ---------------------------------------------------------------------------
 # segment_mins, the per-flow minimum of the clip
 # ---------------------------------------------------------------------------

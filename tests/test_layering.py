@@ -120,15 +120,18 @@ def _all_strings(module: ast.Module) -> FrozenSet[int]:
 def _references(
     modules: Tuple[ast.Module, ...]
 ) -> Dict[str, List[Tuple[ast.Module, int]]]:
-    """Where each name is used across ``modules``: a load or store, an
-    attribute or a string equal to it (``getattr(x, "name")``). An
-    import alias and an ``__all__`` entry are not uses: exporting a name
-    does not call it."""
+    """Where each name is used across ``modules``: a loaded or deleted
+    name, an attribute or a string equal to it (``getattr(x, "name")``).
+    An assignment target, a loop variable, an import alias and an
+    ``__all__`` entry are not uses: binding or exporting a name does not
+    call it."""
     uses: Dict[str, List[Tuple[ast.Module, int]]] = {}
     for module in modules:
         exports = _all_strings(module)
         for node in ast.walk(module):
             if isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Store):
+                    continue
                 name = node.id
             elif isinstance(node, ast.Attribute):
                 name = node.attr
@@ -267,6 +270,9 @@ def test_unreferenced_definitions_on_a_synthetic_module():
         "def reimported(): pass\n"
         "def orphan(): return orphan()\n"
         "def by_string(): pass\n"
+        "def rebound(): pass\n"
+        "rebound = None\n"
+        "for rebound in (): pass\n"
         "class Box:\n"
         "    def __len__(self): return 0\n"
         "    @property\n"
@@ -285,6 +291,7 @@ def test_unreferenced_definitions_on_a_synthetic_module():
         "exported",
         "reimported",
         "orphan",
+        "rebound",
         "Box.uncalled",
         "use",
     ]

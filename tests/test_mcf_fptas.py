@@ -1,11 +1,15 @@
 """Multi-commodity flow: exact LP vs the Garg-Konemann FPTAS."""
 
+import math
+import random
+
 import pytest
 
 from repro.lp.fptas import max_multicommodity_flow
-from repro.lp.mcf import Commodity, MCFResult
+from repro.lp.incidence import PathIncidence
+from repro.lp.mcf import Commodity, MCFResult, solve_lp_incidence
 
-from tests.oracles import PathMCF, commodity_flow, resource_usage
+from tests.oracles import PathMCF, commodity_flow, resource_usage, solve_lp_named
 
 
 def commodity(name, *paths, demand=None):
@@ -71,6 +75,30 @@ class TestPathMCFLP:
     def test_needs_commodities(self):
         with pytest.raises(ValueError):
             PathMCF([], {"l": 1})
+
+    def test_arrays_solve_the_named_variable_program(self):
+        """The LP built from the incidence arrays is the one the named
+        variables built: the same objective and path flows, bit for bit,
+        through repeated paths and resources, zero capacities, and zero,
+        finite and unbounded demands."""
+        rng = random.Random(1)
+        solved = 0
+        for _ in range(80):
+            res = [f"r{i}" for i in range(rng.randint(1, 10))]
+            caps = {r: rng.choice([0.0, 1.0, 2.5, rng.random() * 50]) for r in res}
+            commodities = []
+            for c in range(rng.randint(1, 6)):
+                paths = [
+                    [rng.choice(res) for _ in range(rng.randint(1, 4))]
+                    for _ in range(rng.randint(1, 3))
+                ]
+                demand = rng.choice([None, 0.0, 3.0, rng.random() * 20, math.inf])
+                commodities.append(commodity(c, *paths, paths[0], demand=demand))
+            inc = PathIncidence.build(commodities, caps, strict=False)
+            got, want = solve_lp_incidence(inc), solve_lp_named(inc)
+            assert (got.objective, got.path_flows) == (want.objective, want.path_flows)
+            solved += got.objective > 0
+        assert solved > 40
 
 
 class TestFPTAS:
