@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -523,7 +524,7 @@ class Fig12b(Experiment):
         return f"{min(ratios):.2f}–{max(ratios):.2f}× faster per DC"
 
     def check(self, r):
-        assert sum(lg for _, lg in r) > sum(s for s, _ in r)
+        assert math.fsum(lg for _, lg in r) > math.fsum(s for s, _ in r)
 
 
 class Fig12c(Experiment):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
@@ -52,7 +53,7 @@ class Table1(Experiment):
                 )
         return SimpleNamespace(
             by_app={app: multicast.get(app, 0.0) / total[app] for app in sorted(total)},
-            overall=sum(multicast.values()) / sum(total.values()),
+            overall=math.fsum(multicast.values()) / math.fsum(total.values()),
         )
 
     def report(self, r):

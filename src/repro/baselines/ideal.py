@@ -16,6 +16,7 @@ distributions is implemented in :mod:`repro.analysis.appendix`.
 
 from __future__ import annotations
 
+import math
 from typing import Dict
 
 from repro.net.topology import Topology
@@ -23,11 +24,15 @@ from repro.overlay.job import MulticastJob
 
 
 def _dc_wan_egress(topology: Topology, dc: str) -> float:
-    return sum(lnk.capacity for lnk in topology.links.values() if lnk.src_dc == dc)
+    return math.fsum(
+        lnk.capacity for lnk in topology.links.values() if lnk.src_dc == dc
+    )
 
 
 def _dc_wan_ingress(topology: Topology, dc: str) -> float:
-    return sum(lnk.capacity for lnk in topology.links.values() if lnk.dst_dc == dc)
+    return math.fsum(
+        lnk.capacity for lnk in topology.links.values() if lnk.dst_dc == dc
+    )
 
 
 def ideal_completion_time(topology: Topology, job: MulticastJob) -> float:
@@ -40,12 +45,12 @@ def ideal_completion_time(topology: Topology, job: MulticastJob) -> float:
     """
     volume = job.total_bytes
     src_servers = topology.servers_in(job.src_dc)
-    src_uplink_total = sum(s.uplink for s in src_servers)
+    src_uplink_total = math.fsum(s.uplink for s in src_servers)
     src_rate = min(_dc_wan_egress(topology, job.src_dc), src_uplink_total)
     bound = volume / src_rate if src_rate > 0 else float("inf")
     for dc in job.dst_dcs:
         dst_servers = topology.servers_in(dc)
-        down_total = sum(s.downlink for s in dst_servers)
+        down_total = math.fsum(s.downlink for s in dst_servers)
         ingress = min(_dc_wan_ingress(topology, dc), down_total)
         if ingress <= 0:
             return float("inf")
@@ -62,9 +67,8 @@ def ideal_server_time(topology: Topology, job: MulticastJob, server_id: str) -> 
     servers, slots = job.stripe(dc)
     if server_id not in servers:
         return 0.0  # more servers than blocks: this one gets none
-    # Summed left to right in block order, not by numpy's pairwise sum.
     shard = job.block_sizes()[slots == servers.index(server_id)]
-    return sum(shard.tolist()) / server.downlink
+    return math.fsum(shard.tolist()) / server.downlink
 
 
 def ideal_server_times(topology: Topology, job: MulticastJob) -> Dict[str, float]:
@@ -77,7 +81,7 @@ def ideal_server_times(topology: Topology, job: MulticastJob) -> Dict[str, float
     for dc in job.dst_dcs:
         volume = job.total_bytes
         dst_servers = topology.servers_in(dc)
-        down_total = sum(s.downlink for s in dst_servers)
+        down_total = math.fsum(s.downlink for s in dst_servers)
         ingress = min(_dc_wan_ingress(topology, dc), down_total)
         dc_bound = volume / ingress if ingress > 0 else float("inf")
         for server in dst_servers:

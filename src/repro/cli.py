@@ -230,7 +230,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     fractions = result.store.origin_fraction_by_server()
     if fractions:
-        overlay = 1 - sum(fractions.values()) / len(fractions)
+        overlay = 1 - math.fsum(fractions.values()) / len(fractions)
         print(f"via overlay paths : {overlay:.0%} of deliveries")
     return 0
 

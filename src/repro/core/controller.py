@@ -39,6 +39,7 @@ and are combined in index order).
 from __future__ import annotations
 
 import dataclasses
+import math
 import time as _time
 from typing import List, Optional, Sequence, Tuple
 
@@ -232,7 +233,7 @@ class BDSController(OverlayStrategy):
             shard_count=k,
             shard_wall_max=max(shard_walls, default=0.0),
             shard_wall_mean=(
-                sum(shard_walls) / len(shard_walls) if shard_walls else 0.0
+                math.fsum(shard_walls) / len(shard_walls) if shard_walls else 0.0
             ),
             reconcile_runtime=reconcile_runtime,
             reconciled_directives=reconciled,

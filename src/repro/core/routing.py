@@ -48,6 +48,8 @@ commodity, aligned with its sources.
 
 from __future__ import annotations
 
+import itertools
+import math
 import time as _time
 import zlib
 from dataclasses import dataclass
@@ -73,11 +75,8 @@ SolverStats = Tuple[int, int, str]
 _NO_SOLVER_STATS: SolverStats = (0, 0, "")
 
 #: A solve's output: one float row per commodity, aligned with its paths
-#: (0.0 where nothing flows), and the (commodity, path) slots that carry
-#: flow in the order they first received any — the order the objective
-#: has always folded the rates in.
+#: (0.0 where nothing flows).
 Rates = List[List[float]]
-TouchOrder = List[Tuple[int, int]]
 
 
 def greedy_waterfill(
@@ -85,7 +84,7 @@ def greedy_waterfill(
     paths: Sequence[Sequence[Sequence[int]]],
     residual: List[float],
     fair_rounds: int = 3,
-) -> Tuple[Rates, TouchOrder]:
+) -> Rates:
     """Round-robin water-filling in commodity order (rarity order).
 
     ``demands[c]`` is commodity ``c``'s rate demand (``inf``: uncapped),
@@ -114,7 +113,6 @@ def greedy_waterfill(
     """
     remaining = list(demands)
     rates: Rates = [[0.0] * len(candidates) for candidates in paths]
-    order: TouchOrder = []
 
     active = [ci for ci, demand in enumerate(remaining) if demand > 1e-9]
     for _round in range(fair_rounds):
@@ -141,10 +139,7 @@ def greedy_waterfill(
                 push = demand
             if push <= 1e-9:
                 continue
-            row = rates[ci]
-            if row[best_pi] == 0.0:
-                order.append((ci, best_pi))
-            row[best_pi] += push
+            rates[ci][best_pi] += push
             for i in candidates[best_pi]:
                 residual[i] -= push
             remaining[ci] = demand - push
@@ -167,14 +162,11 @@ def greedy_waterfill(
             push = best_room if demand >= best_room else demand
             if push <= 1e-9:
                 break
-            row = rates[ci]
-            if row[best_pi] == 0.0:
-                order.append((ci, best_pi))
-            row[best_pi] += push
+            rates[ci][best_pi] += push
             for i in candidates[best_pi]:
                 residual[i] -= push
             demand -= push
-    return rates, order
+    return rates
 
 
 def _run_heads(column: np.ndarray, *rest: np.ndarray) -> np.ndarray:
@@ -314,12 +306,12 @@ class BDSRouter:
 
         cache = view.route_table()
         if self.backend == "greedy":
-            rates, order = greedy_waterfill(
+            rates = greedy_waterfill(
                 demands, paths, cache.capacity_vector(view.bulk_capacities)
             )
             solver = _NO_SOLVER_STATS
         else:
-            rates, order, solver = self._solve_incidence(
+            rates, solver = self._solve_incidence(
                 view, grouping, members, demands, paths, cache.res_keys
             )
         directives = self._to_directives(grouping, members, rates)
@@ -327,7 +319,7 @@ class BDSRouter:
             backend=self.backend,
             num_selections=len(selections),
             num_commodities=len(members),
-            objective=sum([rates[ci][pi] for ci, pi in order]),
+            objective=math.fsum(itertools.chain.from_iterable(rates)),
             runtime=_time.perf_counter() - started,
             iterations=solver[0],
             phases=solver[1],
@@ -570,18 +562,15 @@ class BDSRouter:
         one call. A group with a source cut off since it was grouped (a
         link failed in between) is left out.
 
-        A group's demand folds its rows' ``size - buffered`` with the
-        builtin ``sum`` in selection order — the operands are gathered
-        as arrays, the reduction is the one the demand has always had
-        (numpy's pairwise sum rounds differently, and demands decide
-        rates, which decide fingerprinted bytes).
+        A group's demand is the ``math.fsum`` of its rows' ``size -
+        buffered``, gathered as arrays.
         """
         dt = view.cycle_seconds
         sizes, buffered, bounds = grouping.sizes, grouping.buffered, grouping.bounds
         operands = (sizes if buffered is None else sizes - buffered).tolist()
         live, src, dst, cuts = [], [], [], [0]
         for g, record in enumerate(grouping.records[: len(grouping.keys)]):
-            remaining = sum(operands[bounds[g] : bounds[g + 1]])
+            remaining = math.fsum(operands[bounds[g] : bounds[g + 1]])
             if remaining > 0:
                 live.append((g, remaining / dt))
                 src += [s for s in record[2:] if s >= 0]
@@ -604,7 +593,7 @@ class BDSRouter:
         demands: List[float],
         paths: List[Tuple[Tuple[int, ...], ...]],
         res_keys: Sequence,
-    ) -> Tuple[Rates, TouchOrder, SolverStats]:
+    ) -> Tuple[Rates, SolverStats]:
         """The FPTAS and exact-LP backends, over one compiled incidence.
 
         Both want named :class:`~repro.lp.mcf.Commodity` objects with
@@ -650,12 +639,9 @@ class BDSRouter:
             solver = (result.iterations, result.phases, result.warm_start)
         commodity_of = {c.name: ci for ci, c in enumerate(commodities)}
         rates: Rates = [[0.0] * len(candidates) for candidates in paths]
-        order: TouchOrder = []
         for (name, pi), rate in result.path_flows.items():
-            ci = commodity_of[name]
-            rates[ci][pi] = rate
-            order.append((ci, pi))
-        return rates, order, solver
+            rates[commodity_of[name]][pi] = rate
+        return rates, solver
 
     # -- step 4: rates -> directives ----------------------------------------------
 
@@ -733,7 +719,7 @@ class BDSRouter:
                 (segment + (grouping.buffered[take] <= 0)).argsort(kind="stable")
             ]
         column = grouping.indices[take]
-        listed = None  # ``column`` as ints, once some group is dealt
+        listed = sized = None  # ``column`` and its sizes, once some group is dealt
 
         # Per directive: (job, source id, destination id, cap, end row).
         emitted: List[Tuple[str, int, int, float, int]] = []
@@ -746,15 +732,15 @@ class BDSRouter:
                 emitted.append((job_id, flowing[0], dst, flows[0], hi))
                 continue
             # Deal blocks to sources by descending byte deficit (ties to
-            # the earlier source). Sizes keep the types blocks carry, not
-            # the float column's: builtin ``sum`` folds ints and floats
-            # differently. The dealt order is written over the segment.
+            # the earlier source). The dealt order is written over the
+            # segment.
             if listed is None:
                 listed = column.tolist()
+                sized = grouping.sizes[take].tolist()
             order = listed[lo:hi]
-            sizes = grouping.jobs[g].size_list(order)
-            total_rate = sum(flows)
-            total_bytes = sum(sizes)
+            sizes = sized[lo:hi]
+            total_rate = math.fsum(flows)
+            total_bytes = math.fsum(sizes)
             budgets = [rate / total_rate * total_bytes for rate in flows]
             parts: List[List[int]] = [[] for _ in flows]
             for i, size in zip(order, sizes):
@@ -767,7 +753,7 @@ class BDSRouter:
             # blocks, or small block remainders drain geometrically and
             # never finish. The simulator re-clips to capacity, so the
             # reshuffled rate cannot oversubscribe any link.
-            used_rate = sum([rate for rate, part in zip(flows, parts) if part])
+            used_rate = math.fsum([rate for rate, part in zip(flows, parts) if part])
             spare = total_rate - used_rate
             for src, rate, part in zip(flowing, flows, parts):
                 if part:

@@ -482,7 +482,7 @@ def max_multicommodity_flow(
         path_flows, flows, dual_bound = _finalize(
             ext, epsilon, delta, lengths, raw
         )
-        objective = sum(path_flows.values())
+        objective = math.fsum(path_flows.values())
 
         if mode == "warm":
             # A-posteriori optimality certificate: accept the warm solve

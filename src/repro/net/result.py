@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from collections import abc
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -222,14 +223,11 @@ class SimResult:
         """Summed per-stage wall-clock seconds across all cycles: where
         the control loop spends its time (view-build / schedule / route /
         rate-resolve / deliver)."""
-        totals = dict.fromkeys(_STAGE_TIME_FIELDS, 0.0)
-        for first, count in self.cycle_stats.runs():
-            for stage, field_name in _STAGE_TIME_FIELDS.items():
-                seconds = getattr(first, field_name)
-                if seconds:  # x + 0.0 == x: a skipped stretch adds nothing
-                    for _ in range(count):
-                        totals[stage] += seconds
-        return totals
+        runs = list(self.cycle_stats.runs())
+        return {
+            stage: math.fsum(getattr(first, field_name) * count for first, count in runs)
+            for stage, field_name in _STAGE_TIME_FIELDS.items()
+        }
 
     def total_rate_stalemates(self) -> int:
         """Waterfill stalemate iterations across the run (diagnostic)."""
@@ -239,12 +237,10 @@ class SimResult:
         )
 
     def total_bytes_transferred(self) -> float:
-        """Bytes moved across all flows over the whole run.
-
-        Folded cycle by cycle, in order (``k`` cycles of ``x`` bytes are
-        not ``k * x`` in floats).
-        """
-        return sum(self._per_cycle("bytes_transferred"))
+        """Bytes moved across all flows over the whole run."""
+        return math.fsum(
+            first.bytes_transferred * count for first, count in self.cycle_stats.runs()
+        )
 
     def fingerprint(self) -> str:
         """Stable digest of the run's *deterministic* outputs.

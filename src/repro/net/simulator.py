@@ -21,6 +21,7 @@ next cycle, exactly like BDS's per-cycle choice of ``w_b,s``.
 from __future__ import annotations
 
 import itertools
+import math
 import time as _time
 from collections import Counter
 from dataclasses import dataclass
@@ -542,18 +543,15 @@ class Simulation:
         """Bytes each directive still has to move, in directive order.
 
         Operands (``size - buffered``) are gathered as arrays; each
-        directive's are then folded with the builtin ``sum`` in listed
-        order, the reduction these values have always had —
-        ``bytes_per_cycle`` is fingerprinted, and numpy's pairwise sum
-        differs from it in the last digits. The operands stay on
-        ``columns`` as ``need``, for the progress walk.
+        directive's are then folded with ``math.fsum``. The operands
+        stay on ``columns`` as ``need``, for the progress walk.
         """
         buffered = columns.buffered = self._partial.gather(columns.keys)
         sizes = columns.sizes
         need = columns.need = (sizes if buffered is None else sizes - buffered).tolist()
         bounds = columns.bounds
         return [
-            sum(need[bounds[i] : bounds[i + 1]]) for i in range(len(bounds) - 1)
+            math.fsum(need[bounds[i] : bounds[i + 1]]) for i in range(len(bounds) - 1)
         ]
 
     def _view(

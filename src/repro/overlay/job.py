@@ -55,7 +55,8 @@ def _split(total_bytes: float, block_size: float) -> Tuple[int, float]:
 
 class JobBlocks(abc.Sequence):
     """A job's blocks as a ``Sequence[Block]`` that builds each
-    :class:`Block` only when read, sized by :meth:`MulticastJob.size_list`."""
+    :class:`Block` only when read: ``block_size`` bytes, the ``tail``
+    for a last partial block."""
 
     __slots__ = ("_job",)
 
@@ -69,7 +70,10 @@ class JobBlocks(abc.Sequence):
         if isinstance(item, slice):
             return [self[i] for i in range(*item.indices(len(self)))]
         index = range(len(self))[item]
-        return Block(self._job.job_id, index, self._job.size_list([index])[0])
+        job = self._job
+        return Block(
+            job.job_id, index, job.block_size if index < job._full else job.tail
+        )
 
 
 @dataclass
@@ -188,13 +192,6 @@ class MulticastJob:
             if self.tail:
                 self._block_sizes[-1] = self.tail
         return self._block_sizes
-
-    def size_list(self, indices: Sequence[int]) -> list:
-        """The sizes of blocks ``indices``: ``block_size`` itself (int or
-        float) for a full block, the float ``tail`` for the last — types
-        the builtin ``sum`` folds differently."""
-        full, size, tail = self._full, self.block_size, self.tail
-        return [size if i < full else tail for i in indices]
 
     def block_by_id(self, block_id: BlockId) -> Block:
         job_id, index = block_id

@@ -127,7 +127,7 @@ def sample_application(seed: SeedLike = None) -> str:
     rng = make_rng(seed)
     names = sorted(APP_PROFILES)
     weights = [APP_PROFILES[n]["traffic_weight"] for n in names]
-    total = sum(weights)
+    total = math.fsum(weights)
     roll = float(rng.uniform(0.0, total))
     acc = 0.0
     for name, weight in zip(names, weights):

@@ -26,8 +26,8 @@ def results():
 def golden_builds():
     """Every golden scenario run once (``test_determinism_golden.golden_runs``),
     with what each built counted through ``oracles.count_calls``: a dict
-    ``label -> (complete, Blocks, TransferDirectives)``, plus the
-    ``"decided"`` flags of the fallback's decides."""
+    ``label -> (complete, Blocks, TransferDirectives, fingerprint)``, plus
+    the ``"decided"`` flags of the fallback's decides."""
     from tests import test_determinism_golden as golden
 
     decided: list = []
@@ -36,8 +36,11 @@ def golden_builds():
         blocks = oracles.count_calls(patch, Block, "__post_init__")
         directives = oracles.count_calls(patch, TransferDirective, "_init")
         for label, run in golden.golden_runs(decided):
-            complete = run().all_complete
-            built[label] = (complete, len(blocks), len(directives))
+            result = run()
+            built[label] = (
+                result.all_complete, len(blocks), len(directives),
+                result.fingerprint(),
+            )
             blocks.clear()
             directives.clear()
     return built

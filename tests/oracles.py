@@ -303,7 +303,7 @@ def build_commodities(view, groups: Mapping[GroupKey, list]):
     for key, entries in groups.items():
         dst_server = entries[0].dst_server
         blocks = [e.block for e in entries]
-        remaining = sum(
+        remaining = math.fsum(
             b.size - view.received_bytes(b.block_id, dst_server) for b in blocks
         )
         if remaining <= 0:
@@ -351,15 +351,15 @@ def to_directives(
                 per_source.append((src, rate))
         if not per_source:
             continue
-        total_rate = sum(rate for _s, rate in per_source)
-        total_bytes = sum(b.size for b in blocks)
+        total_rate = math.fsum(rate for _s, rate in per_source)
+        total_bytes = math.fsum(b.size for b in blocks)
         budgets = {src: rate / total_rate * total_bytes for src, rate in per_source}
         assigned: Dict[str, list] = {src: [] for src, _r in per_source}
         for block in blocks:
             src = max(budgets, key=lambda s: budgets[s])
             assigned[src].append(block)
             budgets[src] -= block.size
-        used_rate = sum(r for s, r in per_source if assigned[s])
+        used_rate = math.fsum(r for s, r in per_source if assigned[s])
         spare = total_rate - used_rate
         for src, rate in per_source:
             if not assigned[src]:
@@ -439,7 +439,7 @@ def grouping_commodities(view, grouping) -> Tuple[List[Commodity], List[int]]:
     sizes, buffered, bounds = grouping.sizes, grouping.buffered, grouping.bounds
     operands = (sizes if buffered is None else sizes - buffered).tolist()
     for g, key in enumerate(grouping.keys):
-        remaining = sum(operands[bounds[g] : bounds[g + 1]])
+        remaining = math.fsum(operands[bounds[g] : bounds[g + 1]])
         if remaining <= 0:
             continue
         dst_server = grouping.dst_servers[g]
@@ -592,15 +592,15 @@ def grouping_directives(
             continue
         blocks = grouping.jobs[g].blocks
         sizes = [blocks[i].size for i in order]
-        total_rate = sum(flows)
-        total_bytes = sum(sizes)
+        total_rate = math.fsum(flows)
+        total_bytes = math.fsum(sizes)
         budgets = [rate / total_rate * total_bytes for rate in flows]
         parts: List[List[int]] = [[] for _ in flows]
         for i, size in zip(order, sizes):
             to = budgets.index(max(budgets))
             parts[to].append(i)
             budgets[to] -= size
-        used_rate = sum([rate for rate, part in zip(flows, parts) if part])
+        used_rate = math.fsum([rate for rate, part in zip(flows, parts) if part])
         spare = total_rate - used_rate
         for src, rate, part in zip(flowing, flows, parts):
             if part:
@@ -774,7 +774,7 @@ def flow_remaining(
     directive: TransferDirective,
 ) -> float:
     """Bytes a directive still has to move."""
-    return sum(
+    return math.fsum(
         size_of[bid] - partial.get((bid, directive.dst_server), 0.0)
         for bid in directive.block_ids
     )

@@ -84,7 +84,7 @@ def test_block_columns_refuse_rows_that_are_not_the_jobs_blocks():
 def test_the_golden_scenarios_build_no_block(golden_builds, monkeypatch):
     runs = [built for label, built in golden_builds.items() if label != "decided"]
     assert len(runs) == 23
-    assert all(complete and blocks == 0 for complete, blocks, _ in runs)
+    assert all(complete and blocks == 0 for complete, blocks, *_ in runs)
     built = oracles.count_calls(monkeypatch, Block, "__post_init__")
     MulticastJob("j", "dc0", ("dc1",), 3 * MB, MB).blocks[2]
     assert [block.index for block in built] == [2]  # the count sees a block read

@@ -33,7 +33,7 @@ def test_no_golden_run_builds_a_transfer_directive(golden_builds, monkeypatch):
         if label[0] in BASELINES or label == ("fallback",)
     ]
     assert len(baseline_runs) == 16
-    assert all(complete and directives == 0 for complete, _, directives in baseline_runs)
+    assert all(complete and directives == 0 for complete, _, directives, _ in baseline_runs)
     # The fallback decided alone in the outage, and beside the controller
     # for the severed DC.
     decided = golden_builds["decided"]

@@ -105,6 +105,42 @@ def _definitions(body: list, prefix: str = "") -> Iterator[Tuple[str, ast.AST]]:
                 yield from _definitions(node.body, f"{prefix}{node.name}.")
 
 
+#: The builtin ``sum`` calls ``src/`` keeps, by the definition they are
+#: in: each folds ints, which add exactly in any order. Floats fold with
+#: ``math.fsum``, correctly rounded, so no order or interpreter (the
+#: builtin compensates from Python 3.12) reaches a result.
+INT_FOLDS = {
+    "FlowRows.compile": "path lengths",
+    "SimResult.total_rate_stalemates": "stalemate counts times run lengths",
+    "ShardPayload.approx_bytes": "fixed byte costs per job and per block",
+    "BDSController._decide_sharded": "the shards' payload byte counts",
+    "Fig4.measure": "a count of ratios",
+    "interference": "a count of cycles",
+}
+
+
+def _sum_calls(tree: ast.Module) -> Iterator[Tuple[int, str]]:
+    """``(line, enclosing definition)`` per builtin ``sum(`` call."""
+    owner = {}
+    for qualname, node in _definitions(tree.body):
+        if not isinstance(node, ast.ClassDef):
+            for inner in ast.walk(node):
+                owner.setdefault(id(inner), qualname)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "sum"
+        ):
+            yield node.lineno, owner.get(id(node), "<module>")
+
+
+def folds_floats_with_builtin_sum(tree: ast.Module) -> Iterator[Violation]:
+    for line, where in _sum_calls(tree):
+        if where not in INT_FOLDS:
+            yield line, f"builtin sum in {where}: fold floats with math.fsum"
+
+
 def _all_strings(module: ast.Module) -> FrozenSet[int]:
     """The ids of the string nodes an ``__all__`` assignment lists."""
     return frozenset(
@@ -221,6 +257,7 @@ RULES = {
         imports_process_or_pool_machinery,
     ),
     "src-definitions-have-a-src-caller": (SRC, src_definitions_have_a_src_caller),
+    "src-folds-floats-with-fsum": (SRC, folds_floats_with_builtin_sum),
     "hot-path-reads-paths-by-server-id": (
         (
             "src/repro/core/routing.py",
@@ -261,6 +298,12 @@ def test_allowed_is_current():
         named = qualname.rpartition(".")[2] in uses
         assert named, f"{caller.relative_to(ROOT)} does not name {qualname}"
         assert qualname in flagged, f"{qualname} has a src/ caller: drop it"
+
+
+def test_int_folds_are_current():
+    """Each entry still encloses a builtin ``sum`` call."""
+    kept = {where for tree in _src_trees() for _line, where in _sum_calls(tree)}
+    assert sorted(kept) == sorted(INT_FOLDS)
 
 
 def test_unreferenced_definitions_on_a_synthetic_module():

@@ -14,9 +14,7 @@ function; everything here is equality with those — rates, directives
 inside generated simulations.
 
 Mutations this file was checked to catch (each made in ``src/``, each
-failing here): ``order`` appended on every push instead of the first
-touch, and sorted by commodity; ``room >= best_room`` (tie to the
-*highest* path index); the residual filled with ``capacities[key]``
+failing here): ``room >= best_room`` (tie to the *highest* path index); the residual filled with ``capacities[key]``
 (KeyError on a missing resource) and with a default of ``inf``; the
 route table left out of the flush; the table's validity key without
 the failed-link set, and without the topology epoch; the budget
@@ -27,6 +25,7 @@ for the wrong rows.
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -130,12 +129,18 @@ def test_inexact_stores_materialize_the_old_list(seed):
     )
 
 
-# -- the router's middle: ids, rows, first-touch order ------------------------
+# -- the router's middle: ids, rows ------------------------------------------
 
 
-def _rate_items(keys, members, rates, order):
-    """Rows + touch order as the ``(name, path index) -> rate`` items of old."""
-    return [((keys[members[ci]], pi), rates[ci][pi]) for ci, pi in order]
+def _rate_items(names, rates):
+    """Rows as the ``(name, path index) -> rate`` dict of old: every push
+    is positive, so the slots that carry flow are the ones touched."""
+    return {
+        (names[ci], pi): rate
+        for ci, row in enumerate(rates)
+        for pi, rate in enumerate(row)
+        if rate
+    }
 
 
 def _assert_middle_equals_oracle(view, router, selections, fail_links=()):
@@ -155,7 +160,7 @@ def _assert_middle_equals_oracle(view, router, selections, fail_links=()):
     assert members == want_members
     if not members:  # route() returns before solving
         return [], {}, []
-    rates, order = greedy_waterfill(
+    rates = greedy_waterfill(
         demands, paths, cache.capacity_vector(view.bulk_capacities)
     )
     directives = router._to_directives(grouping, members, rates)
@@ -168,14 +173,11 @@ def _assert_middle_equals_oracle(view, router, selections, fail_links=()):
         tuple(tuple(cache.res_keys[i] for i in path) for path in candidates)
         for candidates in paths
     ] == [c.paths for c in commodities]
-    # Float for float, and in the order the dict was filled.
-    assert _rate_items(grouping.keys, members, rates, order) == list(
-        want_rates.items()
-    )
+    # Float for float.
+    assert _rate_items([grouping.keys[g] for g in members], rates) == want_rates
     assert directives == want
     assert [d.rate_cap for d in directives] == [d.rate_cap for d in want]
     assert [d.block_ids for d in directives] == [d.block_ids for d in want]
-    assert sum([rates[ci][pi] for ci, pi in order]) == sum(want_rates.values())
     return directives, want_rates, commodities
 
 
@@ -230,9 +232,8 @@ def test_router_middle_equals_object_oracle(
     if not fail_links:
         assert routed == directives
         assert diagnostics.num_commodities == len(commodities)
-        assert diagnostics.objective == sum(want_rates.values())
-        if commodities:  # (no commodity: route() answers 0.0 before solving)
-            assert type(diagnostics.objective) is type(sum(want_rates.values()))
+        assert diagnostics.objective == math.fsum(want_rates.values())
+        assert type(diagnostics.objective) is float
     # The per-selection pick and merge end in the same directives.
     by_object_commodities, by_object = oracles.route(
         view,
@@ -361,16 +362,13 @@ def test_waterfill_kernel_equals_incidence_greedy(data):
         [[ids.setdefault(r, len(ids)) for r in p] for p in c.paths]
         for c in commodities
     ]
-    rates, order = greedy_waterfill(
+    rates = greedy_waterfill(
         [float("inf") if c.demand is None else c.demand for c in commodities],
         paths,
         [float(caps.get(r, 0.0)) for r in ids],
     )
-    got = [((commodities[ci].name, pi), rates[ci][pi]) for ci, pi in order]
-    assert got == list(want.items())
-    assert len(set(order)) == len(order)
-    untouched = {(ci, pi) for ci, row in enumerate(rates) for pi in range(len(row))}
-    assert all(rates[ci][pi] == 0.0 for ci, pi in untouched - set(order))
+    assert [len(row) for row in rates] == [len(c.paths) for c in commodities]
+    assert _rate_items([c.name for c in commodities], rates) == want
 
 
 _GUARD_SCRIPT = """
