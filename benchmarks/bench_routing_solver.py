@@ -192,12 +192,17 @@ def bench_scale(num_commodities, seed=0):
         ]
     )
     demands = [float("inf") if c.demand is None else c.demand for c in commodities]
-    (rates, order), greedy_new_s = timed(
+    rates, greedy_new_s = timed(
         lambda: greedy_waterfill(
             demands, paths, [float(caps.get(r, 0.0)) for r in ids]
         )
     )
-    greedy_new = {(commodities[ci].name, pi): rates[ci][pi] for ci, pi in order}
+    greedy_new = {
+        (commodities[ci].name, pi): rate
+        for ci, row in enumerate(rates)
+        for pi, rate in enumerate(row)
+        if rate
+    }
 
     return {
         "commodities": num_commodities,
@@ -238,7 +243,7 @@ def bench_scale(num_commodities, seed=0):
             "speedup": (
                 greedy_old_s / greedy_new_s if greedy_new_s > 0 else float("inf")
             ),
-            "identical": list(greedy_old.items()) == list(greedy_new.items()),
+            "identical": greedy_old == greedy_new,
         },
     }
 

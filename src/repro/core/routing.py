@@ -64,7 +64,6 @@ from repro.lp.mcf import Commodity, solve_lp_incidence
 from repro.net.cycle_cache import RoutingWarmStore
 from repro.net.directive import DirectiveBatch
 from repro.net.view import ClusterView
-from repro.overlay.job import MulticastJob
 from repro.utils.validation import check_positive
 
 GroupKey = Tuple[str, str, Tuple[str, ...]]  # (job, dst_server, sources)
@@ -204,7 +203,6 @@ class _Grouping:
     """
 
     keys: List[GroupKey]
-    jobs: List[MulticastJob]
     dst_servers: List[str]
     bounds: List[int]
     #: Per group: its key row ``[job slot, destination, picked sources,
@@ -501,7 +499,6 @@ class BDSRouter:
         starts = _run_heads(lead[by_lead]).nonzero()[0]
 
         keys: List[GroupKey] = []
-        group_jobs: List[MulticastJob] = []
         dst_servers: List[str] = []
         merged = self.merge_blocks
         records = key[rep[by_lead[starts]]].tolist()
@@ -509,16 +506,14 @@ class BDSRouter:
         for start, row in zip(starts, records):
             if row[2] < 0:
                 break  # the groups without a usable source, and their rows
-            job = jobs[row[0]]
             dst_server = names[row[1]]
             keys.append(
                 (
-                    job.job_id,
+                    jobs[row[0]].job_id,
                     dst_server if merged else f"{dst_server}#{order[start]}",
                     tuple([names[s] for s in row[2:] if s >= 0]),
                 )
             )
-            group_jobs.append(job)
             dst_servers.append(dst_server)
         bounds = starts[: len(keys) + 1]
         order = order[: bounds[-1]]
@@ -539,7 +534,6 @@ class BDSRouter:
         )
         return _Grouping(
             keys=keys,
-            jobs=group_jobs,
             dst_servers=dst_servers,
             bounds=bounds,
             records=records,
@@ -719,7 +713,7 @@ class BDSRouter:
                 (segment + (grouping.buffered[take] <= 0)).argsort(kind="stable")
             ]
         column = grouping.indices[take]
-        listed = sized = None  # ``column`` and its sizes, once some group is dealt
+        listed = None  # ``column`` as ints, once some group is dealt
 
         # Per directive: (job, source id, destination id, cap, end row).
         emitted: List[Tuple[str, int, int, float, int]] = []
@@ -736,9 +730,8 @@ class BDSRouter:
             # segment.
             if listed is None:
                 listed = column.tolist()
-                sized = grouping.sizes[take].tolist()
             order = listed[lo:hi]
-            sizes = sized[lo:hi]
+            sizes = grouping.sizes[take[lo:hi]].tolist()
             total_rate = math.fsum(flows)
             total_bytes = math.fsum(sizes)
             budgets = [rate / total_rate * total_bytes for rate in flows]

@@ -140,5 +140,5 @@ class LinearProgram:
         objective = float(result.fun)
         if self.maximize:
             objective = -objective
-        values ={name: float(result.x[self._index[name]]) for name in self._names}
+        values = {name: float(result.x[self._index[name]]) for name in self._names}
         return LPSolution(objective=objective, values=values, status="optimal")

@@ -547,6 +547,7 @@ def solve(router, view, commodities, capacities):
 
 def grouping_directives(
     grouping,
+    jobs,
     commodities: Sequence[Commodity],
     members: Sequence[int],
     rates: Mapping[Tuple[Hashable, int], float],
@@ -554,8 +555,10 @@ def grouping_directives(
     """Each group's index segment dealt across its flowing sources.
 
     The columnar deal as it read its rates: one ``rates.get((name,
-    path index))`` per candidate source.
+    path index))`` per candidate source, with block sizes from
+    ``jobs``' ``Block`` objects.
     """
+    job_of = {job.job_id: job for job in jobs}
     index_list = grouping.indices.tolist()
     buffered = grouping.buffered
     half_received = None if buffered is None else (buffered > 0).tolist()
@@ -590,7 +593,7 @@ def grouping_directives(
             sent += order
             emitted.append((job_id, at, len(sent), flowing[0], dst_server, flows[0]))
             continue
-        blocks = grouping.jobs[g].blocks
+        blocks = job_of[job_id].blocks
         sizes = [blocks[i].size for i in order]
         total_rate = math.fsum(flows)
         total_bytes = math.fsum(sizes)

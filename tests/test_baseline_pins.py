@@ -8,7 +8,11 @@ script against that commit's ``src/`` to record it again), and
 receivers at once. Every entry a Gingko run reaches was recorded again
 (``python tests/test_baseline_pins.py``) on the commit after f89399a,
 when Gingko's sender picks became one draw per job; the others read as
-before, byte for byte. Every value
+before, byte for byte. The BDS arms of ``overlay_compare:full:*`` and
+both ``sharded_churn_k4`` entries were recorded again at 5d9a6b1 (the
+``_recorded`` entry), by ``PYTHONPATH=src:. python
+tests/test_baseline_pins.py``, when floats began to fold with
+``math.fsum``; every other value read as before. Every value
 is a ``SimResult.fingerprint()`` or the exact floats an experiment
 runner returns, so any change to a directive, to the order directives
 are emitted in, or to a strategy's RNG stream shows up here.
@@ -196,7 +200,8 @@ def test_the_bullet_pin_is_not_direct():
 
 
 if __name__ == "__main__":
-    PINS_FILE.write_text(
-        json.dumps({name: SCENARIOS[name]() for name in sorted(SCENARIOS)}, indent=1)
-        + "\n"
-    )
+    from tests.test_engine_pins import _clean_commit
+
+    recorded = {"commit": _clean_commit(), "by": "tests/test_baseline_pins.py"}
+    pins = {name: SCENARIOS[name]() for name in sorted(SCENARIOS)}
+    PINS_FILE.write_text(json.dumps({"_recorded": recorded, **pins}, indent=1) + "\n")

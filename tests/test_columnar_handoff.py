@@ -327,7 +327,7 @@ def test_deal_equals_oracle_with_ties_and_mixed_sizes(
     have_col = np.array([partial.get(((job.job_id, b.index), dst), 0.0) for b in job.blocks])
     names = _SERVERS
     grouping = _Grouping(
-        keys=[key], jobs=[job], dst_servers=[dst], bounds=[0, len(job.blocks)],
+        keys=[key], dst_servers=[dst], bounds=[0, len(job.blocks)],
         records=[[0, names.index(dst), *map(names.index, sources)]],
         names=names, indices=np.arange(len(job.blocks)), sizes=job.block_sizes(),
         buffered=have_col if have_col.any() else None,
@@ -348,7 +348,7 @@ def _emit_against_oracle(groups):
     from repro.core.routing import _Grouping
     from repro.lp.mcf import Commodity
 
-    keys, jobs, dsts, bounds, index, sizes, have = [], [], [], [0], [], [], []
+    keys, dsts, bounds, index, sizes, have = [], [], [0], [], [], []
     partial, commodities, group_blocks, members, member_rates, rates = (
         {}, [], {}, [], [], {}
     )
@@ -364,7 +364,6 @@ def _emit_against_oracle(groups):
             if buffered:
                 partial[(job.blocks[i].block_id, dst)] = 4096.5
         keys.append(key)
-        jobs.append(job)
         dsts.append(dst)
         index += rows
         sizes += [job.blocks[i].size for i in rows]
@@ -380,7 +379,7 @@ def _emit_against_oracle(groups):
             rates.update({(key, i): r for i, r in enumerate(row_rates)})
     names = _SERVERS
     grouping = _Grouping(
-        keys=keys, jobs=jobs, dst_servers=dsts, bounds=bounds,
+        keys=keys, dst_servers=dsts, bounds=bounds,
         records=[
             [g, names.index(dst), *map(names.index, key[2])]
             for g, (key, dst) in enumerate(zip(keys, dsts))

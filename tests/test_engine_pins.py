@@ -30,10 +30,13 @@ event ≡ tick suites reach it by setting ``decisions_reusable = False``
 on their strategy instance.
 
 ``speculating:*`` are younger: whole speculating runs (§5.1), decide by
-decide, recorded by ``python tests/test_engine_pins.py speculating`` at
-the commit ``_recorded_speculating`` names — while a speculated view was
-still a ``has``/``holders`` proxy in front of the store, decided by a
-scalar scheduler and router of its own. They are checked here.
+decide, first recorded at 740792d, while a speculated view was still a
+``has``/``holders`` proxy in front of the store, decided by a scalar
+scheduler and router of its own. They were recorded again by
+``PYTHONPATH=src:. python tests/test_engine_pins.py speculating`` at
+5d9a6b1 (the commit ``_recorded_speculating`` names), when floats began
+to fold with ``math.fsum``; 17 of the 26 moved, and no other arm. They
+are checked here.
 
 The ``*:gingko:*`` arms were re-recorded by ``python
 tests/test_engine_pins.py gingko`` on the commit after f89399a, when

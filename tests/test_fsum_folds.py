@@ -12,9 +12,11 @@ baseline pins keep their fingerprints.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import json
 import math
+import operator
 import pkgutil
 import sys
 
@@ -64,18 +66,12 @@ def sum_312(iterable, /, start=0):
 
 def test_the_emulation_compensates_as_312_does():
     tenths = [0.1] * 10
-    assert sum_312(tenths) == 1.0 != 0.9999999999999999 == _left_fold(tenths)
+    left_fold = functools.reduce(operator.add, tenths)
+    assert sum_312(tenths) == 1.0 != 0.9999999999999999 == left_fold
     assert sum_312([1e100, 1.0, -1e100]) == 1.0
     assert sum_312([3, True]) == 4 and type(sum_312([3, True])) is int
     assert sum_312([1, 0.5, 2]) == 3.5
     assert sum_312([[1], [2]], []) == [1, 2]
-
-
-def _left_fold(values):
-    total = 0
-    for value in values:
-        total += value
-    return total
 
 
 #: The ledger-shaped baseline pins: each runs many cycles of merged

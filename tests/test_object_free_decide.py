@@ -14,9 +14,10 @@ function; everything here is equality with those — rates, directives
 inside generated simulations.
 
 Mutations this file was checked to catch (each made in ``src/``, each
-failing here): ``room >= best_room`` (tie to the *highest* path index); the residual filled with ``capacities[key]``
-(KeyError on a missing resource) and with a default of ``inf``; the
-route table left out of the flush; the table's validity key without
+failing here): ``room >= best_room`` (tie to the *highest* path index);
+the residual filled with ``capacities[key]`` (KeyError on a missing
+resource) and with a default of ``inf``; the route table left out of
+the flush; the table's validity key without
 the failed-link set, and without the topology epoch; the budget
 memo ignoring the failed-link set, the background step, and the
 threshold; a continuous noisy curve sampled once; ``job_slots`` gathered
@@ -166,7 +167,9 @@ def _assert_middle_equals_oracle(view, router, selections, fail_links=()):
     directives = router._to_directives(grouping, members, rates)
 
     want_rates = oracles.solve_greedy(commodities, view.bulk_capacities)
-    want = oracles.grouping_directives(grouping, commodities, want_members, want_rates)
+    want = oracles.grouping_directives(
+        grouping, view.jobs, commodities, want_members, want_rates
+    )
 
     assert demands == [c.demand for c in commodities]
     assert [

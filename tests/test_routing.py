@@ -210,13 +210,6 @@ class TestFPTASTransferPin:
     (017dbd2) — a change to any of them is a different solver, not a
     faster one. ``reuse`` does not occur here (demands drain every cycle);
     ``TestWarmStartIntegration`` pins it.
-
-    Nine blocks, not the ``--quick`` ledger's six: the router's
-    ``total_rate = sum(flows)`` is a builtin ``sum`` of up to three floats,
-    which Python 3.12 compensates. At six blocks that moves one rate cap
-    by an ulp and with it the fingerprint (checked with an emulation of
-    3.12's ``sum`` that matches the real one on 200 000 random lists); at
-    nine it moves nothing.
     """
 
     def test_fingerprint_iterations_phases_and_tiers(self):
