@@ -30,19 +30,23 @@ Their work is proportional to merge groups, plus a few gathers and
 three sorts per row — a lexsort into classes, a stable argsort into
 (job, class, residue) representatives, whose picks are computed once
 (:meth:`BDSRouter._pick_sources`), and an argsort into group order
-after one lexsort of the representatives into groups. A group's send
-order is two ranges of one gather; only a group dealt across several
-flowing sources walks its blocks in Python.
+after one lexsort of the representatives into groups. Groups are ids
+(key records of server ids), walked once per stage; a group's send
+order is two ranges of one gather, and only a group dealt across
+several flowing sources walks its blocks in Python, reading its own
+segment of the send-order column.
 
 Step 3 hands the solver parallel lists, not objects: per commodity its
-group, its demand, and its candidate paths as tuples of resource numbers
-of the :class:`~repro.net.cycle_cache.CycleCache` — each the source's
-uplink, the DC route of the cache's table and the destination's
-downlink.
+group, its demand (every group's from one exact segmented fold,
+:func:`~repro.utils.folds.segment_fsum`), and its candidate paths as
+tuples of resource numbers of the
+:class:`~repro.net.cycle_cache.CycleCache` — each the source's uplink,
+the DC route of the cache's table and the destination's downlink.
 The greedy water-fill (:func:`greedy_waterfill`) runs on exactly those;
 the FPTAS and LP backends build their :class:`~repro.lp.mcf.Commodity`
 list and :class:`~repro.lp.incidence.PathIncidence` from them inside
-their own branch. Either way rates come back as one float row per
+their own branch, the only place a group has a name
+(:meth:`_Grouping.key`). Either way rates come back as one float row per
 commodity, aligned with its sources.
 """
 
@@ -64,6 +68,8 @@ from repro.lp.mcf import Commodity, solve_lp_incidence
 from repro.net.cycle_cache import RoutingWarmStore
 from repro.net.directive import DirectiveBatch
 from repro.net.view import ClusterView
+from repro.overlay.job import MulticastJob
+from repro.utils.folds import segment_fsum
 from repro.utils.validation import check_positive
 
 GroupKey = Tuple[str, str, Tuple[str, ...]]  # (job, dst_server, sources)
@@ -199,22 +205,35 @@ class _Grouping:
 
     Groups are in first-appearance order (commodity order is the greedy
     solver's rarity order); rows ``bounds[g]:bounds[g + 1]`` are group
-    ``g``'s selections in selection order.
+    ``g``'s selections in selection order. Groups are ids: only the
+    FPTAS/LP branch names them (:meth:`key`).
     """
 
-    keys: List[GroupKey]
-    dst_servers: List[str]
     bounds: List[int]
     #: Per group: its key row ``[job slot, destination, picked sources,
     #: -1 padding]`` in server ids of ``names`` (the possession matrix's
     #: interning order) — the ids its directives carry.
     records: List[List[int]]
+    jobs: Sequence[MulticastJob]
     names: Sequence[str]
+    #: Per row: its selection row, which labels a group's destination
+    #: when merging is disabled (``None`` when it is enabled).
+    rows: Optional[np.ndarray]
     #: Per row: job-relative block index, block size, and bytes already
     #: buffered at the destination (``None``: nothing is buffered anywhere).
     indices: np.ndarray
     sizes: np.ndarray
     buffered: Optional[np.ndarray]
+
+    def key(self, g: int) -> GroupKey:
+        """Group ``g``'s name: (job, destination server, source servers)."""
+        job, dst, *picks = self.records[g]
+        label = self.names[dst]
+        if self.rows is not None:
+            label = f"{label}#{self.rows[self.bounds[g]]}"
+        return self.jobs[job].job_id, label, tuple(
+            [self.names[s] for s in picks if s >= 0]
+        )
 
 
 @dataclass
@@ -277,22 +296,15 @@ class BDSRouter:
         that matrix's server ids.
         """
         started = _time.perf_counter()
-        if not selections:
-            return DirectiveBatch.pack((), view.store.matrix), RoutingDiagnostics(
-                backend=self.backend,
-                num_selections=0,
-                num_commodities=0,
-                objective=0.0,
-                runtime=_time.perf_counter() - started,
-            )
-
-        if not isinstance(selections, SelectionBatch):
+        if selections and not isinstance(selections, SelectionBatch):
             raise TypeError(
                 "route() reads the columns of a SelectionBatch (what "
                 f"RarestFirstScheduler.select returns), not a {type(selections).__name__}"
             )
-        grouping = self._group_columns(view, selections)
-        members, demands, paths = self._build_commodities(view, grouping)
+        members: List[int] = []
+        if selections:
+            grouping = self._group_columns(view, selections)
+            members, demands, paths = self._build_commodities(view, grouping)
         if not members:
             return DirectiveBatch.pack((), view.store.matrix), RoutingDiagnostics(
                 backend=self.backend,
@@ -498,24 +510,11 @@ class BDSRouter:
         order = rows[by_lead]
         starts = _run_heads(lead[by_lead]).nonzero()[0]
 
-        keys: List[GroupKey] = []
-        dst_servers: List[str] = []
-        merged = self.merge_blocks
+        bounds = starts.tolist() + [n]
         records = key[rep[by_lead[starts]]].tolist()
-        starts = starts.tolist() + [n]
-        for start, row in zip(starts, records):
-            if row[2] < 0:
-                break  # the groups without a usable source, and their rows
-            dst_server = names[row[1]]
-            keys.append(
-                (
-                    jobs[row[0]].job_id,
-                    dst_server if merged else f"{dst_server}#{order[start]}",
-                    tuple([names[s] for s in row[2:] if s >= 0]),
-                )
-            )
-            dst_servers.append(dst_server)
-        bounds = starts[: len(keys) + 1]
+        while records and records[-1][2] < 0:
+            records.pop()  # groups without a usable source sort last
+        del bounds[len(records) + 1 :]
         order = order[: bounds[-1]]
 
         index = batch.indices[order]
@@ -533,11 +532,11 @@ class BDSRouter:
             else None
         )
         return _Grouping(
-            keys=keys,
-            dst_servers=dst_servers,
             bounds=bounds,
             records=records,
+            jobs=jobs,
             names=names,
+            rows=None if self.merge_blocks else order,
             indices=index,
             sizes=sizes,
             buffered=buffered,
@@ -552,31 +551,24 @@ class BDSRouter:
 
         Per commodity: which group it is, its demand (bytes/s), and one
         path per candidate source as a row of the view's route table,
-        read by server id from the group's key record, every group's in
-        one call. A group with a source cut off since it was grouped (a
-        link failed in between) is left out.
+        read by server id from the group's key record. A group with a
+        source cut off since it was grouped (a link failed in between) is
+        left out.
 
         A group's demand is the ``math.fsum`` of its rows' ``size -
-        buffered``, gathered as arrays.
+        buffered``, all groups' in one :func:`segment_fsum`.
         """
-        dt = view.cycle_seconds
-        sizes, buffered, bounds = grouping.sizes, grouping.buffered, grouping.bounds
-        operands = (sizes if buffered is None else sizes - buffered).tolist()
-        live, src, dst, cuts = [], [], [], [0]
-        for g, record in enumerate(grouping.records[: len(grouping.keys)]):
-            remaining = math.fsum(operands[bounds[g] : bounds[g + 1]])
-            if remaining > 0:
-                live.append((g, remaining / dt))
-                src += [s for s in record[2:] if s >= 0]
-                dst += [record[1]] * (len(src) - cuts[-1])
-                cuts.append(len(src))
-        rows = view.route_table().rows(src, dst)  # every live group's at once
+        dt, table, buffered = view.cycle_seconds, view.route_table(), grouping.buffered
+        operands = grouping.sizes if buffered is None else grouping.sizes - buffered
+        left = segment_fsum(operands, grouping.bounds)
         members, demands, paths = [], [], []
-        for (g, demand), lo, hi in zip(live, cuts, cuts[1:]):
-            if all(rows[lo:hi]):  # else a link failed since grouping
-                members.append(g)
-                demands.append(demand)
-                paths.append(tuple(rows[lo:hi]))
+        for g, (record, remaining) in enumerate(zip(grouping.records, left)):
+            if remaining > 0:
+                candidates = table.paths_to(record[1], record[2:])
+                if all(candidates):  # else a link failed since grouping
+                    members.append(g)
+                    demands.append(remaining / dt)
+                    paths.append(candidates)
         return members, demands, paths
 
     def _solve_incidence(
@@ -598,7 +590,7 @@ class BDSRouter:
         """
         commodities = [
             Commodity(
-                name=grouping.keys[g],
+                name=grouping.key(g),
                 paths=tuple(
                     tuple([res_keys[i] for i in path]) for path in candidates
                 ),
@@ -670,22 +662,20 @@ class BDSRouter:
           transfers — hands it its whole segment; only the others run
           the (inherently sequential) deal in Python.
         """
-        bounds = grouping.bounds
-        dst_servers = grouping.dst_servers
-        records = grouping.records
-        stagger: Dict[str, int] = {}
-        # Per group with a flowing source: (group, output segment, flowing
-        # sources, their rates). Per rotated range: its length and the
-        # offset from output position to row.
-        groups: List[tuple] = []
-        lengths: List[int] = []
-        offsets: List[int] = []
+        bounds, records, jobs = grouping.bounds, grouping.records, grouping.jobs
+        stagger: Dict[int, int] = {}
+        # Per rotated range: its length, the offset from output position to
+        # row, and twice its group's ordinal. Per directive: (job, source
+        # id, destination id, cap, end row); a group dealt across several
+        # sources holds one place, filled in once the column is gathered.
+        lengths, offsets, marks, emitted = [], [], [], []
+        dealt: List[Tuple[int, int]] = []  # (place in ``emitted``, first row)
         at = 0
         for g, row in zip(members, rates):
-            flowing = []
-            flows = []
+            record = records[g]
+            flowing, flows = [], []
             # The picks' -1 padding trails them: ``row`` has one rate per pick.
-            for src, rate in zip(records[g][2:], row):
+            for src, rate in zip(record[2:], row):
                 if rate > 1e-9:
                     flowing.append(src)
                     flows.append(rate)
@@ -693,50 +683,44 @@ class BDSRouter:
                 continue
             lo = bounds[g]
             size = bounds[g + 1] - lo
-            dst_server = dst_servers[g]
-            crc = stagger.get(dst_server)
+            dst = record[1]
+            crc = stagger.get(dst)
             if crc is None:
-                crc = stagger[dst_server] = zlib.crc32(dst_server.encode())
+                crc = stagger[dst] = zlib.crc32(grouping.names[dst].encode())
             shift = crc % size
             lengths += (size - shift, shift)
             offsets += (lo + shift - at, lo + shift - at - size)
-            groups.append((g, at, at + size, flowing, flows))
+            marks += (2 * len(emitted),) * 2
+            if len(flowing) > 1:
+                dealt.append((len(emitted), at))
+            else:  # the spare-rate formula below collapses to the rate itself
+                flowing, flows = flowing[0], flows[0]
             at += size
-        if not groups:
+            emitted.append((jobs[record[0]].job_id, flowing, dst, flows, at))
+        if not emitted:
             empty = np.empty(0, dtype=np.int64)
             return DirectiveBatch(empty, [0], [], [], [], [], grouping.names)
-        take = np.arange(at) + np.array(offsets).repeat(lengths)
+        spread = np.repeat([offsets, marks], lengths, axis=1)
+        take = np.arange(at) + spread[0]
         if grouping.buffered is not None:
             # Sorted on (2 x group ordinal, not half-received).
-            segment = (np.arange(len(lengths)) & -2).repeat(lengths)
             take = take[
-                (segment + (grouping.buffered[take] <= 0)).argsort(kind="stable")
+                (spread[1] + (grouping.buffered[take] <= 0)).argsort(kind="stable")
             ]
         column = grouping.indices[take]
-        listed = None  # ``column`` as ints, once some group is dealt
 
-        # Per directive: (job, source id, destination id, cap, end row).
-        emitted: List[Tuple[str, int, int, float, int]] = []
-        for g, lo, hi, flowing, flows in groups:
-            job_id = grouping.keys[g][0]
-            dst = records[g][1]
-            if len(flowing) == 1:
-                # The spare-rate formula below collapses to the rate
-                # itself: spare is exactly 0.0.
-                emitted.append((job_id, flowing[0], dst, flows[0], hi))
-                continue
+        # Later places first, so that the earlier ones stay put.
+        for place, lo in reversed(dealt):
+            job_id, flowing, dst, flows, hi = emitted[place]
             # Deal blocks to sources by descending byte deficit (ties to
             # the earlier source). The dealt order is written over the
             # segment.
-            if listed is None:
-                listed = column.tolist()
-            order = listed[lo:hi]
             sizes = grouping.sizes[take[lo:hi]].tolist()
             total_rate = math.fsum(flows)
             total_bytes = math.fsum(sizes)
             budgets = [rate / total_rate * total_bytes for rate in flows]
             parts: List[List[int]] = [[] for _ in flows]
-            for i, size in zip(order, sizes):
+            for i, size in zip(column[lo:hi].tolist(), sizes):
                 to = budgets.index(max(budgets))
                 parts[to].append(i)
                 budgets[to] -= size
@@ -748,11 +732,13 @@ class BDSRouter:
             # reshuffled rate cannot oversubscribe any link.
             used_rate = math.fsum([rate for rate, part in zip(flows, parts) if part])
             spare = total_rate - used_rate
+            shares = []
             for src, rate, part in zip(flowing, flows, parts):
                 if part:
                     share = rate + (spare * rate / used_rate if used_rate > 0 else 0.0)
                     lo += len(part)
-                    emitted.append((job_id, src, dst, share, lo))
+                    shares.append((job_id, src, dst, share, lo))
+            emitted[place : place + 1] = shares
         job_ids, srcs, dsts, caps, ends = zip(*emitted)
         return DirectiveBatch(
             column, [0, *ends], list(job_ids), list(srcs), list(dsts), list(caps),

@@ -155,6 +155,20 @@ class CycleCache:
         self.hits += len(out)
         return out
 
+    def paths_to(self, dst: int, srcs: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
+        """:meth:`rows` of the ``(src, dst)`` pairs of one destination, for
+        the ids of ``srcs`` up to the first negative one (padding)."""
+        dc_of, routes = self._dc_of, self._routes
+        width, to, down = len(self._linked), dc_of[dst], len(dc_of) + dst
+        out = []
+        for s in srcs:
+            if s < 0:
+                break
+            route = routes[dc_of[s] * width + to]
+            out.append(() if route is None or s == dst else (s, *route, down))
+        self.hits += len(out)
+        return tuple(out)
+
     def reachable(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Whether each ``(src, dst)`` server-id pair (broadcast) has a
         path — a route between their DCs, and two servers, not one:

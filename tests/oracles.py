@@ -438,11 +438,12 @@ def grouping_commodities(view, grouping) -> Tuple[List[Commodity], List[int]]:
     dt = view.cycle_seconds
     sizes, buffered, bounds = grouping.sizes, grouping.buffered, grouping.bounds
     operands = (sizes if buffered is None else sizes - buffered).tolist()
-    for g, key in enumerate(grouping.keys):
+    for g, record in enumerate(grouping.records):
         remaining = math.fsum(operands[bounds[g] : bounds[g + 1]])
         if remaining <= 0:
             continue
-        dst_server = grouping.dst_servers[g]
+        key = grouping.key(g)
+        dst_server = grouping.names[record[1]]
         paths = tuple(
             tuple(view.flow_resources(src, dst_server) or ()) for src in key[2]
         )
@@ -563,7 +564,7 @@ def grouping_directives(
     buffered = grouping.buffered
     half_received = None if buffered is None else (buffered > 0).tolist()
     bounds = grouping.bounds
-    dst_servers = grouping.dst_servers
+    dst_servers = [grouping.names[record[1]] for record in grouping.records]
     emitted: List[tuple] = []
     sent: List[int] = []
     for commodity, g in zip(commodities, members):

@@ -150,7 +150,7 @@ def _assert_router_matches_oracle(sim, max_sources, merge, cap=0):
         grouping = router._group_columns(view, selections)
         members, demands, paths = router._build_commodities(view, grouping)
         # Names, paths, demands: exact.
-        assert [grouping.keys[g] for g in members] == [
+        assert [grouping.key(g) for g in members] == [
             c.name for c in want_commodities
         ]
         assert demands == [c.demand for c in want_commodities]
@@ -327,9 +327,10 @@ def test_deal_equals_oracle_with_ties_and_mixed_sizes(
     have_col = np.array([partial.get(((job.job_id, b.index), dst), 0.0) for b in job.blocks])
     names = _SERVERS
     grouping = _Grouping(
-        keys=[key], dst_servers=[dst], bounds=[0, len(job.blocks)],
+        bounds=[0, len(job.blocks)],
         records=[[0, names.index(dst), *map(names.index, sources)]],
-        names=names, indices=np.arange(len(job.blocks)), sizes=job.block_sizes(),
+        jobs=[job], names=names, rows=None,
+        indices=np.arange(len(job.blocks)), sizes=job.block_sizes(),
         buffered=have_col if have_col.any() else None,
     )
     got = BDSRouter._to_directives(grouping, [0], [rates])
@@ -348,7 +349,7 @@ def _emit_against_oracle(groups):
     from repro.core.routing import _Grouping
     from repro.lp.mcf import Commodity
 
-    keys, dsts, bounds, index, sizes, have = [], [], [0], [], [], []
+    jobs, keys, dsts, bounds, index, sizes, have = [], [], [], [0], [], [], []
     partial, commodities, group_blocks, members, member_rates, rates = (
         {}, [], {}, [], [], {}
     )
@@ -363,6 +364,7 @@ def _emit_against_oracle(groups):
             have.append(4096.5 if buffered else 0.0)
             if buffered:
                 partial[(job.blocks[i].block_id, dst)] = 4096.5
+        jobs.append(job)
         keys.append(key)
         dsts.append(dst)
         index += rows
@@ -379,12 +381,12 @@ def _emit_against_oracle(groups):
             rates.update({(key, i): r for i, r in enumerate(row_rates)})
     names = _SERVERS
     grouping = _Grouping(
-        keys=keys, dst_servers=dsts, bounds=bounds,
+        bounds=bounds,
         records=[
             [g, names.index(dst), *map(names.index, key[2])]
             for g, (key, dst) in enumerate(zip(keys, dsts))
         ],
-        names=names,
+        jobs=jobs, names=names, rows=None,
         indices=np.array(index, dtype=np.int64), sizes=np.array(sizes),
         buffered=np.array(have) if any(have) else None,
     )

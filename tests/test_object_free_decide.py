@@ -177,7 +177,7 @@ def _assert_middle_equals_oracle(view, router, selections, fail_links=()):
         for candidates in paths
     ] == [c.paths for c in commodities]
     # Float for float.
-    assert _rate_items([grouping.keys[g] for g in members], rates) == want_rates
+    assert _rate_items([grouping.key(g) for g in members], rates) == want_rates
     assert directives == want
     assert [d.rate_cap for d in directives] == [d.rate_cap for d in want]
     assert [d.block_ids for d in directives] == [d.block_ids for d in want]

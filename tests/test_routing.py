@@ -131,8 +131,9 @@ class TestRoutingBehavior:
         selections = RarestFirstScheduler().select(view)
         router = BDSRouter(max_sources_per_group=2)
         grouping = router._group_columns(view, selections)
-        assert grouping.keys
-        for (_job, _dst, sources) in grouping.keys:
+        assert grouping.records
+        for g in range(len(grouping.records)):
+            _job, _dst, sources = grouping.key(g)
             assert 1 <= len(sources) <= 2
 
     def test_a_list_of_selections_is_refused(self):
