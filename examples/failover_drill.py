@@ -75,7 +75,6 @@ def main() -> None:
         strategy=controller,
         config=SimConfig(cycle_seconds=3.0, max_cycles=200),
         failures=schedule,
-        seed=1,
     ).run()
 
     print("cycle | blocks delivered | phase")

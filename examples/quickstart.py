@@ -46,7 +46,6 @@ def main() -> None:
         jobs=[job],
         strategy=controller,
         config=SimConfig(cycle_seconds=3.0),
-        seed=42,
     )
     result = simulation.run()
 

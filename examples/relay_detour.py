@@ -42,9 +42,7 @@ def run(with_relay: bool) -> float:
     )
     job.bind(topo)
     controller = BDSController(config=BDSConfig(use_relays=with_relay), seed=3)
-    result = Simulation(
-        topo, [job], controller, SimConfig(max_cycles=5000), seed=3
-    ).run()
+    result = Simulation(topo, [job], controller, SimConfig(max_cycles=5000)).run()
     return result.completion_time("dataset")
 
 

@@ -62,7 +62,6 @@ def run(strategy_name: str, seed: int = 7):
         strategy=strategy,
         config=SimConfig(cycle_seconds=3.0, record_link_stats=True),
         background=background,
-        seed=seed,
     )
     result = simulation.run()
 

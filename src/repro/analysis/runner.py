@@ -200,7 +200,6 @@ class Scenario:
             if self.background is None
             else BackgroundTraffic(**self.background),
             failures=FailureSchedule(self.failures) if self.failures else None,
-            seed=self.seed,
         )
 
     def run(self) -> SimResult:

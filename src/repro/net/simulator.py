@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import time as _time
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import (
@@ -56,7 +57,7 @@ from repro.net.view import ClusterView, PartialBytes
 from repro.overlay.blocks import Block
 from repro.overlay.job import MulticastJob
 from repro.overlay.store import PossessionIndex
-from repro.utils.rng import SeedLike, make_rng
+from repro.utils.rng import SeedLike
 from repro.utils.validation import check_count, check_fraction, check_positive
 
 if TYPE_CHECKING:
@@ -225,8 +226,36 @@ class FlowColumns:
         )
 
 
+@dataclass(slots=True)
+class RunState:
+    """What a run evolves, and nothing else.
+
+    ``store`` holds possession and the delivery log, ``partial`` the
+    bytes buffered at destinations. ``dc_missing`` (per job and
+    destination DC) and ``server_missing`` (per job and assigned server)
+    count missing blocks down on what the store answers per delivery; at
+    zero, the completion dicts book the time. ``prev_pairs`` are the last
+    executed cycle's (src, dst) pair ints (they skip the TCP set-up), and
+    ``arrival_ptr`` counts the arrived prefix of the arrival order.
+    """
+
+    store: PossessionIndex
+    partial: PartialBytes
+    dc_missing: Dict[Tuple[str, str], int]
+    server_missing: Dict[Tuple[str, str], int]
+    job_completion: Dict[str, float]
+    dc_completion: Dict[Tuple[str, str], float]
+    server_completion: Dict[Tuple[str, str], float]
+    prev_pairs: Set[int]
+    arrival_ptr: int
+
+
 class Simulation:
-    """Owns the cycle loop, resource accounting, and metric collection."""
+    """Owns the cycle loop, resource accounting, and metric collection.
+
+    It holds configuration, the run's :class:`RunState` ``state``, and
+    derived data, which :meth:`_reset_derived` alone starts cold.
+    """
 
     def __init__(
         self,
@@ -264,7 +293,7 @@ class Simulation:
         self.failures = failures
         self.replica_set = replica_set
         self.agent_monitor = agent_monitor
-        self.rng = make_rng(seed)
+        # ``seed`` is unused, kept for callers that pass it (the frozen perf ledger).
         self._agents: List = []
         if agent_monitor is not None:
             from repro.overlay.agent import ServerAgent
@@ -290,8 +319,8 @@ class Simulation:
                 raise ValueError(f"duplicate job id {job.job_id!r}")
             self._jobs_by_id[job.job_id] = job
         server_dc = {s.server_id: s.dc for s in topology.servers.values()}
-        self.store = PossessionIndex(server_dc)
-        matrix = self.store.matrix
+        store = PossessionIndex(server_dc)
+        matrix = store.matrix
         for job in self.jobs:
             if not job.is_bound():
                 job.bind(topology)
@@ -303,21 +332,13 @@ class Simulation:
                 )
         if pre_seeded:
             for server, blocks in pre_seeded.items():
-                self.store.seed(server, blocks)
+                store.seed(server, blocks)
 
-        self._partial = PartialBytes(self.store.matrix)
-        # Completion bookkeeping: (job, dc) -> how many of the job's
-        # blocks their assigned servers in that DC still miss, and
-        # (job, server) -> how many of its shard's blocks that server
-        # still misses. Both count down on what the store answers per
-        # delivery (a new copy or a duplicate); neither names a block.
-        # run() fills the completion times per job, (job, dc) and (job,
-        # server); the ones pre-seeded copies completed are booked at 0 here.
-        self._dc_missing: Dict[Tuple[str, str], int] = {}
-        self._server_missing: Dict[Tuple[str, str], int] = {}
-        self._job_completion: Dict[str, float] = {}
-        self._dc_completion: Dict[Tuple[str, str], float] = {}
-        self._server_completion: Dict[Tuple[str, str], float] = {}
+        # Completion bookkeeping; the completions pre-seeded copies made
+        # are booked at 0.
+        state = self.state = RunState(
+            store, PartialBytes(matrix), {}, {}, {}, {}, {}, set(), 0
+        )
         for job in self.jobs:
             job_id = job.job_id
             gids = matrix.spans[job_id][0] + np.arange(job.num_blocks)
@@ -331,54 +352,26 @@ class Simulation:
                 counts = np.bincount(slots[~held], minlength=len(servers))
                 for server, missing in zip(servers, counts.tolist()):
                     if missing:
-                        self._server_missing[(job_id, server)] = missing
+                        state.server_missing[(job_id, server)] = missing
                     else:
-                        self._server_completion[(job_id, server)] = 0.0
+                        state.server_completion[(job_id, server)] = 0.0
                 missing = len(gids) - int(held.sum())
-                self._dc_missing[(job_id, dc)] = missing
+                state.dc_missing[(job_id, dc)] = missing
                 if not missing:
-                    self._dc_completion[(job_id, dc)] = 0.0
-            if all((job_id, dc) in self._dc_completion for dc in job.dst_dcs):
-                self._job_completion[job_id] = 0.0
-        # The (src, dst) pairs with a flow in the last executed cycle
-        # (they skip the TCP re-establishment cost). One run consumes the
-        # bookkeeping above, so there is only one.
-        self._prev_pairs: Set[int] = set()
+                    state.dc_completion[(job_id, dc)] = 0.0
+            if all((job_id, dc) in state.dc_completion for dc in job.dst_dcs):
+                state.job_completion[job_id] = 0.0
         self._ran = False
-
-        # Static candidate arrays for the scheduling kernel and the
-        # view's pending accessors: every (block, destination/relay DC)
-        # pair of every job, as parallel int arrays. Built once, after
-        # seeding (so pre-seeded copies compact out on the first cycle's
-        # gather). Skipped when the strategy decides against
-        # partition-scoped tables (a sharded BDSController, whose
-        # shard_signature is true): its shards build their own over this
-        # store's matrix, O(pairs/shards) each, and a global O(pairs)
-        # build would be dead weight.
-        self._cand_table = None
-        if not getattr(strategy, "shard_signature", False):
-            self._cand_table = CandidateTable(self.jobs, self.store.matrix)
-
-        # Flat per-block columns for directive validation and demand sums
-        # (see _BlockColumns); built on first use, not at construction.
-        self._cols: Optional[_BlockColumns] = None
-
-        # The persistent per-cycle query cache and the memoized capacity
-        # maps (see _bulk_capacities).
-        self._cycle_cache = CycleCache()
-        self._wan_keys: Tuple[ResourceKey, ...] = tuple(topology.links)
-        self._bulk_cache: Dict[float, list] = {}
-        self._caps_ref: Optional[Dict[ResourceKey, float]] = None
 
         # Integer arrival grid (idle-skip bound + O(changes) job
         # filtering): per-job first active cycle, exact on the c*dt float
         # grid so "arrived by cycle c" is the arrival_time <= c*dt
-        # predicate bit-for-bit, plus a stable arrival-sorted index. Jobs
-        # requesting a coarser per-job cadence (MulticastJob.cycle_seconds,
-        # a positive multiple of ΔT) have their arrival quantized up to
-        # their own cadence boundary.
+        # predicate bit-for-bit, as a stable arrival-sorted index and the
+        # cycles in that order. Jobs requesting a coarser per-job cadence
+        # (MulticastJob.cycle_seconds, a positive multiple of ΔT) have
+        # their arrival quantized up to their own cadence boundary.
         dt = self.config.cycle_seconds
-        self._arrival_cycle_by_idx: List[int] = []
+        arrivals: List[int] = []
         for job in self.jobs:
             arrival = first_cycle_at_or_after(job.arrival_time, dt)
             period = getattr(job, "cycle_seconds", None)
@@ -392,21 +385,28 @@ class Simulation:
                     )
                 if multiple > 1 and arrival % multiple:
                     arrival = (arrival // multiple + 1) * multiple
-            self._arrival_cycle_by_idx.append(arrival)
-        self._arrival_order: List[int] = sorted(
-            range(len(self.jobs)),
-            key=self._arrival_cycle_by_idx.__getitem__,
-        )
-        # run()'s active-job maintenance (see _active_jobs): arrival
-        # cycles in arrival order, a pointer past the jobs that have
-        # arrived, the indices of those not complete at the last rebuild,
-        # and the (jobs-ordered) active list with the completed-job count
-        # it was built at.
-        self._arrival_cycles: List[int] = [
-            self._arrival_cycle_by_idx[i] for i in self._arrival_order
-        ]
-        self._arrival_ptr = 0
-        self._arrived: List[int] = []
+            arrivals.append(arrival)
+        self._arrival_order = sorted(range(len(self.jobs)), key=arrivals.__getitem__)
+        self._arrival_cycles = [arrivals[i] for i in self._arrival_order]
+        self._reset_derived()
+
+    def _reset_derived(self) -> None:
+        """Start the derived data cold, from the configuration and
+        ``state``: the only place it is built. The candidate table (every
+        (block, destination/relay DC) pair) is built now, unless a
+        sharded strategy (``shard_signature``) builds its own per shard;
+        the block columns on first use; the cycle cache, the capacity
+        maps and the active list as the run asks.
+        """
+        self._cand_table = None
+        if not getattr(self.strategy, "shard_signature", False):
+            self._cand_table = CandidateTable(self.jobs, self.state.store.matrix)
+        self._cols: Optional[_BlockColumns] = None
+        self._cycle_cache = CycleCache()
+        self._wan_keys: Tuple[ResourceKey, ...] = tuple(self.topology.links)
+        self._bulk_cache: Dict[float, list] = {}
+        self._caps_ref: Optional[Dict[ResourceKey, float]] = None
+        self._arrived: List[int] = self._arrival_order[: self.state.arrival_ptr]
         self._active: List[MulticastJob] = []
         self._active_built_at = -1
 
@@ -471,7 +471,7 @@ class Simulation:
 
     def _block_columns(self) -> _BlockColumns:
         if self._cols is None:
-            self._cols = _BlockColumns(self.jobs, self.store)
+            self._cols = _BlockColumns(self.jobs, self.state.store)
         return self._cols
 
     def _valid_directives(
@@ -490,7 +490,7 @@ class Simulation:
         inside a directive are not deduped. Returns the surviving
         directives with their row columns.
         """
-        matrix = self.store.matrix
+        matrix = self.state.store.matrix
         batch = DirectiveBatch.pack(directives, matrix)
         if not batch:
             empty = np.empty(0, dtype=np.int64)
@@ -535,7 +535,7 @@ class Simulation:
             src = src[useful]
             dst = dst[useful]
         return batch, FlowColumns(
-            flat, src, dst, self._partial.key(flat, dst), batch.bounds,
+            flat, src, dst, self.state.partial.key(flat, dst), batch.bounds,
             cols.sizes[flat],
         )
 
@@ -546,7 +546,7 @@ class Simulation:
         directive's are then folded with ``math.fsum``. The operands
         stay on ``columns`` as ``need``, for the progress walk.
         """
-        buffered = columns.buffered = self._partial.gather(columns.keys)
+        buffered = columns.buffered = self.state.partial.gather(columns.keys)
         sizes = columns.sizes
         need = columns.need = (sizes if buffered is None else sizes - buffered).tolist()
         bounds = columns.bounds
@@ -567,7 +567,7 @@ class Simulation:
         dt = self.config.cycle_seconds
         return ClusterView(
             topology=self.topology,
-            store=self.store,
+            store=self.state.store,
             jobs=jobs,
             cycle=cycle,
             time=cycle * dt,
@@ -575,7 +575,7 @@ class Simulation:
             bulk_capacities=bulk_caps,
             failed_agents=failed,
             controller_available=controller_ok,
-            partial_bytes=self._partial,
+            partial_bytes=self.state.partial,
             failed_links=failed_links,
             cache=self._cycle_cache,
             candidates=self._cand_table,
@@ -590,13 +590,10 @@ class Simulation:
         respects = getattr(self.strategy, "respects_safety_threshold", False)
         bulk_caps, _online = self._bulk_capacities(cycle * self.config.cycle_seconds, respects)
         failures = self.failures
+        arrived = self._arrival_order[: bisect_right(self._arrival_cycles, cycle)]
         return self._view(
             cycle,
-            [
-                j
-                for i, j in enumerate(self.jobs)
-                if self._arrival_cycle_by_idx[i] <= cycle
-            ],
+            [self.jobs[i] for i in sorted(arrived)],
             bulk_caps,
             set(failures.failed_agents) if failures else set(),
             frozenset(failures.failed_links) if failures else frozenset(),
@@ -635,6 +632,7 @@ class Simulation:
             and self.replica_set is None
             and not cfg.record_link_stats
         )
+        state = self.state
         cycle_stats = CycleStatsLog(cycle_seconds=dt)
         feedback_samples: List = []
         num_jobs = len(self.jobs)
@@ -694,7 +692,7 @@ class Simulation:
             cycle_stats.append(stats)
             if hook is not None:
                 hook(view, len(done))
-            if cfg.stop_when_complete and len(self._job_completion) == num_jobs:
+            if cfg.stop_when_complete and len(state.job_completion) == num_jobs:
                 cycle += 1
                 break
             if can_skip and not active_jobs and not directives:
@@ -707,12 +705,12 @@ class Simulation:
             cycles_run=cycle,
             sim_time=cycle * dt,
             wall_time=_time.perf_counter() - started,
-            job_completion=self._job_completion,
-            dc_completion=self._dc_completion,
-            server_completion=self._server_completion,
+            job_completion=state.job_completion,
+            dc_completion=state.dc_completion,
+            server_completion=state.server_completion,
             cycle_stats=cycle_stats,
-            store=self.store,
-            all_complete=len(self._job_completion) == num_jobs,
+            store=state.store,
+            all_complete=len(state.job_completion) == num_jobs,
             feedback_samples=feedback_samples,
             cycles_fast_forwarded=cycles_skipped,
         )
@@ -759,13 +757,14 @@ class Simulation:
         O(arrived).
         """
         cycles = self._arrival_cycles
-        ptr = self._arrival_ptr
+        state = self.state
+        ptr = state.arrival_ptr
         while ptr < len(cycles) and cycles[ptr] <= cycle:
             self._arrived.append(self._arrival_order[ptr])
             ptr += 1
-        done = self._job_completion
-        if ptr != self._arrival_ptr or len(done) != self._active_built_at:
-            self._arrival_ptr = ptr
+        done = state.job_completion
+        if ptr != state.arrival_ptr or len(done) != self._active_built_at:
+            state.arrival_ptr = ptr
             jobs = self.jobs
             self._arrived = [
                 i for i in sorted(self._arrived) if jobs[i].job_id not in done
@@ -854,10 +853,10 @@ class Simulation:
         dt = cfg.cycle_seconds
         now = cycle * dt
         cycle_end = (cycle + 1) * dt
-        partial = self._partial
-        prev_pairs = self._prev_pairs
+        partial = self.state.partial
+        prev_pairs = self.state.prev_pairs
         current_pairs: Set[int] = set()
-        num_servers = self.store.matrix.num_servers
+        num_servers = self.state.store.matrix.num_servers
         done: List[int] = []
         finish: List[float] = []
         stops: List[int] = []
@@ -920,7 +919,7 @@ class Simulation:
             partial.update(moved)
             for key in [key for key, have in moved.items() if not have]:
                 del partial[key]
-        self._prev_pairs = current_pairs
+        self.state.prev_pairs = current_pairs
         return transferred, done, finish
 
     def _apply_deliveries(
@@ -942,13 +941,14 @@ class Simulation:
         is counted in calls and the per-key work is on Python ints.
         """
         cols = self._block_columns()
-        matrix = self.store.matrix
+        state = self.state
+        matrix = state.store.matrix
         rows = np.array(rows, dtype=np.int64)
         flat = columns.flat[rows]
         dst = columns.dst[rows]
         when = np.array(finish)
         job = cols.starts.searchsorted(flat, side="right") - 1
-        fresh = self.store.record_deliveries(
+        fresh = state.store.record_deliveries(
             dst, flat, columns.src[rows], when, cols.origin[job]
         )
         if not fresh.all():
@@ -964,8 +964,8 @@ class Simulation:
         keys = (job * num_servers + dst).tolist()
         when = when.tolist()
         last = {key: at for at, key in enumerate(keys)}
-        names, dc_of, jobs = matrix.server_names, self.store.dc_of, self.jobs
-        server_missing, dc_missing = self._server_missing, self._dc_missing
+        names, dc_of, jobs = matrix.server_names, state.store.dc_of, self.jobs
+        server_missing, dc_missing = state.server_missing, state.dc_missing
         booked: List[Tuple[int, bool, Tuple[str, str]]] = []
         per_dc: Dict[Tuple[str, str], List[int]] = {}
         for key, count in Counter(keys).items():
@@ -983,16 +983,16 @@ class Simulation:
             dc_missing[dkey] = left
             if not left:
                 booked.append((at, True, dkey))
-        dc_completion = self._dc_completion
+        dc_completion = state.dc_completion
         for at, is_dc, key in sorted(booked):
             if not is_dc:
-                self._server_completion[key] = when[at]
+                state.server_completion[key] = when[at]
                 continue
             dc_completion[key] = when[at]
             job_id = key[0]
             dst_dcs = self._jobs_by_id[job_id].dst_dcs
             if all((job_id, dc) in dc_completion for dc in dst_dcs):
-                self._job_completion[job_id] = max(
+                state.job_completion[job_id] = max(
                     dc_completion[(job_id, dc)] for dc in dst_dcs
                 )
 
@@ -1061,8 +1061,9 @@ class Simulation:
         advances past it so later queries agree.
         """
         last = self.config.max_cycles - 1
-        if self._arrival_ptr < len(self._arrival_cycles):
-            last = min(last, self._arrival_cycles[self._arrival_ptr] - 1)
+        ptr = self.state.arrival_ptr
+        if ptr < len(self._arrival_cycles):
+            last = min(last, self._arrival_cycles[ptr] - 1)
         if self.failures is not None:
             change = self.failures.next_change_after(cycle)
             if change is not None:

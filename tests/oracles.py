@@ -179,7 +179,7 @@ def shard_map(job, table, dc) -> Dict[str, List[Block]]:
 
 
 def missing_counts(jobs, tables, store):
-    """``Simulation``'s ``(_dc_missing, _server_missing)``: one table
+    """``RunState``'s ``(dc_missing, server_missing)``: one table
     lookup and one ``store.has`` per (block, destination DC)."""
     dc_missing: Dict[Tuple[str, str], int] = {}
     server_missing: Dict[Tuple[str, str], int] = {}
@@ -1277,13 +1277,14 @@ def apply_deliveries(sim, events) -> None:
     copy on its block's assigned server in a destination DC, counts down
     and books in place.
     """
-    dc_missing, server_missing = sim._dc_missing, sim._server_missing
-    dc_completion = sim._dc_completion
+    state = sim.state
+    dc_missing, server_missing = state.dc_missing, state.server_missing
+    dc_completion = state.dc_completion
     for job_id, block, src, dst, when in events:
         job = sim._jobs_by_id[job_id]
-        if sim.store.record_delivery(block, src, dst, when, job.src_dc) is None:
+        if state.store.record_delivery(block, src, dst, when, job.src_dc) is None:
             continue  # the destination already held the block
-        dst_dc = sim.store.dc_of(dst)
+        dst_dc = state.store.dc_of(dst)
         dkey = (job_id, dst_dc)
         if dkey not in dc_missing:
             continue  # delivery to a relay DC: not completion-tracked
@@ -1292,12 +1293,12 @@ def apply_deliveries(sim, events) -> None:
         skey = (job_id, dst)
         server_missing[skey] -= 1
         if server_missing[skey] == 0:
-            sim._server_completion[skey] = when
+            state.server_completion[skey] = when
         dc_missing[dkey] -= 1
         if dc_missing[dkey] == 0:
             dc_completion[dkey] = when
             if all((job_id, dc) in dc_completion for dc in job.dst_dcs):
-                sim._job_completion[job_id] = max(
+                state.job_completion[job_id] = max(
                     dc_completion[(job_id, dc)] for dc in job.dst_dcs
                 )
 

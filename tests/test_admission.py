@@ -59,7 +59,7 @@ def test_admission_costs_the_same_calls_at_1e3_and_1e5_blocks(strategy):
 
 
 def test_the_matrix_holds_no_per_block_container():
-    matrix = _admit(100_000, "bds").store.matrix
+    matrix = _admit(100_000, "bds").state.store.matrix
     assert matrix.num_blocks == 100_000 and matrix.spans == {"j": (0, 100_000)}
     for name in type(matrix).__slots__:
         value = getattr(matrix, name)
@@ -73,7 +73,7 @@ def test_block_columns_refuse_rows_that_are_not_the_jobs_blocks():
     rather than read as the wrong rows."""
     sim = _admit(10, "bds")
     (job,) = sim.jobs
-    assert _BlockColumns(sim.jobs, sim.store).starts.tolist() == [0]
+    assert _BlockColumns(sim.jobs, sim.state.store).starts.tolist() == [0]
     store = PossessionIndex({s.server_id: s.dc for s in sim.topology.servers.values()})
     store.matrix.intern_job("other", 3)
     store.matrix.intern_job(job.job_id, job.num_blocks)

@@ -72,6 +72,7 @@ def _twins(seed: int):
 def _batch(sim: Simulation, rng: random.Random):
     """One cycle's validated directives and the rows that completed."""
     servers = sorted(sim.topology.servers)
+    store = sim.state.store
     directives = []
     for _ in range(rng.randint(3, 20)):
         job = rng.choice(sim.jobs)
@@ -83,11 +84,11 @@ def _batch(sim: Simulation, rng: random.Random):
             )
             indices = [
                 i for i in range(job.num_blocks)
-                if job.assigned_server(sim.store.dc_of(dst), job.blocks[i].block_id)
+                if job.assigned_server(store.dc_of(dst), job.blocks[i].block_id)
                 == dst and rng.random() < 0.7
             ] or indices[:1]
             rng.shuffle(indices)
-        holders = sorted(sim.store.holders(job.blocks[indices[0]].block_id) - {dst})
+        holders = sorted(store.holders(job.blocks[indices[0]].block_id) - {dst})
         if not holders:
             continue
         directives.append(
@@ -105,7 +106,7 @@ def _batch(sim: Simulation, rng: random.Random):
 def _events(sim: Simulation, columns, rows, finish):
     """The batch as the oracle's ``(job_id, block, src, dst, when)`` events."""
     base = sim._block_columns().base
-    names = sim.store.matrix.server_names
+    names = sim.state.store.matrix.server_names
     events = []
     for row, when in zip(rows, finish):
         flat = int(columns.flat[row])
@@ -121,13 +122,14 @@ def _events(sim: Simulation, columns, rows, finish):
 
 
 def _state(sim: Simulation):
-    matrix = sim.store.matrix
+    state = sim.state
+    matrix = state.store.matrix
     return (
         matrix.holder_words.tobytes(), matrix.dup.tobytes(),
-        list(sim.store.deliveries),
-        list(sim._dc_missing.items()), list(sim._server_missing.items()),
-        list(sim._dc_completion.items()), list(sim._server_completion.items()),
-        list(sim._job_completion.items()),
+        list(state.store.deliveries),
+        list(state.dc_missing.items()), list(state.server_missing.items()),
+        list(state.dc_completion.items()), list(state.server_completion.items()),
+        list(state.job_completion.items()),
     )
 
 
@@ -158,10 +160,11 @@ def _agree(seed: int, apply=None, rounds: int = 8, seen=None) -> bool:
             flat, dst = columns.flat[rows].tolist(), columns.dst[rows].tolist()
             seen["repeats"] += len(rows) - len(set(zip(flat, dst)))
     if seen is not None:
-        seen["jobs done"] += len(sim._job_completion)
+        seen["jobs done"] += len(sim.state.job_completion)
+        store = sim.state.store
         seen["relay copies"] += sum(
-            sim.store.dc_of(r.dst_server) in sim._jobs_by_id[r.block_id[0]].relay_dcs
-            for r in sim.store.deliveries
+            store.dc_of(r.dst_server) in sim._jobs_by_id[r.block_id[0]].relay_dcs
+            for r in store.deliveries
         )
     return True
 
@@ -201,7 +204,7 @@ def _witness(apply=None) -> bool:
         set(),
     )
     agree = _land(sim, twin, columns, [0, 1, 2, 3], [1.0, 2.0, 1.5, 2.5])
-    return agree and sim._job_completion == {"j": 2.5}
+    return agree and sim.state.job_completion == {"j": 2.5}
 
 
 def test_an_unedited_recompile_agrees():

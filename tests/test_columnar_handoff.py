@@ -265,7 +265,7 @@ def test_router_equals_oracle_when_server_ids_interleave_dcs(merge):
         pre_seeded={"s05": job.blocks[::3], "s10": job.blocks[1::4]}, seed=0,
     )
     sim.run()
-    assert sim.store.matrix.dc_order.tolist() != list(range(12))
+    assert sim.state.store.matrix.dc_order.tolist() != list(range(12))
     for max_sources in (1, 2, 3):
         _assert_router_matches_oracle(sim, max_sources, merge)
 
@@ -684,7 +684,7 @@ def test_validation_and_demands_equal_scalar_oracle(seed, cycles):
 
     valid, columns = sim._valid_directives(directives, failed)
     want = oracles.valid_directives(
-        sim.store.has, sim.topology.servers, directives, failed
+        sim.state.store.has, sim.topology.servers, directives, failed
     )
     assert valid == want
     assert [d.block_ids for d in valid] == [d.block_ids for d in want]
@@ -731,7 +731,7 @@ def test_unknown_server_raises_like_the_scalar_loop(field):
         for run in (
             lambda: sim._valid_directives(directives, failed)[0],
             lambda: oracles.valid_directives(
-                sim.store.has, sim.topology.servers, directives, failed
+                sim.state.store.has, sim.topology.servers, directives, failed
             ),
         ):
             try:

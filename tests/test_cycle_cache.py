@@ -68,7 +68,7 @@ class TestSchedulerQueryDedupe:
         """Nor does the first: rarity and holders are matrix gathers."""
         sim = _sim()
         view = sim.snapshot_view()
-        counter = CountingStore(sim.store)
+        counter = CountingStore(sim.state.store)
         view.store = counter
 
         scheduler = RarestFirstScheduler()
@@ -82,7 +82,7 @@ class TestSchedulerQueryDedupe:
         reference: one query per pair, the view's cache or not."""
         sim = _sim()
         view = sim.snapshot_view()
-        counter = CountingStore(sim.store)
+        counter = CountingStore(sim.state.store)
         view.store = counter
 
         oracles.select_rarest_first(view, RarestFirstScheduler())
@@ -102,7 +102,7 @@ class TestViewCachedQueries:
         # An out-of-band possession change is read at once: the view
         # keeps no possession answer of its own.
         dst = job.assigned_server("dc1", block.block_id)
-        sim.store.seed(dst, [block])
+        sim.state.store.seed(dst, [block])
         assert len(view.store.holders(block.block_id)) == 2
         assert len(view.eligible_sources(block.block_id)) == 2
 

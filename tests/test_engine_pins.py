@@ -124,7 +124,7 @@ def observe_midrun(sim: Simulation, result: SimResult, view) -> Dict[str, object
     """:func:`observe`, the live state the run stopped in, and the
     selection and directives made from ``view`` (a view of that state)."""
     seen = observe(result)
-    seen["store_epoch"] = int(sim.store.matrix.dup.sum())  # copies placed
+    seen["store_epoch"] = int(sim.state.store.matrix.dup.sum())  # copies placed
     seen["partial_bytes"] = sorted(
         [*bid, server, have]
         for (bid, server), have in oracles.partial_map(view).items()
@@ -368,7 +368,7 @@ def test_a_run_stopped_midway_is_where_the_dict_store_left_it(seed, cycles):
     sim, result = _stopped(seed, cycles, {})
     nothing = np.empty(0, dtype=np.int64)
     overlay = SpeculatedView(sim.snapshot_view(cycles), nothing, nothing)
-    assert overlay.store.matrix is not sim.store.matrix
+    assert overlay.store.matrix is not sim.state.store.matrix
     assert isinstance(RarestFirstScheduler().select(overlay), SelectionBatch)
     seen = observe_midrun(sim, result, overlay)
     assert seen == {key: pin[key] for key in seen}

@@ -611,7 +611,7 @@ class TestPerJobCadence:
         # Arrives at t=4s; cadence 6s quantizes the first active cycle up
         # to the next multiple of 2 cycles (cycle 2, t=6s).
         sim = self._sim(self._job(6.0, arrival_time=4.0))
-        assert sim._arrival_cycle_by_idx == [2]
+        assert sim._arrival_cycles == [2]
         result = sim.run()
         assert result.all_complete
 

@@ -242,7 +242,7 @@ def test_striping_formula_equals_the_table(scenario):
     sim = Simulation(
         topo, jobs, BDSController(seed=0), seed=0, pre_seeded=pre_seeded
     )
-    server_ids = sim.store.matrix.server_ids
+    server_ids = sim.state.store.matrix.server_ids
     for job in jobs:
         groups = sim._cand_table.groups_by_job[job.job_id]
         assert [g.dc for g in groups] == list(job.dst_dcs + job.relay_dcs)
@@ -253,6 +253,6 @@ def test_striping_formula_equals_the_table(scenario):
             ]
             assert group.dst_sids.tolist() == want
             assert group.dst_sids.dtype == np.int64
-    dc_missing, server_missing = oracles.missing_counts(jobs, tables, sim.store)
-    assert sim._dc_missing == dc_missing
-    assert sim._server_missing == server_missing
+    dc_missing, server_missing = oracles.missing_counts(jobs, tables, sim.state.store)
+    assert sim.state.dc_missing == dc_missing
+    assert sim.state.server_missing == server_missing

@@ -245,7 +245,7 @@ def test_select_and_route_on_an_overlay_are_the_loops_over_the_proxy(
     seed, cycles, horizon, cap, max_sources, merge, line
 ):
     sim, view, sids, gids = speculating(seed, cycles, horizon, line=line)
-    before = frozen(sim.store)
+    before = frozen(sim.state.store)
     alive = {
         id(group): group.alive.copy()
         for groups in view.candidates.groups_by_job.values()
@@ -279,7 +279,7 @@ def test_select_and_route_on_an_overlay_are_the_loops_over_the_proxy(
     assert diagnostics.num_commodities == len(commodities)
 
     # Nothing real moved: not the store, not the candidate rows.
-    assert frozen(sim.store) == before
+    assert frozen(sim.state.store) == before
     for groups in view.candidates.groups_by_job.values():
         for group in groups:
             assert np.array_equal(group.alive, alive[id(group)])
@@ -295,10 +295,10 @@ def test_a_speculating_decide_leaves_the_store_byte_identical(shards):
     speculating_decides = []
 
     def spy(view):
-        before = frozen(sim.store)
+        before = frozen(sim.state.store)
         had = len(controller._previous_directives)
         directives = decide(view)
-        assert frozen(sim.store) == before
+        assert frozen(sim.state.store) == before
         speculating_decides.append(bool(had))
         return directives
 

@@ -88,7 +88,7 @@ def _midrun(seed: int, cycles: int, overhead: float, setup: float) -> Simulation
 def _window(sim: Simulation, d: TransferDirective) -> float:
     cfg = sim.config
     window = cfg.cycle_seconds - cfg.control_overhead_seconds
-    if (d.src_server, d.dst_server) not in sim._prev_pairs:
+    if (d.src_server, d.dst_server) not in sim.state.prev_pairs:
         window = max(0.0, window - cfg.flow_setup_seconds)
     return window
 
@@ -151,21 +151,21 @@ def _case(seed, cycles, overhead, setup, repeat, modes, plant):
 
 def _pair_names(sim, pairs):
     """The walk's ``src * num_servers + dst`` pair keys as name pairs."""
-    names = sim.store.matrix.server_names
+    names = sim.state.store.matrix.server_names
     return {(names[pair // len(names)], names[pair % len(names)]) for pair in pairs}
 
 
 def _assert_walk_is_the_loop(sim, view, valid, columns, rates, cycle):
-    matrix = sim.store.matrix
+    matrix = sim.state.store.matrix
     partial = oracles.partial_map(view)
-    prev = _pair_names(sim, sim._prev_pairs)
+    prev = _pair_names(sim, sim.state.prev_pairs)
     want = oracles.progress_flows(
         sim.config, cycle, valid, columns, rates,
         matrix.block_ids(np.arange(matrix.num_blocks)), partial, prev,
     )
     got = sim._progress_flows(cycle, valid, columns, rates)
     assert got == want[:3]
-    assert _pair_names(sim, sim._prev_pairs) == want[3]
+    assert _pair_names(sim, sim.state.prev_pairs) == want[3]
     assert oracles.partial_map(view) == partial
     return got
 
@@ -216,12 +216,13 @@ def test_a_budget_ending_on_a_block_boundary_stops_there():
 
 
 def test_partial_bytes_stay_inside_repro_net():
-    """Only ``repro.net`` touches ``._partial``; every other module reads
-    the store through ``ClusterView.partial_bytes``."""
+    """Only ``repro.net`` touches ``.partial`` (``RunState.partial``);
+    every other module reads the store through
+    ``ClusterView.partial_bytes``."""
     src = Path(__file__).resolve().parents[1] / "src" / "repro"
     for path in sorted(src.rglob("*.py")):
         if path.parent == src / "net":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            touched = isinstance(node, ast.Attribute) and node.attr == "_partial"
-            assert not touched, f"{path}:{node.lineno} touches ._partial"
+            touched = isinstance(node, ast.Attribute) and node.attr == "partial"
+            assert not touched, f"{path}:{node.lineno} touches .partial"

@@ -240,10 +240,10 @@ class TestShardLocalState:
         assert result.all_complete and any(speculating) and not speculating[0]
         for view in views:
             if isinstance(view, SpeculatedView):
-                assert view.store.matrix.spans is sim.store.matrix.spans
+                assert view.store.matrix.spans is sim.state.store.matrix.spans
                 assert view._candidates is None
             else:
-                assert view.store is sim.store
+                assert view.store is sim.state.store
         for stats in result.cycle_stats:
             assert stats.shard_count == 2
             assert stats.shard_state_bytes > 0
@@ -266,7 +266,7 @@ class TestShardLocalState:
 
         monkeypatch.setattr(shardexec, "schedule_and_route", spy)
         assert sim.run().all_complete
-        live = sim.store
+        live = sim.state.store
         overlays = 0
         for store, table_matrix in seen:
             assert table_matrix is live.matrix

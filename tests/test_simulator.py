@@ -260,8 +260,8 @@ class TestCompletionTracking:
                     send(2, "dc0-s0", "dc2-s0"),  # a relay copy
                 ]
             if view.cycle == 1:
-                assert sim._dc_missing == {("j", "dc1"): 3}
-                assert sim._server_missing == {
+                assert sim.state.dc_missing == {("j", "dc1"): 3}
+                assert sim.state.server_missing == {
                     ("j", "dc1-s0"): 1, ("j", "dc1-s1"): 2,
                 }
             return [
@@ -283,7 +283,7 @@ class TestCompletionTracking:
             ("j", "dc1-s0"), ("j", "dc1-s1"),
         ]
         assert 3.0 < result.job_completion["j"] <= 6.0
-        assert sim._dc_missing == {("j", "dc1"): 0}
+        assert sim.state.dc_missing == {("j", "dc1"): 0}
 
     @pytest.mark.parametrize("fast", [True, False])
     def test_finished_destinations_drop_their_order_hints(self, fast):
@@ -309,7 +309,7 @@ class TestCompletionTracking:
             topo, [job], make_strategy("bds", seed=0),
             SimConfig(stop_when_complete=False, max_cycles=200),
         )
-        assert sim._dc_missing == {("j", "dc1"): 400}  # relays are not tracked
+        assert sim.state.dc_missing == {("j", "dc1"): 400}  # relays are not tracked
         view = sim.snapshot_view()
         assert [
             b.index for b, _dc, _s in oracles.pending_deliveries(view, job)
@@ -319,15 +319,15 @@ class TestCompletionTracking:
             for b, dc, s in oracles.pending_relay_placements(view, job)
         ] == [(i, "dc2", f"dc2-s{i % 2}") for i in range(400)]
         batches = []
-        record = sim.store.record_deliveries
-        sim.store.record_deliveries = lambda *columns: (
+        record = sim.state.store.record_deliveries
+        sim.state.store.record_deliveries = lambda *columns: (
             batches.append(len(columns[0])), record(*columns)
         )[1]
         result = sim.run()
         assert result.all_complete
         assert batches == [n for n in result.blocks_per_cycle() if n]
         assert max(batches) > 32 if fast else max(batches) < 32
-        assert sim._dc_missing == {("j", "dc1"): 0}
+        assert sim.state.dc_missing == {("j", "dc1"): 0}
         view = sim.snapshot_view(200)
         assert oracles.pending_deliveries(view, job) == []
         assert oracles.pending_relay_placements(view, job) == []
@@ -434,7 +434,7 @@ class TestActiveJobs:
         seen = []
 
         def decide(view):
-            done = set(sim._job_completion)
+            done = set(sim.state.job_completion)
             want = [
                 job.job_id for job in jobs
                 if job.arrival_time <= view.time and job.job_id not in done
