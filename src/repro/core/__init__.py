@@ -14,12 +14,11 @@ from repro.core.routing import BDSRouter, RoutingDiagnostics
 from repro.core.controller import BDSController
 from repro.core.fault import ControllerReplicaSet
 from repro.core.formulation import StandardLPRouter
-from repro.core.speculation import DeliverySpeculator, SpeculatedView
+from repro.core.speculation import speculate
 from repro.core.diffs import DecisionDiff, DiffStats, diff_decisions, diff_stats_over_run
 
 __all__ = [
-    "DeliverySpeculator",
-    "SpeculatedView",
+    "speculate",
     "DecisionDiff",
     "DiffStats",
     "diff_decisions",

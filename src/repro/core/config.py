@@ -35,10 +35,7 @@ class BDSConfig:
     re-check physics.
 
     In the simulator (:mod:`repro.net.simulator`) the loop re-runs every
-    ΔT while any job is active (idle stretches are skipped), and jobs may
-    request a coarser per-job cadence via
-    :attr:`repro.overlay.job.MulticastJob.cycle_seconds` (a multiple of
-    ΔT).
+    ΔT while any job is active (idle stretches are skipped).
     """
 
     routing_backend: str = "greedy"

@@ -6,6 +6,16 @@ transfer directives for the agents. When the controller is unreachable
 (all replicas down or the DC partitioned away), agents *fall back to the
 decentralized overlay protocol* — Gingko — ensuring graceful degradation
 (§5.3); performance recovers the cycle the controller returns (Fig. 12a).
+Every view the controller decides on besides the simulator's is that
+view's :meth:`~repro.net.view.ClusterView.replace`: the partition clone
+(§5.3) and, on a speculating cycle (§5.1), the view with the previous
+directives' expected deliveries landed
+(:func:`~repro.core.speculation.speculate`). Each decide is logged as
+one :class:`~repro.core.decisions.ControlDecision`, the record
+:func:`~repro.core.shardexec.schedule_and_route` returns (folded across
+shards by :meth:`ControlDecision.fold
+<repro.core.decisions.ControlDecision.fold>`); its directives are what
+the next cycle speculates on.
 
 **Sharded control plane** (``BDSConfig.shards > 1``): the job set is
 partitioned across controller shards by a platform-stable hash of job
@@ -16,9 +26,8 @@ with an active job runs the full vectorized schedule+route pipeline on
 its own partition, every cycle.
 
 A shard is a subset of jobs, not a copy of the store: each shard
-decides on the live view restricted to its bucket — on a speculating
-cycle (§5.1) the one :class:`~repro.core.speculation.SpeculatedView`
-the single controller would read — and keeps private only its
+decides on the view the single controller would read (speculated or
+not), restricted to its bucket, and keeps private only its
 per-decide state (a :class:`~repro.core.shardexec.ShardMirror`: its
 partition's candidate table, a
 :class:`~repro.net.cycle_cache.CycleCache` and the FPTAS warm store;
@@ -39,11 +48,8 @@ and are combined in index order).
 from __future__ import annotations
 
 import dataclasses
-import math
 import time as _time
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.baselines.base import OverlayStrategy
 from repro.baselines.gingko import GingkoStrategy
@@ -51,15 +57,15 @@ from repro.core.config import BDSConfig
 from repro.core.decisions import ControlDecision
 from repro.core.sharding import stable_shard
 from repro.core.shardexec import (
-    DecideResult,
     LocalShardRunner,
     build_pipeline,
     schedule_and_route,
 )
-from repro.core.speculation import DeliverySpeculator, SpeculatedView
+from repro.core.speculation import speculate
 from repro.net.directive import DirectiveBatch, TransferDirective
 from repro.net.view import ClusterView
 from repro.overlay.job import MulticastJob
+from repro.overlay.store import PossessionOverlay
 from repro.utils.rng import SeedLike
 
 
@@ -89,11 +95,7 @@ class BDSController(OverlayStrategy):
         self.scheduler, self.router = build_pipeline(self.config)
         self.fallback = fallback or GingkoStrategy(seed=seed)
         self.decisions: List[ControlDecision] = []
-        self._speculator = (
-            DeliverySpeculator(self.config.speculation_horizon)
-            if self.config.speculation_horizon > 0
-            else None
-        )
+        # What §5.1's speculation reads: the last decision's directives.
         self._previous_directives: Sequence[TransferDirective] = []
         # Sharded control plane (shards > 1): the lazily built per-shard
         # state.
@@ -120,6 +122,10 @@ class BDSController(OverlayStrategy):
         """
         if not view.controller_available:
             return self.fallback.decide(view)
+        cfg = self.config
+        if cfg.shards > 1 and self._shard_runner is None:
+            # The shards' candidate tables index the live matrix.
+            self._shard_runner = LocalShardRunner(cfg, view.store.matrix)
 
         # §5.3 partition handling: DCs severed from the controller's DC run
         # on the fallback; the controller only commands its own partition.
@@ -140,108 +146,50 @@ class BDSController(OverlayStrategy):
                 fallback_directives = batch.keep(
                     [batch.names[dst] in severed_servers for dst in batch.dst]
                 )
-                view = view.with_extra_failed_agents(severed_servers)
+                view = view.replace(
+                    failed_agents=view.failed_agents | severed_servers
+                )
 
-        # §5.1: (server ids, block column ids) expected to land while
-        # this decide runs, or None.
-        speculated = None
-        if self._speculator is not None and self._previous_directives:
-            sids, gids = self._speculator.speculate(
-                view, self._previous_directives
+        # §5.1: decide on the view with the deliveries expected to land
+        # while this decide runs already landed.
+        if cfg.speculation_horizon > 0 and self._previous_directives:
+            sids, gids = speculate(
+                view, self._previous_directives, cfg.speculation_horizon
             )
             if len(gids):
-                speculated = (sids, gids)
+                view = view.replace(store=PossessionOverlay(view.store, sids, gids))
 
-        if self.config.shards > 1:
-            return self._decide_sharded(view, fallback_directives, speculated)
-
-        if speculated:
-            view = SpeculatedView(view, *speculated)
-        result = schedule_and_route(self.scheduler, self.router, view)
-        self._log_decision(view.cycle, result.directives, [result])
-        return DirectiveBatch.concat(
-            [result.directives, fallback_directives], view.store.matrix
-        )
-
-    def _log_decision(
-        self,
-        cycle: int,
-        directives: Sequence[TransferDirective],
-        results: List[DecideResult],
-        **shard_telemetry,
-    ) -> None:
-        """Record the cycle's decision: ``directives`` as emitted, the
-        schedule+routes' telemetry summed, and — sharded — the
-        control plane's own."""
-        decision = ControlDecision(
-            cycle=cycle, directives=directives, **shard_telemetry
-        )
-        warm_starts = set()
-        for r in results:
-            decision.scheduled_blocks += r.scheduled_blocks
-            decision.num_commodities += r.num_commodities
-            decision.schedule_runtime += r.schedule_runtime
-            decision.routing_runtime += r.routing_runtime
-            decision.objective += r.objective
-            decision.routing_iterations += r.iterations
-            decision.routing_phases += r.phases
-            if r.warm_start:
-                warm_starts.add(r.warm_start)
-        decision.routing_warm_start = (
-            "mixed" if len(warm_starts) > 1 else "".join(warm_starts)
-        )
+        if cfg.shards > 1:
+            decision = self._decide_sharded(view)
+        else:
+            decision = schedule_and_route(self.scheduler, self.router, view)
         self.decisions.append(decision)
-        self._previous_directives = directives
+        self._previous_directives = decision.directives
+        return DirectiveBatch.concat(
+            [decision.directives, fallback_directives], view.store.matrix
+        )
 
     # -- sharded control plane -------------------------------------------------
 
-    def _decide_sharded(
-        self,
-        view: ClusterView,
-        fallback_directives: Sequence[TransferDirective],
-        speculated: Optional[Tuple[np.ndarray, np.ndarray]],
-    ) -> Sequence[TransferDirective]:
-        """Partitioned decide: per-shard decides + WAN reconciliation.
-
-        ``view`` is the real one; the shards read it, or the
-        :class:`SpeculatedView` of the cycle's ``speculated`` deliveries.
-        """
-        cfg = self.config
-        if self._shard_runner is None:
-            # The shards' candidate tables index the live matrix.
-            self._shard_runner = LocalShardRunner(cfg, view.store.matrix)
-        k = cfg.shards
+    def _decide_sharded(self, view: ClusterView) -> ControlDecision:
+        """Partitioned decide: per-shard decides + WAN reconciliation."""
+        k = self.config.shards
         buckets: List[List[MulticastJob]] = [[] for _ in range(k)]
         for job in view.jobs:
             buckets[stable_shard(job.job_id, k)].append(job)
-        shard_view = SpeculatedView(view, *speculated) if speculated else view
-        results = self._shard_runner.decide(shard_view, buckets)
+        shards = self._shard_runner.decide(view, buckets)
         directives = DirectiveBatch.concat(
-            [r.directives for r in results if r.directives],
-            view.store.matrix,
+            [s.directives for s in shards if s.directives], view.store.matrix
         )
-
         reconcile_started = _time.perf_counter()
         directives, reconciled = self._reconcile_wan(view, directives)
-        reconcile_runtime = _time.perf_counter() - reconcile_started
-
-        shard_walls = [r.wall for r in results]
-        self._log_decision(
+        return ControlDecision.fold(
             view.cycle,
             directives,
-            results,
+            shards,
             shard_count=k,
-            shard_wall_max=max(shard_walls, default=0.0),
-            shard_wall_mean=(
-                math.fsum(shard_walls) / len(shard_walls) if shard_walls else 0.0
-            ),
-            reconcile_runtime=reconcile_runtime,
+            reconcile_runtime=_time.perf_counter() - reconcile_started,
             reconciled_directives=reconciled,
-            shard_state_bytes=max((r.state_bytes for r in results), default=0),
-            shard_payload_bytes=sum(r.payload_bytes for r in results),
-        )
-        return DirectiveBatch.concat(
-            [directives, fallback_directives], view.store.matrix
         )
 
     def _reconcile_wan(

@@ -10,6 +10,7 @@ benchmarks (Fig. 11a, 13a).
 
 from __future__ import annotations
 
+import math
 from collections import abc
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -173,3 +174,42 @@ class ControlDecision:
     # of the jobs those shards saw for the first time.
     shard_state_bytes: int = 0
     shard_payload_bytes: int = 0
+
+    @classmethod
+    def fold(
+        cls,
+        cycle: int,
+        directives: Sequence[TransferDirective],
+        shards: Sequence["ControlDecision"],
+        shard_count: int,
+        reconcile_runtime: float,
+        reconciled_directives: int,
+    ) -> "ControlDecision":
+        """The sharded control plane's decision: the ``shards`` that
+        decided (each with its own wall as ``shard_wall_max``) folded —
+        counts, runtimes and payload bytes summed, walls as max and mean,
+        state bytes as max, warm starts ``"mixed"`` where they differ —
+        beside ``directives`` as emitted and the plane's own telemetry."""
+        walls = [s.shard_wall_max for s in shards]
+        warm_starts = {s.routing_warm_start for s in shards} - {""}
+        return cls(
+            cycle=cycle,
+            directives=directives,
+            scheduled_blocks=sum(s.scheduled_blocks for s in shards),
+            num_commodities=sum(s.num_commodities for s in shards),
+            schedule_runtime=math.fsum(s.schedule_runtime for s in shards),
+            routing_runtime=math.fsum(s.routing_runtime for s in shards),
+            objective=math.fsum(s.objective for s in shards),
+            routing_iterations=sum(s.routing_iterations for s in shards),
+            routing_phases=sum(s.routing_phases for s in shards),
+            routing_warm_start=(
+                "mixed" if len(warm_starts) > 1 else "".join(warm_starts)
+            ),
+            shard_count=shard_count,
+            shard_wall_max=max(walls, default=0.0),
+            shard_wall_mean=math.fsum(walls) / len(walls) if walls else 0.0,
+            reconcile_runtime=reconcile_runtime,
+            reconciled_directives=reconciled_directives,
+            shard_state_bytes=max((s.shard_state_bytes for s in shards), default=0),
+            shard_payload_bytes=sum(s.shard_payload_bytes for s in shards),
+        )

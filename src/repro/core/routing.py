@@ -464,9 +464,8 @@ class BDSRouter:
         key[:, 0] = batch.job_slots[first]
         key[:, 1] = batch.dst_sids[first]
         size = count.flat[flat]
-        key[:, 2:] = np.where(
-            turn < others[row], holders[ends[flat] - size + at % np.maximum(size, 1)], -1
-        )
+        key[:, 2:] = holders[ends[flat] - size + at % np.maximum(size, 1)]
+        key[:, 2:][turn >= others[row]] = -1  # a turn past every other DC
         return key, first, order[by_rep], is_head.cumsum() - 1
 
     def _group_columns(self, view: ClusterView, batch: SelectionBatch) -> _Grouping:
@@ -700,7 +699,7 @@ class BDSRouter:
         if not emitted:
             empty = np.empty(0, dtype=np.int64)
             return DirectiveBatch(empty, [0], [], [], [], [], grouping.names)
-        spread = np.repeat([offsets, marks], lengths, axis=1)
+        spread = np.array([offsets, marks]).repeat(lengths, axis=1)
         take = np.arange(at) + spread[0]
         if grouping.buffered is not None:
             # Sorted on (2 x group ordinal, not half-received).

@@ -1,13 +1,14 @@
 """Shard-local execution for the sharded controller.
 
 A shard (``BDSConfig.shards > 1``) is a subset of the jobs, not a copy
-of the store. Each shard with an active job decides on the live
-:class:`~repro.net.view.ClusterView` restricted to its bucket: it
-reads the simulator's :class:`~repro.overlay.store.PossessionIndex` —
-or, on a speculating cycle (§5.1), the controller's one
-:class:`~repro.core.speculation.SpeculatedView` of it — together with
-the clock, budgets, failure sets, partial bytes and topology. Possession
-is held once, in the store.
+of the store. Each shard with an active job decides on the
+controller's :class:`~repro.net.view.ClusterView`, replaced
+(:meth:`~repro.net.view.ClusterView.replace`) by its bucket of jobs
+and its own cache and table: it reads the simulator's
+:class:`~repro.overlay.store.PossessionIndex` — or, on a speculating
+cycle (§5.1), the controller's one overlay of it — together with the
+clock, budgets, failure sets, partial bytes and topology. Possession is
+held once, in the store.
 
 What a shard keeps private is its per-decide state, in a
 :class:`ShardMirror` (it mirrors nothing; the perf ledger reads
@@ -28,7 +29,9 @@ combined directive list is a function of the view alone.
 
 :func:`build_pipeline` and :func:`schedule_and_route` are the one
 schedule+route a shard and the single controller (``shards=1``, on the
-global view) both run.
+global view) both run; its record is the
+:class:`~repro.core.decisions.ControlDecision` the controller logs, or
+folds across shards.
 """
 
 from __future__ import annotations
@@ -38,11 +41,11 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import BDSConfig
+from repro.core.decisions import ControlDecision
 from repro.core.routing import BDSRouter
 from repro.core.scheduling import RarestFirstScheduler
 from repro.net.candidates import CandidateTable
 from repro.net.cycle_cache import CycleCache
-from repro.net.directive import TransferDirective
 from repro.net.view import ClusterView
 from repro.overlay.job import MulticastJob
 from repro.overlay.store import PossessionMatrix
@@ -61,27 +64,6 @@ class ShardPayload:
         return sum(256 + 96 * job.num_blocks for job in self.new_jobs)
 
 
-@dataclass
-class DecideResult:
-    """One schedule+route's output: a shard's, or the single controller's."""
-
-    directives: Sequence[TransferDirective]
-    scheduled_blocks: int
-    num_commodities: int
-    objective: float
-    schedule_runtime: float
-    routing_runtime: float
-    iterations: int
-    phases: int
-    warm_start: str
-    wall: float
-    #: Set by a shard: the bytes of the arrays it owns (its candidate
-    #: table) after this decide, and the structural size of the payload
-    #: of new jobs that fed it.
-    state_bytes: int = 0
-    payload_bytes: int = 0
-
-
 def build_pipeline(
     config: BDSConfig,
 ) -> Tuple[RarestFirstScheduler, BDSRouter]:
@@ -98,23 +80,22 @@ def build_pipeline(
     return scheduler, router
 
 
-def schedule_and_route(scheduler, router, view: ClusterView) -> DecideResult:
-    """One schedule+route over ``view``, with its telemetry read off."""
-    started = _time.perf_counter()
+def schedule_and_route(scheduler, router, view: ClusterView) -> ControlDecision:
+    """One schedule+route over ``view``: its decision, the telemetry read
+    off the scheduler and the router's diagnostics."""
     selections = scheduler.select(view)
     directives, diag = router.route(view, selections)
-    wall = _time.perf_counter() - started
-    return DecideResult(
+    return ControlDecision(
+        cycle=view.cycle,
         directives=directives,
         scheduled_blocks=len(selections),
         num_commodities=diag.num_commodities,
-        objective=diag.objective,
-        schedule_runtime=getattr(scheduler, "last_runtime", 0.0),
+        schedule_runtime=scheduler.last_runtime,
         routing_runtime=diag.runtime,
-        iterations=diag.iterations,
-        phases=diag.phases,
-        warm_start=diag.warm_start,
-        wall=wall,
+        objective=diag.objective,
+        routing_iterations=diag.iterations,
+        routing_phases=diag.phases,
+        routing_warm_start=diag.warm_start,
     )
 
 
@@ -138,34 +119,24 @@ class ShardMirror:
         view: ClusterView,
         bucket: Sequence[MulticastJob],
         payload: ShardPayload,
-    ) -> DecideResult:
+    ) -> ControlDecision:
         """One schedule+route of ``bucket`` (the shard's active jobs)
         over ``view``'s possession, clock, budgets, failures and partial
-        bytes."""
+        bytes. The decision carries the shard's own telemetry: its wall
+        (as ``shard_wall_max`` and ``shard_wall_mean``), the bytes of the
+        arrays it owns (its candidate table) after this decide, and the
+        structural size of the payload of new jobs that fed it."""
         for job in payload.new_jobs:
             self.candidates.ensure_job(job)
-        result = schedule_and_route(
-            self.scheduler,
-            self.router,
-            ClusterView(
-                topology=view.topology,
-                store=view.store,
-                jobs=bucket,
-                cycle=view.cycle,
-                time=view.time,
-                cycle_seconds=view.cycle_seconds,
-                bulk_capacities=view.bulk_capacities,
-                failed_agents=view.failed_agents,
-                controller_available=True,
-                partial_bytes=view.partial_bytes,
-                failed_links=view.failed_links,
-                cache=self.cache,
-                candidates=self.candidates,
-            ),
+        view = view.replace(jobs=bucket, cache=self.cache, candidates=self.candidates)
+        started = _time.perf_counter()
+        decision = schedule_and_route(self.scheduler, self.router, view)
+        decision.shard_wall_max = decision.shard_wall_mean = (
+            _time.perf_counter() - started
         )
-        result.state_bytes = self.candidates.state_bytes()
-        result.payload_bytes = payload.approx_bytes()
-        return result
+        decision.shard_state_bytes = self.candidates.state_bytes()
+        decision.shard_payload_bytes = payload.approx_bytes()
+        return decision
 
 
 class ShardFeed:
@@ -203,10 +174,10 @@ class LocalShardRunner:
         self,
         view: ClusterView,
         buckets: Sequence[Sequence[MulticastJob]],
-    ) -> List[DecideResult]:
+    ) -> List[ControlDecision]:
         """Decide every shard whose bucket holds a job, in shard-index
         order; ``buckets[i]`` is shard i's active jobs."""
-        results: List[DecideResult] = []
+        results: List[ControlDecision] = []
         for shard, bucket in enumerate(buckets):
             if not bucket:
                 continue

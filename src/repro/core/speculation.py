@@ -6,11 +6,13 @@ controller therefore feeds its algorithm not the *reported* delivery state
 but a *speculated* one: for every in-flight transfer it assumes the bytes
 that will land during the decision window have landed.
 
-:class:`DeliverySpeculator` consumes the previous cycle's directives and
-produces the block deliveries expected to complete within a given
-horizon, as (server id, block column id) columns of the possession
-matrix; :class:`SpeculatedView` is the real
-:class:`~repro.net.view.ClusterView` reading possession from a
+:func:`speculate` reads the previous cycle's
+:class:`~repro.net.directive.DirectiveBatch` as its columns, which are
+already in the possession matrix's ids, and returns the block deliveries
+expected to complete within a given horizon, as (server id, block column
+id) columns of that matrix. The controller decides on
+``view.replace(store=PossessionOverlay(view.store, sids, gids))``: the
+same view, reading possession from a
 :class:`~repro.overlay.store.PossessionOverlay` that holds them too. The
 same scheduler and router decide it; the real index is not touched.
 """
@@ -21,106 +23,69 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.net.directive import TransferDirective
+from repro.net.directive import DirectiveBatch, TransferDirective
 from repro.net.view import ClusterView
-from repro.overlay.store import PossessionOverlay
 from repro.utils.validation import check_non_negative
 
 
-class DeliverySpeculator:
-    """Predicts deliveries completing while the controller is thinking.
+def speculate(
+    view: ClusterView,
+    previous: Sequence[TransferDirective],
+    horizon_seconds: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Deliveries of the ``previous`` directives expected to complete
+    within ``horizon_seconds``, as ``(destination server ids, block
+    column ids)`` of the view's possession matrix.
 
-    The prediction is conservative and purely local: for each directive of
-    the previous cycle, bytes land in block order at the directive's rate;
-    blocks whose remaining bytes fit within ``horizon_seconds × rate`` are
-    speculated as delivered.
+    The prediction is conservative and purely local: each directive's
+    bytes land in block order at its rate cap, and a block whose
+    remaining bytes fit in what is left of ``horizon_seconds × rate`` is
+    speculated as delivered. A directive without a rate cap is skipped —
+    without a controller-assigned rate there is no honest local estimate
+    of its progress — as is one with an endpoint outside the matrix or of
+    a job the view no longer lists; so are block indices outside the
+    job, copies the destination already holds, and copies its source
+    does not hold.
     """
-
-    def __init__(self, horizon_seconds: float) -> None:
-        check_non_negative("horizon_seconds", horizon_seconds)
-        self.horizon_seconds = horizon_seconds
-
-    def speculate(
-        self,
-        view: ClusterView,
-        previous_directives: Sequence[TransferDirective],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Deliveries expected to complete within the horizon, as
-        ``(destination server ids, block column ids)`` of the view's
-        possession matrix.
-
-        Directives without a rate cap are skipped — without a controller-
-        assigned rate there is no honest local estimate of their progress
-        — as are those of jobs the view no longer lists.
-        """
-        matrix = view.store.matrix
-        partial = view.partial_bytes
-        sizes = {job.job_id: job.block_sizes() for job in view.jobs}
-        sids: List[int] = []
-        gids: List[int] = []
-        for directive in previous_directives:
-            if not directive.rate_cap or directive.rate_cap <= 0:
+    check_non_negative("horizon_seconds", horizon_seconds)
+    matrix = view.store.matrix
+    batch = DirectiveBatch.pack(previous, matrix)  # the router's batch: itself
+    partial = view.partial_bytes
+    sizes = {job.job_id: job.block_sizes() for job in view.jobs}
+    servers = matrix.num_servers
+    column, bounds = batch.column, batch.bounds
+    sids: List[int] = []
+    gids: List[int] = []
+    for i, (job_id, src, dst, cap) in enumerate(
+        zip(batch.job_ids, batch.src, batch.dst, batch.caps)
+    ):
+        if not cap or cap <= 0 or src >= servers or dst >= servers:
+            continue
+        size_of = sizes.get(job_id)
+        if size_of is None:
+            continue
+        base, count = matrix.spans.get(job_id, (0, 0))
+        budget = cap * horizon_seconds
+        # Rows are read block by block: the budget runs out long before
+        # a merged directive's block list does.
+        for index in column[bounds[i] : bounds[i + 1]].tolist():
+            if budget <= 0:
+                break
+            if not 0 <= index < count:
                 continue
-            src = matrix.server_ids.get(directive.src_server)
-            dst = matrix.server_ids.get(directive.dst_server)
-            if src is None or dst is None:
+            gid = base + index
+            if matrix.test_many(dst, gid):
+                continue  # already arrived for real
+            if not matrix.test_many(src, gid):
+                # Phantom source: the directive was decided on a
+                # speculated copy that never arrived, the simulator
+                # dropped it, and these bytes never moved.
                 continue
-            job_id = directive.job_id
-            size_of = sizes.get(job_id)
-            if size_of is None:
-                continue
-            base, count = matrix.spans.get(job_id, (0, 0))
-            budget = directive.rate_cap * self.horizon_seconds
-            # Rows are read block by block: the budget runs out long
-            # before a merged directive's block list does.
-            for index in directive.block_indices.tolist():
-                if budget <= 0:
-                    break
-                if not 0 <= index < count:
-                    continue
-                gid = base + index
-                if matrix.test_many(dst, gid):
-                    continue  # already arrived for real
-                if not matrix.test_many(src, gid):
-                    # Phantom source: the directive was decided on a
-                    # speculated copy that never arrived, the simulator
-                    # dropped it, and these bytes never moved.
-                    continue
-                remaining = float(size_of[index]) - partial.get(
-                    partial.key(gid, dst), 0.0
-                )
-                if remaining <= budget:
-                    sids.append(dst)
-                    gids.append(gid)
-                budget -= min(remaining, budget)
-        return np.array(sids, dtype=np.int64), np.array(gids, dtype=np.int64)
-
-
-class SpeculatedView(ClusterView):
-    """``base`` with the ``(sids, gids)`` deliveries already landed.
-
-    Everything but the store is ``base``'s own — jobs, budgets, failure
-    sets, partial bytes, the :class:`~repro.net.cycle_cache.CycleCache`
-    and the candidate table, if ``base`` carries one (block and server
-    ids are the same in the overlay's matrix). A sharded controller's
-    base carries none: its shards decide with their own tables.
-    """
-
-    def __init__(
-        self, base: ClusterView, sids: np.ndarray, gids: np.ndarray
-    ) -> None:
-        super().__init__(
-            topology=base.topology,
-            store=PossessionOverlay(base.store, sids, gids),
-            jobs=base.jobs,
-            cycle=base.cycle,
-            time=base.time,
-            cycle_seconds=base.cycle_seconds,
-            bulk_capacities=base.bulk_capacities,
-            failed_agents=base.failed_agents,
-            controller_available=base.controller_available,
-            partial_bytes=base.partial_bytes,
-            failed_links=base.failed_links,
-            cache=base._cache,
-            candidates=base._candidates,
-        )
+            remaining = float(size_of[index]) - partial.get(
+                partial.key(gid, dst), 0.0
+            )
+            if remaining <= budget:
+                sids.append(dst)
+                gids.append(gid)
+            budget -= min(remaining, budget)
+    return np.array(sids, dtype=np.int64), np.array(gids, dtype=np.int64)

@@ -106,24 +106,6 @@ class SimConfig:
             )
 
 
-#: CycleStats field -> the attribute of the strategy's decision record it
-#: is forwarded from, on cycles the strategy logged a decision for (an
-#: attribute the record lacks leaves the field at its default).
-_DECISION_TELEMETRY = {
-    "time_schedule": "schedule_runtime",
-    "time_route": "routing_runtime",
-    "routing_iterations": "routing_iterations",
-    "routing_phases": "routing_phases",
-    "routing_warm_start": "routing_warm_start",
-    "shard_count": "shard_count",
-    "time_shard_max": "shard_wall_max",
-    "time_shard_mean": "shard_wall_mean",
-    "time_reconcile": "reconcile_runtime",
-    "shard_state_bytes": "shard_state_bytes",
-    "shard_payload_bytes": "shard_payload_bytes",
-}
-
-
 class _BlockColumns:
     """The simulation's static per-block columns, and the per-job tables
     its deliveries are booked with.
@@ -367,25 +349,9 @@ class Simulation:
         # filtering): per-job first active cycle, exact on the c*dt float
         # grid so "arrived by cycle c" is the arrival_time <= c*dt
         # predicate bit-for-bit, as a stable arrival-sorted index and the
-        # cycles in that order. Jobs requesting a coarser per-job cadence
-        # (MulticastJob.cycle_seconds, a positive multiple of ΔT) have
-        # their arrival quantized up to their own cadence boundary.
+        # cycles in that order.
         dt = self.config.cycle_seconds
-        arrivals: List[int] = []
-        for job in self.jobs:
-            arrival = first_cycle_at_or_after(job.arrival_time, dt)
-            period = getattr(job, "cycle_seconds", None)
-            if period is not None:
-                multiple = int(round(period / dt))
-                if multiple < 1 or multiple * dt != period:
-                    raise ValueError(
-                        f"job {job.job_id!r} cycle_seconds ({period}) must "
-                        f"be a positive integer multiple of the simulation "
-                        f"cycle_seconds ({dt})"
-                    )
-                if multiple > 1 and arrival % multiple:
-                    arrival = (arrival // multiple + 1) * multiple
-            arrivals.append(arrival)
+        arrivals = [first_cycle_at_or_after(job.arrival_time, dt) for job in self.jobs]
         self._arrival_order = sorted(range(len(self.jobs)), key=arrivals.__getitem__)
         self._arrival_cycles = [arrivals[i] for i in self._arrival_order]
         self._reset_derived()
@@ -999,24 +965,33 @@ class Simulation:
     def _decision_telemetry(
         self, cycle: int, decide_runtime: float
     ) -> Dict[str, object]:
-        """The :class:`CycleStats` fields the strategy's decision record feeds.
+        """The :class:`CycleStats` fields the strategy's decision record
+        (a :class:`~repro.core.decisions.ControlDecision`) feeds, by name.
 
         A strategy without a decision log books its whole decide as
         scheduling. One with a log that logged nothing this cycle was in
         a controller outage (the fallback decided): that wall is neither
         scheduling nor routing; ``time_decide`` carries it.
         """
-        telemetry: Dict[str, object] = {"time_schedule": decide_runtime}
         last_decision = getattr(self.strategy, "last_decision", None)
-        if callable(last_decision):
-            decision = last_decision()
-            if decision is None or decision.cycle != cycle:
-                telemetry["time_schedule"] = 0.0
-            else:
-                for stat, attr in _DECISION_TELEMETRY.items():
-                    if hasattr(decision, attr):
-                        telemetry[stat] = getattr(decision, attr)
-        return telemetry
+        if not callable(last_decision):
+            return {"time_schedule": decide_runtime}
+        decision = last_decision()
+        if decision is None or decision.cycle != cycle:
+            return {"time_schedule": 0.0}
+        return {
+            "time_schedule": decision.schedule_runtime,
+            "time_route": decision.routing_runtime,
+            "routing_iterations": decision.routing_iterations,
+            "routing_phases": decision.routing_phases,
+            "routing_warm_start": decision.routing_warm_start,
+            "shard_count": decision.shard_count,
+            "time_shard_max": decision.shard_wall_max,
+            "time_shard_mean": decision.shard_wall_mean,
+            "time_reconcile": decision.reconcile_runtime,
+            "shard_state_bytes": decision.shard_state_bytes,
+            "shard_payload_bytes": decision.shard_payload_bytes,
+        }
 
     def _record_link_stats(
         self,

@@ -6,7 +6,7 @@ A :class:`ClusterView` is one cycle's read-only status of the cluster;
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -76,17 +76,17 @@ class ClusterView:
             self._candidates = CandidateTable(self.jobs, self.store.matrix)
         return self._candidates
 
-    def with_extra_failed_agents(self, extra: Iterable[str]) -> "ClusterView":
-        """A copy of this view treating ``extra`` servers as failed.
+    def replace(self, **changes) -> "ClusterView":
+        """This view with ``changes`` to its constructor arguments.
 
-        Used by the controller's partition handling (§5.3): servers in DCs
-        cut off from the controller cannot receive commands, so the
-        centralized logic must not schedule them as sources or sinks.
-
-        The clone shares this view's :class:`CycleCache` (paths do not
-        depend on agent failures) and candidate table.
+        What the controller decides on besides the simulator's view: the
+        §5.3 partition clone (more ``failed_agents``), the §5.1
+        speculated view (a ``store`` with the expected deliveries landed)
+        and a shard's (its bucket of ``jobs``, its own ``cache`` and
+        ``candidates``). Everything not changed is this view's own, the
+        :class:`CycleCache` and the candidate table included.
         """
-        return ClusterView(
+        arguments = dict(
             topology=self.topology,
             store=self.store,
             jobs=self.jobs,
@@ -94,13 +94,15 @@ class ClusterView:
             time=self.time,
             cycle_seconds=self.cycle_seconds,
             bulk_capacities=self.bulk_capacities,
-            failed_agents=self.failed_agents | set(extra),
+            failed_agents=self.failed_agents,
             controller_available=self.controller_available,
             partial_bytes=self.partial_bytes,
             failed_links=self.failed_links,
             cache=self._cache,
             candidates=self._candidates,
         )
+        arguments.update(changes)
+        return ClusterView(**arguments)
 
     def flow_resources(
         self, src_server: str, dst_server: str

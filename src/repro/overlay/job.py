@@ -95,19 +95,11 @@ class MulticastJob:
     # Scheduling priority: higher values are served before lower ones when
     # jobs contend for the same links (0 = default bulk priority).
     priority: int = 0
-    # Per-job control granularity (§5.4 API): a job may request a coarser
-    # decision cadence than the simulation's ΔT. Must be a positive
-    # multiple of ``SimConfig.cycle_seconds``; ``None`` inherits ΔT. The
-    # simulator quantizes the job's arrival up to its own cadence so all
-    # completion-time math stays on the global integer cycle grid.
-    cycle_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
         check_positive("total_bytes", self.total_bytes)
         check_positive("block_size", self.block_size)
         check_non_negative("arrival_time", self.arrival_time)
-        if self.cycle_seconds is not None:
-            check_positive("cycle_seconds", self.cycle_seconds)
         self.dst_dcs = tuple(self.dst_dcs)
         self.relay_dcs = tuple(self.relay_dcs)
         if not self.dst_dcs:

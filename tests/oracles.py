@@ -43,7 +43,9 @@ module; the property tests run the production kernels against these:
   float;
 * ``tests/test_overlay.py`` — the ``has``/``holders`` proxy a speculated
   view's store was (``repro.core.speculation._SpeculatedStore`` as it
-  was) and the full pending scans, against the bit-matrix overlay.
+  was) and the full pending scans, against the bit-matrix overlay; and
+  the speculator that read the previous directives as objects
+  (``speculate``), against the one that reads the batch's columns.
 
 Some definitions here left ``src/`` because only tests called them
 (``tests/test_layering.py`` keeps ``src/`` to what the system runs):
@@ -1340,6 +1342,49 @@ class SpeculatedStoreOracle:
         return blocks_on(self._store, server_id) | self._extra_by_server.get(
             server_id, set()
         )
+
+
+def speculate(view, previous_directives, horizon_seconds: float):
+    """The deliveries ``previous_directives`` land within
+    ``horizon_seconds``, as ``(server ids, block column ids)``:
+    ``repro.core.speculation.DeliverySpeculator.speculate`` as it was,
+    one ``TransferDirective`` per row and its endpoints by name."""
+    matrix = view.store.matrix
+    partial = view.partial_bytes
+    sizes = {job.job_id: job.block_sizes() for job in view.jobs}
+    sids: List[int] = []
+    gids: List[int] = []
+    for directive in previous_directives:
+        if not directive.rate_cap or directive.rate_cap <= 0:
+            continue
+        src = matrix.server_ids.get(directive.src_server)
+        dst = matrix.server_ids.get(directive.dst_server)
+        if src is None or dst is None:
+            continue
+        job_id = directive.job_id
+        size_of = sizes.get(job_id)
+        if size_of is None:
+            continue
+        base, count = matrix.spans.get(job_id, (0, 0))
+        budget = directive.rate_cap * horizon_seconds
+        for index in directive.block_indices.tolist():
+            if budget <= 0:
+                break
+            if not 0 <= index < count:
+                continue
+            gid = base + index
+            if matrix.test_many(dst, gid):
+                continue
+            if not matrix.test_many(src, gid):
+                continue
+            remaining = float(size_of[index]) - partial.get(
+                partial.key(gid, dst), 0.0
+            )
+            if remaining <= budget:
+                sids.append(dst)
+                gids.append(gid)
+            budget -= min(remaining, budget)
+    return np.array(sids, dtype=np.int64), np.array(gids, dtype=np.int64)
 
 
 # -- MCF: the exact-LP reference over explicit paths --------------------------

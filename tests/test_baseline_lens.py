@@ -57,11 +57,11 @@ from repro.baselines import (
     gingko,
 )
 from repro.baselines.base import JobPossession
-from repro.core.speculation import SpeculatedView
 from repro.net.failures import FailureEvent, FailureSchedule
 from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
+from repro.overlay.store import PossessionOverlay
 from repro.utils.units import GBps, MB, MBps
 
 from tests import oracles
@@ -121,9 +121,12 @@ class Shadow:
 
     def decide(self, view):
         if self.speculate is not None and self.speculate.random() < 0.5:
-            view = SpeculatedView(view, *self._speculated(view))
+            view = view.replace(
+                store=PossessionOverlay(view.store, *self._speculated(view))
+            )
         elif self.inexact:
-            view = SpeculatedView(view, *np.empty((2, 0), dtype=np.int64))
+            nothing = np.empty(0, dtype=np.int64)
+            view = view.replace(store=PossessionOverlay(view.store, nothing, nothing))
         got = self.real.decide(view)
         want = self.oracle(view, self.state)
         assert got == want
@@ -501,7 +504,7 @@ def test_views_the_simulator_would_not_reach(name):
         set(), {"dc0-s0"}, {"dc0-s0", "dc2-s1"}, {"dc0-s1", "dc1-s0"}, {"dc2-s0"},
     ]
     emitted = [
-        shadow.decide(sim.snapshot_view(cycle).with_extra_failed_agents(failed))
+        shadow.decide(sim.snapshot_view(cycle).replace(failed_agents=failed))
         for cycle, failed in enumerate(failed_by_cycle)
     ]
     assert all(emitted[:3])
@@ -531,7 +534,7 @@ def test_origin_over_two_holder_words_with_a_failed_holder_in_each():
     pre_seeded = {names[5]: blocks[::2], names[68]: blocks[1::4]}
     strategy = DirectStrategy()
     sim = Simulation(topo, [job], strategy, SimConfig(), pre_seeded=pre_seeded)
-    view = sim.snapshot_view().with_extra_failed_agents({names[3], names[66]})
+    view = sim.snapshot_view().replace(failed_agents={names[3], names[66]})
     lens = strategy.lens(view, job)
     in_src_dc = np.flatnonzero(np.char.startswith(np.array(names), "dc0-"))
     origin = lens.origin

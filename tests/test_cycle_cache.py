@@ -113,7 +113,7 @@ class TestViewCachedQueries:
         bid = job.blocks[0].block_id
         sources = view.eligible_sources(bid)
         assert sources
-        clone = view.with_extra_failed_agents(set(sources))
+        clone = view.replace(failed_agents=view.failed_agents | set(sources))
         assert clone.eligible_sources(bid) == []
         # The clone shares the base view's cache; neither view's answer
         # leaks into the other's.

@@ -163,7 +163,7 @@ def test_partition_fallback_is_concatenated_after_the_controllers_batch():
     fallback = [
         d for d in twin.fallback.decide(view) if d.dst_server in severed
     ]
-    inner = view.with_extra_failed_agents(severed)
+    inner = view.replace(failed_agents=view.failed_agents | severed)
     _commodities, routed = oracles.route(
         inner, twin.scheduler.select(inner), twin.router
     )

@@ -98,13 +98,20 @@ class TestSimulatorEdges:
         assert stats.link_bulk_usage == {}
         assert stats.max_delay_inflation == 1.0
 
-    def test_with_extra_failed_agents_is_a_copy(self):
+    def test_replace_is_a_copy(self):
+        """A replaced view changes what it is told to and shares the
+        rest, the cycle cache and the candidate table included."""
         topo, job = self._setup()
         sim = Simulation(topo, [job], BDSController(seed=0), SimConfig())
         view = sim.snapshot_view()
-        clone = view.with_extra_failed_agents({"dc1-s0"})
+        clone = view.replace(failed_agents={"dc1-s0"})
         assert "dc1-s0" in clone.failed_agents
         assert "dc1-s0" not in view.failed_agents
+        assert clone._cache is view._cache
+        assert clone._candidates is view._candidates is not None
+        assert clone.store is view.store and clone.jobs == view.jobs
+        with pytest.raises(TypeError):
+            view.replace(failed_agent={"dc1-s0"})
 
     def test_summary_renders(self):
         topo, job = self._setup()

@@ -61,9 +61,9 @@ import pytest
 from repro.core.config import BDSConfig
 from repro.core.decisions import SelectionBatch
 from repro.core.scheduling import RarestFirstScheduler
-from repro.core.speculation import SpeculatedView
 from repro.net.result import SimResult
 from repro.net.simulator import SimConfig, Simulation
+from repro.overlay.store import PossessionOverlay
 from tests import oracles
 
 PINS_FILE = Path(__file__).parent / "data" / "engine_pins.json"
@@ -367,7 +367,8 @@ def test_a_run_stopped_midway_is_where_the_dict_store_left_it(seed, cycles):
 
     sim, result = _stopped(seed, cycles, {})
     nothing = np.empty(0, dtype=np.int64)
-    overlay = SpeculatedView(sim.snapshot_view(cycles), nothing, nothing)
+    view = sim.snapshot_view(cycles)
+    overlay = view.replace(store=PossessionOverlay(view.store, nothing, nothing))
     assert overlay.store.matrix is not sim.state.store.matrix
     assert isinstance(RarestFirstScheduler().select(overlay), SelectionBatch)
     seen = observe_midrun(sim, result, overlay)

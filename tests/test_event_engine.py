@@ -580,50 +580,6 @@ class TestIntegerCycleGrid:
                 assert c == 0 or arrival > (c - 1) * dt
 
 
-class TestPerJobCadence:
-    """Satellite: jobs may request a coarser decision cadence."""
-
-    def _job(self, cycle_seconds, arrival_time=0.0):
-        return MulticastJob(
-            job_id="cadence",
-            src_dc="dc0",
-            dst_dcs=("dc1", "dc2"),
-            total_bytes=8 * MB,
-            block_size=4 * MB,
-            arrival_time=arrival_time,
-            cycle_seconds=cycle_seconds,
-        )
-
-    def _sim(self, job):
-        topo = Topology.full_mesh(
-            num_dcs=3, servers_per_dc=2, wan_capacity=50 * MBps, uplink=25 * MBps
-        )
-        job.bind(topo)
-        return Simulation(
-            topology=topo,
-            jobs=[job],
-            strategy=make_strategy("direct", seed=SEED),
-            config=SimConfig(max_cycles=100, cycle_seconds=3.0),
-            seed=SEED,
-        )
-
-    def test_arrival_quantized_to_cadence(self):
-        # Arrives at t=4s; cadence 6s quantizes the first active cycle up
-        # to the next multiple of 2 cycles (cycle 2, t=6s).
-        sim = self._sim(self._job(6.0, arrival_time=4.0))
-        assert sim._arrival_cycles == [2]
-        result = sim.run()
-        assert result.all_complete
-
-    def test_non_multiple_cadence_rejected(self):
-        with pytest.raises(ValueError, match="multiple"):
-            self._sim(self._job(4.0))
-
-    def test_negative_cadence_rejected(self):
-        with pytest.raises(ValueError):
-            self._job(-3.0)
-
-
 class TestBackgroundChangePoints:
     """next_change_after caps the idle skip; state_token_at names a state."""
 

@@ -113,14 +113,14 @@ INT_FOLDS = {
     "FlowRows.compile": "path lengths",
     "SimResult.total_rate_stalemates": "stalemate counts times run lengths",
     "ShardPayload.approx_bytes": "fixed byte costs per job and per block",
-    "BDSController._decide_sharded": "the shards' payload byte counts",
+    "ControlDecision.fold": "the shards' counts and payload byte counts",
     "Fig4.measure": "a count of ratios",
     "interference": "a count of cycles",
 }
 
 
-def _sum_calls(tree: ast.Module) -> Iterator[Tuple[int, str]]:
-    """``(line, enclosing definition)`` per builtin ``sum(`` call."""
+def _calls_of(name: str, tree: ast.Module) -> Iterator[Tuple[int, str]]:
+    """``(line, enclosing definition)`` per ``name(`` call."""
     owner = {}
     for qualname, node in _definitions(tree.body):
         if not isinstance(node, ast.ClassDef):
@@ -130,15 +130,38 @@ def _sum_calls(tree: ast.Module) -> Iterator[Tuple[int, str]]:
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
-            and node.func.id == "sum"
+            and node.func.id == name
         ):
             yield node.lineno, owner.get(id(node), "<module>")
+
+
+def _sum_calls(tree: ast.Module) -> Iterator[Tuple[int, str]]:
+    """``(line, enclosing definition)`` per builtin ``sum(`` call."""
+    return _calls_of("sum", tree)
 
 
 def folds_floats_with_builtin_sum(tree: ast.Module) -> Iterator[Violation]:
     for line, where in _sum_calls(tree):
         if where not in INT_FOLDS:
             yield line, f"builtin sum in {where}: fold floats with math.fsum"
+
+
+#: Where a :class:`ClusterView` is constructed: the simulator's view of a
+#: cycle, and every other view derived from one by ``replace``. A
+#: subclass would be a third constructor.
+VIEW_BUILDERS = ("Simulation._view", "ClusterView.replace")
+
+
+def builds_a_view_outside_its_two_builders(tree: ast.Module) -> Iterator[Violation]:
+    for line, where in _calls_of("ClusterView", tree):
+        if where not in VIEW_BUILDERS:
+            yield line, f"ClusterView( in {where}: derive the view with replace"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(base, ast.Name) and base.id == "ClusterView"
+            for base in node.bases
+        ):
+            yield node.lineno, f"{node.name} subclasses ClusterView"
 
 
 def _all_strings(module: ast.Module) -> FrozenSet[int]:
@@ -258,6 +281,7 @@ RULES = {
     ),
     "src-definitions-have-a-src-caller": (SRC, src_definitions_have_a_src_caller),
     "src-folds-floats-with-fsum": (SRC, folds_floats_with_builtin_sum),
+    "src-builds-views-in-two-places": (SRC, builds_a_view_outside_its_two_builders),
     "hot-path-reads-paths-by-server-id": (
         (
             "src/repro/core/routing.py",

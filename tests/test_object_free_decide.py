@@ -38,13 +38,14 @@ from repro.analysis.runner import make_strategy
 from repro.core.decisions import ScheduledBlock, SelectionBatch
 from repro.core.routing import BDSRouter, greedy_waterfill
 from repro.core.scheduling import RarestFirstScheduler
-from repro.core.speculation import DeliverySpeculator, SpeculatedView
+from repro.core.speculation import speculate
 from repro.lp.mcf import Commodity
 from repro.net.background import BackgroundTraffic
 from repro.net.failures import FailureEvent, FailureSchedule
 from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
+from repro.overlay.store import PossessionOverlay
 from repro.utils.units import MB, MBps
 
 from tests import oracles
@@ -107,7 +108,8 @@ def test_inexact_stores_materialize_the_old_list(seed):
     scheduler = RarestFirstScheduler()
     sim = _midrun(seed, 2)
     nothing = np.empty(0, dtype=np.int64)
-    view = SpeculatedView(sim.snapshot_view(2), nothing, nothing)
+    view = sim.snapshot_view(2)
+    view = view.replace(store=PossessionOverlay(view.store, nothing, nothing))
     selections = scheduler.select(view)
     assert isinstance(selections, SelectionBatch)
     assert all(type(entry) is ScheduledBlock for entry in selections)
@@ -121,8 +123,8 @@ def test_inexact_stores_materialize_the_old_list(seed):
     sim = _midrun(seed, 2)
     view = sim.snapshot_view(2)
     directives = make_strategy("bds", seed=seed).decide(view)
-    sids, gids = DeliverySpeculator(horizon_seconds=3.0).speculate(view, directives)
-    overlay = SpeculatedView(view, sids, gids)
+    sids, gids = speculate(view, directives, horizon_seconds=3.0)
+    overlay = view.replace(store=PossessionOverlay(view.store, sids, gids))
     selections = scheduler.select(overlay)
     assert isinstance(selections, SelectionBatch)
     assert selections == oracles.select_rarest_first(

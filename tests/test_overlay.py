@@ -29,7 +29,9 @@ from repro.analysis.runner import make_strategy
 from repro.core.decisions import SelectionBatch
 from repro.core.routing import BDSRouter
 from repro.core.scheduling import RarestFirstScheduler
-from repro.core.speculation import DeliverySpeculator, SpeculatedView
+from repro.core import controller as controller_module
+from repro.core.speculation import speculate
+from repro.net.directive import DirectiveBatch, TransferDirective
 from repro.net.view import ClusterView
 from repro.overlay.blocks import Block
 from repro.overlay.store import PossessionIndex, PossessionOverlay, set_bits
@@ -178,12 +180,70 @@ def proxied(view, sids, gids) -> ClusterView:
 
 def speculating(seed, cycles, horizon=3.0, **shape):
     """A simulation stopped mid-run, the view of its next cycle, and what
-    a speculator makes of the directives the controller would send."""
+    the speculator makes of the directives the controller would send —
+    what the object-reading speculator it replaced makes of them too."""
     sim = _midrun(seed, cycles, **shape)
     view = sim.snapshot_view(max(cycles, 1))
     directives = make_strategy("bds", seed=seed).decide(view)
-    sids, gids = DeliverySpeculator(horizon).speculate(view, directives)
+    assert isinstance(directives, DirectiveBatch)
+    sids, gids = speculate(view, directives, horizon)
+    want = oracles.speculate(view, list(directives), horizon)
+    assert np.array_equal(sids, want[0]) and np.array_equal(gids, want[1])
     return sim, view, sids, gids
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    cycles=st.integers(1, 3),
+    horizon=st.sampled_from([0.3, 1.5, 3.0]),
+    line=st.booleans(),
+)
+def test_the_columnar_speculator_is_the_object_loop(seed, cycles, horizon, line):
+    """On the directives the controller sent last cycle, and on them
+    behind a row of each kind the speculator skips — uncapped, capped at
+    zero, an endpoint outside the matrix, a job the view no longer
+    lists, indices outside the job, a copy already held, a phantom
+    source — given a rate that would land every block."""
+    sim = _midrun(seed, cycles, line=line)
+    view = sim.snapshot_view(cycles)
+    sent = sim.strategy.decisions[-1].directives
+    assert isinstance(sent, DirectiveBatch)
+    matrix = view.store.matrix
+    # The rarest block of the listed jobs: its column, job and index.
+    spans = [matrix.spans[job.job_id] for job in view.jobs]
+    gid = min(
+        (int(matrix.dup[g]), g) for base, n in spans for g in range(base, base + n)
+    )[1]
+    (job_id, index), = matrix.block_ids(np.array([gid]))
+    count = matrix.spans[job_id][1]
+    holder = matrix.server_names[int(matrix.holder_ids(gid)[0])]
+    lacking = [
+        name for sid, name in enumerate(matrix.server_names)
+        if not matrix.test_many(sid, gid)
+    ]
+    assert lacking
+
+    def row(src, dst, cap=1e12, indices=(index,), job_id=job_id):
+        return TransferDirective(job_id, [(job_id, i) for i in indices], src, dst, cap)
+
+    skipped = [
+        row(holder, lacking[0], cap=None),
+        row(holder, lacking[0], cap=0.0),
+        row(holder, "nowhere"),
+        row(holder, lacking[0], job_id="gone"),
+        row(holder, lacking[0], indices=(count, -1)),
+        row(lacking[0], holder),  # already held
+        *[row(src, lacking[0]) for src in lacking[1:2]],  # phantom source
+    ]
+    lands = row(holder, lacking[0])
+    for previous in (sent, [*skipped, *sent], [*skipped, lands]):
+        got = speculate(view, previous, horizon)
+        want = oracles.speculate(view, list(previous), horizon)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert not len(speculate(view, skipped, horizon)[1])
+    sids, gids = speculate(view, [*skipped, lands], horizon)
+    assert sids.tolist() == [matrix.server_ids[lacking[0]]] and gids.tolist() == [gid]
 
 
 def assert_accessors_are_the_scans(view, reference):
@@ -224,7 +284,7 @@ def test_view_accessors_are_the_full_scans(seed, cycles, wide):
     assert_accessors_are_the_scans(bare, view)
     assert bare.candidates is not view.candidates
 
-    overlay = SpeculatedView(view, sids, gids)
+    overlay = view.replace(store=PossessionOverlay(view.store, sids, gids))
     assert_accessors_are_the_scans(overlay, proxied(view, sids, gids))
 
 
@@ -251,7 +311,7 @@ def test_select_and_route_on_an_overlay_are_the_loops_over_the_proxy(
         for groups in view.candidates.groups_by_job.values()
         for group in groups
     }
-    overlay = SpeculatedView(view, sids, gids)
+    overlay = view.replace(store=PossessionOverlay(view.store, sids, gids))
     reference = proxied(view, sids, gids)
 
     scheduler = RarestFirstScheduler(max_blocks_per_cycle=cap)
@@ -321,7 +381,7 @@ def mutant(function, *edits):
     return namespace[function.__name__]
 
 
-def test_rows_compacted_on_a_phantom_copy_are_never_scheduled_again():
+def test_rows_compacted_on_a_phantom_copy_are_never_scheduled_again(monkeypatch):
     """Mutant (a): let an overlay's gather compact ``alive``. Some
     speculated copies arrive a cycle late (the simulator clips a flow the
     speculator took at its assigned rate); their rows, compacted away on
@@ -336,16 +396,15 @@ def test_rows_compacted_on_a_phantom_copy_are_never_scheduled_again():
         scheduler = sim.strategy.scheduler
         if select is not None:
             scheduler.select = select.__get__(scheduler)
-        speculate = sim.strategy._speculator.speculate
         expected, late = [], []
 
-        def spy(view, previous):
+        def spy(view, previous, horizon):
             for sids, gids in expected[-1:]:  # last cycle's: did they land?
                 late.append(int((~view.store.matrix.test_many(sids, gids)).sum()))
-            expected.append(speculate(view, previous))
+            expected.append(speculate(view, previous, horizon))
             return expected[-1]
 
-        sim.strategy._speculator.speculate = spy
+        monkeypatch.setattr(controller_module, "speculate", spy)
         return sim.run(), sum(late)
 
     plain, late = run()

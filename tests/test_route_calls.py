@@ -11,9 +11,13 @@ numpy's — a Python function defined in numpy's package (its
 ``*_dispatcher`` helpers excepted), or a C function or method whose
 cProfile name mentions numpy — and its caller is not. Calls numpy makes
 to itself do not count, and neither do operator ufuncs and indexing
-(``a + b``, ``a[i]``), which cProfile does not see. Each count is of a
-second ``route()`` over the same view, so that first-seen work (the
-cycle cache's route table) is not in it.
+(``a + b``, ``a[i]``), which cProfile does not see — with one
+exception: a numpy function handed a Python list where it wants an
+array method (``np.repeat(list, ...)``) converts it on numpy's
+``_wrapit`` path, and that conversion counts as a call too, so the call
+costs what the ``np.array(list).repeat(...)`` it stands for does. Each
+count is of a second ``route()`` over the same view, so that first-seen
+work (the cycle cache's route table) is not in it.
 """
 
 from __future__ import annotations
@@ -50,7 +54,9 @@ def numpy_calls_of(call) -> int:
     for key, (_cc, _nc, _tt, _ct, callers) in pstats.Stats(profile).stats.items():
         if _is_numpy(key):
             calls += sum(
-                count[0] for caller, count in callers.items() if not _is_numpy(caller)
+                count[0]
+                for caller, count in callers.items()
+                if not _is_numpy(caller) or key[2] == "_wrapit"
             )
     return calls
 

@@ -19,12 +19,12 @@ from repro.analysis.runner import make_strategy
 from repro.core.decisions import SelectionBatch
 from repro.core.routing import BDSRouter
 from repro.core.scheduling import RarestFirstScheduler
-from repro.core.speculation import DeliverySpeculator, SpeculatedView
+from repro.core.speculation import speculate
 from repro.net.failures import FailureEvent, FailureSchedule
 from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
-from repro.overlay.store import PossessionIndex
+from repro.overlay.store import PossessionIndex, PossessionOverlay
 from repro.utils.units import MB, MBps
 
 from tests import oracles
@@ -111,7 +111,7 @@ class TestVectorizedSelectionEquivalence:
 
         # Same possession in an overlay's copy of the matrix (nothing
         # speculated), under the simulator's candidate table.
-        overlay = SpeculatedView(view, NOTHING, NOTHING)
+        overlay = view.replace(store=PossessionOverlay(view.store, NOTHING, NOTHING))
         assert overlay.store.matrix is not view.store.matrix
         assert scheduler.select(overlay) == selected
 
@@ -156,9 +156,8 @@ class TestVectorizedSelectionEquivalence:
             held for held in map(matrix.holder_ids, range(matrix.num_blocks))
             if len(held) == 2 and held[0] < 64 <= held[1]
         )
-        failing = view.with_extra_failed_agents(
-            matrix.server_names[sid] for sid in pair
-        )
+        failed = {matrix.server_names[sid] for sid in pair}
+        failing = view.replace(failed_agents=view.failed_agents | failed)
         selected = scheduler.select(failing)
         assert selected == oracles.select_rarest_first(failing, scheduler)
         assert selected != scheduler.select(view)
@@ -352,11 +351,9 @@ class TestSpeculationFallback:
         scheduler = RarestFirstScheduler()
         selections = scheduler.select(view)
         directives, _ = BDSRouter().route(view, selections)
-        sids, gids = DeliverySpeculator(horizon_seconds=3.0).speculate(
-            view, directives
-        )
+        sids, gids = speculate(view, directives, horizon_seconds=3.0)
         assert len(gids), "no speculatable directives in this scenario"
-        overlay = SpeculatedView(view, sids, gids)
+        overlay = view.replace(store=PossessionOverlay(view.store, sids, gids))
         # Not the live matrix, but a matrix: ids, table and cache are the
         # base view's, the phantom copies are set, the selection is a
         # batch, and it is the per-candidate scan's.

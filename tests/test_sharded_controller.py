@@ -30,7 +30,6 @@ from repro.core.controller import BDSController
 from repro.core import shardexec
 from repro.core.sharding import stable_shard
 from repro.core.shardexec import LocalShardRunner, ShardPayload
-from repro.core.speculation import SpeculatedView
 from repro.net.failures import FailureEvent, FailureSchedule
 from repro.net.result import SimResult
 from repro.net.simulator import SimConfig, Simulation
@@ -221,9 +220,10 @@ class TestShardLocalState:
 
     def test_no_state_telemetry_on_shared_store_path(self, monkeypatch):
         """There is no second path: speculating cycles are decided by the
-        shards like any other, over the one :class:`SpeculatedView` the
-        single controller would read (and that builds no global candidate
-        table), so per-shard state is reported on every cycle."""
+        shards like any other, over the one speculated view (an overlay
+        store) the single controller would read (and that builds no
+        global candidate table), so per-shard state is reported on every
+        cycle."""
         topo, jobs = _scenario()
         controller = BDSController(BDSConfig(shards=2, speculation_horizon=3.0))
         sim = Simulation(topology=topo, jobs=jobs, strategy=controller, seed=SEED)
@@ -236,10 +236,10 @@ class TestShardLocalState:
 
         monkeypatch.setattr(LocalShardRunner, "decide", spy)
         result = sim.run()
-        speculating = [isinstance(view, SpeculatedView) for view in views]
+        speculating = [isinstance(view.store, PossessionOverlay) for view in views]
         assert result.all_complete and any(speculating) and not speculating[0]
         for view in views:
-            if isinstance(view, SpeculatedView):
+            if isinstance(view.store, PossessionOverlay):
                 assert view.store.matrix.spans is sim.state.store.matrix.spans
                 assert view._candidates is None
             else:

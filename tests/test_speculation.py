@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core import BDSConfig, BDSController
-from repro.core.speculation import DeliverySpeculator, SpeculatedView
+from repro.core import controller as controller_module
+from repro.core.speculation import speculate
 from repro.net.directive import TransferDirective
 from repro.net.failures import FailureEvent, FailureSchedule
 from repro.net.simulator import SimConfig, Simulation
 from repro.net.topology import Topology
 from repro.overlay.job import MulticastJob
+from repro.overlay.store import PossessionOverlay
 from repro.utils.units import GB, MB, MBps
 
 from tests import oracles
@@ -40,10 +42,16 @@ def columns(view, pairs):
     return np.array(sids, dtype=np.int64), np.array(gids, dtype=np.int64)
 
 
+def landed(view, pairs):
+    """``view`` with the ``(dst_server, block_id)`` copies landed: what
+    a speculating controller decides on."""
+    return view.replace(store=PossessionOverlay(view.store, *columns(view, pairs)))
+
+
 def speculated(view, directives, horizon):
     """What the speculator expects to land, as ``(dst_server, block_id)``."""
     matrix = view.store.matrix
-    sids, gids = DeliverySpeculator(horizon).speculate(view, directives)
+    sids, gids = speculate(view, directives, horizon)
     return [
         (matrix.server_names[sid], block_id)
         for sid, block_id in zip(sids.tolist(), matrix.block_ids(gids))
@@ -102,16 +110,17 @@ class TestDeliverySpeculator:
         )
         assert speculated(view, [directive], 1.0) == [("dc1-s0", block.block_id)]
 
-    def test_negative_horizon_rejected(self):
+    def test_negative_horizon_rejected(self, setup):
+        view, _job = setup
         with pytest.raises(ValueError):
-            DeliverySpeculator(-1.0)
+            speculate(view, [], -1.0)
 
 
 class TestSpeculatedView:
     def test_overlay_reflects_speculation(self, setup):
         view, job = setup
         block = job.blocks[0]
-        spec = SpeculatedView(view, *columns(view, [("dc1-s0", block.block_id)]))
+        spec = landed(view, [("dc1-s0", block.block_id)])
         assert spec.store.has("dc1-s0", block.block_id)
         assert "dc1-s0" in spec.store.holders(block.block_id)
         assert oracles.duplicate_count(spec.store, block.block_id) == 2
@@ -121,7 +130,7 @@ class TestSpeculatedView:
     def test_underlying_store_unchanged(self, setup):
         view, job = setup
         block = job.blocks[0]
-        SpeculatedView(view, *columns(view, [("dc1-s0", block.block_id)]))
+        landed(view, [("dc1-s0", block.block_id)])
         assert not view.store.has("dc1-s0", block.block_id)
         assert oracles.duplicate_count(view.store, block.block_id) == 1
 
@@ -129,17 +138,17 @@ class TestSpeculatedView:
         view, job = setup
         block = job.blocks[0]
         dst = job.assigned_server("dc1", block.block_id)
-        spec = SpeculatedView(view, *columns(view, [(dst, block.block_id)]))
+        spec = landed(view, [(dst, block.block_id)])
         before = oracles.pending_deliveries(view, job)
         after = oracles.pending_deliveries(spec, job)
         assert (block, "dc1", dst) in before
         assert after == [entry for entry in before if entry[0] != block]
 
     def test_the_view_is_the_base_view_with_its_store_swapped(self, setup):
-        """Every field ``ClusterView.__init__`` sets, ``SpeculatedView``
-        has — a field added there cannot go missing here."""
+        """Every field ``ClusterView.__init__`` sets, a replaced view has
+        — a field added there cannot go missing here."""
         view, job = setup
-        spec = SpeculatedView(view, *columns(view, []))
+        spec = landed(view, [])
         assert vars(spec).keys() == vars(view).keys()
         for name, value in vars(view).items():
             if name == "store":
@@ -278,3 +287,18 @@ class TestControllerIntegration:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BDSConfig(speculation_horizon=-0.1)
+
+    def test_a_speculating_run_builds_no_directive_object(self, monkeypatch):
+        """Speculation reads the previous batch's columns: over
+        ``ablation-speculation``'s run at its 0.3 s horizon, which
+        speculates on every decide after the first, no
+        ``TransferDirective`` is built (238 were, while it iterated the
+        batch)."""
+        from repro.analysis.experiments.design import _control_plane
+
+        built = oracles.count_calls(monkeypatch, TransferDirective, "from_segment")
+        speculated = oracles.count_calls(monkeypatch, controller_module, "speculate")
+        scenario = _control_plane(config=BDSConfig(speculation_horizon=0.3), seed=0)
+        result = scenario.run()
+        assert result.all_complete and len(speculated) == result.cycles_run - 1 > 5
+        assert built == []
